@@ -22,13 +22,15 @@ use std::time::Instant;
 use quicert_churn::ChurnConfig;
 use quicert_core::engine::host_parallelism;
 use quicert_core::{CampaignConfig, CampaignService, PumpStats, ScanEngine, ServiceConfig};
-use quicert_netsim::{FaultPlan, NetworkProfile};
+use quicert_netsim::FaultPlan;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
-use quicert_scanner::quicreach;
+use quicert_scanner::{quicreach, Scenario};
 use quicert_session::ResumptionPolicy;
 
 const SEED: u64 = 0x5CA1;
 const INITIAL: usize = 1362;
+/// The paper's baseline scenario at the bench's Initial size.
+const BASE: Scenario = Scenario::at(INITIAL);
 
 /// Bench scale: (domains, samples); the smoke configuration trades
 /// statistical niceness for CI wall-clock.
@@ -109,7 +111,7 @@ fn bench_engine(domains: usize, samples: usize, workers: usize) -> EngineRow {
         let mut run = || {
             let engine = ScanEngine::new(world(domains), INITIAL, workers);
             resolved_workers = engine.workers();
-            black_box(engine.quicreach(INITIAL).len());
+            black_box(engine.quicreach(engine.scenario()).len());
         };
         run();
         // World generation dominates engine construction; regenerate
@@ -119,7 +121,7 @@ fn bench_engine(domains: usize, samples: usize, workers: usize) -> EngineRow {
             .collect();
         let start = Instant::now();
         for engine in &mut engines {
-            black_box(engine.quicreach(INITIAL).len());
+            black_box(engine.quicreach(engine.scenario()).len());
         }
         start.elapsed().as_secs_f64() / samples as f64
     };
@@ -158,7 +160,7 @@ fn bench_stream(label: &str, population: usize, workers: usize, memoized: bool) 
     // One timed pass only: at a million-plus records the run *is* the
     // statistics (smoke mode keeps the same shape).
     let start = Instant::now();
-    let shard = engine.stream_quicreach(INITIAL);
+    let shard = engine.stream_quicreach(engine.scenario());
     let seconds = start.elapsed().as_secs_f64();
     black_box(shard.total());
     let pump = engine.pump_stats().unwrap_or_default();
@@ -214,12 +216,7 @@ fn bench_chaos(population: usize, plan: FaultPlan) -> ChaosRow {
     };
     let engine = ScanEngine::streaming(config, INITIAL, 8);
     let start = Instant::now();
-    let shard = engine.stream_quicreach_chaos(
-        CertificateEra::Classical,
-        NetworkProfile::Ideal,
-        plan,
-        INITIAL,
-    );
+    let shard = engine.stream_quicreach(engine.scenario().with_plan(plan));
     let seconds = start.elapsed().as_secs_f64();
     black_box(shard.total());
     eprintln!(
@@ -356,24 +353,19 @@ fn main() {
     // Batched (one SimNet per shard) vs per-probe (one exchange at a time),
     // both serial so the comparison isolates the scheduling path.
     let batched = time_mean(samples, || {
-        black_box(quicreach::scan_records(&world, &records, INITIAL).len());
+        black_box(quicreach::scan_records(&world, &records, BASE).len());
     });
     let per_probe = time_mean(samples, || {
-        black_box(
-            quicreach::scan_records_per_probe(&world, &records, INITIAL, NetworkProfile::Ideal)
-                .len(),
-        );
+        black_box(quicreach::scan_records_per_probe(&world, &records, BASE).len());
     });
     // The warm (resumption) path probes every service twice — cold visit
     // with ticket issuance, then the resumed revisit.
     let mut warm_resumed = 0usize;
     let warm = time_mean(samples, || {
-        let results = quicreach::warm_scan_records(
+        let results = quicreach::warm_scan(
             &world,
             &records,
-            INITIAL,
-            NetworkProfile::Ideal,
-            ResumptionPolicy::WarmAfterFirstVisit,
+            BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit),
         );
         warm_resumed = results.iter().filter(|r| r.resumed).count();
         black_box(results.len());
@@ -382,14 +374,8 @@ fn main() {
     // magnitude more flight bytes to build, fragment and simulate.
     let pq = time_mean(samples, || {
         black_box(
-            quicreach::scan_records_era(
-                &world,
-                &records,
-                INITIAL,
-                NetworkProfile::Ideal,
-                CertificateEra::PostQuantum,
-            )
-            .len(),
+            quicreach::scan_records(&world, &records, BASE.with_era(CertificateEra::PostQuantum))
+                .len(),
         );
     });
     eprintln!("scan path  batched    {batched:>10.4} s");

@@ -26,7 +26,7 @@ fn main() {
     };
     let engine = ScanEngine::streaming(config, 1362, workers).with_stream_chunk(chunk);
     let start = Instant::now();
-    let shard = engine.stream_quicreach(1362);
+    let shard = engine.stream_quicreach(engine.scenario());
     let elapsed = start.elapsed().as_secs_f64();
     eprintln!(
         "stream_quicreach {n} @ {workers}w: {elapsed:.3}s ({} probed)",

@@ -97,9 +97,7 @@ fn main() {
     // Pump observability: stream the campaign's own population once (the
     // ladder rows above used throwaway engines) and report what the pump
     // workers did. Stats go to stderr so stdout stays the golden report.
-    campaign
-        .engine()
-        .stream_quicreach(campaign.config().default_initial);
+    campaign.engine().stream_quicreach(campaign.scenario());
     if let Some(stats) = campaign.engine().pump_stats() {
         let totals = stats.totals();
         eprintln!(

@@ -3,15 +3,15 @@
 
 use std::sync::Arc;
 
-use quicert_compress::Algorithm;
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::{CertificateEra, World, WorldConfig};
-use quicert_scanner::compression::{AlgorithmSupport, SyntheticCompression};
+use quicert_scanner::compression::AlgorithmSupport;
 use quicert_scanner::https_scan::HttpsScanReport;
 use quicert_scanner::qscanner::{ConsistencyReport, QuicCertObservation};
-use quicert_scanner::quicreach::{QuicReachResult, ScanSummary, WarmScanResult};
+use quicert_scanner::quicreach::ScanSummary;
 use quicert_scanner::telescope_scan::BackscatterSession;
 use quicert_scanner::zmap::ZmapResult;
+use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
 use crate::engine::ScanEngine;
@@ -135,6 +135,16 @@ impl CampaignConfig {
         self.stream_chunk = chunk_size;
         self
     }
+
+    /// The configured axes as the one [`Scenario`] the campaign's engine
+    /// defaults to.
+    pub fn scenario(&self) -> Scenario {
+        Scenario::at(self.default_initial)
+            .with_era(self.era)
+            .with_profile(self.profile)
+            .with_plan(self.fault_plan)
+            .with_policy(self.resumption)
+    }
 }
 
 impl Default for CampaignConfig {
@@ -156,10 +166,7 @@ impl Campaign {
         let world = World::generate(config.world.clone());
         let engine = ScanEngine::new(world, config.default_initial, config.workers)
             .with_stream_chunk(config.stream_chunk)
-            .with_profile(config.profile)
-            .with_resumption(config.resumption)
-            .with_era(config.era)
-            .with_fault_plan(config.fault_plan);
+            .with_scenario(config.scenario());
         Campaign { config, engine }
     }
 
@@ -168,9 +175,17 @@ impl Campaign {
         &self.config
     }
 
-    /// The scan engine holding every cached artifact.
+    /// The scan engine holding every cached artifact. Scan families that
+    /// vary by scenario are requested here —
+    /// `campaign.engine().quicreach(campaign.scenario().with_era(..))`.
     pub fn engine(&self) -> &ScanEngine {
         &self.engine
+    }
+
+    /// The campaign's default [`Scenario`] (the configured axes at the
+    /// default Initial size): scan under it as-is or vary one axis.
+    pub fn scenario(&self) -> Scenario {
+        self.engine.scenario()
     }
 
     /// The generated world.
@@ -189,84 +204,6 @@ impl Campaign {
         self.engine.https_scan()
     }
 
-    /// The quicreach classification at the default Initial size.
-    pub fn quicreach_default(&self) -> Arc<Vec<QuicReachResult>> {
-        self.engine.quicreach_default()
-    }
-
-    /// The quicreach classification at an arbitrary Initial size.
-    pub fn quicreach_at(&self, initial_size: usize) -> Arc<Vec<QuicReachResult>> {
-        self.engine.quicreach(initial_size)
-    }
-
-    /// The quicreach classification under an explicit network profile
-    /// (cached per `(profile, size)` pair — the scenario-matrix axis).
-    pub fn quicreach_profiled(
-        &self,
-        profile: NetworkProfile,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.engine.quicreach_profiled(profile, initial_size)
-    }
-
-    /// The quicreach classification under an explicit [`CertificateEra`]
-    /// and network profile (cached per `(era, profile, size)` — the
-    /// post-quantum scenario-matrix axes).
-    pub fn quicreach_era(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.engine.quicreach_era(era, profile, initial_size)
-    }
-
-    /// The quicreach classification under an explicit [`FaultPlan`]
-    /// overlay (cached per `(era, profile, plan, size)` — the chaos-grid
-    /// axes).
-    pub fn quicreach_chaos(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        plan: FaultPlan,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.engine
-            .quicreach_chaos(era, profile, plan, initial_size)
-    }
-
-    /// The cold-then-warm resumption scan at the default Initial size under
-    /// the campaign's default profile and policy.
-    pub fn warm_scan_default(&self) -> Arc<Vec<WarmScanResult>> {
-        self.engine.warm_scan(self.config.default_initial)
-    }
-
-    /// The resumption scan under an explicit profile, policy and Initial
-    /// size (cached per `(profile, policy, size)` — the scenario-matrix
-    /// axes).
-    pub fn warm_scan_profiled(
-        &self,
-        profile: NetworkProfile,
-        policy: ResumptionPolicy,
-        initial_size: usize,
-    ) -> Arc<Vec<WarmScanResult>> {
-        self.engine
-            .warm_scan_profiled(profile, policy, initial_size)
-    }
-
-    /// The resumption scan under an explicit era, profile, policy and
-    /// Initial size (cached per `(era, profile, policy, size)`).
-    pub fn warm_scan_era(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        policy: ResumptionPolicy,
-        initial_size: usize,
-    ) -> Arc<Vec<WarmScanResult>> {
-        self.engine
-            .warm_scan_era(era, profile, policy, initial_size)
-    }
-
     /// The full Fig 3 sweep (29 Initial sizes), computed once.
     pub fn sweep(&self) -> Arc<Vec<ScanSummary>> {
         self.engine.sweep()
@@ -280,26 +217,6 @@ impl Campaign {
     /// Services supporting all three compression algorithms (count, total).
     pub fn all_three_support(&self) -> (usize, usize) {
         self.engine.all_three_support()
-    }
-
-    /// The §4.2 synthetic compression study for one (algorithm, stride).
-    pub fn compression_study(
-        &self,
-        algorithm: Algorithm,
-        stride: usize,
-    ) -> Arc<Vec<SyntheticCompression>> {
-        self.engine.compression_study(algorithm, stride)
-    }
-
-    /// The synthetic compression study under an explicit
-    /// [`CertificateEra`] (cached per `(era, algorithm, stride)`).
-    pub fn compression_study_era(
-        &self,
-        era: CertificateEra,
-        algorithm: Algorithm,
-        stride: usize,
-    ) -> Arc<Vec<SyntheticCompression>> {
-        self.engine.compression_study_era(era, algorithm, stride)
     }
 
     /// Telescope backscatter sessions (Fig 9) for one probe budget.
@@ -319,13 +236,6 @@ impl Campaign {
         self.engine.qscanner()
     }
 
-    /// The streaming quicreach summary at the default Initial size —
-    /// bit-for-bit the summary of [`Campaign::quicreach_default`], folded
-    /// in bounded memory without materializing per-record results.
-    pub fn stream_quicreach_default(&self) -> Arc<quicert_scanner::QuicReachShard> {
-        self.engine.stream_quicreach(self.config.default_initial)
-    }
-
     /// The streaming §3.1 funnel and chain-size summary.
     pub fn stream_https_scan(&self) -> Arc<quicert_scanner::HttpsScanShard> {
         self.engine.stream_https_scan()
@@ -335,29 +245,29 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicert_compress::Algorithm;
 
     #[test]
     fn artifacts_are_cached() {
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5));
         // Every artifact family returns the same allocation on re-request.
         assert!(Arc::ptr_eq(&campaign.https_scan(), &campaign.https_scan()));
+        let engine = campaign.engine();
+        let scenario = campaign.scenario();
         assert!(Arc::ptr_eq(
-            &campaign.quicreach_default(),
-            &campaign.quicreach_default()
+            &engine.quicreach(scenario),
+            &engine.quicreach(scenario)
         ));
-        // The default-size scan and the explicit-size scan share one entry.
-        assert!(Arc::ptr_eq(
-            &campaign.quicreach_default(),
-            &campaign.quicreach_at(campaign.config().default_initial)
-        ));
+        // The default scenario is the configured axes at the default size.
+        assert_eq!(scenario, campaign.config().scenario());
         assert!(Arc::ptr_eq(&campaign.sweep(), &campaign.sweep()));
         assert!(Arc::ptr_eq(
             &campaign.compression_support(),
             &campaign.compression_support()
         ));
         assert!(Arc::ptr_eq(
-            &campaign.compression_study(Algorithm::Brotli, 50),
-            &campaign.compression_study(Algorithm::Brotli, 50)
+            &engine.compression_study(scenario.era, Algorithm::Brotli, 50),
+            &engine.compression_study(scenario.era, Algorithm::Brotli, 50)
         ));
         assert!(Arc::ptr_eq(&campaign.telescope(2), &campaign.telescope(2)));
         assert!(Arc::ptr_eq(
@@ -365,7 +275,7 @@ mod tests {
             &campaign.meta_pop(false, 0)
         ));
         assert_eq!(campaign.all_three_support(), campaign.all_three_support());
-        assert!(!campaign.quicreach_default().is_empty());
+        assert!(!engine.quicreach(scenario).is_empty());
     }
 
     #[test]
@@ -380,15 +290,13 @@ mod tests {
         use quicert_scanner::quicreach::QuicReachShard;
 
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5).with_domains(1_000));
-        let streamed = campaign.stream_quicreach_default();
+        let (engine, scenario) = (campaign.engine(), campaign.scenario());
+        let streamed = engine.stream_quicreach(scenario);
         assert_eq!(
             *streamed,
-            QuicReachShard::from_results(
-                campaign.config().default_initial,
-                &campaign.quicreach_default()
-            )
+            QuicReachShard::from_results(scenario.initial_size, &engine.quicreach(scenario))
         );
-        assert!(Arc::ptr_eq(&streamed, &campaign.stream_quicreach_default()));
+        assert!(Arc::ptr_eq(&streamed, &engine.stream_quicreach(scenario)));
         assert_eq!(
             *campaign.stream_https_scan(),
             HttpsScanShard::from_report(&campaign.https_scan())
@@ -399,7 +307,10 @@ mod tests {
     fn worker_count_does_not_change_artifacts() {
         let serial = Campaign::new(CampaignConfig::small().with_seed(5).with_workers(1));
         let parallel = Campaign::new(CampaignConfig::small().with_seed(5).with_workers(8));
-        assert_eq!(*serial.quicreach_default(), *parallel.quicreach_default());
+        assert_eq!(
+            *serial.engine().quicreach(serial.scenario()),
+            *parallel.engine().quicreach(parallel.scenario())
+        );
         assert_eq!(
             serial.https_scan().observations.len(),
             parallel.https_scan().observations.len()

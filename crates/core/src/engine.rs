@@ -41,10 +41,11 @@ use quicert_scanner::compression::{
 use quicert_scanner::https_scan::{self, HttpsScanReport, HttpsScanShard};
 use quicert_scanner::qscanner::{self, ConsistencyReport, QuicCertObservation};
 use quicert_scanner::quicreach::{
-    self, ProbeMetrics, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult,
+    self, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult,
 };
 use quicert_scanner::telescope_scan::{self, BackscatterSession};
 use quicert_scanner::zmap::{self, ZmapResult};
+use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
 /// Smallest chunk the adaptive pump claims: keeps `SimNet` batching
@@ -75,54 +76,6 @@ pub fn host_parallelism() -> usize {
 /// worker sits idle while one drains a final oversized chunk.
 fn adaptive_claim(remaining: usize, workers: usize) -> usize {
     (remaining / (workers * 8).max(1)).clamp(MIN_ADAPTIVE_CHUNK, MAX_ADAPTIVE_CHUNK)
-}
-
-/// One fully-specified scan scenario: the orthogonal axes that determine
-/// a scan family's outcome, packaged as one hashable key.
-///
-/// Replaces the engine's former ad-hoc `(era, profile, plan, size)` and
-/// `(era, profile, policy, plan, size)` cache-key tuples, and doubles as
-/// the key the campaign service uses for per-tick snapshots. All
-/// components store exact (integer/enum) values, so the key is `Eq +
-/// Hash` with no float anywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScenarioKey {
-    /// Certificate era the scan runs under.
-    pub era: CertificateEra,
-    /// Network path conditions.
-    pub profile: NetworkProfile,
-    /// Resumption policy for warm scans; `None` on cold scans.
-    pub policy: Option<ResumptionPolicy>,
-    /// Chaos overlay ([`FaultPlan::NONE`] outside fault campaigns).
-    pub plan: FaultPlan,
-    /// Client Initial size in bytes.
-    pub initial_size: usize,
-}
-
-impl ScenarioKey {
-    /// The key of a cold (no-resumption) scan.
-    pub fn cold(
-        era: CertificateEra,
-        profile: NetworkProfile,
-        plan: FaultPlan,
-        initial_size: usize,
-    ) -> ScenarioKey {
-        ScenarioKey {
-            era,
-            profile,
-            policy: None,
-            plan,
-            initial_size,
-        }
-    }
-
-    /// The same scenario scanned warm under `policy`.
-    pub fn with_policy(self, policy: ResumptionPolicy) -> ScenarioKey {
-        ScenarioKey {
-            policy: Some(policy),
-            ..self
-        }
-    }
 }
 
 /// One lazily-computed artifact family, keyed by scan parameters.
@@ -297,6 +250,134 @@ impl PumpStats {
     }
 }
 
+/// What a pump's workers claim off the shared cursor.
+#[derive(Clone, Copy)]
+enum Claims<'a> {
+    /// Ranks `1..=total` in `chunk`-sized claims; `None` claims adaptively.
+    Population { total: usize, chunk: Option<usize> },
+    /// An explicit list of `(first_rank, len)` rank ranges, one claim each.
+    Ranges(&'a [(usize, usize)]),
+}
+
+impl Claims<'_> {
+    /// Claim the next `(index, first_rank, len)` off `cursor` (which starts
+    /// at 0), or `None` once everything is claimed. `size` is the worker's
+    /// next population claim size, retuned here under adaptive claiming;
+    /// explicit ranges ignore it and report their list index.
+    fn next(
+        self,
+        cursor: &AtomicUsize,
+        size: &mut usize,
+        workers: usize,
+    ) -> Option<(usize, usize, usize)> {
+        match self {
+            Claims::Population { total, chunk } => {
+                let claim = *size;
+                let first = cursor.fetch_add(claim, Ordering::Relaxed) + 1;
+                if first > total {
+                    return None;
+                }
+                if chunk.is_none() {
+                    let done = first.saturating_add(claim - 1).min(total);
+                    *size = adaptive_claim(total - done, workers);
+                }
+                Some((0, first, claim))
+            }
+            Claims::Ranges(ranges) => {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                ranges.get(index).map(|&(first, len)| (index, first, len))
+            }
+        }
+    }
+}
+
+/// The worker loop every pump shares: `workers` threads (capped at
+/// [`host_parallelism`]; a single effective worker runs inline without
+/// spawning) each build one scratch and one accumulator, then claim rank
+/// ranges off an atomic cursor, derive the records into a reused buffer
+/// and hand them to `fold` until the claims run out. Returns the
+/// per-worker accumulators in spawn order plus the run's [`PumpStats`].
+fn run_pump<A, T, MS, MA, F>(
+    world: &World,
+    claims: Claims<'_>,
+    workers: usize,
+    make_scratch: MS,
+    make_acc: MA,
+    fold: F,
+) -> (Vec<A>, PumpStats)
+where
+    A: Send,
+    T: ScratchStats,
+    MS: Fn() -> T + Sync,
+    MA: Fn() -> A + Sync,
+    F: Fn(&mut A, usize, &mut [DomainRecord], &mut T) + Sync,
+{
+    let requested = workers.max(1);
+    let effective = match claims {
+        Claims::Population { .. } => requested,
+        // Never more threads than ranges: a sparse delta tick folds a
+        // handful of segments, and an idle tick folds none.
+        Claims::Ranges(ranges) => requested.min(ranges.len().max(1)),
+    }
+    .min(host_parallelism());
+    let (first_size, fixed_chunk) = match claims {
+        Claims::Population { total, chunk } => (
+            chunk.map_or_else(|| adaptive_claim(total, effective), |size| size.max(1)),
+            chunk,
+        ),
+        Claims::Ranges(_) => (0, None),
+    };
+    let cursor = AtomicUsize::new(0);
+    let cursor = &cursor;
+    let worker = || -> (A, WorkerPumpStats) {
+        let mut acc = make_acc();
+        let mut scratch = make_scratch();
+        let mut buf: Vec<DomainRecord> = Vec::new();
+        let mut stats = WorkerPumpStats::default();
+        let mut size = first_size;
+        while let Some((index, first, len)) = claims.next(cursor, &mut size, effective) {
+            let started = Instant::now();
+            world.domain_chunk_into(first, len, &mut buf);
+            fold(&mut acc, index, &mut buf, &mut scratch);
+            stats.fold_seconds += started.elapsed().as_secs_f64();
+            stats.chunks_claimed += 1;
+            stats.records_folded += buf.len() as u64;
+        }
+        let (hits, misses, distinct) = scratch.memo_stats();
+        stats.memo_hits = hits;
+        stats.memo_misses = misses;
+        stats.distinct_classes = distinct;
+        (acc, stats)
+    };
+
+    let mut accs: Vec<A> = Vec::with_capacity(effective);
+    let mut worker_stats: Vec<WorkerPumpStats> = Vec::with_capacity(effective);
+    if effective == 1 {
+        let (acc, stats) = worker();
+        accs.push(acc);
+        worker_stats.push(stats);
+    } else {
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..effective).map(|_| scope.spawn(worker)).collect();
+            for handle in handles {
+                let (acc, stats) = handle.join().expect("stream worker panicked");
+                accs.push(acc);
+                worker_stats.push(stats);
+            }
+        });
+    }
+    (
+        accs,
+        PumpStats {
+            requested_workers: requested,
+            effective_workers: effective,
+            fixed_chunk,
+            workers: worker_stats,
+        },
+    )
+}
+
 /// Pump a world's population through worker threads as rank-ordered record
 /// chunks, folding each chunk with `fold` into per-worker summaries that
 /// are merged at the end.
@@ -340,69 +421,19 @@ where
     MS: Fn() -> T + Sync,
     F: Fn(&[DomainRecord], &mut T) -> S + Sync,
 {
-    let requested = workers.max(1);
-    let effective = requested.min(host_parallelism());
-    let total = world.config.domains;
-    let cursor = AtomicUsize::new(1);
-    let cursor = &cursor;
-    let worker = || -> (S, WorkerPumpStats) {
-        let mut local = S::identity();
-        let mut scratch = make_scratch();
-        let mut buf: Vec<DomainRecord> = Vec::new();
-        let mut stats = WorkerPumpStats::default();
-        let mut claim = match chunk {
-            Some(size) => size.max(1),
-            None => adaptive_claim(total, effective),
-        };
-        loop {
-            let first = cursor.fetch_add(claim, Ordering::Relaxed);
-            if first > total {
-                break;
-            }
-            let started = Instant::now();
-            world.domain_chunk_into(first, claim, &mut buf);
-            local.merge(&fold(&buf, &mut scratch));
-            stats.fold_seconds += started.elapsed().as_secs_f64();
-            stats.chunks_claimed += 1;
-            stats.records_folded += buf.len() as u64;
-            if chunk.is_none() {
-                let done = first.saturating_add(claim - 1).min(total);
-                claim = adaptive_claim(total - done, effective);
-            }
-        }
-        let (hits, misses, distinct) = scratch.memo_stats();
-        stats.memo_hits = hits;
-        stats.memo_misses = misses;
-        stats.distinct_classes = distinct;
-        (local, stats)
+    let claims = Claims::Population {
+        total: world.config.domains,
+        chunk,
     };
-
-    let mut shards: Vec<S> = Vec::with_capacity(effective);
-    let mut worker_stats: Vec<WorkerPumpStats> = Vec::with_capacity(effective);
-    if effective == 1 {
-        let (shard, stats) = worker();
-        shards.push(shard);
-        worker_stats.push(stats);
-    } else {
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (0..effective).map(|_| scope.spawn(worker)).collect();
-            for handle in handles {
-                let (shard, stats) = handle.join().expect("stream worker panicked");
-                shards.push(shard);
-                worker_stats.push(stats);
-            }
-        });
-    }
-    (
-        S::merge_all(shards),
-        PumpStats {
-            requested_workers: requested,
-            effective_workers: effective,
-            fixed_chunk: chunk,
-            workers: worker_stats,
-        },
-    )
+    let (shards, stats) = run_pump(
+        world,
+        claims,
+        workers,
+        make_scratch,
+        S::identity,
+        |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
+    );
+    (S::merge_all(shards), stats)
 }
 
 /// [`stream_sharded_scratch`] without per-worker scratch, for folds that
@@ -472,19 +503,15 @@ impl EngineMetrics {
 #[derive(Debug)]
 pub struct ScanEngine {
     world: World,
-    default_initial: usize,
     workers: usize,
     stream_chunk: Option<usize>,
     memoize: bool,
-    profile: NetworkProfile,
-    resumption: ResumptionPolicy,
-    era: CertificateEra,
-    fault_plan: FaultPlan,
+    scenario: Scenario,
     https: ArtifactCache<(), HttpsScanReport>,
-    // Scan-family caches key on [`ScenarioKey`] — every axis stores exact
+    // Scan-family caches key on [`Scenario`] — every axis stores exact
     // integer/enum values, so no float keys anywhere.
-    quicreach: ArtifactCache<ScenarioKey, Vec<QuicReachResult>>,
-    warm: ArtifactCache<ScenarioKey, Vec<WarmScanResult>>,
+    quicreach: ArtifactCache<Scenario, Vec<QuicReachResult>>,
+    warm: ArtifactCache<Scenario, Vec<WarmScanResult>>,
     sweep: ArtifactCache<(), Vec<ScanSummary>>,
     compression_support: ArtifactCache<(), Vec<AlgorithmSupport>>,
     all_three: ArtifactCache<(), (usize, usize)>,
@@ -494,7 +521,7 @@ pub struct ScanEngine {
     qscanner: ArtifactCache<(), (Vec<QuicCertObservation>, ConsistencyReport)>,
     // Streaming-path caches hold *summaries*, never per-record vectors, so
     // a cached million-record scan costs a few kilobytes.
-    stream_quicreach: ArtifactCache<ScenarioKey, QuicReachShard>,
+    stream_quicreach: ArtifactCache<Scenario, QuicReachShard>,
     stream_https: ArtifactCache<(), HttpsScanShard>,
     stream_compression: ArtifactCache<(), CompressionShard>,
     // What the pump did on the most recent (uncached) streaming scan.
@@ -508,27 +535,24 @@ pub struct ScanEngine {
 
 impl ScanEngine {
     /// Wrap a generated world. `workers == 0` resolves to one worker per
-    /// available core; `workers == 1` forces the serial path.
+    /// available core; `workers == 1` forces the serial path. The default
+    /// [`Scenario`] is the paper's baseline at `default_initial`, revisited
+    /// warm under [`ResumptionPolicy::WarmAfterFirstVisit`]; replace it
+    /// with [`ScanEngine::with_scenario`].
     pub fn new(world: World, default_initial: usize, workers: usize) -> ScanEngine {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            workers
+        let workers = match workers {
+            0 => host_parallelism(),
+            n => n,
         };
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = EngineMetrics::register(&registry);
         ScanEngine {
             world,
-            default_initial,
             workers,
             stream_chunk: None,
             memoize: true,
-            profile: NetworkProfile::Ideal,
-            resumption: ResumptionPolicy::WarmAfterFirstVisit,
-            era: CertificateEra::Classical,
-            fault_plan: FaultPlan::NONE,
+            scenario: Scenario::at(default_initial)
+                .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
             https: ArtifactCache::new(&registry, "https"),
             quicreach: ArtifactCache::new(&registry, "quicreach"),
             warm: ArtifactCache::new(&registry, "warm"),
@@ -612,39 +636,12 @@ impl ScanEngine {
         &self.registry
     }
 
-    /// Set the engine's default [`NetworkProfile`]: the link-condition
-    /// overlay all profile-unaware scan requests run under.
-    /// [`NetworkProfile::Ideal`] (the default) reproduces profile-unaware
-    /// campaigns byte-for-byte.
-    pub fn with_profile(mut self, profile: NetworkProfile) -> ScanEngine {
-        self.profile = profile;
-        self
-    }
-
-    /// Set the engine's default [`ResumptionPolicy`]: the policy
-    /// policy-unaware warm-scan requests run under. The policy only affects
-    /// warm artifacts — cold scans never see it.
-    pub fn with_resumption(mut self, policy: ResumptionPolicy) -> ScanEngine {
-        self.resumption = policy;
-        self
-    }
-
-    /// Set the engine's default [`CertificateEra`]: the PKI generation all
-    /// era-unaware scan requests run against.
-    /// [`CertificateEra::Classical`] (the default) reproduces era-unaware
-    /// campaigns byte-for-byte.
-    pub fn with_era(mut self, era: CertificateEra) -> ScanEngine {
-        self.era = era;
-        self
-    }
-
-    /// Set the engine's default [`FaultPlan`]: the fault overlay all
-    /// plan-unaware scan requests run under. [`FaultPlan::NONE`] (the
-    /// default) reproduces plan-unaware campaigns byte-for-byte; any other
-    /// plan draws wire randomness, so the streaming scan path bypasses
-    /// scenario-class memoization on its own.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> ScanEngine {
-        self.fault_plan = plan;
+    /// Replace the engine's default [`Scenario`] — the value
+    /// [`ScanEngine::scenario`] hands out for callers to scan under or
+    /// vary one axis of. The default (see [`ScanEngine::new`]) reproduces
+    /// axis-unaware campaigns byte-for-byte.
+    pub fn with_scenario(mut self, scenario: Scenario) -> ScanEngine {
+        self.scenario = scenario;
         self
     }
 
@@ -653,34 +650,16 @@ impl ScanEngine {
         &self.world
     }
 
-    /// The engine's default network profile.
-    pub fn profile(&self) -> NetworkProfile {
-        self.profile
-    }
-
-    /// The engine's default resumption policy.
-    pub fn resumption(&self) -> ResumptionPolicy {
-        self.resumption
-    }
-
-    /// The engine's default certificate era.
-    pub fn era(&self) -> CertificateEra {
-        self.era
-    }
-
-    /// The engine's default fault plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.fault_plan
+    /// The engine's default scenario: era, path profile, fault plan,
+    /// Initial size and resumption policy in one value. Scan under it
+    /// as-is, or vary one axis — `engine.scenario().with_era(..)`.
+    pub fn scenario(&self) -> Scenario {
+        self.scenario
     }
 
     /// The resolved worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The default client Initial size for single-size scans.
-    pub fn default_initial(&self) -> usize {
-        self.default_initial
     }
 
     /// The §3.1 HTTPS certificate scan (per-domain chain collection runs
@@ -695,130 +674,36 @@ impl ScanEngine {
         })
     }
 
-    /// quicreach classifications at one Initial size under the engine's
-    /// default network profile, sharded over the QUIC service list.
-    pub fn quicreach(&self, initial_size: usize) -> Arc<Vec<QuicReachResult>> {
-        self.quicreach_profiled(self.profile, initial_size)
-    }
-
-    /// quicreach classifications at one Initial size under an explicit
-    /// [`NetworkProfile`] and the engine's default era.
-    pub fn quicreach_profiled(
-        &self,
-        profile: NetworkProfile,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.quicreach_era(self.era, profile, initial_size)
-    }
-
-    /// quicreach classifications under an explicit [`CertificateEra`] and
-    /// [`NetworkProfile`] — one cached artifact per `(era, profile, size)`
-    /// triple. Each worker shard is batched as sessions of one `SimNet`;
-    /// per-record RNG forking keeps the artifact bit-for-bit identical at
-    /// any worker count and batch size, on every era.
-    pub fn quicreach_era(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.quicreach_chaos(era, profile, self.fault_plan, initial_size)
-    }
-
-    /// quicreach classifications under an explicit [`FaultPlan`] overlay on
-    /// top of the era and profile — one cached artifact per `(era, profile,
-    /// plan, size)` tuple, so a chaos grid revisiting a cell is free. The
-    /// plan's drops, duplications and corruptions draw from each probe's
-    /// forked RNG, so the artifact stays bit-for-bit identical at any
-    /// worker count.
-    pub fn quicreach_chaos(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        plan: FaultPlan,
-        initial_size: usize,
-    ) -> Arc<Vec<QuicReachResult>> {
-        self.quicreach
-            .get_or_compute(ScenarioKey::cold(era, profile, plan, initial_size), || {
-                let records: Vec<&DomainRecord> = self.world.quic_services().collect();
-                run_sharded(&records, self.workers, |shard| {
-                    quicreach::scan_records_chaos(
-                        &self.world,
-                        shard,
-                        initial_size,
-                        profile,
-                        era,
-                        plan,
-                    )
-                })
-            })
-    }
-
-    /// quicreach at the campaign's default Initial size.
-    pub fn quicreach_default(&self) -> Arc<Vec<QuicReachResult>> {
-        self.quicreach(self.default_initial)
-    }
-
-    /// The cold-then-warm resumption scan at one Initial size under the
-    /// engine's default profile and policy.
-    pub fn warm_scan(&self, initial_size: usize) -> Arc<Vec<WarmScanResult>> {
-        self.warm_scan_profiled(self.profile, self.resumption, initial_size)
-    }
-
-    /// The cold-then-warm resumption scan under an explicit
-    /// [`NetworkProfile`] and [`ResumptionPolicy`], on the engine's default
-    /// era.
-    pub fn warm_scan_profiled(
-        &self,
-        profile: NetworkProfile,
-        policy: ResumptionPolicy,
-        initial_size: usize,
-    ) -> Arc<Vec<WarmScanResult>> {
-        self.warm_scan_era(self.era, profile, policy, initial_size)
-    }
-
-    /// The cold-then-warm resumption scan under an explicit
-    /// [`CertificateEra`], [`NetworkProfile`] and [`ResumptionPolicy`] —
-    /// one cached artifact per `(era, profile, policy, size)` tuple. Worker
-    /// shards batch their cold and warm visits on one `SimNet` each;
-    /// per-record RNG forking keeps the artifact bit-for-bit identical at
-    /// any worker count.
-    pub fn warm_scan_era(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        policy: ResumptionPolicy,
-        initial_size: usize,
-    ) -> Arc<Vec<WarmScanResult>> {
-        self.warm_scan_chaos(era, profile, policy, self.fault_plan, initial_size)
-    }
-
-    /// The cold-then-warm resumption scan under an explicit [`FaultPlan`]
-    /// overlay — one cached artifact per `(era, profile, policy, plan,
-    /// size)` tuple. This is how the chaos grid measures whether session
-    /// resumption still pays off once the wire drops and corrupts
-    /// datagrams.
-    pub fn warm_scan_chaos(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        policy: ResumptionPolicy,
-        plan: FaultPlan,
-        initial_size: usize,
-    ) -> Arc<Vec<WarmScanResult>> {
-        let key = ScenarioKey::cold(era, profile, plan, initial_size).with_policy(policy);
-        self.warm.get_or_compute(key, || {
+    /// quicreach classifications of every QUIC service under one
+    /// [`Scenario`] — one cached artifact per scenario (the resumption
+    /// policy aside: cold scans never read it), so a grid revisiting a
+    /// cell is free. Each worker shard is batched as sessions of one
+    /// `SimNet`; per-record RNG forking — which fault plans draw from too —
+    /// keeps the artifact bit-for-bit identical at any worker count and
+    /// batch size, on every axis.
+    pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
+        let scenario = scenario.cold();
+        self.quicreach.get_or_compute(scenario, || {
             let records: Vec<&DomainRecord> = self.world.quic_services().collect();
             run_sharded(&records, self.workers, |shard| {
-                quicreach::warm_scan_records_chaos(
-                    &self.world,
-                    shard,
-                    initial_size,
-                    profile,
-                    policy,
-                    era,
-                    plan,
-                )
+                quicreach::scan_records(&self.world, shard, scenario)
+            })
+        })
+    }
+
+    /// The cold-then-warm resumption scan under one [`Scenario`], revisiting
+    /// under its [`Scenario::warm_policy`] — one cached artifact per
+    /// scenario. Worker shards batch their cold and warm visits on one
+    /// `SimNet` each; per-record RNG forking keeps the artifact bit-for-bit
+    /// identical at any worker count. Under a fault plan this is how the
+    /// chaos grid measures whether resumption still pays off once the wire
+    /// drops and corrupts datagrams.
+    pub fn warm_scan(&self, scenario: Scenario) -> Arc<Vec<WarmScanResult>> {
+        let scenario = scenario.with_policy(scenario.warm_policy());
+        self.warm.get_or_compute(scenario, || {
+            let records: Vec<&DomainRecord> = self.world.quic_services().collect();
+            run_sharded(&records, self.workers, |shard| {
+                quicreach::warm_scan(&self.world, shard, scenario)
             })
         })
     }
@@ -831,7 +716,10 @@ impl ScanEngine {
         self.sweep.get_or_compute((), || {
             quicreach::sweep_sizes()
                 .iter()
-                .map(|&size| quicreach::summarize(size, &self.quicreach(size)))
+                .map(|&size| {
+                    let scenario = self.scenario.with_initial_size(size);
+                    quicreach::summarize(size, &self.quicreach(scenario))
+                })
                 .collect()
         })
     }
@@ -855,22 +743,11 @@ impl ScanEngine {
             .get_or_compute((), || compression::all_three_support(&self.world))
     }
 
-    /// The §4.2 synthetic compression study for one (algorithm, stride) on
-    /// the engine's default era.
+    /// The §4.2 synthetic compression study for one (era, algorithm,
+    /// stride) — one cached artifact per triple, chain compression sharded
+    /// over the sampled records. Across eras this is how the report
+    /// measures the Fig-9-style dictionary degrading on PQC chains.
     pub fn compression_study(
-        &self,
-        algorithm: Algorithm,
-        stride: usize,
-    ) -> Arc<Vec<SyntheticCompression>> {
-        self.compression_study_era(self.era, algorithm, stride)
-    }
-
-    /// The synthetic compression study under an explicit
-    /// [`CertificateEra`] — one cached artifact per `(era, algorithm,
-    /// stride)` triple, chain compression sharded over the sampled records.
-    /// This is how the report measures the Fig-9-style dictionary degrading
-    /// on PQC chains.
-    pub fn compression_study_era(
         &self,
         era: CertificateEra,
         algorithm: Algorithm,
@@ -943,6 +820,22 @@ impl ScanEngine {
         self.last_pump.lock().unwrap().clone()
     }
 
+    /// Flush one pump run into the registry and remember its stats.
+    fn record_pump(&self, stats: PumpStats) {
+        if self.metrics_enabled {
+            let totals = stats.totals();
+            self.metrics.chunks_claimed.add(totals.chunks_claimed);
+            self.metrics.records_folded.add(totals.records_folded);
+            self.metrics.fold_wall_seconds.add(totals.fold_seconds);
+            self.metrics.memo_hits.add(totals.memo_hits);
+            self.metrics.memo_misses.add(totals.memo_misses);
+            self.metrics
+                .memo_classes
+                .set(totals.distinct_classes as f64);
+        }
+        *self.last_pump.lock().unwrap() = Some(stats);
+    }
+
     /// Run a streaming fold and record its [`PumpStats`].
     fn pump<S, T, MS, F>(&self, make_scratch: MS, fold: F) -> S
     where
@@ -958,51 +851,94 @@ impl ScanEngine {
             make_scratch,
             fold,
         );
-        if self.metrics_enabled {
-            let totals = stats.totals();
-            self.metrics.chunks_claimed.add(totals.chunks_claimed);
-            self.metrics.records_folded.add(totals.records_folded);
-            self.metrics.fold_wall_seconds.add(totals.fold_seconds);
-            self.metrics.memo_hits.add(totals.memo_hits);
-            self.metrics.memo_misses.add(totals.memo_misses);
-            self.metrics
-                .memo_classes
-                .set(totals.distinct_classes as f64);
-        }
-        *self.last_pump.lock().unwrap() = Some(stats);
+        self.record_pump(stats);
         shard
     }
 
-    /// The streaming quicreach scan at one Initial size under the engine's
-    /// default era and profile: the whole population is pumped through the
-    /// sharded workers in bounded memory and folded into one
-    /// [`QuicReachShard`]. No `Vec` of per-record results is ever built on
-    /// this path — the cache stores the summary itself.
-    pub fn stream_quicreach(&self, initial_size: usize) -> Arc<QuicReachShard> {
-        self.stream_quicreach_era(self.era, self.profile, initial_size)
+    /// The per-worker scratch constructor of a quicreach pump under
+    /// `scenario`: the engine's memo toggle, plus the scenario's
+    /// [`ProbeMetrics`] while metrics are enabled.
+    fn probe_scratch(&self, scenario: Scenario) -> impl Fn() -> ProbeScratch + Sync {
+        let memoize = self.memoize;
+        let probe_metrics = self
+            .metrics_enabled
+            .then(|| ProbeMetrics::register(&self.registry, scenario));
+        move || {
+            let mut scratch = ProbeScratch::with_memo(memoize);
+            if let Some(metrics) = &probe_metrics {
+                scratch.set_metrics(metrics.clone());
+            }
+            scratch
+        }
     }
 
-    /// [`ScanEngine::stream_quicreach`] under an explicit
-    /// [`CertificateEra`] and [`NetworkProfile`] — cached per `(era,
-    /// profile, size)`, the same axes as the materialized quicreach cache.
-    /// On a populated world the streamed summary is bit-for-bit
+    /// The streaming quicreach scan under one [`Scenario`]: the whole
+    /// population is pumped through the sharded workers in bounded memory
+    /// and folded into one [`QuicReachShard`]. No `Vec` of per-record
+    /// results is ever built on this path — the cache stores the summary
+    /// itself, keyed like the materialized quicreach cache. On a populated
+    /// world the streamed summary is bit-for-bit
     /// [`QuicReachShard::from_results`] of the materialized artifact, at
-    /// any worker count and chunk size.
-    pub fn stream_quicreach_era(
-        &self,
-        era: CertificateEra,
-        profile: NetworkProfile,
-        initial_size: usize,
-    ) -> Arc<QuicReachShard> {
-        self.stream_quicreach_chaos(era, profile, self.fault_plan, initial_size)
+    /// any worker count and chunk size. A scenario that consumes per-probe
+    /// wire randomness (a faulted plan, a lossy profile) bypasses
+    /// scenario-class memoization regardless of the engine's memo toggle;
+    /// the summary is the same bits either way.
+    pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
+        let scenario = scenario.cold();
+        self.stream_quicreach.get_or_compute(scenario, || {
+            let mut shard: QuicReachShard = self
+                .pump(self.probe_scratch(scenario), |records, scratch| {
+                    quicreach::fold_chunk(&self.world, records, scenario, scratch)
+                });
+            // An all-identity merge (empty population) never saw the
+            // scan's Initial size; stamp it so the bar is labelled.
+            shard.classes.initial_size = scenario.initial_size;
+            shard
+        })
     }
 
-    /// The streaming quicreach scan under an explicit [`FaultPlan`] overlay
-    /// — cached per `(era, profile, plan, size)`. A non-[`FaultPlan::NONE`]
-    /// plan consumes per-probe wire randomness, so the fold bypasses
-    /// scenario-class memoization regardless of the engine's memo toggle;
-    /// the summary stays bit-for-bit identical at any worker count and
-    /// chunk size either way.
+    /// Fold an explicit list of `(first_rank, len)` rank ranges through the
+    /// streaming pump's worker loop — same thread cap, same per-worker
+    /// scratch (memo toggle, `scenario`'s [`ProbeMetrics`]), same
+    /// [`PumpStats`] flush as [`ScanEngine::stream_quicreach`] — and return
+    /// one `fold` result per range, in input order. Each range is derived
+    /// as one chunk and handed to `fold` mutably, so a resident caller can
+    /// overlay churn before scanning. Nothing is cached: the memo lives
+    /// for this one call, and the caller owns the results.
+    pub fn fold_ranges<R, F>(
+        &self,
+        scenario: Scenario,
+        ranges: &[(usize, usize)],
+        fold: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
+    {
+        let (folded, stats) = run_pump(
+            &self.world,
+            Claims::Ranges(ranges),
+            self.workers,
+            self.probe_scratch(scenario),
+            Vec::new,
+            |acc: &mut Vec<(usize, R)>, index, records, scratch| {
+                acc.push((index, fold(records, scratch)))
+            },
+        );
+        self.record_pump(stats);
+        let mut folded: Vec<(usize, R)> = folded.into_iter().flatten().collect();
+        folded.sort_unstable_by_key(|&(index, _)| index);
+        folded.into_iter().map(|(_, result)| result).collect()
+    }
+
+    // ----------------------------------------------- frozen compat block --
+    //
+    // `perfbench/` is frozen and calls this positional signature (plus
+    // three in `quicert_scanner::quicreach`). It builds a `Scenario` and
+    // delegates, so a new axis never touches it; nothing else in the
+    // workspace may call it — use [`ScanEngine::stream_quicreach`].
+
+    #[doc(hidden)]
     pub fn stream_quicreach_chaos(
         &self,
         era: CertificateEra,
@@ -1010,39 +946,14 @@ impl ScanEngine {
         plan: FaultPlan,
         initial_size: usize,
     ) -> Arc<QuicReachShard> {
-        self.stream_quicreach.get_or_compute(
-            ScenarioKey::cold(era, profile, plan, initial_size),
-            || {
-                let probe_metrics = self
-                    .metrics_enabled
-                    .then(|| ProbeMetrics::register(&self.registry, era, profile));
-                let mut shard: QuicReachShard = self.pump(
-                    || {
-                        let mut scratch = quicreach::ProbeScratch::with_memo(self.memoize);
-                        if let Some(metrics) = &probe_metrics {
-                            scratch.set_metrics(metrics.clone());
-                        }
-                        scratch
-                    },
-                    |records, scratch| {
-                        quicreach::fold_records_scratch_chaos(
-                            &self.world,
-                            records,
-                            initial_size,
-                            profile,
-                            era,
-                            plan,
-                            scratch,
-                        )
-                    },
-                );
-                // An all-identity merge (empty population) never saw the
-                // scan's Initial size; stamp it so the bar is labelled.
-                shard.classes.initial_size = initial_size;
-                shard
-            },
-        )
+        let scenario = Scenario::at(initial_size)
+            .with_era(era)
+            .with_profile(profile)
+            .with_plan(plan);
+        self.stream_quicreach(scenario)
     }
+
+    // ------------------------------------------- end frozen compat block --
 
     /// The streaming §3.1 HTTPS scan: funnel counters and chain-size
     /// sketches folded over the population in bounded memory. On a
@@ -1074,6 +985,9 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use quicert_pki::WorldConfig;
+
+    /// The paper's baseline at its reporting size; tests vary one axis.
+    const BASE: Scenario = Scenario::at(1362);
 
     fn engine(workers: usize) -> ScanEngine {
         let world = World::generate(WorldConfig {
@@ -1116,7 +1030,10 @@ mod tests {
     fn per_domain_scans_are_bit_identical_across_worker_counts() {
         let serial = engine(1);
         let parallel = engine(8);
-        assert_eq!(*serial.quicreach(1242), *parallel.quicreach(1242));
+        assert_eq!(
+            *serial.quicreach(Scenario::at(1242)),
+            *parallel.quicreach(Scenario::at(1242))
+        );
 
         let a = serial.https_scan();
         let b = parallel.https_scan();
@@ -1137,8 +1054,8 @@ mod tests {
             assert_eq!(x.mean_ratio.to_bits(), y.mean_ratio.to_bits());
         }
 
-        let ca = serial.compression_study(Algorithm::Brotli, 10);
-        let cb = parallel.compression_study(Algorithm::Brotli, 10);
+        let ca = serial.compression_study(BASE.era, Algorithm::Brotli, 10);
+        let cb = parallel.compression_study(BASE.era, Algorithm::Brotli, 10);
         assert_eq!(ca.len(), cb.len());
         for (x, y) in ca.iter().zip(cb.iter()) {
             assert_eq!((x.original, x.compressed), (y.original, y.compressed));
@@ -1149,9 +1066,11 @@ mod tests {
     fn artifacts_are_shared_allocations() {
         let engine = engine(2);
         assert!(Arc::ptr_eq(&engine.https_scan(), &engine.https_scan()));
+        // The default scenario is the baseline at the default Initial size
+        // (cold scans never read its resumption policy).
         assert!(Arc::ptr_eq(
-            &engine.quicreach_default(),
-            &engine.quicreach(1362)
+            &engine.quicreach(engine.scenario()),
+            &engine.quicreach(BASE)
         ));
         assert!(Arc::ptr_eq(&engine.sweep(), &engine.sweep()));
         assert!(Arc::ptr_eq(
@@ -1159,8 +1078,8 @@ mod tests {
             &engine.compression_support()
         ));
         assert!(Arc::ptr_eq(
-            &engine.compression_study(Algorithm::Zstd, 20),
-            &engine.compression_study(Algorithm::Zstd, 20)
+            &engine.compression_study(BASE.era, Algorithm::Zstd, 20),
+            &engine.compression_study(BASE.era, Algorithm::Zstd, 20)
         ));
         assert!(Arc::ptr_eq(&engine.telescope(2), &engine.telescope(2)));
         assert!(Arc::ptr_eq(
@@ -1175,209 +1094,91 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn profiled_artifacts_are_cached_per_profile_and_worker_invariant() {
+    /// Each scenario in `varied` (the baseline with one axis moved) is
+    /// worker-invariant, cached under its own entry, and a distinct
+    /// artifact from the baseline's.
+    fn assert_cached_per_axis_and_worker_invariant(varied: &[Scenario]) {
         let serial = engine(1);
         let parallel = engine(8);
-        for profile in [NetworkProfile::Lossy, NetworkProfile::Tunneled] {
-            assert_eq!(
-                *serial.quicreach_profiled(profile, 1362),
-                *parallel.quicreach_profiled(profile, 1362),
-                "{profile} diverged across worker counts"
-            );
-        }
-
         let engine = engine(2);
-        // The default-profile request and the explicit ideal request share
-        // one cache entry; other profiles are distinct artifacts.
-        assert!(Arc::ptr_eq(
-            &engine.quicreach(1362),
-            &engine.quicreach_profiled(NetworkProfile::Ideal, 1362)
-        ));
-        assert!(Arc::ptr_eq(
-            &engine.quicreach_profiled(NetworkProfile::Lossy, 1362),
-            &engine.quicreach_profiled(NetworkProfile::Lossy, 1362)
-        ));
-        assert!(!Arc::ptr_eq(
-            &engine.quicreach_profiled(NetworkProfile::Ideal, 1362),
-            &engine.quicreach_profiled(NetworkProfile::Lossy, 1362)
-        ));
+        let base = engine.quicreach(BASE);
+        for &scenario in varied {
+            assert_eq!(
+                *serial.quicreach(scenario),
+                *parallel.quicreach(scenario),
+                "{scenario:?} diverged across worker counts"
+            );
+            assert!(Arc::ptr_eq(
+                &engine.quicreach(scenario),
+                &engine.quicreach(scenario)
+            ));
+            assert!(!Arc::ptr_eq(&base, &engine.quicreach(scenario)));
+        }
+    }
+
+    #[test]
+    fn profiled_artifacts_are_cached_per_profile_and_worker_invariant() {
+        assert_cached_per_axis_and_worker_invariant(&[
+            BASE.with_profile(NetworkProfile::Lossy),
+            BASE.with_profile(NetworkProfile::Tunneled),
+        ]);
     }
 
     #[test]
     fn era_artifacts_are_cached_per_era_and_worker_invariant() {
-        let serial = engine(1);
-        let parallel = engine(8);
-        for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            assert_eq!(
-                *serial.quicreach_era(era, NetworkProfile::Ideal, 1362),
-                *parallel.quicreach_era(era, NetworkProfile::Ideal, 1362),
-                "{era} diverged across worker counts"
-            );
-        }
-
+        assert_cached_per_axis_and_worker_invariant(&[
+            BASE.with_era(CertificateEra::Hybrid),
+            BASE.with_era(CertificateEra::PostQuantum),
+        ]);
         let engine = engine(2);
-        // The era-unaware request and the explicit classical request share
-        // one cache entry; other eras are distinct artifacts.
-        assert!(Arc::ptr_eq(
-            &engine.quicreach(1362),
-            &engine.quicreach_era(CertificateEra::Classical, NetworkProfile::Ideal, 1362)
-        ));
         assert!(!Arc::ptr_eq(
-            &engine.quicreach_era(CertificateEra::Classical, NetworkProfile::Ideal, 1362),
-            &engine.quicreach_era(CertificateEra::PostQuantum, NetworkProfile::Ideal, 1362)
+            &engine.compression_study(CertificateEra::Classical, Algorithm::Brotli, 20),
+            &engine.compression_study(CertificateEra::PostQuantum, Algorithm::Brotli, 20)
         ));
-        assert!(Arc::ptr_eq(
-            &engine.compression_study(Algorithm::Brotli, 20),
-            &engine.compression_study_era(CertificateEra::Classical, Algorithm::Brotli, 20)
-        ));
-        assert!(!Arc::ptr_eq(
-            &engine.compression_study_era(CertificateEra::Classical, Algorithm::Brotli, 20),
-            &engine.compression_study_era(CertificateEra::PostQuantum, Algorithm::Brotli, 20)
-        ));
-        assert!(Arc::ptr_eq(
-            &engine.warm_scan(1362),
-            &engine.warm_scan_era(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                1362
-            )
-        ));
-    }
-
-    #[test]
-    fn engine_default_era_steers_era_unaware_requests() {
-        let world = World::generate(WorldConfig {
-            domains: 1_200,
-            seed: 0xD37E,
-            ..WorldConfig::default()
-        });
-        let pq_engine = ScanEngine::new(world, 1362, 2).with_era(CertificateEra::PostQuantum);
-        assert_eq!(pq_engine.era(), CertificateEra::PostQuantum);
-        // The default request is the PQ artifact…
-        assert!(Arc::ptr_eq(
-            &pq_engine.quicreach(1362),
-            &pq_engine.quicreach_era(CertificateEra::PostQuantum, NetworkProfile::Ideal, 1362)
-        ));
-        // …and it matches a classical-default engine's explicit PQ request.
-        let classical_engine = engine(2);
-        assert_eq!(
-            *pq_engine.quicreach(1362),
-            *classical_engine.quicreach_era(
-                CertificateEra::PostQuantum,
-                NetworkProfile::Ideal,
-                1362
-            )
-        );
     }
 
     #[test]
     fn chaos_artifacts_are_cached_per_plan_and_worker_invariant() {
-        let serial = engine(1);
-        let parallel = engine(8);
-        for plan in [FaultPlan::MODERATE, FaultPlan::DUP_STORM] {
-            assert_eq!(
-                *serial.quicreach_chaos(
-                    CertificateEra::Classical,
-                    NetworkProfile::Ideal,
-                    plan,
-                    1362
-                ),
-                *parallel.quicreach_chaos(
-                    CertificateEra::Classical,
-                    NetworkProfile::Ideal,
-                    plan,
-                    1362
-                ),
-                "{plan} diverged across worker counts"
-            );
-        }
-
-        let engine = engine(2);
-        // The plan-unaware request and the explicit fault-free request
-        // share one cache entry; faulted plans are distinct artifacts.
-        assert!(Arc::ptr_eq(
-            &engine.quicreach(1362),
-            &engine.quicreach_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                FaultPlan::NONE,
-                1362
-            )
-        ));
-        assert!(!Arc::ptr_eq(
-            &engine.quicreach_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                FaultPlan::NONE,
-                1362
-            ),
-            &engine.quicreach_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                FaultPlan::HEAVY,
-                1362
-            )
-        ));
-        assert!(Arc::ptr_eq(
-            &engine.warm_scan(1362),
-            &engine.warm_scan_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                FaultPlan::NONE,
-                1362
-            )
-        ));
+        assert_cached_per_axis_and_worker_invariant(&[
+            BASE.with_plan(FaultPlan::MODERATE),
+            BASE.with_plan(FaultPlan::DUP_STORM),
+        ]);
     }
 
-    #[test]
-    fn engine_default_fault_plan_steers_plan_unaware_requests() {
+    /// An engine built `with_scenario(steered)` answers its default
+    /// requests — and runs its sweep — under the steered axes, matching a
+    /// baseline engine's explicit request for the same scenario.
+    fn assert_scenario_steers_default_requests(steered: Scenario) {
         let world = World::generate(WorldConfig {
             domains: 1_200,
             seed: 0xD37E,
             ..WorldConfig::default()
         });
-        let chaos_engine = ScanEngine::new(world, 1362, 2).with_fault_plan(FaultPlan::LIGHT);
-        assert_eq!(chaos_engine.fault_plan(), FaultPlan::LIGHT);
-        // The plan-unaware request is the faulted artifact…
-        assert!(Arc::ptr_eq(
-            &chaos_engine.quicreach(1362),
-            &chaos_engine.quicreach_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                FaultPlan::LIGHT,
-                1362
-            )
-        ));
-        // …and it matches a fault-free engine's explicit chaos request.
-        let plain_engine = engine(2);
-        assert_eq!(
-            *chaos_engine.quicreach(1362),
-            *plain_engine.quicreach_chaos(
-                CertificateEra::Classical,
-                NetworkProfile::Ideal,
-                FaultPlan::LIGHT,
-                1362
-            )
-        );
+        let steered_engine = ScanEngine::new(world, 1362, 2).with_scenario(steered);
+        assert_eq!(steered_engine.scenario(), steered);
+        let default = steered_engine.quicreach(steered_engine.scenario());
+        assert_eq!(*default, *engine(2).quicreach(steered));
+        let sweep = steered_engine.sweep();
+        let smallest = steered_engine.quicreach(steered.with_initial_size(1200));
+        assert_eq!(sweep[0], quicreach::summarize(1200, &smallest));
+    }
+
+    #[test]
+    fn engine_default_era_steers_era_unaware_requests() {
+        assert_scenario_steers_default_requests(BASE.with_era(CertificateEra::PostQuantum));
+    }
+
+    #[test]
+    fn engine_default_fault_plan_steers_plan_unaware_requests() {
+        assert_scenario_steers_default_requests(BASE.with_plan(FaultPlan::LIGHT));
     }
 
     #[test]
     fn stream_chaos_matches_materialized_and_bypasses_memo() {
         let engine = engine(2);
-        let plan = FaultPlan::MODERATE;
-        let streamed = engine.stream_quicreach_chaos(
-            CertificateEra::Classical,
-            NetworkProfile::Ideal,
-            plan,
-            1362,
-        );
-        let materialized = QuicReachShard::from_results(
-            1362,
-            &engine.quicreach_chaos(CertificateEra::Classical, NetworkProfile::Ideal, plan, 1362),
-        );
+        let faulted = BASE.with_plan(FaultPlan::MODERATE);
+        let streamed = engine.stream_quicreach(faulted);
+        let materialized = QuicReachShard::from_results(1362, &engine.quicreach(faulted));
         assert_eq!(*streamed, materialized);
         // The faulted probes draw wire randomness, so the streamed fold
         // must never have consulted the scenario-class memo — even though
@@ -1404,54 +1205,49 @@ mod tests {
     #[test]
     fn warm_scan_is_bit_identical_across_worker_counts() {
         let serial = engine(1);
-        let reference = serial.warm_scan(1362);
+        let reference = serial.warm_scan(serial.scenario());
         for workers in [2, 8] {
             let parallel = engine(workers);
             assert_eq!(
                 *reference,
-                *parallel.warm_scan(1362),
+                *parallel.warm_scan(parallel.scenario()),
                 "warm scan diverged at {workers} workers"
             );
         }
         // And under a non-default (profile, policy) pair.
-        let a = engine(1).warm_scan_profiled(
-            NetworkProfile::Tunneled,
-            ResumptionPolicy::TicketExpired,
-            1362,
-        );
-        let b = engine(8).warm_scan_profiled(
-            NetworkProfile::Tunneled,
-            ResumptionPolicy::TicketExpired,
-            1362,
-        );
-        assert_eq!(*a, *b);
+        let expired = BASE
+            .with_profile(NetworkProfile::Tunneled)
+            .with_policy(ResumptionPolicy::TicketExpired);
+        assert_eq!(*engine(1).warm_scan(expired), *engine(8).warm_scan(expired));
     }
 
     #[test]
     fn warm_artifacts_are_cached_per_profile_policy_and_size() {
         let engine = engine(2);
-        // The default-policy request and the explicit request share one
-        // cache entry.
+        let warm = BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+        // The engine's default warm scan is the baseline revisited under
+        // the default policy.
         assert!(Arc::ptr_eq(
-            &engine.warm_scan(1362),
-            &engine.warm_scan_profiled(
-                NetworkProfile::Ideal,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                1362
-            )
+            &engine.warm_scan(engine.scenario()),
+            &engine.warm_scan(warm)
         ));
-        // Distinct policies and sizes are distinct artifacts.
+        // Distinct policies and sizes are distinct artifacts; a scenario
+        // without a policy revisits cold-only.
         assert!(!Arc::ptr_eq(
-            &engine.warm_scan_profiled(
-                NetworkProfile::Ideal,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                1362
-            ),
-            &engine.warm_scan_profiled(NetworkProfile::Ideal, ResumptionPolicy::ColdOnly, 1362)
+            &engine.warm_scan(warm),
+            &engine.warm_scan(BASE.with_policy(ResumptionPolicy::ColdOnly))
+        ));
+        assert!(!Arc::ptr_eq(
+            &engine.warm_scan(warm),
+            &engine.warm_scan(warm.with_initial_size(1250))
+        ));
+        assert!(Arc::ptr_eq(
+            &engine.warm_scan(BASE),
+            &engine.warm_scan(BASE.with_policy(ResumptionPolicy::ColdOnly))
         ));
         // Warm scans never touch the cold quicreach cache: the cold
         // artifact computed afterwards is built fresh and ticket-free.
-        let cold = engine.quicreach(1362);
+        let cold = engine.quicreach(BASE);
         assert!(!cold.is_empty());
     }
 
@@ -1460,8 +1256,8 @@ mod tests {
         let engine = engine(2);
         // quicreach: the streamed shard equals the fold of the cached
         // materialized artifact, bit for bit.
-        let streamed = engine.stream_quicreach(1362);
-        let materialized = QuicReachShard::from_results(1362, &engine.quicreach(1362));
+        let streamed = engine.stream_quicreach(BASE);
+        let materialized = QuicReachShard::from_results(1362, &engine.quicreach(BASE));
         assert_eq!(*streamed, materialized);
         // https: funnel counters and chain sketches match the report.
         let shard = engine.stream_https_scan();
@@ -1484,7 +1280,7 @@ mod tests {
             ..WorldConfig::default()
         });
         let materialized = ScanEngine::new(world, 1362, 2);
-        let reference = materialized.stream_quicreach(1362);
+        let reference = materialized.stream_quicreach(BASE);
 
         // The streaming engine's world holds zero records before, during
         // and after the scan — the population only ever exists as chunks.
@@ -1495,7 +1291,7 @@ mod tests {
         };
         let engine = ScanEngine::streaming(config, 1362, 2).with_stream_chunk(128);
         assert!(engine.world().domains().is_empty());
-        let streamed = engine.stream_quicreach(1362);
+        let streamed = engine.stream_quicreach(BASE);
         assert!(engine.world().domains().is_empty());
         assert_eq!(*streamed, *reference);
         assert!(streamed.total() > 0);
@@ -1509,8 +1305,8 @@ mod tests {
     fn streaming_artifacts_are_cached_summaries() {
         let engine = engine(2);
         assert!(Arc::ptr_eq(
-            &engine.stream_quicreach(1362),
-            &engine.stream_quicreach(1362)
+            &engine.stream_quicreach(BASE),
+            &engine.stream_quicreach(BASE)
         ));
         assert!(Arc::ptr_eq(
             &engine.stream_https_scan(),
@@ -1520,15 +1316,15 @@ mod tests {
             &engine.stream_compression_support(),
             &engine.stream_compression_support()
         ));
-        // Distinct axes are distinct summaries; the default-axis request
-        // shares the explicit classical/ideal entry.
+        // Distinct axes are distinct summaries; the default request
+        // shares the baseline entry.
         assert!(Arc::ptr_eq(
-            &engine.stream_quicreach(1362),
-            &engine.stream_quicreach_era(CertificateEra::Classical, NetworkProfile::Ideal, 1362)
+            &engine.stream_quicreach(engine.scenario()),
+            &engine.stream_quicreach(BASE)
         ));
         assert!(!Arc::ptr_eq(
-            &engine.stream_quicreach(1362),
-            &engine.stream_quicreach(1250)
+            &engine.stream_quicreach(BASE),
+            &engine.stream_quicreach(Scenario::at(1250))
         ));
     }
 
@@ -1543,7 +1339,7 @@ mod tests {
             1362,
             2,
         );
-        let reach = engine.stream_quicreach(1362);
+        let reach = engine.stream_quicreach(BASE);
         assert_eq!(reach.total(), 0);
         assert_eq!(reach.classes.initial_size, 1362);
         assert_eq!(engine.stream_https_scan().total, 0);
@@ -1554,17 +1350,17 @@ mod tests {
         // Bit-identity with metrics on vs off, at 1, 2 and 8 workers: the
         // instrumented pump must fold exactly the summaries the bare pump
         // folds. (The full axes sweep lives in the determinism matrix.)
-        let reference = engine(1).with_metrics(false).stream_quicreach(1362);
+        let reference = engine(1).with_metrics(false).stream_quicreach(BASE);
         for workers in [1, 2, 8] {
             let on = engine(workers).with_metrics(true);
             let off = engine(workers).with_metrics(false);
             assert_eq!(
-                *on.stream_quicreach(1362),
+                *on.stream_quicreach(BASE),
                 *reference,
                 "metrics on diverged at {workers} workers"
             );
             assert_eq!(
-                *off.stream_quicreach(1362),
+                *off.stream_quicreach(BASE),
                 *reference,
                 "metrics off diverged at {workers} workers"
             );
@@ -1574,8 +1370,8 @@ mod tests {
     #[test]
     fn registry_counters_mirror_the_pump_and_cache_activity() {
         let engine = engine(2);
-        let first = engine.stream_quicreach(1362);
-        let again = engine.stream_quicreach(1362);
+        let first = engine.stream_quicreach(BASE);
+        let again = engine.stream_quicreach(BASE);
         assert!(Arc::ptr_eq(&first, &again));
 
         let registry = engine.metrics_registry();
@@ -1625,7 +1421,7 @@ mod tests {
         // Disabled metrics freeze the pump counters (cache counters still
         // tick — they never threatened determinism in the first place).
         let off = super::tests::engine(2).with_metrics(false);
-        off.stream_quicreach(1362);
+        off.stream_quicreach(BASE);
         assert_eq!(
             off.metrics_registry()
                 .counter("quicert_engine_records_folded_total", "")
@@ -1635,12 +1431,132 @@ mod tests {
     }
 
     #[test]
+    fn fold_ranges_folds_each_range_once_in_input_order_on_the_pump() {
+        let world_config = WorldConfig {
+            domains: 1_200,
+            seed: 0xD37E,
+            ..WorldConfig::default()
+        };
+        // Out of rank order on purpose, with a short tail range.
+        let ranges = [(901, 300), (1, 400), (401, 500), (1_101, 400)];
+        let reference = ScanEngine::streaming(world_config.clone(), 1362, 1);
+        let whole = reference.stream_quicreach(BASE);
+        for workers in [1, 2, 8] {
+            let engine = ScanEngine::streaming(world_config.clone(), 1362, workers);
+            let folded = engine.fold_ranges(BASE, &ranges, |records, scratch| {
+                let first = records.first().map_or(0, |r| r.rank);
+                let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                (first, records.len(), shard)
+            });
+            let spans: Vec<(usize, usize)> = folded.iter().map(|f| (f.0, f.1)).collect();
+            assert_eq!(spans, [(901, 300), (1, 400), (401, 500), (1_101, 100)]);
+            // Ranks 901..=1200 were folded twice (ranges 0 and 3 overlap);
+            // the first three ranges tile the population exactly.
+            let tiled = QuicReachShard::merge_all(folded.iter().take(3).map(|f| f.2.clone()));
+            assert_eq!(tiled, *whole, "workers={workers}");
+
+            // Same flush as a streamed scan: pump stats, pump counters and
+            // the scenario's probe counters all saw exactly these records.
+            let totals = engine.pump_stats().expect("fold_ranges pumps").totals();
+            assert_eq!(totals.chunks_claimed, 4);
+            assert_eq!(totals.records_folded, 1_300);
+            let registry = engine.metrics_registry();
+            assert_eq!(
+                registry
+                    .counter("quicert_engine_records_folded_total", "")
+                    .get(),
+                1_300
+            );
+            let labels = [("era", "classical"), ("profile", "ideal")];
+            let probes = |name| registry.labeled_counter(name, &labels, "").get();
+            assert_eq!(
+                probes("quicert_scan_probes_issued_total")
+                    + probes("quicert_scan_probes_replayed_total"),
+                folded.iter().map(|f| f.2.total() as u64).sum::<u64>()
+            );
+        }
+        // No ranges, no work — and no panic.
+        assert!(reference
+            .fold_ranges(BASE, &[], |records, _| records.len())
+            .is_empty());
+    }
+
+    /// Pins the frozen compat block: each positional delegate `perfbench/`
+    /// calls must equal its scenario form. The only caller of the four.
+    #[test]
+    fn compat_delegates_equal_their_scenario_forms() {
+        let engine = engine(2);
+        let world = engine.world();
+        let owned: Vec<DomainRecord> = world.domains().iter().take(300).cloned().collect();
+        let services: Vec<&DomainRecord> = world.quic_services().take(40).collect();
+        let cells = [
+            (
+                CertificateEra::Classical,
+                NetworkProfile::Ideal,
+                FaultPlan::NONE,
+            ),
+            (
+                CertificateEra::PostQuantum,
+                NetworkProfile::Tunneled,
+                FaultPlan::NONE,
+            ),
+            (
+                CertificateEra::Hybrid,
+                NetworkProfile::Lossy,
+                FaultPlan::MODERATE,
+            ),
+        ];
+        for (era, profile, plan) in cells {
+            let unfaulted = BASE.with_era(era).with_profile(profile);
+            let scenario = unfaulted.with_plan(plan);
+            // A fresh scratch per call, so both sides simulate.
+            let fresh = ProbeScratch::new;
+            assert_eq!(
+                quicreach::fold_records_scratch(world, &owned, 1362, profile, era, &mut fresh()),
+                quicreach::fold_chunk(world, &owned, unfaulted, &mut fresh()),
+                "fold_records_scratch {unfaulted:?}"
+            );
+            assert_eq!(
+                quicreach::fold_records_scratch_chaos(
+                    world,
+                    &owned,
+                    1362,
+                    profile,
+                    era,
+                    plan,
+                    &mut fresh()
+                ),
+                quicreach::fold_chunk(world, &owned, scenario, &mut fresh()),
+                "fold_records_scratch_chaos {scenario:?}"
+            );
+            assert!(
+                Arc::ptr_eq(
+                    &engine.stream_quicreach_chaos(era, profile, plan, 1362),
+                    &engine.stream_quicreach(scenario)
+                ),
+                "stream_quicreach_chaos {scenario:?}"
+            );
+            for policy in ResumptionPolicy::ALL {
+                assert_eq!(
+                    quicreach::warm_scan_records(world, &services, 1362, profile, policy),
+                    quicreach::warm_scan(
+                        world,
+                        &services,
+                        BASE.with_profile(profile).with_policy(policy)
+                    ),
+                    "warm_scan_records {profile}/{policy}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sweep_populates_the_per_size_cache() {
         let engine = engine(2);
         let sweep = engine.sweep();
         // The reachability sizes were already computed by the sweep.
-        let at_1200 = engine.quicreach(1200);
-        let at_1472 = engine.quicreach(1472);
+        let at_1200 = engine.quicreach(Scenario::at(1200));
+        let at_1472 = engine.quicreach(Scenario::at(1472));
         let bar_1200 = sweep.iter().find(|b| b.initial_size == 1200).unwrap();
         assert_eq!(bar_1200.reachable() + bar_1200.unreachable, at_1200.len());
         assert!(!at_1472.is_empty());

@@ -87,14 +87,14 @@ pub fn fault_grid(
     eras: &[CertificateEra],
     profiles: &[NetworkProfile],
 ) -> Vec<ChaosCell> {
-    let initial = campaign.config().default_initial;
     let engine = campaign.engine();
     let mut cells = Vec::new();
     for &era in eras {
         for &profile in profiles {
-            let baseline = engine.stream_quicreach_chaos(era, profile, FaultPlan::NONE, initial);
+            let cell = campaign.scenario().with_era(era).with_profile(profile);
+            let baseline = engine.stream_quicreach(cell.with_plan(FaultPlan::NONE));
             for plan in FaultPlan::LADDER {
-                let shard = engine.stream_quicreach_chaos(era, profile, plan, initial);
+                let shard = engine.stream_quicreach(cell.with_plan(plan));
                 cells.push(ChaosCell {
                     plan,
                     era,
@@ -176,19 +176,15 @@ pub struct ChaosResumptionRow {
 /// Sweep the ladder with working resumption on the campaign's default era
 /// and the ideal profile: does the mitigation survive a misbehaving wire?
 pub fn resumption_under_faults(campaign: &Campaign) -> Vec<ChaosResumptionRow> {
-    let initial = campaign.config().default_initial;
-    let era = campaign.config().era;
     let policy = ResumptionPolicy::WarmAfterFirstVisit;
+    let base = campaign
+        .scenario()
+        .with_profile(NetworkProfile::Ideal)
+        .with_policy(policy);
     FaultPlan::LADDER
         .iter()
         .map(|&plan| {
-            let results = campaign.engine().warm_scan_chaos(
-                era,
-                NetworkProfile::Ideal,
-                policy,
-                plan,
-                initial,
-            );
+            let results = campaign.engine().warm_scan(base.with_plan(plan));
             ChaosResumptionRow {
                 plan,
                 policy,

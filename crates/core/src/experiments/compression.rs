@@ -104,7 +104,9 @@ pub fn compression_study(
     algorithm: Algorithm,
     stride: usize,
 ) -> CompressionStudy {
-    let results = campaign.compression_study(algorithm, stride);
+    let results = campaign
+        .engine()
+        .compression_study(campaign.scenario().era, algorithm, stride);
     let limit = (3 * 1357) as f64;
     let under = results
         .iter()

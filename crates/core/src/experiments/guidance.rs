@@ -155,7 +155,8 @@ pub struct ClientMitigation {
 /// costs new handshakes.
 pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
     let world = campaign.world();
-    let first_contacts = campaign.quicreach_default();
+    let scenario = campaign.scenario();
+    let first_contacts = campaign.engine().quicreach(scenario);
     let mut result = ClientMitigation {
         multi_rtt_before: 0,
         fixed_by_mitigation: 0,
@@ -174,7 +175,11 @@ pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
             result.unfixable += 1;
             continue;
         }
-        let second = quicert_scanner::quicreach::scan_service(world, record, adapted);
+        let second = quicert_scanner::quicreach::scan_service(
+            world,
+            record,
+            scenario.with_initial_size(adapted),
+        );
         if second.class == HandshakeClass::OneRtt {
             result.fixed_by_mitigation += 1;
         }

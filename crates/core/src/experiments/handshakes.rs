@@ -67,7 +67,8 @@ impl Fig3 {
 pub fn fig4(campaign: &Campaign) -> Cdf {
     Cdf::new(
         campaign
-            .quicreach_default()
+            .engine()
+            .quicreach(campaign.scenario())
             .iter()
             .filter(|r| r.class == HandshakeClass::Amplification)
             .map(|r| r.amplification)
@@ -103,7 +104,8 @@ pub struct Fig5 {
 /// Compute Fig 5.
 pub fn fig5(campaign: &Campaign) -> Fig5 {
     let mut handshakes: Vec<(usize, usize)> = campaign
-        .quicreach_default()
+        .engine()
+        .quicreach(campaign.scenario())
         .iter()
         .filter(|r| r.class == HandshakeClass::MultiRtt)
         .map(|r| (r.tls_received, r.wire_received))
@@ -161,7 +163,7 @@ pub struct RankGroupRow {
 pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
     let width = campaign.rank_group_width();
     let world = campaign.world();
-    let results = campaign.quicreach_default();
+    let results = campaign.engine().quicreach(campaign.scenario());
     let group_count = world.domains().len().div_ceil(width);
     let mut rows: Vec<RankGroupRow> = (0..group_count)
         .map(|group| RankGroupRow {
@@ -261,7 +263,9 @@ pub fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
     NetworkProfile::ALL
         .iter()
         .map(|&profile| {
-            let results = campaign.quicreach_profiled(profile, initial);
+            let results = campaign
+                .engine()
+                .quicreach(campaign.scenario().with_profile(profile));
             ProfileRow {
                 profile,
                 summary: quicreach::summarize(initial, &results),
@@ -336,8 +340,12 @@ pub struct Reachability {
 /// (free once the Fig 3 sweep has run — both sizes are sweep endpoints).
 pub fn reachability(campaign: &Campaign) -> Reachability {
     let world = campaign.world();
-    let small = campaign.quicreach_at(1200);
-    let large = campaign.quicreach_at(1472);
+    let at = |size| {
+        campaign
+            .engine()
+            .quicreach(campaign.scenario().with_initial_size(size))
+    };
+    let (small, large) = (at(1200), at(1472));
     let count = |results: &[QuicReachResult], lo: usize, hi: usize| {
         results
             .iter()
@@ -447,8 +455,10 @@ mod tests {
         let row = |p: NetworkProfile| rows.iter().find(|r| r.profile == p).unwrap();
         let ideal = row(NetworkProfile::Ideal);
         // The ideal row IS the campaign's default scan artifact.
-        let default_summary =
-            quicreach::summarize(c.config().default_initial, &c.quicreach_default());
+        let default_summary = quicreach::summarize(
+            c.config().default_initial,
+            &c.engine().quicreach(c.scenario()),
+        );
         assert_eq!(ideal.summary, default_summary);
         assert_eq!(ideal.fault_drops, 0);
         assert_eq!(ideal.fault_corruptions, 0);

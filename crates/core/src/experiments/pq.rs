@@ -92,11 +92,13 @@ fn row_from(
 /// non-classical and non-ideal cells.
 pub fn era_matrix(campaign: &Campaign) -> Vec<EraProfileRow> {
     let initial = campaign.config().default_initial;
+    let engine = campaign.engine();
     let mut rows = Vec::new();
     for &profile in NetworkProfile::ALL.iter() {
-        let classical = campaign.quicreach_era(CertificateEra::Classical, profile, initial);
+        let cell = campaign.scenario().with_profile(profile);
+        let classical = engine.quicreach(cell.with_era(CertificateEra::Classical));
         for &era in CertificateEra::ALL.iter() {
-            let results = campaign.quicreach_era(era, profile, initial);
+            let results = engine.quicreach(cell.with_era(era));
             rows.push(row_from(era, profile, initial, &classical, &results));
         }
     }
@@ -172,13 +174,13 @@ pub struct OneRttShift {
 
 /// Compute the 1-RTT survivorship per era on the ideal profile.
 pub fn one_rtt_survivors(campaign: &Campaign) -> Vec<OneRttShift> {
-    let initial = campaign.config().default_initial;
-    let classical =
-        campaign.quicreach_era(CertificateEra::Classical, NetworkProfile::Ideal, initial);
+    let engine = campaign.engine();
+    let ideal = campaign.scenario().with_profile(NetworkProfile::Ideal);
+    let classical = engine.quicreach(ideal.with_era(CertificateEra::Classical));
     [CertificateEra::Hybrid, CertificateEra::PostQuantum]
         .into_iter()
         .map(|era| {
-            let results = campaign.quicreach_era(era, NetworkProfile::Ideal, initial);
+            let results = engine.quicreach(ideal.with_era(era));
             let mut shift = OneRttShift {
                 era,
                 classical_one_rtt: 0,
@@ -267,7 +269,9 @@ pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCom
     CertificateEra::ALL
         .iter()
         .map(|&era| {
-            let rows = campaign.compression_study_era(era, Algorithm::Brotli, stride);
+            let rows = campaign
+                .engine()
+                .compression_study(era, Algorithm::Brotli, stride);
             let ratios: Vec<f64> = rows.iter().map(|r| r.ratio()).collect();
             let originals: Vec<f64> = rows.iter().map(|r| r.original as f64).collect();
             let under = rows.iter().filter(|r| r.compressed <= limit).count();
@@ -402,8 +406,10 @@ mod tests {
             .iter()
             .find(|r| r.era == CertificateEra::Classical && r.profile == NetworkProfile::Ideal)
             .unwrap();
-        let default_summary =
-            quicreach::summarize(c.config().default_initial, &c.quicreach_default());
+        let default_summary = quicreach::summarize(
+            c.config().default_initial,
+            &c.engine().quicreach(c.scenario()),
+        );
         assert_eq!(ideal_classical.summary, default_summary);
     }
 

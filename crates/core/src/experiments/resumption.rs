@@ -105,15 +105,13 @@ pub struct ResumptionRow {
 /// Run the warm scan (warm-after-first-visit policy) at the default Initial
 /// size under every [`NetworkProfile`].
 pub fn resumption_matrix(campaign: &Campaign) -> Vec<ResumptionRow> {
-    let initial = campaign.config().default_initial;
+    let warm = campaign
+        .scenario()
+        .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
     NetworkProfile::ALL
         .iter()
         .map(|&profile| {
-            let results = campaign.warm_scan_profiled(
-                profile,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                initial,
-            );
+            let results = campaign.engine().warm_scan(warm.with_profile(profile));
             ResumptionRow {
                 profile,
                 agg: aggregate(&results),
@@ -170,12 +168,12 @@ pub struct PolicyRow {
 /// size: the cold-only baseline pays the chain twice, the warm policy skips
 /// it, and the expired policy demonstrates the deterministic fallback.
 pub fn policy_comparison(campaign: &Campaign) -> Vec<PolicyRow> {
-    let initial = campaign.config().default_initial;
-    let profile = campaign.config().profile;
     ResumptionPolicy::ALL
         .iter()
         .map(|&policy| {
-            let results = campaign.warm_scan_profiled(profile, policy, initial);
+            let results = campaign
+                .engine()
+                .warm_scan(campaign.scenario().with_policy(policy));
             PolicyRow {
                 policy,
                 agg: aggregate(&results),
@@ -232,14 +230,16 @@ pub const BUDGET_SWEEP_SIZES: [usize; 3] = [1200, 1362, 1472];
 /// Measure resumed handshakes against the amplification budget across
 /// Initial sizes on the ideal profile.
 pub fn budget_sweep(campaign: &Campaign, sizes: &[usize]) -> Vec<BudgetPoint> {
+    let warm = campaign
+        .scenario()
+        .with_profile(NetworkProfile::Ideal)
+        .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
     sizes
         .iter()
         .map(|&initial_size| {
-            let results = campaign.warm_scan_profiled(
-                NetworkProfile::Ideal,
-                ResumptionPolicy::WarmAfterFirstVisit,
-                initial_size,
-            );
+            let results = campaign
+                .engine()
+                .warm_scan(warm.with_initial_size(initial_size));
             let agg = aggregate(&results);
             BudgetPoint {
                 initial_size,
@@ -353,10 +353,10 @@ mod tests {
         // Long-fat, per-service, on services that really took extra wire
         // rounds cold (rtt_count >= 3 cannot be jitter: jitter adds at most
         // one nominal round to a one-round handshake).
-        let long_fat = c.warm_scan_profiled(
-            NetworkProfile::LongFat,
-            ResumptionPolicy::WarmAfterFirstVisit,
-            c.config().default_initial,
+        let long_fat = c.engine().warm_scan(
+            c.scenario()
+                .with_profile(NetworkProfile::LongFat)
+                .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
         );
         let deep: Vec<_> = long_fat.iter().filter(|r| r.cold.rtt_count >= 3).collect();
         assert!(

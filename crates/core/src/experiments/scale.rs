@@ -63,12 +63,11 @@ pub fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
         campaign.config().workers,
     )
     .with_stream_chunk(campaign.config().stream_chunk)
-    .with_profile(campaign.config().profile)
-    .with_era(campaign.config().era);
+    .with_scenario(campaign.scenario());
     ScaleRow {
         population,
         funnel: (*engine.stream_https_scan()).clone(),
-        reach: (*engine.stream_quicreach(campaign.config().default_initial)).clone(),
+        reach: (*engine.stream_quicreach(engine.scenario())).clone(),
     }
 }
 
@@ -173,7 +172,10 @@ mod tests {
         // artifacts — same seed, same records, different memory model.
         let c = campaign();
         let row = scale_row(&c, 1_000);
-        let materialized = quicreach::summarize(c.config().default_initial, &c.quicreach_default());
+        let materialized = quicreach::summarize(
+            c.config().default_initial,
+            &c.engine().quicreach(c.scenario()),
+        );
         assert_eq!(row.reach.classes, materialized);
         let report = c.https_scan();
         assert_eq!(row.funnel.tls_reachable as usize, report.observations.len());

@@ -2,8 +2,9 @@
 //!
 //! Ties the whole workspace together: generate a world, run the scanners,
 //! and produce every table and figure of the paper as a typed result with a
-//! plain-text rendering. The per-experiment index lives in `DESIGN.md`;
-//! paper-vs-measured values are recorded in `EXPERIMENTS.md`.
+//! plain-text rendering. The per-experiment index is the table in
+//! [`experiments`]; the paper-vs-measured values are the full report
+//! itself, pinned by `tests/golden/report.txt`.
 //!
 //! ```no_run
 //! use quicert_core::{Campaign, CampaignConfig};
@@ -20,6 +21,7 @@ pub mod report;
 pub mod service;
 
 pub use campaign::{Campaign, CampaignConfig};
-pub use engine::{PumpStats, ScanEngine, ScenarioKey, WorkerPumpStats};
+pub use engine::{PumpStats, ScanEngine, WorkerPumpStats};
+pub use quicert_scanner::Scenario;
 pub use report::{full_report, ReportOptions};
 pub use service::{CampaignService, ServiceConfig, TickStats};

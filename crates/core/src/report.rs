@@ -147,7 +147,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     if options.full_sweep {
         out.push_str(&handshakes::fig3(campaign).render());
     } else {
-        let results = campaign.quicreach_default();
+        let results = campaign.engine().quicreach(campaign.scenario());
         let summary =
             quicert_scanner::quicreach::summarize(campaign.config().default_initial, &results);
         out.push_str(&format!(

@@ -11,19 +11,22 @@
 //!   dirty (an era migration dirties everything — the affected records
 //!   are only identifiable after derivation).
 //! * [`CampaignService::snapshot_at`] re-derives and re-probes **only the
-//!   dirty segments** through the same scanner folds the streaming pump
-//!   uses, then merges the per-segment `Merge`-monoid summaries in
-//!   segment order. Because every summary merge is exactly associative
-//!   and commutative (pinned by the worker/chunk-invariance suite), the
+//!   dirty segments** — as explicit rank ranges through the streaming
+//!   engine's own pump ([`ScanEngine::fold_ranges`]) — then merges the
+//!   per-segment `Merge`-monoid summaries in segment order. Because
+//!   every summary merge is exactly associative and commutative (pinned
+//!   by the worker/chunk-invariance suite), the
 //!   delta scan is **bit-identical to a full rescan** of the churned
 //!   world at that tick — the load-bearing invariant, pinned in
 //!   `determinism_matrix`.
-//! * Snapshots are memoized per ([`ScenarioKey`], tick); requesting a
+//! * Snapshots are memoized per ([`Scenario`], tick); requesting a
 //!   tick older than the service's clock falls back to a full refold
 //!   from the replayed [`ChurnState`].
 //!
-//! `quicert_obs` counters on the service registry account ticks applied,
-//! records churned, and delta-vs-full probe volumes.
+//! The service holds no execution path and no registry of its own: its
+//! `quicert_service_*` counters (ticks applied, records churned,
+//! delta-vs-full probe volumes) register on the engine's registry, next to
+//! the pump and probe counters its folds update.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,12 +34,12 @@ use std::sync::Arc;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_obs::{Counter, MetricsRegistry};
-use quicert_pki::World;
 use quicert_scanner::https_scan::{self, HttpsScanShard};
-use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
+use quicert_scanner::quicreach::{self, QuicReachShard};
+use quicert_scanner::Scenario;
 
 use crate::campaign::CampaignConfig;
-use crate::engine::{host_parallelism, run_sharded, ScenarioKey};
+use crate::engine::ScanEngine;
 
 /// Configuration of a resident campaign.
 #[derive(Debug, Clone)]
@@ -159,31 +162,28 @@ impl ServiceMetrics {
     }
 }
 
-/// A resident campaign: world + churn timeline + segment summary cache +
-/// per-tick snapshot store.
+/// A resident campaign: streaming engine + churn timeline + segment
+/// summary cache + per-tick snapshot store.
 #[derive(Debug)]
 pub struct CampaignService {
     config: ServiceConfig,
-    world: World,
+    /// Holds the (never-materialised) world and executes every fold.
+    engine: ScanEngine,
     timeline: Timeline,
     state: ChurnState,
-    workers: usize,
-    scenario: ScenarioKey,
     segment_size: usize,
-    domains: usize,
     /// Cached per-segment summaries; entry `i` covers ranks
     /// `[i*segment_size + 1, (i+1)*segment_size]`.
     segments: Vec<Option<SegmentSummary>>,
     /// Segments churned since their cached fold.
     dirty: Vec<bool>,
-    snapshots: HashMap<(ScenarioKey, u64), Arc<Snapshot>>,
+    snapshots: HashMap<(Scenario, u64), Arc<Snapshot>>,
     tick_log: Vec<TickStats>,
     /// Events/ranks accumulated since the last scan (folded into the next
     /// scanned tick's stats).
     pending_events: usize,
     pending_ranks: usize,
     pending_all_changed: bool,
-    registry: Arc<MetricsRegistry>,
     metrics: ServiceMetrics,
 }
 
@@ -192,32 +192,22 @@ impl CampaignService {
     /// re-derive their records on demand, so resident memory is the
     /// segment summaries, never the population.
     pub fn new(config: ServiceConfig) -> CampaignService {
-        let world = World::streaming(config.campaign.world.clone());
-        let domains = config.campaign.world.domains;
         let segment_size = config.segment_size.max(1);
-        let segments = domains.div_ceil(segment_size);
-        let workers = match config.campaign.workers {
-            0 => host_parallelism(),
-            n => n,
-        };
-        let scenario = ScenarioKey::cold(
-            config.campaign.era,
-            config.campaign.profile,
-            config.campaign.fault_plan,
+        let segments = config.campaign.world.domains.div_ceil(segment_size);
+        let engine = ScanEngine::streaming(
+            config.campaign.world.clone(),
             config.campaign.default_initial,
-        );
-        let registry = Arc::new(MetricsRegistry::new());
-        let metrics = ServiceMetrics::register(&registry);
+            config.campaign.workers,
+        )
+        .with_scenario(config.campaign.scenario().cold());
+        let metrics = ServiceMetrics::register(engine.metrics_registry());
         let timeline = Timeline::new(config.churn.clone());
         CampaignService {
             config,
-            world,
+            engine,
             timeline,
             state: ChurnState::initial(),
-            workers,
-            scenario,
             segment_size,
-            domains,
             segments: vec![None; segments],
             dirty: vec![false; segments],
             snapshots: HashMap::new(),
@@ -225,7 +215,6 @@ impl CampaignService {
             pending_events: 0,
             pending_ranks: 0,
             pending_all_changed: false,
-            registry,
             metrics,
         }
     }
@@ -246,13 +235,14 @@ impl CampaignService {
     }
 
     /// The scenario every snapshot of this service is keyed under.
-    pub fn scenario(&self) -> ScenarioKey {
-        self.scenario
+    pub fn scenario(&self) -> Scenario {
+        self.engine.scenario()
     }
 
-    /// The service's metrics registry (tick, churn and probe counters).
+    /// The engine's metrics registry: the service's tick, churn and probe
+    /// counters beside the pump and handshake instruments of its folds.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+        self.engine.metrics_registry()
     }
 
     /// Stats of every scanned tick, in scan order.
@@ -288,7 +278,7 @@ impl CampaignService {
     }
 
     /// The snapshot at `tick`, computed on first request and memoized per
-    /// ([`ScenarioKey`], tick).
+    /// ([`Scenario`], tick).
     ///
     /// * `tick >= self.tick()`: the clock advances and the snapshot is a
     ///   **delta scan** — only dirty (or never-folded) segments re-probe.
@@ -296,7 +286,7 @@ impl CampaignService {
     ///   the replayed churn state at that tick, leaving the live segment
     ///   cache untouched.
     pub fn snapshot_at(&mut self, tick: u64) -> Arc<Snapshot> {
-        let key = (self.scenario, tick);
+        let key = (self.scenario(), tick);
         if let Some(snapshot) = self.snapshots.get(&key) {
             return Arc::clone(snapshot);
         }
@@ -328,7 +318,7 @@ impl CampaignService {
     /// log and probe counters as a full rescan.
     fn full_scan_of(&mut self, state: &ChurnState, tick: u64, log: bool) -> Snapshot {
         let all: Vec<usize> = (0..self.segments.len()).collect();
-        let folded = self.fold_segments(&all, state);
+        let folded = self.scan_segments(&all, state);
         let probed: usize = folded.iter().map(|s| s.probed).sum();
         let snapshot = Self::merge_segments(tick, state.stek_epoch, folded.iter());
         self.metrics.full_probes.add(probed as u64);
@@ -358,7 +348,7 @@ impl CampaignService {
             .filter(|&i| self.dirty[i] || self.segments[i].is_none())
             .collect();
         let state = self.state.clone();
-        let folded = self.fold_segments(&dirty, &state);
+        let folded = self.scan_segments(&dirty, &state);
         let probed: usize = folded.iter().map(|s| s.probed).sum();
         for (&segment, summary) in dirty.iter().zip(folded) {
             self.segments[segment] = Some(summary);
@@ -393,48 +383,27 @@ impl CampaignService {
         snapshot
     }
 
-    /// Re-derive and fold the named segments under `state`, in parallel
-    /// across the service's workers. Results come back in input order
-    /// ([`run_sharded`] is order-preserving), so callers merge
-    /// deterministically.
-    fn fold_segments(&self, segments: &[usize], state: &ChurnState) -> Vec<SegmentSummary> {
-        run_sharded(segments, self.workers, |shard| {
-            let mut scratch = ProbeScratch::with_memo(true);
-            shard
-                .iter()
-                .map(|&segment| self.fold_segment(segment, state, &mut scratch))
-                .collect()
-        })
-    }
-
-    /// Fold one segment: derive its records, overlay the churn state, and
-    /// run the same scanner folds the streaming pump uses.
-    fn fold_segment(
-        &self,
-        segment: usize,
-        state: &ChurnState,
-        scratch: &mut ProbeScratch,
-    ) -> SegmentSummary {
-        let first_rank = segment * self.segment_size + 1;
-        let size = self.segment_size.min(self.domains - first_rank + 1);
-        let mut records = self.world.domain_chunk(first_rank, size);
-        state.apply_to_records(&mut records);
-        let reach = quicreach::fold_records_scratch_chaos(
-            &self.world,
-            &records,
-            self.scenario.initial_size,
-            self.scenario.profile,
-            self.scenario.era,
-            self.scenario.plan,
-            scratch,
-        );
-        let funnel = https_scan::fold_iter(&self.world, records.iter());
-        let probed = records.iter().filter(|r| r.has_quic()).count();
-        SegmentSummary {
-            reach,
-            funnel,
-            probed,
-        }
+    /// Re-derive and fold the named segments under `state` on the engine's
+    /// pump: per segment, overlay the churn state on the derived records
+    /// and run the same scanner folds a streamed scan runs. Results come
+    /// back in input order, so callers merge deterministically.
+    fn scan_segments(&self, segments: &[usize], state: &ChurnState) -> Vec<SegmentSummary> {
+        let ranges: Vec<(usize, usize)> = segments
+            .iter()
+            // The population's last segment may be short; derivation
+            // clamps the range to the population.
+            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
+            .collect();
+        let (world, scenario) = (self.engine.world(), self.scenario());
+        self.engine
+            .fold_ranges(scenario, &ranges, |records, scratch| {
+                state.apply_to_records(records);
+                SegmentSummary {
+                    reach: quicreach::fold_chunk(world, records, scenario, scratch),
+                    funnel: https_scan::fold_iter(world, records.iter()),
+                    probed: records.iter().filter(|r| r.has_quic()).count(),
+                }
+            })
     }
 
     /// Merge per-segment summaries (in the iteration order given — always
@@ -495,7 +464,10 @@ mod tests {
                 .with_seed(0xC4A7)
                 .with_workers(2),
         );
-        assert_eq!(snapshot.reach, *campaign.stream_quicreach_default());
+        assert_eq!(
+            snapshot.reach,
+            *campaign.engine().stream_quicreach(campaign.scenario())
+        );
         assert_eq!(snapshot.funnel, *campaign.stream_https_scan());
         assert_eq!(snapshot.stek_epoch, 0);
     }
@@ -557,6 +529,31 @@ mod tests {
         // And identical to a fresh service that never went past tick 1.
         let mut young = service(1);
         assert_eq!(*young.snapshot_at(1), *historical);
+    }
+
+    #[test]
+    fn service_probes_and_counters_land_on_the_engine_registry() {
+        let mut svc = service(2);
+        svc.snapshot_at(0);
+        svc.snapshot_at(1);
+        let probed: usize = svc.tick_log().iter().map(|t| t.probed).sum();
+        assert!(probed > 0);
+        // The folds ran on the engine's pump, so the streaming probe
+        // counters account for every service the ticks probed…
+        let registry = svc.metrics_registry();
+        let labels = [("era", "classical"), ("profile", "ideal")];
+        let probes = |name| registry.labeled_counter(name, &labels, "").get();
+        assert_eq!(
+            probes("quicert_scan_probes_issued_total")
+                + probes("quicert_scan_probes_replayed_total"),
+            probed as u64
+        );
+        // …and the service's own counters render from the same registry.
+        let text = registry.render_prometheus();
+        assert!(text.contains("quicert_service_ticks_applied_total 1"));
+        assert!(text.contains("quicert_service_delta_scans_total 2"));
+        assert!(text.contains(&format!("quicert_service_delta_probes_total {probed}")));
+        assert!(text.contains("quicert_engine_records_folded_total"));
     }
 
     #[test]

@@ -13,9 +13,15 @@ use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::https_scan::HttpsScanShard;
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
+use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
 const INITIAL: usize = 1362;
+
+/// The `(era, profile)` grid cell at the matrix's Initial size.
+fn cell(era: CertificateEra, profile: NetworkProfile) -> Scenario {
+    Scenario::at(INITIAL).with_era(era).with_profile(profile)
+}
 
 fn engine(workers: usize) -> ScanEngine {
     // Small on purpose: the grid below multiplies every cell by three
@@ -36,8 +42,8 @@ fn quicreach_grid_is_worker_invariant() {
         for era in CertificateEra::ALL {
             for profile in NetworkProfile::ALL {
                 assert_eq!(
-                    *reference.quicreach_era(era, profile, INITIAL),
-                    *parallel.quicreach_era(era, profile, INITIAL),
+                    *reference.quicreach(cell(era, profile)),
+                    *parallel.quicreach(cell(era, profile)),
                     "quicreach {era}/{profile} diverged at {workers} workers"
                 );
             }
@@ -54,8 +60,8 @@ fn warm_scan_grid_is_worker_invariant() {
             for profile in NetworkProfile::ALL {
                 for policy in ResumptionPolicy::ALL {
                     assert_eq!(
-                        *reference.warm_scan_era(era, profile, policy, INITIAL),
-                        *parallel.warm_scan_era(era, profile, policy, INITIAL),
+                        *reference.warm_scan(cell(era, profile).with_policy(policy)),
+                        *parallel.warm_scan(cell(era, profile).with_policy(policy)),
                         "warm {era}/{profile}/{policy} diverged at {workers} workers"
                     );
                 }
@@ -78,7 +84,8 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     };
     // The materialized reference: per-record artifacts, folded afterwards.
     let materialized = ScanEngine::new(World::generate(config.clone()), INITIAL, 2);
-    let reach_ref = QuicReachShard::from_results(INITIAL, &materialized.quicreach(INITIAL));
+    let reach_ref =
+        QuicReachShard::from_results(INITIAL, &materialized.quicreach(Scenario::at(INITIAL)));
     let https_ref = HttpsScanShard::from_report(&materialized.https_scan());
     assert!(reach_ref.total() > 0, "world has QUIC services");
 
@@ -89,7 +96,7 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
             let engine =
                 ScanEngine::streaming(config.clone(), INITIAL, workers).with_stream_chunk(chunk);
             assert_eq!(
-                *engine.stream_quicreach(INITIAL),
+                *engine.stream_quicreach(Scenario::at(INITIAL)),
                 reach_ref,
                 "stream_quicreach diverged at workers={workers} chunk={chunk}"
             );
@@ -124,7 +131,7 @@ fn streaming_grid_is_memoization_invariant() {
         (CertificateEra::Classical, NetworkProfile::LongFat),
     ] {
         let reference = ScanEngine::streaming(config.clone(), INITIAL, 1).with_memoization(false);
-        let want = reference.stream_quicreach_era(era, profile, INITIAL);
+        let want = reference.stream_quicreach(cell(era, profile));
         let direct_totals = reference.pump_stats().expect("pump ran").totals();
         assert_eq!(direct_totals.memo_hits, 0, "{era}/{profile}");
         assert_eq!(direct_totals.memo_misses, 0, "{era}/{profile}");
@@ -133,7 +140,7 @@ fn streaming_grid_is_memoization_invariant() {
                 .with_stream_chunk(chunk)
                 .with_memoization(true);
             assert_eq!(
-                *memoized.stream_quicreach_era(era, profile, INITIAL),
+                *memoized.stream_quicreach(cell(era, profile)),
                 *want,
                 "memoized stream {era}/{profile} diverged at workers={workers} chunk={chunk}"
             );
@@ -183,12 +190,12 @@ fn streaming_scenario_axes_are_worker_and_chunk_invariant() {
         (CertificateEra::Classical, NetworkProfile::Lossy),
         (CertificateEra::Hybrid, NetworkProfile::Tunneled),
     ] {
-        let want = reference.stream_quicreach_era(era, profile, INITIAL);
+        let want = reference.stream_quicreach(cell(era, profile));
         for (workers, chunk) in [(2usize, 1usize), (8, 4096), (16, 0)] {
             let engine =
                 ScanEngine::streaming(config.clone(), INITIAL, workers).with_stream_chunk(chunk);
             assert_eq!(
-                *engine.stream_quicreach_era(era, profile, INITIAL),
+                *engine.stream_quicreach(cell(era, profile)),
                 *want,
                 "stream {era}/{profile} diverged at workers={workers} chunk={chunk}"
             );
@@ -217,7 +224,7 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
         let materialized = ScanEngine::new(World::generate(config.clone()), INITIAL, 2);
         let reference = QuicReachShard::from_results(
             INITIAL,
-            &materialized.quicreach_chaos(era, profile, plan, INITIAL),
+            &materialized.quicreach(cell(era, profile).with_plan(plan)),
         );
         for (workers, chunk) in [(1usize, 0usize), (2, 64), (8, 4096)] {
             for memo in [true, false] {
@@ -225,7 +232,7 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
                     .with_stream_chunk(chunk)
                     .with_memoization(memo);
                 assert_eq!(
-                    *engine.stream_quicreach_chaos(era, profile, plan, INITIAL),
+                    *engine.stream_quicreach(cell(era, profile).with_plan(plan)),
                     reference,
                     "chaos {plan} diverged at workers={workers} chunk={chunk} memo={memo}"
                 );
@@ -272,6 +279,7 @@ proptest! {
         let world = prop_world();
         let era = CertificateEra::ALL[era_idx];
         let profile = NetworkProfile::ALL[profile_idx];
+        let scenario = Scenario::at(initial).with_era(era).with_profile(profile);
         let mut shared = ProbeScratch::new();
         let mut first_rank = start;
         for chunk_size in chunk_sizes {
@@ -280,16 +288,8 @@ proptest! {
             if records.is_empty() {
                 break;
             }
-            let reused =
-                quicreach::fold_records_scratch(world, &records, initial, profile, era, &mut shared);
-            let fresh = quicreach::fold_records_scratch(
-                world,
-                &records,
-                initial,
-                profile,
-                era,
-                &mut ProbeScratch::new(),
-            );
+            let reused = quicreach::fold_chunk(world, &records, scenario, &mut shared);
+            let fresh = quicreach::fold_chunk(world, &records, scenario, &mut ProbeScratch::new());
             prop_assert_eq!(
                 reused,
                 fresh,
@@ -327,15 +327,14 @@ proptest! {
         // `start` stays inside the 240-domain world, so never empty.
         let records = world.domain_chunk(start, len);
         prop_assert!(!records.is_empty());
+        let scenario = Scenario::at(initial)
+            .with_era(era)
+            .with_profile(deterministic_profile);
         let mut memoized = ProbeScratch::new();
         let mut direct = ProbeScratch::with_memo(false);
-        let direct_shard = quicreach::fold_records_scratch(
-            world, &records, initial, deterministic_profile, era, &mut direct,
-        );
+        let direct_shard = quicreach::fold_chunk(world, &records, scenario, &mut direct);
         for pass in 0..2 {
-            let replayed = quicreach::fold_records_scratch(
-                world, &records, initial, deterministic_profile, era, &mut memoized,
-            );
+            let replayed = quicreach::fold_chunk(world, &records, scenario, &mut memoized);
             prop_assert_eq!(
                 &replayed,
                 &direct_shard,
@@ -465,8 +464,8 @@ fn compression_study_grid_is_worker_invariant() {
     let parallel = engine(8);
     for era in CertificateEra::ALL {
         for algorithm in quicert_compress::Algorithm::ALL {
-            let a = reference.compression_study_era(era, algorithm, 4);
-            let b = parallel.compression_study_era(era, algorithm, 4);
+            let a = reference.compression_study(era, algorithm, 4);
+            let b = parallel.compression_study(era, algorithm, 4);
             assert_eq!(a.len(), b.len(), "{era}/{algorithm}");
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(

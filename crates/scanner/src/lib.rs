@@ -19,6 +19,7 @@ pub mod compression;
 pub mod https_scan;
 pub mod qscanner;
 pub mod quicreach;
+pub mod scenario;
 pub mod telescope_scan;
 pub mod zmap;
 
@@ -26,3 +27,4 @@ pub use behavior::{server_config_for, server_config_for_era, wire_for};
 pub use compression::CompressionShard;
 pub use https_scan::{ChainSummary, HttpsObservation, HttpsScanReport, HttpsScanShard};
 pub use quicreach::{ProbeMetrics, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult};
+pub use scenario::Scenario;

@@ -5,11 +5,12 @@
 //! the per-probe heap and buffer churn of the old one-exchange-at-a-time
 //! loop; [`scan_records_per_probe`] keeps that loop alive as the reference
 //! path for equivalence tests and the throughput benchmark. Every entry
-//! point also exists in a `NetworkProfile`-aware form, scanning the same
-//! population under lossy / long-fat / tunneled path overlays.
+//! point takes the conditions it scans under — era, path profile, fault
+//! plan, Initial size, resumption policy — as one [`Scenario`], so a new
+//! condition is a new field there, never a new entry point here.
 //!
-//! All three probe families — batched, per-probe, and the warm
-//! ([`warm_scan_records`]) resumption path — share one probe-construction
+//! All probe families — batched, per-probe, streamed ([`fold_chunk`]) and
+//! the warm ([`warm_scan`]) resumption path — share one probe-construction
 //! helper (`probes_for`) and one collation helper (`collate`), so the
 //! probe parameters and the outcome→result mapping can never diverge
 //! between entry points.
@@ -32,6 +33,7 @@ use quicert_quic::{
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig, TicketIssuer};
 
 use crate::behavior::{server_config_for_era, wire_for_profile};
+use crate::scenario::Scenario;
 
 /// The Initial sizes the paper sweeps: 1200 to 1472 bytes in steps of 10
 /// (the upper bound is dictated by a 1500-byte MTU). Computed once and
@@ -346,36 +348,15 @@ impl Merge for QuicReachShard {
 pub fn fold_records(
     world: &World,
     records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
+    scenario: Scenario,
 ) -> QuicReachShard {
     let services: Vec<&DomainRecord> = records
         .iter()
         .copied()
         .filter(|record| record.has_quic())
         .collect();
-    let results = scan_records_era(world, &services, initial_size, profile, era);
-    QuicReachShard::from_results(initial_size, &results)
-}
-
-/// [`fold_records`] under a chaos [`FaultPlan`] — the reference the
-/// streaming chaos fold must match bit-for-bit.
-pub fn fold_records_chaos(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    plan: FaultPlan,
-) -> QuicReachShard {
-    let services: Vec<&DomainRecord> = records
-        .iter()
-        .copied()
-        .filter(|record| record.has_quic())
-        .collect();
-    let results = scan_records_chaos(world, &services, initial_size, profile, era, plan);
-    QuicReachShard::from_results(initial_size, &results)
+    let results = scan_records(world, &services, scenario);
+    QuicReachShard::from_results(scenario.initial_size, &results)
 }
 
 /// The scenario class of one cold streaming probe: every input that can
@@ -401,7 +382,8 @@ pub fn fold_records_chaos(
 /// on the inputs keeps class derivation lock- and lookup-free on the
 /// million-record path. The key carries its own scenario axes (era,
 /// profile, Initial size) so one memo table stays correct even if reused
-/// across folds with different axes.
+/// across folds with different axes; the fault plan is not one of them
+/// because only [`FaultPlan::NONE`] folds ever consult the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProbeClass {
     era: CertificateEra,
@@ -426,9 +408,6 @@ struct ProbeClass {
     latency_step: u8,
     behind_lb: bool,
     lb_overhead: usize,
-    /// Cold streaming scans never resume; reserved so a future warm
-    /// streaming fold can key on the resumption axis.
-    resumed: bool,
 }
 
 impl ProbeClass {
@@ -436,12 +415,7 @@ impl ProbeClass {
     /// world lookups: everything is on the record, and the serial width
     /// is recomputed arithmetically
     /// ([`quicert_x509::CertificateBuilder::serial_der_len`]).
-    fn of(
-        record: &DomainRecord,
-        initial_size: usize,
-        profile: NetworkProfile,
-        era: CertificateEra,
-    ) -> ProbeClass {
+    fn of(record: &DomainRecord, scenario: Scenario) -> ProbeClass {
         let quic = record.quic.as_ref().expect("caller filtered on has_quic");
         let https = record
             .https
@@ -452,9 +426,9 @@ impl ProbeClass {
         // mirror `World`'s chain issuance exactly.
         let seed_shift = quic.cert_seed_shift();
         ProbeClass {
-            era: quic.effective_era(era),
-            profile,
-            initial_size,
+            era: quic.effective_era(scenario.era),
+            profile: scenario.profile,
+            initial_size: scenario.initial_size,
             provider: quic.provider,
             behavior: quic.behavior,
             chain_id: quic.chain_id,
@@ -467,7 +441,6 @@ impl ProbeClass {
             latency_step: (record.seed % 40) as u8,
             behind_lb: quic.behind_lb,
             lb_overhead: quic.lb_overhead,
-            resumed: false,
         }
     }
 }
@@ -476,7 +449,7 @@ impl ProbeClass {
 /// process-wide registry (`quicert_scanner_probes_issued_total{family=…}`).
 /// Registration is idempotent, so the per-shard lock cost is one mutex
 /// acquisition — never on a per-record path.
-fn count_family_probes(family: &'static str, n: usize) {
+fn count_family_probes(family: &str, n: usize) {
     MetricsRegistry::global()
         .labeled_counter(
             "quicert_scanner_probes_issued_total",
@@ -489,7 +462,7 @@ fn count_family_probes(family: &'static str, n: usize) {
 /// Per-(era, profile) streaming-scan instruments: fresh-vs-replayed probe
 /// counters plus one handshake-phase histogram per [`Phase`].
 ///
-/// The engine registers one of these per scanned era on its registry and
+/// The engine registers one of these per scanned scenario on its registry and
 /// attaches a clone to every worker's [`ProbeScratch`]; the fold then
 /// batch-updates the shared atomics once per chunk. Everything observed is
 /// derived from simulated time and pre-existing memo counters, so
@@ -503,12 +476,10 @@ pub struct ProbeMetrics {
 
 impl ProbeMetrics {
     /// Register (or re-acquire — registration is idempotent) the
-    /// instruments for one era × profile pair on `registry`.
-    pub fn register(
-        registry: &MetricsRegistry,
-        era: CertificateEra,
-        profile: NetworkProfile,
-    ) -> ProbeMetrics {
+    /// instruments labelled with `scenario`'s era × profile pair on
+    /// `registry`.
+    pub fn register(registry: &MetricsRegistry, scenario: Scenario) -> ProbeMetrics {
+        let (era, profile) = (scenario.era, scenario.profile);
         let labels: &[(&str, &str)] = &[("era", era.name()), ("profile", profile.name())];
         let phases = Phase::ALL.map(|phase| {
             registry.labeled_histogram(
@@ -570,7 +541,7 @@ struct ProbeMemo {
 /// by the fresh-vs-reused property test).
 ///
 /// The scratch also hosts the worker's scenario-class memo (see
-/// [`fold_records_scratch`]); unlike the buffers it deliberately persists
+/// [`fold_chunk`]); unlike the buffers it deliberately persists
 /// across chunks — outcomes are pure per class, so carrying them over is
 /// what makes the flyweight pay.
 #[derive(Debug)]
@@ -606,8 +577,8 @@ impl ProbeScratch {
         }
     }
 
-    /// Attach streaming-scan instruments; every later
-    /// [`fold_records_scratch`] through this scratch batch-updates them
+    /// Attach streaming-scan instruments; every later [`fold_chunk`]
+    /// through this scratch batch-updates them
     /// once per chunk. A scratch without metrics skips all of it.
     pub fn set_metrics(&mut self, metrics: ProbeMetrics) {
         self.metrics = Some(metrics);
@@ -637,52 +608,24 @@ impl Default for ProbeScratch {
 /// outcome→result mapping as the materialized scans, so the folded shard
 /// is bit-for-bit [`fold_records`]'s at any chunk size.
 ///
-/// When the scratch carries a memo and the profile is deterministic
-/// ([`NetworkProfile::is_deterministic`]), records are first keyed by
+/// When the scratch carries a memo and the scenario is deterministic
+/// (*both* [`NetworkProfile::is_deterministic`] and
+/// [`FaultPlan::is_deterministic`]), records are first keyed by
 /// `ProbeClass`: only the first record of each class is simulated; every
 /// later one replays the cached [`HandshakeOutcome`]. Replay happens in
 /// the original record order through the same per-record fold, so the
 /// order-sensitive [`StreamSummary`] float sums come out bit-for-bit
 /// identical to the unmemoized path. Profiles that consume RNG (lossy
-/// drops/corruption, long-fat jitter) make outcomes depend on per-record
-/// seeds beyond the class, so they bypass the memo entirely and keep
-/// per-record simulation.
-pub fn fold_records_scratch(
+/// drops/corruption, long-fat jitter) and every non-identity fault plan
+/// (its injector draws RNG per datagram) make outcomes depend on
+/// per-record seeds beyond the class, so they bypass the memo entirely
+/// and keep per-record simulation. A scratch can therefore be reused
+/// across scenarios without its memo ever being polluted by a
+/// fault-injected outcome.
+pub fn fold_chunk(
     world: &World,
     records: &[DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    scratch: &mut ProbeScratch,
-) -> QuicReachShard {
-    fold_records_scratch_chaos(
-        world,
-        records,
-        initial_size,
-        profile,
-        era,
-        FaultPlan::NONE,
-        scratch,
-    )
-}
-
-/// [`fold_records_scratch`] under a chaos [`FaultPlan`]: every probe's wire
-/// gets the plan's fault overlay on top of the profile's. Any non-identity
-/// plan arms an RNG-drawing fault injector, so outcomes stop being a pure
-/// function of their `ProbeClass` — the scenario-class memo is bypassed
-/// exactly as for RNG-consuming profiles (the memo gate requires *both*
-/// [`NetworkProfile::is_deterministic`] and [`FaultPlan::is_deterministic`]).
-/// [`FaultPlan::NONE`] reproduces the plain fold byte-for-byte, memo
-/// included; a scratch can therefore be reused across plans without its
-/// memo ever being polluted by a fault-injected outcome.
-#[allow(clippy::too_many_arguments)]
-pub fn fold_records_scratch_chaos(
-    world: &World,
-    records: &[DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    plan: FaultPlan,
+    scenario: Scenario,
     scratch: &mut ProbeScratch,
 ) -> QuicReachShard {
     scratch.probes.clear();
@@ -690,13 +633,14 @@ pub fn fold_records_scratch_chaos(
     scratch.ranks.clear();
     scratch.slots.clear();
     scratch.pending.clear();
-    let memo_active =
-        scratch.memo.is_some() && profile.is_deterministic() && plan.is_deterministic();
+    let memo_active = scratch.memo.is_some()
+        && scenario.profile.is_deterministic()
+        && scenario.plan.is_deterministic();
     let hits_before = scratch.memo.as_ref().map_or(0, |memo| memo.hits);
     for record in records.iter().filter(|record| record.has_quic()) {
         scratch.ranks.push(record.rank);
         if memo_active {
-            let class = ProbeClass::of(record, initial_size, profile, era);
+            let class = ProbeClass::of(record, scenario);
             let memo = scratch.memo.as_mut().expect("memo_active implies memo");
             if let Some(&idx) = memo.classes.get(&class) {
                 memo.hits += 1;
@@ -709,9 +653,7 @@ pub fn fold_records_scratch_chaos(
         scratch
             .slots
             .push(OutcomeSlot::Fresh(scratch.probes.len() as u32));
-        scratch
-            .probes
-            .push(probe_for(world, record, initial_size, profile, era, plan));
+        scratch.probes.push(probe_for(world, record, scenario));
     }
     run_handshake_batch_into(&mut scratch.probes, &mut scratch.outcomes);
     if memo_active {
@@ -743,7 +685,7 @@ pub fn fold_records_scratch_chaos(
         }
     }
     let mut shard = QuicReachShard::identity();
-    shard.classes.initial_size = initial_size;
+    shard.classes.initial_size = scenario.initial_size;
     let cached = scratch.memo.as_ref().map(|memo| &memo.outcomes);
     for (&rank, slot) in scratch.ranks.iter().zip(&scratch.slots) {
         let out = match *slot {
@@ -755,26 +697,19 @@ pub fn fold_records_scratch_chaos(
     shard
 }
 
-/// Build the [`HandshakeProbe`] for one service at one Initial size under a
-/// network profile and [`CertificateEra`]; shared by the batched and
-/// per-probe scan paths. The era swaps the served chain and the leaf key —
-/// the scanner client is untouched, so the probe parameters only differ on
-/// the server side, exactly as a re-scan of a migrated PKI would.
-fn probe_for(
-    world: &World,
-    record: &DomainRecord,
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    plan: FaultPlan,
-) -> HandshakeProbe {
+/// Build the [`HandshakeProbe`] for one service under one [`Scenario`];
+/// shared by every scan path. The era swaps the served chain and the leaf
+/// key — the scanner client is untouched, so the probe parameters only
+/// differ on the server side, exactly as a re-scan of a migrated PKI would.
+fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> HandshakeProbe {
+    let initial_size = scenario.initial_size;
     // A churned deployment serves its override era regardless of the scan
     // era; resolve once so the chain and the CertificateVerify key agree.
     let era = record
         .quic
         .as_ref()
-        .map(|q| q.effective_era(era))
-        .unwrap_or(era);
+        .map(|q| q.effective_era(scenario.era))
+        .unwrap_or(scenario.era);
     let chain = world
         .quic_chain_era(record, era)
         .expect("QUIC services have chains");
@@ -787,8 +722,8 @@ fn probe_for(
     );
     // The chaos plan overlays the profiled wire (max-merge, like profiles
     // themselves); FaultPlan::NONE touches nothing at all.
-    let mut wire = wire_for_profile(record, profile);
-    plan.apply(&mut wire);
+    let mut wire = wire_for_profile(record, scenario.profile);
+    scenario.plan.apply(&mut wire);
     HandshakeProbe {
         client,
         server,
@@ -799,17 +734,10 @@ fn probe_for(
 
 /// Build the probes for a whole shard — the single probe-construction path
 /// every scan family (batched, per-probe, warm, chaos) goes through.
-fn probes_for(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    plan: FaultPlan,
-) -> Vec<HandshakeProbe> {
+fn probes_for(world: &World, records: &[&DomainRecord], scenario: Scenario) -> Vec<HandshakeProbe> {
     records
         .iter()
-        .map(|record| probe_for(world, record, initial_size, profile, era, plan))
+        .map(|record| probe_for(world, record, scenario))
         .collect()
 }
 
@@ -823,38 +751,22 @@ fn collate(records: &[&DomainRecord], outcomes: &[HandshakeOutcome]) -> Vec<Quic
         .collect()
 }
 
-/// Probe one service at one Initial size (ideal path).
-pub fn scan_service(world: &World, record: &DomainRecord, initial_size: usize) -> QuicReachResult {
-    scan_service_profiled(world, record, initial_size, NetworkProfile::Ideal)
-}
-
-/// Probe one service at one Initial size under a network profile.
-pub fn scan_service_profiled(
-    world: &World,
-    record: &DomainRecord,
-    initial_size: usize,
-    profile: NetworkProfile,
-) -> QuicReachResult {
-    let probe = probe_for(
-        world,
-        record,
-        initial_size,
-        profile,
-        CertificateEra::Classical,
-        FaultPlan::NONE,
-    );
+/// Probe one service under one [`Scenario`].
+pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
+    let probe = probe_for(world, record, scenario);
     let mut wire = probe.wire;
     let out = run_handshake(probe.client, probe.server, &mut wire, probe.seed);
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
-/// Probe every QUIC service at one Initial size.
+/// Probe every QUIC service at one Initial size under the paper's baseline
+/// scenario ([`Scenario::at`]).
 pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
     let records: Vec<&DomainRecord> = world.quic_services().collect();
-    scan_records(world, &records, initial_size)
+    scan_records(world, &records, Scenario::at(initial_size))
 }
 
-/// Probe an explicit shard of services at one Initial size.
+/// Probe an explicit shard of services under one [`Scenario`].
 ///
 /// This is the shard-aware entry point: the whole shard is batched as
 /// sessions of one `SimNet`. Every probe derives its randomness from the
@@ -862,72 +774,25 @@ pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
 /// service list into shards, probing them on separate workers and
 /// concatenating the shard outputs in order is bit-for-bit identical to a
 /// serial [`scan`] — and to the per-probe loop in
-/// [`scan_records_per_probe`] — at any shard size.
+/// [`scan_records_per_probe`] — at any shard size, on every axis: the
+/// hybrid and post-quantum eras serve multi-kilobyte flights that fragment
+/// across more CRYPTO frames under the same 3× amplification limiter, and
+/// a non-[`FaultPlan::NONE`] plan overlays loss × duplication × corruption
+/// on every wire, drawing per-datagram RNG from the same per-record
+/// streams — still deterministic for a fixed seed, but no longer shared
+/// across records of one scenario class.
 pub fn scan_records(
     world: &World,
     records: &[&DomainRecord],
-    initial_size: usize,
+    scenario: Scenario,
 ) -> Vec<QuicReachResult> {
-    scan_records_profiled(world, records, initial_size, NetworkProfile::Ideal)
-}
-
-/// [`scan_records`] under a network profile.
-pub fn scan_records_profiled(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-) -> Vec<QuicReachResult> {
-    scan_records_era(
-        world,
-        records,
-        initial_size,
-        profile,
-        CertificateEra::Classical,
-    )
-}
-
-/// [`scan_records_profiled`] in one [`CertificateEra`]: the same scan
-/// against the era-swapped population. The classical era reproduces
-/// [`scan_records_profiled`] byte-for-byte; the hybrid and post-quantum
-/// eras serve multi-kilobyte flights that must fragment across more CRYPTO
-/// frames and Handshake packets under the same 3× amplification limiter.
-pub fn scan_records_era(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-) -> Vec<QuicReachResult> {
-    count_family_probes("quicreach", records.len());
-    let outcomes = run_handshake_batch(probes_for(
-        world,
-        records,
-        initial_size,
-        profile,
-        era,
-        FaultPlan::NONE,
-    ));
-    collate(records, &outcomes)
-}
-
-/// [`scan_records_era`] under a chaos [`FaultPlan`]: the same population,
-/// the same per-record RNG streams, with the plan's loss × duplication ×
-/// corruption overlay on every wire. [`FaultPlan::NONE`] reproduces
-/// [`scan_records_era`] byte-for-byte; any other plan draws per-datagram
-/// RNG, so its outcomes are still deterministic for a fixed seed but no
-/// longer shared across records of one scenario class.
-pub fn scan_records_chaos(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    era: CertificateEra,
-    plan: FaultPlan,
-) -> Vec<QuicReachResult> {
-    count_family_probes("chaos", records.len());
-    let outcomes =
-        run_handshake_batch(probes_for(world, records, initial_size, profile, era, plan));
+    let family = if scenario.plan.is_none() {
+        "quicreach"
+    } else {
+        "chaos"
+    };
+    count_family_probes(family, records.len());
+    let outcomes = run_handshake_batch(probes_for(world, records, scenario));
     collate(records, &outcomes)
 }
 
@@ -940,24 +805,16 @@ pub fn scan_records_chaos(
 pub fn scan_records_per_probe(
     world: &World,
     records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
+    scenario: Scenario,
 ) -> Vec<QuicReachResult> {
     count_family_probes("per-probe", records.len());
-    let outcomes: Vec<HandshakeOutcome> = probes_for(
-        world,
-        records,
-        initial_size,
-        profile,
-        CertificateEra::Classical,
-        FaultPlan::NONE,
-    )
-    .into_iter()
-    .map(|probe| {
-        let mut wire = probe.wire;
-        run_handshake(probe.client, probe.server, &mut wire, probe.seed)
-    })
-    .collect();
+    let outcomes: Vec<HandshakeOutcome> = probes_for(world, records, scenario)
+        .into_iter()
+        .map(|probe| {
+            let mut wire = probe.wire;
+            run_handshake(probe.client, probe.server, &mut wire, probe.seed)
+        })
+        .collect();
     collate(records, &outcomes)
 }
 
@@ -1034,7 +891,8 @@ impl WarmScanResult {
     }
 }
 
-/// Probe a shard of services cold-then-warm under a [`ResumptionPolicy`].
+/// Probe a shard of services cold-then-warm under the scenario's
+/// [`ResumptionPolicy`] ([`Scenario::warm_policy`]).
 ///
 /// Each record's first visit runs the usual certificate-laden handshake
 /// against its server *with ticket issuance enabled*; the obtained ticket
@@ -1044,66 +902,23 @@ impl WarmScanResult {
 /// tickets, so their artifacts stay byte-for-byte identical.
 ///
 /// Probes use the record's *domain name* as SNI (tickets are host-bound);
-/// the probe parameters are otherwise exactly [`scan_records_profiled`]'s,
-/// via the shared probe builder. Every visit draws from per-record RNG
-/// streams, so shard splits and worker counts cannot change any result.
-pub fn warm_scan_records(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    policy: ResumptionPolicy,
-) -> Vec<WarmScanResult> {
-    warm_scan_records_era(
-        world,
-        records,
-        initial_size,
-        profile,
-        policy,
-        CertificateEra::Classical,
-    )
-}
-
-/// [`warm_scan_records`] in one [`CertificateEra`]: cold visits pay the
-/// era's (much larger) chain, warm visits resume certificate-free — the
+/// the probe parameters are otherwise exactly [`scan_records`]'s, via the
+/// shared probe builder. Every visit draws from per-record RNG streams, so
+/// shard splits and worker counts cannot change any result. Cold visits
+/// pay the era's chain while warm visits resume certificate-free — the
 /// resumed flight is era-independent, which is exactly what makes
-/// resumption the strongest PQC mitigation.
-pub fn warm_scan_records_era(
+/// resumption the strongest PQC mitigation — and both visits run over the
+/// plan-overlaid wire, so a sweep can ask whether resumption still pays
+/// once the path itself is hostile.
+pub fn warm_scan(
     world: &World,
     records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    policy: ResumptionPolicy,
-    era: CertificateEra,
+    scenario: Scenario,
 ) -> Vec<WarmScanResult> {
-    warm_scan_records_chaos(
-        world,
-        records,
-        initial_size,
-        profile,
-        policy,
-        era,
-        FaultPlan::NONE,
-    )
-}
-
-/// [`warm_scan_records_era`] under a chaos [`FaultPlan`]: both the cold
-/// and the warm visit run over plan-overlaid wires, so the sweep can ask
-/// whether resumption still pays once the path itself is hostile.
-/// [`FaultPlan::NONE`] reproduces [`warm_scan_records_era`] byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub fn warm_scan_records_chaos(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-    policy: ResumptionPolicy,
-    era: CertificateEra,
-    plan: FaultPlan,
-) -> Vec<WarmScanResult> {
+    let policy = scenario.warm_policy();
     count_family_probes("warm", records.len());
     let warm_now_secs = warm_visit_secs(policy);
-    let probes: Vec<ResumptionProbe> = probes_for(world, records, initial_size, profile, era, plan)
+    let probes: Vec<ResumptionProbe> = probes_for(world, records, scenario)
         .into_iter()
         .zip(records)
         .map(|(mut probe, record)| {
@@ -1133,6 +948,61 @@ pub fn warm_scan_records_chaos(
         .collect()
 }
 
+// ------------------------------------------------- frozen compat block --
+//
+// `perfbench/` is frozen and calls exactly these three positional
+// signatures (plus `ScanEngine::stream_quicreach_chaos` in quicert-core).
+// They build a `Scenario` and delegate, so a new axis never touches them;
+// nothing else in the workspace may call them — use the scenario forms.
+
+#[doc(hidden)]
+pub fn fold_records_scratch(
+    world: &World,
+    records: &[DomainRecord],
+    initial_size: usize,
+    profile: NetworkProfile,
+    era: CertificateEra,
+    scratch: &mut ProbeScratch,
+) -> QuicReachShard {
+    let scenario = Scenario::at(initial_size)
+        .with_profile(profile)
+        .with_era(era);
+    fold_chunk(world, records, scenario, scratch)
+}
+
+#[doc(hidden)]
+pub fn fold_records_scratch_chaos(
+    world: &World,
+    records: &[DomainRecord],
+    initial_size: usize,
+    profile: NetworkProfile,
+    era: CertificateEra,
+    plan: FaultPlan,
+    scratch: &mut ProbeScratch,
+) -> QuicReachShard {
+    let scenario = Scenario::at(initial_size)
+        .with_profile(profile)
+        .with_era(era)
+        .with_plan(plan);
+    fold_chunk(world, records, scenario, scratch)
+}
+
+#[doc(hidden)]
+pub fn warm_scan_records(
+    world: &World,
+    records: &[&DomainRecord],
+    initial_size: usize,
+    profile: NetworkProfile,
+    policy: ResumptionPolicy,
+) -> Vec<WarmScanResult> {
+    let scenario = Scenario::at(initial_size)
+        .with_profile(profile)
+        .with_policy(policy);
+    warm_scan(world, records, scenario)
+}
+
+// --------------------------------------------- end frozen compat block --
+
 /// Aggregate results into a Fig 3 bar.
 pub fn summarize(initial_size: usize, results: &[QuicReachResult]) -> ScanSummary {
     let mut summary = ScanSummary {
@@ -1154,6 +1024,9 @@ pub fn mtu_bound() -> usize {
 mod tests {
     use super::*;
     use quicert_pki::WorldConfig;
+
+    /// The paper's baseline at its reporting size; tests vary one axis.
+    const BASE: Scenario = Scenario::at(1362);
 
     fn world() -> quicert_pki::World {
         quicert_pki::World::generate(WorldConfig {
@@ -1225,8 +1098,8 @@ mod tests {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(120).collect();
         for profile in [NetworkProfile::Ideal, NetworkProfile::Lossy] {
-            let batched = scan_records_profiled(&world, &records, 1362, profile);
-            let per_probe = scan_records_per_probe(&world, &records, 1362, profile);
+            let batched = scan_records(&world, &records, BASE.with_profile(profile));
+            let per_probe = scan_records_per_probe(&world, &records, BASE.with_profile(profile));
             assert_eq!(batched, per_probe, "profile {profile}");
         }
     }
@@ -1235,11 +1108,11 @@ mod tests {
     fn batch_size_does_not_change_outcomes() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(90).collect();
-        let whole = scan_records(&world, &records, 1250);
+        let whole = scan_records(&world, &records, Scenario::at(1250));
         for chunk in [1usize, 7, 30] {
             let pieces: Vec<QuicReachResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| scan_records(&world, shard, 1250))
+                .flat_map(|shard| scan_records(&world, shard, Scenario::at(1250)))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
@@ -1255,30 +1128,10 @@ mod tests {
         // equal both a fresh-scratch fold and the Vec-building fold.
         let mut reused = ProbeScratch::new();
         for (chunk_refs, chunk) in refs.chunks(50).zip(owned.chunks(50)) {
-            let reference = fold_records(
-                &world,
-                chunk_refs,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-            );
+            let reference = fold_records(&world, chunk_refs, BASE);
             let mut fresh = ProbeScratch::new();
-            let from_fresh = fold_records_scratch(
-                &world,
-                chunk,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                &mut fresh,
-            );
-            let from_reused = fold_records_scratch(
-                &world,
-                chunk,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                &mut reused,
-            );
+            let from_fresh = fold_chunk(&world, chunk, BASE, &mut fresh);
+            let from_reused = fold_chunk(&world, chunk, BASE, &mut reused);
             assert_eq!(reference, from_fresh);
             assert_eq!(from_fresh, from_reused, "scratch reuse leaked state");
         }
@@ -1294,11 +1147,12 @@ mod tests {
         let owned: Vec<DomainRecord> = world.domains().iter().take(400).cloned().collect();
         for profile in NetworkProfile::ALL {
             for era in CertificateEra::ALL {
+                let scenario = BASE.with_profile(profile).with_era(era);
                 let mut memoized = ProbeScratch::new();
                 let mut direct = ProbeScratch::with_memo(false);
                 for chunk in owned.chunks(120) {
-                    let a = fold_records_scratch(&world, chunk, 1362, profile, era, &mut memoized);
-                    let b = fold_records_scratch(&world, chunk, 1362, profile, era, &mut direct);
+                    let a = fold_chunk(&world, chunk, scenario, &mut memoized);
+                    let b = fold_chunk(&world, chunk, scenario, &mut direct);
                     assert_eq!(a, b, "profile {profile} era {era:?}");
                 }
                 assert_eq!(direct.memo_stats(), (0, 0, 0));
@@ -1319,14 +1173,7 @@ mod tests {
         // *some* sharing — the bench guard enforces the at-scale ratio.
         let mut scratch = ProbeScratch::new();
         for chunk in owned.chunks(64) {
-            fold_records_scratch(
-                &world,
-                chunk,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                &mut scratch,
-            );
+            fold_chunk(&world, chunk, BASE, &mut scratch);
         }
         let (hits, misses, distinct) = scratch.memo_stats();
         assert_eq!(hits + misses, probed);
@@ -1336,12 +1183,10 @@ mod tests {
         // RNG-consuming profile: the memo is bypassed entirely.
         let mut lossy = ProbeScratch::new();
         for chunk in owned.chunks(64) {
-            fold_records_scratch(
+            fold_chunk(
                 &world,
                 chunk,
-                1362,
-                NetworkProfile::Lossy,
-                CertificateEra::Classical,
+                BASE.with_profile(NetworkProfile::Lossy),
                 &mut lossy,
             );
         }
@@ -1355,28 +1200,13 @@ mod tests {
         let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
 
         let registry = MetricsRegistry::new();
-        let metrics =
-            ProbeMetrics::register(&registry, CertificateEra::Classical, NetworkProfile::Ideal);
+        let metrics = ProbeMetrics::register(&registry, BASE);
         let mut instrumented = ProbeScratch::new();
         instrumented.set_metrics(metrics);
         let mut plain = ProbeScratch::new();
         for chunk in owned.chunks(64) {
-            let a = fold_records_scratch(
-                &world,
-                chunk,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                &mut instrumented,
-            );
-            let b = fold_records_scratch(
-                &world,
-                chunk,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                &mut plain,
-            );
+            let a = fold_chunk(&world, chunk, BASE, &mut instrumented);
+            let b = fold_chunk(&world, chunk, BASE, &mut plain);
             assert_eq!(a, b, "metrics attachment changed a folded shard");
         }
 
@@ -1471,12 +1301,10 @@ mod tests {
     fn warm_scan_resumes_the_reachable_population() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
-        let results = warm_scan_records(
+        let results = warm_scan(
             &world,
             &records,
-            1362,
-            NetworkProfile::Ideal,
-            ResumptionPolicy::WarmAfterFirstVisit,
+            BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit),
         );
         assert_eq!(results.len(), records.len());
         for r in &results {
@@ -1512,7 +1340,7 @@ mod tests {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
         for policy in [ResumptionPolicy::ColdOnly, ResumptionPolicy::TicketExpired] {
-            let results = warm_scan_records(&world, &records, 1362, NetworkProfile::Ideal, policy);
+            let results = warm_scan(&world, &records, BASE.with_policy(policy));
             for r in &results {
                 assert!(!r.resumed, "policy {policy}: never resumed");
                 assert_eq!(
@@ -1535,13 +1363,11 @@ mod tests {
         // plain (resumption-free) scan.
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let plain = scan_records_profiled(&world, &records, 1362, NetworkProfile::Ideal);
-        let warm = warm_scan_records(
+        let plain = scan_records(&world, &records, BASE);
+        let warm = warm_scan(
             &world,
             &records,
-            1362,
-            NetworkProfile::Ideal,
-            ResumptionPolicy::WarmAfterFirstVisit,
+            BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit),
         );
         for (p, w) in plain.iter().zip(&warm) {
             assert_eq!(p.class, w.cold.class, "rank {}", p.rank);
@@ -1554,64 +1380,26 @@ mod tests {
     fn warm_scan_is_shard_invariant() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(48).collect();
-        let whole = warm_scan_records(
-            &world,
-            &records,
-            1250,
-            NetworkProfile::Lossy,
-            ResumptionPolicy::WarmAfterFirstVisit,
-        );
+        let scenario = Scenario::at(1250)
+            .with_profile(NetworkProfile::Lossy)
+            .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+        let whole = warm_scan(&world, &records, scenario);
         for chunk in [1usize, 7, 16] {
             let pieces: Vec<WarmScanResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| {
-                    warm_scan_records(
-                        &world,
-                        shard,
-                        1250,
-                        NetworkProfile::Lossy,
-                        ResumptionPolicy::WarmAfterFirstVisit,
-                    )
-                })
+                .flat_map(|shard| warm_scan(&world, shard, scenario))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
     }
 
     #[test]
-    fn classical_era_scan_is_byte_for_byte_the_plain_scan() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
-        let plain = scan_records_profiled(&world, &records, 1362, NetworkProfile::Ideal);
-        let era = scan_records_era(
-            &world,
-            &records,
-            1362,
-            NetworkProfile::Ideal,
-            CertificateEra::Classical,
-        );
-        assert_eq!(plain, era);
-    }
-
-    #[test]
     fn pq_eras_shift_one_rtt_to_multi_rtt() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(150).collect();
-        let classical = summarize(
-            1362,
-            &scan_records_era(
-                &world,
-                &records,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-            ),
-        );
+        let classical = summarize(1362, &scan_records(&world, &records, BASE));
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            let summary = summarize(
-                1362,
-                &scan_records_era(&world, &records, 1362, NetworkProfile::Ideal, era),
-            );
+            let summary = summarize(1362, &scan_records(&world, &records, BASE.with_era(era)));
             // Nothing becomes unreachable — the chain travels at the
             // Handshake level, which the MTU failure of §4.1 never sees.
             assert_eq!(summary.unreachable, classical.unreachable, "{era}");
@@ -1631,25 +1419,14 @@ mod tests {
     fn pq_era_scans_are_shard_invariant() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let whole = scan_records_era(
-            &world,
-            &records,
-            1362,
-            NetworkProfile::Lossy,
-            CertificateEra::PostQuantum,
-        );
+        let scenario = BASE
+            .with_profile(NetworkProfile::Lossy)
+            .with_era(CertificateEra::PostQuantum);
+        let whole = scan_records(&world, &records, scenario);
         for chunk in [1usize, 7, 25] {
             let pieces: Vec<QuicReachResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| {
-                    scan_records_era(
-                        &world,
-                        shard,
-                        1362,
-                        NetworkProfile::Lossy,
-                        CertificateEra::PostQuantum,
-                    )
-                })
+                .flat_map(|shard| scan_records(&world, shard, scenario))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
@@ -1659,13 +1436,11 @@ mod tests {
     fn pq_warm_scans_still_resume_certificate_free() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
-        let results = warm_scan_records_era(
+        let results = warm_scan(
             &world,
             &records,
-            1362,
-            NetworkProfile::Ideal,
-            ResumptionPolicy::WarmAfterFirstVisit,
-            CertificateEra::PostQuantum,
+            BASE.with_era(CertificateEra::PostQuantum)
+                .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
         );
         for r in &results {
             if r.cold.class == HandshakeClass::Unreachable {
@@ -1683,54 +1458,13 @@ mod tests {
     fn ideal_profile_reports_no_faults_lossy_reports_some() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let ideal = scan_records_profiled(&world, &records, 1362, NetworkProfile::Ideal);
+        let ideal = scan_records(&world, &records, BASE);
         assert!(ideal
             .iter()
             .all(|r| r.fault_drops == 0 && r.fault_corruptions == 0));
-        let lossy = scan_records_profiled(&world, &records, 1362, NetworkProfile::Lossy);
+        let lossy = scan_records(&world, &records, BASE.with_profile(NetworkProfile::Lossy));
         let drops: u64 = lossy.iter().map(|r| r.fault_drops).sum();
         assert!(drops > 0, "3% loss over 60 probes must drop something");
-    }
-
-    #[test]
-    fn none_plan_scans_are_byte_for_byte_the_plain_scans() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let plain = scan_records_era(
-            &world,
-            &records,
-            1362,
-            NetworkProfile::Ideal,
-            CertificateEra::Classical,
-        );
-        let chaos = scan_records_chaos(
-            &world,
-            &records,
-            1362,
-            NetworkProfile::Ideal,
-            CertificateEra::Classical,
-            FaultPlan::NONE,
-        );
-        assert_eq!(plain, chaos);
-
-        let warm_plain = warm_scan_records_era(
-            &world,
-            &records[..20],
-            1362,
-            NetworkProfile::Lossy,
-            ResumptionPolicy::WarmAfterFirstVisit,
-            CertificateEra::Classical,
-        );
-        let warm_chaos = warm_scan_records_chaos(
-            &world,
-            &records[..20],
-            1362,
-            NetworkProfile::Lossy,
-            ResumptionPolicy::WarmAfterFirstVisit,
-            CertificateEra::Classical,
-            FaultPlan::NONE,
-        );
-        assert_eq!(warm_plain, warm_chaos);
     }
 
     #[test]
@@ -1740,14 +1474,7 @@ mod tests {
         let shard = |plan| {
             QuicReachShard::from_results(
                 1362,
-                &scan_records_chaos(
-                    &world,
-                    &records,
-                    1362,
-                    NetworkProfile::Ideal,
-                    CertificateEra::Classical,
-                    plan,
-                ),
+                &scan_records(&world, &records, BASE.with_plan(plan)),
             )
         };
         let none = shard(FaultPlan::NONE);
@@ -1782,24 +1509,14 @@ mod tests {
         let owned: Vec<DomainRecord> = world.domains().iter().take(200).cloned().collect();
         let refs: Vec<&DomainRecord> = owned.iter().collect();
         for plan in [FaultPlan::NONE, FaultPlan::MODERATE, FaultPlan::DUP_STORM] {
-            let reference = fold_records_chaos(
-                &world,
-                &refs,
-                1362,
-                NetworkProfile::Ideal,
-                CertificateEra::Classical,
-                plan,
-            );
+            let reference = fold_records(&world, &refs, BASE.with_plan(plan));
             let mut memoized = ProbeScratch::new();
             let mut shard = QuicReachShard::identity();
             for chunk in owned.chunks(64) {
-                shard.merge(&fold_records_scratch_chaos(
+                shard.merge(&fold_chunk(
                     &world,
                     chunk,
-                    1362,
-                    NetworkProfile::Ideal,
-                    CertificateEra::Classical,
-                    plan,
+                    BASE.with_plan(plan),
                     &mut memoized,
                 ));
             }
@@ -1824,13 +1541,14 @@ mod tests {
     fn tunneled_profile_kills_large_initials() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
-        let ideal = summarize(
-            1472,
-            &scan_records_profiled(&world, &records, 1472, NetworkProfile::Ideal),
-        );
+        let ideal = summarize(1472, &scan_records(&world, &records, Scenario::at(1472)));
         let tunneled = summarize(
             1472,
-            &scan_records_profiled(&world, &records, 1472, NetworkProfile::Tunneled),
+            &scan_records(
+                &world,
+                &records,
+                Scenario::at(1472).with_profile(NetworkProfile::Tunneled),
+            ),
         );
         assert!(
             tunneled.unreachable > ideal.unreachable,

@@ -12,7 +12,7 @@
 //! ECDSA P-256/P-384 material, but the bits are deterministic pseudo-random
 //! values. The paper never verifies signatures — only their sizes matter —
 //! and this keeps the workspace free of external crypto dependencies
-//! (substitution documented in DESIGN.md).
+//! (the per-algorithm sizes are pinned by the tests in [`alg`]).
 //!
 //! A minimal DER *reader* is included so tests can property-check that the
 //! encoder emits well-formed, round-trippable TLV structures.

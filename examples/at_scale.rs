@@ -60,7 +60,7 @@ fn main() {
         funnel.chain_depth.mean(),
     );
 
-    let reach = engine.stream_quicreach(INITIAL);
+    let reach = engine.stream_quicreach(engine.scenario());
     println!(
         "\nquicreach @{INITIAL} (streamed) — {} probed, {} reachable",
         reach.total(),

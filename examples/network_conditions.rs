@@ -32,7 +32,11 @@ fn main() {
     );
     for profile in NetworkProfile::ALL {
         for initial_size in [1200usize, 1362, 1472] {
-            let results = campaign.quicreach_profiled(profile, initial_size);
+            let scenario = campaign
+                .scenario()
+                .with_profile(profile)
+                .with_initial_size(initial_size);
+            let results = campaign.engine().quicreach(scenario);
             let summary = quicreach::summarize(initial_size, &results);
             let drops: u64 = results.iter().map(|r| r.fault_drops).sum();
             let corruptions: u64 = results.iter().map(|r| r.fault_corruptions).sum();

@@ -25,7 +25,9 @@ fn main() {
     let initial = campaign.config().default_initial;
     println!("handshake classes at Initial = {initial} bytes:");
     for era in CertificateEra::ALL {
-        let results = campaign.quicreach_era(era, quicert::netsim::NetworkProfile::Ideal, initial);
+        let results = campaign
+            .engine()
+            .quicreach(campaign.scenario().with_era(era));
         let summary = quicreach::summarize(initial, &results);
         println!(
             "  {:<13} 1-RTT {:>5.2}%   multi-RTT {:>5.1}%   amplification {:>5.1}%",

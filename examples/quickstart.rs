@@ -21,7 +21,7 @@ fn main() {
         world.https_only_services().count(),
     );
 
-    let results = campaign.quicreach_default();
+    let results = campaign.engine().quicreach(campaign.scenario());
     let summary = quicreach::summarize(campaign.config().default_initial, &results);
     println!(
         "\nhandshake classes at Initial = {} bytes ({} reachable services):",

@@ -14,7 +14,7 @@
 //!
 //! // A small deterministic world (2k domains).
 //! let campaign = Campaign::new(CampaignConfig::small());
-//! let results = campaign.quicreach_default();
+//! let results = campaign.engine().quicreach(campaign.scenario());
 //! let summary = quicreach::summarize(1362, &results);
 //! // The paper's headline: most QUIC handshakes amplify or need extra RTTs.
 //! assert!(summary.amplification + summary.multi_rtt > summary.one_rtt);

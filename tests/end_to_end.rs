@@ -12,7 +12,7 @@ fn campaign() -> Campaign {
 #[test]
 fn headline_numbers_reproduce_the_paper_shape() {
     let c = campaign();
-    let summary = quicreach::summarize(1362, &c.quicreach_default());
+    let summary = quicreach::summarize(1362, &c.engine().quicreach(c.scenario()));
 
     // Fig 3 at the default Initial: amplification dominates, then
     // multi-RTT; Retry and 1-RTT are rare.
@@ -51,7 +51,7 @@ fn cloudflare_padding_constant_is_size_independent() {
         })
         .take(20)
     {
-        let result = quicreach::scan_service(world, record, 1362);
+        let result = quicreach::scan_service(world, record, c.scenario());
         if result.class == HandshakeClass::Amplification {
             paddings.insert(result.padding_received);
         }

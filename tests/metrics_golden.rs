@@ -20,7 +20,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use quicert::core::ScanEngine;
-use quicert::netsim::NetworkProfile;
 use quicert::pki::{CertificateEra, WorldConfig};
 
 fn golden_dir() -> PathBuf {
@@ -57,9 +56,9 @@ fn pinned_registry_render() -> String {
         1362,
         1,
     );
-    engine.stream_quicreach(1362);
-    engine.stream_quicreach(1362); // cache hit
-    engine.stream_quicreach_era(CertificateEra::PostQuantum, NetworkProfile::Ideal, 1362);
+    engine.stream_quicreach(engine.scenario());
+    engine.stream_quicreach(engine.scenario()); // cache hit
+    engine.stream_quicreach(engine.scenario().with_era(CertificateEra::PostQuantum));
     engine.stream_https_scan();
     redact_wall_clock(&engine.metrics_registry().render_prometheus())
 }
