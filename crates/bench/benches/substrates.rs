@@ -25,16 +25,16 @@ fn leaf_params() -> LeafParams {
 fn certificate_issuance(c: &mut Criterion) {
     let eco = &bench_campaign().world().ecosystem;
     c.bench_function("x509_issue_le_chain", |b| {
-        b.iter(|| eco.issue(black_box(ChainId::LeR3Short), &leaf_params()))
+        b.iter(|| eco.issue(black_box(ChainId::LeR3Short), leaf_params()))
     });
     c.bench_function("x509_issue_enterprise_chain", |b| {
-        b.iter(|| eco.issue(black_box(ChainId::EnterpriseHuge), &leaf_params()))
+        b.iter(|| eco.issue(black_box(ChainId::EnterpriseHuge), leaf_params()))
     });
 }
 
 fn compression_throughput(c: &mut Criterion) {
     let eco = &bench_campaign().world().ecosystem;
-    let chain = eco.issue(ChainId::LeR3X1Cross, &leaf_params());
+    let chain = eco.issue(ChainId::LeR3X1Cross, leaf_params());
     let der = chain.concatenated_der();
     let mut group = c.benchmark_group("compress_chain");
     group.throughput(Throughput::Bytes(der.len() as u64));
@@ -48,7 +48,7 @@ fn compression_throughput(c: &mut Criterion) {
 
 fn handshake_engine(c: &mut Criterion) {
     let eco = &bench_campaign().world().ecosystem;
-    let chain = eco.issue(ChainId::LeR3Short, &leaf_params());
+    let chain = eco.issue(ChainId::LeR3Short, leaf_params());
     let server = ServerConfig {
         behavior: ServerBehavior::rfc_compliant(),
         chain,

@@ -199,7 +199,7 @@ pub fn table3(campaign: &Campaign) -> Table3 {
     let world = campaign.world();
     let chain = world.ecosystem.issue(
         ChainId::LeR3X1Cross,
-        &LeafParams {
+        LeafParams {
             common_name: "policy-ablation.example".into(),
             extra_sans: vec![],
             key: KeyAlgorithm::Rsa2048,

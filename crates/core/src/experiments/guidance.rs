@@ -30,7 +30,7 @@ fn study_chain(campaign: &Campaign) -> CertificateChain {
     // an RSA leaf — too big for 3x1362 uncompressed, fits compressed.
     campaign.world().ecosystem.issue(
         ChainId::LeR3X1Cross,
-        &LeafParams {
+        LeafParams {
             common_name: "guidance.example".into(),
             extra_sans: vec![],
             key: KeyAlgorithm::Rsa2048,

@@ -19,21 +19,24 @@
 //!   delta scan is **bit-identical to a full rescan** of the churned
 //!   world at that tick — the load-bearing invariant, pinned in
 //!   `determinism_matrix`.
-//! * Snapshots are memoized per ([`Scenario`], tick); requesting a
-//!   tick older than the service's clock falls back to a full refold
-//!   from the replayed [`ChurnState`].
+//! * The last 16 snapshots served (`SNAPSHOT_CAPACITY`) stay resident,
+//!   evicted in the order they were first served, so an unbounded run of
+//!   ticks holds bounded memory. Requesting a tick older than the
+//!   service's clock that is not (or no longer) resident falls back to a
+//!   full refold from the replayed [`ChurnState`] — bit-identical to what
+//!   was served, by the invariant above.
 //!
 //! The service holds no execution path and no registry of its own: its
 //! `quicert_service_*` counters (ticks applied, records churned,
 //! delta-vs-full probe volumes) register on the engine's registry, next to
 //! the pump and probe counters its folds update.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
-use quicert_obs::{Counter, MetricsRegistry};
+use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{self, QuicReachShard};
 use quicert_scanner::Scenario;
@@ -72,6 +75,11 @@ impl ServiceConfig {
         self
     }
 }
+
+/// Snapshots a service keeps resident. A tick evicted from the store is
+/// re-derived on request, so this trades memory against the cost of
+/// re-reading ticks older than the last `SNAPSHOT_CAPACITY` served.
+const SNAPSHOT_CAPACITY: usize = 16;
 
 /// One point-in-time view of the churned campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,6 +137,7 @@ struct ServiceMetrics {
     full_probes: Arc<Counter>,
     delta_scans: Arc<Counter>,
     full_rescans: Arc<Counter>,
+    snapshots_resident: Arc<Gauge>,
 }
 
 impl ServiceMetrics {
@@ -158,12 +167,16 @@ impl ServiceMetrics {
                 "quicert_service_full_rescans_total",
                 "Snapshots served by a full refold",
             ),
+            snapshots_resident: registry.gauge(
+                "quicert_service_snapshots_resident",
+                "Snapshots held in the service's bounded store",
+            ),
         }
     }
 }
 
 /// A resident campaign: streaming engine + churn timeline + segment
-/// summary cache + per-tick snapshot store.
+/// summary cache + bounded per-tick snapshot store.
 #[derive(Debug)]
 pub struct CampaignService {
     config: ServiceConfig,
@@ -177,7 +190,8 @@ pub struct CampaignService {
     segments: Vec<Option<SegmentSummary>>,
     /// Segments churned since their cached fold.
     dirty: Vec<bool>,
-    snapshots: HashMap<(Scenario, u64), Arc<Snapshot>>,
+    /// At most [`SNAPSHOT_CAPACITY`] snapshots, oldest-served first.
+    snapshots: VecDeque<Arc<Snapshot>>,
     tick_log: Vec<TickStats>,
     /// Events/ranks accumulated since the last scan (folded into the next
     /// scanned tick's stats).
@@ -210,7 +224,7 @@ impl CampaignService {
             segment_size,
             segments: vec![None; segments],
             dirty: vec![false; segments],
-            snapshots: HashMap::new(),
+            snapshots: VecDeque::with_capacity(SNAPSHOT_CAPACITY),
             tick_log: Vec::new(),
             pending_events: 0,
             pending_ranks: 0,
@@ -234,7 +248,7 @@ impl CampaignService {
         &self.state
     }
 
-    /// The scenario every snapshot of this service is keyed under.
+    /// The scenario every scan of this service runs under.
     pub fn scenario(&self) -> Scenario {
         self.engine.scenario()
     }
@@ -277,17 +291,17 @@ impl CampaignService {
         }
     }
 
-    /// The snapshot at `tick`, computed on first request and memoized per
-    /// ([`Scenario`], tick).
+    /// The snapshot at `tick`, computed on first request and kept while it
+    /// is among the last 16 (`SNAPSHOT_CAPACITY`) ticks served — the tick just
+    /// served is always still resident.
     ///
     /// * `tick >= self.tick()`: the clock advances and the snapshot is a
     ///   **delta scan** — only dirty (or never-folded) segments re-probe.
-    /// * `tick < self.tick()` and not memoized: a **full refold** from
+    /// * `tick < self.tick()` and not resident: a **full refold** from
     ///   the replayed churn state at that tick, leaving the live segment
     ///   cache untouched.
     pub fn snapshot_at(&mut self, tick: u64) -> Arc<Snapshot> {
-        let key = (self.scenario(), tick);
-        if let Some(snapshot) = self.snapshots.get(&key) {
+        if let Some(snapshot) = self.snapshots.iter().find(|s| s.tick == tick) {
             return Arc::clone(snapshot);
         }
         let snapshot = if tick < self.state.tick {
@@ -297,7 +311,13 @@ impl CampaignService {
             self.advance_to(tick);
             Arc::new(self.delta_scan(tick))
         };
-        self.snapshots.insert(key, Arc::clone(&snapshot));
+        if self.snapshots.len() == SNAPSHOT_CAPACITY {
+            self.snapshots.pop_front();
+        }
+        self.snapshots.push_back(Arc::clone(&snapshot));
+        self.metrics
+            .snapshots_resident
+            .set(self.snapshots.len() as f64);
         snapshot
     }
 
@@ -442,16 +462,20 @@ mod tests {
     use quicert_pki::CertificateEra;
 
     fn service(workers: usize) -> CampaignService {
+        sized_service(workers, 600, 64)
+    }
+
+    fn sized_service(workers: usize, domains: usize, segment_size: usize) -> CampaignService {
         let campaign = CampaignConfig::small()
-            .with_domains(600)
+            .with_domains(domains)
             .with_seed(0xC4A7)
             .with_workers(workers);
-        let churn = ChurnConfig::new(0x7123, 600).with_migration(
+        let churn = ChurnConfig::new(0x7123, domains).with_migration(
             4,
             Provider::Cloudflare,
             CertificateEra::Hybrid,
         );
-        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(64))
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(segment_size))
     }
 
     #[test]
@@ -529,6 +553,35 @@ mod tests {
         // And identical to a fresh service that never went past tick 1.
         let mut young = service(1);
         assert_eq!(*young.snapshot_at(1), *historical);
+    }
+
+    #[test]
+    fn snapshot_store_stays_bounded_over_a_long_run_and_evicted_ticks_reread_equal() {
+        let mut svc = sized_service(1, 128, 16);
+        let resident = svc
+            .metrics_registry()
+            .gauge("quicert_service_snapshots_resident", "");
+        let mut served = Vec::new();
+        for tick in 1..=300 {
+            served.push(svc.snapshot_at(tick));
+            assert!(resident.get() <= SNAPSHOT_CAPACITY as f64, "tick {tick}");
+            assert_eq!(resident.get(), svc.snapshots.len() as f64);
+        }
+        assert_eq!(resident.get(), SNAPSHOT_CAPACITY as f64);
+        // The tick just served is resident; an early one was evicted and
+        // comes back from a full refold, equal to what was served.
+        assert!(Arc::ptr_eq(&served[299], &svc.snapshot_at(300)));
+        for tick in [1, 4, 150] {
+            let scans = svc.tick_log().len();
+            let reread = svc.snapshot_at(tick);
+            assert!(
+                !Arc::ptr_eq(&served[tick as usize - 1], &reread),
+                "tick {tick}"
+            );
+            assert!(svc.tick_log().len() > scans && svc.tick_log()[scans].full_rescan);
+            assert_eq!(*served[tick as usize - 1], *reread, "tick {tick}");
+        }
+        assert_eq!(resident.get(), SNAPSHOT_CAPACITY as f64);
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl Ecosystem {
 
     /// Issue a leaf under `chain_id` and return the full served chain
     /// (classical era — byte-for-byte the pre-era pipeline).
-    pub fn issue(&self, chain_id: ChainId, params: &LeafParams) -> CertificateChain {
+    pub fn issue(&self, chain_id: ChainId, params: LeafParams) -> CertificateChain {
         self.issue_era(chain_id, CertificateEra::Classical, params)
     }
 
@@ -231,47 +231,47 @@ impl Ecosystem {
         &self,
         chain_id: ChainId,
         era: CertificateEra,
-        params: &LeafParams,
+        params: LeafParams,
     ) -> CertificateChain {
         let parent = self.chain_era(chain_id, era);
+        let subject = DistinguishedName::cn(&params.common_name);
+        let www =
+            (!params.common_name.starts_with("*.")).then(|| format!("www.{}", params.common_name));
+        // The SAN list takes the caller's strings over; it clones none.
         let mut sans = Vec::with_capacity(2 + params.extra_sans.len());
-        sans.push(params.common_name.clone());
-        if !params.common_name.starts_with("*.") {
-            sans.push(format!("www.{}", params.common_name));
-        }
-        sans.extend(params.extra_sans.iter().cloned());
+        sans.push(params.common_name);
+        sans.extend(www);
+        sans.extend(params.extra_sans);
 
-        let issuer_seed = chain_seed(chain_id);
         let leaf = CertificateBuilder::new(
             parent.issuer_dn.clone(),
-            DistinguishedName::cn(&params.common_name),
+            subject,
             SubjectPublicKeyInfo::new(era.key(params.key), params.seed),
             parent.leaf_sig,
         )
         .validity(Validity::days(Time::date(2022, 7, 1), 90))
-        .extension(Extension::BasicConstraints {
-            ca: false,
-            path_len: None,
-        })
-        .extension(Extension::KeyUsage(KeyUsageFlags::leaf()))
-        .extension(Extension::ExtKeyUsage(vec![
-            oid::KP_SERVER_AUTH,
-            oid::KP_CLIENT_AUTH,
-        ]))
-        .extension(Extension::SubjectKeyId { seed: params.seed })
-        .extension(Extension::AuthorityKeyId { seed: issuer_seed })
-        .extension(Extension::SubjectAltNames(sans))
-        .extension(Extension::AuthorityInfoAccess {
-            ocsp: Some(self.aia_ocsp_url.clone()),
-            ca_issuers: Some(self.aia_ca_issuers_url.clone()),
-        })
-        .extension(Extension::CertificatePolicies(vec![
-            oid::CP_DOMAIN_VALIDATED,
-        ]))
-        .extension(Extension::SctList {
-            count: params.scts,
-            seed: params.seed ^ 0x5C7,
-        })
+        .extensions([
+            Extension::BasicConstraints {
+                ca: false,
+                path_len: None,
+            },
+            Extension::KeyUsage(KeyUsageFlags::leaf()),
+            Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
+            Extension::SubjectKeyId { seed: params.seed },
+            Extension::AuthorityKeyId {
+                seed: chain_seed(chain_id),
+            },
+            Extension::SubjectAltNames(sans),
+            Extension::AuthorityInfoAccess {
+                ocsp: Some(self.aia_ocsp_url.clone()),
+                ca_issuers: Some(self.aia_ca_issuers_url.clone()),
+            },
+            Extension::CertificatePolicies(vec![oid::CP_DOMAIN_VALIDATED]),
+            Extension::SctList {
+                count: params.scts,
+                seed: params.seed ^ 0x5C7,
+            },
+        ])
         .build();
 
         CertificateChain::new_shared(leaf, Arc::clone(&parent.intermediates))
@@ -763,7 +763,7 @@ mod tests {
     fn issued_chains_are_ordered_and_realistic() {
         let eco = eco();
         for id in ChainId::ALL {
-            let chain = eco.issue(id, &leaf_params(KeyAlgorithm::EcdsaP256));
+            let chain = eco.issue(id, leaf_params(KeyAlgorithm::EcdsaP256));
             assert!(chain.correctly_ordered(), "{id:?} must chain by DN");
             assert!(chain.depth() >= 2);
             let leaf = &chain.leaf;
@@ -779,8 +779,8 @@ mod tests {
     #[test]
     fn cross_sign_waste_is_visible() {
         let eco = eco();
-        let short = eco.issue(ChainId::LeR3Short, &leaf_params(KeyAlgorithm::EcdsaP256));
-        let long = eco.issue(ChainId::LeR3X1Cross, &leaf_params(KeyAlgorithm::EcdsaP256));
+        let short = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::EcdsaP256));
+        let long = eco.issue(ChainId::LeR3X1Cross, leaf_params(KeyAlgorithm::EcdsaP256));
         assert!(long.total_der_len() > short.total_der_len() + 1000);
     }
 
@@ -789,12 +789,12 @@ mod tests {
         let eco = eco();
         let with_root = eco.issue(
             ChainId::CPanelComodoRoot,
-            &leaf_params(KeyAlgorithm::Rsa2048),
+            leaf_params(KeyAlgorithm::Rsa2048),
         );
         assert!(with_root.includes_trust_anchor());
         let without = eco.issue(
             ChainId::SectigoUserTrust,
-            &leaf_params(KeyAlgorithm::Rsa2048),
+            leaf_params(KeyAlgorithm::Rsa2048),
         );
         assert!(!without.includes_trust_anchor());
     }
@@ -802,8 +802,8 @@ mod tests {
     #[test]
     fn rsa_leaves_are_bigger_than_ecdsa() {
         let eco = eco();
-        let ec = eco.issue(ChainId::LeR3Short, &leaf_params(KeyAlgorithm::EcdsaP256));
-        let rsa = eco.issue(ChainId::LeR3Short, &leaf_params(KeyAlgorithm::Rsa2048));
+        let ec = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::EcdsaP256));
+        let rsa = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::Rsa2048));
         assert!(rsa.leaf.der_len() > ec.leaf.der_len() + 180);
     }
 
@@ -832,11 +832,11 @@ mod tests {
     fn classical_era_is_byte_for_byte_the_default_catalog() {
         let eco = eco();
         for id in ChainId::ALL {
-            let via_default = eco.issue(id, &leaf_params(KeyAlgorithm::EcdsaP256));
+            let via_default = eco.issue(id, leaf_params(KeyAlgorithm::EcdsaP256));
             let via_era = eco.issue_era(
                 id,
                 CertificateEra::Classical,
-                &leaf_params(KeyAlgorithm::EcdsaP256),
+                leaf_params(KeyAlgorithm::EcdsaP256),
             );
             assert_eq!(
                 via_default.concatenated_der(),
@@ -851,7 +851,7 @@ mod tests {
         let eco = eco();
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
             for id in [ChainId::LeR3Short, ChainId::Gts1C3, ChainId::EnterpriseHuge] {
-                let chain = eco.issue_era(id, era, &leaf_params(KeyAlgorithm::EcdsaP256));
+                let chain = eco.issue_era(id, era, leaf_params(KeyAlgorithm::EcdsaP256));
                 assert!(chain.correctly_ordered(), "{era}: {id:?}");
                 assert!(chain.leaf.tbs.spki.algorithm.is_post_quantum(), "{era}");
                 // The leaf and every intermediate carry era signatures.
@@ -885,7 +885,7 @@ mod tests {
         params.extra_sans = (0..150)
             .map(|i| format!("customer-site-{i:03}.hosting.example"))
             .collect();
-        let chain = eco.issue(ChainId::CPanelComodoRoot, &params);
+        let chain = eco.issue(ChainId::CPanelComodoRoot, params);
         let leaf = &chain.leaf;
         let share = leaf.san_bytes() as f64 / leaf.der_len() as f64;
         assert!(share > 0.5, "SAN share {share}");

@@ -468,7 +468,7 @@ impl World {
         Some(self.ecosystem.issue_era(
             https.chain_id,
             era,
-            &Self::leaf_params(record, https.chain_id, https.leaf_key, https.extra_sans),
+            Self::leaf_params(record, https.leaf_key, https.extra_sans),
         ))
     }
 
@@ -487,9 +487,9 @@ impl World {
         let quic = record.quic.as_ref()?;
         let https = record.https.as_ref()?;
         let era = quic.effective_era(era);
-        let mut params = Self::leaf_params(record, quic.chain_id, quic.leaf_key, https.extra_sans);
+        let mut params = Self::leaf_params(record, quic.leaf_key, https.extra_sans);
         params.seed ^= quic.cert_seed_shift();
-        Some(self.ecosystem.issue_era(quic.chain_id, era, &params))
+        Some(self.ecosystem.issue_era(quic.chain_id, era, params))
     }
 
     /// Total DER byte length of [`World::quic_chain_era`]'s chain without
@@ -540,12 +540,7 @@ impl World {
         Some(len)
     }
 
-    fn leaf_params(
-        record: &DomainRecord,
-        _chain: ChainId,
-        key: KeyAlgorithm,
-        extra_sans: u16,
-    ) -> LeafParams {
+    fn leaf_params(record: &DomainRecord, key: KeyAlgorithm, extra_sans: u16) -> LeafParams {
         let extra = (0..extra_sans)
             .map(|i| format!("alt-{i:03}.{}", record.name))
             .collect();

@@ -1,10 +1,13 @@
 //! Certificate-compression probing (the quiche fork of §3.2) and the
 //! synthetic compression study of §4.2.
 
+use std::cell::OnceCell;
+
 use quicert_analysis::Merge;
 use quicert_compress::{compress_with, Algorithm};
 use quicert_pki::{CertificateEra, DomainRecord, World};
 use quicert_tls::{ServerFlight, ServerFlightParams};
+use quicert_x509::CertificateChain;
 
 /// Per-service compression probe result for one algorithm.
 #[derive(Debug, Clone)]
@@ -47,12 +50,29 @@ impl AlgorithmSupport {
 
 /// Probe one service with one algorithm offer.
 pub fn probe(world: &World, record: &DomainRecord, algorithm: Algorithm) -> CompressionProbe {
+    probe_sharing(world, record, algorithm, &OnceCell::new())
+}
+
+/// One service's `Algorithm::ALL`-ordered probe row. The service's chain
+/// is issued once, by the first algorithm it supports, and shared.
+fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
+    let chain = OnceCell::new();
+    Algorithm::ALL.map(|algorithm| probe_sharing(world, record, algorithm, &chain))
+}
+
+/// [`probe`] over `record`'s lazily issued chain.
+fn probe_sharing(
+    world: &World,
+    record: &DomainRecord,
+    algorithm: Algorithm,
+    chain: &OnceCell<CertificateChain>,
+) -> CompressionProbe {
     let quic = record.quic.as_ref().expect("QUIC service");
     let supported = quic.compression_support.contains(&algorithm);
     let flight = supported.then(|| {
-        let chain = world.quic_chain(record).expect("chain");
+        let chain = chain.get_or_init(|| world.quic_chain(record).expect("chain"));
         ServerFlight::build(&ServerFlightParams {
-            chain: &chain,
+            chain,
             leaf_key: quic.leaf_key,
             compression: Some(algorithm),
             seed: record.seed,
@@ -83,7 +103,7 @@ pub fn scan(world: &World) -> Vec<AlgorithmSupport> {
 pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[CompressionProbe; 3]> {
     records
         .iter()
-        .map(|record| Algorithm::ALL.map(|algorithm| probe(world, record, algorithm)))
+        .map(|record| probe_row(world, record))
         .collect()
 }
 
@@ -233,7 +253,7 @@ pub fn fold_records(world: &World, records: &[&DomainRecord]) -> CompressionShar
 /// row is folded straight into the shard, so the streaming pump never
 /// materializes the per-chunk service list or probe-row `Vec` that
 /// [`probe_records`] builds. Row construction is the same
-/// `Algorithm::ALL`-ordered [`probe`] loop, so the shard is bit-for-bit
+/// `Algorithm::ALL`-ordered probe row, so the shard is bit-for-bit
 /// [`CompressionShard::from_probes`] over the materialized rows.
 pub fn fold_iter<'a>(
     world: &World,
@@ -241,8 +261,7 @@ pub fn fold_iter<'a>(
 ) -> CompressionShard {
     let mut shard = CompressionShard::identity();
     for record in records.into_iter().filter(|record| record.has_quic()) {
-        let row = Algorithm::ALL.map(|algorithm| probe(world, record, algorithm));
-        shard.push(&row);
+        shard.push(&probe_row(world, record));
     }
     shard
 }
@@ -367,6 +386,26 @@ mod tests {
         assert!(zlib.share() < 2.0, "zlib {}", zlib.share());
         let (all, total) = all_three_support(&world);
         assert!((all as f64 / total as f64) < 0.02);
+    }
+
+    #[test]
+    fn rows_over_one_shared_chain_equal_independent_probes() {
+        let world = world();
+        let mut multi = 0;
+        for record in world.quic_services() {
+            let row = probe_row(&world, record);
+            multi += usize::from(row.iter().filter(|p| p.supported).count() > 1);
+            for (shared, algorithm) in row.iter().zip(Algorithm::ALL) {
+                let alone = probe(&world, record, algorithm);
+                assert_eq!(
+                    (shared.rank, shared.algorithm, shared.supported),
+                    (alone.rank, alone.algorithm, alone.supported)
+                );
+                assert_eq!(shared.ratio, alone.ratio);
+                assert_eq!(shared.message_bytes, alone.message_bytes);
+            }
+        }
+        assert!(multi > 0, "no service reused its chain");
     }
 
     #[test]

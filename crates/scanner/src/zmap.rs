@@ -104,7 +104,7 @@ fn meta_server_config(
     }
     let chain = world.ecosystem.issue(
         ChainId::DigiCertSha2WithRoot,
-        &LeafParams {
+        LeafParams {
             common_name: match service {
                 MetaService::InstagramWhatsapp => "*.instagram.com".to_string(),
                 _ => "*.facebook.com".to_string(),

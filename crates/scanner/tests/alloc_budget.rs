@@ -1,0 +1,85 @@
+//! Allocation budget of the certificate path every workload pays: issuing
+//! one HTTPS chain and summarising it.
+//!
+//! Counts, not timings — exact on any host. Before the encoder wrote into
+//! one buffer (`der::Writer`) and `Certificate::assemble` recorded field
+//! sizes as it encoded, one chain cost ~459 allocations and its summary
+//! ~1,108 more (every DN and extension of every certificate re-encoded).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use quicert_pki::{World, WorldConfig};
+use quicert_scanner::https_scan::ChainSummary;
+
+thread_local! {
+    /// Allocations (fresh or grown) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell<u64>` with no destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let value = f();
+    (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
+    const DOMAINS: u64 = 512;
+    let world = World::generate(WorldConfig {
+        domains: 20_000,
+        seed: 0x5CA1,
+        ..WorldConfig::default()
+    });
+    let (mut issue, mut summarise) = (0, 0);
+    let tls = world.domains().iter().filter(|r| r.has_https());
+    for record in tls.take(DOMAINS as usize) {
+        let (chain, n) = counted(|| world.https_chain(record).expect("TLS domain"));
+        issue += n;
+        let chain_id = record.https.as_ref().expect("TLS domain").chain_id;
+        let (summary, n) = counted(|| ChainSummary::of(&chain, chain_id));
+        summarise += n;
+        assert_eq!(summary.total_der, chain.total_der_len());
+    }
+    let mean = |total: u64| total as f64 / DOMAINS as f64;
+    assert!(
+        mean(issue) <= 60.0,
+        "World::https_chain: {} allocations per chain",
+        mean(issue)
+    );
+    assert!(
+        mean(summarise) <= 4.0,
+        "ChainSummary::of: {} allocations per chain",
+        mean(summarise)
+    );
+    eprintln!(
+        "allocations per chain: issue {:.1}, summarise {:.1}",
+        mean(issue),
+        mean(summarise)
+    );
+}

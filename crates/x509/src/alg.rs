@@ -6,9 +6,9 @@
 //! signature values with exactly the DER layout (and therefore exactly the
 //! sizes) of the real algorithms.
 
-use crate::der;
+use crate::der::{self, tag, Writer};
 use crate::fill_deterministic;
-use crate::oid;
+use crate::oid::{self, Oid};
 
 /// ML-DSA-44 public-key size in bytes (FIPS 204, Table 2).
 pub const ML_DSA_44_PK_LEN: usize = 1312;
@@ -166,30 +166,35 @@ pub enum SignatureAlgorithm {
 }
 
 impl SignatureAlgorithm {
+    /// The algorithm OID, and whether the AlgorithmIdentifier carries an
+    /// explicit NULL parameter (RSA does; ECDSA, ML-DSA and the composites
+    /// have absent parameters — draft-ietf-lamps-dilithium-certificates §4).
+    fn identifier(self) -> (&'static Oid, bool) {
+        match self {
+            SignatureAlgorithm::Sha256WithRsa2048 => (&oid::SHA256_WITH_RSA, true),
+            SignatureAlgorithm::Sha384WithRsa4096 => (&oid::SHA384_WITH_RSA, true),
+            SignatureAlgorithm::EcdsaSha256 => (&oid::ECDSA_WITH_SHA256, false),
+            SignatureAlgorithm::EcdsaSha384 => (&oid::ECDSA_WITH_SHA384, false),
+            SignatureAlgorithm::MlDsa44 => (&oid::ML_DSA_44, false),
+            SignatureAlgorithm::MlDsa65 => (&oid::ML_DSA_65, false),
+            SignatureAlgorithm::CompositeP256MlDsa44 => (&oid::COMPOSITE_MLDSA44_ECDSA_P256, false),
+            SignatureAlgorithm::CompositeP384MlDsa65 => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, false),
+        }
+    }
+
+    /// Append the AlgorithmIdentifier SEQUENCE to `w`.
+    pub fn encode_into(self, w: &mut Writer) {
+        let (oid, null_parameter) = self.identifier();
+        algorithm_identifier(w, oid, |w| {
+            if null_parameter {
+                w.null();
+            }
+        });
+    }
+
     /// Encode the AlgorithmIdentifier SEQUENCE.
     pub fn encode_algorithm_identifier(self) -> Vec<u8> {
-        match self {
-            // RSA algorithm identifiers carry an explicit NULL parameter.
-            SignatureAlgorithm::Sha256WithRsa2048 => {
-                der::sequence(&[oid::SHA256_WITH_RSA.encode(), der::null()])
-            }
-            SignatureAlgorithm::Sha384WithRsa4096 => {
-                der::sequence(&[oid::SHA384_WITH_RSA.encode(), der::null()])
-            }
-            // ECDSA identifiers have absent parameters.
-            SignatureAlgorithm::EcdsaSha256 => der::sequence(&[oid::ECDSA_WITH_SHA256.encode()]),
-            SignatureAlgorithm::EcdsaSha384 => der::sequence(&[oid::ECDSA_WITH_SHA384.encode()]),
-            // ML-DSA and composite identifiers also have absent parameters
-            // (draft-ietf-lamps-dilithium-certificates §4).
-            SignatureAlgorithm::MlDsa44 => der::sequence(&[oid::ML_DSA_44.encode()]),
-            SignatureAlgorithm::MlDsa65 => der::sequence(&[oid::ML_DSA_65.encode()]),
-            SignatureAlgorithm::CompositeP256MlDsa44 => {
-                der::sequence(&[oid::COMPOSITE_MLDSA44_ECDSA_P256.encode()])
-            }
-            SignatureAlgorithm::CompositeP384MlDsa65 => {
-                der::sequence(&[oid::COMPOSITE_MLDSA65_ECDSA_P384.encode()])
-            }
-        }
+        der::encoded(|w| self.encode_into(w))
     }
 
     /// Produce a deterministic placeholder signature value with the exact
@@ -204,16 +209,12 @@ impl SignatureAlgorithm {
             // high-bit adjustment applies.
             SignatureAlgorithm::MlDsa44 => ml_dsa_sig_value(seed, ML_DSA_44_SIG_LEN),
             SignatureAlgorithm::MlDsa65 => ml_dsa_sig_value(seed, ML_DSA_65_SIG_LEN),
-            // CompositeSignatureValue ::= SEQUENCE { BIT STRING, BIT STRING }
-            // (ML-DSA first, then the classical component).
-            SignatureAlgorithm::CompositeP256MlDsa44 => composite_sig_value(
-                ml_dsa_sig_value(seed ^ 0x4D4C, ML_DSA_44_SIG_LEN),
-                ecdsa_sig_value(seed, 32),
-            ),
-            SignatureAlgorithm::CompositeP384MlDsa65 => composite_sig_value(
-                ml_dsa_sig_value(seed ^ 0x4D4C, ML_DSA_65_SIG_LEN),
-                ecdsa_sig_value(seed, 48),
-            ),
+            SignatureAlgorithm::CompositeP256MlDsa44 => {
+                composite_sig_value(seed, ML_DSA_44_SIG_LEN, 32)
+            }
+            SignatureAlgorithm::CompositeP384MlDsa65 => {
+                composite_sig_value(seed, ML_DSA_65_SIG_LEN, 48)
+            }
         }
     }
 
@@ -243,6 +244,32 @@ impl SignatureAlgorithm {
     }
 }
 
+/// Seed salt of ML-DSA signature filler.
+const ML_DSA_SIG_SALT: u64 = 0x4D4C_4453_4121;
+
+/// AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY OPTIONAL }.
+fn algorithm_identifier(w: &mut Writer, algorithm: &Oid, parameters: impl FnOnce(&mut Writer)) {
+    w.constructed(tag::SEQUENCE, |w| {
+        algorithm.encode_into(w);
+        parameters(w);
+    });
+}
+
+/// A BIT STRING (no unused bits) of `n` filler bytes; returns the filler.
+fn filled_bit_string(w: &mut Writer, seed: u64, n: usize) -> &mut [u8] {
+    w.header(tag::BIT_STRING, n + 1);
+    w.raw(&[0]);
+    w.fill(seed, n)
+}
+
+/// A BIT STRING (no unused bits) around the encoding `content` writes.
+fn bit_string_around(w: &mut Writer, content: impl FnOnce(&mut Writer)) {
+    w.constructed(tag::BIT_STRING, |w| {
+        w.raw(&[0]);
+        content(w);
+    });
+}
+
 fn deterministic_bytes(seed: u64, n: usize) -> Vec<u8> {
     let mut v = vec![0u8; n];
     fill_deterministic(seed, &mut v);
@@ -258,27 +285,39 @@ fn deterministic_bytes(seed: u64, n: usize) -> Vec<u8> {
 /// An ML-DSA signature value: a raw byte string of the FIPS 204 size.
 fn ml_dsa_sig_value(seed: u64, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
-    fill_deterministic(seed ^ 0x4D4C_4453_4121, &mut v);
+    fill_deterministic(seed ^ ML_DSA_SIG_SALT, &mut v);
     v
 }
 
 /// A composite signature value (draft-ietf-lamps-pq-composite-sigs):
 /// SEQUENCE { mldsa BIT STRING, classical BIT STRING }.
-fn composite_sig_value(mldsa: Vec<u8>, classical: Vec<u8>) -> Vec<u8> {
-    der::sequence(&[der::bit_string(&mldsa, 0), der::bit_string(&classical, 0)])
+fn composite_sig_value(seed: u64, mldsa_len: usize, scalar_len: usize) -> Vec<u8> {
+    let mut w = Writer::with_capacity(mldsa_len + 2 * scalar_len + 24);
+    w.constructed(tag::SEQUENCE, |w| {
+        filled_bit_string(w, seed ^ 0x4D4C ^ ML_DSA_SIG_SALT, mldsa_len);
+        bit_string_around(w, |w| write_ecdsa_sig(w, seed, scalar_len));
+    });
+    w.into_vec()
 }
 
 /// An ECDSA signature value: SEQUENCE { r INTEGER, s INTEGER }. The high bit
-/// of each scalar is cleared so no sign-padding byte is needed, giving the
-/// canonical fixed size (2·(n+2)+2 bytes).
+/// of each scalar is cleared (and the next one set) so neither sign padding
+/// nor zero stripping applies, giving the canonical fixed size
+/// (2·(n+2)+2 bytes).
 fn ecdsa_sig_value(seed: u64, scalar_len: usize) -> Vec<u8> {
-    let mut r = vec![0u8; scalar_len];
-    fill_deterministic(seed ^ 0x5252_5252, &mut r);
-    r[0] = (r[0] & 0x7F) | 0x40;
-    let mut s = vec![0u8; scalar_len];
-    fill_deterministic(seed ^ 0x5353_5353, &mut s);
-    s[0] = (s[0] & 0x7F) | 0x40;
-    der::sequence(&[der::integer_bytes(&r), der::integer_bytes(&s)])
+    let mut w = Writer::with_capacity(2 * (scalar_len + 2) + 2);
+    write_ecdsa_sig(&mut w, seed, scalar_len);
+    w.into_vec()
+}
+
+fn write_ecdsa_sig(w: &mut Writer, seed: u64, scalar_len: usize) {
+    w.constructed(tag::SEQUENCE, |w| {
+        for salt in [0x5252_5252, 0x5353_5353] {
+            w.header(tag::INTEGER, scalar_len);
+            let scalar = w.fill(seed ^ salt, scalar_len);
+            scalar[0] = (scalar[0] & 0x7F) | 0x40;
+        }
+    });
 }
 
 /// A subject public key: algorithm identifier plus placeholder key material
@@ -297,74 +336,71 @@ impl SubjectPublicKeyInfo {
         SubjectPublicKeyInfo { algorithm, seed }
     }
 
-    /// Encode the full SubjectPublicKeyInfo SEQUENCE.
-    pub fn encode(&self) -> Vec<u8> {
-        match self.algorithm {
+    /// Append the full SubjectPublicKeyInfo SEQUENCE to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        let seed = self.seed;
+        // Uncompressed EC point: 0x04 || X || Y.
+        let ec_point = |w: &mut Writer, coord: usize| {
+            filled_bit_string(w, seed, 1 + 2 * coord)[0] = 0x04;
+        };
+        w.constructed(tag::SEQUENCE, |w| match self.algorithm {
             KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096 => {
-                let alg = der::sequence(&[oid::RSA_ENCRYPTION.encode(), der::null()]);
-                let n_len = self.algorithm.key_bytes();
-                let mut modulus = vec![0u8; n_len];
-                fill_deterministic(self.seed, &mut modulus);
-                // A real modulus has its top bit set (it is exactly n bits).
-                modulus[0] |= 0x80;
-                let rsa_key =
-                    der::sequence(&[der::integer_bytes(&modulus), der::integer_u64(65537)]);
-                let key_bits = der::bit_string(&rsa_key, 0);
-                der::sequence(&[alg, key_bits])
+                algorithm_identifier(w, &oid::RSA_ENCRYPTION, Writer::null);
+                bit_string_around(w, |w| {
+                    // RSAPublicKey ::= SEQUENCE { modulus, publicExponent }
+                    w.constructed(tag::SEQUENCE, |w| {
+                        // A real modulus has its top bit set (it is exactly
+                        // n bits), so the INTEGER carries a sign octet.
+                        let n_len = self.algorithm.key_bytes();
+                        w.header(tag::INTEGER, n_len + 1);
+                        w.raw(&[0]);
+                        w.fill(seed, n_len)[0] |= 0x80;
+                        w.integer_u64(65537);
+                    });
+                });
             }
             KeyAlgorithm::EcdsaP256 | KeyAlgorithm::EcdsaP384 => {
                 let curve = match self.algorithm {
-                    KeyAlgorithm::EcdsaP256 => oid::PRIME256V1.encode(),
-                    _ => oid::SECP384R1.encode(),
+                    KeyAlgorithm::EcdsaP256 => &oid::PRIME256V1,
+                    _ => &oid::SECP384R1,
                 };
-                let alg = der::sequence(&[oid::EC_PUBLIC_KEY.encode(), curve]);
-                // Uncompressed point: 0x04 || X || Y.
-                let coord = self.algorithm.key_bytes();
-                let mut point = vec![0u8; 1 + 2 * coord];
-                fill_deterministic(self.seed, &mut point);
-                point[0] = 0x04;
-                let key_bits = der::bit_string(&point, 0);
-                der::sequence(&[alg, key_bits])
+                algorithm_identifier(w, &oid::EC_PUBLIC_KEY, |w| curve.encode_into(w));
+                ec_point(w, self.algorithm.key_bytes());
             }
             KeyAlgorithm::MlDsa44 | KeyAlgorithm::MlDsa65 => {
                 // ML-DSA SPKI: AlgorithmIdentifier with absent parameters,
                 // subjectPublicKey = the raw FIPS 204 public key.
                 let alg_oid = match self.algorithm {
-                    KeyAlgorithm::MlDsa44 => oid::ML_DSA_44.encode(),
-                    _ => oid::ML_DSA_65.encode(),
+                    KeyAlgorithm::MlDsa44 => &oid::ML_DSA_44,
+                    _ => &oid::ML_DSA_65,
                 };
-                let alg = der::sequence(&[alg_oid]);
-                let mut pk = vec![0u8; self.algorithm.key_bytes()];
-                fill_deterministic(self.seed, &mut pk);
-                der::sequence(&[alg, der::bit_string(&pk, 0)])
+                algorithm_identifier(w, alg_oid, |_| {});
+                filled_bit_string(w, seed, self.algorithm.key_bytes());
             }
             KeyAlgorithm::HybridP256MlDsa44 | KeyAlgorithm::HybridP384MlDsa65 => {
                 // CompositeSignaturePublicKey ::= SEQUENCE { BIT STRING,
                 // BIT STRING } (ML-DSA key first, then the EC point),
                 // wrapped in the SPKI subjectPublicKey BIT STRING.
                 let (alg_oid, mldsa_len, coord) = match self.algorithm {
-                    KeyAlgorithm::HybridP256MlDsa44 => (
-                        oid::COMPOSITE_MLDSA44_ECDSA_P256.encode(),
-                        ML_DSA_44_PK_LEN,
-                        32,
-                    ),
-                    _ => (
-                        oid::COMPOSITE_MLDSA65_ECDSA_P384.encode(),
-                        ML_DSA_65_PK_LEN,
-                        48,
-                    ),
+                    KeyAlgorithm::HybridP256MlDsa44 => {
+                        (&oid::COMPOSITE_MLDSA44_ECDSA_P256, ML_DSA_44_PK_LEN, 32)
+                    }
+                    _ => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, ML_DSA_65_PK_LEN, 48),
                 };
-                let alg = der::sequence(&[alg_oid]);
-                let mut mldsa_pk = vec![0u8; mldsa_len];
-                fill_deterministic(self.seed ^ 0x004D_4C4B_4559, &mut mldsa_pk);
-                let mut point = vec![0u8; 1 + 2 * coord];
-                fill_deterministic(self.seed, &mut point);
-                point[0] = 0x04;
-                let composite =
-                    der::sequence(&[der::bit_string(&mldsa_pk, 0), der::bit_string(&point, 0)]);
-                der::sequence(&[alg, der::bit_string(&composite, 0)])
+                algorithm_identifier(w, alg_oid, |_| {});
+                bit_string_around(w, |w| {
+                    w.constructed(tag::SEQUENCE, |w| {
+                        filled_bit_string(w, seed ^ 0x004D_4C4B_4559, mldsa_len);
+                        ec_point(w, coord);
+                    });
+                });
             }
-        }
+        });
+    }
+
+    /// Encode the full SubjectPublicKeyInfo SEQUENCE.
+    pub fn encode(&self) -> Vec<u8> {
+        der::encoded(|w| self.encode_into(w))
     }
 
     /// Encoded size in bytes.

@@ -5,11 +5,12 @@
 //! validity, subject, subjectPublicKeyInfo, extensions), the outer
 //! signature algorithm, and the signature value. [`Certificate::field_sizes`]
 //! attributes the encoded bytes to the field groups that the paper's
-//! Figures 2(b) and 8 report on.
+//! Figures 2(b) and 8 report on; the attribution is recorded from writer
+//! offsets while [`Certificate::assemble`] encodes, so reading it is free.
 
 use crate::alg::{SignatureAlgorithm, SubjectPublicKeyInfo};
-use crate::der;
-use crate::ext::{encode_extensions, Extension};
+use crate::der::{context_tag, tag, Writer};
+use crate::ext::{encode_extensions_into, Extension};
 use crate::name::DistinguishedName;
 use crate::time::Time;
 
@@ -31,9 +32,12 @@ impl Validity {
         }
     }
 
-    /// DER-encode the validity SEQUENCE.
-    pub fn encode(&self) -> Vec<u8> {
-        der::sequence(&[self.not_before.encode(), self.not_after.encode()])
+    /// Append the validity SEQUENCE to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.constructed(tag::SEQUENCE, |w| {
+            self.not_before.encode_into(w);
+            self.not_after.encode_into(w);
+        });
     }
 }
 
@@ -57,22 +61,43 @@ pub struct TbsCertificate {
 }
 
 impl TbsCertificate {
-    /// DER-encode the TBSCertificate SEQUENCE.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut children = Vec::with_capacity(8);
-        // version [0] EXPLICIT INTEGER 2 (v3)
-        children.push(der::context(0, true, &der::integer_u64(2)));
-        children.push(der::integer_bytes(&self.serial));
-        children.push(self.signature_alg.encode_algorithm_identifier());
-        children.push(self.issuer.encode());
-        children.push(self.validity.encode());
-        children.push(self.subject.encode());
-        children.push(self.spki.encode());
-        if !self.extensions.is_empty() {
-            children.push(encode_extensions(&self.extensions));
-        }
-        der::sequence(&children)
+    /// Append the TBSCertificate SEQUENCE to `w`. Returns the sizes of the
+    /// fields it wrote (`signature` and `other` are the caller's to fill)
+    /// and the bytes of its subjectAltName extensions.
+    fn encode_into(&self, w: &mut Writer) -> (FieldSizes, usize) {
+        w.constructed(tag::SEQUENCE, |w| {
+            // version [0] EXPLICIT INTEGER 2 (v3)
+            w.constructed(context_tag(0, true), |w| w.integer_u64(2));
+            w.integer_bytes(&self.serial);
+            self.signature_alg.encode_into(w);
+            let issuer = measured(w, |w| self.issuer.encode_into(w));
+            self.validity.encode_into(w);
+            let subject = measured(w, |w| self.subject.encode_into(w));
+            let spki = measured(w, |w| self.spki.encode_into(w));
+            let before_extensions = w.len();
+            let san_bytes = if self.extensions.is_empty() {
+                0
+            } else {
+                encode_extensions_into(&self.extensions, w)
+            };
+            let extensions = w.len() - before_extensions;
+            let sizes = FieldSizes {
+                subject,
+                issuer,
+                spki,
+                extensions,
+                ..FieldSizes::default()
+            };
+            (sizes, san_bytes)
+        })
     }
+}
+
+/// Bytes `write` appends to `w`.
+fn measured(w: &mut Writer, write: impl FnOnce(&mut Writer)) -> usize {
+    let at = w.len();
+    write(w);
+    w.len() - at
 }
 
 /// Byte attribution of a certificate to the field groups of Fig 2(b)/Fig 8.
@@ -115,22 +140,36 @@ pub struct Certificate {
     pub signature: Vec<u8>,
     /// Cached DER encoding.
     encoded: Vec<u8>,
+    /// Field attribution of `encoded`, recorded while it was written.
+    sizes: FieldSizes,
+    /// Bytes of the subjectAltName extension(s) within `encoded`.
+    san_bytes: usize,
 }
 
 impl Certificate {
     /// Assemble and encode a certificate from its TBS body and signature.
     pub fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Self {
         let signature_alg = tbs.signature_alg;
-        let encoded = der::sequence(&[
-            tbs.encode(),
-            signature_alg.encode_algorithm_identifier(),
-            der::bit_string(&signature, 0),
-        ]);
+        // Everything but key, signature and names is a few hundred bytes;
+        // a SAN-heavy leaf outgrows the guess and the buffer doubles.
+        let mut w = Writer::with_capacity(1024 + tbs.spki.algorithm.key_bytes() + signature.len());
+        let (mut sizes, san_bytes) = w.constructed(tag::SEQUENCE, |w| {
+            let (mut sizes, san_bytes) = tbs.encode_into(w);
+            sizes.signature = measured(w, |w| {
+                signature_alg.encode_into(w);
+                w.bit_string(&signature, 0);
+            });
+            (sizes, san_bytes)
+        });
+        let encoded = w.into_vec();
+        sizes.other = encoded.len() - sizes.total();
         Certificate {
             tbs,
             signature_alg,
             signature,
             encoded,
+            sizes,
+            san_bytes,
         }
     }
 
@@ -160,7 +199,7 @@ impl Certificate {
 
     /// Bytes used by the subjectAltName extension (Fig 14).
     pub fn san_bytes(&self) -> usize {
-        self.tbs.extensions.iter().map(|e| e.san_bytes()).sum()
+        self.san_bytes
     }
 
     /// Number of subjectAltName entries.
@@ -177,26 +216,7 @@ impl Certificate {
 
     /// Attribute encoded bytes to the field groups of Fig 2(b).
     pub fn field_sizes(&self) -> FieldSizes {
-        let subject = self.tbs.subject.encoded_len();
-        let issuer = self.tbs.issuer.encoded_len();
-        let spki = self.tbs.spki.encoded_len();
-        let extensions = if self.tbs.extensions.is_empty() {
-            0
-        } else {
-            encode_extensions(&self.tbs.extensions).len()
-        };
-        let signature = self.signature_alg.encode_algorithm_identifier().len()
-            + der::bit_string(&self.signature, 0).len();
-        let total = self.der_len();
-        let other = total - subject - issuer - spki - extensions - signature;
-        FieldSizes {
-            subject,
-            issuer,
-            spki,
-            extensions,
-            signature,
-            other,
-        }
+        self.sizes
     }
 }
 
@@ -269,11 +289,11 @@ impl CertificateBuilder {
     /// serial seed would emit, without building the certificate.
     ///
     /// The serial is the only seed-dependent *length* in a built
-    /// certificate: `integer_bytes` trims leading zero octets of the
+    /// certificate: `Writer::integer_bytes` trims leading zero octets of the
     /// masked 16-byte magnitude, so a small fraction of seeds encode one
     /// or more bytes shorter. Everything else (SPKI, signature, SCTs,
     /// names sized by their inputs) is length-stable per algorithm.
-    /// Allocation-free: mirrors `der::integer_bytes` arithmetic (trim
+    /// Allocation-free: mirrors `Writer::integer_bytes` arithmetic (trim
     /// leading zero octets while the sign stays positive, pad when the
     /// top bit is set, two header bytes for the ≤17-byte content) so the
     /// million-record scan path can call it per record. The mirror is
@@ -315,7 +335,7 @@ impl CertificateBuilder {
 mod tests {
     use super::*;
     use crate::alg::KeyAlgorithm;
-    use crate::der::parse_one;
+    use crate::der::{self, parse_one};
     use crate::ext::KeyUsageFlags;
     use crate::oid;
 

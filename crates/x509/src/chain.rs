@@ -78,21 +78,11 @@ impl CertificateChain {
     /// the next one (matched on distinguished names). Fig 7 excludes chains
     /// that are not correctly ordered.
     pub fn correctly_ordered(&self) -> bool {
-        let mut certs: Vec<&Certificate> = self.certs().collect();
-        let last = match certs.pop() {
-            Some(c) => c,
-            None => return true,
-        };
-        for pair in certs.windows(1).zip(self.intermediates.iter()) {
-            let (child, parent) = (pair.0[0], pair.1);
-            if child.tbs.issuer != parent.tbs.subject {
-                return false;
-            }
-        }
         // The last certificate either chains to an out-of-band root or is
         // itself self-signed; both are "ordered".
-        let _ = last;
-        true
+        self.certs()
+            .zip(self.intermediates.iter())
+            .all(|(child, parent)| child.tbs.issuer == parent.tbs.subject)
     }
 
     /// Whether the server superfluously includes a self-signed trust anchor

@@ -2,9 +2,22 @@
 //!
 //! Only the subset of ASN.1/DER needed by X.509 is implemented: single-byte
 //! tags, definite lengths, and the universal types that appear in
-//! certificates. Encoding functions return owned byte vectors; structures
-//! are built bottom-up (children first, then wrapped), which matches how
-//! certificate sizes are attributed to fields elsewhere in the workspace.
+//! certificates.
+//!
+//! Encoding is append-only into one buffer: a [`Writer`] owns a single
+//! `Vec<u8>` and every structure of the crate has an `encode_into(&mut
+//! Writer)` that appends its TLV in document order (parents open, children
+//! write, parents close). A nested value is written by
+//! [`Writer::constructed`], which emits the tag, runs a closure for the
+//! content and then back-patches the definite length — so a whole
+//! certificate is one allocation, and the byte length of any field is the
+//! difference of two [`Writer::len`] readings taken around it, which is how
+//! `Certificate::assemble` attributes sizes to fields while it encodes.
+//! The `Vec`-returning `encode()` methods elsewhere in the crate are
+//! one-line wrappers over `encode_into`.
+//!
+//! A minimal reader ([`DerReader`], [`parse_one`]) parses the same subset
+//! back, for tests and the parser corpus.
 
 /// ASN.1 universal tag numbers (with constructed bit where conventional).
 pub mod tag {
@@ -36,149 +49,194 @@ pub mod tag {
     pub const SET: u8 = 0x31;
 }
 
-/// Encode a definite-form DER length.
-pub fn encode_length(len: usize) -> Vec<u8> {
-    if len < 0x80 {
-        vec![len as u8]
-    } else if len <= 0xFF {
-        vec![0x81, len as u8]
-    } else if len <= 0xFFFF {
-        vec![0x82, (len >> 8) as u8, len as u8]
-    } else if len <= 0xFF_FFFF {
-        vec![0x83, (len >> 16) as u8, (len >> 8) as u8, len as u8]
-    } else {
-        vec![
-            0x84,
-            (len >> 24) as u8,
-            (len >> 16) as u8,
-            (len >> 8) as u8,
-            len as u8,
-        ]
+/// An append-only DER encoder over one byte buffer.
+#[derive(Debug, Default)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
     }
+
+    /// An empty writer whose buffer already holds room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Bytes written so far. Field sizes are differences of two readings;
+    /// a difference taken inside a [`Writer::constructed`] closure stays
+    /// valid after the enclosing lengths are patched in.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The encoded bytes.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Append pre-encoded bytes verbatim.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append a tag and the definite length of `len` content octets the
+    /// caller writes next (with [`Writer::raw`] / [`Writer::fill`]).
+    pub fn header(&mut self, tag: u8, len: usize) {
+        self.buf.push(tag);
+        if len < 0x80 {
+            self.buf.push(len as u8);
+        } else {
+            let octets = length_octets(len);
+            self.buf.push(0x80 | octets as u8);
+            self.buf
+                .extend_from_slice(&(len as u32).to_be_bytes()[4 - octets..]);
+        }
+    }
+
+    /// Append `tag`, then whatever `content` writes, then patch the
+    /// definite length in. One length octet is reserved up front; content
+    /// of 128 bytes or more is shifted right to make room for the long
+    /// form. Used for every nested value, including primitive-tagged
+    /// wrappers of encoded content (extnValue OCTET STRINGs, BIT STRINGs
+    /// around a key structure).
+    pub fn constructed<R>(&mut self, tag: u8, content: impl FnOnce(&mut Writer) -> R) -> R {
+        self.buf.push(tag);
+        let length_at = self.buf.len();
+        self.buf.push(0);
+        let result = content(self);
+        let start = length_at + 1;
+        let len = self.buf.len() - start;
+        if len < 0x80 {
+            self.buf[length_at] = len as u8;
+        } else {
+            let octets = length_octets(len);
+            self.buf.extend_from_slice(&[0; 4][..octets]);
+            self.buf.copy_within(start..start + len, start + octets);
+            self.buf[length_at] = 0x80 | octets as u8;
+            self.buf[start..start + octets]
+                .copy_from_slice(&(len as u32).to_be_bytes()[4 - octets..]);
+        }
+        result
+    }
+
+    /// Append `n` deterministic filler bytes derived from `seed` (key,
+    /// signature, key-identifier and SCT material) and return them, so the
+    /// caller can fix up structural bits in place.
+    pub fn fill(&mut self, seed: u64, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        let filler = &mut self.buf[start..];
+        crate::fill_deterministic(seed, filler);
+        filler
+    }
+
+    /// A tag-length-value triplet around `content`.
+    pub fn tlv(&mut self, tag: u8, content: &[u8]) {
+        self.header(tag, content.len());
+        self.raw(content);
+    }
+
+    /// INTEGER from a big-endian magnitude. A leading zero byte is inserted
+    /// when the high bit is set (DER integers are signed); leading
+    /// redundant zeros are stripped.
+    pub fn integer_bytes(&mut self, magnitude: &[u8]) {
+        let mut m: &[u8] = magnitude;
+        while m.len() > 1 && m[0] == 0 && m[1] & 0x80 == 0 {
+            m = &m[1..];
+        }
+        match m.first() {
+            None => self.tlv(tag::INTEGER, &[0]),
+            Some(high) if high & 0x80 != 0 => {
+                self.header(tag::INTEGER, m.len() + 1);
+                self.buf.push(0);
+                self.raw(m);
+            }
+            Some(_) => self.tlv(tag::INTEGER, m),
+        }
+    }
+
+    /// INTEGER from a u64.
+    pub fn integer_u64(&mut self, v: u64) {
+        let bytes = v.to_be_bytes();
+        let first = bytes.iter().position(|&b| b != 0).unwrap_or(7);
+        self.integer_bytes(&bytes[first..]);
+    }
+
+    /// BIT STRING with the given number of unused trailing bits.
+    pub fn bit_string(&mut self, bits: &[u8], unused: u8) {
+        self.header(tag::BIT_STRING, bits.len() + 1);
+        self.buf.push(unused);
+        self.raw(bits);
+    }
+
+    /// BOOLEAN (DER: 0xFF for true).
+    pub fn boolean(&mut self, v: bool) {
+        self.raw(&[tag::BOOLEAN, 1, if v { 0xFF } else { 0x00 }]);
+    }
+
+    /// NULL.
+    pub fn null(&mut self) {
+        self.raw(&[tag::NULL, 0]);
+    }
+
+    /// OBJECT IDENTIFIER from its integer arcs.
+    pub fn oid(&mut self, arcs: &[u64]) {
+        assert!(arcs.len() >= 2, "OID needs at least two arcs");
+        self.constructed(tag::OID, |w| {
+            w.buf.push((arcs[0] * 40 + arcs[1]) as u8);
+            for &arc in &arcs[2..] {
+                // Base 128, most significant group first, continuation
+                // bit on all but the last.
+                let groups = (64 - arc.leading_zeros()).div_ceil(7).max(1);
+                for group in (1..groups).rev() {
+                    w.buf.push(0x80 | ((arc >> (7 * group)) as u8 & 0x7F));
+                }
+                w.buf.push(arc as u8 & 0x7F);
+            }
+        });
+    }
+}
+
+/// The tag byte of context-specific `[n]`, constructed or primitive.
+pub const fn context_tag(n: u8, constructed: bool) -> u8 {
+    0x80 | n | if constructed { 0x20 } else { 0x00 }
+}
+
+/// Octets of the long-form length field (after the `0x80 | n` octet) that
+/// a content length of 128 or more needs.
+fn length_octets(len: usize) -> usize {
+    debug_assert!(len >= 0x80);
+    let len = u32::try_from(len).expect("DER content over 4 GiB");
+    (4 - len.leading_zeros() / 8) as usize
+}
+
+/// The bytes `write` appends to a fresh [`Writer`] — the body of every
+/// `Vec`-returning `encode()` in the crate.
+pub fn encoded(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    write(&mut w);
+    w.into_vec()
 }
 
 /// Wrap `content` in a tag-length-value triplet.
 pub fn tlv(tag: u8, content: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(content.len() + 6);
-    out.push(tag);
-    out.extend_from_slice(&encode_length(content.len()));
-    out.extend_from_slice(content);
-    out
+    encoded(|w| w.tlv(tag, content))
 }
 
-/// SEQUENCE of pre-encoded children.
-pub fn sequence(children: &[Vec<u8>]) -> Vec<u8> {
-    let content: Vec<u8> = children.iter().flatten().copied().collect();
-    tlv(tag::SEQUENCE, &content)
-}
-
-/// SET of pre-encoded children.
-///
-/// Note: strict DER requires SET OF elements to be sorted; X.509 RDNs are
-/// nearly always singleton sets, which are trivially sorted.
-pub fn set(children: &[Vec<u8>]) -> Vec<u8> {
-    let content: Vec<u8> = children.iter().flatten().copied().collect();
-    tlv(tag::SET, &content)
-}
-
-/// INTEGER from a big-endian magnitude. A leading zero byte is inserted when
-/// the high bit is set (DER integers are signed); leading redundant zeros are
-/// stripped.
+/// INTEGER from a big-endian magnitude ([`Writer::integer_bytes`]).
 pub fn integer_bytes(magnitude: &[u8]) -> Vec<u8> {
-    let mut m: &[u8] = magnitude;
-    while m.len() > 1 && m[0] == 0 && m[1] & 0x80 == 0 {
-        m = &m[1..];
-    }
-    if m.is_empty() {
-        return tlv(tag::INTEGER, &[0]);
-    }
-    if m[0] & 0x80 != 0 {
-        let mut content = Vec::with_capacity(m.len() + 1);
-        content.push(0);
-        content.extend_from_slice(m);
-        tlv(tag::INTEGER, &content)
-    } else {
-        tlv(tag::INTEGER, m)
-    }
-}
-
-/// INTEGER from a u64.
-pub fn integer_u64(v: u64) -> Vec<u8> {
-    let bytes = v.to_be_bytes();
-    let first = bytes.iter().position(|&b| b != 0).unwrap_or(7);
-    integer_bytes(&bytes[first..])
-}
-
-/// BIT STRING with the given number of unused trailing bits.
-pub fn bit_string(bits: &[u8], unused: u8) -> Vec<u8> {
-    let mut content = Vec::with_capacity(bits.len() + 1);
-    content.push(unused);
-    content.extend_from_slice(bits);
-    tlv(tag::BIT_STRING, &content)
-}
-
-/// OCTET STRING.
-pub fn octet_string(bytes: &[u8]) -> Vec<u8> {
-    tlv(tag::OCTET_STRING, bytes)
-}
-
-/// BOOLEAN (DER: 0xFF for true).
-pub fn boolean(v: bool) -> Vec<u8> {
-    tlv(tag::BOOLEAN, &[if v { 0xFF } else { 0x00 }])
-}
-
-/// NULL.
-pub fn null() -> Vec<u8> {
-    tlv(tag::NULL, &[])
-}
-
-/// PrintableString.
-pub fn printable_string(s: &str) -> Vec<u8> {
-    tlv(tag::PRINTABLE_STRING, s.as_bytes())
-}
-
-/// UTF8String.
-pub fn utf8_string(s: &str) -> Vec<u8> {
-    tlv(tag::UTF8_STRING, s.as_bytes())
-}
-
-/// IA5String (ASCII; used for DNS names and URIs).
-pub fn ia5_string(s: &str) -> Vec<u8> {
-    tlv(tag::IA5_STRING, s.as_bytes())
-}
-
-/// UTCTime from a pre-formatted `YYMMDDHHMMSSZ` string.
-pub fn utc_time(s: &str) -> Vec<u8> {
-    debug_assert_eq!(s.len(), 13, "UTCTime must be YYMMDDHHMMSSZ");
-    tlv(tag::UTC_TIME, s.as_bytes())
-}
-
-/// Context-specific tag (`[n]`), constructed or primitive.
-pub fn context(n: u8, constructed: bool, content: &[u8]) -> Vec<u8> {
-    let tag = 0x80 | n | if constructed { 0x20 } else { 0x00 };
-    tlv(tag, content)
-}
-
-/// Encode an OBJECT IDENTIFIER from its integer arcs.
-pub fn oid_from_arcs(arcs: &[u64]) -> Vec<u8> {
-    assert!(arcs.len() >= 2, "OID needs at least two arcs");
-    let mut content = Vec::new();
-    content.push((arcs[0] * 40 + arcs[1]) as u8);
-    for &arc in &arcs[2..] {
-        content.extend_from_slice(&encode_base128(arc));
-    }
-    tlv(tag::OID, &content)
-}
-
-fn encode_base128(mut v: u64) -> Vec<u8> {
-    let mut out = vec![(v & 0x7F) as u8];
-    v >>= 7;
-    while v > 0 {
-        out.push(0x80 | (v & 0x7F) as u8);
-        v >>= 7;
-    }
-    out.reverse();
-    out
+    encoded(|w| w.integer_bytes(magnitude))
 }
 
 /// A parsed DER value (tag + raw content), with lazy child access.
@@ -311,13 +369,15 @@ mod tests {
 
     #[test]
     fn length_encodings() {
-        assert_eq!(encode_length(0), vec![0x00]);
-        assert_eq!(encode_length(127), vec![0x7F]);
-        assert_eq!(encode_length(128), vec![0x81, 0x80]);
-        assert_eq!(encode_length(255), vec![0x81, 0xFF]);
-        assert_eq!(encode_length(256), vec![0x82, 0x01, 0x00]);
-        assert_eq!(encode_length(65535), vec![0x82, 0xFF, 0xFF]);
-        assert_eq!(encode_length(65536), vec![0x83, 0x01, 0x00, 0x00]);
+        let header = |len| encoded(|w| w.header(tag::OCTET_STRING, len))[1..].to_vec();
+        assert_eq!(header(0), vec![0x00]);
+        assert_eq!(header(127), vec![0x7F]);
+        assert_eq!(header(128), vec![0x81, 0x80]);
+        assert_eq!(header(255), vec![0x81, 0xFF]);
+        assert_eq!(header(256), vec![0x82, 0x01, 0x00]);
+        assert_eq!(header(65535), vec![0x82, 0xFF, 0xFF]);
+        assert_eq!(header(65536), vec![0x83, 0x01, 0x00, 0x00]);
+        assert_eq!(header(1 << 24), vec![0x84, 0x01, 0x00, 0x00, 0x00]);
     }
 
     #[test]
@@ -334,29 +394,44 @@ mod tests {
 
     #[test]
     fn integer_u64_matches_known_values() {
-        assert_eq!(integer_u64(0), vec![0x02, 0x01, 0x00]);
-        assert_eq!(integer_u64(65537), vec![0x02, 0x03, 0x01, 0x00, 0x01]);
+        assert_eq!(encoded(|w| w.integer_u64(0)), vec![0x02, 0x01, 0x00]);
+        assert_eq!(
+            encoded(|w| w.integer_u64(65537)),
+            vec![0x02, 0x03, 0x01, 0x00, 0x01]
+        );
     }
 
     #[test]
     fn oid_encoding_matches_rfc_examples() {
         // rsaEncryption = 1.2.840.113549.1.1.1
-        let oid = oid_from_arcs(&[1, 2, 840, 113549, 1, 1, 1]);
         assert_eq!(
-            oid,
+            encoded(|w| w.oid(&[1, 2, 840, 113549, 1, 1, 1])),
             vec![0x06, 0x09, 0x2A, 0x86, 0x48, 0x86, 0xF7, 0x0D, 0x01, 0x01, 0x01]
         );
         // id-ce-subjectAltName = 2.5.29.17
         assert_eq!(
-            oid_from_arcs(&[2, 5, 29, 17]),
+            encoded(|w| w.oid(&[2, 5, 29, 17])),
             vec![0x06, 0x03, 0x55, 0x1D, 0x11]
+        );
+        // A zero arc and the widest arc each keep their group count.
+        assert_eq!(
+            encoded(|w| w.oid(&[1, 3, 0, u64::MAX])),
+            vec![
+                0x06, 0x0C, 0x2B, 0x00, 0x81, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F
+            ]
         );
     }
 
     #[test]
     fn sequence_nests() {
-        let inner = sequence(&[integer_u64(1), integer_u64(2)]);
-        let outer = sequence(std::slice::from_ref(&inner));
+        let outer = encoded(|w| {
+            w.constructed(tag::SEQUENCE, |w| {
+                w.constructed(tag::SEQUENCE, |w| {
+                    w.integer_u64(1);
+                    w.integer_u64(2);
+                })
+            })
+        });
         let parsed = parse_one(&outer).unwrap();
         assert_eq!(parsed.tag, tag::SEQUENCE);
         let children = parsed.children().unwrap();
@@ -368,26 +443,53 @@ mod tests {
     }
 
     #[test]
+    fn constructed_returns_the_closure_result_and_sizes_survive_patching() {
+        let mut w = Writer::new();
+        let inner = w.constructed(tag::SEQUENCE, |w| {
+            let at = w.len();
+            w.tlv(tag::OCTET_STRING, &[7; 300]);
+            w.len() - at
+        });
+        // The child's measured size holds although closing the parent
+        // shifted it by two length octets.
+        assert_eq!(inner, 304);
+        let der = w.into_vec();
+        assert_eq!(der.len(), 4 + inner);
+        assert_eq!(
+            parse_one(&der).unwrap().children().unwrap()[0].content,
+            [7; 300]
+        );
+    }
+
+    #[test]
+    fn fill_is_the_crate_filler_and_patchable_in_place() {
+        let mut expect = [0u8; 21];
+        crate::fill_deterministic(9, &mut expect);
+        expect[0] = 0x04;
+        let got = encoded(|w| w.fill(9, 21)[0] = 0x04);
+        assert_eq!(got, expect);
+    }
+
+    #[test]
     fn bit_string_prefixes_unused_count() {
-        let bs = bit_string(&[0xAA, 0xBB], 0);
+        let bs = encoded(|w| w.bit_string(&[0xAA, 0xBB], 0));
         assert_eq!(bs, vec![0x03, 0x03, 0x00, 0xAA, 0xBB]);
     }
 
     #[test]
     fn context_tags() {
         // [0] constructed wrapping an INTEGER (X.509 version field).
-        let v = context(0, true, &integer_u64(2));
+        let v = encoded(|w| w.constructed(context_tag(0, true), |w| w.integer_u64(2)));
         assert_eq!(v[0], 0xA0);
         let parsed = parse_one(&v).unwrap();
         assert!(parsed.is_constructed());
         // [2] primitive (GeneralName dNSName).
-        let g = context(2, false, b"example.org");
-        assert_eq!(g[0], 0x82);
+        assert_eq!(context_tag(2, false), 0x82);
     }
 
     #[test]
     fn reader_rejects_truncation() {
-        let seq = sequence(&[integer_u64(5)]);
+        let seq = encoded(|w| w.constructed(tag::SEQUENCE, |w| w.integer_u64(5)));
         let err = parse_one(&seq[..seq.len() - 1]).unwrap_err();
         assert_eq!(err, DerError::Truncated);
     }
@@ -405,14 +507,14 @@ mod tests {
             DerError::BadLength
         );
         // The minimal encodings still parse.
-        assert!(parse_one(&octet_string(&[0u8; 5])).is_ok());
-        assert!(parse_one(&octet_string(&[0u8; 200])).is_ok());
-        assert!(parse_one(&octet_string(&[0u8; 300])).is_ok());
+        assert!(parse_one(&tlv(tag::OCTET_STRING, &[0u8; 5])).is_ok());
+        assert!(parse_one(&tlv(tag::OCTET_STRING, &[0u8; 200])).is_ok());
+        assert!(parse_one(&tlv(tag::OCTET_STRING, &[0u8; 300])).is_ok());
     }
 
     #[test]
     fn reader_rejects_trailing_garbage() {
-        let mut seq = sequence(&[integer_u64(5)]);
+        let mut seq = encoded(|w| w.constructed(tag::SEQUENCE, |w| w.integer_u64(5)));
         seq.push(0x00);
         assert_eq!(parse_one(&seq).unwrap_err(), DerError::Truncated);
     }
@@ -420,7 +522,7 @@ mod tests {
     #[test]
     fn long_content_roundtrips() {
         let payload = vec![0x42u8; 70_000];
-        let enc = octet_string(&payload);
+        let enc = tlv(tag::OCTET_STRING, &payload);
         let parsed = parse_one(&enc).unwrap();
         assert_eq!(parsed.tag, tag::OCTET_STRING);
         assert_eq!(parsed.content, payload);
@@ -428,16 +530,18 @@ mod tests {
 
     #[test]
     fn boolean_and_null() {
-        assert_eq!(boolean(true), vec![0x01, 0x01, 0xFF]);
-        assert_eq!(boolean(false), vec![0x01, 0x01, 0x00]);
-        assert_eq!(null(), vec![0x05, 0x00]);
+        assert_eq!(encoded(|w| w.boolean(true)), vec![0x01, 0x01, 0xFF]);
+        assert_eq!(encoded(|w| w.boolean(false)), vec![0x01, 0x01, 0x00]);
+        assert_eq!(encoded(|w| w.null()), vec![0x05, 0x00]);
     }
 
     #[test]
     fn strings_use_expected_tags() {
-        assert_eq!(printable_string("US")[0], tag::PRINTABLE_STRING);
-        assert_eq!(utf8_string("Let's Encrypt")[0], tag::UTF8_STRING);
-        assert_eq!(ia5_string("example.org")[0], tag::IA5_STRING);
-        assert_eq!(utc_time("221229194411Z")[0], tag::UTC_TIME);
+        // The universal tag numbers of X.680, as the name and time encoders
+        // pass them to `tlv`.
+        assert_eq!(tlv(tag::PRINTABLE_STRING, b"US"), [0x13, 2, b'U', b'S']);
+        assert_eq!(tlv(tag::UTF8_STRING, b"Let's Encrypt")[0], 0x0C);
+        assert_eq!(tlv(tag::IA5_STRING, b"example.org")[0], 0x16);
+        assert_eq!(tlv(tag::UTC_TIME, b"221229194411Z")[0], 0x17);
     }
 }

@@ -6,8 +6,7 @@
 //! URLs. Each variant here encodes to its genuine DER representation, so SAN
 //! byte-share analysis (Fig 14) operates on real encodings.
 
-use crate::der;
-use crate::fill_deterministic;
+use crate::der::{self, context_tag, tag, Writer};
 use crate::oid::{self, Oid};
 
 /// Key usage bits (RFC 5280 §4.2.1.3), most-significant bit first.
@@ -114,6 +113,9 @@ pub enum Extension {
 /// CT logs emit in practice.
 const SCT_ENTRY_LEN: usize = 121;
 
+/// Bytes of a subject / authority key identifier (a SHA-1 key hash).
+const KEY_ID_LEN: usize = 20;
+
 impl Extension {
     /// The extension OID.
     pub fn oid(&self) -> &'static Oid {
@@ -139,132 +141,132 @@ impl Extension {
         )
     }
 
-    /// The inner extnValue content (before OCTET STRING wrapping).
-    fn encode_value(&self) -> Vec<u8> {
+    /// Append the inner extnValue content (what the OCTET STRING wraps).
+    fn encode_value_into(&self, w: &mut Writer) {
+        /// GeneralName uniformResourceIdentifier `[6]`.
+        const URI: u8 = context_tag(6, false);
         match self {
-            Extension::BasicConstraints { ca, path_len } => {
-                let mut children = Vec::new();
+            Extension::BasicConstraints { ca, path_len } => w.constructed(tag::SEQUENCE, |w| {
                 if *ca {
-                    children.push(der::boolean(true));
+                    w.boolean(true);
                 }
                 if let Some(n) = path_len {
-                    children.push(der::integer_u64(*n as u64));
+                    w.integer_u64(*n as u64);
                 }
-                der::sequence(&children)
-            }
+            }),
             Extension::KeyUsage(flags) => {
                 let (bits, unused) = flags.to_bits();
-                der::bit_string(&[bits], unused)
+                w.bit_string(&[bits], unused);
             }
-            Extension::ExtKeyUsage(purposes) => {
-                let children: Vec<Vec<u8>> = purposes.iter().map(|o| o.encode()).collect();
-                der::sequence(&children)
-            }
+            Extension::ExtKeyUsage(purposes) => w.constructed(tag::SEQUENCE, |w| {
+                for purpose in purposes {
+                    purpose.encode_into(w);
+                }
+            }),
             Extension::SubjectKeyId { seed } => {
-                let mut id = [0u8; 20];
-                fill_deterministic(*seed, &mut id);
-                der::octet_string(&id)
+                w.header(tag::OCTET_STRING, KEY_ID_LEN);
+                w.fill(*seed, KEY_ID_LEN);
             }
-            Extension::AuthorityKeyId { seed } => {
-                let mut id = [0u8; 20];
-                fill_deterministic(*seed, &mut id);
+            Extension::AuthorityKeyId { seed } => w.constructed(tag::SEQUENCE, |w| {
                 // keyIdentifier is [0] IMPLICIT inside a SEQUENCE.
-                der::sequence(&[der::context(0, false, &id)])
-            }
-            Extension::SubjectAltNames(names) => {
-                let children: Vec<Vec<u8>> = names
-                    .iter()
-                    .map(|n| der::context(2, false, n.as_bytes())) // dNSName
-                    .collect();
-                der::sequence(&children)
-            }
-            Extension::CrlDistributionPoints(uris) => {
-                let points: Vec<Vec<u8>> = uris
-                    .iter()
-                    .map(|uri| {
-                        // DistributionPoint { distributionPoint [0] { fullName [0] { uri [6] } } }
-                        let general_name = der::context(6, false, uri.as_bytes());
-                        let full_name = der::context(0, true, &general_name);
-                        let dp_name = der::context(0, true, &full_name);
-                        der::sequence(&[dp_name])
-                    })
-                    .collect();
-                der::sequence(&points)
-            }
+                w.header(context_tag(0, false), KEY_ID_LEN);
+                w.fill(*seed, KEY_ID_LEN);
+            }),
+            Extension::SubjectAltNames(names) => w.constructed(tag::SEQUENCE, |w| {
+                for name in names {
+                    w.tlv(context_tag(2, false), name.as_bytes()); // dNSName
+                }
+            }),
+            Extension::CrlDistributionPoints(uris) => w.constructed(tag::SEQUENCE, |w| {
+                for uri in uris {
+                    // DistributionPoint { distributionPoint [0] { fullName [0] { uri [6] } } }
+                    w.constructed(tag::SEQUENCE, |w| {
+                        w.constructed(context_tag(0, true), |w| {
+                            w.constructed(context_tag(0, true), |w| w.tlv(URI, uri.as_bytes()))
+                        })
+                    });
+                }
+            }),
             Extension::AuthorityInfoAccess { ocsp, ca_issuers } => {
-                let mut descs = Vec::new();
-                if let Some(uri) = ocsp {
-                    descs.push(der::sequence(&[
-                        oid::AD_OCSP.encode(),
-                        der::context(6, false, uri.as_bytes()),
-                    ]));
-                }
-                if let Some(uri) = ca_issuers {
-                    descs.push(der::sequence(&[
-                        oid::AD_CA_ISSUERS.encode(),
-                        der::context(6, false, uri.as_bytes()),
-                    ]));
-                }
-                der::sequence(&descs)
+                w.constructed(tag::SEQUENCE, |w| {
+                    for (method, uri) in [(&oid::AD_OCSP, ocsp), (&oid::AD_CA_ISSUERS, ca_issuers)]
+                    {
+                        if let Some(uri) = uri {
+                            w.constructed(tag::SEQUENCE, |w| {
+                                method.encode_into(w);
+                                w.tlv(URI, uri.as_bytes());
+                            });
+                        }
+                    }
+                })
             }
-            Extension::CertificatePolicies(policies) => {
-                let infos: Vec<Vec<u8>> = policies
-                    .iter()
-                    .map(|p| der::sequence(&[p.encode()]))
-                    .collect();
-                der::sequence(&infos)
-            }
+            Extension::CertificatePolicies(policies) => w.constructed(tag::SEQUENCE, |w| {
+                for policy in policies {
+                    w.constructed(tag::SEQUENCE, |w| policy.encode_into(w));
+                }
+            }),
             Extension::SctList { count, seed } => {
                 // TLS-style: outer 2-byte list length, then per-SCT 2-byte
-                // length + body — wrapped in an OCTET STRING by the caller.
-                let mut list = Vec::new();
+                // length + body, all inside an inner OCTET STRING.
+                const BODY_LEN: usize = SCT_ENTRY_LEN - 2;
+                let list_len = *count as usize * SCT_ENTRY_LEN;
+                w.header(tag::OCTET_STRING, 2 + list_len);
+                w.raw(&(list_len as u16).to_be_bytes());
                 for i in 0..*count {
-                    let mut body = vec![0u8; SCT_ENTRY_LEN - 2];
-                    fill_deterministic(seed.wrapping_add(i as u64), &mut body);
-                    body[0] = 0; // SCT version 1
-                    list.extend_from_slice(&((body.len()) as u16).to_be_bytes());
-                    list.extend_from_slice(&body);
+                    w.raw(&(BODY_LEN as u16).to_be_bytes());
+                    w.fill(seed.wrapping_add(i as u64), BODY_LEN)[0] = 0; // SCT version 1
                 }
-                let mut tls = Vec::with_capacity(list.len() + 2);
-                tls.extend_from_slice(&(list.len() as u16).to_be_bytes());
-                tls.extend_from_slice(&list);
-                der::octet_string(&tls)
             }
         }
     }
 
-    /// Encode the full Extension SEQUENCE (OID, optional critical flag,
-    /// OCTET STRING value).
+    /// Append the full Extension SEQUENCE (OID, optional critical flag,
+    /// OCTET STRING value) to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.constructed(tag::SEQUENCE, |w| {
+            self.oid().encode_into(w);
+            if self.critical() {
+                w.boolean(true);
+            }
+            w.constructed(tag::OCTET_STRING, |w| self.encode_value_into(w));
+        });
+    }
+
+    /// Encode the full Extension SEQUENCE.
     pub fn encode(&self) -> Vec<u8> {
-        let mut children = vec![self.oid().encode()];
-        if self.critical() {
-            children.push(der::boolean(true));
-        }
-        children.push(der::octet_string(&self.encode_value()));
-        der::sequence(&children)
+        der::encoded(|w| self.encode_into(w))
     }
 
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.encode().len()
     }
-
-    /// For SAN extensions: the encoded size (Fig 14 measures the byte share
-    /// of SANs within leaf certificates). Zero for other extensions.
-    pub fn san_bytes(&self) -> usize {
-        match self {
-            Extension::SubjectAltNames(_) => self.encoded_len(),
-            _ => 0,
-        }
-    }
 }
 
-/// Encode a full `Extensions` list, including the `[3] EXPLICIT` wrapper
-/// used inside TBSCertificate.
+/// Append a full `Extensions` list to `w`, including the `[3] EXPLICIT`
+/// wrapper used inside TBSCertificate. Returns the bytes its
+/// subjectAltName extensions took (Fig 14's numerator).
+pub fn encode_extensions_into(exts: &[Extension], w: &mut Writer) -> usize {
+    w.constructed(context_tag(3, true), |w| {
+        w.constructed(tag::SEQUENCE, |w| {
+            let mut san_bytes = 0;
+            for ext in exts {
+                let at = w.len();
+                ext.encode_into(w);
+                if matches!(ext, Extension::SubjectAltNames(_)) {
+                    san_bytes += w.len() - at;
+                }
+            }
+            san_bytes
+        })
+    })
+}
+
+/// Encode a full `Extensions` list, including the `[3] EXPLICIT` wrapper.
 pub fn encode_extensions(exts: &[Extension]) -> Vec<u8> {
-    let encoded: Vec<Vec<u8>> = exts.iter().map(|e| e.encode()).collect();
-    let seq = der::sequence(&encoded);
-    der::context(3, true, &seq)
+    der::encoded(|w| {
+        encode_extensions_into(exts, w);
+    })
 }
 
 #[cfg(test)]
@@ -315,12 +317,11 @@ mod tests {
         let many =
             Extension::SubjectAltNames((0..50).map(|i| format!("host-{i}.example.org")).collect());
         assert!(many.encoded_len() > few.encoded_len() + 49 * 15);
-        assert_eq!(few.san_bytes(), few.encoded_len());
-        assert_eq!(
-            Extension::SubjectKeyId { seed: 1 }.san_bytes(),
-            0,
-            "non-SAN extensions report zero SAN bytes"
-        );
+        // Only subjectAltName extensions count towards the list's SAN bytes.
+        let mut w = der::Writer::new();
+        let san_bytes =
+            encode_extensions_into(&[few.clone(), Extension::SubjectKeyId { seed: 1 }], &mut w);
+        assert_eq!(san_bytes, few.encoded_len());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! of attribute type/value pairs. Real-world certificate names are almost
 //! always chains of singleton RDNs, which is what this model emits.
 
-use crate::der;
+use crate::der::{self, tag, Writer};
 use crate::oid::{self, Oid};
 
 /// Attribute types that appear in subject / issuer names.
@@ -49,11 +49,11 @@ impl AttrKind {
         }
     }
 
-    fn encode_value(self, value: &str) -> Vec<u8> {
+    fn value_tag(self) -> u8 {
         match self {
             // Country is conventionally PrintableString.
-            AttrKind::Country => der::printable_string(value),
-            _ => der::utf8_string(value),
+            AttrKind::Country => tag::PRINTABLE_STRING,
+            _ => tag::UTF8_STRING,
         }
     }
 }
@@ -98,17 +98,26 @@ impl DistinguishedName {
             .map(|(_, v)| v.as_str())
     }
 
-    /// DER-encode the name (SEQUENCE of singleton SETs).
+    /// Append the DER encoding (SEQUENCE of singleton SETs) to `w`.
+    ///
+    /// Strict DER requires SET OF elements to be sorted; singleton sets
+    /// are trivially sorted.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.constructed(tag::SEQUENCE, |w| {
+            for (kind, value) in &self.attrs {
+                w.constructed(tag::SET, |w| {
+                    w.constructed(tag::SEQUENCE, |w| {
+                        kind.oid().encode_into(w);
+                        w.tlv(kind.value_tag(), value.as_bytes());
+                    })
+                });
+            }
+        });
+    }
+
+    /// DER-encode the name.
     pub fn encode(&self) -> Vec<u8> {
-        let rdns: Vec<Vec<u8>> = self
-            .attrs
-            .iter()
-            .map(|(kind, value)| {
-                let atv = der::sequence(&[kind.oid().encode(), kind.encode_value(value)]);
-                der::set(&[atv])
-            })
-            .collect();
-        der::sequence(&rdns)
+        der::encoded(|w| self.encode_into(w))
     }
 
     /// Encoded length in bytes.

@@ -1,15 +1,20 @@
 //! Object identifiers used by the X.509 profile.
 
-use crate::der;
+use crate::der::{self, Writer};
 
 /// An object identifier, stored as its integer arcs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Oid(pub &'static [u64]);
 
 impl Oid {
+    /// Append the DER encoding (including tag and length) to `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.oid(self.0);
+    }
+
     /// DER-encode the OID (including tag and length).
     pub fn encode(&self) -> Vec<u8> {
-        der::oid_from_arcs(self.0)
+        der::encoded(|w| self.encode_into(w))
     }
 
     /// Dotted-decimal representation, e.g. `"2.5.29.17"`.

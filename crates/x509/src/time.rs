@@ -4,7 +4,7 @@
 //! 2050. All certificates in the workspace live comfortably inside that
 //! window, so only UTCTime is emitted.
 
-use crate::der;
+use crate::der::{self, tag, Writer};
 
 /// A calendar timestamp (UTC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,22 +49,38 @@ impl Time {
         }
     }
 
-    /// Format as `YYMMDDHHMMSSZ` (UTCTime, two-digit year per RFC 5280).
-    pub fn to_utc_string(self) -> String {
-        format!(
-            "{:02}{:02}{:02}{:02}{:02}{:02}Z",
-            self.year % 100,
+    /// The `YYMMDDHHMMSSZ` octets (UTCTime, two-digit year per RFC 5280).
+    fn utc_octets(self) -> [u8; 13] {
+        let fields = [
+            (self.year % 100) as u8,
             self.month,
             self.day,
             self.hour,
             self.minute,
-            self.second
-        )
+            self.second,
+        ];
+        let mut out = [b'Z'; 13];
+        for (pair, field) in out.chunks_exact_mut(2).zip(fields) {
+            debug_assert!(field < 100, "UTCTime fields are two digits");
+            pair[0] = b'0' + field / 10;
+            pair[1] = b'0' + field % 10;
+        }
+        out
+    }
+
+    /// Format as `YYMMDDHHMMSSZ`.
+    pub fn to_utc_string(self) -> String {
+        String::from_utf8(self.utc_octets().to_vec()).expect("ASCII digits")
+    }
+
+    /// Append the UTCTime encoding to `w`.
+    pub fn encode_into(self, w: &mut Writer) {
+        w.tlv(tag::UTC_TIME, &self.utc_octets());
     }
 
     /// DER-encode as UTCTime.
     pub fn encode(self) -> Vec<u8> {
-        der::utc_time(&self.to_utc_string())
+        der::encoded(|w| self.encode_into(w))
     }
 }
 

@@ -80,6 +80,33 @@ fn arbitrary_certificate(
     builder.build()
 }
 
+/// Content lengths on both sides of every definite-length form the writer
+/// back-patches, nested so the enclosing lengths cross the boundaries too.
+#[test]
+fn writer_length_boundaries_roundtrip_nested_two_deep() {
+    use der::tag::{OCTET_STRING, SEQUENCE, SET};
+    for len in [0, 127, 128, 255, 256, 65_535, 65_536] {
+        let payload = vec![0xA5u8; len];
+        let written = der::encoded(|w| {
+            w.constructed(SEQUENCE, |w| {
+                w.constructed(SET, |w| w.constructed(OCTET_STRING, |w| w.raw(&payload)))
+            })
+        });
+        let outer = der::parse_one(&written).expect("outer parses");
+        let middle = &outer.children().expect("one child")[0];
+        let inner = &middle.children().expect("one grandchild")[0];
+        assert_eq!(
+            (outer.tag, middle.tag, inner.tag),
+            (SEQUENCE, SET, OCTET_STRING)
+        );
+        assert_eq!(inner.content, payload, "{len}");
+        // Back-patched lengths are the ones written up front from a known
+        // content length.
+        let up_front = der::tlv(SEQUENCE, &der::tlv(SET, &der::tlv(OCTET_STRING, &payload)));
+        assert_eq!(written, up_front, "{len}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
