@@ -48,16 +48,16 @@ use quicert_scanner::zmap::{self, ZmapResult};
 use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
-/// Smallest chunk the adaptive pump claims: keeps `SimNet` batching
-/// amortised even at the tail of the population.
+/// Smallest chunk the adaptive pump claims: keeps per-claim overhead
+/// (cursor traffic, scratch resets, one shard merge) amortised even at the
+/// tail of the population.
 pub const MIN_ADAPTIVE_CHUNK: usize = 64;
 
-/// Largest chunk the adaptive pump claims. Deliberately modest: probe
-/// batches share one `SimNet` event heap, so per-event cost grows with the
-/// batch (heap log factor, cold session state), and profiling the 100k
-/// pump showed 64–256-record claims 20–40% faster than the old fixed 1024.
-/// Claim overhead is one atomic `fetch_add` per chunk — noise even at ten
-/// million records.
+/// Largest chunk the adaptive pump claims. Deliberately modest, so the
+/// tail of the population still spreads over the workers. Handshakes run
+/// one session at a time, so a claim's size does not change what a probe
+/// costs; claim overhead is one atomic `fetch_add` per chunk — noise even
+/// at ten million records.
 pub const MAX_ADAPTIVE_CHUNK: usize = 256;
 
 /// The host's core count (1 when it cannot be determined). The pump and
@@ -677,10 +677,9 @@ impl ScanEngine {
     /// quicreach classifications of every QUIC service under one
     /// [`Scenario`] — one cached artifact per scenario (the resumption
     /// policy aside: cold scans never read it), so a grid revisiting a
-    /// cell is free. Each worker shard is batched as sessions of one
-    /// `SimNet`; per-record RNG forking — which fault plans draw from too —
-    /// keeps the artifact bit-for-bit identical at any worker count and
-    /// batch size, on every axis.
+    /// cell is free. Per-record RNG forking — which fault plans draw from
+    /// too — keeps the artifact bit-for-bit identical at any worker count
+    /// and batch size, on every axis.
     pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {
@@ -693,8 +692,7 @@ impl ScanEngine {
 
     /// The cold-then-warm resumption scan under one [`Scenario`], revisiting
     /// under its [`Scenario::warm_policy`] — one cached artifact per
-    /// scenario. Worker shards batch their cold and warm visits on one
-    /// `SimNet` each; per-record RNG forking keeps the artifact bit-for-bit
+    /// scenario. Per-record RNG forking keeps the artifact bit-for-bit
     /// identical at any worker count. Under a fault plan this is how the
     /// chaos grid measures whether resumption still pays off once the wire
     /// drops and corrupts datagrams.

@@ -3,11 +3,11 @@
 //!
 //! QUIC scans are pairwise (scanner ↔ server): a [`Wire`] with one
 //! [`LinkModel`] per direction connects two [`Endpoint`] state machines.
-//! Since the `SimNet` refactor the actual scheduling lives in
-//! [`crate::simnet::SimNet`], which multiplexes any number of such pairs on
-//! one shared event heap; [`run_exchange`] survives as a thin one-session
-//! wrapper so existing callers keep their exact semantics (including RNG
-//! stream advancement and fault-counter accumulation on the caller's wire).
+//! The actual scheduling lives in [`crate::simnet::SimNet`], which drives
+//! any number of such pairs one at a time; [`run_exchange`] is its thin
+//! one-session wrapper, keeping the exact semantics of the two-endpoint
+//! loop it replaced (including RNG stream advancement and fault-counter
+//! accumulation on the caller's wire).
 //!
 //! Every datagram offered to the wire is recorded as a [`TraceEvent`], so
 //! measurements (amplification factors, handshake byte splits, RTT counts)

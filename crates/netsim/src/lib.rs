@@ -5,9 +5,9 @@
 //! constraints, tunnel encapsulation (the load-balancer effect of §4.1 of the
 //! paper), a network telescope for observing backscatter from spoofed
 //! handshakes (§4.3), named [`NetworkProfile`] link-condition overlays, and
-//! [`SimNet`] — a discrete-event scheduler multiplexing any number of
-//! endpoint pairs on one shared timeline ([`run_exchange`] remains as its
-//! classic two-endpoint wrapper).
+//! [`SimNet`] — a discrete-event scheduler driving any number of
+//! independent endpoint pairs, one to completion at a time
+//! ([`run_exchange`] is its classic two-endpoint wrapper).
 //!
 //! Everything is deterministic: all randomness flows from a [`SimRng`] seeded
 //! with a caller-provided `u64`, so every experiment in the workspace is

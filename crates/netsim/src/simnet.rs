@@ -1,36 +1,30 @@
-//! [`SimNet`]: a discrete-event network core multiplexing N endpoint pairs
-//! on one shared timeline.
+//! [`SimNet`]: a discrete-event network core driving N endpoint pairs,
+//! one pair to completion at a time.
 //!
-//! The original simulator ran one isolated two-endpoint exchange per call,
-//! rebuilding its event heap and scratch buffers for every probe. `SimNet`
-//! generalises that core: any number of *sessions* — each a pair of
-//! [`Endpoint`] state machines joined by its own [`Wire`] — share a single
-//! event heap and outbox buffer, so a scanner can batch an entire shard of
-//! domain probes onto one network and amortise the per-probe allocation
-//! cost. [`crate::event::run_exchange`] is retained as a thin one-session
-//! wrapper over this scheduler.
+//! A *session* is a pair of [`Endpoint`] state machines joined by its own
+//! [`Wire`], with its own [`SimRng`] stream, timers, event queue, trace and
+//! virtual timeline starting at zero. Sessions share nothing, so there is
+//! no order between them to keep: [`SimNet::run`] takes them in
+//! `add_session` order and drives each until it quiesces or hits its
+//! limits, off a queue that only ever holds that session's handful of
+//! in-flight datagrams and timers. A session's [`ExchangeOutcome`] is
+//! therefore the same whether it runs alone or as one of ten thousand, and
+//! the working set of a batch is one session's, whatever the batch size.
+//! [`crate::event::run_exchange`] is the one-session wrapper.
 //!
-//! ## Determinism and batch-size invariance
-//!
-//! Sessions never interact: each owns its wire, its fault injectors, its
-//! [`SimRng`] stream, its timers and its trace. Events are ordered by
-//! `(timestamp, session, deliveries-before-timers, sequence)`, which makes
-//! the *per-session* processing order — and therefore every per-session RNG
-//! draw — exactly the order the two-endpoint loop used. Consequently a
-//! session's [`ExchangeOutcome`] is bit-for-bit identical whether it runs
-//! alone, in a batch of ten, or in a batch of ten thousand; the property
-//! tests pin this invariance and the equivalence against the pre-`SimNet`
-//! loop.
+//! Within a session, events fire in `(timestamp, deliveries-before-timers,
+//! send sequence)` order — exactly the order of the two-endpoint loop this
+//! scheduler replaced, which the equivalence test in `tests/` pins.
 //!
 //! ## Timers
 //!
 //! Endpoint timers are re-polled after every event the endpoint handles.
-//! Rather than rebuilding a heap entry per poll, `SimNet` keeps one *live*
+//! Rather than rebuilding a heap entry per poll, a session keeps one *live*
 //! timer event per endpoint side and lazily discards superseded entries: a
-//! queued timer carries the epoch of the (session, side) timer slot at push
-//! time, and a pop with a stale epoch is skipped. This preserves the
-//! two-endpoint loop's semantics, where `next_timer` was consulted fresh on
-//! every iteration.
+//! queued timer carries the epoch of its side's timer slot at push time,
+//! and a pop with a stale epoch is skipped. This preserves the two-endpoint
+//! loop's semantics, where `next_timer` was consulted fresh on every
+//! iteration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,7 +37,7 @@ use crate::datagram::Datagram;
 use crate::event::{
     Direction, DropReason, Endpoint, ExchangeLimits, ExchangeOutcome, TraceEvent, Wire,
 };
-use crate::link::{Delivery, LinkModel};
+use crate::link::Delivery;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -129,22 +123,19 @@ enum EventKind {
 
 struct QueuedEvent {
     at: SimTime,
-    session: usize,
     kind: EventKind,
 }
 
 impl QueuedEvent {
-    /// Total ordering key. Within a session at one timestamp, deliveries
-    /// fire before timers (an endpoint sees input before its co-scheduled
-    /// timeout, matching real stacks), deliveries order by send sequence,
-    /// and timer A fires before timer B — exactly the tie-breaks of the
-    /// original two-endpoint loop.
-    fn key(&self) -> (SimTime, usize, u8, u64, u64) {
+    /// Total ordering key. At one timestamp, deliveries fire before timers
+    /// (an endpoint sees input before its co-scheduled timeout, matching
+    /// real stacks), deliveries order by send sequence, and timer A fires
+    /// before timer B — exactly the tie-breaks of the original
+    /// two-endpoint loop.
+    fn key(&self) -> (SimTime, u8, u64, u64) {
         match &self.kind {
-            EventKind::Delivery { seq, .. } => (self.at, self.session, 0, *seq, 0),
-            EventKind::Timer { side, epoch } => {
-                (self.at, self.session, 1, side.idx() as u64, *epoch)
-            }
+            EventKind::Delivery { seq, .. } => (self.at, 0, *seq, 0),
+            EventKind::Timer { side, epoch } => (self.at, 1, side.idx() as u64, *epoch),
         }
     }
 }
@@ -173,6 +164,8 @@ struct Session<'e> {
     wire: Wire,
     limits: ExchangeLimits,
     rng: SimRng,
+    /// This session's pending deliveries and timers.
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
     trace: Vec<TraceEvent>,
     /// Simulated time of the session's last processed event.
     now: SimTime,
@@ -219,7 +212,7 @@ impl Session<'_> {
     }
 }
 
-/// A batch of independent two-endpoint sessions scheduled on one event heap.
+/// A batch of independent two-endpoint sessions, run one at a time.
 ///
 /// ```
 /// use quicert_netsim::{SimNet, SimRng, Wire, ExchangeLimits, SimDuration};
@@ -245,7 +238,6 @@ impl Session<'_> {
 #[derive(Default)]
 pub struct SimNet<'e> {
     sessions: Vec<Session<'e>>,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
     /// Shared scratch buffer endpoints write their transmissions into.
     outbox: Vec<Datagram>,
 }
@@ -254,7 +246,6 @@ impl fmt::Debug for SimNet<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("sessions", &self.sessions.len())
-            .field("queued_events", &self.queue.len())
             .finish()
     }
 }
@@ -269,7 +260,6 @@ impl<'e> SimNet<'e> {
     pub fn with_capacity(sessions: usize) -> Self {
         SimNet {
             sessions: Vec::with_capacity(sessions),
-            queue: BinaryHeap::new(),
             outbox: Vec::new(),
         }
     }
@@ -287,7 +277,7 @@ impl<'e> SimNet<'e> {
     /// Add one session: endpoint `a` initiates toward endpoint `b` over
     /// `wire`. Both `start` hooks run immediately at `SimTime::ZERO` — every
     /// session lives on its own virtual timeline starting at zero,
-    /// regardless of when it is added or how the batch interleaves.
+    /// regardless of when it is added.
     pub fn add_session(
         &mut self,
         a: Box<dyn Endpoint + 'e>,
@@ -296,7 +286,6 @@ impl<'e> SimNet<'e> {
         limits: ExchangeLimits,
         rng: SimRng,
     ) -> SessionId {
-        let idx = self.sessions.len();
         let faults_before = (
             wire.fault_a_to_b.drops() + wire.fault_b_to_a.drops(),
             wire.fault_a_to_b.corruptions() + wire.fault_b_to_a.corruptions(),
@@ -308,6 +297,7 @@ impl<'e> SimNet<'e> {
             wire,
             limits,
             rng,
+            queue: BinaryHeap::new(),
             trace: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -321,26 +311,12 @@ impl<'e> SimNet<'e> {
             quiesced: false,
         };
         sess.a.start(SimTime::ZERO, &mut self.outbox);
-        enqueue_outbox(
-            &mut sess,
-            idx,
-            Direction::AtoB,
-            SimTime::ZERO,
-            &mut self.outbox,
-            &mut self.queue,
-        );
+        sess.enqueue_outbox(Direction::AtoB, SimTime::ZERO, &mut self.outbox);
         sess.b.start(SimTime::ZERO, &mut self.outbox);
-        enqueue_outbox(
-            &mut sess,
-            idx,
-            Direction::BtoA,
-            SimTime::ZERO,
-            &mut self.outbox,
-            &mut self.queue,
-        );
-        sync_timers_and_check(&mut sess, idx, &mut self.queue);
+        sess.enqueue_outbox(Direction::BtoA, SimTime::ZERO, &mut self.outbox);
+        sess.sync_timers_and_check();
         self.sessions.push(sess);
-        SessionId(idx)
+        SessionId(self.sessions.len() - 1)
     }
 
     /// Whether a session has finished (quiesced or hit a limit).
@@ -353,85 +329,16 @@ impl<'e> SimNet<'e> {
         &self.sessions[id.0].wire
     }
 
-    /// Drive every session until it quiesces or hits its limits.
-    ///
-    /// Events across sessions interleave in global timestamp order, but
-    /// since sessions share no state, each session's outcome is identical
-    /// to running it alone.
+    /// Drive every session, one after the other, until it quiesces or hits
+    /// its limits.
     pub fn run(&mut self) {
         let mut events_processed = 0u64;
         let mut timer_events = 0u64;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            let s = ev.session;
-            let sess = &mut self.sessions[s];
-            if sess.finished {
-                continue;
-            }
-            if let EventKind::Timer { side, epoch } = ev.kind {
-                if sess.timer_epoch[side.idx()] != epoch {
-                    continue;
-                }
-            }
-            // The first live event of a session is its earliest pending
-            // activity; past the deadline the session stops un-advanced,
-            // exactly like the two-endpoint loop.
-            if ev.at > sess.limits.deadline {
-                sess.quiesced = sess.both_done();
-                sess.finished = true;
-                continue;
-            }
-            sess.now = ev.at;
-            sess.events += 1;
-            events_processed += 1;
-            if matches!(ev.kind, EventKind::Timer { .. }) {
-                timer_events += 1;
-            }
-            match ev.kind {
-                EventKind::Delivery {
-                    direction, dgram, ..
-                } => {
-                    sess.pending_deliveries -= 1;
-                    let reply_dir = match direction {
-                        Direction::AtoB => {
-                            sess.b.on_datagram(&dgram, ev.at, &mut self.outbox);
-                            Direction::BtoA
-                        }
-                        Direction::BtoA => {
-                            sess.a.on_datagram(&dgram, ev.at, &mut self.outbox);
-                            Direction::AtoB
-                        }
-                    };
-                    enqueue_outbox(sess, s, reply_dir, ev.at, &mut self.outbox, &mut self.queue);
-                }
-                EventKind::Timer { side, .. } => {
-                    // This slot's event is consumed: clear the target so a
-                    // re-armed deadline (even an identical one) gets a
-                    // fresh queue entry.
-                    sess.timer_target[side.idx()] = None;
-                    sess.timer_epoch[side.idx()] += 1;
-                    let direction = match side {
-                        Side::A => {
-                            sess.a.on_timer(ev.at, &mut self.outbox);
-                            Direction::AtoB
-                        }
-                        Side::B => {
-                            sess.b.on_timer(ev.at, &mut self.outbox);
-                            Direction::BtoA
-                        }
-                    };
-                    enqueue_outbox(sess, s, direction, ev.at, &mut self.outbox, &mut self.queue);
-                }
-            }
-            sync_timers_and_check(sess, s, &mut self.queue);
-        }
-        debug_assert!(
-            self.sessions.iter().all(|s| s.finished),
-            "event heap drained with unfinished sessions"
-        );
-        // One batched flush to the global registry per run: the per-event
-        // path above only touches locals.
         let (mut drops, mut corruptions, mut duplications) = (0u64, 0u64, 0u64);
         for sess in &mut self.sessions {
+            let (events, timers) = sess.run(&mut self.outbox);
+            events_processed += events;
+            timer_events += timers;
             if !sess.metrics_flushed {
                 drops += sess.fault_drops();
                 corruptions += sess.fault_corruptions();
@@ -439,6 +346,8 @@ impl<'e> SimNet<'e> {
                 sess.metrics_flushed = true;
             }
         }
+        // One batched flush to the global registry per run: the per-event
+        // path only touches locals.
         let metrics = net_metrics();
         metrics.events.add(events_processed);
         metrics.timer_fires.add(timer_events);
@@ -481,148 +390,178 @@ impl<'e> SimNet<'e> {
     }
 }
 
-/// Offer every datagram in `outbox` to the session's wire: apply the fault
-/// injector, then the link model, queueing deliveries and recording one
-/// [`TraceEvent`] per datagram. RNG draw order matches the pre-`SimNet`
-/// loop exactly (fault first, then link).
-fn enqueue_outbox(
-    sess: &mut Session<'_>,
-    session_idx: usize,
-    direction: Direction,
-    now: SimTime,
-    outbox: &mut Vec<Datagram>,
-    queue: &mut BinaryHeap<Reverse<QueuedEvent>>,
-) {
-    for mut dgram in outbox.drain(..) {
-        dgram.sent_at = now;
-        let (link, fault) = match direction {
-            Direction::AtoB => (&sess.wire.a_to_b, &mut sess.wire.fault_a_to_b),
-            Direction::BtoA => (&sess.wire.b_to_a, &mut sess.wire.fault_b_to_a),
-        };
-        let payload_len = dgram.payload_len();
+impl Session<'_> {
+    /// Drive this session until it quiesces or hits its limits; returns
+    /// the events and, of those, the timer events it processed.
+    fn run(&mut self, outbox: &mut Vec<Datagram>) -> (u64, u64) {
+        let (mut events, mut timers) = (0u64, 0u64);
+        while !self.finished {
+            let Some(Reverse(ev)) = self.queue.pop() else {
+                debug_assert!(false, "event queue drained with the session unfinished");
+                break;
+            };
+            if let EventKind::Timer { side, epoch } = ev.kind {
+                if self.timer_epoch[side.idx()] != epoch {
+                    continue;
+                }
+            }
+            // The first live event is the session's earliest pending
+            // activity; past the deadline the session stops un-advanced,
+            // exactly like the two-endpoint loop.
+            if ev.at > self.limits.deadline {
+                self.quiesced = self.both_done();
+                self.finished = true;
+                break;
+            }
+            self.now = ev.at;
+            self.events += 1;
+            events += 1;
+            let direction = match ev.kind {
+                EventKind::Delivery {
+                    direction, dgram, ..
+                } => {
+                    self.pending_deliveries -= 1;
+                    match direction {
+                        Direction::AtoB => self.b.on_datagram(&dgram, ev.at, outbox),
+                        Direction::BtoA => self.a.on_datagram(&dgram, ev.at, outbox),
+                    }
+                    direction.flip()
+                }
+                EventKind::Timer { side, .. } => {
+                    timers += 1;
+                    // This slot's event is consumed: clear the target so a
+                    // re-armed deadline (even an identical one) gets a
+                    // fresh queue entry.
+                    self.timer_target[side.idx()] = None;
+                    self.timer_epoch[side.idx()] += 1;
+                    match side {
+                        Side::A => {
+                            self.a.on_timer(ev.at, outbox);
+                            Direction::AtoB
+                        }
+                        Side::B => {
+                            self.b.on_timer(ev.at, outbox);
+                            Direction::BtoA
+                        }
+                    }
+                }
+            };
+            self.enqueue_outbox(direction, ev.at, outbox);
+            self.sync_timers_and_check();
+        }
+        // Whatever is still queued (a limit was hit) will never fire.
+        self.queue = BinaryHeap::new();
+        (events, timers)
+    }
 
-        // RNG draw order: fault first, then (optional) duplication, then
-        // one link draw per copy — injectors with every chance at zero
-        // leave the stream untouched, exactly as before.
-        let survived = fault.apply(&mut sess.rng, dgram);
-        let duplicate = match &survived {
-            Some(dgram) => fault.maybe_duplicate(&mut sess.rng).then(|| dgram.clone()),
-            None => None,
-        };
-        let outcome = match survived {
-            None => Err(DropReason::Fault),
-            Some(dgram) => deliver_via_link(
-                link,
-                &mut sess.rng,
-                &mut sess.seq,
-                &mut sess.pending_deliveries,
-                queue,
-                session_idx,
-                direction,
-                now,
-                dgram,
-            ),
-        };
-        sess.trace.push(TraceEvent {
-            sent_at: now,
-            direction,
-            payload_len,
-            outcome,
-        });
-        if let Some(dgram) = duplicate {
+    /// Offer every datagram in `outbox` to the wire: apply the fault
+    /// injector, then the link model, queueing deliveries and recording one
+    /// [`TraceEvent`] per datagram. RNG draw order matches the pre-`SimNet`
+    /// loop exactly (fault first, then link).
+    fn enqueue_outbox(&mut self, direction: Direction, now: SimTime, outbox: &mut Vec<Datagram>) {
+        for mut dgram in outbox.drain(..) {
+            dgram.sent_at = now;
+            let fault = match direction {
+                Direction::AtoB => &mut self.wire.fault_a_to_b,
+                Direction::BtoA => &mut self.wire.fault_b_to_a,
+            };
             let payload_len = dgram.payload_len();
-            let outcome = deliver_via_link(
-                link,
-                &mut sess.rng,
-                &mut sess.seq,
-                &mut sess.pending_deliveries,
-                queue,
-                session_idx,
-                direction,
-                now,
-                dgram,
-            );
-            sess.trace.push(TraceEvent {
+
+            // RNG draw order: fault first, then (optional) duplication, then
+            // one link draw per copy — injectors with every chance at zero
+            // leave the stream untouched, exactly as before.
+            let survived = fault.apply(&mut self.rng, dgram);
+            let duplicate = match &survived {
+                Some(dgram) => fault.maybe_duplicate(&mut self.rng).then(|| dgram.clone()),
+                None => None,
+            };
+            let outcome = match survived {
+                None => Err(DropReason::Fault),
+                Some(dgram) => self.deliver_via_link(direction, now, dgram),
+            };
+            self.trace.push(TraceEvent {
                 sent_at: now,
                 direction,
                 payload_len,
                 outcome,
             });
-        }
-    }
-}
-
-/// Offer one surviving datagram to the link model, queueing its delivery
-/// on arrival. Shared by the primary and the duplicated copy so both take
-/// identical scheduling (and RNG) paths.
-#[allow(clippy::too_many_arguments)]
-fn deliver_via_link(
-    link: &LinkModel,
-    rng: &mut SimRng,
-    seq: &mut u64,
-    pending_deliveries: &mut usize,
-    queue: &mut BinaryHeap<Reverse<QueuedEvent>>,
-    session_idx: usize,
-    direction: Direction,
-    now: SimTime,
-    dgram: Datagram,
-) -> Result<SimTime, DropReason> {
-    match link.deliver(rng, &dgram, now) {
-        Delivery::Arrives(at) => {
-            *seq += 1;
-            queue.push(Reverse(QueuedEvent {
-                at,
-                session: session_idx,
-                kind: EventKind::Delivery {
-                    seq: *seq,
+            if let Some(dgram) = duplicate {
+                let payload_len = dgram.payload_len();
+                let outcome = self.deliver_via_link(direction, now, dgram);
+                self.trace.push(TraceEvent {
+                    sent_at: now,
                     direction,
-                    dgram,
-                },
-            }));
-            *pending_deliveries += 1;
-            Ok(at)
-        }
-        Delivery::LostRandom => Err(DropReason::Loss),
-        Delivery::LostMtu(size) => Err(DropReason::Mtu(size)),
-    }
-}
-
-/// Re-poll both endpoints' timers (pushing fresh events for changed
-/// deadlines) and apply the session termination rules: the event budget
-/// first — exhausting `max_events` reports `quiesced: false` exactly like
-/// the old loop's runaway guard — then quiescence when nothing is in
-/// flight and no timer is armed.
-fn sync_timers_and_check(
-    sess: &mut Session<'_>,
-    session_idx: usize,
-    queue: &mut BinaryHeap<Reverse<QueuedEvent>>,
-) {
-    for (i, side) in [Side::A, Side::B].into_iter().enumerate() {
-        let next = match side {
-            Side::A => sess.a.next_timer(),
-            Side::B => sess.b.next_timer(),
-        };
-        if sess.timer_target[i] != next {
-            sess.timer_target[i] = next;
-            sess.timer_epoch[i] += 1;
-            if let Some(at) = next {
-                queue.push(Reverse(QueuedEvent {
-                    at,
-                    session: session_idx,
-                    kind: EventKind::Timer {
-                        side,
-                        epoch: sess.timer_epoch[i],
-                    },
-                }));
+                    payload_len,
+                    outcome,
+                });
             }
         }
     }
-    if sess.events >= sess.limits.max_events {
-        sess.quiesced = false;
-        sess.finished = true;
-    } else if sess.pending_deliveries == 0 && sess.timer_target == [None, None] {
-        sess.quiesced = sess.both_done();
-        sess.finished = true;
+
+    /// Offer one surviving datagram to the link model, queueing its
+    /// delivery on arrival. Shared by the primary and the duplicated copy
+    /// so both take identical scheduling (and RNG) paths.
+    fn deliver_via_link(
+        &mut self,
+        direction: Direction,
+        now: SimTime,
+        dgram: Datagram,
+    ) -> Result<SimTime, DropReason> {
+        let link = match direction {
+            Direction::AtoB => &self.wire.a_to_b,
+            Direction::BtoA => &self.wire.b_to_a,
+        };
+        match link.deliver(&mut self.rng, &dgram, now) {
+            Delivery::Arrives(at) => {
+                self.seq += 1;
+                self.queue.push(Reverse(QueuedEvent {
+                    at,
+                    kind: EventKind::Delivery {
+                        seq: self.seq,
+                        direction,
+                        dgram,
+                    },
+                }));
+                self.pending_deliveries += 1;
+                Ok(at)
+            }
+            Delivery::LostRandom => Err(DropReason::Loss),
+            Delivery::LostMtu(size) => Err(DropReason::Mtu(size)),
+        }
+    }
+
+    /// Re-poll both endpoints' timers (pushing fresh events for changed
+    /// deadlines) and apply the session termination rules: the event
+    /// budget first — exhausting `max_events` reports `quiesced: false`
+    /// exactly like the old loop's runaway guard — then quiescence when
+    /// nothing is in flight and no timer is armed.
+    fn sync_timers_and_check(&mut self) {
+        for (i, side) in [Side::A, Side::B].into_iter().enumerate() {
+            let next = match side {
+                Side::A => self.a.next_timer(),
+                Side::B => self.b.next_timer(),
+            };
+            if self.timer_target[i] != next {
+                self.timer_target[i] = next;
+                self.timer_epoch[i] += 1;
+                if let Some(at) = next {
+                    self.queue.push(Reverse(QueuedEvent {
+                        at,
+                        kind: EventKind::Timer {
+                            side,
+                            epoch: self.timer_epoch[i],
+                        },
+                    }));
+                }
+            }
+        }
+        if self.events >= self.limits.max_events {
+            self.quiesced = false;
+            self.finished = true;
+        } else if self.pending_deliveries == 0 && self.timer_target == [None, None] {
+            self.quiesced = self.both_done();
+            self.finished = true;
+        }
     }
 }
 

@@ -6,20 +6,18 @@
 //! reassembles the TLS handshake, and finishes with its Handshake-level
 //! Finished message.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use quicert_compress::Algorithm;
 use quicert_netsim::{Datagram, Endpoint, SimDuration, SimTime};
 use quicert_tls::{
-    client_hello, parse_new_session_ticket, server_hello_accepted_psk, ClientHelloParams,
-    NewSessionTicket, PskOffer,
+    client_hello_into, parse_new_session_ticket, server_hello_accepted_psk, NewSessionTicket,
+    PskOffer,
 };
 
-use crate::frame::Frame;
-use crate::packet::{
-    assemble_datagram, parse_datagram, ConnectionId, Packet, PacketType, QUIC_MIN_INITIAL_SIZE,
-};
+use crate::frame::FrameRef;
+use crate::packet::{parse_datagram_ref, ConnectionId, Header, PacketType, QUIC_MIN_INITIAL_SIZE};
+use crate::reassembly::{handshake_messages, CryptoStream};
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -79,9 +77,9 @@ pub struct ClientConn {
     initial_pn: u64,
     handshake_pn: u64,
     // Reassembly buffers per encryption level.
-    initial_rx: BTreeMap<u64, Vec<u8>>,
-    handshake_rx: BTreeMap<u64, Vec<u8>>,
-    onertt_rx: BTreeMap<u64, Vec<u8>>,
+    initial_rx: CryptoStream,
+    handshake_rx: CryptoStream,
+    onertt_rx: CryptoStream,
     largest_initial_rx: Option<u64>,
     largest_handshake_rx: Option<u64>,
     got_server_hello: bool,
@@ -122,9 +120,9 @@ impl ClientConn {
             token: Vec::new(),
             initial_pn: 0,
             handshake_pn: 0,
-            initial_rx: BTreeMap::new(),
-            handshake_rx: BTreeMap::new(),
-            onertt_rx: BTreeMap::new(),
+            initial_rx: CryptoStream::default(),
+            handshake_rx: CryptoStream::default(),
+            onertt_rx: CryptoStream::default(),
             largest_initial_rx: None,
             largest_handshake_rx: None,
             got_server_hello: false,
@@ -158,36 +156,31 @@ impl ClientConn {
     }
 
     fn initial_datagram(&mut self) -> Vec<u8> {
-        let ch = client_hello(&ClientHelloParams {
-            server_name: self.config.server_name.clone(),
-            compression: self.config.compression.clone(),
-            psk: self.config.psk.clone(),
-            seed: self.config.seed,
-        });
-        let mut pkt = Packet::new(
-            PacketType::Initial,
-            self.dcid.clone(),
-            self.scid.clone(),
-            self.next_initial_pn(),
-            vec![Frame::Crypto {
-                offset: 0,
-                data: ch,
-            }],
+        let mut ch = Vec::with_capacity(512);
+        client_hello_into(
+            &mut ch,
+            &self.config.server_name,
+            &self.config.compression,
+            self.config.psk.as_ref(),
+            self.config.seed,
         );
-        pkt.token = self.token.clone();
-        assemble_datagram(vec![pkt], Some(self.config.initial_size))
-    }
-
-    fn next_initial_pn(&mut self) -> u64 {
-        let pn = self.initial_pn;
+        let header = Header {
+            ty: PacketType::Initial,
+            dcid: &self.dcid,
+            scid: &self.scid,
+            token: &self.token,
+            number: self.initial_pn,
+        };
+        let frames = [FrameRef::Crypto {
+            offset: 0,
+            data: &ch,
+        }];
+        let unpadded = header.encoded_len(frames);
+        let size = self.config.initial_size.max(unpadded);
+        let mut dgram = Vec::with_capacity(size);
+        header.encode_into(&mut dgram, frames, size - unpadded);
         self.initial_pn += 1;
-        pn
-    }
-
-    fn next_handshake_pn(&mut self) -> u64 {
-        let pn = self.handshake_pn;
-        self.handshake_pn += 1;
-        pn
+        dgram
     }
 
     fn send(&mut self, payload: Vec<u8>, out: &mut Vec<Datagram>) {
@@ -204,74 +197,39 @@ impl ClientConn {
         ));
     }
 
-    fn contiguous(buffer: &BTreeMap<u64, Vec<u8>>) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut next = 0u64;
-        for (&off, data) in buffer {
-            if off > next {
-                break;
-            }
-            let skip = (next - off) as usize;
-            if skip < data.len() {
-                out.extend_from_slice(&data[skip..]);
-                next = off + data.len() as u64;
-            }
-        }
-        out
-    }
-
-    /// Split a byte stream into complete TLS handshake messages.
-    /// Incomplete trailing data is ignored.
-    fn messages(stream: &[u8]) -> Vec<&[u8]> {
-        let mut msgs = Vec::new();
-        let mut pos = 0usize;
-        while stream.len() >= pos + 4 {
-            let len = ((stream[pos + 1] as usize) << 16)
-                | ((stream[pos + 2] as usize) << 8)
-                | stream[pos + 3] as usize;
-            if stream.len() < pos + 4 + len {
-                break;
-            }
-            msgs.push(&stream[pos..pos + 4 + len]);
-            pos += 4 + len;
-        }
-        msgs
-    }
-
-    /// Parse complete TLS handshake messages from a byte stream, returning
-    /// their types. Incomplete trailing data is ignored.
-    fn message_types(stream: &[u8]) -> Vec<u8> {
-        Self::messages(stream).iter().map(|m| m[0]).collect()
-    }
-
     fn check_progress(&mut self, now: SimTime) {
         if !self.got_server_hello {
-            let stream = Self::contiguous(&self.initial_rx);
-            for msg in Self::messages(&stream) {
-                if msg[0] == 2 {
-                    self.got_server_hello = true;
-                    // A resumed handshake is signalled by the ServerHello's
-                    // pre_shared_key extension (only meaningful when we
-                    // actually offered one).
-                    self.psk_accepted = self.config.psk.is_some() && server_hello_accepted_psk(msg);
-                    break;
-                }
+            let server_hello =
+                handshake_messages(self.initial_rx.contiguous()).find(|msg| msg[0] == 2);
+            if let Some(msg) = server_hello {
+                self.got_server_hello = true;
+                // A resumed handshake is signalled by the ServerHello's
+                // pre_shared_key extension (only meaningful when we
+                // actually offered one).
+                self.psk_accepted = self.config.psk.is_some() && server_hello_accepted_psk(msg);
             }
         }
         if self.got_server_hello && !self.handshake_messages_done {
-            let stream = Self::contiguous(&self.handshake_rx);
-            let types = Self::message_types(&stream);
             // Cold path: EncryptedExtensions(8), Certificate(11)/
             // Compressed(25), CertificateVerify(15), Finished(20). A
             // resumed flight omits certificate authentication entirely, so
             // EE + Finished complete it.
-            let certs_done = self.psk_accepted
-                || ((types.contains(&11) || types.contains(&25)) && types.contains(&15));
+            let (mut extensions, mut certificate, mut verify, mut finished) =
+                (false, false, false, false);
+            for msg in handshake_messages(self.handshake_rx.contiguous()) {
+                match msg[0] {
+                    8 => extensions = true,
+                    11 | 25 => certificate = true,
+                    15 => verify = true,
+                    20 => finished = true,
+                    _ => {}
+                }
+            }
+            let certs_done = self.psk_accepted || (certificate && verify);
             if certs_done && self.cert_flight_at.is_none() {
                 self.cert_flight_at = Some(now);
             }
-            let done = types.contains(&8) && certs_done && types.contains(&20);
-            if done {
+            if extensions && certs_done && finished {
                 self.handshake_messages_done = true;
                 if self.completed_at.is_none() {
                     self.completed_at = Some(now);
@@ -279,63 +237,83 @@ impl ClientConn {
             }
         }
         if self.ticket.is_none() {
-            let stream = Self::contiguous(&self.onertt_rx);
-            self.ticket = Self::messages(&stream)
-                .into_iter()
-                .find_map(parse_new_session_ticket);
+            self.ticket =
+                handshake_messages(self.onertt_rx.contiguous()).find_map(parse_new_session_ticket);
         }
     }
 
+    /// The datagram acknowledging everything received so far (plus our
+    /// Finished once the server's flight is complete); empty when there is
+    /// nothing to acknowledge.
     fn build_acks(&mut self) -> Vec<u8> {
-        let server_cid = self.server_cid.clone().unwrap_or_else(|| self.dcid.clone());
-        let mut packets = Vec::new();
-        if let Some(largest) = self.largest_initial_rx {
-            packets.push(Packet::new(
-                PacketType::Initial,
-                server_cid.clone(),
-                self.scid.clone(),
-                self.next_initial_pn(),
-                vec![Frame::Ack {
+        /// Client Finished: 4-byte header + 32-byte verify data.
+        const FINISHED: [u8; 36] = {
+            let mut fin = [0xF1; 36];
+            (fin[0], fin[1], fin[2], fin[3]) = (20, 0, 0, 32);
+            fin
+        };
+        let server_cid = self.server_cid.as_ref().unwrap_or(&self.dcid);
+        let send_fin = self.handshake_messages_done && !self.fin_sent;
+        // One packet per encryption level that has something to
+        // acknowledge; the Handshake one also carries our Finished.
+        let packet = |ty, number, largest: Option<u64>, fin: bool| {
+            largest.map(|largest| {
+                let header = Header {
+                    ty,
+                    dcid: server_cid,
+                    scid: &self.scid,
+                    token: &[],
+                    number,
+                };
+                let ack = FrameRef::Ack {
                     largest,
                     delay: 0,
                     first_range: largest,
-                }],
-            ));
-        }
-        if let Some(largest) = self.largest_handshake_rx {
-            let mut frames = vec![Frame::Ack {
-                largest,
-                delay: 0,
-                first_range: largest,
-            }];
-            if self.handshake_messages_done && !self.fin_sent {
-                // Client Finished: 4-byte header + 32-byte verify data.
-                let mut fin = vec![20u8, 0, 0, 32];
-                fin.extend_from_slice(&[0xF1; 32]);
-                frames.push(Frame::Crypto {
+                };
+                let fin = fin.then_some(FrameRef::Crypto {
                     offset: 0,
-                    data: fin,
+                    data: &FINISHED,
                 });
-                self.fin_sent = true;
-            }
-            packets.push(Packet::new(
+                (header, [Some(ack), fin])
+            })
+        };
+        let packets = [
+            packet(
+                PacketType::Initial,
+                self.initial_pn,
+                self.largest_initial_rx,
+                false,
+            ),
+            packet(
                 PacketType::Handshake,
-                server_cid,
-                self.scid.clone(),
-                self.next_handshake_pn(),
-                frames,
-            ));
-        }
-        if packets.is_empty() {
-            return Vec::new();
-        }
-        // Client datagrams containing Initial packets must be padded
-        // (RFC 9000 §14.1).
-        let pad = packets
+                self.handshake_pn,
+                self.largest_handshake_rx,
+                send_fin,
+            ),
+        ];
+        let unpadded: usize = packets
             .iter()
-            .any(|p| p.ty == PacketType::Initial)
-            .then_some(QUIC_MIN_INITIAL_SIZE);
-        assemble_datagram(packets, pad)
+            .flatten()
+            .map(|(header, frames)| header.encoded_len(frames.iter().flatten().copied()))
+            .sum();
+        // Client datagrams containing Initial packets must be padded
+        // (RFC 9000 §14.1), inside the envelope of the last packet.
+        let size = if packets[0].is_some() {
+            QUIC_MIN_INITIAL_SIZE.max(unpadded)
+        } else {
+            unpadded
+        };
+        let mut dgram = Vec::with_capacity(size);
+        let last = packets.iter().flatten().count().saturating_sub(1);
+        for (i, (header, frames)) in packets.iter().flatten().enumerate() {
+            let padding = if i == last { size - unpadded } else { 0 };
+            header.encode_into(&mut dgram, frames.iter().flatten().copied(), padding);
+        }
+        let [sent_initial, sent_handshake] = packets.map(|packet| packet.is_some());
+        self.initial_pn += u64::from(sent_initial);
+        self.handshake_pn += u64::from(sent_handshake);
+        self.fin_sent |= sent_handshake && send_fin;
+        dgram
     }
 }
 
@@ -348,7 +326,7 @@ impl Endpoint for ClientConn {
     }
 
     fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
-        let Some(packets) = parse_datagram(&dgram.payload) else {
+        let Some(packets) = parse_datagram_ref(&dgram.payload) else {
             return;
         };
         let mut saw_ack_eliciting = false;
@@ -357,46 +335,32 @@ impl Endpoint for ClientConn {
                 PacketType::Retry => {
                     if !self.saw_retry {
                         self.saw_retry = true;
-                        self.token = pkt.token.clone();
+                        self.token = pkt.token.to_vec();
                         self.server_cid = Some(pkt.scid.clone());
                         // Restart with the token; the Retry resets the
                         // connection state.
                         self.initial_rx.clear();
                         self.largest_initial_rx = None;
-                        self.dcid = pkt.scid.clone();
+                        self.dcid = pkt.scid;
                         if self.config.send_acks {
                             let dgram = self.initial_datagram();
                             self.send(dgram, out);
                         }
                     }
                 }
-                PacketType::Initial => {
-                    self.server_cid = Some(pkt.scid.clone());
-                    self.largest_initial_rx = Some(
-                        self.largest_initial_rx
-                            .map_or(pkt.number, |l| l.max(pkt.number)),
-                    );
-                    for frame in &pkt.frames {
-                        if let Frame::Crypto { offset, data } = frame {
-                            self.initial_rx.insert(*offset, data.clone());
+                PacketType::Initial | PacketType::Handshake => {
+                    let (largest_rx, rx) = if pkt.ty == PacketType::Initial {
+                        self.server_cid = Some(pkt.scid);
+                        (&mut self.largest_initial_rx, &mut self.initial_rx)
+                    } else {
+                        (&mut self.largest_handshake_rx, &mut self.handshake_rx)
+                    };
+                    *largest_rx = Some(largest_rx.map_or(pkt.number, |l| l.max(pkt.number)));
+                    for frame in pkt.frames {
+                        if let FrameRef::Crypto { offset, data } = frame {
+                            rx.insert(offset, data);
                         }
-                    }
-                    if pkt.frames.iter().any(|f| f.is_ack_eliciting()) {
-                        saw_ack_eliciting = true;
-                    }
-                }
-                PacketType::Handshake => {
-                    self.largest_handshake_rx = Some(
-                        self.largest_handshake_rx
-                            .map_or(pkt.number, |l| l.max(pkt.number)),
-                    );
-                    for frame in &pkt.frames {
-                        if let Frame::Crypto { offset, data } = frame {
-                            self.handshake_rx.insert(*offset, data.clone());
-                        }
-                    }
-                    if pkt.frames.iter().any(|f| f.is_ack_eliciting()) {
-                        saw_ack_eliciting = true;
+                        saw_ack_eliciting |= frame.is_ack_eliciting();
                     }
                 }
                 PacketType::OneRtt => {
@@ -404,9 +368,9 @@ impl Endpoint for ClientConn {
                     // but never acknowledged at our abstraction level, so
                     // the cold wire exchange is unchanged when no ticket
                     // arrives.
-                    for frame in &pkt.frames {
-                        if let Frame::Crypto { offset, data } = frame {
-                            self.onertt_rx.insert(*offset, data.clone());
+                    for frame in pkt.frames {
+                        if let FrameRef::Crypto { offset, data } = frame {
+                            self.onertt_rx.insert(offset, data);
                         }
                     }
                 }
@@ -527,7 +491,7 @@ mod tests {
             ));
             let dgram = client.initial_datagram();
             assert_eq!(dgram.len(), size);
-            let parsed = parse_datagram(&dgram).unwrap();
+            let parsed: Vec<_> = parse_datagram_ref(&dgram).unwrap().collect();
             assert_eq!(parsed.len(), 1);
             assert_eq!(parsed[0].ty, PacketType::Initial);
         }
@@ -537,7 +501,8 @@ mod tests {
     fn message_type_parser_handles_partial_messages() {
         let mut stream = vec![8u8, 0, 0, 2, 0xAA, 0xBB]; // complete EE
         stream.extend_from_slice(&[11, 0, 0, 100, 1, 2, 3]); // truncated CERT
-        assert_eq!(ClientConn::message_types(&stream), vec![8]);
+        let types: Vec<u8> = handshake_messages(&stream).map(|m| m[0]).collect();
+        assert_eq!(types, vec![8]);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use quicert_netsim::event::Direction;
 use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeOutcome, SessionId, SimDuration,
-    SimNet, SimRng, SimTime, Wire,
+    run_exchange, Datagram, ExchangeLimits, ExchangeOutcome, SimDuration, SimRng, SimTime, Wire,
 };
 use quicert_obs::HandshakeTimeline;
 use quicert_session::{SessionCache, SessionTicket};
@@ -44,33 +43,6 @@ fn spoofed_limits() -> ExchangeLimits {
         deadline: SimTime::ZERO + SimDuration::from_secs(300),
         max_events: 100_000,
     }
-}
-
-/// Drive N borrowed endpoint pairs as sessions of one [`SimNet`] and hand
-/// back each session's `(outcome, wire)` in input order. Shared by both
-/// batch drivers so the wire/RNG threading can never diverge between the
-/// handshake and spoofed paths.
-fn drive_sessions<A: Endpoint, B: Endpoint>(
-    initiators: &mut [A],
-    responders: &mut [B],
-    wires: Vec<Wire>,
-    rngs: Vec<SimRng>,
-    limits: ExchangeLimits,
-) -> Vec<(ExchangeOutcome, Wire)> {
-    let mut net = SimNet::with_capacity(initiators.len());
-    let ids: Vec<SessionId> = initiators
-        .iter_mut()
-        .zip(responders.iter_mut())
-        .zip(wires.into_iter().zip(rngs))
-        .map(|((a, b), (wire, rng))| net.add_session(Box::new(a), Box::new(b), wire, limits, rng))
-        .collect();
-    net.run();
-    ids.into_iter()
-        .map(|id| {
-            let (outcome, wire, _rng) = net.take_parts(id);
-            (outcome, wire)
-        })
-        .collect()
 }
 
 /// The handshake classes of §3.2 / §4.1.
@@ -194,23 +166,27 @@ fn extract_handshake_outcome(
     outcome: &ExchangeOutcome,
 ) -> HandshakeOutcome {
     // The first flight is everything the server sent before the client's
-    // second datagram arrived at the server.
+    // second datagram arrived at the server (all of it when that datagram
+    // was lost). Finding that arrival stops at the client's second send;
+    // one pass over the trace then takes every byte count.
     let second_client_arrival = outcome
         .trace
         .iter()
         .filter(|e| e.direction == Direction::AtoB)
         .nth(1)
         .and_then(|e| e.outcome.ok());
-    let first_flight_wire = outcome
-        .trace
-        .iter()
-        .filter(|e| e.direction == Direction::BtoA)
-        .filter(|e| match second_client_arrival {
-            Some(t2) => e.sent_at < t2,
-            None => true,
-        })
-        .map(|e| e.payload_len)
-        .sum();
+    let (mut first_flight_wire, mut total_server_wire, mut total_client_wire) = (0, 0, 0);
+    for e in &outcome.trace {
+        match e.direction {
+            Direction::AtoB => total_client_wire += e.payload_len,
+            Direction::BtoA => {
+                total_server_wire += e.payload_len;
+                if second_client_arrival.is_none_or(|t2| e.sent_at < t2) {
+                    first_flight_wire += e.payload_len;
+                }
+            }
+        }
+    }
 
     // A handshake completing at exactly one wire RTT is "1-RTT"; each
     // extra server round adds one RTT.
@@ -235,8 +211,8 @@ fn extract_handshake_outcome(
         used_retry: client.saw_retry,
         client_first_datagram: client.first_datagram_len,
         first_flight_wire,
-        total_server_wire: outcome.sent_bytes(Direction::BtoA),
-        total_client_wire: outcome.sent_bytes(Direction::AtoB),
+        total_server_wire,
+        total_client_wire,
         rtt_count,
         server_stats: *server.stats(),
         completed_at: client.completed_at,
@@ -262,9 +238,20 @@ pub fn run_handshake(
     wire: &mut Wire,
     seed: u64,
 ) -> HandshakeOutcome {
+    let rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
+    handshake(client_config, server_config, wire, rng)
+}
+
+/// One handshake attempt on its own RNG stream: build the endpoints, run
+/// them to quiescence, measure, drop them.
+fn handshake(
+    client_config: ClientConfig,
+    server_config: ServerConfig,
+    wire: &mut Wire,
+    mut rng: SimRng,
+) -> HandshakeOutcome {
     let mut client = ClientConn::new(client_config);
     let mut server = ServerConn::new(server_config);
-    let mut rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
     let outcome = run_exchange(&mut client, &mut server, wire, handshake_limits(), &mut rng);
     extract_handshake_outcome(&client, &server, wire, &outcome)
 }
@@ -284,14 +271,13 @@ pub struct HandshakeProbe {
     pub seed: u64,
 }
 
-/// Run a whole batch of handshake probes as sessions of one [`SimNet`],
-/// amortising the event heap and scratch buffers a per-probe loop would
-/// rebuild for every exchange.
+/// Run a whole batch of handshake probes, one [`run_handshake`] after the
+/// other.
 ///
-/// Each probe draws from its own RNG stream (`seed ^ label`, exactly like
-/// [`run_handshake`]) and owns its wire, so the returned outcomes are
-/// **bit-for-bit identical** to calling [`run_handshake`] once per probe —
-/// at any batch size. The determinism tests pin this equivalence.
+/// Each probe draws from its own RNG stream and owns its wire, and its
+/// endpoints live only while its session runs — so a batch costs per probe
+/// what one probe costs alone, and outcomes cannot depend on batch size or
+/// composition. The determinism tests pin that.
 pub fn run_handshake_batch(probes: Vec<HandshakeProbe>) -> Vec<HandshakeOutcome> {
     let mut probes = probes;
     let mut outcomes = Vec::with_capacity(probes.len());
@@ -305,30 +291,17 @@ pub fn run_handshake_batch(probes: Vec<HandshakeProbe>) -> Vec<HandshakeOutcome>
 ///
 /// This is the streaming scan pump's entry point — a worker folds millions
 /// of records through one pair of scratch vectors instead of building and
-/// dropping a fresh `Vec` per chunk. Outcomes are bit-for-bit those of
-/// [`run_handshake_batch`].
+/// dropping a fresh `Vec` per chunk.
 pub fn run_handshake_batch_into(
     probes: &mut Vec<HandshakeProbe>,
     outcomes: &mut Vec<HandshakeOutcome>,
 ) {
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    for probe in probes.drain(..) {
-        clients.push(ClientConn::new(probe.client));
-        servers.push(ServerConn::new(probe.server));
-        wires.push(probe.wire);
-        rngs.push(SimRng::new(probe.seed ^ HANDSHAKE_RNG_LABEL));
-    }
-
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    outcomes.reserve(parts.len());
-    outcomes.extend(parts.into_iter().zip(clients.iter().zip(&servers)).map(
-        |((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
-        },
-    ));
+    outcomes.reserve(probes.len());
+    outcomes.extend(
+        probes.drain(..).map(|mut probe| {
+            run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
+        }),
+    );
 }
 
 /// One probe of a batched cold-then-warm resumption scan: the first visit
@@ -369,9 +342,9 @@ pub struct ResumptionOutcome {
     pub offered_psk: bool,
 }
 
-/// Run a batch of resumption probes: all cold visits as sessions of one
-/// [`SimNet`], tickets collected into an LRU [`SessionCache`] keyed by SNI,
-/// then all warm visits as sessions of a second `SimNet`.
+/// Run a batch of resumption probes: all cold visits, tickets collected
+/// into an LRU [`SessionCache`] keyed by SNI, then all warm visits — each
+/// visit a handshake of its own, run to completion before the next.
 ///
 /// Every visit draws from its own RNG stream (`seed ^ label`) and owns its
 /// wire, so outcomes are bit-for-bit independent of batch composition —
@@ -397,24 +370,13 @@ pub fn run_resumption_batch(probes: Vec<ResumptionProbe>) -> Vec<ResumptionOutco
         }
     }
     // Phase 1: cold visits, tickets issued.
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    for probe in &probes {
-        let mut config = probe.client.clone();
-        config.psk = None;
-        clients.push(ClientConn::new(config));
-        servers.push(ServerConn::new(probe.server.clone()));
-        wires.push(probe.wire.clone());
-        rngs.push(SimRng::new(probe.seed ^ HANDSHAKE_RNG_LABEL));
-    }
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    let cold: Vec<HandshakeOutcome> = parts
-        .into_iter()
-        .zip(clients.iter().zip(&servers))
-        .map(|((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
+    let cold: Vec<HandshakeOutcome> = probes
+        .iter()
+        .map(|probe| {
+            let mut config = probe.client.clone();
+            config.psk = None;
+            let mut wire = probe.wire.clone();
+            run_handshake(config, probe.server.clone(), &mut wire, probe.seed)
         })
         .collect();
 
@@ -433,49 +395,34 @@ pub fn run_resumption_batch(probes: Vec<ResumptionProbe>) -> Vec<ResumptionOutco
         }
     }
 
-    // Phase 2: warm visits.
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    let mut offered = Vec::with_capacity(probes.len());
-    for probe in &probes {
-        let mut config = probe.client.clone();
-        config.seed ^= WARM_SEED_TWEAK;
-        config.psk = probe
-            .offer_ticket
-            .then(|| cache.lookup(&probe.client.server_name))
-            .flatten()
-            .map(|ticket| PskOffer {
-                identity: ticket.identity.clone(),
-                obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
-            });
-        offered.push(config.psk.is_some());
-        let mut server = probe.server.clone();
-        server.resumption = server
-            .resumption
-            .map(|host| host.revisited_at(probe.warm_now_secs));
-        clients.push(ClientConn::new(config));
-        servers.push(ServerConn::new(server));
-        wires.push(probe.warm_wire.clone());
-        rngs.push(SimRng::new(probe.seed ^ WARM_RNG_LABEL));
-    }
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    let warm: Vec<HandshakeOutcome> = parts
+    // Phase 2: warm visits; each takes over its probe's server
+    // configuration, chain and all.
+    probes
         .into_iter()
-        .zip(clients.iter().zip(&servers))
-        .map(|((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
-        })
-        .collect();
-
-    cold.into_iter()
-        .zip(warm)
-        .zip(offered)
-        .map(|((cold, warm), offered_psk)| ResumptionOutcome {
-            cold,
-            warm,
-            offered_psk,
+        .zip(cold)
+        .map(|(probe, cold)| {
+            let mut config = probe.client;
+            config.psk = probe
+                .offer_ticket
+                .then(|| cache.lookup(&config.server_name))
+                .flatten()
+                .map(|ticket| PskOffer {
+                    identity: ticket.identity.clone(),
+                    obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
+                });
+            let offered_psk = config.psk.is_some();
+            config.seed ^= WARM_SEED_TWEAK;
+            let mut server = probe.server;
+            server.resumption = server
+                .resumption
+                .map(|host| host.revisited_at(probe.warm_now_secs));
+            let mut wire = probe.warm_wire;
+            let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
+            ResumptionOutcome {
+                cold,
+                warm: handshake(config, server, &mut wire, rng),
+                offered_psk,
+            }
         })
         .collect()
 }
@@ -594,31 +541,20 @@ pub struct SpoofedProbe {
     pub seed: u64,
 }
 
-/// Run a batch of spoofed probes as sessions of one [`SimNet`]; outcomes
-/// are bit-for-bit identical to per-probe [`run_spoofed_probe`] calls in
-/// the same order, at any batch size.
+/// Run a batch of spoofed probes, one [`run_spoofed_probe`] after the
+/// other, outcomes in probe order.
 pub fn run_spoofed_probe_batch(probes: Vec<SpoofedProbe>) -> Vec<SpoofedOutcome> {
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    let mut sizes = Vec::with_capacity(probes.len());
-    for probe in probes {
-        let mut config = ClientConfig::scanner(probe.probe_size, probe.server_addr, probe.seed);
-        config.src = probe.spoofed_src;
-        clients.push(SilentClient::new(config));
-        servers.push(ServerConn::new(probe.server));
-        wires.push(probe.wire);
-        rngs.push(SimRng::new(probe.seed ^ SPOOFED_RNG_LABEL));
-        sizes.push(probe.probe_size);
-    }
-
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, spoofed_limits());
-    parts
+    probes
         .into_iter()
-        .zip(servers.iter().zip(sizes))
-        .map(|((outcome, _wire), (server, probe_size))| {
-            extract_spoofed_outcome(probe_size, server, &outcome)
+        .map(|mut probe| {
+            run_spoofed_probe(
+                probe.probe_size,
+                probe.spoofed_src,
+                probe.server_addr,
+                probe.server,
+                &mut probe.wire,
+                probe.seed,
+            )
         })
         .collect()
 }
@@ -648,6 +584,7 @@ mod tests {
     use super::*;
     use crate::server::ServerBehavior;
     use quicert_compress::Algorithm;
+    use quicert_netsim::Endpoint;
     use quicert_x509::{
         CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
         SignatureAlgorithm, SubjectPublicKeyInfo,

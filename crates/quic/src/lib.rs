@@ -16,14 +16,27 @@
 //!   unlimited retransmissions toward unverified clients (Meta's mvfst,
 //!   §4.3), and always-on Retry.
 //!
-//! Handshakes run over `quicert-netsim`'s event loop; all measurements are
-//! taken from the wire trace, mirroring the paper's passive viewpoint.
+//! Handshakes run over `quicert-netsim`'s event loop, one session to
+//! completion at a time; all measurements are taken from the wire trace,
+//! mirroring the paper's passive viewpoint.
+//!
+//! ## The data path
+//!
+//! Every flight byte is written once per hop. The sender keeps what TLS
+//! wrote and serialises packets around borrowed ranges of it, straight into
+//! the outgoing datagram ([`packet::Header::encode_into`]); the receiver
+//! parses that datagram in place ([`packet::parse_datagram_ref`] yields
+//! packets whose [`frame::FrameRef`]s borrow token and CRYPTO data) and
+//! appends CRYPTO data to one [`reassembly::CryptoStream`]. The owned
+//! [`Frame`], [`Packet`] and [`packet::parse_datagram`] forms are wrappers
+//! over the borrowed ones.
 
 pub mod amplification;
 pub mod client;
 pub mod frame;
 pub mod handshake;
 pub mod packet;
+pub mod reassembly;
 pub mod server;
 pub mod varint;
 

@@ -6,8 +6,16 @@
 //! packets may be *coalesced* into one UDP datagram. Header protection is
 //! not simulated (it does not change sizes), and the AEAD tag bytes are
 //! deterministic filler.
+//!
+//! Serialisation goes through [`Header::encode_into`], which writes header,
+//! frames, in-envelope padding and tag straight into the caller's datagram
+//! buffer; parsing goes through [`parse_datagram_ref`], whose packets borrow
+//! token and CRYPTO data from the datagram. The owned [`Packet::encode`],
+//! [`assemble_datagram`] and [`parse_datagram`] are wrappers over those.
 
-use crate::frame::Frame;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use crate::frame::{Frame, FrameRef, Frames};
 use crate::varint;
 
 /// AEAD authentication tag length appended to every protected packet.
@@ -121,6 +129,21 @@ impl Packet {
         }
     }
 
+    /// Everything of this packet but its frames.
+    pub fn header(&self) -> Header<'_> {
+        Header {
+            ty: self.ty,
+            dcid: &self.dcid,
+            scid: &self.scid,
+            token: &self.token,
+            number: self.number,
+        }
+    }
+
+    fn frame_refs(&self) -> impl Iterator<Item = FrameRef<'_>> {
+        self.frames.iter().map(Frame::as_ref)
+    }
+
     /// Whether any frame is ack-eliciting.
     pub fn is_ack_eliciting(&self) -> bool {
         self.frames.iter().any(|f| f.is_ack_eliciting())
@@ -133,24 +156,12 @@ impl Packet {
 
     /// Bytes of PADDING frames in this packet.
     pub fn padding_len(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|f| match f {
-                Frame::Padding { n } => *n,
-                _ => 0,
-            })
-            .sum()
+        padding_len(self.frame_refs())
     }
 
     /// Bytes of CRYPTO frame *data* (TLS payload) in this packet.
     pub fn crypto_data_len(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|f| match f {
-                Frame::Crypto { data, .. } => data.len(),
-                _ => 0,
-            })
-            .sum()
+        crypto_data_len(self.frame_refs())
     }
 
     /// Encoded size of the packet on the wire.
@@ -159,12 +170,7 @@ impl Packet {
     /// coalescing, padding, amplification accounting), so this must not
     /// actually serialise the packet.
     pub fn encoded_len(&self) -> usize {
-        let overhead = Self::overhead(self.ty, &self.dcid, &self.scid, self.token.len());
-        match self.ty {
-            // Retry carries the token instead of frames.
-            PacketType::Retry => overhead,
-            _ => overhead + self.payload_len(),
-        }
+        self.header().encoded_len(self.frame_refs())
     }
 
     /// Header + framing overhead for a packet of this shape carrying
@@ -196,7 +202,76 @@ impl Packet {
 
     /// Serialise the packet.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload_len() + 64);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.header().encode_into(&mut out, self.frame_refs(), 0);
+        out
+    }
+}
+
+fn padding_len<'a>(frames: impl Iterator<Item = FrameRef<'a>>) -> usize {
+    frames
+        .map(|f| match f {
+            FrameRef::Padding { n } => n,
+            _ => 0,
+        })
+        .sum()
+}
+
+fn crypto_data_len<'a>(frames: impl Iterator<Item = FrameRef<'a>>) -> usize {
+    frames
+        .map(|f| match f {
+            FrameRef::Crypto { data, .. } => data.len(),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Everything of a packet but its frames, borrowed: what an endpoint needs
+/// to size a packet and to serialise it around frames it never collects.
+#[derive(Debug, Clone, Copy)]
+pub struct Header<'a> {
+    /// Packet type.
+    pub ty: PacketType,
+    /// Destination connection ID.
+    pub dcid: &'a ConnectionId,
+    /// Source connection ID (absent on the wire for 1-RTT).
+    pub scid: &'a ConnectionId,
+    /// Token (Initial and Retry packets; empty = none).
+    pub token: &'a [u8],
+    /// Packet number (encoded in 2 bytes).
+    pub number: u64,
+}
+
+impl Header<'_> {
+    /// Encoded size of a packet of this header around `frames` (ignored
+    /// for Retry, which carries the token instead), computed
+    /// arithmetically.
+    pub fn encoded_len<'f>(&self, frames: impl IntoIterator<Item = FrameRef<'f>>) -> usize {
+        let overhead = Packet::overhead(self.ty, self.dcid, self.scid, self.token.len());
+        match self.ty {
+            PacketType::Retry => overhead,
+            _ => overhead + frames.into_iter().map(|f| f.encoded_len()).sum::<usize>(),
+        }
+    }
+
+    /// Append the serialised packet to `out`: header, `frames`, then
+    /// `padding` zero bytes of PADDING inside the AEAD envelope (padding
+    /// must be covered by a packet's length and tag, which is why it is
+    /// written here and not appended to the datagram), then the tag.
+    pub fn encode_into<'f>(
+        &self,
+        out: &mut Vec<u8>,
+        frames: impl IntoIterator<Item = FrameRef<'f>>,
+        padding: usize,
+    ) {
+        let payload = |out: &mut Vec<u8>| {
+            let at = out.len();
+            for f in frames {
+                f.encode(out);
+            }
+            out.resize(out.len() + padding, 0);
+            out.len() - at
+        };
         match self.ty {
             PacketType::Initial | PacketType::Handshake => {
                 let type_bits = match self.ty {
@@ -211,21 +286,21 @@ impl Packet {
                 out.push(self.scid.len() as u8);
                 out.extend_from_slice(self.scid.as_bytes());
                 if self.ty == PacketType::Initial {
-                    varint::write(&mut out, self.token.len() as u64);
-                    out.extend_from_slice(&self.token);
+                    varint::write(out, self.token.len() as u64);
+                    out.extend_from_slice(self.token);
                 }
-                let mut payload = Vec::with_capacity(self.payload_len());
-                for f in &self.frames {
-                    f.encode(&mut payload);
-                }
-                // Length covers packet number + payload + tag; always use
-                // the 2-byte varint form so sizes are predictable.
-                let length = 2 + payload.len() + AEAD_TAG_LEN;
-                debug_assert!(length < 16384, "packet too large for 2-byte varint");
-                out.extend_from_slice(&((length as u16) | 0x4000).to_be_bytes());
+                // Length covers packet number + payload + tag; always the
+                // 2-byte varint form, so sizes are predictable and the
+                // field can be back-patched once the payload is written.
+                let length_at = out.len();
+                out.extend_from_slice(&[0; 2]);
                 out.extend_from_slice(&(self.number as u16).to_be_bytes());
-                out.extend_from_slice(&payload);
-                out.extend_from_slice(&tag_bytes(self.number, payload.len()));
+                let payload_len = payload(out);
+                let length = 2 + payload_len + AEAD_TAG_LEN;
+                debug_assert!(length < 16384, "packet too large for 2-byte varint");
+                out[length_at..length_at + 2]
+                    .copy_from_slice(&((length as u16) | 0x4000).to_be_bytes());
+                out.extend_from_slice(&tag_bytes(self.number, payload_len));
             }
             PacketType::Retry => {
                 out.push(0b1111_0000);
@@ -234,22 +309,17 @@ impl Packet {
                 out.extend_from_slice(self.dcid.as_bytes());
                 out.push(self.scid.len() as u8);
                 out.extend_from_slice(self.scid.as_bytes());
-                out.extend_from_slice(&self.token);
+                out.extend_from_slice(self.token);
                 out.extend_from_slice(&tag_bytes(0xEE77, self.token.len()));
             }
             PacketType::OneRtt => {
                 out.push(0b0100_0000);
                 out.extend_from_slice(self.dcid.as_bytes());
                 out.extend_from_slice(&(self.number as u16).to_be_bytes());
-                let mut payload = Vec::with_capacity(self.payload_len());
-                for f in &self.frames {
-                    f.encode(&mut payload);
-                }
-                out.extend_from_slice(&payload);
-                out.extend_from_slice(&tag_bytes(self.number, payload.len()));
+                let payload_len = payload(out);
+                out.extend_from_slice(&tag_bytes(self.number, payload_len));
             }
         }
-        out
     }
 }
 
@@ -287,144 +357,198 @@ pub struct ParsedPacket {
 impl ParsedPacket {
     /// Bytes of PADDING frames in this packet.
     pub fn padding_len(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|f| match f {
-                Frame::Padding { n } => *n,
-                _ => 0,
-            })
-            .sum()
+        padding_len(self.frames.iter().map(Frame::as_ref))
     }
 
     /// Bytes of CRYPTO frame data (TLS payload) in this packet.
     pub fn crypto_data_len(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|f| match f {
-                Frame::Crypto { data, .. } => data.len(),
-                _ => 0,
-            })
-            .sum()
+        crypto_data_len(self.frames.iter().map(Frame::as_ref))
     }
 }
 
-/// Parse every packet coalesced into a datagram payload.
-///
-/// Returns `None` on malformed input. Retry packets consume the rest of the
-/// datagram (they cannot be coalesced with following packets, since they
-/// have no length field).
-pub fn parse_datagram(payload: &[u8]) -> Option<Vec<ParsedPacket>> {
-    let mut packets = Vec::new();
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        let start = pos;
-        let first = payload[pos];
-        if first & 0x80 == 0 {
-            // Short header: consumes the rest of the datagram. DCID length
-            // is not self-describing; we use the 8-byte convention of this
-            // workspace.
-            if payload.len() - pos < 1 + 8 + 2 + AEAD_TAG_LEN {
-                return None;
-            }
-            let dcid = ConnectionId::new(&payload[pos + 1..pos + 9]);
-            let number = u16::from_be_bytes([payload[pos + 9], payload[pos + 10]]) as u64;
-            let body = &payload[pos + 11..payload.len() - AEAD_TAG_LEN];
-            let frames = Frame::decode_all(body)?;
-            packets.push(ParsedPacket {
-                ty: PacketType::OneRtt,
-                dcid,
-                scid: ConnectionId::default(),
-                token: Vec::new(),
-                number,
-                frames,
-                wire_len: payload.len() - start,
-            });
-            break;
-        }
-        pos += 1;
-        let type_bits = (first >> 4) & 0b11;
-        if payload.len() < pos + 4 {
-            return None;
-        }
-        let _version = u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap());
-        pos += 4;
-        // A corrupted length byte can claim up to 255 CID bytes; RFC 9000
-        // caps CIDs at 20, so anything longer marks the packet malformed —
-        // reject it instead of panicking in `ConnectionId::new`.
-        let dcid_len = *payload.get(pos)? as usize;
-        if dcid_len > ConnectionId::MAX_LEN {
-            return None;
-        }
-        pos += 1;
-        let dcid = ConnectionId::new(payload.get(pos..pos + dcid_len)?);
-        pos += dcid_len;
-        let scid_len = *payload.get(pos)? as usize;
-        if scid_len > ConnectionId::MAX_LEN {
-            return None;
-        }
-        pos += 1;
-        let scid = ConnectionId::new(payload.get(pos..pos + scid_len)?);
-        pos += scid_len;
+/// A packet parsed from the wire whose token and CRYPTO data borrow from
+/// the datagram (see [`ParsedPacket`] for the fields).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParsedPacketRef<'a> {
+    /// Packet type.
+    pub ty: PacketType,
+    /// Destination connection ID.
+    pub dcid: ConnectionId,
+    /// Source connection ID (empty for 1-RTT).
+    pub scid: ConnectionId,
+    /// Token (Initial/Retry).
+    pub token: &'a [u8],
+    /// Packet number (0 for Retry).
+    pub number: u64,
+    /// The packet's frames (none for Retry).
+    pub frames: Frames<'a>,
+    /// Total wire bytes consumed by this packet.
+    pub wire_len: usize,
+}
 
-        match type_bits {
-            0b11 => {
-                // Retry: token is everything up to the 16-byte tag.
-                if payload.len() < pos + AEAD_TAG_LEN {
-                    return None;
-                }
-                let token = payload[pos..payload.len() - AEAD_TAG_LEN].to_vec();
-                packets.push(ParsedPacket {
-                    ty: PacketType::Retry,
-                    dcid,
-                    scid,
-                    token,
-                    number: 0,
-                    frames: Vec::new(),
-                    wire_len: payload.len() - start,
-                });
-                break;
-            }
-            0b00 | 0b10 => {
-                let ty = if type_bits == 0b00 {
-                    PacketType::Initial
-                } else {
-                    PacketType::Handshake
-                };
-                let token = if ty == PacketType::Initial {
-                    let tlen = varint::read(payload, &mut pos)? as usize;
-                    let t = payload.get(pos..pos + tlen)?.to_vec();
-                    pos += tlen;
-                    t
-                } else {
-                    Vec::new()
-                };
-                let length = varint::read(payload, &mut pos)? as usize;
-                if length < 2 + AEAD_TAG_LEN || payload.len() < pos + length {
-                    return None;
-                }
-                let number = u16::from_be_bytes([payload[pos], payload[pos + 1]]) as u64;
-                let body = &payload[pos + 2..pos + length - AEAD_TAG_LEN];
-                let frames = Frame::decode_all(body)?;
-                pos += length;
-                packets.push(ParsedPacket {
-                    ty,
-                    dcid,
-                    scid,
-                    token,
-                    number,
-                    frames,
-                    wire_len: pos - start,
-                });
-            }
-            _ => return None, // 0-RTT unsupported
+impl ParsedPacketRef<'_> {
+    /// The owned form of this packet.
+    pub fn to_owned(&self) -> ParsedPacket {
+        ParsedPacket {
+            ty: self.ty,
+            dcid: self.dcid.clone(),
+            scid: self.scid.clone(),
+            token: self.token.to_vec(),
+            number: self.number,
+            frames: self.frames.clone().map(FrameRef::to_owned).collect(),
+            wire_len: self.wire_len,
         }
     }
-    Some(packets)
+}
+
+/// The packets of one datagram that parsed as a whole, in wire order.
+/// Iterating decodes the headers again from the borrowed datagram; nothing
+/// is collected.
+#[derive(Debug, Clone)]
+pub struct Packets<'a> {
+    payload: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for Packets<'a> {
+    type Item = ParsedPacketRef<'a>;
+
+    fn next(&mut self) -> Option<ParsedPacketRef<'a>> {
+        // Every frame payload was checked when the datagram was parsed.
+        decode_packet(self.payload, &mut self.pos, |body| {
+            Some(Frames::unchecked(body))
+        })
+    }
+}
+
+/// Parse every packet coalesced into a datagram payload, borrowing from
+/// it.
+///
+/// Returns `None` on malformed input — headers and every frame of every
+/// packet are checked here, so a datagram is rejected whole before any of
+/// its packets is acted on. Retry packets consume the rest of the datagram
+/// (they cannot be coalesced with following packets, since they have no
+/// length field).
+pub fn parse_datagram_ref(payload: &[u8]) -> Option<Packets<'_>> {
+    let mut pos = 0;
+    while pos < payload.len() {
+        decode_packet(payload, &mut pos, Frames::parse)?;
+    }
+    Some(Packets { payload, pos: 0 })
+}
+
+/// [`parse_datagram_ref`] with every packet copied out of the datagram.
+pub fn parse_datagram(payload: &[u8]) -> Option<Vec<ParsedPacket>> {
+    Some(
+        parse_datagram_ref(payload)?
+            .map(|pkt| pkt.to_owned())
+            .collect(),
+    )
+}
+
+/// Decode the packet at `payload[*pos..]`, advancing `pos` past it;
+/// `frames` turns the packet's frame payload into its [`Frames`]. `None`
+/// when there is no byte at `pos` or the packet is malformed.
+fn decode_packet<'a>(
+    payload: &'a [u8],
+    pos: &mut usize,
+    frames: impl FnOnce(&'a [u8]) -> Option<Frames<'a>>,
+) -> Option<ParsedPacketRef<'a>> {
+    let start = *pos;
+    let first = *payload.get(start)?;
+    if first & 0x80 == 0 {
+        // Short header: consumes the rest of the datagram. DCID length
+        // is not self-describing; we use the 8-byte convention of this
+        // workspace.
+        let rest = &payload[start..];
+        if rest.len() < 1 + 8 + 2 + AEAD_TAG_LEN {
+            return None;
+        }
+        *pos = payload.len();
+        return Some(ParsedPacketRef {
+            ty: PacketType::OneRtt,
+            dcid: ConnectionId::new(&rest[1..9]),
+            scid: ConnectionId::default(),
+            token: &[],
+            number: u16::from_be_bytes([rest[9], rest[10]]) as u64,
+            frames: frames(&rest[11..rest.len() - AEAD_TAG_LEN])?,
+            wire_len: rest.len(),
+        });
+    }
+    let type_bits = (first >> 4) & 0b11;
+    let mut at = start + 1 + 4; // flags + version
+    if payload.len() < at {
+        return None;
+    }
+    // A corrupted length byte can claim up to 255 CID bytes; RFC 9000
+    // caps CIDs at 20, so anything longer marks the packet malformed —
+    // reject it instead of panicking in `ConnectionId::new`.
+    let mut cid = || {
+        let len = *payload.get(at)? as usize;
+        if len > ConnectionId::MAX_LEN {
+            return None;
+        }
+        at += 1 + len;
+        Some(ConnectionId::new(payload.get(at - len..at)?))
+    };
+    let dcid = cid()?;
+    let scid = cid()?;
+
+    match type_bits {
+        0b11 => {
+            // Retry: token is everything up to the 16-byte tag.
+            if payload.len() < at + AEAD_TAG_LEN {
+                return None;
+            }
+            *pos = payload.len();
+            Some(ParsedPacketRef {
+                ty: PacketType::Retry,
+                dcid,
+                scid,
+                token: &payload[at..payload.len() - AEAD_TAG_LEN],
+                number: 0,
+                frames: Frames::unchecked(&[]),
+                wire_len: payload.len() - start,
+            })
+        }
+        0b00 | 0b10 => {
+            let ty = if type_bits == 0b00 {
+                PacketType::Initial
+            } else {
+                PacketType::Handshake
+            };
+            let token: &[u8] = if ty == PacketType::Initial {
+                let tlen = usize::try_from(varint::read(payload, &mut at)?).ok()?;
+                let token = payload.get(at..at.checked_add(tlen)?)?;
+                at += tlen;
+                token
+            } else {
+                &[]
+            };
+            let length = usize::try_from(varint::read(payload, &mut at)?).ok()?;
+            let end = at.checked_add(length)?;
+            if length < 2 + AEAD_TAG_LEN || payload.len() < end {
+                return None;
+            }
+            *pos = end;
+            Some(ParsedPacketRef {
+                ty,
+                dcid,
+                scid,
+                token,
+                number: u16::from_be_bytes([payload[at], payload[at + 1]]) as u64,
+                frames: frames(&payload[at + 2..end - AEAD_TAG_LEN])?,
+                wire_len: end - start,
+            })
+        }
+        _ => None, // 0-RTT unsupported
+    }
 }
 
 /// Extract the source connection ID from the first long-header packet of a
 /// datagram, as a telescope collector would (§4.3 groups backscatter by
-/// SCID).
+/// SCID). Like [`parse_datagram`], rejects connection IDs longer than
+/// [`ConnectionId::MAX_LEN`].
 pub fn extract_scid(payload: &[u8]) -> Option<Vec<u8>> {
     let first = *payload.first()?;
     if first & 0x80 == 0 {
@@ -432,34 +556,35 @@ pub fn extract_scid(payload: &[u8]) -> Option<Vec<u8>> {
     }
     let mut pos = 5; // flags + version
     let dcid_len = *payload.get(pos)? as usize;
+    if dcid_len > ConnectionId::MAX_LEN {
+        return None;
+    }
     pos += 1 + dcid_len;
     let scid_len = *payload.get(pos)? as usize;
+    if scid_len > ConnectionId::MAX_LEN {
+        return None;
+    }
     pos += 1;
     payload.get(pos..pos + scid_len).map(|s| s.to_vec())
 }
 
-/// Serialise a coalesced datagram from `packets`, padding with a PADDING
-/// frame in the *last* packet so the UDP payload reaches `pad_to` (if
-/// given). Padding must be added inside a packet's AEAD envelope, which is
-/// why this mutates the final packet rather than appending raw zeros.
-pub fn assemble_datagram(mut packets: Vec<Packet>, pad_to: Option<usize>) -> Vec<u8> {
-    if let Some(target) = pad_to {
-        let current: usize = packets.iter().map(|p| p.encoded_len()).sum();
-        if current < target {
-            let need = target - current;
-            if let Some(last) = packets.last_mut() {
-                last.frames.push(Frame::Padding { n: need });
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for p in &packets {
-        out.extend_from_slice(&p.encode());
+/// Serialise a coalesced datagram from `packets`, padding inside the
+/// *last* packet's AEAD envelope so the UDP payload reaches `pad_to` (if
+/// given).
+pub fn assemble_datagram(packets: Vec<Packet>, pad_to: Option<usize>) -> Vec<u8> {
+    let unpadded: usize = packets.iter().map(|p| p.encoded_len()).sum();
+    let padding = pad_to.map_or(0, |target| target.saturating_sub(unpadded));
+    let mut out = Vec::with_capacity(unpadded + padding);
+    for (i, p) in packets.iter().enumerate() {
+        let last = i + 1 == packets.len();
+        p.header()
+            .encode_into(&mut out, p.frame_refs(), if last { padding } else { 0 });
     }
     out
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -535,6 +660,40 @@ mod tests {
         let mut bad_scid = wire;
         bad_scid[5 + 1 + 8] = 21;
         assert_eq!(parse_datagram(&bad_scid), None);
+    }
+
+    #[test]
+    fn scid_extraction_rejects_oversized_cid_lengths_like_the_parser() {
+        let wire = initial_packet(vec![Frame::Ping]).encode();
+        assert_eq!(extract_scid(&wire), Some(vec![2u8; 8]));
+        // A corrupted length byte below the end of the datagram: the full
+        // parser rejects it, so the telescope's extractor must too.
+        let mut bad_dcid = wire.clone();
+        bad_dcid[5] = 21;
+        assert_eq!(parse_datagram(&bad_dcid), None);
+        assert_eq!(extract_scid(&bad_dcid), None);
+        let mut bad_scid = wire;
+        bad_scid[5 + 1 + 8] = 21;
+        assert_eq!(extract_scid(&bad_scid), None);
+    }
+
+    #[test]
+    fn padding_lands_inside_the_last_envelope_without_touching_the_packets() {
+        let packets = vec![
+            initial_packet(vec![Frame::Ping]),
+            Packet::new(PacketType::Handshake, cid(1), cid(2), 3, vec![Frame::Ping]),
+        ];
+        let unpadded: usize = packets.iter().map(Packet::encoded_len).sum();
+        let wire = assemble_datagram(packets.clone(), Some(1200));
+        assert_eq!(wire.len(), 1200);
+        let parsed = parse_datagram(&wire).unwrap();
+        assert_eq!(parsed[0].frames, packets[0].frames);
+        assert_eq!(parsed[0].wire_len, packets[0].encoded_len());
+        assert_eq!(parsed[1].padding_len(), 1200 - unpadded);
+        // The borrowed parse sees the same packets, copying nothing.
+        let borrowed: Vec<_> = parse_datagram_ref(&wire).unwrap().collect();
+        let owned: Vec<_> = borrowed.iter().map(ParsedPacketRef::to_owned).collect();
+        assert_eq!(owned, parsed);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   count (pre-disclosure: large; post-disclosure: small);
 //! * [`ServerBehavior::retry_first`] — always-on address validation.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::net::Ipv4Addr;
 
 use quicert_compress::Algorithm;
 use quicert_netsim::{Datagram, Endpoint, SimDuration, SimTime};
@@ -27,10 +28,11 @@ use quicert_tls::{
 use quicert_x509::{CertificateChain, KeyAlgorithm};
 
 use crate::amplification::{AmplificationBudget, LimitPolicy};
-use crate::frame::Frame;
+use crate::frame::FrameRef;
 use crate::packet::{
-    assemble_datagram, parse_datagram, ConnectionId, Packet, PacketType, QUIC_MIN_INITIAL_SIZE,
+    parse_datagram_ref, ConnectionId, Header, Packet, PacketType, QUIC_MIN_INITIAL_SIZE,
 };
+use crate::reassembly::{handshake_messages, CryptoStream};
 
 /// Deployment-level behaviour knobs of a QUIC server.
 #[derive(Debug, Clone)]
@@ -188,27 +190,71 @@ pub struct ServerStats {
     pub issued_ticket: bool,
 }
 
-#[derive(Debug)]
-struct PendingDatagram {
-    packets: Vec<Packet>,
+/// One packet of the datagram plan: what to serialise, not the bytes.
+#[derive(Debug, Clone, Copy)]
+struct PlannedPacket {
+    ty: PacketType,
+    /// Packet number; a retransmission overwrites it with a fresh one.
+    number: u64,
+    /// The client Initial packet number an ACK frame acknowledges, if the
+    /// packet carries one.
+    ack: Option<u64>,
+    /// The bytes `start..end` of this encryption level's CRYPTO buffer the
+    /// packet's CRYPTO frame carries (at stream offset `start`), if any.
+    crypto: Option<(usize, usize)>,
+}
+
+/// One datagram of the plan: `count` consecutive packets from `first`.
+#[derive(Debug, Clone, Copy)]
+struct PlannedDatagram {
+    first: usize,
+    count: usize,
     pad_to: Option<usize>,
+}
+
+/// A planned datagram waiting for the amplification budget.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    datagram: usize,
     /// `true` when this datagram is a retransmission.
     is_resend: bool,
 }
 
+/// Addressing of our replies, learned from the first datagram received.
+#[derive(Debug, Clone, Copy)]
+struct ReplyPath {
+    local: Ipv4Addr,
+    peer: Ipv4Addr,
+    local_port: u16,
+    peer_port: u16,
+}
+
 /// A QUIC server connection endpoint.
+///
+/// The handshake flight exists once, as the two CRYPTO buffers TLS wrote,
+/// plus a *datagram plan* saying which byte range travels in which packet
+/// of which datagram. Sending sizes a planned datagram arithmetically,
+/// checks the amplification budget, and only then serialises it — straight
+/// into the buffer that goes on the wire. A retransmission is the same
+/// plan under fresh packet numbers.
 #[derive(Debug)]
 pub struct ServerConn {
     config: ServerConfig,
     budget: AmplificationBudget,
     scid: ConnectionId,
     client_cid: ConnectionId,
-    reply_template: Option<Datagram>,
+    reply_path: Option<ReplyPath>,
     // CRYPTO reassembly of the client's Initial stream (the ClientHello).
-    ch_buffer: BTreeMap<u64, Vec<u8>>,
+    ch: CryptoStream,
     flight_built: bool,
-    flight_datagrams: Vec<(Vec<Packet>, Option<usize>)>,
-    queue: VecDeque<PendingDatagram>,
+    // CRYPTO send buffers per encryption level: ServerHello; the rest of
+    // the flight; a NewSessionTicket.
+    initial_crypto: Vec<u8>,
+    handshake_crypto: Vec<u8>,
+    onertt_crypto: Vec<u8>,
+    packets: Vec<PlannedPacket>,
+    datagrams: Vec<PlannedDatagram>,
+    queue: VecDeque<Queued>,
     initial_pn: u64,
     handshake_pn: u64,
     onertt_pn: u64,
@@ -241,10 +287,14 @@ impl ServerConn {
             budget: AmplificationBudget::new(policy),
             scid,
             client_cid: ConnectionId::default(),
-            reply_template: None,
-            ch_buffer: BTreeMap::new(),
+            reply_path: None,
+            ch: CryptoStream::default(),
             flight_built: false,
-            flight_datagrams: Vec::new(),
+            initial_crypto: Vec::new(),
+            handshake_crypto: Vec::new(),
+            onertt_crypto: Vec::new(),
+            packets: Vec::new(),
+            datagrams: Vec::new(),
             queue: VecDeque::new(),
             initial_pn: 0,
             handshake_pn: 0,
@@ -296,22 +346,6 @@ impl ServerConn {
         &self.scid
     }
 
-    fn contiguous_ch(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut next = 0u64;
-        for (&off, data) in &self.ch_buffer {
-            if off > next {
-                break;
-            }
-            let skip = (next - off) as usize;
-            if skip < data.len() {
-                out.extend_from_slice(&data[skip..]);
-                next = off + data.len() as u64;
-            }
-        }
-        out
-    }
-
     /// Negotiate a compression algorithm: first client offer we support.
     fn negotiate_compression(&self, ch: &[u8]) -> Option<Algorithm> {
         let offers = parse_compression_offers(ch)?;
@@ -335,7 +369,76 @@ impl ServerConn {
             .accepted()
     }
 
-    fn build_flight(&mut self, ch: &[u8]) {
+    /// The header a planned packet is serialised under.
+    fn header(&self, packet: &PlannedPacket) -> Header<'_> {
+        Header {
+            ty: packet.ty,
+            dcid: &self.client_cid,
+            scid: &self.scid,
+            token: &[],
+            number: packet.number,
+        }
+    }
+
+    /// The frames a planned packet carries, CRYPTO data borrowed from its
+    /// encryption level's buffer.
+    fn frames(&self, packet: &PlannedPacket) -> impl Iterator<Item = FrameRef<'_>> {
+        let ack = packet.ack.map(|largest| FrameRef::Ack {
+            largest,
+            delay: 0,
+            first_range: 0,
+        });
+        let buffer = match packet.ty {
+            PacketType::Initial => &self.initial_crypto,
+            PacketType::OneRtt => &self.onertt_crypto,
+            _ => &self.handshake_crypto,
+        };
+        let crypto = packet.crypto.map(|(start, end)| FrameRef::Crypto {
+            offset: start as u64,
+            data: &buffer[start..end],
+        });
+        ack.into_iter().chain(crypto)
+    }
+
+    /// Wire size of a planned packet, computed arithmetically.
+    fn planned_len(&self, packet: &PlannedPacket) -> usize {
+        self.header(packet).encoded_len(self.frames(packet))
+    }
+
+    /// Append a packet, under the next packet number of its level, to the
+    /// plan's last datagram and return its wire size.
+    fn plan_packet(
+        &mut self,
+        ty: PacketType,
+        ack: Option<u64>,
+        crypto: Option<(usize, usize)>,
+    ) -> usize {
+        let packet = PlannedPacket {
+            ty,
+            number: self.next_pn(ty),
+            ack,
+            crypto,
+        };
+        self.packets.push(packet);
+        if let Some(last) = self.datagrams.last_mut() {
+            last.count += 1;
+        }
+        self.planned_len(&packet)
+    }
+
+    /// Open a new datagram in the plan.
+    fn plan_datagram(&mut self, pad_to: Option<usize>) {
+        self.datagrams.push(PlannedDatagram {
+            first: self.packets.len(),
+            count: 0,
+            pad_to,
+        });
+    }
+
+    /// Build the TLS flight answering the reassembled ClientHello and plan
+    /// its datagrams.
+    fn build_flight(&mut self) {
+        let ch = self.ch.contiguous();
         let flight = if self.accepts_psk(ch) {
             // Resumed: ServerHello(+pre_shared_key), EE, Finished — the
             // certificate chain never touches the wire.
@@ -358,164 +461,124 @@ impl ServerConn {
         };
         self.stats.certificate_message_len = flight.certificate_message_len;
         self.stats.uncompressed_certificate_len = flight.uncompressed_certificate_len;
+        self.initial_crypto = flight.initial_crypto;
+        self.handshake_crypto = flight.handshake_crypto;
 
-        let behavior = self.config.behavior.clone();
-        let max_udp = behavior.max_udp_payload;
-        let mut datagrams: Vec<(Vec<Packet>, Option<usize>)> = Vec::new();
-
-        let ack = Frame::Ack {
-            largest: self.largest_client_initial_pn.unwrap_or(0),
-            delay: 0,
-            first_range: 0,
-        };
-
-        if behavior.separate_ack_datagram {
-            // Datagram A: ACK-only Initial, padded although not required.
-            let ack_pkt = Packet::new(
-                PacketType::Initial,
-                self.client_cid.clone(),
-                self.scid.clone(),
-                self.next_initial_pn(),
-                vec![ack],
-            );
-            datagrams.push((vec![ack_pkt], Some(behavior.ack_pad_target)));
-            // Datagram B: ServerHello Initial, padded (ack-eliciting).
-            let sh_pkt = Packet::new(
-                PacketType::Initial,
-                self.client_cid.clone(),
-                self.scid.clone(),
-                self.next_initial_pn(),
-                vec![Frame::Crypto {
-                    offset: 0,
-                    data: flight.initial_crypto.clone(),
-                }],
-            );
-            datagrams.push((vec![sh_pkt], Some(behavior.ack_pad_target)));
-        } else {
-            // ACK + ServerHello share the first Initial packet.
-            let sh_pkt = Packet::new(
-                PacketType::Initial,
-                self.client_cid.clone(),
-                self.scid.clone(),
-                self.next_initial_pn(),
-                vec![
-                    ack,
-                    Frame::Crypto {
-                        offset: 0,
-                        data: flight.initial_crypto.clone(),
-                    },
-                ],
-            );
-            datagrams.push((vec![sh_pkt], Some(QUIC_MIN_INITIAL_SIZE)));
-        }
-
-        // Handshake-level CRYPTO, chunked into packets / datagrams.
-        let hs = &flight.handshake_crypto;
+        let ServerBehavior {
+            coalesce,
+            separate_ack_datagram,
+            ack_pad_target,
+            max_udp_payload: max_udp,
+            ..
+        } = self.config.behavior;
+        let hs_len = self.handshake_crypto.len();
         let hs_overhead = Packet::overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
-        let mut offset = 0usize;
-        while offset < hs.len() {
-            // Try to coalesce into the last open datagram first.
-            let mut placed = false;
-            if behavior.coalesce {
-                if let Some((packets, _pad_to)) = datagrams.last_mut() {
-                    let used: usize = packets.iter().map(|p| p.encoded_len()).sum();
-                    let space = max_udp.saturating_sub(used);
-                    if space > hs_overhead + 32 {
-                        let take = (space - hs_overhead).min(hs.len() - offset);
-                        packets.push(Packet::new(
-                            PacketType::Handshake,
-                            self.client_cid.clone(),
-                            self.scid.clone(),
-                            self.next_handshake_pn(),
-                            vec![Frame::Crypto {
-                                offset: offset as u64,
-                                data: hs[offset..offset + take].to_vec(),
-                            }],
-                        ));
-                        offset += take;
-                        placed = true;
-                    }
-                }
-            }
-            if !placed {
-                let take = (max_udp - hs_overhead).min(hs.len() - offset);
-                let pkt = Packet::new(
-                    PacketType::Handshake,
-                    self.client_cid.clone(),
-                    self.scid.clone(),
-                    self.next_handshake_pn(),
-                    vec![Frame::Crypto {
-                        offset: offset as u64,
-                        data: hs[offset..offset + take].to_vec(),
-                    }],
-                );
-                datagrams.push((vec![pkt], None));
-                offset += take;
-            }
+        let expected = hs_len / max_udp.saturating_sub(hs_overhead).max(1) + 3;
+        self.packets.reserve(expected);
+        self.datagrams.reserve(expected);
+        self.queue.reserve(expected);
+
+        let ack = Some(self.largest_client_initial_pn.unwrap_or(0));
+        let server_hello = Some((0, self.initial_crypto.len()));
+        // Either an ACK-only Initial and a ServerHello Initial, each alone
+        // in a datagram padded to the deployment's target (the ACK although
+        // it needs no padding), or both frames in one Initial packet.
+        let initials: &[_] = if separate_ack_datagram {
+            &[
+                (ack, None, ack_pad_target),
+                (None, server_hello, ack_pad_target),
+            ]
+        } else {
+            &[(ack, server_hello, QUIC_MIN_INITIAL_SIZE)]
+        };
+        // Wire bytes planned into the last datagram so far.
+        let mut used = 0;
+        for &(ack, crypto, pad_to) in initials {
+            self.plan_datagram(Some(pad_to));
+            used = self.plan_packet(PacketType::Initial, ack, crypto);
         }
 
-        self.flight_datagrams = datagrams;
+        // Handshake-level CRYPTO, chunked into packets / datagrams: into
+        // the last open datagram while it has room (when coalescing), into
+        // fresh unpadded ones otherwise.
+        let mut offset = 0usize;
+        while offset < hs_len {
+            let space = max_udp.saturating_sub(used);
+            let room = if coalesce && space > hs_overhead + 32 {
+                space
+            } else {
+                self.plan_datagram(None);
+                used = 0;
+                max_udp
+            };
+            let take = (room - hs_overhead).min(hs_len - offset);
+            used += self.plan_packet(PacketType::Handshake, None, Some((offset, offset + take)));
+            offset += take;
+        }
         self.flight_built = true;
     }
 
-    fn next_initial_pn(&mut self) -> u64 {
-        let pn = self.initial_pn;
-        self.initial_pn += 1;
+    /// The next packet number of `ty`'s packet number space.
+    fn next_pn(&mut self, ty: PacketType) -> u64 {
+        let next = match ty {
+            PacketType::Initial => &mut self.initial_pn,
+            PacketType::OneRtt => &mut self.onertt_pn,
+            _ => &mut self.handshake_pn,
+        };
+        let pn = *next;
+        *next += 1;
         pn
     }
 
-    fn next_handshake_pn(&mut self) -> u64 {
-        let pn = self.handshake_pn;
-        self.handshake_pn += 1;
-        pn
-    }
-
+    /// Queue every datagram of the flight; a retransmission first gives
+    /// every packet a fresh number. Renumbering the plan in place is sound
+    /// because `on_timer` empties the queue before it retransmits, so no
+    /// queued datagram still needs the old numbers.
     fn enqueue_flight(&mut self, is_resend: bool) {
-        // Re-number packets for retransmissions (fresh packet numbers).
-        for (packets, pad_to) in self.flight_datagrams.clone() {
-            let packets = if is_resend {
-                packets
-                    .into_iter()
-                    .map(|mut p| {
-                        p.number = match p.ty {
-                            PacketType::Initial => self.next_initial_pn(),
-                            _ => self.next_handshake_pn(),
-                        };
-                        p
-                    })
-                    .collect()
-            } else {
-                packets
-            };
-            self.queue.push_back(PendingDatagram {
-                packets,
-                pad_to,
-                is_resend,
-            });
+        debug_assert!(
+            !self.ticket_issued,
+            "the flight is never resent once complete"
+        );
+        if is_resend {
+            for i in 0..self.packets.len() {
+                self.packets[i].number = self.next_pn(self.packets[i].ty);
+            }
         }
+        self.queue
+            .extend((0..self.datagrams.len()).map(|datagram| Queued {
+                datagram,
+                is_resend,
+            }));
         self.transmissions += 1;
         self.stats.flight_transmissions = self.transmissions;
     }
 
     fn try_send(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        let Some(template) = self.reply_template.clone() else {
+        let Some(reply) = self.reply_path else {
             return;
         };
-        while let Some(pending) = self.queue.front() {
-            let wire = assemble_datagram(pending.packets.clone(), pending.pad_to);
-            let padding: usize = {
-                // Padding = pad target minus unpadded size (when padded).
-                let unpadded: usize = pending.packets.iter().map(|p| p.encoded_len()).sum();
-                wire.len().saturating_sub(unpadded)
-            };
-            let mut charged = wire.len();
+        while let Some(&Queued {
+            datagram,
+            is_resend,
+        }) = self.queue.front()
+        {
+            let PlannedDatagram {
+                first,
+                count,
+                pad_to,
+            } = self.datagrams[datagram];
+            let packets = &self.packets[first..first + count];
+            let unpadded: usize = packets.iter().map(|p| self.planned_len(p)).sum();
+            let wire_len = pad_to.map_or(unpadded, |target| target.max(unpadded));
+            let padding = wire_len - unpadded;
+            let mut charged = wire_len;
             if !self.config.behavior.count_padding {
                 charged -= padding;
             }
-            if pending.is_resend && !self.config.behavior.count_resends {
+            if is_resend && !self.config.behavior.count_resends {
                 charged = 0;
             }
-            if !self.budget.allows(charged, pending.packets.len()) {
+            if !self.budget.allows(charged, count) {
                 if self.stall_began_at.is_none() {
                     self.stall_began_at = Some(now);
                 }
@@ -524,23 +587,25 @@ impl ServerConn {
             if self.stall_began_at.is_some() && self.stall_ended_at.is_none() {
                 self.stall_ended_at = Some(now);
             }
-            let pending = self.queue.pop_front().unwrap();
-            self.budget.charge(charged, pending.packets.len());
-            self.stats.charged += charged;
-            self.stats.wire_sent += wire.len();
-            self.stats.padding_sent += padding
-                + pending
-                    .packets
-                    .iter()
-                    .map(|p| p.padding_len())
-                    .sum::<usize>();
-            self.stats.tls_sent += pending
-                .packets
+            // Padding goes inside the last packet's AEAD envelope.
+            let mut wire = Vec::with_capacity(wire_len);
+            for (i, packet) in packets.iter().enumerate() {
+                let padding = if i + 1 == count { padding } else { 0 };
+                self.header(packet)
+                    .encode_into(&mut wire, self.frames(packet), padding);
+            }
+            let tls: usize = packets
                 .iter()
-                .map(|p| p.crypto_data_len())
-                .sum::<usize>();
+                .filter_map(|p| p.crypto.map(|(start, end)| end - start))
+                .sum();
+            self.queue.pop_front();
+            self.budget.charge(charged, count);
+            self.stats.charged += charged;
+            self.stats.wire_sent += wire_len;
+            self.stats.padding_sent += padding;
+            self.stats.tls_sent += tls;
             self.stats.datagrams_sent += 1;
-            out.push(template.reply_with(wire));
+            out.push(reply.datagram(wire));
         }
         // Arm the retransmission timer while unacknowledged data is out.
         if !self.complete && self.transmissions > 0 && self.pto_deadline.is_none() {
@@ -562,27 +627,19 @@ impl ServerConn {
         if !host.issue_tickets {
             return;
         }
-        let ch = self.contiguous_ch();
-        let sni = parse_server_name(&ch).unwrap_or_default();
+        let sni = parse_server_name(self.ch.contiguous()).unwrap_or_default();
         let identity = host.issuer.issue(&sni, host.now_secs, self.config.seed);
         let lifetime = host.issuer.config.lifetime_secs.min(u32::MAX as u64) as u32;
         let age_add = (self.config.seed ^ (self.config.seed >> 32)) as u32;
-        let nst = new_session_ticket(lifetime, age_add, &identity, self.config.seed);
-        let pn = self.onertt_pn;
-        self.onertt_pn += 1;
-        let pkt = Packet::new(
+        self.onertt_crypto = new_session_ticket(lifetime, age_add, &identity, self.config.seed);
+        self.plan_datagram(None);
+        self.plan_packet(
             PacketType::OneRtt,
-            self.client_cid.clone(),
-            self.scid.clone(),
-            pn,
-            vec![Frame::Crypto {
-                offset: 0,
-                data: nst,
-            }],
+            None,
+            Some((0, self.onertt_crypto.len())),
         );
-        self.queue.push_back(PendingDatagram {
-            packets: vec![pkt],
-            pad_to: None,
+        self.queue.push_back(Queued {
+            datagram: self.datagrams.len() - 1,
             is_resend: false,
         });
         self.ticket_issued = true;
@@ -600,20 +657,28 @@ impl ServerConn {
     }
 }
 
+impl ReplyPath {
+    fn datagram(self, payload: Vec<u8>) -> Datagram {
+        Datagram::new(
+            self.local,
+            self.peer,
+            self.local_port,
+            self.peer_port,
+            payload,
+        )
+    }
+}
+
 impl Endpoint for ServerConn {
     fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
         self.budget.on_receive(dgram.payload_len());
-        // The reply path is learned from the first datagram.
-        if self.reply_template.is_none() {
-            self.reply_template = Some(Datagram::new(
-                dgram.dst,
-                dgram.src,
-                dgram.dst_port,
-                dgram.src_port,
-                Vec::new(),
-            ));
-        }
-        let Some(packets) = parse_datagram(&dgram.payload) else {
+        let reply = *self.reply_path.get_or_insert(ReplyPath {
+            local: dgram.dst,
+            peer: dgram.src,
+            local_port: dgram.dst_port,
+            peer_port: dgram.src_port,
+        });
+        let Some(packets) = parse_datagram_ref(&dgram.payload) else {
             return;
         };
         for pkt in packets {
@@ -624,12 +689,12 @@ impl Endpoint for ServerConn {
                             .map_or(pkt.number, |l| l.max(pkt.number)),
                     );
                     if self.client_cid.is_empty() {
-                        self.client_cid = pkt.scid.clone();
+                        self.client_cid = pkt.scid;
                     }
                     let mut saw_crypto = false;
-                    for frame in &pkt.frames {
-                        if let Frame::Crypto { offset, data } = frame {
-                            self.ch_buffer.insert(*offset, data.clone());
+                    for frame in pkt.frames {
+                        if let FrameRef::Crypto { offset, data } = frame {
+                            self.ch.insert(offset, data);
                             saw_crypto = true;
                         }
                     }
@@ -640,24 +705,22 @@ impl Endpoint for ServerConn {
                         {
                             // Demand address validation.
                             self.retry_token = self.make_retry_token();
-                            let mut retry = Packet::new(
-                                PacketType::Retry,
-                                self.client_cid.clone(),
-                                self.scid.clone(),
-                                0,
-                                vec![],
-                            );
-                            retry.token = self.retry_token.clone();
-                            let wire = retry.encode();
+                            let retry = Header {
+                                ty: PacketType::Retry,
+                                dcid: &self.client_cid,
+                                scid: &self.scid,
+                                token: &self.retry_token,
+                                number: 0,
+                            };
+                            let mut wire = Vec::with_capacity(retry.encoded_len([]));
+                            retry.encode_into(&mut wire, [], 0);
                             self.budget.charge(wire.len(), 1);
                             self.stats.charged += wire.len();
                             self.stats.wire_sent += wire.len();
                             self.stats.datagrams_sent += 1;
                             self.stats.sent_retry = true;
                             self.retry_sent = true;
-                            if let Some(t) = &self.reply_template {
-                                out.push(t.reply_with(wire));
-                            }
+                            out.push(reply.datagram(wire));
                             continue;
                         }
                         if self.config.behavior.retry_first
@@ -667,9 +730,8 @@ impl Endpoint for ServerConn {
                             // Token echo proves the address.
                             self.budget.validate();
                         }
-                        let ch = self.contiguous_ch();
-                        if is_complete_handshake_message(&ch) {
-                            self.build_flight(&ch);
+                        if is_complete_handshake_message(self.ch.contiguous()) {
+                            self.build_flight();
                             self.enqueue_flight(false);
                         }
                     }
@@ -678,12 +740,14 @@ impl Endpoint for ServerConn {
                     // Any Handshake-level packet from the client validates
                     // its address (it proves receipt of our keys).
                     self.budget.validate();
-                    for frame in &pkt.frames {
-                        if let Frame::Crypto { .. } = frame {
-                            // The client's Finished: handshake confirmed.
-                            self.complete = true;
-                            self.pto_deadline = None;
-                        }
+                    if pkt
+                        .frames
+                        .into_iter()
+                        .any(|f| matches!(f, FrameRef::Crypto { .. }))
+                    {
+                        // The client's Finished: handshake confirmed.
+                        self.complete = true;
+                        self.pto_deadline = None;
                     }
                     self.maybe_issue_ticket();
                 }
@@ -737,11 +801,7 @@ impl Endpoint for ServerConn {
 
 /// Whether `buf` starts with one complete TLS handshake message.
 pub fn is_complete_handshake_message(buf: &[u8]) -> bool {
-    if buf.len() < 4 {
-        return false;
-    }
-    let len = ((buf[1] as usize) << 16) | ((buf[2] as usize) << 8) | buf[3] as usize;
-    buf.len() >= 4 + len
+    handshake_messages(buf).next().is_some()
 }
 
 /// Parse the compress_certificate extension (type 27) out of a ClientHello

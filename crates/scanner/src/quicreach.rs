@@ -1,13 +1,13 @@
 //! QUIC handshake classification (quicreach with Retry support, §3.2).
 //!
-//! Since the `SimNet` refactor a whole shard of probes is batched as
-//! sessions of one discrete-event network ([`scan_records`]), amortising
-//! the per-probe heap and buffer churn of the old one-exchange-at-a-time
-//! loop; [`scan_records_per_probe`] keeps that loop alive as the reference
-//! path for equivalence tests and the throughput benchmark. Every entry
-//! point takes the conditions it scans under — era, path profile, fault
-//! plan, Initial size, resumption policy — as one [`Scenario`], so a new
-//! condition is a new field there, never a new entry point here.
+//! A whole shard of probes goes through the QUIC crate's batch driver
+//! ([`scan_records`]), which runs one handshake to completion at a time;
+//! [`scan_records_per_probe`] spells the same loop out probe by probe as
+//! the reference path for equivalence tests and the throughput benchmark.
+//! Every entry point takes the conditions it scans under — era, path
+//! profile, fault plan, Initial size, resumption policy — as one
+//! [`Scenario`], so a new condition is a new field there, never a new entry
+//! point here.
 //!
 //! All probe families — batched, per-probe, streamed ([`fold_chunk`]) and
 //! the warm ([`warm_scan`]) resumption path — share one probe-construction
@@ -338,8 +338,8 @@ impl Merge for QuicReachShard {
 /// chunk.
 ///
 /// The QUIC services of the chunk are probed through the same
-/// `probes_for`/`collate` pair every materialized entry point uses —
-/// batched as sessions of one `SimNet` — and immediately folded. Because
+/// `probes_for`/`collate` pair every materialized entry point uses and
+/// immediately folded. Because
 /// probe outcomes are chunk-size invariant (per-record RNG forking) and
 /// the shard summary merges exactly, pumping any chunking of the
 /// population through this fold and merging the shards reproduces
@@ -768,9 +768,9 @@ pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
 
 /// Probe an explicit shard of services under one [`Scenario`].
 ///
-/// This is the shard-aware entry point: the whole shard is batched as
-/// sessions of one `SimNet`. Every probe derives its randomness from the
-/// record's own forked seed and owns its session state, so splitting the
+/// This is the shard-aware entry point. Every probe derives its
+/// randomness from the record's own forked seed and owns its session
+/// state, so splitting the
 /// service list into shards, probing them on separate workers and
 /// concatenating the shard outputs in order is bit-for-bit identical to a
 /// serial [`scan`] — and to the per-probe loop in
@@ -796,12 +796,11 @@ pub fn scan_records(
     collate(records, &outcomes)
 }
 
-/// The pre-batching reference path: one isolated exchange per probe.
+/// The reference path: one `run_handshake` call per probe, spelled out.
 ///
 /// Kept for the batched-vs-per-probe equivalence tests and the scan
 /// throughput benchmark; scanners should prefer [`scan_records`]. Probe
-/// construction and collation are the same helpers the batched path uses —
-/// only the exchange scheduling differs.
+/// construction and collation are the same helpers the batched path uses.
 pub fn scan_records_per_probe(
     world: &World,
     records: &[&DomainRecord],

@@ -36,8 +36,8 @@ pub const ASSUMED_INITIAL: usize = 1362;
 /// Launch spoofed probes at up to `per_provider` services of each
 /// hypergiant and reconstruct sessions from the telescope.
 ///
-/// All probes run as sessions of one `SimNet` batch; outcomes (and thus
-/// sessions) are bit-for-bit identical to the old per-probe loop.
+/// All probes go through one `run_spoofed_probe_batch` call; outcomes (and
+/// thus sessions) are bit-for-bit identical to a per-probe loop.
 pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<BackscatterSession> {
     let mut telescope = Telescope::new(dark);
     let mut provider_of_scid: HashMap<Vec<u8>, Provider> = HashMap::new();

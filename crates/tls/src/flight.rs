@@ -53,11 +53,12 @@ impl ServerFlight {
     /// bytes, which is what lets a resumed handshake fit the 3×
     /// anti-amplification budget at any client Initial size.
     pub fn build_resumed(seed: u64) -> ServerFlight {
-        let initial_crypto = messages::server_hello_resumed(seed);
-        let mut handshake_crypto = messages::encrypted_extensions(seed);
-        handshake_crypto.extend_from_slice(&messages::finished(seed));
+        let mut handshake_crypto =
+            Vec::with_capacity(messages::ENCRYPTED_EXTENSIONS_LEN + messages::FINISHED_LEN);
+        messages::encrypted_extensions_into(&mut handshake_crypto, seed);
+        messages::finished_into(&mut handshake_crypto, seed);
         ServerFlight {
-            initial_crypto,
+            initial_crypto: messages::server_hello_resumed(seed),
             handshake_crypto,
             certificate_message_len: 0,
             uncompressed_certificate_len: 0,
@@ -65,34 +66,43 @@ impl ServerFlight {
     }
 
     /// Build the flight for the given parameters.
+    ///
+    /// Every Handshake-level message is written straight into the one
+    /// `handshake_crypto` buffer, sized up front; the chain's DER is copied
+    /// exactly once.
     pub fn build(params: &ServerFlightParams<'_>) -> ServerFlight {
-        let initial_crypto = messages::server_hello(params.seed);
+        let mut handshake_crypto = Vec::with_capacity(
+            messages::ENCRYPTED_EXTENSIONS_LEN
+                + messages::certificate_message_len(params.chain)
+                + messages::certificate_verify_len(params.leaf_key)
+                + messages::FINISHED_LEN,
+        );
+        messages::encrypted_extensions_into(&mut handshake_crypto, params.seed);
 
-        let plain_cert = messages::certificate_message(params.chain);
-        let uncompressed_certificate_len = plain_cert.len();
-        let cert_msg = match params.compression {
-            Some(alg) => {
-                let compressed = messages::compressed_certificate_message(params.chain, alg);
-                // RFC 8879 servers fall back to the plain message if
-                // compression would not help.
-                if compressed.len() < plain_cert.len() {
-                    compressed
-                } else {
-                    plain_cert
-                }
+        let cert_at = handshake_crypto.len();
+        messages::certificate_message_into(&mut handshake_crypto, params.chain);
+        let uncompressed_certificate_len = handshake_crypto.len() - cert_at;
+        if let Some(alg) = params.compression {
+            let mut compressed = Vec::new();
+            messages::compressed_certificate_message_into(
+                &mut compressed,
+                &handshake_crypto[cert_at..],
+                alg,
+            );
+            // RFC 8879 servers fall back to the plain message if
+            // compression would not help.
+            if compressed.len() < uncompressed_certificate_len {
+                handshake_crypto.truncate(cert_at);
+                handshake_crypto.extend_from_slice(&compressed);
             }
-            None => plain_cert,
-        };
-        let certificate_message_len = cert_msg.len();
+        }
+        let certificate_message_len = handshake_crypto.len() - cert_at;
 
-        let mut handshake_crypto = messages::encrypted_extensions(params.seed);
-        handshake_crypto.extend_from_slice(&cert_msg);
-        handshake_crypto
-            .extend_from_slice(&messages::certificate_verify(params.leaf_key, params.seed));
-        handshake_crypto.extend_from_slice(&messages::finished(params.seed));
+        messages::certificate_verify_into(&mut handshake_crypto, params.leaf_key, params.seed);
+        messages::finished_into(&mut handshake_crypto, params.seed);
 
         ServerFlight {
-            initial_crypto,
+            initial_crypto: messages::server_hello(params.seed),
             handshake_crypto,
             certificate_message_len,
             uncompressed_certificate_len,

@@ -21,8 +21,9 @@ pub mod messages;
 pub use browser::{BrowserProfile, CHROMIUM, FIREFOX, SAFARI};
 pub use flight::{ServerFlight, ServerFlightParams};
 pub use messages::{
-    certificate_message, certificate_verify, client_hello, compressed_certificate_message,
-    encrypted_extensions, finished, new_session_ticket, parse_new_session_ticket, parse_psk_offer,
-    parse_server_name, server_hello, server_hello_accepted_psk, server_hello_resumed,
-    ClientHelloParams, HandshakeType, NewSessionTicket, PskOffer,
+    certificate_message, certificate_verify, client_hello, client_hello_into,
+    compressed_certificate_message, encrypted_extensions, finished, new_session_ticket,
+    parse_new_session_ticket, parse_psk_offer, parse_server_name, server_hello,
+    server_hello_accepted_psk, server_hello_resumed, ClientHelloParams, HandshakeType,
+    NewSessionTicket, PskOffer,
 };

@@ -39,12 +39,36 @@ fn fill(seed: u64, buf: &mut [u8]) {
     }
 }
 
-fn handshake_message(ty: HandshakeType, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 4);
+/// Append `n` bytes of deterministic filler to `out`.
+fn fill_into(out: &mut Vec<u8>, seed: u64, n: usize) {
+    let at = out.len();
+    out.resize(at + n, 0);
+    fill(seed, &mut out[at..]);
+}
+
+/// Append a block prefixed by its own `N`-byte big-endian length: reserve
+/// the length, let `body` append the content, then back-patch. TLS lengths
+/// are fixed-width, so nothing shifts.
+fn length_prefixed<const N: usize>(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; N]);
+    body(out);
+    let len = out.len() - at - N;
+    debug_assert!(N >= 8 || len < 1 << (8 * N));
+    out[at..at + N].copy_from_slice(&len.to_be_bytes()[8 - N..]);
+}
+
+/// Append a handshake message: type, `u24` length, and whatever `body`
+/// appends.
+fn handshake_message(out: &mut Vec<u8>, ty: HandshakeType, body: impl FnOnce(&mut Vec<u8>)) {
     out.push(ty as u8);
-    out.extend_from_slice(&u24(body.len()));
-    out.extend_from_slice(body);
-    out
+    length_prefixed::<3>(out, body);
+}
+
+/// Append an extension: type, `u16` length, and whatever `data` appends.
+fn extension(out: &mut Vec<u8>, ty: u16, data: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(&ty.to_be_bytes());
+    length_prefixed::<2>(out, data);
 }
 
 fn u24(v: usize) -> [u8; 3] {
@@ -55,14 +79,6 @@ fn u24(v: usize) -> [u8; 3] {
 fn u16be(v: usize) -> [u8; 2] {
     debug_assert!(v < 1 << 16);
     [(v >> 8) as u8, v as u8]
-}
-
-fn extension(ty: u16, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 4);
-    out.extend_from_slice(&ty.to_be_bytes());
-    out.extend_from_slice(&u16be(data.len()));
-    out.extend_from_slice(data);
-    out
 }
 
 // Extension type code points.
@@ -108,117 +124,115 @@ pub struct ClientHelloParams {
 
 /// Encode a ClientHello handshake message.
 pub fn client_hello(params: &ClientHelloParams) -> Vec<u8> {
-    let mut body = Vec::with_capacity(512);
-    body.extend_from_slice(&[0x03, 0x03]); // legacy_version TLS 1.2
-    let mut random = [0u8; 32];
-    fill(params.seed, &mut random);
-    body.extend_from_slice(&random);
-    // legacy_session_id: QUIC clients send empty.
-    body.push(0);
-    // cipher_suites: the three TLS 1.3 suites.
-    body.extend_from_slice(&u16be(6));
-    body.extend_from_slice(&[0x13, 0x01, 0x13, 0x02, 0x13, 0x03]);
-    // legacy_compression_methods: null only.
-    body.extend_from_slice(&[0x01, 0x00]);
+    let mut out = Vec::with_capacity(512);
+    client_hello_into(
+        &mut out,
+        &params.server_name,
+        &params.compression,
+        params.psk.as_ref(),
+        params.seed,
+    );
+    out
+}
 
-    let mut exts: Vec<u8> = Vec::new();
-    // server_name: list(2) + type(1) + len(2) + name.
-    let name = params.server_name.as_bytes();
-    let mut sni = Vec::with_capacity(name.len() + 5);
-    sni.extend_from_slice(&u16be(name.len() + 3));
-    sni.push(0);
-    sni.extend_from_slice(&u16be(name.len()));
-    sni.extend_from_slice(name);
-    exts.extend(extension(EXT_SERVER_NAME, &sni));
-    // supported_versions: TLS 1.3 only.
-    exts.extend(extension(EXT_SUPPORTED_VERSIONS, &[0x02, 0x03, 0x04]));
-    // supported_groups: x25519, P-256, P-384.
-    exts.extend(extension(
-        EXT_SUPPORTED_GROUPS,
-        &[0x00, 0x06, 0x00, 0x1D, 0x00, 0x17, 0x00, 0x18],
-    ));
-    // signature_algorithms: the common nine.
-    let algs: &[u16] = &[
-        0x0403, 0x0804, 0x0401, 0x0503, 0x0805, 0x0501, 0x0806, 0x0601, 0x0201,
-    ];
-    let mut sig = Vec::with_capacity(algs.len() * 2 + 2);
-    sig.extend_from_slice(&u16be(algs.len() * 2));
-    for a in algs {
-        sig.extend_from_slice(&a.to_be_bytes());
-    }
-    exts.extend(extension(EXT_SIGNATURE_ALGORITHMS, &sig));
-    // key_share: one x25519 share.
-    let mut share = [0u8; 32];
-    fill(params.seed ^ 0x4B45_5953_4841_5245, &mut share);
-    let mut ks = Vec::with_capacity(42);
-    ks.extend_from_slice(&u16be(36));
-    ks.extend_from_slice(&[0x00, 0x1D]);
-    ks.extend_from_slice(&u16be(32));
-    ks.extend_from_slice(&share);
-    exts.extend(extension(EXT_KEY_SHARE, &ks));
-    // ALPN: h3.
-    exts.extend(extension(EXT_ALPN, &[0x00, 0x03, 0x02, b'h', b'3']));
-    // psk_key_exchange_modes: psk_dhe_ke.
-    exts.extend(extension(45, &[0x01, 0x01]));
-    // status_request: OCSP stapling.
-    exts.extend(extension(5, &[0x01, 0x00, 0x00, 0x00, 0x00]));
-    // QUIC transport parameters (opaque, typical ~60 bytes).
-    let mut tp = [0u8; 58];
-    fill(params.seed ^ 0x7061_7261, &mut tp);
-    exts.extend(extension(EXT_QUIC_TRANSPORT_PARAMS, &tp));
-    // compress_certificate (RFC 8879), only if offered.
-    if !params.compression.is_empty() {
-        let mut cc = Vec::with_capacity(params.compression.len() * 2 + 1);
-        cc.push((params.compression.len() * 2) as u8);
-        for alg in &params.compression {
-            cc.extend_from_slice(&alg.code_point().to_be_bytes());
-        }
-        exts.extend(extension(EXT_COMPRESS_CERTIFICATE, &cc));
-    }
-    // pre_shared_key (RFC 8446 §4.2.11): must be the last extension.
-    if let Some(psk) = &params.psk {
-        let mut data = Vec::with_capacity(psk.identity.len() + PSK_BINDER_LEN + 11);
-        // identities: one entry = identity(2+len) + obfuscated_age(4).
-        data.extend_from_slice(&u16be(psk.identity.len() + 6));
-        data.extend_from_slice(&u16be(psk.identity.len()));
-        data.extend_from_slice(&psk.identity);
-        data.extend_from_slice(&psk.obfuscated_age.to_be_bytes());
-        // binders: one binder = 1-byte length + HMAC (deterministic filler).
-        data.extend_from_slice(&u16be(PSK_BINDER_LEN + 1));
-        data.push(PSK_BINDER_LEN as u8);
-        let mut binder = [0u8; PSK_BINDER_LEN];
-        fill(params.seed ^ 0x7073_6B62_6E64, &mut binder);
-        data.extend_from_slice(&binder);
-        exts.extend(extension(EXT_PRE_SHARED_KEY, &data));
-    }
-
-    body.extend_from_slice(&u16be(exts.len()));
-    body.extend_from_slice(&exts);
-    handshake_message(HandshakeType::ClientHello, &body)
+/// Append a ClientHello handshake message to `out`, from borrowed
+/// parameters (see [`ClientHelloParams`] for their meaning).
+pub fn client_hello_into(
+    out: &mut Vec<u8>,
+    server_name: &str,
+    compression: &[Algorithm],
+    psk: Option<&PskOffer>,
+    seed: u64,
+) {
+    handshake_message(out, HandshakeType::ClientHello, |out| {
+        out.extend_from_slice(&[0x03, 0x03]); // legacy_version TLS 1.2
+        fill_into(out, seed, 32); // random
+        out.push(0); // legacy_session_id: QUIC clients send empty.
+        out.extend_from_slice(&u16be(6)); // cipher_suites: the three TLS 1.3 suites.
+        out.extend_from_slice(&[0x13, 0x01, 0x13, 0x02, 0x13, 0x03]);
+        out.extend_from_slice(&[0x01, 0x00]); // legacy_compression_methods: null only.
+        length_prefixed::<2>(out, |out| {
+            // server_name: list(2) + type(1) + len(2) + name.
+            extension(out, EXT_SERVER_NAME, |out| {
+                length_prefixed::<2>(out, |out| {
+                    out.push(0);
+                    length_prefixed::<2>(out, |out| out.extend_from_slice(server_name.as_bytes()));
+                });
+            });
+            // supported_versions: TLS 1.3 only.
+            extension(out, EXT_SUPPORTED_VERSIONS, |out| {
+                out.extend_from_slice(&[0x02, 0x03, 0x04])
+            });
+            // supported_groups: x25519, P-256, P-384.
+            extension(out, EXT_SUPPORTED_GROUPS, |out| {
+                out.extend_from_slice(&[0x00, 0x06, 0x00, 0x1D, 0x00, 0x17, 0x00, 0x18])
+            });
+            // signature_algorithms: the common nine.
+            extension(out, EXT_SIGNATURE_ALGORITHMS, |out| {
+                length_prefixed::<2>(out, |out| {
+                    for alg in [
+                        0x0403u16, 0x0804, 0x0401, 0x0503, 0x0805, 0x0501, 0x0806, 0x0601, 0x0201,
+                    ] {
+                        out.extend_from_slice(&alg.to_be_bytes());
+                    }
+                });
+            });
+            // key_share: one x25519 share.
+            extension(out, EXT_KEY_SHARE, |out| {
+                length_prefixed::<2>(out, |out| {
+                    out.extend_from_slice(&[0x00, 0x1D]);
+                    length_prefixed::<2>(out, |out| {
+                        fill_into(out, seed ^ 0x4B45_5953_4841_5245, 32)
+                    });
+                });
+            });
+            // ALPN: h3.
+            extension(out, EXT_ALPN, |out| {
+                out.extend_from_slice(&[0x00, 0x03, 0x02, b'h', b'3'])
+            });
+            // psk_key_exchange_modes: psk_dhe_ke.
+            extension(out, 45, |out| out.extend_from_slice(&[0x01, 0x01]));
+            // status_request: OCSP stapling.
+            extension(out, 5, |out| {
+                out.extend_from_slice(&[0x01, 0x00, 0x00, 0x00, 0x00])
+            });
+            // QUIC transport parameters (opaque, typical ~60 bytes).
+            extension(out, EXT_QUIC_TRANSPORT_PARAMS, |out| {
+                fill_into(out, seed ^ 0x7061_7261, 58)
+            });
+            // compress_certificate (RFC 8879), only if offered.
+            if !compression.is_empty() {
+                extension(out, EXT_COMPRESS_CERTIFICATE, |out| {
+                    out.push((compression.len() * 2) as u8);
+                    for alg in compression {
+                        out.extend_from_slice(&alg.code_point().to_be_bytes());
+                    }
+                });
+            }
+            // pre_shared_key (RFC 8446 §4.2.11): must be the last extension.
+            if let Some(psk) = psk {
+                extension(out, EXT_PRE_SHARED_KEY, |out| {
+                    // identities: one entry = identity(2+len) + obfuscated_age(4).
+                    length_prefixed::<2>(out, |out| {
+                        length_prefixed::<2>(out, |out| out.extend_from_slice(&psk.identity));
+                        out.extend_from_slice(&psk.obfuscated_age.to_be_bytes());
+                    });
+                    // binders: one binder = 1-byte length + HMAC (deterministic filler).
+                    length_prefixed::<2>(out, |out| {
+                        out.push(PSK_BINDER_LEN as u8);
+                        fill_into(out, seed ^ 0x7073_6B62_6E64, PSK_BINDER_LEN);
+                    });
+                });
+            }
+        });
+    });
 }
 
 /// Encode a ServerHello handshake message.
 pub fn server_hello(seed: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128);
-    body.extend_from_slice(&[0x03, 0x03]);
-    let mut random = [0u8; 32];
-    fill(seed ^ 0x5348_4C4F, &mut random);
-    body.extend_from_slice(&random);
-    body.push(0); // echo empty session id
-    body.extend_from_slice(&[0x13, 0x01]); // TLS_AES_128_GCM_SHA256
-    body.push(0); // null compression
-    let mut exts: Vec<u8> = Vec::new();
-    exts.extend(extension(EXT_SUPPORTED_VERSIONS, &[0x03, 0x04]));
-    let mut share = [0u8; 32];
-    fill(seed ^ 0x4B45_5953, &mut share);
-    let mut ks = Vec::with_capacity(38);
-    ks.extend_from_slice(&[0x00, 0x1D]);
-    ks.extend_from_slice(&u16be(32));
-    ks.extend_from_slice(&share);
-    exts.extend(extension(EXT_KEY_SHARE, &ks));
-    body.extend_from_slice(&u16be(exts.len()));
-    body.extend_from_slice(&exts);
-    handshake_message(HandshakeType::ServerHello, &body)
+    let mut out = Vec::with_capacity(128);
+    server_hello_into(&mut out, seed, false);
+    out
 }
 
 /// Encode a ServerHello that accepts a PSK offer: the classic ServerHello
@@ -226,20 +240,34 @@ pub fn server_hello(seed: u64) -> Vec<u8> {
 /// wire-visible difference between a cold and a resumed ServerHello, and
 /// what [`server_hello_accepted_psk`] detects on the client side.
 pub fn server_hello_resumed(seed: u64) -> Vec<u8> {
-    let mut msg = server_hello(seed);
-    // Splice the extension into the extensions block: the block length
-    // field sits right after the fixed ServerHello prefix.
-    let body_start = 4;
-    let ext_len_pos = body_start + 2 + 32 + 1 + 2 + 1;
-    let old_ext_len = u16::from_be_bytes([msg[ext_len_pos], msg[ext_len_pos + 1]]) as usize;
-    let addition = extension(EXT_PRE_SHARED_KEY, &[0x00, 0x00]); // selected_identity 0
-    msg.extend_from_slice(&addition);
-    let new_ext_len = (old_ext_len + addition.len()) as u16;
-    msg[ext_len_pos..ext_len_pos + 2].copy_from_slice(&new_ext_len.to_be_bytes());
-    // Patch the handshake-message length header.
-    let new_body_len = msg.len() - 4;
-    msg[1..4].copy_from_slice(&u24(new_body_len));
-    msg
+    let mut out = Vec::with_capacity(128);
+    server_hello_into(&mut out, seed, true);
+    out
+}
+
+fn server_hello_into(out: &mut Vec<u8>, seed: u64, accept_psk: bool) {
+    handshake_message(out, HandshakeType::ServerHello, |out| {
+        out.extend_from_slice(&[0x03, 0x03]);
+        fill_into(out, seed ^ 0x5348_4C4F, 32); // random
+        out.push(0); // echo empty session id
+        out.extend_from_slice(&[0x13, 0x01]); // TLS_AES_128_GCM_SHA256
+        out.push(0); // null compression
+        length_prefixed::<2>(out, |out| {
+            extension(out, EXT_SUPPORTED_VERSIONS, |out| {
+                out.extend_from_slice(&[0x03, 0x04])
+            });
+            extension(out, EXT_KEY_SHARE, |out| {
+                out.extend_from_slice(&[0x00, 0x1D]);
+                length_prefixed::<2>(out, |out| fill_into(out, seed ^ 0x4B45_5953, 32));
+            });
+            if accept_psk {
+                // selected_identity 0
+                extension(out, EXT_PRE_SHARED_KEY, |out| {
+                    out.extend_from_slice(&[0x00, 0x00])
+                });
+            }
+        });
+    });
 }
 
 /// Whether a ServerHello handshake message carries a pre_shared_key
@@ -287,17 +315,15 @@ pub struct NewSessionTicket {
 
 /// Encode a NewSessionTicket message (RFC 8446 §4.6.1).
 pub fn new_session_ticket(lifetime_secs: u32, age_add: u32, ticket: &[u8], seed: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(ticket.len() + 23);
-    body.extend_from_slice(&lifetime_secs.to_be_bytes());
-    body.extend_from_slice(&age_add.to_be_bytes());
-    let mut nonce = [0u8; 8];
-    fill(seed ^ 0x6E73_746E, &mut nonce);
-    body.push(nonce.len() as u8);
-    body.extend_from_slice(&nonce);
-    body.extend_from_slice(&u16be(ticket.len()));
-    body.extend_from_slice(ticket);
-    body.extend_from_slice(&u16be(0)); // no extensions
-    handshake_message(HandshakeType::NewSessionTicket, &body)
+    let mut out = Vec::with_capacity(ticket.len() + 27);
+    handshake_message(&mut out, HandshakeType::NewSessionTicket, |out| {
+        out.extend_from_slice(&lifetime_secs.to_be_bytes());
+        out.extend_from_slice(&age_add.to_be_bytes());
+        length_prefixed::<1>(out, |out| fill_into(out, seed ^ 0x6E73_746E, 8)); // nonce
+        length_prefixed::<2>(out, |out| out.extend_from_slice(ticket));
+        out.extend_from_slice(&u16be(0)); // no extensions
+    });
+    out
 }
 
 /// Parse a NewSessionTicket message; `None` when malformed or a different
@@ -376,52 +402,84 @@ pub fn parse_psk_offer(ch: &[u8]) -> Option<PskOffer> {
 
 /// Encode EncryptedExtensions (ALPN echo + QUIC transport parameters).
 pub fn encrypted_extensions(seed: u64) -> Vec<u8> {
-    let mut exts: Vec<u8> = Vec::new();
-    exts.extend(extension(EXT_ALPN, &[0x00, 0x03, 0x02, b'h', b'3']));
-    let mut tp = [0u8; 61];
-    fill(seed ^ 0x7472_7073, &mut tp);
-    exts.extend(extension(EXT_QUIC_TRANSPORT_PARAMS, &tp));
-    let mut body = Vec::with_capacity(exts.len() + 2);
-    body.extend_from_slice(&u16be(exts.len()));
-    body.extend_from_slice(&exts);
-    handshake_message(HandshakeType::EncryptedExtensions, &body)
+    let mut out = Vec::with_capacity(ENCRYPTED_EXTENSIONS_LEN);
+    encrypted_extensions_into(&mut out, seed);
+    out
+}
+
+/// Encoded size of [`encrypted_extensions`].
+pub(crate) const ENCRYPTED_EXTENSIONS_LEN: usize = 4 + 2 + (4 + 5) + (4 + 61);
+
+pub(crate) fn encrypted_extensions_into(out: &mut Vec<u8>, seed: u64) {
+    handshake_message(out, HandshakeType::EncryptedExtensions, |out| {
+        length_prefixed::<2>(out, |out| {
+            extension(out, EXT_ALPN, |out| {
+                out.extend_from_slice(&[0x00, 0x03, 0x02, b'h', b'3'])
+            });
+            extension(out, EXT_QUIC_TRANSPORT_PARAMS, |out| {
+                fill_into(out, seed ^ 0x7472_7073, 61)
+            });
+        });
+    });
 }
 
 /// Encode a Certificate message carrying `chain` (RFC 8446 §4.4.2).
 pub fn certificate_message(chain: &CertificateChain) -> Vec<u8> {
-    let mut list = Vec::with_capacity(chain.total_der_len() + chain.depth() * 5);
-    for cert in chain.certs() {
-        list.extend_from_slice(&u24(cert.der_len()));
-        list.extend_from_slice(cert.der());
-        list.extend_from_slice(&u16be(0)); // no per-certificate extensions
-    }
-    let mut body = Vec::with_capacity(list.len() + 4);
-    body.push(0); // empty certificate_request_context
-    body.extend_from_slice(&u24(list.len()));
-    body.extend_from_slice(&list);
-    handshake_message(HandshakeType::Certificate, &body)
+    let mut out = Vec::with_capacity(certificate_message_len(chain));
+    certificate_message_into(&mut out, chain);
+    out
+}
+
+/// Encoded size of [`certificate_message`]: handshake header, empty
+/// request context, list length, and per certificate a `u24` length, the
+/// DER and an empty extension block.
+pub(crate) fn certificate_message_len(chain: &CertificateChain) -> usize {
+    4 + 1 + 3 + chain.total_der_len() + chain.depth() * 5
+}
+
+pub(crate) fn certificate_message_into(out: &mut Vec<u8>, chain: &CertificateChain) {
+    handshake_message(out, HandshakeType::Certificate, |out| {
+        out.push(0); // empty certificate_request_context
+        length_prefixed::<3>(out, |out| {
+            for cert in chain.certs() {
+                length_prefixed::<3>(out, |out| out.extend_from_slice(cert.der()));
+                out.extend_from_slice(&u16be(0)); // no per-certificate extensions
+            }
+        });
+    });
 }
 
 /// Encode a CompressedCertificate message (RFC 8879 §5): the inner
 /// Certificate message compressed with `algorithm`.
 pub fn compressed_certificate_message(chain: &CertificateChain, algorithm: Algorithm) -> Vec<u8> {
-    let inner = certificate_message(chain);
-    let compressed = quicert_compress::compress(algorithm, &inner);
-    let mut body = Vec::with_capacity(compressed.len() + 8);
-    body.extend_from_slice(&algorithm.code_point().to_be_bytes());
-    body.extend_from_slice(&u24(inner.len()));
-    body.extend_from_slice(&u24(compressed.len()));
-    body.extend_from_slice(&compressed);
-    handshake_message(HandshakeType::CompressedCertificate, &body)
+    let mut out = Vec::new();
+    compressed_certificate_message_into(&mut out, &certificate_message(chain), algorithm);
+    out
 }
 
-/// Encode CertificateVerify. The signature size follows the leaf key
-/// algorithm (RSA-PSS for RSA keys, ECDSA otherwise; ML-DSA sizes per
-/// draft-ietf-tls-mldsa, hybrids concatenate both component signatures per
-/// the hybrid-signature drafts with private-use code points).
-pub fn certificate_verify(leaf_key: quicert_x509::KeyAlgorithm, seed: u64) -> Vec<u8> {
+/// Append the CompressedCertificate form of the already encoded
+/// Certificate message `inner`.
+pub(crate) fn compressed_certificate_message_into(
+    out: &mut Vec<u8>,
+    inner: &[u8],
+    algorithm: Algorithm,
+) {
+    let compressed = quicert_compress::compress(algorithm, inner);
+    out.reserve(compressed.len() + 12);
+    handshake_message(out, HandshakeType::CompressedCertificate, |out| {
+        out.extend_from_slice(&algorithm.code_point().to_be_bytes());
+        out.extend_from_slice(&u24(inner.len())); // uncompressed_length
+        length_prefixed::<3>(out, |out| out.extend_from_slice(&compressed));
+    });
+}
+
+/// Signature scheme code point and signature size of a CertificateVerify
+/// under `leaf_key` (RSA-PSS for RSA keys, ECDSA otherwise; ML-DSA sizes
+/// per draft-ietf-tls-mldsa, hybrids concatenate both component signatures
+/// per the hybrid-signature drafts with private-use code points).
+fn certificate_verify_scheme(leaf_key: quicert_x509::KeyAlgorithm) -> (u16, usize) {
     use quicert_x509::KeyAlgorithm::*;
-    let (alg_id, sig_len): (u16, usize) = match leaf_key {
+    match leaf_key {
         Rsa2048 => (0x0804, 256),  // rsa_pss_rsae_sha256
         Rsa4096 => (0x0805, 512),  // rsa_pss_rsae_sha384
         EcdsaP256 => (0x0403, 71), // ecdsa_secp256r1_sha256 (typical DER size)
@@ -431,21 +489,48 @@ pub fn certificate_verify(leaf_key: quicert_x509::KeyAlgorithm, seed: u64) -> Ve
         // Private-use code points: concatenated ML-DSA ‖ ECDSA signatures.
         HybridP256MlDsa44 => (0xFE44, quicert_x509::alg::ML_DSA_44_SIG_LEN + 71),
         HybridP384MlDsa65 => (0xFE65, quicert_x509::alg::ML_DSA_65_SIG_LEN + 103),
-    };
-    let mut sig = vec![0u8; sig_len];
-    fill(seed ^ 0x6376_6679, &mut sig);
-    let mut body = Vec::with_capacity(sig_len + 4);
-    body.extend_from_slice(&alg_id.to_be_bytes());
-    body.extend_from_slice(&u16be(sig_len));
-    body.extend_from_slice(&sig);
-    handshake_message(HandshakeType::CertificateVerify, &body)
+    }
 }
+
+/// Encode CertificateVerify. The signature size follows the leaf key
+/// algorithm.
+pub fn certificate_verify(leaf_key: quicert_x509::KeyAlgorithm, seed: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(certificate_verify_len(leaf_key));
+    certificate_verify_into(&mut out, leaf_key, seed);
+    out
+}
+
+/// Encoded size of [`certificate_verify`].
+pub(crate) fn certificate_verify_len(leaf_key: quicert_x509::KeyAlgorithm) -> usize {
+    4 + 2 + 2 + certificate_verify_scheme(leaf_key).1
+}
+
+pub(crate) fn certificate_verify_into(
+    out: &mut Vec<u8>,
+    leaf_key: quicert_x509::KeyAlgorithm,
+    seed: u64,
+) {
+    let (alg_id, sig_len) = certificate_verify_scheme(leaf_key);
+    handshake_message(out, HandshakeType::CertificateVerify, |out| {
+        out.extend_from_slice(&alg_id.to_be_bytes());
+        length_prefixed::<2>(out, |out| fill_into(out, seed ^ 0x6376_6679, sig_len));
+    });
+}
+
+/// Encoded size of [`finished`].
+pub(crate) const FINISHED_LEN: usize = 4 + 32;
 
 /// Encode Finished (32-byte verify_data for the SHA-256 suites).
 pub fn finished(seed: u64) -> Vec<u8> {
-    let mut mac = [0u8; 32];
-    fill(seed ^ 0x6669_6E21, &mut mac);
-    handshake_message(HandshakeType::Finished, &mac)
+    let mut out = Vec::with_capacity(FINISHED_LEN);
+    finished_into(&mut out, seed);
+    out
+}
+
+pub(crate) fn finished_into(out: &mut Vec<u8>, seed: u64) {
+    handshake_message(out, HandshakeType::Finished, |out| {
+        fill_into(out, seed ^ 0x6669_6E21, 32)
+    });
 }
 
 #[cfg(test)]

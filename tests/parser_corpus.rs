@@ -21,10 +21,14 @@ use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use quicert::netsim::{Endpoint, SimTime};
-use quicert::quic::packet::parse_datagram;
+use quicert::netsim::{Datagram, Endpoint, SimDuration, SimTime};
+use quicert::quic::packet::{
+    parse_datagram, parse_datagram_ref, ConnectionId, PacketType, ParsedPacket, AEAD_TAG_LEN,
+};
 use quicert::quic::server::parse_compression_offers;
-use quicert::quic::{ClientConfig, ClientConn};
+use quicert::quic::{
+    varint, ClientConfig, ClientConn, Frame, Packet, ServerBehavior, ServerConfig, ServerConn,
+};
 use quicert::session::{TicketConfig, TicketIssuer, TicketValidation, TICKET_LEN};
 use quicert::tls::{
     client_hello, new_session_ticket, parse_new_session_ticket, parse_psk_offer, parse_server_name,
@@ -32,7 +36,8 @@ use quicert::tls::{
 };
 use quicert::x509::der::{parse_one, DerValue};
 use quicert::x509::{
-    CertificateBuilder, DistinguishedName, KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo,
+    CertificateBuilder, CertificateChain, DistinguishedName, KeyAlgorithm, SignatureAlgorithm,
+    SubjectPublicKeyInfo,
 };
 
 const SEED: u64 = 0xC0_4E22;
@@ -69,7 +74,7 @@ fn seed_new_session_ticket() -> Vec<u8> {
     new_session_ticket(7_200, 0xA6E_ADD, &seed_ticket_identity(), SEED)
 }
 
-fn seed_certificate_der() -> Vec<u8> {
+fn seed_certificate() -> quicert::x509::Certificate {
     CertificateBuilder::new(
         DistinguishedName::ca("US", "Corpus CA", "Corpus Root"),
         DistinguishedName::cn(SNI),
@@ -77,18 +82,59 @@ fn seed_certificate_der() -> Vec<u8> {
         SignatureAlgorithm::Sha256WithRsa2048,
     )
     .build()
-    .der()
-    .to_vec()
+}
+
+fn seed_certificate_der() -> Vec<u8> {
+    seed_certificate().der().to_vec()
+}
+
+/// The first three datagrams of a handshake: the client's Initial, the
+/// server's first flight datagram (coalesced Initial + Handshake, CRYPTO
+/// heavy), and the client's padded acknowledgement of it (ACK-only Initial
+/// + Handshake, then ~1,100 bytes of PADDING).
+fn seed_handshake_datagrams() -> [Vec<u8>; 3] {
+    let server_addr = Ipv4Addr::new(198, 51, 100, 44);
+    let mut client = ClientConn::new(ClientConfig::scanner(1362, server_addr, SEED));
+    let mut server = ServerConn::new(ServerConfig {
+        behavior: ServerBehavior::rfc_compliant(),
+        chain: CertificateChain::new(seed_certificate(), Vec::new()),
+        leaf_key: KeyAlgorithm::EcdsaP256,
+        compression_support: Vec::new(),
+        resumption: None,
+        seed: SEED,
+    });
+    let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let exchange = |endpoint: &mut dyn Endpoint, dgram: Option<&Datagram>, ms| {
+        let mut out = Vec::new();
+        match dgram {
+            None => endpoint.start(at(ms), &mut out),
+            Some(dgram) => endpoint.on_datagram(dgram, at(ms), &mut out),
+        }
+        out.swap_remove(0)
+    };
+    let initial = exchange(&mut client, None, 0);
+    let flight = exchange(&mut server, Some(&initial), 10);
+    let ack = exchange(&mut client, Some(&flight), 20);
+    [initial.payload, flight.payload, ack.payload]
 }
 
 fn seed_initial_datagram() -> Vec<u8> {
-    let server = Ipv4Addr::new(198, 51, 100, 44);
-    let mut client = ClientConn::new(ClientConfig::scanner(1362, server, SEED));
-    let mut out = Vec::new();
-    client.start(SimTime::ZERO, &mut out);
-    out.pop()
-        .expect("client emits its Initial on start")
-        .payload
+    let [initial, _, _] = seed_handshake_datagrams();
+    initial
+}
+
+/// One Initial packet whose payload is PADDING runs of every length around
+/// the parser's word size, each ended by a PING, then a datagram's worth of
+/// trailing padding: run boundaries at every offset within a word.
+fn seed_padding_runs_datagram() -> Vec<u8> {
+    let mut frames = Vec::new();
+    for n in 0..=17 {
+        frames.extend((n > 0).then_some(Frame::Padding { n }));
+        frames.push(Frame::Ping);
+    }
+    frames.push(Frame::Padding { n: 1_201 });
+    let cid = |seed| ConnectionId::from_seed(SEED ^ seed);
+    Packet::new(PacketType::Initial, cid(1), cid(2), 0, frames).encode()
 }
 
 /// Every corpus file: name on disk and the encoder that (re)generates it.
@@ -99,8 +145,25 @@ fn corpus_seeds() -> Vec<(&'static str, Vec<u8>)> {
         ("ticket_identity.bin", seed_ticket_identity()),
         ("certificate.der", seed_certificate_der()),
         ("initial_datagram.bin", seed_initial_datagram()),
+        ("server_flight_datagram.bin", {
+            let [_, flight, _] = seed_handshake_datagrams();
+            flight
+        }),
+        ("padded_ack_datagram.bin", {
+            let [_, _, ack] = seed_handshake_datagrams();
+            ack
+        }),
+        ("padding_runs_datagram.bin", seed_padding_runs_datagram()),
     ]
 }
+
+/// The corpus files holding whole QUIC datagrams.
+const DATAGRAM_SEEDS: [&str; 4] = [
+    "initial_datagram.bin",
+    "server_flight_datagram.bin",
+    "padded_ack_datagram.bin",
+    "padding_runs_datagram.bin",
+];
 
 /// Load one corpus file, blessing it from the encoder when asked to.
 fn corpus(name: &str) -> Vec<u8> {
@@ -210,11 +273,17 @@ fn corpus_seeds_are_valid_inputs() {
     let value = parse_one(&der).expect("seed certificate is valid DER");
     assert!(walk(&value) > 1, "certificate DER has nested structure");
 
-    let dgram = corpus("initial_datagram.bin");
-    assert!(
-        parse_datagram(&dgram).is_some_and(|pkts| !pkts.is_empty()),
-        "seed datagram parses to packets"
-    );
+    for name in DATAGRAM_SEEDS {
+        assert!(
+            parse_datagram(&corpus(name)).is_some_and(|pkts| !pkts.is_empty()),
+            "seed datagram {name} parses to packets"
+        );
+    }
+    let flight = parse_datagram(&corpus("server_flight_datagram.bin")).expect("checked above");
+    assert_eq!(flight.len(), 2, "Initial and Handshake coalesce");
+    assert!(flight.iter().all(|pkt| pkt.crypto_data_len() > 0));
+    let ack = parse_datagram(&corpus("padded_ack_datagram.bin")).expect("checked above");
+    assert!(ack.last().is_some_and(|pkt| pkt.padding_len() > 1_000));
 }
 
 /// Recursively walk a parsed DER value, counting nodes; `children()` on a
@@ -313,8 +382,202 @@ fn x509_der_parser_rejects_overlong_length_claims() {
 
 #[test]
 fn datagram_parser_never_panics_on_mangled_corpus() {
-    let dgram = corpus("initial_datagram.bin");
-    assert_no_panics("initial_datagram", &dgram, |bytes| {
-        let _ = parse_datagram(bytes);
-    });
+    for name in DATAGRAM_SEEDS {
+        assert_no_panics(name, &corpus(name), |bytes| {
+            let _ = parse_datagram(bytes);
+        });
+    }
+}
+
+// --------------------------------- the byte-wise reference parser --
+
+/// Verbatim copy of the frame decoder that shipped before the borrowed,
+/// word-wise one: owned frames, PADDING consumed a byte at a time.
+fn reference_decode_all(payload: &[u8]) -> Option<Vec<Frame>> {
+    let mut frames = Vec::new();
+    let mut pos = 0usize;
+    while pos < payload.len() {
+        let ty = payload[pos];
+        match ty {
+            0x00 => {
+                let start = pos;
+                while pos < payload.len() && payload[pos] == 0x00 {
+                    pos += 1;
+                }
+                frames.push(Frame::Padding { n: pos - start });
+            }
+            0x01 => {
+                pos += 1;
+                frames.push(Frame::Ping);
+            }
+            0x02 | 0x03 => {
+                pos += 1;
+                let largest = varint::read(payload, &mut pos)?;
+                let delay = varint::read(payload, &mut pos)?;
+                let range_count = varint::read(payload, &mut pos)?;
+                let first_range = varint::read(payload, &mut pos)?;
+                for _ in 0..range_count {
+                    varint::read(payload, &mut pos)?;
+                    varint::read(payload, &mut pos)?;
+                }
+                if ty == 0x03 {
+                    for _ in 0..3 {
+                        varint::read(payload, &mut pos)?;
+                    }
+                }
+                frames.push(Frame::Ack {
+                    largest,
+                    delay,
+                    first_range,
+                });
+            }
+            0x06 => {
+                pos += 1;
+                let offset = varint::read(payload, &mut pos)?;
+                let len = varint::read(payload, &mut pos)? as usize;
+                let data = payload.get(pos..pos + len)?.to_vec();
+                pos += len;
+                frames.push(Frame::Crypto { offset, data });
+            }
+            0x1C | 0x1D => {
+                pos += 1;
+                let error_code = varint::read(payload, &mut pos)?;
+                if ty == 0x1C {
+                    varint::read(payload, &mut pos)?;
+                }
+                let reason_len = varint::read(payload, &mut pos)? as usize;
+                pos = pos.checked_add(reason_len)?;
+                if pos > payload.len() {
+                    return None;
+                }
+                frames.push(Frame::ConnectionClose { error_code });
+            }
+            _ => return None,
+        }
+    }
+    Some(frames)
+}
+
+/// Verbatim copy of the owned datagram parser that shipped before
+/// `parse_datagram_ref` (over [`reference_decode_all`]).
+fn reference_parse_datagram(payload: &[u8]) -> Option<Vec<ParsedPacket>> {
+    let mut packets = Vec::new();
+    let mut pos = 0usize;
+    while pos < payload.len() {
+        let start = pos;
+        let first = payload[pos];
+        if first & 0x80 == 0 {
+            if payload.len() - pos < 1 + 8 + 2 + AEAD_TAG_LEN {
+                return None;
+            }
+            let dcid = ConnectionId::new(&payload[pos + 1..pos + 9]);
+            let number = u16::from_be_bytes([payload[pos + 9], payload[pos + 10]]) as u64;
+            let body = &payload[pos + 11..payload.len() - AEAD_TAG_LEN];
+            let frames = reference_decode_all(body)?;
+            packets.push(ParsedPacket {
+                ty: PacketType::OneRtt,
+                dcid,
+                scid: ConnectionId::default(),
+                token: Vec::new(),
+                number,
+                frames,
+                wire_len: payload.len() - start,
+            });
+            break;
+        }
+        pos += 1;
+        let type_bits = (first >> 4) & 0b11;
+        if payload.len() < pos + 4 {
+            return None;
+        }
+        pos += 4;
+        let dcid_len = *payload.get(pos)? as usize;
+        if dcid_len > ConnectionId::MAX_LEN {
+            return None;
+        }
+        pos += 1;
+        let dcid = ConnectionId::new(payload.get(pos..pos + dcid_len)?);
+        pos += dcid_len;
+        let scid_len = *payload.get(pos)? as usize;
+        if scid_len > ConnectionId::MAX_LEN {
+            return None;
+        }
+        pos += 1;
+        let scid = ConnectionId::new(payload.get(pos..pos + scid_len)?);
+        pos += scid_len;
+
+        match type_bits {
+            0b11 => {
+                if payload.len() < pos + AEAD_TAG_LEN {
+                    return None;
+                }
+                let token = payload[pos..payload.len() - AEAD_TAG_LEN].to_vec();
+                packets.push(ParsedPacket {
+                    ty: PacketType::Retry,
+                    dcid,
+                    scid,
+                    token,
+                    number: 0,
+                    frames: Vec::new(),
+                    wire_len: payload.len() - start,
+                });
+                break;
+            }
+            0b00 | 0b10 => {
+                let ty = if type_bits == 0b00 {
+                    PacketType::Initial
+                } else {
+                    PacketType::Handshake
+                };
+                let token = if ty == PacketType::Initial {
+                    let tlen = varint::read(payload, &mut pos)? as usize;
+                    let t = payload.get(pos..pos + tlen)?.to_vec();
+                    pos += tlen;
+                    t
+                } else {
+                    Vec::new()
+                };
+                let length = varint::read(payload, &mut pos)? as usize;
+                if length < 2 + AEAD_TAG_LEN || payload.len() < pos + length {
+                    return None;
+                }
+                let number = u16::from_be_bytes([payload[pos], payload[pos + 1]]) as u64;
+                let body = &payload[pos + 2..pos + length - AEAD_TAG_LEN];
+                let frames = reference_decode_all(body)?;
+                pos += length;
+                packets.push(ParsedPacket {
+                    ty,
+                    dcid,
+                    scid,
+                    token,
+                    number,
+                    frames,
+                    wire_len: pos - start,
+                });
+            }
+            _ => return None,
+        }
+    }
+    Some(packets)
+}
+
+#[test]
+fn borrowed_datagram_parser_equals_the_byte_wise_reference_on_the_whole_corpus() {
+    // Every seed, valid or not a datagram at all, and every mutant of it:
+    // the borrowed word-wise parser must accept exactly what the owned
+    // byte-wise one accepted and see the same packets, frame for frame.
+    let mut accepted = 0;
+    for (name, _) in corpus_seeds() {
+        let seed = corpus(name);
+        let mutants = mutants(&seed).into_iter();
+        for (what, bytes) in mutants.chain([("unmangled".to_string(), seed.clone())]) {
+            let reference = reference_parse_datagram(&bytes);
+            let borrowed = parse_datagram_ref(&bytes)
+                .map(|packets| packets.map(|pkt| pkt.to_owned()).collect::<Vec<_>>());
+            assert_eq!(borrowed, reference, "{name}: {what}");
+            assert_eq!(parse_datagram(&bytes), reference, "{name}: {what}");
+            accepted += usize::from(reference.is_some());
+        }
+    }
+    assert!(accepted > 400, "only {accepted} inputs parsed at all");
 }
