@@ -41,7 +41,8 @@ use quicert_scanner::compression::{
 use quicert_scanner::https_scan::{self, HttpsScanReport, HttpsScanShard};
 use quicert_scanner::qscanner::{self, ConsistencyReport, QuicCertObservation};
 use quicert_scanner::quicreach::{
-    self, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult,
+    self, ClassMemo, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, ScanSummary,
+    WarmScanResult,
 };
 use quicert_scanner::telescope_scan::{self, BackscatterSession};
 use quicert_scanner::zmap::{self, ZmapResult};
@@ -173,13 +174,13 @@ pub struct WorkerPumpStats {
     /// Wall-clock seconds spent generating and folding its chunks
     /// (excludes idle time waiting on the scope join).
     pub fold_seconds: f64,
-    /// Probes answered from this worker's scenario-class memo instead of
-    /// simulation (zero when the fold has no memo or bypassed it).
+    /// Probes this worker replayed from the scenario-class memo instead of
+    /// simulating (zero when the fold has no memo or bypassed it).
     pub memo_hits: u64,
     /// Probes this worker actually simulated while memoizing.
     pub memo_misses: u64,
-    /// Distinct scenario classes in this worker's memo at the end of the
-    /// run — the size of its flyweight table.
+    /// Scenario classes this worker added to the memo during the run
+    /// (never more than its `memo_misses`).
     pub distinct_classes: u64,
 }
 
@@ -190,7 +191,7 @@ pub struct WorkerPumpStats {
 /// [`quicreach::ProbeScratch`] for the streaming quicreach fold whose
 /// scenario-class memo these counters describe.
 pub trait ScratchStats {
-    /// `(memo_hits, memo_misses, distinct_classes)` accumulated so far.
+    /// `(memo_hits, memo_misses, classes_inserted)` accumulated so far.
     fn memo_stats(&self) -> (u64, u64, u64) {
         (0, 0, 0)
     }
@@ -224,10 +225,9 @@ pub struct PumpStats {
 impl PumpStats {
     /// Every per-worker counter summed into one merged
     /// [`WorkerPumpStats`]: the run's totals, in the same shape as any
-    /// single worker's share. `distinct_classes` sums the per-worker memo
-    /// tables — workers memoize independently, so a class counts once per
-    /// worker that met it, and at scale the total stays close to
-    /// `workers × classes`.
+    /// single worker's share. Workers fill one shared table, first insert
+    /// wins, so the `distinct_classes` total is the classes this pump
+    /// added — one an earlier pump stored is not counted again.
     pub fn totals(&self) -> WorkerPumpStats {
         let mut totals = WorkerPumpStats::default();
         for w in &self.workers {
@@ -493,7 +493,7 @@ impl EngineMetrics {
             ),
             memo_classes: registry.gauge(
                 "quicert_engine_memo_classes",
-                "Distinct scenario classes across per-worker memo tables after the last pump",
+                "Scenario classes the last pump added to the engine's memo table",
             ),
         }
     }
@@ -505,7 +505,9 @@ pub struct ScanEngine {
     world: World,
     workers: usize,
     stream_chunk: Option<usize>,
-    memoize: bool,
+    // The one scenario-class memo (`None`: memoization off), shared by
+    // every worker of every quicreach pump for as long as the engine lives.
+    memo: Option<Arc<ClassMemo>>,
     scenario: Scenario,
     https: ArtifactCache<(), HttpsScanReport>,
     // Scan-family caches key on [`Scenario`] — every axis stores exact
@@ -550,7 +552,7 @@ impl ScanEngine {
             world,
             workers,
             stream_chunk: None,
-            memoize: true,
+            memo: Some(Arc::default()),
             scenario: Scenario::at(default_initial)
                 .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
             https: ArtifactCache::new(&registry, "https"),
@@ -602,13 +604,19 @@ impl ScanEngine {
     /// reason to turn it off. Profiles that consume per-record randomness
     /// bypass the memo on their own either way.
     pub fn with_memoization(mut self, memoize: bool) -> ScanEngine {
-        self.memoize = memoize;
+        self.memo = memoize.then(Arc::default);
         self
     }
 
     /// Whether the streaming scan path memoizes scenario classes.
     pub fn memoization(&self) -> bool {
-        self.memoize
+        self.memo.is_some()
+    }
+
+    /// Scenario classes resident in the engine's memo — never more than
+    /// [`quicreach::MEMO_CLASS_CAPACITY`], however many pumps have run.
+    pub fn memo_classes(&self) -> usize {
+        self.memo.as_ref().map_or(0, |memo| memo.classes())
     }
 
     /// Enable or disable streaming-scan instrumentation (on by default).
@@ -854,15 +862,14 @@ impl ScanEngine {
     }
 
     /// The per-worker scratch constructor of a quicreach pump under
-    /// `scenario`: the engine's memo toggle, plus the scenario's
+    /// `scenario`: a handle on the engine's memo, plus the scenario's
     /// [`ProbeMetrics`] while metrics are enabled.
-    fn probe_scratch(&self, scenario: Scenario) -> impl Fn() -> ProbeScratch + Sync {
-        let memoize = self.memoize;
+    fn probe_scratch(&self, scenario: Scenario) -> impl Fn() -> ProbeScratch + Sync + '_ {
         let probe_metrics = self
             .metrics_enabled
             .then(|| ProbeMetrics::register(&self.registry, scenario));
         move || {
-            let mut scratch = ProbeScratch::with_memo(memoize);
+            let mut scratch = ProbeScratch::sharing(self.memo.clone());
             if let Some(metrics) = &probe_metrics {
                 scratch.set_metrics(metrics.clone());
             }
@@ -897,12 +904,13 @@ impl ScanEngine {
 
     /// Fold an explicit list of `(first_rank, len)` rank ranges through the
     /// streaming pump's worker loop — same thread cap, same per-worker
-    /// scratch (memo toggle, `scenario`'s [`ProbeMetrics`]), same
+    /// scratch (the engine's memo, `scenario`'s [`ProbeMetrics`]), same
     /// [`PumpStats`] flush as [`ScanEngine::stream_quicreach`] — and return
     /// one `fold` result per range, in input order. Each range is derived
     /// as one chunk and handed to `fold` mutably, so a resident caller can
-    /// overlay churn before scanning. Nothing is cached: the memo lives
-    /// for this one call, and the caller owns the results.
+    /// overlay churn before scanning. No result is cached, but the classes
+    /// simulated stay in the engine's memo for later calls to replay; an
+    /// overlay only reaches a probe through key fields, so none go stale.
     pub fn fold_ranges<R, F>(
         &self,
         scenario: Scenario,

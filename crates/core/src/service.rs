@@ -26,6 +26,20 @@
 //!   full refold from the replayed [`ChurnState`] — bit-identical to what
 //!   was served, by the invariant above.
 //!
+//! Re-folding a segment is not re-simulating it. Every fold — tick-0,
+//! delta, historical, [`CampaignService::full_rescan_at`] — runs on the one
+//! engine, whose scenario-class memo lives as long as the engine does, so
+//! a tick replays the classes any earlier fold simulated and simulates at
+//! most the records churn actually changed. The service needs no
+//! invalidation protocol for that: churn reaches a probe only through
+//! `cert_generation`, `chain_id` drift and `era_override`, all of which
+//! the class key covers, so a churned record looks up a *different* class
+//! and an unchanged one can never read a stale result. Because the
+//! service's own full rescan shares that memo, carry-over is held to a
+//! memo-free reference instead (`determinism_matrix`'s
+//! `carried_memo_snapshots_equal_a_memo_free_reference`). The memo is
+//! bounded like the snapshot store (`quicreach::MEMO_CLASS_CAPACITY`).
+//!
 //! The service holds no execution path and no registry of its own: its
 //! `quicert_service_*` counters (ticks applied, records churned,
 //! delta-vs-full probe volumes) register on the engine's registry, next to
@@ -582,6 +596,32 @@ mod tests {
             assert_eq!(*served[tick as usize - 1], *reread, "tick {tick}");
         }
         assert_eq!(resident.get(), SNAPSHOT_CAPACITY as f64);
+    }
+
+    #[test]
+    fn resident_state_stays_bounded_over_a_2000_tick_soak() {
+        // Everything a resident service accumulates is bounded: the
+        // snapshot store at 16, the engine's memo at its class capacity —
+        // and the memo keeps paying, its cumulative hit share never falling
+        // from one quarter of the run to the next.
+        let mut svc = sized_service(1, 128, 16);
+        let registry = Arc::clone(svc.metrics_registry());
+        let resident = registry.gauge("quicert_service_snapshots_resident", "");
+        let hits = registry.counter("quicert_engine_memo_hits_total", "");
+        let misses = registry.counter("quicert_engine_memo_misses_total", "");
+        let mut shares = Vec::new();
+        for tick in 0..=2_000u64 {
+            svc.snapshot_at(tick);
+            assert!(resident.get() <= SNAPSHOT_CAPACITY as f64, "tick {tick}");
+            assert!(svc.engine.memo_classes() <= quicreach::MEMO_CLASS_CAPACITY);
+            if tick % 500 == 0 {
+                shares.push(hits.get() as f64 / (hits.get() + misses.get()) as f64);
+            }
+        }
+        assert!(shares.windows(2).all(|w| w[0] <= w[1]), "{shares:?}");
+        assert!(shares[4] > 0.5, "{shares:?}");
+        // Classes only ever enter through a simulated probe.
+        assert!(svc.engine.memo_classes() as u64 <= misses.get());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
@@ -455,6 +456,147 @@ proptest! {
         // counter (bumped by `advance`, not `apply`) is aligned.
         forward.tick = tick;
         prop_assert_eq!(&forward, &replayed);
+    }
+}
+
+/// The quicreach summary of `world`'s population at churn tick `tick`,
+/// computed with no memo anywhere: stream the records, overlay the
+/// replayed churn state, simulate every probe.
+fn memo_free_reach(
+    world: &World,
+    timeline: &Timeline,
+    scenario: Scenario,
+    tick: u64,
+) -> QuicReachShard {
+    let mut records = world.domain_chunk(1, world.config.domains);
+    ChurnState::at(timeline, tick).apply_to_records(&mut records);
+    quicreach::fold_chunk(
+        world,
+        &records,
+        scenario,
+        &mut ProbeScratch::with_memo(false),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // The engine's memo outlives its pumps, so a service tick replays
+    // classes simulated ticks ago — and the service's own `full_rescan_at`
+    // shares that memo, so it proves nothing about staleness any more.
+    // Hold every served snapshot to a memo-free reference instead:
+    // whatever churn seed, rates and era migration a case draws, at 1 and
+    // 2 workers and both segment sizes, and in whatever order ticks are
+    // requested (forward deltas, skipped ticks read back historically,
+    // re-reads of served ticks), `Snapshot.reach` must equal direct
+    // simulation of the churned population at that tick.
+    #[test]
+    fn carried_memo_snapshots_equal_a_memo_free_reference(
+        churn_seed in any::<u64>(),
+        rotations in 0usize..24,
+        drifts in 0usize..12,
+        revocations in 0usize..8,
+        migration_tick in 0u64..13,
+        provider_idx in 0usize..4,
+        to_post_quantum in any::<bool>(),
+        two_workers in any::<bool>(),
+        wide_segments in any::<bool>(),
+        reads in proptest::collection::vec(0u64..13, 1..16),
+    ) {
+        const DOMAINS: usize = 400;
+        let providers = [Provider::Cloudflare, Provider::Google, Provider::Meta, Provider::SelfHosted];
+        let era = if to_post_quantum { CertificateEra::PostQuantum } else { CertificateEra::Hybrid };
+        let churn = ChurnConfig::new(churn_seed, DOMAINS)
+            .with_rates(rotations, drifts, revocations)
+            .with_migration(migration_tick, providers[provider_idx], era);
+        let campaign = CampaignConfig::small()
+            .with_domains(DOMAINS)
+            .with_seed(0x9121)
+            .with_workers(if two_workers { 2 } else { 1 });
+        let world = World::streaming(campaign.world.clone());
+        let timeline = Timeline::new(churn.clone());
+        let segment_size = if wide_segments { 256 } else { 64 };
+        let mut service =
+            CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(segment_size));
+        let scenario = service.scenario();
+        for tick in reads {
+            let served = service.snapshot_at(tick);
+            prop_assert_eq!(served.tick, tick);
+            prop_assert_eq!(
+                &served.reach,
+                &memo_free_reach(&world, &timeline, scenario, tick),
+                "tick {} (clock {}) workers {} segment {}",
+                tick,
+                service.tick(),
+                if two_workers { 2 } else { 1 },
+                segment_size
+            );
+        }
+    }
+}
+
+/// One engine scanned under scenario A, then B (other era, profile and
+/// Initial size), then a chaos plan, then A again as explicit ranges,
+/// equals four fresh engines: the memo's key carries the scenario axes,
+/// and a fault-injected pump neither reads nor fills the table.
+#[test]
+fn one_engine_across_scenarios_equals_fresh_engines() {
+    let config = WorldConfig {
+        domains: 3_000,
+        seed: 0x9121,
+        ..WorldConfig::default()
+    };
+    let a = Scenario::at(INITIAL);
+    let b = Scenario::at(1250)
+        .with_era(CertificateEra::PostQuantum)
+        .with_profile(NetworkProfile::Tunneled);
+    let chaos = a.with_plan(FaultPlan::MODERATE);
+    let ranges = [(1, 1_000), (1_001, 1_000), (2_001, 1_000)];
+    let fresh = |workers| ScanEngine::streaming(config.clone(), INITIAL, workers);
+    let as_ranges = |engine: &ScanEngine| {
+        QuicReachShard::merge_all(engine.fold_ranges(a, &ranges, |records, scratch| {
+            quicreach::fold_chunk(engine.world(), records, a, scratch)
+        }))
+    };
+    for workers in [1usize, 2] {
+        let engine = fresh(workers);
+        assert_eq!(
+            *engine.stream_quicreach(a),
+            *fresh(workers).stream_quicreach(a)
+        );
+        let after_a = engine.memo_classes();
+        assert!(after_a > 0);
+        assert_eq!(
+            *engine.stream_quicreach(b),
+            *fresh(workers).stream_quicreach(b)
+        );
+        let after_b = engine.memo_classes();
+        assert!(after_b > after_a, "scenario B's classes are new keys");
+
+        assert_eq!(
+            *engine.stream_quicreach(chaos),
+            *fresh(workers).stream_quicreach(chaos)
+        );
+        let totals = engine.pump_stats().expect("the chaos scan pumped").totals();
+        assert_eq!(
+            (
+                totals.memo_hits,
+                totals.memo_misses,
+                totals.distinct_classes
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(engine.memo_classes(), after_b, "chaos touched the table");
+
+        // A again, through the other pump: every class is already known.
+        assert_eq!(as_ranges(&engine), as_ranges(&fresh(workers)));
+        let totals = engine.pump_stats().expect("fold_ranges pumped").totals();
+        assert_eq!((totals.memo_misses, totals.distinct_classes), (0, 0));
+        assert_eq!(
+            totals.memo_hits as usize,
+            engine.stream_quicreach(a).total()
+        );
+        assert_eq!(engine.memo_classes(), after_b);
     }
 }
 

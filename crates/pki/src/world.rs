@@ -9,15 +9,14 @@
 //! population with oversized chains (multi-RTT), a sliver of true 1-RTT
 //! deployments, rare Retry, and Meta's mvfst PoPs.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use quicert_compress::Algorithm;
 use quicert_netsim::rng::fnv1a;
 use quicert_netsim::SimRng;
 use quicert_obs::{Counter, MetricsRegistry};
-use quicert_x509::{CertificateBuilder, CertificateChain, KeyAlgorithm};
+use quicert_x509::{CertificateChain, KeyAlgorithm};
 
 use crate::dns::{self, DnsOutcome, DnsRates};
 use crate::ecosystem::{ChainId, Ecosystem, LeafParams};
@@ -256,20 +255,11 @@ impl Default for WorldConfig {
     }
 }
 
-/// Cache key for [`World::quic_chain_der_len_era`]: everything that can
-/// change a byte length anywhere in an issued chain. Parent certificates
-/// are fixed per `(chain_id, era)`; the leaf varies with the key
-/// algorithm, the CN byte length (SANs derive from it), the extra-SAN
-/// count, and the encoded serial length (the single seed-dependent DER
-/// length — see [`CertificateBuilder::serial_der_len`]).
-type ChainLenKey = (ChainId, CertificateEra, KeyAlgorithm, u16, u16, u8);
-
 /// Process-wide world-generation counters on [`MetricsRegistry::global`].
 /// Record generation is batched (one `add` per chunk) so the streaming
 /// pump's per-record path never touches an atomic it doesn't already own.
 struct WorldMetrics {
     records_generated: Arc<Counter>,
-    chain_len_cache_hits: Arc<Counter>,
 }
 
 fn world_metrics() -> &'static WorldMetrics {
@@ -280,10 +270,6 @@ fn world_metrics() -> &'static WorldMetrics {
             records_generated: reg.counter(
                 "quicert_pki_records_generated_total",
                 "Domain records derived from world configurations",
-            ),
-            chain_len_cache_hits: reg.counter(
-                "quicert_pki_chain_len_cache_hits_total",
-                "Chain-length lookups answered from the per-world class cache",
             ),
         }
     })
@@ -298,7 +284,6 @@ pub struct World {
     pub ecosystem: Ecosystem,
     domains: Vec<DomainRecord>,
     materialized: bool,
-    chain_len_cache: RwLock<HashMap<ChainLenKey, u32, quicert_netsim::FastHashBuilder>>,
 }
 
 const TLDS: [(&str, f64); 8] = [
@@ -332,7 +317,6 @@ impl World {
             ecosystem,
             domains,
             materialized: true,
-            chain_len_cache: RwLock::new(HashMap::default()),
         }
     }
 
@@ -349,7 +333,6 @@ impl World {
             config,
             domains: Vec::new(),
             materialized: false,
-            chain_len_cache: RwLock::new(HashMap::default()),
         }
     }
 
@@ -490,54 +473,6 @@ impl World {
         let mut params = Self::leaf_params(record, quic.leaf_key, https.extra_sans);
         params.seed ^= quic.cert_seed_shift();
         Some(self.ecosystem.issue_era(quic.chain_id, era, params))
-    }
-
-    /// Total DER byte length of [`World::quic_chain_era`]'s chain without
-    /// materialising it on the hot path.
-    ///
-    /// Chain lengths are shared by construction: parents are fixed per
-    /// `(chain_id, era)` and the leaf's encoding is length-stable given its
-    /// key algorithm, CN length, extra-SAN count and encoded serial length
-    /// (all other seed-dependent bytes fill fixed-size fields). The first
-    /// record of each such class issues the chain once and caches the
-    /// length; every later same-class record is a lock-read + hash lookup.
-    /// The cache's correctness test doubles as the proof that chain bytes
-    /// are a pure function of exactly this key tuple — which is what lets
-    /// the streaming scan memo key on the tuple directly, with no length
-    /// lookup at all on its per-record path.
-    pub fn quic_chain_der_len_era(
-        &self,
-        record: &DomainRecord,
-        era: CertificateEra,
-    ) -> Option<u32> {
-        let quic = record.quic.as_ref()?;
-        let https = record.https.as_ref()?;
-        let era = quic.effective_era(era);
-        let serial_len =
-            CertificateBuilder::serial_der_len(record.seed ^ quic.cert_seed_shift()) as u8;
-        let key: ChainLenKey = (
-            quic.chain_id,
-            era,
-            quic.leaf_key,
-            record.name.len() as u16,
-            https.extra_sans,
-            serial_len,
-        );
-        if let Some(&len) = self
-            .chain_len_cache
-            .read()
-            .expect("cache poisoned")
-            .get(&key)
-        {
-            world_metrics().chain_len_cache_hits.inc();
-            return Some(len);
-        }
-        let len = self.quic_chain_era(record, era)?.total_der_len() as u32;
-        self.chain_len_cache
-            .write()
-            .expect("cache poisoned")
-            .insert(key, len);
-        Some(len)
     }
 
     fn leaf_params(record: &DomainRecord, key: KeyAlgorithm, extra_sans: u16) -> LeafParams {
@@ -961,38 +896,45 @@ mod tests {
     }
 
     #[test]
-    fn cached_chain_len_equals_materialised_chain_len() {
-        // The O(1) length accessor must agree with actually issuing the
-        // chain for every record and era — including rotated certs and the
-        // rare trimmed-serial leaves the cache key exists to separate.
+    fn chain_der_len_is_a_pure_function_of_the_class_tuple() {
+        // The purity statement the scanner's `ProbeClass` keys on: total
+        // chain DER length depends on a record only through (chain_id,
+        // effective era, leaf_key, cn_len, extra_sans, serial_der_len) —
+        // rotated certs and the rare trimmed-serial leaves included.
+        use quicert_x509::CertificateBuilder;
+        use std::collections::HashMap;
         let world = small_world();
+        let mut groups = HashMap::new();
+        let mut observed = 0usize;
+        let (mut rotated, mut trimmed) = (false, false);
         for era in CertificateEra::ALL {
-            for record in world.domains().iter().filter(|r| r.has_quic()) {
-                let cached = world.quic_chain_der_len_era(record, era).unwrap();
+            for record in world.quic_services() {
+                let quic = record.quic.as_ref().unwrap();
+                let serial_der_len =
+                    CertificateBuilder::serial_der_len(record.seed ^ quic.cert_seed_shift());
+                let key = (
+                    quic.chain_id,
+                    quic.effective_era(era),
+                    quic.leaf_key,
+                    record.name.len(),
+                    record.https.as_ref().unwrap().extra_sans,
+                    serial_der_len,
+                );
                 let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
-                assert_eq!(cached as usize, issued, "rank {} era {era:?}", record.rank);
+                let len = *groups.entry(key).or_insert(issued);
+                assert_eq!(len, issued, "rank {} era {era:?} {key:?}", record.rank);
+                observed += 1;
+                rotated |= quic.rotated_cert;
+                // A full-width serial is 16 content bytes plus the header.
+                trimmed |= serial_der_len < 18;
             }
         }
-        // Far fewer classes than records, or the cache buys nothing.
-        let quic_records = world.domains().iter().filter(|r| r.has_quic()).count();
-        let classes = world.chain_len_cache.read().unwrap().len();
+        assert!(rotated && trimmed, "world lacks a rotated / trimmed leaf");
+        // Far fewer classes than records, or keying on the tuple buys nothing.
         assert!(
-            classes * 4 < quic_records * CertificateEra::ALL.len(),
-            "{classes} classes for {quic_records} records"
-        );
-    }
-
-    #[test]
-    fn chain_len_accessor_is_none_without_quic() {
-        let world = small_world();
-        let record = world
-            .domains()
-            .iter()
-            .find(|r| !r.has_quic())
-            .expect("some record without quic");
-        assert_eq!(
-            world.quic_chain_der_len_era(record, CertificateEra::Classical),
-            None
+            groups.len() * 4 < observed,
+            "{} classes for {observed} chains",
+            groups.len()
         );
     }
 

@@ -15,9 +15,9 @@
 //! probe parameters and the outcome→result mapping can never diverge
 //! between entry points.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::hash::BuildHasher;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use quicert_analysis::{Merge, StreamSummary};
 use quicert_netsim::{FaultPlan, NetworkProfile, UDP_IPV4_OVERHEAD};
@@ -377,13 +377,17 @@ pub fn fold_records(
 /// rather than materialized sizes: with `chain_id`/`era`/`leaf_key`
 /// fixing the intermediates and the leaf template, the CN length, extra
 /// SAN count (each SAN embeds the CN) and serial width pin every encoded
-/// length in the chain — [`World::quic_chain_der_len_era`]'s cache test
-/// proves chain bytes are a pure function of exactly this tuple. Keying
-/// on the inputs keeps class derivation lock- and lookup-free on the
-/// million-record path. The key carries its own scenario axes (era,
-/// profile, Initial size) so one memo table stays correct even if reused
-/// across folds with different axes; the fault plan is not one of them
-/// because only [`FaultPlan::NONE`] folds ever consult the memo.
+/// length in the chain (proven by `quicert_pki`'s
+/// `chain_der_len_is_a_pure_function_of_the_class_tuple`), which keeps
+/// class derivation lock- and lookup-free on the million-record path.
+///
+/// The key is what makes one [`ClassMemo`] sound across scenarios, pumps
+/// and service ticks: it carries its own scenario axes (era, profile,
+/// Initial size), and churn reaches a probe only through fields it covers
+/// (`cert_generation` → `serial_der_len`, drift → `chain_id`,
+/// `era_override` → `era`), so a churned record is a *different key*,
+/// never a stale entry. The fault plan is not a key field because only
+/// [`FaultPlan::NONE`] folds ever consult the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProbeClass {
     era: CertificateEra,
@@ -511,24 +515,78 @@ impl ProbeMetrics {
     }
 }
 
-/// Where a record's outcome comes from in the memoized fold: its own
-/// fresh simulation this chunk, or the memo table.
-#[derive(Debug, Clone, Copy)]
-enum OutcomeSlot {
-    Fresh(u32),
-    Cached(u32),
+/// Scenario classes one [`ClassMemo`] holds at most (≈50 MB; a 1M-domain
+/// scan meets ≈35k). A full table stops learning — new classes simulate
+/// and are not stored, which cannot change a result — so a resident
+/// service's memo is bounded however long it runs.
+pub const MEMO_CLASS_CAPACITY: usize = 1 << 18;
+
+/// Lock shards of a [`ClassMemo`], picked by class hash.
+const MEMO_SHARDS: usize = 64;
+
+// FastHashBuilder: one lookup per probed record makes SipHash the single
+// largest non-simulation cost at a million records.
+type MemoShard = RwLock<HashMap<ProbeClass, QuicReachResult, quicert_netsim::FastHashBuilder>>;
+
+/// The scenario-class flyweight table: one folded [`QuicReachResult`] per
+/// distinct `ProbeClass`, shared by every scratch that holds the `Arc`.
+///
+/// The value is the *folded* result, not the simulated
+/// [`HandshakeOutcome`]: `QuicReachResult::from_outcome` is a pure
+/// function of the outcome that passes `rank` through, so a replay is the
+/// stored result re-ranked, and 88 bytes a class is what lets the table
+/// outlive its pump. The first insert of a class wins; equal classes
+/// simulate to equal results, so which worker won is invisible.
+#[derive(Debug)]
+pub struct ClassMemo {
+    shards: Box<[MemoShard]>,
+    shard_capacity: usize,
 }
 
-/// Per-worker flyweight table: one simulated [`HandshakeOutcome`] per
-/// distinct [`ProbeClass`], plus effectiveness counters.
-#[derive(Debug, Default)]
-struct ProbeMemo {
-    // FastHashBuilder: one lookup per probed record makes SipHash the
-    // single largest non-simulation cost at a million records.
-    classes: HashMap<ProbeClass, u32, quicert_netsim::FastHashBuilder>,
-    outcomes: Vec<HandshakeOutcome>,
-    hits: u64,
-    misses: u64,
+impl ClassMemo {
+    fn bounded(capacity: usize) -> ClassMemo {
+        ClassMemo {
+            shards: (0..MEMO_SHARDS).map(|_| MemoShard::default()).collect(),
+            shard_capacity: capacity / MEMO_SHARDS,
+        }
+    }
+
+    /// Classes currently stored.
+    pub fn classes(&self) -> usize {
+        let len = |shard: &MemoShard| shard.read().expect("memo shard poisoned").len();
+        self.shards.iter().map(len).sum()
+    }
+
+    fn shard(&self, class: &ProbeClass) -> &MemoShard {
+        // Bits the map's own bucket index and control byte do not use.
+        let hash = quicert_netsim::FastHashBuilder::default().hash_one(class);
+        &self.shards[(hash >> 32) as usize % MEMO_SHARDS]
+    }
+
+    /// The stored result of `class` re-labelled with `rank`, if known.
+    fn replay(&self, class: &ProbeClass, rank: usize) -> Option<QuicReachResult> {
+        let shard = self.shard(class).read().expect("memo shard poisoned");
+        let cached = shard.get(class)?.clone();
+        Some(QuicReachResult { rank, ..cached })
+    }
+
+    /// Store `result` for `class` unless the class is already known or its
+    /// shard is full; whether this call added a class.
+    fn insert(&self, class: ProbeClass, result: &QuicReachResult) -> bool {
+        let mut shard = self.shard(&class).write().expect("memo shard poisoned");
+        let room = shard.len() < self.shard_capacity && !shard.contains_key(&class);
+        if room {
+            shard.insert(class, result.clone());
+        }
+        room
+    }
+}
+
+impl Default for ClassMemo {
+    /// An empty table bounded at [`MEMO_CLASS_CAPACITY`] classes.
+    fn default() -> Self {
+        ClassMemo::bounded(MEMO_CLASS_CAPACITY)
+    }
 }
 
 /// Reusable per-worker buffers for the streaming quicreach fold.
@@ -540,18 +598,25 @@ struct ProbeMemo {
 /// reused scratch can never leak one chunk's state into the next (pinned
 /// by the fresh-vs-reused property test).
 ///
-/// The scratch also hosts the worker's scenario-class memo (see
-/// [`fold_chunk`]); unlike the buffers it deliberately persists
-/// across chunks — outcomes are pure per class, so carrying them over is
-/// what makes the flyweight pay.
+/// The scratch also holds a handle on a scenario-class memo (see
+/// [`fold_chunk`]) and this worker's share of its counters. A pump
+/// worker's ([`ProbeScratch::sharing`]) is its engine's one table, shared
+/// with every other worker and carried across pumps and service ticks; a
+/// standalone scratch ([`ProbeScratch::with_memo`]) owns a private one.
 #[derive(Debug)]
 pub struct ProbeScratch {
     probes: Vec<HandshakeProbe>,
     outcomes: Vec<HandshakeOutcome>,
-    ranks: Vec<usize>,
-    slots: Vec<OutcomeSlot>,
-    pending: Vec<ProbeClass>,
-    memo: Option<ProbeMemo>,
+    /// Rank and (while memoizing) class of each record simulated this
+    /// chunk, parallel to `outcomes`.
+    simulated: Vec<(usize, Option<ProbeClass>)>,
+    /// One slot per probed record, in record order: the replayed result,
+    /// or `None` for a record simulated this chunk.
+    slots: Vec<Option<QuicReachResult>>,
+    memo: Option<Arc<ClassMemo>>,
+    hits: u64,
+    misses: u64,
+    inserted: u64,
     metrics: Option<ProbeMetrics>,
 }
 
@@ -562,36 +627,41 @@ impl ProbeScratch {
         ProbeScratch::with_memo(true)
     }
 
-    /// An empty scratch, memoizing when `enabled`. A disabled scratch
-    /// simulates every record — the reference path the determinism matrix
-    /// holds the memoized path to.
+    /// An empty scratch, memoizing into a private [`ClassMemo`] when
+    /// `enabled`. A disabled scratch simulates every record — the
+    /// reference path the determinism matrix holds the memoized path to.
     pub fn with_memo(enabled: bool) -> ProbeScratch {
+        ProbeScratch::sharing(enabled.then(Arc::default))
+    }
+
+    /// An empty scratch memoizing into `memo` — a table other scratches
+    /// (other workers, earlier pumps) read and fill too — or not at all.
+    pub fn sharing(memo: Option<Arc<ClassMemo>>) -> ProbeScratch {
         ProbeScratch {
             probes: Vec::new(),
             outcomes: Vec::new(),
-            ranks: Vec::new(),
+            simulated: Vec::new(),
             slots: Vec::new(),
-            pending: Vec::new(),
-            memo: enabled.then(ProbeMemo::default),
+            memo,
+            hits: 0,
+            misses: 0,
+            inserted: 0,
             metrics: None,
         }
     }
 
     /// Attach streaming-scan instruments; every later [`fold_chunk`]
-    /// through this scratch batch-updates them
-    /// once per chunk. A scratch without metrics skips all of it.
+    /// through this scratch batch-updates them once per chunk.
     pub fn set_metrics(&mut self, metrics: ProbeMetrics) {
         self.metrics = Some(metrics);
     }
 
-    /// Memo effectiveness over this scratch's lifetime:
-    /// `(hits, misses, distinct_classes)`. All zero when memoization is
-    /// disabled or every fold bypassed it (non-deterministic profile).
+    /// Memo effectiveness over this scratch's lifetime: probes replayed,
+    /// probes simulated while memoizing, and classes this scratch added to
+    /// its table (a private table's size). All zero when memoization is
+    /// disabled or every fold bypassed it (non-deterministic scenario).
     pub fn memo_stats(&self) -> (u64, u64, u64) {
-        match &self.memo {
-            Some(memo) => (memo.hits, memo.misses, memo.outcomes.len() as u64),
-            None => (0, 0, 0),
-        }
+        (self.hits, self.misses, self.inserted)
     }
 }
 
@@ -611,17 +681,18 @@ impl Default for ProbeScratch {
 /// When the scratch carries a memo and the scenario is deterministic
 /// (*both* [`NetworkProfile::is_deterministic`] and
 /// [`FaultPlan::is_deterministic`]), records are first keyed by
-/// `ProbeClass`: only the first record of each class is simulated; every
-/// later one replays the cached [`HandshakeOutcome`]. Replay happens in
-/// the original record order through the same per-record fold, so the
-/// order-sensitive [`StreamSummary`] float sums come out bit-for-bit
-/// identical to the unmemoized path. Profiles that consume RNG (lossy
-/// drops/corruption, long-fat jitter) and every non-identity fault plan
-/// (its injector draws RNG per datagram) make outcomes depend on
-/// per-record seeds beyond the class, so they bypass the memo entirely
-/// and keep per-record simulation. A scratch can therefore be reused
-/// across scenarios without its memo ever being polluted by a
-/// fault-injected outcome.
+/// `ProbeClass`: a class the [`ClassMemo`] knows — from an earlier chunk,
+/// another worker, an earlier pump or service tick — replays its stored
+/// result under the record's rank; the rest simulate and are stored
+/// afterwards (lookups all precede the chunk's inserts, so two records of
+/// one new class in one chunk both simulate). Replayed and fresh results
+/// fold in the original record order, so the order-sensitive
+/// [`StreamSummary`] float sums match the unmemoized path bit for bit.
+/// Profiles that consume RNG (lossy drops/corruption, long-fat jitter)
+/// and every non-identity fault plan (its injector draws RNG per datagram)
+/// make outcomes depend on per-record seeds beyond the class, so they
+/// bypass the memo and keep per-record simulation — a shared table is
+/// never polluted by a fault-injected result.
 pub fn fold_chunk(
     world: &World,
     records: &[DomainRecord],
@@ -630,52 +701,34 @@ pub fn fold_chunk(
 ) -> QuicReachShard {
     scratch.probes.clear();
     scratch.outcomes.clear();
-    scratch.ranks.clear();
+    scratch.simulated.clear();
     scratch.slots.clear();
-    scratch.pending.clear();
-    let memo_active = scratch.memo.is_some()
-        && scenario.profile.is_deterministic()
-        && scenario.plan.is_deterministic();
-    let hits_before = scratch.memo.as_ref().map_or(0, |memo| memo.hits);
+    let memo = scratch
+        .memo
+        .as_deref()
+        .filter(|_| scenario.profile.is_deterministic() && scenario.plan.is_deterministic());
+    let hits_before = scratch.hits;
     for record in records.iter().filter(|record| record.has_quic()) {
-        scratch.ranks.push(record.rank);
-        if memo_active {
-            let class = ProbeClass::of(record, scenario);
-            let memo = scratch.memo.as_mut().expect("memo_active implies memo");
-            if let Some(&idx) = memo.classes.get(&class) {
-                memo.hits += 1;
-                scratch.slots.push(OutcomeSlot::Cached(idx));
+        let class = memo.map(|_| ProbeClass::of(record, scenario));
+        if let (Some(memo), Some(class)) = (memo, &class) {
+            if let Some(replayed) = memo.replay(class, record.rank) {
+                scratch.hits += 1;
+                scratch.slots.push(Some(replayed));
                 continue;
             }
-            memo.misses += 1;
-            scratch.pending.push(class);
+            scratch.misses += 1;
         }
-        scratch
-            .slots
-            .push(OutcomeSlot::Fresh(scratch.probes.len() as u32));
+        scratch.slots.push(None);
+        scratch.simulated.push((record.rank, class));
         scratch.probes.push(probe_for(world, record, scenario));
     }
     run_handshake_batch_into(&mut scratch.probes, &mut scratch.outcomes);
-    if memo_active {
-        // Every fresh probe this chunk was first-of-class *within the
-        // memo*; remember its outcome for later chunks. Two records of the
-        // same new class in one chunk both simulate (outcomes identical by
-        // construction) — only the first is stored.
-        let memo = scratch.memo.as_mut().expect("memo_active implies memo");
-        for (class, out) in scratch.pending.drain(..).zip(&scratch.outcomes) {
-            if let Entry::Vacant(slot) = memo.classes.entry(class) {
-                slot.insert(memo.outcomes.len() as u32);
-                memo.outcomes.push(out.clone());
-            }
-        }
-    }
     if let Some(metrics) = &scratch.metrics {
         // Batch flush: two counter adds per chunk, and phase observations
         // only for this chunk's *fresh* outcomes (replays would double-count
         // the class's phases). Everything read is simulated time.
         metrics.issued.add(scratch.outcomes.len() as u64);
-        let hits_now = scratch.memo.as_ref().map_or(0, |memo| memo.hits);
-        metrics.replayed.add(hits_now - hits_before);
+        metrics.replayed.add(scratch.hits - hits_before);
         for out in &scratch.outcomes {
             if let Some(phases) = out.timeline.phases() {
                 for (phase, ns) in phases {
@@ -686,13 +739,17 @@ pub fn fold_chunk(
     }
     let mut shard = QuicReachShard::identity();
     shard.classes.initial_size = scenario.initial_size;
-    let cached = scratch.memo.as_ref().map(|memo| &memo.outcomes);
-    for (&rank, slot) in scratch.ranks.iter().zip(&scratch.slots) {
-        let out = match *slot {
-            OutcomeSlot::Fresh(idx) => &scratch.outcomes[idx as usize],
-            OutcomeSlot::Cached(idx) => &cached.expect("cached slots require a memo")[idx as usize],
-        };
-        shard.push(&QuicReachResult::from_outcome(rank, out));
+    let mut fresh = scratch.simulated.drain(..).zip(&scratch.outcomes);
+    for slot in scratch.slots.drain(..) {
+        let result = slot.unwrap_or_else(|| {
+            let ((rank, class), out) = fresh.next().expect("one outcome per simulated record");
+            let result = QuicReachResult::from_outcome(rank, out);
+            if let (Some(memo), Some(class)) = (memo, class) {
+                scratch.inserted += memo.insert(class, &result) as u64;
+            }
+            result
+        });
+        shard.push(&result);
     }
     shard
 }
@@ -1169,7 +1226,7 @@ mod tests {
         // and reuse across chunks turns same-class repeats into hits. The
         // class space (latency steps × chain lengths × LB overheads) only
         // collapses at campaign scale, so a small world just has to show
-        // *some* sharing — the bench guard enforces the at-scale ratio.
+        // *some* sharing — `memo_guards` enforces the at-scale counts.
         let mut scratch = ProbeScratch::new();
         for chunk in owned.chunks(64) {
             fold_chunk(&world, chunk, BASE, &mut scratch);
@@ -1190,6 +1247,32 @@ mod tests {
             );
         }
         assert_eq!(lossy.memo_stats(), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_full_memo_stops_learning_and_changes_nothing() {
+        // One class per lock shard: the table fills within a few chunks.
+        // From then on new classes simulate and are not stored — more
+        // misses than a roomy table, the same shards bit for bit.
+        let world = world();
+        let owned: Vec<DomainRecord> = world.domains().to_vec();
+        let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
+        let table = Arc::new(ClassMemo::bounded(MEMO_SHARDS));
+        let mut capped = ProbeScratch::sharing(Some(Arc::clone(&table)));
+        let mut roomy = ProbeScratch::new();
+        for chunk in owned.chunks(64) {
+            assert_eq!(
+                fold_chunk(&world, chunk, BASE, &mut capped),
+                fold_chunk(&world, chunk, BASE, &mut roomy)
+            );
+        }
+        let (hits, misses, inserted) = capped.memo_stats();
+        assert_eq!(hits + misses, probed);
+        assert_eq!(inserted as usize, table.classes());
+        assert!(table.classes() <= MEMO_SHARDS && table.classes() > 0);
+        assert!(hits > 0, "stored classes still replay");
+        assert!(misses > roomy.memo_stats().1);
+        assert!(roomy.memo_stats().2 as usize > MEMO_SHARDS);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn redact_wall_clock(rendered: &str) -> String {
 }
 
 /// The pinned campaign: a small streaming world scanned serially (one
-/// worker, so chunk claiming and per-worker memo splits cannot race), with
+/// worker, so chunk claiming and the memo's hit/miss split cannot race), with
 /// a repeated request to exercise the cache-hit counters and a second era
 /// to exercise labelled series.
 fn pinned_registry_render() -> String {
