@@ -14,6 +14,8 @@
 //!   STEK epoch. All per-event updates are commutative (additive counts
 //!   and single-assignment-per-tick overrides), so applying one tick's
 //!   events in any order yields the same state — pinned by a proptest.
+//!   The per-rank counters are dense vectors sized to the population
+//!   once (8 bytes a domain), so a state's memory is flat in the tick.
 //! * [`ChurnState::apply_to_records`] overlays the state onto derived
 //!   [`DomainRecord`]s. The overlay only touches the churn fields of
 //!   `QuicDeployment` (`cert_generation`, `chain_id`, `era_override`), so
@@ -290,14 +292,23 @@ pub struct TickDelta {
 /// [`ChurnState::at`] therefore equals any interleaving of
 /// [`ChurnState::advance`] calls — pinned by tests here and a proptest in
 /// `quicert_core`.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The per-rank counters are dense `Vec<u32>`s indexed by `rank - 1`,
+/// sized to the population by the first [`ChurnState::advance`]: 8 bytes a
+/// domain, allocated once, however long the clock runs — a resident
+/// service's churn state is a function of the population, never of the
+/// tick (hash maps grew to several times that as ranks saturated and
+/// doubled transiently on every rehash). Equality is *semantic*: ranks
+/// past the end of a vector have count 0, so two states of one timeline
+/// at one tick are equal however they were reached.
+#[derive(Debug, Clone, Default)]
 pub struct ChurnState {
     /// Last applied tick (0 = as-generated world).
     pub tick: u64,
     /// Per-rank certificate generation bumps (rotations + revocations).
-    generations: HashMap<usize, u32>,
+    generations: Vec<u32>,
     /// Per-rank CA-dictionary drift steps.
-    drifts: HashMap<usize, u32>,
+    drifts: Vec<u32>,
     /// Per-provider era overrides from migrations.
     era_overrides: HashMap<Provider, CertificateEra>,
     /// Global session-ticket-key epoch.
@@ -312,6 +323,35 @@ pub struct ChurnState {
     pub revocations: u64,
 }
 
+/// A per-rank counter vector without its trailing zeros.
+fn counted(counts: &[u32]) -> &[u32] {
+    let len = counts.iter().rposition(|&n| n != 0).map_or(0, |at| at + 1);
+    &counts[..len]
+}
+
+/// Add one to `rank`'s counter, growing the vector when the state was
+/// never sized to its population (events applied by hand).
+fn bump(counts: &mut Vec<u32>, rank: usize) {
+    if counts.len() < rank {
+        counts.resize(rank, 0);
+    }
+    counts[rank - 1] += 1;
+}
+
+impl PartialEq for ChurnState {
+    fn eq(&self, other: &Self) -> bool {
+        self.tick == other.tick
+            && counted(&self.generations) == counted(&other.generations)
+            && counted(&self.drifts) == counted(&other.drifts)
+            && self.era_overrides == other.era_overrides
+            && self.stek_epoch == other.stek_epoch
+            && self.events_applied == other.events_applied
+            && self.rotations == other.rotations
+            && self.chain_drifts == other.chain_drifts
+            && self.revocations == other.revocations
+    }
+}
+
 impl ChurnState {
     /// The pristine (tick-0) state.
     pub fn initial() -> ChurnState {
@@ -324,15 +364,15 @@ impl ChurnState {
         self.events_applied += 1;
         match *event {
             ChurnEvent::RotateCert { rank } => {
-                *self.generations.entry(rank).or_insert(0) += 1;
+                bump(&mut self.generations, rank);
                 self.rotations += 1;
             }
             ChurnEvent::Revoke { rank } => {
-                *self.generations.entry(rank).or_insert(0) += 1;
+                bump(&mut self.generations, rank);
                 self.revocations += 1;
             }
             ChurnEvent::DriftChain { rank } => {
-                *self.drifts.entry(rank).or_insert(0) += 1;
+                bump(&mut self.drifts, rank);
                 self.chain_drifts += 1;
             }
             ChurnEvent::StekRollover => self.stek_epoch += 1,
@@ -346,6 +386,13 @@ impl ChurnState {
     pub fn advance(&mut self, timeline: &Timeline) -> TickDelta {
         self.tick += 1;
         let events = timeline.events_at(self.tick);
+        // Size the per-rank counters to the population once, up front, so
+        // no later event ever reallocates them.
+        let domains = timeline.config().domains;
+        if self.generations.len() < domains {
+            self.generations.resize(domains, 0);
+            self.drifts.resize(domains, 0);
+        }
         let mut changed_ranks: Vec<usize> = Vec::new();
         let mut all_changed = false;
         let mut stek_rollover = false;
@@ -380,12 +427,15 @@ impl ChurnState {
 
     /// The certificate generation of one rank (0 = never churned).
     pub fn generation_of(&self, rank: usize) -> u32 {
-        self.generations.get(&rank).copied().unwrap_or(0)
+        self.generations
+            .get(rank.wrapping_sub(1))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The drift steps of one rank.
     pub fn drift_of(&self, rank: usize) -> u32 {
-        self.drifts.get(&rank).copied().unwrap_or(0)
+        self.drifts.get(rank.wrapping_sub(1)).copied().unwrap_or(0)
     }
 
     /// The era override of one provider, if it has migrated.
@@ -400,15 +450,19 @@ impl ChurnState {
 
     /// Ranks with at least one per-rank churn event so far, sorted.
     pub fn churned_ranks(&self) -> Vec<usize> {
-        let mut ranks: Vec<usize> = self
-            .generations
-            .keys()
-            .chain(self.drifts.keys())
-            .copied()
-            .collect();
-        ranks.sort_unstable();
-        ranks.dedup();
+        let ranks = 1..=self.generations.len().max(self.drifts.len());
         ranks
+            .filter(|&rank| self.generation_of(rank) > 0 || self.drift_of(rank) > 0)
+            .collect()
+    }
+
+    /// Heap bytes this state holds: 8 per domain of the population once
+    /// the first event has been applied, plus the (≤ one entry per
+    /// provider) era-override table — flat in the tick.
+    pub fn heap_bytes(&self) -> usize {
+        let counters = self.generations.capacity() + self.drifts.capacity();
+        let override_entry = std::mem::size_of::<(Provider, CertificateEra)>() + 1;
+        counters * std::mem::size_of::<u32>() + self.era_overrides.capacity() * override_entry
     }
 
     /// Overlay the state onto freshly derived records (any rank subset,
@@ -466,6 +520,53 @@ mod tests {
             rolling.advance(&t);
             assert_eq!(rolling, ChurnState::at(&t, tick), "tick {tick}");
         }
+    }
+
+    #[test]
+    fn equality_is_semantic_however_a_state_was_reached() {
+        // `advance` sizes the per-rank counters to the population up front;
+        // events applied by hand grow them rank by rank. Same events, same
+        // state — and a counter that is still zero never tells them apart.
+        let t = timeline();
+        let mut by_hand = ChurnState::initial();
+        for tick in 1..=6 {
+            for event in &t.events_at(tick) {
+                by_hand.apply(event);
+            }
+        }
+        by_hand.tick = 6;
+        let replayed = ChurnState::at(&t, 6);
+        assert!(by_hand.generations.len() < replayed.generations.len());
+        assert_eq!(by_hand, replayed);
+        assert_eq!(by_hand.churned_ranks(), replayed.churned_ranks());
+        // A real difference still shows.
+        by_hand.apply(&ChurnEvent::DriftChain { rank: 500 });
+        assert_ne!(by_hand, replayed);
+    }
+
+    #[test]
+    fn resident_bytes_are_flat_in_the_tick() {
+        // 8 bytes a domain, allocated by the first tick and never again.
+        let t = timeline();
+        let mut state = ChurnState::initial();
+        assert_eq!(state.heap_bytes(), 0);
+        state.advance(&t);
+        let after_one = state.heap_bytes();
+        assert!((8 * 500..=8 * 500 + 64).contains(&after_one), "{after_one}");
+        for _ in 0..400 {
+            state.advance(&t);
+        }
+        // Only the (one entry per migrated provider) override table grew.
+        assert!(
+            state.heap_bytes() <= after_one + 64,
+            "{}",
+            state.heap_bytes()
+        );
+        assert_eq!(
+            state.churned_ranks().len(),
+            500,
+            "every rank churned by now"
+        );
     }
 
     #[test]

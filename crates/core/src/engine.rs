@@ -891,15 +891,45 @@ impl ScanEngine {
     pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
         let scenario = scenario.cold();
         self.stream_quicreach.get_or_compute(scenario, || {
-            let mut shard: QuicReachShard = self
-                .pump(self.probe_scratch(scenario), |records, scratch| {
-                    quicreach::fold_chunk(&self.world, records, scenario, scratch)
-                });
+            let mut shard: QuicReachShard = self.fold_population(scenario, |records, scratch| {
+                quicreach::fold_chunk(&self.world, records, scenario, scratch)
+            });
             // An all-identity merge (empty population) never saw the
             // scan's Initial size; stamp it so the bar is labelled.
             shard.classes.initial_size = scenario.initial_size;
             shard
         })
+    }
+
+    /// Fold the whole population through the streaming pump — the claiming
+    /// of [`ScanEngine::stream_quicreach`], the per-worker scratch of
+    /// [`ScanEngine::fold_ranges`] — into one merged summary. Each claimed
+    /// chunk is handed to `fold` mutably, so a resident caller can overlay
+    /// churn before scanning; its result merges into its worker's
+    /// accumulator at once, so however large the population, one summary
+    /// per worker (plus the chunk in flight) is all that is ever live.
+    /// Exact at any worker count and claim size because every summary is
+    /// an exactly associative and commutative [`Merge`] monoid. Nothing is
+    /// cached; simulated classes stay in the engine's memo.
+    pub fn fold_population<S, F>(&self, scenario: Scenario, fold: F) -> S
+    where
+        S: Merge + Send,
+        F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
+    {
+        let claims = Claims::Population {
+            total: self.world.config.domains,
+            chunk: self.stream_chunk,
+        };
+        let (shards, stats) = run_pump(
+            &self.world,
+            claims,
+            self.workers,
+            self.probe_scratch(scenario),
+            S::identity,
+            |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
+        );
+        self.record_pump(stats);
+        S::merge_all(shards)
     }
 
     /// Fold an explicit list of `(first_rank, len)` rank ranges through the
@@ -964,7 +994,10 @@ impl ScanEngine {
     /// The streaming §3.1 HTTPS scan: funnel counters and chain-size
     /// sketches folded over the population in bounded memory. On a
     /// populated world it is bit-for-bit
-    /// [`HttpsScanShard::from_report`] of [`ScanEngine::https_scan`].
+    /// [`HttpsScanShard::from_report`] of [`ScanEngine::https_scan`] —
+    /// which issues every chain, where this fold looks each record's
+    /// chain shape up in the world's flyweight
+    /// ([`World::https_chain_shape`]) and issues one chain per class.
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
             self.pump(

@@ -20,25 +20,42 @@
 //!   world at that tick — the load-bearing invariant, pinned in
 //!   `determinism_matrix`.
 //! * The last 16 snapshots served (`SNAPSHOT_CAPACITY`) stay resident,
-//!   evicted in the order they were first served, so an unbounded run of
-//!   ticks holds bounded memory. Requesting a tick older than the
-//!   service's clock that is not (or no longer) resident falls back to a
-//!   full refold from the replayed [`ChurnState`] — bit-identical to what
-//!   was served, by the invariant above.
+//!   evicted in the order they were first served. Requesting a tick older
+//!   than the service's clock that is not (or no longer) resident falls
+//!   back to a full refold from the replayed [`ChurnState`] —
+//!   bit-identical to what was served, by the invariant above. A refold
+//!   materialises no per-segment summaries: the population streams through
+//!   the pump's per-worker accumulators ([`ScanEngine::fold_population`]),
+//!   so a read's transient memory is one chunk and a few summaries per
+//!   worker, whatever the segment count. Only the delta path needs
+//!   per-segment results.
 //!
-//! Re-folding a segment is not re-simulating it. Every fold — tick-0,
-//! delta, historical, [`CampaignService::full_rescan_at`] — runs on the one
-//! engine, whose scenario-class memo lives as long as the engine does, so
-//! a tick replays the classes any earlier fold simulated and simulates at
-//! most the records churn actually changed. The service needs no
-//! invalidation protocol for that: churn reaches a probe only through
-//! `cert_generation`, `chain_id` drift and `era_override`, all of which
-//! the class key covers, so a churned record looks up a *different* class
-//! and an unchanged one can never read a stale result. Because the
-//! service's own full rescan shares that memo, carry-over is held to a
-//! memo-free reference instead (`determinism_matrix`'s
-//! `carried_memo_snapshots_equal_a_memo_free_reference`). The memo is
-//! bounded like the snapshot store (`quicreach::MEMO_CLASS_CAPACITY`).
+//! Re-folding a segment is neither re-simulating nor re-issuing it. Every
+//! fold — tick-0, delta, historical, [`CampaignService::full_rescan_at`] —
+//! runs on the one engine, whose scenario-class memo and whose world's
+//! chain-shape flyweight live as long as the engine does. A tick replays
+//! the handshake classes any earlier fold simulated and simulates at most
+//! the records churn actually changed; and the §3.1 funnel looks each
+//! record's chain shape up instead of issuing its certificates
+//! (`https_scan::fold_iter`), so a tick costs what churn changed — record
+//! derivation and two table lookups per record of a dirty segment — not
+//! what the segment contains. The service needs no invalidation protocol
+//! for either table: churn reaches a probe only through
+//! `cert_generation`, `chain_id` drift and `era_override`, and an HTTPS
+//! chain only through `era_override`, all of which the class keys cover,
+//! so a churned record looks up a *different* class and an unchanged one
+//! can never read a stale value. Because the service's own full rescan
+//! shares both tables, carry-over is held to a flyweight-free reference
+//! instead (`determinism_matrix`'s
+//! `carried_memo_snapshots_equal_a_memo_free_reference`).
+//!
+//! Resident memory is a function of the population, never of the clock:
+//! segment summaries are replaced in place, snapshots are capped at 16,
+//! the tick log keeps a recent window ([`TICK_LOG_WINDOW`]), the
+//! [`ChurnState`] is two dense per-rank vectors sized once, and both
+//! flyweight tables are bounded (`quicreach::MEMO_CLASS_CAPACITY`). A
+//! 10,000-tick soak with interleaved historical reads pins all of it
+//! (`tests/memo_guards.rs`).
 //!
 //! The service holds no execution path and no registry of its own: its
 //! `quicert_service_*` counters (ticks applied, records churned,
@@ -51,8 +68,9 @@ use std::sync::Arc;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
+use quicert_pki::DomainRecord;
 use quicert_scanner::https_scan::{self, HttpsScanShard};
-use quicert_scanner::quicreach::{self, QuicReachShard};
+use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
 use quicert_scanner::Scenario;
 
 use crate::campaign::CampaignConfig;
@@ -133,14 +151,38 @@ pub struct TickStats {
     pub full_rescan: bool,
 }
 
-/// Per-segment cached summaries, valid at the service's last scanned
-/// tick for all non-dirty segments.
+/// What one fold of a rank range yields: the summaries a delta scan caches
+/// per segment (valid at the service's last scanned tick for all non-dirty
+/// segments), and — merged, which is exact — what a full scan folds the
+/// whole population into.
 #[derive(Debug, Clone)]
 struct SegmentSummary {
     reach: QuicReachShard,
     funnel: HttpsScanShard,
     probed: usize,
 }
+
+impl Merge for SegmentSummary {
+    fn identity() -> Self {
+        SegmentSummary {
+            reach: QuicReachShard::identity(),
+            funnel: HttpsScanShard::identity(),
+            probed: 0,
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.reach.merge(&other.reach);
+        self.funnel.merge(&other.funnel);
+        self.probed += other.probed;
+    }
+}
+
+/// Scanned ticks [`CampaignService::tick_log`] always retains: the log is
+/// trimmed back to this many entries whenever it reaches twice that, so
+/// it holds the most recent 1,024–2,047 scans and a run's first 2,047
+/// entries are never evicted.
+pub const TICK_LOG_WINDOW: usize = 1_024;
 
 /// The service's pre-registered `quicert_obs` instruments.
 #[derive(Debug)]
@@ -206,9 +248,11 @@ pub struct CampaignService {
     dirty: Vec<bool>,
     /// At most [`SNAPSHOT_CAPACITY`] snapshots, oldest-served first.
     snapshots: VecDeque<Arc<Snapshot>>,
+    /// The most recent scans, fewer than `2 * TICK_LOG_WINDOW` of them.
     tick_log: Vec<TickStats>,
-    /// Events/ranks accumulated since the last scan (folded into the next
-    /// scanned tick's stats).
+    /// Events/ranks accumulated since the last delta scan (folded into
+    /// the next delta-scanned tick's stats; a historical read leaves them
+    /// alone — it absorbs no churn).
     pending_events: usize,
     pending_ranks: usize,
     pending_all_changed: bool,
@@ -267,15 +311,31 @@ impl CampaignService {
         self.engine.scenario()
     }
 
+    /// The engine every fold of this service runs on — its world holds the
+    /// chain-shape flyweight, it holds the scenario-class memo.
+    pub fn engine(&self) -> &ScanEngine {
+        &self.engine
+    }
+
     /// The engine's metrics registry: the service's tick, churn and probe
     /// counters beside the pump and handshake instruments of its folds.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         self.engine.metrics_registry()
     }
 
-    /// Stats of every scanned tick, in scan order.
+    /// Stats of the most recent scanned ticks, in scan order: every scan
+    /// of a run up to its 2,047th, the last 1,024 or more thereafter
+    /// (`TICK_LOG_WINDOW`) — the log, like everything else resident, is
+    /// bounded however long the clock runs.
     pub fn tick_log(&self) -> &[TickStats] {
         &self.tick_log
+    }
+
+    fn log_scan(&mut self, stats: TickStats) {
+        if self.tick_log.len() + 1 == 2 * TICK_LOG_WINDOW {
+            self.tick_log.drain(..TICK_LOG_WINDOW);
+        }
+        self.tick_log.push(stats);
     }
 
     /// Advance the service clock to `tick`, applying every intervening
@@ -320,7 +380,21 @@ impl CampaignService {
         }
         let snapshot = if tick < self.state.tick {
             let state = ChurnState::at(&self.timeline, tick);
-            Arc::new(self.full_scan_of(&state, tick, true))
+            let (snapshot, probed) = self.full_scan_of(&state, tick);
+            // A historical read absorbs no churn: whatever accumulated
+            // since the last delta scan stays pending for the next one.
+            self.log_scan(TickStats {
+                tick,
+                events: 0,
+                changed_ranks: 0,
+                all_changed: false,
+                dirty_segments: self.segments.len(),
+                total_segments: self.segments.len(),
+                probed,
+                full_probe_count: probed,
+                full_rescan: true,
+            });
+            Arc::new(snapshot)
         } else {
             self.advance_to(tick);
             Arc::new(self.delta_scan(tick))
@@ -337,40 +411,31 @@ impl CampaignService {
 
     /// A from-scratch full rescan of the churned world at `tick` — the
     /// reference the delta path must match bit-for-bit. Does not consult
-    /// or update the segment cache.
+    /// or update the segment cache, and is not logged.
     pub fn full_rescan_at(&mut self, tick: u64) -> Snapshot {
+        let replayed;
         let state = if tick == self.state.tick {
-            self.state.clone()
+            &self.state
         } else {
-            ChurnState::at(&self.timeline, tick)
+            replayed = ChurnState::at(&self.timeline, tick);
+            &replayed
         };
-        self.full_scan_of(&state, tick, false)
+        self.full_scan_of(state, tick).0
     }
 
-    /// Fold every segment of the population under `state` and merge in
-    /// segment order. When `log` is set, the scan is recorded in the tick
-    /// log and probe counters as a full rescan.
-    fn full_scan_of(&mut self, state: &ChurnState, tick: u64, log: bool) -> Snapshot {
-        let all: Vec<usize> = (0..self.segments.len()).collect();
-        let folded = self.scan_segments(&all, state);
-        let probed: usize = folded.iter().map(|s| s.probed).sum();
-        let snapshot = Self::merge_segments(tick, state.stek_epoch, folded.iter());
-        self.metrics.full_probes.add(probed as u64);
+    /// Fold the whole population under `state` into one snapshot, plus the
+    /// QUIC services it probed. The population streams through the pump's
+    /// per-worker accumulators ([`ScanEngine::fold_population`]) — no
+    /// per-segment summary is ever built, which is exact because every
+    /// summary is an exactly associative and commutative monoid.
+    fn full_scan_of(&self, state: &ChurnState, tick: u64) -> (Snapshot, usize) {
+        let total: SegmentSummary = self
+            .engine
+            .fold_population(self.scenario(), self.segment_fold(state));
+        self.metrics.full_probes.add(total.probed as u64);
         self.metrics.full_rescans.inc();
-        if log {
-            self.tick_log.push(TickStats {
-                tick,
-                events: std::mem::take(&mut self.pending_events),
-                changed_ranks: std::mem::take(&mut self.pending_ranks),
-                all_changed: std::mem::take(&mut self.pending_all_changed),
-                dirty_segments: all.len(),
-                total_segments: self.segments.len(),
-                probed,
-                full_probe_count: probed,
-                full_rescan: true,
-            });
-        }
-        snapshot
+        let probed = total.probed;
+        (Self::snapshot_of(tick, state.stek_epoch, [&total]), probed)
     }
 
     /// The delta scan at the current clock: re-fold exactly the dirty (or
@@ -381,29 +446,30 @@ impl CampaignService {
         let dirty: Vec<usize> = (0..self.segments.len())
             .filter(|&i| self.dirty[i] || self.segments[i].is_none())
             .collect();
-        let state = self.state.clone();
-        let folded = self.scan_segments(&dirty, &state);
+        let ranges: Vec<(usize, usize)> = dirty
+            .iter()
+            // The population's last segment may be short; derivation
+            // clamps the range to the population.
+            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
+            .collect();
+        // One summary per dirty segment, in `dirty`'s order.
+        let folded =
+            self.engine
+                .fold_ranges(self.scenario(), &ranges, self.segment_fold(&self.state));
         let probed: usize = folded.iter().map(|s| s.probed).sum();
         for (&segment, summary) in dirty.iter().zip(folded) {
             self.segments[segment] = Some(summary);
             self.dirty[segment] = false;
         }
-        let snapshot = Self::merge_segments(
-            tick,
-            state.stek_epoch,
-            self.segments.iter().map(|s| {
-                s.as_ref()
-                    .expect("every segment folded at least once by now")
-            }),
-        );
-        let full_probe_count = self
-            .segments
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.probed))
-            .sum();
+        let cached = self.segments.iter().map(|s| {
+            s.as_ref()
+                .expect("every segment folded at least once by now")
+        });
+        let full_probe_count = cached.clone().map(|s| s.probed).sum();
+        let snapshot = Self::snapshot_of(tick, self.state.stek_epoch, cached);
         self.metrics.delta_probes.add(probed as u64);
         self.metrics.delta_scans.inc();
-        self.tick_log.push(TickStats {
+        let stats = TickStats {
             tick,
             events: std::mem::take(&mut self.pending_events),
             changed_ranks: std::mem::take(&mut self.pending_ranks),
@@ -413,43 +479,39 @@ impl CampaignService {
             probed,
             full_probe_count,
             full_rescan: false,
-        });
+        };
+        self.log_scan(stats);
         snapshot
     }
 
-    /// Re-derive and fold the named segments under `state` on the engine's
-    /// pump: per segment, overlay the churn state on the derived records
-    /// and run the same scanner folds a streamed scan runs. Results come
-    /// back in input order, so callers merge deterministically.
-    fn scan_segments(&self, segments: &[usize], state: &ChurnState) -> Vec<SegmentSummary> {
-        let ranges: Vec<(usize, usize)> = segments
-            .iter()
-            // The population's last segment may be short; derivation
-            // clamps the range to the population.
-            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
-            .collect();
+    /// The fold every scan of this service hands the engine's pump: overlay
+    /// `state` on the derived records, then run the same scanner folds a
+    /// streamed scan runs.
+    fn segment_fold<'a>(
+        &'a self,
+        state: &'a ChurnState,
+    ) -> impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> SegmentSummary + Sync + 'a {
         let (world, scenario) = (self.engine.world(), self.scenario());
-        self.engine
-            .fold_ranges(scenario, &ranges, |records, scratch| {
-                state.apply_to_records(records);
-                SegmentSummary {
-                    reach: quicreach::fold_chunk(world, records, scenario, scratch),
-                    funnel: https_scan::fold_iter(world, records.iter()),
-                    probed: records.iter().filter(|r| r.has_quic()).count(),
-                }
-            })
+        move |records, scratch| {
+            state.apply_to_records(records);
+            SegmentSummary {
+                reach: quicreach::fold_chunk(world, records, scenario, scratch),
+                funnel: https_scan::fold_iter(world, records.iter()),
+                probed: records.iter().filter(|r| r.has_quic()).count(),
+            }
+        }
     }
 
-    /// Merge per-segment summaries (in the iteration order given — always
-    /// segment order) into one snapshot.
-    fn merge_segments<'a>(
+    /// Merge summaries (in the iteration order given — segment order on
+    /// the delta path) into one snapshot.
+    fn snapshot_of<'a>(
         tick: u64,
         stek_epoch: u32,
-        segments: impl Iterator<Item = &'a SegmentSummary>,
+        summaries: impl IntoIterator<Item = &'a SegmentSummary>,
     ) -> Snapshot {
         let mut reach = QuicReachShard::identity();
         let mut funnel = HttpsScanShard::seeded();
-        for summary in segments {
+        for summary in summaries {
             reach.merge(&summary.reach);
             funnel.merge(&summary.funnel);
         }
@@ -599,29 +661,50 @@ mod tests {
     }
 
     #[test]
-    fn resident_state_stays_bounded_over_a_2000_tick_soak() {
-        // Everything a resident service accumulates is bounded: the
-        // snapshot store at 16, the engine's memo at its class capacity —
-        // and the memo keeps paying, its cumulative hit share never falling
-        // from one quarter of the run to the next.
-        let mut svc = sized_service(1, 128, 16);
-        let registry = Arc::clone(svc.metrics_registry());
-        let resident = registry.gauge("quicert_service_snapshots_resident", "");
-        let hits = registry.counter("quicert_engine_memo_hits_total", "");
-        let misses = registry.counter("quicert_engine_memo_misses_total", "");
-        let mut shares = Vec::new();
-        for tick in 0..=2_000u64 {
-            svc.snapshot_at(tick);
-            assert!(resident.get() <= SNAPSHOT_CAPACITY as f64, "tick {tick}");
-            assert!(svc.engine.memo_classes() <= quicreach::MEMO_CLASS_CAPACITY);
-            if tick % 500 == 0 {
-                shares.push(hits.get() as f64 / (hits.get() + misses.get()) as f64);
+    fn a_historical_read_leaves_pending_churn_to_the_next_delta_tick() {
+        // advance(t+2) → read(t+1) → snapshot(t+2): the two ticks' churn
+        // belongs to the delta tick that absorbs it, not to the read that
+        // happened to be logged first — with a migration in the window
+        // (ticks 3–4) and without (ticks 6–7).
+        for (t, migrates) in [(2u64, true), (5, false)] {
+            let mut svc = service(1);
+            svc.snapshot_at(t);
+            let timeline = Timeline::new(svc.config().churn.clone());
+            let events: usize = (t + 1..=t + 2).map(|k| timeline.events_at(k).len()).sum();
+            svc.advance_to(t + 2);
+            svc.snapshot_at(t + 1);
+            svc.snapshot_at(t + 2);
+            let [.., read, delta] = svc.tick_log() else {
+                panic!("two scans were logged");
+            };
+            assert!(read.full_rescan && read.tick == t + 1);
+            assert_eq!((read.events, read.changed_ranks), (0, 0));
+            assert!(!read.all_changed);
+            assert_eq!(read.probed, read.full_probe_count);
+            assert!(!delta.full_rescan && delta.tick == t + 2);
+            assert_eq!(delta.events, events);
+            assert!(delta.changed_ranks > 0);
+            assert_eq!(delta.all_changed, migrates);
+            if migrates {
+                assert_eq!(delta.dirty_segments, delta.total_segments);
             }
         }
-        assert!(shares.windows(2).all(|w| w[0] <= w[1]), "{shares:?}");
-        assert!(shares[4] > 0.5, "{shares:?}");
-        // Classes only ever enter through a simulated probe.
-        assert!(svc.engine.memo_classes() as u64 <= misses.get());
+    }
+
+    #[test]
+    fn the_tick_log_keeps_a_bounded_recent_window() {
+        let mut svc = sized_service(1, 32, 16);
+        for tick in 0..3 * TICK_LOG_WINDOW as u64 {
+            svc.snapshot_at(tick);
+            let log = svc.tick_log();
+            assert!(log.len() < 2 * TICK_LOG_WINDOW);
+            assert_eq!(log.last().map(|t| t.tick), Some(tick));
+            // Nothing is evicted until the 2,048th scan, and the most
+            // recent 1,024 scans are always there, oldest first.
+            let kept = (tick as usize + 1).min(TICK_LOG_WINDOW);
+            assert!(log.len() >= kept);
+            assert!(log.windows(2).all(|w| w[0].tick + 1 == w[1].tick));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, World, WorldConfig};
-use quicert_scanner::https_scan::HttpsScanShard;
+use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
 use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
@@ -459,37 +459,45 @@ proptest! {
     }
 }
 
-/// The quicreach summary of `world`'s population at churn tick `tick`,
-/// computed with no memo anywhere: stream the records, overlay the
-/// replayed churn state, simulate every probe.
-fn memo_free_reach(
+/// The quicreach and §3.1 funnel summaries of `world`'s population at
+/// churn tick `tick`, computed with no flyweight anywhere: derive the
+/// records, overlay the replayed churn state, simulate every probe, and
+/// issue every chain through the materialised `observe`/`collate` path.
+fn flyweight_free_reference(
     world: &World,
     timeline: &Timeline,
     scenario: Scenario,
     tick: u64,
-) -> QuicReachShard {
+) -> (QuicReachShard, HttpsScanShard) {
     let mut records = world.domain_chunk(1, world.config.domains);
     ChurnState::at(timeline, tick).apply_to_records(&mut records);
-    quicreach::fold_chunk(
+    let reach = quicreach::fold_chunk(
         world,
         &records,
         scenario,
         &mut ProbeScratch::with_memo(false),
-    )
+    );
+    // `collate` reads the DNS funnel off the world's own records (churn
+    // never touches DNS) and the chains off the churned observations.
+    let observed = records.iter().map(|r| https_scan::observe(world, r));
+    let report = https_scan::collate(world, observed);
+    (reach, HttpsScanShard::from_report(&report))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The engine's memo outlives its pumps, so a service tick replays
-    // classes simulated ticks ago — and the service's own `full_rescan_at`
-    // shares that memo, so it proves nothing about staleness any more.
-    // Hold every served snapshot to a memo-free reference instead:
-    // whatever churn seed, rates and era migration a case draws, at 1 and
-    // 2 workers and both segment sizes, and in whatever order ticks are
-    // requested (forward deltas, skipped ticks read back historically,
-    // re-reads of served ticks), `Snapshot.reach` must equal direct
-    // simulation of the churned population at that tick.
+    // The engine's memo and the world's chain-shape table outlive their
+    // pumps, so a service tick replays classes learned ticks ago — and the
+    // service's own `full_rescan_at` shares both tables, so it proves
+    // nothing about staleness any more. Hold every served snapshot to a
+    // flyweight-free reference instead: whatever churn seed, rates and era
+    // migration a case draws, at 1 and 2 workers and both segment sizes,
+    // and in whatever order ticks are requested (forward deltas, skipped
+    // ticks read back historically through the streamed refold, re-reads
+    // of served ticks), `Snapshot.reach` must equal direct simulation of
+    // the churned population at that tick and `Snapshot.funnel` the
+    // materialised HTTPS scan of it.
     #[test]
     fn carried_memo_snapshots_equal_a_memo_free_reference(
         churn_seed in any::<u64>(),
@@ -513,7 +521,7 @@ proptest! {
             .with_domains(DOMAINS)
             .with_seed(0x9121)
             .with_workers(if two_workers { 2 } else { 1 });
-        let world = World::streaming(campaign.world.clone());
+        let world = World::generate(campaign.world.clone());
         let timeline = Timeline::new(churn.clone());
         let segment_size = if wide_segments { 256 } else { 64 };
         let mut service =
@@ -522,15 +530,50 @@ proptest! {
         for tick in reads {
             let served = service.snapshot_at(tick);
             prop_assert_eq!(served.tick, tick);
-            prop_assert_eq!(
-                &served.reach,
-                &memo_free_reach(&world, &timeline, scenario, tick),
+            let (reach, funnel) = flyweight_free_reference(&world, &timeline, scenario, tick);
+            let context = format!(
                 "tick {} (clock {}) workers {} segment {}",
                 tick,
                 service.tick(),
                 if two_workers { 2 } else { 1 },
                 segment_size
             );
+            prop_assert_eq!(&served.reach, &reach, "reach, {}", &context);
+            prop_assert_eq!(&served.funnel, &funnel, "funnel, {}", &context);
+        }
+    }
+}
+
+/// A historical read streams the whole population through per-worker
+/// accumulators; a delta scan merges one cached summary per segment in
+/// segment order. Same ticks, same bits — at 1 and 2 workers, at both
+/// claimings, across an era migration — because every summary is an
+/// exactly associative and commutative monoid.
+#[test]
+fn streamed_reads_equal_per_segment_merges_across_workers() {
+    const TICKS: u64 = 5;
+    // Per-segment merges: a service that serves every tick as a delta scan.
+    let mut stepping = churn_service(1, 64);
+    let per_segment: Vec<_> = (0..=TICKS)
+        .map(|tick| (*stepping.snapshot_at(tick)).clone())
+        .collect();
+    assert!(stepping.tick_log().iter().all(|t| !t.full_rescan));
+    for workers in [1usize, 2] {
+        for segment_size in [16usize, 1024] {
+            // Streamed refolds: the clock runs ahead, every tick is read back.
+            let mut ahead = churn_service(workers, segment_size);
+            ahead.advance_to(TICKS + 1);
+            ahead.snapshot_at(TICKS + 1);
+            for tick in (0..=TICKS).rev() {
+                let read = ahead.snapshot_at(tick);
+                let stats = *ahead.tick_log().last().expect("the read was logged");
+                assert!(stats.full_rescan && stats.tick == tick);
+                assert_eq!(
+                    *read, per_segment[tick as usize],
+                    "tick {tick} workers={workers} segment={segment_size}"
+                );
+                assert_eq!(*read, ahead.full_rescan_at(tick));
+            }
         }
     }
 }

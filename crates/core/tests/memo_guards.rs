@@ -1,20 +1,71 @@
-//! Exact-count guards on the engine-owned scenario-class memo: statements
-//! about *how many probes simulate*, never about how long anything takes,
-//! so they hold on any host.
+//! Exact-count guards on the engine's two flyweight tables and on what a
+//! resident service keeps: statements about *how many probes simulate*,
+//! *how many classes are learned* and *how many bytes stay live*, never
+//! about how long anything takes, so they hold on any host.
 //!
 //! One guard reads the process-wide `quicert_netsim_events_total`
-//! counter, so every test in this file takes `SERIAL` — nothing else in
-//! the process may run a handshake while that delta is being read.
+//! counter and others the process-wide live heap, so every test in this
+//! file takes `SERIAL` — nothing else in the process may run a handshake
+//! or allocate while those deltas are being read.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use quicert_churn::ChurnConfig;
-use quicert_core::engine::host_parallelism;
+use quicert_core::engine::{host_parallelism, MAX_ADAPTIVE_CHUNK};
+use quicert_core::service::TICK_LOG_WINDOW;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_obs::MetricsRegistry;
-use quicert_pki::WorldConfig;
+use quicert_pki::world::Provider;
+use quicert_pki::{CertificateEra, WorldConfig};
 use quicert_scanner::quicreach;
 use quicert_scanner::Scenario;
+
+/// Heap bytes live in the process, and their high-water mark since the
+/// last [`live_heap_and_reset_peak`].
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+impl Counting {
+    fn grew(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches two static atomics and
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::grew(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        Counting::grew(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The live heap now; the high-water mark restarts from it.
+fn live_heap_and_reset_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -122,4 +173,149 @@ fn a_delta_tick_simulates_at_most_its_changed_ranks() {
         );
         simulated = now;
     }
+}
+
+/// Churn reaches the HTTPS chain only through an era migration, so the
+/// tick-0 fold teaches the world's chain-shape flyweight every class the
+/// funnel will ever look up: ticks and historical reads add none.
+#[test]
+fn a_tick_without_a_migration_adds_no_chain_shape_class() {
+    let _serial = serial();
+    let campaign = CampaignConfig::small()
+        .with_domains(20_000)
+        .with_seed(0x6A4D)
+        .with_workers(2);
+    let churn = ChurnConfig::new(0x7123, 20_000)
+        .with_rates(24, 12, 6)
+        .with_migration(9, Provider::Cloudflare, CertificateEra::Hybrid);
+    let mut service = CampaignService::new(ServiceConfig::new(campaign, churn));
+    let classes = |service: &CampaignService| service.engine().world().chain_shape_classes();
+    assert_eq!(classes(&service), 0);
+    service.snapshot_at(0);
+    let learned = classes(&service);
+    // One class per ≈10 TLS-reachable domains at this size.
+    assert!(learned > 0 && learned * 8 < 20_000, "{learned}");
+    for tick in [1, 2, 3, 5, 8] {
+        service.snapshot_at(tick);
+        assert_eq!(classes(&service), learned, "tick {tick}");
+    }
+    service.snapshot_at(4);
+    service.full_rescan_at(6);
+    assert_eq!(classes(&service), learned, "historical reads");
+    // The migration moves every Cloudflare deployment to another era —
+    // new keys, never stale ones — and is the last tick that can add.
+    service.snapshot_at(9);
+    let migrated = classes(&service);
+    assert!(migrated > learned);
+    service.snapshot_at(12);
+    assert_eq!(classes(&service), migrated);
+}
+
+/// A historical read streams the population through one accumulator per
+/// worker: its peak live heap is the replayed churn state plus, per
+/// worker, a chunk of records and a few summaries — not one 8.4 kB summary
+/// per segment (313 of them here, 2.6 MB).
+#[test]
+fn a_historical_read_builds_no_per_segment_summary() {
+    let _serial = serial();
+    const DOMAINS: usize = 20_000;
+    const WORKERS: usize = 2;
+    let campaign = CampaignConfig::small()
+        .with_domains(DOMAINS)
+        .with_seed(0x6A4D)
+        .with_workers(WORKERS);
+    let churn = ChurnConfig::new(0x7123, DOMAINS);
+    let mut service =
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(64));
+    service.snapshot_at(0);
+    service.snapshot_at(2);
+    let before = live_heap_and_reset_peak();
+    let read = service.snapshot_at(1);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    assert!(service.tick_log().last().expect("logged").full_rescan);
+    assert_eq!(*read, service.full_rescan_at(1));
+    // 8 B a domain of replayed state; per worker one claim of records
+    // (≈300 B each with its name) and its scratch, accumulator and the
+    // chunk summary being merged.
+    let budget = 8 * DOMAINS + WORKERS * (MAX_ADAPTIVE_CHUNK * 512 + 4 * 10_240);
+    assert!(peak <= budget, "a read peaked at {peak} B over {budget} B");
+    eprintln!("historical read: peak live heap +{peak} B (budget {budget} B)");
+}
+
+/// Everything a resident service accumulates is a function of its
+/// population, not of its clock: 10,000 ticks with a historical read every
+/// 50, and the snapshot store, the tick log, the churn state, both
+/// flyweight tables and the live heap itself all sit where they sat at
+/// tick 2,000.
+#[test]
+fn resident_state_stays_bounded_over_a_10000_tick_soak() {
+    let _serial = serial();
+    const DOMAINS: usize = 128;
+    let campaign = CampaignConfig::small()
+        .with_domains(DOMAINS)
+        .with_seed(0xC4A7)
+        .with_workers(1);
+    let churn = ChurnConfig::new(0x7123, DOMAINS).with_migration(
+        4,
+        Provider::Cloudflare,
+        CertificateEra::Hybrid,
+    );
+    let mut svc = CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(16));
+    let registry = svc.metrics_registry().clone();
+    let resident = registry.gauge("quicert_service_snapshots_resident", "");
+    let hits = registry.counter("quicert_engine_memo_hits_total", "");
+    let misses = registry.counter("quicert_engine_memo_misses_total", "");
+    let mut shares = Vec::new();
+    let (mut shape_classes, mut churn_bytes) = (0, 0);
+    let mut at_2000 = (0, 0);
+    for tick in 0..=10_000u64 {
+        svc.snapshot_at(tick);
+        if tick % 50 == 49 {
+            // Long evicted from the snapshot store: a streamed refold.
+            svc.snapshot_at(tick / 2);
+            assert!(svc.tick_log().last().expect("logged").full_rescan);
+        }
+        assert!(resident.get() <= 16.0, "tick {tick}");
+        assert!(svc.tick_log().len() < 2 * TICK_LOG_WINDOW, "tick {tick}");
+        assert!(svc.engine().memo_classes() <= quicreach::MEMO_CLASS_CAPACITY);
+        match tick {
+            // The migration tick is the last that can add a chain class;
+            // the first tick sized the churn state for good.
+            4 => {
+                shape_classes = svc.engine().world().chain_shape_classes();
+                churn_bytes = svc.state().heap_bytes();
+                assert!(shape_classes > 0 && shape_classes <= quicreach::MEMO_CLASS_CAPACITY);
+                assert!(churn_bytes <= 8 * DOMAINS + 64, "{churn_bytes}");
+            }
+            2_000 => at_2000 = (live_heap_and_reset_peak(), svc.engine().memo_classes()),
+            _ => {}
+        }
+        if tick >= 4 {
+            assert_eq!(svc.engine().world().chain_shape_classes(), shape_classes);
+            assert_eq!(svc.state().heap_bytes(), churn_bytes, "tick {tick}");
+        }
+        if tick % 2_500 == 0 {
+            shares.push(hits.get() as f64 / (hits.get() + misses.get()) as f64);
+        }
+    }
+    // The memo keeps paying: its cumulative hit share never falls from one
+    // quarter of the run to the next, and classes only ever enter through
+    // a simulated probe.
+    assert!(shares.windows(2).all(|w| w[0] <= w[1]), "{shares:?}");
+    assert!(shares[4] > 0.9, "{shares:?}");
+    assert!(svc.engine().memo_classes() as u64 <= misses.get());
+    // 8,000 more ticks and 160 more reads moved the live heap by what the
+    // memo learned since (≤ 512 B a class, rehash slack included) and 8 kB.
+    let (live_then, classes_then) = at_2000;
+    let learned = svc.engine().memo_classes() - classes_then;
+    let live_now = live_heap_and_reset_peak();
+    eprintln!(
+        "soak: live heap {live_then} B at tick 2,000, {live_now} B at tick 10,000; \
+         {learned} memo classes learned since, churn state {churn_bytes} B, \
+         {shape_classes} chain classes, hit shares {shares:?}"
+    );
+    assert!(
+        live_now <= live_then + learned * 512 + 8_192,
+        "live heap {live_then} B at tick 2,000, {live_now} B at tick 10,000 ({learned} classes learned)"
+    );
 }

@@ -22,12 +22,14 @@
 pub mod dns;
 pub mod ecosystem;
 pub mod era;
+pub mod flyweight;
 pub mod world;
 
 pub use dns::DnsOutcome;
 pub use ecosystem::{ChainId, Ecosystem, LeafParams};
 pub use era::CertificateEra;
+pub use flyweight::ClassTable;
 pub use world::{
-    DomainChunks, DomainRecord, HttpsDeployment, PopulationModel, Provider, QuicDeployment, World,
-    WorldConfig,
+    ChainClass, ChainShape, DomainChunks, DomainRecord, HttpsDeployment, PopulationModel, Provider,
+    QuicDeployment, World, WorldConfig,
 };

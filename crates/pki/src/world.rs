@@ -16,11 +16,12 @@ use quicert_compress::Algorithm;
 use quicert_netsim::rng::fnv1a;
 use quicert_netsim::SimRng;
 use quicert_obs::{Counter, MetricsRegistry};
-use quicert_x509::{CertificateChain, KeyAlgorithm};
+use quicert_x509::{CertificateBuilder, CertificateChain, KeyAlgorithm};
 
 use crate::dns::{self, DnsOutcome, DnsRates};
 use crate::ecosystem::{ChainId, Ecosystem, LeafParams};
 use crate::era::CertificateEra;
+use crate::flyweight::ClassTable;
 
 /// Who operates a QUIC service (steers behaviour profile and addressing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,6 +144,133 @@ impl DomainRecord {
     pub fn rank_group(&self) -> usize {
         (self.rank - 1) / 100_000
     }
+}
+
+/// One chain a record serves, reduced to what issuance reads: the single
+/// place that knows which record fields reach a chain's bytes. The issuer
+/// call ([`Served::issue`]) and the flyweight key ([`Served::class`]) both
+/// derive from it, so a key can never lag behind what is issued.
+struct Served<'a> {
+    /// Leaf CN; every SAN embeds it.
+    name: &'a str,
+    chain_id: ChainId,
+    /// The era actually served: a migrated provider's override, the scan
+    /// era otherwise.
+    era: CertificateEra,
+    leaf_key: KeyAlgorithm,
+    extra_sans: u16,
+    /// Leaf seed: serial, key identifiers, SCTs.
+    seed: u64,
+}
+
+impl<'a> Served<'a> {
+    fn https(record: &'a DomainRecord, scan_era: CertificateEra) -> Option<Served<'a>> {
+        let https = record.https.as_ref()?;
+        // A provider era migration moves the whole deployment, so the HTTPS
+        // chain follows the QUIC deployment's override when one exists.
+        let quic = record.quic.as_ref();
+        Some(Served {
+            name: &record.name,
+            chain_id: https.chain_id,
+            era: quic.map_or(scan_era, |q| q.effective_era(scan_era)),
+            leaf_key: https.leaf_key,
+            extra_sans: https.extra_sans,
+            seed: record.seed,
+        })
+    }
+
+    #[inline]
+    fn quic(record: &'a DomainRecord, scan_era: CertificateEra) -> Option<Served<'a>> {
+        let quic = record.quic.as_ref()?;
+        let https = record.https.as_ref()?;
+        Some(Served {
+            name: &record.name,
+            chain_id: quic.chain_id,
+            era: quic.effective_era(scan_era),
+            leaf_key: quic.leaf_key,
+            extra_sans: https.extra_sans,
+            // Rotated or churned certificates reissue from a shifted seed.
+            seed: record.seed ^ quic.cert_seed_shift(),
+        })
+    }
+
+    #[inline]
+    fn class(&self) -> ChainClass {
+        ChainClass {
+            chain_id: self.chain_id,
+            era: self.era,
+            leaf_key: self.leaf_key,
+            cn_len: self.name.len() as u16,
+            extra_sans: self.extra_sans,
+            serial_der_len: CertificateBuilder::serial_der_len(self.seed) as u8,
+        }
+    }
+
+    fn issue(&self, ecosystem: &Ecosystem) -> CertificateChain {
+        let name = self.name;
+        let params = LeafParams {
+            common_name: name.to_owned(),
+            extra_sans: (0..self.extra_sans)
+                .map(|i| format!("alt-{i:03}.{name}"))
+                .collect(),
+            key: self.leaf_key,
+            scts: 2,
+            seed: self.seed,
+        };
+        ecosystem.issue_era(self.chain_id, self.era, params)
+    }
+}
+
+/// The class of one served chain: every input through which a record can
+/// reach the chain's encoded *lengths*.
+///
+/// `chain_id` and the effective era fix the intermediates and the leaf
+/// template, `leaf_key` the SPKI and signature sizes; the CN length and
+/// the extra-SAN count (each SAN is `alt-NNN.<cn>`) fix the subject and
+/// the SAN extension; and the serial `INTEGER`'s width is the only
+/// seed-dependent length in a certificate (leading-zero trimming). Every
+/// remaining seed bit fills fixed-size fields. Two records of one class
+/// therefore serve chains of identical total length and depth — proven
+/// for both the QUIC and the HTTPS chain of every record, in every era, by
+/// `chain_der_len_is_a_pure_function_of_the_class_tuple` and
+/// `https_chain_shape_is_a_pure_function_of_the_class_tuple`. Churn reaches
+/// a chain only through fields the class covers (`cert_generation` →
+/// serial width, drift → `chain_id`, `era_override` → era), so a churned
+/// record is a *different class*, never a stale entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ChainClass {
+    chain_id: ChainId,
+    era: CertificateEra,
+    leaf_key: KeyAlgorithm,
+    cn_len: u16,
+    extra_sans: u16,
+    serial_der_len: u8,
+}
+
+impl ChainClass {
+    /// The class of the chain `record` serves over QUIC under a campaign
+    /// scanning at `scan_era` (`None` without a QUIC deployment) — the
+    /// chain part of the scanner's `ProbeClass`. O(1), allocation-free:
+    /// everything is on the record, and the serial width is recomputed
+    /// arithmetically ([`CertificateBuilder::serial_der_len`]). (The HTTPS
+    /// chain's class has one reader, [`World::https_chain_shape`], which
+    /// derives it in place.)
+    #[inline]
+    pub fn quic(record: &DomainRecord, scan_era: CertificateEra) -> Option<ChainClass> {
+        Served::quic(record, scan_era).map(|served| served.class())
+    }
+}
+
+/// What the §3.1 funnel reads off a collected chain (Fig 2b/6: total chain
+/// bytes, depth) — the value of the [`World`]'s chain-shape flyweight. Two
+/// integers, so a million-domain table is a few hundred kilobytes and a
+/// lookup copies 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainShape {
+    /// Total DER bytes of the chain.
+    pub total_der: usize,
+    /// Number of certificates.
+    pub depth: usize,
 }
 
 /// Calibrated population weights. Each field cites the paper signal it
@@ -284,6 +412,10 @@ pub struct World {
     pub ecosystem: Ecosystem,
     domains: Vec<DomainRecord>,
     materialized: bool,
+    /// The chain-shape flyweight ([`World::https_chain_shape`]): filled by
+    /// the real issuer on a miss, it lives as long as the world — hence as
+    /// long as the engine or resident service that owns the world.
+    shapes: ClassTable<ChainClass, ChainShape>,
 }
 
 const TLDS: [(&str, f64); 8] = [
@@ -317,6 +449,7 @@ impl World {
             ecosystem,
             domains,
             materialized: true,
+            shapes: ClassTable::default(),
         }
     }
 
@@ -333,6 +466,7 @@ impl World {
             config,
             domains: Vec::new(),
             materialized: false,
+            shapes: ClassTable::default(),
         }
     }
 
@@ -440,19 +574,34 @@ impl World {
         record: &DomainRecord,
         era: CertificateEra,
     ) -> Option<CertificateChain> {
-        let https = record.https.as_ref()?;
-        // A provider era migration moves the whole deployment, so the HTTPS
-        // chain follows the QUIC deployment's override when one exists.
-        let era = record
-            .quic
-            .as_ref()
-            .map(|q| q.effective_era(era))
-            .unwrap_or(era);
-        Some(self.ecosystem.issue_era(
-            https.chain_id,
-            era,
-            Self::leaf_params(record, https.leaf_key, https.extra_sans),
-        ))
+        Some(Served::https(record, era)?.issue(&self.ecosystem))
+    }
+
+    /// Total bytes and depth of the chain a domain serves over HTTPS —
+    /// [`World::https_chain`] reduced to what the §3.1 funnel reads, served
+    /// from the world's chain-shape flyweight. A class is issued for real
+    /// once (the first record that carries it, on whichever thread gets
+    /// there first) and looked up ever after; a full table keeps issuing.
+    /// Either way the answer is what [`World::https_chain`] would measure.
+    pub fn https_chain_shape(&self, record: &DomainRecord) -> Option<ChainShape> {
+        let served = Served::https(record, CertificateEra::Classical)?;
+        let class = served.class();
+        if let Some(shape) = self.shapes.get(&class) {
+            return Some(shape);
+        }
+        let chain = served.issue(&self.ecosystem);
+        let shape = ChainShape {
+            total_der: chain.total_der_len(),
+            depth: chain.depth(),
+        };
+        self.shapes.insert(class, &shape);
+        Some(shape)
+    }
+
+    /// Chain classes resident in the chain-shape flyweight — never more
+    /// than [`crate::flyweight::CLASS_CAPACITY`].
+    pub fn chain_shape_classes(&self) -> usize {
+        self.shapes.classes()
     }
 
     /// Materialise the certificate chain a domain serves over QUIC (same as
@@ -467,25 +616,7 @@ impl World {
         record: &DomainRecord,
         era: CertificateEra,
     ) -> Option<CertificateChain> {
-        let quic = record.quic.as_ref()?;
-        let https = record.https.as_ref()?;
-        let era = quic.effective_era(era);
-        let mut params = Self::leaf_params(record, quic.leaf_key, https.extra_sans);
-        params.seed ^= quic.cert_seed_shift();
-        Some(self.ecosystem.issue_era(quic.chain_id, era, params))
-    }
-
-    fn leaf_params(record: &DomainRecord, key: KeyAlgorithm, extra_sans: u16) -> LeafParams {
-        let extra = (0..extra_sans)
-            .map(|i| format!("alt-{i:03}.{}", record.name))
-            .collect();
-        LeafParams {
-            common_name: record.name.clone(),
-            extra_sans: extra,
-            key,
-            scts: 2,
-            seed: record.seed,
-        }
+        Some(Served::quic(record, era)?.issue(&self.ecosystem))
     }
 
     /// The serving IPv4 address of a domain (provider-dependent prefix).
@@ -898,10 +1029,10 @@ mod tests {
     #[test]
     fn chain_der_len_is_a_pure_function_of_the_class_tuple() {
         // The purity statement the scanner's `ProbeClass` keys on: total
-        // chain DER length depends on a record only through (chain_id,
-        // effective era, leaf_key, cn_len, extra_sans, serial_der_len) —
-        // rotated certs and the rare trimmed-serial leaves included.
-        use quicert_x509::CertificateBuilder;
+        // chain DER length depends on a record only through its
+        // `ChainClass` — (chain_id, effective era, leaf_key, cn_len,
+        // extra_sans, serial_der_len) — rotated certs and the rare
+        // trimmed-serial leaves included.
         use std::collections::HashMap;
         let world = small_world();
         let mut groups = HashMap::new();
@@ -909,24 +1040,14 @@ mod tests {
         let (mut rotated, mut trimmed) = (false, false);
         for era in CertificateEra::ALL {
             for record in world.quic_services() {
-                let quic = record.quic.as_ref().unwrap();
-                let serial_der_len =
-                    CertificateBuilder::serial_der_len(record.seed ^ quic.cert_seed_shift());
-                let key = (
-                    quic.chain_id,
-                    quic.effective_era(era),
-                    quic.leaf_key,
-                    record.name.len(),
-                    record.https.as_ref().unwrap().extra_sans,
-                    serial_der_len,
-                );
+                let key = ChainClass::quic(record, era).unwrap();
                 let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
                 let len = *groups.entry(key).or_insert(issued);
                 assert_eq!(len, issued, "rank {} era {era:?} {key:?}", record.rank);
                 observed += 1;
-                rotated |= quic.rotated_cert;
+                rotated |= record.quic.as_ref().unwrap().rotated_cert;
                 // A full-width serial is 16 content bytes plus the header.
-                trimmed |= serial_der_len < 18;
+                trimmed |= key.serial_der_len < 18;
             }
         }
         assert!(rotated && trimmed, "world lacks a rotated / trimmed leaf");
@@ -936,6 +1057,95 @@ mod tests {
             "{} classes for {observed} chains",
             groups.len()
         );
+    }
+
+    #[test]
+    fn https_chain_shape_is_a_pure_function_of_the_class_tuple() {
+        // The same statement for the chain the §3.1 funnel collects, over
+        // everything an HTTPS record can carry: every chain id the
+        // HTTPS-only mix draws, RSA-4096 and P-384 leaves, SAN-heavy and
+        // cruise-liner leaves, and all three eras — reached the way churn
+        // reaches them, through the QUIC deployment's `era_override`
+        // under a classical scan (HTTPS-only records, which churn cannot
+        // migrate, take the era as the scan era). One (total_der, depth)
+        // per class, and the flyweight serves exactly it.
+        use std::collections::{HashMap, HashSet};
+        let world = small_world();
+        let mut groups: HashMap<ChainClass, ChainShape> = HashMap::new();
+        let mut observed = 0usize;
+        let (mut chain_ids, mut leaf_keys) = (HashSet::new(), HashSet::new());
+        let (mut san_heavy, mut cruise_liner) = (false, false);
+        for era in CertificateEra::ALL {
+            for record in world.domains().iter().filter(|r| r.has_https()) {
+                let mut record = record.clone();
+                let scan_era = match record.quic.as_mut() {
+                    Some(quic) => {
+                        quic.era_override = Some(era);
+                        CertificateEra::Classical
+                    }
+                    None => era,
+                };
+                let key = Served::https(&record, scan_era).unwrap().class();
+                assert_eq!(key.era, era);
+                let chain = world.https_chain_era(&record, scan_era).unwrap();
+                let issued = ChainShape {
+                    total_der: chain.total_der_len(),
+                    depth: chain.depth(),
+                };
+                let shape = *groups.entry(key).or_insert(issued);
+                assert_eq!(shape, issued, "rank {} era {era:?} {key:?}", record.rank);
+                if scan_era == CertificateEra::Classical {
+                    assert_eq!(world.https_chain_shape(&record), Some(issued));
+                }
+                observed += 1;
+                let https = record.https.as_ref().unwrap();
+                if record.quic.is_none() {
+                    chain_ids.insert(https.chain_id);
+                }
+                leaf_keys.insert(https.leaf_key);
+                san_heavy |= (13..=60).contains(&https.extra_sans);
+                cruise_liner |= https.extra_sans >= 100;
+            }
+        }
+        assert_eq!(chain_ids.len(), 18, "HTTPS-only chain ids: {chain_ids:?}");
+        assert!(leaf_keys.contains(&KeyAlgorithm::Rsa4096));
+        assert!(leaf_keys.contains(&KeyAlgorithm::EcdsaP384));
+        assert!(san_heavy && cruise_liner, "world lacks a SAN-heavy leaf");
+        assert!(
+            groups.len() * 4 < observed,
+            "{} classes for {observed} chains",
+            groups.len()
+        );
+        // The flyweight learned the classes of its own (classical-scan)
+        // lookups and nothing else.
+        assert!(world.chain_shape_classes() > 0);
+        assert!(world.chain_shape_classes() <= groups.len());
+    }
+
+    #[test]
+    fn a_full_shape_table_stops_learning_and_changes_nothing() {
+        // One class per lock shard: the table fills within a few hundred
+        // records. From then on new classes are issued and not stored —
+        // every answer still what the issuer measures.
+        use crate::flyweight::SHARDS;
+        let mut capped = small_world();
+        capped.shapes = ClassTable::bounded(SHARDS);
+        let roomy = small_world();
+        for record in capped.domains().iter().filter(|r| r.has_https()) {
+            let chain = capped.https_chain(record).unwrap();
+            let issued = ChainShape {
+                total_der: chain.total_der_len(),
+                depth: chain.depth(),
+            };
+            assert_eq!(capped.https_chain_shape(record), Some(issued));
+            assert_eq!(roomy.https_chain_shape(record), Some(issued));
+        }
+        let classes = capped.chain_shape_classes();
+        assert!(classes > 0 && classes <= SHARDS, "{classes}");
+        assert!(roomy.chain_shape_classes() > SHARDS);
+        // No HTTPS deployment, no shape.
+        let bare = capped.domains().iter().find(|r| r.https.is_none());
+        assert_eq!(capped.https_chain_shape(bare.unwrap()), None);
     }
 
     #[test]

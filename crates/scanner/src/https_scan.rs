@@ -2,7 +2,7 @@
 //! redirects, collect and summarise TLS chains.
 
 use quicert_analysis::{HistogramSketch, Merge, StreamSummary};
-use quicert_pki::{ChainId, DnsOutcome, DomainRecord, World};
+use quicert_pki::{ChainId, ChainShape, DnsOutcome, DomainRecord, World};
 use quicert_x509::{CertificateChain, FieldSizes, KeyAlgorithm};
 
 /// Size/shape summary of one served certificate chain. Keeping summaries
@@ -197,9 +197,10 @@ pub struct HttpsScanShard {
 }
 
 impl HttpsScanShard {
-    /// Fold one domain's funnel contribution and (when TLS-reachable) its
-    /// chain summary in.
-    pub fn push(&mut self, record: &DomainRecord, observation: Option<&HttpsObservation>) {
+    /// Fold one domain in: its DNS-funnel contribution and, when it is
+    /// TLS-reachable, the redirect hops followed before its certificate
+    /// was collected and the shape of the chain collected.
+    pub fn push(&mut self, record: &DomainRecord, served: Option<(u8, ChainShape)>) {
         self.total += 1;
         match record.dns {
             DnsOutcome::ServFail => self.servfail += 1,
@@ -210,25 +211,25 @@ impl HttpsScanShard {
         if record.dns.address().is_some() {
             self.a_records += 1;
         }
-        if let Some(obs) = observation {
-            self.names_seen += 1 + obs.redirect_hops as u64;
-            self.fold_observation(obs);
+        if let Some((redirect_hops, shape)) = served {
+            self.names_seen += 1 + redirect_hops as u64;
+            self.fold_chain(record.has_quic(), shape);
         }
     }
 
-    /// Fold one TLS-reachable observation's chain statistics in — the
-    /// single accumulation path shared by [`HttpsScanShard::push`] and
+    /// Fold one collected chain's statistics in — the single accumulation
+    /// path shared by [`HttpsScanShard::push`] and
     /// [`HttpsScanShard::from_report`], so the streamed summary and the
     /// materialized reference can never learn different metrics.
-    fn fold_observation(&mut self, obs: &HttpsObservation) {
+    fn fold_chain(&mut self, is_quic: bool, shape: ChainShape) {
         self.tls_reachable += 1;
-        let der = obs.summary.total_der as f64;
+        let der = shape.total_der as f64;
         self.chain_der.push(der);
-        if obs.is_quic {
+        if is_quic {
             self.quic_services += 1;
             self.quic_chain_der.push(der);
         }
-        self.chain_depth.push(obs.summary.depth as f64);
+        self.chain_depth.push(shape.depth as f64);
     }
 
     /// Derive the summary from a materialized [`HttpsScanReport`] — the
@@ -243,7 +244,8 @@ impl HttpsScanShard {
         shard.a_records = report.a_records as u64;
         shard.names_seen = report.names_seen as u64;
         for obs in &report.observations {
-            shard.fold_observation(obs);
+            let (total_der, depth) = (obs.summary.total_der, obs.summary.depth);
+            shard.fold_chain(obs.is_quic, ChainShape { total_der, depth });
         }
         shard
     }
@@ -294,23 +296,42 @@ impl Merge for HttpsScanShard {
 }
 
 /// Fold one population chunk into an [`HttpsScanShard`] without retaining
-/// observations beyond the chunk. Observation goes through the same
-/// [`observe`] helper the materialized path uses, so the streamed funnel
-/// and chain statistics can never diverge from a serial [`scan`].
+/// anything beyond the chunk — [`fold_iter`] over a slice of references.
 pub fn fold_records(world: &World, records: &[&DomainRecord]) -> HttpsScanShard {
     fold_iter(world, records.iter().copied())
 }
 
-/// [`fold_records`] over any record iterator — the streaming pump hands
-/// workers owned chunks, so this saves building a `Vec<&DomainRecord>`
-/// per chunk on the hot path.
+/// The streamed §3.1 funnel over any record iterator (the streaming pump
+/// hands workers owned chunks, so this saves building a
+/// `Vec<&DomainRecord>` per chunk on the hot path).
+///
+/// The funnel's statistics depend on a TLS-reachable domain only through
+/// its redirect hops and two integers of its chain — total DER bytes and
+/// depth — and those two are a pure function of the record's
+/// [`quicert_pki::ChainClass`]. So no certificate is issued here to learn
+/// its length: each record looks its class up in the world's chain-shape
+/// flyweight ([`World::https_chain_shape`]), and only the first record of
+/// a class pays the real issuer. The table lives on the `World`, so every
+/// caller — a streamed scan, every fold of a resident service, the
+/// certificate survey — shares it for the world's lifetime, and churn
+/// cannot stale it (it reaches the HTTPS chain only through the era
+/// override, a key field). A warm fold allocates the shard's two sketches
+/// and nothing per record. The materialized [`observe`]/[`scan`]/
+/// [`collate`] path never consults the table: it issues every chain, and
+/// [`HttpsScanShard::from_report`] over it is the reference this fold must
+/// match bit for bit.
 pub fn fold_iter<'a>(
     world: &World,
     records: impl IntoIterator<Item = &'a DomainRecord>,
 ) -> HttpsScanShard {
     let mut shard = HttpsScanShard::seeded();
     for record in records {
-        shard.push(record, observe(world, record).as_ref());
+        let https = record.https.as_ref().filter(|_| record.has_https());
+        let served = https.and_then(|https| {
+            let shape = world.https_chain_shape(record)?;
+            Some((https.redirect_hops, shape))
+        });
+        shard.push(record, served);
     }
     shard
 }

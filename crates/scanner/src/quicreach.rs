@@ -15,14 +15,12 @@
 //! probe parameters and the outcome→result mapping can never diverge
 //! between entry points.
 
-use std::collections::HashMap;
-use std::hash::BuildHasher;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use quicert_analysis::{Merge, StreamSummary};
 use quicert_netsim::{FaultPlan, NetworkProfile, UDP_IPV4_OVERHEAD};
 use quicert_obs::{Counter, Histogram, MetricsRegistry, Phase};
-use quicert_pki::{CertificateEra, DomainRecord, World};
+use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
@@ -373,39 +371,28 @@ pub fn fold_records(
 /// Deliberately excluded: the server's certificate-compression support
 /// (the quicreach client offers none, §3.2, so negotiation is always
 /// `None`) and the record's address/name *bytes* — only their lengths
-/// matter. The chain is represented by its exact DER-length inputs
-/// rather than materialized sizes: with `chain_id`/`era`/`leaf_key`
-/// fixing the intermediates and the leaf template, the CN length, extra
-/// SAN count (each SAN embeds the CN) and serial width pin every encoded
-/// length in the chain (proven by `quicert_pki`'s
-/// `chain_der_len_is_a_pure_function_of_the_class_tuple`), which keeps
-/// class derivation lock- and lookup-free on the million-record path.
+/// matter. The chain is represented by its [`ChainClass`] — the exact
+/// DER-length inputs `quicert_pki` derives beside the issuer call itself,
+/// the same key its chain-shape flyweight uses — rather than materialized
+/// sizes, which keeps class derivation lock- and lookup-free on the
+/// million-record path.
 ///
 /// The key is what makes one [`ClassMemo`] sound across scenarios, pumps
-/// and service ticks: it carries its own scenario axes (era, profile,
-/// Initial size), and churn reaches a probe only through fields it covers
-/// (`cert_generation` → `serial_der_len`, drift → `chain_id`,
-/// `era_override` → `era`), so a churned record is a *different key*,
-/// never a stale entry. The fault plan is not a key field because only
-/// [`FaultPlan::NONE`] folds ever consult the memo.
+/// and service ticks: it carries its own scenario axes (the era inside the
+/// chain class, profile, Initial size), and churn reaches a probe only
+/// through the chain class (`cert_generation` → serial width, drift →
+/// `chain_id`, `era_override` → era), so a churned record is a *different
+/// key*, never a stale entry. The fault plan is not a key field because
+/// only [`FaultPlan::NONE`] folds ever consult the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProbeClass {
-    era: CertificateEra,
+pub struct ProbeClass {
+    /// The served QUIC chain: parent chain, effective era, leaf key and
+    /// every length input of the leaf.
+    chain: ChainClass,
     profile: NetworkProfile,
     initial_size: usize,
     provider: quicert_pki::Provider,
     behavior: quicert_pki::world::BehaviorKind,
-    chain_id: quicert_pki::ChainId,
-    leaf_key: quicert_x509::KeyAlgorithm,
-    /// Leaf CN length in bytes (`record.name.len()`).
-    cn_len: u16,
-    /// Extra SANs on the leaf beyond CN and `www.` — each is
-    /// `alt-NNN.<cn>`, so together with `cn_len` this fixes the SAN
-    /// extension's encoded size.
-    extra_sans: u16,
-    /// Encoded length of the serial `INTEGER` — the only seed-dependent
-    /// DER length in a certificate (leading-zero trimming).
-    serial_der_len: u8,
     /// `record.seed % 40` — the scanner wire's base latency step. PTO and
     /// retransmission timers can fire latency-dependently, so outcomes
     /// are only shared within one step.
@@ -416,32 +403,16 @@ struct ProbeClass {
 
 impl ProbeClass {
     /// Derive the class of a record known to serve QUIC. O(1) with no
-    /// world lookups: everything is on the record, and the serial width
-    /// is recomputed arithmetically
-    /// ([`quicert_x509::CertificateBuilder::serial_der_len`]).
+    /// world lookups: everything is on the record.
     fn of(record: &DomainRecord, scenario: Scenario) -> ProbeClass {
         let quic = record.quic.as_ref().expect("caller filtered on has_quic");
-        let https = record
-            .https
-            .as_ref()
-            .expect("QUIC deployments ride on an HTTPS record");
-        // Rotated or churned certificates re-derive their serial from a
-        // shifted seed, and a migrated provider serves its override era;
-        // mirror `World`'s chain issuance exactly.
-        let seed_shift = quic.cert_seed_shift();
         ProbeClass {
-            era: quic.effective_era(scenario.era),
+            chain: ChainClass::quic(record, scenario.era)
+                .expect("QUIC deployments ride on an HTTPS record"),
             profile: scenario.profile,
             initial_size: scenario.initial_size,
             provider: quic.provider,
             behavior: quic.behavior,
-            chain_id: quic.chain_id,
-            leaf_key: quic.leaf_key,
-            cn_len: record.name.len() as u16,
-            extra_sans: https.extra_sans,
-            serial_der_len: quicert_x509::CertificateBuilder::serial_der_len(
-                record.seed ^ seed_shift,
-            ) as u8,
             latency_step: (record.seed % 40) as u8,
             behind_lb: quic.behind_lb,
             lb_overhead: quic.lb_overhead,
@@ -515,21 +486,13 @@ impl ProbeMetrics {
     }
 }
 
-/// Scenario classes one [`ClassMemo`] holds at most (≈50 MB; a 1M-domain
-/// scan meets ≈35k). A full table stops learning — new classes simulate
-/// and are not stored, which cannot change a result — so a resident
-/// service's memo is bounded however long it runs.
-pub const MEMO_CLASS_CAPACITY: usize = 1 << 18;
-
-/// Lock shards of a [`ClassMemo`], picked by class hash.
-const MEMO_SHARDS: usize = 64;
-
-// FastHashBuilder: one lookup per probed record makes SipHash the single
-// largest non-simulation cost at a million records.
-type MemoShard = RwLock<HashMap<ProbeClass, QuicReachResult, quicert_netsim::FastHashBuilder>>;
+/// Scenario classes one [`ClassMemo`] holds at most (≈50 MB) — the
+/// capacity every [`ClassTable`] in the tree is bounded at.
+pub use quicert_pki::flyweight::CLASS_CAPACITY as MEMO_CLASS_CAPACITY;
 
 /// The scenario-class flyweight table: one folded [`QuicReachResult`] per
-/// distinct `ProbeClass`, shared by every scratch that holds the `Arc`.
+/// distinct [`ProbeClass`], shared by every scratch that holds the `Arc`
+/// — the scanner's instantiation of the tree's one [`ClassTable`].
 ///
 /// The value is the *folded* result, not the simulated
 /// [`HandshakeOutcome`]: `QuicReachResult::from_outcome` is a pure
@@ -537,57 +500,7 @@ type MemoShard = RwLock<HashMap<ProbeClass, QuicReachResult, quicert_netsim::Fas
 /// stored result re-ranked, and 88 bytes a class is what lets the table
 /// outlive its pump. The first insert of a class wins; equal classes
 /// simulate to equal results, so which worker won is invisible.
-#[derive(Debug)]
-pub struct ClassMemo {
-    shards: Box<[MemoShard]>,
-    shard_capacity: usize,
-}
-
-impl ClassMemo {
-    fn bounded(capacity: usize) -> ClassMemo {
-        ClassMemo {
-            shards: (0..MEMO_SHARDS).map(|_| MemoShard::default()).collect(),
-            shard_capacity: capacity / MEMO_SHARDS,
-        }
-    }
-
-    /// Classes currently stored.
-    pub fn classes(&self) -> usize {
-        let len = |shard: &MemoShard| shard.read().expect("memo shard poisoned").len();
-        self.shards.iter().map(len).sum()
-    }
-
-    fn shard(&self, class: &ProbeClass) -> &MemoShard {
-        // Bits the map's own bucket index and control byte do not use.
-        let hash = quicert_netsim::FastHashBuilder::default().hash_one(class);
-        &self.shards[(hash >> 32) as usize % MEMO_SHARDS]
-    }
-
-    /// The stored result of `class` re-labelled with `rank`, if known.
-    fn replay(&self, class: &ProbeClass, rank: usize) -> Option<QuicReachResult> {
-        let shard = self.shard(class).read().expect("memo shard poisoned");
-        let cached = shard.get(class)?.clone();
-        Some(QuicReachResult { rank, ..cached })
-    }
-
-    /// Store `result` for `class` unless the class is already known or its
-    /// shard is full; whether this call added a class.
-    fn insert(&self, class: ProbeClass, result: &QuicReachResult) -> bool {
-        let mut shard = self.shard(&class).write().expect("memo shard poisoned");
-        let room = shard.len() < self.shard_capacity && !shard.contains_key(&class);
-        if room {
-            shard.insert(class, result.clone());
-        }
-        room
-    }
-}
-
-impl Default for ClassMemo {
-    /// An empty table bounded at [`MEMO_CLASS_CAPACITY`] classes.
-    fn default() -> Self {
-        ClassMemo::bounded(MEMO_CLASS_CAPACITY)
-    }
-}
+pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
 
 /// Reusable per-worker buffers for the streaming quicreach fold.
 ///
@@ -711,9 +624,11 @@ pub fn fold_chunk(
     for record in records.iter().filter(|record| record.has_quic()) {
         let class = memo.map(|_| ProbeClass::of(record, scenario));
         if let (Some(memo), Some(class)) = (memo, &class) {
-            if let Some(replayed) = memo.replay(class, record.rank) {
+            if let Some(cached) = memo.get(class) {
+                // A replay is the stored result under this record's rank.
+                let rank = record.rank;
                 scratch.hits += 1;
-                scratch.slots.push(Some(replayed));
+                scratch.slots.push(Some(QuicReachResult { rank, ..cached }));
                 continue;
             }
             scratch.misses += 1;
@@ -1079,6 +994,7 @@ pub fn mtu_bound() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicert_pki::flyweight::SHARDS as MEMO_SHARDS;
     use quicert_pki::WorldConfig;
 
     /// The paper's baseline at its reporting size; tests vary one axis.

@@ -1,6 +1,10 @@
 //! Allocation budget of the certificate path every workload pays: issuing
 //! one HTTPS chain and summarising it.
 //!
+//! And the budget of the streamed funnel, which no longer pays that path:
+//! a warm `https_scan::fold_iter` allocates its shard's two sketches and
+//! nothing per record.
+//!
 //! Counts, not timings — exact on any host. Before the encoder wrote into
 //! one buffer (`der::Writer`) and `Certificate::assemble` recorded field
 //! sizes as it encoded, one chain cost ~459 allocations and its summary
@@ -10,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use quicert_pki::{World, WorldConfig};
-use quicert_scanner::https_scan::ChainSummary;
+use quicert_scanner::https_scan::{self, ChainSummary};
 
 thread_local! {
     /// Allocations (fresh or grown) made by this thread.
@@ -81,5 +85,38 @@ fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
         "allocations per chain: issue {:.1}, summarise {:.1}",
         mean(issue),
         mean(summarise)
+    );
+}
+
+#[test]
+fn a_warm_streamed_funnel_allocates_nothing_per_record() {
+    // The first fold of a chunk issues one chain per chain class it meets;
+    // the second looks every record up in the world's chain-shape
+    // flyweight. What is left is the shard itself — a constant, whatever
+    // the record count. (Issuing and summarising a chain per HTTPS record,
+    // as the fold did before the flyweight, is ≈25 allocations a record.)
+    let world = World::generate(WorldConfig {
+        domains: 4_096,
+        seed: 0x5CA1,
+        ..WorldConfig::default()
+    });
+    let (cold, cold_allocations) = counted(|| https_scan::fold_iter(&world, world.domains()));
+    let tls = cold.tls_reachable;
+    assert!(tls > 3_000 && cold_allocations > world.chain_shape_classes() as u64);
+    let classes = world.chain_shape_classes();
+
+    let (warm, whole) = counted(|| https_scan::fold_iter(&world, world.domains()));
+    let (_, eighth) = counted(|| https_scan::fold_iter(&world, &world.domains()[..512]));
+    assert_eq!(warm, cold, "a looked-up shape is the issued one");
+    assert_eq!(
+        world.chain_shape_classes(),
+        classes,
+        "a warm fold learns nothing"
+    );
+    assert_eq!(whole, eighth, "allocations grew with the record count");
+    assert!(whole <= 4, "{whole} allocations for one shard");
+    eprintln!(
+        "streamed funnel over {tls} TLS domains: {cold_allocations} allocations cold \
+         ({classes} chain classes), {whole} warm"
     );
 }
