@@ -404,8 +404,8 @@ where
 ///   [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], so claims start
 ///   large and taper near the tail.
 /// * Each worker builds one `scratch` via `make_scratch` and hands it to
-///   every `fold` call, letting record-heavy folds (probe batches) reuse
-///   their allocations across millions of records.
+///   every `fold` call, so per-worker state (a memo handle, counters,
+///   buffers) is built once for millions of records.
 /// * Threads are capped at [`host_parallelism`]; a single effective
 ///   worker runs the same claim loop inline without spawning.
 pub fn stream_sharded_scratch<S, T, MS, F>(
@@ -687,7 +687,7 @@ impl ScanEngine {
     /// policy aside: cold scans never read it), so a grid revisiting a
     /// cell is free. Per-record RNG forking — which fault plans draw from
     /// too — keeps the artifact bit-for-bit identical at any worker count
-    /// and batch size, on every axis.
+    /// and shard size, on every axis.
     pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {

@@ -604,7 +604,12 @@ mod tests {
             stats.probed,
             stats.full_probe_count
         );
-        assert!(stats.dirty_segments < stats.total_segments);
+        assert!(
+            0 < stats.dirty_segments && stats.dirty_segments < stats.total_segments,
+            "a sparse tick dirties a strict, non-empty segment subset ({} of {})",
+            stats.dirty_segments,
+            stats.total_segments
+        );
     }
 
     #[test]

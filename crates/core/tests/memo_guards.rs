@@ -112,7 +112,7 @@ fn a_second_worker_adds_almost_no_misses() {
 }
 
 /// The memo outlives the call: folding the same ranges again on the same
-/// engine simulates nothing — not one SimNet event.
+/// engine simulates nothing — not one exchange event.
 #[test]
 fn a_repeated_fold_simulates_nothing() {
     let _serial = serial();
@@ -128,7 +128,7 @@ fn a_repeated_fold_simulates_nothing() {
     let before = events.get();
     assert!(before > 0, "the first fold simulated");
     let again = fold();
-    assert_eq!(events.get(), before, "the second fold ran SimNet events");
+    assert_eq!(events.get(), before, "the second fold ran exchange events");
     assert_eq!(again, first);
     let totals = engine.pump_stats().expect("fold_ranges pumps").totals();
     assert_eq!((totals.memo_misses, totals.distinct_classes), (0, 0));

@@ -1,13 +1,9 @@
-//! The endpoint/wire vocabulary of the simulator and the classic
-//! two-party [`run_exchange`] entry point.
+//! The endpoint/wire vocabulary of the simulator: what an exchange is
+//! made of and what it reports.
 //!
 //! QUIC scans are pairwise (scanner ↔ server): a [`Wire`] with one
-//! [`LinkModel`] per direction connects two [`Endpoint`] state machines.
-//! The actual scheduling lives in [`crate::simnet::SimNet`], which drives
-//! any number of such pairs one at a time; [`run_exchange`] is its thin
-//! one-session wrapper, keeping the exact semantics of the two-endpoint
-//! loop it replaced (including RNG stream advancement and fault-counter
-//! accumulation on the caller's wire).
+//! [`LinkModel`] per direction connects two [`Endpoint`] state machines,
+//! and [`crate::simnet::run_exchange`] schedules them to completion.
 //!
 //! Every datagram offered to the wire is recorded as a [`TraceEvent`], so
 //! measurements (amplification factors, handshake byte splits, RTT counts)
@@ -17,8 +13,6 @@
 use crate::datagram::Datagram;
 use crate::fault::FaultInjector;
 use crate::link::LinkModel;
-use crate::rng::SimRng;
-use crate::simnet::SimNet;
 use crate::time::{SimDuration, SimTime};
 
 /// Which endpoint sent a datagram.
@@ -60,27 +54,6 @@ pub trait Endpoint {
 
     /// Whether this endpoint considers its part of the exchange complete.
     fn is_done(&self) -> bool;
-}
-
-/// Mutable references are endpoints too, so callers can keep ownership of
-/// their state machines while a [`SimNet`] session borrows them (this is
-/// what lets [`run_exchange`] wrap a `SimNet` without changing signature).
-impl<E: Endpoint + ?Sized> Endpoint for &mut E {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).start(now, out)
-    }
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).on_datagram(dgram, now, out)
-    }
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).on_timer(now, out)
-    }
-    fn next_timer(&self) -> Option<SimTime> {
-        (**self).next_timer()
-    }
-    fn is_done(&self) -> bool {
-        (**self).is_done()
-    }
 }
 
 /// A bidirectional path between two endpoints.
@@ -225,41 +198,16 @@ impl ExchangeOutcome {
     }
 }
 
-/// Run an exchange between endpoint `a` (initiator) and endpoint `b` over
-/// `wire` until both endpoints are done, nothing remains in flight and no
-/// timers are pending — or until `limits` are hit.
-///
-/// This is a thin one-session wrapper over [`SimNet`], preserved for the
-/// many call sites that probe a single pair. The caller's `wire` (fault
-/// counters) and `rng` (stream position) are written back afterwards, so
-/// the function is bit-for-bit equivalent to the pre-`SimNet` two-endpoint
-/// loop — the equivalence test in `tests/` pins this against a verbatim
-/// copy of the old implementation.
-pub fn run_exchange(
-    a: &mut dyn Endpoint,
-    b: &mut dyn Endpoint,
-    wire: &mut Wire,
-    limits: ExchangeLimits,
-    rng: &mut SimRng,
-) -> ExchangeOutcome {
-    let mut net = SimNet::with_capacity(1);
-    let id = net.add_session(Box::new(a), Box::new(b), wire.clone(), limits, rng.clone());
-    net.run();
-    let (outcome, wire_back, rng_back) = net.take_parts(id);
-    *wire = wire_back;
-    *rng = rng_back;
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use crate::simnet::run_exchange;
     use std::net::Ipv4Addr;
 
     /// Sends `count` pings; expects an echo for each before sending the next.
     struct Pinger {
         remaining: u32,
-        awaiting: bool,
     }
 
     /// Echoes every datagram back.
@@ -272,15 +220,12 @@ mod tests {
         fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
-                self.awaiting = true;
             }
         }
         fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
             self.remaining -= 1;
-            self.awaiting = false;
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
-                self.awaiting = true;
             }
         }
         fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
@@ -307,10 +252,7 @@ mod tests {
 
     #[test]
     fn ping_pong_runs_to_quiescence() {
-        let mut pinger = Pinger {
-            remaining: 3,
-            awaiting: false,
-        };
+        let mut pinger = Pinger { remaining: 3 };
         let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_millis(10));
         let mut rng = SimRng::new(1);
@@ -334,10 +276,7 @@ mod tests {
 
     #[test]
     fn lossy_wire_without_timers_stalls_unquiesced() {
-        let mut pinger = Pinger {
-            remaining: 1,
-            awaiting: false,
-        };
+        let mut pinger = Pinger { remaining: 1 };
         let mut echoer = Echoer;
         let mut wire = Wire {
             fault_a_to_b: FaultInjector::dropping(1.0),
@@ -361,7 +300,6 @@ mod tests {
     fn max_events_guards_against_runaway() {
         let mut pinger = Pinger {
             remaining: u32::MAX,
-            awaiting: false,
         };
         let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_nanos(1));
@@ -382,10 +320,7 @@ mod tests {
 
     #[test]
     fn deadline_stops_the_clock() {
-        let mut pinger = Pinger {
-            remaining: 1000,
-            awaiting: false,
-        };
+        let mut pinger = Pinger { remaining: 1000 };
         let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_millis(100));
         let mut rng = SimRng::new(4);

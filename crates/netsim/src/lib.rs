@@ -5,9 +5,8 @@
 //! constraints, tunnel encapsulation (the load-balancer effect of §4.1 of the
 //! paper), a network telescope for observing backscatter from spoofed
 //! handshakes (§4.3), named [`NetworkProfile`] link-condition overlays, and
-//! [`SimNet`] — a discrete-event scheduler driving any number of
-//! independent endpoint pairs, one to completion at a time
-//! ([`run_exchange`] is its classic two-endpoint wrapper).
+//! [`run_exchange`] — a discrete-event scheduler driving one endpoint pair
+//! to completion over the caller's wire and RNG stream.
 //!
 //! Everything is deterministic: all randomness flows from a [`SimRng`] seeded
 //! with a caller-provided `u64`, so every experiment in the workspace is
@@ -31,12 +30,12 @@ pub mod time;
 
 pub use addr::{Ipv4Net, ANY_PORT};
 pub use datagram::{Datagram, UDP_IPV4_OVERHEAD};
-pub use event::{run_exchange, Endpoint, ExchangeLimits, ExchangeOutcome, TraceEvent, Wire};
+pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, TraceEvent, Wire};
 pub use fault::FaultInjector;
 pub use faultplan::FaultPlan;
 pub use link::{Delivery, LinkModel};
 pub use profile::NetworkProfile;
 pub use rng::{FastHashBuilder, FastHasher, SimRng};
-pub use simnet::{SessionId, SimNet};
+pub use simnet::run_exchange;
 pub use telescope::{BackscatterRecord, Telescope};
 pub use time::{SimDuration, SimTime};

@@ -1,34 +1,30 @@
-//! [`SimNet`]: a discrete-event network core driving N endpoint pairs,
-//! one pair to completion at a time.
+//! The exchange scheduler: [`run_exchange`] drives one pair of
+//! [`Endpoint`] state machines over one [`Wire`] to completion.
 //!
-//! A *session* is a pair of [`Endpoint`] state machines joined by its own
-//! [`Wire`], with its own [`SimRng`] stream, timers, event queue, trace and
-//! virtual timeline starting at zero. Sessions share nothing, so there is
-//! no order between them to keep: [`SimNet::run`] takes them in
-//! `add_session` order and drives each until it quiesces or hits its
-//! limits, off a queue that only ever holds that session's handful of
-//! in-flight datagrams and timers. A session's [`ExchangeOutcome`] is
-//! therefore the same whether it runs alone or as one of ten thousand, and
-//! the working set of a batch is one session's, whatever the batch size.
-//! [`crate::event::run_exchange`] is the one-session wrapper.
+//! The unit of measurement is one scanner↔server handshake, every probe
+//! independent of every other, so the scheduler knows exactly one
+//! *session*: two borrowed endpoints, the caller's wire and [`SimRng`]
+//! stream, and — built on the stack for the duration of the call — its
+//! timers, event queue, trace and a virtual timeline starting at zero.
+//! Nothing outlives the call but the [`ExchangeOutcome`], the wire's fault
+//! counters and the RNG's stream position, so a scan costs per probe what
+//! one probe costs alone and outcomes cannot depend on what ran before.
 //!
-//! Within a session, events fire in `(timestamp, deliveries-before-timers,
-//! send sequence)` order — exactly the order of the two-endpoint loop this
-//! scheduler replaced, which the equivalence test in `tests/` pins.
+//! Events fire in `(timestamp, deliveries-before-timers, send sequence)`
+//! order — the order of the reference loop that
+//! `tests/exchange_equivalence.rs` holds this scheduler to, bit for bit.
 //!
 //! ## Timers
 //!
 //! Endpoint timers are re-polled after every event the endpoint handles.
-//! Rather than rebuilding a heap entry per poll, a session keeps one *live*
-//! timer event per endpoint side and lazily discards superseded entries: a
-//! queued timer carries the epoch of its side's timer slot at push time,
-//! and a pop with a stale epoch is skipped. This preserves the two-endpoint
-//! loop's semantics, where `next_timer` was consulted fresh on every
-//! iteration.
+//! Rather than rebuilding a heap entry per poll, the session keeps one
+//! *live* timer event per endpoint side and lazily discards superseded
+//! entries: a queued timer carries the epoch of its side's timer slot at
+//! push time, and a pop with a stale epoch is skipped. The effect is that
+//! of consulting `next_timer` fresh on every iteration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use quicert_obs::{Counter, MetricsRegistry};
@@ -42,7 +38,7 @@ use crate::rng::SimRng;
 use crate::time::SimTime;
 
 /// Process-wide event-loop counters on [`MetricsRegistry::global`],
-/// batch-flushed once per [`SimNet::run`] so the per-event hot path never
+/// flushed once per [`run_exchange`] so the per-event hot path never
 /// touches a shared atomic.
 struct NetMetrics {
     events: Arc<Counter>,
@@ -59,11 +55,11 @@ fn net_metrics() -> &'static NetMetrics {
         NetMetrics {
             events: registry.counter(
                 "quicert_netsim_events_total",
-                "SimNet events processed (deliveries and timer fires)",
+                "Exchange events processed (deliveries and timer fires)",
             ),
             timer_fires: registry.counter(
                 "quicert_netsim_timer_fires_total",
-                "SimNet timer events fired",
+                "Exchange timer events fired",
             ),
             drops: registry.counter(
                 "quicert_netsim_fault_drops_total",
@@ -81,18 +77,7 @@ fn net_metrics() -> &'static NetMetrics {
     })
 }
 
-/// Handle to one session on a [`SimNet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(usize);
-
-impl SessionId {
-    /// The session's index, in `add_session` order.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Which endpoint of a session a timer belongs to.
+/// Which endpoint of the session a timer belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Side {
     A,
@@ -110,7 +95,7 @@ impl Side {
 
 /// What a queued event does when it fires.
 enum EventKind {
-    /// A datagram arriving at the session's far endpoint.
+    /// A datagram arriving at the far endpoint.
     Delivery {
         seq: u64,
         direction: Direction,
@@ -130,8 +115,7 @@ impl QueuedEvent {
     /// Total ordering key. At one timestamp, deliveries fire before timers
     /// (an endpoint sees input before its co-scheduled timeout, matching
     /// real stacks), deliveries order by send sequence, and timer A fires
-    /// before timer B — exactly the tie-breaks of the original
-    /// two-endpoint loop.
+    /// before timer B.
     fn key(&self) -> (SimTime, u8, u64, u64) {
         match &self.kind {
             EventKind::Delivery { seq, .. } => (self.at, 0, *seq, 0),
@@ -157,65 +141,28 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// One endpoint pair and all of its private state.
-struct Session<'e> {
-    a: Box<dyn Endpoint + 'e>,
-    b: Box<dyn Endpoint + 'e>,
-    wire: Wire,
-    limits: ExchangeLimits,
-    rng: SimRng,
-    /// This session's pending deliveries and timers.
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
-    trace: Vec<TraceEvent>,
-    /// Simulated time of the session's last processed event.
-    now: SimTime,
-    /// Per-session datagram sequence counter (delivery tie-break).
-    seq: u64,
-    /// Processed events, checked against `limits.max_events`.
-    events: usize,
-    /// Deliveries currently queued for this session.
-    pending_deliveries: usize,
-    /// Last `next_timer()` answer pushed per side; `None` = no live event.
-    timer_target: [Option<SimTime>; 2],
-    /// Epoch of each side's timer slot; queued timers with older epochs are
-    /// stale and skipped on pop.
-    timer_epoch: [u64; 2],
-    /// Fault-injector counters (drops, corruptions, duplications) at
-    /// session creation, so outcomes report the faults of *this* exchange
-    /// even on a reused wire.
-    faults_before: (u64, u64, u64),
-    /// Whether this session's fault deltas were already flushed to the
-    /// global metrics registry (guards against double-counting if `run` is
-    /// called again).
-    metrics_flushed: bool,
-    finished: bool,
-    quiesced: bool,
+/// Drops, corruptions and duplications the wire's two fault injectors
+/// have counted so far.
+fn fault_totals(wire: &Wire) -> [u64; 3] {
+    let (ab, ba) = (&wire.fault_a_to_b, &wire.fault_b_to_a);
+    [
+        ab.drops() + ba.drops(),
+        ab.corruptions() + ba.corruptions(),
+        ab.duplications() + ba.duplications(),
+    ]
 }
 
-impl Session<'_> {
-    fn both_done(&self) -> bool {
-        self.a.is_done() && self.b.is_done()
-    }
-
-    fn fault_drops(&self) -> u64 {
-        self.wire.fault_a_to_b.drops() + self.wire.fault_b_to_a.drops() - self.faults_before.0
-    }
-
-    fn fault_corruptions(&self) -> u64 {
-        self.wire.fault_a_to_b.corruptions() + self.wire.fault_b_to_a.corruptions()
-            - self.faults_before.1
-    }
-
-    fn fault_duplications(&self) -> u64 {
-        self.wire.fault_a_to_b.duplications() + self.wire.fault_b_to_a.duplications()
-            - self.faults_before.2
-    }
-}
-
-/// A batch of independent two-endpoint sessions, run one at a time.
+/// Run an exchange between endpoint `a` (initiator) and endpoint `b` over
+/// `wire` until both endpoints are done, nothing remains in flight and no
+/// timers are pending — or until `limits` are hit.
+///
+/// Both `start` hooks run at `SimTime::ZERO`: every exchange lives on its
+/// own virtual timeline. The caller's `wire` accumulates fault counters and
+/// `rng` advances its stream across calls; the outcome reports the faults
+/// of *this* exchange only, even on a reused wire.
 ///
 /// ```
-/// use quicert_netsim::{SimNet, SimRng, Wire, ExchangeLimits, SimDuration};
+/// use quicert_netsim::{run_exchange, SimRng, Wire, ExchangeLimits, SimDuration};
 /// # use quicert_netsim::{Datagram, Endpoint, SimTime};
 /// # struct Quiet;
 /// # impl Endpoint for Quiet {
@@ -224,181 +171,120 @@ impl Session<'_> {
 /// #     fn next_timer(&self) -> Option<SimTime> { None }
 /// #     fn is_done(&self) -> bool { true }
 /// # }
-/// let mut net = SimNet::new();
-/// let id = net.add_session(
-///     Box::new(Quiet),
-///     Box::new(Quiet),
-///     Wire::ideal(SimDuration::from_millis(10)),
+/// let mut wire = Wire::ideal(SimDuration::from_millis(10));
+/// let outcome = run_exchange(
+///     &mut Quiet,
+///     &mut Quiet,
+///     &mut wire,
 ///     ExchangeLimits::default(),
-///     SimRng::new(1),
+///     &mut SimRng::new(1),
 /// );
-/// net.run();
-/// assert!(net.take_outcome(id).quiesced);
+/// assert!(outcome.quiesced);
 /// ```
-#[derive(Default)]
-pub struct SimNet<'e> {
-    sessions: Vec<Session<'e>>,
-    /// Shared scratch buffer endpoints write their transmissions into.
-    outbox: Vec<Datagram>,
-}
+pub fn run_exchange(
+    a: &mut dyn Endpoint,
+    b: &mut dyn Endpoint,
+    wire: &mut Wire,
+    limits: ExchangeLimits,
+    rng: &mut SimRng,
+) -> ExchangeOutcome {
+    let faults_before = fault_totals(wire);
+    let mut session = Session {
+        a,
+        b,
+        wire,
+        limits,
+        rng,
+        queue: BinaryHeap::new(),
+        trace: Vec::new(),
+        now: SimTime::ZERO,
+        seq: 0,
+        events: 0,
+        timer_fires: 0,
+        pending_deliveries: 0,
+        timer_target: [None, None],
+        timer_epoch: [0, 0],
+    };
+    let quiesced = session.run();
+    let Session {
+        wire,
+        trace,
+        now,
+        events,
+        timer_fires,
+        ..
+    } = session;
+    let faults_after = fault_totals(wire);
+    let [fault_drops, fault_corruptions, fault_duplications] =
+        [0, 1, 2].map(|i| faults_after[i] - faults_before[i]);
 
-impl fmt::Debug for SimNet<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimNet")
-            .field("sessions", &self.sessions.len())
-            .finish()
+    let metrics = net_metrics();
+    metrics.events.add(events as u64);
+    metrics.timer_fires.add(timer_fires);
+    metrics.drops.add(fault_drops);
+    metrics.corruptions.add(fault_corruptions);
+    metrics.duplications.add(fault_duplications);
+
+    ExchangeOutcome {
+        trace,
+        finished_at: now,
+        quiesced,
+        fault_drops,
+        fault_corruptions,
+        fault_duplications,
     }
 }
 
-impl<'e> SimNet<'e> {
-    /// An empty network.
-    pub fn new() -> Self {
-        SimNet::default()
-    }
-
-    /// An empty network with room for `sessions` endpoint pairs.
-    pub fn with_capacity(sessions: usize) -> Self {
-        SimNet {
-            sessions: Vec::with_capacity(sessions),
-            outbox: Vec::new(),
-        }
-    }
-
-    /// Number of sessions added so far.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the network has no sessions.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Add one session: endpoint `a` initiates toward endpoint `b` over
-    /// `wire`. Both `start` hooks run immediately at `SimTime::ZERO` — every
-    /// session lives on its own virtual timeline starting at zero,
-    /// regardless of when it is added.
-    pub fn add_session(
-        &mut self,
-        a: Box<dyn Endpoint + 'e>,
-        b: Box<dyn Endpoint + 'e>,
-        wire: Wire,
-        limits: ExchangeLimits,
-        rng: SimRng,
-    ) -> SessionId {
-        let faults_before = (
-            wire.fault_a_to_b.drops() + wire.fault_b_to_a.drops(),
-            wire.fault_a_to_b.corruptions() + wire.fault_b_to_a.corruptions(),
-            wire.fault_a_to_b.duplications() + wire.fault_b_to_a.duplications(),
-        );
-        let mut sess = Session {
-            a,
-            b,
-            wire,
-            limits,
-            rng,
-            queue: BinaryHeap::new(),
-            trace: Vec::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            events: 0,
-            pending_deliveries: 0,
-            timer_target: [None, None],
-            timer_epoch: [0, 0],
-            faults_before,
-            metrics_flushed: false,
-            finished: false,
-            quiesced: false,
-        };
-        sess.a.start(SimTime::ZERO, &mut self.outbox);
-        sess.enqueue_outbox(Direction::AtoB, SimTime::ZERO, &mut self.outbox);
-        sess.b.start(SimTime::ZERO, &mut self.outbox);
-        sess.enqueue_outbox(Direction::BtoA, SimTime::ZERO, &mut self.outbox);
-        sess.sync_timers_and_check();
-        self.sessions.push(sess);
-        SessionId(self.sessions.len() - 1)
-    }
-
-    /// Whether a session has finished (quiesced or hit a limit).
-    pub fn is_finished(&self, id: SessionId) -> bool {
-        self.sessions[id.0].finished
-    }
-
-    /// The session's wire (fault-injector counters live here).
-    pub fn wire(&self, id: SessionId) -> &Wire {
-        &self.sessions[id.0].wire
-    }
-
-    /// Drive every session, one after the other, until it quiesces or hits
-    /// its limits.
-    pub fn run(&mut self) {
-        let mut events_processed = 0u64;
-        let mut timer_events = 0u64;
-        let (mut drops, mut corruptions, mut duplications) = (0u64, 0u64, 0u64);
-        for sess in &mut self.sessions {
-            let (events, timers) = sess.run(&mut self.outbox);
-            events_processed += events;
-            timer_events += timers;
-            if !sess.metrics_flushed {
-                drops += sess.fault_drops();
-                corruptions += sess.fault_corruptions();
-                duplications += sess.fault_duplications();
-                sess.metrics_flushed = true;
-            }
-        }
-        // One batched flush to the global registry per run: the per-event
-        // path only touches locals.
-        let metrics = net_metrics();
-        metrics.events.add(events_processed);
-        metrics.timer_fires.add(timer_events);
-        metrics.drops.add(drops);
-        metrics.corruptions.add(corruptions);
-        metrics.duplications.add(duplications);
-    }
-
-    /// Take a finished session's outcome (trace moves out; a second take
-    /// returns an empty trace).
-    pub fn take_outcome(&mut self, id: SessionId) -> ExchangeOutcome {
-        let sess = &mut self.sessions[id.0];
-        ExchangeOutcome {
-            trace: std::mem::take(&mut sess.trace),
-            finished_at: sess.now,
-            quiesced: sess.quiesced,
-            fault_drops: sess.fault_drops(),
-            fault_corruptions: sess.fault_corruptions(),
-            fault_duplications: sess.fault_duplications(),
-        }
-    }
-
-    /// Take a finished session's outcome together with its wire and RNG —
-    /// what the [`crate::event::run_exchange`] wrapper writes back to its
-    /// caller so counters and RNG streams advance exactly as before.
-    pub fn take_parts(&mut self, id: SessionId) -> (ExchangeOutcome, Wire, SimRng) {
-        let outcome = self.take_outcome(id);
-        let sess = &mut self.sessions[id.0];
-        let wire = std::mem::take(&mut sess.wire);
-        let rng = std::mem::replace(&mut sess.rng, SimRng::new(0));
-        (outcome, wire, rng)
-    }
-
-    /// Consume the network, returning every session's outcome in
-    /// `add_session` order.
-    pub fn into_outcomes(mut self) -> Vec<ExchangeOutcome> {
-        (0..self.sessions.len())
-            .map(|i| self.take_outcome(SessionId(i)))
-            .collect()
-    }
+/// The one endpoint pair of an exchange and the scheduler state that
+/// lives only while it runs.
+struct Session<'x> {
+    a: &'x mut dyn Endpoint,
+    b: &'x mut dyn Endpoint,
+    wire: &'x mut Wire,
+    limits: ExchangeLimits,
+    rng: &'x mut SimRng,
+    /// Pending deliveries and timers.
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    trace: Vec<TraceEvent>,
+    /// Simulated time of the last processed event.
+    now: SimTime,
+    /// Datagram sequence counter (delivery tie-break).
+    seq: u64,
+    /// Processed events, checked against `limits.max_events`.
+    events: usize,
+    /// Of `events`, the timer callbacks.
+    timer_fires: u64,
+    /// Deliveries currently queued.
+    pending_deliveries: usize,
+    /// Last `next_timer()` answer pushed per side; `None` = no live event.
+    timer_target: [Option<SimTime>; 2],
+    /// Epoch of each side's timer slot; queued timers with older epochs are
+    /// stale and skipped on pop.
+    timer_epoch: [u64; 2],
 }
 
 impl Session<'_> {
-    /// Drive this session until it quiesces or hits its limits; returns
-    /// the events and, of those, the timer events it processed.
-    fn run(&mut self, outbox: &mut Vec<Datagram>) -> (u64, u64) {
-        let (mut events, mut timers) = (0u64, 0u64);
-        while !self.finished {
+    fn both_done(&self) -> bool {
+        self.a.is_done() && self.b.is_done()
+    }
+
+    /// Start both endpoints, then process events until the session
+    /// quiesces or hits its limits; returns whether it quiesced.
+    fn run(&mut self) -> bool {
+        // The one buffer endpoints write their transmissions into.
+        let mut outbox = Vec::new();
+        self.a.start(SimTime::ZERO, &mut outbox);
+        self.offer_outbox(Direction::AtoB, SimTime::ZERO, &mut outbox);
+        self.b.start(SimTime::ZERO, &mut outbox);
+        self.offer_outbox(Direction::BtoA, SimTime::ZERO, &mut outbox);
+        let mut verdict = self.sync_timers_and_check();
+        loop {
+            if let Some(quiesced) = verdict {
+                return quiesced;
+            }
             let Some(Reverse(ev)) = self.queue.pop() else {
                 debug_assert!(false, "event queue drained with the session unfinished");
-                break;
+                return false;
             };
             if let EventKind::Timer { side, epoch } = ev.kind {
                 if self.timer_epoch[side.idx()] != epoch {
@@ -406,29 +292,25 @@ impl Session<'_> {
                 }
             }
             // The first live event is the session's earliest pending
-            // activity; past the deadline the session stops un-advanced,
-            // exactly like the two-endpoint loop.
+            // activity; past the deadline the session stops un-advanced.
             if ev.at > self.limits.deadline {
-                self.quiesced = self.both_done();
-                self.finished = true;
-                break;
+                return self.both_done();
             }
             self.now = ev.at;
             self.events += 1;
-            events += 1;
             let direction = match ev.kind {
                 EventKind::Delivery {
                     direction, dgram, ..
                 } => {
                     self.pending_deliveries -= 1;
                     match direction {
-                        Direction::AtoB => self.b.on_datagram(&dgram, ev.at, outbox),
-                        Direction::BtoA => self.a.on_datagram(&dgram, ev.at, outbox),
+                        Direction::AtoB => self.b.on_datagram(&dgram, ev.at, &mut outbox),
+                        Direction::BtoA => self.a.on_datagram(&dgram, ev.at, &mut outbox),
                     }
                     direction.flip()
                 }
                 EventKind::Timer { side, .. } => {
-                    timers += 1;
+                    self.timer_fires += 1;
                     // This slot's event is consumed: clear the target so a
                     // re-armed deadline (even an identical one) gets a
                     // fresh queue entry.
@@ -436,29 +318,25 @@ impl Session<'_> {
                     self.timer_epoch[side.idx()] += 1;
                     match side {
                         Side::A => {
-                            self.a.on_timer(ev.at, outbox);
+                            self.a.on_timer(ev.at, &mut outbox);
                             Direction::AtoB
                         }
                         Side::B => {
-                            self.b.on_timer(ev.at, outbox);
+                            self.b.on_timer(ev.at, &mut outbox);
                             Direction::BtoA
                         }
                     }
                 }
             };
-            self.enqueue_outbox(direction, ev.at, outbox);
-            self.sync_timers_and_check();
+            self.offer_outbox(direction, ev.at, &mut outbox);
+            verdict = self.sync_timers_and_check();
         }
-        // Whatever is still queued (a limit was hit) will never fire.
-        self.queue = BinaryHeap::new();
-        (events, timers)
     }
 
     /// Offer every datagram in `outbox` to the wire: apply the fault
     /// injector, then the link model, queueing deliveries and recording one
-    /// [`TraceEvent`] per datagram. RNG draw order matches the pre-`SimNet`
-    /// loop exactly (fault first, then link).
-    fn enqueue_outbox(&mut self, direction: Direction, now: SimTime, outbox: &mut Vec<Datagram>) {
+    /// [`TraceEvent`] per datagram.
+    fn offer_outbox(&mut self, direction: Direction, now: SimTime, outbox: &mut Vec<Datagram>) {
         for mut dgram in outbox.drain(..) {
             dgram.sent_at = now;
             let fault = match direction {
@@ -469,10 +347,10 @@ impl Session<'_> {
 
             // RNG draw order: fault first, then (optional) duplication, then
             // one link draw per copy — injectors with every chance at zero
-            // leave the stream untouched, exactly as before.
-            let survived = fault.apply(&mut self.rng, dgram);
+            // leave the stream untouched.
+            let survived = fault.apply(self.rng, dgram);
             let duplicate = match &survived {
-                Some(dgram) => fault.maybe_duplicate(&mut self.rng).then(|| dgram.clone()),
+                Some(dgram) => fault.maybe_duplicate(self.rng).then(|| dgram.clone()),
                 None => None,
             };
             let outcome = match survived {
@@ -511,7 +389,7 @@ impl Session<'_> {
             Direction::AtoB => &self.wire.a_to_b,
             Direction::BtoA => &self.wire.b_to_a,
         };
-        match link.deliver(&mut self.rng, &dgram, now) {
+        match link.deliver(self.rng, &dgram, now) {
             Delivery::Arrives(at) => {
                 self.seq += 1;
                 self.queue.push(Reverse(QueuedEvent {
@@ -531,11 +409,11 @@ impl Session<'_> {
     }
 
     /// Re-poll both endpoints' timers (pushing fresh events for changed
-    /// deadlines) and apply the session termination rules: the event
-    /// budget first — exhausting `max_events` reports `quiesced: false`
-    /// exactly like the old loop's runaway guard — then quiescence when
-    /// nothing is in flight and no timer is armed.
-    fn sync_timers_and_check(&mut self) {
+    /// deadlines) and apply the termination rules, returning
+    /// `Some(quiesced)` once the session is over: the event budget first —
+    /// exhausting `max_events` is a runaway, never quiescence — then
+    /// quiescence when nothing is in flight and no timer is armed.
+    fn sync_timers_and_check(&mut self) -> Option<bool> {
         for (i, side) in [Side::A, Side::B].into_iter().enumerate() {
             let next = match side {
                 Side::A => self.a.next_timer(),
@@ -556,11 +434,11 @@ impl Session<'_> {
             }
         }
         if self.events >= self.limits.max_events {
-            self.quiesced = false;
-            self.finished = true;
+            Some(false)
         } else if self.pending_deliveries == 0 && self.timer_target == [None, None] {
-            self.quiesced = self.both_done();
-            self.finished = true;
+            Some(self.both_done())
+        } else {
+            None
         }
     }
 }
@@ -569,7 +447,6 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultInjector;
-    use crate::link::LinkModel;
     use crate::time::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -659,30 +536,26 @@ mod tests {
         }
     }
 
-    fn lossy_wire(latency_ms: u64, loss: f64, jitter_ms: u64) -> Wire {
-        Wire::symmetric(LinkModel {
-            latency: SimDuration::from_millis(latency_ms),
-            jitter: SimDuration::from_millis(jitter_ms),
-            loss,
-            ..LinkModel::default()
-        })
+    /// `remaining` pings of `payload` bytes against an echoer over `wire`.
+    fn ping(
+        remaining: u32,
+        payload: usize,
+        wire: &mut Wire,
+        limits: ExchangeLimits,
+    ) -> ExchangeOutcome {
+        run_exchange(
+            &mut Pinger { remaining, payload },
+            &mut Echoer,
+            wire,
+            limits,
+            &mut SimRng::new(1),
+        )
     }
 
     #[test]
     fn single_session_ping_pong_quiesces() {
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Pinger {
-                remaining: 3,
-                payload: 100,
-            }),
-            Box::new(Echoer),
-            Wire::ideal(SimDuration::from_millis(10)),
-            ExchangeLimits::default(),
-            SimRng::new(1),
-        );
-        net.run();
-        let out = net.take_outcome(id);
+        let mut wire = Wire::ideal(SimDuration::from_millis(10));
+        let out = ping(3, 100, &mut wire, ExchangeLimits::default());
         assert!(out.quiesced);
         assert_eq!(out.datagrams(Direction::AtoB), 3);
         assert_eq!(
@@ -696,90 +569,31 @@ mod tests {
         // A burst of datagrams over a zero-jitter wire all arrive at the
         // same instant; the recorder must see them in send (seq) order.
         let mut recorder = Recorder::default();
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Burst { n: 8 }),
-            Box::new(&mut recorder),
-            Wire::ideal(SimDuration::from_millis(5)),
+        let out = run_exchange(
+            &mut Burst { n: 8 },
+            &mut recorder,
+            &mut Wire::ideal(SimDuration::from_millis(5)),
             ExchangeLimits::default(),
-            SimRng::new(2),
+            &mut SimRng::new(2),
         );
-        net.run();
-        assert!(net.take_outcome(id).quiesced);
-        drop(net);
+        assert!(out.quiesced);
         assert_eq!(recorder.seen, (0..8).map(|i| 10 + i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn batched_sessions_match_solo_runs_bit_for_bit() {
-        // 12 sessions with jittery, lossy wires and distinct RNG streams:
-        // the outcome of each must be identical run alone or batched.
-        let seeds: Vec<u64> = (0..12).collect();
-        let solo: Vec<ExchangeOutcome> = seeds
-            .iter()
-            .map(|&seed| {
-                let mut net = SimNet::new();
-                let id = net.add_session(
-                    Box::new(Pinger {
-                        remaining: 5,
-                        payload: 50 + seed as usize,
-                    }),
-                    Box::new(Echoer),
-                    lossy_wire(1 + seed % 7, 0.2, 3),
-                    ExchangeLimits::default(),
-                    SimRng::new(seed ^ 0xBA7C),
-                );
-                net.run();
-                net.take_outcome(id)
-            })
-            .collect();
-
-        let mut net = SimNet::with_capacity(seeds.len());
-        let ids: Vec<SessionId> = seeds
-            .iter()
-            .map(|&seed| {
-                net.add_session(
-                    Box::new(Pinger {
-                        remaining: 5,
-                        payload: 50 + seed as usize,
-                    }),
-                    Box::new(Echoer),
-                    lossy_wire(1 + seed % 7, 0.2, 3),
-                    ExchangeLimits::default(),
-                    SimRng::new(seed ^ 0xBA7C),
-                )
-            })
-            .collect();
-        net.run();
-        for (id, reference) in ids.into_iter().zip(&solo) {
-            let batched = net.take_outcome(id);
-            assert_eq!(batched.trace, reference.trace, "session {}", id.index());
-            assert_eq!(batched.finished_at, reference.finished_at);
-            assert_eq!(batched.quiesced, reference.quiesced);
-        }
-    }
-
-    #[test]
     fn outcome_surfaces_fault_counters() {
+        // Two exchanges over ONE wire: the injector's own counter keeps
+        // accumulating, each outcome reports only its own exchange.
         let mut wire = Wire::ideal(SimDuration::from_millis(1));
         wire.fault_a_to_b = FaultInjector::dropping(1.0);
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Pinger {
-                remaining: 1,
-                payload: 64,
-            }),
-            Box::new(Echoer),
-            wire,
-            ExchangeLimits::default(),
-            SimRng::new(3),
-        );
-        net.run();
-        let out = net.take_outcome(id);
-        assert!(!out.quiesced);
-        assert_eq!(out.fault_drops, 1);
-        assert_eq!(out.fault_corruptions, 0);
-        assert_eq!(out.fault_duplications, 0);
+        for run in 1..=2 {
+            let out = ping(1, 64, &mut wire, ExchangeLimits::default());
+            assert!(!out.quiesced);
+            assert_eq!(out.fault_drops, 1, "exchange {run} reports its own drop");
+            assert_eq!(out.fault_corruptions, 0);
+            assert_eq!(out.fault_duplications, 0);
+            assert_eq!(wire.fault_a_to_b.drops(), run);
+        }
     }
 
     #[test]
@@ -787,90 +601,44 @@ mod tests {
         let mut recorder = Recorder::default();
         let mut wire = Wire::ideal(SimDuration::from_millis(5));
         wire.fault_a_to_b = FaultInjector::duplicating(1.0);
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Burst { n: 4 }),
-            Box::new(&mut recorder),
-            wire,
+        let out = run_exchange(
+            &mut Burst { n: 4 },
+            &mut recorder,
+            &mut wire,
             ExchangeLimits::default(),
-            SimRng::new(7),
+            &mut SimRng::new(7),
         );
-        net.run();
-        let out = net.take_outcome(id);
         assert!(out.quiesced);
         // One trace event per copy, no drops, and the duplication count
         // surfaces on the outcome itself (not just the wire).
         assert_eq!(out.datagrams(Direction::AtoB), 8);
         assert_eq!(out.fault_drops, 0);
         assert_eq!(out.fault_duplications, 4);
-        assert_eq!(net.wire(id).fault_a_to_b.duplications(), 4);
-        drop(net);
+        assert_eq!(wire.fault_a_to_b.duplications(), 4);
         // Each payload arrives twice, copies adjacent in send order.
         assert_eq!(recorder.seen, vec![10, 10, 11, 11, 12, 12, 13, 13]);
     }
 
     #[test]
     fn max_events_zero_finishes_immediately_unquiesced() {
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Pinger {
-                remaining: 1,
-                payload: 10,
-            }),
-            Box::new(Echoer),
-            Wire::ideal(SimDuration::from_millis(1)),
-            ExchangeLimits {
-                max_events: 0,
-                ..ExchangeLimits::default()
-            },
-            SimRng::new(4),
-        );
-        assert!(net.is_finished(id));
-        net.run();
-        assert!(!net.take_outcome(id).quiesced);
+        let limits = ExchangeLimits {
+            max_events: 0,
+            ..ExchangeLimits::default()
+        };
+        let mut wire = Wire::ideal(SimDuration::from_millis(1));
+        let out = ping(1, 10, &mut wire, limits);
+        assert!(!out.quiesced);
+        // The ping was offered to the wire, but no event was processed.
+        assert_eq!(out.trace.len(), 1);
+        assert_eq!(out.finished_at, SimTime::ZERO);
     }
 
     #[test]
     fn sessions_added_with_nothing_to_do_quiesce_at_zero() {
-        let mut net = SimNet::new();
-        let id = net.add_session(
-            Box::new(Pinger {
-                remaining: 0,
-                payload: 0,
-            }),
-            Box::new(Echoer),
-            Wire::ideal(SimDuration::from_millis(1)),
-            ExchangeLimits::default(),
-            SimRng::new(5),
-        );
-        assert!(net.is_finished(id));
-        net.run();
-        let out = net.take_outcome(id);
+        let mut wire = Wire::ideal(SimDuration::from_millis(1));
+        let out = ping(0, 0, &mut wire, ExchangeLimits::default());
         assert!(out.quiesced);
         assert_eq!(out.finished_at, SimTime::ZERO);
         assert!(out.trace.is_empty());
-    }
-
-    #[test]
-    fn into_outcomes_returns_sessions_in_add_order() {
-        let mut net = SimNet::new();
-        for i in 0..3u32 {
-            net.add_session(
-                Box::new(Pinger {
-                    remaining: i,
-                    payload: 10,
-                }),
-                Box::new(Echoer),
-                Wire::ideal(SimDuration::from_millis(1)),
-                ExchangeLimits::default(),
-                SimRng::new(i as u64),
-            );
-        }
-        net.run();
-        let outcomes = net.into_outcomes();
-        assert_eq!(outcomes.len(), 3);
-        for (i, out) in outcomes.iter().enumerate() {
-            assert_eq!(out.datagrams(Direction::AtoB), i);
-        }
     }
 }

@@ -156,9 +156,6 @@ impl HandshakeOutcome {
 }
 
 /// Turn one finished exchange into the paper's handshake measurements.
-///
-/// Shared by the single-probe [`run_handshake`] and the batched
-/// [`run_handshake_batch`], so both paths measure identically.
 fn extract_handshake_outcome(
     client: &ClientConn,
     server: &ServerConn,
@@ -196,7 +193,7 @@ fn extract_handshake_outcome(
         .map(|t| t.as_nanos().max(1).div_ceil(rtt.as_nanos().max(1)) as u32)
         .unwrap_or(0);
 
-    // Every session starts its own virtual timeline at zero, so the
+    // Every exchange starts its own virtual timeline at zero, so the
     // timeline's offsets are simply the endpoints' SimTime stamps.
     let timeline = HandshakeTimeline {
         initial_sent_ns: 0,
@@ -256,58 +253,10 @@ fn handshake(
     extract_handshake_outcome(&client, &server, wire, &outcome)
 }
 
-/// One probe of a batched handshake scan: everything [`run_handshake`]
-/// takes, as data.
-#[derive(Debug, Clone)]
-pub struct HandshakeProbe {
-    /// Scanner/browser client configuration (Initial size, compression…).
-    pub client: ClientConfig,
-    /// Target server configuration (behaviour, chain, compression support).
-    pub server: ServerConfig,
-    /// The path between them, fault injectors included.
-    pub wire: Wire,
-    /// Per-probe RNG seed; forked per record at world generation, so
-    /// results are independent of batch composition.
-    pub seed: u64,
-}
-
-/// Run a whole batch of handshake probes, one [`run_handshake`] after the
-/// other.
-///
-/// Each probe draws from its own RNG stream and owns its wire, and its
-/// endpoints live only while its session runs — so a batch costs per probe
-/// what one probe costs alone, and outcomes cannot depend on batch size or
-/// composition. The determinism tests pin that.
-pub fn run_handshake_batch(probes: Vec<HandshakeProbe>) -> Vec<HandshakeOutcome> {
-    let mut probes = probes;
-    let mut outcomes = Vec::with_capacity(probes.len());
-    run_handshake_batch_into(&mut probes, &mut outcomes);
-    outcomes
-}
-
-/// [`run_handshake_batch`] in allocation-reuse form: drains `probes`
-/// (keeping its capacity for the caller's next chunk) and appends one
-/// outcome per probe to `outcomes`, in probe order.
-///
-/// This is the streaming scan pump's entry point — a worker folds millions
-/// of records through one pair of scratch vectors instead of building and
-/// dropping a fresh `Vec` per chunk.
-pub fn run_handshake_batch_into(
-    probes: &mut Vec<HandshakeProbe>,
-    outcomes: &mut Vec<HandshakeOutcome>,
-) {
-    outcomes.reserve(probes.len());
-    outcomes.extend(
-        probes.drain(..).map(|mut probe| {
-            run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
-        }),
-    );
-}
-
-/// One probe of a batched cold-then-warm resumption scan: the first visit
-/// runs a full certificate-laden handshake against a ticket-issuing server;
-/// the second visit re-probes the same service with the cached ticket (when
-/// the policy offers one) at a later wall-clock instant.
+/// One cold-then-warm resumption probe: the first visit runs a full
+/// certificate-laden handshake against a ticket-issuing server; the second
+/// visit re-probes the same service with the cached ticket (when the policy
+/// offers one) at a later wall-clock instant.
 #[derive(Debug, Clone)]
 pub struct ResumptionProbe {
     /// Client configuration for the cold visit (any `psk` is ignored — the
@@ -342,89 +291,55 @@ pub struct ResumptionOutcome {
     pub offered_psk: bool,
 }
 
-/// Run a batch of resumption probes: all cold visits, tickets collected
-/// into an LRU [`SessionCache`] keyed by SNI, then all warm visits — each
-/// visit a handshake of its own, run to completion before the next.
+/// Run one resumption probe: the cold visit, its ticket into the client's
+/// SNI-keyed [`SessionCache`], then the warm visit — each a handshake of
+/// its own, on its own RNG stream (`seed ^ label`) and its own wire.
 ///
-/// Every visit draws from its own RNG stream (`seed ^ label`) and owns its
-/// wire, so outcomes are bit-for-bit independent of batch composition —
-/// sharding a record list and concatenating the shard outputs reproduces
-/// the whole-batch result exactly, at any shard size. That invariance
-/// **requires distinct `server_name`s across the batch** (checked by a
-/// debug assertion): the cache is a real client cache, so probes aliasing
-/// one SNI would overwrite each other's tickets and make the warm offer
-/// depend on who else shares the batch. The scanner satisfies this by
-/// using each record's unique domain name; the cache is sized to the
-/// batch, so LRU eviction never interferes either.
-pub fn run_resumption_batch(probes: Vec<ResumptionProbe>) -> Vec<ResumptionOutcome> {
-    #[cfg(debug_assertions)]
-    {
-        let mut names = std::collections::HashSet::new();
-        for probe in &probes {
-            debug_assert!(
-                names.insert(probe.client.server_name.as_str()),
-                "run_resumption_batch requires distinct server_names; \
-                 {:?} appears twice (aliased SNIs break shard invariance)",
-                probe.client.server_name
-            );
-        }
-    }
-    // Phase 1: cold visits, tickets issued.
-    let cold: Vec<HandshakeOutcome> = probes
-        .iter()
-        .map(|probe| {
-            let mut config = probe.client.clone();
-            config.psk = None;
-            let mut wire = probe.wire.clone();
-            run_handshake(config, probe.server.clone(), &mut wire, probe.seed)
-        })
-        .collect();
+/// The cache is the probe's own and holds its one ticket, so what the
+/// warm visit offers can depend on nothing but this probe.
+pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
+    let mut cold_config = probe.client.clone();
+    cold_config.psk = None;
+    let mut wire = probe.wire;
+    let cold = run_handshake(cold_config, probe.server.clone(), &mut wire, probe.seed);
 
-    // Tickets land in the client-side session cache, stamped with the
-    // wall clock of the visit that obtained them.
-    let mut cache = SessionCache::with_capacity(probes.len().max(1));
-    for (probe, out) in probes.iter().zip(&cold) {
-        if let Some(mut ticket) = out.ticket.clone() {
-            ticket.obtained_at_secs = probe
-                .server
-                .resumption
-                .as_ref()
-                .map(|host| host.now_secs)
-                .unwrap_or(0);
-            cache.insert(&probe.client.server_name, ticket);
-        }
+    // The ticket lands in the client-side session cache, stamped with the
+    // wall clock of the visit that obtained it.
+    let mut cache = SessionCache::with_capacity(1);
+    if let Some(mut ticket) = cold.ticket.clone() {
+        ticket.obtained_at_secs = probe
+            .server
+            .resumption
+            .as_ref()
+            .map(|host| host.now_secs)
+            .unwrap_or(0);
+        cache.insert(&probe.client.server_name, ticket);
     }
 
-    // Phase 2: warm visits; each takes over its probe's server
-    // configuration, chain and all.
-    probes
-        .into_iter()
-        .zip(cold)
-        .map(|(probe, cold)| {
-            let mut config = probe.client;
-            config.psk = probe
-                .offer_ticket
-                .then(|| cache.lookup(&config.server_name))
-                .flatten()
-                .map(|ticket| PskOffer {
-                    identity: ticket.identity.clone(),
-                    obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
-                });
-            let offered_psk = config.psk.is_some();
-            config.seed ^= WARM_SEED_TWEAK;
-            let mut server = probe.server;
-            server.resumption = server
-                .resumption
-                .map(|host| host.revisited_at(probe.warm_now_secs));
-            let mut wire = probe.warm_wire;
-            let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
-            ResumptionOutcome {
-                cold,
-                warm: handshake(config, server, &mut wire, rng),
-                offered_psk,
-            }
-        })
-        .collect()
+    // The warm visit takes over the probe's server configuration, chain
+    // and all.
+    let mut config = probe.client;
+    config.psk = probe
+        .offer_ticket
+        .then(|| cache.lookup(&config.server_name))
+        .flatten()
+        .map(|ticket| PskOffer {
+            identity: ticket.identity.clone(),
+            obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
+        });
+    let offered_psk = config.psk.is_some();
+    config.seed ^= WARM_SEED_TWEAK;
+    let mut server = probe.server;
+    server.resumption = server
+        .resumption
+        .map(|host| host.revisited_at(probe.warm_now_secs));
+    let mut warm_wire = probe.warm_wire;
+    let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
+    ResumptionOutcome {
+        cold,
+        warm: handshake(config, server, &mut warm_wire, rng),
+        offered_psk,
+    }
 }
 
 /// A backscatter datagram emitted by the server during a spoofed probe.
@@ -524,41 +439,6 @@ pub fn run_spoofed_probe(
     extract_spoofed_outcome(probe_size, &server, &outcome)
 }
 
-/// One probe of a batched spoofed-handshake scan.
-#[derive(Debug, Clone)]
-pub struct SpoofedProbe {
-    /// UDP payload size of the probe Initial.
-    pub probe_size: usize,
-    /// The (victim) source address written into the probe.
-    pub spoofed_src: std::net::Ipv4Addr,
-    /// The reflecting server's address.
-    pub server_addr: std::net::Ipv4Addr,
-    /// The reflecting server's configuration.
-    pub server: ServerConfig,
-    /// The path between prober and server.
-    pub wire: Wire,
-    /// Per-probe RNG seed.
-    pub seed: u64,
-}
-
-/// Run a batch of spoofed probes, one [`run_spoofed_probe`] after the
-/// other, outcomes in probe order.
-pub fn run_spoofed_probe_batch(probes: Vec<SpoofedProbe>) -> Vec<SpoofedOutcome> {
-    probes
-        .into_iter()
-        .map(|mut probe| {
-            run_spoofed_probe(
-                probe.probe_size,
-                probe.spoofed_src,
-                probe.server_addr,
-                probe.server,
-                &mut probe.wire,
-                probe.seed,
-            )
-        })
-        .collect()
-}
-
 /// Observe a spoofed probe's backscatter *into a telescope*: records every
 /// reflected datagram (with its SCID) as the telescope would see it.
 pub fn observe_backscatter(
@@ -578,6 +458,42 @@ pub fn observe_backscatter(
         telescope.observe(&dgram, d.at, Some(outcome.server_scid.clone()));
     }
 }
+
+// ------------------------------------------------- frozen compat block --
+//
+// `perfbench/` is frozen and names exactly these two items
+// ([`HandshakeProbe`] is also what the scanner's probe builder returns).
+// Nothing else in the workspace may call the function — a probe is one
+// [`run_handshake`].
+
+/// Everything [`run_handshake`] takes, as data.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct HandshakeProbe {
+    /// Scanner/browser client configuration (Initial size, compression…).
+    pub client: ClientConfig,
+    /// Target server configuration (behaviour, chain, compression support).
+    pub server: ServerConfig,
+    /// The path between them, fault injectors included.
+    pub wire: Wire,
+    /// Per-probe RNG seed, forked per record at world generation.
+    pub seed: u64,
+}
+
+#[doc(hidden)]
+pub fn run_handshake_batch_into(
+    probes: &mut Vec<HandshakeProbe>,
+    outcomes: &mut Vec<HandshakeOutcome>,
+) {
+    outcomes.reserve(probes.len());
+    outcomes.extend(
+        probes.drain(..).map(|mut probe| {
+            run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
+        }),
+    );
+}
+
+// --------------------------------------------- end frozen compat block --
 
 #[cfg(test)]
 mod tests {
@@ -929,14 +845,13 @@ mod tests {
 
     #[test]
     fn warm_visit_resumes_without_certificates_and_fits_budget() {
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = run_resumption(resumption_probe(
             21,
             big_chain(),
             KeyAlgorithm::Rsa2048,
             1_000_060,
             true,
-        )]);
-        let out = &outs[0];
+        ));
         // Cold visit: the big chain forces extra RTTs, a ticket arrives.
         assert!(out.cold.completed);
         assert_eq!(out.cold.classify(), HandshakeClass::MultiRtt);
@@ -959,14 +874,13 @@ mod tests {
         // Revisit long after the lifetime and two STEK rotations: the offer
         // is rejected and the full chain goes on the wire again.
         let stale = 1_000_000 + 7_200 + 2 * 3_600 + 1;
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = run_resumption(resumption_probe(
             22,
             big_chain(),
             KeyAlgorithm::Rsa2048,
             stale,
             true,
-        )]);
-        let out = &outs[0];
+        ));
         assert!(out.offered_psk, "the stale ticket is still offered");
         assert!(!out.warm.resumed, "but the server must reject it");
         assert!(out.warm.server_stats.certificate_message_len > 0);
@@ -975,43 +889,46 @@ mod tests {
 
     #[test]
     fn cold_only_policy_never_offers() {
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = run_resumption(resumption_probe(
             23,
             small_chain(),
             KeyAlgorithm::EcdsaP256,
             1_000_060,
             false,
-        )]);
-        assert!(!outs[0].offered_psk);
-        assert!(!outs[0].warm.resumed);
-        assert!(outs[0].warm.server_stats.certificate_message_len > 0);
+        ));
+        assert!(!out.offered_psk);
+        assert!(!out.warm.resumed);
+        assert!(out.warm.server_stats.certificate_message_len > 0);
     }
 
     #[test]
     fn resumption_batch_is_composition_invariant() {
+        // A probe's outcome depends on nothing that ran around it: not the
+        // order of a batch, and not a neighbour that shares its SNI (each
+        // probe's session cache is its own, so aliased names cannot
+        // overwrite each other's tickets).
         let probes: Vec<ResumptionProbe> = (0..9)
             .map(|i| {
-                let chain = if i % 2 == 0 {
-                    big_chain()
+                let (chain, key) = if i % 2 == 0 {
+                    (big_chain(), KeyAlgorithm::Rsa2048)
                 } else {
-                    small_chain()
+                    (small_chain(), KeyAlgorithm::EcdsaP256)
                 };
-                let key = if i % 2 == 0 {
-                    KeyAlgorithm::Rsa2048
-                } else {
-                    KeyAlgorithm::EcdsaP256
-                };
-                resumption_probe(100 + i, chain, key, 1_000_060, true)
+                let mut probe = resumption_probe(100 + i, chain, key, 1_000_060, true);
+                if i >= 7 {
+                    probe.client.server_name = "shared.example".into();
+                }
+                probe
             })
             .collect();
-        let whole = run_resumption_batch(probes.clone());
-        for chunk in [1usize, 2, 4] {
-            let pieces: Vec<ResumptionOutcome> = probes
-                .chunks(chunk)
-                .flat_map(|shard| run_resumption_batch(shard.to_vec()))
-                .collect();
-            assert_eq!(whole, pieces, "chunk size {chunk}");
-        }
+        let forward: Vec<ResumptionOutcome> = probes.iter().cloned().map(run_resumption).collect();
+        let mut backward: Vec<ResumptionOutcome> =
+            probes.iter().rev().cloned().map(run_resumption).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert!(forward
+            .iter()
+            .all(|out| out.offered_psk && out.warm.resumed));
     }
 
     #[test]

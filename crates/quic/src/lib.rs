@@ -16,7 +16,7 @@
 //!   unlimited retransmissions toward unverified clients (Meta's mvfst,
 //!   §4.3), and always-on Retry.
 //!
-//! Handshakes run over `quicert-netsim`'s event loop, one session to
+//! Handshakes run over `quicert-netsim`'s event loop, one exchange to
 //! completion at a time; all measurements are taken from the wire trace,
 //! mirroring the paper's passive viewpoint.
 //!
@@ -44,9 +44,8 @@ pub use amplification::{AmplificationBudget, LimitPolicy};
 pub use client::{ClientConfig, ClientConn};
 pub use frame::Frame;
 pub use handshake::{
-    run_handshake, run_handshake_batch, run_handshake_batch_into, run_resumption_batch,
-    run_spoofed_probe, run_spoofed_probe_batch, HandshakeOutcome, HandshakeProbe,
-    ResumptionOutcome, ResumptionProbe, SpoofedOutcome, SpoofedProbe,
+    run_handshake, run_handshake_batch_into, run_resumption, run_spoofed_probe, HandshakeOutcome,
+    HandshakeProbe, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
 pub use packet::{ConnectionId, Packet, PacketType, AEAD_TAG_LEN, QUIC_MIN_INITIAL_SIZE};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

@@ -11,7 +11,7 @@ use std::cell::Cell;
 
 use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
-use quicert_quic::{run_handshake_batch_into, ClientConfig, HandshakeProbe};
+use quicert_quic::{run_handshake, ClientConfig};
 use quicert_scanner::behavior::{server_config_for_era, wire_for_profile};
 
 thread_local! {
@@ -57,30 +57,35 @@ const INITIAL: usize = 1362;
 /// [`SERVICES`] QUIC services in `era`, fault-free, probes built as the
 /// scan pump builds them.
 fn per_handshake(world: &World, services: &[&DomainRecord], era: CertificateEra) -> (f64, f64) {
-    let mut probes: Vec<HandshakeProbe> = services
+    let probes: Vec<_> = services
         .iter()
-        .map(|record| HandshakeProbe {
-            client: ClientConfig::scanner(
-                INITIAL,
-                World::server_addr(record),
-                record.seed ^ INITIAL as u64,
-            ),
-            server: server_config_for_era(
-                world,
-                record,
-                world.quic_chain_era(record, era).expect("a QUIC chain"),
-                era,
-            ),
-            wire: wire_for_profile(record, NetworkProfile::Ideal),
-            seed: record.seed,
+        .map(|record| {
+            (
+                ClientConfig::scanner(
+                    INITIAL,
+                    World::server_addr(record),
+                    record.seed ^ INITIAL as u64,
+                ),
+                server_config_for_era(
+                    world,
+                    record,
+                    world.quic_chain_era(record, era).expect("a QUIC chain"),
+                    era,
+                ),
+                wire_for_profile(record, NetworkProfile::Ideal),
+                record.seed,
+            )
         })
         .collect();
-    let mut outcomes = Vec::with_capacity(probes.len());
+    assert_eq!(probes.len(), SERVICES);
     let before = ALLOCATIONS.with(Cell::get);
-    run_handshake_batch_into(&mut probes, &mut outcomes);
+    let completed = probes
+        .into_iter()
+        .map(|(client, server, mut wire, seed)| run_handshake(client, server, &mut wire, seed))
+        .filter(|outcome| outcome.completed)
+        .count();
     let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(outcomes.len(), SERVICES);
-    assert!(outcomes.iter().filter(|o| o.completed).count() > SERVICES / 2);
+    assert!(completed > SERVICES / 2);
     let n = SERVICES as f64;
     (
         (after.0 - before.0) as f64 / n,
@@ -105,12 +110,12 @@ fn a_handshake_stays_within_its_allocation_budget() {
          post-quantum {pq:.1} allocations / {pq_bytes:.0} B"
     );
     assert!(
-        classical <= 72.0,
+        classical <= 31.0,
         "classical handshake: {classical} allocations"
     );
     assert!(
-        classical_bytes <= 40_000.0,
+        classical_bytes <= 28_200.0,
         "classical handshake: {classical_bytes} bytes allocated"
     );
-    assert!(pq <= 150.0, "post-quantum handshake: {pq} allocations");
+    assert!(pq <= 55.5, "post-quantum handshake: {pq} allocations");
 }

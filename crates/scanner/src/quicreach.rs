@@ -1,19 +1,16 @@
 //! QUIC handshake classification (quicreach with Retry support, §3.2).
 //!
-//! A whole shard of probes goes through the QUIC crate's batch driver
-//! ([`scan_records`]), which runs one handshake to completion at a time;
-//! [`scan_records_per_probe`] spells the same loop out probe by probe as
-//! the reference path for equivalence tests and the throughput benchmark.
-//! Every entry point takes the conditions it scans under — era, path
-//! profile, fault plan, Initial size, resumption policy — as one
-//! [`Scenario`], so a new condition is a new field there, never a new entry
-//! point here.
+//! A scan is one handshake per service, each run to completion before the
+//! next and sharing nothing with it. Every entry point takes the conditions
+//! it scans under — era, path profile, fault plan, Initial size, resumption
+//! policy — as one [`Scenario`], so a new condition is a new field there,
+//! never a new entry point here.
 //!
-//! All probe families — batched, per-probe, streamed ([`fold_chunk`]) and
-//! the warm ([`warm_scan`]) resumption path — share one probe-construction
-//! helper (`probes_for`) and one collation helper (`collate`), so the
-//! probe parameters and the outcome→result mapping can never diverge
-//! between entry points.
+//! All probe families — materialized ([`scan_records`]), streamed
+//! ([`fold_chunk`]) and the warm ([`warm_scan`]) resumption path — build
+//! their probe through `probe_for` and read it back through
+//! `QuicReachResult::from_outcome`, so the probe parameters and the
+//! outcome→result mapping can never diverge between entry points.
 
 use std::sync::{Arc, OnceLock};
 
@@ -24,10 +21,7 @@ use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
-use quicert_quic::{
-    run_handshake, run_handshake_batch, run_handshake_batch_into, run_resumption_batch,
-    ClientConfig,
-};
+use quicert_quic::{run_handshake, run_resumption, ClientConfig};
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig, TicketIssuer};
 
 use crate::behavior::{server_config_for_era, wire_for_profile};
@@ -335,14 +329,12 @@ impl Merge for QuicReachShard {
 /// [`QuicReachShard`] without retaining per-record results beyond the
 /// chunk.
 ///
-/// The QUIC services of the chunk are probed through the same
-/// `probes_for`/`collate` pair every materialized entry point uses and
-/// immediately folded. Because
-/// probe outcomes are chunk-size invariant (per-record RNG forking) and
-/// the shard summary merges exactly, pumping any chunking of the
-/// population through this fold and merging the shards reproduces
-/// [`QuicReachShard::from_results`] over a full materialized scan
-/// bit-for-bit.
+/// The QUIC services of the chunk are probed through [`scan_records`] and
+/// immediately folded. Because probe outcomes are chunk-size invariant
+/// (per-record RNG forking) and the shard summary merges exactly, pumping
+/// any chunking of the population through this fold and merging the shards
+/// reproduces [`QuicReachShard::from_results`] over a full materialized
+/// scan bit-for-bit.
 pub fn fold_records(
     world: &World,
     records: &[&DomainRecord],
@@ -439,7 +431,7 @@ fn count_family_probes(family: &str, n: usize) {
 ///
 /// The engine registers one of these per scanned scenario on its registry and
 /// attaches a clone to every worker's [`ProbeScratch`]; the fold then
-/// batch-updates the shared atomics once per chunk. Everything observed is
+/// updates the shared counters once per chunk. Everything observed is
 /// derived from simulated time and pre-existing memo counters, so
 /// attaching metrics can never perturb a summary.
 #[derive(Debug, Clone)]
@@ -502,30 +494,22 @@ pub use quicert_pki::flyweight::CLASS_CAPACITY as MEMO_CLASS_CAPACITY;
 /// simulate to equal results, so which worker won is invisible.
 pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
 
-/// Reusable per-worker buffers for the streaming quicreach fold.
+/// Per-worker state of the streaming quicreach fold: a handle on a
+/// scenario-class memo (see [`fold_chunk`]), this worker's share of its
+/// counters, and the instruments it reports into.
 ///
-/// A pump worker folds thousands of chunks; rebuilding the probe, outcome
-/// and rank vectors for every chunk dominated the allocator profile at a
-/// million records. One scratch per worker keeps the capacities across
-/// chunks — the buffers are cleared (never read) before each fold, so a
-/// reused scratch can never leak one chunk's state into the next (pinned
-/// by the fresh-vs-reused property test).
-///
-/// The scratch also holds a handle on a scenario-class memo (see
-/// [`fold_chunk`]) and this worker's share of its counters. A pump
-/// worker's ([`ProbeScratch::sharing`]) is its engine's one table, shared
-/// with every other worker and carried across pumps and service ticks; a
-/// standalone scratch ([`ProbeScratch::with_memo`]) owns a private one.
+/// A pump worker's ([`ProbeScratch::sharing`]) memo is its engine's one
+/// table, shared with every other worker and carried across pumps and
+/// service ticks; a standalone scratch ([`ProbeScratch::with_memo`]) owns
+/// a private one. Nothing else survives from one chunk to the next
+/// (`pending` is drained before a fold returns and kept only for its
+/// capacity), so a reused scratch folds exactly as a fresh one does —
+/// pinned by the fresh-vs-reused property test.
 #[derive(Debug)]
 pub struct ProbeScratch {
-    probes: Vec<HandshakeProbe>,
-    outcomes: Vec<HandshakeOutcome>,
-    /// Rank and (while memoizing) class of each record simulated this
-    /// chunk, parallel to `outcomes`.
-    simulated: Vec<(usize, Option<ProbeClass>)>,
-    /// One slot per probed record, in record order: the replayed result,
-    /// or `None` for a record simulated this chunk.
-    slots: Vec<Option<QuicReachResult>>,
+    /// Classes first simulated in the chunk being folded, stored into the
+    /// memo once every record of the chunk has looked it up.
+    pending: Vec<(ProbeClass, QuicReachResult)>,
     memo: Option<Arc<ClassMemo>>,
     hits: u64,
     misses: u64,
@@ -534,8 +518,7 @@ pub struct ProbeScratch {
 }
 
 impl ProbeScratch {
-    /// An empty scratch with scenario-class memoization enabled;
-    /// capacities grow to the largest chunk folded.
+    /// An empty scratch with scenario-class memoization enabled.
     pub fn new() -> ProbeScratch {
         ProbeScratch::with_memo(true)
     }
@@ -551,10 +534,7 @@ impl ProbeScratch {
     /// (other workers, earlier pumps) read and fill too — or not at all.
     pub fn sharing(memo: Option<Arc<ClassMemo>>) -> ProbeScratch {
         ProbeScratch {
-            probes: Vec::new(),
-            outcomes: Vec::new(),
-            simulated: Vec::new(),
-            slots: Vec::new(),
+            pending: Vec::new(),
             memo,
             hits: 0,
             misses: 0,
@@ -564,7 +544,7 @@ impl ProbeScratch {
     }
 
     /// Attach streaming-scan instruments; every later [`fold_chunk`]
-    /// through this scratch batch-updates them once per chunk.
+    /// through this scratch updates its counters once per chunk.
     pub fn set_metrics(&mut self, metrics: ProbeMetrics) {
         self.metrics = Some(metrics);
     }
@@ -584,23 +564,24 @@ impl Default for ProbeScratch {
     }
 }
 
-/// [`fold_records`] in allocation-reuse form: the streaming pump's hot
-/// path. Takes the chunk as a plain record slice (the pump hands workers
-/// owned chunks — no per-chunk `Vec<&DomainRecord>` is ever built) and
-/// routes every probe through the same `probe_for` builder and
+/// [`fold_records`] without the materialized results: the streaming
+/// pump's hot path. Takes the chunk as a plain record slice (the pump hands
+/// workers owned chunks — no per-chunk `Vec<&DomainRecord>` is ever built)
+/// and routes every probe through the same `probe_for` builder and
 /// outcome→result mapping as the materialized scans, so the folded shard
 /// is bit-for-bit [`fold_records`]'s at any chunk size.
 ///
 /// When the scratch carries a memo and the scenario is deterministic
 /// (*both* [`NetworkProfile::is_deterministic`] and
-/// [`FaultPlan::is_deterministic`]), records are first keyed by
+/// [`FaultPlan::is_deterministic`]), each record is first keyed by
 /// `ProbeClass`: a class the [`ClassMemo`] knows — from an earlier chunk,
 /// another worker, an earlier pump or service tick — replays its stored
-/// result under the record's rank; the rest simulate and are stored
-/// afterwards (lookups all precede the chunk's inserts, so two records of
-/// one new class in one chunk both simulate). Replayed and fresh results
-/// fold in the original record order, so the order-sensitive
-/// [`StreamSummary`] float sums match the unmemoized path bit for bit.
+/// result under the record's rank; the rest simulate and are stored once
+/// the chunk is folded (lookups all precede the chunk's inserts, so two
+/// records of one new class in one chunk both simulate, and the hit and
+/// miss counts are a function of the chunking alone). Replayed and fresh
+/// results fold in record order, so the order-sensitive [`StreamSummary`]
+/// float sums match the unmemoized path bit for bit.
 /// Profiles that consume RNG (lossy drops/corruption, long-fat jitter)
 /// and every non-identity fault plan (its injector draws RNG per datagram)
 /// make outcomes depend on per-record seeds beyond the class, so they
@@ -612,59 +593,48 @@ pub fn fold_chunk(
     scenario: Scenario,
     scratch: &mut ProbeScratch,
 ) -> QuicReachShard {
-    scratch.probes.clear();
-    scratch.outcomes.clear();
-    scratch.simulated.clear();
-    scratch.slots.clear();
     let memo = scratch
         .memo
         .as_deref()
         .filter(|_| scenario.profile.is_deterministic() && scenario.plan.is_deterministic());
-    let hits_before = scratch.hits;
-    for record in records.iter().filter(|record| record.has_quic()) {
-        let class = memo.map(|_| ProbeClass::of(record, scenario));
-        if let (Some(memo), Some(class)) = (memo, &class) {
-            if let Some(cached) = memo.get(class) {
-                // A replay is the stored result under this record's rank.
-                let rank = record.rank;
-                scratch.hits += 1;
-                scratch.slots.push(Some(QuicReachResult { rank, ..cached }));
-                continue;
-            }
-            scratch.misses += 1;
-        }
-        scratch.slots.push(None);
-        scratch.simulated.push((record.rank, class));
-        scratch.probes.push(probe_for(world, record, scenario));
-    }
-    run_handshake_batch_into(&mut scratch.probes, &mut scratch.outcomes);
-    if let Some(metrics) = &scratch.metrics {
-        // Batch flush: two counter adds per chunk, and phase observations
-        // only for this chunk's *fresh* outcomes (replays would double-count
-        // the class's phases). Everything read is simulated time.
-        metrics.issued.add(scratch.outcomes.len() as u64);
-        metrics.replayed.add(scratch.hits - hits_before);
-        for out in &scratch.outcomes {
-            if let Some(phases) = out.timeline.phases() {
-                for (phase, ns) in phases {
-                    metrics.phases[phase.index()].observe(ns as f64 / 1e9);
-                }
-            }
-        }
-    }
     let mut shard = QuicReachShard::identity();
     shard.classes.initial_size = scenario.initial_size;
-    let mut fresh = scratch.simulated.drain(..).zip(&scratch.outcomes);
-    for slot in scratch.slots.drain(..) {
-        let result = slot.unwrap_or_else(|| {
-            let ((rank, class), out) = fresh.next().expect("one outcome per simulated record");
-            let result = QuicReachResult::from_outcome(rank, out);
-            if let (Some(memo), Some(class)) = (memo, class) {
-                scratch.inserted += memo.insert(class, &result) as u64;
+    let (mut issued, mut replayed) = (0u64, 0u64);
+    for record in records.iter().filter(|record| record.has_quic()) {
+        let class = memo.map(|memo| (memo, ProbeClass::of(record, scenario)));
+        if let Some(cached) = class.and_then(|(memo, class)| memo.get(&class)) {
+            // A replay is the stored result under this record's rank.
+            let rank = record.rank;
+            shard.push(&QuicReachResult { rank, ..cached });
+            replayed += 1;
+            continue;
+        }
+        let out = simulate(world, record, scenario);
+        issued += 1;
+        // Phase observations only for fresh outcomes (replays would
+        // double-count the class's phases). Everything read is simulated
+        // time.
+        if let (Some(metrics), Some(phases)) = (&scratch.metrics, out.timeline.phases()) {
+            for (phase, ns) in phases {
+                metrics.phases[phase.index()].observe(ns as f64 / 1e9);
             }
-            result
-        });
+        }
+        let result = QuicReachResult::from_outcome(record.rank, &out);
         shard.push(&result);
+        if let Some((_, class)) = class {
+            scratch.pending.push((class, result));
+        }
+    }
+    if let Some(memo) = memo {
+        scratch.hits += replayed;
+        scratch.misses += issued;
+        for (class, result) in scratch.pending.drain(..) {
+            scratch.inserted += memo.insert(class, &result) as u64;
+        }
+    }
+    if let Some(metrics) = &scratch.metrics {
+        metrics.issued.add(issued);
+        metrics.replayed.add(replayed);
     }
     shard
 }
@@ -704,31 +674,15 @@ fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> Handsh
     }
 }
 
-/// Build the probes for a whole shard — the single probe-construction path
-/// every scan family (batched, per-probe, warm, chaos) goes through.
-fn probes_for(world: &World, records: &[&DomainRecord], scenario: Scenario) -> Vec<HandshakeProbe> {
-    records
-        .iter()
-        .map(|record| probe_for(world, record, scenario))
-        .collect()
-}
-
-/// Pair a shard's outcomes back with its records — the single
-/// outcome→result mapping every scan family goes through.
-fn collate(records: &[&DomainRecord], outcomes: &[HandshakeOutcome]) -> Vec<QuicReachResult> {
-    records
-        .iter()
-        .zip(outcomes)
-        .map(|(record, out)| QuicReachResult::from_outcome(record.rank, out))
-        .collect()
+/// One cold handshake against `record` under `scenario`.
+fn simulate(world: &World, record: &DomainRecord, scenario: Scenario) -> HandshakeOutcome {
+    let mut probe = probe_for(world, record, scenario);
+    run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
 }
 
 /// Probe one service under one [`Scenario`].
 pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
-    let probe = probe_for(world, record, scenario);
-    let mut wire = probe.wire;
-    let out = run_handshake(probe.client, probe.server, &mut wire, probe.seed);
-    QuicReachResult::from_outcome(record.rank, &out)
+    QuicReachResult::from_outcome(record.rank, &simulate(world, record, scenario))
 }
 
 /// Probe every QUIC service at one Initial size under the paper's baseline
@@ -738,21 +692,20 @@ pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
     scan_records(world, &records, Scenario::at(initial_size))
 }
 
-/// Probe an explicit shard of services under one [`Scenario`].
+/// Probe an explicit shard of services under one [`Scenario`], one
+/// [`scan_service`] after the other.
 ///
 /// This is the shard-aware entry point. Every probe derives its
 /// randomness from the record's own forked seed and owns its session
-/// state, so splitting the
-/// service list into shards, probing them on separate workers and
-/// concatenating the shard outputs in order is bit-for-bit identical to a
-/// serial [`scan`] — and to the per-probe loop in
-/// [`scan_records_per_probe`] — at any shard size, on every axis: the
-/// hybrid and post-quantum eras serve multi-kilobyte flights that fragment
-/// across more CRYPTO frames under the same 3× amplification limiter, and
-/// a non-[`FaultPlan::NONE`] plan overlays loss × duplication × corruption
-/// on every wire, drawing per-datagram RNG from the same per-record
-/// streams — still deterministic for a fixed seed, but no longer shared
-/// across records of one scenario class.
+/// state, so splitting the service list into shards, probing them on
+/// separate workers and concatenating the shard outputs in order is
+/// bit-for-bit identical to a serial [`scan`] at any shard size, on every
+/// axis: the hybrid and post-quantum eras serve multi-kilobyte flights that
+/// fragment across more CRYPTO frames under the same 3× amplification
+/// limiter, and a non-[`FaultPlan::NONE`] plan overlays loss × duplication
+/// × corruption on every wire, drawing per-datagram RNG from the same
+/// per-record streams — still deterministic for a fixed seed, but no longer
+/// shared across records of one scenario class.
 pub fn scan_records(
     world: &World,
     records: &[&DomainRecord],
@@ -764,29 +717,10 @@ pub fn scan_records(
         "chaos"
     };
     count_family_probes(family, records.len());
-    let outcomes = run_handshake_batch(probes_for(world, records, scenario));
-    collate(records, &outcomes)
-}
-
-/// The reference path: one `run_handshake` call per probe, spelled out.
-///
-/// Kept for the batched-vs-per-probe equivalence tests and the scan
-/// throughput benchmark; scanners should prefer [`scan_records`]. Probe
-/// construction and collation are the same helpers the batched path uses.
-pub fn scan_records_per_probe(
-    world: &World,
-    records: &[&DomainRecord],
-    scenario: Scenario,
-) -> Vec<QuicReachResult> {
-    count_family_probes("per-probe", records.len());
-    let outcomes: Vec<HandshakeOutcome> = probes_for(world, records, scenario)
-        .into_iter()
-        .map(|probe| {
-            let mut wire = probe.wire;
-            run_handshake(probe.client, probe.server, &mut wire, probe.seed)
-        })
-        .collect();
-    collate(records, &outcomes)
+    records
+        .iter()
+        .map(|record| scan_service(world, record, scenario))
+        .collect()
 }
 
 // ------------------------------------------------------------ warm path --
@@ -889,33 +823,27 @@ pub fn warm_scan(
     let policy = scenario.warm_policy();
     count_family_probes("warm", records.len());
     let warm_now_secs = warm_visit_secs(policy);
-    let probes: Vec<ResumptionProbe> = probes_for(world, records, scenario)
-        .into_iter()
-        .zip(records)
-        .map(|(mut probe, record)| {
+    records
+        .iter()
+        .map(|record| {
+            let mut probe = probe_for(world, record, scenario);
             probe.client.server_name = record.name.clone();
             probe.server.resumption = Some(ResumptionHost {
                 issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
                 now_secs: WARM_SCAN_EPOCH_SECS,
                 issue_tickets: true,
             });
-            let warm_wire = probe.wire.clone();
-            ResumptionProbe {
+            let out = run_resumption(ResumptionProbe {
                 client: probe.client,
                 server: probe.server,
+                warm_wire: probe.wire.clone(),
                 wire: probe.wire,
-                warm_wire,
                 seed: probe.seed,
                 warm_now_secs,
                 offer_ticket: policy.offers_ticket(),
-            }
+            });
+            WarmScanResult::from_outcome(record.rank, &out)
         })
-        .collect();
-    let outcomes = run_resumption_batch(probes);
-    records
-        .iter()
-        .zip(&outcomes)
-        .map(|(record, out)| WarmScanResult::from_outcome(record.rank, out))
         .collect()
 }
 
@@ -1062,17 +990,6 @@ mod tests {
                 assert!(r.amplification > 3.0);
                 assert!(r.amplification < 6.5, "factor {}", r.amplification);
             }
-        }
-    }
-
-    #[test]
-    fn batched_scan_matches_per_probe_loop_bit_for_bit() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(120).collect();
-        for profile in [NetworkProfile::Ideal, NetworkProfile::Lossy] {
-            let batched = scan_records(&world, &records, BASE.with_profile(profile));
-            let per_probe = scan_records_per_probe(&world, &records, BASE.with_profile(profile));
-            assert_eq!(batched, per_probe, "profile {profile}");
         }
     }
 
@@ -1479,7 +1396,13 @@ mod tests {
         assert_eq!(none.fault_drops, 0);
         assert_eq!(none.fault_duplications, 0);
         let light = shard(FaultPlan::LIGHT);
+        let moderate = shard(FaultPlan::MODERATE);
         let heavy = shard(FaultPlan::HEAVY);
+        assert!(moderate.fault_drops > 0, "moderate loss drops datagrams");
+        assert!(
+            moderate.retransmissions() > 0,
+            "and the endpoints pay for them in PTO retransmissions"
+        );
         assert!(
             heavy.fault_drops > light.fault_drops,
             "loss scales with intensity"
@@ -1499,6 +1422,11 @@ mod tests {
             "dup-storm must duplicate datagrams"
         );
         assert_eq!(dup.fault_drops, 0, "dup-storm drops nothing");
+        assert_eq!(dup.retransmissions(), 0, "a duplicate never triggers a PTO");
+        // A fault plan changes what a probe costs, never whether it is made.
+        assert_eq!(none.total(), records.len());
+        assert_eq!(moderate.total(), none.total());
+        assert_eq!(dup.total(), none.total());
     }
 
     #[test]

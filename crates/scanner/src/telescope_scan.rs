@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 
 use quicert_netsim::{Ipv4Net, SimDuration, Telescope};
 use quicert_pki::{Provider, World};
-use quicert_quic::handshake::{observe_backscatter, run_spoofed_probe_batch, SpoofedProbe};
+use quicert_quic::handshake::{observe_backscatter, run_spoofed_probe};
 
 use crate::behavior::{server_config_for, wire_for};
 
@@ -35,16 +35,10 @@ pub const ASSUMED_INITIAL: usize = 1362;
 
 /// Launch spoofed probes at up to `per_provider` services of each
 /// hypergiant and reconstruct sessions from the telescope.
-///
-/// All probes go through one `run_spoofed_probe_batch` call; outcomes (and
-/// thus sessions) are bit-for-bit identical to a per-probe loop.
 pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<BackscatterSession> {
     let mut telescope = Telescope::new(dark);
     let mut provider_of_scid: HashMap<Vec<u8>, Provider> = HashMap::new();
 
-    let mut providers = Vec::new();
-    let mut victims = Vec::new();
-    let mut probes = Vec::new();
     for provider in [Provider::Cloudflare, Provider::Google, Provider::Meta] {
         let services = world
             .quic_services()
@@ -54,24 +48,17 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
             let victim = dark.host((record.seed ^ i as u64) % dark.size());
             let server_addr = World::server_addr(record);
             let chain = world.quic_chain(record).expect("chain");
-            providers.push(provider);
-            victims.push((victim, server_addr));
-            probes.push(SpoofedProbe {
-                probe_size: ASSUMED_INITIAL,
-                spoofed_src: victim,
+            let outcome = run_spoofed_probe(
+                ASSUMED_INITIAL,
+                victim,
                 server_addr,
-                server: server_config_for(world, record, chain),
-                wire: wire_for(record),
-                seed: record.seed,
-            });
+                server_config_for(world, record, chain),
+                &mut wire_for(record),
+                record.seed,
+            );
+            observe_backscatter(&mut telescope, victim, server_addr, &outcome);
+            provider_of_scid.insert(outcome.server_scid, provider);
         }
-    }
-    let outcomes = run_spoofed_probe_batch(probes);
-    for ((provider, (victim, server_addr)), outcome) in
-        providers.into_iter().zip(victims).zip(&outcomes)
-    {
-        provider_of_scid.insert(outcome.server_scid.clone(), provider);
-        observe_backscatter(&mut telescope, victim, server_addr, outcome);
     }
 
     // Group telescope records by SCID — the paper's session definition.

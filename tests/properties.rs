@@ -188,9 +188,15 @@ mod streaming_world_properties {
 mod simnet_properties {
     use proptest::prelude::*;
     use quicert::netsim::{
-        Datagram, Endpoint, ExchangeLimits, LinkModel, SimDuration, SimNet, SimRng, SimTime, Wire,
+        run_exchange, Datagram, Endpoint, ExchangeLimits, FaultPlan, NetworkProfile, SimDuration,
+        SimRng, SimTime, Wire,
     };
+    use quicert::pki::{CertificateEra, DomainRecord, World, WorldConfig};
+    use quicert::quic::{run_handshake, ClientConfig};
+    use quicert::scanner::behavior::{server_config_for_era, wire_for_profile};
+    use quicert::scanner::{quicreach, Scenario};
     use std::net::Ipv4Addr;
+    use std::sync::OnceLock;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 9, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 9, 0, 2);
@@ -235,116 +241,94 @@ mod simnet_properties {
         }
     }
 
-    /// Ping-pong initiator used by the batch-invariance property.
-    struct Pinger {
-        remaining: u32,
-        payload: usize,
-    }
-
-    struct Echoer;
-
-    impl Endpoint for Pinger {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
-            }
-        }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
-            }
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-
-    impl Endpoint for Echoer {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
-            out.push(d.reply_with(d.payload.clone()));
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-
-    fn session_wire(seed: u64) -> Wire {
-        Wire::symmetric(LinkModel {
-            latency: SimDuration::from_millis(1 + seed % 19),
-            jitter: SimDuration::from_millis(seed % 5),
-            loss: (seed % 4) as f64 * 0.07,
-            ..LinkModel::default()
+    /// The QUIC services of one small world, generated once.
+    fn services() -> &'static (World, Vec<DomainRecord>) {
+        static WORLD: OnceLock<(World, Vec<DomainRecord>)> = OnceLock::new();
+        WORLD.get_or_init(|| {
+            let world = World::generate(WorldConfig {
+                domains: 1_500,
+                seed: 0xFA17,
+                ..WorldConfig::default()
+            });
+            let services = world.quic_services().cloned().collect();
+            (world, services)
         })
     }
+
+    /// The handshake deadline `quicert_quic` gives every complete-handshake
+    /// attempt.
+    const HANDSHAKE_DEADLINE: SimDuration = SimDuration::from_secs(30);
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Datagrams sharing one arrival timestamp are delivered in send
-        // (sequence) order: the heap tie-break is (time, session, seq).
+        // (sequence) order: the heap tie-break is (time, seq).
         #[test]
         fn equal_timestamp_deliveries_preserve_send_order(
             sizes in proptest::collection::vec(1usize..1400, 1..40),
             latency_us in 1u64..50_000,
         ) {
             let mut recorder = Recorder::default();
-            let mut net = SimNet::new();
-            let id = net.add_session(
-                Box::new(Burst { sizes: sizes.clone() }),
-                Box::new(&mut recorder),
-                Wire::ideal(SimDuration::from_micros(latency_us)),
+            let outcome = run_exchange(
+                &mut Burst { sizes: sizes.clone() },
+                &mut recorder,
+                &mut Wire::ideal(SimDuration::from_micros(latency_us)),
                 ExchangeLimits::default(),
-                SimRng::new(9),
+                &mut SimRng::new(9),
             );
-            net.run();
-            prop_assert!(net.take_outcome(id).quiesced);
-            drop(net);
+            prop_assert!(outcome.quiesced);
             prop_assert_eq!(recorder.seen, sizes);
         }
 
-        // A session's outcome never depends on how many other sessions
-        // share the batch or where the batch is split.
+        // Whatever the path does to its datagrams — up to and including
+        // dropping, duplicating or corrupting every one of them — a probe
+        // returns, inside the handshake deadline, with a bounded number of
+        // client transmissions and a timeline that accounts for every
+        // nanosecond of a completed handshake.
         #[test]
-        fn batch_size_never_changes_per_session_outcomes(
-            session_seeds in proptest::collection::vec(any::<u64>(), 1..24),
-            split in 0usize..24,
+        fn every_handshake_terminates_inside_its_limits_under_any_fault_plan(
+            drop_per_mille in 0u16..1001,
+            duplicate_per_mille in 0u16..1001,
+            corrupt_per_mille in 0u16..1001,
+            pick in any::<usize>(),
+            seed in any::<u64>(),
         ) {
-            let run_batch = |seeds: &[u64]| -> Vec<_> {
-                let mut net = SimNet::with_capacity(seeds.len());
-                let ids: Vec<_> = seeds
-                    .iter()
-                    .map(|&seed| {
-                        net.add_session(
-                            Box::new(Pinger {
-                                remaining: 1 + (seed % 6) as u32,
-                                payload: 40 + (seed % 200) as usize,
-                            }),
-                            Box::new(Echoer),
-                            session_wire(seed),
-                            ExchangeLimits::default(),
-                            SimRng::new(seed ^ 0x5E55),
-                        )
-                    })
-                    .collect();
-                net.run();
-                ids.into_iter().map(|id| net.take_outcome(id)).collect()
+            let (world, services) = services();
+            let mut record = services[pick % services.len()].clone();
+            record.seed = seed;
+            let plan = FaultPlan {
+                name: "arbitrary",
+                drop_per_mille,
+                duplicate_per_mille,
+                corrupt_per_mille,
             };
+            for profile in NetworkProfile::ALL {
+                let scenario = Scenario::at(1362).with_profile(profile).with_plan(plan);
+                let result = quicreach::scan_service(world, &record, scenario);
 
-            let whole = run_batch(&session_seeds);
-            let split = split.min(session_seeds.len());
-            let (left, right) = session_seeds.split_at(split);
-            let mut pieces = run_batch(left);
-            pieces.extend(run_batch(right));
-            prop_assert_eq!(whole, pieces);
+                // The same probe, spelled out, to see the whole outcome.
+                let client = ClientConfig::scanner(1362, World::server_addr(&record), seed ^ 1362);
+                let max_transmissions = client.max_initial_transmissions;
+                let era = CertificateEra::Classical;
+                let chain = world.quic_chain_era(&record, era).expect("a QUIC chain");
+                let server = server_config_for_era(world, &record, chain, era);
+                let mut wire = wire_for_profile(&record, profile);
+                plan.apply(&mut wire);
+                let out = run_handshake(client, server, &mut wire, seed);
+                prop_assert_eq!(out.classify(), result.class);
+                prop_assert_eq!(out.client_transmissions, result.client_transmissions);
+
+                prop_assert!((1..=max_transmissions).contains(&out.client_transmissions));
+                prop_assert_eq!(out.completed, out.completed_at.is_some());
+                if let Some(at) = out.completed_at {
+                    prop_assert!(at <= SimTime::ZERO + HANDSHAKE_DEADLINE);
+                    let phases = out.timeline.phases().expect("completed handshake");
+                    let sum: u64 = phases.iter().map(|(_, ns)| ns).sum();
+                    prop_assert_eq!(out.timeline.done_ns, Some(at.as_nanos()));
+                    prop_assert_eq!(sum, at.as_nanos());
+                }
+            }
         }
     }
 }
