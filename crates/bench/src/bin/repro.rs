@@ -66,12 +66,8 @@ fn main() {
             .with_seed(seed)
             .with_workers(workers),
     );
-    let chunk = match campaign.engine().stream_chunk() {
-        Some(size) => size.to_string(),
-        None => "adaptive".to_string(),
-    };
     eprintln!(
-        "scanning with {} worker thread(s), streaming chunk {chunk} ...",
+        "scanning with {} worker thread(s) ...",
         campaign.engine().workers(),
     );
 

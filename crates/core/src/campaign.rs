@@ -47,13 +47,6 @@ pub struct CampaignConfig {
     /// byte-for-byte; the report's chaos grid additionally scans explicit
     /// plans regardless of this setting.
     pub fault_plan: FaultPlan,
-    /// Population chunk size for the streaming (`stream_*`) scan path;
-    /// `0` (the default) lets the pump claim adaptively — large chunks
-    /// that taper near the population's tail. Streaming results are
-    /// bit-for-bit identical at any setting — the knob only trades peak
-    /// memory (one chunk of records per worker) against claiming
-    /// overhead.
-    pub stream_chunk: usize,
 }
 
 impl CampaignConfig {
@@ -70,7 +63,6 @@ impl CampaignConfig {
             resumption: ResumptionPolicy::WarmAfterFirstVisit,
             era: CertificateEra::Classical,
             fault_plan: FaultPlan::NONE,
-            stream_chunk: 0,
         }
     }
 
@@ -84,7 +76,6 @@ impl CampaignConfig {
             resumption: ResumptionPolicy::WarmAfterFirstVisit,
             era: CertificateEra::Classical,
             fault_plan: FaultPlan::NONE,
-            stream_chunk: 0,
         }
     }
 
@@ -130,12 +121,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Override the streaming chunk size (`0` = the engine default).
-    pub fn with_stream_chunk(mut self, chunk_size: usize) -> Self {
-        self.stream_chunk = chunk_size;
-        self
-    }
-
     /// The configured axes as the one [`Scenario`] the campaign's engine
     /// defaults to.
     pub fn scenario(&self) -> Scenario {
@@ -165,7 +150,6 @@ impl Campaign {
     pub fn new(config: CampaignConfig) -> Campaign {
         let world = World::generate(config.world.clone());
         let engine = ScanEngine::new(world, config.default_initial, config.workers)
-            .with_stream_chunk(config.stream_chunk)
             .with_scenario(config.scenario());
         Campaign { config, engine }
     }

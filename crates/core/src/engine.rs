@@ -1,5 +1,5 @@
-//! The [`ScanEngine`]: one uniform, lazily-computed artifact store with a
-//! worker-sharded parallel execution path.
+//! The [`ScanEngine`]: one uniform, lazily-computed artifact store with two
+//! worker-sharded execution paths.
 //!
 //! Every scan artifact the report and the experiment modules consume — the
 //! HTTPS certificate scan, quicreach classifications at *any* Initial size,
@@ -11,18 +11,30 @@
 //!
 //! ## Parallel execution and determinism
 //!
-//! Per-domain scans shard the record list into `workers` contiguous chunks
-//! and probe each chunk on its own scoped thread (`workers <= 1` falls back
-//! to a plain serial loop, so single-threaded environments pay no
-//! synchronisation cost). The results are **bit-for-bit identical at any
-//! worker count** because every probe draws its randomness from a `SimRng`
+//! Materialized scans ([`run_sharded`]) split the record list into
+//! `workers` contiguous shards, probe each on its own scoped thread and
+//! concatenate the outputs in shard order. Streamed scans never hold the
+//! population: one worker loop (`run_pump`) has each worker claim rank
+//! ranges off an atomic cursor, derive those records into a reused buffer
+//! and fold them into a [`Merge`] summary. That loop has two public doors —
+//! [`ScanEngine::fold_population`] (the whole population, adaptively sized
+//! claims) and [`ScanEngine::fold_ranges`] (an explicit range list) — and
+//! every `stream_*` family and every service tick goes through one of them.
+//! Either path runs inline, without spawning, when it resolves to a single
+//! worker, so single-threaded environments pay no synchronisation cost.
+//!
+//! The results are **bit-for-bit identical at any worker count and any
+//! claim size** because every probe draws its randomness from a `SimRng`
 //! stream forked off the campaign seed *per record* at world-generation
 //! time (`record.seed`), never from a stream shared across records. A
-//! shard boundary therefore cannot shift any draw: worker `i` probing
-//! records `[a, b)` produces exactly the bytes a serial run produces for
-//! those records, and concatenating the shard outputs in shard order
-//! restores the serial result exactly. The determinism test in this module
-//! pins that guarantee at 1, 2 and 8 workers.
+//! shard or claim boundary therefore cannot shift any draw: a worker
+//! probing records `[a, b)` produces exactly the bytes a serial run
+//! produces for those records; concatenating shard outputs in shard order
+//! restores the serial result, and the streamed summaries are exactly
+//! associative and commutative monoids under [`Merge`], so the order
+//! workers happen to claim in cannot shift a bit either. The tests in this
+//! module pin that at 1, 2 and 8 workers; `tests/determinism_matrix.rs`
+//! pins the worker × claim-size × memo grid.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -61,8 +73,8 @@ pub const MIN_ADAPTIVE_CHUNK: usize = 64;
 /// at ten million records.
 pub const MAX_ADAPTIVE_CHUNK: usize = 256;
 
-/// The host's core count (1 when it cannot be determined). The pump and
-/// the sharded materialized path never spawn more threads than this —
+/// The host's core count (1 when it cannot be determined). Neither
+/// [`run_sharded`] nor the streaming pump spawns more threads than this —
 /// oversubscribing a small host made 2-worker runs *slower* than serial.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -184,30 +196,9 @@ pub struct WorkerPumpStats {
     pub distinct_classes: u64,
 }
 
-/// Memo-effectiveness counters a pump scratch may expose, harvested into
-/// [`WorkerPumpStats`] when its worker finishes.
-///
-/// Implemented as `(0, 0, 0)` for scratch-less folds (`()`), and by
-/// [`quicreach::ProbeScratch`] for the streaming quicreach fold whose
-/// scenario-class memo these counters describe.
-pub trait ScratchStats {
-    /// `(memo_hits, memo_misses, classes_inserted)` accumulated so far.
-    fn memo_stats(&self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
-}
-
-impl ScratchStats for () {}
-
-impl ScratchStats for quicreach::ProbeScratch {
-    fn memo_stats(&self) -> (u64, u64, u64) {
-        quicreach::ProbeScratch::memo_stats(self)
-    }
-}
-
 /// What the streaming pump did on one run: per-worker counters plus the
-/// resolved claiming parameters. `repro` prints this after a streaming
-/// campaign and the bench artifact embeds it per scan row.
+/// resolved thread count. `repro` prints it after a streaming campaign and
+/// `perfbench/` reads its totals for the memo and claim counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PumpStats {
     /// Workers the caller asked for.
@@ -215,9 +206,6 @@ pub struct PumpStats {
     /// Threads that actually pumped: the request capped at
     /// [`host_parallelism`].
     pub effective_workers: usize,
-    /// The fixed chunk size, or `None` when claims adapted to the
-    /// remaining population.
-    pub fixed_chunk: Option<usize>,
     /// Per-worker counters, in spawn order.
     pub workers: Vec<WorkerPumpStats>,
 }
@@ -253,8 +241,8 @@ impl PumpStats {
 /// What a pump's workers claim off the shared cursor.
 #[derive(Clone, Copy)]
 enum Claims<'a> {
-    /// Ranks `1..=total` in `chunk`-sized claims; `None` claims adaptively.
-    Population { total: usize, chunk: Option<usize> },
+    /// Ranks `1..=total`, in adaptively sized claims ([`adaptive_claim`]).
+    Population(usize),
     /// An explicit list of `(first_rank, len)` rank ranges, one claim each.
     Ranges(&'a [(usize, usize)]),
 }
@@ -262,8 +250,8 @@ enum Claims<'a> {
 impl Claims<'_> {
     /// Claim the next `(index, first_rank, len)` off `cursor` (which starts
     /// at 0), or `None` once everything is claimed. `size` is the worker's
-    /// next population claim size, retuned here under adaptive claiming;
-    /// explicit ranges ignore it and report their list index.
+    /// next population claim size, retuned here to what remains; explicit
+    /// ranges ignore it and report their list index.
     fn next(
         self,
         cursor: &AtomicUsize,
@@ -271,16 +259,14 @@ impl Claims<'_> {
         workers: usize,
     ) -> Option<(usize, usize, usize)> {
         match self {
-            Claims::Population { total, chunk } => {
+            Claims::Population(total) => {
                 let claim = *size;
                 let first = cursor.fetch_add(claim, Ordering::Relaxed) + 1;
                 if first > total {
                     return None;
                 }
-                if chunk.is_none() {
-                    let done = first.saturating_add(claim - 1).min(total);
-                    *size = adaptive_claim(total - done, workers);
-                }
+                let done = first.saturating_add(claim - 1).min(total);
+                *size = adaptive_claim(total - done, workers);
                 Some((0, first, claim))
             }
             Claims::Ranges(ranges) => {
@@ -289,168 +275,6 @@ impl Claims<'_> {
             }
         }
     }
-}
-
-/// The worker loop every pump shares: `workers` threads (capped at
-/// [`host_parallelism`]; a single effective worker runs inline without
-/// spawning) each build one scratch and one accumulator, then claim rank
-/// ranges off an atomic cursor, derive the records into a reused buffer
-/// and hand them to `fold` until the claims run out. Returns the
-/// per-worker accumulators in spawn order plus the run's [`PumpStats`].
-fn run_pump<A, T, MS, MA, F>(
-    world: &World,
-    claims: Claims<'_>,
-    workers: usize,
-    make_scratch: MS,
-    make_acc: MA,
-    fold: F,
-) -> (Vec<A>, PumpStats)
-where
-    A: Send,
-    T: ScratchStats,
-    MS: Fn() -> T + Sync,
-    MA: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, &mut [DomainRecord], &mut T) + Sync,
-{
-    let requested = workers.max(1);
-    let effective = match claims {
-        Claims::Population { .. } => requested,
-        // Never more threads than ranges: a sparse delta tick folds a
-        // handful of segments, and an idle tick folds none.
-        Claims::Ranges(ranges) => requested.min(ranges.len().max(1)),
-    }
-    .min(host_parallelism());
-    let (first_size, fixed_chunk) = match claims {
-        Claims::Population { total, chunk } => (
-            chunk.map_or_else(|| adaptive_claim(total, effective), |size| size.max(1)),
-            chunk,
-        ),
-        Claims::Ranges(_) => (0, None),
-    };
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let worker = || -> (A, WorkerPumpStats) {
-        let mut acc = make_acc();
-        let mut scratch = make_scratch();
-        let mut buf: Vec<DomainRecord> = Vec::new();
-        let mut stats = WorkerPumpStats::default();
-        let mut size = first_size;
-        while let Some((index, first, len)) = claims.next(cursor, &mut size, effective) {
-            let started = Instant::now();
-            world.domain_chunk_into(first, len, &mut buf);
-            fold(&mut acc, index, &mut buf, &mut scratch);
-            stats.fold_seconds += started.elapsed().as_secs_f64();
-            stats.chunks_claimed += 1;
-            stats.records_folded += buf.len() as u64;
-        }
-        let (hits, misses, distinct) = scratch.memo_stats();
-        stats.memo_hits = hits;
-        stats.memo_misses = misses;
-        stats.distinct_classes = distinct;
-        (acc, stats)
-    };
-
-    let mut accs: Vec<A> = Vec::with_capacity(effective);
-    let mut worker_stats: Vec<WorkerPumpStats> = Vec::with_capacity(effective);
-    if effective == 1 {
-        let (acc, stats) = worker();
-        accs.push(acc);
-        worker_stats.push(stats);
-    } else {
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (0..effective).map(|_| scope.spawn(worker)).collect();
-            for handle in handles {
-                let (acc, stats) = handle.join().expect("stream worker panicked");
-                accs.push(acc);
-                worker_stats.push(stats);
-            }
-        });
-    }
-    (
-        accs,
-        PumpStats {
-            requested_workers: requested,
-            effective_workers: effective,
-            fixed_chunk,
-            workers: worker_stats,
-        },
-    )
-}
-
-/// Pump a world's population through worker threads as rank-ordered record
-/// chunks, folding each chunk with `fold` into per-worker summaries that
-/// are merged at the end.
-///
-/// This is the bounded-memory counterpart of [`run_sharded`]: at no point
-/// does more than one chunk of records per worker (plus one summary and
-/// one scratch per worker) exist in memory, so a million-record population
-/// streams through a few megabytes. The result is **bit-for-bit
-/// independent of the worker count and the chunk granularity** because
-/// (a) per-record RNG forking makes every chunk's fold chunk-size
-/// invariant, and (b) shard summaries are exactly commutative monoids
-/// under [`Merge`], so the order workers happen to pick chunks in cannot
-/// shift a single bit.
-///
-/// The datapath details, all invisible in the results:
-///
-/// * Chunks are rank-addressable ([`World::domain_chunk_into`] only reads
-///   the config), so workers claim disjoint rank ranges off an atomic
-///   cursor and generate their own records into a reused buffer — no
-///   locks, no channel, and population generation parallelises along with
-///   the probing.
-/// * `chunk` fixes the claim size; `None` claims adaptively — an eighth
-///   of the remaining population per worker, clamped to
-///   [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], so claims start
-///   large and taper near the tail.
-/// * Each worker builds one `scratch` via `make_scratch` and hands it to
-///   every `fold` call, so per-worker state (a memo handle, counters,
-///   buffers) is built once for millions of records.
-/// * Threads are capped at [`host_parallelism`]; a single effective
-///   worker runs the same claim loop inline without spawning.
-pub fn stream_sharded_scratch<S, T, MS, F>(
-    world: &World,
-    chunk: Option<usize>,
-    workers: usize,
-    make_scratch: MS,
-    fold: F,
-) -> (S, PumpStats)
-where
-    S: Merge + Send,
-    T: ScratchStats,
-    MS: Fn() -> T + Sync,
-    F: Fn(&[DomainRecord], &mut T) -> S + Sync,
-{
-    let claims = Claims::Population {
-        total: world.config.domains,
-        chunk,
-    };
-    let (shards, stats) = run_pump(
-        world,
-        claims,
-        workers,
-        make_scratch,
-        S::identity,
-        |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
-    );
-    (S::merge_all(shards), stats)
-}
-
-/// [`stream_sharded_scratch`] without per-worker scratch, for folds that
-/// need none.
-pub fn stream_sharded<S, F>(world: &World, chunk: Option<usize>, workers: usize, fold: F) -> S
-where
-    S: Merge + Send,
-    F: Fn(&[DomainRecord]) -> S + Sync,
-{
-    stream_sharded_scratch(
-        world,
-        chunk,
-        workers,
-        || (),
-        |records, _: &mut ()| fold(records),
-    )
-    .0
 }
 
 /// Pre-registered streaming-pump instruments on the engine's registry —
@@ -504,7 +328,6 @@ impl EngineMetrics {
 pub struct ScanEngine {
     world: World,
     workers: usize,
-    stream_chunk: Option<usize>,
     // The one scenario-class memo (`None`: memoization off), shared by
     // every worker of every quicreach pump for as long as the engine lives.
     memo: Option<Arc<ClassMemo>>,
@@ -551,7 +374,6 @@ impl ScanEngine {
         ScanEngine {
             world,
             workers,
-            stream_chunk: None,
             memo: Some(Arc::default()),
             scenario: Scenario::at(default_initial)
                 .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
@@ -583,20 +405,6 @@ impl ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
 
-    /// Fix the population chunk size the streaming scan path pumps; `0`
-    /// restores the default *adaptive* claiming (large claims tapering
-    /// near the population's tail). Results are bit-for-bit identical at
-    /// any setting; the knob only trades peak memory (one chunk of records
-    /// per worker) against claiming overhead.
-    pub fn with_stream_chunk(mut self, chunk_size: usize) -> ScanEngine {
-        self.stream_chunk = if chunk_size == 0 {
-            None
-        } else {
-            Some(chunk_size)
-        };
-        self
-    }
-
     /// Enable or disable scenario-class memoization on the streaming scan
     /// path (on by default). Memoized and unmemoized runs fold bit-for-bit
     /// identical summaries — the toggle exists for A/B benching and for
@@ -606,11 +414,6 @@ impl ScanEngine {
     pub fn with_memoization(mut self, memoize: bool) -> ScanEngine {
         self.memo = memoize.then(Arc::default);
         self
-    }
-
-    /// Whether the streaming scan path memoizes scenario classes.
-    pub fn memoization(&self) -> bool {
-        self.memo.is_some()
     }
 
     /// Scenario classes resident in the engine's memo — never more than
@@ -628,11 +431,6 @@ impl ScanEngine {
     pub fn with_metrics(mut self, enabled: bool) -> ScanEngine {
         self.metrics_enabled = enabled;
         self
-    }
-
-    /// Whether the streaming scan path updates the metrics registry.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_enabled
     }
 
     /// The campaign's metrics registry. Artifact-cache counters land here
@@ -763,7 +561,7 @@ impl ScanEngine {
             .get_or_compute((era, algorithm, stride), || {
                 let sampled = compression::study_sample(&self.world, stride);
                 run_sharded(&sampled, self.workers, |shard| {
-                    compression::study_records_era(&self.world, shard, algorithm, era)
+                    compression::study_records(&self.world, shard, algorithm, era)
                 })
             })
     }
@@ -813,12 +611,6 @@ impl ScanEngine {
 
     // ------------------------------------------------------ streaming --
 
-    /// The streaming chunk size: a fixed record count, or `None` under the
-    /// default adaptive claiming.
-    pub fn stream_chunk(&self) -> Option<usize> {
-        self.stream_chunk
-    }
-
     /// What the pump did on the most recent streaming scan that actually
     /// ran (cached artifact hits do not touch the pump), or `None` before
     /// any streaming scan.
@@ -842,39 +634,116 @@ impl ScanEngine {
         *self.last_pump.lock().unwrap() = Some(stats);
     }
 
-    /// Run a streaming fold and record its [`PumpStats`].
-    fn pump<S, T, MS, F>(&self, make_scratch: MS, fold: F) -> S
+    /// The worker loop every streamed fold shares. `workers` threads — never
+    /// more than [`host_parallelism`], nor than there are ranges to claim;
+    /// a single effective worker runs inline without spawning — each build
+    /// one accumulator and one [`ProbeScratch`], then claim rank ranges off
+    /// an atomic cursor, derive the records into a reused buffer and hand
+    /// them to `fold` until the claims run out: no locks, no channel, and
+    /// population derivation parallelises along with the probing. At no
+    /// point does more than one claim of records per worker (plus its
+    /// accumulator and scratch) exist in memory, so a million-record
+    /// population streams through a few megabytes.
+    ///
+    /// Under `Some(scenario)` the scratch is a handle on the engine's memo
+    /// plus, while metrics are enabled, the scenario's [`ProbeMetrics`];
+    /// the scenario-less families get a memo-less, metrics-less scratch
+    /// they ignore, so nothing is registered or counted on their behalf.
+    /// Returns the per-worker accumulators in spawn order after flushing
+    /// the run's [`PumpStats`].
+    fn run_pump<A, MA, F>(
+        &self,
+        claims: Claims<'_>,
+        scenario: Option<Scenario>,
+        make_acc: MA,
+        fold: F,
+    ) -> Vec<A>
     where
-        S: Merge + Send,
-        T: ScratchStats,
-        MS: Fn() -> T + Sync,
-        F: Fn(&[DomainRecord], &mut T) -> S + Sync,
+        A: Send,
+        MA: Fn() -> A + Sync,
+        F: Fn(&mut A, usize, &mut [DomainRecord], &mut ProbeScratch) + Sync,
     {
-        let (shard, stats) = stream_sharded_scratch(
-            &self.world,
-            self.stream_chunk,
-            self.workers,
-            make_scratch,
-            fold,
-        );
-        self.record_pump(stats);
-        shard
-    }
-
-    /// The per-worker scratch constructor of a quicreach pump under
-    /// `scenario`: a handle on the engine's memo, plus the scenario's
-    /// [`ProbeMetrics`] while metrics are enabled.
-    fn probe_scratch(&self, scenario: Scenario) -> impl Fn() -> ProbeScratch + Sync + '_ {
-        let probe_metrics = self
-            .metrics_enabled
-            .then(|| ProbeMetrics::register(&self.registry, scenario));
-        move || {
-            let mut scratch = ProbeScratch::sharing(self.memo.clone());
+        let requested = self.workers.max(1);
+        let (effective, first_size) = match claims {
+            Claims::Population(total) => {
+                let effective = requested.min(host_parallelism());
+                (effective, adaptive_claim(total, effective))
+            }
+            // Never more threads than ranges: a sparse delta tick folds a
+            // handful of segments, and an idle tick folds none.
+            Claims::Ranges(ranges) => (
+                requested.min(ranges.len().max(1)).min(host_parallelism()),
+                0,
+            ),
+        };
+        let memo = scenario.and(self.memo.as_ref());
+        let probe_metrics = scenario
+            .filter(|_| self.metrics_enabled)
+            .map(|scenario| ProbeMetrics::register(&self.registry, scenario));
+        let cursor = AtomicUsize::new(0);
+        let cursor = &cursor;
+        let worker = || -> (A, WorkerPumpStats) {
+            let mut acc = make_acc();
+            let mut scratch = ProbeScratch::sharing(memo.cloned());
             if let Some(metrics) = &probe_metrics {
                 scratch.set_metrics(metrics.clone());
             }
-            scratch
+            let mut buf: Vec<DomainRecord> = Vec::new();
+            let mut stats = WorkerPumpStats::default();
+            let mut size = first_size;
+            while let Some((index, first, len)) = claims.next(cursor, &mut size, effective) {
+                let started = Instant::now();
+                self.world.domain_chunk_into(first, len, &mut buf);
+                fold(&mut acc, index, &mut buf, &mut scratch);
+                stats.fold_seconds += started.elapsed().as_secs_f64();
+                stats.chunks_claimed += 1;
+                stats.records_folded += buf.len() as u64;
+            }
+            (stats.memo_hits, stats.memo_misses, stats.distinct_classes) = scratch.memo_stats();
+            (acc, stats)
+        };
+
+        let mut accs: Vec<A> = Vec::with_capacity(effective);
+        let mut worker_stats: Vec<WorkerPumpStats> = Vec::with_capacity(effective);
+        if effective == 1 {
+            let (acc, stats) = worker();
+            accs.push(acc);
+            worker_stats.push(stats);
+        } else {
+            std::thread::scope(|scope| {
+                let worker = &worker;
+                let handles: Vec<_> = (0..effective).map(|_| scope.spawn(worker)).collect();
+                for handle in handles {
+                    let (acc, stats) = handle.join().expect("stream worker panicked");
+                    accs.push(acc);
+                    worker_stats.push(stats);
+                }
+            });
         }
+        self.record_pump(PumpStats {
+            requested_workers: requested,
+            effective_workers: effective,
+            workers: worker_stats,
+        });
+        accs
+    }
+
+    /// [`ScanEngine::fold_population`], scenario optional: the one
+    /// population fold behind it and the two scenario-less `stream_*`
+    /// families. Claims start at an eighth of the population per worker,
+    /// clamped to [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], and
+    /// taper near the tail.
+    fn pump<S, F>(&self, scenario: Option<Scenario>, fold: F) -> S
+    where
+        S: Merge + Send,
+        F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
+    {
+        S::merge_all(self.run_pump(
+            Claims::Population(self.world.config.domains),
+            scenario,
+            S::identity,
+            |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
+        ))
     }
 
     /// The streaming quicreach scan under one [`Scenario`]: the whole
@@ -916,20 +785,7 @@ impl ScanEngine {
         S: Merge + Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
     {
-        let claims = Claims::Population {
-            total: self.world.config.domains,
-            chunk: self.stream_chunk,
-        };
-        let (shards, stats) = run_pump(
-            &self.world,
-            claims,
-            self.workers,
-            self.probe_scratch(scenario),
-            S::identity,
-            |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
-        );
-        self.record_pump(stats);
-        S::merge_all(shards)
+        self.pump(Some(scenario), fold)
     }
 
     /// Fold an explicit list of `(first_rank, len)` rank ranges through the
@@ -951,17 +807,14 @@ impl ScanEngine {
         R: Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
-        let (folded, stats) = run_pump(
-            &self.world,
+        let folded = self.run_pump(
             Claims::Ranges(ranges),
-            self.workers,
-            self.probe_scratch(scenario),
+            Some(scenario),
             Vec::new,
             |acc: &mut Vec<(usize, R)>, index, records, scratch| {
                 acc.push((index, fold(records, scratch)))
             },
         );
-        self.record_pump(stats);
         let mut folded: Vec<(usize, R)> = folded.into_iter().flatten().collect();
         folded.sort_unstable_by_key(|&(index, _)| index);
         folded.into_iter().map(|(_, result)| result).collect()
@@ -1000,10 +853,9 @@ impl ScanEngine {
     /// ([`World::https_chain_shape`]) and issues one chain per class.
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
-            self.pump(
-                || (),
-                |records, _: &mut ()| https_scan::fold_iter(&self.world, records),
-            )
+            self.pump(None, |records, _| {
+                https_scan::fold_iter(&self.world, &*records)
+            })
         })
     }
 
@@ -1012,10 +864,9 @@ impl ScanEngine {
     /// memory.
     pub fn stream_compression_support(&self) -> Arc<CompressionShard> {
         self.stream_compression.get_or_compute((), || {
-            self.pump(
-                || (),
-                |records, _: &mut ()| compression::fold_iter(&self.world, records),
-            )
+            self.pump(None, |records, _| {
+                compression::fold_iter(&self.world, &*records)
+            })
         })
     }
 }
@@ -1328,7 +1179,7 @@ mod tests {
             seed: 0xD37E,
             ..WorldConfig::default()
         };
-        let engine = ScanEngine::streaming(config, 1362, 2).with_stream_chunk(128);
+        let engine = ScanEngine::streaming(config, 1362, 2);
         assert!(engine.world().domains().is_empty());
         let streamed = engine.stream_quicreach(BASE);
         assert!(engine.world().domains().is_empty());
@@ -1467,6 +1318,40 @@ mod tests {
                 .get(),
             0
         );
+    }
+
+    #[test]
+    fn scenario_less_folds_register_no_probe_instruments() {
+        // The funnel and the compression scan have no scenario: they ride
+        // the same pump with a memo-less, metrics-less scratch, so no probe
+        // series is registered on their behalf and no memo traffic counted.
+        let engine = engine(2);
+        let funnel = engine.stream_https_scan();
+        let memo = |engine: &ScanEngine| {
+            let totals = engine.pump_stats().expect("a pump ran").totals();
+            assert_eq!(totals.records_folded, 1_200);
+            (
+                totals.memo_hits,
+                totals.memo_misses,
+                totals.distinct_classes,
+            )
+        };
+        assert_eq!(memo(&engine), (0, 0, 0));
+        let support = engine.stream_compression_support();
+        assert_eq!(memo(&engine), (0, 0, 0));
+        assert!(funnel.quic_services > 0 && support.algorithms[0].total > 0);
+        assert_eq!(engine.memo_classes(), 0);
+
+        let rendered = engine.metrics_registry().render_prometheus();
+        assert!(rendered.contains("quicert_engine_records_folded_total 2400"));
+        for series in ["quicert_scan_probes_", "quicert_handshake_phase_seconds"] {
+            assert!(!rendered.contains(series), "{series} registered");
+        }
+        // A scenario fold on the same engine is what registers them.
+        engine.stream_quicreach(BASE);
+        let rendered = engine.metrics_registry().render_prometheus();
+        assert!(rendered.contains("quicert_scan_probes_issued_total"));
+        assert!(rendered.contains("quicert_handshake_phase_seconds"));
     }
 
     #[test]

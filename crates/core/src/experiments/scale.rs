@@ -5,8 +5,8 @@
 //! earlier because every layer holds per-record vectors. Each row here
 //! builds a [`quicert_pki::World::streaming`] population of the requested size — never
 //! materialized — and pumps it through [`ScanEngine::stream_https_scan`]
-//! and [`ScanEngine::stream_quicreach`], so memory stays bounded by
-//! `chunk × workers` records while the summaries (funnel counters,
+//! and [`ScanEngine::stream_quicreach`], so memory stays bounded by one
+//! claimed chunk of records per worker while the summaries (funnel counters,
 //! handshake-class shares, chain-size quantile sketches) are bit-for-bit
 //! what a materialized scan of the same population would produce.
 
@@ -50,8 +50,8 @@ pub fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usize; 3] 
 }
 
 /// Stream one population size with a campaign's scan parameters (same
-/// seed, population model, Initial size, workers and chunk size — only
-/// the domain count varies).
+/// seed, population model, Initial size and workers — only the domain
+/// count varies).
 pub fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
     let config = WorldConfig {
         domains: population,
@@ -62,7 +62,6 @@ pub fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
         campaign.config().default_initial,
         campaign.config().workers,
     )
-    .with_stream_chunk(campaign.config().stream_chunk)
     .with_scenario(campaign.scenario());
     ScaleRow {
         population,

@@ -35,6 +35,43 @@ fn engine(workers: usize) -> ScanEngine {
     ScanEngine::new(world, INITIAL, workers)
 }
 
+/// The chunk axis of the streaming grids. The engine has no chunk-size
+/// option — its own claiming is adaptive — so a fixed chunk is spelled as
+/// what it means: uniform `chunk`-rank ranges tiling the population, folded
+/// one claim each on the same worker loop ([`ScanEngine::fold_ranges`]) and
+/// merged. `chunk == 0` is the engine's adaptive claiming.
+fn uniform_ranges(engine: &ScanEngine, chunk: usize) -> Vec<(usize, usize)> {
+    (1..=engine.world().config.domains)
+        .step_by(chunk)
+        .map(|first| (first, chunk))
+        .collect()
+}
+
+/// The streamed quicreach summary of `scenario` at one point of the chunk
+/// axis (see [`uniform_ranges`]); the pump stats of the fold are the
+/// engine's latest either way.
+fn streamed_in_chunks(engine: &ScanEngine, scenario: Scenario, chunk: usize) -> QuicReachShard {
+    if chunk == 0 {
+        return (*engine.stream_quicreach(scenario)).clone();
+    }
+    let ranges = uniform_ranges(engine, chunk);
+    QuicReachShard::merge_all(engine.fold_ranges(scenario, &ranges, |records, scratch| {
+        quicreach::fold_chunk(engine.world(), records, scenario, scratch)
+    }))
+}
+
+/// The streamed §3.1 funnel at one point of the chunk axis.
+fn funnel_in_chunks(engine: &ScanEngine, chunk: usize) -> HttpsScanShard {
+    if chunk == 0 {
+        return (*engine.stream_https_scan()).clone();
+    }
+    let ranges = uniform_ranges(engine, chunk);
+    let scenario = engine.scenario();
+    HttpsScanShard::merge_all(engine.fold_ranges(scenario, &ranges, |records, _| {
+        https_scan::fold_iter(engine.world(), &*records)
+    }))
+}
+
 #[test]
 fn quicreach_grid_is_worker_invariant() {
     let reference = engine(1);
@@ -71,11 +108,11 @@ fn warm_scan_grid_is_worker_invariant() {
     }
 }
 
-/// The streaming path across the worker × chunk grid: every `stream_*`
-/// summary must be bit-for-bit identical at workers {1, 2, 8, 16} and
-/// chunk sizes {1, 64, 4096} plus the adaptive default (chunk 0), and
-/// identical to the summary derived from the materialized artifacts of
-/// the same (paper-scale-model) world.
+/// The streaming path across the worker × chunk grid: the quicreach and
+/// funnel summaries must be bit-for-bit identical at workers {1, 2, 8, 16}
+/// and chunk sizes {1, 64, 4096} plus the engine's adaptive claiming
+/// (chunk 0), and identical to the summary derived from the materialized
+/// artifacts of the same (paper-scale-model) world.
 #[test]
 fn streaming_grid_is_worker_and_chunk_invariant() {
     let config = WorldConfig {
@@ -91,20 +128,19 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     assert!(reach_ref.total() > 0, "world has QUIC services");
 
     for workers in [1usize, 2, 8, 16] {
-        // Chunk 0 is the adaptive default: claims sized off the remaining
-        // population rather than a fixed count.
+        // Chunk 0 is the engine's adaptive claiming: claims sized off the
+        // remaining population rather than a fixed count.
         for chunk in [0usize, 1, 64, 4096] {
-            let engine =
-                ScanEngine::streaming(config.clone(), INITIAL, workers).with_stream_chunk(chunk);
+            let engine = ScanEngine::streaming(config.clone(), INITIAL, workers);
             assert_eq!(
-                *engine.stream_quicreach(Scenario::at(INITIAL)),
+                streamed_in_chunks(&engine, Scenario::at(INITIAL), chunk),
                 reach_ref,
-                "stream_quicreach diverged at workers={workers} chunk={chunk}"
+                "streamed quicreach diverged at workers={workers} chunk={chunk}"
             );
             assert_eq!(
-                *engine.stream_https_scan(),
+                funnel_in_chunks(&engine, chunk),
                 https_ref,
-                "stream_https_scan diverged at workers={workers} chunk={chunk}"
+                "streamed funnel diverged at workers={workers} chunk={chunk}"
             );
         }
     }
@@ -137,11 +173,10 @@ fn streaming_grid_is_memoization_invariant() {
         assert_eq!(direct_totals.memo_hits, 0, "{era}/{profile}");
         assert_eq!(direct_totals.memo_misses, 0, "{era}/{profile}");
         for (workers, chunk) in [(1usize, 0usize), (2, 64), (8, 4096)] {
-            let memoized = ScanEngine::streaming(config.clone(), INITIAL, workers)
-                .with_stream_chunk(chunk)
-                .with_memoization(true);
+            let memoized =
+                ScanEngine::streaming(config.clone(), INITIAL, workers).with_memoization(true);
             assert_eq!(
-                *memoized.stream_quicreach(cell(era, profile)),
+                streamed_in_chunks(&memoized, cell(era, profile), chunk),
                 *want,
                 "memoized stream {era}/{profile} diverged at workers={workers} chunk={chunk}"
             );
@@ -185,19 +220,18 @@ fn streaming_scenario_axes_are_worker_and_chunk_invariant() {
         seed: 0x9121,
         ..WorldConfig::default()
     };
-    let reference = ScanEngine::streaming(config.clone(), INITIAL, 1).with_stream_chunk(64);
+    let reference = ScanEngine::streaming(config.clone(), INITIAL, 1);
     for (era, profile) in [
         (CertificateEra::PostQuantum, NetworkProfile::Ideal),
         (CertificateEra::Classical, NetworkProfile::Lossy),
         (CertificateEra::Hybrid, NetworkProfile::Tunneled),
     ] {
-        let want = reference.stream_quicreach(cell(era, profile));
+        let want = streamed_in_chunks(&reference, cell(era, profile), 64);
         for (workers, chunk) in [(2usize, 1usize), (8, 4096), (16, 0)] {
-            let engine =
-                ScanEngine::streaming(config.clone(), INITIAL, workers).with_stream_chunk(chunk);
+            let engine = ScanEngine::streaming(config.clone(), INITIAL, workers);
             assert_eq!(
-                *engine.stream_quicreach(cell(era, profile)),
-                *want,
+                streamed_in_chunks(&engine, cell(era, profile), chunk),
+                want,
                 "stream {era}/{profile} diverged at workers={workers} chunk={chunk}"
             );
         }
@@ -229,11 +263,10 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
         );
         for (workers, chunk) in [(1usize, 0usize), (2, 64), (8, 4096)] {
             for memo in [true, false] {
-                let engine = ScanEngine::streaming(config.clone(), INITIAL, workers)
-                    .with_stream_chunk(chunk)
-                    .with_memoization(memo);
+                let engine =
+                    ScanEngine::streaming(config.clone(), INITIAL, workers).with_memoization(memo);
                 assert_eq!(
-                    *engine.stream_quicreach(cell(era, profile).with_plan(plan)),
+                    streamed_in_chunks(&engine, cell(era, profile).with_plan(plan), chunk),
                     reference,
                     "chaos {plan} diverged at workers={workers} chunk={chunk} memo={memo}"
                 );
@@ -594,13 +627,9 @@ fn one_engine_across_scenarios_equals_fresh_engines() {
         .with_era(CertificateEra::PostQuantum)
         .with_profile(NetworkProfile::Tunneled);
     let chaos = a.with_plan(FaultPlan::MODERATE);
-    let ranges = [(1, 1_000), (1_001, 1_000), (2_001, 1_000)];
     let fresh = |workers| ScanEngine::streaming(config.clone(), INITIAL, workers);
-    let as_ranges = |engine: &ScanEngine| {
-        QuicReachShard::merge_all(engine.fold_ranges(a, &ranges, |records, scratch| {
-            quicreach::fold_chunk(engine.world(), records, a, scratch)
-        }))
-    };
+    // Three 1,000-rank ranges through `fold_ranges`, merged.
+    let as_ranges = |engine: &ScanEngine| streamed_in_chunks(engine, a, 1_000);
     for workers in [1usize, 2] {
         let engine = fresh(workers);
         assert_eq!(

@@ -1,12 +1,14 @@
-//! Pins the `run_exchange` wrapper bit-for-bit against the pre-`SimNet`
-//! two-endpoint event loop.
+//! Pins `run_exchange` — the scheduler itself, one borrowed session on the
+//! stack — bit-for-bit against a reference two-endpoint event loop.
 //!
-//! `reference_run_exchange` below is a verbatim copy of the implementation
-//! that shipped before the `SimNet` refactor (modulo the two fault-counter
-//! fields that did not exist then). Every scenario — ideal ping-pong,
-//! lossy jittery wires, retransmission timers, fault injection, MTU drops,
-//! deadlines and event budgets — must produce an identical trace, finish
-//! time, quiescence flag and RNG stream position through both paths.
+//! `reference_run_exchange` below is a verbatim copy of the first
+//! implementation of the loop (a `BinaryHeap` of pending deliveries; modulo
+//! the two fault-counter fields that did not exist then) — the fixed point
+//! every rewrite of the scheduler is held to, so it is never edited along
+//! with one. Every scenario — ideal ping-pong, lossy jittery wires, retransmission
+//! timers, fault injection, MTU drops, deadlines and event budgets — must
+//! produce an identical trace, finish time, quiescence flag and RNG stream
+//! position through both paths.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -53,7 +55,7 @@ struct ReferenceOutcome {
     quiesced: bool,
 }
 
-/// Verbatim copy of the pre-`SimNet` `run_exchange`.
+/// Verbatim copy of the first `run_exchange`.
 fn reference_run_exchange(
     a: &mut dyn Endpoint,
     b: &mut dyn Endpoint,

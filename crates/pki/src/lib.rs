@@ -30,6 +30,6 @@ pub use ecosystem::{ChainId, Ecosystem, LeafParams};
 pub use era::CertificateEra;
 pub use flyweight::ClassTable;
 pub use world::{
-    ChainClass, ChainShape, DomainChunks, DomainRecord, HttpsDeployment, PopulationModel, Provider,
+    ChainClass, ChainShape, DomainRecord, HttpsDeployment, PopulationModel, Provider,
     QuicDeployment, World, WorldConfig,
 };

@@ -455,8 +455,8 @@ impl World {
 
     /// A world whose population is never materialised: the ecosystem and
     /// configuration are built as usual, but [`World::domains`] stays empty
-    /// and records are derived on demand through
-    /// [`World::stream_domains`]. This is the at-scale entry point — a
+    /// and records are derived on demand, a rank range at a time, through
+    /// [`World::domain_chunk_into`]. This is the at-scale entry point — a
     /// million-domain config costs the same to construct as a ten-domain
     /// one. Chain materialisation ([`World::quic_chain_era`] etc.) works
     /// unchanged, since it only reads the ecosystem and the record itself.
@@ -476,21 +476,17 @@ impl World {
         self.materialized
     }
 
-    /// Derive one domain record by rank (1-based) straight from the
-    /// configuration — exactly the record [`World::generate`] would store
-    /// at `rank`, whether or not this world materialised its population.
-    pub fn domain_at(&self, rank: usize) -> DomainRecord {
-        debug_assert!(rank >= 1 && rank <= self.config.domains);
-        world_metrics().records_generated.inc();
-        Self::generate_domain(&self.config, &SimRng::new(self.config.seed), rank)
-    }
-
     /// Derive the chunk of up to `chunk_size` records starting at
     /// `first_rank` (1-based), clipped to the population; empty when
     /// `first_rank` is past the end. This is the rank-addressable unit of
-    /// [`World::stream_domains`] — because it only reads the
-    /// configuration, concurrent workers can derive disjoint chunks
-    /// without any shared state.
+    /// streaming — because it only reads the configuration, concurrent
+    /// workers can derive disjoint chunks without any shared state.
+    ///
+    /// Every record is derived per rank from a forked RNG stream — the
+    /// same per-record derivation [`World::generate`] runs, whether or not
+    /// this world materialised its population — so chunks tiling
+    /// `1..=domains` concatenate to exactly [`World::domains`] at **any**
+    /// chunk size (pinned by a chunk-size-invariance proptest).
     pub fn domain_chunk(&self, first_rank: usize, chunk_size: usize) -> Vec<DomainRecord> {
         let mut out = Vec::new();
         self.domain_chunk_into(first_rank, chunk_size, &mut out);
@@ -524,26 +520,8 @@ impl World {
         world_metrics().records_generated.add(out.len() as u64);
     }
 
-    /// Stream the population as rank-ordered chunks of `chunk_size`
-    /// records (the last chunk may be shorter) without ever holding more
-    /// than one chunk in memory.
-    ///
-    /// Every record is derived per rank from a forked RNG stream — the
-    /// same per-record derivation [`World::generate`] runs — so the
-    /// concatenation of all chunks is identical to a materialised
-    /// [`World::domains`] at **any** chunk size, and small worlds stay
-    /// byte-for-byte what they were before streaming existed (pinned by a
-    /// chunk-size-invariance proptest).
-    pub fn stream_domains(&self, chunk_size: usize) -> DomainChunks<'_> {
-        DomainChunks {
-            world: self,
-            chunk_size: chunk_size.max(1),
-            next_rank: 1,
-        }
-    }
-
     /// All domain records in rank order (empty for a [`World::streaming`]
-    /// world — use [`World::stream_domains`] there).
+    /// world — use [`World::domain_chunk_into`] there).
     pub fn domains(&self) -> &[DomainRecord] {
         &self.domains
     }
@@ -968,28 +946,6 @@ fn push_decimal(out: &mut String, value: usize) {
     out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
 }
 
-/// Rank-ordered chunks of a world's population, derived on demand (see
-/// [`World::stream_domains`]). Memory held at any instant is one chunk.
-#[derive(Debug)]
-pub struct DomainChunks<'a> {
-    world: &'a World,
-    chunk_size: usize,
-    next_rank: usize,
-}
-
-impl Iterator for DomainChunks<'_> {
-    type Item = Vec<DomainRecord>;
-
-    fn next(&mut self) -> Option<Vec<DomainRecord>> {
-        if self.next_rank > self.world.config.domains {
-            return None;
-        }
-        let chunk = self.world.domain_chunk(self.next_rank, self.chunk_size);
-        self.next_rank = self.next_rank.saturating_add(self.chunk_size);
-        Some(chunk)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1148,11 +1104,18 @@ mod tests {
         assert_eq!(capped.https_chain_shape(bare.unwrap()), None);
     }
 
+    /// The population as rank-ordered `domain_chunk`s of `chunk_size`.
+    fn chunks(world: &World, chunk_size: usize) -> impl Iterator<Item = Vec<DomainRecord>> + '_ {
+        (1..=world.config.domains)
+            .step_by(chunk_size)
+            .map(move |first| world.domain_chunk(first, chunk_size))
+    }
+
     #[test]
     fn streamed_chunks_reproduce_the_materialised_population() {
         let world = small_world();
         for chunk_size in [1usize, 64, 4096, usize::MAX] {
-            let streamed: Vec<DomainRecord> = world.stream_domains(chunk_size).flatten().collect();
+            let streamed: Vec<DomainRecord> = chunks(&world, chunk_size).flatten().collect();
             assert_eq!(streamed.len(), world.domains().len(), "chunk {chunk_size}");
             for (s, m) in streamed.iter().zip(world.domains()) {
                 assert_eq!(s.rank, m.rank);
@@ -1179,7 +1142,7 @@ mod tests {
         // Chunks derived from the shell equal the materialised records,
         // and chains materialise per record exactly as on the eager world.
         let mut streamed = 0usize;
-        for chunk in lazy.stream_domains(512) {
+        for chunk in chunks(&lazy, 512) {
             for record in &chunk {
                 let eager_record = &eager.domains()[record.rank - 1];
                 assert_eq!(record.seed, eager_record.seed);
@@ -1194,7 +1157,9 @@ mod tests {
         }
         assert_eq!(streamed, 2_000);
         // Point derivation agrees too.
-        assert_eq!(lazy.domain_at(1_234).name, eager.domains()[1_233].name);
+        let point = lazy.domain_chunk(1_234, 1);
+        assert_eq!(point.len(), 1);
+        assert_eq!(point[0].name, eager.domains()[1_233].name);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! [`Frame`] is the owned form for callers that keep frames around; its
 //! encoder and decoder are the borrowed ones.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::varint;
 
 /// A QUIC frame.
@@ -318,7 +316,6 @@ impl<'a> Iterator for Frames<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

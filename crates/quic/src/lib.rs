@@ -31,6 +31,8 @@
 //! [`Frame`], [`Packet`] and [`packet::parse_datagram`] forms are wrappers
 //! over the borrowed ones.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod amplification;
 pub mod client;
 pub mod frame;

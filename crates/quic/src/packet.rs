@@ -13,8 +13,6 @@
 //! token and CRYPTO data from the datagram. The owned [`Packet::encode`],
 //! [`assemble_datagram`] and [`parse_datagram`] are wrappers over those.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::frame::{Frame, FrameRef, Frames};
 use crate::varint;
 
@@ -584,7 +582,6 @@ pub fn assemble_datagram(packets: Vec<Packet>, pad_to: Option<usize>) -> Vec<u8>
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -12,8 +12,6 @@
 //! corrupted in flight *is* accepted, and only a clean retransmission
 //! replacing it at the same offset repairs the stream.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::BTreeMap;
 
 /// The reassembled CRYPTO stream of one encryption level.

@@ -8,15 +8,16 @@ pub const MAX: u64 = (1 << 62) - 1;
 
 /// Encoded size of `v` in bytes.
 ///
-/// # Panics
-/// Panics if `v` exceeds [`MAX`].
+/// A value above [`MAX`] is a caller bug — every length, offset and packet
+/// number this crate encodes is far below it — so debug builds assert;
+/// release builds stay total and encode its low 62 bits in the 8-byte form.
 pub fn len(v: u64) -> usize {
+    debug_assert!(v <= MAX, "varint out of range: {v}");
     match v {
         0..=0x3F => 1,
         0x40..=0x3FFF => 2,
         0x4000..=0x3FFF_FFFF => 4,
-        0x4000_0000..=MAX => 8,
-        _ => panic!("varint out of range: {v}"),
+        _ => 8,
     }
 }
 
@@ -92,6 +93,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "varint out of range")]
     fn oversized_value_panics() {
         len(MAX + 1);

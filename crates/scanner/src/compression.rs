@@ -48,11 +48,6 @@ impl AlgorithmSupport {
     }
 }
 
-/// Probe one service with one algorithm offer.
-pub fn probe(world: &World, record: &DomainRecord, algorithm: Algorithm) -> CompressionProbe {
-    probe_sharing(world, record, algorithm, &OnceCell::new())
-}
-
 /// One service's `Algorithm::ALL`-ordered probe row. The service's chain
 /// is issued once, by the first algorithm it supports, and shared.
 fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
@@ -60,7 +55,8 @@ fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
     Algorithm::ALL.map(|algorithm| probe_sharing(world, record, algorithm, &chain))
 }
 
-/// [`probe`] over `record`'s lazily issued chain.
+/// Probe one service with one algorithm offer, over `record`'s lazily
+/// issued chain.
 fn probe_sharing(
     world: &World,
     record: &DomainRecord,
@@ -242,18 +238,12 @@ impl Merge for CompressionShard {
     }
 }
 
-/// Fold one population chunk into a [`CompressionShard`] without retaining
-/// probe rows beyond the chunk. Probing goes through the same
-/// [`probe_records`] helper the materialized path uses.
-pub fn fold_records(world: &World, records: &[&DomainRecord]) -> CompressionShard {
-    fold_iter(world, records.iter().copied())
-}
-
-/// [`fold_records`] over any record iterator: each QUIC service's probe
-/// row is folded straight into the shard, so the streaming pump never
-/// materializes the per-chunk service list or probe-row `Vec` that
-/// [`probe_records`] builds. Row construction is the same
-/// `Algorithm::ALL`-ordered probe row, so the shard is bit-for-bit
+/// Fold one population chunk, handed over as any record iterator, into a
+/// [`CompressionShard`] without retaining probe rows beyond the record:
+/// each QUIC service's probe row is folded straight into the shard, so the
+/// streaming pump never materializes the per-chunk service list or
+/// probe-row `Vec` that [`probe_records`] builds. Row construction is the
+/// same `Algorithm::ALL`-ordered probe row, so the shard is bit-for-bit
 /// [`CompressionShard::from_probes`] over the materialized rows.
 pub fn fold_iter<'a>(
     world: &World,
@@ -297,17 +287,6 @@ impl SyntheticCompression {
     }
 }
 
-/// Compress a sample of served chains (every `stride`-th HTTPS-reachable
-/// domain) with the given algorithm.
-pub fn synthetic_study(
-    world: &World,
-    algorithm: Algorithm,
-    stride: usize,
-) -> Vec<SyntheticCompression> {
-    let sampled = study_sample(world, stride);
-    study_records(world, &sampled, algorithm)
-}
-
 /// The every-`stride`-th HTTPS-reachable sample the synthetic study runs on.
 pub fn study_sample(world: &World, stride: usize) -> Vec<&DomainRecord> {
     world
@@ -318,26 +297,18 @@ pub fn study_sample(world: &World, stride: usize) -> Vec<&DomainRecord> {
         .collect()
 }
 
-/// Compress the served chains of an explicit shard of sampled records.
+/// Compress the served chains of an explicit shard of sampled records
+/// ([`study_sample`]) with `algorithm`, in one [`CertificateEra`].
 ///
 /// Shard-aware entry point: each chain is materialised and compressed
-/// independently, so shards concatenated in sample order reproduce a serial
-/// [`synthetic_study`] bit-for-bit.
+/// independently, so shards concatenated in sample order reproduce a
+/// serial pass over the whole sample bit-for-bit. Across eras the sampled
+/// chains are the same with era-swapped keys and signatures. The brotli
+/// profile's Fig-9-style certificate dictionary was assembled from
+/// *classical* DER fragments, so the achieved ratio degrades on ML-DSA
+/// material — the keys and signatures that dominate PQC chains are
+/// incompressible random bytes the dictionary has never seen.
 pub fn study_records(
-    world: &World,
-    records: &[&DomainRecord],
-    algorithm: Algorithm,
-) -> Vec<SyntheticCompression> {
-    study_records_era(world, records, algorithm, CertificateEra::Classical)
-}
-
-/// [`study_records`] in one [`CertificateEra`]: the same sampled chains
-/// with era-swapped keys and signatures. The brotli profile's Fig-9-style
-/// certificate dictionary was assembled from *classical* DER fragments, so
-/// the achieved ratio degrades on ML-DSA material — the keys and signatures
-/// that dominate PQC chains are incompressible random bytes the dictionary
-/// has never seen.
-pub fn study_records_era(
     world: &World,
     records: &[&DomainRecord],
     algorithm: Algorithm,
@@ -396,7 +367,7 @@ mod tests {
             let row = probe_row(&world, record);
             multi += usize::from(row.iter().filter(|p| p.supported).count() > 1);
             for (shared, algorithm) in row.iter().zip(Algorithm::ALL) {
-                let alone = probe(&world, record, algorithm);
+                let alone = probe_sharing(&world, record, algorithm, &OnceCell::new());
                 assert_eq!(
                     (shared.rank, shared.algorithm, shared.supported),
                     (alone.rank, alone.algorithm, alone.supported)
@@ -428,7 +399,7 @@ mod tests {
     fn dictionary_compression_degrades_on_pq_chains() {
         let world = world();
         let sampled = study_sample(&world, 40);
-        let classical = study_records_era(
+        let classical = study_records(
             &world,
             &sampled,
             Algorithm::Brotli,
@@ -438,7 +409,7 @@ mod tests {
             quicert_analysis::mean(&rows.iter().map(|r| r.ratio()).collect::<Vec<_>>())
         };
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            let pq = study_records_era(&world, &sampled, Algorithm::Brotli, era);
+            let pq = study_records(&world, &sampled, Algorithm::Brotli, era);
             assert_eq!(pq.len(), classical.len());
             // PQC chains are dominated by incompressible ML-DSA material,
             // so the achieved ratio collapses toward 1.0.
@@ -461,9 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_study_keeps_most_chains_under_the_limit() {
+    fn sampled_study_keeps_most_chains_under_the_limit() {
         let world = world();
-        let results = synthetic_study(&world, Algorithm::Brotli, 7);
+        let results = study_records(
+            &world,
+            &study_sample(&world, 7),
+            Algorithm::Brotli,
+            CertificateEra::Classical,
+        );
         assert!(results.len() > 100);
         let limit = 3 * 1357;
         let under = results.iter().filter(|r| r.compressed <= limit).count();

@@ -295,15 +295,10 @@ impl Merge for HttpsScanShard {
     }
 }
 
-/// Fold one population chunk into an [`HttpsScanShard`] without retaining
-/// anything beyond the chunk — [`fold_iter`] over a slice of references.
-pub fn fold_records(world: &World, records: &[&DomainRecord]) -> HttpsScanShard {
-    fold_iter(world, records.iter().copied())
-}
-
-/// The streamed §3.1 funnel over any record iterator (the streaming pump
-/// hands workers owned chunks, so this saves building a
-/// `Vec<&DomainRecord>` per chunk on the hot path).
+/// The streamed §3.1 funnel: fold one population chunk, handed over as
+/// any record iterator (the streaming pump hands workers owned chunks, so
+/// no `Vec<&DomainRecord>` is built per chunk on the hot path), into an
+/// [`HttpsScanShard`] without retaining anything beyond the chunk.
 ///
 /// The funnel's statistics depend on a TLS-reachable domain only through
 /// its redirect hops and two integers of its chain — total DER bytes and

@@ -325,30 +325,6 @@ impl Merge for QuicReachShard {
     }
 }
 
-/// Fold one **population** chunk (QUIC and non-QUIC records alike) into a
-/// [`QuicReachShard`] without retaining per-record results beyond the
-/// chunk.
-///
-/// The QUIC services of the chunk are probed through [`scan_records`] and
-/// immediately folded. Because probe outcomes are chunk-size invariant
-/// (per-record RNG forking) and the shard summary merges exactly, pumping
-/// any chunking of the population through this fold and merging the shards
-/// reproduces [`QuicReachShard::from_results`] over a full materialized
-/// scan bit-for-bit.
-pub fn fold_records(
-    world: &World,
-    records: &[&DomainRecord],
-    scenario: Scenario,
-) -> QuicReachShard {
-    let services: Vec<&DomainRecord> = records
-        .iter()
-        .copied()
-        .filter(|record| record.has_quic())
-        .collect();
-    let results = scan_records(world, &services, scenario);
-    QuicReachShard::from_results(scenario.initial_size, &results)
-}
-
 /// The scenario class of one cold streaming probe: every input that can
 /// change a [`HandshakeOutcome`] under a deterministic network profile.
 ///
@@ -410,20 +386,6 @@ impl ProbeClass {
             lb_overhead: quic.lb_overhead,
         }
     }
-}
-
-/// Record `n` probes issued by one materialized scan family on the
-/// process-wide registry (`quicert_scanner_probes_issued_total{family=…}`).
-/// Registration is idempotent, so the per-shard lock cost is one mutex
-/// acquisition — never on a per-record path.
-fn count_family_probes(family: &str, n: usize) {
-    MetricsRegistry::global()
-        .labeled_counter(
-            "quicert_scanner_probes_issued_total",
-            &[("family", family)],
-            "Handshake probes issued by the materialized scan entry points",
-        )
-        .add(n as u64);
 }
 
 /// Per-(era, profile) streaming-scan instruments: fresh-vs-replayed probe
@@ -564,12 +526,16 @@ impl Default for ProbeScratch {
     }
 }
 
-/// [`fold_records`] without the materialized results: the streaming
-/// pump's hot path. Takes the chunk as a plain record slice (the pump hands
-/// workers owned chunks — no per-chunk `Vec<&DomainRecord>` is ever built)
-/// and routes every probe through the same `probe_for` builder and
-/// outcome→result mapping as the materialized scans, so the folded shard
-/// is bit-for-bit [`fold_records`]'s at any chunk size.
+/// Fold one **population** chunk (QUIC and non-QUIC records alike) into a
+/// [`QuicReachShard`] without materializing per-record results: the
+/// streaming pump's hot path. Takes the chunk as a plain record slice (the
+/// pump hands workers owned chunks — no per-chunk `Vec<&DomainRecord>` is
+/// ever built) and routes every probe through the same `probe_for` builder
+/// and outcome→result mapping as the materialized scans. Probe outcomes are
+/// chunk-size invariant (per-record RNG forking) and the shard summary
+/// merges exactly, so pumping any chunking of the population through this
+/// fold and merging the shards reproduces [`QuicReachShard::from_results`]
+/// over a full materialized [`scan_records`] bit-for-bit.
 ///
 /// When the scratch carries a memo and the scenario is deterministic
 /// (*both* [`NetworkProfile::is_deterministic`] and
@@ -711,12 +677,6 @@ pub fn scan_records(
     records: &[&DomainRecord],
     scenario: Scenario,
 ) -> Vec<QuicReachResult> {
-    let family = if scenario.plan.is_none() {
-        "quicreach"
-    } else {
-        "chaos"
-    };
-    count_family_probes(family, records.len());
     records
         .iter()
         .map(|record| scan_service(world, record, scenario))
@@ -821,7 +781,6 @@ pub fn warm_scan(
     scenario: Scenario,
 ) -> Vec<WarmScanResult> {
     let policy = scenario.warm_policy();
-    count_family_probes("warm", records.len());
     let warm_now_secs = warm_visit_secs(policy);
     records
         .iter()
@@ -936,6 +895,20 @@ mod tests {
         })
     }
 
+    /// The Vec-building reference [`fold_chunk`] must match: the chunk's
+    /// QUIC services scanned into per-record results, folded afterwards.
+    fn materialized_fold(
+        world: &World,
+        chunk: &[DomainRecord],
+        scenario: Scenario,
+    ) -> QuicReachShard {
+        let services: Vec<&DomainRecord> = chunk.iter().filter(|r| r.has_quic()).collect();
+        QuicReachShard::from_results(
+            scenario.initial_size,
+            &scan_records(world, &services, scenario),
+        )
+    }
+
     #[test]
     fn sweep_sizes_match_the_paper() {
         let sizes = sweep_sizes();
@@ -1011,13 +984,12 @@ mod tests {
     fn scratch_fold_matches_fold_records_and_reuse_is_clean() {
         let world = world();
         let owned: Vec<DomainRecord> = world.domains().iter().take(160).cloned().collect();
-        let refs: Vec<&DomainRecord> = owned.iter().collect();
 
         // One scratch folds several chunks back to back; every result must
         // equal both a fresh-scratch fold and the Vec-building fold.
         let mut reused = ProbeScratch::new();
-        for (chunk_refs, chunk) in refs.chunks(50).zip(owned.chunks(50)) {
-            let reference = fold_records(&world, chunk_refs, BASE);
+        for chunk in owned.chunks(50) {
+            let reference = materialized_fold(&world, chunk, BASE);
             let mut fresh = ProbeScratch::new();
             let from_fresh = fold_chunk(&world, chunk, BASE, &mut fresh);
             let from_reused = fold_chunk(&world, chunk, BASE, &mut reused);
@@ -1433,9 +1405,8 @@ mod tests {
     fn chaos_fold_bypasses_memo_and_matches_the_materialized_scan() {
         let world = world();
         let owned: Vec<DomainRecord> = world.domains().iter().take(200).cloned().collect();
-        let refs: Vec<&DomainRecord> = owned.iter().collect();
         for plan in [FaultPlan::NONE, FaultPlan::MODERATE, FaultPlan::DUP_STORM] {
-            let reference = fold_records(&world, &refs, BASE.with_plan(plan));
+            let reference = materialized_fold(&world, &owned, BASE.with_plan(plan));
             let mut memoized = ProbeScratch::new();
             let mut shard = QuicReachShard::identity();
             for chunk in owned.chunks(64) {

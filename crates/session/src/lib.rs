@@ -19,6 +19,8 @@
 //! simulated), so every scan that uses resumption stays reproducible
 //! bit-for-bit at any worker count.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cache;
 pub mod policy;
 pub mod ticket;

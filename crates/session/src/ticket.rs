@@ -26,6 +26,13 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The big-endian `u64` at `bytes[at..at + 8]`.
+fn be_u64(bytes: &[u8], at: usize) -> u64 {
+    bytes[at..at + 8]
+        .iter()
+        .fold(0, |v, &b| v << 8 | u64::from(b))
+}
+
 /// FNV-1a over a byte string (SNI binding).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
@@ -177,7 +184,7 @@ impl TicketIssuer {
         if identity.len() != TICKET_LEN {
             return TicketValidation::Malformed;
         }
-        let epoch = u64::from_be_bytes(identity[0..8].try_into().unwrap());
+        let epoch = be_u64(identity, 0);
         let current = self.config.epoch_at(now_secs);
         if epoch > current {
             return TicketValidation::Malformed;
@@ -193,8 +200,8 @@ impl TicketIssuer {
         if identity[8 + PLAINTEXT_LEN..] != Self::tag(key, &plaintext) {
             return TicketValidation::Malformed;
         }
-        let issued_at = u64::from_be_bytes(plaintext[0..8].try_into().unwrap());
-        let sni_hash = u64::from_be_bytes(plaintext[8..16].try_into().unwrap());
+        let issued_at = be_u64(&plaintext, 0);
+        let sni_hash = be_u64(&plaintext, 8);
         if sni_hash != fnv1a(sni.as_bytes()) {
             return TicketValidation::WrongSni;
         }

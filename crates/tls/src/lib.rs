@@ -14,6 +14,8 @@
 //! The crate also carries the browser client profiles of Table 1
 //! ([`browser::BrowserProfile`]).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod browser;
 pub mod flight;
 pub mod messages;

@@ -19,6 +19,8 @@
 //! A minimal reader ([`DerReader`], [`parse_one`]) parses the same subset
 //! back, for tests and the parser corpus.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 /// ASN.1 universal tag numbers (with constructed bit where conventional).
 pub mod tag {
     /// BOOLEAN
@@ -100,7 +102,7 @@ impl Writer {
             let octets = length_octets(len);
             self.buf.push(0x80 | octets as u8);
             self.buf
-                .extend_from_slice(&(len as u32).to_be_bytes()[4 - octets..]);
+                .extend_from_slice(&len.to_be_bytes()[LENGTH_WIDTH - octets..]);
         }
     }
 
@@ -121,11 +123,11 @@ impl Writer {
             self.buf[length_at] = len as u8;
         } else {
             let octets = length_octets(len);
-            self.buf.extend_from_slice(&[0; 4][..octets]);
+            self.buf.extend_from_slice(&[0; LENGTH_WIDTH][..octets]);
             self.buf.copy_within(start..start + len, start + octets);
             self.buf[length_at] = 0x80 | octets as u8;
             self.buf[start..start + octets]
-                .copy_from_slice(&(len as u32).to_be_bytes()[4 - octets..]);
+                .copy_from_slice(&len.to_be_bytes()[LENGTH_WIDTH - octets..]);
         }
         result
     }
@@ -213,12 +215,15 @@ pub const fn context_tag(n: u8, constructed: bool) -> u8 {
     0x80 | n | if constructed { 0x20 } else { 0x00 }
 }
 
+/// Octets of a `usize` length, big-endian.
+const LENGTH_WIDTH: usize = std::mem::size_of::<usize>();
+
 /// Octets of the long-form length field (after the `0x80 | n` octet) that
-/// a content length of 128 or more needs.
+/// a content length of 128 or more needs: `len` big-endian, leading zero
+/// octets dropped.
 fn length_octets(len: usize) -> usize {
     debug_assert!(len >= 0x80);
-    let len = u32::try_from(len).expect("DER content over 4 GiB");
-    (4 - len.leading_zeros() / 8) as usize
+    LENGTH_WIDTH - len.leading_zeros() as usize / 8
 }
 
 /// The bytes `write` appends to a fresh [`Writer`] — the body of every

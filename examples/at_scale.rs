@@ -6,11 +6,12 @@
 //! ```
 //!
 //! The population is never materialised: `World::streaming` holds only the
-//! configuration and the CA ecosystem, `stream_domains` derives records in
-//! chunks, and every chunk folds into mergeable summaries
-//! (`QuicReachShard`, `HttpsScanShard`) that are bit-for-bit identical to
-//! what a materialized scan of the same world would produce — at any
-//! worker count and chunk size.
+//! configuration and the CA ecosystem, each scan worker derives the rank
+//! ranges it claims into one reused buffer (`domain_chunk_into`), and
+//! every chunk folds into mergeable summaries (`QuicReachShard`,
+//! `HttpsScanShard`) that are bit-for-bit identical to what a materialized
+//! scan of the same world would produce — at any worker count and claim
+//! size.
 
 use quicert::core::experiments::scale;
 use quicert::core::{Campaign, CampaignConfig, ScanEngine};
@@ -25,7 +26,8 @@ fn main() {
 
     // One streaming engine: the world shell costs nothing to build; the
     // scan workers claim record chunks off a shared cursor (adaptively
-    // sized by default) and keep only the folded summaries.
+    // sized: large early, tapering near the tail) and keep only the folded
+    // summaries.
     let engine = ScanEngine::streaming(
         WorldConfig {
             domains: POPULATION,
@@ -34,14 +36,11 @@ fn main() {
         INITIAL,
         0, // one worker per core
     );
-    let chunk = match engine.stream_chunk() {
-        Some(size) => size.to_string(),
-        None => "adaptive".to_string(),
-    };
     println!(
-        "memory model: {} workers x {chunk}-record chunks in flight; population \
-         materialised: {}",
+        "memory model: {} workers x one claimed chunk (at most {} records) in \
+         flight; population materialised: {}",
         engine.workers(),
+        quicert::core::engine::MAX_ADAPTIVE_CHUNK,
         engine.world().populated(),
     );
 
@@ -84,9 +83,10 @@ fn main() {
         reach.wire_received.max(),
         reach.rtts.mean(),
     );
-    // The scenario-class flyweight: only the first record of each class
-    // was simulated; the hits replayed a cached outcome (bit-identically —
-    // toggle with `with_memoization(false)` and compare).
+    // The scenario-class flyweight: a record whose class the engine's memo
+    // already held replayed the stored 88-byte result under its own rank;
+    // only the misses were simulated (bit-identically — toggle with
+    // `with_memoization(false)` and compare).
     if let Some(stats) = engine.pump_stats() {
         let totals = stats.totals();
         let (hits, misses) = (totals.memo_hits, totals.memo_misses);
