@@ -1,11 +1,19 @@
 //! MSB-first bit-level I/O used by the Huffman stage.
 
 /// Writes bits MSB-first into a byte vector.
+///
+/// Bits collect in a 64-bit accumulator and leave it four bytes at a time,
+/// so a write is a shift and an or, not a loop over its bits.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    current: u8,
-    filled: u8,
+    /// Length of `out` when this writer took it over.
+    start: usize,
+    /// Pending bits in the low `filled` positions, oldest highest; above
+    /// them, bits that have already been written out.
+    acc: u64,
+    /// Pending bit count, below 32 between calls.
+    filled: u32,
 }
 
 impl BitWriter {
@@ -14,31 +22,43 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// A writer that appends its bits after the bytes already in `out`;
+    /// [`BitWriter::finish`] hands the whole buffer back.
+    pub(crate) fn appending_to(out: Vec<u8>) -> Self {
+        BitWriter {
+            start: out.len(),
+            out,
+            ..BitWriter::default()
+        }
+    }
+
     /// Append the lowest `len` bits of `code`, MSB first. `len` ≤ 32.
+    #[inline]
     pub fn write_bits(&mut self, code: u32, len: u8) {
         debug_assert!(len <= 32);
-        for i in (0..len).rev() {
-            let bit = ((code >> i) & 1) as u8;
-            self.current = (self.current << 1) | bit;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.out.push(self.current);
-                self.current = 0;
-                self.filled = 0;
-            }
+        let bits = u64::from(code) & ((1u64 << len) - 1);
+        self.acc = (self.acc << len) | bits;
+        self.filled += u32::from(len);
+        if self.filled >= 32 {
+            self.filled -= 32;
+            let word = (self.acc >> self.filled) as u32;
+            self.out.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.out.len() * 8 + self.filled as usize
+        (self.out.len() - self.start) * 8 + self.filled as usize
     }
 
     /// Pad the final partial byte with zeros and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.filled >= 8 {
+            self.filled -= 8;
+            self.out.push((self.acc >> self.filled) as u8);
+        }
         if self.filled > 0 {
-            self.current <<= 8 - self.filled;
-            self.out.push(self.current);
+            self.out.push((self.acc << (8 - self.filled)) as u8);
         }
         self.out
     }
@@ -137,5 +157,31 @@ mod tests {
         w.write_bits(0b101, 3);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b1010_0000]);
+    }
+
+    #[test]
+    fn every_width_at_every_alignment_matches_a_bit_at_a_time() {
+        // 33 widths x 8 starting alignments, checked against the obvious
+        // one-bit-per-step packing.
+        for lead in 0..8u8 {
+            let mut w = BitWriter::appending_to(vec![0xEE]);
+            let mut bits: Vec<u8> = Vec::new();
+            let mut write = |w: &mut BitWriter, code: u32, len: u8| {
+                w.write_bits(code, len);
+                bits.extend((0..len).rev().map(|i| ((code >> i) & 1) as u8));
+            };
+            write(&mut w, 0x55, lead);
+            for len in 0..=32u8 {
+                // Bits above `len` are set too: only the low `len` count.
+                write(&mut w, 0xDEAD_BEEF_u32.rotate_left(u32::from(len)), len);
+            }
+            assert_eq!(w.bit_len(), bits.len());
+            let mut expected = vec![0xEE];
+            for byte in bits.chunks(8) {
+                let packed = byte.iter().fold(0u8, |acc, bit| (acc << 1) | bit);
+                expected.push(packed << (8 - byte.len()));
+            }
+            assert_eq!(w.finish(), expected, "lead {lead}");
+        }
     }
 }

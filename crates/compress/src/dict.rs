@@ -186,9 +186,6 @@ pub fn cert_dictionary() -> &'static [u8] {
     })
 }
 
-/// Convenience alias used by [`crate::Algorithm::dictionary`].
-pub static CERT_DICTIONARY_LEN_HINT: usize = 4096;
-
 /// Dictionary n-gram width used by [`coverage`].
 pub const COVERAGE_GRAM: usize = 4;
 

@@ -17,11 +17,26 @@
 //! `varint(lit_len) literals [varint(match_len) varint(dist)]`, terminated
 //! implicitly when the decoder has produced `orig` bytes. A `match_len`
 //! varint of 0 encodes "no match" (only meaningful before end of stream).
+//!
+//! The decoder takes every field as hostile: `orig` and the LZ stream
+//! length may not exceed 2^24 − 1 (RFC 8879's `uncompressed_length` is a
+//! uint24), and no buffer is reserved from either beyond what the bytes
+//! actually present could decode to.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::Code;
-use crate::lz77::{self, Token};
+use crate::lz77;
 use crate::Algorithm;
+
+const MODE_STORED: u8 = 0;
+const MODE_LZ: u8 = 1;
+const MODE_HUFFMAN: u8 = 2;
+
+/// Largest length a container may declare, for its output or for the LZ
+/// stream under a Huffman pass: RFC 8879 carries `uncompressed_length` in
+/// 24 bits, so nothing a handshake can deliver is larger, and a decoder
+/// that believed more would size buffers from attacker-chosen numbers.
+const MAX_DECLARED_LEN: usize = (1 << 24) - 1;
 
 /// Errors while decoding a compressed container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +47,8 @@ pub enum CompressError {
     BadMode(u8),
     /// Varint overruns or exceeds 2^32.
     BadVarint,
-    /// LZ stream refers outside the window, or is truncated.
+    /// LZ stream refers outside the window, is truncated, or a declared
+    /// length exceeds the 24-bit bound of RFC 8879.
     BadStream,
     /// Huffman bitstream is malformed.
     BadBits,
@@ -81,26 +97,34 @@ fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, CompressError> {
     }
 }
 
-/// Serialise LZ tokens into the byte stream described in the module docs.
-fn serialize_tokens(tokens: &[Token], min_match: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut literals: Vec<u8> = Vec::new();
-    for token in tokens {
-        match *token {
-            Token::Literal(b) => literals.push(b),
-            Token::Match { len, dist } => {
-                push_varint(&mut out, literals.len() as u64);
-                out.extend_from_slice(&literals);
-                literals.clear();
-                // +1 so that 0 remains the "no match" sentinel.
-                push_varint(&mut out, (len - min_match + 1) as u64);
-                push_varint(&mut out, dist as u64);
-            }
-        }
+/// A length field: a varint no larger than [`MAX_DECLARED_LEN`].
+fn read_declared_len(input: &[u8], pos: &mut usize) -> Result<usize, CompressError> {
+    match usize::try_from(read_varint(input, pos)?) {
+        Ok(len) if len <= MAX_DECLARED_LEN => Ok(len),
+        _ => Err(CompressError::BadStream),
     }
+}
+
+/// Run the match finder over `input` and serialise its parse into the byte
+/// stream described in the module docs. Literal runs are slices of `input`,
+/// copied once, straight into the stream.
+fn lz_stream(dict: &[u8], input: &[u8], params: lz77::Params) -> Vec<u8> {
+    // All-literal input is the usual worst case: the bytes plus two varints.
+    let mut out = Vec::with_capacity(input.len() + 16);
+    let mut literals_from = 0;
+    lz77::for_each_match(dict, input, params, |at, len, dist| {
+        let literals = &input[literals_from..at];
+        push_varint(&mut out, literals.len() as u64);
+        out.extend_from_slice(literals);
+        // +1 so that 0 remains the "no match" sentinel.
+        push_varint(&mut out, (len - MIN_MATCH_BASE + 1) as u64);
+        push_varint(&mut out, dist as u64);
+        literals_from = at + len;
+    });
+    let literals = &input[literals_from..];
     if !literals.is_empty() {
         push_varint(&mut out, literals.len() as u64);
-        out.extend_from_slice(&literals);
+        out.extend_from_slice(literals);
         push_varint(&mut out, 0); // trailing no-match marker
     }
     out
@@ -109,10 +133,16 @@ fn serialize_tokens(tokens: &[Token], min_match: usize) -> Vec<u8> {
 /// Decode an LZ token stream into `out` until `target_len` bytes have been
 /// produced. The decode window is `dict || out`.
 fn decode_tokens(stream: &[u8], dict: &[u8], target_len: usize) -> Result<Vec<u8>, CompressError> {
-    let mut out: Vec<u8> = Vec::with_capacity(target_len);
+    // `target_len` is only a claim. Literals are the one kind of output the
+    // stream's own size vouches for, so reserve no more than that; matches
+    // grow the buffer as each is validated.
+    let mut out: Vec<u8> = Vec::with_capacity(target_len.min(stream.len()));
     let mut pos = 0usize;
+    let read_usize = |pos: &mut usize| {
+        usize::try_from(read_varint(stream, pos)?).map_err(|_| CompressError::BadVarint)
+    };
     while out.len() < target_len {
-        let lit_len = read_varint(stream, &mut pos)? as usize;
+        let lit_len = read_usize(&mut pos)?;
         if lit_len > target_len - out.len() {
             return Err(CompressError::BadStream);
         }
@@ -124,18 +154,20 @@ fn decode_tokens(stream: &[u8], dict: &[u8], target_len: usize) -> Result<Vec<u8
         if out.len() >= target_len {
             break;
         }
-        let len_code = read_varint(stream, &mut pos)? as usize;
+        let len_code = read_usize(&mut pos)?;
         if len_code == 0 {
             // Explicit no-match marker; continue with next literal run.
             continue;
         }
-        let dist = read_varint(stream, &mut pos)? as usize;
+        let dist = read_usize(&mut pos)?;
         if dist == 0 || dist > dict.len() + out.len() {
             return Err(CompressError::BadStream);
         }
         // min_match is not known to the decoder; the encoder embeds it by
         // biasing len_code relative to MIN_MATCH_BASE.
-        let len = len_code + MIN_MATCH_BASE - 1;
+        let len = len_code
+            .checked_add(MIN_MATCH_BASE - 1)
+            .ok_or(CompressError::BadStream)?;
         if len > target_len - out.len() {
             return Err(CompressError::BadStream);
         }
@@ -158,15 +190,11 @@ fn decode_tokens(stream: &[u8], dict: &[u8], target_len: usize) -> Result<Vec<u8
 const MIN_MATCH_BASE: usize = 4;
 
 /// Compress `input` under the given algorithm profile.
+///
+/// Any input compresses, but [`decompress`] — like the `uncompressed_length`
+/// field of RFC 8879 — stops at 2^24 − 1 bytes.
 pub fn compress(algorithm: Algorithm, input: &[u8]) -> Vec<u8> {
-    let params = algorithm.params();
-    let dict = algorithm.dictionary();
-    let tokens = lz77::tokenize(dict, input, params);
-    let lz_stream = serialize_tokens(&tokens, MIN_MATCH_BASE);
-
-    let mut header = Vec::with_capacity(8);
-    header.extend_from_slice(b"QC");
-    header.push(algorithm.code_point() as u8);
+    let lz_stream = lz_stream(algorithm.dictionary(), input, algorithm.params());
 
     // Candidate 2: Huffman over the LZ stream.
     let mut freqs = [0u64; 256];
@@ -177,31 +205,35 @@ pub fn compress(algorithm: Algorithm, input: &[u8]) -> Vec<u8> {
     let huff_bits = code.cost_bits(&freqs);
     let huff_len = 128 + varint_len(lz_stream.len() as u64) + huff_bits.div_ceil(8) as usize;
 
-    let (mode, payload): (u8, Vec<u8>) = if huff_len < lz_stream.len() && huff_len < input.len() {
-        let mut payload = Vec::with_capacity(huff_len);
-        // 4-bit code lengths, two symbols per byte.
-        for pair in 0..128 {
-            let hi = code.lengths[pair * 2];
-            let lo = code.lengths[pair * 2 + 1];
-            payload.push((hi << 4) | lo);
-        }
-        push_varint(&mut payload, lz_stream.len() as u64);
-        let mut w = BitWriter::new();
-        for &b in &lz_stream {
-            code.write_symbol(&mut w, b);
-        }
-        payload.extend_from_slice(&w.finish());
-        (2, payload)
+    let (mode, payload_len) = if huff_len < lz_stream.len() && huff_len < input.len() {
+        (MODE_HUFFMAN, huff_len)
     } else if lz_stream.len() < input.len() {
-        (1, lz_stream)
+        (MODE_LZ, lz_stream.len())
     } else {
-        (0, input.to_vec())
+        (MODE_STORED, input.len())
     };
 
-    let mut out = header;
+    let mut out = Vec::with_capacity(4 + varint_len(input.len() as u64) + payload_len);
+    out.extend_from_slice(b"QC");
+    out.push(algorithm.code_point() as u8);
     out.push(mode);
     push_varint(&mut out, input.len() as u64);
-    out.extend_from_slice(&payload);
+    match mode {
+        MODE_HUFFMAN => {
+            // 4-bit code lengths, two symbols per byte.
+            for pair in code.lengths.chunks_exact(2) {
+                out.push((pair[0] << 4) | pair[1]);
+            }
+            push_varint(&mut out, lz_stream.len() as u64);
+            let mut bits = BitWriter::appending_to(out);
+            for &b in &lz_stream {
+                code.write_symbol(&mut bits, b);
+            }
+            out = bits.finish();
+        }
+        MODE_LZ => out.extend_from_slice(&lz_stream),
+        _ => out.extend_from_slice(input),
+    }
     out
 }
 
@@ -212,23 +244,24 @@ fn varint_len(v: u64) -> usize {
 /// Decompress a container produced by [`compress`]. The caller must supply
 /// the same dictionary the algorithm profile used (obtainable via
 /// [`Algorithm::dictionary`]; the algorithm is also recorded in the header).
+/// The container is untrusted; the module docs give the limits it is held to.
 pub fn decompress(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, CompressError> {
     if data.len() < 5 || &data[0..2] != b"QC" {
         return Err(CompressError::BadHeader);
     }
     let mode = data[3];
     let mut pos = 4usize;
-    let orig_len = read_varint(data, &mut pos)? as usize;
+    let orig_len = read_declared_len(data, &mut pos)?;
     match mode {
-        0 => {
+        MODE_STORED => {
             let raw = data.get(pos..).ok_or(CompressError::BadStream)?;
             if raw.len() != orig_len {
                 return Err(CompressError::BadStream);
             }
             Ok(raw.to_vec())
         }
-        1 => decode_tokens(&data[pos..], dict, orig_len),
-        2 => {
+        MODE_LZ => decode_tokens(&data[pos..], dict, orig_len),
+        MODE_HUFFMAN => {
             let table = data.get(pos..pos + 128).ok_or(CompressError::BadHeader)?;
             let mut lengths = [0u8; 256];
             for (i, &b) in table.iter().enumerate() {
@@ -236,10 +269,16 @@ pub fn decompress(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, CompressError> {
                 lengths[i * 2 + 1] = b & 0x0F;
             }
             pos += 128;
-            let lz_len = read_varint(data, &mut pos)? as usize;
+            let lz_len = read_declared_len(data, &mut pos)?;
+            let bitstream = &data[pos..];
+            // Every symbol takes at least one bit: a longer LZ stream than
+            // the bitstream has bits cannot decode, so is never reserved.
+            if lz_len > bitstream.len() * 8 {
+                return Err(CompressError::BadBits);
+            }
             let code = Code::from_lengths(lengths);
             let decoder = code.decoder();
-            let mut reader = BitReader::new(&data[pos..]);
+            let mut reader = BitReader::new(bitstream);
             let mut lz_stream = Vec::with_capacity(lz_len);
             for _ in 0..lz_len {
                 lz_stream.push(

@@ -20,6 +20,18 @@
 //!
 //! Compression is fully invertible; decompression and round-trip behaviour
 //! are covered by unit and property tests.
+//!
+//! A [`compress`] call costs what its input costs: the match finder's
+//! tables belong to the calling thread and are reused without being
+//! cleared, and the built-in dictionary is indexed once per process. None
+//! of that is observable — which bytes come out is fixed by the encoder
+//! contracts in [`lz77`] and [`huffman`] and pinned by digest in
+//! `tests/compress_identity.rs`. [`decompress`] treats its input as hostile:
+//! declared lengths are bounded by RFC 8879's 24-bit field and never
+//! reserved on trust.
+
+// The decoder reads bytes off the wire: nothing outside tests may unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bitio;
 pub mod dict;
@@ -145,6 +157,16 @@ pub fn compress_with(algorithm: Algorithm, input: &[u8]) -> Compressed {
         original_len: input.len(),
         data,
     }
+}
+
+/// Deterministic filler for the stage tests (splitmix64).
+#[cfg(test)]
+pub(crate) fn splitmix(z: &mut u64) -> u64 {
+    *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x = *z;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
-use quicert_pki::{CertificateEra, World, WorldConfig};
+use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
+use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
 use quicert_scanner::Scenario;
@@ -143,6 +144,34 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
                 "streamed funnel diverged at workers={workers} chunk={chunk}"
             );
         }
+    }
+}
+
+/// The streamed Table 1 at workers {1, 2, 8}: every worker compresses
+/// through match tables its thread keeps from one certificate to the next,
+/// in whatever order it happens to claim chunks — and every count and byte
+/// total must still be the materialized probe rows', folded in rank order.
+#[test]
+fn stream_compression_support_is_worker_invariant() {
+    let config = WorldConfig {
+        domains: 1_500,
+        seed: 0x9121,
+        ..WorldConfig::default()
+    };
+    let world = World::generate(config.clone());
+    let services: Vec<&DomainRecord> = world.quic_services().collect();
+    let reference = CompressionShard::from_probes(&compression::probe_records(&world, &services));
+    for column in &reference.algorithms {
+        assert!(column.supported > 0, "{} is offered", column.algorithm);
+        assert!(column.compressed_bytes < column.uncompressed_bytes);
+    }
+    for workers in [1usize, 2, 8] {
+        let engine = ScanEngine::streaming(config.clone(), INITIAL, workers);
+        assert_eq!(
+            *engine.stream_compression_support(),
+            reference,
+            "streamed compression support diverged at workers={workers}"
+        );
     }
 }
 

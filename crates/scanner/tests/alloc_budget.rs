@@ -5,6 +5,10 @@
 //! a warm `https_scan::fold_iter` allocates its shard's two sketches and
 //! nothing per record.
 //!
+//! And the budget of one `compress` call on a warm thread: the serialised
+//! LZ stream and the container, nothing else — the match tables belong to
+//! the thread, not the call.
+//!
 //! Counts, not timings — exact on any host. Before the encoder wrote into
 //! one buffer (`der::Writer`) and `Certificate::assemble` recorded field
 //! sizes as it encoded, one chain cost ~459 allocations and its summary
@@ -13,27 +17,33 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use quicert_compress::{compress, Algorithm};
 use quicert_pki::{World, WorldConfig};
 use quicert_scanner::https_scan::{self, ChainSummary};
+use quicert_tls::certificate_message;
 
 thread_local! {
     /// Allocations (fresh or grown) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell<u64>` with no destructor, so touching it never allocates.
+// `GlobalAlloc` contract; the counters are const-initialised thread-local
+// `Cell<u64>`s with no destructor, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATED_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        ALLOCATED_BYTES.with(|n| n.set(n.get() + new_size as u64));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -119,4 +129,53 @@ fn a_warm_streamed_funnel_allocates_nothing_per_record() {
         "streamed funnel over {tls} TLS domains: {cold_allocations} allocations cold \
          ({classes} chain classes), {whole} warm"
     );
+}
+
+#[test]
+fn a_warm_compress_call_allocates_its_output_and_no_table() {
+    // What `certs_40k_survey` compresses: the Certificate message of a QUIC
+    // service's chain, under each profile. The first pass sizes this
+    // thread's match tables to the largest message; from then on a call
+    // allocates the LZ stream and the container and nothing else. (A
+    // 512 KiB bucket table plus 8 B per position, allocated per call, is
+    // ~180x the length of a 3 KB message.)
+    let world = World::generate(WorldConfig {
+        domains: 20_000,
+        seed: 0x5CA1,
+        ..WorldConfig::default()
+    });
+    let messages: Vec<Vec<u8>> = world
+        .quic_services()
+        .take(256)
+        .map(|record| certificate_message(&world.quic_chain(record).expect("QUIC service")))
+        .collect();
+    for pass in ["cold", "warm"] {
+        let (mut calls, mut allocations, mut bytes, mut input_bytes) = (0u64, 0, 0, 0);
+        for message in &messages {
+            for algorithm in Algorithm::ALL {
+                let before = ALLOCATED_BYTES.with(Cell::get);
+                let (container, n) = counted(|| compress(algorithm, message));
+                let asked = ALLOCATED_BYTES.with(Cell::get) - before;
+                if pass == "warm" {
+                    assert_eq!(n, 2, "{algorithm}: {n} allocations in one call");
+                    assert!(
+                        asked <= 4 * message.len() as u64,
+                        "{algorithm}: {asked} B allocated for {} B of input",
+                        message.len()
+                    );
+                }
+                assert!(container.len() < message.len());
+                calls += 1;
+                allocations += n;
+                bytes += asked;
+                input_bytes += message.len() as u64;
+            }
+        }
+        eprintln!(
+            "compress, {pass} thread: {:.2} allocations per call, {:.2} B allocated per \
+             input byte, {calls} calls",
+            allocations as f64 / calls as f64,
+            bytes as f64 / input_bytes as f64
+        );
+    }
 }

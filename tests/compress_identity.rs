@@ -96,7 +96,7 @@ fn edge_shapes() -> Vec<(String, Vec<u8>)> {
     .into_iter()
     .enumerate()
     {
-        skew.extend(std::iter::repeat(sym as u8 * 17).take(count));
+        skew.extend(std::iter::repeat_n(sym as u8 * 17, count));
     }
     let order = noise(0x5CE, skew.len());
     let mut keyed: Vec<(u8, u8)> = order.into_iter().zip(skew).collect();

@@ -21,6 +21,7 @@ use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use quicert::compress::{compress, decompress, Algorithm, CompressError};
 use quicert::netsim::{Datagram, Endpoint, SimDuration, SimTime};
 use quicert::quic::packet::{
     parse_datagram, parse_datagram_ref, ConnectionId, PacketType, ParsedPacket, AEAD_TAG_LEN,
@@ -137,6 +138,47 @@ fn seed_padding_runs_datagram() -> Vec<u8> {
     Packet::new(PacketType::Initial, cid(1), cid(2), 0, frames).encode()
 }
 
+/// What each container of `compressed_container.bin` decompresses to, one
+/// per container mode: bytes with nothing to find (stored), a short
+/// repetition the 128-byte Huffman table would not pay for (LZ only), and
+/// patternless text over a skewed sixteen-letter alphabet (few matches,
+/// cheap literals: LZ + Huffman).
+fn compression_inputs() -> [Vec<u8>; 3] {
+    let stored = positions(0x57_02ED, 256, 48).into_iter().map(|b| b as u8);
+    let letters = positions(0x7E_87, 16, 2_000).into_iter();
+    [
+        stored.collect(),
+        b"corpus.example, corpus.example, corpus.example".to_vec(),
+        letters.map(|i| b"eeeettaaoinshr d"[i]).collect(),
+    ]
+}
+
+/// The three containers back to back, each behind a two-byte length, all
+/// under the brotli profile so that matches reach into the dictionary.
+fn seed_compressed_containers() -> Vec<u8> {
+    let mut out = Vec::new();
+    for input in compression_inputs() {
+        let container = compress(Algorithm::Brotli, &input);
+        out.extend_from_slice(&(container.len() as u16).to_be_bytes());
+        out.extend_from_slice(&container);
+    }
+    out
+}
+
+/// Split a (possibly mangled) `compressed_container.bin` at its length
+/// prefixes; a prefix that overruns the file ends the walk.
+fn containers(mut bytes: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    while let Some((&[hi, lo], rest)) = bytes.split_first_chunk::<2>() {
+        let Some(container) = rest.get(..usize::from(u16::from_be_bytes([hi, lo]))) else {
+            break;
+        };
+        out.push(container);
+        bytes = &rest[container.len()..];
+    }
+    out
+}
+
 /// Every corpus file: name on disk and the encoder that (re)generates it.
 fn corpus_seeds() -> Vec<(&'static str, Vec<u8>)> {
     vec![
@@ -154,6 +196,7 @@ fn corpus_seeds() -> Vec<(&'static str, Vec<u8>)> {
             ack
         }),
         ("padding_runs_datagram.bin", seed_padding_runs_datagram()),
+        ("compressed_container.bin", seed_compressed_containers()),
     ]
 }
 
@@ -284,6 +327,15 @@ fn corpus_seeds_are_valid_inputs() {
     assert!(flight.iter().all(|pkt| pkt.crypto_data_len() > 0));
     let ack = parse_datagram(&corpus("padded_ack_datagram.bin")).expect("checked above");
     assert!(ack.last().is_some_and(|pkt| pkt.padding_len() > 1_000));
+
+    let compressed = corpus("compressed_container.bin");
+    let containers = containers(&compressed);
+    assert_eq!(containers.len(), 3);
+    let dict = Algorithm::Brotli.dictionary();
+    for ((mode, container), input) in (0u8..).zip(containers).zip(compression_inputs()) {
+        assert_eq!(container[3], mode, "one container per mode, in order");
+        assert_eq!(decompress(container, dict), Ok(input));
+    }
 }
 
 /// Recursively walk a parsed DER value, counting nodes; `children()` on a
@@ -378,6 +430,54 @@ fn x509_der_parser_rejects_overlong_length_claims() {
         let parsed = result.unwrap_or_else(|_| panic!("DER parser panicked on {bytes:02x?}"));
         assert!(parsed.is_err(), "overlong DER accepted: {bytes:02x?}");
     }
+}
+
+#[test]
+fn certificate_decompressor_never_panics_on_mangled_corpus() {
+    let compressed = corpus("compressed_container.bin");
+    let dict = Algorithm::Brotli.dictionary();
+    assert_no_panics("compressed_container", &compressed, |bytes| {
+        for container in containers(bytes) {
+            // With and without the dictionary the encoder used: match
+            // distances then point outside the decode window.
+            let _ = decompress(container, dict);
+            let _ = decompress(container, &[]);
+        }
+    });
+}
+
+/// `1 << 46` as the container's LEB128 varint.
+const HUGE_LEN: [u8; 7] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
+
+#[test]
+fn decompressor_refuses_a_declared_output_length_bomb() {
+    // Eleven bytes that used to abort the process: an LZ container whose
+    // header claims 64 TiB of output, which the decoder reserved up front.
+    let bomb = [b"QC\x01\x01".as_slice(), &HUGE_LEN].concat();
+    assert_eq!(decompress(&bomb, &[]), Err(CompressError::BadStream));
+    // The largest length RFC 8879 can carry is still only a claim: nothing
+    // is reserved for it, and the empty stream behind it is truncated.
+    let claim = [b"QC\x01\x01".as_slice(), &[0xFF, 0xFF, 0xFF, 0x07]].concat();
+    assert_eq!(decompress(&claim, &[]), Err(CompressError::BadVarint));
+}
+
+#[test]
+fn decompressor_refuses_a_declared_huffman_stream_length_bomb() {
+    // Same abort one layer down: a Huffman container with a modest output
+    // length whose LZ stream length, read after the code-length table,
+    // claims 64 TiB.
+    let table = [0x11u8; 128];
+    let bomb = [b"QC\x01\x02\x0a".as_slice(), &table, &HUGE_LEN].concat();
+    assert_eq!(decompress(&bomb, &[]), Err(CompressError::BadStream));
+    // A claim inside the 24-bit bound, but longer than the bits present
+    // could ever decode to, is a truncated bitstream — not a reservation.
+    let claim = [
+        b"QC\x01\x02\x0a".as_slice(),
+        &table,
+        &[0xFF, 0xFF, 0x3F, 0xAA],
+    ]
+    .concat();
+    assert_eq!(decompress(&claim, &[]), Err(CompressError::BadBits));
 }
 
 #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use quicert::compress::lz77::{detokenize, tokenize, Params};
 use quicert::compress::{compress, decompress, Algorithm};
 use quicert::netsim::SimRng;
 use quicert::x509::der;
@@ -37,6 +38,60 @@ proptest! {
                 prop_assert!(c.len() < input.len());
             }
         }
+    }
+
+    #[test]
+    fn compression_is_the_same_bytes_whatever_the_thread_compressed_before(
+        letters in proptest::collection::vec(0u8..5, 0..3000),
+        splice_at in 0usize..2000,
+        splice_len in 0usize..200,
+        others in proptest::collection::vec(proptest::collection::vec(0u8..5, 0..1500), 0..6),
+    ) {
+        // A few letters, so four-grams repeat, around a slice of the
+        // certificate dictionary, so the brotli profile reaches into it.
+        let dict = Algorithm::Brotli.dictionary();
+        let mut input = letters;
+        let at = splice_at.min(input.len());
+        let slice = &dict[splice_at..(splice_at + splice_len).min(dict.len())];
+        input.splice(at..at, slice.iter().copied());
+
+        // A thread that has never compressed anything.
+        let fresh = {
+            let input = input.clone();
+            std::thread::spawn(move || Algorithm::ALL.map(|alg| compress(alg, &input)))
+                .join()
+                .expect("fresh thread")
+        };
+        // This thread has: earlier cases, and now `others` under every
+        // profile and as dictionary-plus-input pairs of the raw tokenizer.
+        for (i, other) in others.iter().enumerate() {
+            match Algorithm::ALL.get(i % 4) {
+                Some(&alg) => drop(compress(alg, other)),
+                None => {
+                    let (own_dict, rest) = other.split_at(other.len() / 3);
+                    let params = Params { window: 512, min_match: 4, lazy: i % 8 == 3 };
+                    let tokens = tokenize(own_dict, rest, params);
+                    prop_assert_eq!(&detokenize(own_dict, &tokens), rest);
+                }
+            }
+        }
+        for (alg, fresh) in Algorithm::ALL.into_iter().zip(&fresh) {
+            prop_assert_eq!(&compress(alg, &input), fresh, "{} after other calls", alg);
+            prop_assert_eq!(&compress(alg, &input), fresh, "{} twice in a row", alg);
+        }
+    }
+
+    #[test]
+    fn lz_roundtrips_under_an_arbitrary_dictionary(
+        dict in proptest::collection::vec(0u8..4, 0..300),
+        input in proptest::collection::vec(0u8..4, 0..2000),
+        window in 1usize..4096,
+        min_match in 4usize..9,
+        lazy in 0u8..2,
+    ) {
+        let params = Params { window, min_match, lazy: lazy == 1 };
+        let tokens = tokenize(&dict, &input, params);
+        prop_assert_eq!(&detokenize(&dict, &tokens), &input);
     }
 
     #[test]
