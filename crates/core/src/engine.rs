@@ -330,6 +330,9 @@ pub struct ScanEngine {
     workers: usize,
     // The one scenario-class memo (`None`: memoization off), shared by
     // every worker of every quicreach pump for as long as the engine lives.
+    // A class carries no path latency (one representative per class,
+    // rescaled on replay — `quicreach::fold_chunk`), so a million domains
+    // are ≈5.5k entries.
     memo: Option<Arc<ClassMemo>>,
     scenario: Scenario,
     https: ArtifactCache<(), HttpsScanReport>,

@@ -701,6 +701,82 @@ fn one_engine_across_scenarios_equals_fresh_engines() {
     }
 }
 
+/// The latency-free memo held to a reference with no memo at all, on every
+/// axis the memo serves: a 100k-domain streamed world, 3 eras × {ideal,
+/// tunneled} × {1200, 1362, 1472} — stalls of every depth, the Retry and
+/// resend families, and at 1472 the MTU black hole whole (tunneled) and in
+/// part (load balancers) — at 1, 2 and 8 workers on engines that carry
+/// their table from cell to cell. Every replay is one class representative
+/// simulated at the slowest base latency and rescaled; the reference
+/// simulates each of the ≈20.8k services on its own wire. And on the axes
+/// the memo does not serve (a fault plan, loss, jitter) it is neither read
+/// nor filled.
+///
+/// The reference is ≈440k simulated handshakes — 6 s optimised, two
+/// minutes not — so an unoptimised build folds a fifth of the population;
+/// CI names this test in a release step.
+#[test]
+fn latency_free_memo_equals_the_memo_free_reference_on_every_deterministic_axis() {
+    let config = WorldConfig {
+        domains: if cfg!(debug_assertions) {
+            20_000
+        } else {
+            100_000
+        },
+        seed: 0x9121,
+        ..WorldConfig::default()
+    };
+    let streaming = |workers| ScanEngine::streaming(config.clone(), INITIAL, workers);
+    let reference = streaming(2).with_memoization(false);
+    let memoized = [1usize, 2, 8].map(|workers| (workers, streaming(workers)));
+    let memo_traffic = |engine: &ScanEngine| {
+        let totals = engine.pump_stats().expect("pump ran").totals();
+        (
+            totals.memo_hits,
+            totals.memo_misses,
+            totals.distinct_classes,
+        )
+    };
+    for era in CertificateEra::ALL {
+        for profile in [NetworkProfile::Ideal, NetworkProfile::Tunneled] {
+            for initial in [1200usize, 1362, 1472] {
+                let scenario = cell(era, profile).with_initial_size(initial);
+                let want = reference.stream_quicreach(scenario);
+                assert_eq!(memo_traffic(&reference), (0, 0, 0));
+                for (workers, engine) in &memoized {
+                    assert_eq!(
+                        *engine.stream_quicreach(scenario),
+                        *want,
+                        "{era}/{profile}/{initial} diverged at {workers} workers"
+                    );
+                    let (hits, misses, classes) = memo_traffic(engine);
+                    assert_eq!(hits + misses, want.total() as u64);
+                    // Most probes replay in every cell (nine in ten at
+                    // 100k domains, three in four at 20k).
+                    assert!(
+                        misses * 2 < hits && classes <= misses,
+                        "{era}/{profile}/{initial}: {hits} hits, {misses} misses"
+                    );
+                }
+            }
+        }
+    }
+    let (_, engine) = &memoized[1];
+    let learned = engine.memo_classes();
+    for scenario in [
+        cell(CertificateEra::Classical, NetworkProfile::Ideal).with_plan(FaultPlan::MODERATE),
+        cell(CertificateEra::Classical, NetworkProfile::Lossy),
+        cell(CertificateEra::Hybrid, NetworkProfile::LongFat),
+    ] {
+        assert_eq!(
+            *engine.stream_quicreach(scenario),
+            *reference.stream_quicreach(scenario)
+        );
+        assert_eq!(memo_traffic(engine), (0, 0, 0), "{scenario:?}");
+        assert_eq!(engine.memo_classes(), learned, "{scenario:?}");
+    }
+}
+
 #[test]
 fn compression_study_grid_is_worker_invariant() {
     let reference = engine(1);

@@ -161,6 +161,10 @@ pub struct ExchangeOutcome {
     /// True if the loop stopped because both endpoints reported done (as
     /// opposed to hitting a limit or running out of events).
     pub quiesced: bool,
+    /// Timer callbacks that fired during this exchange. Zero on a wire
+    /// without jitter or faults means every event was a delivery at
+    /// `send + latency`, so every event time is a multiple of the latency.
+    pub timer_fires: u64,
     /// Datagrams removed by the wire's [`FaultInjector`]s during *this*
     /// exchange (both directions; counters on a reused wire are deltas).
     pub fault_drops: u64,

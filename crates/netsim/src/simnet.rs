@@ -229,6 +229,7 @@ pub fn run_exchange(
         trace,
         finished_at: now,
         quiesced,
+        timer_fires,
         fault_drops,
         fault_corruptions,
         fault_duplications,

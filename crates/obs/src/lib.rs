@@ -601,6 +601,30 @@ impl HandshakeTimeline {
             (Phase::Finish, done - c),
         ])
     }
+
+    /// The same handshake on a wire whose one-way latency is `to_ns`
+    /// instead of `from_ns`: every offset `k · from_ns` becomes
+    /// `k · to_ns`. `None` unless every present offset is an exact
+    /// multiple of `from_ns` — a timeline with an event off that lattice
+    /// (a timer fired, a path added jitter) does not stretch with the
+    /// path, and the caller must not pretend it does.
+    pub fn rescaled(&self, from_ns: u64, to_ns: u64) -> Option<HandshakeTimeline> {
+        let scale = |ns: u64| match ns.checked_rem(from_ns) {
+            Some(0) => (ns / from_ns).checked_mul(to_ns),
+            _ => None,
+        };
+        let scale_present = |ns: Option<u64>| match ns {
+            Some(ns) => scale(ns).map(Some),
+            None => Some(None),
+        };
+        Some(HandshakeTimeline {
+            initial_sent_ns: scale(self.initial_sent_ns)?,
+            stall_begin_ns: scale_present(self.stall_begin_ns)?,
+            stall_end_ns: scale_present(self.stall_end_ns)?,
+            cert_flight_ns: scale_present(self.cert_flight_ns)?,
+            done_ns: scale_present(self.done_ns)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -780,5 +804,45 @@ zz_total 2
         // Incomplete handshakes have no phase split.
         assert_eq!(HandshakeTimeline::default().phases(), None);
         assert_eq!(HandshakeTimeline::default().total_ns(), None);
+    }
+
+    #[test]
+    fn timeline_rescales_only_on_the_latency_lattice() {
+        let on_lattice = HandshakeTimeline {
+            initial_sent_ns: 0,
+            stall_begin_ns: Some(49),
+            stall_end_ns: Some(147),
+            cert_flight_ns: None,
+            done_ns: Some(196),
+        };
+        let want = HandshakeTimeline {
+            initial_sent_ns: 0,
+            stall_begin_ns: Some(10),
+            stall_end_ns: Some(30),
+            cert_flight_ns: None,
+            done_ns: Some(40),
+        };
+        assert_eq!(on_lattice.rescaled(49, 10), Some(want));
+        assert_eq!(on_lattice.rescaled(49, 49), Some(on_lattice));
+        // Scaling back up is exact too: the lattice index is preserved.
+        assert_eq!(want.rescaled(10, 49), Some(on_lattice));
+        // One offset off the lattice (a 60 ns timer behind a 49 ns hop)
+        // refuses the whole timeline, whichever field it is.
+        let off = HandshakeTimeline {
+            stall_end_ns: Some(49 + 60),
+            ..on_lattice
+        };
+        assert_eq!(off.rescaled(49, 10), None);
+        let off = HandshakeTimeline {
+            done_ns: Some(197),
+            ..on_lattice
+        };
+        assert_eq!(off.rescaled(49, 10), None);
+        // No source latency, no lattice; an overflowing target is refused.
+        assert_eq!(on_lattice.rescaled(0, 10), None);
+        assert_eq!(on_lattice.rescaled(49, u64::MAX), None);
+        // An all-absent timeline (nothing ever arrived) rescales to itself.
+        let empty = HandshakeTimeline::default();
+        assert_eq!(empty.rescaled(49, 10), Some(empty));
     }
 }

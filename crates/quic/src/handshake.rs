@@ -121,6 +121,13 @@ pub struct HandshakeOutcome {
     /// stall begin/end, certificate flight complete, done), feeding the
     /// phase-duration histograms of the telemetry layer.
     pub timeline: HandshakeTimeline,
+    /// Endpoint timers (PTOs) that fired during the attempt. On a wire that
+    /// draws no randomness, zero means every event of the exchange was a
+    /// delivery one latency after its send.
+    pub timer_fires: u64,
+    /// Datagrams the wire accepted for delivery, both directions. Zero
+    /// means the path latency was never read (the MTU black hole of §4.1).
+    pub deliveries: usize,
 }
 
 impl HandshakeOutcome {
@@ -173,7 +180,9 @@ fn extract_handshake_outcome(
         .nth(1)
         .and_then(|e| e.outcome.ok());
     let (mut first_flight_wire, mut total_server_wire, mut total_client_wire) = (0, 0, 0);
+    let mut deliveries = 0;
     for e in &outcome.trace {
+        deliveries += usize::from(e.delivered());
         match e.direction {
             Direction::AtoB => total_client_wire += e.payload_len,
             Direction::BtoA => {
@@ -214,6 +223,8 @@ fn extract_handshake_outcome(
         server_stats: *server.stats(),
         completed_at: client.completed_at,
         timeline,
+        timer_fires: outcome.timer_fires,
+        deliveries,
         fault_drops: outcome.fault_drops,
         fault_corruptions: outcome.fault_corruptions,
         fault_duplications: outcome.fault_duplications,

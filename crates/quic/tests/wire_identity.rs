@@ -21,6 +21,7 @@ use quicert_netsim::{
 };
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
+use quicert_scanner::behavior::base_latency;
 use quicert_session::{ResumptionHost, SessionTicket};
 use quicert_tls::PskOffer;
 
@@ -166,7 +167,7 @@ fn server_for(
 }
 
 fn wire_for(record: &DomainRecord, plan: FaultPlan) -> Wire {
-    let mut wire = Wire::ideal(SimDuration::from_millis(10 + record.seed % 40));
+    let mut wire = Wire::ideal(base_latency(record));
     plan.apply(&mut wire);
     wire
 }

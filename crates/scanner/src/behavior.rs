@@ -1,5 +1,7 @@
 //! Mapping from world deployments to concrete QUIC server configurations.
 
+use std::ops::RangeInclusive;
+
 use quicert_netsim::{LinkModel, NetworkProfile, SimDuration, Wire};
 use quicert_pki::world::BehaviorKind;
 use quicert_pki::{CertificateEra, DomainRecord, World};
@@ -72,10 +74,21 @@ pub fn server_config_for_era(
     }
 }
 
+/// One-way base latencies of the scanner↔server paths, in milliseconds:
+/// every record's wire sits on one of these 40 one-millisecond steps.
+pub const BASE_LATENCY_MS: RangeInclusive<u64> = 10..=49;
+
+/// The base one-way latency of the path to `record`'s server — the one
+/// definition every wire builder and the scenario-class memo's rescale
+/// read.
+pub fn base_latency(record: &DomainRecord) -> SimDuration {
+    SimDuration::from_millis(BASE_LATENCY_MS.start() + record.seed % 40)
+}
+
 /// The wire between the scanner and a domain's server, including the
 /// load-balancer encapsulation of §4.1 when deployed.
 pub fn wire_for(record: &DomainRecord) -> Wire {
-    let latency = SimDuration::from_millis(10 + (record.seed % 40));
+    let latency = base_latency(record);
     let mut wire = Wire::ideal(latency);
     if let Some(quic) = &record.quic {
         if quic.behind_lb {
@@ -112,6 +125,26 @@ mod tests {
             MVFST_POST_TRANSMISSIONS
         );
         assert!(behavior_of(BehaviorKind::RfcCompliant).count_resends);
+    }
+
+    #[test]
+    fn base_latencies_cover_exactly_the_declared_range() {
+        let record = |seed| DomainRecord {
+            rank: 1,
+            name: String::new(),
+            dns: quicert_pki::DnsOutcome::NxDomain,
+            https: None,
+            quic: None,
+            seed,
+        };
+        let steps: Vec<u64> = (1_000..1_040u64)
+            .map(|seed| base_latency(&record(seed)).as_millis())
+            .collect();
+        assert!(steps.iter().all(|ms| BASE_LATENCY_MS.contains(ms)));
+        for ms in BASE_LATENCY_MS {
+            assert!(steps.contains(&ms), "{ms} ms is never drawn");
+        }
+        assert_eq!(wire_for(&record(7)).rtt(), base_latency(&record(7)) * 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use std::sync::{Arc, OnceLock};
 
 use quicert_analysis::{Merge, StreamSummary};
-use quicert_netsim::{FaultPlan, NetworkProfile, UDP_IPV4_OVERHEAD};
-use quicert_obs::{Counter, Histogram, MetricsRegistry, Phase};
+use quicert_netsim::{FaultPlan, NetworkProfile, SimDuration, UDP_IPV4_OVERHEAD};
+use quicert_obs::{Counter, HandshakeTimeline, Histogram, MetricsRegistry, Phase};
 use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
@@ -24,7 +24,7 @@ use quicert_quic::handshake::{
 use quicert_quic::{run_handshake, run_resumption, ClientConfig};
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig, TicketIssuer};
 
-use crate::behavior::{server_config_for_era, wire_for_profile};
+use crate::behavior::{base_latency, server_config_for_era, wire_for_profile, BASE_LATENCY_MS};
 use crate::scenario::Scenario;
 
 /// The Initial sizes the paper sweeps: 1200 to 1472 bytes in steps of 10
@@ -95,6 +95,20 @@ impl QuicReachResult {
             client_transmissions: out.client_transmissions,
             server_transmissions: out.server_stats.flight_transmissions,
             stall_ns,
+        }
+    }
+
+    /// A class representative's result — measured at [`CLASS_LATENCY`] —
+    /// as `record`'s own probe measures it. Round trips, class,
+    /// amplification and every byte count are scale-free; the one time in
+    /// a result, `stall_ns`, is a whole number of one-way latencies and
+    /// stretches with the path.
+    fn replayed_for(self, record: &DomainRecord) -> QuicReachResult {
+        let hops = self.stall_ns / CLASS_LATENCY.as_nanos();
+        QuicReachResult {
+            rank: record.rank,
+            stall_ns: hops * base_latency(record).as_nanos(),
+            ..self
         }
     }
 
@@ -325,16 +339,29 @@ impl Merge for QuicReachShard {
     }
 }
 
+/// The one-way latency every scenario class is simulated at: the slowest
+/// step of the scanner's base range, so a timer that stays silent here
+/// stays silent on every faster wire (see [`fold_chunk`]).
+const CLASS_LATENCY: SimDuration = SimDuration::from_millis(*BASE_LATENCY_MS.end());
+
 /// The scenario class of one cold streaming probe: every input that can
-/// change a [`HandshakeOutcome`] under a deterministic network profile.
+/// change a [`HandshakeOutcome`] under a deterministic network profile —
+/// except the path's latency, which only stretches its clock.
 ///
 /// The paper's core observation is that handshake behaviour is determined
 /// by the chain and the amplification budget, not by domain identity — a
-/// handful of provider configurations dominate the ecosystem. This key
-/// captures exactly that: two records with equal `ProbeClass` produce
-/// bit-identical outcomes, because every remaining per-record seed bit
-/// only fills fixed-size fields (connection IDs, randoms, serial *bytes*)
-/// that the outcome's counters and classification never read.
+/// handful of provider configurations dominate the ecosystem — and that
+/// its cost is counted in round trips. This key captures exactly that: two
+/// records with equal `ProbeClass` exchange the same datagrams in the same
+/// order, because every remaining per-record seed bit only fills
+/// fixed-size fields (connection IDs, randoms, serial *bytes*) that the
+/// outcome's counters and classification never read, and the record's
+/// base latency (one of 40 steps, [`crate::behavior::base_latency`])
+/// moves every event time by the same factor. The class is simulated once,
+/// at `CLASS_LATENCY` (49 ms), and each member reads its own result off that
+/// one by an integer rescale of the single time a [`QuicReachResult`]
+/// carries; [`fold_chunk`] states when that is sound and checks it before
+/// every insert.
 ///
 /// Deliberately excluded: the server's certificate-compression support
 /// (the quicreach client offers none, §3.2, so negotiation is always
@@ -355,36 +382,41 @@ impl Merge for QuicReachShard {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeClass {
     /// The served QUIC chain: parent chain, effective era, leaf key and
-    /// every length input of the leaf.
+    /// every length input of the leaf — the bytes the 3× budget is spent
+    /// on.
     chain: ChainClass,
+    /// The path overlay. Only RNG-free profiles reach the memo; the
+    /// tunneled one adds encapsulation overhead to every client datagram.
     profile: NetworkProfile,
+    /// The client Initial's size: the amplification budget's base, and
+    /// what a tunnel's MTU is measured against.
     initial_size: usize,
+    /// The operator: hypergiants resend without charging the budget.
     provider: quicert_pki::Provider,
+    /// The server's behaviour family (coalescing, Retry, resend counts,
+    /// PTO).
     behavior: quicert_pki::world::BehaviorKind,
-    /// `record.seed % 40` — the scanner wire's base latency step. PTO and
-    /// retransmission timers can fire latency-dependently, so outcomes
-    /// are only shared within one step.
-    latency_step: u8,
+    /// Whether a tunnelling load balancer sits in front (§4.1)…
     behind_lb: bool,
+    /// …and the encapsulation bytes it adds before the internal MTU.
     lb_overhead: usize,
 }
 
 impl ProbeClass {
-    /// Derive the class of a record known to serve QUIC. O(1) with no
-    /// world lookups: everything is on the record.
-    fn of(record: &DomainRecord, scenario: Scenario) -> ProbeClass {
-        let quic = record.quic.as_ref().expect("caller filtered on has_quic");
-        ProbeClass {
-            chain: ChainClass::quic(record, scenario.era)
-                .expect("QUIC deployments ride on an HTTPS record"),
+    /// Derive the class of a record; `None` when it serves no QUIC chain
+    /// (never the case for a record that [`DomainRecord::has_quic`]). O(1)
+    /// with no world lookups: everything is on the record.
+    fn of(record: &DomainRecord, scenario: Scenario) -> Option<ProbeClass> {
+        let quic = record.quic.as_ref()?;
+        Some(ProbeClass {
+            chain: ChainClass::quic(record, scenario.era)?,
             profile: scenario.profile,
             initial_size: scenario.initial_size,
             provider: quic.provider,
             behavior: quic.behavior,
-            latency_step: (record.seed % 40) as u8,
             behind_lb: quic.behind_lb,
             lb_overhead: quic.lb_overhead,
-        }
+        })
     }
 }
 
@@ -448,12 +480,14 @@ pub use quicert_pki::flyweight::CLASS_CAPACITY as MEMO_CLASS_CAPACITY;
 /// distinct [`ProbeClass`], shared by every scratch that holds the `Arc`
 /// — the scanner's instantiation of the tree's one [`ClassTable`].
 ///
-/// The value is the *folded* result, not the simulated
-/// [`HandshakeOutcome`]: `QuicReachResult::from_outcome` is a pure
-/// function of the outcome that passes `rank` through, so a replay is the
-/// stored result re-ranked, and 88 bytes a class is what lets the table
-/// outlive its pump. The first insert of a class wins; equal classes
-/// simulate to equal results, so which worker won is invisible.
+/// The value is the *folded* result of the class simulated at
+/// `CLASS_LATENCY`, not the simulated [`HandshakeOutcome`]:
+/// `QuicReachResult::from_outcome` is a pure function of the outcome that
+/// passes `rank` through, so a replay is the stored result re-ranked with
+/// its stall stretched to the record's own latency, and 88 bytes a class
+/// is what lets the table outlive its pump. The first insert of a class
+/// wins; every member of a class simulates to the same representative, so
+/// which worker won is invisible.
 pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
 
 /// Per-worker state of the streaming quicreach fold: a handle on a
@@ -542,17 +576,60 @@ impl Default for ProbeScratch {
 /// [`FaultPlan::is_deterministic`]), each record is first keyed by
 /// `ProbeClass`: a class the [`ClassMemo`] knows — from an earlier chunk,
 /// another worker, an earlier pump or service tick — replays its stored
-/// result under the record's rank; the rest simulate and are stored once
-/// the chunk is folded (lookups all precede the chunk's inserts, so two
-/// records of one new class in one chunk both simulate, and the hit and
-/// miss counts are a function of the chunking alone). Replayed and fresh
-/// results fold in record order, so the order-sensitive [`StreamSummary`]
-/// float sums match the unmemoized path bit for bit.
+/// result under the record's rank and latency; the rest simulate and are
+/// stored once the chunk is folded (lookups all precede the chunk's
+/// inserts, so two records of one new class in one chunk both simulate,
+/// and the hit and miss counts are a function of the chunking alone).
+/// Replayed and fresh results fold in record order, so the order-sensitive
+/// [`StreamSummary`] float sums match the unmemoized path bit for bit.
+///
+/// ## Why one simulation serves every latency
+///
+/// A class miss simulates the record's probe with both directions of its
+/// wire at `CLASS_LATENCY` — the slowest base step — and the record's
+/// own result, like every later replay, is that representative with
+/// `stall_ns` rescaled (`QuicReachResult::replayed_for`). Two facts make
+/// this exact rather than approximate:
+///
+/// - **The lattice.** On a wire that draws no randomness a delivery
+///   happens exactly one latency `L` after its send, sends happen at time
+///   zero or in reaction to a delivery, and no endpoint writes a clock
+///   reading into a packet (ACK delay is encoded as 0). As long as no
+///   timer fires, every event of the exchange therefore sits at `k · L`
+///   for an integer `k`, the event *order* is the same for every `L`, and
+///   so are all byte counts, the round-trip count
+///   (`⌈k_done · L / 2L⌉`) and the first-flight cut (a comparison of two
+///   lattice times). Only durations — `stall_ns` and the phase timeline —
+///   carry `L`, linearly.
+/// - **Timers are monotone in `L`.** A PTO is armed at some `k₁ · L` for a
+///   fixed duration `D` and disarmed by a delivery at `k₂ · L`; it stays
+///   silent iff `(k₂ − k₁) · L ≤ D`. Durations are fixed and waits only
+///   shrink with `L`, so a timer that did not fire at the largest latency
+///   cannot fire at a smaller one.
+///
+/// Neither is assumed: `latency_free_timeline` checks the representative
+/// before every insert. It is stored iff no timer fired *and* its whole
+/// timeline sits on the `k · CLASS_LATENCY` lattice, **or** no datagram
+/// was ever delivered (the MTU black hole of §4.1: the client's PTOs fire
+/// into the void and the latency is never read). A representative that
+/// passes neither test is not stored; its record is simulated on its own
+/// wire, exactly as a memo-free fold would, and so is every later member
+/// of the class (each counted as a miss — none exists on any generated
+/// world, and the exact-count guards would show one).
+///
+/// What is *not* claimed: anything about wires that draw randomness.
 /// Profiles that consume RNG (lossy drops/corruption, long-fat jitter)
 /// and every non-identity fault plan (its injector draws RNG per datagram)
-/// make outcomes depend on per-record seeds beyond the class, so they
-/// bypass the memo and keep per-record simulation — a shared table is
-/// never polluted by a fault-injected result.
+/// make outcomes depend on per-record seeds beyond the class and put
+/// events off the lattice, so they bypass the memo and keep per-record
+/// simulation — a shared table is never polluted by a fault-injected
+/// result. [`scan_service`] never consults the memo either: it is the
+/// per-record oracle this fold is held to.
+///
+/// Phase histograms observe fresh outcomes only (replays would count a
+/// class's phases once per member): on a class miss, the representative's
+/// timeline rescaled to the *missing record's own* latency, so every
+/// observed value is one a memo-free probe of a real record produces.
 pub fn fold_chunk(
     world: &World,
     records: &[DomainRecord],
@@ -567,29 +644,41 @@ pub fn fold_chunk(
     shard.classes.initial_size = scenario.initial_size;
     let (mut issued, mut replayed) = (0u64, 0u64);
     for record in records.iter().filter(|record| record.has_quic()) {
-        let class = memo.map(|memo| (memo, ProbeClass::of(record, scenario)));
+        let class = memo.and_then(|memo| Some((memo, ProbeClass::of(record, scenario)?)));
         if let Some(cached) = class.and_then(|(memo, class)| memo.get(&class)) {
-            // A replay is the stored result under this record's rank.
-            let rank = record.rank;
-            shard.push(&QuicReachResult { rank, ..cached });
+            shard.push(&cached.replayed_for(record));
             replayed += 1;
             continue;
         }
-        let out = simulate(world, record, scenario);
+        // A new class: simulate it once on the slowest wire and, when the
+        // outcome provably stretches with the path, read this record's
+        // result off it and queue it for the memo.
+        let learned = class.and_then(|(_, class)| {
+            let out = simulate(world, record, scenario, Some(CLASS_LATENCY))?;
+            let timeline = latency_free_timeline(&out, base_latency(record))?;
+            let representative = QuicReachResult::from_outcome(record.rank, &out);
+            scratch.pending.push((class, representative.clone()));
+            Some((representative.replayed_for(record), timeline))
+        });
+        // No memo, or a representative the check refused: the record's
+        // own wire. A record without a QUIC chain has no probe; skip it.
+        let Some((result, timeline)) = learned.or_else(|| {
+            let out = simulate(world, record, scenario, None)?;
+            Some((
+                QuicReachResult::from_outcome(record.rank, &out),
+                out.timeline,
+            ))
+        }) else {
+            continue;
+        };
         issued += 1;
-        // Phase observations only for fresh outcomes (replays would
-        // double-count the class's phases). Everything read is simulated
-        // time.
-        if let (Some(metrics), Some(phases)) = (&scratch.metrics, out.timeline.phases()) {
+        // Everything read is simulated time.
+        if let (Some(metrics), Some(phases)) = (&scratch.metrics, timeline.phases()) {
             for (phase, ns) in phases {
                 metrics.phases[phase.index()].observe(ns as f64 / 1e9);
             }
         }
-        let result = QuicReachResult::from_outcome(record.rank, &out);
         shard.push(&result);
-        if let Some((_, class)) = class {
-            scratch.pending.push((class, result));
-        }
     }
     if let Some(memo) = memo {
         scratch.hits += replayed;
@@ -605,11 +694,29 @@ pub fn fold_chunk(
     shard
 }
 
+/// The insert-time soundness check of the latency-free memo: the timeline
+/// of `out` — a class representative simulated at [`CLASS_LATENCY`] —
+/// as a probe at one-way latency `own` records it, or `None` when `out`
+/// may not stand in for other latencies.
+///
+/// Sound means: no timer fired and every timestamp is a whole number of
+/// `CLASS_LATENCY` hops (see [`fold_chunk`] for why that suffices), or
+/// nothing was ever delivered, so no latency was ever read.
+fn latency_free_timeline(out: &HandshakeOutcome, own: SimDuration) -> Option<HandshakeTimeline> {
+    let on_lattice = out
+        .timeline
+        .rescaled(CLASS_LATENCY.as_nanos(), own.as_nanos());
+    let sound = (out.timer_fires == 0 && on_lattice.is_some()) || out.deliveries == 0;
+    on_lattice.filter(|_| sound)
+}
+
 /// Build the [`HandshakeProbe`] for one service under one [`Scenario`];
 /// shared by every scan path. The era swaps the served chain and the leaf
 /// key — the scanner client is untouched, so the probe parameters only
 /// differ on the server side, exactly as a re-scan of a migrated PKI would.
-fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> HandshakeProbe {
+///
+/// `None` when the record serves no QUIC chain — there is nothing to probe.
+fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> Option<HandshakeProbe> {
     let initial_size = scenario.initial_size;
     // A churned deployment serves its override era regardless of the scan
     // era; resolve once so the chain and the CertificateVerify key agree.
@@ -618,9 +725,7 @@ fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> Handsh
         .as_ref()
         .map(|q| q.effective_era(scenario.era))
         .unwrap_or(scenario.era);
-    let chain = world
-        .quic_chain_era(record, era)
-        .expect("QUIC services have chains");
+    let chain = world.quic_chain_era(record, era)?;
     let server = server_config_for_era(world, record, chain, era);
     // quicreach's stack offers no certificate compression (§3.2).
     let client = ClientConfig::scanner(
@@ -632,23 +737,46 @@ fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> Handsh
     // themselves); FaultPlan::NONE touches nothing at all.
     let mut wire = wire_for_profile(record, scenario.profile);
     scenario.plan.apply(&mut wire);
-    HandshakeProbe {
+    Some(HandshakeProbe {
         client,
         server,
         wire,
         seed: record.seed,
+    })
+}
+
+/// One cold handshake against `record` under `scenario`: on the record's
+/// own wire, or with both directions of it at `latency` instead of the
+/// record's base latency. `None` when the record serves no QUIC chain.
+fn simulate(
+    world: &World,
+    record: &DomainRecord,
+    scenario: Scenario,
+    latency: Option<SimDuration>,
+) -> Option<HandshakeOutcome> {
+    let mut probe = probe_for(world, record, scenario)?;
+    if let Some(latency) = latency {
+        probe.wire.a_to_b.latency = latency;
+        probe.wire.b_to_a.latency = latency;
     }
+    Some(run_handshake(
+        probe.client,
+        probe.server,
+        &mut probe.wire,
+        probe.seed,
+    ))
 }
 
-/// One cold handshake against `record` under `scenario`.
-fn simulate(world: &World, record: &DomainRecord, scenario: Scenario) -> HandshakeOutcome {
-    let mut probe = probe_for(world, record, scenario);
-    run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
-}
-
-/// Probe one service under one [`Scenario`].
+/// Probe one service under one [`Scenario`], on the record's own wire and
+/// never through a memo — the per-record oracle every fold is held to.
+///
+/// # Panics
+///
+/// When `record` serves no QUIC chain (callers probe
+/// [`World::quic_services`] or filter on [`DomainRecord::has_quic`]).
 pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
-    QuicReachResult::from_outcome(record.rank, &simulate(world, record, scenario))
+    let out = simulate(world, record, scenario, None).expect("a QUIC service to probe");
+    QuicReachResult::from_outcome(record.rank, &out)
 }
 
 /// Probe every QUIC service at one Initial size under the paper's baseline
@@ -775,6 +903,10 @@ impl WarmScanResult {
 /// resumption the strongest PQC mitigation — and both visits run over the
 /// plan-overlaid wire, so a sweep can ask whether resumption still pays
 /// once the path itself is hostile.
+///
+/// # Panics
+///
+/// Like [`scan_service`], when a record serves no QUIC chain.
 pub fn warm_scan(
     world: &World,
     records: &[&DomainRecord],
@@ -785,7 +917,7 @@ pub fn warm_scan(
     records
         .iter()
         .map(|record| {
-            let mut probe = probe_for(world, record, scenario);
+            let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
             probe.client.server_name = record.name.clone();
             probe.server.resumption = Some(ResumptionHost {
                 issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
@@ -881,6 +1013,7 @@ pub fn mtu_bound() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quicert_pki::flyweight::SHARDS as MEMO_SHARDS;
     use quicert_pki::WorldConfig;
 
@@ -1029,9 +1162,9 @@ mod tests {
 
         // Deterministic profile: every probed record is a hit or a miss,
         // and reuse across chunks turns same-class repeats into hits. The
-        // class space (latency steps × chain lengths × LB overheads) only
-        // collapses at campaign scale, so a small world just has to show
-        // *some* sharing — `memo_guards` enforces the at-scale counts.
+        // class space (chains × name lengths × SAN counts × behaviours ×
+        // LB overheads — no latency) is already shared at 3k domains;
+        // `memo_guards` enforces the at-scale counts.
         let mut scratch = ProbeScratch::new();
         for chunk in owned.chunks(64) {
             fold_chunk(&world, chunk, BASE, &mut scratch);
@@ -1039,7 +1172,12 @@ mod tests {
         let (hits, misses, distinct) = scratch.memo_stats();
         assert_eq!(hits + misses, probed);
         assert!(distinct <= misses);
-        assert!(hits > 0, "no class sharing across {probed} probed records");
+        // Measured 279 hits / 341 misses of 620; with the wire's 40
+        // latency steps in the key it was 38 / 582.
+        assert!(
+            hits * 3 >= probed,
+            "{hits} hits across {probed} probed records: a per-record field in the key?"
+        );
 
         // RNG-consuming profile: the memo is bypassed entirely.
         let mut lossy = ProbeScratch::new();
@@ -1052,6 +1190,155 @@ mod tests {
             );
         }
         assert_eq!(lossy.memo_stats(), (0, 0, 0));
+    }
+
+    /// `record` as another member of its scenario class: the same
+    /// deployment under a seed whose base-latency step is `step`. (A new
+    /// seed redraws the serial; the ~1/256 that change its DER width are a
+    /// different class and are passed over.)
+    fn class_member_at_step(record: &DomainRecord, scenario: Scenario, step: u64) -> DomainRecord {
+        let class = ProbeClass::of(record, scenario);
+        (1..)
+            .map(|back| DomainRecord {
+                seed: (record.seed / 40 - back) * 40 + step,
+                ..record.clone()
+            })
+            .find(|member| ProbeClass::of(member, scenario) == class)
+            .expect("some seed keeps the serial width")
+    }
+
+    fn prop_world() -> &'static (World, Vec<DomainRecord>) {
+        static WORLD: OnceLock<(World, Vec<DomainRecord>)> = OnceLock::new();
+        WORLD.get_or_init(|| {
+            let world = world();
+            let services = world.quic_services().cloned().collect();
+            (world, services)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Scale invariance, the property the latency-free memo stands on:
+        // whatever service, era, deterministic profile and sweep size a
+        // case draws, the class simulated once at CLASS_LATENCY passes the
+        // insert check, and rescaled it equals the memo-free probe of a
+        // member of the class at *every one* of the 40 base-latency steps
+        // — result and timeline — not just at the sampled record's own.
+        #[test]
+        fn one_representative_rescaled_equals_all_forty_steps_of_its_class(
+            pick in 0usize..100_000,
+            era_idx in 0usize..CertificateEra::ALL.len(),
+            tunneled in any::<bool>(),
+            size_idx in 0usize..29,
+        ) {
+            let (world, services) = prop_world();
+            let record = &services[pick % services.len()];
+            let profile = if tunneled { NetworkProfile::Tunneled } else { NetworkProfile::Ideal };
+            let scenario = Scenario::at(sweep_sizes()[size_idx])
+                .with_era(CertificateEra::ALL[era_idx])
+                .with_profile(profile);
+            let out = simulate(world, record, scenario, Some(CLASS_LATENCY)).expect("a QUIC service");
+            let representative = QuicReachResult::from_outcome(record.rank, &out);
+            for step in 0..40 {
+                let member = class_member_at_step(record, scenario, step);
+                let own = base_latency(&member);
+                prop_assert_eq!(own.as_millis(), BASE_LATENCY_MS.start() + step);
+                let reference = simulate(world, &member, scenario, None).expect("a QUIC service");
+                prop_assert_eq!(
+                    representative.clone().replayed_for(&member),
+                    scan_service(world, &member, scenario),
+                    "rank {} step {} {:?}", record.rank, step, scenario
+                );
+                prop_assert_eq!(
+                    latency_free_timeline(&out, own),
+                    Some(reference.timeline),
+                    "rank {} step {} {:?}", record.rank, step, scenario
+                );
+            }
+        }
+    }
+
+    /// A probe of `record` whose server arms a 60 ms PTO, at one-way
+    /// latency `ms`.
+    fn short_pto_outcome(world: &World, record: &DomainRecord, ms: u64) -> HandshakeOutcome {
+        let mut probe = probe_for(world, record, BASE).expect("a QUIC service");
+        probe.server.behavior.pto = SimDuration::from_millis(60);
+        probe.wire.a_to_b.latency = SimDuration::from_millis(ms);
+        probe.wire.b_to_a.latency = SimDuration::from_millis(ms);
+        run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
+    }
+
+    /// The insert check is load-bearing. A server with a 60 ms PTO behind
+    /// an amplification stall: at 49 ms the ACK that lifts the stall is
+    /// 98 ms away and the timer fires first; at 10 ms it never does. The
+    /// two outcomes differ in what crossed the wire — and yet every
+    /// timestamp of the slow one sits on the 49 ms lattice, so the lattice
+    /// clause alone would store it. Deleting the `timer_fires == 0` clause
+    /// of `latency_free_timeline` fails this test, by name.
+    #[test]
+    fn a_timer_that_fires_only_on_the_slow_wire_refuses_the_insert() {
+        let world = world();
+        let stalled = world
+            .quic_services()
+            .find(|record| {
+                let result = scan_service(&world, record, BASE);
+                let compliant = record.quic.as_ref().unwrap().behavior
+                    == quicert_pki::world::BehaviorKind::RfcCompliant;
+                compliant && result.stall_ns > 0 && result.class == HandshakeClass::MultiRtt
+            })
+            .expect("an RFC-compliant service stalls on its budget");
+        let fast = SimDuration::from_millis(*BASE_LATENCY_MS.start());
+        let slow_out = short_pto_outcome(&world, stalled, CLASS_LATENCY.as_millis());
+        let fast_out = short_pto_outcome(&world, stalled, fast.as_millis());
+        assert!(slow_out.timer_fires > 0 && slow_out.deliveries > 0);
+        assert_eq!(fast_out.timer_fires, 0);
+        // Not the same handshake stretched: the slow server resent.
+        let slow = QuicReachResult::from_outcome(stalled.rank, &slow_out);
+        let fast_result = QuicReachResult::from_outcome(stalled.rank, &fast_out);
+        assert!(slow.server_transmissions > fast_result.server_transmissions);
+        assert_ne!(slow.wire_received, fast_result.wire_received);
+        // The lattice clause cannot tell…
+        assert!(slow_out
+            .timeline
+            .rescaled(CLASS_LATENCY.as_nanos(), fast.as_nanos())
+            .is_some());
+        // …so it is the timer clause that refuses the insert.
+        assert_eq!(latency_free_timeline(&slow_out, fast), None);
+    }
+
+    /// The other store clause: a 1472-byte Initial into a tunnel never
+    /// arrives, the client's PTOs fire into the void (so the timer clause
+    /// fails), nothing is delivered and no latency is ever read — stored,
+    /// and equal to the memo-free probe at the fastest, a middle and the
+    /// slowest step.
+    #[test]
+    fn a_black_holed_initial_is_stored_by_the_delivery_free_clause() {
+        let world = world();
+        let scenario = Scenario::at(1472).with_profile(NetworkProfile::Tunneled);
+        let record = world.quic_services().next().expect("a QUIC service");
+        let out = simulate(&world, record, scenario, Some(CLASS_LATENCY)).expect("a QUIC service");
+        assert!(out.timer_fires > 0, "the client retransmits on its PTO");
+        assert_eq!(out.deliveries, 0);
+        let representative = QuicReachResult::from_outcome(record.rank, &out);
+        assert_eq!(representative.class, HandshakeClass::Unreachable);
+        for step in [0, 17, 39] {
+            let member = class_member_at_step(record, scenario, step);
+            assert!(latency_free_timeline(&out, base_latency(&member)).is_some());
+            assert_eq!(
+                representative.clone().replayed_for(&member),
+                scan_service(&world, &member, scenario),
+                "step {step}"
+            );
+        }
+        // Through the fold: one miss teaches the class, every step replays.
+        let mut scratch = ProbeScratch::new();
+        let members: Vec<DomainRecord> = [0, 17, 39]
+            .map(|step| class_member_at_step(record, scenario, step))
+            .to_vec();
+        fold_chunk(&world, &members[..1], scenario, &mut scratch);
+        fold_chunk(&world, &members[1..], scenario, &mut scratch);
+        assert_eq!(scratch.memo_stats(), (2, 1, 1));
     }
 
     #[test]

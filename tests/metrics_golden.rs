@@ -46,7 +46,7 @@ fn redact_wall_clock(rendered: &str) -> String {
 /// worker, so chunk claiming and the memo's hit/miss split cannot race), with
 /// a repeated request to exercise the cache-hit counters and a second era
 /// to exercise labelled series.
-fn pinned_registry_render() -> String {
+fn pinned_campaign() -> ScanEngine {
     let engine = ScanEngine::streaming(
         WorldConfig {
             domains: 600,
@@ -60,7 +60,11 @@ fn pinned_registry_render() -> String {
     engine.stream_quicreach(engine.scenario()); // cache hit
     engine.stream_quicreach(engine.scenario().with_era(CertificateEra::PostQuantum));
     engine.stream_https_scan();
-    redact_wall_clock(&engine.metrics_registry().render_prometheus())
+    engine
+}
+
+fn pinned_registry_render() -> String {
+    redact_wall_clock(&pinned_campaign().metrics_registry().render_prometheus())
 }
 
 #[test]
@@ -116,4 +120,33 @@ fn pinned_exposition_is_deterministic_across_campaigns() {
     // Two independent engines over the same configuration must render the
     // same registry bytes — the snapshot above only helps if this holds.
     assert_eq!(pinned_registry_render(), pinned_registry_render());
+}
+
+/// What a memo change may move in the snapshot is how a scenario's probes
+/// *split* between simulated and replayed (and with it which handshakes the
+/// phase histograms see) — never how many there are: per scenario,
+/// issued + replayed is the probed services, and over the campaign so is
+/// hits + misses.
+#[test]
+fn probe_counters_partition_the_probed_services() {
+    let engine = pinned_campaign();
+    let registry = engine.metrics_registry();
+    let mut campaign_probes = 0;
+    for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
+        let probed = engine
+            .stream_quicreach(engine.scenario().with_era(era))
+            .total() as u64;
+        let labels = [("era", era.name()), ("profile", "ideal")];
+        let count = |name| registry.labeled_counter(name, &labels, "").get();
+        let issued = count("quicert_scan_probes_issued_total");
+        let replayed = count("quicert_scan_probes_replayed_total");
+        assert!(probed > 0 && issued > 0);
+        assert_eq!(issued + replayed, probed, "{era}");
+        campaign_probes += probed;
+    }
+    let hits = registry.counter("quicert_engine_memo_hits_total", "").get();
+    let misses = registry
+        .counter("quicert_engine_memo_misses_total", "")
+        .get();
+    assert_eq!(hits + misses, campaign_probes);
 }
