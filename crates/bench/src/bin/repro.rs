@@ -87,12 +87,11 @@ fn main() {
         // bounded memory.
         scale_sizes: quicert_core::experiments::scale::PAPER_SCALE_SIZES,
     };
-    let report = full_report(&campaign, options);
-    println!("{report}");
-
-    // Pump observability: stream the campaign's own population once (the
-    // ladder rows above used throwaway engines) and report what the pump
-    // workers did. Stats go to stderr so stdout stays the golden report.
+    // Pump observability: stream the campaign's own population once and
+    // report what the pump workers did — before the report, whose own
+    // passes would otherwise answer this request from the cache and leave
+    // some later pass's stats behind. Stats go to stderr so stdout stays
+    // the golden report.
     campaign.engine().stream_quicreach(campaign.scenario());
     if let Some(stats) = campaign.engine().pump_stats() {
         let totals = stats.totals();
@@ -121,6 +120,9 @@ fn main() {
             );
         }
     }
+
+    let report = full_report(&campaign, options);
+    println!("{report}");
 
     // The full campaign registry — every counter and histogram the scans
     // touched — renders to stderr on request; stdout stays the golden

@@ -1,16 +1,8 @@
 //! A measurement campaign: one world plus the [`ScanEngine`] computing and
 //! caching every scan artifact the report and experiments consume.
 
-use std::sync::Arc;
-
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::{CertificateEra, World, WorldConfig};
-use quicert_scanner::compression::AlgorithmSupport;
-use quicert_scanner::https_scan::HttpsScanReport;
-use quicert_scanner::qscanner::{ConsistencyReport, QuicCertObservation};
-use quicert_scanner::quicreach::ScanSummary;
-use quicert_scanner::telescope_scan::BackscatterSession;
-use quicert_scanner::zmap::ZmapResult;
 use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
@@ -159,8 +151,8 @@ impl Campaign {
         &self.config
     }
 
-    /// The scan engine holding every cached artifact. Scan families that
-    /// vary by scenario are requested here —
+    /// The scan engine holding every cached artifact; every scan family is
+    /// requested here — `campaign.engine().https_scan()`,
     /// `campaign.engine().quicreach(campaign.scenario().with_era(..))`.
     pub fn engine(&self) -> &ScanEngine {
         &self.engine
@@ -182,52 +174,12 @@ impl Campaign {
     pub fn rank_group_width(&self) -> usize {
         (self.config.world.domains / 10).max(1)
     }
-
-    /// The HTTPS certificate scan (computed once).
-    pub fn https_scan(&self) -> Arc<HttpsScanReport> {
-        self.engine.https_scan()
-    }
-
-    /// The full Fig 3 sweep (29 Initial sizes), computed once.
-    pub fn sweep(&self) -> Arc<Vec<ScanSummary>> {
-        self.engine.sweep()
-    }
-
-    /// Per-algorithm compression support (Table 1), computed once.
-    pub fn compression_support(&self) -> Arc<Vec<AlgorithmSupport>> {
-        self.engine.compression_support()
-    }
-
-    /// Services supporting all three compression algorithms (count, total).
-    pub fn all_three_support(&self) -> (usize, usize) {
-        self.engine.all_three_support()
-    }
-
-    /// Telescope backscatter sessions (Fig 9) for one probe budget.
-    pub fn telescope(&self, per_provider: usize) -> Arc<Vec<BackscatterSession>> {
-        self.engine.telescope(per_provider)
-    }
-
-    /// The §4.3 Meta-PoP ZMap scan (variation 0 is the headline scan; Fig
-    /// 11 repetitions use higher variations).
-    pub fn meta_pop(&self, post_disclosure: bool, variation: u64) -> Arc<Vec<ZmapResult>> {
-        self.engine.meta_pop(post_disclosure, variation)
-    }
-
-    /// The QScanner certificate pass and its §3.2 TLS-vs-QUIC consistency
-    /// report.
-    pub fn qscanner(&self) -> Arc<(Vec<QuicCertObservation>, ConsistencyReport)> {
-        self.engine.qscanner()
-    }
-
-    /// The streaming §3.1 funnel and chain-size summary.
-    pub fn stream_https_scan(&self) -> Arc<quicert_scanner::HttpsScanShard> {
-        self.engine.stream_https_scan()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use quicert_compress::Algorithm;
 
@@ -235,8 +187,8 @@ mod tests {
     fn artifacts_are_cached() {
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5));
         // Every artifact family returns the same allocation on re-request.
-        assert!(Arc::ptr_eq(&campaign.https_scan(), &campaign.https_scan()));
         let engine = campaign.engine();
+        assert!(Arc::ptr_eq(&engine.https_scan(), &engine.https_scan()));
         let scenario = campaign.scenario();
         assert!(Arc::ptr_eq(
             &engine.quicreach(scenario),
@@ -244,21 +196,21 @@ mod tests {
         ));
         // The default scenario is the configured axes at the default size.
         assert_eq!(scenario, campaign.config().scenario());
-        assert!(Arc::ptr_eq(&campaign.sweep(), &campaign.sweep()));
+        assert!(Arc::ptr_eq(&engine.sweep(), &engine.sweep()));
         assert!(Arc::ptr_eq(
-            &campaign.compression_support(),
-            &campaign.compression_support()
+            &engine.compression_support(),
+            &engine.compression_support()
         ));
         assert!(Arc::ptr_eq(
             &engine.compression_study(scenario.era, Algorithm::Brotli, 50),
             &engine.compression_study(scenario.era, Algorithm::Brotli, 50)
         ));
-        assert!(Arc::ptr_eq(&campaign.telescope(2), &campaign.telescope(2)));
+        assert!(Arc::ptr_eq(&engine.telescope(2), &engine.telescope(2)));
         assert!(Arc::ptr_eq(
-            &campaign.meta_pop(false, 0),
-            &campaign.meta_pop(false, 0)
+            &engine.meta_pop(false, 0),
+            &engine.meta_pop(false, 0)
         ));
-        assert_eq!(campaign.all_three_support(), campaign.all_three_support());
+        assert_eq!(engine.all_three_support(), engine.all_three_support());
         assert!(!engine.quicreach(scenario).is_empty());
     }
 
@@ -270,20 +222,26 @@ mod tests {
 
     #[test]
     fn campaign_streaming_accessors_match_the_materialized_artifacts() {
-        use quicert_scanner::https_scan::HttpsScanShard;
-        use quicert_scanner::quicreach::QuicReachShard;
+        use quicert_scanner::https_scan::{self, HttpsScanShard};
+        use quicert_scanner::quicreach::{self, QuicReachShard};
 
+        // Held to the scanners' own whole-world scans — no engine, no pump,
+        // no memo — not to the engine's collected artefacts, which ride the
+        // same loop as the summaries.
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5).with_domains(1_000));
         let (engine, scenario) = (campaign.engine(), campaign.scenario());
+        assert_eq!(scenario.cold(), Scenario::at(scenario.initial_size));
+        let oracle = quicreach::scan(campaign.world(), scenario.initial_size);
         let streamed = engine.stream_quicreach(scenario);
         assert_eq!(
             *streamed,
-            QuicReachShard::from_results(scenario.initial_size, &engine.quicreach(scenario))
+            QuicReachShard::from_results(scenario.initial_size, &oracle)
         );
         assert!(Arc::ptr_eq(&streamed, &engine.stream_quicreach(scenario)));
+        assert_eq!(*engine.quicreach(scenario), oracle);
         assert_eq!(
-            *campaign.stream_https_scan(),
-            HttpsScanShard::from_report(&campaign.https_scan())
+            *engine.stream_https_scan(),
+            HttpsScanShard::from_report(&https_scan::scan(campaign.world()))
         );
     }
 
@@ -296,8 +254,8 @@ mod tests {
             *parallel.engine().quicreach(parallel.scenario())
         );
         assert_eq!(
-            serial.https_scan().observations.len(),
-            parallel.https_scan().observations.len()
+            serial.engine().https_scan().observations.len(),
+            parallel.engine().https_scan().observations.len()
         );
     }
 }

@@ -1,5 +1,5 @@
-//! The [`ScanEngine`]: one uniform, lazily-computed artifact store with two
-//! worker-sharded execution paths.
+//! The [`ScanEngine`]: one uniform, lazily-computed artifact store over one
+//! worker-sharded population loop.
 //!
 //! Every scan artifact the report and the experiment modules consume — the
 //! HTTPS certificate scan, quicreach classifications at *any* Initial size,
@@ -9,42 +9,43 @@
 //! [`Arc`]. Experiments therefore never recompute a scan behind the
 //! report's back: asking twice returns the same allocation.
 //!
-//! ## Parallel execution and determinism
+//! ## One loop, two doors, cached folds on top
 //!
-//! Materialized scans ([`run_sharded`]) split the record list into
-//! `workers` contiguous shards, probe each on its own scoped thread and
-//! concatenate the outputs in shard order. Streamed scans never hold the
-//! population: one worker loop (`run_pump`) has each worker claim rank
-//! ranges off an atomic cursor, derive those records into a reused buffer
-//! and fold them into a [`Merge`] summary. That loop has two public doors —
-//! [`ScanEngine::fold_population`] (the whole population, adaptively sized
-//! claims) and [`ScanEngine::fold_ranges`] (an explicit range list) — and
-//! every `stream_*` family and every service tick goes through one of them.
-//! Either path runs inline, without spawning, when it resolves to a single
-//! worker, so single-threaded environments pay no synchronisation cost.
+//! One worker loop (`run_pump`) is all that ever walks the population: each
+//! worker claims rank ranges off an atomic cursor, derives those records
+//! into a reused buffer and folds them into its own accumulator; a single
+//! effective worker runs inline, without spawning. Its two public doors are
+//! [`ScanEngine::fold_population`] (every rank, adaptively sized claims, a
+//! [`Merge`] summary) and [`ScanEngine::fold_ranges`] (an explicit range
+//! list, one result per range); every service tick goes through one. The
+//! cached families sit on top: *summarising* folds (`stream_*`), one
+//! few-kilobyte summary per worker, and *collecting* folds
+//! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
+//! each claim's per-record rows with the claim's first rank and sort and
+//! flatten them once the pump is done.
 //!
 //! The results are **bit-for-bit identical at any worker count and any
 //! claim size** because every probe draws its randomness from a `SimRng`
 //! stream forked off the campaign seed *per record* at world-generation
 //! time (`record.seed`), never from a stream shared across records. A
-//! shard or claim boundary therefore cannot shift any draw: a worker
-//! probing records `[a, b)` produces exactly the bytes a serial run
-//! produces for those records; concatenating shard outputs in shard order
-//! restores the serial result, and the streamed summaries are exactly
-//! associative and commutative monoids under [`Merge`], so the order
-//! workers happen to claim in cannot shift a bit either. The tests in this
-//! module pin that at 1, 2 and 8 workers; `tests/determinism_matrix.rs`
-//! pins the worker × claim-size × memo grid.
+//! claim boundary therefore cannot shift any draw: a worker probing records
+//! `[a, b)` produces exactly the rows a serial run produces for them, rank
+//! order restores the serial artefact, and the summaries are exactly
+//! associative and commutative monoids under [`Merge`], so claiming order
+//! cannot shift a bit either. Each scanner module's whole-world `scan` — a
+//! serial map over its per-record function, no pump, no memo, no flyweight
+//! — is the reference `tests/determinism_matrix.rs` holds the collected
+//! artefacts to, beside the worker × claim-size × memo grid.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use quicert_analysis::Merge;
 use quicert_compress::Algorithm;
-use quicert_netsim::{FaultPlan, Ipv4Net, NetworkProfile};
+use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_scanner::compression::{
@@ -73,9 +74,9 @@ pub const MIN_ADAPTIVE_CHUNK: usize = 64;
 /// at ten million records.
 pub const MAX_ADAPTIVE_CHUNK: usize = 256;
 
-/// The host's core count (1 when it cannot be determined). Neither
-/// [`run_sharded`] nor the streaming pump spawns more threads than this —
-/// oversubscribing a small host made 2-worker runs *slower* than serial.
+/// The host's core count (1 when it cannot be determined). The pump never
+/// spawns more threads than this — oversubscribing a small host made
+/// 2-worker runs *slower* than serial.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -124,56 +125,21 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
     }
 
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(value) = self.map.lock().unwrap().get(&key) {
+        if let Some(value) = relock(&self.map).get(&key) {
             self.hits.inc();
             return Arc::clone(value);
         }
         self.misses.inc();
         let value = Arc::new(compute());
         // First insertion wins so concurrent callers agree on one allocation.
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(value))
+        Arc::clone(relock(&self.map).entry(key).or_insert(value))
     }
 }
 
-/// Shard `items` into at most `workers` contiguous chunks and run
-/// `run_shard` on each, on its own scoped thread. Outputs are concatenated
-/// in shard order, so any per-record computation is reproduced bit-for-bit
-/// regardless of the worker count. With one worker (or one item) this is a
-/// plain serial call.
-///
-/// The spawned thread count is additionally capped at
-/// [`host_parallelism`]: requesting more workers than cores cannot help a
-/// CPU-bound scan, and on small hosts the extra threads made multi-worker
-/// runs measurably slower than serial. Results are unaffected — they are
-/// worker-count invariant by construction.
-pub fn run_sharded<T, R, F>(items: &[T], workers: usize, run_shard: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let workers = workers
-        .max(1)
-        .min(items.len().max(1))
-        .min(host_parallelism());
-    if workers == 1 {
-        return run_shard(items);
-    }
-    let chunk = items.len().div_ceil(workers);
-    let run_shard = &run_shard;
-    let mut shards: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| scope.spawn(move || run_shard(shard)))
-            .collect();
-        shards.extend(
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scan worker panicked")),
-        );
-    });
-    shards.into_iter().flatten().collect()
+/// Lock `mutex`, poisoned or not: a map insert or a stats assignment is
+/// valid at every step, and a panicked fold must not wedge later requests.
+fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Counters one pump worker accumulated over the chunks it claimed.
@@ -196,9 +162,9 @@ pub struct WorkerPumpStats {
     pub distinct_classes: u64,
 }
 
-/// What the streaming pump did on one run: per-worker counters plus the
-/// resolved thread count. `repro` prints it after a streaming campaign and
-/// `perfbench/` reads its totals for the memo and claim counts.
+/// What the pump did on one pass, summarising or collecting: per-worker
+/// counters plus the resolved thread count. `repro` prints it right after
+/// a streamed scan and `perfbench/` reads its memo and claim totals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PumpStats {
     /// Workers the caller asked for.
@@ -248,10 +214,11 @@ enum Claims<'a> {
 }
 
 impl Claims<'_> {
-    /// Claim the next `(index, first_rank, len)` off `cursor` (which starts
-    /// at 0), or `None` once everything is claimed. `size` is the worker's
-    /// next population claim size, retuned here to what remains; explicit
-    /// ranges ignore it and report their list index.
+    /// Claim the next `(tag, first_rank, len)` off `cursor` (which starts
+    /// at 0), or `None` once everything is claimed. The tag orders a pass's
+    /// claims: a population claim's first rank, an explicit range's list
+    /// index. `size` is the worker's next population claim size, retuned
+    /// here to what remains; explicit ranges ignore it.
     fn next(
         self,
         cursor: &AtomicUsize,
@@ -267,7 +234,7 @@ impl Claims<'_> {
                 }
                 let done = first.saturating_add(claim - 1).min(total);
                 *size = adaptive_claim(total - done, workers);
-                Some((0, first, claim))
+                Some((first, first, claim))
             }
             Claims::Ranges(ranges) => {
                 let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +298,7 @@ pub struct ScanEngine {
     // The one scenario-class memo (`None`: memoization off), shared by
     // every worker of every quicreach pump for as long as the engine lives.
     // A class carries no path latency (one representative per class,
-    // rescaled on replay — `quicreach::fold_chunk`), so a million domains
+    // rescaled on replay — `quicreach::scan_chunk`), so a million domains
     // are ≈5.5k entries.
     memo: Option<Arc<ClassMemo>>,
     scenario: Scenario,
@@ -352,7 +319,7 @@ pub struct ScanEngine {
     stream_quicreach: ArtifactCache<Scenario, QuicReachShard>,
     stream_https: ArtifactCache<(), HttpsScanShard>,
     stream_compression: ArtifactCache<(), CompressionShard>,
-    // What the pump did on the most recent (uncached) streaming scan.
+    // What the pump did on its most recent pass.
     last_pump: Mutex<Option<PumpStats>>,
     // The campaign's metrics registry and its pre-registered pump
     // instruments; `metrics_enabled` gates the streaming-path flushes.
@@ -401,9 +368,11 @@ impl ScanEngine {
     }
 
     /// An engine over a never-materialised [`World::streaming`] population:
-    /// the at-scale constructor. Only the `stream_*` scan families make
-    /// sense on such an engine — materialized artifact requests see an
-    /// empty population.
+    /// the at-scale constructor. Every family that rides the pump serves
+    /// what a populated engine serves (the `stream_*` summaries in bounded
+    /// memory, the per-record artefacts in memory that grows with the
+    /// population); `telescope` and `all_three_support`, which read
+    /// [`World::quic_services`], see an empty population.
     pub fn streaming(config: WorldConfig, default_initial: usize, workers: usize) -> ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
@@ -471,46 +440,54 @@ impl ScanEngine {
         self.workers
     }
 
-    /// The §3.1 HTTPS certificate scan (per-domain chain collection runs
-    /// sharded; the funnel counters are folded in rank order afterwards).
+    /// The §3.1 HTTPS certificate scan: one `(DNS outcome, observation)`
+    /// row per domain off the pump, the funnel folded from them in rank order.
     pub fn https_scan(&self) -> Arc<HttpsScanReport> {
         self.https.get_or_compute((), || {
-            let records: Vec<&DomainRecord> = self.world.domains().iter().collect();
-            let observations = run_sharded(&records, self.workers, |shard| {
-                https_scan::observe_records(&self.world, shard)
-            });
-            https_scan::collate(&self.world, observations)
+            let observe = |r: &DomainRecord| (r.dns, https_scan::observe(&self.world, r));
+            let rows = self.collect(None, |records, _| records.iter().map(observe).collect());
+            https_scan::collate(rows)
         })
     }
 
     /// quicreach classifications of every QUIC service under one
     /// [`Scenario`] — one cached artifact per scenario (the resumption
     /// policy aside: cold scans never read it), so a grid revisiting a
-    /// cell is free. Per-record RNG forking — which fault plans draw from
-    /// too — keeps the artifact bit-for-bit identical at any worker count
-    /// and shard size, on every axis.
+    /// cell is free. Collected through the pump's one probe loop
+    /// ([`quicreach::scan_chunk`], classes replayed as for the streamed
+    /// scan): record for record [`quicreach::scan_service`]'s, on every axis.
     pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {
-            let records: Vec<&DomainRecord> = self.world.quic_services().collect();
-            run_sharded(&records, self.workers, |shard| {
-                quicreach::scan_records(&self.world, shard, scenario)
-            })
+            let results = self.collect(Some(scenario), |records, scratch| {
+                let mut rows = Vec::new();
+                quicreach::scan_chunk(&self.world, records, scenario, scratch, |row| {
+                    rows.push(row)
+                });
+                rows
+            });
+            // One scenario, one simulation: the pass saw every result, so
+            // its summary answers a later `stream_quicreach(scenario)`.
+            self.stream_quicreach.get_or_compute(scenario, || {
+                QuicReachShard::from_results(scenario.initial_size, &results)
+            });
+            results
         })
     }
 
     /// The cold-then-warm resumption scan under one [`Scenario`], revisiting
     /// under its [`Scenario::warm_policy`] — one cached artifact per
-    /// scenario. Per-record RNG forking keeps the artifact bit-for-bit
-    /// identical at any worker count. Under a fault plan this is how the
-    /// chaos grid measures whether resumption still pays off once the wire
-    /// drops and corrupts datagrams.
+    /// scenario, one [`quicreach::warm_service`] per QUIC service (a revisit
+    /// is stateful: no class is ever replayed). Under a fault plan this is
+    /// how the chaos grid measures whether resumption still pays off once
+    /// the wire drops and corrupts datagrams.
     pub fn warm_scan(&self, scenario: Scenario) -> Arc<Vec<WarmScanResult>> {
         let scenario = scenario.with_policy(scenario.warm_policy());
         self.warm.get_or_compute(scenario, || {
-            let records: Vec<&DomainRecord> = self.world.quic_services().collect();
-            run_sharded(&records, self.workers, |shard| {
-                quicreach::warm_scan(&self.world, shard, scenario)
+            let revisit = |r: &DomainRecord| quicreach::warm_service(&self.world, r, scenario);
+            self.collect(None, |records, _| {
+                let services = records.iter().filter(|r| r.has_quic());
+                services.map(revisit).collect()
             })
         })
     }
@@ -531,15 +508,15 @@ impl ScanEngine {
         })
     }
 
-    /// Per-algorithm compression support and achieved ratios (Table 1),
-    /// probing sharded over the QUIC service list.
+    /// Per-algorithm compression support and achieved ratios (Table 1):
+    /// one probe row per QUIC service collected off the pump.
     pub fn compression_support(&self) -> Arc<Vec<AlgorithmSupport>> {
         self.compression_support.get_or_compute((), || {
-            let records: Vec<&DomainRecord> = self.world.quic_services().collect();
-            let probes = run_sharded(&records, self.workers, |shard| {
-                compression::probe_records(&self.world, shard)
-            });
-            compression::collate(&probes)
+            let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
+            compression::collate(&self.collect(None, |records, _| {
+                let services = records.iter().filter(|r| r.has_quic());
+                services.map(probe).collect()
+            }))
         })
     }
 
@@ -551,9 +528,9 @@ impl ScanEngine {
     }
 
     /// The §4.2 synthetic compression study for one (era, algorithm,
-    /// stride) — one cached artifact per triple, chain compression sharded
-    /// over the sampled records. Across eras this is how the report
-    /// measures the Fig-9-style dictionary degrading on PQC chains.
+    /// stride) — one cached artifact per triple, the sampled chains
+    /// compressed as the pump passes them. Across eras this is how the
+    /// report measures the Fig-9-style dictionary degrading on PQC chains.
     pub fn compression_study(
         &self,
         era: CertificateEra,
@@ -562,9 +539,10 @@ impl ScanEngine {
     ) -> Arc<Vec<SyntheticCompression>> {
         self.compression_study
             .get_or_compute((era, algorithm, stride), || {
-                let sampled = compression::study_sample(&self.world, stride);
-                run_sharded(&sampled, self.workers, |shard| {
-                    compression::study_records(&self.world, shard, algorithm, era)
+                let study = |r: &DomainRecord| compression::study(&self.world, r, algorithm, era);
+                self.collect(None, |records, _| {
+                    let sampled = |r: &&DomainRecord| compression::in_study_sample(r, stride);
+                    records.iter().filter(sampled).filter_map(study).collect()
                 })
             })
     }
@@ -587,57 +565,33 @@ impl ScanEngine {
     /// variation 0).
     pub fn meta_pop(&self, post_disclosure: bool, variation: u64) -> Arc<Vec<ZmapResult>> {
         self.zmap.get_or_compute((post_disclosure, variation), || {
-            zmap::scan_pop_with_variation(
-                &self.world,
-                self.pop_prefix(),
-                post_disclosure,
-                variation,
-            )
+            let prefix = zmap::default_pop_prefix();
+            zmap::scan_pop_with_variation(&self.world, prefix, post_disclosure, variation)
         })
     }
 
     /// The QScanner certificate pass and its TLS-vs-QUIC consistency
-    /// report (§3.2), fetching sharded over the QUIC service list.
+    /// report (§3.2): one fetch per QUIC service collected off the pump.
     pub fn qscanner(&self) -> Arc<(Vec<QuicCertObservation>, ConsistencyReport)> {
         self.qscanner.get_or_compute((), || {
-            let records: Vec<&DomainRecord> = self.world.quic_services().collect();
-            let observations = run_sharded(&records, self.workers, |shard| {
-                qscanner::fetch_records(&self.world, shard)
-            });
-            qscanner::collate(observations)
+            let fetch = |r: &DomainRecord| qscanner::fetch(&self.world, r);
+            qscanner::collate(self.collect(None, |records, _| {
+                let services = records.iter().filter(|r| r.has_quic());
+                services.filter_map(fetch).collect()
+            }))
         })
-    }
-
-    fn pop_prefix(&self) -> Ipv4Net {
-        zmap::default_pop_prefix()
     }
 
     // ------------------------------------------------------ streaming --
 
-    /// What the pump did on the most recent streaming scan that actually
-    /// ran (cached artifact hits do not touch the pump), or `None` before
-    /// any streaming scan.
+    /// What the pump did on its most recent pass, whichever family asked
+    /// for it (a cached artifact hit does not touch the pump), or `None`
+    /// before any pass. Read it right after the scan it should describe.
     pub fn pump_stats(&self) -> Option<PumpStats> {
-        self.last_pump.lock().unwrap().clone()
+        relock(&self.last_pump).clone()
     }
 
-    /// Flush one pump run into the registry and remember its stats.
-    fn record_pump(&self, stats: PumpStats) {
-        if self.metrics_enabled {
-            let totals = stats.totals();
-            self.metrics.chunks_claimed.add(totals.chunks_claimed);
-            self.metrics.records_folded.add(totals.records_folded);
-            self.metrics.fold_wall_seconds.add(totals.fold_seconds);
-            self.metrics.memo_hits.add(totals.memo_hits);
-            self.metrics.memo_misses.add(totals.memo_misses);
-            self.metrics
-                .memo_classes
-                .set(totals.distinct_classes as f64);
-        }
-        *self.last_pump.lock().unwrap() = Some(stats);
-    }
-
-    /// The worker loop every streamed fold shares. `workers` threads — never
+    /// The worker loop every population pass shares. `workers` threads — never
     /// more than [`host_parallelism`], nor than there are ranges to claim;
     /// a single effective worker runs inline without spawning — each build
     /// one accumulator and one [`ProbeScratch`], then claim rank ranges off
@@ -648,16 +602,18 @@ impl ScanEngine {
     /// accumulator and scratch) exist in memory, so a million-record
     /// population streams through a few megabytes.
     ///
-    /// Under `Some(scenario)` the scratch is a handle on the engine's memo
-    /// plus, while metrics are enabled, the scenario's [`ProbeMetrics`];
-    /// the scenario-less families get a memo-less, metrics-less scratch
-    /// they ignore, so nothing is registered or counted on their behalf.
-    /// Returns the per-worker accumulators in spawn order after flushing
-    /// the run's [`PumpStats`].
+    /// The scratch is a handle on `memo` (the engine's table, the pass's
+    /// own, or none) plus, under `Some(scenario)` while metrics are enabled,
+    /// the scenario's [`ProbeMetrics`]; the families that probe nothing get
+    /// a memo-less, metrics-less scratch they ignore, so nothing is
+    /// registered or counted on their behalf. Returns the per-worker
+    /// accumulators in spawn order after flushing the run's [`PumpStats`];
+    /// a worker's panic resumes on the caller with its own message.
     fn run_pump<A, MA, F>(
         &self,
         claims: Claims<'_>,
         scenario: Option<Scenario>,
+        memo: Option<&Arc<ClassMemo>>,
         make_acc: MA,
         fold: F,
     ) -> Vec<A>
@@ -679,12 +635,10 @@ impl ScanEngine {
                 0,
             ),
         };
-        let memo = scenario.and(self.memo.as_ref());
         let probe_metrics = scenario
             .filter(|_| self.metrics_enabled)
             .map(|scenario| ProbeMetrics::register(&self.registry, scenario));
         let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
         let worker = || -> (A, WorkerPumpStats) {
             let mut acc = make_acc();
             let mut scratch = ProbeScratch::sharing(memo.cloned());
@@ -694,10 +648,10 @@ impl ScanEngine {
             let mut buf: Vec<DomainRecord> = Vec::new();
             let mut stats = WorkerPumpStats::default();
             let mut size = first_size;
-            while let Some((index, first, len)) = claims.next(cursor, &mut size, effective) {
+            while let Some((tag, first, len)) = claims.next(&cursor, &mut size, effective) {
                 let started = Instant::now();
                 self.world.domain_chunk_into(first, len, &mut buf);
-                fold(&mut acc, index, &mut buf, &mut scratch);
+                fold(&mut acc, tag, &mut buf, &mut scratch);
                 stats.fold_seconds += started.elapsed().as_secs_f64();
                 stats.chunks_claimed += 1;
                 stats.records_folded += buf.len() as u64;
@@ -706,28 +660,35 @@ impl ScanEngine {
             (acc, stats)
         };
 
-        let mut accs: Vec<A> = Vec::with_capacity(effective);
-        let mut worker_stats: Vec<WorkerPumpStats> = Vec::with_capacity(effective);
-        if effective == 1 {
-            let (acc, stats) = worker();
-            accs.push(acc);
-            worker_stats.push(stats);
+        let (accs, workers): (Vec<A>, Vec<WorkerPumpStats>) = if effective == 1 {
+            [worker()].into_iter().unzip()
         } else {
             std::thread::scope(|scope| {
-                let worker = &worker;
                 let handles: Vec<_> = (0..effective).map(|_| scope.spawn(worker)).collect();
-                for handle in handles {
-                    let (acc, stats) = handle.join().expect("stream worker panicked");
-                    accs.push(acc);
-                    worker_stats.push(stats);
-                }
-            });
-        }
-        self.record_pump(PumpStats {
+                let joined = handles.into_iter().map(|handle| {
+                    let result = handle.join();
+                    result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                });
+                joined.unzip()
+            })
+        };
+        let stats = PumpStats {
             requested_workers: requested,
             effective_workers: effective,
-            workers: worker_stats,
-        });
+            workers,
+        };
+        if self.metrics_enabled {
+            let totals = stats.totals();
+            self.metrics.chunks_claimed.add(totals.chunks_claimed);
+            self.metrics.records_folded.add(totals.records_folded);
+            self.metrics.fold_wall_seconds.add(totals.fold_seconds);
+            self.metrics.memo_hits.add(totals.memo_hits);
+            self.metrics.memo_misses.add(totals.memo_misses);
+            self.metrics
+                .memo_classes
+                .set(totals.distinct_classes as f64);
+        }
+        *relock(&self.last_pump) = Some(stats);
         accs
     }
 
@@ -744,6 +705,7 @@ impl ScanEngine {
         S::merge_all(self.run_pump(
             Claims::Population(self.world.config.domains),
             scenario,
+            scenario.and(self.memo.as_ref()),
             S::identity,
             |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
         ))
@@ -753,13 +715,13 @@ impl ScanEngine {
     /// population is pumped through the sharded workers in bounded memory
     /// and folded into one [`QuicReachShard`]. No `Vec` of per-record
     /// results is ever built on this path — the cache stores the summary
-    /// itself, keyed like the materialized quicreach cache. On a populated
-    /// world the streamed summary is bit-for-bit
-    /// [`QuicReachShard::from_results`] of the materialized artifact, at
-    /// any worker count and chunk size. A scenario that consumes per-probe
-    /// wire randomness (a faulted plan, a lossy profile) bypasses
-    /// scenario-class memoization regardless of the engine's memo toggle;
-    /// the summary is the same bits either way.
+    /// itself, keyed like the [`ScanEngine::quicreach`] cache, whose
+    /// collecting pass leaves the same summary behind: bit-for-bit
+    /// [`QuicReachShard::from_results`] of that artifact, at any worker
+    /// count and claim size. A scenario that consumes per-probe wire
+    /// randomness (a faulted plan, a lossy profile) bypasses scenario-class
+    /// memoization regardless of the engine's memo toggle; the summary is
+    /// the same bits either way.
     pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
         let scenario = scenario.cold();
         self.stream_quicreach.get_or_compute(scenario, || {
@@ -810,17 +772,54 @@ impl ScanEngine {
         R: Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
-        let folded = self.run_pump(
-            Claims::Ranges(ranges),
-            Some(scenario),
+        let claims = Claims::Ranges(ranges);
+        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), fold)
+    }
+
+    /// One pump pass with its per-claim `fold` results back in claim order,
+    /// whichever worker folded which claim when: each is tagged with its
+    /// claim ([`Claims::next`]), sorted once the pump is done, and stripped
+    /// — [`ScanEngine::fold_ranges`] as is, flattened for an artefact.
+    fn pump_in_order<R: Send>(
+        &self,
+        claims: Claims<'_>,
+        scenario: Option<Scenario>,
+        memo: Option<&Arc<ClassMemo>>,
+        fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
+    ) -> Vec<R> {
+        let per_worker = self.run_pump(
+            claims,
+            scenario,
+            memo,
             Vec::new,
-            |acc: &mut Vec<(usize, R)>, index, records, scratch| {
-                acc.push((index, fold(records, scratch)))
+            |acc: &mut Vec<(usize, R)>, tag, records, scratch| {
+                acc.push((tag, fold(records, scratch)))
             },
         );
-        let mut folded: Vec<(usize, R)> = folded.into_iter().flatten().collect();
-        folded.sort_unstable_by_key(|&(index, _)| index);
-        folded.into_iter().map(|(_, result)| result).collect()
+        let mut tagged: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|&(tag, _)| tag);
+        tagged.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// One pass of the population, `rows` returning each claim's per-record
+    /// rows: the artefact in rank order. Records are derived per pass, never
+    /// borrowed, so a streaming engine collects the same rows. Under a
+    /// scenario the probes share a memo that lives for the pass: a collected
+    /// artefact's classes are never asked for again (its cache answers
+    /// repeats), and a report's ≈13k left resident cost +26% of its peak
+    /// RSS; ticks and reads do replay across pumps and keep the engine's.
+    fn collect<R: Send>(
+        &self,
+        scenario: Option<Scenario>,
+        rows: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> Vec<R> + Sync,
+    ) -> Vec<R> {
+        let memo = scenario.and(self.memo.as_ref()).map(|_| Arc::default());
+        let population = Claims::Population(self.world.config.domains);
+        let claims = self.pump_in_order(population, scenario, memo.as_ref(), rows);
+        // Sized once: grown by doubling, each artefact left its size in holes.
+        let mut all = Vec::with_capacity(claims.iter().map(Vec::len).sum());
+        all.extend(claims.into_iter().flatten());
+        all
     }
 
     // ----------------------------------------------- frozen compat block --
@@ -848,8 +847,8 @@ impl ScanEngine {
     // ------------------------------------------- end frozen compat block --
 
     /// The streaming §3.1 HTTPS scan: funnel counters and chain-size
-    /// sketches folded over the population in bounded memory. On a
-    /// populated world it is bit-for-bit
+    /// sketches folded over the population in bounded memory. It is
+    /// bit-for-bit
     /// [`HttpsScanShard::from_report`] of [`ScanEngine::https_scan`] —
     /// which issues every chain, where this fold looks each record's
     /// chain shape up in the world's flyweight
@@ -882,26 +881,35 @@ mod tests {
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
 
-    fn engine(workers: usize) -> ScanEngine {
-        let world = World::generate(WorldConfig {
+    fn config() -> WorldConfig {
+        WorldConfig {
             domains: 1_200,
             seed: 0xD37E,
             ..WorldConfig::default()
-        });
-        ScanEngine::new(world, 1362, workers)
+        }
+    }
+
+    fn engine(workers: usize) -> ScanEngine {
+        ScanEngine::new(World::generate(config()), 1362, workers)
+    }
+
+    /// The per-record oracle over a generated world: one memo-free,
+    /// pump-free [`quicreach::scan_service`] per QUIC service.
+    fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
+        let probe = |record| quicreach::scan_service(world, record, scenario);
+        world.quic_services().map(probe).collect()
     }
 
     #[test]
-    fn run_sharded_matches_serial_for_any_worker_count() {
-        let items: Vec<usize> = (0..103).collect();
-        let serial = run_sharded(&items, 1, |shard| {
-            shard.iter().map(|i| i * 31 + 7).collect()
-        });
-        for workers in [2, 3, 8, 64, 1000] {
-            let parallel = run_sharded(&items, workers, |shard| {
-                shard.iter().map(|i| i * 31 + 7).collect()
-            });
-            assert_eq!(serial, parallel, "workers={workers}");
+    fn collected_rows_are_in_rank_order_for_any_worker_count() {
+        // Whichever worker claims what when — more workers than claims
+        // included — the collected rows come back by rank.
+        let ranks: Vec<usize> = (1..=1_200).collect();
+        for workers in [1, 2, 3, 8, 64, 1000] {
+            let engine = ScanEngine::streaming(config(), 1362, workers);
+            let collected =
+                engine.collect(None, |records, _| records.iter().map(|r| r.rank).collect());
+            assert_eq!(collected, ranks, "workers={workers}");
         }
     }
 
@@ -1071,8 +1079,8 @@ mod tests {
         let engine = engine(2);
         let faulted = BASE.with_plan(FaultPlan::MODERATE);
         let streamed = engine.stream_quicreach(faulted);
-        let materialized = QuicReachShard::from_results(1362, &engine.quicreach(faulted));
-        assert_eq!(*streamed, materialized);
+        let per_record = oracle(engine.world(), faulted);
+        assert_eq!(*streamed, QuicReachShard::from_results(1362, &per_record));
         // The faulted probes draw wire randomness, so the streamed fold
         // must never have consulted the scenario-class memo — even though
         // the engine's memo toggle is on and the profile is Ideal.
@@ -1146,43 +1154,50 @@ mod tests {
 
     #[test]
     fn streaming_summaries_match_the_materialized_artifacts() {
+        // Both sides of the engine — summaries and collected artefacts —
+        // ride one loop, so each is held to the scanner's own whole-world
+        // scan: a serial map over the per-record function, no pump, no
+        // memo, no chain-shape flyweight.
         let engine = engine(2);
-        // quicreach: the streamed shard equals the fold of the cached
-        // materialized artifact, bit for bit.
-        let streamed = engine.stream_quicreach(BASE);
-        let materialized = QuicReachShard::from_results(1362, &engine.quicreach(BASE));
-        assert_eq!(*streamed, materialized);
-        // https: funnel counters and chain sketches match the report.
-        let shard = engine.stream_https_scan();
-        let report = engine.https_scan();
-        assert_eq!(*shard, HttpsScanShard::from_report(&report));
-        // compression: streamed counts match the materialized probe rows.
-        let records: Vec<&DomainRecord> = engine.world().quic_services().collect();
-        let probes = compression::probe_records(engine.world(), &records);
+        let world = engine.world();
+        let per_record = quicreach::scan(world, 1362);
+        assert_eq!(
+            *engine.stream_quicreach(BASE),
+            QuicReachShard::from_results(1362, &per_record)
+        );
+        assert_eq!(*engine.quicreach(BASE), per_record);
+        let report = https_scan::scan(world);
+        assert_eq!(
+            *engine.stream_https_scan(),
+            HttpsScanShard::from_report(&report)
+        );
+        assert_eq!(format!("{:?}", engine.https_scan()), format!("{report:?}"));
+        let rows: Vec<_> = world
+            .quic_services()
+            .map(|record| compression::probe_row(world, record))
+            .collect();
         assert_eq!(
             *engine.stream_compression_support(),
-            CompressionShard::from_probes(&probes)
+            CompressionShard::from_probes(&rows)
+        );
+        assert_eq!(
+            format!("{:?}", engine.compression_support()),
+            format!("{:?}", compression::scan(world))
+        );
+        assert_eq!(
+            format!("{:?}", engine.qscanner()),
+            format!("{:?}", qscanner::scan(world))
         );
     }
 
     #[test]
     fn streaming_engine_never_materializes_the_population() {
-        let world = World::generate(WorldConfig {
-            domains: 1_200,
-            seed: 0xD37E,
-            ..WorldConfig::default()
-        });
-        let materialized = ScanEngine::new(world, 1362, 2);
-        let reference = materialized.stream_quicreach(BASE);
+        let populated = engine(2);
+        let reference = populated.stream_quicreach(BASE);
 
         // The streaming engine's world holds zero records before, during
         // and after the scan — the population only ever exists as chunks.
-        let config = WorldConfig {
-            domains: 1_200,
-            seed: 0xD37E,
-            ..WorldConfig::default()
-        };
-        let engine = ScanEngine::streaming(config, 1362, 2);
+        let engine = ScanEngine::streaming(config(), 1362, 2);
         assert!(engine.world().domains().is_empty());
         let streamed = engine.stream_quicreach(BASE);
         assert!(engine.world().domains().is_empty());
@@ -1192,6 +1207,38 @@ mod tests {
         let funnel = engine.stream_https_scan();
         assert!(engine.world().domains().is_empty());
         assert_eq!(funnel.total, 1_200);
+
+        // So do the collected artefacts: they derive their records per
+        // pass, funnel counters included, and equal the populated engine's
+        // — never a report whose chains and counters disagree.
+        let report = engine.https_scan();
+        assert_eq!(
+            (report.total, report.resolved),
+            (1_200, funnel.resolved as usize)
+        );
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", populated.https_scan())
+        );
+        assert_eq!(
+            *engine.quicreach(Scenario::at(1250)),
+            *populated.quicreach(Scenario::at(1250))
+        );
+        assert_eq!(
+            *engine.warm_scan(engine.scenario()),
+            *populated.warm_scan(populated.scenario())
+        );
+        assert_eq!(
+            format!(
+                "{:?}",
+                engine.compression_study(BASE.era, Algorithm::Brotli, 10)
+            ),
+            format!(
+                "{:?}",
+                populated.compression_study(BASE.era, Algorithm::Brotli, 10)
+            )
+        );
+        assert!(engine.world().domains().is_empty());
     }
 
     #[test]
@@ -1311,16 +1358,106 @@ mod tests {
             1
         );
 
+        // A collecting pass is a pump like any other: the counters now
+        // read the sum of both passes, and its scenario's probe counters
+        // account for every service it probed, replays included.
+        let collected = engine.quicreach(BASE.with_era(CertificateEra::Hybrid));
+        let pass = engine.pump_stats().expect("the collect pumped").totals();
+        assert_eq!(pass.records_folded, 1_200);
+        assert_eq!(
+            counter("quicert_engine_chunks_claimed_total"),
+            totals.chunks_claimed + pass.chunks_claimed
+        );
+        assert_eq!(
+            counter("quicert_engine_records_folded_total"),
+            totals.records_folded + pass.records_folded
+        );
+        assert_eq!(
+            counter("quicert_engine_memo_hits_total"),
+            totals.memo_hits + pass.memo_hits
+        );
+        assert_eq!(
+            counter("quicert_engine_memo_misses_total"),
+            totals.memo_misses + pass.memo_misses
+        );
+        let labels = [("era", "hybrid"), ("profile", "ideal")];
+        let probes = |name| registry.labeled_counter(name, &labels, "").get();
+        assert_eq!(probes("quicert_scan_probes_issued_total"), pass.memo_misses);
+        assert_eq!(probes("quicert_scan_probes_replayed_total"), pass.memo_hits);
+        assert_eq!(pass.memo_hits + pass.memo_misses, collected.len() as u64);
+        assert!(pass.memo_hits > 0, "a collecting pass replays classes");
+
         // Disabled metrics freeze the pump counters (cache counters still
         // tick — they never threatened determinism in the first place).
         let off = super::tests::engine(2).with_metrics(false);
         off.stream_quicreach(BASE);
+        off.quicreach(BASE.with_era(CertificateEra::Hybrid));
         assert_eq!(
             off.metrics_registry()
                 .counter("quicert_engine_records_folded_total", "")
                 .get(),
             0
         );
+    }
+
+    #[test]
+    fn a_collected_scenario_answers_its_stream_request_without_a_second_scan() {
+        // One scenario, one simulation per engine: the collecting pass saw
+        // every result, so it leaves the summary behind as well — the very
+        // bits a streamed scan of a fresh engine folds — and the engine's
+        // own table untouched (its classes lived for the pass).
+        let engine = engine(2);
+        let scenario = BASE.with_era(CertificateEra::PostQuantum);
+        engine.quicreach(scenario);
+        assert_eq!(engine.memo_classes(), 0);
+        let folded = || {
+            let registry = engine.metrics_registry();
+            registry
+                .counter("quicert_engine_records_folded_total", "")
+                .get()
+        };
+        let before = folded();
+        assert_eq!(before, 1_200);
+        let summary = engine.stream_quicreach(scenario);
+        assert_eq!(folded(), before, "the stream request scanned again");
+        assert_eq!(
+            *summary,
+            *super::tests::engine(2).stream_quicreach(scenario)
+        );
+        // The other way round there is nothing to reuse: a summary holds
+        // no per-record rows.
+        engine.stream_quicreach(BASE);
+        engine.quicreach(BASE);
+        assert_eq!(folded(), before + 2 * 1_200);
+    }
+
+    #[test]
+    fn a_panicking_fold_surfaces_its_own_message_and_the_engine_keeps_answering() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for workers in [1, 2] {
+            let engine = ScanEngine::streaming(config(), 1362, workers);
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                engine.fold_ranges(BASE, &[(1, 600), (601, 600)], |records, _| {
+                    if let Some(record) = records.iter().find(|record| record.rank == 700) {
+                        panic!("rank {} refuses to fold", record.rank);
+                    }
+                    records.len()
+                })
+            }))
+            .expect_err("the fold panics on rank 700");
+            // The worker's own message — which record, which assertion —
+            // not a generic "worker panicked".
+            assert_eq!(
+                panicked.downcast_ref::<String>().map(String::as_str),
+                Some("rank 700 refuses to fold"),
+                "workers={workers}"
+            );
+            // And the engine is not wedged: the next requests pump, cache
+            // and report as if nothing had happened.
+            assert_eq!(engine.stream_https_scan().total, 1_200);
+            assert!(engine.quicreach(BASE).len() > 100);
+            assert!(engine.pump_stats().is_some());
+        }
     }
 
     #[test]
@@ -1464,13 +1601,12 @@ mod tests {
                 "stream_quicreach_chaos {scenario:?}"
             );
             for policy in ResumptionPolicy::ALL {
+                let scenario = BASE.with_profile(profile).with_policy(policy);
+                let revisit =
+                    |record: &&DomainRecord| quicreach::warm_service(world, record, scenario);
                 assert_eq!(
                     quicreach::warm_scan_records(world, &services, 1362, profile, policy),
-                    quicreach::warm_scan(
-                        world,
-                        &services,
-                        BASE.with_profile(profile).with_policy(policy)
-                    ),
+                    services.iter().map(revisit).collect::<Vec<_>>(),
                     "warm_scan_records {profile}/{policy}"
                 );
             }

@@ -28,7 +28,7 @@ pub struct Fig9 {
 /// the campaign's cached artifact.
 pub fn fig9(campaign: &Campaign, per_provider: usize) -> Fig9 {
     Fig9 {
-        sessions: campaign.telescope(per_provider),
+        sessions: campaign.engine().telescope(per_provider),
     }
 }
 
@@ -77,7 +77,7 @@ pub struct MetaPopScan {
 /// cached artifact.
 pub fn meta_pop_scan(campaign: &Campaign, post_disclosure: bool) -> MetaPopScan {
     MetaPopScan {
-        results: campaign.meta_pop(post_disclosure, 0),
+        results: campaign.engine().meta_pop(post_disclosure, 0),
     }
 }
 
@@ -139,7 +139,7 @@ pub fn fig11(campaign: &Campaign, reps: usize) -> Fig11 {
     let run = |post: bool| -> Vec<(u8, f64, f64)> {
         let mut per_octet: Vec<(u8, Vec<f64>)> = Vec::new();
         for rep in 0..reps.max(1) {
-            let results = campaign.meta_pop(post, rep as u64);
+            let results = campaign.engine().meta_pop(post, rep as u64);
             for r in results.iter() {
                 if r.service == MetaService::None {
                     continue;

@@ -32,7 +32,7 @@ pub struct Fig2b {
 
 /// Compute Fig 2(b) over every certificate collected by the HTTPS scan.
 pub fn fig2b(campaign: &Campaign) -> Fig2b {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     let mut subject = Vec::new();
     let mut issuer = Vec::new();
     let mut spki = Vec::new();
@@ -94,7 +94,7 @@ pub struct Fig6 {
 
 /// Compute Fig 6.
 pub fn fig6(campaign: &Campaign) -> Fig6 {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     Fig6 {
         quic: Cdf::new(report.quic().map(|o| o.summary.total_der as f64).collect()),
         https_only: Cdf::new(
@@ -162,7 +162,7 @@ pub struct Fig7 {
 
 /// Compute Fig 7 for QUIC (`quic = true`) or HTTPS-only services.
 pub fn fig7(campaign: &Campaign, quic: bool) -> Fig7 {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     let observations: Vec<&HttpsObservation> = if quic {
         report.quic().collect()
     } else {
@@ -255,7 +255,7 @@ pub struct Fig8Row {
 
 /// Fig 8: mean certificate field sizes by type, for QUIC domains.
 pub fn fig8(campaign: &Campaign) -> Vec<Fig8Row> {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     let mut cells: HashMap<(bool, bool), (FieldSizes, usize)> = HashMap::new();
     for obs in report.quic() {
         let big = obs.summary.total_der > 4000;
@@ -337,7 +337,7 @@ pub struct Table2 {
 
 /// Compute Table 2.
 pub fn table2(campaign: &Campaign) -> Table2 {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     let mut out = Table2::default();
     for quic in [true, false] {
         let observations: Vec<&HttpsObservation> = if quic {
@@ -423,7 +423,7 @@ pub struct Fig14 {
 
 /// Compute Fig 14.
 pub fn fig14(campaign: &Campaign) -> Fig14 {
-    let report = campaign.https_scan();
+    let report = campaign.engine().https_scan();
     Fig14 {
         points: report
             .quic()

@@ -25,8 +25,8 @@ pub struct Table1 {
 pub fn table1(campaign: &Campaign) -> Table1 {
     Table1 {
         browsers: all_profiles(),
-        support: campaign.compression_support(),
-        all_three: campaign.all_three_support(),
+        support: campaign.engine().compression_support(),
+        all_three: campaign.engine().all_three_support(),
     }
 }
 

@@ -23,7 +23,7 @@ pub struct Fig3 {
 /// Run the full sweep through the campaign's cached, sharded engine path.
 pub fn fig3(campaign: &Campaign) -> Fig3 {
     Fig3 {
-        bars: campaign.sweep(),
+        bars: campaign.engine().sweep(),
     }
 }
 

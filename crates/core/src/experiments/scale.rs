@@ -1,7 +1,7 @@
 //! The "Population scale" experiment: the paper's headline measurements
 //! recomputed at growing population sizes through the streaming scan path.
 //!
-//! The paper scans ~1M domains; the materialized engine tops out far
+//! The paper scans ~1M domains; the per-record artefacts top out far
 //! earlier because every layer holds per-record vectors. Each row here
 //! builds a [`quicert_pki::World::streaming`] population of the requested size — never
 //! materialized — and pumps it through [`ScanEngine::stream_https_scan`]
@@ -125,7 +125,7 @@ pub fn render_population_scale(rows: &[ScaleRow]) -> String {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
-    use quicert_scanner::quicreach;
+    use quicert_scanner::{https_scan, quicreach, Scenario};
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(13).with_domains(1_000))
@@ -167,16 +167,16 @@ mod tests {
     #[test]
     fn scale_row_at_the_campaign_size_matches_the_materialized_scan() {
         // The ladder row whose population equals the campaign's own world
-        // must agree exactly with the campaign's cached materialized
-        // artifacts — same seed, same records, different memory model.
+        // must agree exactly with the scanners' whole-world scans of that
+        // world — a serial per-record map, no engine — same seed, same
+        // records, different memory model.
         let c = campaign();
         let row = scale_row(&c, 1_000);
-        let materialized = quicreach::summarize(
-            c.config().default_initial,
-            &c.engine().quicreach(c.scenario()),
-        );
+        let initial = c.config().default_initial;
+        assert_eq!(c.scenario().cold(), Scenario::at(initial));
+        let materialized = quicreach::summarize(initial, &quicreach::scan(c.world(), initial));
         assert_eq!(row.reach.classes, materialized);
-        let report = c.https_scan();
+        let report = https_scan::scan(c.world());
         assert_eq!(row.funnel.tls_reachable as usize, report.observations.len());
         assert_eq!(row.funnel.resolved as usize, report.resolved);
     }

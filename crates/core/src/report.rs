@@ -118,7 +118,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     ));
 
     // §3.1 funnel.
-    let https = campaign.https_scan();
+    let https = campaign.engine().https_scan();
     out.push_str(&format!(
         "§3.1 funnel — resolved {} / {}, A records {}, TLS-reachable {}, \
          QUIC services {}\n",
@@ -130,7 +130,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     ));
 
     // §3.2 QScanner consistency check.
-    let qscan = campaign.qscanner();
+    let qscan = campaign.engine().qscanner();
     let consistency = qscan.1;
     out.push_str(&format!(
         "§3.2 QScanner consistency — {:.1}% of {} QUIC chains match HTTPS \

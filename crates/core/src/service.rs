@@ -568,7 +568,7 @@ mod tests {
             snapshot.reach,
             *campaign.engine().stream_quicreach(campaign.scenario())
         );
-        assert_eq!(snapshot.funnel, *campaign.stream_https_scan());
+        assert_eq!(snapshot.funnel, *campaign.engine().stream_https_scan());
         assert_eq!(snapshot.stek_epoch, 0);
     }
 

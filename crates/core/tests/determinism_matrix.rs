@@ -8,14 +8,15 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
+use quicert_compress::Algorithm;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
-use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
+use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
-use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
-use quicert_scanner::Scenario;
+use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachResult, QuicReachShard};
+use quicert_scanner::{qscanner, Scenario};
 use quicert_session::ResumptionPolicy;
 
 const INITIAL: usize = 1362;
@@ -34,6 +35,13 @@ fn engine(workers: usize) -> ScanEngine {
         ..WorldConfig::default()
     });
     ScanEngine::new(world, INITIAL, workers)
+}
+
+/// The per-record oracle: one memo-free, pump-free
+/// [`quicreach::scan_service`] per QUIC service of a generated world.
+fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
+    let probe = |record| quicreach::scan_service(world, record, scenario);
+    world.quic_services().map(probe).collect()
 }
 
 /// The chunk axis of the streaming grids. The engine has no chunk-size
@@ -112,8 +120,8 @@ fn warm_scan_grid_is_worker_invariant() {
 /// The streaming path across the worker × chunk grid: the quicreach and
 /// funnel summaries must be bit-for-bit identical at workers {1, 2, 8, 16}
 /// and chunk sizes {1, 64, 4096} plus the engine's adaptive claiming
-/// (chunk 0), and identical to the summary derived from the materialized
-/// artifacts of the same (paper-scale-model) world.
+/// (chunk 0), and identical to the summary derived from the scanners' own
+/// whole-world scans of the same (paper-scale-model) world.
 #[test]
 fn streaming_grid_is_worker_and_chunk_invariant() {
     let config = WorldConfig {
@@ -121,11 +129,11 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
         seed: 0x9121,
         ..WorldConfig::default()
     };
-    // The materialized reference: per-record artifacts, folded afterwards.
-    let materialized = ScanEngine::new(World::generate(config.clone()), INITIAL, 2);
-    let reach_ref =
-        QuicReachShard::from_results(INITIAL, &materialized.quicreach(Scenario::at(INITIAL)));
-    let https_ref = HttpsScanShard::from_report(&materialized.https_scan());
+    // The reference: a serial per-record map with no engine, no pump, no
+    // memo and no chain-shape flyweight, folded afterwards.
+    let world = World::generate(config.clone());
+    let reach_ref = QuicReachShard::from_results(INITIAL, &quicreach::scan(&world, INITIAL));
+    let https_ref = HttpsScanShard::from_report(&https_scan::scan(&world));
     assert!(reach_ref.total() > 0, "world has QUIC services");
 
     for workers in [1usize, 2, 8, 16] {
@@ -159,8 +167,11 @@ fn stream_compression_support_is_worker_invariant() {
         ..WorldConfig::default()
     };
     let world = World::generate(config.clone());
-    let services: Vec<&DomainRecord> = world.quic_services().collect();
-    let reference = CompressionShard::from_probes(&compression::probe_records(&world, &services));
+    let rows: Vec<_> = world
+        .quic_services()
+        .map(|record| compression::probe_row(&world, record))
+        .collect();
+    let reference = CompressionShard::from_probes(&rows);
     for column in &reference.algorithms {
         assert!(column.supported > 0, "{} is offered", column.algorithm);
         assert!(column.compressed_bytes < column.uncompressed_bytes);
@@ -270,8 +281,8 @@ fn streaming_scenario_axes_are_worker_and_chunk_invariant() {
 /// The chaos grid across the worker × chunk × memo matrix: every
 /// [`FaultPlan`] rung must fold bit-for-bit identical summaries at
 /// workers {1, 2, 8} and chunks {adaptive, 64, 4096}, with memoization
-/// forced on and forced off, and must equal the materialized chaos
-/// artifact of the same world. Fault wires draw per-probe RNG, so with
+/// forced on and forced off, and must equal the per-record oracle over the
+/// same world. Fault wires draw per-probe RNG, so with
 /// the memo forced *on* a non-NONE plan must still record zero memo
 /// traffic — the plan's own determinism predicate bypasses it, even on
 /// the otherwise-deterministic ideal profile.
@@ -284,11 +295,11 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
     };
     let era = CertificateEra::Classical;
     let profile = NetworkProfile::Ideal;
+    let world = World::generate(config.clone());
     for plan in [FaultPlan::LIGHT, FaultPlan::HEAVY, FaultPlan::DUP_STORM] {
-        let materialized = ScanEngine::new(World::generate(config.clone()), INITIAL, 2);
         let reference = QuicReachShard::from_results(
             INITIAL,
-            &materialized.quicreach(cell(era, profile).with_plan(plan)),
+            &oracle(&world, cell(era, profile).with_plan(plan)),
         );
         for (workers, chunk) in [(1usize, 0usize), (2, 64), (8, 4096)] {
             for memo in [true, false] {
@@ -306,6 +317,117 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
                     "chaos {plan} consulted the memo at workers={workers} chunk={chunk} memo={memo}"
                 );
             }
+        }
+    }
+}
+
+/// `got == want`, reported as the first differing row rather than two
+/// whole artefacts.
+fn assert_same_rows<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: row count");
+    for (row, (got, want)) in got.iter().zip(want).enumerate() {
+        assert_eq!(got, want, "{context}: row {row}");
+    }
+}
+
+/// Every collected artefact, held **record for record, field for field** to
+/// the per-record function it is made of — mapped serially over a generated
+/// world, with no pump, no memo and no flyweight anywhere — at workers
+/// {1, 2, 8} with the memo on and off, over 3 eras × {ideal, tunneled,
+/// lossy} × {1200, 1362, 1472} plus one fault-plan cell. `Vec` equality is
+/// rank order too. With the memo on the deterministic cells replay classes
+/// (one representative at the slowest latency, rescaled), so a single
+/// differing `QuicReachResult` field means `replayed_for` is missing it.
+#[test]
+fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
+    let config = WorldConfig {
+        domains: 1_000,
+        seed: 0x9121,
+        ..WorldConfig::default()
+    };
+    let world = World::generate(config.clone());
+    let services = || world.quic_services();
+    let mut cells: Vec<Scenario> = Vec::new();
+    for era in CertificateEra::ALL {
+        for profile in [
+            NetworkProfile::Ideal,
+            NetworkProfile::Tunneled,
+            NetworkProfile::Lossy,
+        ] {
+            for initial in [1200usize, 1362, 1472] {
+                cells.push(cell(era, profile).with_initial_size(initial));
+            }
+        }
+    }
+    cells.push(Scenario::at(INITIAL).with_plan(FaultPlan::MODERATE));
+    let reach: Vec<_> = cells.iter().map(|&s| oracle(&world, s)).collect();
+    // Warm revisits on one cell per profile and the faulted one (each
+    // probes every service twice); the scenario-less families once.
+    let warm_cells: Vec<Scenario> = cells
+        .iter()
+        .filter(|s| {
+            s.initial_size == INITIAL && s.era == CertificateEra::Hybrid
+                || s.plan != FaultPlan::NONE
+        })
+        .map(|s| s.with_policy(ResumptionPolicy::WarmAfterFirstVisit))
+        .collect();
+    assert_eq!(warm_cells.len(), 4);
+    let warm: Vec<Vec<_>> = warm_cells
+        .iter()
+        .map(|&s| {
+            services()
+                .map(|r| quicreach::warm_service(&world, r, s))
+                .collect()
+        })
+        .collect();
+    let funnel = format!("{:?}", https_scan::scan(&world));
+    let fetched = format!("{:?}", qscanner::scan(&world));
+    let support = format!("{:?}", compression::scan(&world));
+    let studied: Vec<_> = compression::study_sample(&world, 9)
+        .iter()
+        .filter_map(|r| compression::study(&world, r, Algorithm::Zstd, CertificateEra::Hybrid))
+        .collect();
+
+    for workers in [1usize, 2, 8] {
+        for memo in [true, false] {
+            let context = format!("workers={workers} memo={memo}");
+            // A streaming engine: nothing to borrow, every pass derives.
+            let engine =
+                ScanEngine::streaming(config.clone(), INITIAL, workers).with_memoization(memo);
+            let mut replayed = 0;
+            for (scenario, want) in cells.iter().zip(&reach) {
+                let context = format!("{scenario:?} {context}");
+                assert_same_rows(&engine.quicreach(*scenario), want, &context);
+                let totals = engine.pump_stats().expect("the collect pumped").totals();
+                let memoizes =
+                    memo && scenario.profile.is_deterministic() && scenario.plan.is_deterministic();
+                assert_eq!(
+                    totals.memo_hits + totals.memo_misses,
+                    if memoizes { want.len() as u64 } else { 0 },
+                    "{context}"
+                );
+                replayed += totals.memo_hits;
+            }
+            assert_eq!(replayed > 0, memo, "{context}: classes replayed");
+            for (scenario, want) in warm_cells.iter().zip(&warm) {
+                let context = format!("warm {scenario:?} {context}");
+                assert_same_rows(&engine.warm_scan(*scenario), want, &context);
+            }
+            assert_eq!(format!("{:?}", engine.https_scan()), funnel, "{context}");
+            assert_eq!(format!("{:?}", engine.qscanner()), fetched, "{context}");
+            assert_eq!(
+                format!("{:?}", engine.compression_support()),
+                support,
+                "{context}"
+            );
+            assert_eq!(
+                format!(
+                    "{:?}",
+                    engine.compression_study(CertificateEra::Hybrid, Algorithm::Zstd, 9)
+                ),
+                format!("{studied:?}"),
+                "{context}"
+            );
         }
     }
 }
@@ -539,10 +661,10 @@ fn flyweight_free_reference(
         scenario,
         &mut ProbeScratch::with_memo(false),
     );
-    // `collate` reads the DNS funnel off the world's own records (churn
-    // never touches DNS) and the chains off the churned observations.
-    let observed = records.iter().map(|r| https_scan::observe(world, r));
-    let report = https_scan::collate(world, observed);
+    let observed = records
+        .iter()
+        .map(|r| (r.dns, https_scan::observe(world, r)));
+    let report = https_scan::collate(observed);
     (reach, HttpsScanShard::from_report(&report))
 }
 
@@ -782,7 +904,7 @@ fn compression_study_grid_is_worker_invariant() {
     let reference = engine(1);
     let parallel = engine(8);
     for era in CertificateEra::ALL {
-        for algorithm in quicert_compress::Algorithm::ALL {
+        for algorithm in Algorithm::ALL {
             let a = reference.compression_study(era, algorithm, 4);
             let b = parallel.compression_study(era, algorithm, 4);
             assert_eq!(a.len(), b.len(), "{era}/{algorithm}");

@@ -48,9 +48,10 @@ impl AlgorithmSupport {
     }
 }
 
-/// One service's `Algorithm::ALL`-ordered probe row. The service's chain
-/// is issued once, by the first algorithm it supports, and shared.
-fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
+/// Probe one QUIC service with all three algorithms: its
+/// `Algorithm::ALL`-ordered probe row. The service's chain is issued once,
+/// by the first algorithm it supports, and shared.
+pub fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
     let chain = OnceCell::new();
     Algorithm::ALL.map(|algorithm| probe_sharing(world, record, algorithm, &chain))
 }
@@ -85,17 +86,19 @@ fn probe_sharing(
     }
 }
 
-/// Probe every QUIC service with all three algorithms and aggregate.
+/// Probe every QUIC service of a generated world with all three algorithms
+/// and aggregate: a serial [`probe_row`] each — the pump-free reference.
 pub fn scan(world: &World) -> Vec<AlgorithmSupport> {
-    let services: Vec<&DomainRecord> = world.quic_services().collect();
-    collate(&probe_records(world, &services))
+    let rows: Vec<_> = world
+        .quic_services()
+        .map(|record| probe_row(world, record))
+        .collect();
+    collate(&rows)
 }
 
-/// Probe an explicit shard of services with all three algorithms.
-///
-/// Shard-aware entry point: returns one `Algorithm::ALL`-ordered probe row
-/// per service, so shards can run on separate workers and be concatenated
-/// in order before [`collate`].
+// Frozen for `perfbench/` (see `quicreach.rs`'s compat block): map
+// [`probe_row`] instead.
+#[doc(hidden)]
 pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[CompressionProbe; 3]> {
     records
         .iter()
@@ -105,7 +108,7 @@ pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[Compressi
 
 /// Aggregate service-major probe rows into Table 1's per-algorithm columns.
 /// Ratios are folded in service order, so the result is bit-for-bit
-/// independent of how the probing was sharded.
+/// independent of how the probing was claimed.
 pub fn collate(probes: &[[CompressionProbe; 3]]) -> Vec<AlgorithmSupport> {
     Algorithm::ALL
         .iter()
@@ -240,11 +243,9 @@ impl Merge for CompressionShard {
 
 /// Fold one population chunk, handed over as any record iterator, into a
 /// [`CompressionShard`] without retaining probe rows beyond the record:
-/// each QUIC service's probe row is folded straight into the shard, so the
-/// streaming pump never materializes the per-chunk service list or
-/// probe-row `Vec` that [`probe_records`] builds. Row construction is the
-/// same `Algorithm::ALL`-ordered probe row, so the shard is bit-for-bit
-/// [`CompressionShard::from_probes`] over the materialized rows.
+/// each QUIC service's [`probe_row`] is folded straight into the shard, so
+/// the shard is bit-for-bit [`CompressionShard::from_probes`] over the
+/// collected rows.
 pub fn fold_iter<'a>(
     world: &World,
     records: impl IntoIterator<Item = &'a DomainRecord>,
@@ -287,45 +288,42 @@ impl SyntheticCompression {
     }
 }
 
-/// The every-`stride`-th HTTPS-reachable sample the synthetic study runs on.
+/// Whether `record` is in the every-`stride`-th HTTPS-reachable sample the
+/// synthetic study runs on — a function of the record alone.
+pub fn in_study_sample(record: &DomainRecord, stride: usize) -> bool {
+    (record.rank - 1).is_multiple_of(stride.max(1)) && record.has_https()
+}
+
+/// The study sample ([`in_study_sample`]) of a generated world.
 pub fn study_sample(world: &World, stride: usize) -> Vec<&DomainRecord> {
     world
         .domains()
         .iter()
-        .step_by(stride.max(1))
-        .filter(|record| record.has_https())
+        .filter(|record| in_study_sample(record, stride))
         .collect()
 }
 
-/// Compress the served chains of an explicit shard of sampled records
-/// ([`study_sample`]) with `algorithm`, in one [`CertificateEra`].
+/// Compress the served chain of one sampled record with `algorithm`, in
+/// one [`CertificateEra`]; `None` when it serves no HTTPS chain.
 ///
-/// Shard-aware entry point: each chain is materialised and compressed
-/// independently, so shards concatenated in sample order reproduce a
-/// serial pass over the whole sample bit-for-bit. Across eras the sampled
-/// chains are the same with era-swapped keys and signatures. The brotli
-/// profile's Fig-9-style certificate dictionary was assembled from
-/// *classical* DER fragments, so the achieved ratio degrades on ML-DSA
-/// material — the keys and signatures that dominate PQC chains are
-/// incompressible random bytes the dictionary has never seen.
-pub fn study_records(
+/// Across eras the sampled chains are the same with era-swapped keys and
+/// signatures. The brotli profile's Fig-9-style certificate dictionary was
+/// assembled from *classical* DER fragments, so the achieved ratio degrades
+/// on ML-DSA material — the keys and signatures that dominate PQC chains
+/// are incompressible random bytes the dictionary has never seen.
+pub fn study(
     world: &World,
-    records: &[&DomainRecord],
+    record: &DomainRecord,
     algorithm: Algorithm,
     era: CertificateEra,
-) -> Vec<SyntheticCompression> {
-    records
-        .iter()
-        .filter_map(|record| {
-            let chain = world.https_chain_era(record, era)?;
-            let der = chain.concatenated_der();
-            let compressed = compress_with(algorithm, &der);
-            Some(SyntheticCompression {
-                original: der.len(),
-                compressed: compressed.data.len(),
-            })
-        })
-        .collect()
+) -> Option<SyntheticCompression> {
+    let chain = world.https_chain_era(record, era)?;
+    let der = chain.concatenated_der();
+    let compressed = compress_with(algorithm, &der);
+    Some(SyntheticCompression {
+        original: der.len(),
+        compressed: compressed.data.len(),
+    })
 }
 
 #[cfg(test)]
@@ -339,6 +337,39 @@ mod tests {
             seed: 77,
             ..WorldConfig::default()
         })
+    }
+
+    /// The study over a generated world's sample.
+    fn study_each(
+        world: &World,
+        stride: usize,
+        algorithm: Algorithm,
+        era: CertificateEra,
+    ) -> Vec<SyntheticCompression> {
+        let sampled = study_sample(world, stride);
+        let rows = sampled
+            .iter()
+            .filter_map(|r| study(world, r, algorithm, era));
+        rows.collect()
+    }
+
+    #[test]
+    fn study_sample_is_every_stride_th_https_domain() {
+        let world = world();
+        for stride in [0usize, 1, 7, 40] {
+            let stepped: Vec<usize> = world
+                .domains()
+                .iter()
+                .step_by(stride.max(1))
+                .filter(|record| record.has_https())
+                .map(|record| record.rank)
+                .collect();
+            let sampled: Vec<usize> = study_sample(&world, stride)
+                .iter()
+                .map(|r| r.rank)
+                .collect();
+            assert_eq!(sampled, stepped, "stride {stride}");
+        }
     }
 
     #[test]
@@ -398,18 +429,12 @@ mod tests {
     #[test]
     fn dictionary_compression_degrades_on_pq_chains() {
         let world = world();
-        let sampled = study_sample(&world, 40);
-        let classical = study_records(
-            &world,
-            &sampled,
-            Algorithm::Brotli,
-            CertificateEra::Classical,
-        );
+        let classical = study_each(&world, 40, Algorithm::Brotli, CertificateEra::Classical);
         let ratios = |rows: &[SyntheticCompression]| {
             quicert_analysis::mean(&rows.iter().map(|r| r.ratio()).collect::<Vec<_>>())
         };
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            let pq = study_records(&world, &sampled, Algorithm::Brotli, era);
+            let pq = study_each(&world, 40, Algorithm::Brotli, era);
             assert_eq!(pq.len(), classical.len());
             // PQC chains are dominated by incompressible ML-DSA material,
             // so the achieved ratio collapses toward 1.0.
@@ -434,12 +459,7 @@ mod tests {
     #[test]
     fn sampled_study_keeps_most_chains_under_the_limit() {
         let world = world();
-        let results = study_records(
-            &world,
-            &study_sample(&world, 7),
-            Algorithm::Brotli,
-            CertificateEra::Classical,
-        );
+        let results = study_each(&world, 7, Algorithm::Brotli, CertificateEra::Classical);
         assert!(results.len() > 100);
         let limit = 3 * 1357;
         let under = results.iter().filter(|r| r.compressed <= limit).count();

@@ -99,49 +99,35 @@ impl HttpsScanReport {
     }
 }
 
-/// Run the HTTPS certificate scan over the whole world.
+/// Run the HTTPS certificate scan over a generated world: a serial
+/// [`observe`] each — the pump-free, flyweight-free reference.
 pub fn scan(world: &World) -> HttpsScanReport {
-    collate(world, world.domains().iter().map(|r| observe(world, r)))
+    collate(world.domains().iter().map(|r| (r.dns, observe(world, r))))
 }
 
-/// Probe an explicit shard of domains.
-///
-/// Shard-aware entry point: observations only depend on the record itself,
-/// so shards can run on separate workers and be concatenated in order
-/// before [`collate`] folds them into a report identical to a serial
-/// [`scan`].
-pub fn observe_records(world: &World, records: &[&DomainRecord]) -> Vec<Option<HttpsObservation>> {
-    records
-        .iter()
-        .map(|record| observe(world, record))
-        .collect()
-}
-
-/// Fold per-domain observations (one entry per world domain, in rank order)
-/// into the funnel report. The DNS funnel counters come straight from the
-/// world records; the observations carry the chain summaries.
+/// Fold one `(DNS outcome, observation)` row per scanned domain, in rank
+/// order, into the funnel report: the DNS funnel counters come from the
+/// outcomes, the chain summaries from the observations — no world needed,
+/// so a population only ever derived in chunks folds the same.
 pub fn collate(
-    world: &World,
-    observations: impl IntoIterator<Item = Option<HttpsObservation>>,
+    rows: impl IntoIterator<Item = (DnsOutcome, Option<HttpsObservation>)>,
 ) -> HttpsScanReport {
-    let mut report = HttpsScanReport {
-        total: world.domains().len(),
-        ..HttpsScanReport::default()
-    };
-    for record in world.domains() {
-        match record.dns {
+    let mut report = HttpsScanReport::default();
+    for (dns, observation) in rows {
+        report.total += 1;
+        match dns {
             DnsOutcome::ServFail => report.servfail += 1,
             DnsOutcome::NxDomain => report.nxdomain += 1,
             DnsOutcome::Timeout | DnsOutcome::Refused => report.timeout_refused += 1,
             _ => report.resolved += 1,
         }
-        if record.dns.address().is_some() {
+        if dns.address().is_some() {
             report.a_records += 1;
         }
-    }
-    for obs in observations.into_iter().flatten() {
-        report.names_seen += 1 + obs.redirect_hops as usize;
-        report.observations.push(obs);
+        if let Some(obs) = observation {
+            report.names_seen += 1 + obs.redirect_hops as usize;
+            report.observations.push(obs);
+        }
     }
     report
 }
@@ -311,7 +297,7 @@ impl Merge for HttpsScanShard {
 /// certificate survey — shares it for the world's lifetime, and churn
 /// cannot stale it (it reaches the HTTPS chain only through the era
 /// override, a key field). A warm fold allocates the shard's two sketches
-/// and nothing per record. The materialized [`observe`]/[`scan`]/
+/// and nothing per record. The per-record [`observe`]/[`scan`]/
 /// [`collate`] path never consults the table: it issues every chain, and
 /// [`HttpsScanShard::from_report`] over it is the reference this fold must
 /// match bit for bit.

@@ -72,22 +72,15 @@ pub fn fetch(world: &World, record: &DomainRecord) -> Option<QuicCertObservation
     })
 }
 
-/// Fetch all QUIC chains and compute the consistency report.
+/// Fetch all QUIC chains of a generated world and compute the consistency
+/// report: a serial [`fetch`] each — the pump-free reference.
 pub fn scan(world: &World) -> (Vec<QuicCertObservation>, ConsistencyReport) {
-    let records: Vec<&DomainRecord> = world.quic_services().collect();
-    collate(fetch_records(world, &records))
-}
-
-/// Fetch the chains of an explicit shard of services.
-///
-/// Shard-aware entry point: each fetch only depends on the record itself,
-/// so shards concatenated in service order reproduce a serial [`scan`]
-/// bit-for-bit once [`collate`] folds them.
-pub fn fetch_records(world: &World, records: &[&DomainRecord]) -> Vec<QuicCertObservation> {
-    records
-        .iter()
-        .filter_map(|record| fetch(world, record))
-        .collect()
+    collate(
+        world
+            .quic_services()
+            .filter_map(|record| fetch(world, record))
+            .collect(),
+    )
 }
 
 /// Fold per-service observations into the §3.2 consistency report.

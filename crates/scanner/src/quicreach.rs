@@ -6,9 +6,12 @@
 //! policy — as one [`Scenario`], so a new condition is a new field there,
 //! never a new entry point here.
 //!
-//! All probe families — materialized ([`scan_records`]), streamed
-//! ([`fold_chunk`]) and the warm ([`warm_scan`]) resumption path — build
-//! their probe through `probe_for` and read it back through
+//! There is one population loop, [`scan_chunk`] — a summary
+//! ([`fold_chunk`]) and a per-record artefact differ only in the sink its
+//! results land in — beside the oracle it is held to ([`scan_service`], one
+//! memo-free probe of one record, which [`scan`] maps over a world) and the
+//! cold-then-warm revisit of one record ([`warm_service`]). All of them
+//! build their probe through `probe_for` and read it back through
 //! `QuicReachResult::from_outcome`, so the probe parameters and the
 //! outcome→result mapping can never diverge between entry points.
 
@@ -341,7 +344,7 @@ impl Merge for QuicReachShard {
 
 /// The one-way latency every scenario class is simulated at: the slowest
 /// step of the scanner's base range, so a timer that stays silent here
-/// stays silent on every faster wire (see [`fold_chunk`]).
+/// stays silent on every faster wire (see [`scan_chunk`]).
 const CLASS_LATENCY: SimDuration = SimDuration::from_millis(*BASE_LATENCY_MS.end());
 
 /// The scenario class of one cold streaming probe: every input that can
@@ -360,7 +363,7 @@ const CLASS_LATENCY: SimDuration = SimDuration::from_millis(*BASE_LATENCY_MS.end
 /// moves every event time by the same factor. The class is simulated once,
 /// at `CLASS_LATENCY` (49 ms), and each member reads its own result off that
 /// one by an integer rescale of the single time a [`QuicReachResult`]
-/// carries; [`fold_chunk`] states when that is sound and checks it before
+/// carries; [`scan_chunk`] states when that is sound and checks it before
 /// every insert.
 ///
 /// Deliberately excluded: the server's certificate-compression support
@@ -490,17 +493,17 @@ pub use quicert_pki::flyweight::CLASS_CAPACITY as MEMO_CLASS_CAPACITY;
 /// which worker won is invisible.
 pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
 
-/// Per-worker state of the streaming quicreach fold: a handle on a
-/// scenario-class memo (see [`fold_chunk`]), this worker's share of its
+/// Per-worker state of the quicreach probe loop: a handle on a
+/// scenario-class memo (see [`scan_chunk`]), this worker's share of its
 /// counters, and the instruments it reports into.
 ///
-/// A pump worker's ([`ProbeScratch::sharing`]) memo is its engine's one
-/// table, shared with every other worker and carried across pumps and
-/// service ticks; a standalone scratch ([`ProbeScratch::with_memo`]) owns
-/// a private one. Nothing else survives from one chunk to the next
-/// (`pending` is drained before a fold returns and kept only for its
-/// capacity), so a reused scratch folds exactly as a fresh one does —
-/// pinned by the fresh-vs-reused property test.
+/// A pump worker's ([`ProbeScratch::sharing`]) memo is shared with every
+/// other worker of its pass — the engine's one table, carried across pumps
+/// and service ticks, or a collecting pass's own; a standalone scratch
+/// ([`ProbeScratch::with_memo`]) owns a private one. Nothing else survives
+/// from one chunk to the next (`pending` is drained before a fold returns
+/// and kept only for its capacity), so a reused scratch folds exactly as a
+/// fresh one does — pinned by the fresh-vs-reused property test.
 #[derive(Debug)]
 pub struct ProbeScratch {
     /// Classes first simulated in the chunk being folded, stored into the
@@ -539,7 +542,7 @@ impl ProbeScratch {
         }
     }
 
-    /// Attach streaming-scan instruments; every later [`fold_chunk`]
+    /// Attach streaming-scan instruments; every later [`scan_chunk`]
     /// through this scratch updates its counters once per chunk.
     pub fn set_metrics(&mut self, metrics: ProbeMetrics) {
         self.metrics = Some(metrics);
@@ -561,15 +564,27 @@ impl Default for ProbeScratch {
 }
 
 /// Fold one **population** chunk (QUIC and non-QUIC records alike) into a
-/// [`QuicReachShard`] without materializing per-record results: the
-/// streaming pump's hot path. Takes the chunk as a plain record slice (the
-/// pump hands workers owned chunks — no per-chunk `Vec<&DomainRecord>` is
-/// ever built) and routes every probe through the same `probe_for` builder
-/// and outcome→result mapping as the materialized scans. Probe outcomes are
-/// chunk-size invariant (per-record RNG forking) and the shard summary
-/// merges exactly, so pumping any chunking of the population through this
-/// fold and merging the shards reproduces [`QuicReachShard::from_results`]
-/// over a full materialized [`scan_records`] bit-for-bit.
+/// [`QuicReachShard`]: [`scan_chunk`] with the shard as its sink. The
+/// summary merges exactly, so any chunking of the population, merged,
+/// reproduces [`QuicReachShard::from_results`] over [`scan`] bit-for-bit.
+pub fn fold_chunk(
+    world: &World,
+    records: &[DomainRecord],
+    scenario: Scenario,
+    scratch: &mut ProbeScratch,
+) -> QuicReachShard {
+    let mut shard = QuicReachShard::identity();
+    shard.classes.initial_size = scenario.initial_size;
+    scan_chunk(world, records, scenario, scratch, |row| shard.push(&row));
+    shard
+}
+
+/// Probe every QUIC service of one **population** chunk and hand each
+/// result to `sink`, in record order: the one probe loop. The engine's pump
+/// hands workers owned chunks (no per-chunk `Vec<&DomainRecord>` is ever
+/// built) and chooses the sink — a shard ([`fold_chunk`]) or a `Vec`.
+/// Per-record RNG forking makes outcomes chunk-size invariant: any chunking
+/// yields, record for record, [`scan_service`]'s results.
 ///
 /// When the scratch carries a memo and the scenario is deterministic
 /// (*both* [`NetworkProfile::is_deterministic`] and
@@ -580,7 +595,8 @@ impl Default for ProbeScratch {
 /// stored once the chunk is folded (lookups all precede the chunk's
 /// inserts, so two records of one new class in one chunk both simulate,
 /// and the hit and miss counts are a function of the chunking alone).
-/// Replayed and fresh results fold in record order, so the order-sensitive
+/// Replayed and fresh results reach the sink in record order, so a
+/// collected artefact is in rank order and the order-sensitive
 /// [`StreamSummary`] float sums match the unmemoized path bit for bit.
 ///
 /// ## Why one simulation serves every latency
@@ -613,7 +629,7 @@ impl Default for ProbeScratch {
 /// was ever delivered (the MTU black hole of §4.1: the client's PTOs fire
 /// into the void and the latency is never read). A representative that
 /// passes neither test is not stored; its record is simulated on its own
-/// wire, exactly as a memo-free fold would, and so is every later member
+/// wire, exactly as a memo-free scan would, and so is every later member
 /// of the class (each counted as a miss — none exists on any generated
 /// world, and the exact-count guards would show one).
 ///
@@ -624,29 +640,28 @@ impl Default for ProbeScratch {
 /// events off the lattice, so they bypass the memo and keep per-record
 /// simulation — a shared table is never polluted by a fault-injected
 /// result. [`scan_service`] never consults the memo either: it is the
-/// per-record oracle this fold is held to.
+/// per-record oracle this loop is held to.
 ///
 /// Phase histograms observe fresh outcomes only (replays would count a
 /// class's phases once per member): on a class miss, the representative's
 /// timeline rescaled to the *missing record's own* latency, so every
 /// observed value is one a memo-free probe of a real record produces.
-pub fn fold_chunk(
+pub fn scan_chunk(
     world: &World,
     records: &[DomainRecord],
     scenario: Scenario,
     scratch: &mut ProbeScratch,
-) -> QuicReachShard {
+    mut sink: impl FnMut(QuicReachResult),
+) {
     let memo = scratch
         .memo
         .as_deref()
         .filter(|_| scenario.profile.is_deterministic() && scenario.plan.is_deterministic());
-    let mut shard = QuicReachShard::identity();
-    shard.classes.initial_size = scenario.initial_size;
     let (mut issued, mut replayed) = (0u64, 0u64);
     for record in records.iter().filter(|record| record.has_quic()) {
         let class = memo.and_then(|memo| Some((memo, ProbeClass::of(record, scenario)?)));
         if let Some(cached) = class.and_then(|(memo, class)| memo.get(&class)) {
-            shard.push(&cached.replayed_for(record));
+            sink(cached.replayed_for(record));
             replayed += 1;
             continue;
         }
@@ -678,7 +693,7 @@ pub fn fold_chunk(
                 metrics.phases[phase.index()].observe(ns as f64 / 1e9);
             }
         }
-        shard.push(&result);
+        sink(result);
     }
     if let Some(memo) = memo {
         scratch.hits += replayed;
@@ -691,7 +706,6 @@ pub fn fold_chunk(
         metrics.issued.add(issued);
         metrics.replayed.add(replayed);
     }
-    shard
 }
 
 /// The insert-time soundness check of the latency-free memo: the timeline
@@ -700,7 +714,7 @@ pub fn fold_chunk(
 /// may not stand in for other latencies.
 ///
 /// Sound means: no timer fired and every timestamp is a whole number of
-/// `CLASS_LATENCY` hops (see [`fold_chunk`] for why that suffices), or
+/// `CLASS_LATENCY` hops (see [`scan_chunk`] for why that suffices), or
 /// nothing was ever delivered, so no latency was ever read.
 fn latency_free_timeline(out: &HandshakeOutcome, own: SimDuration) -> Option<HandshakeTimeline> {
     let on_lattice = out
@@ -779,34 +793,13 @@ pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) ->
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
-/// Probe every QUIC service at one Initial size under the paper's baseline
-/// scenario ([`Scenario::at`]).
+/// Probe every QUIC service of a generated world at one Initial size under
+/// the paper's baseline scenario ([`Scenario::at`]): a serial
+/// [`scan_service`] each — the memo-free, pump-free reference.
 pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
-    let records: Vec<&DomainRecord> = world.quic_services().collect();
-    scan_records(world, &records, Scenario::at(initial_size))
-}
-
-/// Probe an explicit shard of services under one [`Scenario`], one
-/// [`scan_service`] after the other.
-///
-/// This is the shard-aware entry point. Every probe derives its
-/// randomness from the record's own forked seed and owns its session
-/// state, so splitting the service list into shards, probing them on
-/// separate workers and concatenating the shard outputs in order is
-/// bit-for-bit identical to a serial [`scan`] at any shard size, on every
-/// axis: the hybrid and post-quantum eras serve multi-kilobyte flights that
-/// fragment across more CRYPTO frames under the same 3× amplification
-/// limiter, and a non-[`FaultPlan::NONE`] plan overlays loss × duplication
-/// × corruption on every wire, drawing per-datagram RNG from the same
-/// per-record streams — still deterministic for a fixed seed, but no longer
-/// shared across records of one scenario class.
-pub fn scan_records(
-    world: &World,
-    records: &[&DomainRecord],
-    scenario: Scenario,
-) -> Vec<QuicReachResult> {
-    records
-        .iter()
+    let scenario = Scenario::at(initial_size);
+    world
+        .quic_services()
         .map(|record| scan_service(world, record, scenario))
         .collect()
 }
@@ -884,66 +877,58 @@ impl WarmScanResult {
     }
 }
 
-/// Probe a shard of services cold-then-warm under the scenario's
+/// Probe one service cold-then-warm under the scenario's
 /// [`ResumptionPolicy`] ([`Scenario::warm_policy`]).
 ///
-/// Each record's first visit runs the usual certificate-laden handshake
-/// against its server *with ticket issuance enabled*; the obtained ticket
+/// The first visit runs the usual certificate-laden handshake against the
+/// record's server *with ticket issuance enabled*; the obtained ticket
 /// lands in an SNI-keyed LRU session cache, and the second visit re-probes
-/// with the cached ticket per the policy. The cold (ticket-free) scan
-/// entry points are untouched by any of this — their servers never issue
-/// tickets, so their artifacts stay byte-for-byte identical.
+/// with the cached ticket per the policy (stateful, so never memoized).
+/// The cold (ticket-free) scan entry points are untouched by any of this —
+/// their servers never issue tickets, so their artifacts stay
+/// byte-for-byte identical.
 ///
-/// Probes use the record's *domain name* as SNI (tickets are host-bound);
-/// the probe parameters are otherwise exactly [`scan_records`]'s, via the
-/// shared probe builder. Every visit draws from per-record RNG streams, so
-/// shard splits and worker counts cannot change any result. Cold visits
-/// pay the era's chain while warm visits resume certificate-free — the
-/// resumed flight is era-independent, which is exactly what makes
-/// resumption the strongest PQC mitigation — and both visits run over the
-/// plan-overlaid wire, so a sweep can ask whether resumption still pays
-/// once the path itself is hostile.
+/// The probe uses the record's *domain name* as SNI (tickets are
+/// host-bound); its parameters are otherwise exactly [`scan_service`]'s,
+/// via the shared probe builder. Every visit draws from per-record RNG
+/// streams, so claim splits and worker counts cannot change any result.
+/// Cold visits pay the era's chain while warm visits resume
+/// certificate-free — the resumed flight is era-independent, which is
+/// exactly what makes resumption the strongest PQC mitigation — and both
+/// visits run over the plan-overlaid wire, so a sweep can ask whether
+/// resumption still pays once the path itself is hostile.
 ///
 /// # Panics
 ///
-/// Like [`scan_service`], when a record serves no QUIC chain.
-pub fn warm_scan(
-    world: &World,
-    records: &[&DomainRecord],
-    scenario: Scenario,
-) -> Vec<WarmScanResult> {
+/// Like [`scan_service`], when the record serves no QUIC chain.
+pub fn warm_service(world: &World, record: &DomainRecord, scenario: Scenario) -> WarmScanResult {
     let policy = scenario.warm_policy();
-    let warm_now_secs = warm_visit_secs(policy);
-    records
-        .iter()
-        .map(|record| {
-            let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
-            probe.client.server_name = record.name.clone();
-            probe.server.resumption = Some(ResumptionHost {
-                issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
-                now_secs: WARM_SCAN_EPOCH_SECS,
-                issue_tickets: true,
-            });
-            let out = run_resumption(ResumptionProbe {
-                client: probe.client,
-                server: probe.server,
-                warm_wire: probe.wire.clone(),
-                wire: probe.wire,
-                seed: probe.seed,
-                warm_now_secs,
-                offer_ticket: policy.offers_ticket(),
-            });
-            WarmScanResult::from_outcome(record.rank, &out)
-        })
-        .collect()
+    let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
+    probe.client.server_name = record.name.clone();
+    probe.server.resumption = Some(ResumptionHost {
+        issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
+        now_secs: WARM_SCAN_EPOCH_SECS,
+        issue_tickets: true,
+    });
+    let out = run_resumption(ResumptionProbe {
+        client: probe.client,
+        server: probe.server,
+        warm_wire: probe.wire.clone(),
+        wire: probe.wire,
+        seed: probe.seed,
+        warm_now_secs: warm_visit_secs(policy),
+        offer_ticket: policy.offers_ticket(),
+    });
+    WarmScanResult::from_outcome(record.rank, &out)
 }
 
 // ------------------------------------------------- frozen compat block --
 //
 // `perfbench/` is frozen and calls exactly these three positional
-// signatures (plus `ScanEngine::stream_quicreach_chaos` in quicert-core).
-// They build a `Scenario` and delegate, so a new axis never touches them;
-// nothing else in the workspace may call them — use the scenario forms.
+// signatures (plus `ScanEngine::stream_quicreach_chaos` in quicert-core and
+// `compression::probe_records`). They build a `Scenario` and delegate, so a
+// new axis never touches them; nothing else in the workspace may call them
+// — use the scenario forms.
 
 #[doc(hidden)]
 pub fn fold_records_scratch(
@@ -988,7 +973,10 @@ pub fn warm_scan_records(
     let scenario = Scenario::at(initial_size)
         .with_profile(profile)
         .with_policy(policy);
-    warm_scan(world, records, scenario)
+    records
+        .iter()
+        .map(|record| warm_service(world, record, scenario))
+        .collect()
 }
 
 // --------------------------------------------- end frozen compat block --
@@ -1028,6 +1016,26 @@ mod tests {
         })
     }
 
+    /// The per-record oracle over an explicit service list.
+    fn scan_each(
+        world: &World,
+        records: &[&DomainRecord],
+        scenario: Scenario,
+    ) -> Vec<QuicReachResult> {
+        let probe = |record: &&DomainRecord| scan_service(world, record, scenario);
+        records.iter().map(probe).collect()
+    }
+
+    /// The cold-then-warm probe over an explicit service list.
+    fn warm_each(
+        world: &World,
+        records: &[&DomainRecord],
+        scenario: Scenario,
+    ) -> Vec<WarmScanResult> {
+        let probe = |record: &&DomainRecord| warm_service(world, record, scenario);
+        records.iter().map(probe).collect()
+    }
+
     /// The Vec-building reference [`fold_chunk`] must match: the chunk's
     /// QUIC services scanned into per-record results, folded afterwards.
     fn materialized_fold(
@@ -1038,7 +1046,7 @@ mod tests {
         let services: Vec<&DomainRecord> = chunk.iter().filter(|r| r.has_quic()).collect();
         QuicReachShard::from_results(
             scenario.initial_size,
-            &scan_records(world, &services, scenario),
+            &scan_each(world, &services, scenario),
         )
     }
 
@@ -1103,14 +1111,28 @@ mod tests {
     fn batch_size_does_not_change_outcomes() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(90).collect();
-        let whole = scan_records(&world, &records, Scenario::at(1250));
+        let whole = scan_each(&world, &records, Scenario::at(1250));
         for chunk in [1usize, 7, 30] {
             let pieces: Vec<QuicReachResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| scan_records(&world, shard, Scenario::at(1250)))
+                .flat_map(|shard| scan_each(&world, shard, Scenario::at(1250)))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn scan_chunk_hands_its_sink_the_oracles_results_in_record_order() {
+        // Any chunking, one reused memoizing scratch: the collected rows are
+        // the memo-free per-record scan, field for field, in rank order.
+        let world = world();
+        let mut scratch = ProbeScratch::new();
+        let mut collected = Vec::new();
+        for chunk in world.domains().chunks(97) {
+            scan_chunk(&world, chunk, BASE, &mut scratch, |r| collected.push(r));
+        }
+        assert!(scratch.memo_stats().0 > 0, "some classes replayed");
+        assert_eq!(collected, scan(&world, 1362));
     }
 
     #[test]
@@ -1475,7 +1497,7 @@ mod tests {
     fn warm_scan_resumes_the_reachable_population() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
-        let results = warm_scan(
+        let results = warm_each(
             &world,
             &records,
             BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit),
@@ -1514,7 +1536,7 @@ mod tests {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
         for policy in [ResumptionPolicy::ColdOnly, ResumptionPolicy::TicketExpired] {
-            let results = warm_scan(&world, &records, BASE.with_policy(policy));
+            let results = warm_each(&world, &records, BASE.with_policy(policy));
             for r in &results {
                 assert!(!r.resumed, "policy {policy}: never resumed");
                 assert_eq!(
@@ -1537,8 +1559,8 @@ mod tests {
         // plain (resumption-free) scan.
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let plain = scan_records(&world, &records, BASE);
-        let warm = warm_scan(
+        let plain = scan_each(&world, &records, BASE);
+        let warm = warm_each(
             &world,
             &records,
             BASE.with_policy(ResumptionPolicy::WarmAfterFirstVisit),
@@ -1557,11 +1579,11 @@ mod tests {
         let scenario = Scenario::at(1250)
             .with_profile(NetworkProfile::Lossy)
             .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
-        let whole = warm_scan(&world, &records, scenario);
+        let whole = warm_each(&world, &records, scenario);
         for chunk in [1usize, 7, 16] {
             let pieces: Vec<WarmScanResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| warm_scan(&world, shard, scenario))
+                .flat_map(|shard| warm_each(&world, shard, scenario))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
@@ -1571,9 +1593,9 @@ mod tests {
     fn pq_eras_shift_one_rtt_to_multi_rtt() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(150).collect();
-        let classical = summarize(1362, &scan_records(&world, &records, BASE));
+        let classical = summarize(1362, &scan_each(&world, &records, BASE));
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            let summary = summarize(1362, &scan_records(&world, &records, BASE.with_era(era)));
+            let summary = summarize(1362, &scan_each(&world, &records, BASE.with_era(era)));
             // Nothing becomes unreachable — the chain travels at the
             // Handshake level, which the MTU failure of §4.1 never sees.
             assert_eq!(summary.unreachable, classical.unreachable, "{era}");
@@ -1596,11 +1618,11 @@ mod tests {
         let scenario = BASE
             .with_profile(NetworkProfile::Lossy)
             .with_era(CertificateEra::PostQuantum);
-        let whole = scan_records(&world, &records, scenario);
+        let whole = scan_each(&world, &records, scenario);
         for chunk in [1usize, 7, 25] {
             let pieces: Vec<QuicReachResult> = records
                 .chunks(chunk)
-                .flat_map(|shard| scan_records(&world, shard, scenario))
+                .flat_map(|shard| scan_each(&world, shard, scenario))
                 .collect();
             assert_eq!(whole, pieces, "chunk size {chunk}");
         }
@@ -1610,7 +1632,7 @@ mod tests {
     fn pq_warm_scans_still_resume_certificate_free() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
-        let results = warm_scan(
+        let results = warm_each(
             &world,
             &records,
             BASE.with_era(CertificateEra::PostQuantum)
@@ -1632,11 +1654,11 @@ mod tests {
     fn ideal_profile_reports_no_faults_lossy_reports_some() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
-        let ideal = scan_records(&world, &records, BASE);
+        let ideal = scan_each(&world, &records, BASE);
         assert!(ideal
             .iter()
             .all(|r| r.fault_drops == 0 && r.fault_corruptions == 0));
-        let lossy = scan_records(&world, &records, BASE.with_profile(NetworkProfile::Lossy));
+        let lossy = scan_each(&world, &records, BASE.with_profile(NetworkProfile::Lossy));
         let drops: u64 = lossy.iter().map(|r| r.fault_drops).sum();
         assert!(drops > 0, "3% loss over 60 probes must drop something");
     }
@@ -1646,10 +1668,7 @@ mod tests {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
         let shard = |plan| {
-            QuicReachShard::from_results(
-                1362,
-                &scan_records(&world, &records, BASE.with_plan(plan)),
-            )
+            QuicReachShard::from_results(1362, &scan_each(&world, &records, BASE.with_plan(plan)))
         };
         let none = shard(FaultPlan::NONE);
         assert_eq!(none.fault_drops, 0);
@@ -1725,10 +1744,10 @@ mod tests {
     fn tunneled_profile_kills_large_initials() {
         let world = world();
         let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
-        let ideal = summarize(1472, &scan_records(&world, &records, Scenario::at(1472)));
+        let ideal = summarize(1472, &scan_each(&world, &records, Scenario::at(1472)));
         let tunneled = summarize(
             1472,
-            &scan_records(
+            &scan_each(
                 &world,
                 &records,
                 Scenario::at(1472).with_profile(NetworkProfile::Tunneled),
