@@ -13,61 +13,32 @@ use crate::engine::ScanEngine;
 pub struct CampaignConfig {
     /// World generation parameters.
     pub world: WorldConfig,
-    /// The default client Initial size used for single-size scans
-    /// (the paper reports at 1362 bytes, close to Firefox's 1357).
-    pub default_initial: usize,
+    /// The [`Scenario`] the campaign's engine defaults to: what every
+    /// axis-unaware scan runs under. The default — the paper's 1362-byte
+    /// Initial (close to Firefox's 1357), classical era, ideal path, no
+    /// faults, revisited warm after the first visit — reproduces
+    /// axis-unaware campaigns byte-for-byte; the report's matrices scan
+    /// explicit eras, profiles and plans regardless of it, and only
+    /// warm-scan artifacts read the resumption policy.
+    pub scenario: Scenario,
     /// Scan worker threads: `0` resolves to one per available core, `1`
     /// forces the serial path. Results are bit-for-bit identical at any
     /// setting.
     pub workers: usize,
-    /// The link-condition overlay every profile-unaware scan runs under.
-    /// [`NetworkProfile::Ideal`] (the default) reproduces pre-profile
-    /// campaigns byte-for-byte; the report's profile matrix additionally
-    /// scans explicit profiles regardless of this setting.
-    pub profile: NetworkProfile,
-    /// The resumption policy policy-unaware warm scans run under. Only
-    /// warm-scan artifacts depend on it — every cold scan is computed with
-    /// resumption disabled, exactly as before the subsystem existed.
-    pub resumption: ResumptionPolicy,
-    /// The certificate era era-unaware scans run against.
-    /// [`CertificateEra::Classical`] (the default) reproduces era-unaware
-    /// campaigns byte-for-byte; the report's era section additionally scans
-    /// explicit eras regardless of this setting.
-    pub era: CertificateEra,
-    /// The fault overlay plan-unaware scans run under.
-    /// [`FaultPlan::NONE`] (the default) reproduces plan-unaware campaigns
-    /// byte-for-byte; the report's chaos grid additionally scans explicit
-    /// plans regardless of this setting.
-    pub fault_plan: FaultPlan,
 }
 
 impl CampaignConfig {
     /// A small configuration for tests and examples (2k domains).
     pub fn small() -> Self {
-        CampaignConfig {
-            world: WorldConfig {
-                domains: 2_000,
-                ..WorldConfig::default()
-            },
-            default_initial: 1362,
-            workers: 0,
-            profile: NetworkProfile::Ideal,
-            resumption: ResumptionPolicy::WarmAfterFirstVisit,
-            era: CertificateEra::Classical,
-            fault_plan: FaultPlan::NONE,
-        }
+        CampaignConfig::standard().with_domains(2_000)
     }
 
     /// The default 1:50-scale configuration (20k domains).
     pub fn standard() -> Self {
         CampaignConfig {
             world: WorldConfig::default(),
-            default_initial: 1362,
+            scenario: Scenario::at(1362).with_policy(ResumptionPolicy::WarmAfterFirstVisit),
             workers: 0,
-            profile: NetworkProfile::Ideal,
-            resumption: ResumptionPolicy::WarmAfterFirstVisit,
-            era: CertificateEra::Classical,
-            fault_plan: FaultPlan::NONE,
         }
     }
 
@@ -91,36 +62,26 @@ impl CampaignConfig {
 
     /// Override the default network profile.
     pub fn with_profile(mut self, profile: NetworkProfile) -> Self {
-        self.profile = profile;
+        self.scenario = self.scenario.with_profile(profile);
         self
     }
 
     /// Override the default resumption policy.
     pub fn with_resumption(mut self, policy: ResumptionPolicy) -> Self {
-        self.resumption = policy;
+        self.scenario = self.scenario.with_policy(policy);
         self
     }
 
     /// Override the default certificate era.
     pub fn with_era(mut self, era: CertificateEra) -> Self {
-        self.era = era;
+        self.scenario = self.scenario.with_era(era);
         self
     }
 
     /// Override the default fault plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+        self.scenario = self.scenario.with_plan(plan);
         self
-    }
-
-    /// The configured axes as the one [`Scenario`] the campaign's engine
-    /// defaults to.
-    pub fn scenario(&self) -> Scenario {
-        Scenario::at(self.default_initial)
-            .with_era(self.era)
-            .with_profile(self.profile)
-            .with_plan(self.fault_plan)
-            .with_policy(self.resumption)
     }
 }
 
@@ -141,8 +102,8 @@ impl Campaign {
     /// Generate the world for `config`.
     pub fn new(config: CampaignConfig) -> Campaign {
         let world = World::generate(config.world.clone());
-        let engine = ScanEngine::new(world, config.default_initial, config.workers)
-            .with_scenario(config.scenario());
+        let engine = ScanEngine::new(world, config.scenario.initial_size, config.workers)
+            .with_scenario(config.scenario);
         Campaign { config, engine }
     }
 
@@ -195,7 +156,7 @@ mod tests {
             &engine.quicreach(scenario)
         ));
         // The default scenario is the configured axes at the default size.
-        assert_eq!(scenario, campaign.config().scenario());
+        assert_eq!(scenario, campaign.config().scenario);
         assert!(Arc::ptr_eq(&engine.sweep(), &engine.sweep()));
         assert!(Arc::ptr_eq(
             &engine.compression_support(),

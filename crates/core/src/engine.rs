@@ -371,8 +371,8 @@ impl ScanEngine {
     /// the at-scale constructor. Every family that rides the pump serves
     /// what a populated engine serves (the `stream_*` summaries in bounded
     /// memory, the per-record artefacts in memory that grows with the
-    /// population); `telescope` and `all_three_support`, which read
-    /// [`World::quic_services`], see an empty population.
+    /// population); `telescope`, which reads [`World::quic_services`], sees
+    /// an empty population and needs a generated world.
     pub fn streaming(config: WorldConfig, default_initial: usize, workers: usize) -> ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
@@ -513,18 +513,31 @@ impl ScanEngine {
     pub fn compression_support(&self) -> Arc<Vec<AlgorithmSupport>> {
         self.compression_support.get_or_compute((), || {
             let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
-            compression::collate(&self.collect(None, |records, _| {
+            let rows = self.collect(None, |records, _| {
                 let services = records.iter().filter(|r| r.has_quic());
                 services.map(probe).collect()
-            }))
+            });
+            // Table 1 asks for both: this pass saw every service's three
+            // probes, so it answers `all_three_support` without another.
+            self.all_three.get_or_compute((), || {
+                let all = rows.iter().filter(|row| row.iter().all(|p| p.supported));
+                (all.count(), rows.len())
+            });
+            compression::collate(&rows)
         })
     }
 
-    /// Services supporting all three compression algorithms (count, total).
+    /// Services supporting all three compression algorithms (count,
+    /// total). Record fields only — no chain is issued: each claim's pair
+    /// off the pump, summed.
     pub fn all_three_support(&self) -> (usize, usize) {
-        *self
-            .all_three
-            .get_or_compute((), || compression::all_three_support(&self.world))
+        *self.all_three.get_or_compute((), || {
+            let pairs = self.collect(None, |records, _| {
+                vec![compression::all_three_support(&*records)]
+            });
+            let sum = |(all, total), &(a, t)| (all + a, total + t);
+            pairs.iter().fold((0, 0), sum)
+        })
     }
 
     /// The §4.2 synthetic compression study for one (era, algorithm,
@@ -1238,6 +1251,15 @@ mod tests {
                 populated.compression_study(BASE.era, Algorithm::Brotli, 10)
             )
         );
+        // Table 1's all-three row needs record fields only: not "0 of 0".
+        // `populated` answers from its own pass, `seeded` from the probe
+        // rows of `compression_support`.
+        let (_, services) = engine.all_three_support();
+        assert!(services > 0);
+        assert_eq!(engine.all_three_support(), populated.all_three_support());
+        let seeded = self::engine(1);
+        seeded.compression_support();
+        assert_eq!(seeded.all_three_support(), populated.all_three_support());
         assert!(engine.world().domains().is_empty());
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use quicert_analysis::{mean_ci95, render_table, Cdf, Table};
 use quicert_netsim::{SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
-use quicert_pki::Provider;
+use quicert_pki::{CertificateEra, Provider};
 use quicert_quic::{run_spoofed_probe, LimitPolicy, ServerBehavior, ServerConfig};
 use quicert_scanner::telescope_scan::BackscatterSession;
 use quicert_scanner::zmap::{MetaService, ZmapResult};
@@ -197,8 +197,9 @@ pub struct Table3 {
 /// Run the ablation: the same (well-behaved) server under each policy.
 pub fn table3(campaign: &Campaign) -> Table3 {
     let world = campaign.world();
-    let chain = world.ecosystem.issue(
+    let chain = world.ecosystem.issue_era(
         ChainId::LeR3X1Cross,
+        CertificateEra::Classical,
         LeafParams {
             common_name: "policy-ablation.example".into(),
             extra_sans: vec![],

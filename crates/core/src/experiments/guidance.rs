@@ -17,6 +17,7 @@ use quicert_analysis::{render_table, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::{FaultInjector, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
+use quicert_pki::CertificateEra;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_quic::{run_handshake, ClientConfig, ServerBehavior, ServerConfig};
 use quicert_x509::{CertificateChain, KeyAlgorithm};
@@ -28,8 +29,9 @@ const SERVER_ADDR: std::net::Ipv4Addr = std::net::Ipv4Addr::new(198, 51, 100, 50
 fn study_chain(campaign: &Campaign) -> CertificateChain {
     // The paper's problem case: the default long Let's Encrypt chain with
     // an RSA leaf — too big for 3x1362 uncompressed, fits compressed.
-    campaign.world().ecosystem.issue(
+    campaign.world().ecosystem.issue_era(
         ChainId::LeR3X1Cross,
+        CertificateEra::Classical,
         LeafParams {
             common_name: "guidance.example".into(),
             extra_sans: vec![],

@@ -113,7 +113,7 @@ pub fn fig5(campaign: &Campaign) -> Fig5 {
     handshakes.sort_by_key(|(_, wire)| *wire);
     Fig5 {
         handshakes,
-        limit: 3 * campaign.config().default_initial,
+        limit: 3 * campaign.scenario().initial_size,
     }
 }
 
@@ -259,7 +259,7 @@ pub struct ProfileRow {
 /// key — so only the non-ideal profiles cost new handshakes; a campaign
 /// configured with a non-ideal default profile scans its ideal row fresh.
 pub fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
-    let initial = campaign.config().default_initial;
+    let initial = campaign.scenario().initial_size;
     NetworkProfile::ALL
         .iter()
         .map(|&profile| {
@@ -456,7 +456,7 @@ mod tests {
         let ideal = row(NetworkProfile::Ideal);
         // The ideal row IS the campaign's default scan artifact.
         let default_summary = quicreach::summarize(
-            c.config().default_initial,
+            c.scenario().initial_size,
             &c.engine().quicreach(c.scenario()),
         );
         assert_eq!(ideal.summary, default_summary);

@@ -91,7 +91,7 @@ fn row_from(
 /// cached default-scan artifact, so a default campaign only pays for the
 /// non-classical and non-ideal cells.
 pub fn era_matrix(campaign: &Campaign) -> Vec<EraProfileRow> {
-    let initial = campaign.config().default_initial;
+    let initial = campaign.scenario().initial_size;
     let engine = campaign.engine();
     let mut rows = Vec::new();
     for &profile in NetworkProfile::ALL.iter() {
@@ -263,7 +263,7 @@ pub struct EraCompression {
 /// Compress the sampled chain population once per era with the brotli
 /// profile (the only one shipping a certificate dictionary).
 pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCompression> {
-    let limit = 3 * campaign.config().default_initial;
+    let limit = 3 * campaign.scenario().initial_size;
     let world = campaign.world();
     let sample = quicert_scanner::compression::study_sample(world, stride);
     CertificateEra::ALL
@@ -407,7 +407,7 @@ mod tests {
             .find(|r| r.era == CertificateEra::Classical && r.profile == NetworkProfile::Ideal)
             .unwrap();
         let default_summary = quicreach::summarize(
-            c.config().default_initial,
+            c.scenario().initial_size,
             &c.engine().quicreach(c.scenario()),
         );
         assert_eq!(ideal_classical.summary, default_summary);

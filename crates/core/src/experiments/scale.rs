@@ -59,7 +59,7 @@ pub fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
     };
     let engine = ScanEngine::streaming(
         config,
-        campaign.config().default_initial,
+        campaign.scenario().initial_size,
         campaign.config().workers,
     )
     .with_scenario(campaign.scenario());
@@ -172,7 +172,7 @@ mod tests {
         // records, different memory model.
         let c = campaign();
         let row = scale_row(&c, 1_000);
-        let initial = c.config().default_initial;
+        let initial = c.scenario().initial_size;
         assert_eq!(c.scenario().cold(), Scenario::at(initial));
         let materialized = quicreach::summarize(initial, &quicreach::scan(c.world(), initial));
         assert_eq!(row.reach.classes, materialized);

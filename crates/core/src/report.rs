@@ -149,7 +149,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     } else {
         let results = campaign.engine().quicreach(campaign.scenario());
         let summary =
-            quicert_scanner::quicreach::summarize(campaign.config().default_initial, &results);
+            quicert_scanner::quicreach::summarize(campaign.scenario().initial_size, &results);
         out.push_str(&format!(
             "Fig 3 (default size only) — ampl {} / multi {} / retry {} / 1-RTT {}\n",
             summary.amplification, summary.multi_rtt, summary.retry, summary.one_rtt

@@ -268,10 +268,10 @@ impl CampaignService {
         let segments = config.campaign.world.domains.div_ceil(segment_size);
         let engine = ScanEngine::streaming(
             config.campaign.world.clone(),
-            config.campaign.default_initial,
+            config.campaign.scenario.initial_size,
             config.campaign.workers,
         )
-        .with_scenario(config.campaign.scenario().cold());
+        .with_scenario(config.campaign.scenario.cold());
         let metrics = ServiceMetrics::register(engine.metrics_registry());
         let timeline = Timeline::new(config.churn.clone());
         CampaignService {

@@ -5,23 +5,20 @@
 //! independent of every other, so the scheduler knows exactly one
 //! *session*: two borrowed endpoints, the caller's wire and [`SimRng`]
 //! stream, and — built on the stack for the duration of the call — its
-//! timers, event queue, trace and a virtual timeline starting at zero.
-//! Nothing outlives the call but the [`ExchangeOutcome`], the wire's fault
-//! counters and the RNG's stream position, so a scan costs per probe what
-//! one probe costs alone and outcomes cannot depend on what ran before.
+//! queue of datagrams in flight, its trace and a virtual timeline starting
+//! at zero. Nothing outlives the call but the [`ExchangeOutcome`], the
+//! wire's fault counters and the RNG's stream position, so a scan costs per
+//! probe what one probe costs alone and outcomes cannot depend on what ran
+//! before.
 //!
-//! Events fire in `(timestamp, deliveries-before-timers, send sequence)`
-//! order — the order of the reference loop that
+//! ## The rule
+//!
+//! Each step fires the earliest of {next delivery, `a.next_timer()`,
+//! `b.next_timer()`}, both timers asked afresh. At one timestamp a delivery
+//! goes before any timer (an endpoint sees input before its co-scheduled
+//! timeout, as real stacks do) and timer A before timer B; deliveries at
+//! one timestamp arrive in send order. That is the reference loop
 //! `tests/exchange_equivalence.rs` holds this scheduler to, bit for bit.
-//!
-//! ## Timers
-//!
-//! Endpoint timers are re-polled after every event the endpoint handles.
-//! Rather than rebuilding a heap entry per poll, the session keeps one
-//! *live* timer event per endpoint side and lazily discards superseded
-//! entries: a queued timer carries the epoch of its side's timer slot at
-//! push time, and a pop with a stale epoch is skipped. The effect is that
-//! of consulting `next_timer` fresh on every iteration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,67 +74,29 @@ fn net_metrics() -> &'static NetMetrics {
     })
 }
 
-/// Which endpoint of the session a timer belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    A,
-    B,
-}
-
-impl Side {
-    fn idx(self) -> usize {
-        match self {
-            Side::A => 0,
-            Side::B => 1,
-        }
-    }
-}
-
-/// What a queued event does when it fires.
-enum EventKind {
-    /// A datagram arriving at the far endpoint.
-    Delivery {
-        seq: u64,
-        direction: Direction,
-        dgram: Datagram,
-    },
-    /// A timer callback on one endpoint; `epoch` validates it against the
-    /// session's current timer slot (stale epochs are discarded).
-    Timer { side: Side, epoch: u64 },
-}
-
-struct QueuedEvent {
+/// A datagram in flight — the only thing the scheduler queues. Ordered by
+/// arrival time, then send sequence.
+struct InFlight {
     at: SimTime,
-    kind: EventKind,
+    seq: u64,
+    direction: Direction,
+    dgram: Datagram,
 }
 
-impl QueuedEvent {
-    /// Total ordering key. At one timestamp, deliveries fire before timers
-    /// (an endpoint sees input before its co-scheduled timeout, matching
-    /// real stacks), deliveries order by send sequence, and timer A fires
-    /// before timer B.
-    fn key(&self) -> (SimTime, u8, u64, u64) {
-        match &self.kind {
-            EventKind::Delivery { seq, .. } => (self.at, 0, *seq, 0),
-            EventKind::Timer { side, epoch } => (self.at, 1, side.idx() as u64, *epoch),
-        }
-    }
-}
-
-impl PartialEq for QueuedEvent {
+impl PartialEq for InFlight {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
+impl Eq for InFlight {}
+impl PartialOrd for InFlight {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueuedEvent {
+impl Ord for InFlight {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -201,9 +160,6 @@ pub fn run_exchange(
         seq: 0,
         events: 0,
         timer_fires: 0,
-        pending_deliveries: 0,
-        timer_target: [None, None],
-        timer_epoch: [0, 0],
     };
     let quiesced = session.run();
     let Session {
@@ -244,8 +200,8 @@ struct Session<'x> {
     wire: &'x mut Wire,
     limits: ExchangeLimits,
     rng: &'x mut SimRng,
-    /// Pending deliveries and timers.
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    /// Datagrams in flight.
+    queue: BinaryHeap<Reverse<InFlight>>,
     trace: Vec<TraceEvent>,
     /// Simulated time of the last processed event.
     now: SimTime,
@@ -255,13 +211,6 @@ struct Session<'x> {
     events: usize,
     /// Of `events`, the timer callbacks.
     timer_fires: u64,
-    /// Deliveries currently queued.
-    pending_deliveries: usize,
-    /// Last `next_timer()` answer pushed per side; `None` = no live event.
-    timer_target: [Option<SimTime>; 2],
-    /// Epoch of each side's timer slot; queued timers with older epochs are
-    /// stale and skipped on pop.
-    timer_epoch: [u64; 2],
 }
 
 impl Session<'_> {
@@ -278,59 +227,43 @@ impl Session<'_> {
         self.offer_outbox(Direction::AtoB, SimTime::ZERO, &mut outbox);
         self.b.start(SimTime::ZERO, &mut outbox);
         self.offer_outbox(Direction::BtoA, SimTime::ZERO, &mut outbox);
-        let mut verdict = self.sync_timers_and_check();
         loop {
-            if let Some(quiesced) = verdict {
-                return quiesced;
-            }
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                debug_assert!(false, "event queue drained with the session unfinished");
+            // Exhausting the event budget is a runaway, never quiescence.
+            if self.events >= self.limits.max_events {
                 return false;
-            };
-            if let EventKind::Timer { side, epoch } = ev.kind {
-                if self.timer_epoch[side.idx()] != epoch {
-                    continue;
-                }
             }
-            // The first live event is the session's earliest pending
-            // activity; past the deadline the session stops un-advanced.
-            if ev.at > self.limits.deadline {
+            let delivery = self.queue.peek().map(|Reverse(next)| next.at);
+            let (timer_a, timer_b) = (self.a.next_timer(), self.b.next_timer());
+            // Nothing in flight and no timer armed: the session is over.
+            let Some(at) = [delivery, timer_a, timer_b].into_iter().flatten().min() else {
+                return self.both_done();
+            };
+            // Past the deadline the session stops un-advanced.
+            if at > self.limits.deadline {
                 return self.both_done();
             }
-            self.now = ev.at;
+            self.now = at;
             self.events += 1;
-            let direction = match ev.kind {
-                EventKind::Delivery {
-                    direction, dgram, ..
-                } => {
-                    self.pending_deliveries -= 1;
-                    match direction {
-                        Direction::AtoB => self.b.on_datagram(&dgram, ev.at, &mut outbox),
-                        Direction::BtoA => self.a.on_datagram(&dgram, ev.at, &mut outbox),
-                    }
-                    direction.flip()
+            let sender = if delivery == Some(at) {
+                let Some(Reverse(arrived)) = self.queue.pop() else {
+                    unreachable!("a delivery was peeked")
+                };
+                match arrived.direction {
+                    Direction::AtoB => self.b.on_datagram(&arrived.dgram, at, &mut outbox),
+                    Direction::BtoA => self.a.on_datagram(&arrived.dgram, at, &mut outbox),
                 }
-                EventKind::Timer { side, .. } => {
-                    self.timer_fires += 1;
-                    // This slot's event is consumed: clear the target so a
-                    // re-armed deadline (even an identical one) gets a
-                    // fresh queue entry.
-                    self.timer_target[side.idx()] = None;
-                    self.timer_epoch[side.idx()] += 1;
-                    match side {
-                        Side::A => {
-                            self.a.on_timer(ev.at, &mut outbox);
-                            Direction::AtoB
-                        }
-                        Side::B => {
-                            self.b.on_timer(ev.at, &mut outbox);
-                            Direction::BtoA
-                        }
-                    }
+                arrived.direction.flip()
+            } else {
+                self.timer_fires += 1;
+                if timer_a == Some(at) {
+                    self.a.on_timer(at, &mut outbox);
+                    Direction::AtoB
+                } else {
+                    self.b.on_timer(at, &mut outbox);
+                    Direction::BtoA
                 }
             };
-            self.offer_outbox(direction, ev.at, &mut outbox);
-            verdict = self.sync_timers_and_check();
+            self.offer_outbox(sender, at, &mut outbox);
         }
     }
 
@@ -393,53 +326,16 @@ impl Session<'_> {
         match link.deliver(self.rng, &dgram, now) {
             Delivery::Arrives(at) => {
                 self.seq += 1;
-                self.queue.push(Reverse(QueuedEvent {
+                self.queue.push(Reverse(InFlight {
                     at,
-                    kind: EventKind::Delivery {
-                        seq: self.seq,
-                        direction,
-                        dgram,
-                    },
+                    seq: self.seq,
+                    direction,
+                    dgram,
                 }));
-                self.pending_deliveries += 1;
                 Ok(at)
             }
             Delivery::LostRandom => Err(DropReason::Loss),
             Delivery::LostMtu(size) => Err(DropReason::Mtu(size)),
-        }
-    }
-
-    /// Re-poll both endpoints' timers (pushing fresh events for changed
-    /// deadlines) and apply the termination rules, returning
-    /// `Some(quiesced)` once the session is over: the event budget first —
-    /// exhausting `max_events` is a runaway, never quiescence — then
-    /// quiescence when nothing is in flight and no timer is armed.
-    fn sync_timers_and_check(&mut self) -> Option<bool> {
-        for (i, side) in [Side::A, Side::B].into_iter().enumerate() {
-            let next = match side {
-                Side::A => self.a.next_timer(),
-                Side::B => self.b.next_timer(),
-            };
-            if self.timer_target[i] != next {
-                self.timer_target[i] = next;
-                self.timer_epoch[i] += 1;
-                if let Some(at) = next {
-                    self.queue.push(Reverse(QueuedEvent {
-                        at,
-                        kind: EventKind::Timer {
-                            side,
-                            epoch: self.timer_epoch[i],
-                        },
-                    }));
-                }
-            }
-        }
-        if self.events >= self.limits.max_events {
-            Some(false)
-        } else if self.pending_deliveries == 0 && self.timer_target == [None, None] {
-            Some(self.both_done())
-        } else {
-            None
         }
     }
 }

@@ -237,6 +237,9 @@ struct RetryPinger {
     max_sends: u32,
     sends: u32,
     deadline: Option<SimTime>,
+    /// A PTO that replaces `pto` at the first echo, so that delivery can
+    /// re-arm the timer to an *earlier* deadline than the one it cancels.
+    pto_after_echo: Option<SimDuration>,
 }
 
 impl RetryPinger {
@@ -248,7 +251,13 @@ impl RetryPinger {
             max_sends,
             sends: 0,
             deadline: None,
+            pto_after_echo: None,
         }
+    }
+
+    fn with_pto_after_echo(mut self, pto_ms: u64) -> Self {
+        self.pto_after_echo = Some(SimDuration::from_millis(pto_ms));
+        self
     }
 
     fn ping(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
@@ -271,6 +280,9 @@ impl Endpoint for RetryPinger {
         self.remaining -= 1;
         self.sends = 0;
         self.deadline = None;
+        if let Some(pto) = self.pto_after_echo.take() {
+            self.pto = pto;
+        }
         if self.remaining > 0 {
             self.ping(now, out);
         }
@@ -414,6 +426,59 @@ fn scenarios() -> Vec<Scenario> {
             wire: Wire::ideal(SimDuration::from_millis(1)),
             limits: ExchangeLimits::default(),
             seed: 7,
+        },
+        // The tie-breaks, by name. Latency = PTO = think = 10 ms: ping 1
+        // reaches B at 10 as A's PTO fires (delivery first, B arms 20; A
+        // resends, arms 20), so at t = 20 ping 2 arrives, A's PTO is due and
+        // B's think timer is due. Delivery, then A, then B puts A's third
+        // ping on the trace before B's echoes of *both* queued pings; a
+        // timer ahead of the delivery echoes one ping only, B ahead of A
+        // echoes before the ping.
+        Scenario {
+            name: "delivery, timer A and timer B due at one timestamp",
+            pinger: RetryPinger::new(2, 32, 10, 4),
+            echoer: DelayedEchoer::new(10),
+            wire: Wire::ideal(SimDuration::from_millis(10)),
+            limits: ExchangeLimits::default(),
+            seed: 8,
+        },
+        // The echo lands at 2 * 10 + 5 = 25 ms, the instant A's PTO is due:
+        // the delivery cancels the timer, which must not fire — a timer
+        // ahead of the delivery shows as a retransmitted ping at t = 25.
+        Scenario {
+            name: "a delivery disarms the timer due at the same timestamp",
+            pinger: RetryPinger::new(1, 48, 25, 3),
+            echoer: DelayedEchoer::new(5),
+            wire: Wire::ideal(SimDuration::from_millis(10)),
+            limits: ExchangeLimits::default(),
+            seed: 9,
+        },
+        // A zero PTO re-arms to the instant it fired at: `next_timer` reads
+        // the same before and after `on_timer`, the timer fires again at
+        // t = 0 and time never reaches the first delivery at 1 ms. Only the
+        // event budget ends it, and that is never quiescence.
+        Scenario {
+            name: "on_timer leaves the deadline unchanged until max_events",
+            pinger: RetryPinger::new(1, 16, 0, u32::MAX),
+            echoer: DelayedEchoer::new(0),
+            wire: Wire::ideal(SimDuration::from_millis(1)),
+            limits: ExchangeLimits {
+                max_events: 41,
+                ..ExchangeLimits::default()
+            },
+            seed: 10,
+        },
+        // Ping 1 arms 200 ms; its echo at 24 ms re-arms A to 24 + 7 = 31 ms,
+        // earlier than the deadline it replaces. The second echo is not due
+        // before 48 ms, so the 7 ms PTO fires at 31, 38 and 45 (each
+        // retransmission is echoed too) and nothing happens at 200.
+        Scenario {
+            name: "a delivery re-arms the timer to an earlier deadline",
+            pinger: RetryPinger::new(2, 24, 200, 4).with_pto_after_echo(7),
+            echoer: DelayedEchoer::new(4),
+            wire: Wire::ideal(SimDuration::from_millis(10)),
+            limits: ExchangeLimits::default(),
+            seed: 11,
         },
     ]
 }

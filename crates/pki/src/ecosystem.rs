@@ -186,22 +186,12 @@ impl Ecosystem {
         ChainId::ALL.iter().map(|&id| b.build_chain(id)).collect()
     }
 
-    /// Look up a parent chain (classical era).
-    pub fn chain(&self, id: ChainId) -> &ParentChain {
-        self.chain_era(id, CertificateEra::Classical)
-    }
-
     /// Look up a parent chain in one era's catalog.
     pub fn chain_era(&self, id: ChainId, era: CertificateEra) -> &ParentChain {
         self.chains_era(era)
             .iter()
             .find(|c| c.id == id)
             .expect("all catalogued chains are built")
-    }
-
-    /// All chains (classical era).
-    pub fn chains(&self) -> &[ParentChain] {
-        &self.chains
     }
 
     /// All chains of one era (hybrid / post-quantum catalogs are built on
@@ -218,15 +208,10 @@ impl Ecosystem {
         }
     }
 
-    /// Issue a leaf under `chain_id` and return the full served chain
-    /// (classical era — byte-for-byte the pre-era pipeline).
-    pub fn issue(&self, chain_id: ChainId, params: LeafParams) -> CertificateChain {
-        self.issue_era(chain_id, CertificateEra::Classical, params)
-    }
-
-    /// Issue a leaf under `chain_id` in one era: identical name, SANs,
-    /// seeds and extensions, with the leaf key mapped through
-    /// [`CertificateEra::key`] and the era catalog's parent chain above it.
+    /// Issue a leaf under `chain_id` in one era and return the full served
+    /// chain: identical name, SANs, seeds and extensions in every era, with
+    /// the leaf key mapped through [`CertificateEra::key`] and the era
+    /// catalog's parent chain above it.
     pub fn issue_era(
         &self,
         chain_id: ChainId,
@@ -732,8 +717,8 @@ mod tests {
         let b = Ecosystem::new(7);
         for id in ChainId::ALL {
             assert_eq!(
-                a.chain(id).parent_der_len(),
-                b.chain(id).parent_der_len(),
+                a.chain_era(id, CertificateEra::Classical).parent_der_len(),
+                b.chain_era(id, CertificateEra::Classical).parent_der_len(),
                 "{id:?}"
             );
         }
@@ -752,18 +737,28 @@ mod tests {
             (ChainId::CPanelComodoRoot, 3400..6500),
         ];
         for (id, range) in expect {
-            let len = eco.chain(id).parent_der_len();
+            let len = eco
+                .chain_era(id, CertificateEra::Classical)
+                .parent_der_len();
             assert!(range.contains(&len), "{id:?}: {len} not in {range:?}");
         }
         // The enterprise chain drives the heavy tail.
-        assert!(eco.chain(ChainId::EnterpriseHuge).parent_der_len() > 7000);
+        assert!(
+            eco.chain_era(ChainId::EnterpriseHuge, CertificateEra::Classical)
+                .parent_der_len()
+                > 7000
+        );
     }
 
     #[test]
     fn issued_chains_are_ordered_and_realistic() {
         let eco = eco();
         for id in ChainId::ALL {
-            let chain = eco.issue(id, leaf_params(KeyAlgorithm::EcdsaP256));
+            let chain = eco.issue_era(
+                id,
+                CertificateEra::Classical,
+                leaf_params(KeyAlgorithm::EcdsaP256),
+            );
             assert!(chain.correctly_ordered(), "{id:?} must chain by DN");
             assert!(chain.depth() >= 2);
             let leaf = &chain.leaf;
@@ -779,21 +774,31 @@ mod tests {
     #[test]
     fn cross_sign_waste_is_visible() {
         let eco = eco();
-        let short = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::EcdsaP256));
-        let long = eco.issue(ChainId::LeR3X1Cross, leaf_params(KeyAlgorithm::EcdsaP256));
+        let short = eco.issue_era(
+            ChainId::LeR3Short,
+            CertificateEra::Classical,
+            leaf_params(KeyAlgorithm::EcdsaP256),
+        );
+        let long = eco.issue_era(
+            ChainId::LeR3X1Cross,
+            CertificateEra::Classical,
+            leaf_params(KeyAlgorithm::EcdsaP256),
+        );
         assert!(long.total_der_len() > short.total_der_len() + 1000);
     }
 
     #[test]
     fn superfluous_roots_are_detected() {
         let eco = eco();
-        let with_root = eco.issue(
+        let with_root = eco.issue_era(
             ChainId::CPanelComodoRoot,
+            CertificateEra::Classical,
             leaf_params(KeyAlgorithm::Rsa2048),
         );
         assert!(with_root.includes_trust_anchor());
-        let without = eco.issue(
+        let without = eco.issue_era(
             ChainId::SectigoUserTrust,
+            CertificateEra::Classical,
             leaf_params(KeyAlgorithm::Rsa2048),
         );
         assert!(!without.includes_trust_anchor());
@@ -802,8 +807,16 @@ mod tests {
     #[test]
     fn rsa_leaves_are_bigger_than_ecdsa() {
         let eco = eco();
-        let ec = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::EcdsaP256));
-        let rsa = eco.issue(ChainId::LeR3Short, leaf_params(KeyAlgorithm::Rsa2048));
+        let ec = eco.issue_era(
+            ChainId::LeR3Short,
+            CertificateEra::Classical,
+            leaf_params(KeyAlgorithm::EcdsaP256),
+        );
+        let rsa = eco.issue_era(
+            ChainId::LeR3Short,
+            CertificateEra::Classical,
+            leaf_params(KeyAlgorithm::Rsa2048),
+        );
         assert!(rsa.leaf.der_len() > ec.leaf.der_len() + 180);
     }
 
@@ -825,24 +838,6 @@ mod tests {
                 "{id:?}: pq {pq} vs classical {classical}"
             );
             assert!(hybrid > pq, "{id:?}: hybrid {hybrid} vs pq {pq}");
-        }
-    }
-
-    #[test]
-    fn classical_era_is_byte_for_byte_the_default_catalog() {
-        let eco = eco();
-        for id in ChainId::ALL {
-            let via_default = eco.issue(id, leaf_params(KeyAlgorithm::EcdsaP256));
-            let via_era = eco.issue_era(
-                id,
-                CertificateEra::Classical,
-                leaf_params(KeyAlgorithm::EcdsaP256),
-            );
-            assert_eq!(
-                via_default.concatenated_der(),
-                via_era.concatenated_der(),
-                "{id:?}"
-            );
         }
     }
 
@@ -885,7 +880,7 @@ mod tests {
         params.extra_sans = (0..150)
             .map(|i| format!("customer-site-{i:03}.hosting.example"))
             .collect();
-        let chain = eco.issue(ChainId::CPanelComodoRoot, params);
+        let chain = eco.issue_era(ChainId::CPanelComodoRoot, CertificateEra::Classical, params);
         let leaf = &chain.leaf;
         let share = leaf.san_bytes() as f64 / leaf.der_len() as f64;
         assert!(share > 0.5, "SAN share {share}");

@@ -538,15 +538,10 @@ impl World {
             .filter(|d| d.has_https() && !d.has_quic())
     }
 
-    /// Materialise the certificate chain a domain serves over HTTPS.
-    pub fn https_chain(&self, record: &DomainRecord) -> Option<CertificateChain> {
-        self.https_chain_era(record, CertificateEra::Classical)
-    }
-
-    /// [`World::https_chain`] in one [`CertificateEra`]: the same
-    /// deployment (ranks, providers, chain topology, SANs, seeds) with
-    /// every key and signature swapped to the era's algorithms. The
-    /// classical era reproduces [`World::https_chain`] byte-for-byte.
+    /// Materialise the certificate chain a domain serves over HTTPS in one
+    /// [`CertificateEra`]: the same deployment (ranks, providers, chain
+    /// topology, SANs, seeds) in every era, with every key and signature
+    /// swapped to the era's algorithms.
     pub fn https_chain_era(
         &self,
         record: &DomainRecord,
@@ -555,12 +550,12 @@ impl World {
         Some(Served::https(record, era)?.issue(&self.ecosystem))
     }
 
-    /// Total bytes and depth of the chain a domain serves over HTTPS —
-    /// [`World::https_chain`] reduced to what the §3.1 funnel reads, served
-    /// from the world's chain-shape flyweight. A class is issued for real
-    /// once (the first record that carries it, on whichever thread gets
-    /// there first) and looked up ever after; a full table keeps issuing.
-    /// Either way the answer is what [`World::https_chain`] would measure.
+    /// Total bytes and depth of the chain a domain serves over HTTPS — the
+    /// classical [`World::https_chain_era`] reduced to what the §3.1 funnel
+    /// reads, served from the world's chain-shape flyweight. A class is
+    /// issued for real once (the first record that carries it, on whichever
+    /// thread gets there first) and looked up ever after; a full table keeps
+    /// issuing. Either way the answer is what the issued chain would measure.
     pub fn https_chain_shape(&self, record: &DomainRecord) -> Option<ChainShape> {
         let served = Served::https(record, CertificateEra::Classical)?;
         let class = served.class();
@@ -582,13 +577,9 @@ impl World {
         self.shapes.classes()
     }
 
-    /// Materialise the certificate chain a domain serves over QUIC (same as
-    /// HTTPS unless the cert was rotated between scans, §3.2).
-    pub fn quic_chain(&self, record: &DomainRecord) -> Option<CertificateChain> {
-        self.quic_chain_era(record, CertificateEra::Classical)
-    }
-
-    /// [`World::quic_chain`] in one [`CertificateEra`].
+    /// Materialise the certificate chain a domain serves over QUIC in one
+    /// [`CertificateEra`] (same as HTTPS unless the cert was rotated
+    /// between scans, §3.2).
     pub fn quic_chain_era(
         &self,
         record: &DomainRecord,
@@ -1088,7 +1079,9 @@ mod tests {
         capped.shapes = ClassTable::bounded(SHARDS);
         let roomy = small_world();
         for record in capped.domains().iter().filter(|r| r.has_https()) {
-            let chain = capped.https_chain(record).unwrap();
+            let chain = capped
+                .https_chain_era(record, CertificateEra::Classical)
+                .unwrap();
             let issued = ChainShape {
                 total_der: chain.total_der_len(),
                 depth: chain.depth(),
@@ -1148,8 +1141,12 @@ mod tests {
                 assert_eq!(record.seed, eager_record.seed);
                 assert_eq!(record.name, eager_record.name);
                 if record.has_quic() && record.rank <= 200 {
-                    let a = lazy.quic_chain(record).unwrap();
-                    let b = eager.quic_chain(eager_record).unwrap();
+                    let a = lazy
+                        .quic_chain_era(record, CertificateEra::Classical)
+                        .unwrap();
+                    let b = eager
+                        .quic_chain_era(eager_record, CertificateEra::Classical)
+                        .unwrap();
                     assert_eq!(a.concatenated_der(), b.concatenated_der());
                 }
                 streamed += 1;
@@ -1193,13 +1190,17 @@ mod tests {
     fn chains_materialise_and_match_deployment() {
         let world = small_world();
         let record = world.quic_services().next().expect("some QUIC service");
-        let chain = world.quic_chain(record).unwrap();
+        let chain = world
+            .quic_chain_era(record, CertificateEra::Classical)
+            .unwrap();
         assert!(chain.correctly_ordered());
         assert_eq!(
             chain.leaf.tbs.subject.common_name(),
             Some(record.name.as_str())
         );
-        let https_chain = world.https_chain(record).unwrap();
+        let https_chain = world
+            .https_chain_era(record, CertificateEra::Classical)
+            .unwrap();
         if !record.quic.as_ref().unwrap().rotated_cert {
             assert_eq!(chain.leaf.der(), https_chain.leaf.der());
         }
@@ -1209,7 +1210,9 @@ mod tests {
     fn era_chains_share_the_population_and_swap_the_algorithms() {
         let world = small_world();
         let record = world.quic_services().next().expect("some QUIC service");
-        let classical = world.quic_chain(record).unwrap();
+        let classical = world
+            .quic_chain_era(record, CertificateEra::Classical)
+            .unwrap();
         let classical_era = world
             .quic_chain_era(record, CertificateEra::Classical)
             .unwrap();

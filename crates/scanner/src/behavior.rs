@@ -25,20 +25,11 @@ pub fn behavior_of(kind: BehaviorKind) -> ServerBehavior {
     }
 }
 
-/// Build the full QUIC server configuration of a domain, reusing an
-/// already-materialised chain when the caller loops (e.g. Initial sweeps).
-pub fn server_config_for(
-    world: &World,
-    record: &DomainRecord,
-    chain: CertificateChain,
-) -> ServerConfig {
-    server_config_for_era(world, record, chain, CertificateEra::Classical)
-}
-
-/// [`server_config_for`] in one [`CertificateEra`]: the passed chain is
-/// expected to come from the same era, and the leaf key (which sizes
-/// CertificateVerify) is mapped through [`CertificateEra::key`]. The
-/// classical era reproduces [`server_config_for`] byte-for-byte.
+/// Build the full QUIC server configuration of a domain in one
+/// [`CertificateEra`], taking an already-materialised chain so a caller
+/// that loops (e.g. Initial sweeps) issues it once: the chain is expected
+/// to come from the same era, and the leaf key (which sizes
+/// CertificateVerify) is mapped through [`CertificateEra::key`].
 pub fn server_config_for_era(
     world: &World,
     record: &DomainRecord,

@@ -67,7 +67,11 @@ fn probe_sharing(
     let quic = record.quic.as_ref().expect("QUIC service");
     let supported = quic.compression_support.contains(&algorithm);
     let flight = supported.then(|| {
-        let chain = chain.get_or_init(|| world.quic_chain(record).expect("chain"));
+        let chain = chain.get_or_init(|| {
+            world
+                .quic_chain_era(record, CertificateEra::Classical)
+                .expect("chain")
+        });
         ServerFlight::build(&ServerFlightParams {
             chain,
             leaf_key: quic.leaf_key,
@@ -257,16 +261,18 @@ pub fn fold_iter<'a>(
     shard
 }
 
-/// Number of services supporting *all three* algorithms (the 0.05% Meta
-/// signature of Table 1).
-pub fn all_three_support(world: &World) -> (usize, usize) {
-    let mut all = 0usize;
-    let mut total = 0usize;
-    for record in world.quic_services() {
+/// `(services supporting all three algorithms, QUIC services)` among
+/// `records` — the 0.05% Meta signature of Table 1. Read off record
+/// fields alone (no chain is issued), so per-chunk pairs sum to the
+/// population's.
+pub fn all_three_support<'a>(
+    records: impl IntoIterator<Item = &'a DomainRecord>,
+) -> (usize, usize) {
+    let (mut all, mut total) = (0, 0);
+    let services = records.into_iter().filter(|record| record.has_quic());
+    for quic in services.filter_map(|record| record.quic.as_ref()) {
         total += 1;
-        if record.quic.as_ref().unwrap().compression_support.len() == 3 {
-            all += 1;
-        }
+        all += usize::from(quic.compression_support.len() == 3);
     }
     (all, total)
 }
@@ -386,7 +392,7 @@ mod tests {
             .find(|s| s.algorithm == Algorithm::Zlib)
             .unwrap();
         assert!(zlib.share() < 2.0, "zlib {}", zlib.share());
-        let (all, total) = all_three_support(&world);
+        let (all, total) = all_three_support(world.domains());
         assert!((all as f64 / total as f64) < 0.02);
     }
 

@@ -2,7 +2,7 @@
 //! redirects, collect and summarise TLS chains.
 
 use quicert_analysis::{HistogramSketch, Merge, StreamSummary};
-use quicert_pki::{ChainId, ChainShape, DnsOutcome, DomainRecord, World};
+use quicert_pki::{CertificateEra, ChainId, ChainShape, DnsOutcome, DomainRecord, World};
 use quicert_x509::{CertificateChain, FieldSizes, KeyAlgorithm};
 
 /// Size/shape summary of one served certificate chain. Keeping summaries
@@ -323,7 +323,7 @@ pub fn observe(world: &World, record: &DomainRecord) -> Option<HttpsObservation>
         return None;
     }
     let https = record.https.as_ref()?;
-    let chain = world.https_chain(record)?;
+    let chain = world.https_chain_era(record, CertificateEra::Classical)?;
     Some(HttpsObservation {
         rank: record.rank,
         is_quic: record.has_quic(),

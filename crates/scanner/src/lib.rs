@@ -23,7 +23,7 @@ pub mod scenario;
 pub mod telescope_scan;
 pub mod zmap;
 
-pub use behavior::{server_config_for, server_config_for_era, wire_for};
+pub use behavior::{server_config_for_era, wire_for};
 pub use compression::CompressionShard;
 pub use https_scan::{ChainSummary, HttpsObservation, HttpsScanReport, HttpsScanShard};
 pub use quicreach::{ProbeMetrics, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult};

@@ -1,7 +1,7 @@
 //! Certificate collection over QUIC (QScanner, §3.2) and the
 //! QUIC-vs-HTTPS consistency check.
 
-use quicert_pki::{DomainRecord, World};
+use quicert_pki::{CertificateEra, DomainRecord, World};
 
 use crate::https_scan::ChainSummary;
 
@@ -51,8 +51,8 @@ impl ConsistencyReport {
 /// Fetch the certificate chain of one QUIC service.
 pub fn fetch(world: &World, record: &DomainRecord) -> Option<QuicCertObservation> {
     let quic = record.quic.as_ref()?;
-    let chain = world.quic_chain(record)?;
-    let https_chain = world.https_chain(record)?;
+    let chain = world.quic_chain_era(record, CertificateEra::Classical)?;
+    let https_chain = world.https_chain_era(record, CertificateEra::Classical)?;
     let matches_https = chain.leaf.der() == https_chain.leaf.der();
     // A small residue differs for reasons other than rotation (0.47% in the
     // paper); we derive it deterministically from the domain seed.

@@ -9,10 +9,10 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use quicert_netsim::{Ipv4Net, SimDuration, Telescope};
-use quicert_pki::{Provider, World};
+use quicert_pki::{CertificateEra, Provider, World};
 use quicert_quic::handshake::{observe_backscatter, run_spoofed_probe};
 
-use crate::behavior::{server_config_for, wire_for};
+use crate::behavior::{server_config_for_era, wire_for};
 
 /// One backscatter session as reconstructed from telescope records.
 #[derive(Debug, Clone)]
@@ -36,6 +36,7 @@ pub const ASSUMED_INITIAL: usize = 1362;
 /// Launch spoofed probes at up to `per_provider` services of each
 /// hypergiant and reconstruct sessions from the telescope.
 pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<BackscatterSession> {
+    let era = CertificateEra::Classical;
     let mut telescope = Telescope::new(dark);
     let mut provider_of_scid: HashMap<Vec<u8>, Provider> = HashMap::new();
 
@@ -47,12 +48,12 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
         for (i, record) in services.enumerate() {
             let victim = dark.host((record.seed ^ i as u64) % dark.size());
             let server_addr = World::server_addr(record);
-            let chain = world.quic_chain(record).expect("chain");
+            let chain = world.quic_chain_era(record, era).expect("chain");
             let outcome = run_spoofed_probe(
                 ASSUMED_INITIAL,
                 victim,
                 server_addr,
-                server_config_for(world, record, chain),
+                server_config_for_era(world, record, chain, era),
                 &mut wire_for(record),
                 record.seed,
             );

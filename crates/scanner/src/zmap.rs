@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use quicert_netsim::{Ipv4Net, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
-use quicert_pki::World;
+use quicert_pki::{CertificateEra, World};
 use quicert_quic::{run_spoofed_probe, ServerBehavior, ServerConfig};
 use quicert_x509::KeyAlgorithm;
 
@@ -102,8 +102,9 @@ fn meta_server_config(
     for i in 0..((octet as u64 + variation) % 4) {
         extra_sans.push(format!("edge-{i}-{variation}.facebook.com"));
     }
-    let chain = world.ecosystem.issue(
+    let chain = world.ecosystem.issue_era(
         ChainId::DigiCertSha2WithRoot,
+        CertificateEra::Classical,
         LeafParams {
             common_name: match service {
                 MetaService::InstagramWhatsapp => "*.instagram.com".to_string(),
@@ -125,13 +126,9 @@ fn meta_server_config(
     }
 }
 
-/// Scan the /24 Meta PoP.
-pub fn scan_pop(world: &World, prefix: Ipv4Net, post_disclosure: bool) -> Vec<ZmapResult> {
-    scan_pop_with_variation(world, prefix, post_disclosure, 0)
-}
-
-/// Scan the PoP with a per-run certificate-bundle variation (used to build
-/// the Fig 11 confidence intervals across repetitions).
+/// Scan the /24 Meta PoP with a per-run certificate-bundle variation (the
+/// headline scan is variation 0; repetitions vary it to build the Fig 11
+/// confidence intervals).
 pub fn scan_pop_with_variation(
     world: &World,
     prefix: Ipv4Net,
@@ -190,7 +187,7 @@ mod tests {
 
     #[test]
     fn three_groups_emerge_pre_disclosure() {
-        let results = scan_pop(&world(), default_pop_prefix(), false);
+        let results = scan_pop_with_variation(&world(), default_pop_prefix(), false, 0);
         let group = |svc: MetaService| -> Vec<f64> {
             results
                 .iter()
@@ -213,7 +210,7 @@ mod tests {
 
     #[test]
     fn disclosure_homogenises_the_pop() {
-        let results = scan_pop(&world(), default_pop_prefix(), true);
+        let results = scan_pop_with_variation(&world(), default_pop_prefix(), true, 0);
         let served: Vec<f64> = results
             .iter()
             .filter(|r| r.service != MetaService::None)

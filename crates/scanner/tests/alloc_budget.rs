@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use quicert_compress::{compress, Algorithm};
-use quicert_pki::{World, WorldConfig};
+use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::https_scan::{self, ChainSummary};
 use quicert_tls::certificate_message;
 
@@ -73,7 +73,11 @@ fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
     let (mut issue, mut summarise) = (0, 0);
     let tls = world.domains().iter().filter(|r| r.has_https());
     for record in tls.take(DOMAINS as usize) {
-        let (chain, n) = counted(|| world.https_chain(record).expect("TLS domain"));
+        let (chain, n) = counted(|| {
+            world
+                .https_chain_era(record, CertificateEra::Classical)
+                .expect("TLS domain")
+        });
         issue += n;
         let chain_id = record.https.as_ref().expect("TLS domain").chain_id;
         let (summary, n) = counted(|| ChainSummary::of(&chain, chain_id));
@@ -83,7 +87,7 @@ fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
     let mean = |total: u64| total as f64 / DOMAINS as f64;
     assert!(
         mean(issue) <= 60.0,
-        "World::https_chain: {} allocations per chain",
+        "World::https_chain_era: {} allocations per chain",
         mean(issue)
     );
     assert!(
@@ -147,7 +151,13 @@ fn a_warm_compress_call_allocates_its_output_and_no_table() {
     let messages: Vec<Vec<u8>> = world
         .quic_services()
         .take(256)
-        .map(|record| certificate_message(&world.quic_chain(record).expect("QUIC service")))
+        .map(|record| {
+            certificate_message(
+                &world
+                    .quic_chain_era(record, CertificateEra::Classical)
+                    .expect("QUIC service"),
+            )
+        })
         .collect();
     for pass in ["cold", "warm"] {
         let (mut calls, mut allocations, mut bytes, mut input_bytes) = (0u64, 0, 0, 0);

@@ -22,7 +22,7 @@ fn main() {
     );
 
     // Headline: class shares per era at the default Initial size.
-    let initial = campaign.config().default_initial;
+    let initial = campaign.scenario().initial_size;
     println!("handshake classes at Initial = {initial} bytes:");
     for era in CertificateEra::ALL {
         let results = campaign

@@ -22,7 +22,7 @@ fn main() {
     );
 
     let results = campaign.engine().quicreach(campaign.scenario());
-    let summary = quicreach::summarize(campaign.config().default_initial, &results);
+    let summary = quicreach::summarize(campaign.scenario().initial_size, &results);
     println!(
         "\nhandshake classes at Initial = {} bytes ({} reachable services):",
         summary.initial_size,

@@ -180,7 +180,7 @@ proptest! {
 
 #[test]
 fn deterministic_worlds_are_identical() {
-    use quicert::pki::{World, WorldConfig};
+    use quicert::pki::{CertificateEra, World, WorldConfig};
     let mk = || {
         World::generate(WorldConfig {
             domains: 800,
@@ -193,7 +193,8 @@ fn deterministic_worlds_are_identical() {
     for (x, y) in a.domains().iter().zip(b.domains()) {
         assert_eq!(x.name, y.name);
         assert_eq!(x.has_quic(), y.has_quic());
-        if let (Some(cx), Some(cy)) = (a.https_chain(x), b.https_chain(y)) {
+        let era = CertificateEra::Classical;
+        if let (Some(cx), Some(cy)) = (a.https_chain_era(x, era), b.https_chain_era(y, era)) {
             assert_eq!(cx.concatenated_der(), cy.concatenated_der());
         }
     }
