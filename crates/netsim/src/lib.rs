@@ -16,6 +16,8 @@
 //! threads, no async runtime; endpoints are state machines that consume and
 //! produce datagrams when polled.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod addr;
 pub mod datagram;
 pub mod event;

@@ -1,17 +1,17 @@
 //! QUIC frames (RFC 9000 §19) — the subset the handshake needs.
 //!
-//! [`FrameRef`] is the working form: CRYPTO data is borrowed, from the
+//! [`FrameRef`] is the one frame type: CRYPTO data is borrowed, from the
 //! sender's flight buffer on the way out and from the received datagram on
-//! the way in, so a frame never owns a copy of the bytes it carries.
-//! [`Frame`] is the owned form for callers that keep frames around; its
-//! encoder and decoder are the borrowed ones.
+//! the way in, so a frame never owns a copy of the bytes it carries. One
+//! encoder ([`FrameRef::encode`]) writes frames and one decoder, behind
+//! [`Frames`], reads them.
 
 use crate::varint;
 
-/// A QUIC frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// PADDING (type 0x00). `n` consecutive padding bytes.
+/// A QUIC frame whose CRYPTO data is borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    /// PADDING (type 0x00): a run of `n` padding bytes.
     Padding {
         /// Number of padding bytes (each is its own one-byte frame on the
         /// wire; they are run-length grouped here).
@@ -34,7 +34,7 @@ pub enum Frame {
         /// Byte offset in the CRYPTO stream of this encryption level.
         offset: u64,
         /// Stream data.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// CONNECTION_CLOSE (type 0x1c).
     ConnectionClose {
@@ -43,109 +43,7 @@ pub enum Frame {
     },
 }
 
-impl Frame {
-    /// The borrowed view of this frame.
-    pub fn as_ref(&self) -> FrameRef<'_> {
-        match self {
-            Frame::Padding { n } => FrameRef::Padding { n: *n },
-            Frame::Ping => FrameRef::Ping,
-            Frame::Ack {
-                largest,
-                delay,
-                first_range,
-            } => FrameRef::Ack {
-                largest: *largest,
-                delay: *delay,
-                first_range: *first_range,
-            },
-            Frame::Crypto { offset, data } => FrameRef::Crypto {
-                offset: *offset,
-                data,
-            },
-            Frame::ConnectionClose { error_code } => FrameRef::ConnectionClose {
-                error_code: *error_code,
-            },
-        }
-    }
-
-    /// Whether the frame is ack-eliciting (RFC 9002 §2).
-    pub fn is_ack_eliciting(&self) -> bool {
-        self.as_ref().is_ack_eliciting()
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.as_ref().encoded_len()
-    }
-
-    /// Append the encoding to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.as_ref().encode(out)
-    }
-
-    /// Decode all frames in a packet payload. Padding runs are coalesced.
-    pub fn decode_all(payload: &[u8]) -> Option<Vec<Frame>> {
-        Some(Frames::parse(payload)?.map(FrameRef::to_owned).collect())
-    }
-}
-
-/// A QUIC frame whose CRYPTO data is borrowed (see [`Frame`] for the
-/// variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameRef<'a> {
-    /// PADDING: a run of `n` padding bytes.
-    Padding {
-        /// Number of padding bytes.
-        n: usize,
-    },
-    /// PING.
-    Ping,
-    /// ACK without ECN counts.
-    Ack {
-        /// Largest acknowledged packet number.
-        largest: u64,
-        /// ACK delay (already scaled).
-        delay: u64,
-        /// Length of the first ACK range.
-        first_range: u64,
-    },
-    /// CRYPTO.
-    Crypto {
-        /// Byte offset in the CRYPTO stream of this encryption level.
-        offset: u64,
-        /// Stream data.
-        data: &'a [u8],
-    },
-    /// CONNECTION_CLOSE.
-    ConnectionClose {
-        /// Transport error code.
-        error_code: u64,
-    },
-}
-
 impl<'a> FrameRef<'a> {
-    /// The owned form of this frame.
-    pub fn to_owned(self) -> Frame {
-        match self {
-            FrameRef::Padding { n } => Frame::Padding { n },
-            FrameRef::Ping => Frame::Ping,
-            FrameRef::Ack {
-                largest,
-                delay,
-                first_range,
-            } => Frame::Ack {
-                largest,
-                delay,
-                first_range,
-            },
-            FrameRef::Crypto { offset, data } => Frame::Crypto {
-                offset,
-                data: data.to_vec(),
-            },
-            FrameRef::ConnectionClose { error_code } => Frame::ConnectionClose { error_code },
-        }
-    }
-
     /// Whether the frame is ack-eliciting (RFC 9002 §2).
     pub fn is_ack_eliciting(&self) -> bool {
         !matches!(
@@ -319,89 +217,86 @@ impl<'a> Iterator for Frames<'a> {
 mod tests {
     use super::*;
 
-    fn roundtrip(frames: &[Frame]) -> Vec<Frame> {
+    fn decode(payload: &[u8]) -> Option<Vec<FrameRef<'_>>> {
+        Some(Frames::parse(payload)?.collect())
+    }
+
+    fn roundtrip(frames: &[FrameRef<'_>]) {
         let mut buf = Vec::new();
         for f in frames {
             f.encode(&mut buf);
         }
-        let total: usize = frames.iter().map(|f| f.encoded_len()).sum();
+        let total: usize = frames.iter().map(FrameRef::encoded_len).sum();
         assert_eq!(buf.len(), total, "encoded_len must match actual encoding");
-        Frame::decode_all(&buf).expect("decode")
+        assert_eq!(decode(&buf).as_deref(), Some(frames));
     }
 
     #[test]
     fn crypto_frame_roundtrips() {
-        let frames = vec![Frame::Crypto {
+        roundtrip(&[FrameRef::Crypto {
             offset: 1200,
-            data: vec![7u8; 900],
-        }];
-        assert_eq!(roundtrip(&frames), frames);
+            data: &[7u8; 900],
+        }]);
     }
 
     #[test]
     fn ack_frame_roundtrips() {
-        let frames = vec![Frame::Ack {
+        roundtrip(&[FrameRef::Ack {
             largest: 3,
             delay: 25,
             first_range: 3,
-        }];
-        assert_eq!(roundtrip(&frames), frames);
+        }]);
     }
 
     #[test]
     fn padding_runs_coalesce() {
-        let frames = vec![
-            Frame::Crypto {
+        roundtrip(&[
+            FrameRef::Crypto {
                 offset: 0,
-                data: b"hello".to_vec(),
+                data: b"hello",
             },
-            Frame::Padding { n: 500 },
-        ];
-        let decoded = roundtrip(&frames);
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[1], Frame::Padding { n: 500 });
+            FrameRef::Padding { n: 500 },
+        ]);
     }
 
     #[test]
     fn mixed_sequence_roundtrips() {
-        let frames = vec![
-            Frame::Ack {
+        roundtrip(&[
+            FrameRef::Ack {
                 largest: 0,
                 delay: 0,
                 first_range: 0,
             },
-            Frame::Crypto {
+            FrameRef::Crypto {
                 offset: 0,
-                data: vec![1, 2, 3],
+                data: &[1, 2, 3],
             },
-            Frame::Ping,
-            Frame::Padding { n: 13 },
-        ];
-        assert_eq!(roundtrip(&frames), frames);
+            FrameRef::Ping,
+            FrameRef::Padding { n: 13 },
+        ]);
     }
 
     #[test]
     fn connection_close_roundtrips() {
-        let frames = vec![Frame::ConnectionClose { error_code: 0x0A }];
-        assert_eq!(roundtrip(&frames), frames);
+        roundtrip(&[FrameRef::ConnectionClose { error_code: 0x0A }]);
     }
 
     #[test]
     fn ack_eliciting_classification() {
-        assert!(Frame::Ping.is_ack_eliciting());
-        assert!(Frame::Crypto {
+        assert!(FrameRef::Ping.is_ack_eliciting());
+        assert!(FrameRef::Crypto {
             offset: 0,
-            data: vec![]
+            data: &[]
         }
         .is_ack_eliciting());
-        assert!(!Frame::Padding { n: 1 }.is_ack_eliciting());
-        assert!(!Frame::Ack {
+        assert!(!FrameRef::Padding { n: 1 }.is_ack_eliciting());
+        assert!(!FrameRef::Ack {
             largest: 0,
             delay: 0,
             first_range: 0
         }
         .is_ack_eliciting());
-        assert!(!Frame::ConnectionClose { error_code: 0 }.is_ack_eliciting());
+        assert!(!FrameRef::ConnectionClose { error_code: 0 }.is_ack_eliciting());
     }
 
     #[test]
@@ -419,57 +314,31 @@ mod tests {
                     assert_eq!(zero_run(&payload[align..]), byte_wise);
                     assert_eq!(byte_wise, n, "run {n} at {align}, followed: {followed}");
 
-                    let mut expected = vec![Frame::Ping; align];
-                    expected.extend((n > 0).then_some(Frame::Padding { n }));
-                    expected.extend(followed.then_some(Frame::Ping));
-                    assert_eq!(Frame::decode_all(&payload), Some(expected));
+                    let mut expected = vec![FrameRef::Ping; align];
+                    expected.extend((n > 0).then_some(FrameRef::Padding { n }));
+                    expected.extend(followed.then_some(FrameRef::Ping));
+                    assert_eq!(decode(&payload), Some(expected));
                 }
             }
         }
     }
 
     #[test]
-    fn borrowed_frames_iterate_as_the_owned_decode() {
-        let frames = vec![
-            Frame::Ack {
-                largest: 7,
-                delay: 0,
-                first_range: 7,
-            },
-            Frame::Crypto {
-                offset: 1_200,
-                data: vec![9; 300],
-            },
-            Frame::Padding { n: 40 },
-        ];
-        let mut buf = Vec::new();
-        for f in &frames {
-            f.encode(&mut buf);
-        }
-        let borrowed = Frames::parse(&buf).expect("well-formed");
-        assert_eq!(
-            borrowed.clone().map(FrameRef::to_owned).collect::<Vec<_>>(),
-            frames
-        );
-        assert!(borrowed.zip(&frames).all(|(b, f)| b == f.as_ref()));
-        // A malformed tail rejects the payload whole.
-        buf.push(0xFE);
-        assert_eq!(Frames::parse(&buf), None);
-    }
-
-    #[test]
     fn unknown_frame_type_rejected() {
-        assert_eq!(Frame::decode_all(&[0xFE, 0x00]), None);
+        assert_eq!(decode(&[0xFE, 0x00]), None);
+        // Behind well-formed frames too: a malformed tail rejects the
+        // payload whole.
+        assert_eq!(decode(&[0x01, 0x00, 0x00, 0xFE]), None);
     }
 
     #[test]
     fn truncated_crypto_rejected() {
         let mut buf = Vec::new();
-        Frame::Crypto {
+        FrameRef::Crypto {
             offset: 0,
-            data: vec![9u8; 100],
+            data: &[9u8; 100],
         }
         .encode(&mut buf);
-        assert_eq!(Frame::decode_all(&buf[..50]), None);
+        assert_eq!(decode(&buf[..50]), None);
     }
 }

@@ -276,10 +276,9 @@ pub struct ResumptionProbe {
     /// Server configuration; its [`ServerConfig::resumption`] host governs
     /// ticket issuance on the cold visit and validation on the warm one.
     pub server: ServerConfig,
-    /// The path for the cold visit.
+    /// The path; the cold visit runs on it and the warm visit on a copy
+    /// taken before the cold visit touched it.
     pub wire: Wire,
-    /// The path for the warm visit (a fresh wire over the same route).
-    pub warm_wire: Wire,
     /// Per-probe RNG seed (forked per record at world generation).
     pub seed: u64,
     /// The server/client wall clock at the warm visit, simulated seconds.
@@ -312,6 +311,7 @@ pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
     let mut cold_config = probe.client.clone();
     cold_config.psk = None;
     let mut wire = probe.wire;
+    let mut warm_wire = wire.clone();
     let cold = run_handshake(cold_config, probe.server.clone(), &mut wire, probe.seed);
 
     // The ticket lands in the client-side session cache, stamped with the
@@ -344,7 +344,6 @@ pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
     server.resumption = server
         .resumption
         .map(|host| host.revisited_at(probe.warm_now_secs));
-    let mut warm_wire = probe.warm_wire;
     let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
     ResumptionOutcome {
         cold,
@@ -847,7 +846,6 @@ mod tests {
             client,
             server,
             wire: wire(),
-            warm_wire: wire(),
             seed,
             warm_now_secs,
             offer_ticket,

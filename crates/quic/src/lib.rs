@@ -27,9 +27,7 @@
 //! the outgoing datagram ([`packet::Header::encode_into`]); the receiver
 //! parses that datagram in place ([`packet::parse_datagram_ref`] yields
 //! packets whose [`frame::FrameRef`]s borrow token and CRYPTO data) and
-//! appends CRYPTO data to one [`reassembly::CryptoStream`]. The owned
-//! [`Frame`], [`Packet`] and [`packet::parse_datagram`] forms are wrappers
-//! over the borrowed ones.
+//! appends CRYPTO data to one [`reassembly::CryptoStream`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,10 +42,9 @@ pub mod varint;
 
 pub use amplification::{AmplificationBudget, LimitPolicy};
 pub use client::{ClientConfig, ClientConn};
-pub use frame::Frame;
 pub use handshake::{
     run_handshake, run_handshake_batch_into, run_resumption, run_spoofed_probe, HandshakeOutcome,
     HandshakeProbe, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
-pub use packet::{ConnectionId, Packet, PacketType, AEAD_TAG_LEN, QUIC_MIN_INITIAL_SIZE};
+pub use packet::{ConnectionId, PacketType, AEAD_TAG_LEN, QUIC_MIN_INITIAL_SIZE};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

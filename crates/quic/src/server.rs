@@ -23,14 +23,15 @@ use quicert_compress::Algorithm;
 use quicert_netsim::{Datagram, Endpoint, SimDuration, SimTime};
 use quicert_session::ResumptionHost;
 use quicert_tls::{
-    new_session_ticket, parse_psk_offer, parse_server_name, ServerFlight, ServerFlightParams,
+    new_session_ticket, parse_compression_offers, parse_psk_offer, parse_server_name, ServerFlight,
+    ServerFlightParams,
 };
 use quicert_x509::{CertificateChain, KeyAlgorithm};
 
 use crate::amplification::{AmplificationBudget, LimitPolicy};
 use crate::frame::FrameRef;
 use crate::packet::{
-    parse_datagram_ref, ConnectionId, Header, Packet, PacketType, QUIC_MIN_INITIAL_SIZE,
+    overhead, parse_datagram_ref, ConnectionId, Header, PacketType, QUIC_MIN_INITIAL_SIZE,
 };
 use crate::reassembly::{handshake_messages, CryptoStream};
 
@@ -472,7 +473,7 @@ impl ServerConn {
             ..
         } = self.config.behavior;
         let hs_len = self.handshake_crypto.len();
-        let hs_overhead = Packet::overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
+        let hs_overhead = overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
         let expected = hs_len / max_udp.saturating_sub(hs_overhead).max(1) + 3;
         self.packets.reserve(expected);
         self.datagrams.reserve(expected);
@@ -804,69 +805,10 @@ pub fn is_complete_handshake_message(buf: &[u8]) -> bool {
     handshake_messages(buf).next().is_some()
 }
 
-/// Parse the compress_certificate extension (type 27) out of a ClientHello
-/// handshake message. Returns `None` when absent or malformed.
-pub fn parse_compression_offers(ch: &[u8]) -> Option<Vec<Algorithm>> {
-    if ch.len() < 4 || ch[0] != 1 {
-        return None;
-    }
-    let body = &ch[4..];
-    let mut pos = 2 + 32; // legacy_version + random
-    let sid_len = *body.get(pos)? as usize;
-    pos += 1 + sid_len;
-    let cs_len = u16::from_be_bytes([*body.get(pos)?, *body.get(pos + 1)?]) as usize;
-    pos += 2 + cs_len;
-    let comp_len = *body.get(pos)? as usize;
-    pos += 1 + comp_len;
-    let ext_total = u16::from_be_bytes([*body.get(pos)?, *body.get(pos + 1)?]) as usize;
-    pos += 2;
-    let end = pos + ext_total;
-    while pos + 4 <= end.min(body.len()) {
-        let ty = u16::from_be_bytes([body[pos], body[pos + 1]]);
-        let len = u16::from_be_bytes([body[pos + 2], body[pos + 3]]) as usize;
-        pos += 4;
-        if ty == 27 {
-            let data = body.get(pos..pos + len)?;
-            let list_len = *data.first()? as usize;
-            let list = data.get(1..1 + list_len)?;
-            let mut algs = Vec::new();
-            for pair in list.chunks_exact(2) {
-                let cp = u16::from_be_bytes([pair[0], pair[1]]);
-                if let Some(alg) = Algorithm::from_code_point(cp) {
-                    algs.push(alg);
-                }
-            }
-            return Some(algs);
-        }
-        pos += len;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quicert_tls::{client_hello, ClientHelloParams};
-
-    #[test]
-    fn compression_offer_parsing() {
-        let ch = client_hello(&ClientHelloParams {
-            server_name: "example.org".into(),
-            compression: vec![Algorithm::Brotli, Algorithm::Zstd],
-            psk: None,
-            seed: 4,
-        });
-        let offers = parse_compression_offers(&ch).expect("extension present");
-        assert_eq!(offers, vec![Algorithm::Brotli, Algorithm::Zstd]);
-
-        let ch_none = client_hello(&ClientHelloParams {
-            server_name: "example.org".into(),
-            compression: vec![],
-            psk: None,
-            seed: 4,
-        });
-        assert_eq!(parse_compression_offers(&ch_none), None);
-    }
 
     #[test]
     fn handshake_message_completeness() {

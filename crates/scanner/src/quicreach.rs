@@ -913,7 +913,6 @@ pub fn warm_service(world: &World, record: &DomainRecord, scenario: Scenario) ->
     let out = run_resumption(ResumptionProbe {
         client: probe.client,
         server: probe.server,
-        warm_wire: probe.wire.clone(),
         wire: probe.wire,
         seed: probe.seed,
         warm_now_secs: warm_visit_secs(policy),

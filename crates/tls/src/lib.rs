@@ -25,7 +25,7 @@ pub use flight::{ServerFlight, ServerFlightParams};
 pub use messages::{
     certificate_message, certificate_verify, client_hello, client_hello_into,
     compressed_certificate_message, encrypted_extensions, finished, new_session_ticket,
-    parse_new_session_ticket, parse_psk_offer, parse_server_name, server_hello,
-    server_hello_accepted_psk, server_hello_resumed, ClientHelloParams, HandshakeType,
-    NewSessionTicket, PskOffer,
+    parse_compression_offers, parse_new_session_ticket, parse_psk_offer, parse_server_name,
+    server_hello, server_hello_accepted_psk, server_hello_resumed, ClientHelloParams,
+    HandshakeType, NewSessionTicket, PskOffer,
 };

@@ -273,33 +273,7 @@ fn server_hello_into(out: &mut Vec<u8>, seed: u64, accept_psk: bool) {
 /// Whether a ServerHello handshake message carries a pre_shared_key
 /// extension — i.e. the server accepted the client's resumption offer.
 pub fn server_hello_accepted_psk(sh: &[u8]) -> bool {
-    if sh.len() < 4 || sh[0] != HandshakeType::ServerHello as u8 {
-        return false;
-    }
-    let body = &sh[4..];
-    // legacy_version(2) + random(32) + session_id(1+len) + cipher(2) +
-    // compression(1), then the extensions block.
-    let mut pos = 2 + 32;
-    let Some(&sid_len) = body.get(pos) else {
-        return false;
-    };
-    pos += 1 + sid_len as usize + 2 + 1;
-    let Some(ext_len_bytes) = body.get(pos..pos + 2) else {
-        return false;
-    };
-    let ext_total = u16::from_be_bytes([ext_len_bytes[0], ext_len_bytes[1]]) as usize;
-    pos += 2;
-    let end = (pos + ext_total).min(body.len());
-    while pos + 4 <= end {
-        let ty = u16::from_be_bytes([body[pos], body[pos + 1]]);
-        let len = u16::from_be_bytes([body[pos + 2], body[pos + 3]]) as usize;
-        pos += 4;
-        if ty == EXT_PRE_SHARED_KEY {
-            return true;
-        }
-        pos += len;
-    }
-    false
+    hello_extension(sh, HandshakeType::ServerHello, EXT_PRE_SHARED_KEY).is_some()
 }
 
 /// A parsed NewSessionTicket message.
@@ -348,19 +322,29 @@ pub fn parse_new_session_ticket(msg: &[u8]) -> Option<NewSessionTicket> {
     })
 }
 
-/// Walk a ClientHello's extensions, returning the first with type `wanted`.
-fn client_hello_extension(ch: &[u8], wanted: u16) -> Option<&[u8]> {
-    if ch.len() < 4 || ch[0] != HandshakeType::ClientHello as u8 {
+/// Walk the extension block of a hello message of type `ty` (ClientHello
+/// or ServerHello; they differ only in the fixed fields before the block)
+/// to the first extension of type `wanted`. Returns the message body from
+/// that extension's data on and the length its header declares, which may
+/// overrun the body. `None` when `msg` is not a `ty` hello, its fixed
+/// fields are truncated, or no extension of the block has that type.
+fn hello_extension(msg: &[u8], ty: HandshakeType, wanted: u16) -> Option<(&[u8], usize)> {
+    if msg.len() < 4 || msg[0] != ty as u8 {
         return None;
     }
-    let body = &ch[4..];
+    let body = &msg[4..];
     let mut pos = 2 + 32; // legacy_version + random
     let sid_len = *body.get(pos)? as usize;
     pos += 1 + sid_len;
-    let cs_len = u16::from_be_bytes([*body.get(pos)?, *body.get(pos + 1)?]) as usize;
-    pos += 2 + cs_len;
-    let comp_len = *body.get(pos)? as usize;
-    pos += 1 + comp_len;
+    if ty == HandshakeType::ClientHello {
+        // The offered cipher_suites and legacy_compression_methods lists.
+        let cs_len = u16::from_be_bytes([*body.get(pos)?, *body.get(pos + 1)?]) as usize;
+        pos += 2 + cs_len;
+        let comp_len = *body.get(pos)? as usize;
+        pos += 1 + comp_len;
+    } else {
+        pos += 2 + 1; // the chosen cipher_suite and compression method
+    }
     let ext_total = u16::from_be_bytes([*body.get(pos)?, *body.get(pos + 1)?]) as usize;
     pos += 2;
     let end = (pos + ext_total).min(body.len());
@@ -369,11 +353,17 @@ fn client_hello_extension(ch: &[u8], wanted: u16) -> Option<&[u8]> {
         let len = u16::from_be_bytes([body[pos + 2], body[pos + 3]]) as usize;
         pos += 4;
         if ty == wanted {
-            return body.get(pos..pos + len);
+            return Some((&body[pos..], len));
         }
         pos += len;
     }
     None
+}
+
+/// The data of a ClientHello's first extension of type `wanted`.
+fn client_hello_extension(ch: &[u8], wanted: u16) -> Option<&[u8]> {
+    let (data, len) = hello_extension(ch, HandshakeType::ClientHello, wanted)?;
+    data.get(..len)
 }
 
 /// Extract the SNI host name from a ClientHello (the server needs it to
@@ -398,6 +388,21 @@ pub fn parse_psk_offer(ch: &[u8]) -> Option<PskOffer> {
         identity,
         obfuscated_age,
     })
+}
+
+/// Extract the certificate compression algorithms a ClientHello offers
+/// (the RFC 8879 compress_certificate extension), in offer order, skipping
+/// code points this workspace does not implement. `None` when the
+/// extension is absent or malformed.
+pub fn parse_compression_offers(ch: &[u8]) -> Option<Vec<Algorithm>> {
+    let data = client_hello_extension(ch, EXT_COMPRESS_CERTIFICATE)?;
+    // algorithms: list_len(1) + one u16 code point each.
+    let list_len = *data.first()? as usize;
+    let list = data.get(1..1 + list_len)?;
+    let code_points = list
+        .chunks_exact(2)
+        .map(|pair| u16::from_be_bytes([pair[0], pair[1]]));
+    Some(code_points.filter_map(Algorithm::from_code_point).collect())
 }
 
 /// Encode EncryptedExtensions (ALPN echo + QUIC transport parameters).
@@ -590,6 +595,17 @@ mod tests {
         let needle = [0x00u8, 27];
         assert!(with.windows(2).any(|w| w == needle));
         assert!(!without.windows(2).any(|w| w == needle));
+    }
+
+    #[test]
+    fn compression_offer_parsing() {
+        let ch = client_hello(&params(vec![Algorithm::Brotli, Algorithm::Zstd]));
+        let offers = parse_compression_offers(&ch).expect("extension present");
+        assert_eq!(offers, vec![Algorithm::Brotli, Algorithm::Zstd]);
+        assert_eq!(
+            parse_compression_offers(&client_hello(&params(vec![]))),
+            None
+        );
     }
 
     #[test]

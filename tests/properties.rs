@@ -163,18 +163,141 @@ proptest! {
 
     #[test]
     fn frames_roundtrip(offset in 0u64..1_000_000, data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        use quicert::quic::Frame;
-        let frames = vec![
-            Frame::Ack { largest: offset % 100, delay: 3, first_range: offset % 100 },
-            Frame::Crypto { offset, data },
-            Frame::Padding { n: 17 },
+        use quicert::quic::frame::{FrameRef, Frames};
+        let frames = [
+            FrameRef::Ack { largest: offset % 100, delay: 3, first_range: offset % 100 },
+            FrameRef::Crypto { offset, data: &data },
+            FrameRef::Padding { n: 17 },
         ];
         let mut buf = Vec::new();
         for f in &frames {
             f.encode(&mut buf);
         }
-        let decoded = Frame::decode_all(&buf).expect("decode");
+        let decoded: Vec<_> = Frames::parse(&buf).expect("decode").collect();
         prop_assert_eq!(decoded, frames);
+    }
+}
+
+mod packet_properties {
+    use proptest::prelude::*;
+    use quicert::netsim::SimRng;
+    use quicert::quic::frame::FrameRef;
+    use quicert::quic::packet::{parse_datagram_ref, ConnectionId, Header, PacketType};
+
+    /// `len` bytes from a random position of `pool`.
+    fn slice<'p>(rng: &mut SimRng, pool: &'p [u8], len: usize) -> &'p [u8] {
+        let at = rng.below((pool.len() - len + 1) as u64) as usize;
+        &pool[at..at + len]
+    }
+
+    /// Up to five frames of every kind an endpoint writes, CRYPTO data
+    /// borrowed from `pool`. Never two PADDING runs in a row: the parser
+    /// reads adjacent runs back as one.
+    fn frames<'p>(rng: &mut SimRng, pool: &'p [u8]) -> Vec<FrameRef<'p>> {
+        let mut out = Vec::new();
+        for _ in 0..rng.below(6) {
+            let frame = match rng.below(5) {
+                0 => FrameRef::Ping,
+                1 => FrameRef::Ack {
+                    largest: rng.below(1 << 16),
+                    delay: rng.below(1 << 14),
+                    first_range: rng.below(1 << 8),
+                },
+                2 => {
+                    let len = rng.below(600) as usize;
+                    FrameRef::Crypto {
+                        offset: rng.below(1 << 20),
+                        data: slice(rng, pool, len),
+                    }
+                }
+                3 => FrameRef::ConnectionClose {
+                    error_code: rng.below(1 << 16),
+                },
+                _ => FrameRef::Padding {
+                    n: 1 + rng.below(40) as usize,
+                },
+            };
+            if !matches!(
+                (out.last(), frame),
+                (Some(FrameRef::Padding { .. }), FrameRef::Padding { .. })
+            ) {
+                out.push(frame);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Two packets coalesced into one datagram — the first a long
+        // header, the second any type an endpoint sends, a 1-RTT packet
+        // always last — each with CIDs of 0–20 bytes (8 for a 1-RTT DCID,
+        // the length the short-header parser assumes), a token on
+        // Initials, a 16-bit packet number, frames and in-envelope
+        // padding: the arithmetic length is what the encoder writes, and
+        // the parser returns every field the wire carries.
+        #[test]
+        fn coalesced_packets_roundtrip_field_for_field(seed in any::<u64>()) {
+            let mut rng = SimRng::new(seed);
+            let pool: Vec<u8> = (0..2048).map(|_| rng.below(256) as u8).collect();
+            let long = [PacketType::Initial, PacketType::Handshake];
+            let any = [PacketType::Initial, PacketType::Handshake, PacketType::OneRtt];
+            let types = [long[rng.below(2) as usize], any[rng.below(3) as usize]];
+            let cids: Vec<[ConnectionId; 2]> = types
+                .iter()
+                .map(|&ty| {
+                    let dcid_len = if ty == PacketType::OneRtt { 8 } else { rng.below(21) };
+                    let lens = [dcid_len, rng.below(21)];
+                    lens.map(|len| ConnectionId::new(slice(&mut rng, &pool, len as usize)))
+                })
+                .collect();
+            let packets: Vec<_> = types
+                .iter()
+                .zip(&cids)
+                .map(|(&ty, [dcid, scid])| {
+                    let token: &[u8] = if ty == PacketType::Initial {
+                        let len = rng.below(65) as usize;
+                        slice(&mut rng, &pool, len)
+                    } else {
+                        &[]
+                    };
+                    let number = rng.below(1 << 16);
+                    let header = Header { ty, dcid, scid, token, number };
+                    (header, frames(&mut rng, &pool), rng.below(300) as usize)
+                })
+                .collect();
+
+            let mut wire = Vec::new();
+            for (header, frames, padding) in &packets {
+                let at = wire.len();
+                header.encode_into(&mut wire, frames.iter().copied(), *padding);
+                let len = header.encoded_len(frames.iter().copied());
+                prop_assert_eq!(len + padding, wire.len() - at, "{:?}", header.ty);
+            }
+
+            let parsed: Vec<_> = parse_datagram_ref(&wire).expect("well-formed").collect();
+            prop_assert_eq!(parsed.len(), 2);
+            for ((header, frames, padding), pkt) in packets.iter().zip(&parsed) {
+                let one_rtt = header.ty == PacketType::OneRtt;
+                prop_assert_eq!(pkt.ty, header.ty);
+                prop_assert_eq!(&pkt.dcid, header.dcid);
+                let scid = if one_rtt { ConnectionId::default() } else { header.scid.clone() };
+                prop_assert_eq!(&pkt.scid, &scid);
+                prop_assert_eq!(pkt.token, header.token);
+                prop_assert_eq!(pkt.number, header.number);
+                // In-envelope padding joins a trailing PADDING run.
+                let mut expected = frames.clone();
+                match expected.last_mut() {
+                    Some(FrameRef::Padding { n }) => *n += padding,
+                    _ if *padding > 0 => expected.push(FrameRef::Padding { n: *padding }),
+                    _ => {}
+                }
+                prop_assert_eq!(pkt.frames.clone().collect::<Vec<_>>(), expected);
+                let len = header.encoded_len(frames.iter().copied());
+                prop_assert_eq!(pkt.wire_len, len + padding);
+            }
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 use std::net::Ipv4Addr;
 
 use quicert::netsim::{Datagram, Endpoint, SimDuration, SimTime};
-use quicert::quic::packet::{extract_scid, parse_datagram, PacketType};
+use quicert::quic::frame::FrameRef;
+use quicert::quic::packet::{parse_datagram_ref, PacketType, ParsedPacketRef};
 use quicert::quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
 use quicert::x509::{
     CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
@@ -45,6 +46,28 @@ fn server(behavior: ServerBehavior) -> ServerConn {
     })
 }
 
+fn parse(payload: &[u8]) -> Option<Vec<ParsedPacketRef<'_>>> {
+    Some(parse_datagram_ref(payload)?.collect())
+}
+
+/// Bytes of PADDING frames in a packet.
+fn padding_len(pkt: &ParsedPacketRef<'_>) -> usize {
+    let padding = |f| match f {
+        FrameRef::Padding { n } => n,
+        _ => 0,
+    };
+    pkt.frames.clone().map(padding).sum()
+}
+
+/// Bytes of CRYPTO frame data (TLS payload) in a packet.
+fn crypto_data_len(pkt: &ParsedPacketRef<'_>) -> usize {
+    let data = |f| match f {
+        FrameRef::Crypto { data, .. } => data.len(),
+        _ => 0,
+    };
+    pkt.frames.clone().map(data).sum()
+}
+
 /// Drive one client Initial into the server, return the server's response
 /// datagrams.
 fn first_flight(behavior: ServerBehavior, initial_size: usize) -> Vec<Datagram> {
@@ -66,21 +89,18 @@ fn client_initial_is_parseable_and_padded() {
     client.start(SimTime::ZERO, &mut out);
     let dgram = &out[0];
     assert_eq!(dgram.payload_len(), 1357);
-    let packets = parse_datagram(&dgram.payload).expect("well-formed datagram");
+    let packets = parse(&dgram.payload).expect("well-formed datagram");
     assert_eq!(packets.len(), 1);
     assert_eq!(packets[0].ty, PacketType::Initial);
-    assert!(packets[0].padding_len() > 0, "CH alone is well under 1357");
-    assert_eq!(
-        extract_scid(&dgram.payload).as_deref(),
-        Some(client.scid().as_bytes())
-    );
+    assert!(padding_len(&packets[0]) > 0, "CH alone is well under 1357");
+    assert_eq!(&packets[0].scid, client.scid());
 }
 
 #[test]
 fn compliant_server_coalesces_and_pads_correctly() {
     let flights = first_flight(ServerBehavior::rfc_compliant(), 1362);
     assert!(!flights.is_empty());
-    let first = parse_datagram(&flights[0].payload).expect("parseable");
+    let first = parse(&flights[0].payload).expect("parseable");
     // Coalesced: the first datagram carries Initial + Handshake packets.
     assert_eq!(first[0].ty, PacketType::Initial);
     assert!(
@@ -99,18 +119,18 @@ fn cloudflare_behavior_emits_separate_padded_datagrams() {
     let flights = first_flight(ServerBehavior::cloudflare_like(), 1362);
     assert!(flights.len() >= 3, "ACK, SH, and handshake datagrams");
     // Datagram A: ACK-only Initial, padded although not ack-eliciting.
-    let a = parse_datagram(&flights[0].payload).unwrap();
+    let a = parse(&flights[0].payload).unwrap();
     assert_eq!(a.len(), 1, "no coalescing");
     assert_eq!(a[0].ty, PacketType::Initial);
-    assert_eq!(a[0].crypto_data_len(), 0, "first datagram is the bare ACK");
-    assert!(a[0].padding_len() > 1000, "superfluous padding");
+    assert_eq!(crypto_data_len(&a[0]), 0, "first datagram is the bare ACK");
+    assert!(padding_len(&a[0]) > 1000, "superfluous padding");
     // Datagram B: the ServerHello Initial, also padded.
-    let b = parse_datagram(&flights[1].payload).unwrap();
+    let b = parse(&flights[1].payload).unwrap();
     assert_eq!(b.len(), 1);
-    assert!(b[0].crypto_data_len() > 0);
+    assert!(crypto_data_len(&b[0]) > 0);
     // No Handshake packet shares a datagram with an Initial.
     for dgram in &flights {
-        let packets = parse_datagram(&dgram.payload).unwrap();
+        let packets = parse(&dgram.payload).unwrap();
         let kinds: std::collections::HashSet<_> = packets.iter().map(|p| p.ty).collect();
         assert!(kinds.len() == 1, "no coalescing anywhere");
     }
@@ -128,7 +148,7 @@ fn retry_flow_round_trips_on_the_wire() {
     let mut retry_out = Vec::new();
     srv.on_datagram(&out[0], SimTime::ZERO, &mut retry_out);
     assert_eq!(retry_out.len(), 1);
-    let retry = parse_datagram(&retry_out[0].payload).unwrap();
+    let retry = parse(&retry_out[0].payload).unwrap();
     assert_eq!(retry[0].ty, PacketType::Retry);
     assert!(!retry[0].token.is_empty());
 
@@ -141,7 +161,7 @@ fn retry_flow_round_trips_on_the_wire() {
         &mut second,
     );
     assert_eq!(second.len(), 1);
-    let resent = parse_datagram(&second[0].payload).unwrap();
+    let resent = parse(&second[0].payload).unwrap();
     assert_eq!(resent[0].ty, PacketType::Initial);
     assert_eq!(resent[0].token, retry[0].token);
 }
@@ -151,8 +171,8 @@ fn tls_flight_on_the_wire_contains_the_certificate_chain() {
     let flights = first_flight(ServerBehavior::rfc_compliant(), 1472);
     let mut crypto = 0usize;
     for dgram in &flights {
-        for pkt in parse_datagram(&dgram.payload).unwrap() {
-            crypto += pkt.crypto_data_len();
+        for pkt in parse(&dgram.payload).unwrap() {
+            crypto += crypto_data_len(&pkt);
         }
     }
     // The CRYPTO bytes must carry at least the whole chain plus the other
