@@ -660,27 +660,28 @@ mod tests {
 
     #[test]
     fn empty_overlay_is_the_identity() {
-        let world = quicert_pki::World::generate(quicert_pki::WorldConfig {
+        let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
             domains: 64,
             seed: 9,
             ..Default::default()
         });
-        let mut records = world.domains().to_vec();
+        let population = world.domain_chunk(1, world.config.domains);
+        let mut records = population.clone();
         ChurnState::initial().apply_to_records(&mut records);
-        for (before, after) in world.domains().iter().zip(&records) {
+        for (before, after) in population.iter().zip(&records) {
             assert_eq!(format!("{before:?}"), format!("{after:?}"));
         }
     }
 
     #[test]
     fn overlay_sets_generation_drift_and_era() {
-        let world = quicert_pki::World::generate(quicert_pki::WorldConfig {
+        let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
             domains: 64,
             seed: 9,
             ..Default::default()
         });
-        let quic_rank = world
-            .domains()
+        let population = world.domain_chunk(1, world.config.domains);
+        let quic_rank = population
             .iter()
             .find(|r| r.has_quic())
             .expect("some QUIC service")
@@ -689,10 +690,10 @@ mod tests {
         state.apply(&ChurnEvent::RotateCert { rank: quic_rank });
         state.apply(&ChurnEvent::RotateCert { rank: quic_rank });
         state.apply(&ChurnEvent::DriftChain { rank: quic_rank });
-        let mut records = world.domains().to_vec();
+        let mut records = population.clone();
         state.apply_to_records(&mut records);
         let quic = records[quic_rank - 1].quic.as_ref().unwrap();
-        let original = world.domains()[quic_rank - 1].quic.as_ref().unwrap();
+        let original = population[quic_rank - 1].quic.as_ref().unwrap();
         assert_eq!(quic.cert_generation, 2);
         assert_eq!(quic.chain_id, drifted(original.chain_id, 1));
     }

@@ -99,10 +99,11 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Generate the world for `config`.
+    /// A campaign over `config`: the engine over its world, defaulting to
+    /// its scenario. Nothing is derived until a scan asks.
     pub fn new(config: CampaignConfig) -> Campaign {
-        let world = World::generate(config.world.clone());
-        let engine = ScanEngine::new(world, config.scenario.initial_size, config.workers)
+        let (initial, workers) = (config.scenario.initial_size, config.workers);
+        let engine = ScanEngine::streaming(config.world.clone(), initial, workers)
             .with_scenario(config.scenario);
         Campaign { config, engine }
     }
@@ -125,7 +126,7 @@ impl Campaign {
         self.engine.scenario()
     }
 
-    /// The generated world.
+    /// The campaign's world.
     pub fn world(&self) -> &World {
         self.engine.world()
     }

@@ -329,7 +329,7 @@ pub struct ScanEngine {
 }
 
 impl ScanEngine {
-    /// Wrap a generated world. `workers == 0` resolves to one worker per
+    /// Wrap a world. `workers == 0` resolves to one worker per
     /// available core; `workers == 1` forces the serial path. The default
     /// [`Scenario`] is the paper's baseline at `default_initial`, revisited
     /// warm under [`ResumptionPolicy::WarmAfterFirstVisit`]; replace it
@@ -367,12 +367,11 @@ impl ScanEngine {
         }
     }
 
-    /// An engine over a never-materialised [`World::streaming`] population:
-    /// the at-scale constructor. Every family that rides the pump serves
-    /// what a populated engine serves (the `stream_*` summaries in bounded
+    /// An engine over a [`World::streaming`] of `config`. Every family
+    /// derives its records by rank: the `stream_*` summaries in bounded
     /// memory, the per-record artefacts in memory that grows with the
-    /// population); `telescope`, which reads [`World::quic_services`], sees
-    /// an empty population and needs a generated world.
+    /// population, the telescope by a rank-order walk that stops at its
+    /// last target.
     pub fn streaming(config: WorldConfig, default_initial: usize, workers: usize) -> ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
@@ -561,8 +560,10 @@ impl ScanEngine {
     }
 
     /// Telescope backscatter sessions for `per_provider` spoofed probes per
-    /// hypergiant (Fig 9). Sessions interleave on one simulated telescope,
-    /// so this artifact is computed serially and cached whole.
+    /// hypergiant (Fig 9), at the first services of each in rank order.
+    /// Sessions interleave on one simulated telescope, so this artifact is
+    /// computed serially, walking only the ranks that hold its targets, and
+    /// cached whole.
     pub fn telescope(&self, per_provider: usize) -> Arc<Vec<BackscatterSession>> {
         self.telescope.get_or_compute(per_provider, || {
             telescope_scan::collect(
@@ -889,7 +890,7 @@ impl ScanEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicert_pki::WorldConfig;
+    use quicert_pki::{Provider, WorldConfig};
 
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
@@ -903,14 +904,20 @@ mod tests {
     }
 
     fn engine(workers: usize) -> ScanEngine {
-        ScanEngine::new(World::generate(config()), 1362, workers)
+        ScanEngine::streaming(config(), 1362, workers)
     }
 
-    /// The per-record oracle over a generated world: one memo-free,
-    /// pump-free [`quicreach::scan_service`] per QUIC service.
+    /// The whole population of `world`, derived as one chunk.
+    fn population(world: &World) -> Vec<DomainRecord> {
+        world.domain_chunk(1, world.config.domains)
+    }
+
+    /// The per-record oracle over a world: one memo-free, pump-free
+    /// [`quicreach::scan_service`] per QUIC service.
     fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
         let probe = |record| quicreach::scan_service(world, record, scenario);
-        world.quic_services().map(probe).collect()
+        let records = population(world);
+        records.iter().filter(|r| r.has_quic()).map(probe).collect()
     }
 
     #[test]
@@ -1063,12 +1070,7 @@ mod tests {
     /// requests — and runs its sweep — under the steered axes, matching a
     /// baseline engine's explicit request for the same scenario.
     fn assert_scenario_steers_default_requests(steered: Scenario) {
-        let world = World::generate(WorldConfig {
-            domains: 1_200,
-            seed: 0xD37E,
-            ..WorldConfig::default()
-        });
-        let steered_engine = ScanEngine::new(world, 1362, 2).with_scenario(steered);
+        let steered_engine = ScanEngine::streaming(config(), 1362, 2).with_scenario(steered);
         assert_eq!(steered_engine.scenario(), steered);
         let default = steered_engine.quicreach(steered_engine.scenario());
         assert_eq!(*default, *engine(2).quicreach(steered));
@@ -1185,8 +1187,10 @@ mod tests {
             HttpsScanShard::from_report(&report)
         );
         assert_eq!(format!("{:?}", engine.https_scan()), format!("{report:?}"));
-        let rows: Vec<_> = world
-            .quic_services()
+        let records = population(world);
+        let rows: Vec<_> = records
+            .iter()
+            .filter(|record| record.has_quic())
             .map(|record| compression::probe_row(world, record))
             .collect();
         assert_eq!(
@@ -1205,62 +1209,96 @@ mod tests {
 
     #[test]
     fn streaming_engine_never_materializes_the_population() {
-        let populated = engine(2);
-        let reference = populated.stream_quicreach(BASE);
-
-        // The streaming engine's world holds zero records before, during
-        // and after the scan — the population only ever exists as chunks.
+        // Every family derives its records by rank, a claim at a time, at
+        // any claim size, and equals its serial per-record oracle over the
+        // population derived as one chunk (the four scanners' own `scan`s
+        // are `streaming_summaries_match_the_materialized_artifacts`).
         let engine = ScanEngine::streaming(config(), 1362, 2);
-        assert!(engine.world().domains().is_empty());
+        let world = engine.world();
+        let records = population(world);
+        let services: Vec<&DomainRecord> = records.iter().filter(|r| r.has_quic()).collect();
         let streamed = engine.stream_quicreach(BASE);
-        assert!(engine.world().domains().is_empty());
-        assert_eq!(*streamed, *reference);
         assert!(streamed.total() > 0);
-        // The https stream works on the shell too.
-        let funnel = engine.stream_https_scan();
-        assert!(engine.world().domains().is_empty());
-        assert_eq!(funnel.total, 1_200);
-
-        // So do the collected artefacts: they derive their records per
-        // pass, funnel counters included, and equal the populated engine's
-        // — never a report whose chains and counters disagree.
-        let report = engine.https_scan();
+        for size in [1usize, 64, 4096] {
+            let ranges: Vec<_> = (1..=1_200).step_by(size).map(|r| (r, size)).collect();
+            let folded = engine.fold_ranges(BASE, &ranges, |chunk, scratch| {
+                quicreach::fold_chunk(world, chunk, BASE, scratch)
+            });
+            assert_eq!(QuicReachShard::merge_all(folded), *streamed, "chunk {size}");
+        }
+        // Never a report whose chains and counters disagree.
+        let (funnel, report) = (engine.stream_https_scan(), engine.https_scan());
         assert_eq!(
             (report.total, report.resolved),
             (1_200, funnel.resolved as usize)
         );
-        assert_eq!(
-            format!("{report:?}"),
-            format!("{:?}", populated.https_scan())
-        );
-        assert_eq!(
-            *engine.quicreach(Scenario::at(1250)),
-            *populated.quicreach(Scenario::at(1250))
-        );
+        let warm = engine
+            .scenario()
+            .with_policy(engine.scenario().warm_policy());
+        let revisit = |r: &&DomainRecord| quicreach::warm_service(world, r, warm);
         assert_eq!(
             *engine.warm_scan(engine.scenario()),
-            *populated.warm_scan(populated.scenario())
+            services.iter().map(revisit).collect::<Vec<_>>()
         );
+        let studied: Vec<_> = records
+            .iter()
+            .filter(|r| compression::in_study_sample(r, 10))
+            .filter_map(|r| compression::study(world, r, Algorithm::Brotli, BASE.era))
+            .collect();
         assert_eq!(
             format!(
                 "{:?}",
                 engine.compression_study(BASE.era, Algorithm::Brotli, 10)
             ),
-            format!(
-                "{:?}",
-                populated.compression_study(BASE.era, Algorithm::Brotli, 10)
-            )
+            format!("{studied:?}")
         );
         // Table 1's all-three row needs record fields only: not "0 of 0".
-        // `populated` answers from its own pass, `seeded` from the probe
-        // rows of `compression_support`.
-        let (_, services) = engine.all_three_support();
-        assert!(services > 0);
-        assert_eq!(engine.all_three_support(), populated.all_three_support());
+        // `engine` answers from its own pass, `seeded` from the probe rows
+        // of `compression_support`.
+        let all_three = compression::all_three_support(&records);
+        assert!(all_three.1 > 0);
+        assert_eq!(engine.all_three_support(), all_three);
         let seeded = self::engine(1);
         seeded.compression_support();
-        assert_eq!(seeded.all_three_support(), populated.all_three_support());
-        assert!(engine.world().domains().is_empty());
+        assert_eq!(seeded.all_three_support(), all_three);
+
+        // And the telescope, which a streaming engine once saw empty: the
+        // first two services of each hypergiant (every one it has, when
+        // fewer), whatever the worker count.
+        let sessions = engine.telescope(2);
+        for provider in [Provider::Cloudflare, Provider::Google, Provider::Meta] {
+            let of_provider =
+                |r: &&&DomainRecord| r.quic.as_ref().is_some_and(|q| q.provider == provider);
+            let present = services.iter().filter(of_provider);
+            let probed = sessions.iter().filter(|s| s.provider == provider);
+            assert_eq!(probed.count(), present.count().min(2), "{provider:?}");
+        }
+        assert!(!sessions.is_empty());
+        assert_eq!(
+            format!("{sessions:?}"),
+            format!("{:?}", seeded.telescope(2))
+        );
+    }
+
+    #[test]
+    fn a_million_domain_streaming_engine_serves_fig9_at_paper_scale() {
+        // Fig 9 at the paper's population: exactly `per_provider` sessions
+        // for each hypergiant, from a walk that stops at the rank holding
+        // the last target (the 4k and 20k worlds hold too few Meta PoPs).
+        let engine = ScanEngine::streaming(
+            WorldConfig {
+                domains: 1_000_000,
+                ..config()
+            },
+            1362,
+            1,
+        );
+        let sessions = engine.telescope(10);
+        for provider in [Provider::Cloudflare, Provider::Google, Provider::Meta] {
+            let probed = sessions.iter().filter(|s| s.provider == provider);
+            assert_eq!(probed.count(), 10, "{provider:?}");
+        }
+        assert_eq!(sessions.len(), 30);
     }
 
     #[test]
@@ -1573,8 +1611,10 @@ mod tests {
     fn compat_delegates_equal_their_scenario_forms() {
         let engine = engine(2);
         let world = engine.world();
-        let owned: Vec<DomainRecord> = world.domains().iter().take(300).cloned().collect();
-        let services: Vec<&DomainRecord> = world.quic_services().take(40).collect();
+        let records = population(world);
+        let owned = records[..300].to_vec();
+        let services: Vec<&DomainRecord> =
+            records.iter().filter(|r| r.has_quic()).take(40).collect();
         let cells = [
             (
                 CertificateEra::Classical,

@@ -164,8 +164,7 @@ pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
         fixed_by_mitigation: 0,
         unfixable: 0,
     };
-    for (record, first) in world.quic_services().zip(first_contacts.iter()) {
-        debug_assert_eq!(record.rank, first.rank, "scan order matches service order");
+    for first in first_contacts.iter() {
         if first.class != HandshakeClass::MultiRtt {
             continue;
         }
@@ -177,13 +176,11 @@ pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
             result.unfixable += 1;
             continue;
         }
-        let second = quicert_scanner::quicreach::scan_service(
-            world,
-            record,
-            scenario.with_initial_size(adapted),
-        );
-        if second.class == HandshakeClass::OneRtt {
-            result.fixed_by_mitigation += 1;
+        // The cache knows services by rank: re-derive the one to re-probe.
+        for record in world.domain_chunk(first.rank, 1) {
+            let rescan = scenario.with_initial_size(adapted);
+            let second = quicert_scanner::quicreach::scan_service(world, &record, rescan);
+            result.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
         }
     }
     result

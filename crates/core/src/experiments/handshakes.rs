@@ -144,7 +144,7 @@ impl Fig5 {
 // ----------------------------------------------------------- Figs 12/13 --
 
 /// Per-rank-group service shares (Fig 12) and class shares (Fig 13).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RankGroupRow {
     /// Group index (0 = most popular).
     pub group: usize,
@@ -159,16 +159,17 @@ pub struct RankGroupRow {
     pub class_shares: [f64; 4],
 }
 
-/// Compute Figs 12 and 13 in one pass.
+/// Compute Figs 12 and 13 from the cached HTTPS scan (who serves QUIC,
+/// who HTTPS only) and the default-size quicreach scan (classes).
 pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
     let width = campaign.rank_group_width();
-    let world = campaign.world();
+    let domains = campaign.world().config.domains;
     let results = campaign.engine().quicreach(campaign.scenario());
-    let group_count = world.domains().len().div_ceil(width);
+    let group_count = domains.div_ceil(width);
     let mut rows: Vec<RankGroupRow> = (0..group_count)
         .map(|group| RankGroupRow {
             group,
-            domains: 0,
+            domains: width.min(domains - group * width),
             quic_share: 0.0,
             https_only_share: 0.0,
             class_shares: [0.0; 4],
@@ -176,14 +177,13 @@ pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
         .collect();
     let mut quic_counts = vec![0usize; group_count];
     let mut https_counts = vec![0usize; group_count];
-    for d in world.domains() {
-        let g = (d.rank - 1) / width;
-        rows[g].domains += 1;
-        if d.has_quic() {
-            quic_counts[g] += 1;
-        } else if d.has_https() {
-            https_counts[g] += 1;
-        }
+    for o in &campaign.engine().https_scan().observations {
+        let counts = if o.is_quic {
+            &mut quic_counts
+        } else {
+            &mut https_counts
+        };
+        counts[(o.rank - 1) / width] += 1;
     }
     let mut class_counts = vec![[0usize; 4]; group_count];
     let mut reachable = vec![0usize; group_count];
@@ -339,7 +339,6 @@ pub struct Reachability {
 /// Compute the reachability experiment from the cached per-size artifacts
 /// (free once the Fig 3 sweep has run — both sizes are sweep endpoints).
 pub fn reachability(campaign: &Campaign) -> Reachability {
-    let world = campaign.world();
     let at = |size| {
         campaign
             .engine()
@@ -352,7 +351,7 @@ pub fn reachability(campaign: &Campaign) -> Reachability {
             .filter(|r| r.rank >= lo && r.rank <= hi && r.class != HandshakeClass::Unreachable)
             .count()
     };
-    let n = world.domains().len();
+    let n = campaign.world().config.domains;
     Reachability {
         buckets: vec![
             ("top-1k", count(&small, 1, 1_000), count(&large, 1, 1_000)),
@@ -444,6 +443,58 @@ mod tests {
         assert!((10.0..28.0).contains(&mean), "mean {mean}");
         assert!(sd < 6.0, "sd {sd}");
         assert!(!render_rank_groups(&rows).is_empty());
+    }
+
+    #[test]
+    fn rank_groups_equal_the_population_walk() {
+        // 5,123 domains in groups of 512: ten full groups and a last one of
+        // three. The reference is the walk over every record that
+        // `rank_groups` did before it read the cached HTTPS scan.
+        let c = Campaign::new(CampaignConfig::small().with_seed(7).with_domains(5_123));
+        let width = c.rank_group_width();
+        let records = c.world().domain_chunk(1, c.world().config.domains);
+        let results = c.engine().quicreach(c.scenario());
+        let mut reference: Vec<RankGroupRow> = (0..11)
+            .map(|group| RankGroupRow {
+                group,
+                domains: 0,
+                quic_share: 0.0,
+                https_only_share: 0.0,
+                class_shares: [0.0; 4],
+            })
+            .collect();
+        let mut services = [[0usize; 2]; 11];
+        for d in &records {
+            let g = (d.rank - 1) / width;
+            reference[g].domains += 1;
+            if d.has_quic() {
+                services[g][0] += 1;
+            } else if d.has_https() {
+                services[g][1] += 1;
+            }
+        }
+        let mut classes = [[0usize; 4]; 11];
+        for r in results.iter() {
+            let idx = match r.class {
+                HandshakeClass::Amplification => 0,
+                HandshakeClass::MultiRtt => 1,
+                HandshakeClass::Retry => 2,
+                HandshakeClass::OneRtt => 3,
+                HandshakeClass::Unreachable => continue,
+            };
+            classes[(r.rank - 1) / width][idx] += 1;
+        }
+        for (g, row) in reference.iter_mut().enumerate() {
+            let n = row.domains as f64;
+            row.quic_share = services[g][0] as f64 / n * 100.0;
+            row.https_only_share = services[g][1] as f64 / n * 100.0;
+            let reachable = classes[g].iter().sum::<usize>().max(1) as f64;
+            for (share, count) in row.class_shares.iter_mut().zip(classes[g]) {
+                *share = count as f64 / reachable * 100.0;
+            }
+        }
+        assert_eq!(reference[10].domains, 3);
+        assert_eq!(rank_groups(&c), reference);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 use quicert_analysis::{mean, median, render_table, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::NetworkProfile;
-use quicert_pki::CertificateEra;
+use quicert_pki::{CertificateEra, DomainRecord};
 use quicert_quic::handshake::HandshakeClass;
+use quicert_scanner::compression::in_study_sample;
 use quicert_scanner::quicreach::{self, QuicReachResult, ScanSummary};
 
 use crate::Campaign;
@@ -265,7 +266,15 @@ pub struct EraCompression {
 pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCompression> {
     let limit = 3 * campaign.scenario().initial_size;
     let world = campaign.world();
-    let sample = quicert_scanner::compression::study_sample(world, stride);
+    // The coverage sample: the study sample's first chains, derived by
+    // walking the sampled ranks.
+    let sampled = |record: &DomainRecord| in_study_sample(record, stride);
+    let sample: Vec<DomainRecord> = (1..=world.config.domains)
+        .step_by(stride.max(1))
+        .flat_map(|rank| world.domain_chunk(rank, 1))
+        .filter(sampled)
+        .take(COVERAGE_SAMPLE)
+        .collect();
     CertificateEra::ALL
         .iter()
         .map(|&era| {
@@ -277,7 +286,6 @@ pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCom
             let under = rows.iter().filter(|r| r.compressed <= limit).count();
             let coverages: Vec<f64> = sample
                 .iter()
-                .take(COVERAGE_SAMPLE)
                 .filter_map(|record| world.https_chain_era(record, era))
                 .map(|chain| quicert_compress::dict::coverage(&chain.concatenated_der()))
                 .collect();

@@ -113,7 +113,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     let world = campaign.world();
     out.push_str(&format!(
         "== quicert campaign: {} domains, seed {:#x} ==\n\n",
-        world.domains().len(),
+        world.config.domains,
         campaign.config().world.seed
     ));
 

@@ -12,7 +12,7 @@ use quicert_compress::Algorithm;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
-use quicert_pki::{CertificateEra, World, WorldConfig};
+use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachResult, QuicReachShard};
@@ -29,19 +29,26 @@ fn cell(era: CertificateEra, profile: NetworkProfile) -> Scenario {
 fn engine(workers: usize) -> ScanEngine {
     // Small on purpose: the grid below multiplies every cell by three
     // worker counts, and each warm cell probes every service twice.
-    let world = World::generate(WorldConfig {
+    let config = WorldConfig {
         domains: 320,
         seed: 0x9121,
         ..WorldConfig::default()
-    });
-    ScanEngine::new(world, INITIAL, workers)
+    };
+    ScanEngine::streaming(config, INITIAL, workers)
+}
+
+/// The QUIC services of `world`'s population, derived as one chunk.
+fn services(world: &World) -> Vec<DomainRecord> {
+    let mut records = world.domain_chunk(1, world.config.domains);
+    records.retain(DomainRecord::has_quic);
+    records
 }
 
 /// The per-record oracle: one memo-free, pump-free
-/// [`quicreach::scan_service`] per QUIC service of a generated world.
+/// [`quicreach::scan_service`] per QUIC service of a world.
 fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
     let probe = |record| quicreach::scan_service(world, record, scenario);
-    world.quic_services().map(probe).collect()
+    services(world).iter().map(probe).collect()
 }
 
 /// The chunk axis of the streaming grids. The engine has no chunk-size
@@ -131,7 +138,7 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     };
     // The reference: a serial per-record map with no engine, no pump, no
     // memo and no chain-shape flyweight, folded afterwards.
-    let world = World::generate(config.clone());
+    let world = World::streaming(config.clone());
     let reach_ref = QuicReachShard::from_results(INITIAL, &quicreach::scan(&world, INITIAL));
     let https_ref = HttpsScanShard::from_report(&https_scan::scan(&world));
     assert!(reach_ref.total() > 0, "world has QUIC services");
@@ -166,9 +173,9 @@ fn stream_compression_support_is_worker_invariant() {
         seed: 0x9121,
         ..WorldConfig::default()
     };
-    let world = World::generate(config.clone());
-    let rows: Vec<_> = world
-        .quic_services()
+    let world = World::streaming(config.clone());
+    let rows: Vec<_> = services(&world)
+        .iter()
         .map(|record| compression::probe_row(&world, record))
         .collect();
     let reference = CompressionShard::from_probes(&rows);
@@ -295,7 +302,7 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
     };
     let era = CertificateEra::Classical;
     let profile = NetworkProfile::Ideal;
-    let world = World::generate(config.clone());
+    let world = World::streaming(config.clone());
     for plan in [FaultPlan::LIGHT, FaultPlan::HEAVY, FaultPlan::DUP_STORM] {
         let reference = QuicReachShard::from_results(
             INITIAL,
@@ -331,8 +338,9 @@ fn assert_same_rows<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], conte
 }
 
 /// Every collected artefact, held **record for record, field for field** to
-/// the per-record function it is made of — mapped serially over a generated
-/// world, with no pump, no memo and no flyweight anywhere — at workers
+/// the per-record function it is made of — mapped serially over the world's
+/// population derived as one chunk, with no pump, no memo and no flyweight
+/// anywhere — at workers
 /// {1, 2, 8} with the memo on and off, over 3 eras × {ideal, tunneled,
 /// lossy} × {1200, 1362, 1472} plus one fault-plan cell. `Vec` equality is
 /// rank order too. With the memo on the deterministic cells replay classes
@@ -345,8 +353,9 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
         seed: 0x9121,
         ..WorldConfig::default()
     };
-    let world = World::generate(config.clone());
-    let services = || world.quic_services();
+    let world = World::streaming(config.clone());
+    let records = world.domain_chunk(1, world.config.domains);
+    let services = || records.iter().filter(|r| r.has_quic());
     let mut cells: Vec<Scenario> = Vec::new();
     for era in CertificateEra::ALL {
         for profile in [
@@ -383,8 +392,9 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
     let funnel = format!("{:?}", https_scan::scan(&world));
     let fetched = format!("{:?}", qscanner::scan(&world));
     let support = format!("{:?}", compression::scan(&world));
-    let studied: Vec<_> = compression::study_sample(&world, 9)
+    let studied: Vec<_> = records
         .iter()
+        .filter(|r| compression::in_study_sample(r, 9))
         .filter_map(|r| compression::study(&world, r, Algorithm::Zstd, CertificateEra::Hybrid))
         .collect();
 
@@ -432,12 +442,11 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
     }
 }
 
-/// One shared world for the scratch-reuse property: generation is the
-/// expensive part and the property only needs its records.
+/// One shared world for the scratch-reuse property.
 fn prop_world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| {
-        World::generate(WorldConfig {
+        World::streaming(WorldConfig {
             domains: 240,
             seed: 0x9121,
             ..WorldConfig::default()
@@ -705,7 +714,7 @@ proptest! {
             .with_domains(DOMAINS)
             .with_seed(0x9121)
             .with_workers(if two_workers { 2 } else { 1 });
-        let world = World::generate(campaign.world.clone());
+        let world = World::streaming(campaign.world.clone());
         let timeline = Timeline::new(churn.clone());
         let segment_size = if wide_segments { 256 } else { 64 };
         let mut service =

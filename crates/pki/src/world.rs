@@ -1,13 +1,14 @@
 //! The ranked web population the scanners measure.
 //!
-//! [`World::generate`] builds a deterministic, Tranco-like list of ranked
-//! domains. Each domain gets a DNS outcome, an HTTPS deployment (chain +
+//! A [`World`] is a deterministic, Tranco-like list of ranked domains,
+//! derived a rank range at a time ([`World::domain_chunk`]) and never held
+//! in memory. Each domain gets a DNS outcome, an HTTPS deployment (chain +
 //! leaf parameters per the Fig 7(b)/Table 2 distributions) and — for ~21%
 //! of domains, flat across rank groups (Fig 12) — a QUIC deployment drawn
-//! from [`PopulationModel`], which encodes the §4.1 population: ~60%
-//! Cloudflare-behaviour services with small chains, a large compliant
-//! population with oversized chains (multi-RTT), a sliver of true 1-RTT
-//! deployments, rare Retry, and Meta's mvfst PoPs.
+//! from [`PopulationModel`]: the §4.1 population of ~60% Cloudflare-like
+//! services with small chains, a large compliant population with oversized
+//! chains (multi-RTT), a sliver of true 1-RTT deployments, rare Retry, and
+//! Meta's mvfst PoPs.
 
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
@@ -403,19 +404,21 @@ fn world_metrics() -> &'static WorldMetrics {
     })
 }
 
-/// The generated world.
+/// The world: a configuration, its CA ecosystem, and a population derived
+/// by rank on demand.
 #[derive(Debug)]
 pub struct World {
     /// Configuration used.
     pub config: WorldConfig,
     /// The CA ecosystem.
     pub ecosystem: Ecosystem,
-    domains: Vec<DomainRecord>,
-    materialized: bool,
     /// The chain-shape flyweight ([`World::https_chain_shape`]): filled by
     /// the real issuer on a miss, it lives as long as the world — hence as
     /// long as the engine or resident service that owns the world.
     shapes: ClassTable<ChainClass, ChainShape>,
+    /// What the frozen [`World::quic_services`] lends from; nothing else
+    /// fills or reads it.
+    lent: OnceLock<Vec<DomainRecord>>,
 }
 
 const TLDS: [(&str, f64); 8] = [
@@ -435,45 +438,18 @@ const NAME_STEMS: [&str; 16] = [
 ];
 
 impl World {
-    /// Generate a world.
-    pub fn generate(config: WorldConfig) -> World {
-        let ecosystem = Ecosystem::new(config.seed);
-        let root = SimRng::new(config.seed);
-        let mut domains = Vec::with_capacity(config.domains);
-        for rank in 1..=config.domains {
-            domains.push(Self::generate_domain(&config, &root, rank));
-        }
-        world_metrics().records_generated.add(domains.len() as u64);
-        World {
-            config,
-            ecosystem,
-            domains,
-            materialized: true,
-            shapes: ClassTable::default(),
-        }
-    }
-
-    /// A world whose population is never materialised: the ecosystem and
-    /// configuration are built as usual, but [`World::domains`] stays empty
-    /// and records are derived on demand, a rank range at a time, through
-    /// [`World::domain_chunk_into`]. This is the at-scale entry point — a
-    /// million-domain config costs the same to construct as a ten-domain
-    /// one. Chain materialisation ([`World::quic_chain_era`] etc.) works
-    /// unchanged, since it only reads the ecosystem and the record itself.
+    /// A world over `config`: the ecosystem is built, the population is
+    /// not — records are derived a rank range at a time through
+    /// [`World::domain_chunk_into`], so a million-domain config costs what a
+    /// ten-domain one does. Chains ([`World::quic_chain_era`] etc.) are
+    /// issued per record from the ecosystem and the record itself.
     pub fn streaming(config: WorldConfig) -> World {
         World {
             ecosystem: Ecosystem::new(config.seed),
             config,
-            domains: Vec::new(),
-            materialized: false,
             shapes: ClassTable::default(),
+            lent: OnceLock::new(),
         }
-    }
-
-    /// Whether the population is held in memory ([`World::generate`]) or
-    /// derived on demand ([`World::streaming`]).
-    pub fn populated(&self) -> bool {
-        self.materialized
     }
 
     /// Derive the chunk of up to `chunk_size` records starting at
@@ -482,11 +458,9 @@ impl World {
     /// streaming — because it only reads the configuration, concurrent
     /// workers can derive disjoint chunks without any shared state.
     ///
-    /// Every record is derived per rank from a forked RNG stream — the
-    /// same per-record derivation [`World::generate`] runs, whether or not
-    /// this world materialised its population — so chunks tiling
-    /// `1..=domains` concatenate to exactly [`World::domains`] at **any**
-    /// chunk size (pinned by a chunk-size-invariance proptest).
+    /// Every record is derived per rank from a forked RNG stream, so chunks
+    /// tiling `1..=domains` concatenate to exactly `domain_chunk(1, domains)`
+    /// at **any** chunk size (pinned by a chunk-size-invariance proptest).
     pub fn domain_chunk(&self, first_rank: usize, chunk_size: usize) -> Vec<DomainRecord> {
         let mut out = Vec::new();
         self.domain_chunk_into(first_rank, chunk_size, &mut out);
@@ -518,24 +492,6 @@ impl World {
             out.push(Self::generate_domain(&self.config, &root, rank));
         }
         world_metrics().records_generated.add(out.len() as u64);
-    }
-
-    /// All domain records in rank order (empty for a [`World::streaming`]
-    /// world — use [`World::domain_chunk_into`] there).
-    pub fn domains(&self) -> &[DomainRecord] {
-        &self.domains
-    }
-
-    /// The QUIC services of the world.
-    pub fn quic_services(&self) -> impl Iterator<Item = &DomainRecord> {
-        self.domains.iter().filter(|d| d.has_quic())
-    }
-
-    /// The HTTPS-only services.
-    pub fn https_only_services(&self) -> impl Iterator<Item = &DomainRecord> {
-        self.domains
-            .iter()
-            .filter(|d| d.has_https() && !d.has_quic())
     }
 
     /// Materialise the certificate chain a domain serves over HTTPS in one
@@ -920,6 +876,31 @@ impl World {
     }
 }
 
+// ------------------------------------------------- frozen compat block --
+//
+// `perfbench/` is frozen and calls exactly these two: it builds a world with
+// `generate` and borrows `&DomainRecord`s from `quic_services`. `generate`
+// is [`World::streaming`]; the population `quic_services` lends from is
+// derived on its first call. Nothing else in the workspace may call either
+// — derive `domain_chunk(1, n)`.
+
+impl World {
+    #[doc(hidden)]
+    pub fn generate(config: WorldConfig) -> World {
+        World::streaming(config)
+    }
+
+    #[doc(hidden)]
+    pub fn quic_services(&self) -> impl Iterator<Item = &DomainRecord> {
+        let population = self
+            .lent
+            .get_or_init(|| self.domain_chunk(1, self.config.domains));
+        population.iter().filter(|d| d.has_quic())
+    }
+}
+
+// --------------------------------------------- end frozen compat block --
+
 /// Append `value` to `out` in decimal — `format!`'s output without its
 /// per-call formatter machinery (the population generator's hottest line).
 fn push_decimal(out: &mut String, value: usize) {
@@ -954,19 +935,27 @@ mod tests {
     }
 
     fn small_world() -> World {
-        World::generate(WorldConfig {
+        World::streaming(WorldConfig {
             domains: 10_000,
             seed: 1,
             ..WorldConfig::default()
         })
     }
 
+    /// The whole population of `world`, derived as one chunk.
+    fn population(world: &World) -> Vec<DomainRecord> {
+        world.domain_chunk(1, world.config.domains)
+    }
+
+    fn quic(records: &[DomainRecord]) -> impl Iterator<Item = &DomainRecord> {
+        records.iter().filter(|d| d.has_quic())
+    }
+
     #[test]
     fn generation_is_deterministic() {
-        let a = small_world();
-        let b = small_world();
-        assert_eq!(a.domains().len(), b.domains().len());
-        for (x, y) in a.domains().iter().zip(b.domains()) {
+        let (a, b) = (population(&small_world()), population(&small_world()));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.seed, y.seed);
             assert_eq!(x.has_quic(), y.has_quic());
@@ -982,11 +971,12 @@ mod tests {
         // trimmed-serial leaves included.
         use std::collections::HashMap;
         let world = small_world();
+        let records = population(&world);
         let mut groups = HashMap::new();
         let mut observed = 0usize;
         let (mut rotated, mut trimmed) = (false, false);
         for era in CertificateEra::ALL {
-            for record in world.quic_services() {
+            for record in quic(&records) {
                 let key = ChainClass::quic(record, era).unwrap();
                 let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
                 let len = *groups.entry(key).or_insert(issued);
@@ -1018,12 +1008,13 @@ mod tests {
         // per class, and the flyweight serves exactly it.
         use std::collections::{HashMap, HashSet};
         let world = small_world();
+        let records = population(&world);
         let mut groups: HashMap<ChainClass, ChainShape> = HashMap::new();
         let mut observed = 0usize;
         let (mut chain_ids, mut leaf_keys) = (HashSet::new(), HashSet::new());
         let (mut san_heavy, mut cruise_liner) = (false, false);
         for era in CertificateEra::ALL {
-            for record in world.domains().iter().filter(|r| r.has_https()) {
+            for record in records.iter().filter(|r| r.has_https()) {
                 let mut record = record.clone();
                 let scan_era = match record.quic.as_mut() {
                     Some(quic) => {
@@ -1078,7 +1069,8 @@ mod tests {
         let mut capped = small_world();
         capped.shapes = ClassTable::bounded(SHARDS);
         let roomy = small_world();
-        for record in capped.domains().iter().filter(|r| r.has_https()) {
+        let records = population(&capped);
+        for record in records.iter().filter(|r| r.has_https()) {
             let chain = capped
                 .https_chain_era(record, CertificateEra::Classical)
                 .unwrap();
@@ -1093,7 +1085,7 @@ mod tests {
         assert!(classes > 0 && classes <= SHARDS, "{classes}");
         assert!(roomy.chain_shape_classes() > SHARDS);
         // No HTTPS deployment, no shape.
-        let bare = capped.domains().iter().find(|r| r.https.is_none());
+        let bare = records.iter().find(|r| r.https.is_none());
         assert_eq!(capped.https_chain_shape(bare.unwrap()), None);
     }
 
@@ -1107,10 +1099,11 @@ mod tests {
     #[test]
     fn streamed_chunks_reproduce_the_materialised_population() {
         let world = small_world();
+        let whole = population(&world);
         for chunk_size in [1usize, 64, 4096, usize::MAX] {
             let streamed: Vec<DomainRecord> = chunks(&world, chunk_size).flatten().collect();
-            assert_eq!(streamed.len(), world.domains().len(), "chunk {chunk_size}");
-            for (s, m) in streamed.iter().zip(world.domains()) {
+            assert_eq!(streamed.len(), whole.len(), "chunk {chunk_size}");
+            for (s, m) in streamed.iter().zip(&whole) {
                 assert_eq!(s.rank, m.rank);
                 assert_eq!(s.name, m.name);
                 assert_eq!(s.seed, m.seed);
@@ -1128,24 +1121,22 @@ mod tests {
             ..WorldConfig::default()
         };
         let lazy = World::streaming(config.clone());
-        assert!(!lazy.populated());
-        assert!(lazy.domains().is_empty());
-        let eager = World::generate(config);
-        assert!(eager.populated());
-        // Chunks derived from the shell equal the materialised records,
-        // and chains materialise per record exactly as on the eager world.
+        let whole = World::streaming(config);
+        let reference = population(&whole);
+        // Chunks of one world equal the single-chunk population of another,
+        // and chains issue per record identically on both.
         let mut streamed = 0usize;
         for chunk in chunks(&lazy, 512) {
             for record in &chunk {
-                let eager_record = &eager.domains()[record.rank - 1];
-                assert_eq!(record.seed, eager_record.seed);
-                assert_eq!(record.name, eager_record.name);
+                let other = &reference[record.rank - 1];
+                assert_eq!(record.seed, other.seed);
+                assert_eq!(record.name, other.name);
                 if record.has_quic() && record.rank <= 200 {
                     let a = lazy
                         .quic_chain_era(record, CertificateEra::Classical)
                         .unwrap();
-                    let b = eager
-                        .quic_chain_era(eager_record, CertificateEra::Classical)
+                    let b = whole
+                        .quic_chain_era(other, CertificateEra::Classical)
                         .unwrap();
                     assert_eq!(a.concatenated_der(), b.concatenated_der());
                 }
@@ -1156,15 +1147,21 @@ mod tests {
         // Point derivation agrees too.
         let point = lazy.domain_chunk(1_234, 1);
         assert_eq!(point.len(), 1);
-        assert_eq!(point[0].name, eager.domains()[1_233].name);
+        assert_eq!(point[0].name, reference[1_233].name);
+        // Deriving holds nothing: the one population a world can hold is
+        // the frozen `quic_services` loan, filled by that call alone.
+        assert!(lazy.lent.get().is_none() && whole.lent.get().is_none());
     }
 
     #[test]
     fn adoption_rates_match_calibration() {
-        let world = small_world();
-        let n = world.domains().len() as f64;
-        let quic = world.quic_services().count() as f64;
-        let https_only = world.https_only_services().count() as f64;
+        let records = population(&small_world());
+        let n = records.len() as f64;
+        let quic = quic(&records).count() as f64;
+        let https_only = records
+            .iter()
+            .filter(|d| d.has_https() && !d.has_quic())
+            .count() as f64;
         // Fig 12: ~21% QUIC, ~59% additional HTTPS-only (of HTTPS≈80%).
         assert!((quic / n - 0.21).abs() < 0.025, "quic {}", quic / n);
         assert!(
@@ -1176,8 +1173,8 @@ mod tests {
 
     #[test]
     fn cloudflare_dominates_quic_population() {
-        let world = small_world();
-        let quic: Vec<_> = world.quic_services().collect();
+        let records = population(&small_world());
+        let quic: Vec<_> = quic(&records).collect();
         let cf = quic
             .iter()
             .filter(|d| d.quic.as_ref().unwrap().provider == Provider::Cloudflare)
@@ -1189,7 +1186,8 @@ mod tests {
     #[test]
     fn chains_materialise_and_match_deployment() {
         let world = small_world();
-        let record = world.quic_services().next().expect("some QUIC service");
+        let records = population(&world);
+        let record = quic(&records).next().expect("some QUIC service");
         let chain = world
             .quic_chain_era(record, CertificateEra::Classical)
             .unwrap();
@@ -1209,7 +1207,8 @@ mod tests {
     #[test]
     fn era_chains_share_the_population_and_swap_the_algorithms() {
         let world = small_world();
-        let record = world.quic_services().next().expect("some QUIC service");
+        let records = population(&world);
+        let record = quic(&records).next().expect("some QUIC service");
         let classical = world
             .quic_chain_era(record, CertificateEra::Classical)
             .unwrap();
@@ -1248,13 +1247,12 @@ mod tests {
 
     #[test]
     fn meta_services_offer_all_three_algorithms() {
-        let world = World::generate(WorldConfig {
+        let records = population(&World::streaming(WorldConfig {
             domains: 30_000,
             seed: 3,
             ..WorldConfig::default()
-        });
-        let meta: Vec<_> = world
-            .quic_services()
+        }));
+        let meta: Vec<_> = quic(&records)
             .filter(|d| d.quic.as_ref().unwrap().provider == Provider::Meta)
             .collect();
         assert!(!meta.is_empty(), "a 30k world should contain Meta services");
@@ -1265,14 +1263,13 @@ mod tests {
 
     #[test]
     fn lb_deployment_concentrates_at_top_ranks() {
-        let world = World::generate(WorldConfig {
+        let records = population(&World::streaming(WorldConfig {
             domains: 50_000,
             seed: 5,
             ..WorldConfig::default()
-        });
+        }));
         let lb_rate = |lo: usize, hi: usize| {
-            let (lb, total) = world
-                .quic_services()
+            let (lb, total) = quic(&records)
                 .filter(|d| d.rank >= lo && d.rank < hi)
                 .fold((0usize, 0usize), |(lb, n), d| {
                     (lb + d.quic.as_ref().unwrap().behind_lb as usize, n + 1)
@@ -1287,8 +1284,8 @@ mod tests {
 
     #[test]
     fn server_addresses_follow_providers() {
-        let world = small_world();
-        for d in world.quic_services().take(200) {
+        let records = population(&small_world());
+        for d in quic(&records).take(200) {
             let addr = World::server_addr(d);
             match d.quic.as_ref().unwrap().provider {
                 Provider::Cloudflare => assert_eq!(addr.octets()[0], 104),

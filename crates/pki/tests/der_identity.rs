@@ -29,11 +29,12 @@ fn fnv1a<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
 }
 
 fn digests() -> String {
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 4_000,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
+    let records = world.domain_chunk(1, world.config.domains);
     let mut out = String::new();
     for era in CertificateEra::ALL {
         for id in ChainId::ALL {
@@ -41,11 +42,11 @@ fn digests() -> String {
             let digest = fnv1a(parents.iter().map(Certificate::der));
             writeln!(out, "{era} parents {id:?} {digest:016x}").unwrap();
         }
-        let https = world.domains().iter().filter_map(|r| {
+        let https = records.iter().filter_map(|r| {
             let chain = world.https_chain_era(r, era)?;
             Some(("https", r.rank, chain))
         });
-        let quic = world.domains().iter().filter_map(|r| {
+        let quic = records.iter().filter_map(|r| {
             let chain = world.quic_chain_era(r, era)?;
             Some(("quic", r.rank, chain))
         });

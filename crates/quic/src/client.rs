@@ -321,7 +321,10 @@ impl Endpoint for ClientConn {
     fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
         let dgram = self.initial_datagram();
         self.transmissions = 1;
-        self.pto_deadline = Some(now + self.config.pto);
+        // A timer that may not retransmit would only fire into the void.
+        if self.config.max_initial_transmissions > 1 {
+            self.pto_deadline = Some(now + self.config.pto);
+        }
         self.send(dgram, out);
     }
 
@@ -412,71 +415,6 @@ impl Endpoint for ClientConn {
     }
 }
 
-/// A client that sends exactly one Initial and never reacts: the spoofing
-/// attacker / ZMap probe of §4.3.
-#[derive(Debug)]
-pub struct SilentClient {
-    config: ClientConfig,
-    inner: ClientConn,
-    /// Whether the Initial has been sent.
-    sent: bool,
-}
-
-impl SilentClient {
-    /// Create a silent prober with the given (spoofed) source address.
-    pub fn new(mut config: ClientConfig) -> Self {
-        config.send_acks = false;
-        config.max_initial_transmissions = 1;
-        let inner = ClientConn::new(config.clone());
-        SilentClient {
-            config,
-            inner,
-            sent: false,
-        }
-    }
-
-    /// The SCID used in the probe (telescope sessions group by the
-    /// *server's* SCID, which mirrors this connection's IDs).
-    pub fn scid(&self) -> &ConnectionId {
-        self.inner.scid()
-    }
-
-    /// The probe's Initial datagram size.
-    pub fn initial_size(&self) -> usize {
-        self.config.initial_size
-    }
-}
-
-impl Endpoint for SilentClient {
-    fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
-        let dgram = self.inner.initial_datagram();
-        self.inner.wire_sent += dgram.len();
-        self.inner.first_datagram_len = dgram.len();
-        self.sent = true;
-        out.push(Datagram::new(
-            self.config.src,
-            self.config.dst,
-            50_443,
-            443,
-            dgram,
-        ));
-    }
-
-    fn on_datagram(&mut self, _dgram: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {
-        // Spoofed source: the real host never sees the response.
-    }
-
-    fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
-
-    fn next_timer(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn is_done(&self) -> bool {
-        self.sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,21 +444,38 @@ mod tests {
     }
 
     #[test]
-    fn silent_client_sends_once_and_stays_silent() {
-        let mut client = SilentClient::new(ClientConfig::scanner(
-            1252,
-            Ipv4Addr::new(198, 51, 100, 1),
-            3,
-        ));
+    fn a_spoofing_client_sends_once_and_stays_silent() {
+        // The spoofing attacker / ZMap probe of §4.3: a client that never
+        // acknowledges and never retransmits.
+        let mut config = ClientConfig::scanner(1252, Ipv4Addr::new(198, 51, 100, 1), 3);
+        config.send_acks = false;
+        config.max_initial_transmissions = 1;
+        let mut client = ClientConn::new(config);
         let mut out = Vec::new();
         client.start(SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload_len(), 1252);
-        assert!(client.is_done());
-        let reply = out[0].reply_with(vec![0u8; 100]);
+        assert_eq!(client.next_timer(), None, "no PTO to fire into the void");
+        // A reflected server Initial is read, never answered.
+        let scid = ConnectionId::from_seed(5);
+        let header = Header {
+            ty: PacketType::Initial,
+            dcid: client.scid(),
+            scid: &scid,
+            token: &[],
+            number: 0,
+        };
+        let mut payload = Vec::new();
+        let frames = [FrameRef::Crypto {
+            offset: 0,
+            data: &[2, 0, 0, 0],
+        }];
+        header.encode_into(&mut payload, frames, 0);
+        let reply = out[0].reply_with(payload);
         let mut out2 = Vec::new();
         client.on_datagram(&reply, SimTime::ZERO, &mut out2);
         assert!(out2.is_empty());
         assert_eq!(client.next_timer(), None);
+        assert_eq!(client.transmissions(), 1);
     }
 }

@@ -14,7 +14,7 @@ use quicert_obs::HandshakeTimeline;
 use quicert_session::{SessionCache, SessionTicket};
 use quicert_tls::PskOffer;
 
-use crate::client::{ClientConfig, ClientConn, SilentClient};
+use crate::client::{ClientConfig, ClientConn};
 use crate::server::{ServerConfig, ServerConn, ServerStats};
 
 /// RNG stream label for complete-handshake exchanges ("DSH").
@@ -442,7 +442,9 @@ pub fn run_spoofed_probe(
 ) -> SpoofedOutcome {
     let mut config = ClientConfig::scanner(probe_size, server_addr, seed);
     config.src = spoofed_src;
-    let mut client = SilentClient::new(config);
+    config.send_acks = false;
+    config.max_initial_transmissions = 1;
+    let mut client = ClientConn::new(config);
     let mut server = ServerConn::new(server_config);
     let mut rng = SimRng::new(seed ^ SPOOFED_RNG_LABEL);
     let outcome = run_exchange(&mut client, &mut server, wire, spoofed_limits(), &mut rng);

@@ -95,12 +95,17 @@ fn per_handshake(world: &World, services: &[&DomainRecord], era: CertificateEra)
 
 #[test]
 fn a_handshake_stays_within_its_allocation_budget() {
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
-    let services: Vec<&DomainRecord> = world.quic_services().take(SERVICES).collect();
+    let records = world.domain_chunk(1, world.config.domains);
+    let services: Vec<&DomainRecord> = records
+        .iter()
+        .filter(|record| record.has_quic())
+        .take(SERVICES)
+        .collect();
     assert_eq!(services.len(), SERVICES);
 
     let (classical, classical_bytes) = per_handshake(&world, &services, CertificateEra::Classical);

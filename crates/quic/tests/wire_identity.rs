@@ -173,12 +173,17 @@ fn wire_for(record: &DomainRecord, plan: FaultPlan) -> Wire {
 }
 
 fn digests() -> String {
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 4_000,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
-    let services: Vec<&DomainRecord> = world.quic_services().take(SERVICES).collect();
+    let records = world.domain_chunk(1, world.config.domains);
+    let services: Vec<&DomainRecord> = records
+        .iter()
+        .filter(|record| record.has_quic())
+        .take(SERVICES)
+        .collect();
     assert_eq!(services.len(), SERVICES);
     let mut out = String::new();
     let line = |out: &mut String, label: &str, digest: &RefCell<WireDigest>| {

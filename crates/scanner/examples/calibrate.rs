@@ -4,11 +4,13 @@ use quicert_scanner::quicreach;
 use std::collections::HashMap;
 
 fn main() {
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 3_000,
         seed: 33,
         ..WorldConfig::default()
     });
+    let records = world.domain_chunk(1, world.config.domains);
+    let services = records.iter().filter(|record| record.has_quic());
     let results = quicreach::scan(&world, 1362);
     let summary = quicreach::summarize(1362, &results);
     println!(
@@ -21,7 +23,7 @@ fn main() {
     );
     // Per chain-id breakdown
     let mut by_chain: HashMap<String, (usize, HashMap<&'static str, usize>)> = HashMap::new();
-    for (rec, res) in world.quic_services().zip(results.iter()) {
+    for (rec, res) in services.zip(results.iter()) {
         assert_eq!(rec.rank, res.rank);
         let q = rec.quic.as_ref().unwrap();
         let key = format!("{:?}/{:?}", q.chain_id, q.behavior);

@@ -140,21 +140,20 @@ mod tests {
 
     #[test]
     fn lb_deployments_get_tunneled_wires() {
-        let world = quicert_pki::World::generate(WorldConfig {
+        let world = quicert_pki::World::streaming(WorldConfig {
             domains: 5_000,
             seed: 9,
             ..WorldConfig::default()
         });
-        let lb = world
-            .quic_services()
-            .find(|d| d.quic.as_ref().unwrap().behind_lb)
+        let records = world.domain_chunk(1, world.config.domains);
+        let behind_lb = |d: &&DomainRecord| d.quic.as_ref().is_some_and(|q| q.behind_lb);
+        let services = || records.iter().filter(|d| d.has_quic());
+        let lb = services()
+            .find(behind_lb)
             .expect("some LB deployment in 5k domains");
         let wire = wire_for(lb);
         assert!(wire.a_to_b.encapsulation_overhead >= 28);
-        let plain = world
-            .quic_services()
-            .find(|d| !d.quic.as_ref().unwrap().behind_lb)
-            .unwrap();
+        let plain = services().find(|d| !behind_lb(d)).unwrap();
         assert_eq!(wire_for(plain).a_to_b.encapsulation_overhead, 0);
     }
 }

@@ -90,13 +90,13 @@ fn probe_sharing(
     }
 }
 
-/// Probe every QUIC service of a generated world with all three algorithms
-/// and aggregate: a serial [`probe_row`] each — the pump-free reference.
+/// Probe every QUIC service of a world with all three algorithms and
+/// aggregate: a serial [`probe_row`] per service of the population derived
+/// as one chunk — the pump-free reference.
 pub fn scan(world: &World) -> Vec<AlgorithmSupport> {
-    let rows: Vec<_> = world
-        .quic_services()
-        .map(|record| probe_row(world, record))
-        .collect();
+    let records = world.domain_chunk(1, world.config.domains);
+    let services = records.iter().filter(|record| record.has_quic());
+    let rows: Vec<_> = services.map(|record| probe_row(world, record)).collect();
     collate(&rows)
 }
 
@@ -300,15 +300,6 @@ pub fn in_study_sample(record: &DomainRecord, stride: usize) -> bool {
     (record.rank - 1).is_multiple_of(stride.max(1)) && record.has_https()
 }
 
-/// The study sample ([`in_study_sample`]) of a generated world.
-pub fn study_sample(world: &World, stride: usize) -> Vec<&DomainRecord> {
-    world
-        .domains()
-        .iter()
-        .filter(|record| in_study_sample(record, stride))
-        .collect()
-}
-
 /// Compress the served chain of one sampled record with `algorithm`, in
 /// one [`CertificateEra`]; `None` when it serves no HTTPS chain.
 ///
@@ -337,41 +328,44 @@ mod tests {
     use super::*;
     use quicert_pki::WorldConfig;
 
-    fn world() -> quicert_pki::World {
-        quicert_pki::World::generate(WorldConfig {
+    /// A 4k world and its population.
+    fn world() -> (World, Vec<DomainRecord>) {
+        let world = World::streaming(WorldConfig {
             domains: 4_000,
             seed: 77,
             ..WorldConfig::default()
-        })
+        });
+        let records = world.domain_chunk(1, world.config.domains);
+        (world, records)
     }
 
-    /// The study over a generated world's sample.
+    /// The study over the sample of `records`.
     fn study_each(
         world: &World,
+        records: &[DomainRecord],
         stride: usize,
         algorithm: Algorithm,
         era: CertificateEra,
     ) -> Vec<SyntheticCompression> {
-        let sampled = study_sample(world, stride);
-        let rows = sampled
-            .iter()
-            .filter_map(|r| study(world, r, algorithm, era));
-        rows.collect()
+        let sampled = records.iter().filter(|r| in_study_sample(r, stride));
+        sampled
+            .filter_map(|r| study(world, r, algorithm, era))
+            .collect()
     }
 
     #[test]
     fn study_sample_is_every_stride_th_https_domain() {
-        let world = world();
+        let (_, records) = world();
         for stride in [0usize, 1, 7, 40] {
-            let stepped: Vec<usize> = world
-                .domains()
+            let stepped: Vec<usize> = records
                 .iter()
                 .step_by(stride.max(1))
                 .filter(|record| record.has_https())
                 .map(|record| record.rank)
                 .collect();
-            let sampled: Vec<usize> = study_sample(&world, stride)
+            let sampled: Vec<usize> = records
                 .iter()
+                .filter(|record| in_study_sample(record, stride))
                 .map(|r| r.rank)
                 .collect();
             assert_eq!(sampled, stepped, "stride {stride}");
@@ -380,7 +374,7 @@ mod tests {
 
     #[test]
     fn brotli_support_is_ubiquitous_all_three_rare() {
-        let world = world();
+        let (world, records) = world();
         let support = scan(&world);
         let brotli = support
             .iter()
@@ -392,15 +386,15 @@ mod tests {
             .find(|s| s.algorithm == Algorithm::Zlib)
             .unwrap();
         assert!(zlib.share() < 2.0, "zlib {}", zlib.share());
-        let (all, total) = all_three_support(world.domains());
+        let (all, total) = all_three_support(&records);
         assert!((all as f64 / total as f64) < 0.02);
     }
 
     #[test]
     fn rows_over_one_shared_chain_equal_independent_probes() {
-        let world = world();
+        let (world, records) = world();
         let mut multi = 0;
-        for record in world.quic_services() {
+        for record in records.iter().filter(|r| r.has_quic()) {
             let row = probe_row(&world, record);
             multi += usize::from(row.iter().filter(|p| p.supported).count() > 1);
             for (shared, algorithm) in row.iter().zip(Algorithm::ALL) {
@@ -418,7 +412,7 @@ mod tests {
 
     #[test]
     fn achieved_ratios_are_meaningful() {
-        let world = world();
+        let (world, _) = world();
         let support = scan(&world);
         for s in &support {
             if s.supported > 0 {
@@ -434,13 +428,14 @@ mod tests {
 
     #[test]
     fn dictionary_compression_degrades_on_pq_chains() {
-        let world = world();
-        let classical = study_each(&world, 40, Algorithm::Brotli, CertificateEra::Classical);
+        let (world, records) = world();
+        let study = |era| study_each(&world, &records, 40, Algorithm::Brotli, era);
+        let classical = study(CertificateEra::Classical);
         let ratios = |rows: &[SyntheticCompression]| {
             quicert_analysis::mean(&rows.iter().map(|r| r.ratio()).collect::<Vec<_>>())
         };
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-            let pq = study_each(&world, 40, Algorithm::Brotli, era);
+            let pq = study(era);
             assert_eq!(pq.len(), classical.len());
             // PQC chains are dominated by incompressible ML-DSA material,
             // so the achieved ratio collapses toward 1.0.
@@ -464,8 +459,14 @@ mod tests {
 
     #[test]
     fn sampled_study_keeps_most_chains_under_the_limit() {
-        let world = world();
-        let results = study_each(&world, 7, Algorithm::Brotli, CertificateEra::Classical);
+        let (world, records) = world();
+        let results = study_each(
+            &world,
+            &records,
+            7,
+            Algorithm::Brotli,
+            CertificateEra::Classical,
+        );
         assert!(results.len() > 100);
         let limit = 3 * 1357;
         let under = results.iter().filter(|r| r.compressed <= limit).count();

@@ -99,10 +99,12 @@ impl HttpsScanReport {
     }
 }
 
-/// Run the HTTPS certificate scan over a generated world: a serial
-/// [`observe`] each — the pump-free, flyweight-free reference.
+/// Run the HTTPS certificate scan over a world: a serial [`observe`] per
+/// record of the population derived as one chunk — the pump-free,
+/// flyweight-free reference.
 pub fn scan(world: &World) -> HttpsScanReport {
-    collate(world.domains().iter().map(|r| (r.dns, observe(world, r))))
+    let records = world.domain_chunk(1, world.config.domains);
+    collate(records.iter().map(|r| (r.dns, observe(world, r))))
 }
 
 /// Fold one `(DNS outcome, observation)` row per scanned domain, in rank
@@ -338,7 +340,7 @@ mod tests {
     use quicert_pki::WorldConfig;
 
     fn report() -> HttpsScanReport {
-        let world = quicert_pki::World::generate(WorldConfig {
+        let world = quicert_pki::World::streaming(WorldConfig {
             domains: 5_000,
             seed: 21,
             ..WorldConfig::default()

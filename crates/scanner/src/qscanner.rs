@@ -72,15 +72,13 @@ pub fn fetch(world: &World, record: &DomainRecord) -> Option<QuicCertObservation
     })
 }
 
-/// Fetch all QUIC chains of a generated world and compute the consistency
-/// report: a serial [`fetch`] each — the pump-free reference.
+/// Fetch all QUIC chains of a world and compute the consistency report: a
+/// serial [`fetch`] per QUIC service of the population derived as one
+/// chunk — the pump-free reference.
 pub fn scan(world: &World) -> (Vec<QuicCertObservation>, ConsistencyReport) {
-    collate(
-        world
-            .quic_services()
-            .filter_map(|record| fetch(world, record))
-            .collect(),
-    )
+    let records = world.domain_chunk(1, world.config.domains);
+    let services = records.iter().filter(|record| record.has_quic());
+    collate(services.filter_map(|record| fetch(world, record)).collect())
 }
 
 /// Fold per-service observations into the §3.2 consistency report.
@@ -106,7 +104,7 @@ mod tests {
 
     #[test]
     fn consistency_matches_section_3_2() {
-        let world = quicert_pki::World::generate(WorldConfig {
+        let world = quicert_pki::World::streaming(WorldConfig {
             domains: 20_000,
             seed: 55,
             ..WorldConfig::default()
@@ -128,7 +126,7 @@ mod tests {
 
     #[test]
     fn rotated_chains_really_differ() {
-        let world = quicert_pki::World::generate(WorldConfig {
+        let world = quicert_pki::World::streaming(WorldConfig {
             domains: 20_000,
             seed: 56,
             ..WorldConfig::default()

@@ -786,20 +786,22 @@ fn simulate(
 ///
 /// # Panics
 ///
-/// When `record` serves no QUIC chain (callers probe
-/// [`World::quic_services`] or filter on [`DomainRecord::has_quic`]).
+/// When `record` serves no QUIC chain (callers filter on
+/// [`DomainRecord::has_quic`]).
 pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
     let out = simulate(world, record, scenario, None).expect("a QUIC service to probe");
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
-/// Probe every QUIC service of a generated world at one Initial size under
-/// the paper's baseline scenario ([`Scenario::at`]): a serial
-/// [`scan_service`] each — the memo-free, pump-free reference.
+/// Probe every QUIC service of a world at one Initial size under the
+/// paper's baseline scenario ([`Scenario::at`]): a serial [`scan_service`]
+/// per service of the population derived as one chunk — the memo-free,
+/// pump-free reference.
 pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
     let scenario = Scenario::at(initial_size);
-    world
-        .quic_services()
+    let records = world.domain_chunk(1, world.config.domains);
+    let services = records.iter().filter(|record| record.has_quic());
+    services
         .map(|record| scan_service(world, record, scenario))
         .collect()
 }
@@ -1007,12 +1009,19 @@ mod tests {
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
 
-    fn world() -> quicert_pki::World {
-        quicert_pki::World::generate(WorldConfig {
+    /// A 3k world and its population.
+    fn world() -> (World, Vec<DomainRecord>) {
+        let world = World::streaming(WorldConfig {
             domains: 3_000,
             seed: 33,
             ..WorldConfig::default()
-        })
+        });
+        let records = world.domain_chunk(1, world.config.domains);
+        (world, records)
+    }
+
+    fn services(records: &[DomainRecord]) -> impl Iterator<Item = &DomainRecord> {
+        records.iter().filter(|record| record.has_quic())
     }
 
     /// The per-record oracle over an explicit service list.
@@ -1060,7 +1069,7 @@ mod tests {
 
     #[test]
     fn classification_shares_match_fig3_at_default_initial() {
-        let world = world();
+        let (world, _) = world();
         let results = scan(&world, 1362);
         let summary = summarize(1362, &results);
         let ampl = summary.share_of_reachable(HandshakeClass::Amplification);
@@ -1074,7 +1083,7 @@ mod tests {
 
     #[test]
     fn larger_initials_shift_multi_rtt_to_one_rtt() {
-        let world = world();
+        let (world, _) = world();
         let small = summarize(1200, &scan(&world, 1200));
         let large = summarize(1472, &scan(&world, 1472));
         assert!(large.one_rtt >= small.one_rtt);
@@ -1083,7 +1092,7 @@ mod tests {
 
     #[test]
     fn reachability_drops_for_large_initials() {
-        let world = world();
+        let (world, _) = world();
         let small = summarize(1200, &scan(&world, 1200));
         let large = summarize(1472, &scan(&world, 1472));
         assert!(
@@ -1097,7 +1106,7 @@ mod tests {
     #[test]
     fn amplifying_handshakes_have_modest_factors() {
         // Fig 4: amplification factors for complete handshakes stay < 6x.
-        let world = world();
+        let (world, _) = world();
         for r in scan(&world, 1362) {
             if r.class == HandshakeClass::Amplification {
                 assert!(r.amplification > 3.0);
@@ -1108,8 +1117,8 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_outcomes() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(90).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(90).collect();
         let whole = scan_each(&world, &records, Scenario::at(1250));
         for chunk in [1usize, 7, 30] {
             let pieces: Vec<QuicReachResult> = records
@@ -1124,10 +1133,10 @@ mod tests {
     fn scan_chunk_hands_its_sink_the_oracles_results_in_record_order() {
         // Any chunking, one reused memoizing scratch: the collected rows are
         // the memo-free per-record scan, field for field, in rank order.
-        let world = world();
+        let (world, population) = world();
         let mut scratch = ProbeScratch::new();
         let mut collected = Vec::new();
-        for chunk in world.domains().chunks(97) {
+        for chunk in population.chunks(97) {
             scan_chunk(&world, chunk, BASE, &mut scratch, |r| collected.push(r));
         }
         assert!(scratch.memo_stats().0 > 0, "some classes replayed");
@@ -1136,8 +1145,8 @@ mod tests {
 
     #[test]
     fn scratch_fold_matches_fold_records_and_reuse_is_clean() {
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().iter().take(160).cloned().collect();
+        let (world, mut owned) = world();
+        owned.truncate(160);
 
         // One scratch folds several chunks back to back; every result must
         // equal both a fresh-scratch fold and the Vec-building fold.
@@ -1158,8 +1167,8 @@ mod tests {
         // profile: deterministic ones replay cached outcomes, RNG-consuming
         // ones bypass the memo — either way the shard matches a memo-less
         // scratch bit-for-bit.
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().iter().take(400).cloned().collect();
+        let (world, mut owned) = world();
+        owned.truncate(400);
         for profile in NetworkProfile::ALL {
             for era in CertificateEra::ALL {
                 let scenario = BASE.with_profile(profile).with_era(era);
@@ -1177,8 +1186,7 @@ mod tests {
 
     #[test]
     fn memo_counters_account_for_every_probed_record() {
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().to_vec();
+        let (world, owned) = world();
         let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
 
         // Deterministic profile: every probed record is a hit or a miss,
@@ -1231,8 +1239,8 @@ mod tests {
     fn prop_world() -> &'static (World, Vec<DomainRecord>) {
         static WORLD: OnceLock<(World, Vec<DomainRecord>)> = OnceLock::new();
         WORLD.get_or_init(|| {
-            let world = world();
-            let services = world.quic_services().cloned().collect();
+            let (world, mut services) = world();
+            services.retain(DomainRecord::has_quic);
             (world, services)
         })
     }
@@ -1299,9 +1307,8 @@ mod tests {
     /// of `latency_free_timeline` fails this test, by name.
     #[test]
     fn a_timer_that_fires_only_on_the_slow_wire_refuses_the_insert() {
-        let world = world();
-        let stalled = world
-            .quic_services()
+        let (world, population) = world();
+        let stalled = services(&population)
             .find(|record| {
                 let result = scan_service(&world, record, BASE);
                 let compliant = record.quic.as_ref().unwrap().behavior
@@ -1335,9 +1342,9 @@ mod tests {
     /// slowest step.
     #[test]
     fn a_black_holed_initial_is_stored_by_the_delivery_free_clause() {
-        let world = world();
+        let (world, population) = world();
         let scenario = Scenario::at(1472).with_profile(NetworkProfile::Tunneled);
-        let record = world.quic_services().next().expect("a QUIC service");
+        let record = services(&population).next().expect("a QUIC service");
         let out = simulate(&world, record, scenario, Some(CLASS_LATENCY)).expect("a QUIC service");
         assert!(out.timer_fires > 0, "the client retransmits on its PTO");
         assert_eq!(out.deliveries, 0);
@@ -1367,8 +1374,7 @@ mod tests {
         // One class per lock shard: the table fills within a few chunks.
         // From then on new classes simulate and are not stored — more
         // misses than a roomy table, the same shards bit for bit.
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().to_vec();
+        let (world, owned) = world();
         let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
         let table = Arc::new(ClassMemo::bounded(MEMO_SHARDS));
         let mut capped = ProbeScratch::sharing(Some(Arc::clone(&table)));
@@ -1390,8 +1396,8 @@ mod tests {
 
     #[test]
     fn probe_metrics_account_for_every_probed_record_and_change_nothing() {
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().iter().take(600).cloned().collect();
+        let (world, mut owned) = world();
+        owned.truncate(600);
         let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
 
         let registry = MetricsRegistry::new();
@@ -1494,8 +1500,8 @@ mod tests {
 
     #[test]
     fn warm_scan_resumes_the_reachable_population() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(80).collect();
         let results = warm_each(
             &world,
             &records,
@@ -1532,8 +1538,8 @@ mod tests {
 
     #[test]
     fn cold_only_and_expired_policies_fall_back_to_full_handshakes() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(40).collect();
         for policy in [ResumptionPolicy::ColdOnly, ResumptionPolicy::TicketExpired] {
             let results = warm_each(&world, &records, BASE.with_policy(policy));
             for r in &results {
@@ -1556,8 +1562,8 @@ mod tests {
         // The warm scan's first visit adds ticket issuance, which must not
         // disturb any classification-relevant measurement relative to the
         // plain (resumption-free) scan.
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(60).collect();
         let plain = scan_each(&world, &records, BASE);
         let warm = warm_each(
             &world,
@@ -1573,8 +1579,8 @@ mod tests {
 
     #[test]
     fn warm_scan_is_shard_invariant() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(48).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(48).collect();
         let scenario = Scenario::at(1250)
             .with_profile(NetworkProfile::Lossy)
             .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
@@ -1590,8 +1596,8 @@ mod tests {
 
     #[test]
     fn pq_eras_shift_one_rtt_to_multi_rtt() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(150).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(150).collect();
         let classical = summarize(1362, &scan_each(&world, &records, BASE));
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
             let summary = summarize(1362, &scan_each(&world, &records, BASE.with_era(era)));
@@ -1612,8 +1618,8 @@ mod tests {
 
     #[test]
     fn pq_era_scans_are_shard_invariant() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(60).collect();
         let scenario = BASE
             .with_profile(NetworkProfile::Lossy)
             .with_era(CertificateEra::PostQuantum);
@@ -1629,8 +1635,8 @@ mod tests {
 
     #[test]
     fn pq_warm_scans_still_resume_certificate_free() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(40).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(40).collect();
         let results = warm_each(
             &world,
             &records,
@@ -1651,8 +1657,8 @@ mod tests {
 
     #[test]
     fn ideal_profile_reports_no_faults_lossy_reports_some() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(60).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(60).collect();
         let ideal = scan_each(&world, &records, BASE);
         assert!(ideal
             .iter()
@@ -1664,8 +1670,8 @@ mod tests {
 
     #[test]
     fn chaos_plans_surface_recovery_cost() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(80).collect();
         let shard = |plan| {
             QuicReachShard::from_results(1362, &scan_each(&world, &records, BASE.with_plan(plan)))
         };
@@ -1708,8 +1714,8 @@ mod tests {
 
     #[test]
     fn chaos_fold_bypasses_memo_and_matches_the_materialized_scan() {
-        let world = world();
-        let owned: Vec<DomainRecord> = world.domains().iter().take(200).cloned().collect();
+        let (world, mut owned) = world();
+        owned.truncate(200);
         for plan in [FaultPlan::NONE, FaultPlan::MODERATE, FaultPlan::DUP_STORM] {
             let reference = materialized_fold(&world, &owned, BASE.with_plan(plan));
             let mut memoized = ProbeScratch::new();
@@ -1741,8 +1747,8 @@ mod tests {
 
     #[test]
     fn tunneled_profile_kills_large_initials() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(80).collect();
+        let (world, population) = world();
+        let records: Vec<&DomainRecord> = services(&population).take(80).collect();
         let ideal = summarize(1472, &scan_each(&world, &records, Scenario::at(1472)));
         let tunneled = summarize(
             1472,

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use quicert_netsim::{Ipv4Net, SimDuration, Telescope};
-use quicert_pki::{CertificateEra, Provider, World};
+use quicert_pki::{CertificateEra, DomainRecord, Provider, World};
 use quicert_quic::handshake::{observe_backscatter, run_spoofed_probe};
 
 use crate::behavior::{server_config_for_era, wire_for};
@@ -33,22 +33,44 @@ pub struct BackscatterSession {
 /// factors (§4.3 uses 1362 bytes).
 pub const ASSUMED_INITIAL: usize = 1362;
 
+/// Ranks the telescope's walk derives per step.
+const WALK_CHUNK: usize = 256;
+
 /// Launch spoofed probes at up to `per_provider` services of each
-/// hypergiant and reconstruct sessions from the telescope.
+/// hypergiant — its first QUIC services in rank order — and reconstruct
+/// sessions from the telescope. The population is walked a chunk at a time
+/// and only until every hypergiant has its `per_provider` targets, so a
+/// million-domain world costs the few thousand ranks that hold them.
 pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<BackscatterSession> {
     let era = CertificateEra::Classical;
+    let hypergiants = [Provider::Cloudflare, Provider::Google, Provider::Meta];
+    let mut targets: [Vec<DomainRecord>; 3] = Default::default();
+    let mut chunk = Vec::new();
+    let mut first = 1;
+    while first <= world.config.domains && targets.iter().any(|t| t.len() < per_provider) {
+        world.domain_chunk_into(first, WALK_CHUNK, &mut chunk);
+        first += WALK_CHUNK;
+        for record in chunk.drain(..).filter(DomainRecord::has_quic) {
+            let provider = record.quic.as_ref().map(|quic| quic.provider);
+            let hypergiant = hypergiants.iter().position(|&h| Some(h) == provider);
+            if let Some(found) = hypergiant.map(|i| &mut targets[i]) {
+                if found.len() < per_provider {
+                    found.push(record);
+                }
+            }
+        }
+    }
+
+    // Probe provider-major, each hypergiant's targets in rank order.
     let mut telescope = Telescope::new(dark);
     let mut provider_of_scid: HashMap<Vec<u8>, Provider> = HashMap::new();
-
-    for provider in [Provider::Cloudflare, Provider::Google, Provider::Meta] {
-        let services = world
-            .quic_services()
-            .filter(|d| d.quic.as_ref().unwrap().provider == provider)
-            .take(per_provider);
-        for (i, record) in services.enumerate() {
+    for (provider, services) in hypergiants.into_iter().zip(&targets) {
+        for (i, record) in services.iter().enumerate() {
+            let Some(chain) = world.quic_chain_era(record, era) else {
+                continue;
+            };
             let victim = dark.host((record.seed ^ i as u64) % dark.size());
             let server_addr = World::server_addr(record);
-            let chain = world.quic_chain_era(record, era).expect("chain");
             let outcome = run_spoofed_probe(
                 ASSUMED_INITIAL,
                 victim,
@@ -96,8 +118,7 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
     // leak into the session order (artifacts are bit-reproducible).
     out.sort_by(|(scid_a, a), (scid_b, b)| {
         a.amplification
-            .partial_cmp(&b.amplification)
-            .unwrap()
+            .total_cmp(&b.amplification)
             .then_with(|| scid_a.cmp(scid_b))
     });
     out.into_iter().map(|(_, s)| s).collect()
@@ -114,7 +135,7 @@ mod tests {
     use quicert_pki::WorldConfig;
 
     fn sessions() -> Vec<BackscatterSession> {
-        let world = quicert_pki::World::generate(WorldConfig {
+        let world = quicert_pki::World::streaming(WorldConfig {
             domains: 30_000,
             seed: 91,
             ..WorldConfig::default()

@@ -178,7 +178,7 @@ mod tests {
     use quicert_pki::WorldConfig;
 
     fn world() -> World {
-        World::generate(WorldConfig {
+        World::streaming(WorldConfig {
             domains: 500,
             seed: 13,
             ..WorldConfig::default()

@@ -65,13 +65,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
     const DOMAINS: u64 = 512;
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
+    let records = world.domain_chunk(1, world.config.domains);
     let (mut issue, mut summarise) = (0, 0);
-    let tls = world.domains().iter().filter(|r| r.has_https());
+    let tls = records.iter().filter(|r| r.has_https());
     for record in tls.take(DOMAINS as usize) {
         let (chain, n) = counted(|| {
             world
@@ -109,18 +110,19 @@ fn a_warm_streamed_funnel_allocates_nothing_per_record() {
     // flyweight. What is left is the shard itself — a constant, whatever
     // the record count. (Issuing and summarising a chain per HTTPS record,
     // as the fold did before the flyweight, is ≈25 allocations a record.)
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 4_096,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
-    let (cold, cold_allocations) = counted(|| https_scan::fold_iter(&world, world.domains()));
+    let records = world.domain_chunk(1, world.config.domains);
+    let (cold, cold_allocations) = counted(|| https_scan::fold_iter(&world, &records));
     let tls = cold.tls_reachable;
     assert!(tls > 3_000 && cold_allocations > world.chain_shape_classes() as u64);
     let classes = world.chain_shape_classes();
 
-    let (warm, whole) = counted(|| https_scan::fold_iter(&world, world.domains()));
-    let (_, eighth) = counted(|| https_scan::fold_iter(&world, &world.domains()[..512]));
+    let (warm, whole) = counted(|| https_scan::fold_iter(&world, &records));
+    let (_, eighth) = counted(|| https_scan::fold_iter(&world, &records[..512]));
     assert_eq!(warm, cold, "a looked-up shape is the issued one");
     assert_eq!(
         world.chain_shape_classes(),
@@ -143,13 +145,15 @@ fn a_warm_compress_call_allocates_its_output_and_no_table() {
     // allocates the LZ stream and the container and nothing else. (A
     // 512 KiB bucket table plus 8 B per position, allocated per call, is
     // ~180x the length of a 3 KB message.)
-    let world = World::generate(WorldConfig {
+    let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
         ..WorldConfig::default()
     });
-    let messages: Vec<Vec<u8>> = world
-        .quic_services()
+    let records = world.domain_chunk(1, world.config.domains);
+    let messages: Vec<Vec<u8>> = records
+        .iter()
+        .filter(|record| record.has_quic())
         .take(256)
         .map(|record| {
             certificate_message(

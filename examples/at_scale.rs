@@ -5,13 +5,12 @@
 //! cargo run --release --example at_scale
 //! ```
 //!
-//! The population is never materialised: `World::streaming` holds only the
+//! The population is never held in memory: a `World` is only the
 //! configuration and the CA ecosystem, each scan worker derives the rank
 //! ranges it claims into one reused buffer (`domain_chunk_into`), and
 //! every chunk folds into mergeable summaries (`QuicReachShard`,
-//! `HttpsScanShard`) that are bit-for-bit identical to what a materialized
-//! scan of the same world would produce — at any worker count and claim
-//! size.
+//! `HttpsScanShard`) that are bit-for-bit identical to the per-record scans
+//! of the same world — at any worker count and claim size.
 
 use quicert::core::experiments::scale;
 use quicert::core::{Campaign, CampaignConfig, ScanEngine};
@@ -38,10 +37,9 @@ fn main() {
     );
     println!(
         "memory model: {} workers x one claimed chunk (at most {} records) in \
-         flight; population materialised: {}",
+         flight",
         engine.workers(),
         quicert::core::engine::MAX_ADAPTIVE_CHUNK,
-        engine.world().populated(),
     );
 
     let funnel = engine.stream_https_scan();

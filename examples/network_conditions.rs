@@ -20,10 +20,11 @@ use quicert::scanner::quicreach;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
+    let https = campaign.engine().https_scan();
     println!(
         "world: {} domains, {} QUIC services\n",
-        campaign.world().domains().len(),
-        campaign.world().quic_services().count(),
+        https.total,
+        https.quic().count(),
     );
 
     println!(

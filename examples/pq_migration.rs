@@ -13,12 +13,12 @@ use quicert::scanner::quicreach;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
-    let world = campaign.world();
+    let https = campaign.engine().https_scan();
     println!(
         "world: {} domains, {} QUIC services — same population in every era,\n\
          only the keys and signatures change (ML-DSA-44/65 per FIPS 204)\n",
-        world.domains().len(),
-        world.quic_services().count(),
+        https.total,
+        https.quic().count(),
     );
 
     // Headline: class shares per era at the default Initial size.

@@ -1,4 +1,4 @@
-//! Quickstart: generate a small world, classify every QUIC handshake, and
+//! Quickstart: scan a small world, classify every QUIC handshake, and
 //! print the paper's headline numbers, followed by a trimmed campaign
 //! report that *says* which sections it skipped.
 //!
@@ -13,12 +13,12 @@ use quicert::scanner::quicreach;
 fn main() {
     // 4k domains is enough for stable shares and runs in seconds.
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
-    let world = campaign.world();
+    let https = campaign.engine().https_scan();
     println!(
         "world: {} domains, {} QUIC services, {} HTTPS-only services",
-        world.domains().len(),
-        world.quic_services().count(),
-        world.https_only_services().count(),
+        https.total,
+        https.quic().count(),
+        https.https_only().count(),
     );
 
     let results = campaign.engine().quicreach(campaign.scenario());

@@ -19,10 +19,11 @@ use quicert::core::{Campaign, CampaignConfig};
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
+    let https = campaign.engine().https_scan();
     println!(
         "world: {} domains, {} QUIC services\n",
-        campaign.world().domains().len(),
-        campaign.world().quic_services().count(),
+        https.total,
+        https.quic().count(),
     );
 
     // Cold vs resumed per network profile (warm-after-first-visit policy).

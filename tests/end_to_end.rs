@@ -40,14 +40,16 @@ fn cloudflare_padding_constant_is_size_independent() {
     // constant, independent of the TLS payload size.
     let c = campaign();
     let world = c.world();
+    let records = world.domain_chunk(1, world.config.domains);
     let mut paddings = std::collections::HashSet::new();
-    for record in world
-        .quic_services()
+    for record in records
+        .iter()
         .filter(|d| {
-            matches!(
-                d.quic.as_ref().unwrap().behavior,
-                quicert::pki::world::BehaviorKind::CloudflareLike
-            )
+            let cloudflare_like = quicert::pki::world::BehaviorKind::CloudflareLike;
+            d.has_quic()
+                && d.quic
+                    .as_ref()
+                    .is_some_and(|q| q.behavior == cloudflare_like)
         })
         .take(20)
     {

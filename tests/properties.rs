@@ -305,15 +305,16 @@ mod packet_properties {
 fn deterministic_worlds_are_identical() {
     use quicert::pki::{CertificateEra, World, WorldConfig};
     let mk = || {
-        World::generate(WorldConfig {
+        World::streaming(WorldConfig {
             domains: 800,
             seed: 0xDE7E_2217,
             ..WorldConfig::default()
         })
     };
-    let a = mk();
-    let b = mk();
-    for (x, y) in a.domains().iter().zip(b.domains()) {
+    let (a, b) = (mk(), mk());
+    let (xs, ys) = (a.domain_chunk(1, 800), b.domain_chunk(1, 800));
+    assert_eq!(xs.len(), 800);
+    for (x, y) in xs.iter().zip(&ys) {
         assert_eq!(x.name, y.name);
         assert_eq!(x.has_quic(), y.has_quic());
         let era = CertificateEra::Classical;
@@ -332,8 +333,8 @@ mod streaming_world_properties {
 
         // Streaming the domains is chunk-size invariant: `domain_chunk`s
         // tiling a random-size world at any chunk size concatenate to
-        // exactly the materialised population, so the streaming scan path
-        // sees the same records a generated world holds.
+        // exactly the population derived as one chunk by another world of
+        // the same configuration.
         #[test]
         fn stream_domains_is_chunk_size_invariant(
             domains in 1usize..600,
@@ -345,14 +346,14 @@ mod streaming_world_properties {
                 seed,
                 ..WorldConfig::default()
             };
-            let eager = World::generate(config.clone());
+            let eager = World::streaming(config.clone()).domain_chunk(1, domains);
             let lazy = World::streaming(config);
             let mut seen = 0usize;
             for first in (1..=domains).step_by(chunk) {
                 let chunk_records = lazy.domain_chunk(first, chunk);
                 prop_assert!(!chunk_records.is_empty() && chunk_records.len() <= chunk);
                 for record in &chunk_records {
-                    let reference = &eager.domains()[seen];
+                    let reference = &eager[seen];
                     prop_assert_eq!(record.rank, reference.rank);
                     prop_assert_eq!(&record.name, &reference.name);
                     prop_assert_eq!(record.seed, reference.seed);
@@ -421,16 +422,17 @@ mod simnet_properties {
         }
     }
 
-    /// The QUIC services of one small world, generated once.
+    /// The QUIC services of one small world, derived once.
     fn services() -> &'static (World, Vec<DomainRecord>) {
         static WORLD: OnceLock<(World, Vec<DomainRecord>)> = OnceLock::new();
         WORLD.get_or_init(|| {
-            let world = World::generate(WorldConfig {
+            let world = World::streaming(WorldConfig {
                 domains: 1_500,
                 seed: 0xFA17,
                 ..WorldConfig::default()
             });
-            let services = world.quic_services().cloned().collect();
+            let mut services = world.domain_chunk(1, world.config.domains);
+            services.retain(DomainRecord::has_quic);
             (world, services)
         })
     }
