@@ -10,7 +10,7 @@ impl Cdf {
     /// Build from (unsorted) samples; NaNs are dropped.
     pub fn new(mut samples: Vec<f64>) -> Cdf {
         samples.retain(|v| !v.is_nan());
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_by(f64::total_cmp);
         Cdf { sorted: samples }
     }
 
@@ -52,10 +52,9 @@ impl Cdf {
 
     /// Smallest and largest samples.
     pub fn range(&self) -> (f64, f64) {
-        if self.sorted.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (self.sorted[0], *self.sorted.last().unwrap())
+        match (self.sorted.first(), self.sorted.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (0.0, 0.0),
         }
     }
 

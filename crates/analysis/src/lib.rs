@@ -11,6 +11,8 @@
 //! ([`StreamSummary`], [`HistogramSketch`]) that replace whole-sample
 //! [`Cdf`]s on the at-scale paths.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cdf;
 pub mod merge;
 pub mod render;

@@ -37,7 +37,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let clamped = p.clamp(0.0, 100.0) / 100.0;
     let idx = clamped * (sorted.len() - 1) as f64;
     let lo = idx.floor() as usize;

@@ -27,6 +27,8 @@
 //! re-probing just those segments and merging with cached summaries is
 //! bit-identical to a full rescan.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 
 use quicert_netsim::SimRng;
@@ -246,22 +248,12 @@ pub fn drifted(chain: ChainId, steps: u32) -> ChainId {
     const DIGICERT: [ChainId; 2] = [ChainId::DigiCertTls, ChainId::DigiCertSha2WithRoot];
     const SECTIGO: [ChainId; 2] = [ChainId::SectigoUserTrust, ChainId::CPanelComodoRoot];
     const GODADDY: [ChainId; 2] = [ChainId::GoDaddyG2, ChainId::StarfieldG2];
-    fn walk(ring: &[ChainId], chain: ChainId, steps: u32) -> ChainId {
-        let at = ring
-            .iter()
-            .position(|&c| c == chain)
-            .expect("chain in ring");
-        ring[(at + steps as usize % ring.len()) % ring.len()]
+    for ring in [&LE_RSA[..], &LE_ECDSA, &GTS, &DIGICERT, &SECTIGO, &GODADDY] {
+        if let Some(at) = ring.iter().position(|&c| c == chain) {
+            return ring[(at + steps as usize % ring.len()) % ring.len()];
+        }
     }
-    match chain {
-        c if LE_RSA.contains(&c) => walk(&LE_RSA, c, steps),
-        c if LE_ECDSA.contains(&c) => walk(&LE_ECDSA, c, steps),
-        c if GTS.contains(&c) => walk(&GTS, c, steps),
-        c if DIGICERT.contains(&c) => walk(&DIGICERT, c, steps),
-        c if SECTIGO.contains(&c) => walk(&SECTIGO, c, steps),
-        c if GODADDY.contains(&c) => walk(&GODADDY, c, steps),
-        fixed => fixed,
-    }
+    chain
 }
 
 /// What one applied tick changed — the delta a resident campaign's scan
@@ -401,7 +393,7 @@ impl ChurnState {
             match event {
                 ChurnEvent::EraMigration { .. } => all_changed = true,
                 ChurnEvent::StekRollover => stek_rollover = true,
-                _ => changed_ranks.push(event.rank().expect("per-rank event")),
+                _ => changed_ranks.extend(event.rank()),
             }
         }
         changed_ranks.sort_unstable();

@@ -559,11 +559,10 @@ impl ScanEngine {
             })
     }
 
-    /// Telescope backscatter sessions for `per_provider` spoofed probes per
-    /// hypergiant (Fig 9), at the first services of each in rank order.
-    /// Sessions interleave on one simulated telescope, so this artifact is
-    /// computed serially, walking only the ranks that hold its targets, and
-    /// cached whole.
+    /// Backscatter sessions of `per_provider` spoofed probes per hypergiant
+    /// (Fig 9), at the first services of each in rank order, one session a
+    /// probe. Computed serially, walking only the ranks that hold its
+    /// targets, and cached whole.
     pub fn telescope(&self, per_provider: usize) -> Arc<Vec<BackscatterSession>> {
         self.telescope.get_or_compute(per_provider, || {
             telescope_scan::collect(

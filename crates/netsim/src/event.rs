@@ -5,10 +5,11 @@
 //! [`LinkModel`] per direction connects two [`Endpoint`] state machines,
 //! and [`crate::simnet::run_exchange`] schedules them to completion.
 //!
-//! Every datagram offered to the wire is recorded as a [`TraceEvent`], so
-//! measurements (amplification factors, handshake byte splits, RTT counts)
-//! are taken from the *wire view*, exactly like the paper's passive
-//! perspective, and not from what an implementation believes it sent.
+//! Every datagram offered to the wire is counted into its direction's
+//! [`Flow`] as it is offered, so measurements (amplification factors,
+//! handshake byte splits, backscatter sessions) are taken from the *wire
+//! view*, exactly like the paper's passive perspective, and not from what
+//! an implementation believes it sent.
 
 use crate::datagram::Datagram;
 use crate::fault::FaultInjector;
@@ -102,35 +103,17 @@ impl Wire {
     }
 }
 
-/// Why a datagram did not arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Random loss on the link.
-    Loss,
-    /// Exceeded the path MTU (size after encapsulation).
-    Mtu(usize),
-    /// Removed by the fault injector.
-    Fault,
-}
-
-/// One datagram transmission as observed on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When the sender handed the datagram to the wire.
-    pub sent_at: SimTime,
-    /// Transmission direction.
-    pub direction: Direction,
-    /// UDP payload size in bytes.
-    pub payload_len: usize,
-    /// Delivery time, or the reason the datagram was dropped.
-    pub outcome: Result<SimTime, DropReason>,
-}
-
-impl TraceEvent {
-    /// Whether the datagram arrived.
-    pub fn delivered(&self) -> bool {
-        self.outcome.is_ok()
-    }
+/// What one direction of an exchange offered to the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Flow {
+    /// Datagrams offered; a duplicated copy counts again.
+    pub datagrams: usize,
+    /// UDP payload bytes offered, dropped datagrams included.
+    pub bytes: usize,
+    /// Of `datagrams`, how many the wire delivered.
+    pub delivered: usize,
+    /// The first and last send time, if anything was sent.
+    pub sent_between: Option<(SimTime, SimTime)>,
 }
 
 /// Safety limits for an exchange.
@@ -154,8 +137,14 @@ impl Default for ExchangeLimits {
 /// The result of running an exchange to quiescence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeOutcome {
-    /// Every datagram offered to the wire, in send order.
-    pub trace: Vec<TraceEvent>,
+    /// What A offered to the wire.
+    pub a_to_b: Flow,
+    /// What B offered to the wire.
+    pub b_to_a: Flow,
+    /// B's bytes sent before A's second datagram reached B — all of B's
+    /// bytes when that datagram never arrived. With A the client, this is
+    /// the server's first flight.
+    pub first_flight: usize,
     /// Simulated time when the loop stopped.
     pub finished_at: SimTime,
     /// True if the loop stopped because both endpoints reported done (as
@@ -174,32 +163,6 @@ pub struct ExchangeOutcome {
     /// Datagrams delivered twice by the wire's [`FaultInjector`]s during
     /// this exchange.
     pub fault_duplications: u64,
-}
-
-impl ExchangeOutcome {
-    /// Total UDP payload bytes *delivered* in the given direction.
-    pub fn delivered_bytes(&self, dir: Direction) -> usize {
-        self.trace
-            .iter()
-            .filter(|e| e.direction == dir && e.delivered())
-            .map(|e| e.payload_len)
-            .sum()
-    }
-
-    /// Total UDP payload bytes *sent* (including dropped datagrams) in the
-    /// given direction.
-    pub fn sent_bytes(&self, dir: Direction) -> usize {
-        self.trace
-            .iter()
-            .filter(|e| e.direction == dir)
-            .map(|e| e.payload_len)
-            .sum()
-    }
-
-    /// Number of datagrams sent in the given direction.
-    pub fn datagrams(&self, dir: Direction) -> usize {
-        self.trace.iter().filter(|e| e.direction == dir).count()
-    }
 }
 
 #[cfg(test)]
@@ -268,9 +231,23 @@ mod tests {
             &mut rng,
         );
         assert!(out.quiesced);
-        assert_eq!(out.datagrams(Direction::AtoB), 3);
-        assert_eq!(out.datagrams(Direction::BtoA), 3);
-        assert_eq!(out.delivered_bytes(Direction::AtoB), 300);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        assert_eq!(
+            out.a_to_b,
+            Flow {
+                datagrams: 3,
+                bytes: 300,
+                delivered: 3,
+                sent_between: Some((ms(0), ms(40))),
+            }
+        );
+        assert_eq!(
+            out.b_to_a,
+            Flow {
+                sent_between: Some((ms(10), ms(50))),
+                ..out.a_to_b
+            }
+        );
         // 3 round trips at 20ms RTT.
         assert_eq!(
             out.finished_at,
@@ -295,9 +272,10 @@ mod tests {
             &mut rng,
         );
         assert!(!out.quiesced, "pinger never got its echo");
-        assert_eq!(out.sent_bytes(Direction::AtoB), 100);
-        assert_eq!(out.delivered_bytes(Direction::AtoB), 0);
-        assert_eq!(out.trace[0].outcome, Err(DropReason::Fault));
+        assert_eq!(out.a_to_b.bytes, 100);
+        assert_eq!(out.a_to_b.delivered, 0);
+        assert_eq!(out.fault_drops, 1);
+        assert_eq!(out.b_to_a, Flow::default());
     }
 
     #[test]
@@ -319,7 +297,7 @@ mod tests {
             &mut rng,
         );
         assert!(!out.quiesced);
-        assert!(out.trace.len() <= 102);
+        assert!(out.a_to_b.datagrams + out.b_to_a.datagrams <= 102);
     }
 
     #[test]

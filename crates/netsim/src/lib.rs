@@ -3,10 +3,10 @@
 //! This crate provides the "Internet" that the rest of the workspace measures:
 //! simulated time, UDP datagrams, link models with latency / loss / MTU
 //! constraints, tunnel encapsulation (the load-balancer effect of §4.1 of the
-//! paper), a network telescope for observing backscatter from spoofed
-//! handshakes (§4.3), named [`NetworkProfile`] link-condition overlays, and
+//! paper), named [`NetworkProfile`] link-condition overlays, and
 //! [`run_exchange`] — a discrete-event scheduler driving one endpoint pair
-//! to completion over the caller's wire and RNG stream.
+//! to completion over the caller's wire and RNG stream, and reporting what
+//! each direction put on the wire as a [`Flow`] tally.
 //!
 //! Everything is deterministic: all randomness flows from a [`SimRng`] seeded
 //! with a caller-provided `u64`, so every experiment in the workspace is
@@ -27,17 +27,15 @@ pub mod link;
 pub mod profile;
 pub mod rng;
 pub mod simnet;
-pub mod telescope;
 pub mod time;
 
 pub use addr::{Ipv4Net, ANY_PORT};
 pub use datagram::{Datagram, UDP_IPV4_OVERHEAD};
-pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, TraceEvent, Wire};
+pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Wire};
 pub use fault::FaultInjector;
 pub use faultplan::FaultPlan;
 pub use link::{Delivery, LinkModel};
 pub use profile::NetworkProfile;
 pub use rng::{FastHashBuilder, FastHasher, SimRng};
 pub use simnet::run_exchange;
-pub use telescope::{BackscatterRecord, Telescope};
 pub use time::{SimDuration, SimTime};

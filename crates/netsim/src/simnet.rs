@@ -5,11 +5,11 @@
 //! independent of every other, so the scheduler knows exactly one
 //! *session*: two borrowed endpoints, the caller's wire and [`SimRng`]
 //! stream, and — built on the stack for the duration of the call — its
-//! queue of datagrams in flight, its trace and a virtual timeline starting
-//! at zero. Nothing outlives the call but the [`ExchangeOutcome`], the
-//! wire's fault counters and the RNG's stream position, so a scan costs per
-//! probe what one probe costs alone and outcomes cannot depend on what ran
-//! before.
+//! queue of datagrams in flight, a fixed-size tally of what each direction
+//! offered to the wire and a virtual timeline starting at zero. Nothing
+//! outlives the call but the [`ExchangeOutcome`], the wire's fault counters
+//! and the RNG's stream position, so a scan costs per probe what one probe
+//! costs alone and outcomes cannot depend on what ran before.
 //!
 //! ## The rule
 //!
@@ -27,9 +27,7 @@ use std::sync::{Arc, OnceLock};
 use quicert_obs::{Counter, MetricsRegistry};
 
 use crate::datagram::Datagram;
-use crate::event::{
-    Direction, DropReason, Endpoint, ExchangeLimits, ExchangeOutcome, TraceEvent, Wire,
-};
+use crate::event::{Direction, Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Wire};
 use crate::link::Delivery;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -155,7 +153,11 @@ pub fn run_exchange(
         limits,
         rng,
         queue: BinaryHeap::new(),
-        trace: Vec::new(),
+        a_to_b: Flow::default(),
+        b_to_a: Flow::default(),
+        first_flight: 0,
+        cut: None,
+        b_instant: (SimTime::ZERO, 0),
         now: SimTime::ZERO,
         seq: 0,
         events: 0,
@@ -164,7 +166,9 @@ pub fn run_exchange(
     let quiesced = session.run();
     let Session {
         wire,
-        trace,
+        a_to_b,
+        b_to_a,
+        first_flight,
         now,
         events,
         timer_fires,
@@ -182,7 +186,9 @@ pub fn run_exchange(
     metrics.duplications.add(fault_duplications);
 
     ExchangeOutcome {
-        trace,
+        a_to_b,
+        b_to_a,
+        first_flight,
         finished_at: now,
         quiesced,
         timer_fires,
@@ -202,7 +208,13 @@ struct Session<'x> {
     rng: &'x mut SimRng,
     /// Datagrams in flight.
     queue: BinaryHeap<Reverse<InFlight>>,
-    trace: Vec<TraceEvent>,
+    a_to_b: Flow,
+    b_to_a: Flow,
+    first_flight: usize,
+    /// Arrival of A's second datagram, once it was offered and delivered.
+    cut: Option<SimTime>,
+    /// B's latest send instant and its bytes sent then.
+    b_instant: (SimTime, usize),
     /// Simulated time of the last processed event.
     now: SimTime,
     /// Datagram sequence counter (delivery tie-break).
@@ -268,8 +280,8 @@ impl Session<'_> {
     }
 
     /// Offer every datagram in `outbox` to the wire: apply the fault
-    /// injector, then the link model, queueing deliveries and recording one
-    /// [`TraceEvent`] per datagram.
+    /// injector, then the link model, queueing deliveries and tallying
+    /// every copy offered.
     fn offer_outbox(&mut self, direction: Direction, now: SimTime, outbox: &mut Vec<Datagram>) {
         for mut dgram in outbox.drain(..) {
             dgram.sent_at = now;
@@ -287,38 +299,61 @@ impl Session<'_> {
                 Some(dgram) => fault.maybe_duplicate(self.rng).then(|| dgram.clone()),
                 None => None,
             };
-            let outcome = match survived {
-                None => Err(DropReason::Fault),
-                Some(dgram) => self.deliver_via_link(direction, now, dgram),
-            };
-            self.trace.push(TraceEvent {
-                sent_at: now,
-                direction,
-                payload_len,
-                outcome,
-            });
+            let arrival = survived.and_then(|dgram| self.deliver_via_link(direction, now, dgram));
+            self.tally(direction, now, payload_len, arrival);
             if let Some(dgram) = duplicate {
                 let payload_len = dgram.payload_len();
-                let outcome = self.deliver_via_link(direction, now, dgram);
-                self.trace.push(TraceEvent {
-                    sent_at: now,
-                    direction,
-                    payload_len,
-                    outcome,
-                });
+                let arrival = self.deliver_via_link(direction, now, dgram);
+                self.tally(direction, now, payload_len, arrival);
+            }
+        }
+    }
+
+    /// Count one datagram of `len` bytes offered at `now` into its
+    /// direction's [`Flow`] and into [`ExchangeOutcome::first_flight`]:
+    /// every B byte until A's second datagram is offered, then only those
+    /// sent before it arrives at `t2`. Events run in time order, so every B
+    /// byte counted by then left at or before `now ≤ t2`; only a
+    /// zero-latency tie (`t2 == now`) takes B's bytes of that instant back.
+    fn tally(&mut self, direction: Direction, now: SimTime, len: usize, arrival: Option<SimTime>) {
+        let flow = match direction {
+            Direction::AtoB => &mut self.a_to_b,
+            Direction::BtoA => &mut self.b_to_a,
+        };
+        flow.datagrams += 1;
+        flow.bytes += len;
+        flow.delivered += usize::from(arrival.is_some());
+        flow.sent_between = Some((flow.sent_between.map_or(now, |(first, _)| first), now));
+        match direction {
+            Direction::AtoB if flow.datagrams == 2 => {
+                self.cut = arrival;
+                if arrival == Some(now) && self.b_instant.0 == now {
+                    self.first_flight -= self.b_instant.1;
+                }
+            }
+            Direction::AtoB => {}
+            Direction::BtoA => {
+                if self.b_instant.0 != now {
+                    self.b_instant = (now, 0);
+                }
+                self.b_instant.1 += len;
+                if self.cut.is_none_or(|t2| now < t2) {
+                    self.first_flight += len;
+                }
             }
         }
     }
 
     /// Offer one surviving datagram to the link model, queueing its
-    /// delivery on arrival. Shared by the primary and the duplicated copy
-    /// so both take identical scheduling (and RNG) paths.
+    /// delivery on arrival; `None` when the link lost it. Shared by the
+    /// primary and the duplicated copy so both take identical scheduling
+    /// (and RNG) paths.
     fn deliver_via_link(
         &mut self,
         direction: Direction,
         now: SimTime,
         dgram: Datagram,
-    ) -> Result<SimTime, DropReason> {
+    ) -> Option<SimTime> {
         let link = match direction {
             Direction::AtoB => &self.wire.a_to_b,
             Direction::BtoA => &self.wire.b_to_a,
@@ -332,10 +367,9 @@ impl Session<'_> {
                     direction,
                     dgram,
                 }));
-                Ok(at)
+                Some(at)
             }
-            Delivery::LostRandom => Err(DropReason::Loss),
-            Delivery::LostMtu(size) => Err(DropReason::Mtu(size)),
+            Delivery::LostRandom | Delivery::LostMtu(_) => None,
         }
     }
 }
@@ -433,6 +467,58 @@ mod tests {
         }
     }
 
+    /// Sends 50 bytes at start and 60 more on its `nth` arrival.
+    struct Knock {
+        nth: usize,
+        seen: usize,
+    }
+
+    impl Endpoint for Knock {
+        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+            out.push(Datagram::new(A, B, 1000, 443, vec![5; 50]));
+        }
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+            self.seen += 1;
+            if self.seen == self.nth {
+                out.push(Datagram::new(A, B, 1000, 443, vec![6; 60]));
+            }
+        }
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn next_timer(&self) -> Option<SimTime> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// Sends `(ms, len)` datagrams at their scripted instants, on its own
+    /// timer; ignores what arrives.
+    struct Script(Vec<(u64, usize)>);
+
+    impl Endpoint for Script {
+        fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+            self.on_timer(now, out);
+        }
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+            while self.next_timer() == Some(now) {
+                let (_, len) = self.0.remove(0);
+                out.push(Datagram::new(B, A, 443, 1000, vec![7; len]));
+            }
+        }
+        fn next_timer(&self) -> Option<SimTime> {
+            self.0.first().map(|&(ms, _)| at_ms(ms))
+        }
+        fn is_done(&self) -> bool {
+            self.0.is_empty()
+        }
+    }
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
     /// `remaining` pings of `payload` bytes against an echoer over `wire`.
     fn ping(
         remaining: u32,
@@ -454,11 +540,12 @@ mod tests {
         let mut wire = Wire::ideal(SimDuration::from_millis(10));
         let out = ping(3, 100, &mut wire, ExchangeLimits::default());
         assert!(out.quiesced);
-        assert_eq!(out.datagrams(Direction::AtoB), 3);
-        assert_eq!(
-            out.finished_at,
-            SimTime::ZERO + SimDuration::from_millis(60)
-        );
+        assert_eq!(out.a_to_b.datagrams, 3);
+        assert_eq!(out.b_to_a.datagrams, 3);
+        // The second ping leaves on the first echo's arrival and reaches B
+        // at 30 ms: only the first echo, sent at 10 ms, is first flight.
+        assert_eq!(out.first_flight, 100);
+        assert_eq!(out.finished_at, at_ms(60));
     }
 
     #[test]
@@ -506,9 +593,11 @@ mod tests {
             &mut SimRng::new(7),
         );
         assert!(out.quiesced);
-        // One trace event per copy, no drops, and the duplication count
+        // Every copy is counted, no drops, and the duplication count
         // surfaces on the outcome itself (not just the wire).
-        assert_eq!(out.datagrams(Direction::AtoB), 8);
+        assert_eq!(out.a_to_b.datagrams, 8);
+        assert_eq!(out.a_to_b.delivered, 8);
+        assert_eq!(out.a_to_b.bytes, 2 * (10 + 11 + 12 + 13));
         assert_eq!(out.fault_drops, 0);
         assert_eq!(out.fault_duplications, 4);
         assert_eq!(wire.fault_a_to_b.duplications(), 4);
@@ -526,7 +615,8 @@ mod tests {
         let out = ping(1, 10, &mut wire, limits);
         assert!(!out.quiesced);
         // The ping was offered to the wire, but no event was processed.
-        assert_eq!(out.trace.len(), 1);
+        assert_eq!(out.a_to_b.datagrams, 1);
+        assert_eq!(out.b_to_a, Flow::default());
         assert_eq!(out.finished_at, SimTime::ZERO);
     }
 
@@ -536,6 +626,113 @@ mod tests {
         let out = ping(0, 0, &mut wire, ExchangeLimits::default());
         assert!(out.quiesced);
         assert_eq!(out.finished_at, SimTime::ZERO);
-        assert!(out.trace.is_empty());
+        assert_eq!((out.a_to_b, out.b_to_a), (Flow::default(), Flow::default()));
+        assert_eq!(out.first_flight, 0);
+    }
+
+    #[test]
+    fn a_duplicated_first_datagram_cuts_the_first_flight_at_its_own_arrival() {
+        // The copy is A's second datagram on the wire. It lands with the
+        // original at 5 ms, the instant B echoes both: nothing B sends
+        // leaves before the cut.
+        let mut wire = Wire::ideal(SimDuration::from_millis(5));
+        wire.fault_a_to_b = FaultInjector::duplicating(1.0);
+        let out = run_exchange(
+            &mut Burst { n: 1 },
+            &mut Echoer,
+            &mut wire,
+            ExchangeLimits::default(),
+            &mut SimRng::new(3),
+        );
+        let flow = |sent: SimTime| Flow {
+            datagrams: 2,
+            bytes: 20,
+            delivered: 2,
+            sent_between: Some((sent, sent)),
+        };
+        assert_eq!(out.a_to_b, flow(SimTime::ZERO));
+        assert_eq!(out.b_to_a, flow(at_ms(5)));
+        assert_eq!(out.first_flight, 0);
+
+        // Without the copy A sends once, so there is no cut and B's one
+        // echo is first flight.
+        let clean = run_exchange(
+            &mut Burst { n: 1 },
+            &mut Echoer,
+            &mut Wire::ideal(SimDuration::from_millis(5)),
+            ExchangeLimits::default(),
+            &mut SimRng::new(3),
+        );
+        assert_eq!(clean.first_flight, 10);
+    }
+
+    #[test]
+    fn a_zero_latency_tie_takes_back_what_b_sent_at_the_cut_instant() {
+        // B sends 10 bytes at 0 ms, 20 at 5 ms and 40 at 7 ms. Its 5 ms
+        // datagram is A's second arrival, so A's second datagram is offered
+        // at 5 ms and, over a zero-latency wire, reaches B at 5 ms: B's
+        // 20 bytes sent that same instant are not first flight.
+        let out = run_exchange(
+            &mut Knock { nth: 2, seen: 0 },
+            &mut Script(vec![(0, 10), (5, 20), (7, 40)]),
+            &mut Wire::ideal(SimDuration::ZERO),
+            ExchangeLimits::default(),
+            &mut SimRng::new(4),
+        );
+        assert!(out.quiesced);
+        assert_eq!(out.first_flight, 10);
+        assert_eq!(
+            out.a_to_b,
+            Flow {
+                datagrams: 2,
+                bytes: 110,
+                delivered: 2,
+                sent_between: Some((SimTime::ZERO, at_ms(5))),
+            }
+        );
+        assert_eq!(
+            out.b_to_a,
+            Flow {
+                datagrams: 3,
+                bytes: 70,
+                delivered: 3,
+                sent_between: Some((SimTime::ZERO, at_ms(7))),
+            }
+        );
+    }
+
+    #[test]
+    fn a_lost_second_datagram_leaves_every_b_byte_in_the_first_flight() {
+        // A's 60-byte second datagram (88 on the wire) exceeds an 80-byte
+        // MTU its 50-byte first one fits: the cut never arrives.
+        let mut wire = Wire::ideal(SimDuration::from_millis(1));
+        wire.a_to_b.mtu = 80;
+        let out = run_exchange(
+            &mut Knock { nth: 1, seen: 0 },
+            &mut Script(vec![(0, 10), (5, 20), (7, 40)]),
+            &mut wire,
+            ExchangeLimits::default(),
+            &mut SimRng::new(5),
+        );
+        assert!(out.quiesced);
+        assert_eq!(out.first_flight, 70);
+        assert_eq!(
+            out.a_to_b,
+            Flow {
+                datagrams: 2,
+                bytes: 110,
+                delivered: 1,
+                sent_between: Some((SimTime::ZERO, at_ms(1))),
+            }
+        );
+        assert_eq!(
+            out.b_to_a,
+            Flow {
+                datagrams: 3,
+                bytes: 70,
+                delivered: 3,
+                sent_between: Some((SimTime::ZERO, at_ms(7))),
+            }
+        );
     }
 }

@@ -7,19 +7,88 @@
 //! every rewrite of the scheduler is held to, so it is never edited along
 //! with one. Every scenario — ideal ping-pong, lossy jittery wires, retransmission
 //! timers, fault injection, MTU drops, deadlines and event budgets — must
-//! produce an identical trace, finish time, quiescence flag and RNG stream
-//! position through both paths.
+//! produce, through both paths, the same arrivals (which end, when, how many
+//! bytes, interleaved across both ends in delivery order — see [`Tap`]),
+//! finish time, quiescence flag and RNG stream position; and the
+//! scheduler's [`Flow`] tally and first-flight cut must be what the
+//! reference loop's trace sums to.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
-use quicert_netsim::event::{Direction, DropReason};
+use quicert_netsim::event::Direction;
 use quicert_netsim::link::Delivery;
 use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, FaultInjector, LinkModel, SimDuration,
-    SimRng, SimTime, TraceEvent, Wire,
+    run_exchange, Datagram, Endpoint, ExchangeLimits, FaultInjector, Flow, LinkModel, SimDuration,
+    SimRng, SimTime, Wire,
 };
+
+// ------------------------------------------- the reference trace types --
+//
+// The reference loop records one `TraceEvent` per datagram; the scheduler
+// under test keeps only the tally `tally` derives from such a trace.
+
+/// Why a datagram did not arrive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// Random loss on the link.
+    Loss,
+    /// Exceeded the path MTU (size after encapsulation).
+    Mtu(usize),
+    /// Removed by the fault injector.
+    Fault,
+}
+
+/// One datagram transmission as observed on the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// When the sender handed the datagram to the wire.
+    pub sent_at: SimTime,
+    /// Transmission direction.
+    pub direction: Direction,
+    /// UDP payload size in bytes.
+    pub payload_len: usize,
+    /// Delivery time, or the reason the datagram was dropped.
+    pub outcome: Result<SimTime, DropReason>,
+}
+
+impl TraceEvent {
+    /// Whether the datagram arrived.
+    pub fn delivered(&self) -> bool {
+        self.outcome.is_ok()
+    }
+}
+
+/// The two [`Flow`]s and the first-flight cut a trace sums to — the cut as
+/// B's bytes sent before A's second trace entry arrived, all of them if it
+/// never did.
+fn tally(trace: &[TraceEvent]) -> (Flow, Flow, usize) {
+    let flow = |direction| {
+        let mut flow = Flow::default();
+        for e in trace.iter().filter(|e| e.direction == direction) {
+            flow.datagrams += 1;
+            flow.bytes += e.payload_len;
+            flow.delivered += usize::from(e.delivered());
+            let first = flow.sent_between.map_or(e.sent_at, |(first, _)| first);
+            flow.sent_between = Some((first, e.sent_at));
+        }
+        flow
+    };
+    let second_a_arrival = trace
+        .iter()
+        .filter(|e| e.direction == Direction::AtoB)
+        .nth(1)
+        .and_then(|e| e.outcome.ok());
+    let first_flight = trace
+        .iter()
+        .filter(|e| e.direction == Direction::BtoA)
+        .filter(|e| second_a_arrival.is_none_or(|t2| e.sent_at < t2))
+        .map(|e| e.payload_len)
+        .sum();
+    (flow(Direction::AtoB), flow(Direction::BtoA), first_flight)
+}
 
 // ------------------------------------------------- the reference loop --
 
@@ -338,6 +407,64 @@ impl Endpoint for DelayedEchoer {
     }
 }
 
+/// Every arrival of one run in the order the two endpoints saw them: the
+/// direction it travelled, when, and how many payload bytes.
+type Arrivals = Vec<(Direction, SimTime, usize)>;
+
+/// Passes everything through to `inner`, logging each arrival first into
+/// the log both ends of the run share — so a run's arrivals interleave
+/// across the ends exactly as the scheduler delivered them.
+struct Tap<'e> {
+    inner: &'e mut dyn Endpoint,
+    /// The direction of the datagrams arriving at this end.
+    inbound: Direction,
+    log: &'e RefCell<Arrivals>,
+}
+
+impl Endpoint for Tap<'_> {
+    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+        self.inner.start(now, out);
+    }
+    fn on_datagram(&mut self, d: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
+        self.log
+            .borrow_mut()
+            .push((self.inbound, now, d.payload_len()));
+        self.inner.on_datagram(d, now, out);
+    }
+    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+        self.inner.on_timer(now, out);
+    }
+    fn next_timer(&self) -> Option<SimTime> {
+        self.inner.next_timer()
+    }
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+}
+
+/// Run `exchange` over `a` and `b` with both tapped; returns its result
+/// and the run's arrivals.
+fn tapped<R>(
+    a: &mut dyn Endpoint,
+    b: &mut dyn Endpoint,
+    exchange: impl FnOnce(&mut dyn Endpoint, &mut dyn Endpoint) -> R,
+) -> (R, Arrivals) {
+    let log = RefCell::default();
+    let result = exchange(
+        &mut Tap {
+            inner: a,
+            inbound: Direction::BtoA,
+            log: &log,
+        },
+        &mut Tap {
+            inner: b,
+            inbound: Direction::AtoB,
+            log: &log,
+        },
+    );
+    (result, log.into_inner())
+}
+
 // ------------------------------------------------------------ scenarios --
 
 struct Scenario {
@@ -431,9 +558,10 @@ fn scenarios() -> Vec<Scenario> {
         // reaches B at 10 as A's PTO fires (delivery first, B arms 20; A
         // resends, arms 20), so at t = 20 ping 2 arrives, A's PTO is due and
         // B's think timer is due. Delivery, then A, then B puts A's third
-        // ping on the trace before B's echoes of *both* queued pings; a
-        // timer ahead of the delivery echoes one ping only, B ahead of A
-        // echoes before the ping.
+        // ping on the wire before B's echoes of *both* queued pings, so at
+        // t = 30 it reaches B ahead of the echoes reaching A; a timer ahead
+        // of the delivery echoes one ping only, B ahead of A echoes before
+        // the ping and the echoes arrive first.
         Scenario {
             name: "delivery, timer A and timer B due at one timestamp",
             pinger: RetryPinger::new(2, 32, 10, 4),
@@ -490,27 +618,25 @@ fn wrapper_reproduces_the_pre_refactor_loop_bit_for_bit() {
         let mut ref_echoer = scenario.echoer.clone();
         let mut ref_wire = scenario.wire.clone();
         let mut ref_rng = SimRng::new(scenario.seed);
-        let reference = reference_run_exchange(
-            &mut ref_pinger,
-            &mut ref_echoer,
-            &mut ref_wire,
-            scenario.limits,
-            &mut ref_rng,
-        );
+        let (reference, ref_arrivals) = tapped(&mut ref_pinger, &mut ref_echoer, |a, b| {
+            reference_run_exchange(a, b, &mut ref_wire, scenario.limits, &mut ref_rng)
+        });
 
         let mut pinger = scenario.pinger.clone();
         let mut echoer = scenario.echoer.clone();
         let mut wire = scenario.wire.clone();
         let mut rng = SimRng::new(scenario.seed);
-        let outcome = run_exchange(
-            &mut pinger,
-            &mut echoer,
-            &mut wire,
-            scenario.limits,
-            &mut rng,
-        );
+        let (outcome, arrivals) = tapped(&mut pinger, &mut echoer, |a, b| {
+            run_exchange(a, b, &mut wire, scenario.limits, &mut rng)
+        });
 
-        assert_eq!(outcome.trace, reference.trace, "trace: {}", scenario.name);
+        assert_eq!(arrivals, ref_arrivals, "arrivals: {}", scenario.name);
+        assert_eq!(
+            (outcome.a_to_b, outcome.b_to_a, outcome.first_flight),
+            tally(&reference.trace),
+            "tally: {}",
+            scenario.name
+        );
         assert_eq!(
             outcome.finished_at, reference.finished_at,
             "finished_at: {}",
@@ -568,24 +694,21 @@ fn wrapper_equivalence_holds_across_many_seeds() {
 
         let mut ref_wire = wire.clone();
         let mut ref_rng = SimRng::new(seed.wrapping_mul(0x9E37));
-        let reference = reference_run_exchange(
-            &mut make_pinger(),
-            &mut make_echoer(),
-            &mut ref_wire,
-            ExchangeLimits::default(),
-            &mut ref_rng,
-        );
+        let (reference, ref_arrivals) = tapped(&mut make_pinger(), &mut make_echoer(), |a, b| {
+            reference_run_exchange(a, b, &mut ref_wire, ExchangeLimits::default(), &mut ref_rng)
+        });
 
         let mut rng = SimRng::new(seed.wrapping_mul(0x9E37));
-        let outcome = run_exchange(
-            &mut make_pinger(),
-            &mut make_echoer(),
-            &mut wire,
-            ExchangeLimits::default(),
-            &mut rng,
-        );
+        let (outcome, arrivals) = tapped(&mut make_pinger(), &mut make_echoer(), |a, b| {
+            run_exchange(a, b, &mut wire, ExchangeLimits::default(), &mut rng)
+        });
 
-        assert_eq!(outcome.trace, reference.trace, "seed {seed}");
+        assert_eq!(arrivals, ref_arrivals, "seed {seed}");
+        assert_eq!(
+            (outcome.a_to_b, outcome.b_to_a, outcome.first_flight),
+            tally(&reference.trace),
+            "seed {seed}"
+        );
         assert_eq!(outcome.finished_at, reference.finished_at, "seed {seed}");
         assert_eq!(outcome.quiesced, reference.quiesced, "seed {seed}");
         assert_eq!(rng.next_u64(), ref_rng.next_u64(), "seed {seed}");

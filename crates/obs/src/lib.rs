@@ -27,10 +27,11 @@
 //! time — the property the phase-duration histograms rely on.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A monotonically increasing event counter.
 ///
@@ -320,7 +321,7 @@ impl MetricsRegistry {
 
     fn register(&self, name: &str, labels: &[(&str, &str)], help: &str, make: Metric) -> Metric {
         let key = (name.to_string(), render_labels(labels));
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = inner.entry(key).or_insert_with(|| RegistryEntry {
             help: help.to_string(),
             metric: make,
@@ -413,7 +414,7 @@ impl MetricsRegistry {
     /// underflow bucket becomes the first `le`, the overflow lands in
     /// `le="+Inf"`), plus exact `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         let mut last_name: Option<&str> = None;
         for ((name, labels), entry) in inner.iter() {
@@ -470,7 +471,7 @@ impl MetricsRegistry {
     /// "bins"}` objects. Keys are sorted, so the output is deterministic
     /// for a given sequence of recorded values.
     pub fn render_json(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::from("{");
         for (i, ((name, labels), entry)) in inner.iter().enumerate() {
             if i > 0 {

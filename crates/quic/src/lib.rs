@@ -17,8 +17,8 @@
 //!   §4.3), and always-on Retry.
 //!
 //! Handshakes run over `quicert-netsim`'s event loop, one exchange to
-//! completion at a time; all measurements are taken from the wire trace,
-//! mirroring the paper's passive viewpoint.
+//! completion at a time; all byte counts are taken from the exchange's
+//! per-direction wire tally, mirroring the paper's passive viewpoint.
 //!
 //! ## The data path
 //!

@@ -115,12 +115,12 @@ fn a_handshake_stays_within_its_allocation_budget() {
          post-quantum {pq:.1} allocations / {pq_bytes:.0} B"
     );
     assert!(
-        classical <= 31.0,
+        classical <= 28.0,
         "classical handshake: {classical} allocations"
     );
     assert!(
-        classical_bytes <= 28_200.0,
+        classical_bytes <= 27_100.0,
         "classical handshake: {classical_bytes} bytes allocated"
     );
-    assert!(pq <= 55.5, "post-quantum handshake: {pq} allocations");
+    assert!(pq <= 51.5, "post-quantum handshake: {pq} allocations");
 }

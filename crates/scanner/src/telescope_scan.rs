@@ -1,20 +1,20 @@
-//! Telescope backscatter collection (§4.3, Fig 9).
+//! Backscatter sessions at a network telescope (§4.3, Fig 9).
 //!
 //! Spoofed handshakes are launched toward provider services with victim
-//! addresses inside a dark prefix; the telescope records every reflected
-//! datagram, and sessions are grouped by the server's source connection ID
-//! exactly as the paper does.
+//! addresses inside a dark prefix. Everything a server reflects reaches the
+//! telescope, and the paper groups it into sessions by the server's source
+//! connection ID; each probe draws its own, so one probe is one session,
+//! read straight off its [`SpoofedOutcome`](quicert_quic::SpoofedOutcome).
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use quicert_netsim::{Ipv4Net, SimDuration, Telescope};
+use quicert_netsim::{Ipv4Net, SimDuration};
 use quicert_pki::{CertificateEra, DomainRecord, Provider, World};
-use quicert_quic::handshake::{observe_backscatter, run_spoofed_probe};
+use quicert_quic::handshake::run_spoofed_probe;
 
 use crate::behavior::{server_config_for_era, wire_for};
 
-/// One backscatter session as reconstructed from telescope records.
+/// One backscatter session: what one spoofed probe reflected.
 #[derive(Debug, Clone)]
 pub struct BackscatterSession {
     /// The provider of the reflecting server.
@@ -37,8 +37,8 @@ pub const ASSUMED_INITIAL: usize = 1362;
 const WALK_CHUNK: usize = 256;
 
 /// Launch spoofed probes at up to `per_provider` services of each
-/// hypergiant — its first QUIC services in rank order — and reconstruct
-/// sessions from the telescope. The population is walked a chunk at a time
+/// hypergiant — its first QUIC services in rank order — and return their
+/// sessions, lowest factor first. The population is walked a chunk at a time
 /// and only until every hypergiant has its `per_provider` targets, so a
 /// million-domain world costs the few thousand ranks that hold them.
 pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<BackscatterSession> {
@@ -61,9 +61,9 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
         }
     }
 
-    // Probe provider-major, each hypergiant's targets in rank order.
-    let mut telescope = Telescope::new(dark);
-    let mut provider_of_scid: HashMap<Vec<u8>, Provider> = HashMap::new();
+    // Probe provider-major, each hypergiant's targets in rank order; every
+    // probe that reflected anything is one session.
+    let mut sessions: Vec<(Vec<u8>, BackscatterSession)> = Vec::new();
     for (provider, services) in hypergiants.into_iter().zip(&targets) {
         for (i, record) in services.iter().enumerate() {
             let Some(chain) = world.quic_chain_era(record, era) else {
@@ -79,49 +79,26 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
                 &mut wire_for(record),
                 record.seed,
             );
-            observe_backscatter(&mut telescope, victim, server_addr, &outcome);
-            provider_of_scid.insert(outcome.server_scid, provider);
+            if outcome.datagrams == 0 {
+                continue;
+            }
+            let session = BackscatterSession {
+                provider,
+                bytes: outcome.total_server_wire,
+                amplification: outcome.amplification(),
+                duration: outcome.duration,
+                datagrams: outcome.datagrams,
+            };
+            sessions.push((outcome.server_scid, session));
         }
     }
-
-    // Group telescope records by SCID — the paper's session definition.
-    let mut sessions: HashMap<Vec<u8>, BackscatterSession> = HashMap::new();
-    let mut first_last: HashMap<Vec<u8>, (quicert_netsim::SimTime, quicert_netsim::SimTime)> =
-        HashMap::new();
-    for record in telescope.records() {
-        let Some(scid) = record.scid.clone() else {
-            continue;
-        };
-        let provider = *provider_of_scid.get(&scid).unwrap_or(&Provider::SelfHosted);
-        let entry = sessions.entry(scid.clone()).or_insert(BackscatterSession {
-            provider,
-            bytes: 0,
-            amplification: 0.0,
-            duration: SimDuration::ZERO,
-            datagrams: 0,
-        });
-        entry.bytes += record.payload_len;
-        entry.datagrams += 1;
-        let window = first_last.entry(scid).or_insert((record.at, record.at));
-        window.0 = window.0.min(record.at);
-        window.1 = window.1.max(record.at);
-    }
-    let mut out: Vec<(Vec<u8>, BackscatterSession)> = sessions
-        .into_iter()
-        .map(|(scid, mut s)| {
-            s.amplification = s.bytes as f64 / ASSUMED_INITIAL as f64;
-            s.duration = first_last[&scid].1.since(first_last[&scid].0);
-            (scid, s)
-        })
-        .collect();
-    // Tie-break equal factors by SCID: HashMap iteration order must never
-    // leak into the session order (artifacts are bit-reproducible).
-    out.sort_by(|(scid_a, a), (scid_b, b)| {
+    // By factor, equal factors by the SCID that keys a session.
+    sessions.sort_by(|(scid_a, a), (scid_b, b)| {
         a.amplification
             .total_cmp(&b.amplification)
             .then_with(|| scid_a.cmp(scid_b))
     });
-    out.into_iter().map(|(_, s)| s).collect()
+    sessions.into_iter().map(|(_, s)| s).collect()
 }
 
 /// Convenience: the default dark /8 used by the experiments.

@@ -19,8 +19,6 @@
 //! A minimal reader ([`DerReader`], [`parse_one`]) parses the same subset
 //! back, for tests and the parser corpus.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 /// ASN.1 universal tag numbers (with constructed bit where conventional).
 pub mod tag {
     /// BOOLEAN

@@ -17,6 +17,8 @@
 //! A minimal DER *reader* is included so tests can property-check that the
 //! encoder emits well-formed, round-trippable TLV structures.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod alg;
 pub mod cert;
 pub mod chain;

@@ -70,7 +70,7 @@ impl Time {
 
     /// Format as `YYMMDDHHMMSSZ`.
     pub fn to_utc_string(self) -> String {
-        String::from_utf8(self.utc_octets().to_vec()).expect("ASCII digits")
+        String::from_utf8_lossy(&self.utc_octets()).into_owned()
     }
 
     /// Append the UTCTime encoding to `w`.
