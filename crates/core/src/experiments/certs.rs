@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_pki::ChainId;
+use quicert_quic::amplification;
 use quicert_scanner::https_scan::HttpsObservation;
 use quicert_x509::{FieldSizes, KeyAlgorithm};
 
@@ -11,7 +12,7 @@ use crate::Campaign;
 
 /// The common amplification limit used as a reference line: 3 × 1357
 /// (Firefox's Initial).
-pub const LIMIT_3X_1357: usize = 3 * 1357;
+pub const LIMIT_3X_1357: usize = amplification::limit(1357);
 
 // ---------------------------------------------------------------- Fig 2b --
 

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_compress::Algorithm;
+use quicert_quic::amplification;
 use quicert_scanner::compression::AlgorithmSupport;
 use quicert_tls::browser::{all_profiles, BrowserProfile};
 
@@ -107,11 +108,8 @@ pub fn compression_study(
     let results = campaign
         .engine()
         .compression_study(campaign.scenario().era, algorithm, stride);
-    let limit = (3 * 1357) as f64;
-    let under = results
-        .iter()
-        .filter(|r| (r.compressed as f64) <= limit)
-        .count();
+    let limit = amplification::limit(1357);
+    let under = results.iter().filter(|r| r.compressed <= limit).count();
     CompressionStudy {
         ratios: Cdf::new(results.iter().map(|r| r.ratio()).collect()),
         compressed_sizes: Cdf::new(results.iter().map(|r| r.compressed as f64).collect()),

@@ -18,6 +18,7 @@ use quicert_compress::Algorithm;
 use quicert_netsim::{FaultInjector, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
 use quicert_pki::CertificateEra;
+use quicert_quic::amplification::FACTOR;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_quic::{run_handshake, ClientConfig, ServerBehavior, ServerConfig};
 use quicert_x509::{CertificateChain, KeyAlgorithm};
@@ -170,7 +171,7 @@ pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
         }
         result.multi_rtt_before += 1;
         // The "cache": the flight size observed during the first contact.
-        let needed = first.wire_received.div_ceil(3) + 16;
+        let needed = first.wire_received.div_ceil(FACTOR) + 16;
         let adapted = needed.clamp(1200, 1472);
         if needed > 1472 {
             result.unfixable += 1;

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_netsim::NetworkProfile;
+use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::quicreach::{self, QuicReachResult, ScanSummary};
 
@@ -113,7 +114,7 @@ pub fn fig5(campaign: &Campaign) -> Fig5 {
     handshakes.sort_by_key(|(_, wire)| *wire);
     Fig5 {
         handshakes,
-        limit: 3 * campaign.scenario().initial_size,
+        limit: amplification::limit(campaign.scenario().initial_size),
     }
 }
 

@@ -17,14 +17,12 @@ use quicert_analysis::{mean, median, render_table, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, DomainRecord};
+use quicert_quic::amplification::{self, FACTOR};
 use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::compression::in_study_sample;
 use quicert_scanner::quicreach::{self, QuicReachResult, ScanSummary};
 
 use crate::Campaign;
-
-/// Tolerance on the 3× amplification factor (float comparison only).
-const BUDGET_EPS: f64 = 1e-9;
 
 /// One cell of the era × profile scenario matrix.
 #[derive(Debug, Clone)]
@@ -65,7 +63,8 @@ fn row_from(
         debug_assert_eq!(base.rank, now.rank);
         if now.class != HandshakeClass::Unreachable {
             rtts.push(now.rtt_count as f64);
-            if now.amplification > 3.0 + BUDGET_EPS {
+            // A ratio of two integers, correctly rounded: exact against 3.
+            if now.amplification > FACTOR as f64 {
                 budget_violations += 1;
             }
         }
@@ -264,7 +263,7 @@ pub struct EraCompression {
 /// Compress the sampled chain population once per era with the brotli
 /// profile (the only one shipping a certificate dictionary).
 pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCompression> {
-    let limit = 3 * campaign.scenario().initial_size;
+    let limit = amplification::limit(campaign.scenario().initial_size);
     let world = campaign.world();
     // The coverage sample: the study sample's first chains, derived by
     // walking the sampled ranks.

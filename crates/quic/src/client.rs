@@ -19,6 +19,9 @@ use crate::frame::FrameRef;
 use crate::packet::{parse_datagram_ref, ConnectionId, Header, PacketType, QUIC_MIN_INITIAL_SIZE};
 use crate::reassembly::{handshake_messages, CryptoStream};
 
+/// Probe timeout of the first Initial; a retransmitted one waits twice as long.
+const PTO: SimDuration = SimDuration::from_secs(1);
+
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -39,8 +42,6 @@ pub struct ClientConfig {
     /// Retransmit the Initial this many times in total when nothing is
     /// heard back (models scanner retries; 1 = one shot).
     pub max_initial_transmissions: u32,
-    /// Probe timeout before retransmitting the Initial.
-    pub pto: SimDuration,
     /// Session-ticket offer for a resumed handshake. `None` (the default)
     /// sends the classic cold ClientHello byte-for-byte.
     pub psk: Option<PskOffer>,
@@ -59,7 +60,6 @@ impl ClientConfig {
             dst,
             send_acks: true,
             max_initial_transmissions: 2,
-            pto: SimDuration::from_secs(1),
             psk: None,
             seed,
         }
@@ -101,8 +101,6 @@ pub struct ClientConn {
     pub saw_retry: bool,
     /// UDP payload bytes of the first Initial datagram sent.
     pub first_datagram_len: usize,
-    /// Total UDP payload bytes sent.
-    pub wire_sent: usize,
     transmissions: u32,
     pto_deadline: Option<SimTime>,
 }
@@ -134,7 +132,6 @@ impl ClientConn {
             ticket: None,
             saw_retry: false,
             first_datagram_len: 0,
-            wire_sent: 0,
             transmissions: 0,
             pto_deadline: None,
         }
@@ -184,7 +181,6 @@ impl ClientConn {
     }
 
     fn send(&mut self, payload: Vec<u8>, out: &mut Vec<Datagram>) {
-        self.wire_sent += payload.len();
         if self.first_datagram_len == 0 {
             self.first_datagram_len = payload.len();
         }
@@ -323,7 +319,7 @@ impl Endpoint for ClientConn {
         self.transmissions = 1;
         // A timer that may not retransmit would only fire into the void.
         if self.config.max_initial_transmissions > 1 {
-            self.pto_deadline = Some(now + self.config.pto);
+            self.pto_deadline = Some(now + PTO);
         }
         self.send(dgram, out);
     }
@@ -398,7 +394,7 @@ impl Endpoint for ClientConn {
         if self.transmissions < self.config.max_initial_transmissions {
             self.transmissions += 1;
             let dgram = self.initial_datagram();
-            self.pto_deadline = Some(now + self.config.pto.saturating_mul(2));
+            self.pto_deadline = Some(now + PTO.saturating_mul(2));
             self.send(dgram, out);
         }
     }

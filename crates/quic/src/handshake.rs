@@ -13,6 +13,7 @@ use quicert_obs::HandshakeTimeline;
 use quicert_session::{SessionCache, SessionTicket};
 use quicert_tls::PskOffer;
 
+use crate::amplification;
 use crate::client::{ClientConfig, ClientConn};
 use crate::server::{ServerConfig, ServerConn, ServerStats};
 
@@ -91,14 +92,15 @@ pub struct HandshakeOutcome {
     pub first_flight_wire: usize,
     /// Total server UDP payload bytes over the whole exchange.
     pub total_server_wire: usize,
-    /// Total client UDP payload bytes.
-    pub total_client_wire: usize,
+    /// The server's own account of the 3× rule: the most bytes it was ever
+    /// past the limit of what it had received before validation
+    /// ([`AmplificationBudget::excess`](crate::AmplificationBudget::excess)).
+    /// Unlike the first-flight cut, duplication on the wire cannot hide it.
+    pub amplification_excess: usize,
     /// Round trips until the client finished the handshake (1 = optimal).
     pub rtt_count: u32,
     /// Server-side byte accounting (TLS vs padding split, Fig 5).
     pub server_stats: ServerStats,
-    /// When the client completed, if it did.
-    pub completed_at: Option<SimTime>,
     /// Datagrams removed by the wire's fault injectors during this attempt
     /// (both directions) — the per-session view of adverse link conditions.
     pub fault_drops: u64,
@@ -120,8 +122,9 @@ pub struct HandshakeOutcome {
     /// its wall clock.
     pub ticket: Option<SessionTicket>,
     /// Per-phase timestamps of the handshake (Initial sent, amplification
-    /// stall begin/end, certificate flight complete, done), feeding the
-    /// phase-duration histograms of the telemetry layer.
+    /// stall begin/end, certificate flight complete, done — when the client
+    /// completed, if it did), feeding the phase-duration histograms of the
+    /// telemetry layer.
     pub timeline: HandshakeTimeline,
     /// Endpoint timers (PTOs) that fired during the attempt. On a wire that
     /// draws no randomness, zero means every event of the exchange was a
@@ -143,7 +146,7 @@ impl HandshakeOutcome {
 
     /// Whether the first flight exceeded the RFC 9000 3× limit.
     pub fn exceeds_limit(&self) -> bool {
-        self.first_flight_wire > 3 * self.client_first_datagram
+        self.first_flight_wire > amplification::limit(self.client_first_datagram)
     }
 
     /// Classify per §3.2.
@@ -181,10 +184,11 @@ fn extract_handshake_outcome(
 
     // Every exchange starts its own virtual timeline at zero, so the
     // timeline's offsets are simply the endpoints' SimTime stamps.
+    let (stall_begin, stall_end) = server.amplification().stall();
     let timeline = HandshakeTimeline {
         initial_sent_ns: 0,
-        stall_begin_ns: server.stall_began_at().map(|t| t.as_nanos()),
-        stall_end_ns: server.stall_ended_at().map(|t| t.as_nanos()),
+        stall_begin_ns: stall_begin.map(|t| t.as_nanos()),
+        stall_end_ns: stall_end.map(|t| t.as_nanos()),
         cert_flight_ns: client.cert_flight_at.map(|t| t.as_nanos()),
         done_ns: client.completed_at.map(|t| t.as_nanos()),
     };
@@ -195,10 +199,9 @@ fn extract_handshake_outcome(
         client_first_datagram: client.first_datagram_len,
         first_flight_wire: outcome.first_flight,
         total_server_wire: outcome.b_to_a.bytes,
-        total_client_wire: outcome.a_to_b.bytes,
+        amplification_excess: server.amplification().excess(),
         rtt_count,
         server_stats: *server.stats(),
-        completed_at: client.completed_at,
         timeline,
         timer_fires: outcome.timer_fires,
         deliveries: outcome.a_to_b.delivered + outcome.b_to_a.delivered,
@@ -345,13 +348,6 @@ pub struct SpoofedOutcome {
     pub server_scid: Vec<u8>,
     /// Number of flight transmissions the server performed.
     pub flight_transmissions: u32,
-    /// Datagrams removed by the wire's fault injectors during the probe.
-    pub fault_drops: u64,
-    /// Datagrams corrupted by the wire's fault injectors during the probe.
-    pub fault_corruptions: u64,
-    /// Datagrams delivered twice by the wire's fault injectors during the
-    /// probe.
-    pub fault_duplications: u64,
 }
 
 impl SpoofedOutcome {
@@ -392,9 +388,6 @@ pub fn run_spoofed_probe(
             .map_or(SimDuration::ZERO, |(first, last)| last.since(first)),
         server_scid: server.scid().as_bytes().to_vec(),
         flight_transmissions: server.stats().flight_transmissions,
-        fault_drops: outcome.fault_drops,
-        fault_corruptions: outcome.fault_corruptions,
-        fault_duplications: outcome.fault_duplications,
     }
 }
 
@@ -572,7 +565,7 @@ mod tests {
             1,
         );
         assert!(out.completed);
-        assert_eq!(out.rtt_count, 1, "completed at {:?}", out.completed_at);
+        assert_eq!(out.rtt_count, 1, "completed at {:?}", out.timeline.done_ns);
         assert!(
             !out.exceeds_limit(),
             "ampl {}",
@@ -711,11 +704,6 @@ mod tests {
         let phases = out.timeline.phases().expect("completed handshake");
         let sum: u64 = phases.iter().map(|(_, d)| d).sum();
         assert_eq!(Some(sum), out.timeline.total_ns(), "phases sum to total");
-        assert_eq!(
-            out.timeline.done_ns,
-            out.completed_at.map(|t| t.as_nanos()),
-            "timeline end is the completion instant"
-        );
         assert!(out.timeline.stall_begin_ns.is_some(), "big chain stalls");
         assert!(
             phases[Phase::AmplificationStall.index()].1 > 0,
@@ -959,9 +947,10 @@ mod tests {
 
     #[test]
     fn resend_bytes_charge_the_budget_exactly_when_count_resends_is_set() {
+        use crate::amplification::limit;
         // Fire every PTO to exhaustion with no client response.
         let drain = |mut server: ServerConn| {
-            let first_charged = server.stats().charged;
+            let first_charged = server.amplification().charged();
             let mut sink = Vec::new();
             while let Some(deadline) = server.next_timer() {
                 server.on_timer(deadline, &mut sink);
@@ -974,14 +963,16 @@ mod tests {
         let (_, server_rfc) = {
             let (probe_len, srv) = primed_pair(ServerBehavior::rfc_compliant(), 12);
             let (first, srv) = drain(srv);
+            let account = srv.amplification();
             assert!(first > 0);
             assert!(
-                srv.stats().charged <= 3 * probe_len,
+                account.charged() <= limit(probe_len),
                 "charged {} must respect 3x{probe_len}",
-                srv.stats().charged
+                account.charged()
             );
+            assert_eq!(account.excess(), 0, "every byte charged, none past 3x");
             assert!(
-                srv.stall_began_at().is_some(),
+                account.stall().0.is_some(),
                 "charged resends must hit the amplification stall"
             );
             (first, srv)
@@ -992,25 +983,23 @@ mod tests {
         // budget meter never moves past the first transmission.
         let (probe_len, srv) = primed_pair(ServerBehavior::mvfst_like(5), 12);
         let (first, srv) = drain(srv);
+        let account = srv.amplification();
         assert_eq!(
-            srv.stats().charged,
+            account.charged(),
             first,
             "uncharged resends must not move the budget meter"
         );
         assert_eq!(srv.stats().flight_transmissions, 5);
         assert!(
-            srv.stats().wire_sent >= 4 * first,
-            "all five flights reach the wire ({} vs first {first})",
-            srv.stats().wire_sent
+            account.excess() + limit(probe_len) >= 4 * first,
+            "all five flights reach the wire ({} past 3x{probe_len} vs first {first})",
+            account.excess()
         );
         assert!(
-            srv.stats().charged <= 3 * probe_len,
+            account.charged() <= limit(probe_len),
             "the meter itself still respects 3x"
         );
-        assert!(
-            srv.stall_began_at().is_none(),
-            "uncharged resends never stall"
-        );
+        assert_eq!(account.stall().0, None, "uncharged resends never stall");
     }
 
     #[test]
@@ -1043,5 +1032,8 @@ mod tests {
         assert_eq!(out.first_flight_wire, 0);
         assert!(out.total_server_wire >= clean.first_flight_wire);
         assert_eq!(out.classify(), HandshakeClass::OneRtt);
+        // The server's own account is not fooled: it sent past 3x.
+        assert!(out.amplification_excess > 0);
+        assert_eq!(out.amplification_excess, clean.amplification_excess);
     }
 }

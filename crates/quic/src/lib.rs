@@ -7,7 +7,10 @@
 //!   (Initial / Handshake / Retry), CRYPTO / ACK / PADDING frames, datagram
 //!   coalescing, and the padding rules of RFC 9000 §14.1;
 //! * anti-amplification accounting with the full *historical* policy set of
-//!   the paper's Table 3 ([`LimitPolicy`]), not just the final 3× rule;
+//!   the paper's Table 3 ([`LimitPolicy`]), not just the final 3× rule
+//!   ([`amplification::limit`]), on one server-side account
+//!   ([`AmplificationBudget`]) that also keeps, always, how far the server
+//!   went past 3× before validation — the excess buggy accounting causes;
 //! * a client state machine ([`ClientConn`]) modelling a scanner or browser
 //!   with a configurable Initial size; and
 //! * a server state machine ([`ServerConn`]) whose [`ServerBehavior`]

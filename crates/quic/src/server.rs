@@ -40,14 +40,12 @@ use crate::reassembly::{handshake_messages, CryptoStream};
 pub struct ServerBehavior {
     /// Profile name for reports.
     pub name: &'static str,
-    /// Coalesce Initial and Handshake packets into shared datagrams.
+    /// Coalesce Initial and Handshake packets into shared datagrams. A
+    /// server that does not also sends an immediate ACK-only Initial before
+    /// the ServerHello (the Cloudflare latency optimisation of Appendix B),
+    /// each alone in a datagram padded to [`Self::MAX_UDP_PAYLOAD`] although
+    /// an ACK-only Initial needs no padding.
     pub coalesce: bool,
-    /// Send an immediate ACK-only Initial in its own padded datagram before
-    /// the ServerHello (the Cloudflare latency optimisation of Appendix B).
-    pub separate_ack_datagram: bool,
-    /// Padding target for the separate ACK datagram (Cloudflare pads it
-    /// although ACK-only Initials need no padding).
-    pub ack_pad_target: usize,
     /// Whether PADDING bytes are charged against the amplification budget.
     pub count_padding: bool,
     /// Whether retransmissions are charged against the amplification budget.
@@ -62,8 +60,6 @@ pub struct ServerBehavior {
     pub pto: SimDuration,
     /// Demand address validation with a Retry before answering.
     pub retry_first: bool,
-    /// Largest UDP payload the server will emit.
-    pub max_udp_payload: usize,
 }
 
 impl ServerBehavior {
@@ -74,20 +70,20 @@ impl ServerBehavior {
     /// `saturating_mul`, toward the 584-year saturation point).
     pub const MAX_PTO: SimDuration = SimDuration::from_secs(8);
 
+    /// Largest UDP payload a server emits.
+    pub const MAX_UDP_PAYLOAD: usize = 1252;
+
     /// A fully RFC 9000/9002-compliant server.
     pub fn rfc_compliant() -> Self {
         ServerBehavior {
             name: "rfc-compliant",
             coalesce: true,
-            separate_ack_datagram: false,
-            ack_pad_target: 0,
             count_padding: true,
             count_resends: true,
             limit_policy: LimitPolicy::RFC9000,
             max_transmissions: 3,
             pto: SimDuration::from_millis(500),
             retry_first: false,
-            max_udp_payload: 1252,
         }
     }
 
@@ -98,15 +94,12 @@ impl ServerBehavior {
         ServerBehavior {
             name: "cloudflare-like",
             coalesce: false,
-            separate_ack_datagram: true,
-            ack_pad_target: 1252,
             count_padding: false,
             count_resends: true,
             limit_policy: LimitPolicy::RFC9000,
             max_transmissions: 3,
             pto: SimDuration::from_millis(500),
             retry_first: false,
-            max_udp_payload: 1252,
         }
     }
 
@@ -118,15 +111,12 @@ impl ServerBehavior {
         ServerBehavior {
             name: "mvfst-like",
             coalesce: true,
-            separate_ack_datagram: false,
-            ack_pad_target: 0,
             count_padding: true,
             count_resends: false,
             limit_policy: LimitPolicy::RFC9000,
             max_transmissions: transmissions,
             pto: SimDuration::from_millis(350),
             retry_first: false,
-            max_udp_payload: 1252,
         }
     }
 
@@ -161,32 +151,19 @@ pub struct ServerConfig {
     pub seed: u64,
 }
 
-/// Byte-accounting statistics exported after a handshake.
+/// Byte-accounting statistics exported after a handshake; the bytes sent
+/// against the 3× limit are on [`ServerConn::amplification`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerStats {
-    /// Total UDP payload bytes handed to the wire.
-    pub wire_sent: usize,
     /// CRYPTO frame data bytes sent (TLS payload), including resends.
     pub tls_sent: usize,
     /// PADDING frame bytes sent.
     pub padding_sent: usize,
-    /// Datagrams sent.
-    pub datagrams_sent: usize,
     /// Number of transmissions of the handshake flight (1 = no resend).
     pub flight_transmissions: u32,
-    /// Bytes charged against the amplification budget.
-    pub charged: usize,
-    /// Whether a Retry was sent.
-    pub sent_retry: bool,
-    /// Compression algorithm applied to the certificate message, if any.
-    pub compression_used: Option<Algorithm>,
     /// Encoded certificate message length as sent (0 on a resumed flight:
     /// no certificate goes on the wire at all).
     pub certificate_message_len: usize,
-    /// Certificate message length before compression.
-    pub uncompressed_certificate_len: usize,
-    /// Whether the flight was a resumed (PSK) one.
-    pub resumed: bool,
     /// Whether a NewSessionTicket was issued after completion.
     pub issued_ticket: bool,
 }
@@ -235,9 +212,9 @@ struct ReplyPath {
 /// The handshake flight exists once, as the two CRYPTO buffers TLS wrote,
 /// plus a *datagram plan* saying which byte range travels in which packet
 /// of which datagram. Sending sizes a planned datagram arithmetically,
-/// checks the amplification budget, and only then serialises it — straight
-/// into the buffer that goes on the wire. A retransmission is the same
-/// plan under fresh packet numbers.
+/// passes it through the amplification account, and only then serialises
+/// it — straight into the buffer that goes on the wire. A retransmission
+/// is the same plan under fresh packet numbers.
 #[derive(Debug)]
 pub struct ServerConn {
     config: ServerConfig,
@@ -271,10 +248,6 @@ pub struct ServerConn {
     pto_deadline: Option<SimTime>,
     current_pto: SimDuration,
     stats: ServerStats,
-    /// When the send queue first blocked on the anti-amplification budget.
-    stall_began_at: Option<SimTime>,
-    /// When the first datagram left after a stall had begun.
-    stall_ended_at: Option<SimTime>,
 }
 
 impl ServerConn {
@@ -309,8 +282,6 @@ impl ServerConn {
             pto_deadline: None,
             current_pto,
             stats: ServerStats::default(),
-            stall_began_at: None,
-            stall_ended_at: None,
         }
     }
 
@@ -325,16 +296,10 @@ impl ServerConn {
         self.current_pto
     }
 
-    /// When the send queue first blocked on the anti-amplification budget,
-    /// if it ever did — the amplification-stall phase begins here.
-    pub fn stall_began_at(&self) -> Option<SimTime> {
-        self.stall_began_at
-    }
-
-    /// When sending resumed after a stall had begun, if it did — the
-    /// amplification-stall phase ends here.
-    pub fn stall_ended_at(&self) -> Option<SimTime> {
-        self.stall_ended_at
+    /// The anti-amplification account: what was charged and sent before
+    /// validation, the stall, and the excess over the 3× limit.
+    pub fn amplification(&self) -> &AmplificationBudget {
+        &self.budget
     }
 
     /// Whether the handshake completed from the server's perspective.
@@ -443,35 +408,21 @@ impl ServerConn {
         let flight = if self.accepts_psk(ch) {
             // Resumed: ServerHello(+pre_shared_key), EE, Finished — the
             // certificate chain never touches the wire.
-            self.stats.resumed = true;
             ServerFlight::build_resumed(self.config.seed)
         } else {
-            let compression = self.negotiate_compression(ch);
-            let flight = ServerFlight::build(&ServerFlightParams {
+            ServerFlight::build(&ServerFlightParams {
                 chain: &self.config.chain,
                 leaf_key: self.config.leaf_key,
-                compression,
+                compression: self.negotiate_compression(ch),
                 seed: self.config.seed,
-            });
-            self.stats.compression_used = if flight.is_compressed() {
-                compression
-            } else {
-                None
-            };
-            flight
+            })
         };
         self.stats.certificate_message_len = flight.certificate_message_len;
-        self.stats.uncompressed_certificate_len = flight.uncompressed_certificate_len;
         self.initial_crypto = flight.initial_crypto;
         self.handshake_crypto = flight.handshake_crypto;
 
-        let ServerBehavior {
-            coalesce,
-            separate_ack_datagram,
-            ack_pad_target,
-            max_udp_payload: max_udp,
-            ..
-        } = self.config.behavior;
+        let coalesce = self.config.behavior.coalesce;
+        let max_udp = ServerBehavior::MAX_UDP_PAYLOAD;
         let hs_len = self.handshake_crypto.len();
         let hs_overhead = overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
         let expected = hs_len / max_udp.saturating_sub(hs_overhead).max(1) + 3;
@@ -481,16 +432,13 @@ impl ServerConn {
 
         let ack = Some(self.largest_client_initial_pn.unwrap_or(0));
         let server_hello = Some((0, self.initial_crypto.len()));
-        // Either an ACK-only Initial and a ServerHello Initial, each alone
-        // in a datagram padded to the deployment's target (the ACK although
-        // it needs no padding), or both frames in one Initial packet.
-        let initials: &[_] = if separate_ack_datagram {
-            &[
-                (ack, None, ack_pad_target),
-                (None, server_hello, ack_pad_target),
-            ]
-        } else {
+        // Either both frames in one Initial packet, or an ACK-only Initial
+        // and a ServerHello Initial, each alone in a datagram padded to the
+        // largest payload (the ACK although it needs no padding).
+        let initials: &[_] = if coalesce {
             &[(ack, server_hello, QUIC_MIN_INITIAL_SIZE)]
+        } else {
+            &[(ack, None, max_udp), (None, server_hello, max_udp)]
         };
         // Wire bytes planned into the last datagram so far.
         let mut used = 0;
@@ -579,14 +527,8 @@ impl ServerConn {
             if is_resend && !self.config.behavior.count_resends {
                 charged = 0;
             }
-            if !self.budget.allows(charged, count) {
-                if self.stall_began_at.is_none() {
-                    self.stall_began_at = Some(now);
-                }
+            if !self.budget.send(now, wire_len, charged, count) {
                 break;
-            }
-            if self.stall_began_at.is_some() && self.stall_ended_at.is_none() {
-                self.stall_ended_at = Some(now);
             }
             // Padding goes inside the last packet's AEAD envelope.
             let mut wire = Vec::with_capacity(wire_len);
@@ -600,12 +542,8 @@ impl ServerConn {
                 .filter_map(|p| p.crypto.map(|(start, end)| end - start))
                 .sum();
             self.queue.pop_front();
-            self.budget.charge(charged, count);
-            self.stats.charged += charged;
-            self.stats.wire_sent += wire_len;
             self.stats.padding_sent += padding;
             self.stats.tls_sent += tls;
-            self.stats.datagrams_sent += 1;
             out.push(reply.datagram(wire));
         }
         // Arm the retransmission timer while unacknowledged data is out.
@@ -715,11 +653,8 @@ impl Endpoint for ServerConn {
                             };
                             let mut wire = Vec::with_capacity(retry.encoded_len([]));
                             retry.encode_into(&mut wire, [], 0);
-                            self.budget.charge(wire.len(), 1);
-                            self.stats.charged += wire.len();
-                            self.stats.wire_sent += wire.len();
-                            self.stats.datagrams_sent += 1;
-                            self.stats.sent_retry = true;
+                            let sent = self.budget.send(now, wire.len(), wire.len(), 1);
+                            debug_assert!(sent, "no policy refuses a first small datagram");
                             self.retry_sent = true;
                             out.push(reply.datagram(wire));
                             continue;
@@ -830,7 +765,7 @@ mod tests {
         let mv = ServerBehavior::mvfst_like(8);
         let retry = ServerBehavior::retry_first();
         assert!(rfc.coalesce && rfc.count_padding && rfc.count_resends && !rfc.retry_first);
-        assert!(!cf.coalesce && cf.separate_ack_datagram && !cf.count_padding);
+        assert!(!cf.coalesce && !cf.count_padding);
         assert!(!mv.count_resends && mv.max_transmissions == 8);
         assert!(retry.retry_first);
     }

@@ -93,8 +93,7 @@ fn meta_server_config(
             MetaService::None => 1,
         }
     };
-    let mut behavior = ServerBehavior::mvfst_like(transmissions);
-    behavior.pto = SimDuration::from_millis(350);
+    let behavior = ServerBehavior::mvfst_like(transmissions);
     // Individual PoP hosts serve slightly different certificate bundles
     // (extra SAN entries); `variation` models that spread and produces the
     // Fig 11 confidence intervals.

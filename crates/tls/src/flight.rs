@@ -114,11 +114,6 @@ impl ServerFlight {
         self.initial_crypto.len() + self.handshake_crypto.len()
     }
 
-    /// Whether the certificate message ended up compressed.
-    pub fn is_compressed(&self) -> bool {
-        self.certificate_message_len < self.uncompressed_certificate_len
-    }
-
     /// Achieved compression ratio of the certificate message
     /// (compressed/uncompressed; 1.0 when uncompressed or when the flight
     /// carries no certificate at all — the resumed case).
@@ -185,7 +180,6 @@ mod tests {
             flight.total_tls_len(),
             flight.initial_crypto.len() + flight.handshake_crypto.len()
         );
-        assert!(!flight.is_compressed());
         assert_eq!(flight.compression_ratio(), 1.0);
     }
 
@@ -199,7 +193,6 @@ mod tests {
                 compressed.handshake_crypto.len() < plain.handshake_crypto.len(),
                 "{alg} must shrink the flight"
             );
-            assert!(compressed.is_compressed());
             assert!(compressed.compression_ratio() < 1.0);
         }
     }

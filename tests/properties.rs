@@ -373,7 +373,7 @@ mod simnet_properties {
         SimRng, SimTime, Wire,
     };
     use quicert::pki::{CertificateEra, DomainRecord, World, WorldConfig};
-    use quicert::quic::{run_handshake, ClientConfig};
+    use quicert::quic::{run_handshake, ClientConfig, LimitPolicy};
     use quicert::scanner::behavior::{server_config_for_era, wire_for_profile};
     use quicert::scanner::{quicreach, Scenario};
     use std::net::Ipv4Addr;
@@ -467,7 +467,10 @@ mod simnet_properties {
         // dropping, duplicating or corrupting every one of them — a probe
         // returns, inside the handshake deadline, with a bounded number of
         // client transmissions and a timeline that accounts for every
-        // nanosecond of a completed handshake.
+        // nanosecond of a completed handshake; and a server that charges
+        // every byte under the RFC 9000 policy never sends past 3x before
+        // validation. Mutation-checked: a byte policy that allows
+        // `limit(r) + r` fails the last assertion.
         #[test]
         fn every_handshake_terminates_inside_its_limits_under_any_fault_plan(
             drop_per_mille in 0u16..1001,
@@ -495,6 +498,10 @@ mod simnet_properties {
                 let era = CertificateEra::Classical;
                 let chain = world.quic_chain_era(&record, era).expect("a QUIC chain");
                 let server = server_config_for_era(world, &record, chain, era);
+                let behavior = &server.behavior;
+                let charges_every_byte = behavior.count_padding
+                    && behavior.count_resends
+                    && behavior.limit_policy == LimitPolicy::RFC9000;
                 let mut wire = wire_for_profile(&record, profile);
                 plan.apply(&mut wire);
                 let out = run_handshake(client, server, &mut wire, seed);
@@ -502,13 +509,15 @@ mod simnet_properties {
                 prop_assert_eq!(out.client_transmissions, result.client_transmissions);
 
                 prop_assert!((1..=max_transmissions).contains(&out.client_transmissions));
-                prop_assert_eq!(out.completed, out.completed_at.is_some());
-                if let Some(at) = out.completed_at {
-                    prop_assert!(at <= SimTime::ZERO + HANDSHAKE_DEADLINE);
+                prop_assert_eq!(out.completed, out.timeline.done_ns.is_some());
+                if let Some(done_ns) = out.timeline.done_ns {
+                    prop_assert!(done_ns <= HANDSHAKE_DEADLINE.as_nanos());
                     let phases = out.timeline.phases().expect("completed handshake");
                     let sum: u64 = phases.iter().map(|(_, ns)| ns).sum();
-                    prop_assert_eq!(out.timeline.done_ns, Some(at.as_nanos()));
-                    prop_assert_eq!(sum, at.as_nanos());
+                    prop_assert_eq!(sum, done_ns);
+                }
+                if charges_every_byte {
+                    prop_assert_eq!(out.amplification_excess, 0);
                 }
             }
         }
