@@ -22,7 +22,10 @@
 //! few-kilobyte summary per worker, and *collecting* folds
 //! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
 //! each claim's per-record rows with the claim's first rank and sort and
-//! flatten them once the pump is done.
+//! flatten them once the pump is done. A family that reads nothing but QUIC
+//! services (quicreach, warm, QScanner, compression support) derives only
+//! those ([`World::quic_chunk_into`]); the doors, the HTTPS funnel and the
+//! compression study derive every rank.
 //!
 //! The results are **bit-for-bit identical at any worker count and any
 //! claim size** because every probe draws its randomness from a `SimRng`
@@ -147,7 +150,8 @@ fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct WorkerPumpStats {
     /// Chunks this worker claimed off the shared cursor.
     pub chunks_claimed: u64,
-    /// Records this worker generated and folded.
+    /// Ranks this worker's claims covered, clipped to the population —
+    /// whether the pass derived every one or only its QUIC services.
     pub records_folded: u64,
     /// Wall-clock seconds spent generating and folding its chunks
     /// (excludes idle time waiting on the scope join).
@@ -203,6 +207,12 @@ impl PumpStats {
             .fold(0.0, f64::max)
     }
 }
+
+/// How a pump derives the records of a claim: [`World::domain_chunk_into`]
+/// (every rank) or, for a family that reads nothing but QUIC services,
+/// [`World::quic_chunk_into`] — which never builds the ≈79% of records such
+/// a fold would skip.
+type Derive = fn(&World, usize, usize, &mut Vec<DomainRecord>);
 
 /// What a pump's workers claim off the shared cursor.
 #[derive(Clone, Copy)]
@@ -444,7 +454,9 @@ impl ScanEngine {
     pub fn https_scan(&self) -> Arc<HttpsScanReport> {
         self.https.get_or_compute((), || {
             let observe = |r: &DomainRecord| (r.dns, https_scan::observe(&self.world, r));
-            let rows = self.collect(None, |records, _| records.iter().map(observe).collect());
+            let rows = self.collect(None, World::domain_chunk_into, |records, _| {
+                records.iter().map(observe).collect()
+            });
             https_scan::collate(rows)
         })
     }
@@ -458,13 +470,17 @@ impl ScanEngine {
     pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {
-            let results = self.collect(Some(scenario), |records, scratch| {
-                let mut rows = Vec::new();
-                quicreach::scan_chunk(&self.world, records, scenario, scratch, |row| {
-                    rows.push(row)
-                });
-                rows
-            });
+            let results = self.collect(
+                Some(scenario),
+                World::quic_chunk_into,
+                |records, scratch| {
+                    let mut rows = Vec::new();
+                    quicreach::scan_chunk(&self.world, records, scenario, scratch, |row| {
+                        rows.push(row)
+                    });
+                    rows
+                },
+            );
             // One scenario, one simulation: the pass saw every result, so
             // its summary answers a later `stream_quicreach(scenario)`.
             self.stream_quicreach.get_or_compute(scenario, || {
@@ -484,9 +500,8 @@ impl ScanEngine {
         let scenario = scenario.with_policy(scenario.warm_policy());
         self.warm.get_or_compute(scenario, || {
             let revisit = |r: &DomainRecord| quicreach::warm_service(&self.world, r, scenario);
-            self.collect(None, |records, _| {
-                let services = records.iter().filter(|r| r.has_quic());
-                services.map(revisit).collect()
+            self.collect(None, World::quic_chunk_into, |records, _| {
+                records.iter().map(revisit).collect()
             })
         })
     }
@@ -512,9 +527,8 @@ impl ScanEngine {
     pub fn compression_support(&self) -> Arc<Vec<AlgorithmSupport>> {
         self.compression_support.get_or_compute((), || {
             let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
-            let rows = self.collect(None, |records, _| {
-                let services = records.iter().filter(|r| r.has_quic());
-                services.map(probe).collect()
+            let rows = self.collect(None, World::quic_chunk_into, |records, _| {
+                records.iter().map(probe).collect()
             });
             // Table 1 asks for both: this pass saw every service's three
             // probes, so it answers `all_three_support` without another.
@@ -531,7 +545,7 @@ impl ScanEngine {
     /// off the pump, summed.
     pub fn all_three_support(&self) -> (usize, usize) {
         *self.all_three.get_or_compute((), || {
-            let pairs = self.collect(None, |records, _| {
+            let pairs = self.collect(None, World::quic_chunk_into, |records, _| {
                 vec![compression::all_three_support(&*records)]
             });
             let sum = |(all, total), &(a, t)| (all + a, total + t);
@@ -552,7 +566,7 @@ impl ScanEngine {
         self.compression_study
             .get_or_compute((era, algorithm, stride), || {
                 let study = |r: &DomainRecord| compression::study(&self.world, r, algorithm, era);
-                self.collect(None, |records, _| {
+                self.collect(None, World::domain_chunk_into, |records, _| {
                     let sampled = |r: &&DomainRecord| compression::in_study_sample(r, stride);
                     records.iter().filter(sampled).filter_map(study).collect()
                 })
@@ -588,9 +602,8 @@ impl ScanEngine {
     pub fn qscanner(&self) -> Arc<(Vec<QuicCertObservation>, ConsistencyReport)> {
         self.qscanner.get_or_compute((), || {
             let fetch = |r: &DomainRecord| qscanner::fetch(&self.world, r);
-            qscanner::collate(self.collect(None, |records, _| {
-                let services = records.iter().filter(|r| r.has_quic());
-                services.filter_map(fetch).collect()
+            qscanner::collate(self.collect(None, World::quic_chunk_into, |records, _| {
+                records.iter().filter_map(fetch).collect()
             }))
         })
     }
@@ -608,9 +621,10 @@ impl ScanEngine {
     /// more than [`host_parallelism`], nor than there are ranges to claim;
     /// a single effective worker runs inline without spawning — each build
     /// one accumulator and one [`ProbeScratch`], then claim rank ranges off
-    /// an atomic cursor, derive the records into a reused buffer and hand
-    /// them to `fold` until the claims run out: no locks, no channel, and
-    /// population derivation parallelises along with the probing. At no
+    /// an atomic cursor, `derive` each claim's records into a reused buffer
+    /// and hand them to `fold` until the claims run out: no locks, no
+    /// channel, and population derivation parallelises along with the
+    /// probing. At no
     /// point does more than one claim of records per worker (plus its
     /// accumulator and scratch) exist in memory, so a million-record
     /// population streams through a few megabytes.
@@ -621,12 +635,15 @@ impl ScanEngine {
     /// a memo-less, metrics-less scratch they ignore, so nothing is
     /// registered or counted on their behalf. Returns the per-worker
     /// accumulators in spawn order after flushing the run's [`PumpStats`];
-    /// a worker's panic resumes on the caller with its own message.
+    /// a worker's panic resumes on the caller with its own message. A
+    /// worker counts the ranks its claims cover, however few records
+    /// `derive` built from them.
     fn run_pump<A, MA, F>(
         &self,
         claims: Claims<'_>,
         scenario: Option<Scenario>,
         memo: Option<&Arc<ClassMemo>>,
+        derive: Derive,
         make_acc: MA,
         fold: F,
     ) -> Vec<A>
@@ -663,11 +680,11 @@ impl ScanEngine {
             let mut size = first_size;
             while let Some((tag, first, len)) = claims.next(&cursor, &mut size, effective) {
                 let started = Instant::now();
-                self.world.domain_chunk_into(first, len, &mut buf);
+                derive(&self.world, first, len, &mut buf);
                 fold(&mut acc, tag, &mut buf, &mut scratch);
                 stats.fold_seconds += started.elapsed().as_secs_f64();
                 stats.chunks_claimed += 1;
-                stats.records_folded += buf.len() as u64;
+                stats.records_folded += self.world.chunk_ranks(first, len).len() as u64;
             }
             (stats.memo_hits, stats.memo_misses, stats.distinct_classes) = scratch.memo_stats();
             (acc, stats)
@@ -710,7 +727,7 @@ impl ScanEngine {
     /// families. Claims start at an eighth of the population per worker,
     /// clamped to [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], and
     /// taper near the tail.
-    fn pump<S, F>(&self, scenario: Option<Scenario>, fold: F) -> S
+    fn pump<S, F>(&self, scenario: Option<Scenario>, derive: Derive, fold: F) -> S
     where
         S: Merge + Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
@@ -719,17 +736,19 @@ impl ScanEngine {
             Claims::Population(self.world.config.domains),
             scenario,
             scenario.and(self.memo.as_ref()),
+            derive,
             S::identity,
             |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
         ))
     }
 
     /// The streaming quicreach scan under one [`Scenario`]: the whole
-    /// population is pumped through the sharded workers in bounded memory
-    /// and folded into one [`QuicReachShard`]. No `Vec` of per-record
-    /// results is ever built on this path — the cache stores the summary
-    /// itself, keyed like the [`ScanEngine::quicreach`] cache, whose
-    /// collecting pass leaves the same summary behind: bit-for-bit
+    /// population is pumped through the sharded workers in bounded memory,
+    /// each claim deriving only its QUIC services (all the probe loop
+    /// reads), and folded into one [`QuicReachShard`]. No `Vec` of
+    /// per-record results is ever built on this path — the cache stores
+    /// the summary itself, keyed like the [`ScanEngine::quicreach`] cache,
+    /// whose collecting pass leaves the same summary behind: bit-for-bit
     /// [`QuicReachShard::from_results`] of that artifact, at any worker
     /// count and claim size. A scenario that consumes per-probe wire
     /// randomness (a faulted plan, a lossy profile) bypasses scenario-class
@@ -738,9 +757,10 @@ impl ScanEngine {
     pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
         let scenario = scenario.cold();
         self.stream_quicreach.get_or_compute(scenario, || {
-            let mut shard: QuicReachShard = self.fold_population(scenario, |records, scratch| {
+            let fold = |records: &mut [DomainRecord], scratch: &mut ProbeScratch| {
                 quicreach::fold_chunk(&self.world, records, scenario, scratch)
-            });
+            };
+            let mut shard = self.pump(Some(scenario), World::quic_chunk_into, fold);
             // An all-identity merge (empty population) never saw the
             // scan's Initial size; stamp it so the bar is labelled.
             shard.classes.initial_size = scenario.initial_size;
@@ -763,7 +783,7 @@ impl ScanEngine {
         S: Merge + Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
     {
-        self.pump(Some(scenario), fold)
+        self.pump(Some(scenario), World::domain_chunk_into, fold)
     }
 
     /// Fold an explicit list of `(first_rank, len)` rank ranges through the
@@ -786,7 +806,8 @@ impl ScanEngine {
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
         let claims = Claims::Ranges(ranges);
-        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), fold)
+        let every = World::domain_chunk_into;
+        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), every, fold)
     }
 
     /// One pump pass with its per-claim `fold` results back in claim order,
@@ -798,12 +819,14 @@ impl ScanEngine {
         claims: Claims<'_>,
         scenario: Option<Scenario>,
         memo: Option<&Arc<ClassMemo>>,
+        derive: Derive,
         fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     ) -> Vec<R> {
         let per_worker = self.run_pump(
             claims,
             scenario,
             memo,
+            derive,
             Vec::new,
             |acc: &mut Vec<(usize, R)>, tag, records, scratch| {
                 acc.push((tag, fold(records, scratch)))
@@ -815,20 +838,22 @@ impl ScanEngine {
     }
 
     /// One pass of the population, `rows` returning each claim's per-record
-    /// rows: the artefact in rank order. Records are derived per pass, never
-    /// borrowed, so a streaming engine collects the same rows. Under a
-    /// scenario the probes share a memo that lives for the pass: a collected
-    /// artefact's classes are never asked for again (its cache answers
-    /// repeats), and a report's ≈13k left resident cost +26% of its peak
-    /// RSS; ticks and reads do replay across pumps and keep the engine's.
+    /// rows off the records `derive` built: the artefact in rank order.
+    /// Records are derived per pass, never borrowed, so a streaming engine
+    /// collects the same rows. Under a scenario the probes share a memo
+    /// that lives for the pass: a collected artefact's classes are never
+    /// asked for again (its cache answers repeats), and a report's ≈13k
+    /// left resident cost +26% of its peak RSS; ticks and reads do replay
+    /// across pumps and keep the engine's.
     fn collect<R: Send>(
         &self,
         scenario: Option<Scenario>,
+        derive: Derive,
         rows: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> Vec<R> + Sync,
     ) -> Vec<R> {
         let memo = scenario.and(self.memo.as_ref()).map(|_| Arc::default());
         let population = Claims::Population(self.world.config.domains);
-        let claims = self.pump_in_order(population, scenario, memo.as_ref(), rows);
+        let claims = self.pump_in_order(population, scenario, memo.as_ref(), derive, rows);
         // Sized once: grown by doubling, each artefact left its size in holes.
         let mut all = Vec::with_capacity(claims.iter().map(Vec::len).sum());
         all.extend(claims.into_iter().flatten());
@@ -868,7 +893,7 @@ impl ScanEngine {
     /// ([`World::https_chain_shape`]) and issues one chain per class.
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
-            self.pump(None, |records, _| {
+            self.pump(None, World::domain_chunk_into, |records, _| {
                 https_scan::fold_iter(&self.world, &*records)
             })
         })
@@ -879,7 +904,7 @@ impl ScanEngine {
     /// memory.
     pub fn stream_compression_support(&self) -> Arc<CompressionShard> {
         self.stream_compression.get_or_compute((), || {
-            self.pump(None, |records, _| {
+            self.pump(None, World::quic_chunk_into, |records, _| {
                 compression::fold_iter(&self.world, &*records)
             })
         })
@@ -926,8 +951,9 @@ mod tests {
         let ranks: Vec<usize> = (1..=1_200).collect();
         for workers in [1, 2, 3, 8, 64, 1000] {
             let engine = ScanEngine::streaming(config(), 1362, workers);
-            let collected =
-                engine.collect(None, |records, _| records.iter().map(|r| r.rank).collect());
+            let collected = engine.collect(None, World::domain_chunk_into, |records, _| {
+                records.iter().map(|r| r.rank).collect()
+            });
             assert_eq!(collected, ranks, "workers={workers}");
         }
     }

@@ -186,12 +186,10 @@ impl Ecosystem {
         ChainId::ALL.iter().map(|&id| b.build_chain(id)).collect()
     }
 
-    /// Look up a parent chain in one era's catalog.
+    /// Look up a parent chain in one era's catalog, which holds every
+    /// [`ChainId`] at its position in [`ChainId::ALL`] (declaration order).
     pub fn chain_era(&self, id: ChainId, era: CertificateEra) -> &ParentChain {
-        self.chains_era(era)
-            .iter()
-            .find(|c| c.id == id)
-            .expect("all catalogued chains are built")
+        &self.chains_era(era)[id as usize]
     }
 
     /// All chains of one era (hybrid / post-quantum catalogs are built on
@@ -647,39 +645,40 @@ impl Builder<'_> {
                 // issuing CA, two regional CAs and the root, all shipped.
                 let org = "Worldwide Enterprise Holdings Corporation";
                 let root_dn = DistinguishedName::ca("US", org, "Enterprise Global Root Authority");
-                let mut dns = vec![root_dn.clone()];
-                for name in [
-                    "Enterprise Policy Certification Authority",
-                    "Enterprise Regional Certification Authority - Americas",
-                    "Enterprise Regional Certification Authority - EMEA",
-                    "Enterprise TLS Issuing Authority 07",
-                ] {
-                    dns.push(DistinguishedName::ca("US", org, name));
-                }
-                let mut certs = Vec::new();
                 // Root (self-signed, superfluously included).
-                certs.push(self.ca_cert(
+                let mut certs = vec![self.ca_cert(
                     root_dn.clone(),
                     root_dn.clone(),
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x20,
                     vec![],
-                ));
-                for i in 1..dns.len() {
+                )];
+                // Each CA signed by the one before it, the root first.
+                let mut issuer = root_dn;
+                for (i, name) in [
+                    "Enterprise Policy Certification Authority",
+                    "Enterprise Regional Certification Authority - Americas",
+                    "Enterprise Regional Certification Authority - EMEA",
+                    "Enterprise TLS Issuing Authority 07",
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    let subject = DistinguishedName::ca("US", org, name);
                     certs.push(self.ca_cert(
-                        dns[i - 1].clone(),
-                        dns[i].clone(),
+                        issuer,
+                        subject.clone(),
                         Rsa4096,
                         Sha384WithRsa4096,
-                        seed ^ (0x21 + i as u64),
+                        seed ^ (0x22 + i as u64),
                         self.intermediate_extras("enterprise.example"),
                     ));
+                    issuer = subject;
                 }
                 // Served leaf-issuer first: issuing CA ... root.
                 certs.reverse();
-                let issuing = dns.last().unwrap().clone();
-                (issuing, Sha384WithRsa4096, certs)
+                (issuer, Sha384WithRsa4096, certs)
             }
         };
 
@@ -721,6 +720,16 @@ mod tests {
                 b.chain_era(id, CertificateEra::Classical).parent_der_len(),
                 "{id:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_catalog_lookup_by_position_finds_its_own_chain() {
+        let eco = eco();
+        for era in CertificateEra::ALL {
+            for id in ChainId::ALL {
+                assert_eq!(eco.chain_era(id, era).id, id, "{era:?}");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use quicert_netsim::FastHashBuilder;
 
@@ -34,7 +34,9 @@ type Shard<K, V> = RwLock<HashMap<K, V, FastHashBuilder>>;
 /// A flyweight table shared by every thread that holds a reference: readers
 /// take one shard's read lock per lookup, and the first insert of a key
 /// wins. Equal keys map to equal values by the caller's purity argument, so
-/// which thread won is invisible.
+/// which thread won is invisible. A poisoned shard is used as is: a map
+/// holds every entry whole or not at all, so a panicked holder leaves it
+/// valid.
 #[derive(Debug)]
 pub struct ClassTable<K, V> {
     shards: Box<[Shard<K, V>]>,
@@ -53,7 +55,7 @@ impl<K: Eq + Hash, V: Clone> ClassTable<K, V> {
 
     /// Classes currently stored.
     pub fn classes(&self) -> usize {
-        let len = |shard: &Shard<K, V>| shard.read().expect("class shard poisoned").len();
+        let len = |shard: &Shard<K, V>| shard.read().unwrap_or_else(PoisonError::into_inner).len();
         self.shards.iter().map(len).sum()
     }
 
@@ -65,14 +67,20 @@ impl<K: Eq + Hash, V: Clone> ClassTable<K, V> {
 
     /// The stored value of `key`, if known.
     pub fn get(&self, key: &K) -> Option<V> {
-        let shard = self.shard(key).read().expect("class shard poisoned");
+        let shard = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         shard.get(key).cloned()
     }
 
     /// Store `value` for `key` unless the key is already known or its
     /// shard is full; whether this call added a class.
     pub fn insert(&self, key: K, value: &V) -> bool {
-        let mut shard = self.shard(&key).write().expect("class shard poisoned");
+        let mut shard = self
+            .shard(&key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let room = shard.len() < self.shard_capacity && !shard.contains_key(&key);
         if room {
             shard.insert(key, value.clone());

@@ -19,6 +19,8 @@
 //! Calibration constants live in [`world::PopulationModel`] with references
 //! to the paper sections they encode.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dns;
 pub mod ecosystem;
 pub mod era;

@@ -11,6 +11,7 @@
 //! Meta's mvfst PoPs.
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use quicert_compress::Algorithm;
@@ -54,7 +55,7 @@ pub enum BehaviorKind {
 }
 
 /// An HTTPS (TLS-over-TCP) deployment of a domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpsDeployment {
     /// Parent chain served.
     pub chain_id: ChainId,
@@ -67,7 +68,7 @@ pub struct HttpsDeployment {
 }
 
 /// A QUIC deployment of a domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuicDeployment {
     /// Operator.
     pub provider: Provider,
@@ -114,7 +115,7 @@ impl QuicDeployment {
 }
 
 /// One ranked domain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainRecord {
     /// Tranco-style rank, 1-based.
     pub rank: usize,
@@ -387,6 +388,8 @@ impl Default for WorldConfig {
 /// Process-wide world-generation counters on [`MetricsRegistry::global`].
 /// Record generation is batched (one `add` per chunk) so the streaming
 /// pump's per-record path never touches an atomic it doesn't already own.
+/// It counts records derived in full: a rank [`World::quic_chunk_into`]
+/// passes over is not one.
 struct WorldMetrics {
     records_generated: Arc<Counter>,
 }
@@ -398,7 +401,7 @@ fn world_metrics() -> &'static WorldMetrics {
         WorldMetrics {
             records_generated: reg.counter(
                 "quicert_pki_records_generated_total",
-                "Domain records derived from world configurations",
+                "Domain records derived in full from world configurations",
             ),
         }
     })
@@ -477,19 +480,62 @@ impl World {
         chunk_size: usize,
         out: &mut Vec<DomainRecord>,
     ) {
+        self.derive_into(first_rank, chunk_size, out, |_| true);
+    }
+
+    /// The QUIC services among the ranks [`World::domain_chunk_into`] would
+    /// derive, and nothing else: exactly its records that satisfy
+    /// [`DomainRecord::has_quic`], field for field and in rank order. Every
+    /// rank still draws up to the decision that makes it a QUIC service;
+    /// the rest of a record (its name, the DNS address hashed from it, its
+    /// deployment draws) is built only for the ≈21% that are.
+    pub fn quic_chunk_into(
+        &self,
+        first_rank: usize,
+        chunk_size: usize,
+        out: &mut Vec<DomainRecord>,
+    ) {
+        self.derive_into(first_rank, chunk_size, out, |head| head.quic);
+    }
+
+    /// The ranks a chunk of `chunk_size` starting at `first_rank` covers,
+    /// clipped to the population: empty when `first_rank` is 0 or past the
+    /// end.
+    pub fn chunk_ranks(&self, first_rank: usize, chunk_size: usize) -> Range<usize> {
+        if first_rank == 0 {
+            return 0..0;
+        }
+        let end = first_rank
+            .saturating_add(chunk_size)
+            .min(self.config.domains.saturating_add(1));
+        first_rank..end.max(first_rank)
+    }
+
+    /// Derive the records of [`World::chunk_ranks`] whose [`Head`] `keep`
+    /// accepts into `out`, cleared first. Both chunk forms are this, so they
+    /// share one derivation and one draw order.
+    fn derive_into(
+        &self,
+        first_rank: usize,
+        chunk_size: usize,
+        out: &mut Vec<DomainRecord>,
+        keep: impl Fn(&Head) -> bool,
+    ) {
         out.clear();
-        let total = self.config.domains;
-        if first_rank > total || first_rank == 0 || chunk_size == 0 {
+        let ranks = self.chunk_ranks(first_rank, chunk_size);
+        if ranks.is_empty() {
             return;
         }
-        let end = first_rank.saturating_add(chunk_size - 1).min(total);
         // One root per chunk: forking per rank off this root is what keeps
         // records rank-addressable, and building the root once amortises it
         // over the whole chunk.
         let root = SimRng::new(self.config.seed);
-        out.reserve(end + 1 - first_rank);
-        for rank in first_rank..=end {
-            out.push(Self::generate_domain(&self.config, &root, rank));
+        out.reserve(ranks.len());
+        for rank in ranks {
+            let head = Head::draw(&self.config, &root, rank);
+            if keep(&head) {
+                out.push(head.finish(&self.config));
+            }
         }
         world_metrics().records_generated.add(out.len() as u64);
     }
@@ -560,73 +606,7 @@ impl World {
                 Ipv4Addr::new(142, 250 + (h % 2) as u8, (h >> 8) as u8, (h >> 16) as u8)
             }
             Provider::Meta => Ipv4Addr::new(157, 240, (h >> 8) as u8, (h >> 16) as u8),
-            Provider::SelfHosted => {
-                Ipv4Addr::new(198, 18 + (h % 2) as u8, (h >> 8) as u8, (h >> 16) as u8)
-            }
-        }
-    }
-
-    fn generate_domain(config: &WorldConfig, root: &SimRng, rank: usize) -> DomainRecord {
-        let mut rng = root.fork(rank as u64);
-        let seed = rng.next_u64();
-
-        // Name: stem + rank + TLD (weighted). Assembled by hand — the
-        // formatting machinery behind `format!` is measurable across a
-        // ten-million-record stream (output pinned byte-identical by
-        // `hand_assembled_names_match_format`).
-        let stem = NAME_STEMS[(rng.next_u64() % NAME_STEMS.len() as u64) as usize];
-        let tld = TLDS[rng
-            .weighted_index_by(TLDS.len(), |i| TLDS[i].1)
-            .unwrap_or(0)]
-        .0;
-        let mut name = String::with_capacity(stem.len() + tld.len() + 21);
-        name.push_str(stem);
-        push_decimal(&mut name, rank);
-        name.push('.');
-        name.push_str(tld);
-
-        // DNS funnel (§3.1).
-        let addr_seed = fnv1a(name.as_bytes());
-        let provisional_addr = Ipv4Addr::new(
-            198,
-            18 + (addr_seed % 2) as u8,
-            (addr_seed >> 8) as u8,
-            (addr_seed >> 16) as u8,
-        );
-        let dns = dns::resolve(&DnsRates::default(), rng.f64(), rng.f64(), provisional_addr);
-
-        let pop = &config.population;
-        let mut https = None;
-        let mut quic = None;
-        if dns.address().is_some() && rng.chance(pop.https_share) {
-            let is_quic = rng.chance(pop.quic_share);
-            if is_quic {
-                let deployment = Self::draw_quic_deployment(config, &mut rng, rank);
-                let marginal = deployment.chain_id == ChainId::LeE1X2Cross;
-                let extra_sans = if marginal {
-                    rng.range(16, 40) as u16
-                } else {
-                    Self::draw_extra_sans(&mut rng)
-                };
-                https = Some(HttpsDeployment {
-                    chain_id: deployment.chain_id,
-                    leaf_key: deployment.leaf_key,
-                    extra_sans,
-                    redirect_hops: (rng.next_u64() % 3) as u8,
-                });
-                quic = Some(deployment);
-            } else {
-                https = Some(Self::draw_https_only(&mut rng));
-            }
-        }
-
-        DomainRecord {
-            rank,
-            name,
-            dns,
-            https,
-            quic,
-            seed,
+            Provider::SelfHosted => self_hosted_addr(h),
         }
     }
 
@@ -647,7 +627,7 @@ impl World {
 
     /// Table 2, HTTPS-only leaf row: RSA-heavy.
     fn draw_https_leaf_key(rng: &mut SimRng) -> KeyAlgorithm {
-        match rng.weighted_index(&[81.4, 8.1, 7.8, 1.9]).unwrap() {
+        match rng.weighted_index(&[81.4, 8.1, 7.8, 1.9]).unwrap_or(0) {
             0 => KeyAlgorithm::Rsa2048,
             1 => KeyAlgorithm::Rsa4096,
             2 => KeyAlgorithm::EcdsaP256,
@@ -679,7 +659,7 @@ impl World {
         ];
         let chain_id = chains[rng
             .weighted_index_by(chains.len(), |i| chains[i].1)
-            .unwrap()]
+            .unwrap_or(0)]
         .0;
         let leaf_key = match chain_id {
             // ECDSA-only issuers.
@@ -716,7 +696,7 @@ impl World {
         };
         let group = pop.quic_groups[rng
             .weighted_index_by(pop.quic_groups.len(), group_weight)
-            .unwrap()]
+            .unwrap_or(0)]
         .0;
 
         let (provider, behavior, chain_id, leaf_key) = match group {
@@ -758,7 +738,7 @@ impl World {
                 )
             }
             QuicGroup::GoogleGts => {
-                let chain = match rng.weighted_index(&[60.0, 25.0, 15.0]).unwrap() {
+                let chain = match rng.weighted_index(&[60.0, 25.0, 15.0]).unwrap_or(0) {
                     0 => ChainId::Gts1C3,
                     1 => ChainId::Gts1D4,
                     _ => ChainId::Gts1P5,
@@ -782,7 +762,7 @@ impl World {
                 ];
                 let chain = chains[rng
                     .weighted_index_by(chains.len(), |i| chains[i].1)
-                    .unwrap()]
+                    .unwrap_or(0)]
                 .0;
                 let key = if rng.chance(0.08) {
                     KeyAlgorithm::Rsa4096
@@ -800,7 +780,7 @@ impl World {
             QuicGroup::OneRttSmall => {
                 // Fig 7a row 10: GlobalSign Atlas accounts for roughly half
                 // of the rare truly-optimal deployments.
-                let chain = match rng.weighted_index(&[0.35, 0.15, 0.50]).unwrap() {
+                let chain = match rng.weighted_index(&[0.35, 0.15, 0.50]).unwrap_or(0) {
                     0 => ChainId::LeE1Short,
                     1 => ChainId::LeR3Short,
                     _ => ChainId::GlobalSignAtlas,
@@ -876,6 +856,104 @@ impl World {
     }
 }
 
+/// A rank's draws up to and including the one that decides whether it is a
+/// QUIC service: the fork, seed, stem, TLD, both DNS draws and the HTTPS and
+/// QUIC chances. [`Head::finish`] draws the rest off the same stream. The
+/// name draws no randomness, so building it there moves no draw.
+struct Head {
+    rng: SimRng,
+    rank: usize,
+    seed: u64,
+    stem: &'static str,
+    tld: &'static str,
+    /// The DNS outcome; an A record's address is hashed from the name, so
+    /// it is a placeholder until [`Head::finish`].
+    dns: DnsOutcome,
+    https: bool,
+    quic: bool,
+}
+
+impl Head {
+    fn draw(config: &WorldConfig, root: &SimRng, rank: usize) -> Head {
+        let mut rng = root.fork(rank as u64);
+        let seed = rng.next_u64();
+        let stem = NAME_STEMS[(rng.next_u64() % NAME_STEMS.len() as u64) as usize];
+        let tld = TLDS[rng
+            .weighted_index_by(TLDS.len(), |i| TLDS[i].1)
+            .unwrap_or(0)]
+        .0;
+        // DNS funnel (§3.1).
+        let placeholder = Ipv4Addr::UNSPECIFIED;
+        let dns = dns::resolve(&DnsRates::default(), rng.f64(), rng.f64(), placeholder);
+        let pop = &config.population;
+        let https = dns.address().is_some() && rng.chance(pop.https_share);
+        let quic = https && rng.chance(pop.quic_share);
+        Head {
+            rng,
+            rank,
+            seed,
+            stem,
+            tld,
+            dns,
+            https,
+            quic,
+        }
+    }
+
+    fn finish(mut self, config: &WorldConfig) -> DomainRecord {
+        // Name: stem + rank + TLD. Assembled by hand — the formatting
+        // machinery behind `format!` is measurable across a
+        // ten-million-record stream (output pinned byte-identical by
+        // `hand_assembled_names_match_format`).
+        let mut name = String::with_capacity(self.stem.len() + self.tld.len() + 21);
+        name.push_str(self.stem);
+        push_decimal(&mut name, self.rank);
+        name.push('.');
+        name.push_str(self.tld);
+        let dns = match self.dns {
+            DnsOutcome::A(_) => DnsOutcome::A(self_hosted_addr(fnv1a(name.as_bytes()))),
+            unresolved => unresolved,
+        };
+
+        let rng = &mut self.rng;
+        let (https, quic) = if self.quic {
+            let deployment = World::draw_quic_deployment(config, rng, self.rank);
+            let marginal = deployment.chain_id == ChainId::LeE1X2Cross;
+            let extra_sans = if marginal {
+                rng.range(16, 40) as u16
+            } else {
+                World::draw_extra_sans(rng)
+            };
+            let https = HttpsDeployment {
+                chain_id: deployment.chain_id,
+                leaf_key: deployment.leaf_key,
+                extra_sans,
+                redirect_hops: (rng.next_u64() % 3) as u8,
+            };
+            (Some(https), Some(deployment))
+        } else if self.https {
+            (Some(World::draw_https_only(rng)), None)
+        } else {
+            (None, None)
+        };
+
+        DomainRecord {
+            rank: self.rank,
+            name,
+            dns,
+            https,
+            quic,
+            seed: self.seed,
+        }
+    }
+}
+
+/// The address a name hashing to `h` resolves to, and serves from when it
+/// is self-hosted.
+fn self_hosted_addr(h: u64) -> Ipv4Addr {
+    Ipv4Addr::new(198, 18 + (h % 2) as u8, (h >> 8) as u8, (h >> 16) as u8)
+}
+
 // ------------------------------------------------- frozen compat block --
 //
 // `perfbench/` is frozen and calls exactly these two: it builds a world with
@@ -915,7 +993,7 @@ fn push_decimal(out: &mut String, value: usize) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
+    out.extend(digits[i..].iter().map(|&digit| char::from(digit)));
 }
 
 #[cfg(test)]

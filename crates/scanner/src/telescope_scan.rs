@@ -33,7 +33,8 @@ pub struct BackscatterSession {
 /// factors (§4.3 uses 1362 bytes).
 pub const ASSUMED_INITIAL: usize = 1362;
 
-/// Ranks the telescope's walk derives per step.
+/// Ranks the telescope's walk covers per step (deriving only their QUIC
+/// services).
 const WALK_CHUNK: usize = 256;
 
 /// Launch spoofed probes at up to `per_provider` services of each
@@ -48,9 +49,9 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
     let mut chunk = Vec::new();
     let mut first = 1;
     while first <= world.config.domains && targets.iter().any(|t| t.len() < per_provider) {
-        world.domain_chunk_into(first, WALK_CHUNK, &mut chunk);
+        world.quic_chunk_into(first, WALK_CHUNK, &mut chunk);
         first += WALK_CHUNK;
-        for record in chunk.drain(..).filter(DomainRecord::has_quic) {
+        for record in chunk.drain(..) {
             let provider = record.quic.as_ref().map(|quic| quic.provider);
             let hypergiant = hypergiants.iter().position(|&h| Some(h) == provider);
             if let Some(found) = hypergiant.map(|i| &mut targets[i]) {

@@ -363,6 +363,37 @@ mod streaming_world_properties {
             }
             prop_assert_eq!(seen, domains);
         }
+
+        // A QUIC pass derives only QUIC services, and they are the very
+        // records a full derivation yields: `quic_chunk_into` tiles at any
+        // chunk size equal `domain_chunk(1, n)` filtered by `has_quic`,
+        // field for field. Mutation-checked: a QUIC path whose tail starts
+        // one draw late, or whose DNS address is hashed from the name
+        // without its rank, fails at the first case.
+        #[test]
+        fn quic_chunks_are_the_quic_services_of_a_full_derivation(
+            domains in 1usize..600,
+            chunk in 1usize..256,
+            seed in any::<u64>(),
+            meta_post_disclosure in any::<bool>(),
+        ) {
+            let world = World::streaming(WorldConfig {
+                domains,
+                seed,
+                meta_post_disclosure,
+                ..WorldConfig::default()
+            });
+            let full = world.domain_chunk(1, domains);
+            let expected: Vec<_> = full.into_iter().filter(|r| r.has_quic()).collect();
+            let mut services = Vec::new();
+            let mut tile = Vec::new();
+            for first in (1..=domains).step_by(chunk) {
+                world.quic_chunk_into(first, chunk, &mut tile);
+                prop_assert!(tile.iter().all(|r| (first..first + chunk).contains(&r.rank)));
+                services.append(&mut tile);
+            }
+            prop_assert_eq!(services, expected);
+        }
     }
 }
 
