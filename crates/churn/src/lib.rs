@@ -16,6 +16,8 @@
 //!   events in any order yields the same state — pinned by a proptest.
 //!   The per-rank counters are dense vectors sized to the population
 //!   once (8 bytes a domain), so a state's memory is flat in the tick.
+//!   [`ChurnState::rewind`] undoes ticks the same way, so a past tick is
+//!   reached from a later state in the ticks between them, not from 0.
 //! * [`ChurnState::apply_to_records`] overlays the state onto derived
 //!   [`DomainRecord`]s. The overlay only touches the churn fields of
 //!   `QuicDeployment` (`cert_generation`, `chain_id`, `era_override`), so
@@ -29,7 +31,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use quicert_netsim::SimRng;
 use quicert_pki::world::Provider;
@@ -330,6 +332,26 @@ fn bump(counts: &mut Vec<u32>, rank: usize) {
     counts[rank - 1] += 1;
 }
 
+/// The era overrides of `timeline` at `tick`: every migration tick up to
+/// it, applied oldest first, exactly as [`ChurnState::advance`] met them.
+fn era_overrides_at(timeline: &Timeline, tick: u64) -> HashMap<Provider, CertificateEra> {
+    let ticks: BTreeSet<u64> = timeline
+        .config()
+        .migrations
+        .iter()
+        .map(|m| m.tick)
+        .collect();
+    let mut overrides = HashMap::new();
+    for at in ticks.into_iter().filter(|&at| at <= tick) {
+        for event in timeline.events_at(at) {
+            if let ChurnEvent::EraMigration { provider, era } = event {
+                overrides.insert(provider, era);
+            }
+        }
+    }
+    overrides
+}
+
 impl PartialEq for ChurnState {
     fn eq(&self, other: &Self) -> bool {
         self.tick == other.tick
@@ -408,13 +430,59 @@ impl ChurnState {
     }
 
     /// The state at `tick`, replayed from scratch — the reference
-    /// [`ChurnState::advance`] must agree with at every tick.
+    /// [`ChurnState::advance`] and [`ChurnState::rewind`] must agree with at
+    /// every tick.
     pub fn at(timeline: &Timeline, tick: u64) -> ChurnState {
         let mut state = ChurnState::initial();
         for _ in 0..tick {
             state.advance(timeline);
         }
         state
+    }
+
+    /// Step this state — `timeline`'s, reached by [`ChurnState::advance`] —
+    /// back to `tick`, undoing the events of every tick in
+    /// `(tick, self.tick]`, newest first: per-rank counters, event tallies
+    /// and the STEK epoch count down, and if a migration fired in that span
+    /// the era overrides are recomputed from the timeline's schedule. The
+    /// result equals [`ChurnState::at`]`(timeline, tick)`, heap bytes
+    /// included, at the cost of `self.tick - tick` ticks instead of `tick`.
+    /// A `tick` at or past the state's own leaves it alone.
+    pub fn rewind(&mut self, timeline: &Timeline, tick: u64) {
+        if tick >= self.tick {
+            return;
+        }
+        if tick == 0 {
+            // The as-generated world holds no counters at all.
+            *self = ChurnState::initial();
+            return;
+        }
+        let mut migrated = false;
+        while self.tick > tick {
+            for event in &timeline.events_at(self.tick) {
+                self.events_applied -= 1;
+                match *event {
+                    ChurnEvent::RotateCert { rank } => {
+                        self.generations[rank - 1] -= 1;
+                        self.rotations -= 1;
+                    }
+                    ChurnEvent::Revoke { rank } => {
+                        self.generations[rank - 1] -= 1;
+                        self.revocations -= 1;
+                    }
+                    ChurnEvent::DriftChain { rank } => {
+                        self.drifts[rank - 1] -= 1;
+                        self.chain_drifts -= 1;
+                    }
+                    ChurnEvent::StekRollover => self.stek_epoch -= 1,
+                    ChurnEvent::EraMigration { .. } => migrated = true,
+                }
+            }
+            self.tick -= 1;
+        }
+        if migrated {
+            self.era_overrides = era_overrides_at(timeline, tick);
+        }
     }
 
     /// The certificate generation of one rank (0 = never churned).
@@ -534,6 +602,40 @@ mod tests {
         // A real difference still shows.
         by_hand.apply(&ChurnEvent::DriftChain { rank: 500 });
         assert_ne!(by_hand, replayed);
+    }
+
+    #[test]
+    fn rewinding_the_live_state_equals_replaying_to_the_tick() {
+        // Two migrations of one provider (the later must give way to the
+        // earlier on the way back), a second provider on the same tick, and
+        // a STEK rollover every fourth tick.
+        let mut config = ChurnConfig::new(0x000C_4A11, 500)
+            .with_migration(3, Provider::Google, CertificateEra::Hybrid)
+            .with_migration(11, Provider::Google, CertificateEra::PostQuantum)
+            .with_migration(11, Provider::Meta, CertificateEra::Hybrid);
+        config.stek_rollover_every = 4;
+        let t = Timeline::new(config);
+        let mut live = ChurnState::initial();
+        for now in 0..=24 {
+            if now > 0 {
+                live.advance(&t);
+            }
+            for tick in 0..=now {
+                let mut rewound = live.clone();
+                rewound.rewind(&t, tick);
+                let replayed = ChurnState::at(&t, tick);
+                assert_eq!(rewound, replayed, "{now} -> {tick}");
+                assert_eq!(
+                    rewound.heap_bytes(),
+                    replayed.heap_bytes(),
+                    "{now} -> {tick}"
+                );
+            }
+        }
+        // Rewinding forward is no rewind at all.
+        let mut ahead = live.clone();
+        ahead.rewind(&t, 30);
+        assert_eq!(ahead, live);
     }
 
     #[test]

@@ -198,8 +198,7 @@ pub fn fig7(campaign: &Campaign, quic: bool) -> Fig7 {
     // leak into the rendered row order (the report is bit-reproducible).
     rows.sort_by(|a, b| {
         b.share
-            .partial_cmp(&a.share)
-            .unwrap()
+            .total_cmp(&a.share)
             .then_with(|| a.label.cmp(b.label))
     });
     let top10_coverage: f64 = rows.iter().take(10).map(|r| r.share).sum();

@@ -53,17 +53,15 @@ pub fn era_migration_config(campaign: &Campaign) -> ServiceConfig {
 /// stats.
 pub fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
     let mut service = CampaignService::new(era_migration_config(campaign));
+    // Every tick is new to the service, so each is scanned and logged.
     (0..=ticks)
-        .map(|tick| {
+        .filter_map(|tick| {
             let snapshot = service.snapshot_at(tick);
-            let stats = *service
-                .tick_log()
-                .last()
-                .expect("snapshot_at always logs a scan");
-            ChurnTickRow {
+            let stats = service.tick_log().last().filter(|s| s.tick == tick)?;
+            Some(ChurnTickRow {
                 snapshot: (*snapshot).clone(),
-                stats,
-            }
+                stats: *stats,
+            })
         })
         .collect()
 }

@@ -14,6 +14,8 @@
 //! println!("{}", fig3.render());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod campaign;
 pub mod engine;
 pub mod experiments;

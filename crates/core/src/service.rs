@@ -20,18 +20,24 @@
 //!   world at that tick — the load-bearing invariant, pinned in
 //!   `determinism_matrix`.
 //! * The last 16 snapshots served (`SNAPSHOT_CAPACITY`) stay resident,
-//!   evicted in the order they were first served. Requesting a tick older
-//!   than the service's clock that is not (or no longer) resident falls
-//!   back to a full refold from the replayed [`ChurnState`] —
-//!   bit-identical to what was served, by the invariant above. A refold
-//!   materialises no per-segment summaries: the population streams through
-//!   the pump's per-worker accumulators ([`ScanEngine::fold_population`]),
-//!   so a read's transient memory is one chunk and a few summaries per
-//!   worker, whatever the segment count. Only the delta path needs
-//!   per-segment results.
+//!   evicted in the order they were first served. Any other tick older
+//!   than the clock is a **historical read**, served the way a delta tick
+//!   is: a clone of the live [`ChurnState`] is rewound to it
+//!   ([`ChurnState::rewind`]), and only the segments churned between it
+//!   and the cache's last scan (all of them across an era migration) are
+//!   re-folded and merged with the other cached summaries in segment
+//!   order. Reading `t` at clock `now` from a cache scanned at `s` costs
+//!   `|now − t| + |s − t|` churn ticks plus the segments they touch. A
+//!   read absorbs no churn: the live state, the cache, the dirty flags and
+//!   the churn pending for the next delta tick stay as they were.
+//! * [`CampaignService::full_rescan_at`] is the reference every snapshot
+//!   is tested against: the state replayed from tick 0
+//!   ([`ChurnState::at`]) and the whole population streamed through the
+//!   pump's per-worker accumulators ([`ScanEngine::fold_population`]). No
+//!   serving path takes it.
 //!
 //! Re-folding a segment is neither re-simulating nor re-issuing it. Every
-//! fold — tick-0, delta, historical, [`CampaignService::full_rescan_at`] —
+//! fold — tick-0, delta, historical read, full rescan —
 //! runs on the one engine, whose scenario-class memo and whose world's
 //! chain-shape flyweight live as long as the engine does. A tick replays
 //! the handshake classes any earlier fold simulated and simulates at most
@@ -66,7 +72,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use quicert_analysis::Merge;
-use quicert_churn::{ChurnConfig, ChurnState, Timeline};
+use quicert_churn::{ChurnConfig, ChurnEvent, ChurnState, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::DomainRecord;
 use quicert_scanner::https_scan::{self, HttpsScanShard};
@@ -146,15 +152,15 @@ pub struct TickStats {
     pub probed: usize,
     /// QUIC services a full rescan would have probed.
     pub full_probe_count: usize,
-    /// This scan fell back to a full refold (historical tick or first
-    /// scan) instead of a delta.
+    /// Served off the live clock — a historical read, which re-folds the
+    /// segments churned between its tick and the cache's last scan and
+    /// absorbs no churn — rather than as a delta tick.
     pub full_rescan: bool,
 }
 
-/// What one fold of a rank range yields: the summaries a delta scan caches
-/// per segment (valid at the service's last scanned tick for all non-dirty
-/// segments), and — merged, which is exact — what a full scan folds the
-/// whole population into.
+/// What one fold of a rank range yields: the summaries the service caches
+/// per segment (valid at the cache's last scanned tick), and — merged,
+/// which is exact — what a full rescan folds the whole population into.
 #[derive(Debug, Clone)]
 struct SegmentSummary {
     reach: QuicReachShard,
@@ -213,7 +219,7 @@ impl ServiceMetrics {
             ),
             full_probes: registry.counter(
                 "quicert_service_full_probes_total",
-                "QUIC services probed by full rescans",
+                "QUIC services probed off the live clock (historical reads, full rescans)",
             ),
             delta_scans: registry.counter(
                 "quicert_service_delta_scans_total",
@@ -221,7 +227,7 @@ impl ServiceMetrics {
             ),
             full_rescans: registry.counter(
                 "quicert_service_full_rescans_total",
-                "Snapshots served by a full refold",
+                "Snapshots folded off the live clock (historical reads, full rescans)",
             ),
             snapshots_resident: registry.gauge(
                 "quicert_service_snapshots_resident",
@@ -241,10 +247,14 @@ pub struct CampaignService {
     timeline: Timeline,
     state: ChurnState,
     segment_size: usize,
-    /// Cached per-segment summaries; entry `i` covers ranks
-    /// `[i*segment_size + 1, (i+1)*segment_size]`.
-    segments: Vec<Option<SegmentSummary>>,
-    /// Segments churned since their cached fold.
+    /// Cached per-segment summaries, all valid at `scanned_tick`; entry `i`
+    /// covers ranks `[i*segment_size + 1, (i+1)*segment_size]`. Empty until
+    /// the first delta scan folds every segment.
+    segments: Vec<SegmentSummary>,
+    /// The tick the segment cache was last scanned at.
+    scanned_tick: u64,
+    /// Segments churned since `scanned_tick`, one flag per segment of the
+    /// population.
     dirty: Vec<bool>,
     /// At most [`SNAPSHOT_CAPACITY`] snapshots, oldest-served first.
     snapshots: VecDeque<Arc<Snapshot>>,
@@ -280,7 +290,8 @@ impl CampaignService {
             timeline,
             state: ChurnState::initial(),
             segment_size,
-            segments: vec![None; segments],
+            segments: Vec::new(),
+            scanned_tick: 0,
             dirty: vec![false; segments],
             snapshots: VecDeque::with_capacity(SNAPSHOT_CAPACITY),
             tick_log: Vec::new(),
@@ -353,13 +364,10 @@ impl CampaignService {
             self.pending_ranks += delta.changed_ranks.len();
             if delta.all_changed {
                 self.pending_all_changed = true;
-                for flag in &mut self.dirty {
-                    *flag = true;
-                }
+                self.dirty.fill(true);
             } else {
                 for &rank in &delta.changed_ranks {
-                    let segment = (rank - 1) / self.segment_size;
-                    self.dirty[segment] = true;
+                    self.dirty[(rank - 1) / self.segment_size] = true;
                 }
             }
         }
@@ -371,30 +379,17 @@ impl CampaignService {
     ///
     /// * `tick >= self.tick()`: the clock advances and the snapshot is a
     ///   **delta scan** — only dirty (or never-folded) segments re-probe.
-    /// * `tick < self.tick()` and not resident: a **full refold** from
-    ///   the replayed churn state at that tick, leaving the live segment
-    ///   cache untouched.
+    /// * `tick < self.tick()` and not resident: a **historical read** — the
+    ///   live churn state rewound to `tick`, and only the segments churned
+    ///   between `tick` and the cache's last scan re-folded under it. The
+    ///   clock, the segment cache and the churn pending for the next delta
+    ///   tick are left as they were.
     pub fn snapshot_at(&mut self, tick: u64) -> Arc<Snapshot> {
         if let Some(snapshot) = self.snapshots.iter().find(|s| s.tick == tick) {
             return Arc::clone(snapshot);
         }
         let snapshot = if tick < self.state.tick {
-            let state = ChurnState::at(&self.timeline, tick);
-            let (snapshot, probed) = self.full_scan_of(&state, tick);
-            // A historical read absorbs no churn: whatever accumulated
-            // since the last delta scan stays pending for the next one.
-            self.log_scan(TickStats {
-                tick,
-                events: 0,
-                changed_ranks: 0,
-                all_changed: false,
-                dirty_segments: self.segments.len(),
-                total_segments: self.segments.len(),
-                probed,
-                full_probe_count: probed,
-                full_rescan: true,
-            });
-            Arc::new(snapshot)
+            Arc::new(self.historical_read(tick))
         } else {
             self.advance_to(tick);
             Arc::new(self.delta_scan(tick))
@@ -410,8 +405,11 @@ impl CampaignService {
     }
 
     /// A from-scratch full rescan of the churned world at `tick` — the
-    /// reference the delta path must match bit-for-bit. Does not consult
-    /// or update the segment cache, and is not logged.
+    /// reference every snapshot must match bit-for-bit: the churn state
+    /// replayed from tick 0, and the whole population streamed through the
+    /// pump's per-worker accumulators ([`ScanEngine::fold_population`]),
+    /// no per-segment summary built. Does not consult or update the segment
+    /// cache, and is not logged.
     pub fn full_rescan_at(&mut self, tick: u64) -> Snapshot {
         let replayed;
         let state = if tick == self.state.tick {
@@ -420,53 +418,33 @@ impl CampaignService {
             replayed = ChurnState::at(&self.timeline, tick);
             &replayed
         };
-        self.full_scan_of(state, tick).0
-    }
-
-    /// Fold the whole population under `state` into one snapshot, plus the
-    /// QUIC services it probed. The population streams through the pump's
-    /// per-worker accumulators ([`ScanEngine::fold_population`]) — no
-    /// per-segment summary is ever built, which is exact because every
-    /// summary is an exactly associative and commutative monoid.
-    fn full_scan_of(&self, state: &ChurnState, tick: u64) -> (Snapshot, usize) {
         let total: SegmentSummary = self
             .engine
             .fold_population(self.scenario(), self.segment_fold(state));
         self.metrics.full_probes.add(total.probed as u64);
         self.metrics.full_rescans.inc();
-        let probed = total.probed;
-        (Self::snapshot_of(tick, state.stek_epoch, [&total]), probed)
+        Self::snapshot_of(tick, state.stek_epoch, [&total])
     }
 
-    /// The delta scan at the current clock: re-fold exactly the dirty (or
-    /// never-folded) segments, install them in the cache, and merge all
-    /// cached segment summaries in segment order.
+    /// The delta scan at the current clock: re-fold exactly the dirty (or,
+    /// before the first scan, every) segment, install them in the cache, and
+    /// merge all cached segment summaries in segment order.
     fn delta_scan(&mut self, tick: u64) -> Snapshot {
         debug_assert_eq!(tick, self.state.tick);
-        let dirty: Vec<usize> = (0..self.segments.len())
-            .filter(|&i| self.dirty[i] || self.segments[i].is_none())
-            .collect();
-        let ranges: Vec<(usize, usize)> = dirty
-            .iter()
-            // The population's last segment may be short; derivation
-            // clamps the range to the population.
-            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
-            .collect();
-        // One summary per dirty segment, in `dirty`'s order.
-        let folded =
-            self.engine
-                .fold_ranges(self.scenario(), &ranges, self.segment_fold(&self.state));
+        let dirty = self.to_refold(&self.dirty);
+        let folded = self.fold_segments(&dirty, &self.state);
         let probed: usize = folded.iter().map(|s| s.probed).sum();
-        for (&segment, summary) in dirty.iter().zip(folded) {
-            self.segments[segment] = Some(summary);
-            self.dirty[segment] = false;
+        if self.segments.is_empty() {
+            self.segments = folded;
+        } else {
+            for (&segment, summary) in dirty.iter().zip(folded) {
+                self.segments[segment] = summary;
+            }
         }
-        let cached = self.segments.iter().map(|s| {
-            s.as_ref()
-                .expect("every segment folded at least once by now")
-        });
-        let full_probe_count = cached.clone().map(|s| s.probed).sum();
-        let snapshot = Self::snapshot_of(tick, self.state.stek_epoch, cached);
+        self.dirty.fill(false);
+        self.scanned_tick = tick;
+        let full_probe_count = self.segments.iter().map(|s| s.probed).sum();
+        let snapshot = Self::snapshot_of(tick, self.state.stek_epoch, &self.segments);
         self.metrics.delta_probes.add(probed as u64);
         self.metrics.delta_scans.inc();
         let stats = TickStats {
@@ -475,13 +453,94 @@ impl CampaignService {
             changed_ranks: std::mem::take(&mut self.pending_ranks),
             all_changed: std::mem::take(&mut self.pending_all_changed),
             dirty_segments: dirty.len(),
-            total_segments: self.segments.len(),
+            total_segments: self.dirty.len(),
             probed,
             full_probe_count,
             full_rescan: false,
         };
         self.log_scan(stats);
         snapshot
+    }
+
+    /// A historical read of `tick < self.tick()`, served like a delta
+    /// scan: a clone of the live state rewound to `tick`, the segments
+    /// churned between `tick` and the cache's last scan (every one before
+    /// the first scan) re-folded under it, and the cached summaries merged
+    /// in segment order with those in place of theirs. Exact for the same
+    /// reason a delta scan is: an untouched segment's ranks carry the same
+    /// churn at `tick` as at the cache's scan. Only the tick log changes.
+    fn historical_read(&mut self, tick: u64) -> Snapshot {
+        let mut state = self.state.clone();
+        state.rewind(&self.timeline, tick);
+        let refold = self.to_refold(&self.churned_between(tick, self.scanned_tick));
+        let folded = self.fold_segments(&refold, &state);
+        let probed: usize = folded.iter().map(|s| s.probed).sum();
+        let mut fresh = refold.iter().zip(&folded).peekable();
+        let merged: Vec<&SegmentSummary> = (0..self.dirty.len())
+            .map(|segment| match fresh.next_if(|&(&at, _)| at == segment) {
+                Some((_, summary)) => summary,
+                None => &self.segments[segment],
+            })
+            .collect();
+        let full_probe_count = merged.iter().map(|s| s.probed).sum();
+        let snapshot = Self::snapshot_of(tick, state.stek_epoch, merged);
+        self.metrics.full_probes.add(probed as u64);
+        self.metrics.full_rescans.inc();
+        // A read absorbs no churn: whatever accumulated since the last
+        // delta scan stays pending for the next one.
+        self.log_scan(TickStats {
+            tick,
+            events: 0,
+            changed_ranks: 0,
+            all_changed: false,
+            dirty_segments: refold.len(),
+            total_segments: self.dirty.len(),
+            probed,
+            full_probe_count,
+            full_rescan: true,
+        });
+        snapshot
+    }
+
+    /// Per segment, whether a rank of it churned in the ticks between `a`
+    /// and `b` (`(min, max]`) — every segment if an era migration fired
+    /// there, since its records are only identifiable after derivation.
+    fn churned_between(&self, a: u64, b: u64) -> Vec<bool> {
+        let mut churned = vec![false; self.dirty.len()];
+        for tick in a.min(b) + 1..=a.max(b) {
+            for event in self.timeline.events_at(tick) {
+                if let ChurnEvent::EraMigration { .. } = event {
+                    churned.fill(true);
+                    return churned;
+                }
+                if let Some(rank) = event.rank() {
+                    churned[(rank - 1) / self.segment_size] = true;
+                }
+            }
+        }
+        churned
+    }
+
+    /// The segments a fold must refresh, ascending: those `churned` flags,
+    /// or every segment while the cache is still empty.
+    fn to_refold(&self, churned: &[bool]) -> Vec<usize> {
+        (0..churned.len())
+            .filter(|&segment| self.segments.is_empty() || churned[segment])
+            .collect()
+    }
+
+    /// Fold `segments` under `state` as explicit rank ranges through the
+    /// engine's pump ([`ScanEngine::fold_ranges`]): one summary per
+    /// segment, in the order given.
+    fn fold_segments(&self, segments: &[usize], state: &ChurnState) -> Vec<SegmentSummary> {
+        let ranges: Vec<(usize, usize)> = segments
+            .iter()
+            // The population's last segment may be short; derivation
+            // clamps the range to the population.
+            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
+            .collect();
+        self.engine
+            .fold_ranges(self.scenario(), &ranges, self.segment_fold(state))
     }
 
     /// The fold every scan of this service hands the engine's pump: overlay
@@ -650,7 +709,7 @@ mod tests {
         }
         assert_eq!(resident.get(), SNAPSHOT_CAPACITY as f64);
         // The tick just served is resident; an early one was evicted and
-        // comes back from a full refold, equal to what was served.
+        // comes back from a historical read, equal to what was served.
         assert!(Arc::ptr_eq(&served[299], &svc.snapshot_at(300)));
         for tick in [1, 4, 150] {
             let scans = svc.tick_log().len();
@@ -685,7 +744,10 @@ mod tests {
             assert!(read.full_rescan && read.tick == t + 1);
             assert_eq!((read.events, read.changed_ranks), (0, 0));
             assert!(!read.all_changed);
-            assert_eq!(read.probed, read.full_probe_count);
+            // The read re-folded what tick t + 1 churned, and counts every
+            // QUIC service of its snapshot as a full rescan would.
+            assert!(read.probed <= read.full_probe_count);
+            assert!(read.dirty_segments <= read.total_segments);
             assert!(!delta.full_rescan && delta.tick == t + 2);
             assert_eq!(delta.events, events);
             assert!(delta.changed_ranks > 0);

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_compress::Algorithm;
-use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
+use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig, TickStats};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
@@ -687,7 +687,7 @@ proptest! {
     // flyweight-free reference instead: whatever churn seed, rates and era
     // migration a case draws, at 1 and 2 workers and both segment sizes,
     // and in whatever order ticks are requested (forward deltas, skipped
-    // ticks read back historically through the streamed refold, re-reads
+    // ticks read back historically off the live segment cache, re-reads
     // of served ticks), `Snapshot.reach` must equal direct simulation of
     // the churned population at that tick and `Snapshot.funnel` the
     // materialised HTTPS scan of it.
@@ -737,13 +737,16 @@ proptest! {
     }
 }
 
-/// A historical read streams the whole population through per-worker
-/// accumulators; a delta scan merges one cached summary per segment in
-/// segment order. Same ticks, same bits — at 1 and 2 workers, at both
-/// claimings, across an era migration — because every summary is an
-/// exactly associative and commutative monoid.
+/// A historical read rewinds the live churn state and re-folds only the
+/// segments the churn between its tick and the cache's last scan touched;
+/// a delta scan re-folds the dirty segments of the live clock. Reading
+/// every tick back from ahead of it — spans of one to six ticks, across
+/// STEK rollovers and the tick-3 era migration, which makes every earlier
+/// read re-fold every segment — equals serving each tick as a delta scan,
+/// at 1 and 2 workers and at both segmentations, because every summary is
+/// an exactly associative and commutative monoid.
 #[test]
-fn streamed_reads_equal_per_segment_merges_across_workers() {
+fn historical_reads_equal_delta_snapshots_across_workers() {
     const TICKS: u64 = 5;
     // Per-segment merges: a service that serves every tick as a delta scan.
     let mut stepping = churn_service(1, 64);
@@ -753,7 +756,7 @@ fn streamed_reads_equal_per_segment_merges_across_workers() {
     assert!(stepping.tick_log().iter().all(|t| !t.full_rescan));
     for workers in [1usize, 2] {
         for segment_size in [16usize, 1024] {
-            // Streamed refolds: the clock runs ahead, every tick is read back.
+            // Reads: the clock runs ahead, every tick is read back.
             let mut ahead = churn_service(workers, segment_size);
             ahead.advance_to(TICKS + 1);
             ahead.snapshot_at(TICKS + 1);
@@ -761,11 +764,168 @@ fn streamed_reads_equal_per_segment_merges_across_workers() {
                 let read = ahead.snapshot_at(tick);
                 let stats = *ahead.tick_log().last().expect("the read was logged");
                 assert!(stats.full_rescan && stats.tick == tick);
+                if tick < 3 {
+                    assert_eq!(stats.dirty_segments, stats.total_segments, "tick {tick}");
+                }
                 assert_eq!(
                     *read, per_segment[tick as usize],
                     "tick {tick} workers={workers} segment={segment_size}"
                 );
                 assert_eq!(*read, ahead.full_rescan_at(tick));
+            }
+        }
+    }
+}
+
+/// The last tick the random steps of [`live_cache_reads_equal_full_rescans`]
+/// can reach is 27 (nine steps of at most three ticks); its fixed tail
+/// works past this second migration, on ticks no step requested.
+const LATE_MIGRATION: u64 = 30;
+
+/// The churn service [`live_cache_reads_equal_full_rescans`] reads from:
+/// 16 drifts a tick (a drift is what a stale segment shows: a reissued
+/// leaf mostly keeps its chain's length, so with 4 a tick a stale segment
+/// often summarised equal), a STEK rollover every other tick, Google
+/// migrating at `migration_tick` and Cloudflare at [`LATE_MIGRATION`].
+fn reading_service(workers: usize, segment_size: usize, migration_tick: u64) -> CampaignService {
+    let campaign = CampaignConfig::small()
+        .with_domains(480)
+        .with_seed(0x9121)
+        .with_workers(workers);
+    let mut churn = ChurnConfig::new(0xC1C1, 480)
+        .with_rates(4, 16, 2)
+        .with_migration(migration_tick, Provider::Google, CertificateEra::Hybrid)
+        .with_migration(LATE_MIGRATION, Provider::Cloudflare, CertificateEra::Hybrid);
+    churn.stek_rollover_every = 2;
+    CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(segment_size))
+}
+
+/// Serve the clock as a delta tick on the service that reads and on its
+/// twin that never does: the same snapshot, and the reader's delta scans
+/// logged exactly as the twin logged its own. Returns the tick served.
+fn serve_both(
+    reader: &mut CampaignService,
+    twin: &mut CampaignService,
+) -> Result<u64, TestCaseError> {
+    let tick = reader.tick();
+    prop_assert_eq!(twin.tick(), tick);
+    let (served, expected) = (reader.snapshot_at(tick), twin.snapshot_at(tick));
+    prop_assert!(*served == *expected, "delta snapshot at tick {}", tick);
+    let deltas: Vec<TickStats> = reader
+        .tick_log()
+        .iter()
+        .filter(|t| !t.full_rescan)
+        .copied()
+        .collect();
+    prop_assert_eq!(&deltas[..], twin.tick_log(), "tick log at tick {}", tick);
+    Ok(tick)
+}
+
+/// Which read shapes a run exercised: a read below the cache's last scan
+/// `s`, one between `s` and the clock, and rewinds across an era migration
+/// and across a STEK rollover.
+#[derive(Debug, Default, PartialEq)]
+struct ReadShapes {
+    below_scan: bool,
+    between_scan_and_clock: bool,
+    across_migration: bool,
+    across_rollover: bool,
+}
+
+/// Read tick `t < reader.tick()` back; it must equal a full rescan of `t`.
+/// `scanned` is the tick of the reader's last delta scan, if any.
+fn read_back(
+    reader: &mut CampaignService,
+    t: u64,
+    scanned: Option<u64>,
+    migrations: [u64; 2],
+    shapes: &mut ReadShapes,
+) -> Result<(), TestCaseError> {
+    let (now, logged) = (reader.tick(), reader.tick_log().len());
+    let read = reader.snapshot_at(t);
+    prop_assert!(
+        *read == reader.full_rescan_at(t),
+        "read of tick {} at clock {}",
+        t,
+        now
+    );
+    prop_assert_eq!(reader.tick(), now);
+    if let Some(s) = scanned.filter(|_| reader.tick_log().len() > logged) {
+        shapes.below_scan |= t < s;
+        shapes.between_scan_and_clock |= s < t;
+        shapes.across_migration |= migrations.iter().any(|&m| t < m && m <= now);
+        shapes.across_rollover |= (t + 1..=now).any(|k| k % 2 == 0);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // Reads off the live cache. A random run of steps (advance 0–3 ticks,
+    // serve a delta tick, read a random past tick `t`) on a service that
+    // reads and a twin that never does, at workers {1, 2} × segment sizes
+    // {16, 1024}. Every read must equal `full_rescan_at(t)`, and both
+    // services must serve identical delta snapshots and `TickStats`: a read
+    // absorbs no churn. A fixed tail past `LATE_MIGRATION` makes every case
+    // read once with `s < t < now` (`s` the cache's last scan) across a
+    // STEK rollover and once with `t < s` across the migration, on ticks no
+    // step requested (a resident snapshot would answer without a read).
+    // Fewer than 16 reads a case, so no read evicts a delta snapshot the
+    // twin still holds.
+    //
+    // Mutation-checked by hand on a copy of the tree: rewinding one tick too
+    // few (`while self.tick > tick + 1` in `ChurnState::rewind`) and
+    // ignoring the `(s, t]` span (`for tick in a + 1..=b` in
+    // `CampaignService::churned_between`, so a read above the scan
+    // re-folds nothing) each fail at case 0, on the tail's read of tick 33.
+    #[test]
+    fn live_cache_reads_equal_full_rescans(
+        steps in proptest::collection::vec(any::<u64>(), 1..10),
+        migration_tick in 1u64..8,
+    ) {
+        let migrations = [migration_tick, LATE_MIGRATION];
+        for workers in [1usize, 2] {
+            for segment_size in [16usize, 1024] {
+                let mut reader = reading_service(workers, segment_size, migration_tick);
+                let mut twin = reading_service(workers, segment_size, migration_tick);
+                let mut shapes = ReadShapes::default();
+                let mut scanned = None;
+                for &step in &steps {
+                    // One draw a step: its kind, a tick count and a pick.
+                    let (kind, n, pick) = (step % 3, step / 3 % 4, step / 12);
+                    match kind {
+                        0 => {
+                            let to = reader.tick() + n;
+                            reader.advance_to(to);
+                            twin.advance_to(to);
+                        }
+                        1 => scanned = Some(serve_both(&mut reader, &mut twin)?),
+                        _ if reader.tick() > 0 => {
+                            let t = pick % reader.tick();
+                            read_back(&mut reader, t, scanned, migrations, &mut shapes)?;
+                        }
+                        _ => {}
+                    }
+                }
+                // The tail: scan two ticks past the late migration, run the
+                // clock three more, read the tick after the scan, then the
+                // tick before the migration, then serve the clock.
+                reader.advance_to(LATE_MIGRATION + 2);
+                twin.advance_to(LATE_MIGRATION + 2);
+                let s = serve_both(&mut reader, &mut twin)?;
+                reader.advance_to(s + 3);
+                twin.advance_to(s + 3);
+                read_back(&mut reader, s + 1, Some(s), migrations, &mut shapes)?;
+                read_back(&mut reader, LATE_MIGRATION - 1, Some(s), migrations, &mut shapes)?;
+                serve_both(&mut reader, &mut twin)?;
+                let all = ReadShapes {
+                    below_scan: true,
+                    between_scan_and_clock: true,
+                    across_migration: true,
+                    across_rollover: true,
+                };
+                prop_assert_eq!(shapes, all, "workers {} segment {}", workers, segment_size);
             }
         }
     }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use quicert_churn::ChurnConfig;
-use quicert_core::engine::{host_parallelism, MAX_ADAPTIVE_CHUNK};
+use quicert_core::engine::host_parallelism;
 use quicert_core::service::TICK_LOG_WINDOW;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_obs::MetricsRegistry;
@@ -246,35 +246,81 @@ fn a_tick_without_a_migration_adds_no_chain_shape_class() {
     assert_eq!(classes(&service), migrated);
 }
 
-/// A historical read streams the population through one accumulator per
-/// worker: its peak live heap is the replayed churn state plus, per
-/// worker, a chunk of records and a few summaries — not one 8.4 kB summary
-/// per segment (313 of them here, 2.6 MB).
+/// A read one tick behind the cache is served the way a delta tick is: its
+/// peak live heap is the rewound churn state, per worker one chunk (a
+/// 64-rank segment of records) with its scratch, and one ≈8.4 kB summary
+/// per segment the tick churned (its 14 events touch 13 of the 313
+/// segments here) — not a summary per segment (2.6 MB), and no replayed
+/// state beside the rewound one. Measured: ≈+285 kB at 2 workers; the
+/// streamed refold from a state replayed from tick 0 that reads used to be
+/// peaked at ≈+264 kB, holding two summaries per worker and larger
+/// chunks instead of the 13 segments' summaries.
 #[test]
-fn a_historical_read_builds_no_per_segment_summary() {
+fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
     let _serial = serial();
     const DOMAINS: usize = 20_000;
     const WORKERS: usize = 2;
+    const SEGMENT: usize = 64;
+    const SUMMARY: usize = 10_240;
     let campaign = CampaignConfig::small()
         .with_domains(DOMAINS)
         .with_seed(0x6A4D)
         .with_workers(WORKERS);
     let churn = ChurnConfig::new(0x7123, DOMAINS);
     let mut service =
-        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(64));
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(SEGMENT));
     service.snapshot_at(0);
     service.snapshot_at(2);
     let before = live_heap_and_reset_peak();
     let read = service.snapshot_at(1);
     let peak = PEAK.load(Ordering::Relaxed) - before;
-    assert!(service.tick_log().last().expect("logged").full_rescan);
+    let stats = *service.tick_log().last().expect("logged");
+    assert!(stats.full_rescan && stats.tick == 1);
+    assert!(0 < stats.dirty_segments && stats.dirty_segments <= 14);
     assert_eq!(*read, service.full_rescan_at(1));
-    // 8 B a domain of replayed state; per worker one claim of records
-    // (≈300 B each with its name) and its scratch, accumulator and the
-    // chunk summary being merged.
-    let budget = 8 * DOMAINS + WORKERS * (MAX_ADAPTIVE_CHUNK * 512 + 4 * 10_240);
+    // 8 B a domain of rewound state; per worker one segment of records
+    // (≈300 B each with its name), its scratch and two summaries in
+    // flight; and the re-folded segments' summaries, returned in order.
+    let budget = 8 * DOMAINS + WORKERS * (SEGMENT * 512 + 2 * SUMMARY) + 14 * SUMMARY;
     assert!(peak <= budget, "a read peaked at {peak} B over {budget} B");
-    eprintln!("historical read: peak live heap +{peak} B (budget {budget} B)");
+    eprintln!(
+        "recent read: peak live heap +{peak} B for {} re-folded segments (budget {budget} B)",
+        stats.dirty_segments
+    );
+}
+
+/// A read's cost follows the churn it spans, not the clock: read one tick
+/// back at tick 100 and at tick 5,000 on the same service and it folds the
+/// same number of records both times — the one segment that tick's single
+/// rotation touched — where a refold from tick 0 folded the population.
+#[test]
+fn a_read_one_tick_back_folds_as_much_at_tick_5000_as_at_tick_100() {
+    let _serial = serial();
+    const DOMAINS: usize = 2_048;
+    const SEGMENT: usize = 64;
+    let campaign = CampaignConfig::small()
+        .with_domains(DOMAINS)
+        .with_seed(0x6A4D)
+        .with_workers(1);
+    // One rotation a tick: every tick churns exactly one rank.
+    let churn = ChurnConfig::new(0x7123, DOMAINS).with_rates(1, 0, 0);
+    let mut service =
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(SEGMENT));
+    let folded = service
+        .metrics_registry()
+        .counter("quicert_engine_records_folded_total", "");
+    let mut read_back = |now: u64| {
+        service.snapshot_at(now);
+        let before = folded.get();
+        let read = service.snapshot_at(now - 1);
+        let records = folded.get() - before;
+        assert_eq!(*read, service.full_rescan_at(now - 1), "tick {}", now - 1);
+        records
+    };
+    let (early, late) = (read_back(100), read_back(5_000));
+    assert_eq!(early, late, "records folded by a read at tick 99 and 4,999");
+    assert_eq!(late, SEGMENT as u64);
+    assert!(late < DOMAINS as u64);
 }
 
 /// Everything a resident service accumulates is a function of its
@@ -306,9 +352,12 @@ fn resident_state_stays_bounded_over_a_10000_tick_soak() {
     for tick in 0..=10_000u64 {
         svc.snapshot_at(tick);
         if tick % 50 == 49 {
-            // Long evicted from the snapshot store: a streamed refold.
+            // Long evicted from the snapshot store: a read spanning half
+            // the clock (up to 5,000 ticks), whose churn touched every
+            // segment.
             svc.snapshot_at(tick / 2);
-            assert!(svc.tick_log().last().expect("logged").full_rescan);
+            let read = svc.tick_log().last().expect("logged");
+            assert!(read.full_rescan && read.dirty_segments == read.total_segments);
         }
         assert!(resident.get() <= 16.0, "tick {tick}");
         assert!(svc.tick_log().len() < 2 * TICK_LOG_WINDOW, "tick {tick}");

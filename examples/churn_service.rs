@@ -65,8 +65,9 @@ fn main() {
         );
     }
 
-    // Historical queries replay the state without disturbing the clock,
-    // and the delta path is verifiable against the reference rescan:
+    // Historical queries rewind a copy of the live state and re-probe only
+    // the segments churned since, without disturbing the clock, and are
+    // verifiable against the reference rescan:
     let historical = service.snapshot_at(2);
     let reference = service.full_rescan_at(2);
     assert_eq!(*historical, reference);
