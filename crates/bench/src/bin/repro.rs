@@ -16,6 +16,8 @@
 //! campaign service through `N` churn ticks after the report, printing
 //! per-tick delta-scan stats to stderr — stdout stays the golden report.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use quicert_core::{full_report, Campaign, CampaignConfig, ReportOptions};
 
 /// The `QUICERT_WORKERS` override (`0` = one worker per core), when set
@@ -145,10 +147,9 @@ fn main() {
         for tick in 0..=ticks {
             let snapshot = service.snapshot_at(tick);
             let reachable = snapshot.reach.classes.reachable();
-            let stats = *service
-                .tick_log()
-                .last()
-                .expect("snapshot_at always logs a scan");
+            let Some(&stats) = service.tick_log().last() else {
+                continue;
+            };
             eprintln!(
                 "  tick {}: {} event(s), {} rank(s) churned{}, probed {}/{} ({} of {} segments dirty), {} reachable",
                 stats.tick,

@@ -277,6 +277,27 @@ pub struct TickDelta {
     pub events: usize,
 }
 
+impl TickDelta {
+    /// What `events`, the events of `tick`, change: the ranks of its
+    /// per-rank events, sorted and deduplicated, and everything if an era
+    /// migration fired. The one spelling of that rule —
+    /// [`ChurnState::advance`] and a resident campaign's scans both read it.
+    pub fn of(tick: u64, events: &[ChurnEvent]) -> TickDelta {
+        let mut changed_ranks: Vec<usize> = events.iter().filter_map(ChurnEvent::rank).collect();
+        changed_ranks.sort_unstable();
+        changed_ranks.dedup();
+        TickDelta {
+            tick,
+            changed_ranks,
+            all_changed: events
+                .iter()
+                .any(|e| matches!(e, ChurnEvent::EraMigration { .. })),
+            stek_rollover: events.contains(&ChurnEvent::StekRollover),
+            events: events.len(),
+        }
+    }
+}
+
 /// The accumulated churn state at one tick: everything needed to overlay
 /// the timeline onto freshly derived records.
 ///
@@ -407,26 +428,10 @@ impl ChurnState {
             self.generations.resize(domains, 0);
             self.drifts.resize(domains, 0);
         }
-        let mut changed_ranks: Vec<usize> = Vec::new();
-        let mut all_changed = false;
-        let mut stek_rollover = false;
         for event in &events {
             self.apply(event);
-            match event {
-                ChurnEvent::EraMigration { .. } => all_changed = true,
-                ChurnEvent::StekRollover => stek_rollover = true,
-                _ => changed_ranks.extend(event.rank()),
-            }
         }
-        changed_ranks.sort_unstable();
-        changed_ranks.dedup();
-        TickDelta {
-            tick: self.tick,
-            changed_ranks,
-            all_changed,
-            stek_rollover,
-            events: events.len(),
-        }
+        TickDelta::of(self.tick, &events)
     }
 
     /// The state at `tick`, replayed from scratch — the reference

@@ -3,33 +3,35 @@
 //! through **delta scans**.
 //!
 //! A batch [`crate::Campaign`] scans one frozen world. The
-//! [`CampaignService`] instead holds a `quicert_churn::Timeline` and a
-//! fixed segmentation of the population:
+//! [`CampaignService`] instead holds a `quicert_churn::Timeline`, the live
+//! [`ChurnState`] and a cache of per-segment summaries, all valid at the
+//! tick `s` the cache was last scanned at:
 //!
-//! * [`CampaignService::advance_to`] applies churn ticks as pure state
-//!   transitions and marks the **segments** containing churned ranks
-//!   dirty (an era migration dirties everything — the affected records
-//!   are only identifiable after derivation).
-//! * [`CampaignService::snapshot_at`] re-derives and re-probes **only the
-//!   dirty segments** — as explicit rank ranges through the streaming
-//!   engine's own pump ([`ScanEngine::fold_ranges`]) — then merges the
-//!   per-segment `Merge`-monoid summaries in segment order. Because
-//!   every summary merge is exactly associative and commutative (pinned
-//!   by the worker/chunk-invariance suite), the
-//!   delta scan is **bit-identical to a full rescan** of the churned
-//!   world at that tick — the load-bearing invariant, pinned in
-//!   `determinism_matrix`.
-//! * The last 16 snapshots served (`SNAPSHOT_CAPACITY`) stay resident,
-//!   evicted in the order they were first served. Any other tick older
-//!   than the clock is a **historical read**, served the way a delta tick
-//!   is: a clone of the live [`ChurnState`] is rewound to it
-//!   ([`ChurnState::rewind`]), and only the segments churned between it
-//!   and the cache's last scan (all of them across an era migration) are
-//!   re-folded and merged with the other cached summaries in segment
-//!   order. Reading `t` at clock `now` from a cache scanned at `s` costs
-//!   `|now − t| + |s − t|` churn ticks plus the segments they touch. A
-//!   read absorbs no churn: the live state, the cache, the dirty flags and
-//!   the churn pending for the next delta tick stay as they were.
+//! * [`CampaignService::advance_to`] steps the churn state, as pure state
+//!   transitions, and nothing else. It marks nothing: what churned since
+//!   `s` is a question a scan asks the timeline when it runs.
+//! * Every snapshot the cache does not hold is served by one fold. For a
+//!   tick `t` under the churn state at `t`, it asks the timeline which
+//!   **segments** a rank of which churned in the ticks between `t` and `s`
+//!   (all of them across an era migration, whose records are only
+//!   identifiable after derivation; all of them before the first scan),
+//!   re-derives and re-probes **only those** — as explicit rank ranges
+//!   through the streaming engine's own pump ([`ScanEngine::fold_ranges`])
+//!   — and merges the fresh summaries over the cached ones in segment
+//!   order. Because every summary merge is exactly associative and
+//!   commutative (pinned by the worker/chunk-invariance suite), the result
+//!   is **bit-identical to a full rescan** of the churned world at `t` —
+//!   the load-bearing invariant, pinned in `determinism_matrix`.
+//! * A **delta tick** ([`CampaignService::snapshot_at`] at or past the
+//!   clock) is that fold on the live state, after which its summaries
+//!   replace their cached ones and `s` moves to the clock. A **read**
+//!   ([`CampaignService::read`], `&self`) is that fold on a clone of the
+//!   live state rewound to its tick ([`ChurnState::rewind`]); it installs
+//!   nothing, so a read absorbs no churn by construction. Reading `t` at
+//!   clock `now` costs `|now − t| + |s − t|` churn ticks plus the segments
+//!   they touch. `snapshot_at` keeps the last 16 snapshots served
+//!   (`SNAPSHOT_CAPACITY`, evicted in the order they were first served)
+//!   and logs every scan; any other past tick it serves through `read`.
 //! * [`CampaignService::full_rescan_at`] is the reference every snapshot
 //!   is tested against: the state replayed from tick 0
 //!   ([`ChurnState::at`]) and the whole population streamed through the
@@ -44,7 +46,7 @@
 //! the records churn actually changed; and the §3.1 funnel looks each
 //! record's chain shape up instead of issuing its certificates
 //! (`https_scan::fold_iter`), so a tick costs what churn changed — record
-//! derivation and two table lookups per record of a dirty segment — not
+//! derivation and two table lookups per record of a re-folded segment — not
 //! what the segment contains. The service needs no invalidation protocol
 //! for either table: churn reaches a probe only through
 //! `cert_generation`, `chain_id` drift and `era_override`, and an HTTPS
@@ -61,7 +63,8 @@
 //! [`ChurnState`] is two dense per-rank vectors sized once, and both
 //! flyweight tables are bounded (`quicreach::MEMO_CLASS_CAPACITY`). A
 //! 10,000-tick soak with interleaved historical reads pins all of it
-//! (`tests/memo_guards.rs`).
+//! (`tests/memo_guards.rs`). Nothing resident shadows the timeline: the
+//! churn a delta tick logs is re-derived from `events_at` over `(s, now]`.
 //!
 //! The service holds no execution path and no registry of its own: its
 //! `quicert_service_*` counters (ticks applied, records churned,
@@ -72,7 +75,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use quicert_analysis::Merge;
-use quicert_churn::{ChurnConfig, ChurnEvent, ChurnState, Timeline};
+use quicert_churn::{ChurnConfig, ChurnState, TickDelta, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::DomainRecord;
 use quicert_scanner::https_scan::{self, HttpsScanShard};
@@ -161,11 +164,11 @@ pub struct TickStats {
 /// What one fold of a rank range yields: the summaries the service caches
 /// per segment (valid at the cache's last scanned tick), and — merged,
 /// which is exact — what a full rescan folds the whole population into.
+/// Its QUIC services probed are `reach.total()`: every one yields a result.
 #[derive(Debug, Clone)]
 struct SegmentSummary {
     reach: QuicReachShard,
     funnel: HttpsScanShard,
-    probed: usize,
 }
 
 impl Merge for SegmentSummary {
@@ -173,15 +176,23 @@ impl Merge for SegmentSummary {
         SegmentSummary {
             reach: QuicReachShard::identity(),
             funnel: HttpsScanShard::identity(),
-            probed: 0,
         }
     }
 
     fn merge(&mut self, other: &Self) {
         self.reach.merge(&other.reach);
         self.funnel.merge(&other.funnel);
-        self.probed += other.probed;
     }
+}
+
+/// What churned in a span of ticks, read off the timeline: per segment
+/// whether a rank of it churned (every segment if an era migration fired),
+/// and the churn tallies a delta tick logs.
+struct Churned {
+    segments: Vec<bool>,
+    events: usize,
+    changed_ranks: usize,
+    all_changed: bool,
 }
 
 /// Scanned ticks [`CampaignService::tick_log`] always retains: the log is
@@ -253,19 +264,10 @@ pub struct CampaignService {
     segments: Vec<SegmentSummary>,
     /// The tick the segment cache was last scanned at.
     scanned_tick: u64,
-    /// Segments churned since `scanned_tick`, one flag per segment of the
-    /// population.
-    dirty: Vec<bool>,
     /// At most [`SNAPSHOT_CAPACITY`] snapshots, oldest-served first.
     snapshots: VecDeque<Arc<Snapshot>>,
     /// The most recent scans, fewer than `2 * TICK_LOG_WINDOW` of them.
     tick_log: Vec<TickStats>,
-    /// Events/ranks accumulated since the last delta scan (folded into
-    /// the next delta-scanned tick's stats; a historical read leaves them
-    /// alone — it absorbs no churn).
-    pending_events: usize,
-    pending_ranks: usize,
-    pending_all_changed: bool,
     metrics: ServiceMetrics,
 }
 
@@ -275,7 +277,6 @@ impl CampaignService {
     /// segment summaries, never the population.
     pub fn new(config: ServiceConfig) -> CampaignService {
         let segment_size = config.segment_size.max(1);
-        let segments = config.campaign.world.domains.div_ceil(segment_size);
         let engine = ScanEngine::streaming(
             config.campaign.world.clone(),
             config.campaign.scenario.initial_size,
@@ -292,12 +293,8 @@ impl CampaignService {
             segment_size,
             segments: Vec::new(),
             scanned_tick: 0,
-            dirty: vec![false; segments],
             snapshots: VecDeque::with_capacity(SNAPSHOT_CAPACITY),
             tick_log: Vec::new(),
-            pending_events: 0,
-            pending_ranks: 0,
-            pending_all_changed: false,
             metrics,
         }
     }
@@ -342,17 +339,11 @@ impl CampaignService {
         &self.tick_log
     }
 
-    fn log_scan(&mut self, stats: TickStats) {
-        if self.tick_log.len() + 1 == 2 * TICK_LOG_WINDOW {
-            self.tick_log.drain(..TICK_LOG_WINDOW);
-        }
-        self.tick_log.push(stats);
-    }
-
-    /// Advance the service clock to `tick`, applying every intervening
-    /// churn tick and marking the churned segments dirty. No scanning
-    /// happens until a snapshot is requested. Ticks already applied are
-    /// not re-applied (the clock is monotonic).
+    /// Advance the service clock to `tick`, stepping the churn state over
+    /// every intervening churn tick. Nothing is marked and nothing is
+    /// scanned: the next delta tick asks the timeline what churned since
+    /// the cache's last scan. Ticks already applied are not re-applied (the
+    /// clock is monotonic).
     pub fn advance_to(&mut self, tick: u64) {
         while self.state.tick < tick {
             let delta = self.state.advance(&self.timeline);
@@ -360,40 +351,44 @@ impl CampaignService {
             self.metrics
                 .records_churned
                 .add(delta.changed_ranks.len() as u64);
-            self.pending_events += delta.events;
-            self.pending_ranks += delta.changed_ranks.len();
-            if delta.all_changed {
-                self.pending_all_changed = true;
-                self.dirty.fill(true);
-            } else {
-                for &rank in &delta.changed_ranks {
-                    self.dirty[(rank - 1) / self.segment_size] = true;
-                }
-            }
         }
     }
 
     /// The snapshot at `tick`, computed on first request and kept while it
     /// is among the last 16 (`SNAPSHOT_CAPACITY`) ticks served — the tick just
-    /// served is always still resident.
+    /// served is always still resident. Every scan it runs is logged.
     ///
     /// * `tick >= self.tick()`: the clock advances and the snapshot is a
-    ///   **delta scan** — only dirty (or never-folded) segments re-probe.
-    /// * `tick < self.tick()` and not resident: a **historical read** — the
-    ///   live churn state rewound to `tick`, and only the segments churned
-    ///   between `tick` and the cache's last scan re-folded under it. The
-    ///   clock, the segment cache and the churn pending for the next delta
-    ///   tick are left as they were.
+    ///   **delta tick** — the segments churned since the cache's last scan
+    ///   (every one before the first) re-fold under the live state and
+    ///   replace their cached summaries.
+    /// * `tick < self.tick()` and not resident: a **historical read**
+    ///   ([`CampaignService::read`]), which leaves the clock, the churn
+    ///   state and the segment cache as they were.
     pub fn snapshot_at(&mut self, tick: u64) -> Arc<Snapshot> {
         if let Some(snapshot) = self.snapshots.iter().find(|s| s.tick == tick) {
             return Arc::clone(snapshot);
         }
-        let snapshot = if tick < self.state.tick {
-            Arc::new(self.historical_read(tick))
+        let (snapshot, stats) = if tick < self.state.tick {
+            self.read(tick)
         } else {
             self.advance_to(tick);
-            Arc::new(self.delta_scan(tick))
+            let (snapshot, fresh, stats) = self.serve(tick, &self.state);
+            self.segments
+                .resize_with(stats.total_segments, SegmentSummary::identity);
+            for (segment, summary) in fresh {
+                self.segments[segment] = summary;
+            }
+            self.scanned_tick = tick;
+            self.metrics.delta_probes.add(stats.probed as u64);
+            self.metrics.delta_scans.inc();
+            (snapshot, stats)
         };
+        if self.tick_log.len() + 1 == 2 * TICK_LOG_WINDOW {
+            self.tick_log.drain(..TICK_LOG_WINDOW);
+        }
+        self.tick_log.push(stats);
+        let snapshot = Arc::new(snapshot);
         if self.snapshots.len() == SNAPSHOT_CAPACITY {
             self.snapshots.pop_front();
         }
@@ -410,7 +405,7 @@ impl CampaignService {
     /// pump's per-worker accumulators ([`ScanEngine::fold_population`]),
     /// no per-segment summary built. Does not consult or update the segment
     /// cache, and is not logged.
-    pub fn full_rescan_at(&mut self, tick: u64) -> Snapshot {
+    pub fn full_rescan_at(&self, tick: u64) -> Snapshot {
         let replayed;
         let state = if tick == self.state.tick {
             &self.state
@@ -421,112 +416,112 @@ impl CampaignService {
         let total: SegmentSummary = self
             .engine
             .fold_population(self.scenario(), self.segment_fold(state));
-        self.metrics.full_probes.add(total.probed as u64);
+        self.metrics.full_probes.add(total.reach.total() as u64);
         self.metrics.full_rescans.inc();
         Self::snapshot_of(tick, state.stek_epoch, [&total])
     }
 
-    /// The delta scan at the current clock: re-fold exactly the dirty (or,
-    /// before the first scan, every) segment, install them in the cache, and
-    /// merge all cached segment summaries in segment order.
-    fn delta_scan(&mut self, tick: u64) -> Snapshot {
-        debug_assert_eq!(tick, self.state.tick);
-        let dirty = self.to_refold(&self.dirty);
-        let folded = self.fold_segments(&dirty, &self.state);
-        let probed: usize = folded.iter().map(|s| s.probed).sum();
-        if self.segments.is_empty() {
-            self.segments = folded;
-        } else {
-            for (&segment, summary) in dirty.iter().zip(folded) {
-                self.segments[segment] = summary;
-            }
-        }
-        self.dirty.fill(false);
-        self.scanned_tick = tick;
-        let full_probe_count = self.segments.iter().map(|s| s.probed).sum();
-        let snapshot = Self::snapshot_of(tick, self.state.stek_epoch, &self.segments);
-        self.metrics.delta_probes.add(probed as u64);
-        self.metrics.delta_scans.inc();
-        let stats = TickStats {
-            tick,
-            events: std::mem::take(&mut self.pending_events),
-            changed_ranks: std::mem::take(&mut self.pending_ranks),
-            all_changed: std::mem::take(&mut self.pending_all_changed),
-            dirty_segments: dirty.len(),
-            total_segments: self.dirty.len(),
-            probed,
-            full_probe_count,
-            full_rescan: false,
-        };
-        self.log_scan(stats);
-        snapshot
-    }
-
-    /// A historical read of `tick < self.tick()`, served like a delta
-    /// scan: a clone of the live state rewound to `tick`, the segments
-    /// churned between `tick` and the cache's last scan (every one before
-    /// the first scan) re-folded under it, and the cached summaries merged
-    /// in segment order with those in place of theirs. Exact for the same
-    /// reason a delta scan is: an untouched segment's ranks carry the same
-    /// churn at `tick` as at the cache's scan. Only the tick log changes.
-    fn historical_read(&mut self, tick: u64) -> Snapshot {
+    /// Read the snapshot at `tick <= self.tick()` off the live segment
+    /// cache, with what the scan cost: stats marked `full_rescan` ("served
+    /// off the live clock") and with no churn of their own. A clone of the
+    /// live state is rewound to `tick` and served like a delta tick, but
+    /// nothing is installed: the clock, the churn state, the cache and the
+    /// churn the next delta tick logs stay as they were, so reads may run
+    /// concurrently. Neither the snapshot store nor the tick log sees it;
+    /// [`CampaignService::snapshot_at`] keeps those.
+    ///
+    /// # Panics
+    ///
+    /// If `tick` is past the clock: there is no churn state to rewind.
+    pub fn read(&self, tick: u64) -> (Snapshot, TickStats) {
+        assert!(
+            tick <= self.state.tick,
+            "read of tick {tick} past the clock"
+        );
         let mut state = self.state.clone();
         state.rewind(&self.timeline, tick);
-        let refold = self.to_refold(&self.churned_between(tick, self.scanned_tick));
-        let folded = self.fold_segments(&refold, &state);
-        let probed: usize = folded.iter().map(|s| s.probed).sum();
+        let (snapshot, _, stats) = self.serve(tick, &state);
+        self.metrics.full_probes.add(stats.probed as u64);
+        self.metrics.full_rescans.inc();
+        let stats = TickStats {
+            events: 0,
+            changed_ranks: 0,
+            all_changed: false,
+            full_rescan: true,
+            ..stats
+        };
+        (snapshot, stats)
+    }
+
+    /// Serve `tick` under `state`, the churn state at `tick`: re-fold the
+    /// segments churned between `tick` and the cache's last scan (every one
+    /// while the cache is empty) and merge them, in segment order, over the
+    /// cached summaries of the rest. Exact because an untouched segment's
+    /// ranks carry the same churn at `tick` as at the cache's scan. Returns
+    /// the snapshot, the re-folded segments with their fresh summaries, and
+    /// the stats a delta tick logs.
+    fn serve(
+        &self,
+        tick: u64,
+        state: &ChurnState,
+    ) -> (Snapshot, Vec<(usize, SegmentSummary)>, TickStats) {
+        let churned = self.churned_between(tick, self.scanned_tick);
+        let refold: Vec<usize> = (0..churned.segments.len())
+            .filter(|&segment| self.segments.is_empty() || churned.segments[segment])
+            .collect();
+        let folded = self.fold_segments(&refold, state);
         let mut fresh = refold.iter().zip(&folded).peekable();
-        let merged: Vec<&SegmentSummary> = (0..self.dirty.len())
+        let merged: Vec<&SegmentSummary> = (0..churned.segments.len())
             .map(|segment| match fresh.next_if(|&(&at, _)| at == segment) {
                 Some((_, summary)) => summary,
                 None => &self.segments[segment],
             })
             .collect();
-        let full_probe_count = merged.iter().map(|s| s.probed).sum();
-        let snapshot = Self::snapshot_of(tick, state.stek_epoch, merged);
-        self.metrics.full_probes.add(probed as u64);
-        self.metrics.full_rescans.inc();
-        // A read absorbs no churn: whatever accumulated since the last
-        // delta scan stays pending for the next one.
-        self.log_scan(TickStats {
+        let stats = TickStats {
             tick,
+            events: churned.events,
+            changed_ranks: churned.changed_ranks,
+            all_changed: churned.all_changed,
+            dirty_segments: refold.len(),
+            total_segments: churned.segments.len(),
+            probed: folded.iter().map(|s| s.reach.total()).sum(),
+            full_probe_count: merged.iter().map(|s| s.reach.total()).sum(),
+            full_rescan: false,
+        };
+        let snapshot = Self::snapshot_of(tick, state.stek_epoch, merged);
+        (snapshot, refold.into_iter().zip(folded).collect(), stats)
+    }
+
+    /// What churned in the ticks between `a` and `b` (`(min, max]`): each
+    /// tick's [`TickDelta`], as [`ChurnState::advance`] derives it, summed.
+    /// An era migration churns every segment, since its records are only
+    /// identifiable after derivation.
+    fn churned_between(&self, a: u64, b: u64) -> Churned {
+        let segments = self
+            .config
+            .campaign
+            .world
+            .domains
+            .div_ceil(self.segment_size);
+        let mut churned = Churned {
+            segments: vec![false; segments],
             events: 0,
             changed_ranks: 0,
             all_changed: false,
-            dirty_segments: refold.len(),
-            total_segments: self.dirty.len(),
-            probed,
-            full_probe_count,
-            full_rescan: true,
-        });
-        snapshot
-    }
-
-    /// Per segment, whether a rank of it churned in the ticks between `a`
-    /// and `b` (`(min, max]`) — every segment if an era migration fired
-    /// there, since its records are only identifiable after derivation.
-    fn churned_between(&self, a: u64, b: u64) -> Vec<bool> {
-        let mut churned = vec![false; self.dirty.len()];
+        };
         for tick in a.min(b) + 1..=a.max(b) {
-            for event in self.timeline.events_at(tick) {
-                if let ChurnEvent::EraMigration { .. } = event {
-                    churned.fill(true);
-                    return churned;
-                }
-                if let Some(rank) = event.rank() {
-                    churned[(rank - 1) / self.segment_size] = true;
-                }
+            let delta = TickDelta::of(tick, &self.timeline.events_at(tick));
+            churned.events += delta.events;
+            churned.changed_ranks += delta.changed_ranks.len();
+            churned.all_changed |= delta.all_changed;
+            for rank in delta.changed_ranks {
+                churned.segments[(rank - 1) / self.segment_size] = true;
             }
         }
+        if churned.all_changed {
+            churned.segments.fill(true);
+        }
         churned
-    }
-
-    /// The segments a fold must refresh, ascending: those `churned` flags,
-    /// or every segment while the cache is still empty.
-    fn to_refold(&self, churned: &[bool]) -> Vec<usize> {
-        (0..churned.len())
-            .filter(|&segment| self.segments.is_empty() || churned[segment])
-            .collect()
     }
 
     /// Fold `segments` under `state` as explicit rank ranges through the
@@ -556,7 +551,6 @@ impl CampaignService {
             SegmentSummary {
                 reach: quicreach::fold_chunk(world, records, scenario, scratch),
                 funnel: https_scan::fold_iter(world, records.iter()),
-                probed: records.iter().filter(|r| r.has_quic()).count(),
             }
         }
     }
@@ -756,6 +750,26 @@ mod tests {
                 assert_eq!(delta.dirty_segments, delta.total_segments);
             }
         }
+    }
+
+    #[test]
+    fn a_read_at_the_clock_is_its_delta_tick_with_nothing_installed() {
+        // Same span (1, 3], same fold, same snapshot; only the delta tick
+        // installs its summaries, moves the scan and logs the churn.
+        let mut svc = service(1);
+        svc.snapshot_at(1);
+        svc.advance_to(3);
+        let (read, stats) = svc.read(3);
+        assert!(stats.full_rescan && stats.tick == 3);
+        assert_eq!((stats.events, stats.changed_ranks), (0, 0));
+        assert_eq!((svc.scanned_tick, svc.tick_log().len()), (1, 1));
+        assert_eq!(read, *svc.snapshot_at(3));
+        let delta = svc.tick_log()[1];
+        assert!(!delta.full_rescan && delta.events > 0 && svc.scanned_tick == 3);
+        assert_eq!(
+            (delta.dirty_segments, delta.probed, delta.full_probe_count),
+            (stats.dirty_segments, stats.probed, stats.full_probe_count)
+        );
     }
 
     #[test]

@@ -800,15 +800,52 @@ fn reading_service(workers: usize, segment_size: usize, migration_tick: u64) -> 
     CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(segment_size))
 }
 
+/// What a delta tick at the clock must log, rebuilt the way the service
+/// once kept it beside the timeline (a dirty flag per segment and three
+/// pending tallies, bumped on every applied tick): `ChurnState::advance`'s
+/// `TickDelta`s over `(s, now]` from a state replayed to `s`, the cache's
+/// last scan — every segment dirty before the first scan or across a
+/// migration. Returns `(events, changed_ranks, all_changed,
+/// dirty_segments)`.
+fn churn_pending_since(
+    service: &CampaignService,
+    scanned: Option<u64>,
+) -> (usize, usize, bool, usize) {
+    let config = service.config();
+    let timeline = Timeline::new(config.churn.clone());
+    let segment_size = config.segment_size;
+    let mut dirty = vec![scanned.is_none(); config.campaign.world.domains.div_ceil(segment_size)];
+    let mut state = ChurnState::at(&timeline, scanned.unwrap_or(0));
+    let (mut events, mut ranks, mut all_changed) = (0, 0, false);
+    while state.tick < service.tick() {
+        let delta = state.advance(&timeline);
+        events += delta.events;
+        ranks += delta.changed_ranks.len();
+        all_changed |= delta.all_changed;
+        if delta.all_changed {
+            dirty.fill(true);
+        }
+        for rank in delta.changed_ranks {
+            dirty[(rank - 1) / segment_size] = true;
+        }
+    }
+    let dirty_segments = dirty.iter().filter(|&&d| d).count();
+    (events, ranks, all_changed, dirty_segments)
+}
+
 /// Serve the clock as a delta tick on the service that reads and on its
-/// twin that never does: the same snapshot, and the reader's delta scans
-/// logged exactly as the twin logged its own. Returns the tick served.
+/// twin that never does: the same snapshot, the reader's delta scans
+/// logged exactly as the twin logged its own, and a freshly scanned tick's
+/// churn and re-folded segments equal to [`churn_pending_since`] the last
+/// scan `scanned`, which then moves to the tick served (returned).
 fn serve_both(
     reader: &mut CampaignService,
     twin: &mut CampaignService,
+    scanned: &mut Option<u64>,
 ) -> Result<u64, TestCaseError> {
     let tick = reader.tick();
     prop_assert_eq!(twin.tick(), tick);
+    let (pending, logged) = (churn_pending_since(twin, *scanned), twin.tick_log().len());
     let (served, expected) = (reader.snapshot_at(tick), twin.snapshot_at(tick));
     prop_assert!(*served == *expected, "delta snapshot at tick {}", tick);
     let deltas: Vec<TickStats> = reader
@@ -818,6 +855,23 @@ fn serve_both(
         .copied()
         .collect();
     prop_assert_eq!(&deltas[..], twin.tick_log(), "tick log at tick {}", tick);
+    // A tick still resident is not scanned again, and logs nothing.
+    if let [.., delta] = &twin.tick_log()[logged..] {
+        let logged = (
+            delta.events,
+            delta.changed_ranks,
+            delta.all_changed,
+            delta.dirty_segments,
+        );
+        prop_assert_eq!(
+            logged,
+            pending,
+            "churn since {:?} at tick {}",
+            *scanned,
+            tick
+        );
+    }
+    *scanned = Some(tick);
     Ok(tick)
 }
 
@@ -867,18 +921,23 @@ proptest! {
     // reads and a twin that never does, at workers {1, 2} × segment sizes
     // {16, 1024}. Every read must equal `full_rescan_at(t)`, and both
     // services must serve identical delta snapshots and `TickStats`: a read
-    // absorbs no churn. A fixed tail past `LATE_MIGRATION` makes every case
-    // read once with `s < t < now` (`s` the cache's last scan) across a
-    // STEK rollover and once with `t < s` across the migration, on ticks no
-    // step requested (a resident snapshot would answer without a read).
-    // Fewer than 16 reads a case, so no read evicts a delta snapshot the
-    // twin still holds.
+    // absorbs no churn. Every delta tick's churn tallies and re-folded
+    // segments must equal `churn_pending_since` its last scan. A fixed tail
+    // past `LATE_MIGRATION` makes every case scan a one-tick span across
+    // a migration, and read once with `s < t < now` (`s` the cache's last
+    // scan) across a STEK rollover and once with `t < s` across the
+    // migration, on ticks no step requested (a resident snapshot would
+    // answer without a read). Fewer than 16 reads a case, so no read evicts
+    // a delta snapshot the twin still holds.
     //
-    // Mutation-checked by hand on a copy of the tree: rewinding one tick too
-    // few (`while self.tick > tick + 1` in `ChurnState::rewind`) and
-    // ignoring the `(s, t]` span (`for tick in a + 1..=b` in
-    // `CampaignService::churned_between`, so a read above the scan
-    // re-folds nothing) each fail at case 0, on the tail's read of tick 33.
+    // Mutation-checked by hand on a copy of the tree, each failing at case
+    // 0: rewinding one tick too few (`while self.tick > tick + 1` in
+    // `ChurnState::rewind`), on the tail's read of tick 33; and, on a
+    // delta tick's `churn_pending_since`, three mutants of
+    // `CampaignService::churned_between`: a one-sided span (`for tick in
+    // a + 1..=b`, which sees no churn in `(s, now]`), a span one tick short
+    // (`a.min(b) + 2..=`) and a migration that does not mark every segment
+    // (no `segments.fill(true)`; caught by the tail's one-tick scan).
     #[test]
     fn live_cache_reads_equal_full_rescans(
         steps in proptest::collection::vec(any::<u64>(), 1..10),
@@ -900,7 +959,9 @@ proptest! {
                             reader.advance_to(to);
                             twin.advance_to(to);
                         }
-                        1 => scanned = Some(serve_both(&mut reader, &mut twin)?),
+                        1 => {
+                            serve_both(&mut reader, &mut twin, &mut scanned)?;
+                        }
                         _ if reader.tick() > 0 => {
                             let t = pick % reader.tick();
                             read_back(&mut reader, t, scanned, migrations, &mut shapes)?;
@@ -908,17 +969,22 @@ proptest! {
                         _ => {}
                     }
                 }
-                // The tail: scan two ticks past the late migration, run the
-                // clock three more, read the tick after the scan, then the
-                // tick before the migration, then serve the clock.
-                reader.advance_to(LATE_MIGRATION + 2);
-                twin.advance_to(LATE_MIGRATION + 2);
-                let s = serve_both(&mut reader, &mut twin)?;
+                // The tail: scan the tick before the late migration, the
+                // migration tick alone (a one-tick span that must re-fold
+                // every segment), and two ticks past it; run the clock three
+                // more, read the tick after the scan, then a tick before
+                // the migration, then serve the clock.
+                let mut s = 0;
+                for to in [LATE_MIGRATION - 1, LATE_MIGRATION, LATE_MIGRATION + 2] {
+                    reader.advance_to(to);
+                    twin.advance_to(to);
+                    s = serve_both(&mut reader, &mut twin, &mut scanned)?;
+                }
                 reader.advance_to(s + 3);
                 twin.advance_to(s + 3);
-                read_back(&mut reader, s + 1, Some(s), migrations, &mut shapes)?;
-                read_back(&mut reader, LATE_MIGRATION - 1, Some(s), migrations, &mut shapes)?;
-                serve_both(&mut reader, &mut twin)?;
+                read_back(&mut reader, s + 1, scanned, migrations, &mut shapes)?;
+                read_back(&mut reader, LATE_MIGRATION - 2, scanned, migrations, &mut shapes)?;
+                serve_both(&mut reader, &mut twin, &mut scanned)?;
                 let all = ReadShapes {
                     below_scan: true,
                     between_scan_and_clock: true,
@@ -929,6 +995,52 @@ proptest! {
             }
         }
     }
+}
+
+/// A read takes `&self`, so readers share one service. Four threads read at
+/// once off a cache scanned at `s = 8` with the clock at `now = 12` (Google
+/// migrates at 5, the STEK rolls every other tick): tick 3, below `s` and
+/// across the migration; tick 6, below `s` after it; tick 9, between `s`
+/// and the clock; tick 11, whose rewind undoes only tick 12's rollover.
+/// Each read equals a full rescan of its tick, and the service then serves
+/// the clock exactly as a twin that never read: the same snapshot and the
+/// same `TickStats`.
+#[test]
+fn concurrent_readers_share_one_service_and_absorb_no_churn() {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<CampaignService>();
+    const NOW: u64 = 12;
+    let (mut reader, mut twin) = (reading_service(2, 16, 5), reading_service(2, 16, 5));
+    for service in [&mut reader, &mut twin] {
+        service.snapshot_at(0);
+        service.snapshot_at(8);
+        service.advance_to(NOW);
+    }
+    // The barrier releases all four reads together.
+    let (service, start) = (&reader, &std::sync::Barrier::new(4));
+    let reads = std::thread::scope(|scope| {
+        [3u64, 6, 9, 11]
+            .map(|tick| {
+                scope.spawn(move || {
+                    start.wait();
+                    service.read(tick)
+                })
+            })
+            .map(|handle| handle.join().expect("a reader panicked"))
+    });
+    for (snapshot, stats) in &reads {
+        let tick = snapshot.tick;
+        assert_eq!(*snapshot, reader.full_rescan_at(tick), "tick {tick}");
+        assert!(stats.full_rescan && stats.tick == tick && stats.events == 0);
+    }
+    assert_eq!(reads[1].0.stek_epoch, 3);
+    assert_eq!(reads[3].0.stek_epoch + 1, reader.state().stek_epoch);
+    // Reads keep no log: only the two delta ticks are there.
+    assert_eq!(reader.tick_log(), twin.tick_log());
+    assert_eq!(*reader.snapshot_at(NOW), *twin.snapshot_at(NOW));
+    assert_eq!(reader.tick_log().last(), twin.tick_log().last());
+    // Ticks 9–12: 22 per-rank events each and two STEK rollovers.
+    assert_eq!(reader.tick_log().last().map(|t| t.events), Some(4 * 22 + 2));
 }
 
 /// One engine scanned under scenario A, then B (other era, profile and

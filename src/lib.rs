@@ -40,6 +40,8 @@
 //! * [`core`] — campaign orchestration: the `ScanEngine` artifact store
 //!   (parallel, uniformly cached scans) plus every table and figure
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use quicert_analysis as analysis;
 pub use quicert_churn as churn;
 pub use quicert_compress as compress;
