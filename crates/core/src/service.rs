@@ -137,7 +137,7 @@ pub struct Snapshot {
 
 /// What one scanned tick cost: churn volume and probe accounting for the
 /// delta-vs-full comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickStats {
     /// The scanned tick.
     pub tick: u64,
@@ -164,7 +164,6 @@ pub struct TickStats {
 /// What one fold of a rank range yields: the summaries the service caches
 /// per segment (valid at the cache's last scanned tick), and — merged,
 /// which is exact — what a full rescan folds the whole population into.
-/// Its QUIC services probed are `reach.total()`: every one yields a result.
 #[derive(Debug, Clone)]
 struct SegmentSummary {
     reach: QuicReachShard,
@@ -183,16 +182,6 @@ impl Merge for SegmentSummary {
         self.reach.merge(&other.reach);
         self.funnel.merge(&other.funnel);
     }
-}
-
-/// What churned in a span of ticks, read off the timeline: per segment
-/// whether a rank of it churned (every segment if an era migration fired),
-/// and the churn tallies a delta tick logs.
-struct Churned {
-    segments: Vec<bool>,
-    events: usize,
-    changed_ranks: usize,
-    all_changed: bool,
 }
 
 /// Scanned ticks [`CampaignService::tick_log`] always retains: the log is
@@ -422,22 +411,17 @@ impl CampaignService {
     }
 
     /// Read the snapshot at `tick <= self.tick()` off the live segment
-    /// cache, with what the scan cost: stats marked `full_rescan` ("served
-    /// off the live clock") and with no churn of their own. A clone of the
-    /// live state is rewound to `tick` and served like a delta tick, but
-    /// nothing is installed: the clock, the churn state, the cache and the
-    /// churn the next delta tick logs stay as they were, so reads may run
-    /// concurrently. Neither the snapshot store nor the tick log sees it;
-    /// [`CampaignService::snapshot_at`] keeps those.
+    /// cache: a clone of the live state rewound to `tick`, served like a
+    /// delta tick with nothing installed, so a read absorbs no churn and
+    /// reads may run concurrently. Its stats are marked `full_rescan`
+    /// ("served off the live clock") and carry no churn of their own;
+    /// [`CampaignService::snapshot_at`] stores and logs it.
     ///
     /// # Panics
     ///
-    /// If `tick` is past the clock: there is no churn state to rewind.
+    /// If `tick` is past the clock.
     pub fn read(&self, tick: u64) -> (Snapshot, TickStats) {
-        assert!(
-            tick <= self.state.tick,
-            "read of tick {tick} past the clock"
-        );
+        assert!(tick <= self.tick(), "read of tick {tick} past the clock");
         let mut state = self.state.clone();
         state.rewind(&self.timeline, tick);
         let (snapshot, _, stats) = self.serve(tick, &state);
@@ -454,74 +438,65 @@ impl CampaignService {
     }
 
     /// Serve `tick` under `state`, the churn state at `tick`: re-fold the
-    /// segments churned between `tick` and the cache's last scan (every one
-    /// while the cache is empty) and merge them, in segment order, over the
-    /// cached summaries of the rest. Exact because an untouched segment's
-    /// ranks carry the same churn at `tick` as at the cache's scan. Returns
-    /// the snapshot, the re-folded segments with their fresh summaries, and
-    /// the stats a delta tick logs.
+    /// segments churned between `tick` and the cache's last scan (all of
+    /// them while the cache is empty) and merge them over the cached rest
+    /// in segment order — exact, since an untouched segment's ranks carry
+    /// the same churn at `tick` as at the scan. Returns the snapshot, the
+    /// fresh summaries by segment and the stats a delta tick logs.
     fn serve(
         &self,
         tick: u64,
         state: &ChurnState,
     ) -> (Snapshot, Vec<(usize, SegmentSummary)>, TickStats) {
-        let churned = self.churned_between(tick, self.scanned_tick);
-        let refold: Vec<usize> = (0..churned.segments.len())
-            .filter(|&segment| self.segments.is_empty() || churned.segments[segment])
+        let (churned, span) = self.churned_between(tick, self.scanned_tick);
+        let refold: Vec<usize> = (0..churned.len())
+            .filter(|&segment| self.segments.is_empty() || churned[segment])
             .collect();
         let folded = self.fold_segments(&refold, state);
         let mut fresh = refold.iter().zip(&folded).peekable();
-        let merged: Vec<&SegmentSummary> = (0..churned.segments.len())
+        let merged: Vec<&SegmentSummary> = (0..churned.len())
             .map(|segment| match fresh.next_if(|&(&at, _)| at == segment) {
                 Some((_, summary)) => summary,
                 None => &self.segments[segment],
             })
             .collect();
         let stats = TickStats {
-            tick,
-            events: churned.events,
-            changed_ranks: churned.changed_ranks,
-            all_changed: churned.all_changed,
             dirty_segments: refold.len(),
-            total_segments: churned.segments.len(),
             probed: folded.iter().map(|s| s.reach.total()).sum(),
             full_probe_count: merged.iter().map(|s| s.reach.total()).sum(),
-            full_rescan: false,
+            ..span
         };
         let snapshot = Self::snapshot_of(tick, state.stek_epoch, merged);
         (snapshot, refold.into_iter().zip(folded).collect(), stats)
     }
 
-    /// What churned in the ticks between `a` and `b` (`(min, max]`): each
-    /// tick's [`TickDelta`], as [`ChurnState::advance`] derives it, summed.
-    /// An era migration churns every segment, since its records are only
-    /// identifiable after derivation.
-    fn churned_between(&self, a: u64, b: u64) -> Churned {
-        let segments = self
-            .config
-            .campaign
-            .world
-            .domains
-            .div_ceil(self.segment_size);
-        let mut churned = Churned {
-            segments: vec![false; segments],
-            events: 0,
-            changed_ranks: 0,
-            all_changed: false,
+    /// What churned in the ticks between `a` and `b` (`(min, max]`): per
+    /// segment, whether a rank of it did — every one across an era
+    /// migration, whose records are only identifiable after derivation —
+    /// and `a`'s stats with the span's churn, each tick's [`TickDelta`] (as
+    /// [`ChurnState::advance`] derives it) summed.
+    fn churned_between(&self, a: u64, b: u64) -> (Vec<bool>, TickStats) {
+        let domains = self.config.campaign.world.domains;
+        let mut churned = vec![false; domains.div_ceil(self.segment_size)];
+        let total_segments = churned.len();
+        let mut stats = TickStats {
+            tick: a,
+            total_segments,
+            ..TickStats::default()
         };
         for tick in a.min(b) + 1..=a.max(b) {
             let delta = TickDelta::of(tick, &self.timeline.events_at(tick));
-            churned.events += delta.events;
-            churned.changed_ranks += delta.changed_ranks.len();
-            churned.all_changed |= delta.all_changed;
+            stats.events += delta.events;
+            stats.changed_ranks += delta.changed_ranks.len();
+            stats.all_changed |= delta.all_changed;
             for rank in delta.changed_ranks {
-                churned.segments[(rank - 1) / self.segment_size] = true;
+                churned[(rank - 1) / self.segment_size] = true;
             }
         }
-        if churned.all_changed {
-            churned.segments.fill(true);
+        if stats.all_changed {
+            churned.fill(true);
         }
-        churned
+        (churned, stats)
     }
 
     /// Fold `segments` under `state` as explicit rank ranges through the

@@ -937,7 +937,7 @@ proptest! {
     // `CampaignService::churned_between`: a one-sided span (`for tick in
     // a + 1..=b`, which sees no churn in `(s, now]`), a span one tick short
     // (`a.min(b) + 2..=`) and a migration that does not mark every segment
-    // (no `segments.fill(true)`; caught by the tail's one-tick scan).
+    // (no `churned.fill(true)`; caught by the tail's one-tick scan).
     #[test]
     fn live_cache_reads_equal_full_rescans(
         steps in proptest::collection::vec(any::<u64>(), 1..10),
