@@ -24,8 +24,9 @@
 //!   an empty state reproduces the pre-churn world byte-for-byte.
 //!
 //! The campaign service in `quicert_core` drives this timeline and runs
-//! *delta scans*: only the ranks named by [`TickDelta::changed_ranks`]
-//! (plus every record of a migrated provider) can fold differently, so
+//! *delta scans*: only the QUIC services among the ranks named by
+//! [`TickDelta::changed_ranks`] (plus every record of a migrated provider)
+//! can fold differently, so
 //! re-probing just those segments and merging with cached summaries is
 //! bit-identical to a full rescan.
 
@@ -532,8 +533,9 @@ impl ChurnState {
 
     /// Overlay the state onto freshly derived records (any rank subset,
     /// in any order — the overlay is per-record). Records without a QUIC
-    /// deployment absorb their churn as a no-op; an empty state leaves
-    /// every record byte-identical.
+    /// deployment absorb their churn as a no-op, byte for byte, so a
+    /// resident service leaves a segment whose churned ranks serve no QUIC
+    /// clean; an empty state leaves every record byte-identical.
     pub fn apply_to_records(&self, records: &mut [DomainRecord]) {
         for record in records {
             let rank = record.rank;
@@ -770,6 +772,47 @@ mod tests {
         for (before, after) in population.iter().zip(&records) {
             assert_eq!(format!("{before:?}"), format!("{after:?}"));
         }
+    }
+
+    #[test]
+    fn churn_on_a_rank_without_quic_leaves_its_record_byte_identical() {
+        // What a resident service's clean segments stand on: whatever a
+        // state holds — rotations, revocations, drifts, a migration of
+        // every provider — a record without a QUIC deployment comes out of
+        // the overlay as it went in.
+        let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
+            domains: 500,
+            seed: 9,
+            ..Default::default()
+        });
+        let population = world.domain_chunk(1, world.config.domains);
+        let mut config = ChurnConfig::new(0x000C_4A11, 500).with_rates(16, 16, 4);
+        for provider in [
+            Provider::Cloudflare,
+            Provider::Google,
+            Provider::Meta,
+            Provider::SelfHosted,
+        ] {
+            config = config.with_migration(2, provider, CertificateEra::PostQuantum);
+        }
+        let t = Timeline::new(config);
+        let mut state = ChurnState::initial();
+        let (mut rotated, mut drifted) = (0, 0);
+        for tick in 1..=12 {
+            state.advance(&t);
+            assert_eq!(state.any_migration(), tick >= 2);
+            let mut records = population.clone();
+            state.apply_to_records(&mut records);
+            for (before, after) in population.iter().zip(&records) {
+                if !before.has_quic() {
+                    assert_eq!(format!("{before:?}"), format!("{after:?}"), "tick {tick}");
+                    rotated += usize::from(state.generation_of(before.rank) > 0);
+                    drifted += usize::from(state.drift_of(before.rank) > 0);
+                }
+            }
+        }
+        // Not vacuous: ranks without QUIC did rotate and drift.
+        assert!(rotated > 0 && drifted > 0, "{rotated} {drifted}");
     }
 
     #[test]

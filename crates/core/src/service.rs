@@ -12,13 +12,17 @@
 //!   `s` is a question a scan asks the timeline when it runs.
 //! * Every snapshot the cache does not hold is served by one fold. For a
 //!   tick `t` under the churn state at `t`, it asks the timeline which
-//!   **segments** a rank of which churned in the ticks between `t` and `s`
-//!   (all of them across an era migration, whose records are only
+//!   **segments** a QUIC service of which churned in the ticks between `t`
+//!   and `s` (all of them across an era migration, whose records are only
 //!   identifiable after derivation; all of them before the first scan),
 //!   re-derives and re-probes **only those** — as explicit rank ranges
 //!   through the streaming engine's own pump ([`ScanEngine::fold_ranges`])
 //!   — and merges the fresh summaries over the cached ones in segment
-//!   order. Because every summary merge is exactly associative and
+//!   order. Churn on a rank without a QUIC deployment is absorbed as a
+//!   no-op ([`ChurnState::apply_to_records`]): nothing a probe or the
+//!   funnel reads moves, so its segment stays clean
+//!   ([`quicert_pki::World::serves_quic`] tells, with no record built).
+//!   Because every summary merge is exactly associative and
 //!   commutative (pinned by the worker/chunk-invariance suite), the result
 //!   is **bit-identical to a full rescan** of the churned world at `t` —
 //!   the load-bearing invariant, pinned in `determinism_matrix`.
@@ -94,7 +98,7 @@ pub struct ServiceConfig {
     /// The churn timeline driving the population between ticks.
     pub churn: ChurnConfig,
     /// Ranks per delta-scan segment: the invalidation granularity. One
-    /// churned rank re-probes its whole segment, so smaller segments
+    /// churned QUIC service re-probes its whole segment, so smaller segments
     /// probe less per tick but cache more summaries.
     pub segment_size: usize,
 }
@@ -471,11 +475,15 @@ impl CampaignService {
     }
 
     /// What churned in the ticks between `a` and `b` (`(min, max]`): per
-    /// segment, whether a rank of it did — every one across an era
+    /// segment, whether a QUIC service of it did — every one across an era
     /// migration, whose records are only identifiable after derivation —
     /// and `a`'s stats with the span's churn, each tick's [`TickDelta`] (as
-    /// [`ChurnState::advance`] derives it) summed.
+    /// [`ChurnState::advance`] derives it) summed. A rank without a QUIC
+    /// deployment absorbs its churn as a no-op
+    /// ([`ChurnState::apply_to_records`]), so it is counted in the stats but
+    /// leaves its segment clean.
     fn churned_between(&self, a: u64, b: u64) -> (Vec<bool>, TickStats) {
+        let world = self.engine.world();
         let domains = self.config.campaign.world.domains;
         let mut churned = vec![false; domains.div_ceil(self.segment_size)];
         let total_segments = churned.len();
@@ -490,7 +498,9 @@ impl CampaignService {
             stats.changed_ranks += delta.changed_ranks.len();
             stats.all_changed |= delta.all_changed;
             for rank in delta.changed_ranks {
-                churned[(rank - 1) / self.segment_size] = true;
+                if world.serves_quic(rank) {
+                    churned[(rank - 1) / self.segment_size] = true;
+                }
             }
         }
         if stats.all_changed {
@@ -638,6 +648,31 @@ mod tests {
             stats.dirty_segments,
             stats.total_segments
         );
+    }
+
+    #[test]
+    fn a_tick_whose_churn_reaches_no_quic_service_refolds_nothing() {
+        // One tick in ≈27 at 14 events: every churned rank is HTTPS-only or
+        // unresolved by its full derivation. It logs its churn, re-folds
+        // and probes nothing, and still equals a full rescan.
+        let mut svc = service(2);
+        let timeline = Timeline::new(svc.config().churn.clone());
+        let world = svc.engine().world();
+        let quiet = (5..1_000)
+            .find(|&tick| {
+                let events = timeline.events_at(tick);
+                let mut ranks = events.iter().filter_map(|e| e.rank());
+                ranks.all(|rank| !world.domain_chunk(rank, 1)[0].has_quic())
+            })
+            .expect("a tick with no QUIC service churned");
+        svc.snapshot_at(quiet - 1);
+        let snapshot = svc.snapshot_at(quiet);
+        let stats = svc.tick_log()[1];
+        assert!(!stats.full_rescan && stats.tick == quiet);
+        assert!(stats.events > 0 && stats.changed_ranks > 0);
+        assert_eq!((stats.dirty_segments, stats.probed), (0, 0));
+        assert!(stats.full_probe_count > 0);
+        assert_eq!(*snapshot, svc.full_rescan_at(quiet), "tick {quiet}");
     }
 
     #[test]

@@ -805,14 +805,16 @@ fn reading_service(workers: usize, segment_size: usize, migration_tick: u64) -> 
 /// pending tallies, bumped on every applied tick): `ChurnState::advance`'s
 /// `TickDelta`s over `(s, now]` from a state replayed to `s`, the cache's
 /// last scan — every segment dirty before the first scan or across a
-/// migration. Returns `(events, changed_ranks, all_changed,
-/// dirty_segments)`.
+/// migration, and otherwise each segment a churned rank of which is a QUIC
+/// service by its full derivation (churn on any other rank is a no-op).
+/// Returns `(events, changed_ranks, all_changed, dirty_segments)`.
 fn churn_pending_since(
     service: &CampaignService,
     scanned: Option<u64>,
 ) -> (usize, usize, bool, usize) {
     let config = service.config();
     let timeline = Timeline::new(config.churn.clone());
+    let world = World::streaming(config.campaign.world.clone());
     let segment_size = config.segment_size;
     let mut dirty = vec![scanned.is_none(); config.campaign.world.domains.div_ceil(segment_size)];
     let mut state = ChurnState::at(&timeline, scanned.unwrap_or(0));
@@ -826,7 +828,9 @@ fn churn_pending_since(
             dirty.fill(true);
         }
         for rank in delta.changed_ranks {
-            dirty[(rank - 1) / segment_size] = true;
+            if world.domain_chunk(rank, 1)[0].has_quic() {
+                dirty[(rank - 1) / segment_size] = true;
+            }
         }
     }
     let dirty_segments = dirty.iter().filter(|&&d| d).count();
@@ -834,7 +838,8 @@ fn churn_pending_since(
 }
 
 /// Serve the clock as a delta tick on the service that reads and on its
-/// twin that never does: the same snapshot, the reader's delta scans
+/// twin that never does: the same snapshot, equal to a full rescan of the
+/// tick, the reader's delta scans
 /// logged exactly as the twin logged its own, and a freshly scanned tick's
 /// churn and re-folded segments equal to [`churn_pending_since`] the last
 /// scan `scanned`, which then moves to the tick served (returned).
@@ -848,6 +853,11 @@ fn serve_both(
     let (pending, logged) = (churn_pending_since(twin, *scanned), twin.tick_log().len());
     let (served, expected) = (reader.snapshot_at(tick), twin.snapshot_at(tick));
     prop_assert!(*served == *expected, "delta snapshot at tick {}", tick);
+    prop_assert!(
+        *served == twin.full_rescan_at(tick),
+        "delta snapshot at tick {} against a full rescan",
+        tick
+    );
     let deltas: Vec<TickStats> = reader
         .tick_log()
         .iter()
@@ -928,16 +938,20 @@ proptest! {
     // scan) across a STEK rollover and once with `t < s` across the
     // migration, on ticks no step requested (a resident snapshot would
     // answer without a read). Fewer than 16 reads a case, so no read evicts
-    // a delta snapshot the twin still holds.
+    // a delta snapshot the twin still holds. Every delta snapshot must also
+    // equal `full_rescan_at` its tick.
     //
     // Mutation-checked by hand on a copy of the tree, each failing at case
     // 0: rewinding one tick too few (`while self.tick > tick + 1` in
-    // `ChurnState::rewind`), on the tail's read of tick 33; and, on a
-    // delta tick's `churn_pending_since`, three mutants of
-    // `CampaignService::churned_between`: a one-sided span (`for tick in
-    // a + 1..=b`, which sees no churn in `(s, now]`), a span one tick short
-    // (`a.min(b) + 2..=`) and a migration that does not mark every segment
-    // (no `churned.fill(true)`; caught by the tail's one-tick scan).
+    // `ChurnState::rewind`), on the tail's read of tick 33; the old rule
+    // that marks every churned rank's segment, QUIC service or not, on the
+    // tail's scan of tick 32 against `churn_pending_since` (17 dirty
+    // segments for 7); and, on a delta snapshot against its full rescan,
+    // a `World::serves_quic` that skips QUIC services (`.quic && rank % 2
+    // == 1`; tick 32) and three mutants of `churned_between` (tick 29): a
+    // one-sided span (`for tick in a + 1..=b`, which sees no churn in
+    // `(s, now]`), a span one tick short (`a.min(b) + 2..=`) and a
+    // migration that does not mark every segment (no `churned.fill(true)`).
     #[test]
     fn live_cache_reads_equal_full_rescans(
         steps in proptest::collection::vec(any::<u64>(), 1..10),

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use quicert_churn::ChurnConfig;
+use quicert_churn::{ChurnConfig, ChurnEvent, Timeline};
 use quicert_core::engine::host_parallelism;
 use quicert_core::service::TICK_LOG_WINDOW;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
@@ -249,12 +249,14 @@ fn a_tick_without_a_migration_adds_no_chain_shape_class() {
 /// A read one tick behind the cache is served the way a delta tick is: its
 /// peak live heap is the rewound churn state, per worker one chunk (a
 /// 64-rank segment of records) with its scratch, and one ≈8.4 kB summary
-/// per segment the tick churned (its 14 events touch 13 of the 313
-/// segments here) — not a summary per segment (2.6 MB), and no replayed
-/// state beside the rewound one. Measured: ≈+285 kB at 2 workers; the
-/// streamed refold from a state replayed from tick 0 that reads used to be
-/// peaked at ≈+264 kB, holding two summaries per worker and larger
-/// chunks instead of the 13 segments' summaries.
+/// per segment whose QUIC services the tick churned (its 14 events touch
+/// 13 of the 313 segments here, 4 of them at a QUIC service) — not a
+/// summary per segment (2.6 MB), and no replayed state beside the rewound
+/// one. Measured: ≈+207 kB at 2 workers (≈+290 kB while every churned
+/// segment re-folded); the streamed refold from a state replayed from
+/// tick 0 that reads used to be peaked at ≈+264 kB, holding two summaries
+/// per worker and larger chunks instead of the re-folded segments'
+/// summaries.
 #[test]
 fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
     let _serial = serial();
@@ -290,9 +292,12 @@ fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
 }
 
 /// A read's cost follows the churn it spans, not the clock: read one tick
-/// back at tick 100 and at tick 5,000 on the same service and it folds the
-/// same number of records both times — the one segment that tick's single
-/// rotation touched — where a refold from tick 0 folded the population.
+/// back at tick ≈100 and at tick ≈5,000 on the same service and it folds
+/// the same number of records both times — the one segment that tick's
+/// single rotation touched — where a refold from tick 0 folded the
+/// population. The ticks are picked so that the rotated rank serves QUIC,
+/// decided by its full derivation; a tick whose rotated rank serves none
+/// leaves every segment clean, and reading it back folds nothing.
 #[test]
 fn a_read_one_tick_back_folds_as_much_at_tick_5000_as_at_tick_100() {
     let _serial = serial();
@@ -304,8 +309,22 @@ fn a_read_one_tick_back_folds_as_much_at_tick_5000_as_at_tick_100() {
         .with_workers(1);
     // One rotation a tick: every tick churns exactly one rank.
     let churn = ChurnConfig::new(0x7123, DOMAINS).with_rates(1, 0, 0);
+    let timeline = Timeline::new(churn.clone());
     let mut service =
         CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(SEGMENT));
+    let world = service.engine().world();
+    let rotates_quic = |tick: u64| match timeline.events_at(tick)[..] {
+        [ChurnEvent::RotateCert { rank }, ..] => world.domain_chunk(rank, 1)[0].has_quic(),
+        _ => unreachable!("tick {tick} rotates one rank first"),
+    };
+    let first = |from: u64, quic: bool| {
+        (from..)
+            .find(|&t| rotates_quic(t) == quic)
+            .expect("an unbounded search")
+    };
+    let early = first(100, true);
+    // Past `early + 1`, so the tick read back is not a snapshot `early` left resident.
+    let (quiet, late) = (first(early + 2, false), first(5_000, true));
     let folded = service
         .metrics_registry()
         .counter("quicert_engine_records_folded_total", "");
@@ -314,13 +333,19 @@ fn a_read_one_tick_back_folds_as_much_at_tick_5000_as_at_tick_100() {
         let before = folded.get();
         let read = service.snapshot_at(now - 1);
         let records = folded.get() - before;
+        let logged = service.tick_log().last().map(|t| (t.tick, t.full_rescan));
+        assert_eq!(logged, Some((now - 1, true)), "tick {} was read", now - 1);
         assert_eq!(*read, service.full_rescan_at(now - 1), "tick {}", now - 1);
         records
     };
-    let (early, late) = (read_back(100), read_back(5_000));
-    assert_eq!(early, late, "records folded by a read at tick 99 and 4,999");
+    let (early, quiet, late) = (read_back(early), read_back(quiet), read_back(late));
+    assert_eq!(
+        early, late,
+        "records folded by a read at tick ≈99 and ≈4,999"
+    );
     assert_eq!(late, SEGMENT as u64);
     assert!(late < DOMAINS as u64);
+    assert_eq!(quiet, 0, "a read whose rotated rank serves no QUIC");
 }
 
 /// Everything a resident service accumulates is a function of its

@@ -389,7 +389,7 @@ impl Default for WorldConfig {
 /// Record generation is batched (one `add` per chunk) so the streaming
 /// pump's per-record path never touches an atomic it doesn't already own.
 /// It counts records derived in full: a rank [`World::quic_chunk_into`]
-/// passes over is not one.
+/// passes over, or [`World::serves_quic`] decides, is not one.
 struct WorldMetrics {
     records_generated: Arc<Counter>,
 }
@@ -496,6 +496,15 @@ impl World {
         out: &mut Vec<DomainRecord>,
     ) {
         self.derive_into(first_rank, chunk_size, out, |head| head.quic);
+    }
+
+    /// Whether `rank` is a QUIC service: exactly [`DomainRecord::has_quic`]
+    /// of its full derivation, decided by the same draws and in the same
+    /// order, but with no record built and nothing counted as derived.
+    /// False for rank 0 and past the population.
+    pub fn serves_quic(&self, rank: usize) -> bool {
+        (1..=self.config.domains).contains(&rank)
+            && Head::draw(&self.config, &SimRng::new(self.config.seed), rank).quic
     }
 
     /// The ranks a chunk of `chunk_size` starting at `first_rank` covers,

@@ -367,7 +367,8 @@ mod streaming_world_properties {
         // A QUIC pass derives only QUIC services, and they are the very
         // records a full derivation yields: `quic_chunk_into` tiles at any
         // chunk size equal `domain_chunk(1, n)` filtered by `has_quic`,
-        // field for field. Mutation-checked: a QUIC path whose tail starts
+        // field for field, and `serves_quic` answers `has_quic` rank for
+        // rank. Mutation-checked: a QUIC path whose tail starts
         // one draw late, or whose DNS address is hashed from the name
         // without its rank, fails at the first case.
         #[test]
@@ -384,6 +385,12 @@ mod streaming_world_properties {
                 ..WorldConfig::default()
             });
             let full = world.domain_chunk(1, domains);
+            // The predicate a resident service marks segments by decides the
+            // same, rank for rank, and nothing outside the population.
+            for record in &full {
+                prop_assert_eq!(world.serves_quic(record.rank), record.has_quic());
+            }
+            prop_assert!(!world.serves_quic(0) && !world.serves_quic(domains + 1));
             let expected: Vec<_> = full.into_iter().filter(|r| r.has_quic()).collect();
             let mut services = Vec::new();
             let mut tile = Vec::new();
