@@ -57,21 +57,6 @@ impl Cdf {
             _ => (0.0, 0.0),
         }
     }
-
-    /// Evenly spaced plot points `(x, F(x))` for rendering a figure series.
-    pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        (0..points)
-            .map(|i| {
-                let idx = (i * (n - 1)) / points.max(1).saturating_sub(1).max(1);
-                let x = self.sorted[idx.min(n - 1)];
-                (x, self.fraction_below(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -111,17 +96,5 @@ mod tests {
         assert_eq!(cdf.fraction_below(1.0), 0.0);
         assert_eq!(cdf.quantile(0.5), 0.0);
         assert_eq!(cdf.range(), (0.0, 0.0));
-        assert!(cdf.series(10).is_empty());
-    }
-
-    #[test]
-    fn series_is_monotone() {
-        let cdf = Cdf::new((0..1000).map(|i| (i as f64).sqrt()).collect());
-        let series = cdf.series(50);
-        assert!(!series.is_empty());
-        for pair in series.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-            assert!(pair[0].1 <= pair[1].1);
-        }
     }
 }

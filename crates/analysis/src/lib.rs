@@ -12,6 +12,7 @@
 //! [`Cdf`]s on the at-scale paths.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod cdf;
 pub mod merge;
@@ -20,5 +21,5 @@ pub mod stats;
 
 pub use cdf::Cdf;
 pub use merge::{HistogramSketch, Merge, StreamSummary};
-pub use render::{render_bar_table, render_table, Table};
-pub use stats::{mean, mean_ci95, median, percentile, std_dev, Summary};
+pub use render::{render_table, Table};
+pub use stats::{mean, mean_ci95, median, percentile, std_dev};

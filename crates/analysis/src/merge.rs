@@ -142,7 +142,7 @@ impl StreamSummary {
     /// Sample variance (n−1 denominator; 0.0 for fewer than two samples,
     /// like [`crate::std_dev`]). Derived from the exact raw moments and
     /// clamped at zero against cancellation.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             return 0.0;
         }

@@ -1,4 +1,4 @@
-//! Plain-text table / bar-chart rendering for the `repro` harness.
+//! Plain-text table rendering for the `repro` harness.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
@@ -54,28 +54,6 @@ pub fn render_table(table: &Table) -> String {
     out
 }
 
-/// Render labelled values as a horizontal ASCII bar chart (used for the
-/// stacked-share figures).
-pub fn render_bar_table(title: &str, entries: &[(String, f64)], max_width: usize) -> String {
-    let max = entries.iter().map(|(_, v)| *v).fold(0.0_f64, f64::max);
-    let label_width = entries.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = format!("{title}\n");
-    for (label, value) in entries {
-        let bar_len = if max > 0.0 {
-            ((value / max) * max_width as f64).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "{:<label_width$}  {:>10.2}  {}\n",
-            label,
-            value,
-            "#".repeat(bar_len)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,23 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn bars_scale_to_max() {
-        let s = render_bar_table(
-            "demo",
-            &[("a".into(), 10.0), ("b".into(), 5.0), ("c".into(), 0.0)],
-            20,
-        );
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[1].matches('#').count(), 20);
-        assert_eq!(lines[2].matches('#').count(), 10);
-        assert_eq!(lines[3].matches('#').count(), 0);
-    }
-
-    #[test]
     fn empty_inputs_do_not_panic() {
         let t = Table::new(&[]);
         assert!(!render_table(&t).is_empty());
-        let s = render_bar_table("t", &[], 10);
-        assert_eq!(s, "t\n");
     }
 }

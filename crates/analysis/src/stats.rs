@@ -55,40 +55,6 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
 }
 
-/// A five-number summary plus mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Mean.
-    pub mean: f64,
-    /// Sample count.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Summarise a sample.
-    pub fn of(values: &[f64]) -> Summary {
-        Summary {
-            min: percentile(values, 0.0),
-            p25: percentile(values, 25.0),
-            median: percentile(values, 50.0),
-            p75: percentile(values, 75.0),
-            max: percentile(values, 100.0),
-            mean: mean(values),
-            count: values.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +83,6 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
         let (m, ci) = mean_ci95(&[]);
         assert_eq!((m, ci), (0.0, 0.0));
-        let s = Summary::of(&[]);
-        assert_eq!(
-            (s.min, s.median, s.max, s.mean, s.count),
-            (0.0, 0.0, 0.0, 0.0, 0)
-        );
     }
 
     #[test]
@@ -132,8 +93,6 @@ mod tests {
         assert_eq!(std_dev(&[7.5]), 0.0);
         assert_eq!(percentile(&[7.5], 0.0), 7.5);
         assert_eq!(percentile(&[7.5], 100.0), 7.5);
-        let s = Summary::of(&[7.5]);
-        assert_eq!((s.min, s.median, s.max, s.count), (7.5, 7.5, 7.5, 1));
     }
 
     #[test]
@@ -151,16 +110,5 @@ mod tests {
         let (_, ci_small) = mean_ci95(&small);
         let (_, ci_large) = mean_ci95(&large);
         assert!(ci_large < ci_small);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = Summary::of(&v);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.median, 50.5);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-12);
     }
 }

@@ -31,6 +31,7 @@
 //! bit-identical to a full rescan.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -42,7 +43,7 @@ use quicert_pki::{CertificateEra, ChainId, DomainRecord};
 /// deployment of `provider` serves chains from `era` regardless of the
 /// campaign's scan era.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EraMigration {
+pub(crate) struct EraMigration {
     /// Tick at which the migration fires.
     pub tick: u64,
     /// Provider whose deployments migrate.
@@ -74,7 +75,7 @@ pub struct ChurnConfig {
     /// Scheduled provider era migrations. At most one per
     /// `(tick, provider)` pair — later duplicates are ignored so tick
     /// application stays order-independent.
-    pub migrations: Vec<EraMigration>,
+    pub(crate) migrations: Vec<EraMigration>,
 }
 
 impl ChurnConfig {
@@ -492,7 +493,7 @@ impl ChurnState {
     }
 
     /// The certificate generation of one rank (0 = never churned).
-    pub fn generation_of(&self, rank: usize) -> u32 {
+    pub(crate) fn generation_of(&self, rank: usize) -> u32 {
         self.generations
             .get(rank.wrapping_sub(1))
             .copied()
@@ -500,18 +501,13 @@ impl ChurnState {
     }
 
     /// The drift steps of one rank.
-    pub fn drift_of(&self, rank: usize) -> u32 {
+    pub(crate) fn drift_of(&self, rank: usize) -> u32 {
         self.drifts.get(rank.wrapping_sub(1)).copied().unwrap_or(0)
     }
 
     /// The era override of one provider, if it has migrated.
     pub fn era_of(&self, provider: Provider) -> Option<CertificateEra> {
         self.era_overrides.get(&provider).copied()
-    }
-
-    /// Whether any provider has migrated eras.
-    pub fn any_migration(&self) -> bool {
-        !self.era_overrides.is_empty()
     }
 
     /// Ranks with at least one per-rank churn event so far, sorted.
@@ -690,7 +686,7 @@ mod tests {
     #[test]
     fn migration_fires_once_and_sticks() {
         let t = timeline();
-        assert!(!ChurnState::at(&t, 2).any_migration());
+        assert!(ChurnState::at(&t, 2).era_overrides.is_empty());
         let at3 = ChurnState::at(&t, 3);
         assert_eq!(at3.era_of(Provider::Google), Some(CertificateEra::Hybrid));
         assert_eq!(
@@ -800,7 +796,7 @@ mod tests {
         let (mut rotated, mut drifted) = (0, 0);
         for tick in 1..=12 {
             state.advance(&t);
-            assert_eq!(state.any_migration(), tick >= 2);
+            assert_eq!(!state.era_overrides.is_empty(), tick >= 2);
             let mut records = population.clone();
             state.apply_to_records(&mut records);
             for (before, after) in population.iter().zip(&records) {

@@ -5,10 +5,8 @@
 /// Bits collect in a 64-bit accumulator and leave it four bytes at a time,
 /// so a write is a shift and an or, not a loop over its bits.
 #[derive(Debug, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     out: Vec<u8>,
-    /// Length of `out` when this writer took it over.
-    start: usize,
     /// Pending bits in the low `filled` positions, oldest highest; above
     /// them, bits that have already been written out.
     acc: u64,
@@ -17,16 +15,10 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// New empty writer.
-    pub fn new() -> Self {
-        BitWriter::default()
-    }
-
     /// A writer that appends its bits after the bytes already in `out`;
     /// [`BitWriter::finish`] hands the whole buffer back.
     pub(crate) fn appending_to(out: Vec<u8>) -> Self {
         BitWriter {
-            start: out.len(),
             out,
             ..BitWriter::default()
         }
@@ -34,7 +26,7 @@ impl BitWriter {
 
     /// Append the lowest `len` bits of `code`, MSB first. `len` ≤ 32.
     #[inline]
-    pub fn write_bits(&mut self, code: u32, len: u8) {
+    pub(crate) fn write_bits(&mut self, code: u32, len: u8) {
         debug_assert!(len <= 32);
         let bits = u64::from(code) & ((1u64 << len) - 1);
         self.acc = (self.acc << len) | bits;
@@ -46,13 +38,8 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        (self.out.len() - self.start) * 8 + self.filled as usize
-    }
-
     /// Pad the final partial byte with zeros and return the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         while self.filled >= 8 {
             self.filled -= 8;
             self.out.push((self.acc >> self.filled) as u8);
@@ -66,7 +53,7 @@ impl BitWriter {
 
 /// Reads bits MSB-first from a byte slice.
 #[derive(Debug)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     input: &'a [u8],
     pos: usize,
     bit: u8,
@@ -74,7 +61,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// New reader over `input`.
-    pub fn new(input: &'a [u8]) -> Self {
+    pub(crate) fn new(input: &'a [u8]) -> Self {
         BitReader {
             input,
             pos: 0,
@@ -83,7 +70,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read one bit; `None` at end of input.
-    pub fn read_bit(&mut self) -> Option<u8> {
+    pub(crate) fn read_bit(&mut self) -> Option<u8> {
         let byte = *self.input.get(self.pos)?;
         let bit = (byte >> (7 - self.bit)) & 1;
         self.bit += 1;
@@ -93,29 +80,24 @@ impl<'a> BitReader<'a> {
         }
         Some(bit)
     }
-
-    /// Read `len` bits MSB-first as an integer.
-    pub fn read_bits(&mut self, len: u8) -> Option<u32> {
-        let mut v = 0u32;
-        for _ in 0..len {
-            v = (v << 1) | self.read_bit()? as u32;
-        }
-        Some(v)
-    }
-
-    /// Number of bits consumed so far.
-    pub fn bits_read(&self) -> usize {
-        self.pos * 8 + self.bit as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Read `len` bits MSB-first as an integer, one bit at a time.
+    fn read_bits(r: &mut BitReader, len: u8) -> Option<u32> {
+        let mut v = 0u32;
+        for _ in 0..len {
+            v = (v << 1) | r.read_bit()? as u32;
+        }
+        Some(v)
+    }
+
     #[test]
     fn roundtrip_various_widths() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b1, 1);
         w.write_bits(0b1010, 4);
         w.write_bits(0x3FF, 10);
@@ -123,37 +105,24 @@ mod tests {
         w.write_bits(0xDEADBEEF, 32);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(1), Some(1));
-        assert_eq!(r.read_bits(4), Some(0b1010));
-        assert_eq!(r.read_bits(10), Some(0x3FF));
-        assert_eq!(r.read_bits(3), Some(0));
-        assert_eq!(r.read_bits(32), Some(0xDEADBEEF));
-    }
-
-    #[test]
-    fn bit_len_counts_exactly() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 5);
-        w.write_bits(0, 3);
-        assert_eq!(w.bit_len(), 8);
-        w.write_bits(0, 1);
-        assert_eq!(w.bit_len(), 9);
-        assert_eq!(w.finish().len(), 2);
+        assert_eq!(read_bits(&mut r, 1), Some(1));
+        assert_eq!(read_bits(&mut r, 4), Some(0b1010));
+        assert_eq!(read_bits(&mut r, 10), Some(0x3FF));
+        assert_eq!(read_bits(&mut r, 3), Some(0));
+        assert_eq!(read_bits(&mut r, 32), Some(0xDEADBEEF));
     }
 
     #[test]
     fn reader_signals_exhaustion() {
         let mut r = BitReader::new(&[0xFF]);
-        assert_eq!(r.read_bits(8), Some(0xFF));
+        assert_eq!(read_bits(&mut r, 8), Some(0xFF));
         assert_eq!(r.read_bit(), None);
-        assert_eq!(r.read_bits(1), None);
+        assert_eq!(read_bits(&mut r, 1), None);
     }
 
     #[test]
     fn padding_is_zero_bits() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.write_bits(0b101, 3);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b1010_0000]);
@@ -175,7 +144,6 @@ mod tests {
                 // Bits above `len` are set too: only the low `len` count.
                 write(&mut w, 0xDEAD_BEEF_u32.rotate_left(u32::from(len)), len);
             }
-            assert_eq!(w.bit_len(), bits.len());
             let mut expected = vec![0xEE];
             for byte in bits.chunks(8) {
                 let packed = byte.iter().fold(0u8, |acc, bit| (acc << 1) | bit);

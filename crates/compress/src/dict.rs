@@ -169,7 +169,7 @@ const URL_STRINGS: &[&str] = &[
 static DICTIONARY: OnceLock<Vec<u8>> = OnceLock::new();
 
 /// The assembled certificate dictionary.
-pub fn cert_dictionary() -> &'static [u8] {
+pub(crate) fn cert_dictionary() -> &'static [u8] {
     DICTIONARY.get_or_init(|| {
         let mut d = Vec::with_capacity(4096);
         for frag in DER_FRAGMENTS {
@@ -187,9 +187,9 @@ pub fn cert_dictionary() -> &'static [u8] {
 }
 
 /// Dictionary n-gram width used by [`coverage`].
-pub const COVERAGE_GRAM: usize = 4;
+pub(crate) const COVERAGE_GRAM: usize = 4;
 
-/// Share of positions in `data` that start a [`COVERAGE_GRAM`]-byte
+/// Share of positions in `data` that start a `COVERAGE_GRAM`-byte
 /// substring also present in the certificate dictionary, in `[0, 1]`.
 ///
 /// This is a cheap proxy for how much of an input the dictionary can help

@@ -293,14 +293,6 @@ pub fn decompress(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, CompressError> {
     }
 }
 
-/// The algorithm recorded in a container header, if valid.
-pub fn algorithm_of(data: &[u8]) -> Option<Algorithm> {
-    if data.len() < 4 || &data[0..2] != b"QC" {
-        return None;
-    }
-    Algorithm::from_code_point(data[2] as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,8 +344,11 @@ mod tests {
     #[test]
     fn header_records_algorithm() {
         let c = compress(Algorithm::Brotli, b"test input for header");
-        assert_eq!(algorithm_of(&c), Some(Algorithm::Brotli));
-        assert_eq!(algorithm_of(b"xx"), None);
+        assert_eq!(&c[..2], b"QC");
+        assert_eq!(
+            Algorithm::from_code_point(c[2] as u16),
+            Some(Algorithm::Brotli)
+        );
     }
 
     #[test]

@@ -31,11 +31,11 @@
 use crate::bitio::{BitReader, BitWriter};
 
 /// Maximum Huffman code length in bits (fits a 4-bit nibble).
-pub const MAX_CODE_LEN: u8 = 15;
+pub(crate) const MAX_CODE_LEN: u8 = 15;
 
 /// A canonical Huffman code over the 256-symbol byte alphabet.
 #[derive(Debug, Clone)]
-pub struct Code {
+pub(crate) struct Code {
     /// Code length per symbol; 0 = symbol unused.
     pub lengths: [u8; 256],
     codes: [u32; 256],
@@ -43,13 +43,13 @@ pub struct Code {
 
 impl Code {
     /// Build a length-limited canonical code from symbol frequencies.
-    pub fn from_frequencies(freqs: &[u64; 256]) -> Code {
+    pub(crate) fn from_frequencies(freqs: &[u64; 256]) -> Code {
         let lengths = build_lengths(freqs);
         Code::from_lengths(lengths)
     }
 
     /// Reconstruct the canonical code from stored lengths.
-    pub fn from_lengths(lengths: [u8; 256]) -> Code {
+    pub(crate) fn from_lengths(lengths: [u8; 256]) -> Code {
         let mut codes = [0u32; 256];
         // Canonical assignment: count codes per length, then assign
         // consecutive values in (length, symbol) order.
@@ -76,14 +76,14 @@ impl Code {
     }
 
     /// Encode one symbol.
-    pub fn write_symbol(&self, w: &mut BitWriter, sym: u8) {
+    pub(crate) fn write_symbol(&self, w: &mut BitWriter, sym: u8) {
         let len = self.lengths[sym as usize];
         debug_assert!(len > 0, "symbol {sym} has no code");
         w.write_bits(self.codes[sym as usize], len);
     }
 
     /// Total encoded size in bits for the given frequencies.
-    pub fn cost_bits(&self, freqs: &[u64; 256]) -> u64 {
+    pub(crate) fn cost_bits(&self, freqs: &[u64; 256]) -> u64 {
         freqs
             .iter()
             .zip(self.lengths.iter())
@@ -92,7 +92,7 @@ impl Code {
     }
 
     /// Build a decoder for this code.
-    pub fn decoder(&self) -> Decoder {
+    pub(crate) fn decoder(&self) -> Decoder {
         Decoder::new(&self.lengths)
     }
 }
@@ -203,7 +203,7 @@ fn build_lengths(freqs: &[u64; 256]) -> [u8; 256] {
 
 /// A canonical Huffman decoder (per-length first-code tables).
 #[derive(Debug, Clone)]
-pub struct Decoder {
+pub(crate) struct Decoder {
     // For each length: the first canonical code of that length, and the
     // index into `symbols` where codes of that length start.
     first_code: [u32; (MAX_CODE_LEN + 1) as usize],
@@ -214,7 +214,7 @@ pub struct Decoder {
 
 impl Decoder {
     /// Build a decoder from code lengths.
-    pub fn new(lengths: &[u8; 256]) -> Decoder {
+    pub(crate) fn new(lengths: &[u8; 256]) -> Decoder {
         let mut count = [0u32; (MAX_CODE_LEN + 1) as usize];
         for &len in lengths.iter() {
             if len > 0 {
@@ -249,7 +249,7 @@ impl Decoder {
     }
 
     /// Decode one symbol from the bit stream.
-    pub fn read_symbol(&self, r: &mut BitReader<'_>) -> Option<u8> {
+    pub(crate) fn read_symbol(&self, r: &mut BitReader<'_>) -> Option<u8> {
         let mut code = 0u32;
         for len in 1..=MAX_CODE_LEN as usize {
             code = (code << 1) | r.read_bit()? as u32;
@@ -283,7 +283,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let code = Code::from_frequencies(&freq_of(data));
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         for &b in data {
             code.write_symbol(&mut w, b);
         }

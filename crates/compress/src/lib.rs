@@ -25,18 +25,19 @@
 //! tables belong to the calling thread and are reused without being
 //! cleared, and the built-in dictionary is indexed once per process. None
 //! of that is observable — which bytes come out is fixed by the encoder
-//! contracts in [`lz77`] and [`huffman`] and pinned by digest in
+//! contracts in [`lz77`] and `huffman` and pinned by digest in
 //! `tests/compress_identity.rs`. [`decompress`] treats its input as hostile:
 //! declared lengths are bounded by RFC 8879's 24-bit field and never
 //! reserved on trust.
 
 // The decoder reads bytes off the wire: nothing outside tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
-pub mod bitio;
+pub(crate) mod bitio;
 pub mod dict;
 pub mod format;
-pub mod huffman;
+pub(crate) mod huffman;
 pub mod lz77;
 
 pub use format::{compress, decompress, CompressError};

@@ -25,7 +25,7 @@
 //!   including one skipped by the defensive `cand >= pos` test. A
 //!   candidate further back than `window` ends the walk. A candidate
 //!   replaces the best so far only when strictly longer, so among equal
-//!   lengths the nearest wins; [`MAX_MATCH`] (or the end of input) ends the
+//!   lengths the nearest wins; `MAX_MATCH` (or the end of input) ends the
 //!   walk at once.
 //! * A greedy profile emits the match and inserts every position it
 //!   covers. The lazy profile inserts `pos`, searches `pos + 1`, and defers
@@ -56,7 +56,7 @@ pub struct Params {
 }
 
 /// Longest match the tokenizer will emit.
-pub const MAX_MATCH: usize = 1 << 16;
+pub(crate) const MAX_MATCH: usize = 1 << 16;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -571,7 +571,7 @@ mod tests {
             }
         }
 
-        pub fn tokenize(dict: &[u8], input: &[u8], params: Params) -> Vec<Token> {
+        pub(crate) fn tokenize(dict: &[u8], input: &[u8], params: Params) -> Vec<Token> {
             let mut data = Vec::with_capacity(dict.len() + input.len());
             data.extend_from_slice(dict);
             data.extend_from_slice(input);

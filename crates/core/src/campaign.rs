@@ -1,7 +1,7 @@
 //! A measurement campaign: one world plus the [`ScanEngine`] computing and
 //! caching every scan artifact the report and experiments consume.
 
-use quicert_netsim::{FaultPlan, NetworkProfile};
+use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
@@ -66,21 +66,9 @@ impl CampaignConfig {
         self
     }
 
-    /// Override the default resumption policy.
-    pub fn with_resumption(mut self, policy: ResumptionPolicy) -> Self {
-        self.scenario = self.scenario.with_policy(policy);
-        self
-    }
-
     /// Override the default certificate era.
     pub fn with_era(mut self, era: CertificateEra) -> Self {
         self.scenario = self.scenario.with_era(era);
-        self
-    }
-
-    /// Override the default fault plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.scenario = self.scenario.with_plan(plan);
         self
     }
 }
@@ -133,7 +121,7 @@ impl Campaign {
 
     /// The rank-group width used for Figs 12/13 (the paper uses 100k groups
     /// over 1M domains; scaled worlds use domains/10).
-    pub fn rank_group_width(&self) -> usize {
+    pub(crate) fn rank_group_width(&self) -> usize {
         (self.config.world.domains / 10).max(1)
     }
 }

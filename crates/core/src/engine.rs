@@ -15,7 +15,7 @@
 //! worker claims rank ranges off an atomic cursor, derives those records
 //! into a reused buffer and folds them into its own accumulator; a single
 //! effective worker runs inline, without spawning. Its two public doors are
-//! [`ScanEngine::fold_population`] (every rank, adaptively sized claims, a
+//! `ScanEngine::fold_population` (every rank, adaptively sized claims, a
 //! [`Merge`] summary) and [`ScanEngine::fold_ranges`] (an explicit range
 //! list, one result per range); every service tick goes through one. The
 //! cached families sit on top: *summarising* folds (`stream_*`), one
@@ -343,7 +343,7 @@ impl ScanEngine {
     /// available core; `workers == 1` forces the serial path. The default
     /// [`Scenario`] is the paper's baseline at `default_initial`, revisited
     /// warm under [`ResumptionPolicy::WarmAfterFirstVisit`]; replace it
-    /// with [`ScanEngine::with_scenario`].
+    /// with `ScanEngine::with_scenario`.
     pub fn new(world: World, default_initial: usize, workers: usize) -> ScanEngine {
         let workers = match workers {
             0 => host_parallelism(),
@@ -427,7 +427,7 @@ impl ScanEngine {
     /// [`ScanEngine::scenario`] hands out for callers to scan under or
     /// vary one axis of. The default (see [`ScanEngine::new`]) reproduces
     /// axis-unaware campaigns byte-for-byte.
-    pub fn with_scenario(mut self, scenario: Scenario) -> ScanEngine {
+    pub(crate) fn with_scenario(mut self, scenario: Scenario) -> ScanEngine {
         self.scenario = scenario;
         self
     }
@@ -510,7 +510,7 @@ impl ScanEngine {
     /// Every per-size scan lands in the [`ScanEngine::quicreach`] cache, so
     /// later single-size requests (the §4.1 reachability experiment, the
     /// default-size bar) are free.
-    pub fn sweep(&self) -> Arc<Vec<ScanSummary>> {
+    pub(crate) fn sweep(&self) -> Arc<Vec<ScanSummary>> {
         self.sweep.get_or_compute((), || {
             quicreach::sweep_sizes()
                 .iter()
@@ -577,7 +577,7 @@ impl ScanEngine {
     /// (Fig 9), at the first services of each in rank order, one session a
     /// probe. Computed serially, walking only the ranks that hold its
     /// targets, and cached whole.
-    pub fn telescope(&self, per_provider: usize) -> Arc<Vec<BackscatterSession>> {
+    pub(crate) fn telescope(&self, per_provider: usize) -> Arc<Vec<BackscatterSession>> {
         self.telescope.get_or_compute(per_provider, || {
             telescope_scan::collect(
                 &self.world,
@@ -590,7 +590,7 @@ impl ScanEngine {
     /// The §4.3 Meta-PoP ZMap scan (Fig 11 uses `variation` for its
     /// per-repetition certificate-bundle jitter; the headline scan is
     /// variation 0).
-    pub fn meta_pop(&self, post_disclosure: bool, variation: u64) -> Arc<Vec<ZmapResult>> {
+    pub(crate) fn meta_pop(&self, post_disclosure: bool, variation: u64) -> Arc<Vec<ZmapResult>> {
         self.zmap.get_or_compute((post_disclosure, variation), || {
             let prefix = zmap::default_pop_prefix();
             zmap::scan_pop_with_variation(&self.world, prefix, post_disclosure, variation)
@@ -778,7 +778,7 @@ impl ScanEngine {
     /// Exact at any worker count and claim size because every summary is
     /// an exactly associative and commutative [`Merge`] monoid. Nothing is
     /// cached; simulated classes stay in the engine's memo.
-    pub fn fold_population<S, F>(&self, scenario: Scenario, fold: F) -> S
+    pub(crate) fn fold_population<S, F>(&self, scenario: Scenario, fold: F) -> S
     where
         S: Merge + Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,

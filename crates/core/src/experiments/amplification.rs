@@ -83,7 +83,7 @@ pub fn meta_pop_scan(campaign: &Campaign, post_disclosure: bool) -> MetaPopScan 
 
 impl MetaPopScan {
     /// Mean response bytes per service group.
-    pub fn group_mean_bytes(&self, service: MetaService) -> f64 {
+    pub(crate) fn group_mean_bytes(&self, service: MetaService) -> f64 {
         let bytes: Vec<f64> = self
             .results
             .iter()
@@ -166,7 +166,7 @@ pub fn fig11(campaign: &Campaign, reps: usize) -> Fig11 {
 
 impl Fig11 {
     /// Mean amplification across all served octets.
-    pub fn overall_mean(values: &[(u8, f64, f64)]) -> f64 {
+    pub(crate) fn overall_mean(values: &[(u8, f64, f64)]) -> f64 {
         let means: Vec<f64> = values.iter().map(|(_, m, _)| *m).collect();
         quicert_analysis::mean(&means)
     }

@@ -12,7 +12,7 @@ use crate::Campaign;
 
 /// The common amplification limit used as a reference line: 3 × 1357
 /// (Firefox's Initial).
-pub const LIMIT_3X_1357: usize = amplification::limit(1357);
+pub(crate) const LIMIT_3X_1357: usize = amplification::limit(1357);
 
 // ---------------------------------------------------------------- Fig 2b --
 
@@ -109,7 +109,7 @@ pub fn fig6(campaign: &Campaign) -> Fig6 {
 
 impl Fig6 {
     /// Share of all chains exceeding 3·1357 bytes (the paper finds 35%).
-    pub fn share_over_limit(&self) -> f64 {
+    pub(crate) fn share_over_limit(&self) -> f64 {
         let over_quic =
             (1.0 - self.quic.fraction_below(LIMIT_3X_1357 as f64)) * self.quic.len() as f64;
         let over_https = (1.0 - self.https_only.fraction_below(LIMIT_3X_1357 as f64))
@@ -136,7 +136,7 @@ impl Fig6 {
 
 /// One row of Fig 7: a parent chain with its share and sizes.
 #[derive(Debug, Clone)]
-pub struct Fig7Row {
+pub(crate) struct Fig7Row {
     /// Chain label.
     pub label: &'static str,
     /// Share among the service set, in percent.
@@ -155,7 +155,7 @@ pub struct Fig7Row {
 #[derive(Debug)]
 pub struct Fig7 {
     /// Rows sorted by share, descending (top 10).
-    pub rows: Vec<Fig7Row>,
+    pub(crate) rows: Vec<Fig7Row>,
     /// Share of services covered by the top 10 (96.5% for QUIC, 72% for
     /// HTTPS-only in the paper).
     pub top10_coverage: f64,
@@ -437,14 +437,14 @@ pub fn fig14(campaign: &Campaign) -> Fig14 {
 
 impl Fig14 {
     /// The SAN share above which the top 1% of leaves sit (paper: 28.9%).
-    pub fn top_1pct_share_threshold(&self) -> f64 {
+    pub(crate) fn top_1pct_share_threshold(&self) -> f64 {
         let shares: Vec<f64> = self.points.iter().map(|(_, s)| *s).collect();
         quicert_analysis::percentile(&shares, 99.0)
     }
 
     /// Share of leaves that are both SAN-heavy (top 1%) and exceed the
     /// common amplification limit (paper: ~0.1%).
-    pub fn cruise_liners_over_limit(&self) -> f64 {
+    pub(crate) fn cruise_liners_over_limit(&self) -> f64 {
         let threshold = self.top_1pct_share_threshold();
         let n = self
             .points

@@ -10,10 +10,10 @@
 //!
 //! Two views, both fed from the engine's plan-keyed artifact caches:
 //!
-//! * [`fault_grid`] — the [`FaultPlan::LADDER`] swept per `(era, profile)`
+//! * `fault_grid` — the [`FaultPlan::LADDER`] swept per `(era, profile)`
 //!   cell on the streaming scan path, each rung compared against the
 //!   fault-free rung of the same cell;
-//! * [`resumption_under_faults`] — whether session resumption still pays
+//! * `resumption_under_faults` — whether session resumption still pays
 //!   off once the wire misbehaves, per ladder rung and
 //!   [`ResumptionPolicy`].
 
@@ -29,15 +29,13 @@ use crate::Campaign;
 /// `(plan, era, profile)` combination, with recovery cost measured against
 /// the fault-free plan of the same `(era, profile)` cell.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosCell {
+pub(crate) struct ChaosCell {
     /// The fault overlay scanned under.
     pub plan: FaultPlan,
     /// The certificate era scanned against.
     pub era: CertificateEra,
     /// The link-condition overlay underneath the plan.
     pub profile: NetworkProfile,
-    /// Services probed.
-    pub probed: usize,
     /// Services reaching any class but Unreachable.
     pub reachable: usize,
     /// Mean handshake round trips.
@@ -61,28 +59,23 @@ pub struct ChaosCell {
     pub stall_ms_total: f64,
 }
 
-impl ChaosCell {
-    /// Total retransmissions, both directions.
-    pub fn retransmissions(&self) -> u64 {
-        self.client_retransmissions + self.server_retransmissions
-    }
-}
-
 /// The eras the default grid sweeps: the classical baseline and the
 /// post-quantum era whose multi-datagram flights give loss the most
 /// surface to hit.
-pub const GRID_ERAS: [CertificateEra; 2] = [CertificateEra::Classical, CertificateEra::PostQuantum];
+pub(crate) const GRID_ERAS: [CertificateEra; 2] =
+    [CertificateEra::Classical, CertificateEra::PostQuantum];
 
 /// The profiles the default grid sweeps. Ideal keeps the plan as the only
 /// fault source (clean attribution); lossy stacks the plan on a path that
 /// already drops, probing how the overlays compound.
-pub const GRID_PROFILES: [NetworkProfile; 2] = [NetworkProfile::Ideal, NetworkProfile::Lossy];
+pub(crate) const GRID_PROFILES: [NetworkProfile; 2] =
+    [NetworkProfile::Ideal, NetworkProfile::Lossy];
 
 /// Sweep the [`FaultPlan::LADDER`] over every `(era, profile)` cell, on
 /// the streaming scan path (one [`quicert_scanner::QuicReachShard`] per
 /// cell, never a materialized result vector). Rows arrive grouped by
 /// `(era, profile)` with the ladder in intensity order, baseline first.
-pub fn fault_grid(
+pub(crate) fn fault_grid(
     campaign: &Campaign,
     eras: &[CertificateEra],
     profiles: &[NetworkProfile],
@@ -99,7 +92,6 @@ pub fn fault_grid(
                     plan,
                     era,
                     profile,
-                    probed: shard.classes.reachable() + shard.classes.unreachable,
                     reachable: shard.classes.reachable(),
                     mean_rtts: shard.rtts.mean(),
                     added_rtts: shard.rtts.mean() - baseline.rtts.mean(),
@@ -117,12 +109,12 @@ pub fn fault_grid(
 }
 
 /// [`fault_grid`] over the default [`GRID_ERAS`] × [`GRID_PROFILES`] axes.
-pub fn fault_grid_default(campaign: &Campaign) -> Vec<ChaosCell> {
+pub(crate) fn fault_grid_default(campaign: &Campaign) -> Vec<ChaosCell> {
     fault_grid(campaign, &GRID_ERAS, &GRID_PROFILES)
 }
 
 /// Render the chaos grid.
-pub fn render_fault_grid(cells: &[ChaosCell]) -> String {
+pub(crate) fn render_fault_grid(cells: &[ChaosCell]) -> String {
     let mut t = Table::new(&[
         "era",
         "profile",
@@ -164,7 +156,7 @@ pub fn render_fault_grid(cells: &[ChaosCell]) -> String {
 /// One row of the resumption-under-faults sweep: the cold-then-warm scan
 /// with one [`FaultPlan`] overlaid on both visits.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosResumptionRow {
+pub(crate) struct ChaosResumptionRow {
     /// The fault overlay scanned under.
     pub plan: FaultPlan,
     /// The ticket policy of the revisit.
@@ -175,7 +167,7 @@ pub struct ChaosResumptionRow {
 
 /// Sweep the ladder with working resumption on the campaign's default era
 /// and the ideal profile: does the mitigation survive a misbehaving wire?
-pub fn resumption_under_faults(campaign: &Campaign) -> Vec<ChaosResumptionRow> {
+pub(crate) fn resumption_under_faults(campaign: &Campaign) -> Vec<ChaosResumptionRow> {
     let policy = ResumptionPolicy::WarmAfterFirstVisit;
     let base = campaign
         .scenario()
@@ -195,7 +187,7 @@ pub fn resumption_under_faults(campaign: &Campaign) -> Vec<ChaosResumptionRow> {
 }
 
 /// Render the resumption-under-faults sweep.
-pub fn render_resumption_under_faults(rows: &[ChaosResumptionRow]) -> String {
+pub(crate) fn render_resumption_under_faults(rows: &[ChaosResumptionRow]) -> String {
     let mut t = Table::new(&[
         "plan",
         "policy",
@@ -231,6 +223,11 @@ mod tests {
         Campaign::new(CampaignConfig::small().with_seed(9).with_domains(1_200))
     }
 
+    /// Total retransmissions, both directions.
+    fn retransmissions(c: &ChaosCell) -> u64 {
+        c.client_retransmissions + c.server_retransmissions
+    }
+
     fn cell(cells: &[ChaosCell], plan: FaultPlan) -> &ChaosCell {
         cells
             .iter()
@@ -256,14 +253,14 @@ mod tests {
         // The fault-free rung is its own baseline: zero faults, zero
         // retransmissions, zero added round trips on the ideal profile.
         assert_eq!(none.fault_drops + none.fault_duplications, 0);
-        assert_eq!(none.retransmissions(), 0);
+        assert_eq!(retransmissions(none), 0);
         assert_eq!(none.added_rtts, 0.0);
 
         // Cost rises monotonically with the ladder.
         assert!(light.fault_drops > 0, "light plan drops datagrams");
         assert!(heavy.fault_drops > light.fault_drops);
-        assert!(heavy.retransmissions() > light.retransmissions());
-        assert!(heavy.retransmissions() > 0);
+        assert!(retransmissions(heavy) > retransmissions(light));
+        assert!(retransmissions(heavy) > 0);
         assert!(
             heavy.added_rtts > 0.0,
             "recovery costs round trips: {:+.3}",
@@ -275,15 +272,10 @@ mod tests {
         assert!(storm.fault_duplications > 0);
         assert_eq!(storm.fault_drops, 0);
         assert_eq!(
-            storm.retransmissions(),
+            retransmissions(storm),
             0,
             "duplication alone never forces a retransmission"
         );
-
-        // Every rung probed the same population.
-        for c in &cells {
-            assert_eq!(c.probed, none.probed, "{} probed fewer services", c.plan);
-        }
     }
 
     #[test]

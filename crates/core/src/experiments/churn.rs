@@ -23,7 +23,7 @@ use crate::Campaign;
 
 /// One scanned tick of the churn timeline.
 #[derive(Debug, Clone)]
-pub struct ChurnTickRow {
+pub(crate) struct ChurnTickRow {
     /// The measured snapshot.
     pub snapshot: Snapshot,
     /// What the scan cost (delta-vs-full probe accounting).
@@ -51,7 +51,7 @@ pub fn era_migration_config(campaign: &Campaign) -> ServiceConfig {
 /// Run the era-migration timeline: snapshot every tick in `0..=ticks`
 /// through the delta-scan path and pair each snapshot with its scan
 /// stats.
-pub fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
+pub(crate) fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
     let mut service = CampaignService::new(era_migration_config(campaign));
     // Every tick is new to the service, so each is scanned and logged.
     (0..=ticks)
@@ -68,7 +68,7 @@ pub fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
 
 /// Render the timeline: per-tick handshake-class shares, chain-size
 /// quantiles, and the delta-scan probe accounting.
-pub fn render_churn(rows: &[ChurnTickRow]) -> String {
+pub(crate) fn render_churn(rows: &[ChurnTickRow]) -> String {
     let mut t = Table::new(&[
         "tick",
         "churned",
@@ -109,7 +109,7 @@ pub fn render_churn(rows: &[ChurnTickRow]) -> String {
 
 /// Render one snapshot as a point-in-time report block (the service's
 /// `report_at`).
-pub fn render_snapshot(snapshot: &Snapshot) -> String {
+pub(crate) fn render_snapshot(snapshot: &Snapshot) -> String {
     let classes = &snapshot.reach.classes;
     format!(
         "Snapshot at tick {} (STEK epoch {})\n\

@@ -32,15 +32,6 @@ pub fn table1(campaign: &Campaign) -> Table1 {
 }
 
 impl Table1 {
-    /// Support share for one algorithm, percent.
-    pub fn support_share(&self, alg: Algorithm) -> f64 {
-        self.support
-            .iter()
-            .find(|s| s.algorithm == alg)
-            .map(|s| s.share())
-            .unwrap_or(0.0)
-    }
-
     /// Mean ratio for one algorithm.
     pub fn mean_ratio(&self, alg: Algorithm) -> f64 {
         self.support
@@ -144,10 +135,14 @@ mod tests {
     fn table1_matches_paper_support_pattern() {
         let c = campaign();
         let t = table1(&c);
+        let share = |alg| {
+            let support = t.support.iter().find(|s| s.algorithm == alg);
+            support.expect("every algorithm is surveyed").share()
+        };
         // Paper: 96% brotli support; zlib/zstd 0.05% (Meta only).
-        assert!(t.support_share(Algorithm::Brotli) > 90.0);
-        assert!(t.support_share(Algorithm::Zlib) < 3.0);
-        assert!(t.support_share(Algorithm::Zstd) < 3.0);
+        assert!(share(Algorithm::Brotli) > 90.0);
+        assert!(share(Algorithm::Zlib) < 3.0);
+        assert!(share(Algorithm::Zstd) < 3.0);
         let (all, total) = t.all_three;
         assert!((all as f64 / total.max(1) as f64) < 0.02);
         // Browser constants.

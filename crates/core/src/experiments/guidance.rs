@@ -47,7 +47,7 @@ fn study_chain(campaign: &Campaign) -> CertificateChain {
 
 /// One ablation row: a server variant and what the scanner observes.
 #[derive(Debug, Clone)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Variant label.
     pub label: &'static str,
     /// Resulting handshake class.
@@ -61,7 +61,7 @@ pub struct AblationRow {
 }
 
 /// Run the §5 implementation-guidance ablation on one chain.
-pub fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
+pub(crate) fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
     let chain = study_chain(campaign);
     let variants: Vec<(&'static str, ServerBehavior, Vec<Algorithm>, Vec<Algorithm>)> = vec![
         (
@@ -119,7 +119,7 @@ pub fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
 }
 
 /// Render the ablation table.
-pub fn render_server_ablation(rows: &[AblationRow]) -> String {
+pub(crate) fn render_server_ablation(rows: &[AblationRow]) -> String {
     let mut t = Table::new(&["server variant", "class", "ampl", "RTTs", "padding B"]);
     for row in rows {
         t.row(&[
@@ -140,7 +140,7 @@ pub fn render_server_ablation(rows: &[AblationRow]) -> String {
 
 /// Result of the client-side Initial-size-cache mitigation.
 #[derive(Debug, Clone, Copy)]
-pub struct ClientMitigation {
+pub(crate) struct ClientMitigation {
     /// Multi-RTT services at the default Initial size.
     pub multi_rtt_before: usize,
     /// Of those, how many a cache-informed client turns into 1-RTT.
@@ -156,7 +156,7 @@ pub struct ClientMitigation {
 /// The "previous contact" is the campaign's cached default-size scan — the
 /// artifact the report already computed — so only the adapted re-probe
 /// costs new handshakes.
-pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
+pub(crate) fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
     let world = campaign.world();
     let scenario = campaign.scenario();
     let first_contacts = campaign.engine().quicreach(scenario);
@@ -189,12 +189,12 @@ pub fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
 
 impl ClientMitigation {
     /// Share of multi-RTT handshakes the mitigation eliminates.
-    pub fn fixed_share(&self) -> f64 {
+    pub(crate) fn fixed_share(&self) -> f64 {
         self.fixed_by_mitigation as f64 / self.multi_rtt_before.max(1) as f64
     }
 
     /// Render the result.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "§5 — client Initial-size cache: {} multi-RTT services; {} ({:.1}%) \
              become 1-RTT with an adapted Initial; {} need compression (flight \
@@ -211,7 +211,7 @@ impl ClientMitigation {
 
 /// Handshake latency and robustness under server→client loss.
 #[derive(Debug, Clone, Copy)]
-pub struct LossStudy {
+pub(crate) struct LossStudy {
     /// Loss probability applied to the server's datagrams.
     pub loss: f64,
     /// Mean RTT rounds to completion without compression (completed trials).
@@ -231,7 +231,7 @@ pub struct LossStudy {
 /// with and without compression for the same big-chain deployment. A
 /// compressed flight fits the budget with room for retransmission, so lost
 /// datagrams cost fewer extra rounds.
-pub fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
+pub(crate) fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
     let chain = study_chain(campaign);
     let run = |compressed: bool, trial: usize| -> Option<u32> {
         let config = ServerConfig {
@@ -279,7 +279,7 @@ pub fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
 
 impl LossStudy {
     /// Render the result.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "§5 — loss study ({:.0}% server-side loss, {} trials): mean \
              {:.1} RTTs uncompressed vs {:.1} RTTs compressed (completion \

@@ -78,7 +78,7 @@ pub fn fig4(campaign: &Campaign) -> Cdf {
 }
 
 /// Render Fig 4 headline numbers.
-pub fn render_fig4(cdf: &Cdf) -> String {
+pub(crate) fn render_fig4(cdf: &Cdf) -> String {
     format!(
         "Fig 4 — first-RTT amplification (amplifying handshakes, n={}): \
          min {:.2}x, median {:.2}x, p99 {:.2}x, max {:.2}x\n",
@@ -242,7 +242,7 @@ pub fn render_rank_groups(rows: &[RankGroupRow]) -> String {
 /// One row of the network-profile scenario matrix: the default-size scan
 /// repeated under one [`NetworkProfile`].
 #[derive(Debug, Clone)]
-pub struct ProfileRow {
+pub(crate) struct ProfileRow {
     /// The link-condition overlay scanned under.
     pub profile: NetworkProfile,
     /// Class counts at the campaign's default Initial size.
@@ -259,7 +259,7 @@ pub struct ProfileRow {
 /// shares the cached default-scan artifact — same `(profile, size)` cache
 /// key — so only the non-ideal profiles cost new handshakes; a campaign
 /// configured with a non-ideal default profile scans its ideal row fresh.
-pub fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
+pub(crate) fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
     let initial = campaign.scenario().initial_size;
     NetworkProfile::ALL
         .iter()
@@ -280,7 +280,7 @@ pub fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
 /// Render the scenario matrix: class shares among reachable services,
 /// unreachability against the full population, and the per-profile fault
 /// counters.
-pub fn render_profile_matrix(rows: &[ProfileRow]) -> String {
+pub(crate) fn render_profile_matrix(rows: &[ProfileRow]) -> String {
     let mut t = Table::new(&[
         "profile",
         "reachable",
@@ -368,7 +368,7 @@ pub fn reachability(campaign: &Campaign) -> Reachability {
 
 impl Reachability {
     /// Relative drop for a bucket, in percent.
-    pub fn drop_pct(&self, label: &str) -> f64 {
+    pub(crate) fn drop_pct(&self, label: &str) -> f64 {
         self.buckets
             .iter()
             .find(|(l, _, _)| *l == label)

@@ -49,7 +49,7 @@ pub struct WarmAggregate {
 }
 
 /// Fold a warm-scan artifact into its aggregate.
-pub fn aggregate(results: &[WarmScanResult]) -> WarmAggregate {
+pub(crate) fn aggregate(results: &[WarmScanResult]) -> WarmAggregate {
     let mut agg = WarmAggregate {
         total: results.len(),
         cold_reachable: 0,

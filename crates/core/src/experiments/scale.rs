@@ -39,7 +39,7 @@ pub struct ScaleRow {
 /// own world size as `[n/2, n, 5n]`, so tests and small reports scale
 /// their ladder down while explicit requests (the `repro` harness passes
 /// [`PAPER_SCALE_SIZES`]) measure the absolute populations.
-pub fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usize; 3] {
+pub(crate) fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usize; 3] {
     let n = world_domains.max(2);
     let derived = [n / 2, n, 5 * n];
     let mut sizes = [0usize; 3];
@@ -52,7 +52,7 @@ pub fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usize; 3] 
 /// Stream one population size with a campaign's scan parameters (same
 /// seed, population model, Initial size and workers — only the domain
 /// count varies).
-pub fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
+pub(crate) fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
     let config = WorldConfig {
         domains: population,
         ..campaign.config().world.clone()

@@ -15,6 +15,7 @@
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod campaign;
 pub mod engine;

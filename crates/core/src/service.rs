@@ -39,7 +39,7 @@
 //! * [`CampaignService::full_rescan_at`] is the reference every snapshot
 //!   is tested against: the state replayed from tick 0
 //!   ([`ChurnState::at`]) and the whole population streamed through the
-//!   pump's per-worker accumulators ([`ScanEngine::fold_population`]). No
+//!   pump's per-worker accumulators (`ScanEngine::fold_population`). No
 //!   serving path takes it.
 //!
 //! Re-folding a segment is neither re-simulating nor re-issuing it. Every
@@ -395,7 +395,7 @@ impl CampaignService {
     /// A from-scratch full rescan of the churned world at `tick` — the
     /// reference every snapshot must match bit-for-bit: the churn state
     /// replayed from tick 0, and the whole population streamed through the
-    /// pump's per-worker accumulators ([`ScanEngine::fold_population`]),
+    /// pump's per-worker accumulators (`ScanEngine::fold_population`),
     /// no per-segment summary built. Does not consult or update the segment
     /// cache, and is not logged.
     pub fn full_rescan_at(&self, tick: u64) -> Snapshot {

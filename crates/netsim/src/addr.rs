@@ -7,9 +7,6 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// Wildcard port used when the port of an endpoint does not matter.
-pub const ANY_PORT: u16 = 0;
-
 /// An IPv4 network prefix (`address/len`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Net {
@@ -46,11 +43,6 @@ impl Ipv4Net {
         self.base
     }
 
-    /// The prefix length in bits.
-    pub fn prefix_len(&self) -> u8 {
-        self.prefix_len
-    }
-
     /// Number of addresses covered by the prefix.
     pub fn size(&self) -> u64 {
         1u64 << (32 - self.prefix_len as u32)
@@ -68,12 +60,6 @@ impl Ipv4Net {
     pub fn host(&self, i: u64) -> Ipv4Addr {
         assert!(i < self.size(), "host index outside prefix");
         Ipv4Addr::from(u32::from(self.base) + i as u32)
-    }
-
-    /// Iterate over every address in the prefix. Intended for small prefixes
-    /// such as the /24 point-of-presence scans of §4.3.
-    pub fn hosts(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        (0..self.size()).map(move |i| self.host(i))
     }
 }
 
@@ -109,7 +95,7 @@ mod tests {
         assert_eq!(net.size(), 256);
         assert_eq!(net.host(0), Ipv4Addr::new(192, 0, 2, 0));
         assert_eq!(net.host(35), Ipv4Addr::new(192, 0, 2, 35));
-        assert_eq!(net.hosts().count(), 256);
+        assert_eq!(net.host(255), Ipv4Addr::new(192, 0, 2, 255));
     }
 
     #[test]

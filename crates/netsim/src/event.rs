@@ -27,7 +27,7 @@ pub enum Direction {
 
 impl Direction {
     /// The opposite direction.
-    pub fn flip(self) -> Direction {
+    pub(crate) fn flip(self) -> Direction {
         match self {
             Direction::AtoB => Direction::BtoA,
             Direction::BtoA => Direction::AtoB,

@@ -47,15 +47,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that duplicates surviving datagrams with probability
-    /// `p`.
-    pub fn duplicating(p: f64) -> Self {
-        FaultInjector {
-            duplicate_chance: p,
-            ..FaultInjector::default()
-        }
-    }
-
     /// Apply faults to a datagram. Returns `None` when the datagram is
     /// dropped, otherwise the (possibly corrupted) datagram.
     pub fn apply(&mut self, rng: &mut SimRng, mut dgram: Datagram) -> Option<Datagram> {
@@ -82,7 +73,7 @@ impl FaultInjector {
     /// should additionally be delivered a second time. Draws from the
     /// session RNG only when `duplicate_chance` is nonzero, so existing
     /// profiles stay bit-for-bit unchanged.
-    pub fn maybe_duplicate(&mut self, rng: &mut SimRng) -> bool {
+    pub(crate) fn maybe_duplicate(&mut self, rng: &mut SimRng) -> bool {
         if self.duplicate_chance > 0.0 && rng.chance(self.duplicate_chance) {
             self.duplications += 1;
             true
@@ -102,7 +93,7 @@ impl FaultInjector {
     }
 
     /// Number of datagrams duplicated so far.
-    pub fn duplications(&self) -> u64 {
+    pub(crate) fn duplications(&self) -> u64 {
         self.duplications
     }
 }

@@ -66,7 +66,7 @@ impl FaultPlan {
     /// A duplication-flavoured scenario: no loss at all, but a quarter of
     /// datagrams arrive twice (spurious retransmission / routing
     /// duplication). This is the rung that exercises
-    /// [`crate::fault::FaultInjector::duplicating`] outside unit tests.
+    /// [`crate::fault::FaultInjector::duplicate_chance`] outside unit tests.
     pub const DUP_STORM: FaultPlan = FaultPlan {
         name: "dup-storm",
         drop_per_mille: 0,
@@ -84,12 +84,12 @@ impl FaultPlan {
     ];
 
     /// Drop probability as a float chance.
-    pub fn drop_chance(self) -> f64 {
+    pub(crate) fn drop_chance(self) -> f64 {
         self.drop_per_mille as f64 / 1000.0
     }
 
     /// Duplication probability as a float chance.
-    pub fn duplicate_chance(self) -> f64 {
+    pub(crate) fn duplicate_chance(self) -> f64 {
         self.duplicate_per_mille as f64 / 1000.0
     }
 
@@ -131,13 +131,6 @@ impl FaultPlan {
         wire.fault_b_to_a.corrupt_chance =
             wire.fault_b_to_a.corrupt_chance.max(self.corrupt_chance());
     }
-
-    /// Convenience: a copy of a base wire with this plan overlaid.
-    pub fn wire_from(self, base: &Wire) -> Wire {
-        let mut wire = base.clone();
-        self.apply(&mut wire);
-        wire
-    }
 }
 
 impl Default for FaultPlan {
@@ -161,9 +154,16 @@ mod tests {
         Wire::ideal(SimDuration::from_millis(20))
     }
 
+    /// A copy of `base` with `overlay` applied.
+    fn overlaid(overlay: FaultPlan, base: &Wire) -> Wire {
+        let mut wire = base.clone();
+        overlay.apply(&mut wire);
+        wire
+    }
+
     #[test]
     fn none_is_the_identity() {
-        let wire = FaultPlan::NONE.wire_from(&base());
+        let wire = overlaid(FaultPlan::NONE, &base());
         assert_eq!(wire.fault_a_to_b.drop_chance, 0.0);
         assert_eq!(wire.fault_a_to_b.duplicate_chance, 0.0);
         assert_eq!(wire.fault_b_to_a.corrupt_chance, 0.0);
@@ -177,7 +177,7 @@ mod tests {
         let rungs = [FaultPlan::LIGHT, FaultPlan::MODERATE, FaultPlan::HEAVY];
         let mut prev = 0.0;
         for plan in rungs {
-            let wire = plan.wire_from(&base());
+            let wire = overlaid(plan, &base());
             assert!(wire.fault_a_to_b.drop_chance > prev, "{plan}");
             assert_eq!(wire.fault_a_to_b.drop_chance, plan.drop_chance());
             assert_eq!(wire.fault_b_to_a.duplicate_chance, plan.duplicate_chance());
@@ -193,10 +193,10 @@ mod tests {
         // wire it produces. In particular a purely *duplicating* wire is
         // non-deterministic, so the memo path can never replay it.
         for plan in FaultPlan::LADDER {
-            let wire = plan.wire_from(&base());
+            let wire = overlaid(plan, &base());
             assert_eq!(wire.is_deterministic(), plan.is_deterministic(), "{plan}");
         }
-        let dup_wire = FaultPlan::DUP_STORM.wire_from(&base());
+        let dup_wire = overlaid(FaultPlan::DUP_STORM, &base());
         assert_eq!(dup_wire.fault_a_to_b.drop_chance, 0.0);
         assert!(dup_wire.fault_a_to_b.duplicate_chance > 0.0);
         assert!(!dup_wire.is_deterministic());
@@ -208,7 +208,7 @@ mod tests {
         let mut heavy = base();
         heavy.fault_a_to_b.drop_chance = 0.5;
         heavy.fault_b_to_a.duplicate_chance = 0.9;
-        let wire = FaultPlan::LIGHT.wire_from(&heavy);
+        let wire = overlaid(FaultPlan::LIGHT, &heavy);
         assert_eq!(wire.fault_a_to_b.drop_chance, 0.5);
         assert_eq!(wire.fault_b_to_a.duplicate_chance, 0.9);
         assert_eq!(

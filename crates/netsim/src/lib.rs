@@ -17,19 +17,20 @@
 //! produce datagrams when polled.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod addr;
 pub mod datagram;
 pub mod event;
 pub mod fault;
-pub mod faultplan;
+pub(crate) mod faultplan;
 pub mod link;
 pub mod profile;
 pub mod rng;
-pub mod simnet;
+pub(crate) mod simnet;
 pub mod time;
 
-pub use addr::{Ipv4Net, ANY_PORT};
+pub use addr::Ipv4Net;
 pub use datagram::{Datagram, UDP_IPV4_OVERHEAD};
 pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Wire};
 pub use fault::FaultInjector;

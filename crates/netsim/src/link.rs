@@ -80,7 +80,7 @@ impl LinkModel {
     }
 
     /// Effective on-path size of a datagram on this link.
-    pub fn effective_size(&self, dgram: &Datagram) -> usize {
+    pub(crate) fn effective_size(&self, dgram: &Datagram) -> usize {
         dgram.wire_len() + self.encapsulation_overhead
     }
 
@@ -121,7 +121,7 @@ mod tests {
     fn ideal_link_delivers_with_fixed_delay() {
         let link = LinkModel::ideal(SimDuration::from_millis(10));
         let mut rng = SimRng::new(1);
-        let now = SimTime::from_nanos(500);
+        let now = SimTime::ZERO + SimDuration::from_nanos(500);
         match link.deliver(&mut rng, &dgram(1200), now) {
             Delivery::Arrives(at) => assert_eq!(at, now + SimDuration::from_millis(10)),
             other => panic!("expected delivery, got {other:?}"),

@@ -27,7 +27,7 @@ pub enum NetworkProfile {
     /// per-session fault counters surface in scan results.
     Lossy,
     /// A long fat network: one-way latency stretched
-    /// [`LONG_FAT_LATENCY_FACTOR`](NetworkProfile::LONG_FAT_LATENCY_FACTOR)×
+    /// `LONG_FAT_LATENCY_FACTOR`×
     /// with a few milliseconds of jitter — the intercontinental path case.
     /// Reachability is unchanged, but the jitter exposes how fragile
     /// timing-based handshake classification is: completion is never at
@@ -50,15 +50,15 @@ impl NetworkProfile {
     ];
 
     /// Per-direction drop probability of the lossy profile.
-    pub const LOSSY_DROP_CHANCE: f64 = 0.03;
+    pub(crate) const LOSSY_DROP_CHANCE: f64 = 0.03;
     /// Server→client corruption probability of the lossy profile.
-    pub const LOSSY_CORRUPT_CHANCE: f64 = 0.01;
+    pub(crate) const LOSSY_CORRUPT_CHANCE: f64 = 0.01;
     /// Latency multiplier of the long-fat profile.
-    pub const LONG_FAT_LATENCY_FACTOR: u32 = 4;
+    pub(crate) const LONG_FAT_LATENCY_FACTOR: u32 = 4;
     /// Jitter added by the long-fat profile.
-    pub const LONG_FAT_JITTER: SimDuration = SimDuration::from_millis(5);
+    pub(crate) const LONG_FAT_JITTER: SimDuration = SimDuration::from_millis(5);
     /// Encapsulation overhead of the tunneled profile (IP-in-IP + GUE-ish).
-    pub const TUNNEL_OVERHEAD: usize = 40;
+    pub(crate) const TUNNEL_OVERHEAD: usize = 40;
 
     /// Label used in reports and artifact keys.
     pub fn name(self) -> &'static str {
@@ -109,13 +109,6 @@ impl NetworkProfile {
         }
     }
 
-    /// Convenience: a profiled copy of a base wire.
-    pub fn wire_from(self, base: &Wire) -> Wire {
-        let mut wire = base.clone();
-        self.apply(&mut wire);
-        wire
-    }
-
     /// Whether this profile's overlay consumes no randomness: applied to a
     /// deterministic base wire, the profiled wire never draws from the
     /// session RNG, so a handshake outcome is a pure function of its
@@ -148,9 +141,16 @@ mod tests {
         Wire::ideal(SimDuration::from_millis(20))
     }
 
+    /// A copy of `base` with `overlay` applied.
+    fn overlaid(overlay: NetworkProfile, base: &Wire) -> Wire {
+        let mut wire = base.clone();
+        overlay.apply(&mut wire);
+        wire
+    }
+
     #[test]
     fn ideal_is_the_identity() {
-        let wire = NetworkProfile::Ideal.wire_from(&base());
+        let wire = overlaid(NetworkProfile::Ideal, &base());
         let reference = base();
         assert_eq!(wire.a_to_b.latency, reference.a_to_b.latency);
         assert_eq!(wire.a_to_b.loss, reference.a_to_b.loss);
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn lossy_arms_the_fault_injectors() {
-        let wire = NetworkProfile::Lossy.wire_from(&base());
+        let wire = overlaid(NetworkProfile::Lossy, &base());
         assert_eq!(
             wire.fault_a_to_b.drop_chance,
             NetworkProfile::LOSSY_DROP_CHANCE
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn long_fat_stretches_the_path() {
-        let wire = NetworkProfile::LongFat.wire_from(&base());
+        let wire = overlaid(NetworkProfile::LongFat, &base());
         assert_eq!(
             wire.a_to_b.latency,
             SimDuration::from_millis(20).saturating_mul(4)
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn tunneled_adds_overhead_without_shrinking_existing_tunnels() {
-        let wire = NetworkProfile::Tunneled.wire_from(&base());
+        let wire = overlaid(NetworkProfile::Tunneled, &base());
         assert_eq!(
             wire.a_to_b.encapsulation_overhead,
             NetworkProfile::TUNNEL_OVERHEAD
@@ -195,8 +195,7 @@ mod tests {
         let mut heavy = base();
         heavy.a_to_b.encapsulation_overhead = 64;
         assert_eq!(
-            NetworkProfile::Tunneled
-                .wire_from(&heavy)
+            overlaid(NetworkProfile::Tunneled, &heavy)
                 .a_to_b
                 .encapsulation_overhead,
             64
@@ -210,7 +209,7 @@ mod tests {
         // deterministic base wire stays deterministic exactly for the
         // profiles the predicate admits.
         for profile in NetworkProfile::ALL {
-            let wire = profile.wire_from(&base());
+            let wire = overlaid(profile, &base());
             assert_eq!(
                 wire.is_deterministic(),
                 profile.is_deterministic(),
@@ -226,7 +225,7 @@ mod tests {
         let mut jittery = base();
         jittery.a_to_b.jitter = SimDuration::from_millis(1);
         for profile in NetworkProfile::ALL {
-            assert!(!profile.wire_from(&jittery).is_deterministic());
+            assert!(!overlaid(profile, &jittery).is_deterministic());
         }
     }
 

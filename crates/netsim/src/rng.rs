@@ -38,11 +38,6 @@ impl SimRng {
         mix
     }
 
-    /// Fork using a string label, hashed with FNV-1a.
-    pub fn fork_str(&self, label: &str) -> SimRng {
-        self.fork(fnv1a(label.as_bytes()))
-    }
-
     /// Next raw 64-bit value (SplitMix64 step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -51,12 +46,6 @@ impl SimRng {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
@@ -154,30 +143,8 @@ impl SimRng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Standard normal draw (Box–Muller transform).
-    pub fn normal(&mut self) -> f64 {
-        let u1 = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
-    /// Log-normal draw parameterised by the *underlying* normal's mu/sigma.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.normal()).exp()
-    }
-
     /// Fill a buffer with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
+    pub(crate) fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
         for chunk in &mut chunks {
             chunk.copy_from_slice(&self.next_u64().to_le_bytes());
@@ -382,22 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_has_expected_moments() {
-        let mut rng = SimRng::new(17);
-        let n = 50_000;
-        let (mut sum, mut sumsq) = (0.0, 0.0);
-        for _ in 0..n {
-            let x = rng.normal();
-            sum += x;
-            sumsq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sumsq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var was {var}");
-    }
-
-    #[test]
     fn fill_bytes_handles_unaligned_lengths() {
         let mut rng = SimRng::new(19);
         for len in [0usize, 1, 7, 8, 9, 31] {
@@ -439,18 +390,5 @@ mod tests {
                 assert!(seen.insert(h, key).is_none(), "collision at {key:?}");
             }
         }
-    }
-
-    #[test]
-    fn log_normal_is_positive_and_skewed() {
-        let mut rng = SimRng::new(23);
-        let mut vals: Vec<f64> = (0..10_000).map(|_| rng.log_normal(7.0, 0.6)).collect();
-        assert!(vals.iter().all(|&v| v > 0.0));
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = vals[vals.len() / 2];
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        assert!(mean > median, "log-normal should be right-skewed");
-        // Median of log-normal(mu, sigma) is exp(mu) ≈ 1096.6.
-        assert!((median / 7.0f64.exp() - 1.0).abs() < 0.1);
     }
 }

@@ -584,7 +584,7 @@ mod tests {
     fn duplicating_injector_delivers_every_datagram_twice() {
         let mut recorder = Recorder::default();
         let mut wire = Wire::ideal(SimDuration::from_millis(5));
-        wire.fault_a_to_b = FaultInjector::duplicating(1.0);
+        wire.fault_a_to_b.duplicate_chance = 1.0;
         let out = run_exchange(
             &mut Burst { n: 4 },
             &mut recorder,
@@ -636,7 +636,7 @@ mod tests {
         // original at 5 ms, the instant B echoes both: nothing B sends
         // leaves before the cut.
         let mut wire = Wire::ideal(SimDuration::from_millis(5));
-        wire.fault_a_to_b = FaultInjector::duplicating(1.0);
+        wire.fault_a_to_b.duplicate_chance = 1.0;
         let out = run_exchange(
             &mut Burst { n: 1 },
             &mut Echoer,

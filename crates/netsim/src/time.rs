@@ -21,15 +21,6 @@ impl SimTime {
     /// The zero point of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// A time far beyond any simulated experiment, used as an "infinite"
-    /// deadline sentinel.
-    pub const FAR_FUTURE: SimTime = SimTime(u64::MAX);
-
-    /// Construct from raw nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
     /// Raw nanosecond value.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -56,7 +47,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
+    pub(crate) const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
@@ -169,7 +160,7 @@ mod tests {
 
     #[test]
     fn time_arithmetic_roundtrips() {
-        let t = SimTime::from_nanos(5_000);
+        let t = SimTime(5_000);
         let d = SimDuration::from_micros(3);
         assert_eq!((t + d).as_nanos(), 8_000);
         assert_eq!((t + d) - t, d);
@@ -177,8 +168,8 @@ mod tests {
 
     #[test]
     fn since_saturates() {
-        let early = SimTime::from_nanos(10);
-        let late = SimTime::from_nanos(100);
+        let early = SimTime(10);
+        let late = SimTime(100);
         assert_eq!(early.since(late), SimDuration::ZERO);
         assert_eq!(late.since(early).as_nanos(), 90);
     }
@@ -203,14 +194,5 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(3)), "3ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
         assert_eq!(format!("{}", SimDuration::from_nanos(17)), "17ns");
-    }
-
-    #[test]
-    fn far_future_is_ordered_after_everything() {
-        assert!(SimTime::FAR_FUTURE > SimTime::from_nanos(u64::MAX - 1));
-        assert_eq!(
-            SimTime::FAR_FUTURE.saturating_add(SimDuration::from_secs(1)),
-            SimTime::FAR_FUTURE
-        );
     }
 }

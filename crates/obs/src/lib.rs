@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,11 +198,6 @@ impl Histogram {
         self.bin_width
     }
 
-    /// Number of equal-width bins (underflow/overflow excluded).
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Observations below `lo`.
     pub fn underflow(&self) -> u64 {
         self.underflow.load(Ordering::Relaxed)
@@ -213,7 +209,7 @@ impl Histogram {
     }
 
     /// Per-bin counts, in bin order.
-    pub fn bin_counts(&self) -> Vec<u64> {
+    pub(crate) fn bin_counts(&self) -> Vec<u64> {
         self.bins
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -359,7 +355,12 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// When `(name, labels)` is already registered as a different kind.
-    pub fn labeled_gauge(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
+    pub(crate) fn labeled_gauge(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+    ) -> Arc<Gauge> {
         match self.register(name, labels, help, Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(g) => g,
             other => panic!("metric {name} already registered as a {}", other.kind()),
@@ -576,19 +577,13 @@ pub struct HandshakeTimeline {
 }
 
 impl HandshakeTimeline {
-    /// Total handshake duration, when the handshake completed.
-    pub fn total_ns(&self) -> Option<u64> {
-        self.done_ns
-            .map(|done| done.saturating_sub(self.initial_sent_ns))
-    }
-
     /// Split a completed handshake's duration into the four [`Phase`]s.
     ///
     /// Returns `None` for incomplete handshakes. Boundaries are clamped
     /// cumulatively (`initial_sent <= stall_begin <= stall_end <=
     /// cert_flight <= done`, with absent timestamps collapsing to the
     /// previous boundary or to `done`), so the returned durations always
-    /// sum to exactly [`total_ns`](HandshakeTimeline::total_ns).
+    /// sum to exactly the total time, `done_ns - initial_sent_ns`.
     pub fn phases(&self) -> Option<[(Phase, u64); 4]> {
         let t0 = self.initial_sent_ns;
         let done = self.done_ns?.max(t0);
@@ -796,15 +791,13 @@ zz_total 2
         for timeline in cases {
             let phases = timeline.phases().expect("completed");
             let sum: u64 = phases.iter().map(|(_, d)| d).sum();
-            assert_eq!(
-                Some(sum),
-                timeline.total_ns(),
-                "phases must sum exactly: {timeline:?}"
-            );
+            let total = timeline
+                .done_ns
+                .map(|done| done.saturating_sub(timeline.initial_sent_ns));
+            assert_eq!(Some(sum), total, "phases must sum exactly: {timeline:?}");
         }
         // Incomplete handshakes have no phase split.
         assert_eq!(HandshakeTimeline::default().phases(), None);
-        assert_eq!(HandshakeTimeline::default().total_ns(), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl DnsOutcome {
 /// (13k SERVFAIL, 9k NXDOMAIN, ~2k timeout/refused, 110k without A records
 /// out of 1M).
 #[derive(Debug, Clone, Copy)]
-pub struct DnsRates {
+pub(crate) struct DnsRates {
     /// SERVFAIL probability.
     pub servfail: f64,
     /// NXDOMAIN probability.
@@ -70,7 +70,7 @@ impl Default for DnsRates {
 }
 
 /// Resolve a domain given a uniform draw in [0,1) and its serving address.
-pub fn resolve(rates: &DnsRates, draw: f64, second_draw: f64, addr: Ipv4Addr) -> DnsOutcome {
+pub(crate) fn resolve(rates: &DnsRates, draw: f64, second_draw: f64, addr: Ipv4Addr) -> DnsOutcome {
     let mut threshold = rates.servfail;
     if draw < threshold {
         return DnsOutcome::ServFail;

@@ -9,7 +9,6 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::era::CertificateEra;
-use quicert_netsim::SimRng;
 use quicert_x509::ext::KeyUsageFlags;
 use quicert_x509::oid;
 use quicert_x509::{
@@ -153,7 +152,6 @@ impl ParentChain {
 /// on first use, so era-unaware campaigns pay nothing for the axis.
 #[derive(Debug)]
 pub struct Ecosystem {
-    seed: u64,
     chains: Vec<ParentChain>,
     hybrid: OnceLock<Vec<ParentChain>>,
     post_quantum: OnceLock<Vec<ParentChain>>,
@@ -164,12 +162,11 @@ pub struct Ecosystem {
 }
 
 impl Ecosystem {
-    /// Build the ecosystem from a seed.
-    pub fn new(seed: u64) -> Self {
+    /// Build the ecosystem.
+    pub fn new() -> Self {
         let ocsp_host = "o.example-ca.test";
         Ecosystem {
-            seed,
-            chains: Self::catalog(seed, CertificateEra::Classical),
+            chains: Self::catalog(CertificateEra::Classical),
             hybrid: OnceLock::new(),
             post_quantum: OnceLock::new(),
             aia_ocsp_url: format!("http://{ocsp_host}"),
@@ -177,12 +174,11 @@ impl Ecosystem {
         }
     }
 
-    /// Build one era's catalog — a pure function of `(seed, era)`, so the
+    /// Build one era's catalog — a pure function of the era, so the
     /// lazily-built era catalogs are exactly what an eager build would have
     /// produced.
-    fn catalog(seed: u64, era: CertificateEra) -> Vec<ParentChain> {
-        let mut rng = SimRng::new(seed ^ 0xEC05_75E3);
-        let b = Builder { rng: &mut rng, era };
+    fn catalog(era: CertificateEra) -> Vec<ParentChain> {
+        let b = Builder { era };
         ChainId::ALL.iter().map(|&id| b.build_chain(id)).collect()
     }
 
@@ -194,15 +190,15 @@ impl Ecosystem {
 
     /// All chains of one era (hybrid / post-quantum catalogs are built on
     /// first request).
-    pub fn chains_era(&self, era: CertificateEra) -> &[ParentChain] {
+    pub(crate) fn chains_era(&self, era: CertificateEra) -> &[ParentChain] {
         match era {
             CertificateEra::Classical => &self.chains,
             CertificateEra::Hybrid => self
                 .hybrid
-                .get_or_init(|| Self::catalog(self.seed, CertificateEra::Hybrid)),
+                .get_or_init(|| Self::catalog(CertificateEra::Hybrid)),
             CertificateEra::PostQuantum => self
                 .post_quantum
-                .get_or_init(|| Self::catalog(self.seed, CertificateEra::PostQuantum)),
+                .get_or_init(|| Self::catalog(CertificateEra::PostQuantum)),
         }
     }
 
@@ -261,21 +257,25 @@ impl Ecosystem {
     }
 }
 
+impl Default for Ecosystem {
+    fn default() -> Self {
+        Ecosystem::new()
+    }
+}
+
 fn chain_seed(id: ChainId) -> u64 {
     // Stable per-chain seed for key identifiers.
     (id as u64 + 1).wrapping_mul(0x0BAD_CA5E_0001)
 }
 
-struct Builder<'a> {
-    #[allow(dead_code)]
-    rng: &'a mut SimRng,
+struct Builder {
     /// The era this builder's catalog belongs to: every key and signature
     /// is mapped through it ([`CertificateEra::Classical`] is the
     /// identity, so the classical catalog stays byte-for-byte).
     era: CertificateEra,
 }
 
-impl Builder<'_> {
+impl Builder {
     fn ca_cert(
         &self,
         issuer: DistinguishedName,
@@ -697,7 +697,7 @@ mod tests {
     use super::*;
 
     fn eco() -> Ecosystem {
-        Ecosystem::new(42)
+        Ecosystem::new()
     }
 
     fn leaf_params(key: KeyAlgorithm) -> LeafParams {
@@ -712,8 +712,8 @@ mod tests {
 
     #[test]
     fn ecosystem_is_deterministic() {
-        let a = Ecosystem::new(7);
-        let b = Ecosystem::new(7);
+        let a = Ecosystem::new();
+        let b = Ecosystem::new();
         for id in ChainId::ALL {
             assert_eq!(
                 a.chain_era(id, CertificateEra::Classical).parent_der_len(),
@@ -868,8 +868,8 @@ mod tests {
 
     #[test]
     fn era_catalogs_are_deterministic() {
-        let a = Ecosystem::new(7);
-        let b = Ecosystem::new(7);
+        let a = Ecosystem::new();
+        let b = Ecosystem::new();
         for era in CertificateEra::ALL {
             for id in ChainId::ALL {
                 let x = a.chain_era(id, era);

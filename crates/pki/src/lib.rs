@@ -20,6 +20,7 @@
 //! to the paper sections they encode.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod dns;
 pub mod ecosystem;

@@ -101,7 +101,7 @@ impl QuicDeployment {
     /// Leaf-seed perturbation encoding both the §3.2 rotation gap and the
     /// churn generation, so every reissue yields fresh certificate bytes
     /// while generation 0 reproduces the pre-churn chain exactly.
-    pub fn cert_seed_shift(&self) -> u64 {
+    pub(crate) fn cert_seed_shift(&self) -> u64 {
         let rotation = if self.rotated_cert { 0x5EED_0001 } else { 0 };
         rotation ^ (self.cert_generation as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
@@ -140,11 +140,6 @@ impl DomainRecord {
     /// Whether the domain is a QUIC service.
     pub fn has_quic(&self) -> bool {
         self.has_https() && self.quic.is_some()
-    }
-
-    /// The Tranco 100k rank-group index of this domain.
-    pub fn rank_group(&self) -> usize {
-        (self.rank - 1) / 100_000
     }
 }
 
@@ -288,7 +283,7 @@ pub struct PopulationModel {
     /// QUIC deployment group weights, in percent of QUIC services:
     /// (group, weight). Together they reproduce Fig 3's ~61% amplification,
     /// ~38% multi-RTT, 0.75% 1-RTT, 0.07% Retry at Initial = 1362.
-    pub quic_groups: Vec<(QuicGroup, f64)>,
+    pub(crate) quic_groups: Vec<(QuicGroup, f64)>,
     /// 1-RTT share boost for the top-100k ranks (Fig 13: 3.02% vs <1%).
     pub top_rank_one_rtt_share: f64,
     /// P(behind tunnelling LB) for ranks ≤1k / ≤10k / rest (§4.1: −25%,
@@ -307,7 +302,7 @@ pub struct PopulationModel {
 
 /// The QUIC deployment groups of §4.1 as modelled here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuicGroup {
+pub(crate) enum QuicGroup {
     /// Cloudflare with the dominant short Let's Encrypt R3 chain.
     CfLeR3,
     /// Cloudflare with Let's Encrypt E1.
@@ -448,7 +443,7 @@ impl World {
     /// issued per record from the ecosystem and the record itself.
     pub fn streaming(config: WorldConfig) -> World {
         World {
-            ecosystem: Ecosystem::new(config.seed),
+            ecosystem: Ecosystem::new(),
             config,
             shapes: ClassTable::default(),
             lent: OnceLock::new(),

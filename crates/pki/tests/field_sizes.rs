@@ -54,7 +54,7 @@ fn assert_recorded_sizes_match_the_parsed_der(cert: &Certificate, what: &str) {
 
 #[test]
 fn recorded_field_sizes_equal_lengths_parsed_from_the_der() {
-    let eco = Ecosystem::new(0x5CA1);
+    let eco = Ecosystem::new();
     let mut leaf_keys = HashSet::new();
     for era in CertificateEra::ALL {
         for id in ChainId::ALL {

@@ -8,7 +8,7 @@
 //! workspace can ablate them. The 3× rule itself is [`limit`]; every
 //! anti-amplification limit in the workspace reads it.
 //!
-//! [`AmplificationBudget`] is the server-side account. Its `send` answers
+//! `AmplificationBudget` is the server-side account. Its `send` answers
 //! "may I send this datagram to this unvalidated peer?", stamps the stall a
 //! refusal begins, and counts the wire bytes actually sent before
 //! validation, charged or not. Its `excess` — always kept — is the most
@@ -70,7 +70,7 @@ impl LimitPolicy {
 /// Per-connection amplification account kept by a server until the client's
 /// address is validated.
 #[derive(Debug, Clone)]
-pub struct AmplificationBudget {
+pub(crate) struct AmplificationBudget {
     policy: LimitPolicy,
     /// Bytes received from the (unvalidated) client address.
     received_bytes: usize,
@@ -92,7 +92,7 @@ pub struct AmplificationBudget {
 
 impl AmplificationBudget {
     /// Fresh budget under `policy`.
-    pub fn new(policy: LimitPolicy) -> Self {
+    pub(crate) fn new(policy: LimitPolicy) -> Self {
         AmplificationBudget {
             policy,
             received_bytes: 0,
@@ -107,29 +107,30 @@ impl AmplificationBudget {
     }
 
     /// Record bytes received from the client (UDP payload).
-    pub fn on_receive(&mut self, bytes: usize) {
+    pub(crate) fn on_receive(&mut self, bytes: usize) {
         self.received_bytes += bytes;
     }
 
     /// Mark the client address as validated; all limits lift.
-    pub fn validate(&mut self) {
+    pub(crate) fn validate(&mut self) {
         self.validated = true;
     }
 
     /// Bytes charged against the budget so far.
-    pub fn charged(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn charged(&self) -> usize {
         self.charged_bytes
     }
 
     /// The most wire bytes ever sent past [`limit`] of those received before
     /// validation: 0 for a server that kept the 3× rule.
-    pub fn excess(&self) -> usize {
+    pub(crate) fn excess(&self) -> usize {
         self.excess
     }
 
     /// When a send was first refused, and when the first datagram left
     /// after that — the amplification-stall phase of the handshake.
-    pub fn stall(&self) -> (Option<SimTime>, Option<SimTime>) {
+    pub(crate) fn stall(&self) -> (Option<SimTime>, Option<SimTime>) {
         self.stall
     }
 
@@ -153,7 +154,13 @@ impl AmplificationBudget {
     /// charging `charged` of them — fewer than `wire` where a server leaves
     /// padding (§4.1) or resends (§4.3) uncharged. Whether the policy lets
     /// it go; a refusal sends nothing and begins the stall, if none had.
-    pub fn send(&mut self, now: SimTime, wire: usize, charged: usize, packets: usize) -> bool {
+    pub(crate) fn send(
+        &mut self,
+        now: SimTime,
+        wire: usize,
+        charged: usize,
+        packets: usize,
+    ) -> bool {
         if !self.allows(charged, packets) {
             self.stall.0.get_or_insert(now);
             return false;

@@ -143,7 +143,7 @@ impl ClientConn {
     }
 
     /// Whether the handshake completed.
-    pub fn handshake_complete(&self) -> bool {
+    pub(crate) fn handshake_complete(&self) -> bool {
         self.completed_at.is_some()
     }
 

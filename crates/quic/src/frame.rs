@@ -45,7 +45,7 @@ pub enum FrameRef<'a> {
 
 impl<'a> FrameRef<'a> {
     /// Whether the frame is ack-eliciting (RFC 9002 §2).
-    pub fn is_ack_eliciting(&self) -> bool {
+    pub(crate) fn is_ack_eliciting(&self) -> bool {
         !matches!(
             self,
             FrameRef::Padding { .. } | FrameRef::Ack { .. } | FrameRef::ConnectionClose { .. }

@@ -94,7 +94,7 @@ pub struct HandshakeOutcome {
     pub total_server_wire: usize,
     /// The server's own account of the 3× rule: the most bytes it was ever
     /// past the limit of what it had received before validation
-    /// ([`AmplificationBudget::excess`](crate::AmplificationBudget::excess)).
+    /// (`AmplificationBudget::excess`).
     /// Unlike the first-flight cut, duplication on the wire cannot hide it.
     pub amplification_excess: usize,
     /// Round trips until the client finished the handshake (1 = optimal).
@@ -703,7 +703,7 @@ mod tests {
         assert_eq!(out.classify(), HandshakeClass::MultiRtt);
         let phases = out.timeline.phases().expect("completed handshake");
         let sum: u64 = phases.iter().map(|(_, d)| d).sum();
-        assert_eq!(Some(sum), out.timeline.total_ns(), "phases sum to total");
+        assert_eq!(Some(sum), out.timeline.done_ns, "phases sum to total");
         assert!(out.timeline.stall_begin_ns.is_some(), "big chain stalls");
         assert!(
             phases[Phase::AmplificationStall.index()].1 > 0,
@@ -726,7 +726,7 @@ mod tests {
         assert!(fast.timeline.stall_begin_ns.is_none());
         let phases = fast.timeline.phases().expect("completed handshake");
         let sum: u64 = phases.iter().map(|(_, d)| d).sum();
-        assert_eq!(Some(sum), fast.timeline.total_ns());
+        assert_eq!(Some(sum), fast.timeline.done_ns);
         assert_eq!(phases[Phase::AmplificationStall.index()].1, 0);
     }
 
@@ -1025,7 +1025,7 @@ mod tests {
         assert_eq!(clean.classify(), HandshakeClass::Amplification);
 
         let mut duplicating = wire();
-        duplicating.fault_a_to_b = quicert_netsim::FaultInjector::duplicating(1.0);
+        duplicating.fault_a_to_b.duplicate_chance = 1.0;
         let out = probe(&mut duplicating);
         assert!(out.completed);
         assert!(out.fault_duplications > 0);

@@ -9,7 +9,7 @@
 //! * anti-amplification accounting with the full *historical* policy set of
 //!   the paper's Table 3 ([`LimitPolicy`]), not just the final 3× rule
 //!   ([`amplification::limit`]), on one server-side account
-//!   ([`AmplificationBudget`]) that also keeps, always, how far the server
+//!   (`AmplificationBudget`) that also keeps, always, how far the server
 //!   went past 3× before validation — the excess buggy accounting causes;
 //! * a client state machine ([`ClientConn`]) modelling a scanner or browser
 //!   with a configurable Initial size; and
@@ -33,6 +33,7 @@
 //! appends CRYPTO data to one [`reassembly::CryptoStream`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod amplification;
 pub mod client;
@@ -43,11 +44,11 @@ pub mod reassembly;
 pub mod server;
 pub mod varint;
 
-pub use amplification::{AmplificationBudget, LimitPolicy};
+pub use amplification::LimitPolicy;
 pub use client::{ClientConfig, ClientConn};
 pub use handshake::{
     run_handshake, run_handshake_batch_into, run_resumption, run_spoofed_probe, HandshakeOutcome,
     HandshakeProbe, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
-pub use packet::{ConnectionId, PacketType, AEAD_TAG_LEN, QUIC_MIN_INITIAL_SIZE};
+pub use packet::{ConnectionId, PacketType, AEAD_TAG_LEN};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

@@ -21,10 +21,10 @@ pub const AEAD_TAG_LEN: usize = 16;
 
 /// Minimum UDP payload for datagrams carrying ack-eliciting Initial packets
 /// (RFC 9000 §14.1).
-pub const QUIC_MIN_INITIAL_SIZE: usize = 1200;
+pub(crate) const QUIC_MIN_INITIAL_SIZE: usize = 1200;
 
 /// QUIC version 1.
-pub const VERSION_1: u32 = 0x0000_0001;
+pub(crate) const VERSION_1: u32 = 0x0000_0001;
 
 /// A connection ID (0–20 bytes), stored inline.
 ///

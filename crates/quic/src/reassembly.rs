@@ -96,7 +96,7 @@ impl CryptoStream {
 
 /// The complete TLS handshake messages at the front of `stream`, each with
 /// its 4-byte header; incomplete trailing data is ignored.
-pub fn handshake_messages(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
+pub(crate) fn handshake_messages(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
     let mut rest = stream;
     std::iter::from_fn(move || {
         let header = rest.first_chunk::<4>()?;

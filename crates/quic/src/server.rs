@@ -43,7 +43,7 @@ pub struct ServerBehavior {
     /// Coalesce Initial and Handshake packets into shared datagrams. A
     /// server that does not also sends an immediate ACK-only Initial before
     /// the ServerHello (the Cloudflare latency optimisation of Appendix B),
-    /// each alone in a datagram padded to [`Self::MAX_UDP_PAYLOAD`] although
+    /// each alone in a datagram padded to `MAX_UDP_PAYLOAD` although
     /// an ACK-only Initial needs no padding.
     pub coalesce: bool,
     /// Whether PADDING bytes are charged against the amplification budget.
@@ -68,10 +68,10 @@ impl ServerBehavior {
     /// server under sustained loss keeps probing at a sane cadence instead
     /// of backing off toward the idle deadline (and, with
     /// `saturating_mul`, toward the 584-year saturation point).
-    pub const MAX_PTO: SimDuration = SimDuration::from_secs(8);
+    pub(crate) const MAX_PTO: SimDuration = SimDuration::from_secs(8);
 
     /// Largest UDP payload a server emits.
-    pub const MAX_UDP_PAYLOAD: usize = 1252;
+    pub(crate) const MAX_UDP_PAYLOAD: usize = 1252;
 
     /// A fully RFC 9000/9002-compliant server.
     pub fn rfc_compliant() -> Self {
@@ -152,7 +152,7 @@ pub struct ServerConfig {
 }
 
 /// Byte-accounting statistics exported after a handshake; the bytes sent
-/// against the 3× limit are on [`ServerConn::amplification`].
+/// against the 3× limit are on the server's amplification account.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerStats {
     /// CRYPTO frame data bytes sent (TLS payload), including resends.
@@ -292,19 +292,15 @@ impl ServerConn {
 
     /// The probe timeout currently in force (doubles per retransmission,
     /// capped at [`ServerBehavior::MAX_PTO`]).
-    pub fn current_pto(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn current_pto(&self) -> SimDuration {
         self.current_pto
     }
 
     /// The anti-amplification account: what was charged and sent before
     /// validation, the stall, and the excess over the 3× limit.
-    pub fn amplification(&self) -> &AmplificationBudget {
+    pub(crate) fn amplification(&self) -> &AmplificationBudget {
         &self.budget
-    }
-
-    /// Whether the handshake completed from the server's perspective.
-    pub fn handshake_complete(&self) -> bool {
-        self.complete
     }
 
     /// The server's source connection ID.
@@ -736,7 +732,7 @@ impl Endpoint for ServerConn {
 }
 
 /// Whether `buf` starts with one complete TLS handshake message.
-pub fn is_complete_handshake_message(buf: &[u8]) -> bool {
+pub(crate) fn is_complete_handshake_message(buf: &[u8]) -> bool {
     handshake_messages(buf).next().is_some()
 }
 

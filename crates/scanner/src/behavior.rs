@@ -10,12 +10,12 @@ use quicert_x509::CertificateChain;
 
 /// Number of flight transmissions of pre-disclosure Meta PoPs (§4.3: up to
 /// 45× amplification, sessions of ~51 s).
-pub const MVFST_PRE_TRANSMISSIONS: u32 = 8;
+pub(crate) const MVFST_PRE_TRANSMISSIONS: u32 = 8;
 /// Post-disclosure transmissions (Fig 11(b): mean ~5× remains).
-pub const MVFST_POST_TRANSMISSIONS: u32 = 2;
+pub(crate) const MVFST_POST_TRANSMISSIONS: u32 = 2;
 
 /// Concrete [`ServerBehavior`] for a deployment's behaviour family.
-pub fn behavior_of(kind: BehaviorKind) -> ServerBehavior {
+pub(crate) fn behavior_of(kind: BehaviorKind) -> ServerBehavior {
     match kind {
         BehaviorKind::RfcCompliant => ServerBehavior::rfc_compliant(),
         BehaviorKind::CloudflareLike => ServerBehavior::cloudflare_like(),
@@ -67,7 +67,7 @@ pub fn server_config_for_era(
 
 /// One-way base latencies of the scanner↔server paths, in milliseconds:
 /// every record's wire sits on one of these 40 one-millisecond steps.
-pub const BASE_LATENCY_MS: RangeInclusive<u64> = 10..=49;
+pub(crate) const BASE_LATENCY_MS: RangeInclusive<u64> = 10..=49;
 
 /// The base one-way latency of the path to `record`'s server — the one
 /// definition every wire builder and the scenario-class memo's rescale

@@ -168,14 +168,6 @@ impl AlgorithmStreamColumn {
     pub fn share(&self) -> f64 {
         self.supported as f64 / self.total.max(1) as f64 * 100.0
     }
-
-    /// Aggregate achieved ratio (1.0 when nothing was compressed).
-    pub fn aggregate_ratio(&self) -> f64 {
-        if self.uncompressed_bytes == 0 {
-            return 1.0;
-        }
-        self.compressed_bytes as f64 / self.uncompressed_bytes as f64
-    }
 }
 
 /// The mergeable summary one population chunk folds into on the streaming

@@ -140,7 +140,7 @@ pub fn collate(
 /// `[0, 32 KiB)`, comfortably covering every classical chain the ecosystem
 /// issues (larger chains land in the overflow bucket and report exact
 /// min/max). 64 bytes is the quantile error bound.
-pub fn chain_size_sketch() -> HistogramSketch {
+pub(crate) fn chain_size_sketch() -> HistogramSketch {
     HistogramSketch::new(0.0, 32_768.0, 512)
 }
 

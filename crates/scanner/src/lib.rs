@@ -14,6 +14,8 @@
 //! All scanners consume a `quicert_pki::World` and run real simulated
 //! handshakes through `quicert-quic`; nothing here is tabulated.
 
+#![deny(unreachable_pub)]
+
 pub mod behavior;
 pub mod compression;
 pub mod https_scan;

@@ -15,13 +15,13 @@ pub struct QuicCertObservation {
     /// Whether it matches the chain seen over HTTPS.
     pub matches_https: bool,
     /// Why it differs, when it does.
-    pub difference: Option<CertDifference>,
+    pub(crate) difference: Option<CertDifference>,
 }
 
 /// Why a QUIC chain differed from the HTTPS chain (§3.2: 2.83% rotations,
 /// 0.47% other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CertDifference {
+pub(crate) enum CertDifference {
     /// Rotated between the two scans.
     Rotation,
     /// Genuinely different deployment.

@@ -18,7 +18,7 @@
 use std::sync::{Arc, OnceLock};
 
 use quicert_analysis::{Merge, StreamSummary};
-use quicert_netsim::{FaultPlan, NetworkProfile, SimDuration, UDP_IPV4_OVERHEAD};
+use quicert_netsim::{FaultPlan, NetworkProfile, SimDuration};
 use quicert_obs::{Counter, HandshakeTimeline, Histogram, MetricsRegistry, Phase};
 use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
 use quicert_quic::handshake::{
@@ -811,16 +811,16 @@ pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
 /// The simulated wall-clock second at which every cold (first-visit)
 /// handshake of a warm scan happens. Chosen away from epoch boundaries so a
 /// short revisit delay never straddles a STEK rotation by accident.
-pub const WARM_SCAN_EPOCH_SECS: u64 = 1_764_000_600;
+pub(crate) const WARM_SCAN_EPOCH_SECS: u64 = 1_764_000_600;
 
 /// Revisit delay of the warm policies, seconds.
-pub const WARM_REVISIT_DELAY_SECS: u64 = 60;
+pub(crate) const WARM_REVISIT_DELAY_SECS: u64 = 60;
 
 /// Label mixed into a record's seed to derive its server's STEK master key.
 const STEK_SEED_LABEL: u64 = 0x5354_454B_5345_4544;
 
 /// The wall clock of the warm visit under one [`ResumptionPolicy`].
-pub fn warm_visit_secs(policy: ResumptionPolicy) -> u64 {
+pub(crate) fn warm_visit_secs(policy: ResumptionPolicy) -> u64 {
     let config = TicketConfig::default();
     match policy {
         // Cold-only and warm revisit shortly after the first handshake.
@@ -994,11 +994,6 @@ pub fn summarize(initial_size: usize, results: &[QuicReachResult]) -> ScanSummar
     summary
 }
 
-/// The largest Initial a 1500-byte MTU admits (sanity bound used in tests).
-pub fn mtu_bound() -> usize {
-    1500 - UDP_IPV4_OVERHEAD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,7 +1059,8 @@ mod tests {
         assert_eq!(sizes[0], 1200);
         assert_eq!(*sizes.last().unwrap(), 1472);
         assert_eq!(sizes.len(), 29);
-        assert_eq!(mtu_bound(), 1472);
+        // The largest Initial a 1500-byte MTU admits.
+        assert_eq!(1500 - quicert_netsim::UDP_IPV4_OVERHEAD, 1472);
     }
 
     #[test]

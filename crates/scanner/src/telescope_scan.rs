@@ -31,7 +31,7 @@ pub struct BackscatterSession {
 
 /// The assumed client Initial used to compute telescope amplification
 /// factors (§4.3 uses 1362 bytes).
-pub const ASSUMED_INITIAL: usize = 1362;
+pub(crate) const ASSUMED_INITIAL: usize = 1362;
 
 /// Ranks the telescope's walk covers per step (deriving only their QUIC
 /// services).

@@ -16,7 +16,7 @@ use quicert_quic::{run_spoofed_probe, ServerBehavior, ServerConfig};
 use quicert_x509::KeyAlgorithm;
 
 /// Probe size used by the paper's ZMap scan.
-pub const PROBE_SIZE: usize = 1252;
+pub(crate) const PROBE_SIZE: usize = 1252;
 
 /// What a Meta PoP host runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +41,7 @@ impl MetaService {
 }
 
 /// The host octets present in Fig 11's x-axis.
-pub fn pop_host_octets() -> Vec<u8> {
+pub(crate) fn pop_host_octets() -> Vec<u8> {
     let mut octets: Vec<u8> = (1..=43).collect();
     octets.extend(49..=60);
     octets.push(63);
@@ -52,7 +52,7 @@ pub fn pop_host_octets() -> Vec<u8> {
 }
 
 /// Service assignment per host octet (deterministic model of the PoP).
-pub fn service_of(octet: u8) -> MetaService {
+pub(crate) fn service_of(octet: u8) -> MetaService {
     match octet {
         35 | 36 => MetaService::Facebook,
         60 | 63 => MetaService::InstagramWhatsapp,

@@ -69,11 +69,6 @@ impl SessionCache {
             &*ticket
         })
     }
-
-    /// Drop any ticket stored for `sni` (e.g. after the server rejected it).
-    pub fn evict(&mut self, sni: &str) -> Option<SessionTicket> {
-        self.entries.remove(sni).map(|(_, ticket)| ticket)
-    }
 }
 
 #[cfg(test)]
@@ -123,14 +118,5 @@ mod tests {
         cache.insert("b", ticket(2));
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup("a").is_none());
-    }
-
-    #[test]
-    fn evict_removes_entry() {
-        let mut cache = SessionCache::with_capacity(2);
-        cache.insert("a", ticket(1));
-        assert_eq!(cache.evict("a").unwrap().age_add, 1);
-        assert!(cache.is_empty());
-        assert!(cache.evict("a").is_none());
     }
 }

@@ -20,6 +20,7 @@
 //! bit-for-bit at any worker count.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod cache;
 pub mod policy;

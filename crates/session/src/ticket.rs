@@ -86,13 +86,6 @@ pub struct SessionTicket {
 }
 
 impl SessionTicket {
-    /// Whether the ticket is still within its advertised lifetime at
-    /// `now_secs` (the client-side freshness check; the server re-checks
-    /// against the sealed issuance time).
-    pub fn fresh_at(&self, now_secs: u64) -> bool {
-        now_secs.saturating_sub(self.obtained_at_secs) <= self.lifetime_secs
-    }
-
     /// The obfuscated ticket age the PSK offer carries (RFC 8446 §4.2.11:
     /// age in milliseconds plus `ticket_age_add`, mod 2³²).
     pub fn obfuscated_age(&self, now_secs: u64) -> u32 {
@@ -354,8 +347,6 @@ mod tests {
             age_add: u32::MAX,
             obtained_at_secs: 100,
         };
-        assert!(t.fresh_at(7_300));
-        assert!(!t.fresh_at(7_301));
         assert_eq!(t.obfuscated_age(101), 999); // 1000ms + (2^32-1) mod 2^32
     }
 }

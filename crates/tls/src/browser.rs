@@ -21,15 +21,8 @@ pub struct BrowserProfile {
     pub compression: Vec<Algorithm>,
 }
 
-impl BrowserProfile {
-    /// Whether the browser deploys QUIC at all.
-    pub fn speaks_quic(&self) -> bool {
-        self.initial_size.is_some()
-    }
-}
-
 /// Firefox 101.x: 1357-byte Initials, no certificate compression.
-pub fn firefox() -> BrowserProfile {
+pub(crate) fn firefox() -> BrowserProfile {
     BrowserProfile {
         name: "Firefox",
         version: "101.x",
@@ -40,7 +33,7 @@ pub fn firefox() -> BrowserProfile {
 
 /// Chromium 105.x (Chrome, Brave, Vivaldi, Edge, Opera): 1250-byte
 /// Initials (recently reduced from 1350), brotli compression.
-pub fn chromium() -> BrowserProfile {
+pub(crate) fn chromium() -> BrowserProfile {
     BrowserProfile {
         name: "Chromium",
         version: "105.x",
@@ -50,7 +43,7 @@ pub fn chromium() -> BrowserProfile {
 }
 
 /// Safari 15.5 (macOS): no QUIC; zlib and zstd compression over TCP.
-pub fn safari() -> BrowserProfile {
+pub(crate) fn safari() -> BrowserProfile {
     BrowserProfile {
         name: "Safari",
         version: "15.5",
@@ -58,13 +51,6 @@ pub fn safari() -> BrowserProfile {
         compression: vec![Algorithm::Zlib, Algorithm::Zstd],
     }
 }
-
-/// Firefox profile constant-style accessor.
-pub const FIREFOX: fn() -> BrowserProfile = firefox;
-/// Chromium profile constant-style accessor.
-pub const CHROMIUM: fn() -> BrowserProfile = chromium;
-/// Safari profile constant-style accessor.
-pub const SAFARI: fn() -> BrowserProfile = safari;
 
 /// All Table 1 browser profiles.
 pub fn all_profiles() -> Vec<BrowserProfile> {
@@ -93,13 +79,6 @@ mod tests {
         assert!(firefox().compression.is_empty());
         assert_eq!(chromium().compression, vec![Algorithm::Brotli]);
         assert_eq!(safari().compression, vec![Algorithm::Zlib, Algorithm::Zstd]);
-    }
-
-    #[test]
-    fn quic_support() {
-        assert!(firefox().speaks_quic());
-        assert!(chromium().speaks_quic());
-        assert!(!safari().speaks_quic());
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl ServerFlight {
         }
     }
 
-    /// Total TLS bytes in the flight (both levels).
-    pub fn total_tls_len(&self) -> usize {
-        self.initial_crypto.len() + self.handshake_crypto.len()
-    }
-
     /// Achieved compression ratio of the certificate message
     /// (compressed/uncompressed; 1.0 when uncompressed or when the flight
     /// carries no certificate at all — the resumed case).
@@ -122,11 +117,6 @@ impl ServerFlight {
             return 1.0;
         }
         self.certificate_message_len as f64 / self.uncompressed_certificate_len as f64
-    }
-
-    /// Whether this is a resumed (certificate-free) flight.
-    pub fn is_resumed(&self) -> bool {
-        self.uncompressed_certificate_len == 0
     }
 }
 
@@ -176,10 +166,6 @@ mod tests {
         let flight = ServerFlight::build(&p);
         assert!(flight.handshake_crypto.len() > p.chain.total_der_len());
         assert!(flight.initial_crypto.len() < 150);
-        assert_eq!(
-            flight.total_tls_len(),
-            flight.initial_crypto.len() + flight.handshake_crypto.len()
-        );
         assert_eq!(flight.compression_ratio(), 1.0);
     }
 
@@ -213,15 +199,15 @@ mod tests {
         let c = chain(KeyAlgorithm::EcdsaP256);
         let cold = ServerFlight::build(&params(&c, None));
         let resumed = ServerFlight::build_resumed(21);
-        assert!(resumed.is_resumed());
-        assert!(!cold.is_resumed());
+        assert!(cold.uncompressed_certificate_len > 0);
         assert_eq!(resumed.certificate_message_len, 0);
         assert_eq!(resumed.uncompressed_certificate_len, 0);
         assert_eq!(resumed.compression_ratio(), 1.0);
         // A resumed flight is a small fraction of even a compact cold one:
         // SH + EE + Finished only.
-        assert!(resumed.total_tls_len() < 400, "{}", resumed.total_tls_len());
-        assert!(resumed.total_tls_len() * 3 < cold.total_tls_len());
+        let tls_len = |f: &ServerFlight| f.initial_crypto.len() + f.handshake_crypto.len();
+        assert!(tls_len(&resumed) < 400, "{}", tls_len(&resumed));
+        assert!(tls_len(&resumed) * 3 < tls_len(&cold));
         // And it is detectably PSK-accepting at the Initial level.
         assert!(crate::messages::server_hello_accepted_psk(
             &resumed.initial_crypto

@@ -15,17 +15,16 @@
 //! ([`browser::BrowserProfile`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod browser;
 pub mod flight;
 pub mod messages;
 
-pub use browser::{BrowserProfile, CHROMIUM, FIREFOX, SAFARI};
+pub use browser::BrowserProfile;
 pub use flight::{ServerFlight, ServerFlightParams};
 pub use messages::{
-    certificate_message, certificate_verify, client_hello, client_hello_into,
-    compressed_certificate_message, encrypted_extensions, finished, new_session_ticket,
+    certificate_message, client_hello, client_hello_into, finished, new_session_ticket,
     parse_compression_offers, parse_new_session_ticket, parse_psk_offer, parse_server_name,
-    server_hello, server_hello_accepted_psk, server_hello_resumed, ClientHelloParams,
-    HandshakeType, NewSessionTicket, PskOffer,
+    server_hello, server_hello_accepted_psk, ClientHelloParams, NewSessionTicket, PskOffer,
 };

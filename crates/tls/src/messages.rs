@@ -10,7 +10,7 @@ use quicert_x509::CertificateChain;
 /// TLS handshake message types (RFC 8446 §4, RFC 8879 §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum HandshakeType {
+pub(crate) enum HandshakeType {
     /// ClientHello
     ClientHello = 1,
     /// ServerHello
@@ -90,9 +90,9 @@ const EXT_SUPPORTED_VERSIONS: u16 = 43;
 const EXT_KEY_SHARE: u16 = 51;
 const EXT_QUIC_TRANSPORT_PARAMS: u16 = 0x0039;
 /// RFC 8879 compress_certificate extension.
-pub const EXT_COMPRESS_CERTIFICATE: u16 = 27;
+pub(crate) const EXT_COMPRESS_CERTIFICATE: u16 = 27;
 /// RFC 8446 pre_shared_key extension (resumption offers/acceptance).
-pub const EXT_PRE_SHARED_KEY: u16 = 41;
+pub(crate) const EXT_PRE_SHARED_KEY: u16 = 41;
 
 /// PSK binder length for the SHA-256 suites.
 const PSK_BINDER_LEN: usize = 32;
@@ -239,7 +239,7 @@ pub fn server_hello(seed: u64) -> Vec<u8> {
 /// plus a pre_shared_key extension selecting identity 0. This is the only
 /// wire-visible difference between a cold and a resumed ServerHello, and
 /// what [`server_hello_accepted_psk`] detects on the client side.
-pub fn server_hello_resumed(seed: u64) -> Vec<u8> {
+pub(crate) fn server_hello_resumed(seed: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
     server_hello_into(&mut out, seed, true);
     out
@@ -405,16 +405,10 @@ pub fn parse_compression_offers(ch: &[u8]) -> Option<Vec<Algorithm>> {
     Some(code_points.filter_map(Algorithm::from_code_point).collect())
 }
 
-/// Encode EncryptedExtensions (ALPN echo + QUIC transport parameters).
-pub fn encrypted_extensions(seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENCRYPTED_EXTENSIONS_LEN);
-    encrypted_extensions_into(&mut out, seed);
-    out
-}
-
-/// Encoded size of [`encrypted_extensions`].
+/// Encoded size of [`encrypted_extensions_into`].
 pub(crate) const ENCRYPTED_EXTENSIONS_LEN: usize = 4 + 2 + (4 + 5) + (4 + 61);
 
+/// Append EncryptedExtensions (ALPN echo + QUIC transport parameters).
 pub(crate) fn encrypted_extensions_into(out: &mut Vec<u8>, seed: u64) {
     handshake_message(out, HandshakeType::EncryptedExtensions, |out| {
         length_prefixed::<2>(out, |out| {
@@ -454,16 +448,8 @@ pub(crate) fn certificate_message_into(out: &mut Vec<u8>, chain: &CertificateCha
     });
 }
 
-/// Encode a CompressedCertificate message (RFC 8879 §5): the inner
-/// Certificate message compressed with `algorithm`.
-pub fn compressed_certificate_message(chain: &CertificateChain, algorithm: Algorithm) -> Vec<u8> {
-    let mut out = Vec::new();
-    compressed_certificate_message_into(&mut out, &certificate_message(chain), algorithm);
-    out
-}
-
-/// Append the CompressedCertificate form of the already encoded
-/// Certificate message `inner`.
+/// Append the CompressedCertificate message (RFC 8879 §5) of the already
+/// encoded Certificate message `inner`, compressed with `algorithm`.
 pub(crate) fn compressed_certificate_message_into(
     out: &mut Vec<u8>,
     inner: &[u8],
@@ -497,19 +483,13 @@ fn certificate_verify_scheme(leaf_key: quicert_x509::KeyAlgorithm) -> (u16, usiz
     }
 }
 
-/// Encode CertificateVerify. The signature size follows the leaf key
-/// algorithm.
-pub fn certificate_verify(leaf_key: quicert_x509::KeyAlgorithm, seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(certificate_verify_len(leaf_key));
-    certificate_verify_into(&mut out, leaf_key, seed);
-    out
-}
-
-/// Encoded size of [`certificate_verify`].
+/// Encoded size of [`certificate_verify_into`].
 pub(crate) fn certificate_verify_len(leaf_key: quicert_x509::KeyAlgorithm) -> usize {
     4 + 2 + 2 + certificate_verify_scheme(leaf_key).1
 }
 
+/// Append CertificateVerify. The signature size follows the leaf key
+/// algorithm.
 pub(crate) fn certificate_verify_into(
     out: &mut Vec<u8>,
     leaf_key: quicert_x509::KeyAlgorithm,
@@ -623,6 +603,18 @@ mod tests {
         let expected = 4 + 1 + 3 + c.depth() * 5 + c.total_der_len();
         assert_eq!(msg.len(), expected);
         assert_eq!(msg[0], HandshakeType::Certificate as u8);
+    }
+
+    fn compressed_certificate_message(chain: &CertificateChain, algorithm: Algorithm) -> Vec<u8> {
+        let mut out = Vec::new();
+        compressed_certificate_message_into(&mut out, &certificate_message(chain), algorithm);
+        out
+    }
+
+    fn certificate_verify(leaf_key: KeyAlgorithm, seed: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        certificate_verify_into(&mut out, leaf_key, seed);
+        out
     }
 
     #[test]

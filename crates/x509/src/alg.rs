@@ -11,11 +11,11 @@ use crate::fill_deterministic;
 use crate::oid::{self, Oid};
 
 /// ML-DSA-44 public-key size in bytes (FIPS 204, Table 2).
-pub const ML_DSA_44_PK_LEN: usize = 1312;
+pub(crate) const ML_DSA_44_PK_LEN: usize = 1312;
 /// ML-DSA-44 signature size in bytes.
 pub const ML_DSA_44_SIG_LEN: usize = 2420;
 /// ML-DSA-65 public-key size in bytes.
-pub const ML_DSA_65_PK_LEN: usize = 1952;
+pub(crate) const ML_DSA_65_PK_LEN: usize = 1952;
 /// ML-DSA-65 signature size in bytes.
 pub const ML_DSA_65_SIG_LEN: usize = 3309;
 
@@ -43,21 +43,12 @@ pub enum KeyAlgorithm {
 
 impl KeyAlgorithm {
     /// The classical algorithms, in Table 2 column order. (The paper's 2022
-    /// scan saw no post-quantum keys; those live in
-    /// [`KeyAlgorithm::POST_QUANTUM`].)
+    /// scan saw no post-quantum keys; [`KeyAlgorithm::ALL_ERAS`] adds them.)
     pub const ALL: [KeyAlgorithm; 4] = [
         KeyAlgorithm::Rsa2048,
         KeyAlgorithm::Rsa4096,
         KeyAlgorithm::EcdsaP256,
         KeyAlgorithm::EcdsaP384,
-    ];
-
-    /// The post-quantum and hybrid algorithms of the certificate-era axis.
-    pub const POST_QUANTUM: [KeyAlgorithm; 4] = [
-        KeyAlgorithm::MlDsa44,
-        KeyAlgorithm::MlDsa65,
-        KeyAlgorithm::HybridP256MlDsa44,
-        KeyAlgorithm::HybridP384MlDsa65,
     ];
 
     /// Every supported algorithm, classical first.
@@ -86,11 +77,6 @@ impl KeyAlgorithm {
         }
     }
 
-    /// Whether this is an RSA variant.
-    pub fn is_rsa(self) -> bool {
-        matches!(self, KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096)
-    }
-
     /// Whether this key contains a post-quantum component (pure ML-DSA or a
     /// classical+ML-DSA hybrid).
     pub fn is_post_quantum(self) -> bool {
@@ -103,17 +89,9 @@ impl KeyAlgorithm {
         )
     }
 
-    /// Whether this is a classical+post-quantum hybrid.
-    pub fn is_hybrid(self) -> bool {
-        matches!(
-            self,
-            KeyAlgorithm::HybridP256MlDsa44 | KeyAlgorithm::HybridP384MlDsa65
-        )
-    }
-
     /// Raw public-key material size in bytes (modulus, field element, or
     /// ML-DSA public key; hybrids count both components).
-    pub fn key_bytes(self) -> usize {
+    pub(crate) fn key_bytes(self) -> usize {
         match self {
             KeyAlgorithm::Rsa2048 => 256,
             KeyAlgorithm::Rsa4096 => 512,
@@ -124,20 +102,6 @@ impl KeyAlgorithm {
             // Uncompressed EC point (1 + 2·coord) plus the ML-DSA key.
             KeyAlgorithm::HybridP256MlDsa44 => 65 + ML_DSA_44_PK_LEN,
             KeyAlgorithm::HybridP384MlDsa65 => 97 + ML_DSA_65_PK_LEN,
-        }
-    }
-
-    /// The signature algorithm a CA holding this key signs with.
-    pub fn signature_algorithm(self) -> SignatureAlgorithm {
-        match self {
-            KeyAlgorithm::Rsa2048 => SignatureAlgorithm::Sha256WithRsa2048,
-            KeyAlgorithm::Rsa4096 => SignatureAlgorithm::Sha384WithRsa4096,
-            KeyAlgorithm::EcdsaP256 => SignatureAlgorithm::EcdsaSha256,
-            KeyAlgorithm::EcdsaP384 => SignatureAlgorithm::EcdsaSha384,
-            KeyAlgorithm::MlDsa44 => SignatureAlgorithm::MlDsa44,
-            KeyAlgorithm::MlDsa65 => SignatureAlgorithm::MlDsa65,
-            KeyAlgorithm::HybridP256MlDsa44 => SignatureAlgorithm::CompositeP256MlDsa44,
-            KeyAlgorithm::HybridP384MlDsa65 => SignatureAlgorithm::CompositeP384MlDsa65,
         }
     }
 }
@@ -192,14 +156,9 @@ impl SignatureAlgorithm {
         });
     }
 
-    /// Encode the AlgorithmIdentifier SEQUENCE.
-    pub fn encode_algorithm_identifier(self) -> Vec<u8> {
-        der::encoded(|w| self.encode_into(w))
-    }
-
     /// Produce a deterministic placeholder signature value with the exact
     /// size/structure of a real signature made with this algorithm.
-    pub fn placeholder_signature(self, seed: u64) -> Vec<u8> {
+    pub(crate) fn placeholder_signature(self, seed: u64) -> Vec<u8> {
         match self {
             SignatureAlgorithm::Sha256WithRsa2048 => deterministic_bytes(seed, 256),
             SignatureAlgorithm::Sha384WithRsa4096 => deterministic_bytes(seed, 512),
@@ -513,8 +472,6 @@ mod tests {
     fn pq_flags_and_labels() {
         assert!(KeyAlgorithm::MlDsa44.is_post_quantum());
         assert!(KeyAlgorithm::HybridP384MlDsa65.is_post_quantum());
-        assert!(KeyAlgorithm::HybridP256MlDsa44.is_hybrid());
-        assert!(!KeyAlgorithm::MlDsa65.is_hybrid());
         assert!(!KeyAlgorithm::EcdsaP256.is_post_quantum());
         assert!(SignatureAlgorithm::MlDsa44.is_post_quantum());
         assert!(!SignatureAlgorithm::EcdsaSha256.is_post_quantum());
@@ -523,9 +480,6 @@ mod tests {
             KeyAlgorithm::HybridP256MlDsa44.label(),
             "ECDSA-256+ML-DSA-44"
         );
-        for alg in KeyAlgorithm::POST_QUANTUM {
-            assert!(alg.signature_algorithm().is_post_quantum(), "{alg:?}");
-        }
     }
 
     #[test]
@@ -579,12 +533,12 @@ mod tests {
     #[test]
     fn algorithm_identifier_parameter_conventions() {
         // RSA: NULL params present.
-        let rsa = SignatureAlgorithm::Sha256WithRsa2048.encode_algorithm_identifier();
+        let rsa = der::encoded(|w| SignatureAlgorithm::Sha256WithRsa2048.encode_into(w));
         let rsa_children = parse_one(&rsa).unwrap().children().unwrap();
         assert_eq!(rsa_children.len(), 2);
         assert_eq!(rsa_children[1].tag, 0x05);
         // ECDSA: params absent.
-        let ec = SignatureAlgorithm::EcdsaSha256.encode_algorithm_identifier();
+        let ec = der::encoded(|w| SignatureAlgorithm::EcdsaSha256.encode_into(w));
         let ec_children = parse_one(&ec).unwrap().children().unwrap();
         assert_eq!(ec_children.len(), 1);
     }
@@ -593,7 +547,5 @@ mod tests {
     fn table2_labels() {
         assert_eq!(KeyAlgorithm::Rsa2048.label(), "RSA-2048");
         assert_eq!(KeyAlgorithm::EcdsaP384.label(), "ECDSA-384");
-        assert!(KeyAlgorithm::Rsa4096.is_rsa());
-        assert!(!KeyAlgorithm::EcdsaP256.is_rsa());
     }
 }

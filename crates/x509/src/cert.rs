@@ -6,7 +6,7 @@
 //! signature algorithm, and the signature value. [`Certificate::field_sizes`]
 //! attributes the encoded bytes to the field groups that the paper's
 //! Figures 2(b) and 8 report on; the attribution is recorded from writer
-//! offsets while [`Certificate::assemble`] encodes, so reading it is free.
+//! offsets while `Certificate::assemble` encodes, so reading it is free.
 
 use crate::alg::{SignatureAlgorithm, SubjectPublicKeyInfo};
 use crate::der::{context_tag, tag, Writer};
@@ -148,7 +148,7 @@ pub struct Certificate {
 
 impl Certificate {
     /// Assemble and encode a certificate from its TBS body and signature.
-    pub fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Self {
+    pub(crate) fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Self {
         let signature_alg = tbs.signature_alg;
         // Everything but key, signature and names is a few hundred bytes;
         // a SAN-heavy leaf outgrows the guess and the buffer doubles.
@@ -185,16 +185,8 @@ impl Certificate {
 
     /// Whether this certificate is self-signed (subject == issuer), i.e. a
     /// trust anchor as distributed in root stores.
-    pub fn is_self_signed(&self) -> bool {
+    pub(crate) fn is_self_signed(&self) -> bool {
         self.tbs.subject == self.tbs.issuer
-    }
-
-    /// Whether the certificate carries `basicConstraints CA:TRUE`.
-    pub fn is_ca(&self) -> bool {
-        self.tbs
-            .extensions
-            .iter()
-            .any(|e| matches!(e, Extension::BasicConstraints { ca: true, .. }))
     }
 
     /// Bytes used by the subjectAltName extension (Fig 14).
@@ -250,12 +242,6 @@ impl CertificateBuilder {
             signature_alg,
             extensions: Vec::new(),
         }
-    }
-
-    /// Override the serial-number seed.
-    pub fn serial_seed(mut self, seed: u64) -> Self {
-        self.serial_seed = seed;
-        self
     }
 
     /// Set the validity period.
@@ -415,10 +401,7 @@ mod tests {
         .extension(Extension::KeyUsage(KeyUsageFlags::ca()))
         .build();
         assert!(root.is_self_signed());
-        assert!(root.is_ca());
-        let leaf = leaf();
-        assert!(!leaf.is_self_signed());
-        assert!(!leaf.is_ca());
+        assert!(!leaf().is_self_signed());
     }
 
     #[test]
@@ -486,17 +469,16 @@ mod tests {
 
     #[test]
     fn serial_der_len_changes_with_builder_override() {
-        // `serial_seed()` overrides feed the same derivation.
+        // The serial seed is the key seed, fed through the same derivation.
         let seed_with_zero_lead = (0..1u64 << 16)
             .find(|&s| CertificateBuilder::serial_der_len(s) < 18)
             .expect("some seed trims");
         let cert = CertificateBuilder::new(
             DistinguishedName::ca("US", "CA", "X"),
             DistinguishedName::cn("example.org"),
-            SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 1),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, seed_with_zero_lead),
             SignatureAlgorithm::EcdsaSha256,
         )
-        .serial_seed(seed_with_zero_lead)
         .build();
         assert_eq!(
             der::integer_bytes(&cert.tbs.serial).len(),

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::cert::{Certificate, FieldSizes};
+use crate::cert::Certificate;
 
 /// A server certificate chain, leaf first.
 ///
@@ -90,22 +90,6 @@ impl CertificateChain {
     pub fn includes_trust_anchor(&self) -> bool {
         self.intermediates.iter().any(|c| c.is_self_signed())
     }
-
-    /// Aggregate field sizes over all certificates (Fig 2b is computed over
-    /// every certificate in the corpus).
-    pub fn aggregate_field_sizes(&self) -> FieldSizes {
-        let mut total = FieldSizes::default();
-        for c in self.certs() {
-            let f = c.field_sizes();
-            total.subject += f.subject;
-            total.issuer += f.issuer;
-            total.spki += f.spki;
-            total.extensions += f.extensions;
-            total.signature += f.signature;
-            total.other += f.other;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +168,8 @@ mod tests {
     #[test]
     fn aggregate_field_sizes_sum_to_chain_total() {
         let chain = build_chain(true);
-        assert_eq!(chain.aggregate_field_sizes().total(), chain.total_der_len());
+        let fields: usize = chain.certs().map(|c| c.field_sizes().total()).sum();
+        assert_eq!(fields, chain.total_der_len());
     }
 
     #[test]

@@ -16,33 +16,29 @@
 //! The `Vec`-returning `encode()` methods elsewhere in the crate are
 //! one-line wrappers over `encode_into`.
 //!
-//! A minimal reader ([`DerReader`], [`parse_one`]) parses the same subset
+//! A minimal reader (`DerReader`, [`parse_one`]) parses the same subset
 //! back, for tests and the parser corpus.
 
 /// ASN.1 universal tag numbers (with constructed bit where conventional).
 pub mod tag {
     /// BOOLEAN
-    pub const BOOLEAN: u8 = 0x01;
+    pub(crate) const BOOLEAN: u8 = 0x01;
     /// INTEGER
-    pub const INTEGER: u8 = 0x02;
+    pub(crate) const INTEGER: u8 = 0x02;
     /// BIT STRING
-    pub const BIT_STRING: u8 = 0x03;
+    pub(crate) const BIT_STRING: u8 = 0x03;
     /// OCTET STRING
     pub const OCTET_STRING: u8 = 0x04;
     /// NULL
-    pub const NULL: u8 = 0x05;
+    pub(crate) const NULL: u8 = 0x05;
     /// OBJECT IDENTIFIER
-    pub const OID: u8 = 0x06;
+    pub(crate) const OID: u8 = 0x06;
     /// UTF8String
-    pub const UTF8_STRING: u8 = 0x0C;
+    pub(crate) const UTF8_STRING: u8 = 0x0C;
     /// PrintableString
-    pub const PRINTABLE_STRING: u8 = 0x13;
-    /// IA5String
-    pub const IA5_STRING: u8 = 0x16;
+    pub(crate) const PRINTABLE_STRING: u8 = 0x13;
     /// UTCTime
-    pub const UTC_TIME: u8 = 0x17;
-    /// GeneralizedTime
-    pub const GENERALIZED_TIME: u8 = 0x18;
+    pub(crate) const UTC_TIME: u8 = 0x17;
     /// SEQUENCE (constructed)
     pub const SEQUENCE: u8 = 0x30;
     /// SET (constructed)
@@ -81,7 +77,7 @@ impl Writer {
     }
 
     /// The encoded bytes.
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         self.buf
     }
 
@@ -167,21 +163,21 @@ impl Writer {
     }
 
     /// INTEGER from a u64.
-    pub fn integer_u64(&mut self, v: u64) {
+    pub(crate) fn integer_u64(&mut self, v: u64) {
         let bytes = v.to_be_bytes();
         let first = bytes.iter().position(|&b| b != 0).unwrap_or(7);
         self.integer_bytes(&bytes[first..]);
     }
 
     /// BIT STRING with the given number of unused trailing bits.
-    pub fn bit_string(&mut self, bits: &[u8], unused: u8) {
+    pub(crate) fn bit_string(&mut self, bits: &[u8], unused: u8) {
         self.header(tag::BIT_STRING, bits.len() + 1);
         self.buf.push(unused);
         self.raw(bits);
     }
 
     /// BOOLEAN (DER: 0xFF for true).
-    pub fn boolean(&mut self, v: bool) {
+    pub(crate) fn boolean(&mut self, v: bool) {
         self.raw(&[tag::BOOLEAN, 1, if v { 0xFF } else { 0x00 }]);
     }
 
@@ -209,7 +205,7 @@ impl Writer {
 }
 
 /// The tag byte of context-specific `[n]`, constructed or primitive.
-pub const fn context_tag(n: u8, constructed: bool) -> u8 {
+pub(crate) const fn context_tag(n: u8, constructed: bool) -> u8 {
     0x80 | n | if constructed { 0x20 } else { 0x00 }
 }
 
@@ -268,7 +264,7 @@ impl DerValue {
     }
 }
 
-/// Errors produced by [`DerReader`].
+/// Errors produced by `DerReader`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DerError {
     /// Input ended in the middle of a TLV.
@@ -290,24 +286,24 @@ impl std::error::Error for DerError {}
 
 /// A simple sequential DER reader over a byte slice.
 #[derive(Debug)]
-pub struct DerReader<'a> {
+pub(crate) struct DerReader<'a> {
     input: &'a [u8],
     pos: usize,
 }
 
 impl<'a> DerReader<'a> {
     /// Create a reader over `input`.
-    pub fn new(input: &'a [u8]) -> Self {
+    pub(crate) fn new(input: &'a [u8]) -> Self {
         DerReader { input, pos: 0 }
     }
 
     /// Whether all input has been consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.input.len()
     }
 
     /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
@@ -344,7 +340,7 @@ impl<'a> DerReader<'a> {
     }
 
     /// Read the next TLV as a [`DerValue`].
-    pub fn read_value(&mut self) -> Result<DerValue, DerError> {
+    pub(crate) fn read_value(&mut self) -> Result<DerValue, DerError> {
         let tag = self.read_byte()?;
         let len = self.read_length()?;
         if self.remaining() < len {
@@ -544,7 +540,6 @@ mod tests {
         // pass them to `tlv`.
         assert_eq!(tlv(tag::PRINTABLE_STRING, b"US"), [0x13, 2, b'U', b'S']);
         assert_eq!(tlv(tag::UTF8_STRING, b"Let's Encrypt")[0], 0x0C);
-        assert_eq!(tlv(tag::IA5_STRING, b"example.org")[0], 0x16);
         assert_eq!(tlv(tag::UTC_TIME, b"221229194411Z")[0], 0x17);
     }
 }

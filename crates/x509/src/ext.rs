@@ -134,7 +134,7 @@ impl Extension {
     }
 
     /// Whether the extension is marked critical.
-    pub fn critical(&self) -> bool {
+    pub(crate) fn critical(&self) -> bool {
         matches!(
             self,
             Extension::BasicConstraints { .. } | Extension::KeyUsage(_)
@@ -246,7 +246,7 @@ impl Extension {
 /// Append a full `Extensions` list to `w`, including the `[3] EXPLICIT`
 /// wrapper used inside TBSCertificate. Returns the bytes its
 /// subjectAltName extensions took (Fig 14's numerator).
-pub fn encode_extensions_into(exts: &[Extension], w: &mut Writer) -> usize {
+pub(crate) fn encode_extensions_into(exts: &[Extension], w: &mut Writer) -> usize {
     w.constructed(context_tag(3, true), |w| {
         w.constructed(tag::SEQUENCE, |w| {
             let mut san_bytes = 0;
@@ -259,13 +259,6 @@ pub fn encode_extensions_into(exts: &[Extension], w: &mut Writer) -> usize {
             }
             san_bytes
         })
-    })
-}
-
-/// Encode a full `Extensions` list, including the `[3] EXPLICIT` wrapper.
-pub fn encode_extensions(exts: &[Extension]) -> Vec<u8> {
-    der::encoded(|w| {
-        encode_extensions_into(exts, w);
     })
 }
 
@@ -379,7 +372,9 @@ mod tests {
             let parsed = parse_one(&ext.encode()).unwrap();
             assert_eq!(parsed.tag, 0x30, "{:?}", ext.oid());
         }
-        let wrapped = encode_extensions(&exts);
+        let wrapped = der::encoded(|w| {
+            encode_extensions_into(&exts, w);
+        });
         let outer = parse_one(&wrapped).unwrap();
         assert_eq!(outer.tag, 0xA3, "extensions use [3] EXPLICIT");
         let seq = outer.children().unwrap();

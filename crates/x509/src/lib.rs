@@ -18,6 +18,7 @@
 //! encoder emits well-formed, round-trippable TLV structures.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub mod alg;
 pub mod cert;
@@ -29,9 +30,9 @@ pub mod oid;
 pub mod time;
 
 pub use alg::{KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo};
-pub use cert::{Certificate, CertificateBuilder, FieldSizes, TbsCertificate, Validity};
+pub use cert::{Certificate, CertificateBuilder, FieldSizes, Validity};
 pub use chain::CertificateChain;
-pub use der::{DerReader, DerValue};
+pub use der::DerValue;
 pub use ext::Extension;
 pub use name::{AttrKind, DistinguishedName};
 pub use oid::Oid;

@@ -18,7 +18,7 @@ impl Oid {
     }
 
     /// Dotted-decimal representation, e.g. `"2.5.29.17"`.
-    pub fn dotted(&self) -> String {
+    pub(crate) fn dotted(&self) -> String {
         self.0
             .iter()
             .map(|a| a.to_string())
@@ -36,79 +36,79 @@ impl std::fmt::Display for Oid {
 // --- Public key / signature algorithms ---------------------------------
 
 /// rsaEncryption (1.2.840.113549.1.1.1)
-pub const RSA_ENCRYPTION: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 1]);
+pub(crate) const RSA_ENCRYPTION: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 1]);
 /// sha256WithRSAEncryption (1.2.840.113549.1.1.11)
-pub const SHA256_WITH_RSA: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 11]);
+pub(crate) const SHA256_WITH_RSA: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 11]);
 /// sha384WithRSAEncryption (1.2.840.113549.1.1.12)
-pub const SHA384_WITH_RSA: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 12]);
+pub(crate) const SHA384_WITH_RSA: Oid = Oid(&[1, 2, 840, 113549, 1, 1, 12]);
 /// id-ecPublicKey (1.2.840.10045.2.1)
-pub const EC_PUBLIC_KEY: Oid = Oid(&[1, 2, 840, 10045, 2, 1]);
+pub(crate) const EC_PUBLIC_KEY: Oid = Oid(&[1, 2, 840, 10045, 2, 1]);
 /// prime256v1 / secp256r1 (1.2.840.10045.3.1.7)
-pub const PRIME256V1: Oid = Oid(&[1, 2, 840, 10045, 3, 1, 7]);
+pub(crate) const PRIME256V1: Oid = Oid(&[1, 2, 840, 10045, 3, 1, 7]);
 /// secp384r1 (1.3.132.0.34)
-pub const SECP384R1: Oid = Oid(&[1, 3, 132, 0, 34]);
+pub(crate) const SECP384R1: Oid = Oid(&[1, 3, 132, 0, 34]);
 /// ecdsa-with-SHA256 (1.2.840.10045.4.3.2)
-pub const ECDSA_WITH_SHA256: Oid = Oid(&[1, 2, 840, 10045, 4, 3, 2]);
+pub(crate) const ECDSA_WITH_SHA256: Oid = Oid(&[1, 2, 840, 10045, 4, 3, 2]);
 /// ecdsa-with-SHA384 (1.2.840.10045.4.3.3)
-pub const ECDSA_WITH_SHA384: Oid = Oid(&[1, 2, 840, 10045, 4, 3, 3]);
+pub(crate) const ECDSA_WITH_SHA384: Oid = Oid(&[1, 2, 840, 10045, 4, 3, 3]);
 
 // --- Post-quantum signature algorithms (FIPS 204 / LAMPS drafts) ---------
 
 /// id-ml-dsa-44 (2.16.840.1.101.3.4.3.17), NIST CSOR arc.
-pub const ML_DSA_44: Oid = Oid(&[2, 16, 840, 1, 101, 3, 4, 3, 17]);
+pub(crate) const ML_DSA_44: Oid = Oid(&[2, 16, 840, 1, 101, 3, 4, 3, 17]);
 /// id-ml-dsa-65 (2.16.840.1.101.3.4.3.18).
-pub const ML_DSA_65: Oid = Oid(&[2, 16, 840, 1, 101, 3, 4, 3, 18]);
+pub(crate) const ML_DSA_65: Oid = Oid(&[2, 16, 840, 1, 101, 3, 4, 3, 18]);
 /// Composite ML-DSA-44 + ECDSA-P256-SHA256 (2.16.840.1.114027.80.8.1.4,
 /// draft-ietf-lamps-pq-composite-sigs; code point not yet final).
-pub const COMPOSITE_MLDSA44_ECDSA_P256: Oid = Oid(&[2, 16, 840, 1, 114027, 80, 8, 1, 4]);
+pub(crate) const COMPOSITE_MLDSA44_ECDSA_P256: Oid = Oid(&[2, 16, 840, 1, 114027, 80, 8, 1, 4]);
 /// Composite ML-DSA-65 + ECDSA-P384-SHA384 (2.16.840.1.114027.80.8.1.10,
 /// draft-ietf-lamps-pq-composite-sigs; code point not yet final).
-pub const COMPOSITE_MLDSA65_ECDSA_P384: Oid = Oid(&[2, 16, 840, 1, 114027, 80, 8, 1, 10]);
+pub(crate) const COMPOSITE_MLDSA65_ECDSA_P384: Oid = Oid(&[2, 16, 840, 1, 114027, 80, 8, 1, 10]);
 
 // --- Distinguished-name attribute types --------------------------------
 
 /// id-at-commonName (2.5.4.3)
-pub const AT_COMMON_NAME: Oid = Oid(&[2, 5, 4, 3]);
+pub(crate) const AT_COMMON_NAME: Oid = Oid(&[2, 5, 4, 3]);
 /// id-at-countryName (2.5.4.6)
-pub const AT_COUNTRY: Oid = Oid(&[2, 5, 4, 6]);
+pub(crate) const AT_COUNTRY: Oid = Oid(&[2, 5, 4, 6]);
 /// id-at-localityName (2.5.4.7)
-pub const AT_LOCALITY: Oid = Oid(&[2, 5, 4, 7]);
+pub(crate) const AT_LOCALITY: Oid = Oid(&[2, 5, 4, 7]);
 /// id-at-stateOrProvinceName (2.5.4.8)
-pub const AT_STATE: Oid = Oid(&[2, 5, 4, 8]);
+pub(crate) const AT_STATE: Oid = Oid(&[2, 5, 4, 8]);
 /// id-at-organizationName (2.5.4.10)
-pub const AT_ORGANIZATION: Oid = Oid(&[2, 5, 4, 10]);
+pub(crate) const AT_ORGANIZATION: Oid = Oid(&[2, 5, 4, 10]);
 /// id-at-organizationalUnitName (2.5.4.11)
-pub const AT_ORG_UNIT: Oid = Oid(&[2, 5, 4, 11]);
+pub(crate) const AT_ORG_UNIT: Oid = Oid(&[2, 5, 4, 11]);
 
 // --- Certificate extensions ---------------------------------------------
 
 /// id-ce-subjectKeyIdentifier (2.5.29.14)
-pub const EXT_SUBJECT_KEY_ID: Oid = Oid(&[2, 5, 29, 14]);
+pub(crate) const EXT_SUBJECT_KEY_ID: Oid = Oid(&[2, 5, 29, 14]);
 /// id-ce-keyUsage (2.5.29.15)
-pub const EXT_KEY_USAGE: Oid = Oid(&[2, 5, 29, 15]);
+pub(crate) const EXT_KEY_USAGE: Oid = Oid(&[2, 5, 29, 15]);
 /// id-ce-subjectAltName (2.5.29.17)
-pub const EXT_SUBJECT_ALT_NAME: Oid = Oid(&[2, 5, 29, 17]);
+pub(crate) const EXT_SUBJECT_ALT_NAME: Oid = Oid(&[2, 5, 29, 17]);
 /// id-ce-basicConstraints (2.5.29.19)
-pub const EXT_BASIC_CONSTRAINTS: Oid = Oid(&[2, 5, 29, 19]);
+pub(crate) const EXT_BASIC_CONSTRAINTS: Oid = Oid(&[2, 5, 29, 19]);
 /// id-ce-cRLDistributionPoints (2.5.29.31)
-pub const EXT_CRL_DISTRIBUTION: Oid = Oid(&[2, 5, 29, 31]);
+pub(crate) const EXT_CRL_DISTRIBUTION: Oid = Oid(&[2, 5, 29, 31]);
 /// id-ce-certificatePolicies (2.5.29.32)
-pub const EXT_CERT_POLICIES: Oid = Oid(&[2, 5, 29, 32]);
+pub(crate) const EXT_CERT_POLICIES: Oid = Oid(&[2, 5, 29, 32]);
 /// id-ce-authorityKeyIdentifier (2.5.29.35)
-pub const EXT_AUTHORITY_KEY_ID: Oid = Oid(&[2, 5, 29, 35]);
+pub(crate) const EXT_AUTHORITY_KEY_ID: Oid = Oid(&[2, 5, 29, 35]);
 /// id-ce-extKeyUsage (2.5.29.37)
-pub const EXT_EXT_KEY_USAGE: Oid = Oid(&[2, 5, 29, 37]);
+pub(crate) const EXT_EXT_KEY_USAGE: Oid = Oid(&[2, 5, 29, 37]);
 /// id-pe-authorityInfoAccess (1.3.6.1.5.5.7.1.1)
-pub const EXT_AUTHORITY_INFO_ACCESS: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 1, 1]);
+pub(crate) const EXT_AUTHORITY_INFO_ACCESS: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 1, 1]);
 /// Signed Certificate Timestamp list (1.3.6.1.4.1.11129.2.4.2)
-pub const EXT_SCT_LIST: Oid = Oid(&[1, 3, 6, 1, 4, 1, 11129, 2, 4, 2]);
+pub(crate) const EXT_SCT_LIST: Oid = Oid(&[1, 3, 6, 1, 4, 1, 11129, 2, 4, 2]);
 
 // --- Access methods & EKU purposes --------------------------------------
 
 /// id-ad-ocsp (1.3.6.1.5.5.7.48.1)
-pub const AD_OCSP: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 48, 1]);
+pub(crate) const AD_OCSP: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 48, 1]);
 /// id-ad-caIssuers (1.3.6.1.5.5.7.48.2)
-pub const AD_CA_ISSUERS: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 48, 2]);
+pub(crate) const AD_CA_ISSUERS: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 48, 2]);
 /// id-kp-serverAuth (1.3.6.1.5.5.7.3.1)
 pub const KP_SERVER_AUTH: Oid = Oid(&[1, 3, 6, 1, 5, 5, 7, 3, 1]);
 /// id-kp-clientAuth (1.3.6.1.5.5.7.3.2)

@@ -38,7 +38,7 @@ impl Time {
 
     /// The same instant `days` later (approximate calendar arithmetic:
     /// months are treated as 30 days, sufficient for validity spans).
-    pub fn plus_days(self, days: u32) -> Time {
+    pub(crate) fn plus_days(self, days: u32) -> Time {
         let total = self.day as u32 - 1 + days;
         let month_total = self.month as u32 - 1 + total / 30;
         Time {
@@ -68,11 +68,6 @@ impl Time {
         out
     }
 
-    /// Format as `YYMMDDHHMMSSZ`.
-    pub fn to_utc_string(self) -> String {
-        String::from_utf8_lossy(&self.utc_octets()).into_owned()
-    }
-
     /// Append the UTCTime encoding to `w`.
     pub fn encode_into(self, w: &mut Writer) {
         w.tlv(tag::UTC_TIME, &self.utc_octets());
@@ -91,10 +86,10 @@ mod tests {
     #[test]
     fn utc_format_matches_rfc_shape() {
         let t = Time::date(2021, 11, 27);
-        assert_eq!(t.to_utc_string(), "211127000000Z");
         let enc = t.encode();
         assert_eq!(enc[0], 0x17);
         assert_eq!(enc[1], 13);
+        assert_eq!(&enc[2..], b"211127000000Z");
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //!   (parallel, uniformly cached scans) plus every table and figure
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unreachable_pub)]
 
 pub use quicert_analysis as analysis;
 pub use quicert_churn as churn;

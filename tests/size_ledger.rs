@@ -11,7 +11,11 @@
 //! * `hidden`: `#[doc(hidden)]` attributes;
 //! * `global`: `MetricsRegistry::global()` calls;
 //! * `unwrap`: `unwrap(` and `expect(` sites;
-//! * `allow`: `#[allow(` / `#![allow(` attributes.
+//! * `allow`: `#[allow(` / `#![allow(` attributes;
+//! * `xpub`: `pub` items (`fn`, `struct`, `enum`, `trait`, `type`, `const`,
+//!   `static`) whose name is no identifier outside the crate's own `src/` —
+//!   in another crate's `src/` or `tests/`, the root `src/` or `tests/`,
+//!   `examples/` or `perfbench/src`: candidates for `pub(crate)`.
 //!
 //! and compares them with `tests/golden/size_ledger.txt`. Any count above
 //! the ledger fails; re-bless in the same change to put the growth in
@@ -37,19 +41,24 @@ fn repo_root() -> PathBuf {
 }
 
 /// The ledger's columns, in file order.
-const COLUMNS: [&str; 6] = ["lines", "pub", "hidden", "global", "unwrap", "allow"];
+const COLUMNS: [&str; 7] = [
+    "lines", "pub", "hidden", "global", "unwrap", "allow", "xpub",
+];
 
-/// Item keywords a counted `pub` line declares.
+/// Item keywords a counted `pub` line declares; `xpub` counts all but the
+/// last two (`mod`, `use`).
 const ITEMS: [&str; 9] = [
     "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use",
 ];
 
-/// One source file's non-test code.
+/// One source file: its non-test code and every line.
 struct Source {
     path: PathBuf,
     /// The lines above the file's first column-0 `#[cfg(test)]`; none for
     /// a file under a `tests/` directory, which is test code throughout.
     code: Vec<String>,
+    /// The whole file, test code included.
+    text: Vec<String>,
 }
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -69,25 +78,46 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 fn load(path: PathBuf) -> Source {
-    let text = fs::read_to_string(&path).expect("UTF-8 source file");
+    let text: Vec<String> = fs::read_to_string(&path)
+        .expect("UTF-8 source file")
+        .lines()
+        .map(str::to_string)
+        .collect();
     let code = match path.components().any(|c| c.as_os_str() == "tests") {
         true => Vec::new(),
         false => text
-            .lines()
+            .iter()
             .take_while(|line| !line.starts_with("#[cfg(test)]"))
-            .map(str::to_string)
+            .cloned()
             .collect(),
     };
-    Source { path, code }
+    Source { path, code, text }
 }
 
 fn is_comment(line: &str) -> bool {
     line.trim_start().starts_with("//")
 }
 
-/// A crate's counts, in [`COLUMNS`] order.
-fn counts(files: &[&Source]) -> [usize; 6] {
-    let mut c = [0usize; 6];
+/// The name a `pub fn/struct/enum/trait/type/const/static` line declares.
+fn pub_item_name(trimmed: &str) -> Option<&str> {
+    let rest = trimmed.strip_prefix("pub ")?;
+    let rest = ["const fn ", "unsafe fn "]
+        .iter()
+        .find_map(|prefix| rest.strip_prefix(prefix))
+        .or_else(|| {
+            let (keyword, rest) = rest.split_once(' ')?;
+            ITEMS[..7].contains(&keyword).then_some(rest)
+        })?;
+    let end = rest
+        .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// A crate's counts, in [`COLUMNS`] order; `outside` holds the identifiers
+/// named outside the crate's own `src/`.
+fn counts(files: &[&Source], outside: &HashSet<&str>) -> [usize; 7] {
+    let mut c = [0usize; 7];
     for line in files.iter().flat_map(|f| &f.code) {
         c[0] += 1;
         if is_comment(line) {
@@ -97,6 +127,9 @@ fn counts(files: &[&Source]) -> [usize; 6] {
         let mut words = trimmed.split_whitespace();
         if words.next() == Some("pub") && words.next().is_some_and(|w| ITEMS.contains(&w)) {
             c[1] += 1;
+        }
+        if pub_item_name(trimmed).is_some_and(|name| !outside.contains(name)) {
+            c[6] += 1;
         }
         c[2] += line.matches("#[doc(hidden)]").count();
         c[3] += line.matches("MetricsRegistry::global()").count();
@@ -192,8 +225,18 @@ fn identifiers(lines: &[String]) -> HashSet<&str> {
     lines.iter().flat_map(|line| words(line)).collect()
 }
 
+/// Every identifier named, test code included, in a file outside
+/// `krate`'s own `src/`.
+fn named_outside<'a>(root: &Path, sources: &'a [Source], krate: &str) -> HashSet<&'a str> {
+    sources
+        .iter()
+        .filter(|s| crate_of(root, &s.path).is_none_or(|name| name != krate))
+        .flat_map(|s| identifiers(&s.text))
+        .collect()
+}
+
 struct Ledger {
-    rows: BTreeMap<String, [usize; 6]>,
+    rows: BTreeMap<String, [usize; 7]>,
     orphans: BTreeSet<String>,
 }
 
@@ -213,7 +256,10 @@ fn measure() -> Ledger {
     }
     let rows = by_crate
         .iter()
-        .map(|(name, files)| (name.clone(), counts(files)))
+        .map(|(name, files)| {
+            let outside = named_outside(&root, &sources, name);
+            (name.clone(), counts(files, &outside))
+        })
         .collect();
 
     // Per file: the identifiers its non-test code names.
@@ -249,7 +295,7 @@ fn render(ledger: &Ledger) -> String {
         let _ = write!(out, " {column:>7}");
     }
     out.push('\n');
-    let mut total = [0usize; 6];
+    let mut total = [0usize; 7];
     for (name, row) in &ledger.rows {
         let _ = write!(out, "{name:<10}");
         for (i, count) in row.iter().enumerate() {
@@ -339,24 +385,42 @@ fn no_crate_grows_past_its_ledger() {
 
 #[test]
 fn the_ledger_counts_what_it_says() {
-    let source = Source {
-        path: PathBuf::from("crates/x/src/lib.rs"),
-        code: [
-            "//! pub fn in_a_doc() unwrap(",
-            "pub struct S { pub field: u8 }",
-            "impl<T: Copy> From<T> for S {",
-            "    #[doc(hidden)]",
-            "    pub fn make() -> S { x.unwrap(); y.expect(\"z\"); unwrap_or(0) }",
-            "}",
-            "#[allow(dead_code)]",
-            "pub(crate) fn private() { MetricsRegistry::global(); }",
-            "pub const fn answer() -> u8 { 42 }",
-        ]
-        .map(str::to_string)
-        .to_vec(),
+    let source = |path: &str, lines: &[&str]| {
+        let text: Vec<String> = lines.iter().map(|line| line.to_string()).collect();
+        let code = match path.contains("/tests/") {
+            true => Vec::new(),
+            false => text.clone(),
+        };
+        let path = PathBuf::from(path);
+        Source { path, code, text }
     };
-    assert_eq!(counts(&[&source]), [9, 3, 1, 1, 2, 1]);
-    let fns: Vec<String> = pub_fns(&source).into_iter().map(|f| f.1).collect();
+    let sources = [
+        source(
+            "crates/x/src/lib.rs",
+            &[
+                "//! pub fn in_a_doc() unwrap(",
+                "pub struct S { pub field: u8 }",
+                "impl<T: Copy> From<T> for S {",
+                "    #[doc(hidden)]",
+                "    pub fn make() -> S { x.unwrap(); y.expect(\"z\"); unwrap_or(0) }",
+                "}",
+                "#[allow(dead_code)]",
+                "pub(crate) fn private() { MetricsRegistry::global(); }",
+                "pub const fn answer() -> u8 { 42 }",
+                "pub mod inner;",
+            ],
+        ),
+        source("crates/x/src/inner.rs", &["fn f() { answer(); make(); }"]),
+        source("crates/x/tests/t.rs", &["use x::S;", "// make()"]),
+        source("perfbench/src/main.rs", &["x::answer();"]),
+    ];
+    let outside = named_outside(Path::new(""), &sources, "x");
+    // `S` is named in a tests/ file and `answer` in perfbench/src; `make`
+    // only inside its crate and in a comment: it alone counts as `xpub`.
+    assert_eq!(counts(&[&sources[0]], &outside), [10, 4, 1, 1, 2, 1, 1]);
+    assert!(outside.contains("S") && outside.contains("answer"));
+    assert!(!outside.contains("make"));
+    let fns: Vec<String> = pub_fns(&sources[0]).into_iter().map(|f| f.1).collect();
     assert_eq!(fns, ["S::make", "answer"]);
     let lines = ["let x = quic_services_all(y);", "    // quic_services()"].map(str::to_string);
     let seen = identifiers(&lines);
