@@ -760,7 +760,6 @@ mod tests {
         let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
             domains: 64,
             seed: 9,
-            ..Default::default()
         });
         let population = world.domain_chunk(1, world.config.domains);
         let mut records = population.clone();
@@ -779,7 +778,6 @@ mod tests {
         let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
             domains: 500,
             seed: 9,
-            ..Default::default()
         });
         let population = world.domain_chunk(1, world.config.domains);
         let mut config = ChurnConfig::new(0x000C_4A11, 500).with_rates(16, 16, 4);
@@ -816,7 +814,6 @@ mod tests {
         let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
             domains: 64,
             seed: 9,
-            ..Default::default()
         });
         let population = world.domain_chunk(1, world.config.domains);
         let quic_rank = population

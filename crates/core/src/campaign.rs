@@ -1,8 +1,7 @@
 //! A measurement campaign: one world plus the [`ScanEngine`] computing and
 //! caching every scan artifact the report and experiments consume.
 
-use quicert_netsim::NetworkProfile;
-use quicert_pki::{CertificateEra, World, WorldConfig};
+use quicert_pki::{World, WorldConfig};
 use quicert_scanner::Scenario;
 use quicert_session::ResumptionPolicy;
 
@@ -57,18 +56,6 @@ impl CampaignConfig {
     /// Override the scan worker count (`0` = one per available core).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Override the default network profile.
-    pub fn with_profile(mut self, profile: NetworkProfile) -> Self {
-        self.scenario = self.scenario.with_profile(profile);
-        self
-    }
-
-    /// Override the default certificate era.
-    pub fn with_era(mut self, era: CertificateEra) -> Self {
-        self.scenario = self.scenario.with_era(era);
         self
     }
 }

@@ -14,10 +14,11 @@
 //! One worker loop (`run_pump`) is all that ever walks the population: each
 //! worker claims rank ranges off an atomic cursor, derives those records
 //! into a reused buffer and folds them into its own accumulator; a single
-//! effective worker runs inline, without spawning. Its two public doors are
-//! `ScanEngine::fold_population` (every rank, adaptively sized claims, a
-//! [`Merge`] summary) and [`ScanEngine::fold_ranges`] (an explicit range
-//! list, one result per range); every service tick goes through one. The
+//! effective worker runs inline, without spawning. Its two doors are the
+//! crate-private `ScanEngine::fold_population` (every rank, adaptively
+//! sized claims, a [`Merge`] summary) and the public
+//! [`ScanEngine::fold_ranges`] (an explicit range list, one result per
+//! range); every service tick goes through one. The
 //! cached families sit on top: *summarising* folds (`stream_*`), one
 //! few-kilobyte summary per worker, and *collecting* folds
 //! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
@@ -923,7 +924,6 @@ mod tests {
         WorldConfig {
             domains: 1_200,
             seed: 0xD37E,
-            ..WorldConfig::default()
         }
     }
 
@@ -1359,7 +1359,6 @@ mod tests {
             WorldConfig {
                 domains: 0,
                 seed: 1,
-                ..WorldConfig::default()
             },
             1362,
             2,
@@ -1584,7 +1583,6 @@ mod tests {
         let world_config = WorldConfig {
             domains: 1_200,
             seed: 0xD37E,
-            ..WorldConfig::default()
         };
         // Out of rank order on purpose, with a short tail range.
         let ranges = [(901, 300), (1, 400), (401, 500), (1_101, 400)];

@@ -50,8 +50,7 @@ pub(crate) fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usi
 }
 
 /// Stream one population size with a campaign's scan parameters (same
-/// seed, population model, Initial size and workers — only the domain
-/// count varies).
+/// seed, Initial size and workers — only the domain count varies).
 pub(crate) fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
     let config = WorldConfig {
         domains: population,

@@ -32,7 +32,6 @@ fn engine(workers: usize) -> ScanEngine {
     let config = WorldConfig {
         domains: 320,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     ScanEngine::streaming(config, INITIAL, workers)
 }
@@ -134,7 +133,6 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     let config = WorldConfig {
         domains: 1_500,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     // The reference: a serial per-record map with no engine, no pump, no
     // memo and no chain-shape flyweight, folded afterwards.
@@ -171,7 +169,6 @@ fn stream_compression_support_is_worker_invariant() {
     let config = WorldConfig {
         domains: 1_500,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let world = World::streaming(config.clone());
     let rows: Vec<_> = services(&world)
@@ -205,7 +202,6 @@ fn streaming_grid_is_memoization_invariant() {
     let config = WorldConfig {
         domains: 1_500,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     for (era, profile) in [
         (CertificateEra::Classical, NetworkProfile::Ideal),
@@ -265,7 +261,6 @@ fn streaming_scenario_axes_are_worker_and_chunk_invariant() {
     let config = WorldConfig {
         domains: 320,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let reference = ScanEngine::streaming(config.clone(), INITIAL, 1);
     for (era, profile) in [
@@ -298,7 +293,6 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
     let config = WorldConfig {
         domains: 320,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let era = CertificateEra::Classical;
     let profile = NetworkProfile::Ideal;
@@ -351,7 +345,6 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
     let config = WorldConfig {
         domains: 1_000,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let world = World::streaming(config.clone());
     let records = world.domain_chunk(1, world.config.domains);
@@ -449,7 +442,6 @@ fn prop_world() -> &'static World {
         World::streaming(WorldConfig {
             domains: 240,
             seed: 0x9121,
-            ..WorldConfig::default()
         })
     })
 }
@@ -1066,7 +1058,6 @@ fn one_engine_across_scenarios_equals_fresh_engines() {
     let config = WorldConfig {
         domains: 3_000,
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let a = Scenario::at(INITIAL);
     let b = Scenario::at(1250)
@@ -1141,7 +1132,6 @@ fn latency_free_memo_equals_the_memo_free_reference_on_every_deterministic_axis(
             100_000
         },
         seed: 0x9121,
-        ..WorldConfig::default()
     };
     let streaming = |workers| ScanEngine::streaming(config.clone(), INITIAL, workers);
     let reference = streaming(2).with_memoization(false);

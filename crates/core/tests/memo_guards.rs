@@ -82,7 +82,6 @@ fn streamed_100k(workers: usize) -> ScanEngine {
     let config = WorldConfig {
         domains: 100_000,
         seed: 0x6A4D,
-        ..WorldConfig::default()
     };
     ScanEngine::streaming(config, 1362, workers)
 }

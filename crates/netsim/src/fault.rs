@@ -1,10 +1,10 @@
 //! Fault injection for exchanges.
 //!
 //! Mirrors the fault-injection options that hosted smoltcp examples expose
-//! (`--drop-chance`, `--corrupt-chance`, `--size-limit`): independent of the
-//! link model, a [`FaultInjector`] can be layered onto an exchange to test
-//! how handshake classification behaves under adverse conditions — this
-//! drives the loss/resend experiments behind Figure 9.
+//! (`--drop-chance`, `--corrupt-chance`): independent of the link model, a
+//! [`FaultInjector`] can be layered onto an exchange to test how handshake
+//! classification behaves under adverse conditions — this drives the
+//! loss/resend experiments behind Figure 9.
 
 use crate::datagram::Datagram;
 use crate::rng::SimRng;
@@ -16,8 +16,6 @@ pub struct FaultInjector {
     pub drop_chance: f64,
     /// Probability of flipping one random byte of the payload.
     pub corrupt_chance: f64,
-    /// Drop datagrams whose UDP payload exceeds this size (None = no limit).
-    pub size_limit: Option<usize>,
     /// Probability of delivering a surviving datagram twice (spurious
     /// retransmission / routing duplication).
     pub duplicate_chance: f64,
@@ -27,14 +25,8 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector that never interferes.
-    pub fn none() -> Self {
-        FaultInjector::default()
-    }
-
-    /// Whether this injector never draws from the session RNG: both random
-    /// fault probabilities are zero. A `size_limit` drop is deterministic
-    /// (it depends only on the datagram size) and does not disqualify.
+    /// Whether this injector never draws from the session RNG: every
+    /// random fault probability is zero.
     pub fn is_deterministic(&self) -> bool {
         self.drop_chance == 0.0 && self.corrupt_chance == 0.0 && self.duplicate_chance == 0.0
     }
@@ -50,12 +42,6 @@ impl FaultInjector {
     /// Apply faults to a datagram. Returns `None` when the datagram is
     /// dropped, otherwise the (possibly corrupted) datagram.
     pub fn apply(&mut self, rng: &mut SimRng, mut dgram: Datagram) -> Option<Datagram> {
-        if let Some(limit) = self.size_limit {
-            if dgram.payload_len() > limit {
-                self.drops += 1;
-                return None;
-            }
-        }
         if self.drop_chance > 0.0 && rng.chance(self.drop_chance) {
             self.drops += 1;
             return None;
@@ -115,25 +101,13 @@ mod tests {
 
     #[test]
     fn none_passes_everything_through() {
-        let mut inj = FaultInjector::none();
+        let mut inj = FaultInjector::default();
         let mut rng = SimRng::new(1);
         for _ in 0..100 {
             assert!(inj.apply(&mut rng, dg(100)).is_some());
         }
         assert_eq!(inj.drops(), 0);
         assert_eq!(inj.corruptions(), 0);
-    }
-
-    #[test]
-    fn size_limit_drops_large_datagrams() {
-        let mut inj = FaultInjector {
-            size_limit: Some(1200),
-            ..FaultInjector::none()
-        };
-        let mut rng = SimRng::new(2);
-        assert!(inj.apply(&mut rng, dg(1200)).is_some());
-        assert!(inj.apply(&mut rng, dg(1201)).is_none());
-        assert_eq!(inj.drops(), 1);
     }
 
     #[test]
@@ -151,7 +125,7 @@ mod tests {
     fn duplication_counts_and_never_draws_when_disabled() {
         let mut inj = FaultInjector {
             duplicate_chance: 1.0,
-            ..FaultInjector::none()
+            ..FaultInjector::default()
         };
         assert!(!inj.is_deterministic());
         let mut rng = SimRng::new(5);
@@ -160,7 +134,7 @@ mod tests {
         assert_eq!(inj.duplications(), 2);
 
         // A zero chance must not advance the RNG stream at all.
-        let mut off = FaultInjector::none();
+        let mut off = FaultInjector::default();
         assert!(off.is_deterministic());
         let mut a = SimRng::new(6);
         let mut b = SimRng::new(6);
@@ -173,7 +147,7 @@ mod tests {
     fn corruption_flips_exactly_one_byte() {
         let mut inj = FaultInjector {
             corrupt_chance: 1.0,
-            ..FaultInjector::none()
+            ..FaultInjector::default()
         };
         let mut rng = SimRng::new(4);
         let original = dg(64);

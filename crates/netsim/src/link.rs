@@ -11,6 +11,10 @@ use crate::datagram::Datagram;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
+/// Path MTU in bytes (Ethernet), applied to the full IP packet size
+/// ([`Datagram::wire_len`]) *after* encapsulation overhead is added.
+const PATH_MTU: usize = 1500;
+
 /// One direction of a network path.
 #[derive(Debug, Clone)]
 pub struct LinkModel {
@@ -20,9 +24,6 @@ pub struct LinkModel {
     pub jitter: SimDuration,
     /// Independent per-datagram loss probability.
     pub loss: f64,
-    /// Path MTU in bytes, applied to the full IP packet size
-    /// ([`Datagram::wire_len`]) *after* encapsulation overhead is added.
-    pub mtu: usize,
     /// Extra bytes added to every packet by tunnel encapsulation (e.g.
     /// IP-in-IP or GUE between a load balancer and its back-ends). Zero for
     /// directly-connected servers.
@@ -35,7 +36,6 @@ impl Default for LinkModel {
             latency: SimDuration::from_millis(20),
             jitter: SimDuration::ZERO,
             loss: 0.0,
-            mtu: 1500,
             encapsulation_overhead: 0,
         }
     }
@@ -87,7 +87,7 @@ impl LinkModel {
     /// Offer a datagram to the link at time `now`.
     pub fn deliver(&self, rng: &mut SimRng, dgram: &Datagram, now: SimTime) -> Delivery {
         let size = self.effective_size(dgram);
-        if size > self.mtu {
+        if size > PATH_MTU {
             return Delivery::LostMtu(size);
         }
         if self.loss > 0.0 && rng.chance(self.loss) {

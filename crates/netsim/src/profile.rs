@@ -13,6 +13,7 @@
 //! campaign reproduces the pre-profile pipeline byte-for-byte.
 
 use crate::event::Wire;
+use crate::faultplan::FaultPlan;
 use crate::time::SimDuration;
 
 /// A named link-condition overlay applied on top of a base wire.
@@ -49,10 +50,14 @@ impl NetworkProfile {
         NetworkProfile::Tunneled,
     ];
 
-    /// Per-direction drop probability of the lossy profile.
-    pub(crate) const LOSSY_DROP_CHANCE: f64 = 0.03;
-    /// Server→client corruption probability of the lossy profile.
-    pub(crate) const LOSSY_CORRUPT_CHANCE: f64 = 0.01;
+    /// The faults of the lossy profile: 3% drops per direction and 1%
+    /// server→client corruption, no duplication.
+    pub(crate) const LOSSY_FAULTS: FaultPlan = FaultPlan {
+        name: "lossy",
+        drop_per_mille: 30,
+        duplicate_per_mille: 0,
+        corrupt_per_mille: 10,
+    };
     /// Latency multiplier of the long-fat profile.
     pub(crate) const LONG_FAT_LATENCY_FACTOR: u32 = 4;
     /// Jitter added by the long-fat profile.
@@ -76,18 +81,9 @@ impl NetworkProfile {
     pub fn apply(self, wire: &mut Wire) {
         match self {
             NetworkProfile::Ideal => {}
-            NetworkProfile::Lossy => {
-                // Overlay, not replacement: a wire with heavier faults (or
-                // accumulated counters) keeps them, mirroring Tunneled.
-                wire.fault_a_to_b.drop_chance =
-                    wire.fault_a_to_b.drop_chance.max(Self::LOSSY_DROP_CHANCE);
-                wire.fault_b_to_a.drop_chance =
-                    wire.fault_b_to_a.drop_chance.max(Self::LOSSY_DROP_CHANCE);
-                wire.fault_b_to_a.corrupt_chance = wire
-                    .fault_b_to_a
-                    .corrupt_chance
-                    .max(Self::LOSSY_CORRUPT_CHANCE);
-            }
+            // Overlay, not replacement: a wire with heavier faults (or
+            // accumulated counters) keeps them, mirroring Tunneled.
+            NetworkProfile::Lossy => Self::LOSSY_FAULTS.apply(wire),
             NetworkProfile::LongFat => {
                 wire.a_to_b.latency = wire
                     .a_to_b
@@ -161,15 +157,14 @@ mod tests {
 
     #[test]
     fn lossy_arms_the_fault_injectors() {
+        // Per mille to a chance is exact: the very 3% and 1% floats.
         let wire = overlaid(NetworkProfile::Lossy, &base());
-        assert_eq!(
-            wire.fault_a_to_b.drop_chance,
-            NetworkProfile::LOSSY_DROP_CHANCE
-        );
-        assert_eq!(
-            wire.fault_b_to_a.corrupt_chance,
-            NetworkProfile::LOSSY_CORRUPT_CHANCE
-        );
+        assert_eq!(wire.fault_a_to_b.drop_chance, 0.03);
+        assert_eq!(wire.fault_b_to_a.drop_chance, 0.03);
+        assert_eq!(wire.fault_b_to_a.corrupt_chance, 0.01);
+        assert_eq!(wire.fault_a_to_b.corrupt_chance, 0.0);
+        assert_eq!(wire.fault_a_to_b.duplicate_chance, 0.0);
+        assert_eq!(wire.fault_b_to_a.duplicate_chance, 0.0);
         // Latency untouched: loss is orthogonal to path length.
         assert_eq!(wire.rtt(), base().rtt());
     }

@@ -703,10 +703,11 @@ mod tests {
 
     #[test]
     fn a_lost_second_datagram_leaves_every_b_byte_in_the_first_flight() {
-        // A's 60-byte second datagram (88 on the wire) exceeds an 80-byte
-        // MTU its 50-byte first one fits: the cut never arrives.
+        // Behind a 1,420-byte tunnel, A's 60-byte second datagram (88 on
+        // the wire) exceeds the 1500-byte MTU its 50-byte first one (78)
+        // fits: the cut never arrives.
         let mut wire = Wire::ideal(SimDuration::from_millis(1));
-        wire.a_to_b.mtu = 80;
+        wire.a_to_b.encapsulation_overhead = 1_420;
         let out = run_exchange(
             &mut Knock { nth: 1, seen: 0 },
             &mut Script(vec![(0, 10), (5, 20), (7, 40)]),

@@ -367,19 +367,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Register (or look up) an unlabeled fixed-bin histogram over
-    /// `[lo, hi)`.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-    ) -> Arc<Histogram> {
-        self.labeled_histogram(name, &[], help, lo, hi, bins)
-    }
-
     /// Register (or look up) a labeled fixed-bin histogram over `[lo, hi)`.
     ///
     /// The bin layout of the *first* registration wins; later lookups of
@@ -631,7 +618,7 @@ mod tests {
     fn counter_survives_a_thread_hammer() {
         let registry = MetricsRegistry::new();
         let counter = registry.counter("hammer_total", "hammered");
-        let hist = registry.histogram("hammer_obs", "observations", 0.0, 10.0, 10);
+        let hist = registry.labeled_histogram("hammer_obs", &[], "observations", 0.0, 10.0, 10);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let counter = Arc::clone(&counter);
@@ -702,7 +689,7 @@ mod tests {
                 .labeled_counter("aa_total", &[("era", "hybrid")], "first by name")
                 .add(1);
             registry.gauge("mid_gauge", "a gauge").set(1.5);
-            let h = registry.histogram("lat_seconds", "latencies", 0.0, 1.0, 2);
+            let h = registry.labeled_histogram("lat_seconds", &[], "latencies", 0.0, 1.0, 2);
             h.observe(0.25);
             h.observe(0.25);
             h.observe(0.75);
@@ -741,7 +728,7 @@ zz_total 2
             .labeled_counter("b_total", &[("family", "https")], "b")
             .add(9);
         registry.gauge("a_gauge", "a").set(0.5);
-        let h = registry.histogram("h_seconds", "h", 0.0, 1.0, 2);
+        let h = registry.labeled_histogram("h_seconds", &[], "h", 0.0, 1.0, 2);
         h.observe(0.1);
         let json = registry.render_json();
         assert_eq!(

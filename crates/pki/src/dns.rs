@@ -32,62 +32,39 @@ impl DnsOutcome {
             _ => None,
         }
     }
-
-    /// Whether the query got *an* answer (the paper's 976k "resolved").
-    pub fn resolved(&self) -> bool {
-        matches!(self, DnsOutcome::A(_) | DnsOutcome::NoARecord)
-    }
 }
 
-/// Per-mille rates of each failure mode, calibrated to §3.1
-/// (13k SERVFAIL, 9k NXDOMAIN, ~2k timeout/refused, 110k without A records
-/// out of 1M).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DnsRates {
-    /// SERVFAIL probability.
-    pub servfail: f64,
-    /// NXDOMAIN probability.
-    pub nxdomain: f64,
-    /// Timeout probability.
-    pub timeout: f64,
-    /// REFUSED probability.
-    pub refused: f64,
-    /// P(no A record | resolved).
-    pub no_a_given_resolved: f64,
-}
-
-impl Default for DnsRates {
-    fn default() -> Self {
-        DnsRates {
-            servfail: 0.013,
-            nxdomain: 0.009,
-            timeout: 0.0015,
-            refused: 0.0005,
-            // 976k resolved, 866k with A → ~11.3% of resolved lack an A.
-            no_a_given_resolved: 0.113,
-        }
-    }
-}
+/// SERVFAIL probability.
+const SERVFAIL: f64 = 0.013;
+/// NXDOMAIN probability.
+const NXDOMAIN: f64 = 0.009;
+/// Timeout probability.
+const TIMEOUT: f64 = 0.0015;
+/// REFUSED probability.
+const REFUSED: f64 = 0.0005;
+/// P(no A record | resolved): 976k resolved, 866k with A → ~11.3% of
+/// resolved lack an A.
+const NO_A_GIVEN_RESOLVED: f64 = 0.113;
 
 /// Resolve a domain given a uniform draw in [0,1) and its serving address.
-pub(crate) fn resolve(rates: &DnsRates, draw: f64, second_draw: f64, addr: Ipv4Addr) -> DnsOutcome {
-    let mut threshold = rates.servfail;
+pub(crate) fn resolve(draw: f64, second_draw: f64, addr: Ipv4Addr) -> DnsOutcome {
+    let mut threshold = SERVFAIL;
     if draw < threshold {
         return DnsOutcome::ServFail;
     }
-    threshold += rates.nxdomain;
+    threshold += NXDOMAIN;
     if draw < threshold {
         return DnsOutcome::NxDomain;
     }
-    threshold += rates.timeout;
+    threshold += TIMEOUT;
     if draw < threshold {
         return DnsOutcome::Timeout;
     }
-    threshold += rates.refused;
+    threshold += REFUSED;
     if draw < threshold {
         return DnsOutcome::Refused;
     }
-    if second_draw < rates.no_a_given_resolved {
+    if second_draw < NO_A_GIVEN_RESOLVED {
         return DnsOutcome::NoARecord;
     }
     DnsOutcome::A(addr)
@@ -100,7 +77,6 @@ mod tests {
 
     #[test]
     fn rates_land_near_paper_funnel() {
-        let rates = DnsRates::default();
         let mut rng = SimRng::new(11);
         let n = 200_000;
         let mut resolved = 0usize;
@@ -108,12 +84,11 @@ mod tests {
         let mut servfail = 0usize;
         for _ in 0..n {
             let out = resolve(
-                &rates,
                 rng.f64(),
                 rng.f64(),
                 std::net::Ipv4Addr::new(198, 51, 100, 1),
             );
-            if out.resolved() {
+            if matches!(out, DnsOutcome::A(_) | DnsOutcome::NoARecord) {
                 resolved += 1;
             }
             if out.address().is_some() {
@@ -142,9 +117,6 @@ mod tests {
     fn outcome_helpers() {
         let addr = std::net::Ipv4Addr::new(192, 0, 2, 1);
         assert_eq!(DnsOutcome::A(addr).address(), Some(addr));
-        assert!(DnsOutcome::A(addr).resolved());
-        assert!(DnsOutcome::NoARecord.resolved());
-        assert!(!DnsOutcome::NxDomain.resolved());
         assert_eq!(DnsOutcome::Timeout.address(), None);
     }
 }

@@ -16,8 +16,8 @@
 //!   calibrated to the paper's §3/§4 observations. Every derived figure is
 //!   then *measured* from this world by the scanner crate.
 //!
-//! Calibration constants live in [`world::PopulationModel`] with references
-//! to the paper sections they encode.
+//! Calibration constants live in [`world`] and [`dns`] beside the paper
+//! sections they encode; a [`WorldConfig`] sets only the size and seed.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unreachable_pub)]
@@ -33,6 +33,6 @@ pub use ecosystem::{ChainId, Ecosystem, LeafParams};
 pub use era::CertificateEra;
 pub use flyweight::ClassTable;
 pub use world::{
-    ChainClass, ChainShape, DomainRecord, HttpsDeployment, PopulationModel, Provider,
-    QuicDeployment, World, WorldConfig,
+    ChainClass, ChainShape, DomainRecord, HttpsDeployment, Provider, QuicDeployment, World,
+    WorldConfig,
 };

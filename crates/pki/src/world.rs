@@ -5,10 +5,14 @@
 //! in memory. Each domain gets a DNS outcome, an HTTPS deployment (chain +
 //! leaf parameters per the Fig 7(b)/Table 2 distributions) and — for ~21%
 //! of domains, flat across rank groups (Fig 12) — a QUIC deployment drawn
-//! from [`PopulationModel`]: the §4.1 population of ~60% Cloudflare-like
-//! services with small chains, a large compliant population with oversized
-//! chains (multi-RTT), a sliver of true 1-RTT deployments, rare Retry, and
-//! Meta's mvfst PoPs.
+//! from the §4.1 population of ~60% Cloudflare-like services with small
+//! chains, a large compliant population with oversized chains (multi-RTT),
+//! a sliver of true 1-RTT deployments, rare Retry, and Meta's
+//! pre-disclosure mvfst PoPs.
+//!
+//! Every rate and weight is a constant of this module, next to the paper
+//! signal it reproduces; a [`WorldConfig`] chooses only the population size
+//! and the seed.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -20,7 +24,7 @@ use quicert_netsim::SimRng;
 use quicert_obs::{Counter, MetricsRegistry};
 use quicert_x509::{CertificateBuilder, CertificateChain, KeyAlgorithm};
 
-use crate::dns::{self, DnsOutcome, DnsRates};
+use crate::dns::{self, DnsOutcome};
 use crate::ecosystem::{ChainId, Ecosystem, LeafParams};
 use crate::era::CertificateEra;
 use crate::flyweight::ClassTable;
@@ -48,8 +52,6 @@ pub enum BehaviorKind {
     CloudflareLike,
     /// mvfst-like before the disclosure (many uncharged resends).
     MvfstPreDisclosure,
-    /// mvfst-like after the disclosure (few resends, still over limit).
-    MvfstPostDisclosure,
     /// Always-on Retry.
     RetryFirst,
 }
@@ -270,39 +272,9 @@ pub struct ChainShape {
     pub depth: usize,
 }
 
-/// Calibrated population weights. Each field cites the paper signal it
-/// reproduces; weights are relative (normalised at draw time).
-#[derive(Debug, Clone)]
-pub struct PopulationModel {
-    /// P(QUIC | HTTPS-reachable); calibrated so ~21% of *all* domains in
-    /// each rank group are QUIC services (Fig 12), given the DNS/HTTPS
-    /// funnel ahead of it.
-    pub quic_share: f64,
-    /// P(HTTPS reachable | A record); Fig 12: QUIC + HTTPS-only ≈ 80%.
-    pub https_share: f64,
-    /// QUIC deployment group weights, in percent of QUIC services:
-    /// (group, weight). Together they reproduce Fig 3's ~61% amplification,
-    /// ~38% multi-RTT, 0.75% 1-RTT, 0.07% Retry at Initial = 1362.
-    pub(crate) quic_groups: Vec<(QuicGroup, f64)>,
-    /// 1-RTT share boost for the top-100k ranks (Fig 13: 3.02% vs <1%).
-    pub top_rank_one_rtt_share: f64,
-    /// P(behind tunnelling LB) for ranks ≤1k / ≤10k / rest (§4.1: −25%,
-    /// −12%, −1.2% reachability for large Initials).
-    pub lb_share_top1k: f64,
-    /// See `lb_share_top1k`.
-    pub lb_share_top10k: f64,
-    /// See `lb_share_top1k`.
-    pub lb_share_rest: f64,
-    /// P(brotli support) for non-hypergiant QUIC services (Table 1: 96%
-    /// aggregate support).
-    pub brotli_support_other: f64,
-    /// P(cert rotated between scans) (§3.2: 2.8%).
-    pub rotation_rate: f64,
-}
-
 /// The QUIC deployment groups of §4.1 as modelled here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum QuicGroup {
+enum QuicGroup {
     /// Cloudflare with the dominant short Let's Encrypt R3 chain.
     CfLeR3,
     /// Cloudflare with Let's Encrypt E1.
@@ -327,46 +299,51 @@ pub(crate) enum QuicGroup {
     MetaMvfst,
 }
 
-impl Default for PopulationModel {
-    fn default() -> Self {
-        PopulationModel {
-            quic_share: 0.26,
-            https_share: 0.925,
-            quic_groups: vec![
-                (QuicGroup::CfLeR3, 54.0),
-                (QuicGroup::CfLeE1, 4.5),
-                (QuicGroup::CfEcc, 1.5),
-                (QuicGroup::CfCustomBig, 7.0),
-                (QuicGroup::SelfLeLong, 15.5),
-                (QuicGroup::GoogleGts, 5.0),
-                (QuicGroup::CorpBig, 10.2),
-                (QuicGroup::SelfE1Marginal, 1.1),
-                (QuicGroup::OneRttSmall, 0.75),
-                (QuicGroup::RetryOn, 0.07),
-                (QuicGroup::MetaMvfst, 0.38),
-            ],
-            top_rank_one_rtt_share: 3.0,
-            lb_share_top1k: 0.25,
-            lb_share_top10k: 0.12,
-            lb_share_rest: 0.010,
-            brotli_support_other: 0.90,
-            rotation_rate: 0.028,
-        }
-    }
-}
+/// P(QUIC | HTTPS-reachable); calibrated so ~21% of *all* domains in each
+/// rank group are QUIC services (Fig 12), given the DNS/HTTPS funnel ahead
+/// of it.
+const QUIC_SHARE: f64 = 0.26;
+/// P(HTTPS reachable | A record); Fig 12: QUIC + HTTPS-only ≈ 80%.
+const HTTPS_SHARE: f64 = 0.925;
+/// QUIC deployment group weights, in percent of QUIC services (relative,
+/// normalised at draw time). Together they reproduce Fig 3's ~61%
+/// amplification, ~38% multi-RTT, 0.75% 1-RTT, 0.07% Retry at Initial =
+/// 1362.
+const QUIC_GROUPS: [(QuicGroup, f64); 11] = [
+    (QuicGroup::CfLeR3, 54.0),
+    (QuicGroup::CfLeE1, 4.5),
+    (QuicGroup::CfEcc, 1.5),
+    (QuicGroup::CfCustomBig, 7.0),
+    (QuicGroup::SelfLeLong, 15.5),
+    (QuicGroup::GoogleGts, 5.0),
+    (QuicGroup::CorpBig, 10.2),
+    (QuicGroup::SelfE1Marginal, 1.1),
+    (QuicGroup::OneRttSmall, 0.75),
+    (QuicGroup::RetryOn, 0.07),
+    (QuicGroup::MetaMvfst, 0.38),
+];
+/// 1-RTT share boost for the top-100k ranks (Fig 13: 3.02% vs <1%).
+const TOP_RANK_ONE_RTT_SHARE: f64 = 3.0;
+/// P(behind tunnelling LB) for ranks ≤1k (§4.1: −25%, −12%, −1.2%
+/// reachability for large Initials at ≤1k / ≤10k / the rest).
+const LB_SHARE_TOP1K: f64 = 0.25;
+/// P(behind tunnelling LB) for ranks ≤10k.
+const LB_SHARE_TOP10K: f64 = 0.12;
+/// P(behind tunnelling LB) for the remaining ranks.
+const LB_SHARE_REST: f64 = 0.010;
+/// P(brotli support) for non-hypergiant QUIC services (Table 1: 96%
+/// aggregate support).
+const BROTLI_SUPPORT_OTHER: f64 = 0.90;
+/// P(cert rotated between scans) (§3.2: 2.8%).
+const ROTATION_RATE: f64 = 0.028;
 
-/// World generation parameters.
+/// World generation parameters: everything else is calibration.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of ranked domains (the paper scans 1M; default 1:50 scale).
     pub domains: usize,
     /// Master seed.
     pub seed: u64,
-    /// Use the post-disclosure Meta behaviour (Fig 11(b)) instead of the
-    /// pre-disclosure one (Fig 11(a)).
-    pub meta_post_disclosure: bool,
-    /// Population calibration.
-    pub population: PopulationModel,
 }
 
 impl Default for WorldConfig {
@@ -374,8 +351,6 @@ impl Default for WorldConfig {
         WorldConfig {
             domains: 20_000,
             seed: 0xC04E_2022,
-            meta_post_disclosure: false,
-            population: PopulationModel::default(),
         }
     }
 }
@@ -499,7 +474,7 @@ impl World {
     /// False for rank 0 and past the population.
     pub fn serves_quic(&self, rank: usize) -> bool {
         (1..=self.config.domains).contains(&rank)
-            && Head::draw(&self.config, &SimRng::new(self.config.seed), rank).quic
+            && Head::draw(&SimRng::new(self.config.seed), rank).quic
     }
 
     /// The ranks a chunk of `chunk_size` starting at `first_rank` covers,
@@ -536,9 +511,9 @@ impl World {
         let root = SimRng::new(self.config.seed);
         out.reserve(ranks.len());
         for rank in ranks {
-            let head = Head::draw(&self.config, &root, rank);
+            let head = Head::draw(&root, rank);
             if keep(&head) {
-                out.push(head.finish(&self.config));
+                out.push(head.finish(self.config.domains));
             }
         }
         world_metrics().records_generated.add(out.len() as u64);
@@ -680,26 +655,25 @@ impl World {
         }
     }
 
-    fn draw_quic_deployment(config: &WorldConfig, rng: &mut SimRng, rank: usize) -> QuicDeployment {
-        let pop = &config.population;
+    fn draw_quic_deployment(domains: usize, rng: &mut SimRng, rank: usize) -> QuicDeployment {
         // Fig 13: the top-100k ranks have a visibly larger 1-RTT share.
         // The adjustment is applied on the fly — cloning the group table per
         // record was a measurable share of generation cost at 1M domains.
-        let top_rank = rank <= (config.domains / 10).max(1);
+        let top_rank = rank <= (domains / 10).max(1);
         let group_weight = |i: usize| -> f64 {
-            let (group, weight) = pop.quic_groups[i];
+            let (group, weight) = QUIC_GROUPS[i];
             if top_rank {
                 if group == QuicGroup::OneRttSmall {
-                    return pop.top_rank_one_rtt_share;
+                    return TOP_RANK_ONE_RTT_SHARE;
                 }
                 if group == QuicGroup::CfLeR3 {
-                    return weight - (pop.top_rank_one_rtt_share - 0.75);
+                    return weight - (TOP_RANK_ONE_RTT_SHARE - 0.75);
                 }
             }
             weight
         };
-        let group = pop.quic_groups[rng
-            .weighted_index_by(pop.quic_groups.len(), group_weight)
+        let group = QUIC_GROUPS[rng
+            .weighted_index_by(QUIC_GROUPS.len(), group_weight)
             .unwrap_or(0)]
         .0;
 
@@ -802,19 +776,12 @@ impl World {
                 ChainId::LeR3Short,
                 KeyAlgorithm::EcdsaP256,
             ),
-            QuicGroup::MetaMvfst => {
-                let behavior = if config.meta_post_disclosure {
-                    BehaviorKind::MvfstPostDisclosure
-                } else {
-                    BehaviorKind::MvfstPreDisclosure
-                };
-                (
-                    Provider::Meta,
-                    behavior,
-                    ChainId::DigiCertSha2WithRoot,
-                    KeyAlgorithm::Rsa2048,
-                )
-            }
+            QuicGroup::MetaMvfst => (
+                Provider::Meta,
+                BehaviorKind::MvfstPreDisclosure,
+                ChainId::DigiCertSha2WithRoot,
+                KeyAlgorithm::Rsa2048,
+            ),
         };
 
         // Compression support: Cloudflare/Google/Meta all support brotli;
@@ -823,7 +790,7 @@ impl World {
             Provider::Meta => vec![Algorithm::Brotli, Algorithm::Zlib, Algorithm::Zstd],
             Provider::Cloudflare | Provider::Google => vec![Algorithm::Brotli],
             Provider::SelfHosted => {
-                if rng.chance(pop.brotli_support_other) {
+                if rng.chance(BROTLI_SUPPORT_OTHER) {
                     vec![Algorithm::Brotli]
                 } else {
                     vec![]
@@ -832,11 +799,11 @@ impl World {
         };
 
         let lb_share = if rank <= 1_000 {
-            pop.lb_share_top1k
+            LB_SHARE_TOP1K
         } else if rank <= 10_000 {
-            pop.lb_share_top10k
+            LB_SHARE_TOP10K
         } else {
-            pop.lb_share_rest
+            LB_SHARE_REST
         };
         let behind_lb = rng.chance(lb_share);
         let lb_overhead = if behind_lb {
@@ -853,7 +820,7 @@ impl World {
             compression_support,
             behind_lb,
             lb_overhead,
-            rotated_cert: rng.chance(pop.rotation_rate),
+            rotated_cert: rng.chance(ROTATION_RATE),
             cert_generation: 0,
             era_override: None,
         }
@@ -878,7 +845,7 @@ struct Head {
 }
 
 impl Head {
-    fn draw(config: &WorldConfig, root: &SimRng, rank: usize) -> Head {
+    fn draw(root: &SimRng, rank: usize) -> Head {
         let mut rng = root.fork(rank as u64);
         let seed = rng.next_u64();
         let stem = NAME_STEMS[(rng.next_u64() % NAME_STEMS.len() as u64) as usize];
@@ -888,10 +855,9 @@ impl Head {
         .0;
         // DNS funnel (§3.1).
         let placeholder = Ipv4Addr::UNSPECIFIED;
-        let dns = dns::resolve(&DnsRates::default(), rng.f64(), rng.f64(), placeholder);
-        let pop = &config.population;
-        let https = dns.address().is_some() && rng.chance(pop.https_share);
-        let quic = https && rng.chance(pop.quic_share);
+        let dns = dns::resolve(rng.f64(), rng.f64(), placeholder);
+        let https = dns.address().is_some() && rng.chance(HTTPS_SHARE);
+        let quic = https && rng.chance(QUIC_SHARE);
         Head {
             rng,
             rank,
@@ -904,7 +870,7 @@ impl Head {
         }
     }
 
-    fn finish(mut self, config: &WorldConfig) -> DomainRecord {
+    fn finish(mut self, domains: usize) -> DomainRecord {
         // Name: stem + rank + TLD. Assembled by hand — the formatting
         // machinery behind `format!` is measurable across a
         // ten-million-record stream (output pinned byte-identical by
@@ -921,7 +887,7 @@ impl Head {
 
         let rng = &mut self.rng;
         let (https, quic) = if self.quic {
-            let deployment = World::draw_quic_deployment(config, rng, self.rank);
+            let deployment = World::draw_quic_deployment(domains, rng, self.rank);
             let marginal = deployment.chain_id == ChainId::LeE1X2Cross;
             let extra_sans = if marginal {
                 rng.range(16, 40) as u16
@@ -1020,7 +986,6 @@ mod tests {
         World::streaming(WorldConfig {
             domains: 10_000,
             seed: 1,
-            ..WorldConfig::default()
         })
     }
 
@@ -1200,7 +1165,6 @@ mod tests {
         let config = WorldConfig {
             domains: 2_000,
             seed: 9,
-            ..WorldConfig::default()
         };
         let lazy = World::streaming(config.clone());
         let whole = World::streaming(config);
@@ -1332,7 +1296,6 @@ mod tests {
         let records = population(&World::streaming(WorldConfig {
             domains: 30_000,
             seed: 3,
-            ..WorldConfig::default()
         }));
         let meta: Vec<_> = quic(&records)
             .filter(|d| d.quic.as_ref().unwrap().provider == Provider::Meta)
@@ -1348,7 +1311,6 @@ mod tests {
         let records = population(&World::streaming(WorldConfig {
             domains: 50_000,
             seed: 5,
-            ..WorldConfig::default()
         }));
         let lb_rate = |lo: usize, hi: usize| {
             let (lb, total) = quic(&records)

@@ -32,7 +32,6 @@ fn digests() -> String {
     let world = World::streaming(WorldConfig {
         domains: 4_000,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let mut out = String::new();

@@ -10,7 +10,7 @@ use quicert_netsim::{
     run_exchange, ExchangeLimits, ExchangeOutcome, SimDuration, SimRng, SimTime, Wire,
 };
 use quicert_obs::HandshakeTimeline;
-use quicert_session::{SessionCache, SessionTicket};
+use quicert_session::SessionTicket;
 use quicert_tls::PskOffer;
 
 use crate::amplification;
@@ -256,8 +256,7 @@ pub struct ResumptionProbe {
     /// Server configuration; its [`ServerConfig::resumption`] host governs
     /// ticket issuance on the cold visit and validation on the warm one.
     pub server: ServerConfig,
-    /// The path; the cold visit runs on it and the warm visit on a copy
-    /// taken before the cold visit touched it.
+    /// The path; each visit runs on its own copy of it, as given.
     pub wire: Wire,
     /// Per-probe RNG seed (forked per record at world generation).
     pub seed: u64,
@@ -276,48 +275,28 @@ pub struct ResumptionOutcome {
     /// The second visit — resumed when a ticket was offered and accepted,
     /// a cold fallback otherwise.
     pub warm: HandshakeOutcome,
-    /// Whether the warm visit actually offered a PSK (ticket cached and
-    /// policy allowed it).
+    /// Whether the warm visit actually offered a PSK (the cold visit got a
+    /// ticket and the policy allowed it).
     pub offered_psk: bool,
 }
 
-/// Run one resumption probe: the cold visit, its ticket into the client's
-/// SNI-keyed [`SessionCache`], then the warm visit — each a handshake of
-/// its own, on its own RNG stream (`seed ^ label`) and its own wire.
+/// Run one resumption probe: the cold visit, then the warm visit offering
+/// the cold visit's ticket — each a handshake of its own, on its own RNG
+/// stream (`seed ^ label`) and its own wire.
 ///
-/// The cache is the probe's own and holds its one ticket, so what the
-/// warm visit offers can depend on nothing but this probe.
+/// The ticket is the probe's own, so what the warm visit offers can depend
+/// on nothing but this probe.
 pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
     let mut cold_config = probe.client.clone();
     cold_config.psk = None;
-    let mut wire = probe.wire;
-    let mut warm_wire = wire.clone();
+    let mut wire = probe.wire.clone();
     let cold = run_handshake(cold_config, probe.server.clone(), &mut wire, probe.seed);
-
-    // The ticket lands in the client-side session cache, stamped with the
-    // wall clock of the visit that obtained it.
-    let mut cache = SessionCache::with_capacity(1);
-    if let Some(mut ticket) = cold.ticket.clone() {
-        ticket.obtained_at_secs = probe
-            .server
-            .resumption
-            .as_ref()
-            .map(|host| host.now_secs)
-            .unwrap_or(0);
-        cache.insert(&probe.client.server_name, ticket);
-    }
+    let psk = warm_offer(&probe, &cold);
 
     // The warm visit takes over the probe's server configuration, chain
     // and all.
     let mut config = probe.client;
-    config.psk = probe
-        .offer_ticket
-        .then(|| cache.lookup(&config.server_name))
-        .flatten()
-        .map(|ticket| PskOffer {
-            identity: ticket.identity.clone(),
-            obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
-        });
+    config.psk = psk;
     let offered_psk = config.psk.is_some();
     config.seed ^= WARM_SEED_TWEAK;
     let mut server = probe.server;
@@ -325,11 +304,28 @@ pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
         .resumption
         .map(|host| host.revisited_at(probe.warm_now_secs));
     let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
+    let mut warm_wire = probe.wire;
     ResumptionOutcome {
         cold,
         warm: handshake(config, server, &mut warm_wire, rng),
         offered_psk,
     }
+}
+
+/// The PSK the warm visit of `probe` offers, if its policy offers one: the
+/// ticket of its `cold` visit, stamped with the wall clock of that visit
+/// and aged to the warm one.
+fn warm_offer(probe: &ResumptionProbe, cold: &HandshakeOutcome) -> Option<PskOffer> {
+    let mut ticket = cold.ticket.as_ref().filter(|_| probe.offer_ticket)?.clone();
+    ticket.obtained_at_secs = probe
+        .server
+        .resumption
+        .as_ref()
+        .map_or(0, |host| host.now_secs);
+    Some(PskOffer {
+        obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
+        identity: ticket.identity,
+    })
 }
 
 /// What a spoofed (never-acknowledging) probe provoked — the telescope's
@@ -756,8 +752,7 @@ mod tests {
             seed ^ 0x57E4,
             1_000_000,
         ));
-        // One SNI per probe, as in a real scan: the session cache is keyed
-        // by host name, so shared names would alias cache entries.
+        // One SNI per probe, as in a real scan: tickets are host-bound.
         let mut client = ClientConfig::scanner(1362, SERVER, seed);
         client.server_name = format!("svc-{seed}.example");
         ResumptionProbe {
@@ -797,6 +792,32 @@ mod tests {
     }
 
     #[test]
+    fn the_warm_visit_offers_the_cold_ticket_aged_from_the_cold_visit() {
+        // The server never reads the age, so only the offer itself shows
+        // a ticket stamped with the wrong clock: aged from 0, not from the
+        // cold visit's 1_000_000, its obfuscated age is off by 10⁶ s.
+        let probe = resumption_probe(24, big_chain(), KeyAlgorithm::Rsa2048, 1_003_600, true);
+        let out = run_resumption(probe.clone());
+        let ticket = out
+            .cold
+            .ticket
+            .clone()
+            .expect("a ticket from the cold visit");
+        let age_ms = (1_003_600u64 - 1_000_000) * 1_000;
+        let offer = PskOffer {
+            identity: ticket.identity,
+            obfuscated_age: (age_ms as u32).wrapping_add(ticket.age_add),
+        };
+        assert_eq!(warm_offer(&probe, &out.cold), Some(offer));
+        assert!(out.offered_psk && out.warm.resumed);
+        let cold_only = ResumptionProbe {
+            offer_ticket: false,
+            ..probe
+        };
+        assert_eq!(warm_offer(&cold_only, &out.cold), None);
+    }
+
+    #[test]
     fn stale_ticket_falls_back_to_the_cold_path() {
         // Revisit long after the lifetime and two STEK rotations: the offer
         // is rejected and the full chain goes on the wire again.
@@ -832,8 +853,8 @@ mod tests {
     fn resumption_batch_is_composition_invariant() {
         // A probe's outcome depends on nothing that ran around it: not the
         // order of a batch, and not a neighbour that shares its SNI (each
-        // probe's session cache is its own, so aliased names cannot
-        // overwrite each other's tickets).
+        // probe offers its own ticket, so aliased names cannot overwrite
+        // each other's tickets).
         let probes: Vec<ResumptionProbe> = (0..9)
             .map(|i| {
                 let (chain, key) = if i % 2 == 0 {

@@ -98,7 +98,6 @@ fn a_handshake_stays_within_its_allocation_budget() {
     let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let services: Vec<&DomainRecord> = records

@@ -21,7 +21,6 @@ fn the_passive_view_and_the_servers_account_agree_on_who_breaks_3x() {
     let world = World::streaming(WorldConfig {
         domains: 4_000,
         seed: 0x3A3A,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     // (behaviour, provider) -> (handshakes with an excess, handshakes).

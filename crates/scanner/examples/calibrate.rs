@@ -7,7 +7,6 @@ fn main() {
     let world = World::streaming(WorldConfig {
         domains: 3_000,
         seed: 33,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let services = records.iter().filter(|record| record.has_quic());

@@ -20,7 +20,6 @@ pub(crate) fn behavior_of(kind: BehaviorKind) -> ServerBehavior {
         BehaviorKind::RfcCompliant => ServerBehavior::rfc_compliant(),
         BehaviorKind::CloudflareLike => ServerBehavior::cloudflare_like(),
         BehaviorKind::MvfstPreDisclosure => ServerBehavior::mvfst_like(MVFST_PRE_TRANSMISSIONS),
-        BehaviorKind::MvfstPostDisclosure => ServerBehavior::mvfst_like(MVFST_POST_TRANSMISSIONS),
         BehaviorKind::RetryFirst => ServerBehavior::retry_first(),
     }
 }
@@ -111,10 +110,6 @@ mod tests {
             behavior_of(BehaviorKind::MvfstPreDisclosure).max_transmissions,
             MVFST_PRE_TRANSMISSIONS
         );
-        assert_eq!(
-            behavior_of(BehaviorKind::MvfstPostDisclosure).max_transmissions,
-            MVFST_POST_TRANSMISSIONS
-        );
         assert!(behavior_of(BehaviorKind::RfcCompliant).count_resends);
     }
 
@@ -143,7 +138,6 @@ mod tests {
         let world = quicert_pki::World::streaming(WorldConfig {
             domains: 5_000,
             seed: 9,
-            ..WorldConfig::default()
         });
         let records = world.domain_chunk(1, world.config.domains);
         let behind_lb = |d: &&DomainRecord| d.quic.as_ref().is_some_and(|q| q.behind_lb);

@@ -325,7 +325,6 @@ mod tests {
         let world = World::streaming(WorldConfig {
             domains: 4_000,
             seed: 77,
-            ..WorldConfig::default()
         });
         let records = world.domain_chunk(1, world.config.domains);
         (world, records)

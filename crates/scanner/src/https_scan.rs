@@ -114,24 +114,25 @@ pub fn scan(world: &World) -> HttpsScanReport {
 pub fn collate(
     rows: impl IntoIterator<Item = (DnsOutcome, Option<HttpsObservation>)>,
 ) -> HttpsScanReport {
-    let mut report = HttpsScanReport::default();
+    let mut funnel = HttpsScanShard::identity();
+    let (mut names_seen, mut observations) = (0, Vec::new());
     for (dns, observation) in rows {
-        report.total += 1;
-        match dns {
-            DnsOutcome::ServFail => report.servfail += 1,
-            DnsOutcome::NxDomain => report.nxdomain += 1,
-            DnsOutcome::Timeout | DnsOutcome::Refused => report.timeout_refused += 1,
-            _ => report.resolved += 1,
-        }
-        if dns.address().is_some() {
-            report.a_records += 1;
-        }
+        funnel.count_dns(dns);
         if let Some(obs) = observation {
-            report.names_seen += 1 + obs.redirect_hops as usize;
-            report.observations.push(obs);
+            names_seen += 1 + obs.redirect_hops as usize;
+            observations.push(obs);
         }
     }
-    report
+    HttpsScanReport {
+        total: funnel.total as usize,
+        resolved: funnel.resolved as usize,
+        servfail: funnel.servfail as usize,
+        nxdomain: funnel.nxdomain as usize,
+        timeout_refused: funnel.timeout_refused as usize,
+        a_records: funnel.a_records as usize,
+        names_seen,
+        observations,
+    }
 }
 
 // -------------------------------------------------------- streaming fold --
@@ -189,19 +190,27 @@ impl HttpsScanShard {
     /// TLS-reachable, the redirect hops followed before its certificate
     /// was collected and the shape of the chain collected.
     pub fn push(&mut self, record: &DomainRecord, served: Option<(u8, ChainShape)>) {
-        self.total += 1;
-        match record.dns {
-            DnsOutcome::ServFail => self.servfail += 1,
-            DnsOutcome::NxDomain => self.nxdomain += 1,
-            DnsOutcome::Timeout | DnsOutcome::Refused => self.timeout_refused += 1,
-            _ => self.resolved += 1,
-        }
-        if record.dns.address().is_some() {
-            self.a_records += 1;
-        }
+        self.count_dns(record.dns);
         if let Some((redirect_hops, shape)) = served {
             self.names_seen += 1 + redirect_hops as u64;
             self.fold_chain(record.has_quic(), shape);
+        }
+    }
+
+    /// Count one name into the §3.1 DNS funnel: its total, exactly one of
+    /// resolved (any answer, the paper's 976k), SERVFAIL, NXDOMAIN or
+    /// timeout/REFUSED, and its A record if it has one. The funnel's one
+    /// spelling: [`collate`] counts through it too.
+    fn count_dns(&mut self, dns: DnsOutcome) {
+        self.total += 1;
+        match dns {
+            DnsOutcome::A(_) | DnsOutcome::NoARecord => self.resolved += 1,
+            DnsOutcome::ServFail => self.servfail += 1,
+            DnsOutcome::NxDomain => self.nxdomain += 1,
+            DnsOutcome::Timeout | DnsOutcome::Refused => self.timeout_refused += 1,
+        }
+        if dns.address().is_some() {
+            self.a_records += 1;
         }
     }
 
@@ -343,7 +352,6 @@ mod tests {
         let world = quicert_pki::World::streaming(WorldConfig {
             domains: 5_000,
             seed: 21,
-            ..WorldConfig::default()
         });
         scan(&world)
     }

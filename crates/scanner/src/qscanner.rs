@@ -107,7 +107,6 @@ mod tests {
         let world = quicert_pki::World::streaming(WorldConfig {
             domains: 20_000,
             seed: 55,
-            ..WorldConfig::default()
         });
         let (observations, report) = scan(&world);
         assert_eq!(report.total, observations.len());
@@ -129,7 +128,6 @@ mod tests {
         let world = quicert_pki::World::streaming(WorldConfig {
             domains: 20_000,
             seed: 56,
-            ..WorldConfig::default()
         });
         let (observations, _) = scan(&world);
         for obs in &observations {

@@ -25,7 +25,7 @@ use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
 use quicert_quic::{run_handshake, run_resumption, ClientConfig};
-use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig, TicketIssuer};
+use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig};
 
 use crate::behavior::{base_latency, server_config_for_era, wire_for_profile, BASE_LATENCY_MS};
 use crate::scenario::Scenario;
@@ -883,9 +883,9 @@ impl WarmScanResult {
 /// [`ResumptionPolicy`] ([`Scenario::warm_policy`]).
 ///
 /// The first visit runs the usual certificate-laden handshake against the
-/// record's server *with ticket issuance enabled*; the obtained ticket
-/// lands in an SNI-keyed LRU session cache, and the second visit re-probes
-/// with the cached ticket per the policy (stateful, so never memoized).
+/// record's server *with ticket issuance enabled*, and the second visit
+/// re-probes offering the obtained ticket per the policy (stateful, so
+/// never memoized).
 /// The cold (ticket-free) scan entry points are untouched by any of this —
 /// their servers never issue tickets, so their artifacts stay
 /// byte-for-byte identical.
@@ -907,11 +907,10 @@ pub fn warm_service(world: &World, record: &DomainRecord, scenario: Scenario) ->
     let policy = scenario.warm_policy();
     let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
     probe.client.server_name = record.name.clone();
-    probe.server.resumption = Some(ResumptionHost {
-        issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
-        now_secs: WARM_SCAN_EPOCH_SECS,
-        issue_tickets: true,
-    });
+    probe.server.resumption = Some(ResumptionHost::issuing(
+        record.seed ^ STEK_SEED_LABEL,
+        WARM_SCAN_EPOCH_SECS,
+    ));
     let out = run_resumption(ResumptionProbe {
         client: probe.client,
         server: probe.server,
@@ -1009,7 +1008,6 @@ mod tests {
         let world = World::streaming(WorldConfig {
             domains: 3_000,
             seed: 33,
-            ..WorldConfig::default()
         });
         let records = world.domain_chunk(1, world.config.domains);
         (world, records)

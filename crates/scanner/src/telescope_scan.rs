@@ -116,7 +116,6 @@ mod tests {
         let world = quicert_pki::World::streaming(WorldConfig {
             domains: 30_000,
             seed: 91,
-            ..WorldConfig::default()
         });
         collect(&world, default_dark_prefix(), 12)
     }

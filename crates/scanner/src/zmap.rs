@@ -180,7 +180,6 @@ mod tests {
         World::streaming(WorldConfig {
             domains: 500,
             seed: 13,
-            ..WorldConfig::default()
         })
     }
 

@@ -71,7 +71,6 @@ fn issuing_and_summarising_a_chain_stays_within_its_allocation_budget() {
     let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let (mut issue, mut summarise) = (0, 0);
@@ -116,7 +115,6 @@ fn a_warm_streamed_funnel_allocates_nothing_per_record() {
     let world = World::streaming(WorldConfig {
         domains: 4_096,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let (cold, cold_allocations) = counted(|| https_scan::fold_iter(&world, &records));
@@ -151,7 +149,6 @@ fn a_warm_quic_chunk_allocates_nothing_for_a_rank_it_passes_over() {
     let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let mut services = Vec::new();
     world.quic_chunk_into(5_001, RANKS, &mut services);
@@ -181,7 +178,6 @@ fn a_warm_compress_call_allocates_its_output_and_no_table() {
     let world = World::streaming(WorldConfig {
         domains: 20_000,
         seed: 0x5CA1,
-        ..WorldConfig::default()
     });
     let records = world.domain_chunk(1, world.config.domains);
     let messages: Vec<Vec<u8>> = records

@@ -8,10 +8,11 @@
 //! * [`ticket`] — deterministic session tickets, STEK-encrypted on the
 //!   server ([`TicketIssuer`]) with time-driven key rotation and lifetime
 //!   enforcement ([`TicketConfig`], [`TicketValidation`]);
-//! * [`cache`] — the client-side LRU session cache keyed by SNI
-//!   ([`SessionCache`]);
 //! * [`policy`] — the [`ResumptionPolicy`] scenario axis (cold-only / warm
 //!   after first visit / ticket-expired) the campaign matrix sweeps.
+//!
+//! The client side keeps no session cache: a resumption probe's warm visit
+//! offers the ticket its own cold visit obtained.
 //!
 //! Everything here is plain data plus deterministic arithmetic: the "AEAD"
 //! protecting a ticket is a keystream + MAC stand-in of exactly the right
@@ -22,11 +23,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unreachable_pub)]
 
-pub mod cache;
 pub mod policy;
 pub mod ticket;
 
-pub use cache::SessionCache;
 pub use policy::ResumptionPolicy;
 pub use ticket::{
     ResumptionHost, SessionTicket, TicketConfig, TicketIssuer, TicketValidation, TICKET_LEN,

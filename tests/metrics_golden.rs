@@ -51,7 +51,6 @@ fn pinned_campaign() -> ScanEngine {
         WorldConfig {
             domains: 600,
             seed: 0x0B5E,
-            ..WorldConfig::default()
         },
         1362,
         1,

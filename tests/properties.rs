@@ -308,7 +308,6 @@ fn deterministic_worlds_are_identical() {
         World::streaming(WorldConfig {
             domains: 800,
             seed: 0xDE7E_2217,
-            ..WorldConfig::default()
         })
     };
     let (a, b) = (mk(), mk());
@@ -344,7 +343,6 @@ mod streaming_world_properties {
             let config = WorldConfig {
                 domains,
                 seed,
-                ..WorldConfig::default()
             };
             let eager = World::streaming(config.clone()).domain_chunk(1, domains);
             let lazy = World::streaming(config);
@@ -376,13 +374,10 @@ mod streaming_world_properties {
             domains in 1usize..600,
             chunk in 1usize..256,
             seed in any::<u64>(),
-            meta_post_disclosure in any::<bool>(),
         ) {
             let world = World::streaming(WorldConfig {
                 domains,
                 seed,
-                meta_post_disclosure,
-                ..WorldConfig::default()
             });
             let full = world.domain_chunk(1, domains);
             // The predicate a resident service marks segments by decides the
@@ -467,7 +462,6 @@ mod simnet_properties {
             let world = World::streaming(WorldConfig {
                 domains: 1_500,
                 seed: 0xFA17,
-                ..WorldConfig::default()
             });
             let mut services = world.domain_chunk(1, world.config.domains);
             services.retain(DomainRecord::has_quic);

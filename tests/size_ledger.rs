@@ -15,7 +15,9 @@
 //! * `xpub`: `pub` items (`fn`, `struct`, `enum`, `trait`, `type`, `const`,
 //!   `static`) whose name is no identifier outside the crate's own `src/` —
 //!   in another crate's `src/` or `tests/`, the root `src/` or `tests/`,
-//!   `examples/` or `perfbench/src`: candidates for `pub(crate)`.
+//!   `examples/` or `perfbench/src`: candidates for `pub(crate)`;
+//! * `fields`: `pub` named struct fields, one a line (`pub name: Type`) —
+//!   `pub(crate)` fields are not counted.
 //!
 //! and compares them with `tests/golden/size_ledger.txt`. Any count above
 //! the ledger fails; re-bless in the same change to put the growth in
@@ -41,8 +43,8 @@ fn repo_root() -> PathBuf {
 }
 
 /// The ledger's columns, in file order.
-const COLUMNS: [&str; 7] = [
-    "lines", "pub", "hidden", "global", "unwrap", "allow", "xpub",
+const COLUMNS: [&str; 8] = [
+    "lines", "pub", "hidden", "global", "unwrap", "allow", "xpub", "fields",
 ];
 
 /// Item keywords a counted `pub` line declares; `xpub` counts all but the
@@ -116,8 +118,8 @@ fn pub_item_name(trimmed: &str) -> Option<&str> {
 
 /// A crate's counts, in [`COLUMNS`] order; `outside` holds the identifiers
 /// named outside the crate's own `src/`.
-fn counts(files: &[&Source], outside: &HashSet<&str>) -> [usize; 7] {
-    let mut c = [0usize; 7];
+fn counts(files: &[&Source], outside: &HashSet<&str>) -> [usize; 8] {
+    let mut c = [0usize; 8];
     for line in files.iter().flat_map(|f| &f.code) {
         c[0] += 1;
         if is_comment(line) {
@@ -135,8 +137,19 @@ fn counts(files: &[&Source], outside: &HashSet<&str>) -> [usize; 7] {
         c[3] += line.matches("MetricsRegistry::global()").count();
         c[4] += line.matches("unwrap(").count() + line.matches("expect(").count();
         c[5] += line.matches("#[allow(").count() + line.matches("#![allow(").count();
+        if pub_field_name(trimmed).is_some() {
+            c[7] += 1;
+        }
     }
     c
+}
+
+/// The name a `pub name: Type` struct-field line declares.
+fn pub_field_name(trimmed: &str) -> Option<&str> {
+    let rest = trimmed.strip_prefix("pub ")?;
+    let end = rest.find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))?;
+    let after = &rest[end..];
+    (end > 0 && after.starts_with(':') && !after.starts_with("::")).then(|| &rest[..end])
 }
 
 /// The crate a source file under `crates/` or `src/` belongs to.
@@ -236,7 +249,7 @@ fn named_outside<'a>(root: &Path, sources: &'a [Source], krate: &str) -> HashSet
 }
 
 struct Ledger {
-    rows: BTreeMap<String, [usize; 7]>,
+    rows: BTreeMap<String, [usize; 8]>,
     orphans: BTreeSet<String>,
 }
 
@@ -295,7 +308,7 @@ fn render(ledger: &Ledger) -> String {
         let _ = write!(out, " {column:>7}");
     }
     out.push('\n');
-    let mut total = [0usize; 7];
+    let mut total = [0usize; 8];
     for (name, row) in &ledger.rows {
         let _ = write!(out, "{name:<10}");
         for (i, count) in row.iter().enumerate() {
@@ -399,7 +412,10 @@ fn the_ledger_counts_what_it_says() {
             "crates/x/src/lib.rs",
             &[
                 "//! pub fn in_a_doc() unwrap(",
-                "pub struct S { pub field: u8 }",
+                "pub struct S {",
+                "    pub field: u8,",
+                "    pub(crate) private_field: u8,",
+                "}",
                 "impl<T: Copy> From<T> for S {",
                 "    #[doc(hidden)]",
                 "    pub fn make() -> S { x.unwrap(); y.expect(\"z\"); unwrap_or(0) }",
@@ -417,7 +433,8 @@ fn the_ledger_counts_what_it_says() {
     let outside = named_outside(Path::new(""), &sources, "x");
     // `S` is named in a tests/ file and `answer` in perfbench/src; `make`
     // only inside its crate and in a comment: it alone counts as `xpub`.
-    assert_eq!(counts(&[&sources[0]], &outside), [10, 4, 1, 1, 2, 1, 1]);
+    // `field` is a counted field, `private_field` is not.
+    assert_eq!(counts(&[&sources[0]], &outside), [13, 4, 1, 1, 2, 1, 1, 1]);
     assert!(outside.contains("S") && outside.contains("answer"));
     assert!(!outside.contains("make"));
     let fns: Vec<String> = pub_fns(&sources[0]).into_iter().map(|f| f.1).collect();
