@@ -17,16 +17,16 @@
 //! effective worker runs inline, without spawning. Its two doors are the
 //! crate-private `ScanEngine::fold_population` (every rank, adaptively
 //! sized claims, a [`Merge`] summary) and the public
-//! [`ScanEngine::fold_ranges`] (an explicit range list, one result per
-//! range); every service tick goes through one. The
-//! cached families sit on top: *summarising* folds (`stream_*`), one
+//! [`ScanEngine::fold_ranges`] (an explicit range list, derived as its
+//! caller names, one result per range); every service tick goes through
+//! one. The cached families sit on top: *summarising* folds (`stream_*`), one
 //! few-kilobyte summary per worker, and *collecting* folds
 //! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
 //! each claim's per-record rows with the claim's first rank and sort and
 //! flatten them once the pump is done. A family that reads nothing but QUIC
 //! services (quicreach, warm, QScanner, compression support) derives only
-//! those ([`World::quic_chunk_into`]); the doors, the HTTPS funnel and the
-//! compression study derive every rank.
+//! those ([`World::quic_chunk_into`]); the HTTPS funnel and the compression
+//! study derive every rank.
 //!
 //! The results are **bit-for-bit identical at any worker count and any
 //! claim size** because every probe draws its randomness from a `SimRng`
@@ -792,14 +792,17 @@ impl ScanEngine {
     /// scratch (the engine's memo, `scenario`'s [`ProbeMetrics`]), same
     /// [`PumpStats`] flush as [`ScanEngine::stream_quicreach`] — and return
     /// one `fold` result per range, in input order. Each range is derived
-    /// as one chunk and handed to `fold` mutably, so a resident caller can
-    /// overlay churn before scanning. No result is cached, but the classes
-    /// simulated stay in the engine's memo for later calls to replay; an
-    /// overlay only reaches a probe through key fields, so none go stale.
+    /// as one chunk by `derive` — [`World::domain_chunk_into`] (every rank)
+    /// or [`World::quic_chunk_into`] (its QUIC services only) — and handed
+    /// to `fold` mutably, so a resident caller can overlay churn before
+    /// scanning. No result is cached, but the classes simulated stay in the
+    /// engine's memo for later calls to replay; an overlay only reaches a
+    /// probe through key fields, so none go stale.
     pub fn fold_ranges<R, F>(
         &self,
         scenario: Scenario,
         ranges: &[(usize, usize)],
+        derive: Derive,
         fold: F,
     ) -> Vec<R>
     where
@@ -807,8 +810,7 @@ impl ScanEngine {
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
         let claims = Claims::Ranges(ranges);
-        let every = World::domain_chunk_into;
-        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), every, fold)
+        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), derive, fold)
     }
 
     /// One pump pass with its per-claim `fold` results back in claim order,
@@ -1246,9 +1248,10 @@ mod tests {
         assert!(streamed.total() > 0);
         for size in [1usize, 64, 4096] {
             let ranges: Vec<_> = (1..=1_200).step_by(size).map(|r| (r, size)).collect();
-            let folded = engine.fold_ranges(BASE, &ranges, |chunk, scratch| {
-                quicreach::fold_chunk(world, chunk, BASE, scratch)
-            });
+            let folded =
+                engine.fold_ranges(BASE, &ranges, World::domain_chunk_into, |chunk, scratch| {
+                    quicreach::fold_chunk(world, chunk, BASE, scratch)
+                });
             assert_eq!(QuicReachShard::merge_all(folded), *streamed, "chunk {size}");
         }
         // Never a report whose chains and counters disagree.
@@ -1521,12 +1524,17 @@ mod tests {
         for workers in [1, 2] {
             let engine = ScanEngine::streaming(config(), 1362, workers);
             let panicked = catch_unwind(AssertUnwindSafe(|| {
-                engine.fold_ranges(BASE, &[(1, 600), (601, 600)], |records, _| {
-                    if let Some(record) = records.iter().find(|record| record.rank == 700) {
-                        panic!("rank {} refuses to fold", record.rank);
-                    }
-                    records.len()
-                })
+                engine.fold_ranges(
+                    BASE,
+                    &[(1, 600), (601, 600)],
+                    World::domain_chunk_into,
+                    |records, _| {
+                        if let Some(record) = records.iter().find(|record| record.rank == 700) {
+                            panic!("rank {} refuses to fold", record.rank);
+                        }
+                        records.len()
+                    },
+                )
             }))
             .expect_err("the fold panics on rank 700");
             // The worker's own message — which record, which assertion —
@@ -1590,11 +1598,16 @@ mod tests {
         let whole = reference.stream_quicreach(BASE);
         for workers in [1, 2, 8] {
             let engine = ScanEngine::streaming(world_config.clone(), 1362, workers);
-            let folded = engine.fold_ranges(BASE, &ranges, |records, scratch| {
-                let first = records.first().map_or(0, |r| r.rank);
-                let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
-                (first, records.len(), shard)
-            });
+            let folded = engine.fold_ranges(
+                BASE,
+                &ranges,
+                World::domain_chunk_into,
+                |records, scratch| {
+                    let first = records.first().map_or(0, |r| r.rank);
+                    let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                    (first, records.len(), shard)
+                },
+            );
             let spans: Vec<(usize, usize)> = folded.iter().map(|f| (f.0, f.1)).collect();
             assert_eq!(spans, [(901, 300), (1, 400), (401, 500), (1_101, 100)]);
             // Ranks 901..=1200 were folded twice (ranges 0 and 3 overlap);
@@ -1621,11 +1634,33 @@ mod tests {
                     + probes("quicert_scan_probes_replayed_total"),
                 folded.iter().map(|f| f.2.total() as u64).sum::<u64>()
             );
+
+            // The same ranges deriving only their QUIC services: each range
+            // receives exactly the QUIC records of its full derivation, the
+            // probes see what they saw, and the pump still covers every rank.
+            let quic =
+                engine.fold_ranges(BASE, &ranges, World::quic_chunk_into, |records, scratch| {
+                    let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                    (records.to_vec(), shard)
+                });
+            for (&(first, len), (services, _)) in ranges.iter().zip(&quic) {
+                let mut full = engine.world().domain_chunk(first, len);
+                full.retain(DomainRecord::has_quic);
+                assert!(!full.is_empty());
+                assert_eq!(*services, full, "range at {first}, workers={workers}");
+            }
+            assert_eq!(
+                QuicReachShard::merge_all(quic.into_iter().map(|q| q.1)),
+                QuicReachShard::merge_all(folded.into_iter().map(|f| f.2)),
+                "workers={workers}"
+            );
+            let totals = engine.pump_stats().expect("fold_ranges pumps").totals();
+            assert_eq!(totals.records_folded, 1_300);
         }
         // No ranges, no work — and no panic.
-        assert!(reference
-            .fold_ranges(BASE, &[], |records, _| records.len())
-            .is_empty());
+        let every_rank = World::domain_chunk_into;
+        let none = reference.fold_ranges(BASE, &[], every_rank, |records, _| records.len());
+        assert!(none.is_empty());
     }
 
     /// Pins the frozen compat block: each positional delegate `perfbench/`

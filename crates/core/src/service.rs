@@ -4,8 +4,9 @@
 //!
 //! A batch [`crate::Campaign`] scans one frozen world. The
 //! [`CampaignService`] instead holds a `quicert_churn::Timeline`, the live
-//! [`ChurnState`] and a cache of per-segment summaries, all valid at the
-//! tick `s` the cache was last scanned at:
+//! [`ChurnState`] and a cache — one quicreach summary per segment and the
+//! population's merged §3.1 funnel — all valid at the tick `s` the cache
+//! was last scanned at:
 //!
 //! * [`CampaignService::advance_to`] steps the churn state, as pure state
 //!   transitions, and nothing else. It marks nothing: what churned since
@@ -13,22 +14,27 @@
 //! * Every snapshot the cache does not hold is served by one fold. For a
 //!   tick `t` under the churn state at `t`, it asks the timeline which
 //!   **segments** a QUIC service of which churned in the ticks between `t`
-//!   and `s` (all of them across an era migration, whose records are only
-//!   identifiable after derivation; all of them before the first scan),
-//!   re-derives and re-probes **only those** — as explicit rank ranges
-//!   through the streaming engine's own pump ([`ScanEngine::fold_ranges`])
-//!   — and merges the fresh summaries over the cached ones in segment
-//!   order. Churn on a rank without a QUIC deployment is absorbed as a
-//!   no-op ([`ChurnState::apply_to_records`]): nothing a probe or the
-//!   funnel reads moves, so its segment stays clean
-//!   ([`quicert_pki::World::serves_quic`] tells, with no record built).
-//!   Because every summary merge is exactly associative and
-//!   commutative (pinned by the worker/chunk-invariance suite), the result
-//!   is **bit-identical to a full rescan** of the churned world at `t` —
-//!   the load-bearing invariant, pinned in `determinism_matrix`.
+//!   and `s`, re-probes **only those** — as explicit rank ranges through
+//!   the streaming engine's own pump ([`ScanEngine::fold_ranges`]),
+//!   deriving only their QUIC services ([`World::quic_chunk_into`]) — and
+//!   merges the fresh reach summaries over the cached ones in segment
+//!   order; the funnel is the cached one. Churn reaches a record only
+//!   through its QUIC deployment ([`ChurnState::apply_to_records`]), and
+//!   the funnel reads nothing of it but the era override: so churn on a
+//!   rank without a QUIC deployment leaves its segment clean
+//!   ([`World::serves_quic`] tells, with no record built), and only an era
+//!   migration moves the funnel. Across one — whose records are only
+//!   identifiable after derivation — and before the first scan, every
+//!   segment re-folds with every rank derived, keeping its reach summary
+//!   and merging its funnel into a new total. Because every summary merge
+//!   is exactly associative and commutative (pinned by the
+//!   worker/chunk-invariance suite), the result is **bit-identical to a
+//!   full rescan** of the churned world at `t` — the load-bearing
+//!   invariant, pinned in `determinism_matrix`.
 //! * A **delta tick** ([`CampaignService::snapshot_at`] at or past the
-//!   clock) is that fold on the live state, after which its summaries
-//!   replace their cached ones and `s` moves to the clock. A **read**
+//!   clock) is that fold on the live state, after which its reach summaries
+//!   replace their cached ones, a re-folded funnel replaces the cached
+//!   total, and `s` moves to the clock. A **read**
 //!   ([`CampaignService::read`], `&self`) is that fold on a clone of the
 //!   live state rewound to its tick ([`ChurnState::rewind`]); it installs
 //!   nothing, so a read absorbs no churn by construction. Reading `t` at
@@ -47,12 +53,12 @@
 //! runs on the one engine, whose scenario-class memo and whose world's
 //! chain-shape flyweight live as long as the engine does. A tick replays
 //! the handshake classes any earlier fold simulated and simulates at most
-//! the records churn actually changed; and the §3.1 funnel looks each
-//! record's chain shape up instead of issuing its certificates
-//! (`https_scan::fold_iter`), so a tick costs what churn changed — record
-//! derivation and two table lookups per record of a re-folded segment — not
-//! what the segment contains. The service needs no invalidation protocol
-//! for either table: churn reaches a probe only through
+//! the records churn actually changed; and a fold across a migration looks
+//! each record's chain shape up instead of issuing its certificates
+//! (`https_scan::fold_iter`), so a tick costs what churn changed — the
+//! QUIC services of a re-folded segment, derived and probed or replayed —
+//! not what the segment contains. The service needs no invalidation
+//! protocol for either table: churn reaches a probe only through
 //! `cert_generation`, `chain_id` drift and `era_override`, and an HTTPS
 //! chain only through `era_override`, all of which the class keys cover,
 //! so a churned record looks up a *different* class and an unchanged one
@@ -62,10 +68,11 @@
 //! `carried_memo_snapshots_equal_a_memo_free_reference`).
 //!
 //! Resident memory is a function of the population, never of the clock:
-//! segment summaries are replaced in place, snapshots are capped at 16,
-//! the tick log keeps a recent window ([`TICK_LOG_WINDOW`]), the
-//! [`ChurnState`] is two dense per-rank vectors sized once, and both
-//! flyweight tables are bounded (`quicreach::MEMO_CLASS_CAPACITY`). A
+//! reach summaries are replaced in place and the funnel is one total,
+//! snapshots are capped at 16, the tick log keeps a recent window
+//! ([`TICK_LOG_WINDOW`]), the [`ChurnState`] is two dense per-rank vectors
+//! sized once, and both flyweight tables are bounded
+//! (`quicreach::MEMO_CLASS_CAPACITY`). A
 //! 10,000-tick soak with interleaved historical reads pins all of it
 //! (`tests/memo_guards.rs`). Nothing resident shadows the timeline: the
 //! churn a delta tick logs is re-derived from `events_at` over `(s, now]`.
@@ -81,7 +88,7 @@ use std::sync::Arc;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, TickDelta, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
-use quicert_pki::DomainRecord;
+use quicert_pki::{DomainRecord, World};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
 use quicert_scanner::Scenario;
@@ -98,8 +105,9 @@ pub struct ServiceConfig {
     /// The churn timeline driving the population between ticks.
     pub churn: ChurnConfig,
     /// Ranks per delta-scan segment: the invalidation granularity. One
-    /// churned QUIC service re-probes its whole segment, so smaller segments
-    /// probe less per tick but cache more summaries.
+    /// churned QUIC service re-probes its whole segment's QUIC services, so
+    /// smaller segments probe less per tick but cache more reach summaries
+    /// (216 B each) and merge more per snapshot.
     pub segment_size: usize,
 }
 
@@ -165,9 +173,11 @@ pub struct TickStats {
     pub full_rescan: bool,
 }
 
-/// What one fold of a rank range yields: the summaries the service caches
-/// per segment (valid at the cache's last scanned tick), and — merged,
-/// which is exact — what a full rescan folds the whole population into.
+/// What one fold of a rank range with every rank derived yields: its
+/// quicreach summary and its §3.1 funnel. A fold across an era migration
+/// keeps the first per segment and merges the second into the cached
+/// total; merged, which is exact, it is what a full rescan folds the whole
+/// population into.
 #[derive(Debug, Clone)]
 struct SegmentSummary {
     reach: QuicReachShard,
@@ -186,6 +196,14 @@ impl Merge for SegmentSummary {
         self.reach.merge(&other.reach);
         self.funnel.merge(&other.funnel);
     }
+}
+
+/// What a serve re-folded, for a delta tick to install over its cache.
+struct Refolded {
+    /// The fresh reach summaries, by segment in segment order.
+    reach: Vec<(usize, QuicReachShard)>,
+    /// The merged funnel, when the span re-derived every rank.
+    funnel: Option<HttpsScanShard>,
 }
 
 /// Scanned ticks [`CampaignService::tick_log`] always retains: the log is
@@ -241,8 +259,8 @@ impl ServiceMetrics {
     }
 }
 
-/// A resident campaign: streaming engine + churn timeline + segment
-/// summary cache + bounded per-tick snapshot store.
+/// A resident campaign: streaming engine + churn timeline + per-segment
+/// reach cache and one funnel + bounded per-tick snapshot store.
 #[derive(Debug)]
 pub struct CampaignService {
     config: ServiceConfig,
@@ -251,10 +269,14 @@ pub struct CampaignService {
     timeline: Timeline,
     state: ChurnState,
     segment_size: usize,
-    /// Cached per-segment summaries, all valid at `scanned_tick`; entry `i`
-    /// covers ranks `[i*segment_size + 1, (i+1)*segment_size]`. Empty until
-    /// the first delta scan folds every segment.
-    segments: Vec<SegmentSummary>,
+    /// Cached per-segment quicreach summaries, all valid at `scanned_tick`;
+    /// entry `i` covers ranks `[i*segment_size + 1, (i+1)*segment_size]`.
+    /// Empty until the first delta scan folds every segment.
+    segments: Vec<QuicReachShard>,
+    /// The §3.1 funnel of the whole population at `scanned_tick`, merged
+    /// when a fold last derived every rank: churn moves it only through an
+    /// era migration.
+    funnel: HttpsScanShard,
     /// The tick the segment cache was last scanned at.
     scanned_tick: u64,
     /// At most [`SNAPSHOT_CAPACITY`] snapshots, oldest-served first.
@@ -266,8 +288,8 @@ pub struct CampaignService {
 
 impl CampaignService {
     /// Build the service. The world is held in streaming form — segments
-    /// re-derive their records on demand, so resident memory is the
-    /// segment summaries, never the population.
+    /// re-derive their records on demand, so resident memory is one reach
+    /// summary per segment and one funnel, never the population.
     pub fn new(config: ServiceConfig) -> CampaignService {
         let segment_size = config.segment_size.max(1);
         let engine = ScanEngine::streaming(
@@ -285,6 +307,7 @@ impl CampaignService {
             state: ChurnState::initial(),
             segment_size,
             segments: Vec::new(),
+            funnel: HttpsScanShard::identity(),
             scanned_tick: 0,
             snapshots: VecDeque::with_capacity(SNAPSHOT_CAPACITY),
             tick_log: Vec::new(),
@@ -353,8 +376,9 @@ impl CampaignService {
     ///
     /// * `tick >= self.tick()`: the clock advances and the snapshot is a
     ///   **delta tick** — the segments churned since the cache's last scan
-    ///   (every one before the first) re-fold under the live state and
-    ///   replace their cached summaries.
+    ///   (every one before the first and across an era migration) re-fold
+    ///   under the live state and replace their cached reach summaries; a
+    ///   fold of every segment replaces the cached funnel too.
     /// * `tick < self.tick()` and not resident: a **historical read**
     ///   ([`CampaignService::read`]), which leaves the clock, the churn
     ///   state and the segment cache as they were.
@@ -366,11 +390,14 @@ impl CampaignService {
             self.read(tick)
         } else {
             self.advance_to(tick);
-            let (snapshot, fresh, stats) = self.serve(tick, &self.state);
+            let (snapshot, refolded, stats) = self.serve(tick, &self.state);
             self.segments
-                .resize_with(stats.total_segments, SegmentSummary::identity);
-            for (segment, summary) in fresh {
-                self.segments[segment] = summary;
+                .resize_with(stats.total_segments, QuicReachShard::identity);
+            for (segment, reach) in refolded.reach {
+                self.segments[segment] = reach;
+            }
+            if let Some(funnel) = refolded.funnel {
+                self.funnel = funnel;
             }
             self.scanned_tick = tick;
             self.metrics.delta_probes.add(stats.probed as u64);
@@ -411,7 +438,15 @@ impl CampaignService {
             .fold_population(self.scenario(), self.segment_fold(state));
         self.metrics.full_probes.add(total.reach.total() as u64);
         self.metrics.full_rescans.inc();
-        Self::snapshot_of(tick, state.stek_epoch, [&total])
+        let (mut reach, mut funnel) = (QuicReachShard::identity(), HttpsScanShard::seeded());
+        reach.merge(&total.reach);
+        funnel.merge(&total.funnel);
+        Snapshot {
+            tick,
+            reach,
+            funnel,
+            stek_epoch: state.stek_epoch,
+        }
     }
 
     /// Read the snapshot at `tick <= self.tick()` off the live segment
@@ -442,36 +477,75 @@ impl CampaignService {
     }
 
     /// Serve `tick` under `state`, the churn state at `tick`: re-fold the
-    /// segments churned between `tick` and the cache's last scan (all of
-    /// them while the cache is empty) and merge them over the cached rest
-    /// in segment order — exact, since an untouched segment's ranks carry
-    /// the same churn at `tick` as at the scan. Returns the snapshot, the
-    /// fresh summaries by segment and the stats a delta tick logs.
-    fn serve(
-        &self,
-        tick: u64,
-        state: &ChurnState,
-    ) -> (Snapshot, Vec<(usize, SegmentSummary)>, TickStats) {
+    /// segments churned between `tick` and the cache's last scan and merge
+    /// their reach summaries over the cached rest in segment order — exact,
+    /// since an untouched segment's ranks carry the same churn at `tick` as
+    /// at the scan. Only an era migration moves the funnel, so the span
+    /// alone picks the fold: into an empty cache or across a migration,
+    /// every rank of every segment, the funnels merged into a new total;
+    /// otherwise the churned segments' QUIC services beside the cached
+    /// funnel. Returns the snapshot, what a delta tick installs and the
+    /// stats it logs.
+    fn serve(&self, tick: u64, state: &ChurnState) -> (Snapshot, Refolded, TickStats) {
         let (churned, span) = self.churned_between(tick, self.scanned_tick);
+        let every = self.segments.is_empty() || span.all_changed;
         let refold: Vec<usize> = (0..churned.len())
-            .filter(|&segment| self.segments.is_empty() || churned[segment])
+            .filter(|&segment| every || churned[segment])
             .collect();
-        let folded = self.fold_segments(&refold, state);
-        let mut fresh = refold.iter().zip(&folded).peekable();
-        let merged: Vec<&SegmentSummary> = (0..churned.len())
-            .map(|segment| match fresh.next_if(|&(&at, _)| at == segment) {
-                Some((_, summary)) => summary,
+        let ranges: Vec<(usize, usize)> = refold
+            .iter()
+            // The population's last segment may be short; derivation
+            // clamps the range to the population.
+            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
+            .collect();
+        let (world, scenario) = (self.engine.world(), self.scenario());
+        let (reach, funnel) = if every {
+            let every_rank = World::domain_chunk_into;
+            let fold = self.segment_fold(state);
+            let folded = self.engine.fold_ranges(scenario, &ranges, every_rank, fold);
+            let mut funnel = HttpsScanShard::seeded();
+            let reach = folded
+                .into_iter()
+                .map(|summary| {
+                    funnel.merge(&summary.funnel);
+                    summary.reach
+                })
+                .collect();
+            (reach, Some(funnel))
+        } else {
+            let reach = self.engine.fold_ranges(
+                scenario,
+                &ranges,
+                World::quic_chunk_into,
+                |records, scratch| {
+                    state.apply_to_records(records);
+                    quicreach::fold_chunk(world, records, scenario, scratch)
+                },
+            );
+            (reach, None)
+        };
+        let mut merged = QuicReachShard::identity();
+        let mut fresh = refold.iter().zip(&reach).peekable();
+        for segment in 0..churned.len() {
+            merged.merge(match fresh.next_if(|&(&at, _)| at == segment) {
+                Some((_, reach)) => reach,
                 None => &self.segments[segment],
-            })
-            .collect();
+            });
+        }
         let stats = TickStats {
             dirty_segments: refold.len(),
-            probed: folded.iter().map(|s| s.reach.total()).sum(),
-            full_probe_count: merged.iter().map(|s| s.reach.total()).sum(),
+            probed: reach.iter().map(QuicReachShard::total).sum(),
+            full_probe_count: merged.total(),
             ..span
         };
-        let snapshot = Self::snapshot_of(tick, state.stek_epoch, merged);
-        (snapshot, refold.into_iter().zip(folded).collect(), stats)
+        let snapshot = Snapshot {
+            tick,
+            reach: merged,
+            funnel: funnel.clone().unwrap_or_else(|| self.funnel.clone()),
+            stek_epoch: state.stek_epoch,
+        };
+        let reach = refold.into_iter().zip(reach).collect();
+        (snapshot, Refolded { reach, funnel }, stats)
     }
 
     /// What churned in the ticks between `a` and `b` (`(min, max]`): per
@@ -509,20 +583,6 @@ impl CampaignService {
         (churned, stats)
     }
 
-    /// Fold `segments` under `state` as explicit rank ranges through the
-    /// engine's pump ([`ScanEngine::fold_ranges`]): one summary per
-    /// segment, in the order given.
-    fn fold_segments(&self, segments: &[usize], state: &ChurnState) -> Vec<SegmentSummary> {
-        let ranges: Vec<(usize, usize)> = segments
-            .iter()
-            // The population's last segment may be short; derivation
-            // clamps the range to the population.
-            .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
-            .collect();
-        self.engine
-            .fold_ranges(self.scenario(), &ranges, self.segment_fold(state))
-    }
-
     /// The fold every scan of this service hands the engine's pump: overlay
     /// `state` on the derived records, then run the same scanner folds a
     /// streamed scan runs.
@@ -537,27 +597,6 @@ impl CampaignService {
                 reach: quicreach::fold_chunk(world, records, scenario, scratch),
                 funnel: https_scan::fold_iter(world, records.iter()),
             }
-        }
-    }
-
-    /// Merge summaries (in the iteration order given — segment order on
-    /// the delta path) into one snapshot.
-    fn snapshot_of<'a>(
-        tick: u64,
-        stek_epoch: u32,
-        summaries: impl IntoIterator<Item = &'a SegmentSummary>,
-    ) -> Snapshot {
-        let mut reach = QuicReachShard::identity();
-        let mut funnel = HttpsScanShard::seeded();
-        for summary in summaries {
-            reach.merge(&summary.reach);
-            funnel.merge(&summary.funnel);
-        }
-        Snapshot {
-            tick,
-            reach,
-            funnel,
-            stek_epoch,
         }
     }
 
@@ -673,6 +712,46 @@ mod tests {
         assert_eq!((stats.dirty_segments, stats.probed), (0, 0));
         assert!(stats.full_probe_count > 0);
         assert_eq!(*snapshot, svc.full_rescan_at(quiet), "tick {quiet}");
+    }
+
+    #[test]
+    fn churn_without_a_migration_never_moves_the_funnel() {
+        // What caching the funnel once per era stands on: until the tick-4
+        // migration every full rescan folds tick 0's funnel, bit for bit,
+        // and so does every delta tick; the migration moves it, to what a
+        // full rescan folds.
+        let mut svc = service(2);
+        let era = svc.snapshot_at(0).funnel.clone();
+        for tick in 1..=3 {
+            assert_eq!(svc.full_rescan_at(tick).funnel, era, "tick {tick}");
+            assert_eq!(svc.snapshot_at(tick).funnel, era, "tick {tick}");
+        }
+        let migrated = svc.snapshot_at(4);
+        assert_ne!(migrated.funnel, era);
+        assert_eq!(migrated.funnel, svc.full_rescan_at(4).funnel);
+    }
+
+    #[test]
+    fn an_overlay_without_a_migration_folds_the_funnel_of_the_derived_records() {
+        // The same at record level: tick 3's churn rewrites QUIC fields of
+        // the records it reaches, and the funnel folds none of them.
+        let svc = service(1);
+        let world = svc.engine().world();
+        let state = ChurnState::at(&Timeline::new(svc.config().churn.clone()), 3);
+        let (derived, overlaid) = (1..=600)
+            .step_by(64)
+            .map(|first| {
+                let derived = world.domain_chunk(first, 64);
+                let mut overlaid = derived.clone();
+                state.apply_to_records(&mut overlaid);
+                (derived, overlaid)
+            })
+            .find(|(derived, overlaid)| derived != overlaid)
+            .expect("tick 3's state reaches a QUIC service");
+        assert_eq!(
+            https_scan::fold_iter(world, &overlaid),
+            https_scan::fold_iter(world, &derived)
+        );
     }
 
     #[test]

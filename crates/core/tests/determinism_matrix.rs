@@ -70,9 +70,12 @@ fn streamed_in_chunks(engine: &ScanEngine, scenario: Scenario, chunk: usize) -> 
         return (*engine.stream_quicreach(scenario)).clone();
     }
     let ranges = uniform_ranges(engine, chunk);
-    QuicReachShard::merge_all(engine.fold_ranges(scenario, &ranges, |records, scratch| {
-        quicreach::fold_chunk(engine.world(), records, scenario, scratch)
-    }))
+    QuicReachShard::merge_all(engine.fold_ranges(
+        scenario,
+        &ranges,
+        World::domain_chunk_into,
+        |records, scratch| quicreach::fold_chunk(engine.world(), records, scenario, scratch),
+    ))
 }
 
 /// The streamed §3.1 funnel at one point of the chunk axis.
@@ -82,9 +85,12 @@ fn funnel_in_chunks(engine: &ScanEngine, chunk: usize) -> HttpsScanShard {
     }
     let ranges = uniform_ranges(engine, chunk);
     let scenario = engine.scenario();
-    HttpsScanShard::merge_all(engine.fold_ranges(scenario, &ranges, |records, _| {
-        https_scan::fold_iter(engine.world(), &*records)
-    }))
+    HttpsScanShard::merge_all(engine.fold_ranges(
+        scenario,
+        &ranges,
+        World::domain_chunk_into,
+        |records, _| https_scan::fold_iter(engine.world(), &*records),
+    ))
 }
 
 #[test]

@@ -18,7 +18,7 @@ use quicert_core::service::TICK_LOG_WINDOW;
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_obs::MetricsRegistry;
 use quicert_pki::world::Provider;
-use quicert_pki::{CertificateEra, WorldConfig};
+use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::quicreach;
 use quicert_scanner::Scenario;
 
@@ -143,9 +143,12 @@ fn a_repeated_fold_simulates_nothing() {
     let engine = streamed_100k(2);
     let ranges: Vec<(usize, usize)> = (0..100).map(|i| (i * 1_000 + 1, 1_000)).collect();
     let fold = || {
-        engine.fold_ranges(BASE, &ranges, |records, scratch| {
-            quicreach::fold_chunk(engine.world(), records, BASE, scratch)
-        })
+        engine.fold_ranges(
+            BASE,
+            &ranges,
+            World::domain_chunk_into,
+            |records, scratch| quicreach::fold_chunk(engine.world(), records, BASE, scratch),
+        )
     };
     let events = MetricsRegistry::global().counter("quicert_netsim_events_total", "");
     let first = fold();
@@ -246,16 +249,15 @@ fn a_tick_without_a_migration_adds_no_chain_shape_class() {
 }
 
 /// A read one tick behind the cache is served the way a delta tick is: its
-/// peak live heap is the rewound churn state, per worker one chunk (a
-/// 64-rank segment of records) with its scratch, and one ≈8.4 kB summary
-/// per segment whose QUIC services the tick churned (its 14 events touch
-/// 13 of the 313 segments here, 4 of them at a QUIC service) — not a
-/// summary per segment (2.6 MB), and no replayed state beside the rewound
-/// one. Measured: ≈+207 kB at 2 workers (≈+290 kB while every churned
-/// segment re-folded); the streamed refold from a state replayed from
-/// tick 0 that reads used to be peaked at ≈+264 kB, holding two summaries
-/// per worker and larger chunks instead of the re-folded segments'
-/// summaries.
+/// peak live heap is the rewound churn state, per worker one chunk (the
+/// QUIC services of a 64-rank segment) with its scratch, one 216 B reach
+/// summary per segment whose QUIC services the tick churned (its 14 events
+/// touch 13 of the 313 segments here, 4 of them at a QUIC service) and one
+/// clone of the cached funnel — not a summary per segment (2.6 MB), no
+/// funnel per re-folded segment, and no replayed state beside the rewound
+/// one. Measured: ≈+170–177 kB at 2 workers; ≈+207 kB while every
+/// re-folded segment derived every rank and carried its own ≈8.4 kB
+/// funnel, which this budget no longer admits.
 #[test]
 fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
     let _serial = serial();
@@ -263,6 +265,7 @@ fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
     const WORKERS: usize = 2;
     const SEGMENT: usize = 64;
     const SUMMARY: usize = 10_240;
+    const REACH: usize = 256;
     let campaign = CampaignConfig::small()
         .with_domains(DOMAINS)
         .with_seed(0x6A4D)
@@ -279,10 +282,12 @@ fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
     assert!(stats.full_rescan && stats.tick == 1);
     assert!(0 < stats.dirty_segments && stats.dirty_segments <= 14);
     assert_eq!(*read, service.full_rescan_at(1));
-    // 8 B a domain of rewound state; per worker one segment of records
-    // (≈300 B each with its name), its scratch and two summaries in
-    // flight; and the re-folded segments' summaries, returned in order.
-    let budget = 8 * DOMAINS + WORKERS * (SEGMENT * 512 + 2 * SUMMARY) + 14 * SUMMARY;
+    // 8 B a domain of rewound state; per worker the QUIC services of one
+    // segment (one rank in ≈5, ≈300 B each with its name), its scratch and
+    // two reach summaries in flight; the re-folded segments' reach
+    // summaries, returned in order; and the snapshot's funnel, a clone of
+    // the cached one.
+    let budget = 8 * DOMAINS + WORKERS * (SEGMENT * 128 + 2 * REACH) + 14 * REACH + SUMMARY;
     assert!(peak <= budget, "a read peaked at {peak} B over {budget} B");
     eprintln!(
         "recent read: peak live heap +{peak} B for {} re-folded segments (budget {budget} B)",
@@ -351,7 +356,8 @@ fn a_read_one_tick_back_folds_as_much_at_tick_5000_as_at_tick_100() {
 /// population, not of its clock: 10,000 ticks with a historical read every
 /// 50, and the snapshot store, the tick log, the churn state, both
 /// flyweight tables and the live heap itself all sit where they sat at
-/// tick 2,000.
+/// tick 2,000 — and what the service holds there fits a budget that one
+/// funnel per segment would break.
 #[test]
 fn resident_state_stays_bounded_over_a_10000_tick_soak() {
     let _serial = serial();
@@ -365,6 +371,7 @@ fn resident_state_stays_bounded_over_a_10000_tick_soak() {
         Provider::Cloudflare,
         CertificateEra::Hybrid,
     );
+    let baseline = live_heap_and_reset_peak();
     let mut svc = CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(16));
     let registry = svc.metrics_registry().clone();
     let resident = registry.gauge("quicert_service_snapshots_resident", "");
@@ -417,8 +424,10 @@ fn resident_state_stays_bounded_over_a_10000_tick_soak() {
     let (live_then, classes_then) = at_2000;
     let learned = svc.engine().memo_classes() - classes_then;
     let live_now = live_heap_and_reset_peak();
+    let held = live_then - baseline;
     eprintln!(
-        "soak: live heap {live_then} B at tick 2,000, {live_now} B at tick 10,000; \
+        "soak: live heap {live_then} B at tick 2,000 ({held} B held by the service), \
+         {live_now} B at tick 10,000; \
          {learned} memo classes learned since, churn state {churn_bytes} B, \
          {shape_classes} chain classes, hit shares {shares:?}"
     );
@@ -426,4 +435,9 @@ fn resident_state_stays_bounded_over_a_10000_tick_soak() {
         live_now <= live_then + learned * 512 + 8_192,
         "live heap {live_then} B at tick 2,000, {live_now} B at tick 10,000 ({learned} classes learned)"
     );
+    // And what the service holds at tick 2,000 (16 snapshots, ≈1.5k logged
+    // ticks, both tables, a reach summary per segment and one funnel) is
+    // ≈812 kB over the heap it was built on. One ≈7.5 kB funnel cached per
+    // segment put it at ≈872 kB.
+    assert!(held <= 840_000, "the service held {held} B at tick 2,000");
 }

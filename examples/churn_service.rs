@@ -44,8 +44,8 @@ fn main() {
 
     // The resident service: advance the clock and query snapshots. Only
     // the segments churned since the last scan re-probe; the merge with
-    // cached segment summaries is bit-identical to a full rescan at that
-    // tick.
+    // the cached reach summaries and funnel is bit-identical to a full
+    // rescan at that tick.
     let mut service = CampaignService::new(config);
     println!("{}\n", service.report_at(0));
     service.snapshot_at(1); // one sparse tick: a genuine delta scan
