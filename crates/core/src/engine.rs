@@ -157,6 +157,9 @@ pub struct WorkerPumpStats {
     /// Wall-clock seconds spent generating and folding its chunks
     /// (excludes idle time waiting on the scope join).
     pub fold_seconds: f64,
+    /// The part of `fold_seconds` spent deriving its chunks' records; the
+    /// rest is the fold itself.
+    pub derive_seconds: f64,
     /// Probes this worker replayed from the scenario-class memo instead of
     /// simulating (zero when the fold has no memo or bypassed it).
     pub memo_hits: u64,
@@ -193,6 +196,7 @@ impl PumpStats {
             totals.chunks_claimed += w.chunks_claimed;
             totals.records_folded += w.records_folded;
             totals.fold_seconds += w.fold_seconds;
+            totals.derive_seconds += w.derive_seconds;
             totals.memo_hits += w.memo_hits;
             totals.memo_misses += w.memo_misses;
             totals.distinct_classes += w.distinct_classes;
@@ -255,6 +259,11 @@ impl Claims<'_> {
     }
 }
 
+/// The pump's wall-clock stage series: `fold_wall_seconds` split into
+/// deriving records and folding them.
+const STAGE_WALL_SECONDS: &str = "quicert_engine_stage_wall_seconds_total";
+const STAGE_WALL_HELP: &str = "Wall-clock seconds pump workers spent per stage of a chunk";
+
 /// Pre-registered streaming-pump instruments on the engine's registry —
 /// resolved once at construction so the pump's flush is a handful of
 /// atomic adds, never a registry lock.
@@ -263,6 +272,9 @@ struct EngineMetrics {
     chunks_claimed: Arc<Counter>,
     records_folded: Arc<Counter>,
     fold_wall_seconds: Arc<Gauge>,
+    /// `fold_wall_seconds` split by stage: deriving records, folding them.
+    derive_wall_seconds: Arc<Gauge>,
+    fold_stage_wall_seconds: Arc<Gauge>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     memo_classes: Arc<Gauge>,
@@ -279,11 +291,21 @@ impl EngineMetrics {
                 "quicert_engine_records_folded_total",
                 "Records generated and folded by the streaming pump",
             ),
-            // "wall" marks the one nondeterministic value in the registry:
-            // golden renders redact exactly the lines carrying it.
+            // "wall" marks the registry's nondeterministic values: golden
+            // renders redact exactly the lines carrying it.
             fold_wall_seconds: registry.gauge(
                 "quicert_engine_fold_wall_seconds_total",
                 "Wall-clock seconds pump workers spent generating and folding",
+            ),
+            derive_wall_seconds: registry.labeled_gauge(
+                STAGE_WALL_SECONDS,
+                &[("stage", "derive")],
+                STAGE_WALL_HELP,
+            ),
+            fold_stage_wall_seconds: registry.labeled_gauge(
+                STAGE_WALL_SECONDS,
+                &[("stage", "fold")],
+                STAGE_WALL_HELP,
             ),
             memo_hits: registry.counter(
                 "quicert_engine_memo_hits_total",
@@ -682,7 +704,9 @@ impl ScanEngine {
             while let Some((tag, first, len)) = claims.next(&cursor, &mut size, effective) {
                 let started = Instant::now();
                 derive(&self.world, first, len, &mut buf);
+                let derived = Instant::now();
                 fold(&mut acc, tag, &mut buf, &mut scratch);
+                stats.derive_seconds += (derived - started).as_secs_f64();
                 stats.fold_seconds += started.elapsed().as_secs_f64();
                 stats.chunks_claimed += 1;
                 stats.records_folded += self.world.chunk_ranks(first, len).len() as u64;
@@ -713,6 +737,10 @@ impl ScanEngine {
             self.metrics.chunks_claimed.add(totals.chunks_claimed);
             self.metrics.records_folded.add(totals.records_folded);
             self.metrics.fold_wall_seconds.add(totals.fold_seconds);
+            self.metrics.derive_wall_seconds.add(totals.derive_seconds);
+            self.metrics
+                .fold_stage_wall_seconds
+                .add(totals.fold_seconds - totals.derive_seconds);
             self.metrics.memo_hits.add(totals.memo_hits);
             self.metrics.memo_misses.add(totals.memo_misses);
             self.metrics
@@ -1392,6 +1420,39 @@ mod tests {
                 "metrics off diverged at {workers} workers"
             );
         }
+    }
+
+    #[test]
+    fn the_pump_stages_sum_to_the_fold_wall_time() {
+        // A pass deriving every rank and one deriving only QUIC services:
+        // per worker the derive stage is a part of the fold lump, and the
+        // flushed stage series add up to the lump's gauge within float
+        // rounding (ε = 1e-9 of it).
+        let engine = engine(2);
+        engine.stream_https_scan();
+        engine.stream_quicreach(BASE);
+        let stats = engine.pump_stats().expect("a pump ran");
+        for worker in &stats.workers {
+            assert!(worker.derive_seconds <= worker.fold_seconds, "{worker:?}");
+        }
+        let registry = engine.metrics_registry();
+        let stage = |stage| {
+            registry
+                .labeled_gauge(STAGE_WALL_SECONDS, &[("stage", stage)], "")
+                .get()
+        };
+        let (derive, fold) = (stage("derive"), stage("fold"));
+        let lump = registry
+            .gauge("quicert_engine_fold_wall_seconds_total", "")
+            .get();
+        assert!(
+            derive > 0.0 && fold > 0.0,
+            "derive {derive} s, fold {fold} s"
+        );
+        assert!(
+            (derive + fold - lump).abs() <= 1e-9 * lump,
+            "derive {derive} s + fold {fold} s against {lump} s"
+        );
     }
 
     #[test]

@@ -84,6 +84,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, TickDelta, Timeline};
@@ -222,6 +223,42 @@ struct ServiceMetrics {
     delta_scans: Arc<Counter>,
     full_rescans: Arc<Counter>,
     snapshots_resident: Arc<Gauge>,
+    tick_stages: StageWall,
+    read_stages: StageWall,
+}
+
+/// Wall-clock seconds one serving path — `tick` (a delta tick) or `read`
+/// (a historical read) — spent per stage: `churn` (on a tick stepping the
+/// state in [`CampaignService::advance_to`], on a read building its view),
+/// `fold` ([`ScanEngine::fold_ranges`] over the re-folded segments) and
+/// `merge` (the snapshot's reach merge and its clone of the funnel).
+#[derive(Debug)]
+struct StageWall {
+    churn: Arc<Gauge>,
+    fold: Arc<Gauge>,
+    merge: Arc<Gauge>,
+}
+
+impl StageWall {
+    fn register(registry: &MetricsRegistry, path: &str) -> StageWall {
+        let stage = |stage| {
+            registry.labeled_gauge(
+                "quicert_service_stage_wall_seconds_total",
+                &[("stage", stage), ("path", path)],
+                "Wall-clock seconds the service spent per stage of a delta tick or a read",
+            )
+        };
+        StageWall {
+            churn: stage("churn"),
+            fold: stage("fold"),
+            merge: stage("merge"),
+        }
+    }
+}
+
+/// Add the wall-clock seconds since `started` to `gauge`.
+fn add_since(gauge: &Gauge, started: Instant) {
+    gauge.add(started.elapsed().as_secs_f64());
 }
 
 impl ServiceMetrics {
@@ -255,6 +292,8 @@ impl ServiceMetrics {
                 "quicert_service_snapshots_resident",
                 "Snapshots held in the service's bounded store",
             ),
+            tick_stages: StageWall::register(registry, "tick"),
+            read_stages: StageWall::register(registry, "read"),
         }
     }
 }
@@ -361,6 +400,7 @@ impl CampaignService {
     /// the cache's last scan. Ticks already applied are not re-applied (the
     /// clock is monotonic).
     pub fn advance_to(&mut self, tick: u64) {
+        let started = Instant::now();
         while self.state.tick < tick {
             let delta = self.state.advance(&self.timeline);
             self.metrics.ticks_applied.inc();
@@ -368,6 +408,7 @@ impl CampaignService {
                 .records_churned
                 .add(delta.changed_ranks.len() as u64);
         }
+        add_since(&self.metrics.tick_stages.churn, started);
     }
 
     /// The snapshot at `tick`, computed on first request and kept while it
@@ -390,7 +431,8 @@ impl CampaignService {
             self.read(tick)
         } else {
             self.advance_to(tick);
-            let (snapshot, refolded, stats) = self.serve(tick, &self.state);
+            let stages = &self.metrics.tick_stages;
+            let (snapshot, refolded, stats) = self.serve(tick, &self.state, stages);
             self.segments
                 .resize_with(stats.total_segments, QuicReachShard::identity);
             for (segment, reach) in refolded.reach {
@@ -461,9 +503,12 @@ impl CampaignService {
     /// If `tick` is past the clock.
     pub fn read(&self, tick: u64) -> (Snapshot, TickStats) {
         assert!(tick <= self.tick(), "read of tick {tick} past the clock");
+        let stages = &self.metrics.read_stages;
+        let started = Instant::now();
         let mut state = self.state.clone();
         state.rewind(&self.timeline, tick);
-        let (snapshot, _, stats) = self.serve(tick, &state);
+        add_since(&stages.churn, started);
+        let (snapshot, _, stats) = self.serve(tick, &state, stages);
         self.metrics.full_probes.add(stats.probed as u64);
         self.metrics.full_rescans.inc();
         let stats = TickStats {
@@ -485,8 +530,13 @@ impl CampaignService {
     /// every rank of every segment, the funnels merged into a new total;
     /// otherwise the churned segments' QUIC services beside the cached
     /// funnel. Returns the snapshot, what a delta tick installs and the
-    /// stats it logs.
-    fn serve(&self, tick: u64, state: &ChurnState) -> (Snapshot, Refolded, TickStats) {
+    /// stats it logs; the fold and the merge time into `stages`.
+    fn serve(
+        &self,
+        tick: u64,
+        state: &ChurnState,
+        stages: &StageWall,
+    ) -> (Snapshot, Refolded, TickStats) {
         let (churned, span) = self.churned_between(tick, self.scanned_tick);
         let every = self.segments.is_empty() || span.all_changed;
         let refold: Vec<usize> = (0..churned.len())
@@ -499,6 +549,7 @@ impl CampaignService {
             .map(|&segment| (segment * self.segment_size + 1, self.segment_size))
             .collect();
         let (world, scenario) = (self.engine.world(), self.scenario());
+        let started = Instant::now();
         let (reach, funnel) = if every {
             let every_rank = World::domain_chunk_into;
             let fold = self.segment_fold(state);
@@ -524,6 +575,8 @@ impl CampaignService {
             );
             (reach, None)
         };
+        add_since(&stages.fold, started);
+        let started = Instant::now();
         let mut merged = QuicReachShard::identity();
         let mut fresh = refold.iter().zip(&reach).peekable();
         for segment in 0..churned.len() {
@@ -532,6 +585,8 @@ impl CampaignService {
                 None => &self.segments[segment],
             });
         }
+        let funnel_now = funnel.clone().unwrap_or_else(|| self.funnel.clone());
+        add_since(&stages.merge, started);
         let stats = TickStats {
             dirty_segments: refold.len(),
             probed: reach.iter().map(QuicReachShard::total).sum(),
@@ -541,7 +596,7 @@ impl CampaignService {
         let snapshot = Snapshot {
             tick,
             reach: merged,
-            funnel: funnel.clone().unwrap_or_else(|| self.funnel.clone()),
+            funnel: funnel_now,
             stek_epoch: state.stek_epoch,
         };
         let reach = refold.into_iter().zip(reach).collect();
@@ -900,6 +955,30 @@ mod tests {
         assert!(text.contains("quicert_service_delta_scans_total 2"));
         assert!(text.contains(&format!("quicert_service_delta_probes_total {probed}")));
         assert!(text.contains("quicert_engine_records_folded_total"));
+    }
+
+    #[test]
+    fn ticks_and_reads_time_their_stages_apart() {
+        // A delta tick's stages land under `path="tick"` and a read's under
+        // `path="read"`; neither path moves the other's series.
+        let mut svc = service(1);
+        let registry = Arc::clone(svc.metrics_registry());
+        let series = |path| {
+            ["churn", "fold", "merge"].map(|stage| {
+                let labels = [("stage", stage), ("path", path)];
+                let name = "quicert_service_stage_wall_seconds_total";
+                registry.labeled_gauge(name, &labels, "").get()
+            })
+        };
+        svc.snapshot_at(1);
+        svc.snapshot_at(3);
+        let ticked = series("tick");
+        assert!(ticked.iter().all(|&seconds| seconds > 0.0), "{ticked:?}");
+        assert_eq!(series("read"), [0.0; 3]);
+        svc.snapshot_at(2);
+        let read = series("read");
+        assert!(read.iter().all(|&seconds| seconds > 0.0), "{read:?}");
+        assert_eq!(series("tick"), ticked);
     }
 
     #[test]

@@ -355,12 +355,7 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// When `(name, labels)` is already registered as a different kind.
-    pub(crate) fn labeled_gauge(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-    ) -> Arc<Gauge> {
+    pub fn labeled_gauge(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
         match self.register(name, labels, help, Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(g) => g,
             other => panic!("metric {name} already registered as a {}", other.kind()),

@@ -4,8 +4,9 @@
 //!
 //! The registry is deterministic by construction — every value is a count
 //! of deterministic work or a histogram over *simulated* time — except the
-//! wall-clock fold gauge, whose name carries `_wall_` precisely so this
-//! test (and any other reproducible consumer) can redact it by substring.
+//! wall-clock gauges (the fold lump and its stage split), whose names carry
+//! `_wall_` precisely so this test (and any other reproducible consumer)
+//! can redact them by substring.
 //! A drifted snapshot therefore means a metric was renamed, re-labelled,
 //! re-binned, or its instrumentation points moved — all things a human
 //! should see in review.
@@ -27,7 +28,7 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Replace the value of every non-comment line whose metric name contains
-/// `_wall_` — the registry's only wall-clock (nondeterministic) series.
+/// `_wall_` — the registry's wall-clock (nondeterministic) series.
 fn redact_wall_clock(rendered: &str) -> String {
     rendered
         .lines()
