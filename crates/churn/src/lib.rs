@@ -16,9 +16,11 @@
 //!   events in any order yields the same state — pinned by a proptest.
 //!   The per-rank counters are dense vectors sized to the population
 //!   once (8 bytes a domain), so a state's memory is flat in the tick.
-//!   [`ChurnState::rewind`] undoes ticks the same way, so a past tick is
-//!   reached from a later state in the ticks between them, not from 0.
-//! * [`ChurnState::apply_to_records`] overlays the state onto derived
+//! * [`ChurnView`] reads a past tick through a later state: the live
+//!   counters borrowed, minus an undo list of the ranks churned in the
+//!   ticks between ([`ChurnState::view_at`]). A past tick costs those
+//!   ticks' events, not a copy of the population's counters.
+//! * [`ChurnView::apply_to_records`] overlays a state onto derived
 //!   [`DomainRecord`]s. The overlay only touches the churn fields of
 //!   `QuicDeployment` (`cert_generation`, `chain_id`, `era_override`), so
 //!   an empty state reproduces the pre-churn world byte-for-byte.
@@ -33,7 +35,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unreachable_pub)]
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use quicert_netsim::SimRng;
 use quicert_pki::world::Provider;
@@ -437,8 +440,8 @@ impl ChurnState {
     }
 
     /// The state at `tick`, replayed from scratch — the reference
-    /// [`ChurnState::advance`] and [`ChurnState::rewind`] must agree with at
-    /// every tick.
+    /// [`ChurnState::advance`] and [`ChurnState::view_at`] must agree with
+    /// at every tick.
     pub fn at(timeline: &Timeline, tick: u64) -> ChurnState {
         let mut state = ChurnState::initial();
         for _ in 0..tick {
@@ -447,49 +450,46 @@ impl ChurnState {
         state
     }
 
-    /// Step this state — `timeline`'s, reached by [`ChurnState::advance`] —
-    /// back to `tick`, undoing the events of every tick in
-    /// `(tick, self.tick]`, newest first: per-rank counters, event tallies
-    /// and the STEK epoch count down, and if a migration fired in that span
-    /// the era overrides are recomputed from the timeline's schedule. The
-    /// result equals [`ChurnState::at`]`(timeline, tick)`, heap bytes
-    /// included, at the cost of `self.tick - tick` ticks instead of `tick`.
-    /// A `tick` at or past the state's own leaves it alone.
-    pub fn rewind(&mut self, timeline: &Timeline, tick: u64) {
-        if tick >= self.tick {
-            return;
+    /// This state as it stands: a view with nothing to undo.
+    pub fn view(&self) -> ChurnView<'_> {
+        ChurnView {
+            live: self,
+            undo: Vec::new(),
+            era_overrides: Cow::Borrowed(&self.era_overrides),
+            stek_epoch: self.stek_epoch,
         }
-        if tick == 0 {
-            // The as-generated world holds no counters at all.
-            *self = ChurnState::initial();
-            return;
-        }
+    }
+
+    /// This state — `timeline`'s, reached by [`ChurnState::advance`] —
+    /// seen at `tick`: the view subtracts the generation and drift steps
+    /// of every rank churned in `(tick, self.tick]`, counts the STEK
+    /// rollovers of those ticks back and, if a migration fired among them,
+    /// recomputes the era overrides from the timeline's schedule. It
+    /// answers as [`ChurnState::at`]`(timeline, tick)` does, at the cost
+    /// of the span's events; it holds one entry per distinct churned rank
+    /// and copies nothing of the population's counters. A `tick` at or past
+    /// the state's own is [`ChurnState::view`].
+    pub fn view_at(&self, timeline: &Timeline, tick: u64) -> ChurnView<'_> {
+        let mut view = self.view();
+        let mut undo: BTreeMap<usize, Undo> = BTreeMap::new();
         let mut migrated = false;
-        while self.tick > tick {
-            for event in &timeline.events_at(self.tick) {
-                self.events_applied -= 1;
-                match *event {
-                    ChurnEvent::RotateCert { rank } => {
-                        self.generations[rank - 1] -= 1;
-                        self.rotations -= 1;
+        for at in tick + 1..=self.tick {
+            for event in timeline.events_at(at) {
+                match event {
+                    ChurnEvent::RotateCert { rank } | ChurnEvent::Revoke { rank } => {
+                        undo.entry(rank).or_default().generations += 1;
                     }
-                    ChurnEvent::Revoke { rank } => {
-                        self.generations[rank - 1] -= 1;
-                        self.revocations -= 1;
-                    }
-                    ChurnEvent::DriftChain { rank } => {
-                        self.drifts[rank - 1] -= 1;
-                        self.chain_drifts -= 1;
-                    }
-                    ChurnEvent::StekRollover => self.stek_epoch -= 1,
+                    ChurnEvent::DriftChain { rank } => undo.entry(rank).or_default().drifts += 1,
+                    ChurnEvent::StekRollover => view.stek_epoch -= 1,
                     ChurnEvent::EraMigration { .. } => migrated = true,
                 }
             }
-            self.tick -= 1;
         }
         if migrated {
-            self.era_overrides = era_overrides_at(timeline, tick);
+            view.era_overrides = Cow::Owned(era_overrides_at(timeline, tick));
         }
+        view.undo = undo.into_iter().collect();
+        view
     }
 
     /// The certificate generation of one rank (0 = never churned).
@@ -527,21 +527,70 @@ impl ChurnState {
         counters * std::mem::size_of::<u32>() + self.era_overrides.capacity() * override_entry
     }
 
-    /// Overlay the state onto freshly derived records (any rank subset,
-    /// in any order — the overlay is per-record). Records without a QUIC
-    /// deployment absorb their churn as a no-op, byte for byte, so a
-    /// resident service leaves a segment whose churned ranks serve no QUIC
-    /// clean; an empty state leaves every record byte-identical.
+    /// Overlay the state onto freshly derived records: its own view's
+    /// [`ChurnView::apply_to_records`].
+    pub fn apply_to_records(&self, records: &mut [DomainRecord]) {
+        self.view().apply_to_records(records);
+    }
+}
+
+/// One rank's churn in a view's span: the steps to subtract from the live
+/// state's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Undo {
+    generations: u32,
+    drifts: u32,
+}
+
+/// The churn state at one tick, read through a later state it borrows: the
+/// live per-rank counters minus an undo list holding, for each distinct
+/// rank churned since the tick, the steps to subtract, beside the era
+/// overrides and the STEK epoch at the tick. Built by
+/// [`ChurnState::view_at`] (a past tick) or [`ChurnState::view`] (the
+/// state's own, with nothing to undo), it answers what derivation reads —
+/// [`ChurnView::apply_to_records`] and [`ChurnView::stek_epoch`] — exactly
+/// as the state replayed to its tick would.
+#[derive(Debug)]
+pub struct ChurnView<'a> {
+    live: &'a ChurnState,
+    /// The span's churned ranks, sorted, with their steps to undo.
+    undo: Vec<(usize, Undo)>,
+    /// The live state's overrides, or those at the tick when a migration
+    /// fired in the span.
+    era_overrides: Cow<'a, HashMap<Provider, CertificateEra>>,
+    stek_epoch: u32,
+}
+
+impl ChurnView<'_> {
+    /// What the span churned on `rank` (nothing for a rank it left alone).
+    fn undone(&self, rank: usize) -> Undo {
+        self.undo
+            .binary_search_by_key(&rank, |&(churned, _)| churned)
+            .map_or(Undo::default(), |at| self.undo[at].1)
+    }
+
+    /// The global session-ticket-key epoch at the view's tick.
+    pub fn stek_epoch(&self) -> u32 {
+        self.stek_epoch
+    }
+
+    /// Overlay the churn at the view's tick onto freshly derived records
+    /// (any rank subset, in any order — the overlay is per-record). Records
+    /// without a QUIC deployment absorb their churn as a no-op, byte for
+    /// byte, so a resident service leaves a segment whose churned ranks
+    /// serve no QUIC clean; an empty state leaves every record
+    /// byte-identical.
     pub fn apply_to_records(&self, records: &mut [DomainRecord]) {
         for record in records {
             let rank = record.rank;
             if let Some(quic) = record.quic.as_mut() {
-                quic.cert_generation = self.generation_of(rank);
-                let steps = self.drift_of(rank);
+                let undone = self.undone(rank);
+                quic.cert_generation = self.live.generation_of(rank) - undone.generations;
+                let steps = self.live.drift_of(rank) - undone.drifts;
                 if steps > 0 {
                     quic.chain_id = drifted(quic.chain_id, steps);
                 }
-                quic.era_override = self.era_of(quic.provider);
+                quic.era_override = self.era_overrides.get(&quic.provider).copied();
             }
         }
     }
@@ -608,9 +657,9 @@ mod tests {
     }
 
     #[test]
-    fn rewinding_the_live_state_equals_replaying_to_the_tick() {
+    fn a_view_of_the_live_state_answers_as_the_state_replayed_to_its_tick() {
         // Two migrations of one provider (the later must give way to the
-        // earlier on the way back), a second provider on the same tick, and
+        // earlier looking back), a second provider on the same tick, and
         // a STEK rollover every fourth tick.
         let mut config = ChurnConfig::new(0x000C_4A11, 500)
             .with_migration(3, Provider::Google, CertificateEra::Hybrid)
@@ -618,27 +667,79 @@ mod tests {
             .with_migration(11, Provider::Meta, CertificateEra::Hybrid);
         config.stek_rollover_every = 4;
         let t = Timeline::new(config);
+        let world = quicert_pki::World::streaming(quicert_pki::WorldConfig {
+            domains: 500,
+            seed: 9,
+        });
+        let population = world.domain_chunk(1, world.config.domains);
+        let overlaid = |apply: &dyn Fn(&mut [DomainRecord])| {
+            let mut records = population.clone();
+            apply(&mut records);
+            records
+        };
         let mut live = ChurnState::initial();
         for now in 0..=24 {
             if now > 0 {
                 live.advance(&t);
             }
             for tick in 0..=now {
-                let mut rewound = live.clone();
-                rewound.rewind(&t, tick);
-                let replayed = ChurnState::at(&t, tick);
-                assert_eq!(rewound, replayed, "{now} -> {tick}");
+                let (view, replayed) = (live.view_at(&t, tick), ChurnState::at(&t, tick));
+                // Every rank's counters, QUIC service or not…
+                for rank in 1..=500 {
+                    let undone = view.undone(rank);
+                    assert_eq!(
+                        (
+                            live.generation_of(rank) - undone.generations,
+                            live.drift_of(rank) - undone.drifts
+                        ),
+                        (replayed.generation_of(rank), replayed.drift_of(rank)),
+                        "{now} -> {tick}, rank {rank}"
+                    );
+                }
+                // …every record's overlay, the STEK epoch and the era
+                // overrides.
+                assert!(
+                    overlaid(&|records| view.apply_to_records(records))
+                        == overlaid(&|records| replayed.apply_to_records(records)),
+                    "{now} -> {tick}"
+                );
+                assert_eq!(view.stek_epoch(), replayed.stek_epoch, "{now} -> {tick}");
                 assert_eq!(
-                    rewound.heap_bytes(),
-                    replayed.heap_bytes(),
+                    *view.era_overrides, replayed.era_overrides,
                     "{now} -> {tick}"
                 );
             }
         }
-        // Rewinding forward is no rewind at all.
-        let mut ahead = live.clone();
-        ahead.rewind(&t, 30);
-        assert_eq!(ahead, live);
+        // Not vacuous: looking back across tick 11 restores Google's first
+        // migration and undoes Meta's, and a tick-0 view holds every rank
+        // the clock churned.
+        let back = live.view_at(&t, 10);
+        assert_eq!(
+            back.era_overrides.get(&Provider::Google),
+            Some(&CertificateEra::Hybrid)
+        );
+        assert_eq!(back.era_overrides.get(&Provider::Meta), None);
+        assert_eq!(live.view_at(&t, 0).undo.len(), live.churned_ranks().len());
+        // A view at or past the clock undoes nothing.
+        let ahead = live.view_at(&t, 30);
+        assert!(ahead.undo.is_empty() && ahead.stek_epoch() == live.stek_epoch);
+        assert!(matches!(ahead.era_overrides, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn a_view_one_tick_back_holds_only_that_ticks_ranks() {
+        // The undo list is sized by the span's distinct churned ranks,
+        // however large the population and however late the clock.
+        let t = Timeline::new(ChurnConfig::new(0x000C_4A11, 1_000_000));
+        let mut live = ChurnState::initial();
+        for _ in 0..50 {
+            live.advance(&t);
+        }
+        let view = live.view_at(&t, 49);
+        let delta = TickDelta::of(50, &t.events_at(50));
+        let ranks: Vec<usize> = view.undo.iter().map(|&(rank, _)| rank).collect();
+        assert_eq!(ranks, delta.changed_ranks);
+        assert!(matches!(view.era_overrides, Cow::Borrowed(_)));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   deriving only their QUIC services ([`World::quic_chunk_into`]) — and
 //!   merges the fresh reach summaries over the cached ones in segment
 //!   order; the funnel is the cached one. Churn reaches a record only
-//!   through its QUIC deployment ([`ChurnState::apply_to_records`]), and
+//!   through its QUIC deployment ([`ChurnView::apply_to_records`]), and
 //!   the funnel reads nothing of it but the era override: so churn on a
 //!   rank without a QUIC deployment leaves its segment clean
 //!   ([`World::serves_quic`] tells, with no record built), and only an era
@@ -31,15 +31,18 @@
 //!   worker/chunk-invariance suite), the result is **bit-identical to a
 //!   full rescan** of the churned world at `t` — the load-bearing
 //!   invariant, pinned in `determinism_matrix`.
-//! * A **delta tick** ([`CampaignService::snapshot_at`] at or past the
-//!   clock) is that fold on the live state, after which its reach summaries
-//!   replace their cached ones, a re-folded funnel replaces the cached
-//!   total, and `s` moves to the clock. A **read**
-//!   ([`CampaignService::read`], `&self`) is that fold on a clone of the
-//!   live state rewound to its tick ([`ChurnState::rewind`]); it installs
-//!   nothing, so a read absorbs no churn by construction. Reading `t` at
-//!   clock `now` costs `|now − t| + |s − t|` churn ticks plus the segments
-//!   they touch. `snapshot_at` keeps the last 16 snapshots served
+//! * Every fold reads churn through one borrowed [`ChurnView`]. A **delta
+//!   tick** ([`CampaignService::snapshot_at`] at or past the clock) is that
+//!   fold under the live state's own view, which undoes nothing, after
+//!   which its reach summaries replace their cached ones, a re-folded
+//!   funnel replaces the cached total, and `s` moves to the clock. A
+//!   **read** ([`CampaignService::read`], `&self`) is that fold under the
+//!   live state seen at its tick ([`ChurnState::view_at`]: the live
+//!   counters, minus an undo list of the ranks churned since the tick); it
+//!   copies nothing of the population's counters and installs nothing, so
+//!   a read absorbs no churn by construction. Reading `t` at clock `now`
+//!   costs `|now − t| + |s − t|` churn ticks plus the segments they touch.
+//!   `snapshot_at` keeps the last 16 snapshots served
 //!   (`SNAPSHOT_CAPACITY`, evicted in the order they were first served)
 //!   and logs every scan; any other past tick it serves through `read`.
 //! * [`CampaignService::full_rescan_at`] is the reference every snapshot
@@ -87,7 +90,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use quicert_analysis::Merge;
-use quicert_churn::{ChurnConfig, ChurnState, TickDelta, Timeline};
+use quicert_churn::{ChurnConfig, ChurnState, ChurnView, TickDelta, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{DomainRecord, World};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
@@ -432,7 +435,7 @@ impl CampaignService {
         } else {
             self.advance_to(tick);
             let stages = &self.metrics.tick_stages;
-            let (snapshot, refolded, stats) = self.serve(tick, &self.state, stages);
+            let (snapshot, refolded, stats) = self.serve(tick, &self.state.view(), stages);
             self.segments
                 .resize_with(stats.total_segments, QuicReachShard::identity);
             for (segment, reach) in refolded.reach {
@@ -475,9 +478,10 @@ impl CampaignService {
             replayed = ChurnState::at(&self.timeline, tick);
             &replayed
         };
+        let churn = state.view();
         let total: SegmentSummary = self
             .engine
-            .fold_population(self.scenario(), self.segment_fold(state));
+            .fold_population(self.scenario(), self.segment_fold(&churn));
         self.metrics.full_probes.add(total.reach.total() as u64);
         self.metrics.full_rescans.inc();
         let (mut reach, mut funnel) = (QuicReachShard::identity(), HttpsScanShard::seeded());
@@ -487,14 +491,14 @@ impl CampaignService {
             tick,
             reach,
             funnel,
-            stek_epoch: state.stek_epoch,
+            stek_epoch: churn.stek_epoch(),
         }
     }
 
     /// Read the snapshot at `tick <= self.tick()` off the live segment
-    /// cache: a clone of the live state rewound to `tick`, served like a
-    /// delta tick with nothing installed, so a read absorbs no churn and
-    /// reads may run concurrently. Its stats are marked `full_rescan`
+    /// cache: the live state seen at `tick` through a [`ChurnView`], served
+    /// like a delta tick with nothing installed, so a read absorbs no churn
+    /// and reads may run concurrently. Its stats are marked `full_rescan`
     /// ("served off the live clock") and carry no churn of their own;
     /// [`CampaignService::snapshot_at`] stores and logs it.
     ///
@@ -505,10 +509,9 @@ impl CampaignService {
         assert!(tick <= self.tick(), "read of tick {tick} past the clock");
         let stages = &self.metrics.read_stages;
         let started = Instant::now();
-        let mut state = self.state.clone();
-        state.rewind(&self.timeline, tick);
+        let churn = self.state.view_at(&self.timeline, tick);
         add_since(&stages.churn, started);
-        let (snapshot, _, stats) = self.serve(tick, &state, stages);
+        let (snapshot, _, stats) = self.serve(tick, &churn, stages);
         self.metrics.full_probes.add(stats.probed as u64);
         self.metrics.full_rescans.inc();
         let stats = TickStats {
@@ -521,7 +524,7 @@ impl CampaignService {
         (snapshot, stats)
     }
 
-    /// Serve `tick` under `state`, the churn state at `tick`: re-fold the
+    /// Serve `tick` under `churn`, the churn state at `tick`: re-fold the
     /// segments churned between `tick` and the cache's last scan and merge
     /// their reach summaries over the cached rest in segment order — exact,
     /// since an untouched segment's ranks carry the same churn at `tick` as
@@ -534,7 +537,7 @@ impl CampaignService {
     fn serve(
         &self,
         tick: u64,
-        state: &ChurnState,
+        churn: &ChurnView,
         stages: &StageWall,
     ) -> (Snapshot, Refolded, TickStats) {
         let (churned, span) = self.churned_between(tick, self.scanned_tick);
@@ -552,7 +555,7 @@ impl CampaignService {
         let started = Instant::now();
         let (reach, funnel) = if every {
             let every_rank = World::domain_chunk_into;
-            let fold = self.segment_fold(state);
+            let fold = self.segment_fold(churn);
             let folded = self.engine.fold_ranges(scenario, &ranges, every_rank, fold);
             let mut funnel = HttpsScanShard::seeded();
             let reach = folded
@@ -569,7 +572,7 @@ impl CampaignService {
                 &ranges,
                 World::quic_chunk_into,
                 |records, scratch| {
-                    state.apply_to_records(records);
+                    churn.apply_to_records(records);
                     quicreach::fold_chunk(world, records, scenario, scratch)
                 },
             );
@@ -597,7 +600,7 @@ impl CampaignService {
             tick,
             reach: merged,
             funnel: funnel_now,
-            stek_epoch: state.stek_epoch,
+            stek_epoch: churn.stek_epoch(),
         };
         let reach = refold.into_iter().zip(reach).collect();
         (snapshot, Refolded { reach, funnel }, stats)
@@ -609,7 +612,7 @@ impl CampaignService {
     /// and `a`'s stats with the span's churn, each tick's [`TickDelta`] (as
     /// [`ChurnState::advance`] derives it) summed. A rank without a QUIC
     /// deployment absorbs its churn as a no-op
-    /// ([`ChurnState::apply_to_records`]), so it is counted in the stats but
+    /// ([`ChurnView::apply_to_records`]), so it is counted in the stats but
     /// leaves its segment clean.
     fn churned_between(&self, a: u64, b: u64) -> (Vec<bool>, TickStats) {
         let world = self.engine.world();
@@ -639,15 +642,15 @@ impl CampaignService {
     }
 
     /// The fold every scan of this service hands the engine's pump: overlay
-    /// `state` on the derived records, then run the same scanner folds a
+    /// `churn` on the derived records, then run the same scanner folds a
     /// streamed scan runs.
     fn segment_fold<'a>(
         &'a self,
-        state: &'a ChurnState,
+        churn: &'a ChurnView<'a>,
     ) -> impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> SegmentSummary + Sync + 'a {
         let (world, scenario) = (self.engine.world(), self.scenario());
         move |records, scratch| {
-            state.apply_to_records(records);
+            churn.apply_to_records(records);
             SegmentSummary {
                 reach: quicreach::fold_chunk(world, records, scenario, scratch),
                 funnel: https_scan::fold_iter(world, records.iter()),

@@ -735,9 +735,10 @@ proptest! {
     }
 }
 
-/// A historical read rewinds the live churn state and re-folds only the
-/// segments the churn between its tick and the cache's last scan touched;
-/// a delta scan re-folds the dirty segments of the live clock. Reading
+/// A historical read sees the live churn state at its tick through an undo
+/// list of the ranks churned since, and re-folds only the segments the
+/// churn between its tick and the cache's last scan touched; a delta scan
+/// re-folds the dirty segments of the live clock. Reading
 /// every tick back from ahead of it — spans of one to six ticks, across
 /// STEK rollovers and the tick-3 era migration, which makes every earlier
 /// read re-fold every segment — equals serving each tick as a delta scan,
@@ -884,8 +885,8 @@ fn serve_both(
 }
 
 /// Which read shapes a run exercised: a read below the cache's last scan
-/// `s`, one between `s` and the clock, and rewinds across an era migration
-/// and across a STEK rollover.
+/// `s`, one between `s` and the clock, and reads back across an era
+/// migration and across a STEK rollover.
 #[derive(Debug, Default, PartialEq)]
 struct ReadShapes {
     below_scan: bool,
@@ -940,8 +941,10 @@ proptest! {
     // equal `full_rescan_at` its tick.
     //
     // Mutation-checked by hand on a copy of the tree, each failing at case
-    // 0: rewinding one tick too few (`while self.tick > tick + 1` in
-    // `ChurnState::rewind`), on the tail's read of tick 33; the old rule
+    // 0: three mutants of `ChurnState::view_at` — an undo list built one
+    // tick short (`tick + 2..=self.tick`) and one that drops every drift,
+    // on the tail's read of tick 33, and a view that keeps the live era
+    // overrides across a migration, on the tail's read of tick 28; the old rule
     // that marks every churned rank's segment, QUIC service or not, on the
     // tail's scan of tick 32 against `churn_pending_since` (17 dirty
     // segments for 7); and, on a delta snapshot against its full rescan,
@@ -1013,7 +1016,7 @@ proptest! {
 /// once off a cache scanned at `s = 8` with the clock at `now = 12` (Google
 /// migrates at 5, the STEK rolls every other tick): tick 3, below `s` and
 /// across the migration; tick 6, below `s` after it; tick 9, between `s`
-/// and the clock; tick 11, whose rewind undoes only tick 12's rollover.
+/// and the clock; tick 11, whose view undoes only tick 12's rollover.
 /// Each read equals a full rescan of its tick, and the service then serves
 /// the clock exactly as a twin that never read: the same snapshot and the
 /// same `TickStats`.

@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use quicert_churn::{ChurnConfig, ChurnEvent, Timeline};
 use quicert_core::engine::host_parallelism;
-use quicert_core::service::TICK_LOG_WINDOW;
+use quicert_core::service::{TickStats, TICK_LOG_WINDOW};
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_obs::MetricsRegistry;
 use quicert_pki::world::Provider;
@@ -248,50 +248,98 @@ fn a_tick_without_a_migration_adds_no_chain_shape_class() {
     assert_eq!(classes(&service), migrated);
 }
 
+/// Serve ticks 0 and `now` on a `churn.domains`-rank service in 64-rank
+/// segments at two workers, then read tick `now - 1` back: the read's peak
+/// live heap over the heap before it, and its logged stats. The read must
+/// equal a full rescan.
+fn read_one_tick_back(churn: ChurnConfig, now: u64) -> (usize, TickStats) {
+    let campaign = CampaignConfig::small()
+        .with_domains(churn.domains)
+        .with_seed(0x6A4D)
+        .with_workers(2);
+    let mut service =
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(64));
+    service.snapshot_at(0);
+    service.snapshot_at(now);
+    let before = live_heap_and_reset_peak();
+    let read = service.snapshot_at(now - 1);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let stats = *service.tick_log().last().expect("logged");
+    assert!(stats.full_rescan && stats.tick == now - 1);
+    assert_eq!(*read, service.full_rescan_at(now - 1));
+    (peak, stats)
+}
+
 /// A read one tick behind the cache is served the way a delta tick is: its
-/// peak live heap is the rewound churn state, per worker one chunk (the
-/// QUIC services of a 64-rank segment) with its scratch, one 216 B reach
-/// summary per segment whose QUIC services the tick churned (its 14 events
-/// touch 13 of the 313 segments here, 4 of them at a QUIC service) and one
-/// clone of the cached funnel — not a summary per segment (2.6 MB), no
-/// funnel per re-folded segment, and no replayed state beside the rewound
-/// one. Measured: ≈+170–177 kB at 2 workers; ≈+207 kB while every
-/// re-folded segment derived every rank and carried its own ≈8.4 kB
-/// funnel, which this budget no longer admits.
+/// peak live heap is per worker one chunk (the QUIC services of a 64-rank
+/// segment) with its scratch, one 216 B reach summary per segment whose
+/// QUIC services the tick churned (its 14 events touch 13 of the 313
+/// segments here, 4 of them at a QUIC service), the undo list of the 14
+/// ranks the tick churned and one clone of the cached funnel — not a
+/// summary per segment (2.6 MB), no funnel per re-folded segment, and no
+/// copy of the churn state's 8 B a domain. Measured: ≈+17 kB at 2 workers;
+/// ≈+170–177 kB while a read cloned and rewound the churn state, and
+/// ≈+207 kB while every re-folded segment also carried its own ≈8.4 kB
+/// funnel, neither of which this budget admits.
 #[test]
-fn a_recent_read_peaks_at_its_rewound_state_and_refolded_segments() {
+fn a_recent_read_peaks_at_its_refolded_segments() {
     let _serial = serial();
-    const DOMAINS: usize = 20_000;
     const WORKERS: usize = 2;
     const SEGMENT: usize = 64;
     const SUMMARY: usize = 10_240;
     const REACH: usize = 256;
-    let campaign = CampaignConfig::small()
-        .with_domains(DOMAINS)
-        .with_seed(0x6A4D)
-        .with_workers(WORKERS);
-    let churn = ChurnConfig::new(0x7123, DOMAINS);
-    let mut service =
-        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(SEGMENT));
-    service.snapshot_at(0);
-    service.snapshot_at(2);
-    let before = live_heap_and_reset_peak();
-    let read = service.snapshot_at(1);
-    let peak = PEAK.load(Ordering::Relaxed) - before;
-    let stats = *service.tick_log().last().expect("logged");
-    assert!(stats.full_rescan && stats.tick == 1);
+    let (peak, stats) = read_one_tick_back(ChurnConfig::new(0x7123, 20_000), 2);
     assert!(0 < stats.dirty_segments && stats.dirty_segments <= 14);
-    assert_eq!(*read, service.full_rescan_at(1));
-    // 8 B a domain of rewound state; per worker the QUIC services of one
-    // segment (one rank in ≈5, ≈300 B each with its name), its scratch and
-    // two reach summaries in flight; the re-folded segments' reach
-    // summaries, returned in order; and the snapshot's funnel, a clone of
-    // the cached one.
-    let budget = 8 * DOMAINS + WORKERS * (SEGMENT * 128 + 2 * REACH) + 14 * REACH + SUMMARY;
+    // Per worker the QUIC services of one segment (one rank in ≈5, ≈300 B
+    // each with its name), its scratch and two reach summaries in flight;
+    // the re-folded segments' reach summaries, returned in order; and the
+    // snapshot's funnel, a clone of the cached one.
+    let budget = WORKERS * (SEGMENT * 128 + 2 * REACH) + 14 * REACH + SUMMARY;
     assert!(peak <= budget, "a read peaked at {peak} B over {budget} B");
     eprintln!(
         "recent read: peak live heap +{peak} B for {} re-folded segments (budget {budget} B)",
         stats.dirty_segments
+    );
+}
+
+/// A read one tick back costs its span, not its population. One rotation
+/// a tick, and the read tick picked so that it hits a QUIC service: the
+/// read re-folds one segment on a 20k- and on an 80k-domain service, and
+/// the two peaks of live heap differ by at most the span's one `churned`
+/// flag per segment (313 vs 1,250) and a constant for the rest — the QUIC
+/// services of the two re-folded segments and the two populations' cached
+/// funnels. While a read cloned the churn state they differed by its 8 B a
+/// domain, ≈480 kB.
+#[test]
+fn a_read_one_tick_back_peaks_the_same_at_20k_and_80k_domains() {
+    let _serial = serial();
+    const REST: usize = 4_096;
+    let peak = |domains: usize| {
+        let churn = ChurnConfig::new(0x7123, domains).with_rates(1, 0, 0);
+        let (timeline, world) = (
+            Timeline::new(churn.clone()),
+            World::streaming(WorldConfig {
+                domains,
+                seed: 0x6A4D,
+            }),
+        );
+        let rotates_quic = |tick: u64| match timeline.events_at(tick)[..] {
+            [ChurnEvent::RotateCert { rank }, ..] => world.serves_quic(rank),
+            _ => unreachable!("tick {tick} rotates one rank first"),
+        };
+        let now = (2..)
+            .find(|&t| rotates_quic(t))
+            .expect("an unbounded search");
+        let (peak, stats) = read_one_tick_back(churn, now);
+        assert_eq!(stats.dirty_segments, 1, "{domains} domains");
+        (peak, stats.total_segments)
+    };
+    let ((small, small_segments), (large, large_segments)) = (peak(20_000), peak(80_000));
+    let flags = large_segments - small_segments;
+    eprintln!("read one tick back: peak +{small} B at 20k, +{large} B at 80k");
+    assert!(
+        large.abs_diff(small) <= flags + REST,
+        "+{small} B at 20k, +{large} B at 80k (at most {flags} + {REST} B apart)"
     );
 }
 

@@ -66,9 +66,10 @@ fn main() {
         );
     }
 
-    // Historical queries rewind a copy of the live state and re-probe only
-    // the segments churned since, without disturbing the clock, and are
-    // verifiable against the reference rescan:
+    // Historical queries read the live state at their tick through an undo
+    // list of the ranks churned since and re-probe only the segments those
+    // ranks sit in, without disturbing the clock, and are verifiable
+    // against the reference rescan:
     let historical = service.snapshot_at(2);
     let reference = service.full_rescan_at(2);
     assert_eq!(*historical, reference);
