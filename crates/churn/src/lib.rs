@@ -710,36 +710,25 @@ mod tests {
                 );
             }
         }
-        // Not vacuous: looking back across tick 11 restores Google's first
-        // migration and undoes Meta's, and a tick-0 view holds every rank
-        // the clock churned.
+        // The undo list holds one entry per distinct rank its span churned:
+        // one tick back, that tick's changed ranks; back to tick 0, every
+        // rank the clock churned.
+        let ranks = |view: &ChurnView| view.undo.iter().map(|&(rank, _)| rank).collect::<Vec<_>>();
+        let last = TickDelta::of(24, &t.events_at(24));
+        assert_eq!(ranks(&live.view_at(&t, 23)), last.changed_ranks);
+        assert_eq!(ranks(&live.view_at(&t, 0)), live.churned_ranks());
+        // Looking back across tick 11 restores Google's first migration and
+        // undoes Meta's.
         let back = live.view_at(&t, 10);
         assert_eq!(
             back.era_overrides.get(&Provider::Google),
             Some(&CertificateEra::Hybrid)
         );
         assert_eq!(back.era_overrides.get(&Provider::Meta), None);
-        assert_eq!(live.view_at(&t, 0).undo.len(), live.churned_ranks().len());
         // A view at or past the clock undoes nothing.
         let ahead = live.view_at(&t, 30);
         assert!(ahead.undo.is_empty() && ahead.stek_epoch() == live.stek_epoch);
         assert!(matches!(ahead.era_overrides, Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn a_view_one_tick_back_holds_only_that_ticks_ranks() {
-        // The undo list is sized by the span's distinct churned ranks,
-        // however large the population and however late the clock.
-        let t = Timeline::new(ChurnConfig::new(0x000C_4A11, 1_000_000));
-        let mut live = ChurnState::initial();
-        for _ in 0..50 {
-            live.advance(&t);
-        }
-        let view = live.view_at(&t, 49);
-        let delta = TickDelta::of(50, &t.events_at(50));
-        let ranks: Vec<usize> = view.undo.iter().map(|&(rank, _)| rank).collect();
-        assert_eq!(ranks, delta.changed_ranks);
-        assert!(matches!(view.era_overrides, Cow::Borrowed(_)));
     }
 
     #[test]
