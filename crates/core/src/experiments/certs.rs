@@ -458,7 +458,7 @@ impl Fig14 {
     pub fn render(&self) -> String {
         let shares: Vec<f64> = self.points.iter().map(|(_, s)| *s).collect();
         format!(
-            "Fig 14 — SAN byte share: median {:.1}%, top-1%% threshold {:.1}%, \
+            "Fig 14 — SAN byte share: median {:.1}%, top-1% threshold {:.1}%, \
              cruise-liners over limit {:.2}%\n",
             quicert_analysis::median(&shares),
             self.top_1pct_share_threshold(),
