@@ -90,10 +90,9 @@ fn main() {
         scale_sizes: quicert_core::experiments::scale::PAPER_SCALE_SIZES,
     };
     // Pump observability: stream the campaign's own population once and
-    // report what the pump workers did — before the report, whose own
-    // passes would otherwise answer this request from the cache and leave
-    // some later pass's stats behind. Stats go to stderr so stdout stays
-    // the golden report.
+    // report what the pump workers did — first, so that the stats are this
+    // pass's and not a later one's. Stats go to stderr so stdout stays the
+    // golden report.
     campaign.engine().stream_quicreach(campaign.scenario());
     if let Some(stats) = campaign.engine().pump_stats() {
         let totals = stats.totals();

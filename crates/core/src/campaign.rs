@@ -133,7 +133,11 @@ mod tests {
         ));
         // The default scenario is the configured axes at the default size.
         assert_eq!(scenario, campaign.config().scenario);
-        assert!(Arc::ptr_eq(&engine.sweep(), &engine.sweep()));
+        assert!(Arc::ptr_eq(
+            &engine.warm_scan(scenario),
+            &engine.warm_scan(scenario)
+        ));
+        assert!(Arc::ptr_eq(&engine.qscanner(), &engine.qscanner()));
         assert!(Arc::ptr_eq(
             &engine.compression_support(),
             &engine.compression_support()
@@ -147,7 +151,6 @@ mod tests {
             &engine.meta_pop(false, 0),
             &engine.meta_pop(false, 0)
         ));
-        assert_eq!(engine.all_three_support(), engine.all_three_support());
         assert!(!engine.quicreach(scenario).is_empty());
     }
 

@@ -2,11 +2,13 @@
 //! worker-sharded population loop.
 //!
 //! Every scan artifact the report and the experiment modules consume — the
-//! HTTPS certificate scan, quicreach classifications at *any* Initial size,
-//! the full Fig 3 sweep, the compression support scan and synthetic study,
-//! telescope backscatter sessions, Meta-PoP ZMap scans and the QScanner
-//! pass — is computed at most once per campaign and shared behind an
-//! [`Arc`]. Experiments therefore never recompute a scan behind the
+//! HTTPS certificate scan, quicreach classifications under *any* scenario,
+//! the warm-scan and QScanner summaries, the compression support table and
+//! synthetic study, telescope backscatter sessions and Meta-PoP ZMap scans
+//! — is computed at most once per campaign, by its own pass, and shared
+//! behind an [`Arc`]. Each family caches what its readers read: per-record
+//! rows where several figures read them, a [`Merge`] summary where they
+//! read counts. Experiments therefore never recompute a scan behind the
 //! report's back: asking twice returns the same allocation.
 //!
 //! ## One loop, two doors, cached folds on top
@@ -19,8 +21,9 @@
 //! sized claims, a [`Merge`] summary) and the public
 //! [`ScanEngine::fold_ranges`] (an explicit range list, derived as its
 //! caller names, one result per range); every service tick goes through
-//! one. The cached families sit on top: *summarising* folds (`stream_*`), one
-//! few-kilobyte summary per worker, and *collecting* folds
+//! one. The cached families sit on top: *summarising* folds (`stream_*`,
+//! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`]), one few-kilobyte
+//! summary per worker, merged; and *collecting* folds
 //! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
 //! each claim's per-record rows with the claim's first rank and sort and
 //! flatten them once the pump is done. A family that reads nothing but QUIC
@@ -39,7 +42,8 @@
 //! cannot shift a bit either. Each scanner module's whole-world `scan` — a
 //! serial map over its per-record function, no pump, no memo, no flyweight
 //! — is the reference `tests/determinism_matrix.rs` holds the collected
-//! artefacts to, beside the worker × claim-size × memo grid.
+//! artefacts and the summaries to, beside the worker × claim-size × memo
+//! grid.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -53,13 +57,12 @@ use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_scanner::compression::{
-    self, AlgorithmSupport, CompressionShard, SyntheticCompression,
+    self, CompressionShard, CompressionSupport, SyntheticCompression,
 };
 use quicert_scanner::https_scan::{self, HttpsScanReport, HttpsScanShard};
-use quicert_scanner::qscanner::{self, ConsistencyReport, QuicCertObservation};
+use quicert_scanner::qscanner::{self, ConsistencyReport};
 use quicert_scanner::quicreach::{
-    self, ClassMemo, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, ScanSummary,
-    WarmScanResult,
+    self, ClassMemo, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, WarmAggregate,
 };
 use quicert_scanner::telescope_scan::{self, BackscatterSession};
 use quicert_scanner::zmap::{self, ZmapResult};
@@ -98,9 +101,10 @@ fn adaptive_claim(remaining: usize, workers: usize) -> usize {
 
 /// One lazily-computed artifact family, keyed by scan parameters.
 ///
-/// The first request for a key computes the artifact (outside the lock, so
-/// engine methods may nest — the sweep pulls per-size quicreach artifacts);
-/// every later request returns the same `Arc` allocation.
+/// The first request for a key computes the artifact with its own pass —
+/// no computation asks another family for anything — and every later
+/// request returns the same `Arc` allocation. The pass runs outside the
+/// lock, so another thread's request for another key never waits on it.
 #[derive(Debug)]
 struct ArtifactCache<K, V> {
     map: Mutex<HashMap<K, Arc<V>>>,
@@ -339,14 +343,12 @@ pub struct ScanEngine {
     // Scan-family caches key on [`Scenario`] — every axis stores exact
     // integer/enum values, so no float keys anywhere.
     quicreach: ArtifactCache<Scenario, Vec<QuicReachResult>>,
-    warm: ArtifactCache<Scenario, Vec<WarmScanResult>>,
-    sweep: ArtifactCache<(), Vec<ScanSummary>>,
-    compression_support: ArtifactCache<(), Vec<AlgorithmSupport>>,
-    all_three: ArtifactCache<(), (usize, usize)>,
+    warm: ArtifactCache<Scenario, WarmAggregate>,
+    compression_support: ArtifactCache<(), CompressionSupport>,
     compression_study: ArtifactCache<(CertificateEra, Algorithm, usize), Vec<SyntheticCompression>>,
     telescope: ArtifactCache<usize, Vec<BackscatterSession>>,
     zmap: ArtifactCache<(bool, u64), Vec<ZmapResult>>,
-    qscanner: ArtifactCache<(), (Vec<QuicCertObservation>, ConsistencyReport)>,
+    qscanner: ArtifactCache<(), ConsistencyReport>,
     // Streaming-path caches hold *summaries*, never per-record vectors, so
     // a cached million-record scan costs a few kilobytes.
     stream_quicreach: ArtifactCache<Scenario, QuicReachShard>,
@@ -383,9 +385,7 @@ impl ScanEngine {
             https: ArtifactCache::new(&registry, "https"),
             quicreach: ArtifactCache::new(&registry, "quicreach"),
             warm: ArtifactCache::new(&registry, "warm"),
-            sweep: ArtifactCache::new(&registry, "sweep"),
             compression_support: ArtifactCache::new(&registry, "compression-support"),
-            all_three: ArtifactCache::new(&registry, "all-three"),
             compression_study: ArtifactCache::new(&registry, "compression-study"),
             telescope: ArtifactCache::new(&registry, "telescope"),
             zmap: ArtifactCache::new(&registry, "zmap"),
@@ -490,10 +490,13 @@ impl ScanEngine {
     /// cell is free. Collected through the pump's one probe loop
     /// ([`quicreach::scan_chunk`], classes replayed as for the streamed
     /// scan): record for record [`quicreach::scan_service`]'s, on every axis.
+    /// A reader that wants the summary folds it:
+    /// [`QuicReachShard::from_results`] is bit-for-bit
+    /// [`ScanEngine::stream_quicreach`] of the same scenario.
     pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {
-            let results = self.collect(
+            self.collect(
                 Some(scenario),
                 World::quic_chunk_into,
                 |records, scratch| {
@@ -503,76 +506,41 @@ impl ScanEngine {
                     });
                     rows
                 },
-            );
-            // One scenario, one simulation: the pass saw every result, so
-            // its summary answers a later `stream_quicreach(scenario)`.
-            self.stream_quicreach.get_or_compute(scenario, || {
-                QuicReachShard::from_results(scenario.initial_size, &results)
-            });
-            results
+            )
         })
     }
 
     /// The cold-then-warm resumption scan under one [`Scenario`], revisiting
-    /// under its [`Scenario::warm_policy`] — one cached artifact per
-    /// scenario, one [`quicreach::warm_service`] per QUIC service (a revisit
-    /// is stateful: no class is ever replayed). Under a fault plan this is
-    /// how the chaos grid measures whether resumption still pays off once
-    /// the wire drops and corrupts datagrams.
-    pub fn warm_scan(&self, scenario: Scenario) -> Arc<Vec<WarmScanResult>> {
+    /// under its [`Scenario::warm_policy`], folded into one
+    /// [`WarmAggregate`] per scenario: one [`quicreach::warm_service`] per
+    /// QUIC service (a revisit is stateful: no class is ever replayed),
+    /// pushed into its worker's aggregate and dropped. Under a fault plan
+    /// this is how the chaos grid measures whether resumption still pays
+    /// off once the wire drops and corrupts datagrams.
+    pub fn warm_scan(&self, scenario: Scenario) -> Arc<WarmAggregate> {
         let scenario = scenario.with_policy(scenario.warm_policy());
         self.warm.get_or_compute(scenario, || {
-            let revisit = |r: &DomainRecord| quicreach::warm_service(&self.world, r, scenario);
-            self.collect(None, World::quic_chunk_into, |records, _| {
-                records.iter().map(revisit).collect()
+            self.pump(None, World::quic_chunk_into, |records, _| {
+                let mut agg = WarmAggregate::identity();
+                for record in records.iter() {
+                    agg.push(&quicreach::warm_service(&self.world, record, scenario));
+                }
+                agg
             })
         })
     }
 
-    /// The full Fig 3 sweep: one [`ScanSummary`] per swept Initial size.
-    /// Every per-size scan lands in the [`ScanEngine::quicreach`] cache, so
-    /// later single-size requests (the §4.1 reachability experiment, the
-    /// default-size bar) are free.
-    pub(crate) fn sweep(&self) -> Arc<Vec<ScanSummary>> {
-        self.sweep.get_or_compute((), || {
-            quicreach::sweep_sizes()
-                .iter()
-                .map(|&size| {
-                    let scenario = self.scenario.with_initial_size(size);
-                    quicreach::summarize(size, &self.quicreach(scenario))
-                })
-                .collect()
-        })
-    }
-
-    /// Per-algorithm compression support and achieved ratios (Table 1):
-    /// one probe row per QUIC service collected off the pump.
-    pub fn compression_support(&self) -> Arc<Vec<AlgorithmSupport>> {
+    /// Table 1's measured half — per-algorithm support and achieved ratios
+    /// plus the all-three count — from one probe row per QUIC service
+    /// collected off the pump. The rows stay in rank order because each
+    /// column's mean ratio is a float mean over them.
+    pub fn compression_support(&self) -> Arc<CompressionSupport> {
         self.compression_support.get_or_compute((), || {
             let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
             let rows = self.collect(None, World::quic_chunk_into, |records, _| {
                 records.iter().map(probe).collect()
             });
-            // Table 1 asks for both: this pass saw every service's three
-            // probes, so it answers `all_three_support` without another.
-            self.all_three.get_or_compute((), || {
-                let all = rows.iter().filter(|row| row.iter().all(|p| p.supported));
-                (all.count(), rows.len())
-            });
             compression::collate(&rows)
-        })
-    }
-
-    /// Services supporting all three compression algorithms (count,
-    /// total). Record fields only — no chain is issued: each claim's pair
-    /// off the pump, summed.
-    pub fn all_three_support(&self) -> (usize, usize) {
-        *self.all_three.get_or_compute((), || {
-            let pairs = self.collect(None, World::quic_chunk_into, |records, _| {
-                vec![compression::all_three_support(&*records)]
-            });
-            let sum = |(all, total), &(a, t)| (all + a, total + t);
-            pairs.iter().fold((0, 0), sum)
         })
     }
 
@@ -620,14 +588,21 @@ impl ScanEngine {
         })
     }
 
-    /// The QScanner certificate pass and its TLS-vs-QUIC consistency
-    /// report (§3.2): one fetch per QUIC service collected off the pump.
-    pub fn qscanner(&self) -> Arc<(Vec<QuicCertObservation>, ConsistencyReport)> {
+    /// The QScanner certificate pass folded into its TLS-vs-QUIC
+    /// consistency report (§3.2): one [`qscanner::fetch`] per QUIC service,
+    /// pushed into its worker's report and dropped.
+    pub fn qscanner(&self) -> Arc<ConsistencyReport> {
         self.qscanner.get_or_compute((), || {
-            let fetch = |r: &DomainRecord| qscanner::fetch(&self.world, r);
-            qscanner::collate(self.collect(None, World::quic_chunk_into, |records, _| {
-                records.iter().filter_map(fetch).collect()
-            }))
+            self.pump(None, World::quic_chunk_into, |records, _| {
+                let mut report = ConsistencyReport::identity();
+                let fetched = records
+                    .iter()
+                    .filter_map(|r| qscanner::fetch(&self.world, r));
+                for obs in fetched {
+                    report.push(&obs);
+                }
+                report
+            })
         })
     }
 
@@ -752,7 +727,7 @@ impl ScanEngine {
     }
 
     /// [`ScanEngine::fold_population`], scenario optional: the one
-    /// population fold behind it and the two scenario-less `stream_*`
+    /// population fold behind it and the scenario-less summarising
     /// families. Claims start at an eighth of the population per worker,
     /// clamped to [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], and
     /// taper near the tail.
@@ -776,13 +751,12 @@ impl ScanEngine {
     /// each claim deriving only its QUIC services (all the probe loop
     /// reads), and folded into one [`QuicReachShard`]. No `Vec` of
     /// per-record results is ever built on this path — the cache stores
-    /// the summary itself, keyed like the [`ScanEngine::quicreach`] cache,
-    /// whose collecting pass leaves the same summary behind: bit-for-bit
-    /// [`QuicReachShard::from_results`] of that artifact, at any worker
-    /// count and claim size. A scenario that consumes per-probe wire
-    /// randomness (a faulted plan, a lossy profile) bypasses scenario-class
-    /// memoization regardless of the engine's memo toggle; the summary is
-    /// the same bits either way.
+    /// the summary itself, keyed like the [`ScanEngine::quicreach`] cache
+    /// and bit-for-bit [`QuicReachShard::from_results`] of that artifact,
+    /// at any worker count and claim size. A scenario that consumes
+    /// per-probe wire randomness (a faulted plan, a lossy profile) bypasses
+    /// scenario-class memoization regardless of the engine's memo toggle;
+    /// the summary is the same bits either way.
     pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
         let scenario = scenario.cold();
         self.stream_quicreach.get_or_compute(scenario, || {
@@ -989,20 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_bit_identical_across_worker_counts() {
-        let serial = engine(1);
-        let reference = serial.sweep();
-        for workers in [2, 8] {
-            let parallel = engine(workers);
-            assert_eq!(
-                *reference,
-                *parallel.sweep(),
-                "sweep diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
     fn per_domain_scans_are_bit_identical_across_worker_counts() {
         let serial = engine(1);
         let parallel = engine(8);
@@ -1024,7 +984,8 @@ mod tests {
 
         let sa = serial.compression_support();
         let sb = parallel.compression_support();
-        for (x, y) in sa.iter().zip(sb.iter()) {
+        assert_eq!((sa.all_three, sa.total), (sb.all_three, sb.total));
+        for (x, y) in sa.algorithms.iter().zip(&sb.algorithms) {
             assert_eq!(x.supported, y.supported);
             assert_eq!(x.total, y.total);
             assert_eq!(x.mean_ratio.to_bits(), y.mean_ratio.to_bits());
@@ -1048,7 +1009,10 @@ mod tests {
             &engine.quicreach(engine.scenario()),
             &engine.quicreach(BASE)
         ));
-        assert!(Arc::ptr_eq(&engine.sweep(), &engine.sweep()));
+        assert!(Arc::ptr_eq(
+            &engine.warm_scan(BASE),
+            &engine.warm_scan(BASE)
+        ));
         assert!(Arc::ptr_eq(
             &engine.compression_support(),
             &engine.compression_support()
@@ -1122,16 +1086,22 @@ mod tests {
     }
 
     /// An engine built `with_scenario(steered)` answers its default
-    /// requests — and runs its sweep — under the steered axes, matching a
-    /// baseline engine's explicit request for the same scenario.
+    /// requests — and a campaign over it runs its Fig 3 sweep — under the
+    /// steered axes, matching a baseline engine's explicit request for the
+    /// same scenario.
     fn assert_scenario_steers_default_requests(steered: Scenario) {
         let steered_engine = ScanEngine::streaming(config(), 1362, 2).with_scenario(steered);
         assert_eq!(steered_engine.scenario(), steered);
         let default = steered_engine.quicreach(steered_engine.scenario());
         assert_eq!(*default, *engine(2).quicreach(steered));
-        let sweep = steered_engine.sweep();
-        let smallest = steered_engine.quicreach(steered.with_initial_size(1200));
-        assert_eq!(sweep[0], quicreach::summarize(1200, &smallest));
+        let campaign = crate::Campaign::new(crate::CampaignConfig {
+            world: config(),
+            scenario: steered,
+            workers: 2,
+        });
+        let fig3 = crate::experiments::handshakes::fig3(&campaign);
+        let smallest = engine(2).quicreach(steered.with_initial_size(1200));
+        assert_eq!(fig3.bars[0], quicreach::summarize(1200, &smallest));
     }
 
     #[test]
@@ -1256,10 +1226,7 @@ mod tests {
             format!("{:?}", engine.compression_support()),
             format!("{:?}", compression::scan(world))
         );
-        assert_eq!(
-            format!("{:?}", engine.qscanner()),
-            format!("{:?}", qscanner::scan(world))
-        );
+        assert_eq!(*engine.qscanner(), qscanner::scan(world).1);
     }
 
     #[test]
@@ -1291,11 +1258,11 @@ mod tests {
         let warm = engine
             .scenario()
             .with_policy(engine.scenario().warm_policy());
-        let revisit = |r: &&DomainRecord| quicreach::warm_service(world, r, warm);
-        assert_eq!(
-            *engine.warm_scan(engine.scenario()),
-            services.iter().map(revisit).collect::<Vec<_>>()
-        );
+        let mut revisited = WarmAggregate::identity();
+        for record in &services {
+            revisited.push(&quicreach::warm_service(world, record, warm));
+        }
+        assert_eq!(*engine.warm_scan(engine.scenario()), revisited);
         let studied: Vec<_> = records
             .iter()
             .filter(|r| compression::in_study_sample(r, 10))
@@ -1308,15 +1275,15 @@ mod tests {
             ),
             format!("{studied:?}")
         );
-        // Table 1's all-three row needs record fields only: not "0 of 0".
-        // `engine` answers from its own pass, `seeded` from the probe rows
-        // of `compression_support`.
-        let all_three = compression::all_three_support(&records);
-        assert!(all_three.1 > 0);
-        assert_eq!(engine.all_three_support(), all_three);
-        let seeded = self::engine(1);
-        seeded.compression_support();
-        assert_eq!(seeded.all_three_support(), all_three);
+        // Table 1's all-three row comes off the same probe rows as its
+        // columns: never "0 of 0", and the streamed shard's count.
+        let support = engine.compression_support();
+        assert_eq!(support.total, services.len());
+        assert_eq!(
+            support.all_three as u64,
+            engine.stream_compression_support().all_three
+        );
+        let serial = self::engine(1);
 
         // And the telescope, which a streaming engine once saw empty: the
         // first two services of each hypergiant (every one it has, when
@@ -1332,7 +1299,7 @@ mod tests {
         assert!(!sessions.is_empty());
         assert_eq!(
             format!("{sessions:?}"),
-            format!("{:?}", seeded.telescope(2))
+            format!("{:?}", serial.telescope(2))
         );
     }
 
@@ -1549,14 +1516,13 @@ mod tests {
     }
 
     #[test]
-    fn a_collected_scenario_answers_its_stream_request_without_a_second_scan() {
-        // One scenario, one simulation per engine: the collecting pass saw
-        // every result, so it leaves the summary behind as well — the very
-        // bits a streamed scan of a fresh engine folds — and the engine's
-        // own table untouched (its classes lived for the pass).
+    fn a_collected_scenario_leaves_its_stream_request_to_a_pass_of_its_own() {
+        // A collecting pass fills its own cache and nothing else: its
+        // classes lived for the pass, and the summary of the same scenario
+        // is a second pass — bit-for-bit the artefact's summary.
         let engine = engine(2);
         let scenario = BASE.with_era(CertificateEra::PostQuantum);
-        engine.quicreach(scenario);
+        let collected = engine.quicreach(scenario);
         assert_eq!(engine.memo_classes(), 0);
         let folded = || {
             let registry = engine.metrics_registry();
@@ -1564,19 +1530,13 @@ mod tests {
                 .counter("quicert_engine_records_folded_total", "")
                 .get()
         };
-        let before = folded();
-        assert_eq!(before, 1_200);
+        assert_eq!(folded(), 1_200);
         let summary = engine.stream_quicreach(scenario);
-        assert_eq!(folded(), before, "the stream request scanned again");
+        assert_eq!(folded(), 2 * 1_200);
         assert_eq!(
             *summary,
-            *super::tests::engine(2).stream_quicreach(scenario)
+            QuicReachShard::from_results(scenario.initial_size, &collected)
         );
-        // The other way round there is nothing to reuse: a summary holds
-        // no per-record rows.
-        engine.stream_quicreach(BASE);
-        engine.quicreach(BASE);
-        assert_eq!(folded(), before + 2 * 1_200);
     }
 
     #[test]
@@ -1792,17 +1752,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sweep_populates_the_per_size_cache() {
-        let engine = engine(2);
-        let sweep = engine.sweep();
-        // The reachability sizes were already computed by the sweep.
-        let at_1200 = engine.quicreach(Scenario::at(1200));
-        let at_1472 = engine.quicreach(Scenario::at(1472));
-        let bar_1200 = sweep.iter().find(|b| b.initial_size == 1200).unwrap();
-        assert_eq!(bar_1200.reachable() + bar_1200.unreachable, at_1200.len());
-        assert!(!at_1472.is_empty());
     }
 }

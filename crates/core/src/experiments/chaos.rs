@@ -20,9 +20,10 @@
 use quicert_analysis::{render_table, Table};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::CertificateEra;
+use quicert_scanner::quicreach::WarmAggregate;
+use quicert_scanner::QuicReachShard;
 use quicert_session::ResumptionPolicy;
 
-use crate::experiments::resumption::{aggregate, WarmAggregate};
 use crate::Campaign;
 
 /// One cell of the chaos grid: the whole population scanned under one
@@ -84,10 +85,17 @@ pub(crate) fn fault_grid(
     let mut cells = Vec::new();
     for &era in eras {
         for &profile in profiles {
-            let cell = campaign.scenario().with_era(era).with_profile(profile);
-            let baseline = engine.stream_quicreach(cell.with_plan(FaultPlan::NONE));
+            let cell = campaign
+                .scenario()
+                .with_era(era)
+                .with_profile(profile)
+                .with_plan(FaultPlan::NONE);
+            // The era matrix collected the fault-free rung already.
+            let baseline = QuicReachShard::from_results(cell.initial_size, &engine.quicreach(cell));
             for plan in FaultPlan::LADDER {
-                let shard = engine.stream_quicreach(cell.with_plan(plan));
+                let faulted = (plan != FaultPlan::NONE)
+                    .then(|| engine.stream_quicreach(cell.with_plan(plan)));
+                let shard = faulted.as_deref().unwrap_or(&baseline);
                 cells.push(ChaosCell {
                     plan,
                     era,
@@ -175,13 +183,10 @@ pub(crate) fn resumption_under_faults(campaign: &Campaign) -> Vec<ChaosResumptio
         .with_policy(policy);
     FaultPlan::LADDER
         .iter()
-        .map(|&plan| {
-            let results = campaign.engine().warm_scan(base.with_plan(plan));
-            ChaosResumptionRow {
-                plan,
-                policy,
-                agg: aggregate(&results),
-            }
+        .map(|&plan| ChaosResumptionRow {
+            plan,
+            policy,
+            agg: *campaign.engine().warm_scan(base.with_plan(plan)),
         })
         .collect()
 }
@@ -205,7 +210,7 @@ pub(crate) fn render_resumption_under_faults(rows: &[ChaosResumptionRow]) -> Str
             row.agg.resumed.to_string(),
             row.agg.resumed_over_budget.to_string(),
             row.agg.warm_cert_bytes.to_string(),
-            format!("{:.2}", row.agg.mean_rtts_saved_multi),
+            format!("{:.2}", row.agg.mean_rtts_saved_multi()),
         ]);
     }
     format!(
@@ -276,6 +281,30 @@ mod tests {
             0,
             "duplication alone never forces a retransmission"
         );
+    }
+
+    #[test]
+    fn every_rung_is_measured_against_its_own_cells_fault_free_scan() {
+        let c = campaign();
+        let cells = fault_grid(&c, &GRID_ERAS, &[NetworkProfile::Ideal]);
+        // An independent streamed pass per era, on an engine of its own.
+        let fresh = campaign();
+        for era in GRID_ERAS {
+            let own = fresh.engine().stream_quicreach(c.scenario().with_era(era));
+            let rung = |plan| {
+                let found = cells.iter().find(|x| x.era == era && x.plan == plan);
+                found.expect("grid holds every ladder rung")
+            };
+            let none = rung(FaultPlan::NONE);
+            assert_eq!(none.reachable, own.classes.reachable(), "{era}");
+            assert_eq!(none.mean_rtts.to_bits(), own.rtts.mean().to_bits(), "{era}");
+            assert_eq!(none.added_rtts, 0.0, "{era}");
+            for plan in &FaultPlan::LADDER[1..] {
+                let cell = rung(*plan);
+                let added = cell.mean_rtts - own.rtts.mean();
+                assert_eq!(cell.added_rtts.to_bits(), added.to_bits(), "{era} {plan}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_compress::Algorithm;
 use quicert_quic::amplification;
-use quicert_scanner::compression::AlgorithmSupport;
+use quicert_scanner::compression::CompressionSupport;
 use quicert_tls::browser::{all_profiles, BrowserProfile};
 
 use crate::Campaign;
@@ -15,11 +15,9 @@ use crate::Campaign;
 pub struct Table1 {
     /// Browser rows (static parameters of the tested versions).
     pub browsers: Vec<BrowserProfile>,
-    /// Measured per-algorithm support and achieved ratios, shared with the
-    /// campaign's artifact.
-    pub support: Arc<Vec<AlgorithmSupport>>,
-    /// Services supporting all three algorithms (count, total).
-    pub all_three: (usize, usize),
+    /// Measured per-algorithm support and achieved ratios plus the
+    /// all-three count, shared with the campaign's artifact.
+    pub support: Arc<CompressionSupport>,
 }
 
 /// Compute Table 1 from the campaign's cached artifacts.
@@ -27,7 +25,6 @@ pub fn table1(campaign: &Campaign) -> Table1 {
     Table1 {
         browsers: all_profiles(),
         support: campaign.engine().compression_support(),
-        all_three: campaign.engine().all_three_support(),
     }
 }
 
@@ -35,6 +32,7 @@ impl Table1 {
     /// Mean ratio for one algorithm.
     pub fn mean_ratio(&self, alg: Algorithm) -> f64 {
         self.support
+            .algorithms
             .iter()
             .find(|s| s.algorithm == alg)
             .map(|s| s.mean_ratio)
@@ -60,7 +58,7 @@ impl Table1 {
         }
         let mut s = format!("Table 1 — browser profiles\n{}", render_table(&t));
         let mut t2 = Table::new(&["algorithm", "service support %", "mean ratio"]);
-        for sup in self.support.iter() {
+        for sup in &self.support.algorithms {
             t2.row(&[
                 sup.algorithm.name().to_string(),
                 format!("{:.2}", sup.share()),
@@ -70,9 +68,9 @@ impl Table1 {
         s.push_str(&render_table(&t2));
         s.push_str(&format!(
             "services supporting all three algorithms: {} of {} ({:.2}%)\n",
-            self.all_three.0,
-            self.all_three.1,
-            self.all_three.0 as f64 / self.all_three.1.max(1) as f64 * 100.0
+            self.support.all_three,
+            self.support.total,
+            self.support.all_three as f64 / self.support.total.max(1) as f64 * 100.0
         ));
         s
     }
@@ -136,14 +134,14 @@ mod tests {
         let c = campaign();
         let t = table1(&c);
         let share = |alg| {
-            let support = t.support.iter().find(|s| s.algorithm == alg);
+            let support = t.support.algorithms.iter().find(|s| s.algorithm == alg);
             support.expect("every algorithm is surveyed").share()
         };
         // Paper: 96% brotli support; zlib/zstd 0.05% (Meta only).
         assert!(share(Algorithm::Brotli) > 90.0);
         assert!(share(Algorithm::Zlib) < 3.0);
         assert!(share(Algorithm::Zstd) < 3.0);
-        let (all, total) = t.all_three;
+        let (all, total) = (t.support.all_three, t.support.total);
         assert!((all as f64 / total.max(1) as f64) < 0.02);
         // Browser constants.
         assert_eq!(t.browsers[0].initial_size, Some(1357));

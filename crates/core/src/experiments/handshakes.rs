@@ -1,8 +1,6 @@
 //! Handshake-classification experiments: Figs 3, 4, 5, 12, 13 and the
 //! §4.1 reachability analysis.
 
-use std::sync::Arc;
-
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_netsim::NetworkProfile;
 use quicert_quic::amplification;
@@ -16,15 +14,19 @@ use crate::Campaign;
 /// Fig 3: handshake classes per client Initial size.
 #[derive(Debug)]
 pub struct Fig3 {
-    /// One summary per swept size (1200..=1472 step 10), shared with the
-    /// campaign's sweep artifact.
-    pub bars: Arc<Vec<ScanSummary>>,
+    /// One summary per swept size (1200..=1472 step 10).
+    pub bars: Vec<ScanSummary>,
 }
 
-/// Run the full sweep through the campaign's cached, sharded engine path.
+/// Summarise the campaign's cached quicreach artefact at every swept
+/// Initial size (each a pass of its own the first time it is asked for).
 pub fn fig3(campaign: &Campaign) -> Fig3 {
+    let bar = |&size: &usize| {
+        let scenario = campaign.scenario().with_initial_size(size);
+        quicreach::summarize(size, &campaign.engine().quicreach(scenario))
+    };
     Fig3 {
-        bars: campaign.engine().sweep(),
+        bars: quicreach::sweep_sizes().iter().map(bar).collect(),
     }
 }
 
@@ -400,6 +402,44 @@ mod tests {
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(7).with_domains(2_500))
+    }
+
+    fn fig3_campaign(workers: usize) -> Campaign {
+        let config = CampaignConfig::small().with_seed(0xD37E);
+        Campaign::new(config.with_domains(1_200).with_workers(workers))
+    }
+
+    #[test]
+    fn fig3_is_bit_identical_across_worker_counts() {
+        let reference = fig3(&fig3_campaign(1)).bars;
+        assert_eq!(reference.len(), quicreach::sweep_sizes().len());
+        for workers in [2, 8] {
+            assert_eq!(
+                fig3(&fig3_campaign(workers)).bars,
+                reference,
+                "Fig 3 diverged at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn fig3_reads_the_per_size_quicreach_cache() {
+        let c = fig3_campaign(2);
+        let fig = fig3(&c);
+        let cache = |name| {
+            let labels = [("family", "quicreach")];
+            let registry = c.engine().metrics_registry();
+            registry.labeled_counter(name, &labels, "").get()
+        };
+        let passes = cache("quicert_engine_cache_misses_total");
+        assert_eq!(passes, quicreach::sweep_sizes().len() as u64);
+        // The reachability sizes were already computed by the sweep.
+        let at_1200 = c.engine().quicreach(c.scenario().with_initial_size(1200));
+        let at_1472 = c.engine().quicreach(c.scenario().with_initial_size(1472));
+        assert_eq!(cache("quicert_engine_cache_misses_total"), passes);
+        assert_eq!(fig.at(1200), Some(&quicreach::summarize(1200, &at_1200)));
+        assert_eq!(fig.at(1472), Some(&quicreach::summarize(1472, &at_1472)));
+        assert!(!fig.render().is_empty());
     }
 
     #[test]

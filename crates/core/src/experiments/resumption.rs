@@ -13,82 +13,10 @@
 
 use quicert_analysis::{render_table, Table};
 use quicert_netsim::NetworkProfile;
-use quicert_quic::handshake::HandshakeClass;
-use quicert_scanner::quicreach::WarmScanResult;
+use quicert_scanner::quicreach::WarmAggregate;
 use quicert_session::ResumptionPolicy;
 
 use crate::Campaign;
-
-/// Aggregate measurements of one warm-scan artifact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmAggregate {
-    /// Services probed.
-    pub total: usize,
-    /// Cold visits that completed (any class but Unreachable).
-    pub cold_reachable: usize,
-    /// Warm visits that actually resumed (PSK accepted).
-    pub resumed: usize,
-    /// Resumed visits whose first flight exceeded the 3× budget. 0 on
-    /// loss-free profiles — the certificate-free flight fits by
-    /// construction. Under loss, buggy servers (uncharged resends, §4.3)
-    /// can retransmit even the tiny resumed flight past 3× when the
-    /// client's ack is dropped, so a rare nonzero tail survives there.
-    pub resumed_over_budget: usize,
-    /// Resumed visits with any certificate bytes on the wire (must be 0).
-    pub resumed_with_cert_bytes: usize,
-    /// Total certificate bytes on the wire, cold visits.
-    pub cold_cert_bytes: u64,
-    /// Total certificate bytes on the wire, warm visits.
-    pub warm_cert_bytes: u64,
-    /// Cold visits classified Multi-RTT.
-    pub cold_multi_rtt: usize,
-    /// Of those, warm visits that shaved at least one round trip.
-    pub multi_rtt_saved_a_round: usize,
-    /// Mean round trips saved across the cold Multi-RTT population.
-    pub mean_rtts_saved_multi: f64,
-}
-
-/// Fold a warm-scan artifact into its aggregate.
-pub(crate) fn aggregate(results: &[WarmScanResult]) -> WarmAggregate {
-    let mut agg = WarmAggregate {
-        total: results.len(),
-        cold_reachable: 0,
-        resumed: 0,
-        resumed_over_budget: 0,
-        resumed_with_cert_bytes: 0,
-        cold_cert_bytes: 0,
-        warm_cert_bytes: 0,
-        cold_multi_rtt: 0,
-        multi_rtt_saved_a_round: 0,
-        mean_rtts_saved_multi: 0.0,
-    };
-    let mut saved_sum = 0i64;
-    for r in results {
-        if r.cold.class != HandshakeClass::Unreachable {
-            agg.cold_reachable += 1;
-        }
-        agg.cold_cert_bytes += r.cold_cert_bytes as u64;
-        agg.warm_cert_bytes += r.warm_cert_bytes as u64;
-        if r.resumed {
-            agg.resumed += 1;
-            if r.warm_exceeds_limit {
-                agg.resumed_over_budget += 1;
-            }
-            if r.warm_cert_bytes > 0 {
-                agg.resumed_with_cert_bytes += 1;
-            }
-        }
-        if r.cold.class == HandshakeClass::MultiRtt {
-            agg.cold_multi_rtt += 1;
-            saved_sum += r.rtts_saved;
-            if r.rtts_saved >= 1 {
-                agg.multi_rtt_saved_a_round += 1;
-            }
-        }
-    }
-    agg.mean_rtts_saved_multi = saved_sum as f64 / agg.cold_multi_rtt.max(1) as f64;
-    agg
-}
 
 // ------------------------------------------------------- profile matrix --
 
@@ -110,12 +38,9 @@ pub fn resumption_matrix(campaign: &Campaign) -> Vec<ResumptionRow> {
         .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
     NetworkProfile::ALL
         .iter()
-        .map(|&profile| {
-            let results = campaign.engine().warm_scan(warm.with_profile(profile));
-            ResumptionRow {
-                profile,
-                agg: aggregate(&results),
-            }
+        .map(|&profile| ResumptionRow {
+            profile,
+            agg: *campaign.engine().warm_scan(warm.with_profile(profile)),
         })
         .collect()
 }
@@ -143,7 +68,7 @@ pub fn render_resumption_matrix(rows: &[ResumptionRow]) -> String {
             row.agg.resumed_over_budget.to_string(),
             row.agg.cold_multi_rtt.to_string(),
             row.agg.multi_rtt_saved_a_round.to_string(),
-            format!("{:.2}", row.agg.mean_rtts_saved_multi),
+            format!("{:.2}", row.agg.mean_rtts_saved_multi()),
         ]);
     }
     format!(
@@ -170,14 +95,11 @@ pub struct PolicyRow {
 pub fn policy_comparison(campaign: &Campaign) -> Vec<PolicyRow> {
     ResumptionPolicy::ALL
         .iter()
-        .map(|&policy| {
-            let results = campaign
+        .map(|&policy| PolicyRow {
+            policy,
+            agg: *campaign
                 .engine()
-                .warm_scan(campaign.scenario().with_policy(policy));
-            PolicyRow {
-                policy,
-                agg: aggregate(&results),
-            }
+                .warm_scan(campaign.scenario().with_policy(policy)),
         })
         .collect()
 }
@@ -237,10 +159,9 @@ pub fn budget_sweep(campaign: &Campaign, sizes: &[usize]) -> Vec<BudgetPoint> {
     sizes
         .iter()
         .map(|&initial_size| {
-            let results = campaign
+            let agg = campaign
                 .engine()
                 .warm_scan(warm.with_initial_size(initial_size));
-            let agg = aggregate(&results);
             BudgetPoint {
                 initial_size,
                 resumed: agg.resumed,
@@ -270,6 +191,7 @@ pub fn render_budget_sweep(points: &[BudgetPoint]) -> String {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
+    use quicert_scanner::quicreach;
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(7).with_domains(2_000))
@@ -326,7 +248,7 @@ mod tests {
                         "{}: every multi-RTT service must save a round",
                         row.profile
                     );
-                    assert!(row.agg.mean_rtts_saved_multi >= 1.0, "{}", row.profile);
+                    assert!(row.agg.mean_rtts_saved_multi() >= 1.0, "{}", row.profile);
                 }
                 // Under loss a dropped warm datagram can cost a
                 // retransmission round, so the guarantee is aggregate.
@@ -338,7 +260,7 @@ mod tests {
                         row.agg.multi_rtt_saved_a_round,
                         row.agg.cold_multi_rtt
                     );
-                    assert!(row.agg.mean_rtts_saved_multi >= 0.9, "{}", row.profile);
+                    assert!(row.agg.mean_rtts_saved_multi() >= 0.9, "{}", row.profile);
                 }
                 // Long-fat jitter collapses the timing classes (every
                 // completed handshake reads as multi-RTT, see the profile
@@ -353,12 +275,17 @@ mod tests {
         // Long-fat, per-service, on services that really took extra wire
         // rounds cold (rtt_count >= 3 cannot be jitter: jitter adds at most
         // one nominal round to a one-round handshake).
-        let long_fat = c.engine().warm_scan(
-            c.scenario()
-                .with_profile(NetworkProfile::LongFat)
-                .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
-        );
-        let deep: Vec<_> = long_fat.iter().filter(|r| r.cold.rtt_count >= 3).collect();
+        let long_fat = c
+            .scenario()
+            .with_profile(NetworkProfile::LongFat)
+            .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+        let records = c.world().domain_chunk(1, c.world().config.domains);
+        let deep: Vec<_> = records
+            .iter()
+            .filter(|r| r.has_quic())
+            .map(|r| quicreach::warm_service(c.world(), r, long_fat))
+            .filter(|r| r.cold.rtt_count >= 3)
+            .collect();
         assert!(
             !deep.is_empty(),
             "long-fat has genuinely multi-round services"

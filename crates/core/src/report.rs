@@ -130,8 +130,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     ));
 
     // §3.2 QScanner consistency check.
-    let qscan = campaign.engine().qscanner();
-    let consistency = qscan.1;
+    let consistency = campaign.engine().qscanner();
     out.push_str(&format!(
         "§3.2 QScanner consistency — {:.1}% of {} QUIC chains match HTTPS \
          ({} rotated, {} other)\n\n",

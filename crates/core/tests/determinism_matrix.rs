@@ -15,7 +15,9 @@ use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
-use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachResult, QuicReachShard};
+use quicert_scanner::quicreach::{
+    self, ProbeScratch, QuicReachResult, QuicReachShard, WarmAggregate,
+};
 use quicert_scanner::{qscanner, Scenario};
 use quicert_session::ResumptionPolicy;
 
@@ -340,7 +342,8 @@ fn assert_same_rows<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], conte
 /// Every collected artefact, held **record for record, field for field** to
 /// the per-record function it is made of — mapped serially over the world's
 /// population derived as one chunk, with no pump, no memo and no flyweight
-/// anywhere — at workers
+/// anywhere — and every folded summary (warm scans, QScanner) to that
+/// function's rows folded serially, at workers
 /// {1, 2, 8} with the memo on and off, over 3 eras × {ideal, tunneled,
 /// lossy} × {1200, 1362, 1472} plus one fault-plan cell. `Vec` equality is
 /// rank order too. With the memo on the deterministic cells replay classes
@@ -380,16 +383,18 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
         .map(|s| s.with_policy(ResumptionPolicy::WarmAfterFirstVisit))
         .collect();
     assert_eq!(warm_cells.len(), 4);
-    let warm: Vec<Vec<_>> = warm_cells
+    let warm: Vec<WarmAggregate> = warm_cells
         .iter()
         .map(|&s| {
-            services()
-                .map(|r| quicreach::warm_service(&world, r, s))
-                .collect()
+            let mut agg = WarmAggregate::identity();
+            for record in services() {
+                agg.push(&quicreach::warm_service(&world, record, s));
+            }
+            agg
         })
         .collect();
     let funnel = format!("{:?}", https_scan::scan(&world));
-    let fetched = format!("{:?}", qscanner::scan(&world));
+    let (_, consistency) = qscanner::scan(&world);
     let support = format!("{:?}", compression::scan(&world));
     let studied: Vec<_> = records
         .iter()
@@ -420,10 +425,10 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
             assert_eq!(replayed > 0, memo, "{context}: classes replayed");
             for (scenario, want) in warm_cells.iter().zip(&warm) {
                 let context = format!("warm {scenario:?} {context}");
-                assert_same_rows(&engine.warm_scan(*scenario), want, &context);
+                assert_eq!(*engine.warm_scan(*scenario), *want, "{context}");
             }
             assert_eq!(format!("{:?}", engine.https_scan()), funnel, "{context}");
-            assert_eq!(format!("{:?}", engine.qscanner()), fetched, "{context}");
+            assert_eq!(*engine.qscanner(), consistency, "{context}");
             assert_eq!(
                 format!("{:?}", engine.compression_support()),
                 support,

@@ -48,6 +48,18 @@ impl AlgorithmSupport {
     }
 }
 
+/// Table 1's measured half: the per-algorithm columns and the all-three
+/// count, both from one pass of probe rows.
+#[derive(Debug, Clone, Copy)]
+pub struct CompressionSupport {
+    /// Per-algorithm columns in [`Algorithm::ALL`] order.
+    pub algorithms: [AlgorithmSupport; 3],
+    /// Services whose every probe negotiated — the 0.05% Meta signature.
+    pub all_three: usize,
+    /// Services probed.
+    pub total: usize,
+}
+
 /// Probe one QUIC service with all three algorithms: its
 /// `Algorithm::ALL`-ordered probe row. The service's chain is issued once,
 /// by the first algorithm it supports, and shared.
@@ -93,7 +105,7 @@ fn probe_sharing(
 /// Probe every QUIC service of a world with all three algorithms and
 /// aggregate: a serial [`probe_row`] per service of the population derived
 /// as one chunk — the pump-free reference.
-pub fn scan(world: &World) -> Vec<AlgorithmSupport> {
+pub fn scan(world: &World) -> CompressionSupport {
     let records = world.domain_chunk(1, world.config.domains);
     let services = records.iter().filter(|record| record.has_quic());
     let rows: Vec<_> = services.map(|record| probe_row(world, record)).collect();
@@ -110,34 +122,39 @@ pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[Compressi
         .collect()
 }
 
-/// Aggregate service-major probe rows into Table 1's per-algorithm columns.
-/// Ratios are folded in service order, so the result is bit-for-bit
-/// independent of how the probing was claimed.
-pub fn collate(probes: &[[CompressionProbe; 3]]) -> Vec<AlgorithmSupport> {
-    Algorithm::ALL
-        .iter()
-        .enumerate()
-        .map(|(i, &algorithm)| {
-            let mut supported = 0usize;
-            let mut ratios = Vec::new();
-            for row in probes {
-                let p = &row[i];
-                debug_assert_eq!(p.algorithm, algorithm);
-                if p.supported {
-                    supported += 1;
-                    if let Some(r) = p.ratio {
-                        ratios.push(r);
-                    }
+/// Aggregate service-major probe rows into Table 1's per-algorithm columns
+/// and all-three count. Ratios are folded in service order, so the result
+/// is bit-for-bit independent of how the probing was claimed.
+pub fn collate(probes: &[[CompressionProbe; 3]]) -> CompressionSupport {
+    let column = |i: usize| {
+        let algorithm = Algorithm::ALL[i];
+        let mut supported = 0usize;
+        let mut ratios = Vec::new();
+        for row in probes {
+            let p = &row[i];
+            debug_assert_eq!(p.algorithm, algorithm);
+            if p.supported {
+                supported += 1;
+                if let Some(r) = p.ratio {
+                    ratios.push(r);
                 }
             }
-            AlgorithmSupport {
-                algorithm,
-                supported,
-                total: probes.len(),
-                mean_ratio: quicert_analysis::mean(&ratios),
-            }
-        })
-        .collect()
+        }
+        AlgorithmSupport {
+            algorithm,
+            supported,
+            total: probes.len(),
+            mean_ratio: quicert_analysis::mean(&ratios),
+        }
+    };
+    CompressionSupport {
+        algorithms: std::array::from_fn(column),
+        all_three: probes
+            .iter()
+            .filter(|row| row.iter().all(|p| p.supported))
+            .count(),
+        total: probes.len(),
+    }
 }
 
 // -------------------------------------------------------- streaming fold --
@@ -253,22 +270,6 @@ pub fn fold_iter<'a>(
     shard
 }
 
-/// `(services supporting all three algorithms, QUIC services)` among
-/// `records` — the 0.05% Meta signature of Table 1. Read off record
-/// fields alone (no chain is issued), so per-chunk pairs sum to the
-/// population's.
-pub fn all_three_support<'a>(
-    records: impl IntoIterator<Item = &'a DomainRecord>,
-) -> (usize, usize) {
-    let (mut all, mut total) = (0, 0);
-    let services = records.into_iter().filter(|record| record.has_quic());
-    for quic in services.filter_map(|record| record.quic.as_ref()) {
-        total += 1;
-        all += usize::from(quic.compression_support.len() == 3);
-    }
-    (all, total)
-}
-
 /// The synthetic §4.2 study: compress collected chains directly and report
 /// (ratio, compressed size) per chain.
 #[derive(Debug, Clone, Copy)]
@@ -368,17 +369,21 @@ mod tests {
         let (world, records) = world();
         let support = scan(&world);
         let brotli = support
+            .algorithms
             .iter()
             .find(|s| s.algorithm == Algorithm::Brotli)
             .unwrap();
         assert!(brotli.share() > 90.0, "brotli {}", brotli.share());
         let zlib = support
+            .algorithms
             .iter()
             .find(|s| s.algorithm == Algorithm::Zlib)
             .unwrap();
         assert!(zlib.share() < 2.0, "zlib {}", zlib.share());
-        let (all, total) = all_three_support(&records);
-        assert!((all as f64 / total as f64) < 0.02);
+        let services = records.iter().filter(|r| r.has_quic()).count();
+        assert_eq!(support.total, services);
+        assert!(support.all_three > 0, "Meta serves all three");
+        assert!((support.all_three as f64 / support.total as f64) < 0.02);
     }
 
     #[test]
@@ -405,7 +410,7 @@ mod tests {
     fn achieved_ratios_are_meaningful() {
         let (world, _) = world();
         let support = scan(&world);
-        for s in &support {
+        for s in &support.algorithms {
             if s.supported > 0 {
                 assert!(
                     (0.2..0.95).contains(&s.mean_ratio),

@@ -1,6 +1,7 @@
 //! Certificate collection over QUIC (QScanner, §3.2) and the
 //! QUIC-vs-HTTPS consistency check.
 
+use quicert_analysis::Merge;
 use quicert_pki::{CertificateEra, DomainRecord, World};
 
 use crate::https_scan::ChainSummary;
@@ -28,8 +29,9 @@ pub(crate) enum CertDifference {
     Other,
 }
 
-/// Consistency summary across all QUIC services.
-#[derive(Debug, Clone, Copy, Default)]
+/// Consistency summary across all QUIC services: four counts, so [`Merge`]
+/// is exact and a pumped pass folds the serial report bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConsistencyReport {
     /// Services compared.
     pub total: usize,
@@ -45,6 +47,29 @@ impl ConsistencyReport {
     /// Fraction of services with identical chains (the paper's 96.7%).
     pub fn same_rate(&self) -> f64 {
         self.same as f64 / self.total.max(1) as f64
+    }
+
+    /// Fold one service's observation in.
+    pub fn push(&mut self, obs: &QuicCertObservation) {
+        self.total += 1;
+        match obs.difference {
+            None => self.same += 1,
+            Some(CertDifference::Rotation) => self.rotated += 1,
+            Some(CertDifference::Other) => self.other += 1,
+        }
+    }
+}
+
+impl Merge for ConsistencyReport {
+    fn identity() -> Self {
+        ConsistencyReport::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.total += other.total;
+        self.same += other.same;
+        self.rotated += other.rotated;
+        self.other += other.other;
     }
 }
 
@@ -74,25 +99,15 @@ pub fn fetch(world: &World, record: &DomainRecord) -> Option<QuicCertObservation
 
 /// Fetch all QUIC chains of a world and compute the consistency report: a
 /// serial [`fetch`] per QUIC service of the population derived as one
-/// chunk — the pump-free reference.
+/// chunk, each folded in with [`ConsistencyReport::push`] — the pump-free
+/// reference.
 pub fn scan(world: &World) -> (Vec<QuicCertObservation>, ConsistencyReport) {
     let records = world.domain_chunk(1, world.config.domains);
     let services = records.iter().filter(|record| record.has_quic());
-    collate(services.filter_map(|record| fetch(world, record)).collect())
-}
-
-/// Fold per-service observations into the §3.2 consistency report.
-pub fn collate(
-    observations: Vec<QuicCertObservation>,
-) -> (Vec<QuicCertObservation>, ConsistencyReport) {
-    let mut report = ConsistencyReport::default();
+    let observations: Vec<_> = services.filter_map(|record| fetch(world, record)).collect();
+    let mut report = ConsistencyReport::identity();
     for obs in &observations {
-        report.total += 1;
-        match obs.difference {
-            None => report.same += 1,
-            Some(CertDifference::Rotation) => report.rotated += 1,
-            Some(CertDifference::Other) => report.other += 1,
-        }
+        report.push(obs);
     }
     (observations, report)
 }
@@ -100,7 +115,55 @@ pub fn collate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quicert_pki::WorldConfig;
+
+    fn report_of(f: &[u64]) -> ConsistencyReport {
+        let n = |i: usize| f[i] as usize;
+        ConsistencyReport {
+            total: n(0),
+            same: n(1),
+            rotated: n(2),
+            other: n(3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn consistency_report_merge_laws(
+            xs in proptest::collection::vec(0u64..1_000_000, 4..5),
+            ys in proptest::collection::vec(0u64..1_000_000, 4..5),
+            zs in proptest::collection::vec(0u64..1_000_000, 4..5),
+        ) {
+            let (a, b, c) = (report_of(&xs), report_of(&ys), report_of(&zs));
+
+            // Identity on both sides.
+            let mut left = ConsistencyReport::identity();
+            left.merge(&a);
+            prop_assert_eq!(left, a);
+            let mut right = a;
+            right.merge(&ConsistencyReport::identity());
+            prop_assert_eq!(right, a);
+
+            // Commutativity.
+            let mut ab = a;
+            ab.merge(&b);
+            let mut ba = b;
+            ba.merge(&a);
+            prop_assert_eq!(ab, ba);
+
+            // Associativity.
+            let mut ab_c = ab;
+            ab_c.merge(&c);
+            let mut bc = b;
+            bc.merge(&c);
+            let mut a_bc = a;
+            a_bc.merge(&bc);
+            prop_assert_eq!(ab_c, a_bc);
+        }
+    }
 
     #[test]
     fn consistency_matches_section_3_2() {

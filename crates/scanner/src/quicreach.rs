@@ -879,6 +879,86 @@ impl WarmScanResult {
     }
 }
 
+/// The mergeable summary a warm scan folds into: what the §5 resumption
+/// tables read of its [`WarmScanResult`]s, and nothing else.
+///
+/// Every field is an integer count or sum, so [`Merge`] is exactly
+/// associative and commutative and a pumped scan folds bit-for-bit the
+/// aggregate of the serial per-record results.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WarmAggregate {
+    /// Services probed.
+    pub total: usize,
+    /// Cold visits that completed (any class but Unreachable).
+    pub cold_reachable: usize,
+    /// Warm visits that actually resumed (PSK accepted).
+    pub resumed: usize,
+    /// Resumed visits whose first flight exceeded the 3× budget. 0 on
+    /// loss-free profiles — the certificate-free flight fits by
+    /// construction. Under loss, buggy servers (uncharged resends, §4.3)
+    /// can retransmit even the tiny resumed flight past 3× when the
+    /// client's ack is dropped, so a rare nonzero tail survives there.
+    pub resumed_over_budget: usize,
+    /// Resumed visits with any certificate bytes on the wire (must be 0).
+    pub resumed_with_cert_bytes: usize,
+    /// Total certificate bytes on the wire, cold visits.
+    pub cold_cert_bytes: u64,
+    /// Total certificate bytes on the wire, warm visits.
+    pub warm_cert_bytes: u64,
+    /// Cold visits classified Multi-RTT.
+    pub cold_multi_rtt: usize,
+    /// Of those, warm visits that shaved at least one round trip.
+    pub multi_rtt_saved_a_round: usize,
+    /// Round trips saved, summed over the cold Multi-RTT population.
+    pub multi_rtt_rtts_saved: i64,
+}
+
+impl WarmAggregate {
+    /// Fold one service's cold-vs-warm pair in.
+    pub fn push(&mut self, r: &WarmScanResult) {
+        self.total += 1;
+        if r.cold.class != HandshakeClass::Unreachable {
+            self.cold_reachable += 1;
+        }
+        self.cold_cert_bytes += r.cold_cert_bytes as u64;
+        self.warm_cert_bytes += r.warm_cert_bytes as u64;
+        if r.resumed {
+            self.resumed += 1;
+            self.resumed_over_budget += usize::from(r.warm_exceeds_limit);
+            self.resumed_with_cert_bytes += usize::from(r.warm_cert_bytes > 0);
+        }
+        if r.cold.class == HandshakeClass::MultiRtt {
+            self.cold_multi_rtt += 1;
+            self.multi_rtt_rtts_saved += r.rtts_saved;
+            self.multi_rtt_saved_a_round += usize::from(r.rtts_saved >= 1);
+        }
+    }
+
+    /// Mean round trips saved across the cold Multi-RTT population.
+    pub fn mean_rtts_saved_multi(&self) -> f64 {
+        self.multi_rtt_rtts_saved as f64 / self.cold_multi_rtt.max(1) as f64
+    }
+}
+
+impl Merge for WarmAggregate {
+    fn identity() -> Self {
+        WarmAggregate::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.total += other.total;
+        self.cold_reachable += other.cold_reachable;
+        self.resumed += other.resumed;
+        self.resumed_over_budget += other.resumed_over_budget;
+        self.resumed_with_cert_bytes += other.resumed_with_cert_bytes;
+        self.cold_cert_bytes += other.cold_cert_bytes;
+        self.warm_cert_bytes += other.warm_cert_bytes;
+        self.cold_multi_rtt += other.cold_multi_rtt;
+        self.multi_rtt_saved_a_round += other.multi_rtt_saved_a_round;
+        self.multi_rtt_rtts_saved += other.multi_rtt_rtts_saved;
+    }
+}
+
 /// Probe one service cold-then-warm under the scenario's
 /// [`ResumptionPolicy`] ([`Scenario::warm_policy`]).
 ///
@@ -1759,5 +1839,99 @@ mod tests {
             tunneled.unreachable,
             ideal.unreachable
         );
+    }
+
+    /// A warm aggregate from ten arbitrary field values — any values, not
+    /// only those a scan produces: the merge laws are about the fold.
+    fn warm_aggregate_of(f: &[u64]) -> WarmAggregate {
+        let n = |i: usize| f[i] as usize;
+        WarmAggregate {
+            total: n(0),
+            cold_reachable: n(1),
+            resumed: n(2),
+            resumed_over_budget: n(3),
+            resumed_with_cert_bytes: n(4),
+            cold_cert_bytes: f[5],
+            warm_cert_bytes: f[6],
+            cold_multi_rtt: n(7),
+            multi_rtt_saved_a_round: n(8),
+            multi_rtt_rtts_saved: f[9] as i64 - 500_000,
+        }
+    }
+
+    /// Cold-then-warm results of 48 services on the lossy profile, probed
+    /// once for every case.
+    fn warm_results() -> &'static [WarmScanResult] {
+        static RESULTS: OnceLock<Vec<WarmScanResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| {
+            let (world, population) = world();
+            let records: Vec<&DomainRecord> = services(&population).take(48).collect();
+            let scenario = BASE
+                .with_profile(NetworkProfile::Lossy)
+                .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+            warm_each(&world, &records, scenario)
+        })
+    }
+
+    fn warm_fold(results: &[WarmScanResult]) -> WarmAggregate {
+        let mut agg = WarmAggregate::identity();
+        for result in results {
+            agg.push(result);
+        }
+        agg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn warm_aggregate_merge_laws(
+            xs in proptest::collection::vec(0u64..1_000_000, 10..11),
+            ys in proptest::collection::vec(0u64..1_000_000, 10..11),
+            zs in proptest::collection::vec(0u64..1_000_000, 10..11),
+        ) {
+            let (a, b) = (warm_aggregate_of(&xs), warm_aggregate_of(&ys));
+            let c = warm_aggregate_of(&zs);
+
+            // Identity on both sides.
+            let mut left = WarmAggregate::identity();
+            left.merge(&a);
+            prop_assert_eq!(left, a);
+            let mut right = a;
+            right.merge(&WarmAggregate::identity());
+            prop_assert_eq!(right, a);
+
+            // Commutativity.
+            let mut ab = a;
+            ab.merge(&b);
+            let mut ba = b;
+            ba.merge(&a);
+            prop_assert_eq!(ab, ba);
+
+            // Associativity.
+            let mut ab_c = ab;
+            ab_c.merge(&c);
+            let mut bc = b;
+            bc.merge(&c);
+            let mut a_bc = a;
+            a_bc.merge(&bc);
+            prop_assert_eq!(ab_c, a_bc);
+        }
+
+        #[test]
+        fn warm_aggregate_chunking_is_invariant(cut_a in 0usize..49, cut_b in 0usize..49) {
+            let results = warm_results();
+            let (a, b) = (cut_a.min(cut_b), cut_a.max(cut_b));
+            let mut merged = warm_fold(&results[..a]);
+            merged.merge(&warm_fold(&results[a..b]));
+            merged.merge(&warm_fold(&results[b..]));
+            let whole = warm_fold(results);
+            prop_assert_eq!(merged, whole);
+            prop_assert_eq!(
+                whole.mean_rtts_saved_multi().to_bits(),
+                (whole.multi_rtt_rtts_saved as f64 / whole.cold_multi_rtt.max(1) as f64)
+                    .to_bits()
+            );
+        }
     }
 }

@@ -53,7 +53,7 @@ fn main() {
         ideal.cold_cert_bytes,
         ideal.warm_cert_bytes,
         ideal.cold_multi_rtt,
-        ideal.mean_rtts_saved_multi,
+        ideal.mean_rtts_saved_multi(),
         ideal.resumed_over_budget,
     );
     println!(
