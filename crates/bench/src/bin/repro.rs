@@ -89,11 +89,12 @@ fn main() {
         // bounded memory.
         scale_sizes: quicert_core::experiments::scale::PAPER_SCALE_SIZES,
     };
-    // Pump observability: stream the campaign's own population once and
-    // report what the pump workers did — first, so that the stats are this
-    // pass's and not a later one's. Stats go to stderr so stdout stays the
-    // golden report.
-    campaign.engine().stream_quicreach(campaign.scenario());
+    // Pump observability: scan the campaign's own population under its
+    // default scenario and report what the pump workers did — first, so
+    // that the stats are this pass's and not a later one's. The report's
+    // default-size figures read the summary this pass caches. Stats go to
+    // stderr so stdout stays the golden report.
+    campaign.engine().quicreach(campaign.scenario());
     if let Some(stats) = campaign.engine().pump_stats() {
         let totals = stats.totals();
         eprintln!(

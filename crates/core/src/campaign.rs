@@ -105,12 +105,6 @@ impl Campaign {
     pub fn world(&self) -> &World {
         self.engine.world()
     }
-
-    /// The rank-group width used for Figs 12/13 (the paper uses 100k groups
-    /// over 1M domains; scaled worlds use domains/10).
-    pub(crate) fn rank_group_width(&self) -> usize {
-        (self.config.world.domains / 10).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -151,19 +145,13 @@ mod tests {
             &engine.meta_pop(false, 0),
             &engine.meta_pop(false, 0)
         ));
-        assert!(!engine.quicreach(scenario).is_empty());
-    }
-
-    #[test]
-    fn rank_group_width_scales() {
-        let c = Campaign::new(CampaignConfig::small().with_domains(5_000));
-        assert_eq!(c.rank_group_width(), 500);
+        assert!(engine.quicreach(scenario).shard.total() > 0);
     }
 
     #[test]
     fn campaign_streaming_accessors_match_the_materialized_artifacts() {
         use quicert_scanner::https_scan::{self, HttpsScanShard};
-        use quicert_scanner::quicreach::{self, QuicReachShard};
+        use quicert_scanner::quicreach::{self, QuicReachShard, QuicReachSummary};
 
         // Held to the scanners' own whole-world scans — no engine, no pump,
         // no memo — not to the engine's collected artefacts, which ride the
@@ -172,13 +160,15 @@ mod tests {
         let (engine, scenario) = (campaign.engine(), campaign.scenario());
         assert_eq!(scenario.cold(), Scenario::at(scenario.initial_size));
         let oracle = quicreach::scan(campaign.world(), scenario.initial_size);
-        let streamed = engine.stream_quicreach(scenario);
+        let summary = engine.quicreach(scenario);
         assert_eq!(
-            *streamed,
+            summary.shard,
             QuicReachShard::from_results(scenario.initial_size, &oracle)
         );
-        assert!(Arc::ptr_eq(&streamed, &engine.stream_quicreach(scenario)));
-        assert_eq!(*engine.quicreach(scenario), oracle);
+        assert!(Arc::ptr_eq(&summary, &engine.quicreach(scenario)));
+        let domains = campaign.world().config.domains;
+        let want = QuicReachSummary::from_results(scenario.initial_size, domains, &oracle);
+        assert_eq!(*summary, want);
         assert_eq!(
             *engine.stream_https_scan(),
             HttpsScanShard::from_report(&https_scan::scan(campaign.world()))

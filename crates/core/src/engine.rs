@@ -2,14 +2,16 @@
 //! worker-sharded population loop.
 //!
 //! Every scan artifact the report and the experiment modules consume — the
-//! HTTPS certificate scan, quicreach classifications under *any* scenario,
-//! the warm-scan and QScanner summaries, the compression support table and
-//! synthetic study, telescope backscatter sessions and Meta-PoP ZMap scans
-//! — is computed at most once per campaign, by its own pass, and shared
-//! behind an [`Arc`]. Each family caches what its readers read: per-record
-//! rows where several figures read them, a [`Merge`] summary where they
-//! read counts. Experiments therefore never recompute a scan behind the
-//! report's back: asking twice returns the same allocation.
+//! HTTPS certificate scan, the quicreach summary of *any* scenario and the
+//! era join of any cell, the warm-scan and QScanner summaries, the
+//! compression support table and synthetic study, telescope backscatter
+//! sessions and Meta-PoP ZMap scans — is computed at most once per
+//! campaign, by its own pass, and shared behind an [`Arc`]. Each family
+//! caches what its readers read: a [`Merge`] summary where they read
+//! counts, per-record rows only where several figures read the rows (the
+//! HTTPS scan and the compression families). Experiments therefore never
+//! recompute a scan behind the report's back: asking twice returns the
+//! same allocation.
 //!
 //! ## One loop, two doors, cached folds on top
 //!
@@ -21,15 +23,18 @@
 //! sized claims, a [`Merge`] summary) and the public
 //! [`ScanEngine::fold_ranges`] (an explicit range list, derived as its
 //! caller names, one result per range); every service tick goes through
-//! one. The cached families sit on top: *summarising* folds (`stream_*`,
-//! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`]), one few-kilobyte
-//! summary per worker, merged; and *collecting* folds
-//! ([`ScanEngine::quicreach`], [`ScanEngine::https_scan`], …), which tag
-//! each claim's per-record rows with the claim's first rank and sort and
-//! flatten them once the pump is done. A family that reads nothing but QUIC
-//! services (quicreach, warm, QScanner, compression support) derives only
-//! those ([`World::quic_chunk_into`]); the HTTPS funnel and the compression
-//! study derive every rank.
+//! one. The cached families sit on top: *summarising* folds
+//! ([`ScanEngine::quicreach`], [`ScanEngine::era_join`],
+//! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`], `stream_*`), each
+//! worker folding its claims in place into one summary, the workers'
+//! summaries merged; and *collecting* folds ([`ScanEngine::https_scan`],
+//! [`ScanEngine::compression_support`],
+//! [`ScanEngine::compression_study`]), which tag each claim's per-record
+//! rows with the claim's first rank and sort and flatten them once the
+//! pump is done. A family that reads nothing but QUIC services (quicreach,
+//! era joins, warm, QScanner, compression support) derives only those
+//! ([`World::quic_chunk_into`]); the HTTPS funnel and the compression study
+//! derive every rank.
 //!
 //! The results are **bit-for-bit identical at any worker count and any
 //! claim size** because every probe draws its randomness from a `SimRng`
@@ -39,8 +44,8 @@
 //! `[a, b)` produces exactly the rows a serial run produces for them, rank
 //! order restores the serial artefact, and the summaries are exactly
 //! associative and commutative monoids under [`Merge`], so claiming order
-//! cannot shift a bit either. Each scanner module's whole-world `scan` — a
-//! serial map over its per-record function, no pump, no memo, no flyweight
+//! cannot shift a bit either. Each scanner module's per-record function,
+//! mapped serially over the population — no pump, no memo, no flyweight
 //! — is the reference `tests/determinism_matrix.rs` holds the collected
 //! artefacts and the summaries to, beside the worker × claim-size × memo
 //! grid.
@@ -62,7 +67,7 @@ use quicert_scanner::compression::{
 use quicert_scanner::https_scan::{self, HttpsScanReport, HttpsScanShard};
 use quicert_scanner::qscanner::{self, ConsistencyReport};
 use quicert_scanner::quicreach::{
-    self, ClassMemo, ProbeMetrics, ProbeScratch, QuicReachResult, QuicReachShard, WarmAggregate,
+    self, ClassMemo, EraJoin, ProbeScratch, QuicReachShard, QuicReachSummary, WarmAggregate,
 };
 use quicert_scanner::telescope_scan::{self, BackscatterSession};
 use quicert_scanner::zmap::{self, ZmapResult};
@@ -333,7 +338,7 @@ pub struct ScanEngine {
     world: World,
     workers: usize,
     // The one scenario-class memo (`None`: memoization off), shared by
-    // every worker of every quicreach pump for as long as the engine lives.
+    // every worker of every probing pump for as long as the engine lives.
     // A class carries no path latency (one representative per class,
     // rescaled on replay — `quicreach::scan_chunk`), so a million domains
     // are ≈5.5k entries.
@@ -342,7 +347,8 @@ pub struct ScanEngine {
     https: ArtifactCache<(), HttpsScanReport>,
     // Scan-family caches key on [`Scenario`] — every axis stores exact
     // integer/enum values, so no float keys anywhere.
-    quicreach: ArtifactCache<Scenario, Vec<QuicReachResult>>,
+    quicreach: ArtifactCache<Scenario, QuicReachSummary>,
+    eras: ArtifactCache<Scenario, EraJoin>,
     warm: ArtifactCache<Scenario, WarmAggregate>,
     compression_support: ArtifactCache<(), CompressionSupport>,
     compression_study: ArtifactCache<(CertificateEra, Algorithm, usize), Vec<SyntheticCompression>>,
@@ -351,7 +357,6 @@ pub struct ScanEngine {
     qscanner: ArtifactCache<(), ConsistencyReport>,
     // Streaming-path caches hold *summaries*, never per-record vectors, so
     // a cached million-record scan costs a few kilobytes.
-    stream_quicreach: ArtifactCache<Scenario, QuicReachShard>,
     stream_https: ArtifactCache<(), HttpsScanShard>,
     stream_compression: ArtifactCache<(), CompressionShard>,
     // What the pump did on its most recent pass.
@@ -384,13 +389,13 @@ impl ScanEngine {
                 .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
             https: ArtifactCache::new(&registry, "https"),
             quicreach: ArtifactCache::new(&registry, "quicreach"),
+            eras: ArtifactCache::new(&registry, "quicreach-eras"),
             warm: ArtifactCache::new(&registry, "warm"),
             compression_support: ArtifactCache::new(&registry, "compression-support"),
             compression_study: ArtifactCache::new(&registry, "compression-study"),
             telescope: ArtifactCache::new(&registry, "telescope"),
             zmap: ArtifactCache::new(&registry, "zmap"),
             qscanner: ArtifactCache::new(&registry, "qscanner"),
-            stream_quicreach: ArtifactCache::new(&registry, "stream-quicreach"),
             stream_https: ArtifactCache::new(&registry, "stream-https"),
             stream_compression: ArtifactCache::new(&registry, "stream-compression"),
             last_pump: Mutex::new(None),
@@ -401,16 +406,15 @@ impl ScanEngine {
     }
 
     /// An engine over a [`World::streaming`] of `config`. Every family
-    /// derives its records by rank: the `stream_*` summaries in bounded
-    /// memory, the per-record artefacts in memory that grows with the
-    /// population, the telescope by a rank-order walk that stops at its
-    /// last target.
+    /// derives its records by rank: the summaries in bounded memory, the
+    /// per-record artefacts in memory that grows with the population, the
+    /// telescope by a rank-order walk that stops at its last target.
     pub fn streaming(config: WorldConfig, default_initial: usize, workers: usize) -> ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
 
-    /// Enable or disable scenario-class memoization on the streaming scan
-    /// path (on by default). Memoized and unmemoized runs fold bit-for-bit
+    /// Enable or disable scenario-class memoization on every probing pass
+    /// (on by default). Memoized and unmemoized runs fold bit-for-bit
     /// identical summaries — the toggle exists for A/B benching and for
     /// the determinism matrix to prove exactly that; there is no results
     /// reason to turn it off. Profiles that consume per-record randomness
@@ -426,7 +430,7 @@ impl ScanEngine {
         self.memo.as_ref().map_or(0, |memo| memo.classes())
     }
 
-    /// Enable or disable streaming-scan instrumentation (on by default).
+    /// Enable or disable pump and probe instrumentation (on by default).
     /// Metrics are a pure side channel — they read simulated time and
     /// counters the datapath maintains anyway, so summaries are bit-for-bit
     /// identical either way; the determinism matrix pins exactly that. The
@@ -477,36 +481,56 @@ impl ScanEngine {
     pub fn https_scan(&self) -> Arc<HttpsScanReport> {
         self.https.get_or_compute((), || {
             let observe = |r: &DomainRecord| (r.dns, https_scan::observe(&self.world, r));
-            let rows = self.collect(None, World::domain_chunk_into, |records, _| {
+            let rows = self.collect(World::domain_chunk_into, |records| {
                 records.iter().map(observe).collect()
             });
             https_scan::collate(rows)
         })
     }
 
-    /// quicreach classifications of every QUIC service under one
-    /// [`Scenario`] — one cached artifact per scenario (the resumption
-    /// policy aside: cold scans never read it), so a grid revisiting a
-    /// cell is free. Collected through the pump's one probe loop
-    /// ([`quicreach::scan_chunk`], classes replayed as for the streamed
-    /// scan): record for record [`quicreach::scan_service`]'s, on every axis.
-    /// A reader that wants the summary folds it:
-    /// [`QuicReachShard::from_results`] is bit-for-bit
-    /// [`ScanEngine::stream_quicreach`] of the same scenario.
-    pub fn quicreach(&self, scenario: Scenario) -> Arc<Vec<QuicReachResult>> {
+    /// The quicreach scan of every QUIC service under one [`Scenario`],
+    /// folded into the [`QuicReachSummary`] its readers render — one cached
+    /// summary per scenario (the resumption policy aside: cold scans never
+    /// read it), so a grid revisiting a cell is free. Each worker folds its
+    /// claims, deriving only their QUIC services, straight into its own
+    /// summary through the one probe loop ([`quicreach::scan_chunk`], the
+    /// engine's memo replaying classes), and the workers' summaries merge:
+    /// bit-for-bit [`QuicReachSummary::from_results`] over
+    /// [`quicreach::scan_service`] rows, at any worker count and claim
+    /// size. A scenario that consumes per-probe wire randomness (a faulted
+    /// plan, a lossy profile) bypasses the memo regardless of the engine's
+    /// toggle; the summary is the same bits either way.
+    pub fn quicreach(&self, scenario: Scenario) -> Arc<QuicReachSummary> {
         let scenario = scenario.cold();
         self.quicreach.get_or_compute(scenario, || {
-            self.collect(
-                Some(scenario),
-                World::quic_chunk_into,
-                |records, scratch| {
-                    let mut rows = Vec::new();
-                    quicreach::scan_chunk(&self.world, records, scenario, scratch, |row| {
-                        rows.push(row)
-                    });
-                    rows
-                },
-            )
+            let fold = |summary: &mut QuicReachSummary, records: &mut _, scratch: &mut _| {
+                summary.fold(&self.world, records, scenario, scratch)
+            };
+            let mut summary = self.pump(true, World::quic_chunk_into, fold);
+            // An all-identity merge (empty population) never saw the
+            // scan's Initial size; stamp it so the bar is labelled.
+            summary.shard.classes.initial_size = scenario.initial_size;
+            summary
+        })
+    }
+
+    /// One `(profile, plan, Initial)` cell of `cell` probed in every
+    /// [`CertificateEra`] by one pass ([`EraJoin::fold`]): each service
+    /// under classical, hybrid and post-quantum, each era's summary equal
+    /// to [`ScanEngine::quicreach`] of that era, plus each era's tally
+    /// against classical, service for service. `cell`'s own era is
+    /// ignored: one cached join per cell.
+    pub fn era_join(&self, cell: Scenario) -> Arc<EraJoin> {
+        let cell = cell.cold().with_era(CertificateEra::Classical);
+        self.eras.get_or_compute(cell, || {
+            let fold = |join: &mut EraJoin, records: &mut _, scratch: &mut _| {
+                join.fold(&self.world, records, cell, scratch)
+            };
+            let mut join = self.pump(true, World::quic_chunk_into, fold);
+            for summary in &mut join.summaries {
+                summary.shard.classes.initial_size = cell.initial_size;
+            }
+            join
         })
     }
 
@@ -520,13 +544,12 @@ impl ScanEngine {
     pub fn warm_scan(&self, scenario: Scenario) -> Arc<WarmAggregate> {
         let scenario = scenario.with_policy(scenario.warm_policy());
         self.warm.get_or_compute(scenario, || {
-            self.pump(None, World::quic_chunk_into, |records, _| {
-                let mut agg = WarmAggregate::identity();
+            let revisit = |agg: &mut WarmAggregate, records: &mut [DomainRecord], _: &mut _| {
                 for record in records.iter() {
                     agg.push(&quicreach::warm_service(&self.world, record, scenario));
                 }
-                agg
-            })
+            };
+            self.pump(false, World::quic_chunk_into, revisit)
         })
     }
 
@@ -537,7 +560,7 @@ impl ScanEngine {
     pub fn compression_support(&self) -> Arc<CompressionSupport> {
         self.compression_support.get_or_compute((), || {
             let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
-            let rows = self.collect(None, World::quic_chunk_into, |records, _| {
+            let rows = self.collect(World::quic_chunk_into, |records| {
                 records.iter().map(probe).collect()
             });
             compression::collate(&rows)
@@ -557,7 +580,7 @@ impl ScanEngine {
         self.compression_study
             .get_or_compute((era, algorithm, stride), || {
                 let study = |r: &DomainRecord| compression::study(&self.world, r, algorithm, era);
-                self.collect(None, World::domain_chunk_into, |records, _| {
+                self.collect(World::domain_chunk_into, |records| {
                     let sampled = |r: &&DomainRecord| compression::in_study_sample(r, stride);
                     records.iter().filter(sampled).filter_map(study).collect()
                 })
@@ -593,16 +616,16 @@ impl ScanEngine {
     /// pushed into its worker's report and dropped.
     pub fn qscanner(&self) -> Arc<ConsistencyReport> {
         self.qscanner.get_or_compute((), || {
-            self.pump(None, World::quic_chunk_into, |records, _| {
-                let mut report = ConsistencyReport::identity();
-                let fetched = records
-                    .iter()
-                    .filter_map(|r| qscanner::fetch(&self.world, r));
-                for obs in fetched {
-                    report.push(&obs);
-                }
-                report
-            })
+            let fetch =
+                |report: &mut ConsistencyReport, records: &mut [DomainRecord], _: &mut _| {
+                    for obs in records
+                        .iter()
+                        .filter_map(|r| qscanner::fetch(&self.world, r))
+                    {
+                        report.push(&obs);
+                    }
+                };
+            self.pump(false, World::quic_chunk_into, fetch)
         })
     }
 
@@ -627,10 +650,10 @@ impl ScanEngine {
     /// accumulator and scratch) exist in memory, so a million-record
     /// population streams through a few megabytes.
     ///
-    /// The scratch is a handle on `memo` (the engine's table, the pass's
-    /// own, or none) plus, under `Some(scenario)` while metrics are enabled,
-    /// the scenario's [`ProbeMetrics`]; the families that probe nothing get
-    /// a memo-less, metrics-less scratch they ignore, so nothing is
+    /// A pass that `probes` hands its workers a scratch on the engine's
+    /// memo which, while metrics are enabled, reports every scan under its
+    /// own era × profile labels; the families that probe nothing get a
+    /// memo-less, metrics-less scratch they ignore, so nothing is
     /// registered or counted on their behalf. Returns the per-worker
     /// accumulators in spawn order after flushing the run's [`PumpStats`];
     /// a worker's panic resumes on the caller with its own message. A
@@ -639,8 +662,7 @@ impl ScanEngine {
     fn run_pump<A, MA, F>(
         &self,
         claims: Claims<'_>,
-        scenario: Option<Scenario>,
-        memo: Option<&Arc<ClassMemo>>,
+        probes: bool,
         derive: Derive,
         make_acc: MA,
         fold: F,
@@ -663,15 +685,13 @@ impl ScanEngine {
                 0,
             ),
         };
-        let probe_metrics = scenario
-            .filter(|_| self.metrics_enabled)
-            .map(|scenario| ProbeMetrics::register(&self.registry, scenario));
+        let memo = self.memo.as_ref().filter(|_| probes);
         let cursor = AtomicUsize::new(0);
         let worker = || -> (A, WorkerPumpStats) {
             let mut acc = make_acc();
             let mut scratch = ProbeScratch::sharing(memo.cloned());
-            if let Some(metrics) = &probe_metrics {
-                scratch.set_metrics(metrics.clone());
+            if probes && self.metrics_enabled {
+                scratch.report_to(Arc::clone(&self.registry));
             }
             let mut buf: Vec<DomainRecord> = Vec::new();
             let mut stats = WorkerPumpStats::default();
@@ -726,93 +746,63 @@ impl ScanEngine {
         accs
     }
 
-    /// [`ScanEngine::fold_population`], scenario optional: the one
-    /// population fold behind it and the scenario-less summarising
-    /// families. Claims start at an eighth of the population per worker,
-    /// clamped to [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], and
-    /// taper near the tail.
-    fn pump<S, F>(&self, scenario: Option<Scenario>, derive: Derive, fold: F) -> S
+    /// One pass of the whole population, each worker folding its claims in
+    /// place into one accumulator of its own, the accumulators merged once
+    /// the pump is done: however large the population, one summary per
+    /// worker (plus the chunk in flight) is all that is ever live. Exact
+    /// at any worker count and claim size because every summary is an
+    /// exactly associative and commutative [`Merge`] monoid. Claims start
+    /// at an eighth of the population per worker, clamped to
+    /// [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], and taper near the
+    /// tail.
+    fn pump<S, F>(&self, probes: bool, derive: Derive, fold: F) -> S
     where
         S: Merge + Send,
-        F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
+        F: Fn(&mut S, &mut [DomainRecord], &mut ProbeScratch) + Sync,
     {
         S::merge_all(self.run_pump(
             Claims::Population(self.world.config.domains),
-            scenario,
-            scenario.and(self.memo.as_ref()),
+            probes,
             derive,
             S::identity,
-            |local: &mut S, _, records, scratch| local.merge(&fold(records, scratch)),
+            |acc: &mut S, _, records, scratch| fold(acc, records, scratch),
         ))
     }
 
-    /// The streaming quicreach scan under one [`Scenario`]: the whole
-    /// population is pumped through the sharded workers in bounded memory,
-    /// each claim deriving only its QUIC services (all the probe loop
-    /// reads), and folded into one [`QuicReachShard`]. No `Vec` of
-    /// per-record results is ever built on this path — the cache stores
-    /// the summary itself, keyed like the [`ScanEngine::quicreach`] cache
-    /// and bit-for-bit [`QuicReachShard::from_results`] of that artifact,
-    /// at any worker count and claim size. A scenario that consumes
-    /// per-probe wire randomness (a faulted plan, a lossy profile) bypasses
-    /// scenario-class memoization regardless of the engine's memo toggle;
-    /// the summary is the same bits either way.
-    pub fn stream_quicreach(&self, scenario: Scenario) -> Arc<QuicReachShard> {
-        let scenario = scenario.cold();
-        self.stream_quicreach.get_or_compute(scenario, || {
-            let fold = |records: &mut [DomainRecord], scratch: &mut ProbeScratch| {
-                quicreach::fold_chunk(&self.world, records, scenario, scratch)
-            };
-            let mut shard = self.pump(Some(scenario), World::quic_chunk_into, fold);
-            // An all-identity merge (empty population) never saw the
-            // scan's Initial size; stamp it so the bar is labelled.
-            shard.classes.initial_size = scenario.initial_size;
-            shard
-        })
-    }
-
-    /// Fold the whole population through the streaming pump — the claiming
-    /// of [`ScanEngine::stream_quicreach`], the per-worker scratch of
-    /// [`ScanEngine::fold_ranges`] — into one merged summary. Each claimed
-    /// chunk is handed to `fold` mutably, so a resident caller can overlay
-    /// churn before scanning; its result merges into its worker's
-    /// accumulator at once, so however large the population, one summary
-    /// per worker (plus the chunk in flight) is all that is ever live.
-    /// Exact at any worker count and claim size because every summary is
-    /// an exactly associative and commutative [`Merge`] monoid. Nothing is
-    /// cached; simulated classes stay in the engine's memo.
-    pub(crate) fn fold_population<S, F>(&self, scenario: Scenario, fold: F) -> S
+    /// Fold the whole population through the pump — the claiming of
+    /// [`ScanEngine::quicreach`], the per-worker scratch of
+    /// [`ScanEngine::fold_ranges`] — into one merged summary, each claim
+    /// derived by `derive`. Each claimed chunk is handed to `fold` mutably,
+    /// so a resident caller can overlay churn before scanning; its result
+    /// merges into its worker's accumulator at once. Nothing is cached;
+    /// simulated classes stay in the engine's memo.
+    pub(crate) fn fold_population<S, F>(&self, derive: Derive, fold: F) -> S
     where
         S: Merge + Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
     {
-        self.pump(Some(scenario), World::domain_chunk_into, fold)
+        self.pump(true, derive, |acc: &mut S, records, scratch| {
+            acc.merge(&fold(records, scratch))
+        })
     }
 
     /// Fold an explicit list of `(first_rank, len)` rank ranges through the
-    /// streaming pump's worker loop — same thread cap, same per-worker
-    /// scratch (the engine's memo, `scenario`'s [`ProbeMetrics`]), same
-    /// [`PumpStats`] flush as [`ScanEngine::stream_quicreach`] — and return
-    /// one `fold` result per range, in input order. Each range is derived
-    /// as one chunk by `derive` — [`World::domain_chunk_into`] (every rank)
-    /// or [`World::quic_chunk_into`] (its QUIC services only) — and handed
-    /// to `fold` mutably, so a resident caller can overlay churn before
+    /// pump's worker loop — same thread cap, same per-worker scratch (the
+    /// engine's memo and registry), same [`PumpStats`] flush as
+    /// [`ScanEngine::quicreach`] — and return one `fold` result per range,
+    /// in input order. Each range is derived as one chunk by `derive` —
+    /// [`World::domain_chunk_into`] (every rank) or
+    /// [`World::quic_chunk_into`] (its QUIC services only) — and handed to
+    /// `fold` mutably, so a resident caller can overlay churn before
     /// scanning. No result is cached, but the classes simulated stay in the
     /// engine's memo for later calls to replay; an overlay only reaches a
     /// probe through key fields, so none go stale.
-    pub fn fold_ranges<R, F>(
-        &self,
-        scenario: Scenario,
-        ranges: &[(usize, usize)],
-        derive: Derive,
-        fold: F,
-    ) -> Vec<R>
+    pub fn fold_ranges<R, F>(&self, ranges: &[(usize, usize)], derive: Derive, fold: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
-        let claims = Claims::Ranges(ranges);
-        self.pump_in_order(claims, Some(scenario), self.memo.as_ref(), derive, fold)
+        self.pump_in_order(Claims::Ranges(ranges), true, derive, fold)
     }
 
     /// One pump pass with its per-claim `fold` results back in claim order,
@@ -822,15 +812,13 @@ impl ScanEngine {
     fn pump_in_order<R: Send>(
         &self,
         claims: Claims<'_>,
-        scenario: Option<Scenario>,
-        memo: Option<&Arc<ClassMemo>>,
+        probes: bool,
         derive: Derive,
         fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     ) -> Vec<R> {
         let per_worker = self.run_pump(
             claims,
-            scenario,
-            memo,
+            probes,
             derive,
             Vec::new,
             |acc: &mut Vec<(usize, R)>, tag, records, scratch| {
@@ -842,23 +830,17 @@ impl ScanEngine {
         tagged.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// One pass of the population, `rows` returning each claim's per-record
-    /// rows off the records `derive` built: the artefact in rank order.
-    /// Records are derived per pass, never borrowed, so a streaming engine
-    /// collects the same rows. Under a scenario the probes share a memo
-    /// that lives for the pass: a collected artefact's classes are never
-    /// asked for again (its cache answers repeats), and a report's ≈13k
-    /// left resident cost +26% of its peak RSS; ticks and reads do replay
-    /// across pumps and keep the engine's.
+    /// One pass of the population that probes nothing, `rows` returning
+    /// each claim's per-record rows off the records `derive` built: the
+    /// artefact in rank order. Records are derived per pass, never
+    /// borrowed, so a streaming engine collects the same rows.
     fn collect<R: Send>(
         &self,
-        scenario: Option<Scenario>,
         derive: Derive,
-        rows: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> Vec<R> + Sync,
+        rows: impl Fn(&mut [DomainRecord]) -> Vec<R> + Sync,
     ) -> Vec<R> {
-        let memo = scenario.and(self.memo.as_ref()).map(|_| Arc::default());
         let population = Claims::Population(self.world.config.domains);
-        let claims = self.pump_in_order(population, scenario, memo.as_ref(), derive, rows);
+        let claims = self.pump_in_order(population, false, derive, |records, _| rows(records));
         // Sized once: grown by doubling, each artefact left its size in holes.
         let mut all = Vec::with_capacity(claims.iter().map(Vec::len).sum());
         all.extend(claims.into_iter().flatten());
@@ -870,7 +852,7 @@ impl ScanEngine {
     // `perfbench/` is frozen and calls this positional signature (plus
     // three in `quicert_scanner::quicreach`). It builds a `Scenario` and
     // delegates, so a new axis never touches it; nothing else in the
-    // workspace may call it — use [`ScanEngine::stream_quicreach`].
+    // workspace may call it — use [`ScanEngine::quicreach`].
 
     #[doc(hidden)]
     pub fn stream_quicreach_chaos(
@@ -884,7 +866,7 @@ impl ScanEngine {
             .with_era(era)
             .with_profile(profile)
             .with_plan(plan);
-        self.stream_quicreach(scenario)
+        Arc::new(self.quicreach(scenario).shard.clone())
     }
 
     // ------------------------------------------- end frozen compat block --
@@ -898,9 +880,10 @@ impl ScanEngine {
     /// ([`World::https_chain_shape`]) and issues one chain per class.
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
-            self.pump(None, World::domain_chunk_into, |records, _| {
-                https_scan::fold_iter(&self.world, &*records)
-            })
+            let fold = |shard: &mut HttpsScanShard, records: &mut [DomainRecord], _: &mut _| {
+                shard.merge(&https_scan::fold_iter(&self.world, &*records))
+            };
+            self.pump(false, World::domain_chunk_into, fold)
         })
     }
 
@@ -909,9 +892,10 @@ impl ScanEngine {
     /// memory.
     pub fn stream_compression_support(&self) -> Arc<CompressionShard> {
         self.stream_compression.get_or_compute((), || {
-            self.pump(None, World::quic_chunk_into, |records, _| {
-                compression::fold_iter(&self.world, &*records)
-            })
+            let fold = |shard: &mut CompressionShard, records: &mut [DomainRecord], _: &mut _| {
+                shard.merge(&compression::fold_iter(&self.world, &*records))
+            };
+            self.pump(false, World::quic_chunk_into, fold)
         })
     }
 }
@@ -920,6 +904,7 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use quicert_pki::{Provider, WorldConfig};
+    use quicert_scanner::quicreach::QuicReachResult;
 
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
@@ -955,7 +940,7 @@ mod tests {
         let ranks: Vec<usize> = (1..=1_200).collect();
         for workers in [1, 2, 3, 8, 64, 1000] {
             let engine = ScanEngine::streaming(config(), 1362, workers);
-            let collected = engine.collect(None, World::domain_chunk_into, |records, _| {
+            let collected = engine.collect(World::domain_chunk_into, |records| {
                 records.iter().map(|r| r.rank).collect()
             });
             assert_eq!(collected, ranks, "workers={workers}");
@@ -1012,6 +997,11 @@ mod tests {
         assert!(Arc::ptr_eq(
             &engine.warm_scan(BASE),
             &engine.warm_scan(BASE)
+        ));
+        // One era join per cell, whatever era the request names.
+        assert!(Arc::ptr_eq(
+            &engine.era_join(BASE),
+            &engine.era_join(BASE.with_era(CertificateEra::Hybrid))
         ));
         assert!(Arc::ptr_eq(
             &engine.compression_support(),
@@ -1101,7 +1091,7 @@ mod tests {
         });
         let fig3 = crate::experiments::handshakes::fig3(&campaign);
         let smallest = engine(2).quicreach(steered.with_initial_size(1200));
-        assert_eq!(fig3.bars[0], quicreach::summarize(1200, &smallest));
+        assert_eq!(fig3.bars[0], smallest.shard.classes);
     }
 
     #[test]
@@ -1118,9 +1108,10 @@ mod tests {
     fn stream_chaos_matches_materialized_and_bypasses_memo() {
         let engine = engine(2);
         let faulted = BASE.with_plan(FaultPlan::MODERATE);
-        let streamed = engine.stream_quicreach(faulted);
+        let streamed = engine.quicreach(faulted);
         let per_record = oracle(engine.world(), faulted);
-        assert_eq!(*streamed, QuicReachShard::from_results(1362, &per_record));
+        let want = QuicReachSummary::from_results(1362, 1_200, &per_record);
+        assert_eq!(*streamed, want);
         // The faulted probes draw wire randomness, so the streamed fold
         // must never have consulted the scenario-class memo — even though
         // the engine's memo toggle is on and the profile is Ideal.
@@ -1136,9 +1127,12 @@ mod tests {
             "faulted plans must bypass scenario-class memoization"
         );
         // The recovery-cost counters actually surface the plan's faults.
-        assert!(streamed.fault_drops > 0, "moderate plan drops datagrams");
         assert!(
-            streamed.retransmissions() > 0,
+            streamed.shard.fault_drops > 0,
+            "moderate plan drops datagrams"
+        );
+        assert!(
+            streamed.shard.retransmissions() > 0,
             "dropped flights force retransmissions"
         );
     }
@@ -1189,7 +1183,7 @@ mod tests {
         // Warm scans never touch the cold quicreach cache: the cold
         // artifact computed afterwards is built fresh and ticket-free.
         let cold = engine.quicreach(BASE);
-        assert!(!cold.is_empty());
+        assert!(cold.shard.total() > 0);
     }
 
     #[test]
@@ -1201,11 +1195,15 @@ mod tests {
         let engine = engine(2);
         let world = engine.world();
         let per_record = quicreach::scan(world, 1362);
+        let summary = engine.quicreach(BASE);
         assert_eq!(
-            *engine.stream_quicreach(BASE),
+            summary.shard,
             QuicReachShard::from_results(1362, &per_record)
         );
-        assert_eq!(*engine.quicreach(BASE), per_record);
+        assert_eq!(
+            *summary,
+            QuicReachSummary::from_results(1362, 1_200, &per_record)
+        );
         let report = https_scan::scan(world);
         assert_eq!(
             *engine.stream_https_scan(),
@@ -1239,15 +1237,15 @@ mod tests {
         let world = engine.world();
         let records = population(world);
         let services: Vec<&DomainRecord> = records.iter().filter(|r| r.has_quic()).collect();
-        let streamed = engine.stream_quicreach(BASE);
-        assert!(streamed.total() > 0);
+        let streamed = engine.quicreach(BASE);
+        assert!(streamed.shard.total() > 0);
         for size in [1usize, 64, 4096] {
             let ranges: Vec<_> = (1..=1_200).step_by(size).map(|r| (r, size)).collect();
-            let folded =
-                engine.fold_ranges(BASE, &ranges, World::domain_chunk_into, |chunk, scratch| {
-                    quicreach::fold_chunk(world, chunk, BASE, scratch)
-                });
-            assert_eq!(QuicReachShard::merge_all(folded), *streamed, "chunk {size}");
+            let folded = engine.fold_ranges(&ranges, World::domain_chunk_into, |chunk, scratch| {
+                quicreach::fold_chunk(world, chunk, BASE, scratch)
+            });
+            let merged = QuicReachShard::merge_all(folded);
+            assert_eq!(merged, streamed.shard, "chunk {size}");
         }
         // Never a report whose chains and counters disagree.
         let (funnel, report) = (engine.stream_https_scan(), engine.https_scan());
@@ -1328,8 +1326,8 @@ mod tests {
     fn streaming_artifacts_are_cached_summaries() {
         let engine = engine(2);
         assert!(Arc::ptr_eq(
-            &engine.stream_quicreach(BASE),
-            &engine.stream_quicreach(BASE)
+            &engine.quicreach(BASE),
+            &engine.quicreach(BASE)
         ));
         assert!(Arc::ptr_eq(
             &engine.stream_https_scan(),
@@ -1342,12 +1340,12 @@ mod tests {
         // Distinct axes are distinct summaries; the default request
         // shares the baseline entry.
         assert!(Arc::ptr_eq(
-            &engine.stream_quicreach(engine.scenario()),
-            &engine.stream_quicreach(BASE)
+            &engine.quicreach(engine.scenario()),
+            &engine.quicreach(BASE)
         ));
         assert!(!Arc::ptr_eq(
-            &engine.stream_quicreach(BASE),
-            &engine.stream_quicreach(Scenario::at(1250))
+            &engine.quicreach(BASE),
+            &engine.quicreach(Scenario::at(1250))
         ));
     }
 
@@ -1361,9 +1359,13 @@ mod tests {
             1362,
             2,
         );
-        let reach = engine.stream_quicreach(BASE);
-        assert_eq!(reach.total(), 0);
-        assert_eq!(reach.classes.initial_size, 1362);
+        let reach = engine.quicreach(BASE);
+        assert_eq!(reach.shard.total(), 0);
+        assert_eq!(reach.shard.classes.initial_size, 1362);
+        let join = engine.era_join(BASE);
+        for era in CertificateEra::ALL {
+            assert_eq!(*join.era(era).0, *reach, "{era}");
+        }
         assert_eq!(engine.stream_https_scan().total, 0);
     }
 
@@ -1372,17 +1374,17 @@ mod tests {
         // Bit-identity with metrics on vs off, at 1, 2 and 8 workers: the
         // instrumented pump must fold exactly the summaries the bare pump
         // folds. (The full axes sweep lives in the determinism matrix.)
-        let reference = engine(1).with_metrics(false).stream_quicreach(BASE);
+        let reference = engine(1).with_metrics(false).quicreach(BASE);
         for workers in [1, 2, 8] {
             let on = engine(workers).with_metrics(true);
             let off = engine(workers).with_metrics(false);
             assert_eq!(
-                *on.stream_quicreach(BASE),
+                *on.quicreach(BASE),
                 *reference,
                 "metrics on diverged at {workers} workers"
             );
             assert_eq!(
-                *off.stream_quicreach(BASE),
+                *off.quicreach(BASE),
                 *reference,
                 "metrics off diverged at {workers} workers"
             );
@@ -1397,7 +1399,7 @@ mod tests {
         // rounding (ε = 1e-9 of it).
         let engine = engine(2);
         engine.stream_https_scan();
-        engine.stream_quicreach(BASE);
+        engine.quicreach(BASE);
         let stats = engine.pump_stats().expect("a pump ran");
         for worker in &stats.workers {
             assert!(worker.derive_seconds <= worker.fold_seconds, "{worker:?}");
@@ -1425,8 +1427,8 @@ mod tests {
     #[test]
     fn registry_counters_mirror_the_pump_and_cache_activity() {
         let engine = engine(2);
-        let first = engine.stream_quicreach(BASE);
-        let again = engine.stream_quicreach(BASE);
+        let first = engine.quicreach(BASE);
+        let again = engine.quicreach(BASE);
         assert!(Arc::ptr_eq(&first, &again));
 
         let registry = engine.metrics_registry();
@@ -1458,8 +1460,8 @@ mod tests {
         assert_eq!(issued, totals.memo_misses);
         assert_eq!(replayed, totals.memo_hits);
 
-        // One miss then one hit on the stream-quicreach artifact cache.
-        let cache = [("family", "stream-quicreach")];
+        // One miss then one hit on the quicreach artifact cache.
+        let cache = [("family", "quicreach")];
         assert_eq!(
             registry
                 .labeled_counter("quicert_engine_cache_misses_total", &cache, "")
@@ -1473,11 +1475,11 @@ mod tests {
             1
         );
 
-        // A collecting pass is a pump like any other: the counters now
-        // read the sum of both passes, and its scenario's probe counters
-        // account for every service it probed, replays included.
-        let collected = engine.quicreach(BASE.with_era(CertificateEra::Hybrid));
-        let pass = engine.pump_stats().expect("the collect pumped").totals();
+        // A second scenario's pass: the counters now read the sum of both
+        // passes, and its scenario's probe counters account for every
+        // service it probed, replays included.
+        let hybrid = engine.quicreach(BASE.with_era(CertificateEra::Hybrid));
+        let pass = engine.pump_stats().expect("the scan pumped").totals();
         assert_eq!(pass.records_folded, 1_200);
         assert_eq!(
             counter("quicert_engine_chunks_claimed_total"),
@@ -1499,13 +1501,16 @@ mod tests {
         let probes = |name| registry.labeled_counter(name, &labels, "").get();
         assert_eq!(probes("quicert_scan_probes_issued_total"), pass.memo_misses);
         assert_eq!(probes("quicert_scan_probes_replayed_total"), pass.memo_hits);
-        assert_eq!(pass.memo_hits + pass.memo_misses, collected.len() as u64);
-        assert!(pass.memo_hits > 0, "a collecting pass replays classes");
+        assert_eq!(
+            pass.memo_hits + pass.memo_misses,
+            hybrid.shard.total() as u64
+        );
+        assert!(pass.memo_hits > 0, "a pass replays classes");
 
         // Disabled metrics freeze the pump counters (cache counters still
         // tick — they never threatened determinism in the first place).
         let off = super::tests::engine(2).with_metrics(false);
-        off.stream_quicreach(BASE);
+        off.quicreach(BASE);
         off.quicreach(BASE.with_era(CertificateEra::Hybrid));
         assert_eq!(
             off.metrics_registry()
@@ -1516,27 +1521,30 @@ mod tests {
     }
 
     #[test]
-    fn a_collected_scenario_leaves_its_stream_request_to_a_pass_of_its_own() {
-        // A collecting pass fills its own cache and nothing else: its
-        // classes lived for the pass, and the summary of the same scenario
-        // is a second pass — bit-for-bit the artefact's summary.
+    fn an_era_join_is_one_pass_whose_summaries_are_the_per_era_scans() {
+        // Each service is probed once per era, all in one pass: on the
+        // lossy profile (which simulates every probe) the issued counters
+        // of each era read the QUIC services exactly, and each era's
+        // summary is the same bits as that era's own quicreach pass on a
+        // fresh engine.
         let engine = engine(2);
-        let scenario = BASE.with_era(CertificateEra::PostQuantum);
-        let collected = engine.quicreach(scenario);
-        assert_eq!(engine.memo_classes(), 0);
-        let folded = || {
-            let registry = engine.metrics_registry();
-            registry
-                .counter("quicert_engine_records_folded_total", "")
-                .get()
-        };
-        assert_eq!(folded(), 1_200);
-        let summary = engine.stream_quicreach(scenario);
-        assert_eq!(folded(), 2 * 1_200);
-        assert_eq!(
-            *summary,
-            QuicReachShard::from_results(scenario.initial_size, &collected)
-        );
+        let cell = BASE.with_profile(NetworkProfile::Lossy);
+        let join = engine.era_join(cell);
+        let registry = engine.metrics_registry();
+        let folded = registry.counter("quicert_engine_records_folded_total", "");
+        assert_eq!(folded.get(), 1_200, "one pass");
+        let services = oracle(engine.world(), cell).len() as u64;
+        for era in CertificateEra::ALL {
+            let labels = [("era", era.name()), ("profile", "lossy")];
+            let issued = registry.labeled_counter("quicert_scan_probes_issued_total", &labels, "");
+            assert_eq!(issued.get(), services, "{era}");
+            let own = self::engine(2).quicreach(cell.with_era(era));
+            assert_eq!(*join.era(era).0, *own, "{era}");
+        }
+        // The cell's era is no part of its key.
+        let post_quantum = cell.with_era(CertificateEra::PostQuantum);
+        assert!(Arc::ptr_eq(&join, &engine.era_join(post_quantum)));
+        assert_eq!(folded.get(), 1_200);
     }
 
     #[test]
@@ -1546,7 +1554,6 @@ mod tests {
             let engine = ScanEngine::streaming(config(), 1362, workers);
             let panicked = catch_unwind(AssertUnwindSafe(|| {
                 engine.fold_ranges(
-                    BASE,
                     &[(1, 600), (601, 600)],
                     World::domain_chunk_into,
                     |records, _| {
@@ -1568,7 +1575,7 @@ mod tests {
             // And the engine is not wedged: the next requests pump, cache
             // and report as if nothing had happened.
             assert_eq!(engine.stream_https_scan().total, 1_200);
-            assert!(engine.quicreach(BASE).len() > 100);
+            assert!(engine.quicreach(BASE).shard.total() > 100);
             assert!(engine.pump_stats().is_some());
         }
     }
@@ -1601,7 +1608,7 @@ mod tests {
             assert!(!rendered.contains(series), "{series} registered");
         }
         // A scenario fold on the same engine is what registers them.
-        engine.stream_quicreach(BASE);
+        engine.quicreach(BASE);
         let rendered = engine.metrics_registry().render_prometheus();
         assert!(rendered.contains("quicert_scan_probes_issued_total"));
         assert!(rendered.contains("quicert_handshake_phase_seconds"));
@@ -1616,25 +1623,21 @@ mod tests {
         // Out of rank order on purpose, with a short tail range.
         let ranges = [(901, 300), (1, 400), (401, 500), (1_101, 400)];
         let reference = ScanEngine::streaming(world_config.clone(), 1362, 1);
-        let whole = reference.stream_quicreach(BASE);
+        let whole = reference.quicreach(BASE);
         for workers in [1, 2, 8] {
             let engine = ScanEngine::streaming(world_config.clone(), 1362, workers);
-            let folded = engine.fold_ranges(
-                BASE,
-                &ranges,
-                World::domain_chunk_into,
-                |records, scratch| {
+            let folded =
+                engine.fold_ranges(&ranges, World::domain_chunk_into, |records, scratch| {
                     let first = records.first().map_or(0, |r| r.rank);
                     let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
                     (first, records.len(), shard)
-                },
-            );
+                });
             let spans: Vec<(usize, usize)> = folded.iter().map(|f| (f.0, f.1)).collect();
             assert_eq!(spans, [(901, 300), (1, 400), (401, 500), (1_101, 100)]);
             // Ranks 901..=1200 were folded twice (ranges 0 and 3 overlap);
             // the first three ranges tile the population exactly.
             let tiled = QuicReachShard::merge_all(folded.iter().take(3).map(|f| f.2.clone()));
-            assert_eq!(tiled, *whole, "workers={workers}");
+            assert_eq!(tiled, whole.shard, "workers={workers}");
 
             // Same flush as a streamed scan: pump stats, pump counters and
             // the scenario's probe counters all saw exactly these records.
@@ -1659,11 +1662,10 @@ mod tests {
             // The same ranges deriving only their QUIC services: each range
             // receives exactly the QUIC records of its full derivation, the
             // probes see what they saw, and the pump still covers every rank.
-            let quic =
-                engine.fold_ranges(BASE, &ranges, World::quic_chunk_into, |records, scratch| {
-                    let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
-                    (records.to_vec(), shard)
-                });
+            let quic = engine.fold_ranges(&ranges, World::quic_chunk_into, |records, scratch| {
+                let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                (records.to_vec(), shard)
+            });
             for (&(first, len), (services, _)) in ranges.iter().zip(&quic) {
                 let mut full = engine.world().domain_chunk(first, len);
                 full.retain(DomainRecord::has_quic);
@@ -1680,7 +1682,7 @@ mod tests {
         }
         // No ranges, no work — and no panic.
         let every_rank = World::domain_chunk_into;
-        let none = reference.fold_ranges(BASE, &[], every_rank, |records, _| records.len());
+        let none = reference.fold_ranges(&[], every_rank, |records, _| records.len());
         assert!(none.is_empty());
     }
 
@@ -1734,11 +1736,9 @@ mod tests {
                 quicreach::fold_chunk(world, &owned, scenario, &mut fresh()),
                 "fold_records_scratch_chaos {scenario:?}"
             );
-            assert!(
-                Arc::ptr_eq(
-                    &engine.stream_quicreach_chaos(era, profile, plan, 1362),
-                    &engine.stream_quicreach(scenario)
-                ),
+            assert_eq!(
+                *engine.stream_quicreach_chaos(era, profile, plan, 1362),
+                engine.quicreach(scenario).shard,
                 "stream_quicreach_chaos {scenario:?}"
             );
             for policy in ResumptionPolicy::ALL {

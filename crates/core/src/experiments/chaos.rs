@@ -8,11 +8,10 @@
 //! server retransmissions, and time spent stalled against the 3×
 //! amplification budget while the server waits for address validation.
 //!
-//! Two views, both fed from the engine's plan-keyed artifact caches:
+//! Two views, both fed from the engine's cached artifacts:
 //!
 //! * `fault_grid` — the [`FaultPlan::LADDER`] swept per `(era, profile)`
-//!   cell on the streaming scan path, each rung compared against the
-//!   fault-free rung of the same cell;
+//!   cell, each rung compared against the fault-free rung of the same cell;
 //! * `resumption_under_faults` — whether session resumption still pays
 //!   off once the wire misbehaves, per ladder rung and
 //!   [`ResumptionPolicy`].
@@ -21,7 +20,6 @@ use quicert_analysis::{render_table, Table};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::CertificateEra;
 use quicert_scanner::quicreach::WarmAggregate;
-use quicert_scanner::QuicReachShard;
 use quicert_session::ResumptionPolicy;
 
 use crate::Campaign;
@@ -72,9 +70,9 @@ pub(crate) const GRID_ERAS: [CertificateEra; 2] =
 pub(crate) const GRID_PROFILES: [NetworkProfile; 2] =
     [NetworkProfile::Ideal, NetworkProfile::Lossy];
 
-/// Sweep the [`FaultPlan::LADDER`] over every `(era, profile)` cell, on
-/// the streaming scan path (one [`quicert_scanner::QuicReachShard`] per
-/// cell, never a materialized result vector). Rows arrive grouped by
+/// Sweep the [`FaultPlan::LADDER`] over every `(era, profile)` cell, one
+/// cached [`quicert_scanner::QuicReachSummary`] per faulted rung and the
+/// era matrix's cell as the fault-free one. Rows arrive grouped by
 /// `(era, profile)` with the ladder in intensity order, baseline first.
 pub(crate) fn fault_grid(
     campaign: &Campaign,
@@ -90,12 +88,14 @@ pub(crate) fn fault_grid(
                 .with_era(era)
                 .with_profile(profile)
                 .with_plan(FaultPlan::NONE);
-            // The era matrix collected the fault-free rung already.
-            let baseline = QuicReachShard::from_results(cell.initial_size, &engine.quicreach(cell));
+            // The fault-free rung is a cell of the era matrix: its join
+            // probed it already.
+            let join = engine.era_join(cell);
+            let baseline = &join.era(era).0.shard;
             for plan in FaultPlan::LADDER {
-                let faulted = (plan != FaultPlan::NONE)
-                    .then(|| engine.stream_quicreach(cell.with_plan(plan)));
-                let shard = faulted.as_deref().unwrap_or(&baseline);
+                let faulted =
+                    (plan != FaultPlan::NONE).then(|| engine.quicreach(cell.with_plan(plan)));
+                let shard = faulted.as_ref().map_or(baseline, |summary| &summary.shard);
                 cells.push(ChaosCell {
                     plan,
                     era,
@@ -287,10 +287,11 @@ mod tests {
     fn every_rung_is_measured_against_its_own_cells_fault_free_scan() {
         let c = campaign();
         let cells = fault_grid(&c, &GRID_ERAS, &[NetworkProfile::Ideal]);
-        // An independent streamed pass per era, on an engine of its own.
+        // An independent pass per era, on an engine of its own.
         let fresh = campaign();
         for era in GRID_ERAS {
-            let own = fresh.engine().stream_quicreach(c.scenario().with_era(era));
+            let own = fresh.engine().quicreach(c.scenario().with_era(era));
+            let own = &own.shard;
             let rung = |plan| {
                 let found = cells.iter().find(|x| x.era == era && x.plan == plan);
                 found.expect("grid holds every ladder rung")

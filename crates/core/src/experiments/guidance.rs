@@ -3,27 +3,29 @@
 //! The paper closes with guidance for implementers and an open question
 //! about loss recovery. This module turns each claim into an ablation:
 //!
-//! * [`server_ablation`] — the "guidance for QUIC implementations" list:
+//! * `server_ablation` — the "guidance for QUIC implementations" list:
 //!   how coalescing, padding accounting and certificate compression each
 //!   change the handshake class of the *same* deployment;
 //! * [`client_mitigation`] — "can a QUIC client mitigate lack of
 //!   compression?": a client that caches server flight sizes and adapts
 //!   its Initial size accordingly;
-//! * [`loss_study`] — "dealing efficiently with loss of messages during
+//! * `loss_study` — "dealing efficiently with loss of messages during
 //!   the connection setup seems an open challenge": handshake completion
 //!   under server-side loss, with and without compression.
 
-use quicert_analysis::{render_table, Table};
+use quicert_analysis::{render_table, Merge, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::{FaultInjector, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
-use quicert_pki::CertificateEra;
+use quicert_pki::{CertificateEra, DomainRecord, World};
 use quicert_quic::amplification::FACTOR;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_quic::{run_handshake, ClientConfig, ServerBehavior, ServerConfig};
+use quicert_scanner::quicreach::{self, ProbeScratch};
+use quicert_scanner::Scenario;
 use quicert_x509::{CertificateChain, KeyAlgorithm};
 
-use crate::Campaign;
+use crate::{Campaign, ScanEngine};
 
 const SERVER_ADDR: std::net::Ipv4Addr = std::net::Ipv4Addr::new(198, 51, 100, 50);
 
@@ -138,9 +140,10 @@ pub(crate) fn render_server_ablation(rows: &[AblationRow]) -> String {
 
 // ----------------------------------------------------- client mitigation --
 
-/// Result of the client-side Initial-size-cache mitigation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClientMitigation {
+/// Result of the client-side Initial-size-cache mitigation: three counts,
+/// summed over any split of the population.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientMitigation {
     /// Multi-RTT services at the default Initial size.
     pub multi_rtt_before: usize,
     /// Of those, how many a cache-informed client turns into 1-RTT.
@@ -150,44 +153,66 @@ pub(crate) struct ClientMitigation {
     pub unfixable: usize,
 }
 
+impl Merge for ClientMitigation {
+    fn identity() -> Self {
+        ClientMitigation::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.multi_rtt_before += other.multi_rtt_before;
+        self.fixed_by_mitigation += other.fixed_by_mitigation;
+        self.unfixable += other.unfixable;
+    }
+}
+
 /// §5: a client that remembers each server's flight size from a previous
 /// contact and sends an Initial of `ceil(flight/3)` (clamped to the MTU).
 ///
-/// The "previous contact" is the campaign's cached default-size scan — the
-/// artifact the report already computed — so only the adapted re-probe
-/// costs new handshakes.
-pub(crate) fn client_mitigation(campaign: &Campaign) -> ClientMitigation {
-    let world = campaign.world();
-    let scenario = campaign.scenario();
-    let first_contacts = campaign.engine().quicreach(scenario);
-    let mut result = ClientMitigation {
-        multi_rtt_before: 0,
-        fixed_by_mitigation: 0,
-        unfixable: 0,
-    };
-    for first in first_contacts.iter() {
-        if first.class != HandshakeClass::MultiRtt {
-            continue;
-        }
-        result.multi_rtt_before += 1;
-        // The "cache": the flight size observed during the first contact.
-        let needed = first.wire_received.div_ceil(FACTOR) + 16;
-        let adapted = needed.clamp(1200, 1472);
-        if needed > 1472 {
-            result.unfixable += 1;
-            continue;
-        }
-        // The cache knows services by rank: re-derive the one to re-probe.
-        for record in world.domain_chunk(first.rank, 1) {
-            let rescan = scenario.with_initial_size(adapted);
-            let second = quicert_scanner::quicreach::scan_service(world, &record, rescan);
-            result.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
-        }
-    }
-    result
+/// One pass over the QUIC services: the "previous contact" is each
+/// service's probe under the engine's default scenario (classes the
+/// engine's memo holds replay), and a multi-RTT service is re-probed at
+/// its adapted Initial in the same pass ([`ClientMitigation::fold`]).
+pub fn client_mitigation(engine: &ScanEngine) -> ClientMitigation {
+    let scenario = engine.scenario();
+    engine.fold_population(World::quic_chunk_into, |records, scratch| {
+        ClientMitigation::fold(engine.world(), records, scenario, scratch)
+    })
 }
 
 impl ClientMitigation {
+    /// The counts of one population chunk: each QUIC service probed under
+    /// `scenario` ([`quicreach::scan_chunk`]), and each multi-RTT one
+    /// whose flight fits 3×1472 probed again, memo-free, at the Initial
+    /// its flight size asks for.
+    pub fn fold(
+        world: &World,
+        records: &[DomainRecord],
+        scenario: Scenario,
+        scratch: &mut ProbeScratch,
+    ) -> ClientMitigation {
+        let mut counts = ClientMitigation::identity();
+        quicreach::scan_chunk(world, records, scenario, scratch, |first| {
+            if first.class != HandshakeClass::MultiRtt {
+                return;
+            }
+            counts.multi_rtt_before += 1;
+            // The "cache": the flight size observed during the first contact.
+            let needed = first.wire_received.div_ceil(FACTOR) + 16;
+            if needed > 1472 {
+                counts.unfixable += 1;
+                return;
+            }
+            let rescan = scenario.with_initial_size(needed.clamp(1200, 1472));
+            // The row is one of `records`, which are in rank order.
+            let found = records.binary_search_by_key(&first.rank, |r| r.rank);
+            if let Ok(index) = found {
+                let second = quicreach::scan_service(world, &records[index], rescan);
+                counts.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
+            }
+        });
+        counts
+    }
+
     /// Share of multi-RTT handshakes the mitigation eliminates.
     pub(crate) fn fixed_share(&self) -> f64 {
         self.fixed_by_mitigation as f64 / self.multi_rtt_before.max(1) as f64
@@ -298,6 +323,7 @@ impl LossStudy {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
+    use proptest::prelude::*;
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(51).with_domains(2_000))
@@ -330,7 +356,7 @@ mod tests {
     #[test]
     fn client_cache_fixes_marginal_services_only() {
         let c = campaign();
-        let m = client_mitigation(&c);
+        let m = client_mitigation(c.engine());
         assert!(m.multi_rtt_before > 0);
         // The mitigation can only help flights under 3x1472; most of the
         // multi-RTT population (big LE-long/Google/corp chains) is beyond
@@ -341,6 +367,51 @@ mod tests {
             "big chains cannot be fixed by Initial sizing"
         );
         assert!(!m.render().is_empty());
+    }
+
+    fn mitigation_of(f: &[u64]) -> ClientMitigation {
+        ClientMitigation {
+            multi_rtt_before: f[0] as usize,
+            fixed_by_mitigation: f[1] as usize,
+            unfixable: f[2] as usize,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn client_mitigation_merge_laws(
+            xs in proptest::collection::vec(0u64..1_000_000, 3..4),
+            ys in proptest::collection::vec(0u64..1_000_000, 3..4),
+            zs in proptest::collection::vec(0u64..1_000_000, 3..4),
+        ) {
+            let (a, b, c) = (mitigation_of(&xs), mitigation_of(&ys), mitigation_of(&zs));
+
+            // Identity on both sides.
+            let mut left = ClientMitigation::identity();
+            left.merge(&a);
+            prop_assert_eq!(left, a);
+            let mut right = a;
+            right.merge(&ClientMitigation::identity());
+            prop_assert_eq!(right, a);
+
+            // Commutativity.
+            let mut ab = a;
+            ab.merge(&b);
+            let mut ba = b;
+            ba.merge(&a);
+            prop_assert_eq!(ab, ba);
+
+            // Associativity.
+            let mut ab_c = ab;
+            ab_c.merge(&c);
+            let mut bc = b;
+            bc.merge(&c);
+            let mut a_bc = a;
+            a_bc.merge(&bc);
+            prop_assert_eq!(ab_c, a_bc);
+        }
     }
 
     #[test]

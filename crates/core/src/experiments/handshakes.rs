@@ -3,9 +3,10 @@
 
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_netsim::NetworkProfile;
+use quicert_pki::CertificateEra;
 use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
-use quicert_scanner::quicreach::{self, QuicReachResult, ScanSummary};
+use quicert_scanner::quicreach::{self, QuicReachSummary, ScanSummary};
 
 use crate::Campaign;
 
@@ -18,12 +19,13 @@ pub struct Fig3 {
     pub bars: Vec<ScanSummary>,
 }
 
-/// Summarise the campaign's cached quicreach artefact at every swept
-/// Initial size (each a pass of its own the first time it is asked for).
+/// The class counts of the campaign's cached quicreach summary at every
+/// swept Initial size (each a pass of its own the first time it is asked
+/// for).
 pub fn fig3(campaign: &Campaign) -> Fig3 {
     let bar = |&size: &usize| {
         let scenario = campaign.scenario().with_initial_size(size);
-        quicreach::summarize(size, &campaign.engine().quicreach(scenario))
+        campaign.engine().quicreach(scenario).shard.classes
     };
     Fig3 {
         bars: quicreach::sweep_sizes().iter().map(bar).collect(),
@@ -68,15 +70,8 @@ impl Fig3 {
 /// Fig 4: CDF of first-RTT amplification factors for handshakes that
 /// exceed the limit (the paper's 165k amplifying services).
 pub fn fig4(campaign: &Campaign) -> Cdf {
-    Cdf::new(
-        campaign
-            .engine()
-            .quicreach(campaign.scenario())
-            .iter()
-            .filter(|r| r.class == HandshakeClass::Amplification)
-            .map(|r| r.amplification)
-            .collect(),
-    )
+    let summary = campaign.engine().quicreach(campaign.scenario());
+    summary.amplification_cdf()
 }
 
 /// Render Fig 4 headline numbers.
@@ -94,28 +89,26 @@ pub(crate) fn render_fig4(cdf: &Cdf) -> String {
 
 // ----------------------------------------------------------------- Fig 5 --
 
-/// Fig 5: per-handshake payload split for multi-RTT handshakes.
+/// Fig 5: how the multi-RTT handshakes' payloads sit against the limit.
 #[derive(Debug)]
 pub struct Fig5 {
-    /// (TLS payload bytes, total received bytes) per multi-RTT handshake,
-    /// ascending by total.
-    pub handshakes: Vec<(usize, usize)>,
+    /// Multi-RTT handshakes.
+    pub multi_rtt: usize,
+    /// Of those, the handshakes whose TLS payload alone exceeds the limit.
+    pub tls_over_limit: usize,
+    /// Of those, the handshakes whose received wire bytes exceed it.
+    pub wire_over_limit: usize,
     /// The 3× limit at the default Initial size.
     pub limit: usize,
 }
 
 /// Compute Fig 5.
 pub fn fig5(campaign: &Campaign) -> Fig5 {
-    let mut handshakes: Vec<(usize, usize)> = campaign
-        .engine()
-        .quicreach(campaign.scenario())
-        .iter()
-        .filter(|r| r.class == HandshakeClass::MultiRtt)
-        .map(|r| (r.tls_received, r.wire_received))
-        .collect();
-    handshakes.sort_by_key(|(_, wire)| *wire);
+    let summary = campaign.engine().quicreach(campaign.scenario());
     Fig5 {
-        handshakes,
+        multi_rtt: summary.shard.classes.multi_rtt,
+        tls_over_limit: summary.multi_rtt_tls_over_limit,
+        wire_over_limit: summary.multi_rtt_wire_over_limit,
         limit: amplification::limit(campaign.scenario().initial_size),
     }
 }
@@ -124,12 +117,7 @@ impl Fig5 {
     /// Share of multi-RTT handshakes whose TLS payload alone exceeds the
     /// limit (paper: 87%).
     pub fn tls_alone_exceeds(&self) -> f64 {
-        let n = self
-            .handshakes
-            .iter()
-            .filter(|(tls, _)| *tls > self.limit)
-            .count();
-        n as f64 / self.handshakes.len().max(1) as f64
+        self.tls_over_limit as f64 / self.multi_rtt.max(1) as f64
     }
 
     /// Render the headline numbers.
@@ -137,7 +125,7 @@ impl Fig5 {
         format!(
             "Fig 5 — multi-RTT payloads (n={}): TLS alone exceeds the {} B \
              limit in {:.1}% of handshakes\n",
-            self.handshakes.len(),
+            self.multi_rtt,
             self.limit,
             self.tls_alone_exceeds() * 100.0,
         )
@@ -163,11 +151,11 @@ pub struct RankGroupRow {
 }
 
 /// Compute Figs 12 and 13 from the cached HTTPS scan (who serves QUIC,
-/// who HTTPS only) and the default-size quicreach scan (classes).
+/// who HTTPS only) and the default-size quicreach summary (classes).
 pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
-    let width = campaign.rank_group_width();
     let domains = campaign.world().config.domains;
-    let results = campaign.engine().quicreach(campaign.scenario());
+    let width = quicreach::rank_group_width(domains);
+    let summary = campaign.engine().quicreach(campaign.scenario());
     let group_count = domains.div_ceil(width);
     let mut rows: Vec<RankGroupRow> = (0..group_count)
         .map(|group| RankGroupRow {
@@ -188,27 +176,14 @@ pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
         };
         counts[(o.rank - 1) / width] += 1;
     }
-    let mut class_counts = vec![[0usize; 4]; group_count];
-    let mut reachable = vec![0usize; group_count];
-    for r in results.iter() {
-        let g = (r.rank - 1) / width;
-        let idx = match r.class {
-            HandshakeClass::Amplification => 0,
-            HandshakeClass::MultiRtt => 1,
-            HandshakeClass::Retry => 2,
-            HandshakeClass::OneRtt => 3,
-            HandshakeClass::Unreachable => continue,
-        };
-        class_counts[g][idx] += 1;
-        reachable[g] += 1;
-    }
     for (g, row) in rows.iter_mut().enumerate() {
         let n = row.domains.max(1) as f64;
         row.quic_share = quic_counts[g] as f64 / n * 100.0;
         row.https_only_share = https_counts[g] as f64 / n * 100.0;
-        let total = reachable[g].max(1) as f64;
-        for (i, share) in row.class_shares.iter_mut().enumerate() {
-            *share = class_counts[g][i] as f64 / total * 100.0;
+        let classes = summary.rank_groups.get(g).copied().unwrap_or_default();
+        let total = classes.iter().sum::<usize>().max(1) as f64;
+        for (share, count) in row.class_shares.iter_mut().zip(classes) {
+            *share = count as f64 / total * 100.0;
         }
     }
     rows
@@ -256,24 +231,24 @@ pub(crate) struct ProfileRow {
     pub fault_corruptions: u64,
 }
 
-/// Scan the QUIC population at the default Initial size under every
-/// [`NetworkProfile`]. On a default (ideal-profile) campaign the ideal row
-/// shares the cached default-scan artifact — same `(profile, size)` cache
-/// key — so only the non-ideal profiles cost new handshakes; a campaign
-/// configured with a non-ideal default profile scans its ideal row fresh.
+/// The QUIC population at the default Initial size under every
+/// [`NetworkProfile`], in the campaign's era: each row is that era's
+/// summary in the profile's cell of the era matrix
+/// ([`crate::ScanEngine::era_join`]), so the matrices share every probe.
 pub(crate) fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
-    let initial = campaign.scenario().initial_size;
+    let era: CertificateEra = campaign.scenario().era;
     NetworkProfile::ALL
         .iter()
         .map(|&profile| {
-            let results = campaign
+            let join = campaign
                 .engine()
-                .quicreach(campaign.scenario().with_profile(profile));
+                .era_join(campaign.scenario().with_profile(profile));
+            let shard = &join.era(era).0.shard;
             ProfileRow {
                 profile,
-                summary: quicreach::summarize(initial, &results),
-                fault_drops: results.iter().map(|r| r.fault_drops).sum(),
-                fault_corruptions: results.iter().map(|r| r.fault_corruptions).sum(),
+                summary: shard.classes,
+                fault_drops: shard.fault_drops,
+                fault_corruptions: shard.fault_corruptions,
             }
         })
         .collect()
@@ -339,7 +314,7 @@ pub struct Reachability {
     pub buckets: Vec<(&'static str, usize, usize)>,
 }
 
-/// Compute the reachability experiment from the cached per-size artifacts
+/// Compute the reachability experiment from the cached per-size summaries
 /// (free once the Fig 3 sweep has run — both sizes are sweep endpoints).
 pub fn reachability(campaign: &Campaign) -> Reachability {
     let at = |size| {
@@ -348,22 +323,15 @@ pub fn reachability(campaign: &Campaign) -> Reachability {
             .quicreach(campaign.scenario().with_initial_size(size))
     };
     let (small, large) = (at(1200), at(1472));
-    let count = |results: &[QuicReachResult], lo: usize, hi: usize| {
-        results
-            .iter()
-            .filter(|r| r.rank >= lo && r.rank <= hi && r.class != HandshakeClass::Unreachable)
-            .count()
-    };
-    let n = campaign.world().config.domains;
+    // `reachable_top` counts within the top 1k and the top 10k ranks.
+    let top = |i: usize| (small.reachable_top[i], large.reachable_top[i]);
+    let ((top_1k_small, top_1k_large), (top_10k_small, top_10k_large)) = (top(0), top(1));
+    let all = |summary: &QuicReachSummary| summary.shard.classes.reachable();
     Reachability {
         buckets: vec![
-            ("top-1k", count(&small, 1, 1_000), count(&large, 1, 1_000)),
-            (
-                "top-10k",
-                count(&small, 1, 10_000),
-                count(&large, 1, 10_000),
-            ),
-            ("all", count(&small, 1, n), count(&large, 1, n)),
+            ("top-1k", top_1k_small, top_1k_large),
+            ("top-10k", top_10k_small, top_10k_large),
+            ("all", all(&small), all(&large)),
         ],
     }
 }
@@ -437,8 +405,8 @@ mod tests {
         let at_1200 = c.engine().quicreach(c.scenario().with_initial_size(1200));
         let at_1472 = c.engine().quicreach(c.scenario().with_initial_size(1472));
         assert_eq!(cache("quicert_engine_cache_misses_total"), passes);
-        assert_eq!(fig.at(1200), Some(&quicreach::summarize(1200, &at_1200)));
-        assert_eq!(fig.at(1472), Some(&quicreach::summarize(1472, &at_1472)));
+        assert_eq!(fig.at(1200), Some(&at_1200.shard.classes));
+        assert_eq!(fig.at(1472), Some(&at_1472.shard.classes));
         assert!(!fig.render().is_empty());
     }
 
@@ -457,17 +425,12 @@ mod tests {
     fn fig5_tls_dominates_multi_rtt() {
         let c = campaign();
         let fig = fig5(&c);
-        assert!(!fig.handshakes.is_empty());
+        assert!(fig.multi_rtt > 0);
         // Paper: TLS payload alone exceeds the limit in 87% of cases.
         let share = fig.tls_alone_exceeds();
         assert!(share > 0.70, "tls-exceeds share {share}");
         // And received totals always exceed the limit for multi-RTT.
-        let over = fig
-            .handshakes
-            .iter()
-            .filter(|(_, wire)| *wire > fig.limit)
-            .count() as f64
-            / fig.handshakes.len() as f64;
+        let over = fig.wire_over_limit as f64 / fig.multi_rtt as f64;
         assert!(over > 0.9, "wire-over share {over}");
     }
 
@@ -490,11 +453,12 @@ mod tests {
     fn rank_groups_equal_the_population_walk() {
         // 5,123 domains in groups of 512: ten full groups and a last one of
         // three. The reference is the walk over every record that
-        // `rank_groups` did before it read the cached HTTPS scan.
+        // `rank_groups` did before it read the cached HTTPS scan, and over
+        // the per-record quicreach rows it read before the summary.
         let c = Campaign::new(CampaignConfig::small().with_seed(7).with_domains(5_123));
-        let width = c.rank_group_width();
+        let width = quicreach::rank_group_width(c.world().config.domains);
         let records = c.world().domain_chunk(1, c.world().config.domains);
-        let results = c.engine().quicreach(c.scenario());
+        let results = quicreach::scan(c.world(), c.scenario().initial_size);
         let mut reference: Vec<RankGroupRow> = (0..11)
             .map(|group| RankGroupRow {
                 group,
@@ -546,11 +510,8 @@ mod tests {
 
         let row = |p: NetworkProfile| rows.iter().find(|r| r.profile == p).unwrap();
         let ideal = row(NetworkProfile::Ideal);
-        // The ideal row IS the campaign's default scan artifact.
-        let default_summary = quicreach::summarize(
-            c.scenario().initial_size,
-            &c.engine().quicreach(c.scenario()),
-        );
+        // The ideal row IS the campaign's default scan.
+        let default_summary = c.engine().quicreach(c.scenario()).shard.classes;
         assert_eq!(ideal.summary, default_summary);
         assert_eq!(ideal.fault_drops, 0);
         assert_eq!(ideal.fault_corruptions, 0);

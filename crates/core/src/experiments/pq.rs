@@ -1,12 +1,12 @@
 //! Post-quantum certificate-era experiments: what the paper's measurements
 //! look like after the PKI migrates to ML-DSA / hybrid chains.
 //!
-//! Three views, all fed from the engine's era-keyed artifact caches:
+//! Three views, all fed from the engine's cached artifacts:
 //!
 //! * [`era_matrix`] — handshake classes per `(era, profile)` at the default
 //!   Initial size, with the 1-RTT→multi-RTT shift, the added round trips
 //!   and the amplification-budget violations relative to the classical era
-//!   of the same profile;
+//!   of the same profile, from one era join per profile;
 //! * [`one_rtt_survivors`] — the headline population shift on the ideal
 //!   profile: which 1-RTT deployments survive each era;
 //! * [`compression_degradation`] — the §4.2 synthetic study per era,
@@ -17,10 +17,10 @@ use quicert_analysis::{mean, median, render_table, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, DomainRecord};
-use quicert_quic::amplification::{self, FACTOR};
+use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::compression::in_study_sample;
-use quicert_scanner::quicreach::{self, QuicReachResult, ScanSummary};
+use quicert_scanner::quicreach::ScanSummary;
 
 use crate::Campaign;
 
@@ -46,60 +46,27 @@ pub struct EraProfileRow {
     pub mean_added_rtts: f64,
 }
 
-fn row_from(
-    era: CertificateEra,
-    profile: NetworkProfile,
-    initial: usize,
-    classical: &[QuicReachResult],
-    results: &[QuicReachResult],
-) -> EraProfileRow {
-    debug_assert_eq!(classical.len(), results.len());
-    let summary = quicreach::summarize(initial, results);
-    let mut rtts = Vec::new();
-    let mut added = Vec::new();
-    let mut one_rtt_to_multi = 0usize;
-    let mut budget_violations = 0usize;
-    for (base, now) in classical.iter().zip(results) {
-        debug_assert_eq!(base.rank, now.rank);
-        if now.class != HandshakeClass::Unreachable {
-            rtts.push(now.rtt_count as f64);
-            // A ratio of two integers, correctly rounded: exact against 3.
-            if now.amplification > FACTOR as f64 {
-                budget_violations += 1;
-            }
-        }
-        if base.class == HandshakeClass::OneRtt && now.class == HandshakeClass::MultiRtt {
-            one_rtt_to_multi += 1;
-        }
-        if base.class != HandshakeClass::Unreachable && now.class != HandshakeClass::Unreachable {
-            added.push(now.rtt_count as f64 - base.rtt_count as f64);
-        }
-    }
-    EraProfileRow {
-        era,
-        profile,
-        summary,
-        mean_rtts: mean(&rtts),
-        budget_violations,
-        one_rtt_to_multi,
-        mean_added_rtts: mean(&added),
-    }
-}
-
-/// Scan the QUIC population at the default Initial size under every
-/// `(era, profile)` pair. The classical-ideal cell shares the campaign's
-/// cached default-scan artifact, so a default campaign only pays for the
-/// non-classical and non-ideal cells.
+/// Every `(era, profile)` pair at the default Initial size: one cached
+/// era join per profile ([`crate::ScanEngine::era_join`]), which probes
+/// each service in every era in one pass and tallies each era against the
+/// classical one service for service.
 pub fn era_matrix(campaign: &Campaign) -> Vec<EraProfileRow> {
-    let initial = campaign.scenario().initial_size;
     let engine = campaign.engine();
     let mut rows = Vec::new();
     for &profile in NetworkProfile::ALL.iter() {
-        let cell = campaign.scenario().with_profile(profile);
-        let classical = engine.quicreach(cell.with_era(CertificateEra::Classical));
+        let join = engine.era_join(campaign.scenario().with_profile(profile));
         for &era in CertificateEra::ALL.iter() {
-            let results = engine.quicreach(cell.with_era(era));
-            rows.push(row_from(era, profile, initial, &classical, &results));
+            let (summary, tally) = join.era(era);
+            rows.push(EraProfileRow {
+                era,
+                profile,
+                summary: summary.shard.classes,
+                mean_rtts: summary.shard.rtts.mean(),
+                budget_violations: summary.over_budget,
+                one_rtt_to_multi: tally
+                    .transitions(HandshakeClass::OneRtt, HandshakeClass::MultiRtt),
+                mean_added_rtts: tally.mean_added_rtts(),
+            });
         }
     }
     rows
@@ -172,35 +139,23 @@ pub struct OneRttShift {
     pub to_amplification: usize,
 }
 
-/// Compute the 1-RTT survivorship per era on the ideal profile.
+/// Compute the 1-RTT survivorship per era on the ideal profile, from the
+/// ideal cell's era join.
 pub fn one_rtt_survivors(campaign: &Campaign) -> Vec<OneRttShift> {
-    let engine = campaign.engine();
     let ideal = campaign.scenario().with_profile(NetworkProfile::Ideal);
-    let classical = engine.quicreach(ideal.with_era(CertificateEra::Classical));
+    let join = campaign.engine().era_join(ideal);
     [CertificateEra::Hybrid, CertificateEra::PostQuantum]
         .into_iter()
         .map(|era| {
-            let results = engine.quicreach(ideal.with_era(era));
-            let mut shift = OneRttShift {
+            let tally = join.era(era).1;
+            let from_one_rtt = |to| tally.transitions(HandshakeClass::OneRtt, to);
+            OneRttShift {
                 era,
-                classical_one_rtt: 0,
-                survivors: 0,
-                to_multi_rtt: 0,
-                to_amplification: 0,
-            };
-            for (base, now) in classical.iter().zip(results.iter()) {
-                if base.class != HandshakeClass::OneRtt {
-                    continue;
-                }
-                shift.classical_one_rtt += 1;
-                match now.class {
-                    HandshakeClass::OneRtt => shift.survivors += 1,
-                    HandshakeClass::MultiRtt => shift.to_multi_rtt += 1,
-                    HandshakeClass::Amplification => shift.to_amplification += 1,
-                    _ => {}
-                }
+                classical_one_rtt: join.era(CertificateEra::Classical).0.shard.classes.one_rtt,
+                survivors: from_one_rtt(HandshakeClass::OneRtt),
+                to_multi_rtt: from_one_rtt(HandshakeClass::MultiRtt),
+                to_amplification: from_one_rtt(HandshakeClass::Amplification),
             }
-            shift
         })
         .collect()
 }
@@ -413,10 +368,7 @@ mod tests {
             .iter()
             .find(|r| r.era == CertificateEra::Classical && r.profile == NetworkProfile::Ideal)
             .unwrap();
-        let default_summary = quicreach::summarize(
-            c.scenario().initial_size,
-            &c.engine().quicreach(c.scenario()),
-        );
+        let default_summary = c.engine().quicreach(c.scenario()).shard.classes;
         assert_eq!(ideal_classical.summary, default_summary);
     }
 

@@ -5,8 +5,8 @@
 //! earlier because every layer holds per-record vectors. Each row here
 //! builds a [`quicert_pki::World::streaming`] population of the requested size — never
 //! materialized — and pumps it through [`ScanEngine::stream_https_scan`]
-//! and [`ScanEngine::stream_quicreach`], so memory stays bounded by one
-//! claimed chunk of records per worker while the summaries (funnel counters,
+//! and [`ScanEngine::quicreach`], so memory stays bounded by one claimed
+//! chunk of records per worker while the summaries (funnel counters,
 //! handshake-class shares, chain-size quantile sketches) are bit-for-bit
 //! what a materialized scan of the same population would produce.
 
@@ -65,7 +65,7 @@ pub(crate) fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
     ScaleRow {
         population,
         funnel: (*engine.stream_https_scan()).clone(),
-        reach: (*engine.stream_quicreach(engine.scenario())).clone(),
+        reach: engine.quicreach(engine.scenario()).shard.clone(),
     }
 }
 
@@ -173,7 +173,8 @@ mod tests {
         let row = scale_row(&c, 1_000);
         let initial = c.scenario().initial_size;
         assert_eq!(c.scenario().cold(), Scenario::at(initial));
-        let materialized = quicreach::summarize(initial, &quicreach::scan(c.world(), initial));
+        let rows = quicreach::scan(c.world(), initial);
+        let materialized = QuicReachShard::from_results(initial, &rows).classes;
         assert_eq!(row.reach.classes, materialized);
         let report = https_scan::scan(c.world());
         assert_eq!(row.funnel.tls_reachable as usize, report.observations.len());

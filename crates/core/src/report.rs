@@ -146,9 +146,11 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     if options.full_sweep {
         out.push_str(&handshakes::fig3(campaign).render());
     } else {
-        let results = campaign.engine().quicreach(campaign.scenario());
-        let summary =
-            quicert_scanner::quicreach::summarize(campaign.scenario().initial_size, &results);
+        let summary = campaign
+            .engine()
+            .quicreach(campaign.scenario())
+            .shard
+            .classes;
         out.push_str(&format!(
             "Fig 3 (default size only) — ampl {} / multi {} / retry {} / 1-RTT {}\n",
             summary.amplification, summary.multi_rtt, summary.retry, summary.one_rtt
@@ -194,7 +196,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
         &guidance::server_ablation(campaign),
     ));
     if options.guidance_mitigation {
-        out.push_str(&guidance::client_mitigation(campaign).render());
+        out.push_str(&guidance::client_mitigation(campaign.engine()).render());
         out.push_str(&guidance::loss_study(campaign, 0.25, 32).render());
     }
 
@@ -279,6 +281,8 @@ const REPORT_CHURN_TICKS: u64 = 5;
 mod tests {
     use super::*;
     use crate::CampaignConfig;
+    use quicert_netsim::{FaultPlan, NetworkProfile};
+    use quicert_pki::CertificateEra;
 
     #[test]
     fn full_report_renders_every_section() {
@@ -340,6 +344,65 @@ mod tests {
             "Ecosystem churn",
         ] {
             assert!(report.contains(needle), "missing section {needle}");
+        }
+    }
+
+    #[test]
+    fn the_report_pass_census_is_pinned() {
+        // The report the benchmark renders (population scale and churn
+        // off): how often each artifact family computed, and — on the
+        // profiles whose wires draw randomness, so every probe simulates
+        // and none replays — that each era × profile series counts every
+        // QUIC service once per pass carrying its labels: the profile's
+        // era join, plus one pass per faulted rung on the chaos grid's
+        // cells. A section that probes a cell again fails here.
+        let campaign = Campaign::new(
+            CampaignConfig::small()
+                .with_seed(3)
+                .with_domains(800)
+                .with_workers(1),
+        );
+        let options = ReportOptions {
+            population_scale: false,
+            churn: false,
+            ..ReportOptions::default()
+        };
+        full_report(&campaign, options);
+        let registry = campaign.engine().metrics_registry();
+        let counter =
+            |name, labels: &[(&str, &str)]| registry.labeled_counter(name, labels, "").get();
+        let misses = |family| counter("quicert_engine_cache_misses_total", &[("family", family)]);
+        let census = [
+            ("https", 1),
+            ("quicreach", 46),
+            ("quicreach-eras", 4),
+            ("warm", 12),
+            ("compression-support", 1),
+            ("compression-study", 3),
+            ("telescope", 1),
+            ("zmap", 6),
+            ("qscanner", 1),
+            ("stream-https", 0),
+            ("stream-compression", 0),
+        ];
+        for (family, want) in census {
+            assert_eq!(misses(family), want, "{family}");
+        }
+        let services = campaign
+            .engine()
+            .quicreach(campaign.scenario())
+            .shard
+            .total() as u64;
+        let rungs = FaultPlan::LADDER.len() as u64 - 1;
+        for profile in [NetworkProfile::Lossy, NetworkProfile::LongFat] {
+            for era in CertificateEra::ALL {
+                let on_grid =
+                    chaos::GRID_ERAS.contains(&era) && chaos::GRID_PROFILES.contains(&profile);
+                let passes = 1 + if on_grid { rungs } else { 0 };
+                let labels = [("era", era.name()), ("profile", profile.name())];
+                let issued = counter("quicert_scan_probes_issued_total", &labels);
+                assert_eq!(issued, services * passes, "{era}/{profile}");
+            }
         }
     }
 

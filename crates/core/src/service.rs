@@ -481,7 +481,7 @@ impl CampaignService {
         let churn = state.view();
         let total: SegmentSummary = self
             .engine
-            .fold_population(self.scenario(), self.segment_fold(&churn));
+            .fold_population(World::domain_chunk_into, self.segment_fold(&churn));
         self.metrics.full_probes.add(total.reach.total() as u64);
         self.metrics.full_rescans.inc();
         let (mut reach, mut funnel) = (QuicReachShard::identity(), HttpsScanShard::seeded());
@@ -556,7 +556,7 @@ impl CampaignService {
         let (reach, funnel) = if every {
             let every_rank = World::domain_chunk_into;
             let fold = self.segment_fold(churn);
-            let folded = self.engine.fold_ranges(scenario, &ranges, every_rank, fold);
+            let folded = self.engine.fold_ranges(&ranges, every_rank, fold);
             let mut funnel = HttpsScanShard::seeded();
             let reach = folded
                 .into_iter()
@@ -567,15 +567,12 @@ impl CampaignService {
                 .collect();
             (reach, Some(funnel))
         } else {
-            let reach = self.engine.fold_ranges(
-                scenario,
-                &ranges,
-                World::quic_chunk_into,
-                |records, scratch| {
-                    churn.apply_to_records(records);
-                    quicreach::fold_chunk(world, records, scenario, scratch)
-                },
-            );
+            let reach =
+                self.engine
+                    .fold_ranges(&ranges, World::quic_chunk_into, |records, scratch| {
+                        churn.apply_to_records(records);
+                        quicreach::fold_chunk(world, records, scenario, scratch)
+                    });
             (reach, None)
         };
         add_since(&stages.fold, started);
@@ -701,7 +698,7 @@ mod tests {
         );
         assert_eq!(
             snapshot.reach,
-            *campaign.engine().stream_quicreach(campaign.scenario())
+            campaign.engine().quicreach(campaign.scenario()).shard
         );
         assert_eq!(snapshot.funnel, *campaign.engine().stream_https_scan());
         assert_eq!(snapshot.stek_epoch, 0);

@@ -9,14 +9,16 @@ use proptest::prelude::*;
 use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_compress::Algorithm;
+use quicert_core::experiments::guidance::{self, ClientMitigation};
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig, TickStats};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
+use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::{self, HttpsScanShard};
 use quicert_scanner::quicreach::{
-    self, ProbeScratch, QuicReachResult, QuicReachShard, WarmAggregate,
+    self, EraJoin, ProbeScratch, QuicReachResult, QuicReachShard, QuicReachSummary, WarmAggregate,
 };
 use quicert_scanner::{qscanner, Scenario};
 use quicert_session::ResumptionPolicy;
@@ -69,11 +71,10 @@ fn uniform_ranges(engine: &ScanEngine, chunk: usize) -> Vec<(usize, usize)> {
 /// engine's latest either way.
 fn streamed_in_chunks(engine: &ScanEngine, scenario: Scenario, chunk: usize) -> QuicReachShard {
     if chunk == 0 {
-        return (*engine.stream_quicreach(scenario)).clone();
+        return engine.quicreach(scenario).shard.clone();
     }
     let ranges = uniform_ranges(engine, chunk);
     QuicReachShard::merge_all(engine.fold_ranges(
-        scenario,
         &ranges,
         World::domain_chunk_into,
         |records, scratch| quicreach::fold_chunk(engine.world(), records, scenario, scratch),
@@ -86,9 +87,7 @@ fn funnel_in_chunks(engine: &ScanEngine, chunk: usize) -> HttpsScanShard {
         return (*engine.stream_https_scan()).clone();
     }
     let ranges = uniform_ranges(engine, chunk);
-    let scenario = engine.scenario();
     HttpsScanShard::merge_all(engine.fold_ranges(
-        scenario,
         &ranges,
         World::domain_chunk_into,
         |records, _| https_scan::fold_iter(engine.world(), &*records),
@@ -219,7 +218,8 @@ fn streaming_grid_is_memoization_invariant() {
         (CertificateEra::Classical, NetworkProfile::LongFat),
     ] {
         let reference = ScanEngine::streaming(config.clone(), INITIAL, 1).with_memoization(false);
-        let want = reference.stream_quicreach(cell(era, profile));
+        let want = reference.quicreach(cell(era, profile));
+        let want = &want.shard;
         let direct_totals = reference.pump_stats().expect("pump ran").totals();
         assert_eq!(direct_totals.memo_hits, 0, "{era}/{profile}");
         assert_eq!(direct_totals.memo_misses, 0, "{era}/{profile}");
@@ -330,32 +330,45 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
     }
 }
 
-/// `got == want`, reported as the first differing row rather than two
-/// whole artefacts.
-fn assert_same_rows<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}: row count");
-    for (row, (got, want)) in got.iter().zip(want).enumerate() {
-        assert_eq!(got, want, "{context}: row {row}");
+/// One point of the chunk axis for a summary `S`: the engine's own
+/// adaptive pass (`adaptive`) at chunk 0, otherwise uniform ranges (see
+/// [`uniform_ranges`]) of QUIC services folded one claim each by `fold`
+/// through [`ScanEngine::fold_ranges`] and merged.
+fn summary_in_chunks<S: Merge + Send>(
+    engine: &ScanEngine,
+    chunk: usize,
+    adaptive: impl FnOnce() -> S,
+    fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
+) -> S {
+    if chunk == 0 {
+        return adaptive();
     }
+    let ranges = uniform_ranges(engine, chunk);
+    S::merge_all(engine.fold_ranges(&ranges, World::quic_chunk_into, fold))
 }
 
-/// Every collected artefact, held **record for record, field for field** to
-/// the per-record function it is made of — mapped serially over the world's
-/// population derived as one chunk, with no pump, no memo and no flyweight
-/// anywhere — and every folded summary (warm scans, QScanner) to that
-/// function's rows folded serially, at workers
-/// {1, 2, 8} with the memo on and off, over 3 eras × {ideal, tunneled,
-/// lossy} × {1200, 1362, 1472} plus one fault-plan cell. `Vec` equality is
-/// rank order too. With the memo on the deterministic cells replay classes
-/// (one representative at the slowest latency, rescaled), so a single
-/// differing `QuicReachResult` field means `replayed_for` is missing it.
+/// Every artefact held to the per-record function it is made of, mapped
+/// serially over the world's population derived as one chunk, with no pump,
+/// no memo and no flyweight anywhere: the collected ones (the §3.1 scan,
+/// Table 1, the compression study) record for record, field for field, and
+/// every summary to that function's rows folded serially — the quicreach
+/// summary of each scenario to [`quicreach::scan_service`] rows, each era
+/// join to a serial per-service pairing of those rows across eras, the §5
+/// client mitigation to the loop that walked the per-record scan, the warm
+/// scans and QScanner. At workers {1, 2, 8} × chunks {adaptive, 64, 4096}
+/// with the memo on and off, over 3 eras × {ideal, tunneled, lossy} ×
+/// {1200, 1362, 1472} plus one fault-plan cell. With the memo on the
+/// deterministic cells replay classes (one representative at the slowest
+/// latency, rescaled), so a differing summary means the memo's stored
+/// `ClassOutcome` misses a field the summary reads.
 #[test]
-fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
+fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
     let config = WorldConfig {
         domains: 1_000,
         seed: 0x9121,
     };
     let world = World::streaming(config.clone());
+    let domains = config.domains;
     let records = world.domain_chunk(1, world.config.domains);
     let services = || records.iter().filter(|r| r.has_quic());
     let mut cells: Vec<Scenario> = Vec::new();
@@ -371,7 +384,51 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
         }
     }
     cells.push(Scenario::at(INITIAL).with_plan(FaultPlan::MODERATE));
-    let reach: Vec<_> = cells.iter().map(|&s| oracle(&world, s)).collect();
+    let rows: Vec<_> = cells.iter().map(|&s| oracle(&world, s)).collect();
+    let reach: Vec<_> = cells
+        .iter()
+        .zip(&rows)
+        .map(|(s, rows)| QuicReachSummary::from_results(s.initial_size, domains, rows))
+        .collect();
+    // The era joins of the fault-free cells: each era's summary, and each
+    // service's row in each era paired with its own classical row.
+    let oracle_of = |s: Scenario| cells.iter().position(|&c| c == s).expect("an oracle cell");
+    let joins: Vec<(Scenario, EraJoin)> = cells
+        .iter()
+        .filter(|s| s.era == CertificateEra::Classical && s.plan == FaultPlan::NONE)
+        .map(|&classical| {
+            let mut join = EraJoin::identity();
+            let base = &rows[oracle_of(classical)];
+            for (index, era) in CertificateEra::ALL.into_iter().enumerate() {
+                let at = oracle_of(classical.with_era(era));
+                join.summaries[index] = reach[at].clone();
+                for (classical, now) in base.iter().zip(&rows[at]) {
+                    join.tallies[index].push(classical, now);
+                }
+            }
+            (classical, join)
+        })
+        .collect();
+    assert_eq!(joins.len(), 9);
+    // The §5 mitigation: the loop over the default scan's rows (a cold
+    // probe never reads the default scenario's resumption policy).
+    let default = Scenario::at(INITIAL);
+    let mut mitigation = ClientMitigation::identity();
+    for (record, first) in services().zip(&rows[oracle_of(default)]) {
+        if first.class != HandshakeClass::MultiRtt {
+            continue;
+        }
+        mitigation.multi_rtt_before += 1;
+        let needed = first.wire_received.div_ceil(3) + 16;
+        if needed > 1472 {
+            mitigation.unfixable += 1;
+            continue;
+        }
+        let adapted = default.with_initial_size(needed.clamp(1200, 1472));
+        let second = quicreach::scan_service(&world, record, adapted);
+        mitigation.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
+    }
+    assert!(mitigation.multi_rtt_before > 0 && mitigation.fixed_by_mitigation > 0);
     // Warm revisits on one cell per profile and the faulted one (each
     // probes every service twice); the scenario-less families once.
     let warm_cells: Vec<Scenario> = cells
@@ -404,25 +461,71 @@ fn collected_artefacts_equal_the_per_record_oracle_on_every_axis() {
 
     for workers in [1usize, 2, 8] {
         for memo in [true, false] {
-            let context = format!("workers={workers} memo={memo}");
             // A streaming engine: nothing to borrow, every pass derives.
             let engine =
                 ScanEngine::streaming(config.clone(), INITIAL, workers).with_memoization(memo);
-            let mut replayed = 0;
-            for (scenario, want) in cells.iter().zip(&reach) {
-                let context = format!("{scenario:?} {context}");
-                assert_same_rows(&engine.quicreach(*scenario), want, &context);
-                let totals = engine.pump_stats().expect("the collect pumped").totals();
-                let memoizes =
-                    memo && scenario.profile.is_deterministic() && scenario.plan.is_deterministic();
-                assert_eq!(
-                    totals.memo_hits + totals.memo_misses,
-                    if memoizes { want.len() as u64 } else { 0 },
-                    "{context}"
+            let world = engine.world();
+            // Chunk 0 first: it is the pass that fills the caches.
+            for chunk in [0usize, 64, 4096] {
+                let context = format!("workers={workers} chunk={chunk} memo={memo}");
+                let mut replayed = 0;
+                for (&scenario, want) in cells.iter().zip(&reach) {
+                    let context = format!("{scenario:?} {context}");
+                    let got = summary_in_chunks(
+                        &engine,
+                        chunk,
+                        || (*engine.quicreach(scenario)).clone(),
+                        |records, scratch| {
+                            let mut summary = QuicReachSummary::identity();
+                            summary.fold(world, records, scenario, scratch);
+                            summary
+                        },
+                    );
+                    assert_eq!(got, *want, "{context}");
+                    let totals = engine.pump_stats().expect("the scan pumped").totals();
+                    let memoizes = memo
+                        && scenario.profile.is_deterministic()
+                        && scenario.plan.is_deterministic();
+                    assert_eq!(
+                        totals.memo_hits + totals.memo_misses,
+                        if memoizes {
+                            want.shard.total() as u64
+                        } else {
+                            0
+                        },
+                        "{context}"
+                    );
+                    replayed += totals.memo_hits;
+                }
+                assert_eq!(replayed > 0, memo, "{context}: classes replayed");
+                for (cell, want) in &joins {
+                    let got = summary_in_chunks(
+                        &engine,
+                        chunk,
+                        || (*engine.era_join(*cell)).clone(),
+                        |records, scratch| {
+                            let mut join = EraJoin::identity();
+                            join.fold(world, records, *cell, scratch);
+                            join
+                        },
+                    );
+                    for era in CertificateEra::ALL {
+                        let context = format!("join {cell:?} {era} {context}");
+                        assert_eq!(got.era(era).0, want.era(era).0, "{context}");
+                        assert_eq!(got.era(era).1, want.era(era).1, "{context}");
+                    }
+                }
+                let got = summary_in_chunks(
+                    &engine,
+                    chunk,
+                    || guidance::client_mitigation(&engine),
+                    |records, scratch| {
+                        ClientMitigation::fold(world, records, engine.scenario(), scratch)
+                    },
                 );
-                replayed += totals.memo_hits;
+                assert_eq!(got, mitigation, "mitigation {context}");
             }
-            assert_eq!(replayed > 0, memo, "{context}: classes replayed");
+            let context = format!("workers={workers} memo={memo}");
             for (scenario, want) in warm_cells.iter().zip(&warm) {
                 let context = format!("warm {scenario:?} {context}");
                 assert_eq!(*engine.warm_scan(*scenario), *want, "{context}");
@@ -1083,23 +1186,14 @@ fn one_engine_across_scenarios_equals_fresh_engines() {
     let as_ranges = |engine: &ScanEngine| streamed_in_chunks(engine, a, 1_000);
     for workers in [1usize, 2] {
         let engine = fresh(workers);
-        assert_eq!(
-            *engine.stream_quicreach(a),
-            *fresh(workers).stream_quicreach(a)
-        );
+        assert_eq!(*engine.quicreach(a), *fresh(workers).quicreach(a));
         let after_a = engine.memo_classes();
         assert!(after_a > 0);
-        assert_eq!(
-            *engine.stream_quicreach(b),
-            *fresh(workers).stream_quicreach(b)
-        );
+        assert_eq!(*engine.quicreach(b), *fresh(workers).quicreach(b));
         let after_b = engine.memo_classes();
         assert!(after_b > after_a, "scenario B's classes are new keys");
 
-        assert_eq!(
-            *engine.stream_quicreach(chaos),
-            *fresh(workers).stream_quicreach(chaos)
-        );
+        assert_eq!(*engine.quicreach(chaos), *fresh(workers).quicreach(chaos));
         let totals = engine.pump_stats().expect("the chaos scan pumped").totals();
         assert_eq!(
             (
@@ -1115,10 +1209,7 @@ fn one_engine_across_scenarios_equals_fresh_engines() {
         assert_eq!(as_ranges(&engine), as_ranges(&fresh(workers)));
         let totals = engine.pump_stats().expect("fold_ranges pumped").totals();
         assert_eq!((totals.memo_misses, totals.distinct_classes), (0, 0));
-        assert_eq!(
-            totals.memo_hits as usize,
-            engine.stream_quicreach(a).total()
-        );
+        assert_eq!(totals.memo_hits as usize, engine.quicreach(a).shard.total());
         assert_eq!(engine.memo_classes(), after_b);
     }
 }
@@ -1162,16 +1253,16 @@ fn latency_free_memo_equals_the_memo_free_reference_on_every_deterministic_axis(
         for profile in [NetworkProfile::Ideal, NetworkProfile::Tunneled] {
             for initial in [1200usize, 1362, 1472] {
                 let scenario = cell(era, profile).with_initial_size(initial);
-                let want = reference.stream_quicreach(scenario);
+                let want = reference.quicreach(scenario);
                 assert_eq!(memo_traffic(&reference), (0, 0, 0));
                 for (workers, engine) in &memoized {
                     assert_eq!(
-                        *engine.stream_quicreach(scenario),
+                        *engine.quicreach(scenario),
                         *want,
                         "{era}/{profile}/{initial} diverged at {workers} workers"
                     );
                     let (hits, misses, classes) = memo_traffic(engine);
-                    assert_eq!(hits + misses, want.total() as u64);
+                    assert_eq!(hits + misses, want.shard.total() as u64);
                     // Most probes replay in every cell (nine in ten at
                     // 100k domains, three in four at 20k).
                     assert!(
@@ -1189,10 +1280,7 @@ fn latency_free_memo_equals_the_memo_free_reference_on_every_deterministic_axis(
         cell(CertificateEra::Classical, NetworkProfile::Lossy),
         cell(CertificateEra::Hybrid, NetworkProfile::LongFat),
     ] {
-        assert_eq!(
-            *engine.stream_quicreach(scenario),
-            *reference.stream_quicreach(scenario)
-        );
+        assert_eq!(*engine.quicreach(scenario), *reference.quicreach(scenario));
         assert_eq!(memo_traffic(engine), (0, 0, 0), "{scenario:?}");
         assert_eq!(engine.memo_classes(), learned, "{scenario:?}");
     }

@@ -94,7 +94,7 @@ fn a_second_worker_adds_almost_no_misses() {
     let _serial = serial();
     let misses = |workers| {
         let engine = streamed_100k(workers);
-        let probed = engine.stream_quicreach(BASE).total() as u64;
+        let probed = engine.quicreach(BASE).shard.total() as u64;
         let totals = engine.pump_stats().expect("the scan pumped").totals();
         assert_eq!(totals.memo_hits + totals.memo_misses, probed);
         assert!(totals.distinct_classes <= totals.memo_misses);
@@ -121,7 +121,7 @@ fn a_second_worker_adds_almost_no_misses() {
 fn a_hundred_thousand_domains_are_under_three_thousand_classes() {
     let _serial = serial();
     let engine = streamed_100k(1);
-    let probed = engine.stream_quicreach(BASE).total() as u64;
+    let probed = engine.quicreach(BASE).shard.total() as u64;
     let totals = engine.pump_stats().expect("the scan pumped").totals();
     let (hits, misses) = (totals.memo_hits, totals.memo_misses);
     assert_eq!(hits + misses, probed);
@@ -143,12 +143,9 @@ fn a_repeated_fold_simulates_nothing() {
     let engine = streamed_100k(2);
     let ranges: Vec<(usize, usize)> = (0..100).map(|i| (i * 1_000 + 1, 1_000)).collect();
     let fold = || {
-        engine.fold_ranges(
-            BASE,
-            &ranges,
-            World::domain_chunk_into,
-            |records, scratch| quicreach::fold_chunk(engine.world(), records, BASE, scratch),
-        )
+        engine.fold_ranges(&ranges, World::domain_chunk_into, |records, scratch| {
+            quicreach::fold_chunk(engine.world(), records, BASE, scratch)
+        })
     };
     let events = MetricsRegistry::global().counter("quicert_netsim_events_total", "");
     let first = fold();

@@ -1,6 +1,6 @@
 //! Calibration probe: per-group handshake class breakdown (dev tool).
 use quicert_pki::{World, WorldConfig};
-use quicert_scanner::quicreach;
+use quicert_scanner::quicreach::{self, ScanSummary};
 use std::collections::HashMap;
 
 fn main() {
@@ -11,7 +11,13 @@ fn main() {
     let records = world.domain_chunk(1, world.config.domains);
     let services = records.iter().filter(|record| record.has_quic());
     let results = quicreach::scan(&world, 1362);
-    let summary = quicreach::summarize(1362, &results);
+    let mut summary = ScanSummary {
+        initial_size: 1362,
+        ..ScanSummary::default()
+    };
+    for result in &results {
+        summary.add(result.class);
+    }
     println!(
         "amp={} multi={} one={} retry={} unreach={}",
         summary.amplification,

@@ -28,5 +28,7 @@ pub mod zmap;
 pub use behavior::{server_config_for_era, wire_for};
 pub use compression::CompressionShard;
 pub use https_scan::{ChainSummary, HttpsObservation, HttpsScanReport, HttpsScanShard};
-pub use quicreach::{ProbeMetrics, QuicReachResult, QuicReachShard, ScanSummary, WarmScanResult};
+pub use quicreach::{
+    QuicReachResult, QuicReachShard, QuicReachSummary, ScanSummary, WarmScanResult,
+};
 pub use scenario::Scenario;

@@ -6,21 +6,24 @@
 //! policy — as one [`Scenario`], so a new condition is a new field there,
 //! never a new entry point here.
 //!
-//! There is one population loop, [`scan_chunk`] — a summary
-//! ([`fold_chunk`]) and a per-record artefact differ only in the sink its
-//! results land in — beside the oracle it is held to ([`scan_service`], one
-//! memo-free probe of one record, which [`scan`] maps over a world) and the
-//! cold-then-warm revisit of one record ([`warm_service`]). All of them
+//! There is one population loop, [`scan_chunk`] — a chunk's shard
+//! ([`fold_chunk`]), a scenario's [`QuicReachSummary`] and a cell's
+//! [`EraJoin`] differ only in the sink its results land in — beside the
+//! oracle it is held to ([`scan_service`], one memo-free probe of one
+//! record, which [`scan`] maps over a world) and the cold-then-warm revisit
+//! of one record ([`warm_service`]). All of them
 //! build their probe through `probe_for` and read it back through
 //! `QuicReachResult::from_outcome`, so the probe parameters and the
 //! outcome→result mapping can never diverge between entry points.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use quicert_analysis::{Merge, StreamSummary};
-use quicert_netsim::{FaultPlan, NetworkProfile, SimDuration};
+use quicert_analysis::{Cdf, Merge, StreamSummary};
+use quicert_netsim::{FastHashBuilder, FaultPlan, NetworkProfile, SimDuration};
 use quicert_obs::{Counter, HandshakeTimeline, Histogram, MetricsRegistry, Phase};
 use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
+use quicert_quic::amplification::{self, FACTOR};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
@@ -98,20 +101,6 @@ impl QuicReachResult {
             client_transmissions: out.client_transmissions,
             server_transmissions: out.server_stats.flight_transmissions,
             stall_ns,
-        }
-    }
-
-    /// A class representative's result — measured at [`CLASS_LATENCY`] —
-    /// as `record`'s own probe measures it. Round trips, class,
-    /// amplification and every byte count are scale-free; the one time in
-    /// a result, `stall_ns`, is a whole number of one-way latencies and
-    /// stretches with the path.
-    fn replayed_for(self, record: &DomainRecord) -> QuicReachResult {
-        let hops = self.stall_ns / CLASS_LATENCY.as_nanos();
-        QuicReachResult {
-            rank: record.rank,
-            stall_ns: hops * base_latency(record).as_nanos(),
-            ..self
         }
     }
 
@@ -342,6 +331,304 @@ impl Merge for QuicReachShard {
     }
 }
 
+// ------------------------------------------------------- figure summary --
+
+/// The Figs 12/13 rank-group width over a population of `domains`: the
+/// paper's 100k-domain groups over 1M domains, so ten groups at any scale.
+pub fn rank_group_width(domains: usize) -> usize {
+    (domains / 10).max(1)
+}
+
+/// The rank cut-offs §4.1 reports reachability under besides the whole
+/// population: the top 1k and the top 10k.
+const TOP_RANKS: [usize; 2] = [1_000, 10_000];
+
+/// A class's column in [`QuicReachSummary::rank_groups`] (the Fig 13
+/// order; an unreachable service has none, hence the last index) and its
+/// row and column in [`EraTally`]'s transition table.
+fn class_index(class: HandshakeClass) -> usize {
+    match class {
+        HandshakeClass::Amplification => 0,
+        HandshakeClass::MultiRtt => 1,
+        HandshakeClass::Retry => 2,
+        HandshakeClass::OneRtt => 3,
+        HandshakeClass::Unreachable => 4,
+    }
+}
+
+/// One scenario's quicreach scan folded into what its readers render: the
+/// [`QuicReachShard`] plus the parts of Figs 4, 5, 12/13, the §4.1
+/// reachability buckets and the era matrix's budget column. Every part is
+/// an exact count, so [`Merge`] is exactly associative and commutative and
+/// the summary is the same bits at any worker count and claim size — held
+/// to [`QuicReachSummary::from_results`] over [`scan_service`] rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuicReachSummary {
+    /// Class counts and the wire, round-trip and fault statistics.
+    pub shard: QuicReachShard,
+    /// Fig 4: Amplification-class handshakes per first-RTT amplification
+    /// factor, keyed by the factor's bits.
+    pub amplification_factors: HashMap<u64, usize, FastHashBuilder>,
+    /// Fig 5: multi-RTT handshakes whose TLS payload alone exceeds the 3×
+    /// limit of the scan's Initial.
+    pub multi_rtt_tls_over_limit: usize,
+    /// Fig 5: multi-RTT handshakes whose received wire bytes exceed it.
+    pub multi_rtt_wire_over_limit: usize,
+    /// Reachable services whose first flight exceeded the 3× budget.
+    pub over_budget: usize,
+    /// §4.1: reachable services ranked within the top 1k and the top 10k.
+    pub reachable_top: [usize; 2],
+    /// Figs 12/13: per rank group of [`rank_group_width`] ranks, its
+    /// reachable services per class (amplification, multi-RTT, Retry,
+    /// 1-RTT). A group with none may be missing from the tail.
+    pub rank_groups: Vec<[usize; 4]>,
+}
+
+impl QuicReachSummary {
+    /// Fold one classified result in; the shard's Initial size must be
+    /// stamped first (the Fig 5 limit is its 3×).
+    #[inline]
+    fn push(&mut self, result: &QuicReachResult, group_width: usize) {
+        self.shard.push(result);
+        if result.class == HandshakeClass::Unreachable {
+            return;
+        }
+        let limit = amplification::limit(self.shard.classes.initial_size);
+        match result.class {
+            HandshakeClass::Amplification => {
+                let bits = result.amplification.to_bits();
+                *self.amplification_factors.entry(bits).or_default() += 1;
+            }
+            HandshakeClass::MultiRtt => {
+                self.multi_rtt_tls_over_limit += usize::from(result.tls_received > limit);
+                self.multi_rtt_wire_over_limit += usize::from(result.wire_received > limit);
+            }
+            _ => {}
+        }
+        // A ratio of two integers, correctly rounded: exact against 3.
+        self.over_budget += usize::from(result.amplification > FACTOR as f64);
+        for (reachable, &top) in self.reachable_top.iter_mut().zip(&TOP_RANKS) {
+            *reachable += usize::from(result.rank <= top);
+        }
+        let group = (result.rank - 1) / group_width;
+        if self.rank_groups.len() <= group {
+            self.rank_groups.resize(group + 1, [0; 4]);
+        }
+        self.rank_groups[group][class_index(result.class)] += 1;
+    }
+
+    /// Probe every QUIC service of one population chunk under `scenario`
+    /// ([`scan_chunk`]) and fold the results in place — the engine keeps
+    /// one summary per worker and folds each claim straight into it.
+    pub fn fold(
+        &mut self,
+        world: &World,
+        records: &[DomainRecord],
+        scenario: Scenario,
+        scratch: &mut ProbeScratch,
+    ) {
+        self.shard.classes.initial_size = scenario.initial_size;
+        let width = rank_group_width(world.config.domains);
+        scan_chunk(world, records, scenario, scratch, |row| {
+            self.push(&row, width)
+        });
+    }
+
+    /// The summary of materialized per-record results of a population of
+    /// `domains` at `initial_size` — the reference the folds must match.
+    pub fn from_results(
+        initial_size: usize,
+        domains: usize,
+        results: &[QuicReachResult],
+    ) -> QuicReachSummary {
+        let mut summary = QuicReachSummary::identity();
+        summary.shard.classes.initial_size = initial_size;
+        for result in results {
+            summary.push(result, rank_group_width(domains));
+        }
+        summary
+    }
+
+    /// Fig 4's CDF: every amplification factor as often as it was seen —
+    /// the sorted samples of the per-record CDF.
+    pub fn amplification_cdf(&self) -> Cdf {
+        let factors = self.amplification_factors.iter();
+        let samples = factors.flat_map(|(&bits, &n)| std::iter::repeat_n(f64::from_bits(bits), n));
+        Cdf::new(samples.collect())
+    }
+}
+
+impl Merge for QuicReachSummary {
+    fn identity() -> Self {
+        QuicReachSummary {
+            shard: QuicReachShard::identity(),
+            amplification_factors: HashMap::default(),
+            multi_rtt_tls_over_limit: 0,
+            multi_rtt_wire_over_limit: 0,
+            over_budget: 0,
+            reachable_top: [0; 2],
+            rank_groups: Vec::new(),
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.shard.merge(&other.shard);
+        for (&bits, &n) in &other.amplification_factors {
+            *self.amplification_factors.entry(bits).or_default() += n;
+        }
+        self.multi_rtt_tls_over_limit += other.multi_rtt_tls_over_limit;
+        self.multi_rtt_wire_over_limit += other.multi_rtt_wire_over_limit;
+        self.over_budget += other.over_budget;
+        for (mine, theirs) in self.reachable_top.iter_mut().zip(other.reachable_top) {
+            *mine += theirs;
+        }
+        if self.rank_groups.len() < other.rank_groups.len() {
+            self.rank_groups.resize(other.rank_groups.len(), [0; 4]);
+        }
+        for (mine, theirs) in self.rank_groups.iter_mut().zip(&other.rank_groups) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------ era join --
+
+/// One era measured against the classical era, service for service: how
+/// each classical class moved, and the round trips the era added where
+/// both completed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EraTally {
+    /// Services per (classical class, this era's class); read it with
+    /// [`EraTally::transitions`].
+    transitions: [[usize; 5]; 5],
+    /// Round trips this era took minus the classical era's, summed over
+    /// the services reachable in both.
+    pub added_rtts: i64,
+    /// Services reachable in both eras.
+    pub both_reachable: usize,
+}
+
+impl EraTally {
+    /// Pair one service's classical result with its result in this era.
+    pub fn push(&mut self, classical: &QuicReachResult, now: &QuicReachResult) {
+        assert_eq!(classical.rank, now.rank, "an era pair joins one service");
+        self.transitions[class_index(classical.class)][class_index(now.class)] += 1;
+        let reachable = |r: &QuicReachResult| r.class != HandshakeClass::Unreachable;
+        if reachable(classical) && reachable(now) {
+            self.added_rtts += i64::from(now.rtt_count) - i64::from(classical.rtt_count);
+            self.both_reachable += 1;
+        }
+    }
+
+    /// Services classified `from` classically and `to` in this era.
+    pub fn transitions(&self, from: HandshakeClass, to: HandshakeClass) -> usize {
+        self.transitions[class_index(from)][class_index(to)]
+    }
+
+    /// Mean round trips added over the services reachable in both eras (0
+    /// when none is).
+    pub fn mean_added_rtts(&self) -> f64 {
+        if self.both_reachable == 0 {
+            return 0.0;
+        }
+        self.added_rtts as f64 / self.both_reachable as f64
+    }
+}
+
+impl Merge for EraTally {
+    fn identity() -> Self {
+        EraTally::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.transitions.iter_mut().zip(&other.transitions) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+        self.added_rtts += other.added_rtts;
+        self.both_reachable += other.both_reachable;
+    }
+}
+
+/// One `(profile, plan, Initial)` cell probed under every
+/// [`CertificateEra`]: each era's [`QuicReachSummary`] plus its
+/// [`EraTally`] against the classical era (the classical tally is the
+/// identity's diagonal), in [`CertificateEra::ALL`] order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EraJoin {
+    /// Per era, the summary of the cell scanned in that era.
+    pub summaries: [QuicReachSummary; 3],
+    /// Per era, the service-for-service tally against classical.
+    pub tallies: [EraTally; 3],
+}
+
+impl EraJoin {
+    /// The summary and tally of one era.
+    pub fn era(&self, era: CertificateEra) -> (&QuicReachSummary, &EraTally) {
+        let index = match era {
+            CertificateEra::Classical => 0,
+            CertificateEra::Hybrid => 1,
+            CertificateEra::PostQuantum => 2,
+        };
+        (&self.summaries[index], &self.tallies[index])
+    }
+
+    /// Probe every QUIC service of one population chunk under `cell` in
+    /// each era and fold the results in place: each era's rows into its
+    /// summary, and each service's row in each era paired with its own
+    /// classical row.
+    pub fn fold(
+        &mut self,
+        world: &World,
+        records: &[DomainRecord],
+        cell: Scenario,
+        scratch: &mut ProbeScratch,
+    ) {
+        let width = rank_group_width(world.config.domains);
+        let rows = CertificateEra::ALL.map(|era| {
+            let mut rows = Vec::new();
+            scan_chunk(world, records, cell.with_era(era), scratch, |row| {
+                rows.push(row)
+            });
+            rows
+        });
+        let eras = self.summaries.iter_mut().zip(&mut self.tallies);
+        for ((summary, tally), era_rows) in eras.zip(&rows) {
+            summary.shard.classes.initial_size = cell.initial_size;
+            assert_eq!(
+                era_rows.len(),
+                rows[0].len(),
+                "every era probes every service"
+            );
+            for (classical, now) in rows[0].iter().zip(era_rows) {
+                summary.push(now, width);
+                tally.push(classical, now);
+            }
+        }
+    }
+}
+
+impl Merge for EraJoin {
+    fn identity() -> Self {
+        EraJoin {
+            summaries: std::array::from_fn(|_| QuicReachSummary::identity()),
+            tallies: [EraTally::identity(); 3],
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.summaries.iter_mut().zip(&other.summaries) {
+            mine.merge(theirs);
+        }
+        for (mine, theirs) in self.tallies.iter_mut().zip(&other.tallies) {
+            mine.merge(theirs);
+        }
+    }
+}
+
 /// The one-way latency every scenario class is simulated at: the slowest
 /// step of the scanner's base range, so a timer that stays silent here
 /// stays silent on every faster wire (see [`scan_chunk`]).
@@ -426,13 +713,14 @@ impl ProbeClass {
 /// Per-(era, profile) streaming-scan instruments: fresh-vs-replayed probe
 /// counters plus one handshake-phase histogram per [`Phase`].
 ///
-/// The engine registers one of these per scanned scenario on its registry and
-/// attaches a clone to every worker's [`ProbeScratch`]; the fold then
-/// updates the shared counters once per chunk. Everything observed is
+/// A [`ProbeScratch`] reporting into a registry registers one of these per
+/// `(era, profile)` pair it scans, the first time it scans it, and the
+/// fold updates the shared counters once per chunk. Everything observed is
 /// derived from simulated time and pre-existing memo counters, so
-/// attaching metrics can never perturb a summary.
+/// reporting can never perturb a summary.
 #[derive(Debug, Clone)]
-pub struct ProbeMetrics {
+struct ProbeMetrics {
+    labels: (CertificateEra, NetworkProfile),
     issued: Arc<Counter>,
     replayed: Arc<Counter>,
     phases: [Arc<Histogram>; 4],
@@ -442,7 +730,7 @@ impl ProbeMetrics {
     /// Register (or re-acquire — registration is idempotent) the
     /// instruments labelled with `scenario`'s era × profile pair on
     /// `registry`.
-    pub fn register(registry: &MetricsRegistry, scenario: Scenario) -> ProbeMetrics {
+    fn register(registry: &MetricsRegistry, scenario: Scenario) -> ProbeMetrics {
         let (era, profile) = (scenario.era, scenario.profile);
         let labels: &[(&str, &str)] = &[("era", era.name()), ("profile", profile.name())];
         let phases = Phase::ALL.map(|phase| {
@@ -460,6 +748,7 @@ impl ProbeMetrics {
             )
         });
         ProbeMetrics {
+            labels: (era, profile),
             issued: registry.labeled_counter(
                 "quicert_scan_probes_issued_total",
                 labels,
@@ -479,27 +768,89 @@ impl ProbeMetrics {
 /// capacity every [`ClassTable`] in the tree is bounded at.
 pub use quicert_pki::flyweight::CLASS_CAPACITY as MEMO_CLASS_CAPACITY;
 
-/// The scenario-class flyweight table: one folded [`QuicReachResult`] per
-/// distinct [`ProbeClass`], shared by every scratch that holds the `Arc`
-/// — the scanner's instantiation of the tree's one [`ClassTable`].
-///
-/// The value is the *folded* result of the class simulated at
-/// `CLASS_LATENCY`, not the simulated [`HandshakeOutcome`]:
-/// `QuicReachResult::from_outcome` is a pure function of the outcome that
-/// passes `rank` through, so a replay is the stored result re-ranked with
-/// its stall stretched to the record's own latency, and 88 bytes a class
-/// is what lets the table outlive its pump. The first insert of a class
-/// wins; every member of a class simulates to the same representative, so
-/// which worker won is invisible.
-pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
+/// The scenario-class flyweight table: one [`ClassOutcome`] per distinct
+/// [`ProbeClass`], shared by every scratch that holds the `Arc` — the
+/// scanner's instantiation of the tree's one [`ClassTable`]. The first
+/// insert of a class wins; every member of a class simulates to the same
+/// representative, so which worker won is invisible.
+pub type ClassMemo = ClassTable<ProbeClass, ClassOutcome>;
+
+/// What the memo keeps of a class representative simulated at
+/// `CLASS_LATENCY`: the folded [`QuicReachResult`] without its rank, its
+/// fault counters (a memoized wire injects none) and its time, the stall,
+/// kept as a count of one-way latencies — 40 bytes a class, which is what
+/// lets the table outlive its pump. `QuicReachResult::from_outcome` is a
+/// pure function of the outcome that passes `rank` through, so a replay is
+/// the stored outcome under the record's rank with its stall stretched to
+/// the record's own latency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClassOutcome {
+    class: HandshakeClass,
+    amplification: f64,
+    wire_received: u32,
+    tls_received: u32,
+    padding_received: u32,
+    rtt_count: u32,
+    client_transmissions: u32,
+    server_transmissions: u32,
+    stall_hops: u32,
+}
+
+impl ClassOutcome {
+    /// The stored form of a representative's result, or `None` when it
+    /// does not fit one exactly (a fault counter, a count past `u32`, a
+    /// stall off the `CLASS_LATENCY` lattice): such a class is simulated
+    /// on each member's own wire instead.
+    fn of(result: &QuicReachResult) -> Option<ClassOutcome> {
+        let faults = result.fault_drops + result.fault_corruptions + result.fault_duplications;
+        let hop = CLASS_LATENCY.as_nanos();
+        let narrow = |n: usize| u32::try_from(n).ok();
+        if faults != 0 || !result.stall_ns.is_multiple_of(hop) {
+            return None;
+        }
+        Some(ClassOutcome {
+            class: result.class,
+            amplification: result.amplification,
+            wire_received: narrow(result.wire_received)?,
+            tls_received: narrow(result.tls_received)?,
+            padding_received: narrow(result.padding_received)?,
+            rtt_count: result.rtt_count,
+            client_transmissions: result.client_transmissions,
+            server_transmissions: result.server_transmissions,
+            stall_hops: u32::try_from(result.stall_ns / hop).ok()?,
+        })
+    }
+
+    /// The class's result as `record`'s own probe measures it. Round
+    /// trips, class, amplification and every byte count are scale-free;
+    /// the one time in a result, `stall_ns`, is a whole number of one-way
+    /// latencies and stretches with the path.
+    fn replayed_for(&self, record: &DomainRecord) -> QuicReachResult {
+        QuicReachResult {
+            rank: record.rank,
+            class: self.class,
+            amplification: self.amplification,
+            wire_received: self.wire_received as usize,
+            tls_received: self.tls_received as usize,
+            padding_received: self.padding_received as usize,
+            rtt_count: self.rtt_count,
+            fault_drops: 0,
+            fault_corruptions: 0,
+            fault_duplications: 0,
+            client_transmissions: self.client_transmissions,
+            server_transmissions: self.server_transmissions,
+            stall_ns: u64::from(self.stall_hops) * base_latency(record).as_nanos(),
+        }
+    }
+}
 
 /// Per-worker state of the quicreach probe loop: a handle on a
 /// scenario-class memo (see [`scan_chunk`]), this worker's share of its
-/// counters, and the instruments it reports into.
+/// counters, and the registry it reports into.
 ///
 /// A pump worker's ([`ProbeScratch::sharing`]) memo is shared with every
 /// other worker of its pass — the engine's one table, carried across pumps
-/// and service ticks, or a collecting pass's own; a standalone scratch
+/// and service ticks; a standalone scratch
 /// ([`ProbeScratch::with_memo`]) owns a private one. Nothing else survives
 /// from one chunk to the next (`pending` is drained before a fold returns
 /// and kept only for its capacity), so a reused scratch folds exactly as a
@@ -508,12 +859,15 @@ pub type ClassMemo = ClassTable<ProbeClass, QuicReachResult>;
 pub struct ProbeScratch {
     /// Classes first simulated in the chunk being folded, stored into the
     /// memo once every record of the chunk has looked it up.
-    pending: Vec<(ProbeClass, QuicReachResult)>,
+    pending: Vec<(ProbeClass, ClassOutcome)>,
     memo: Option<Arc<ClassMemo>>,
     hits: u64,
     misses: u64,
     inserted: u64,
-    metrics: Option<ProbeMetrics>,
+    /// The registry every scan reports into, under its own scenario's
+    /// era × profile labels, and the instruments registered so far.
+    registry: Option<Arc<MetricsRegistry>>,
+    metrics: Vec<ProbeMetrics>,
 }
 
 impl ProbeScratch {
@@ -538,14 +892,29 @@ impl ProbeScratch {
             hits: 0,
             misses: 0,
             inserted: 0,
-            metrics: None,
+            registry: None,
+            metrics: Vec::new(),
         }
     }
 
-    /// Attach streaming-scan instruments; every later [`scan_chunk`]
-    /// through this scratch updates its counters once per chunk.
-    pub fn set_metrics(&mut self, metrics: ProbeMetrics) {
-        self.metrics = Some(metrics);
+    /// Report into `registry`: every later [`scan_chunk`] through this
+    /// scratch updates its scenario's era × profile probe counters once per
+    /// chunk, registering them the first time it scans that pair.
+    pub fn report_to(&mut self, registry: Arc<MetricsRegistry>) {
+        self.registry = Some(registry);
+    }
+
+    /// The index in `metrics` of `scenario`'s instruments, registered on
+    /// first use; `None` when the scratch reports nowhere.
+    fn metrics_for(&mut self, scenario: Scenario) -> Option<usize> {
+        let registry = self.registry.as_deref()?;
+        let labels = (scenario.era, scenario.profile);
+        let known = self.metrics.iter().position(|m| m.labels == labels);
+        Some(known.unwrap_or_else(|| {
+            self.metrics
+                .push(ProbeMetrics::register(registry, scenario));
+            self.metrics.len() - 1
+        }))
     }
 
     /// Memo effectiveness over this scratch's lifetime: probes replayed,
@@ -582,7 +951,9 @@ pub fn fold_chunk(
 /// Probe every QUIC service of one **population** chunk and hand each
 /// result to `sink`, in record order: the one probe loop. The engine's pump
 /// hands workers owned chunks (no per-chunk `Vec<&DomainRecord>` is ever
-/// built) and chooses the sink — a shard ([`fold_chunk`]) or a `Vec`.
+/// built) and chooses the sink — a shard ([`fold_chunk`]), a summary
+/// ([`QuicReachSummary::fold`]) or one era's rows of a join
+/// ([`EraJoin::fold`]).
 /// Per-record RNG forking makes outcomes chunk-size invariant: any chunking
 /// yields, record for record, [`scan_service`]'s results.
 ///
@@ -595,16 +966,16 @@ pub fn fold_chunk(
 /// stored once the chunk is folded (lookups all precede the chunk's
 /// inserts, so two records of one new class in one chunk both simulate,
 /// and the hit and miss counts are a function of the chunking alone).
-/// Replayed and fresh results reach the sink in record order, so a
-/// collected artefact is in rank order and the order-sensitive
-/// [`StreamSummary`] float sums match the unmemoized path bit for bit.
+/// Replayed and fresh results reach the sink in record order, so the
+/// order-sensitive [`StreamSummary`] float sums match the unmemoized path
+/// bit for bit.
 ///
 /// ## Why one simulation serves every latency
 ///
 /// A class miss simulates the record's probe with both directions of its
 /// wire at `CLASS_LATENCY` — the slowest base step — and the record's
 /// own result, like every later replay, is that representative with
-/// `stall_ns` rescaled (`QuicReachResult::replayed_for`). Two facts make
+/// `stall_ns` rescaled (`ClassOutcome::replayed_for`). Two facts make
 /// this exact rather than approximate:
 ///
 /// - **The lattice.** On a wire that draws no randomness a delivery
@@ -653,6 +1024,7 @@ pub fn scan_chunk(
     scratch: &mut ProbeScratch,
     mut sink: impl FnMut(QuicReachResult),
 ) {
+    let metrics = scratch.metrics_for(scenario);
     let memo = scratch
         .memo
         .as_deref()
@@ -671,9 +1043,9 @@ pub fn scan_chunk(
         let learned = class.and_then(|(_, class)| {
             let out = simulate(world, record, scenario, Some(CLASS_LATENCY))?;
             let timeline = latency_free_timeline(&out, base_latency(record))?;
-            let representative = QuicReachResult::from_outcome(record.rank, &out);
-            scratch.pending.push((class, representative.clone()));
-            Some((representative.replayed_for(record), timeline))
+            let stored = ClassOutcome::of(&QuicReachResult::from_outcome(record.rank, &out))?;
+            scratch.pending.push((class, stored));
+            Some((stored.replayed_for(record), timeline))
         });
         // No memo, or a representative the check refused: the record's
         // own wire. A record without a QUIC chain has no probe; skip it.
@@ -688,9 +1060,9 @@ pub fn scan_chunk(
         };
         issued += 1;
         // Everything read is simulated time.
-        if let (Some(metrics), Some(phases)) = (&scratch.metrics, timeline.phases()) {
+        if let (Some(index), Some(phases)) = (metrics, timeline.phases()) {
             for (phase, ns) in phases {
-                metrics.phases[phase.index()].observe(ns as f64 / 1e9);
+                scratch.metrics[index].phases[phase.index()].observe(ns as f64 / 1e9);
             }
         }
         sink(result);
@@ -698,13 +1070,13 @@ pub fn scan_chunk(
     if let Some(memo) = memo {
         scratch.hits += replayed;
         scratch.misses += issued;
-        for (class, result) in scratch.pending.drain(..) {
-            scratch.inserted += memo.insert(class, &result) as u64;
+        for (class, stored) in scratch.pending.drain(..) {
+            scratch.inserted += memo.insert(class, &stored) as u64;
         }
     }
-    if let Some(metrics) = &scratch.metrics {
-        metrics.issued.add(issued);
-        metrics.replayed.add(replayed);
+    if let Some(index) = metrics {
+        scratch.metrics[index].issued.add(issued);
+        scratch.metrics[index].replayed.add(replayed);
     }
 }
 
@@ -1061,18 +1433,6 @@ pub fn warm_scan_records(
 
 // --------------------------------------------- end frozen compat block --
 
-/// Aggregate results into a Fig 3 bar.
-pub fn summarize(initial_size: usize, results: &[QuicReachResult]) -> ScanSummary {
-    let mut summary = ScanSummary {
-        initial_size,
-        ..ScanSummary::default()
-    };
-    for r in results {
-        summary.add(r.class);
-    }
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1095,6 +1455,11 @@ mod tests {
 
     fn services(records: &[DomainRecord]) -> impl Iterator<Item = &DomainRecord> {
         records.iter().filter(|record| record.has_quic())
+    }
+
+    /// The Fig 3 bar of materialized results.
+    fn summarize(initial_size: usize, results: &[QuicReachResult]) -> ScanSummary {
+        QuicReachShard::from_results(initial_size, results).classes
     }
 
     /// The per-record oracle over an explicit service list.
@@ -1129,6 +1494,15 @@ mod tests {
             scenario.initial_size,
             &scan_each(world, &services, scenario),
         )
+    }
+
+    #[test]
+    fn rank_group_width_scales() {
+        // Ten groups at any population: the paper's 100k groups over 1M
+        // domains, 500 over 5k — and never an empty width.
+        assert_eq!(rank_group_width(1_000_000), 100_000);
+        assert_eq!(rank_group_width(5_000), 500);
+        assert_eq!(rank_group_width(7), 1);
     }
 
     #[test]
@@ -1187,6 +1561,62 @@ mod tests {
                 assert!(r.amplification < 6.5, "factor {}", r.amplification);
             }
         }
+    }
+
+    #[test]
+    fn the_figure_parts_count_what_the_per_record_readers_counted() {
+        // Fig 4 from the factor counts has the per-record CDF's samples;
+        // the §4.1 buckets and the budget column count the rows they did.
+        let (world, _) = world();
+        let rows = scan(&world, 1362);
+        let summary = QuicReachSummary::from_results(1362, 3_000, &rows);
+        let reachable = || {
+            rows.iter()
+                .filter(|r| r.class != HandshakeClass::Unreachable)
+        };
+        let amplifying = rows
+            .iter()
+            .filter(|r| r.class == HandshakeClass::Amplification)
+            .map(|r| r.amplification);
+        let (cdf, want) = (summary.amplification_cdf(), Cdf::new(amplifying.collect()));
+        assert!(cdf.len() > 50);
+        assert_eq!(format!("{cdf:?}"), format!("{want:?}"));
+        let top = |n| reachable().filter(|r| r.rank <= n).count();
+        assert_eq!(summary.reachable_top, [top(1_000), top(10_000)]);
+        let over = reachable().filter(|r| r.amplification > 3.0).count();
+        assert_eq!(summary.over_budget, over);
+        let groups: usize = summary.rank_groups.iter().flatten().sum();
+        assert_eq!(groups, summary.shard.classes.reachable());
+    }
+
+    #[test]
+    fn fig5_counts_payloads_strictly_over_the_limit() {
+        // At 1362 B the limit is 4,086 B: a payload of exactly the limit
+        // fits it, one byte more does not.
+        let multi = |tls_received, wire_received| QuicReachResult {
+            rank: 1,
+            class: HandshakeClass::MultiRtt,
+            amplification: 2.0,
+            wire_received,
+            tls_received,
+            padding_received: 0,
+            rtt_count: 2,
+            fault_drops: 0,
+            fault_corruptions: 0,
+            fault_duplications: 0,
+            client_transmissions: 1,
+            server_transmissions: 1,
+            stall_ns: 0,
+        };
+        let rows = [
+            multi(4_086, 4_086),
+            multi(4_087, 4_086),
+            multi(4_086, 4_087),
+        ];
+        let summary = QuicReachSummary::from_results(1362, 10, &rows);
+        assert_eq!(summary.shard.classes.multi_rtt, 3);
+        assert_eq!(summary.multi_rtt_tls_over_limit, 1);
+        assert_eq!(summary.multi_rtt_wire_over_limit, 1);
     }
 
     #[test]
@@ -1349,8 +1779,8 @@ mod tests {
                 prop_assert_eq!(own.as_millis(), BASE_LATENCY_MS.start() + step);
                 let reference = simulate(world, &member, scenario, None).expect("a QUIC service");
                 prop_assert_eq!(
-                    representative.clone().replayed_for(&member),
-                    scan_service(world, &member, scenario),
+                    ClassOutcome::of(&representative).map(|stored| stored.replayed_for(&member)),
+                    Some(scan_service(world, &member, scenario)),
                     "rank {} step {} {:?}", record.rank, step, scenario
                 );
                 prop_assert_eq!(
@@ -1428,8 +1858,8 @@ mod tests {
             let member = class_member_at_step(record, scenario, step);
             assert!(latency_free_timeline(&out, base_latency(&member)).is_some());
             assert_eq!(
-                representative.clone().replayed_for(&member),
-                scan_service(&world, &member, scenario),
+                ClassOutcome::of(&representative).map(|stored| stored.replayed_for(&member)),
+                Some(scan_service(&world, &member, scenario)),
                 "step {step}"
             );
         }
@@ -1474,10 +1904,9 @@ mod tests {
         owned.truncate(600);
         let probed = owned.iter().filter(|r| r.has_quic()).count() as u64;
 
-        let registry = MetricsRegistry::new();
-        let metrics = ProbeMetrics::register(&registry, BASE);
+        let registry = Arc::new(MetricsRegistry::new());
         let mut instrumented = ProbeScratch::new();
-        instrumented.set_metrics(metrics);
+        instrumented.report_to(Arc::clone(&registry));
         let mut plain = ProbeScratch::new();
         for chunk in owned.chunks(64) {
             let a = fold_chunk(&world, chunk, BASE, &mut instrumented);
@@ -1881,8 +2310,121 @@ mod tests {
         agg
     }
 
+    /// A result from five arbitrary draws — any class, rank, byte counts
+    /// and round trips, not only those a scan produces: the merge laws are
+    /// about the fold.
+    fn result_of(draw: &[u64]) -> QuicReachResult {
+        let classes = [
+            HandshakeClass::OneRtt,
+            HandshakeClass::Retry,
+            HandshakeClass::MultiRtt,
+            HandshakeClass::Amplification,
+            HandshakeClass::Unreachable,
+        ];
+        let wire = draw[2] as usize % 12_000;
+        QuicReachResult {
+            rank: 1 + draw[1] as usize % 2_000,
+            class: classes[draw[0] as usize % 5],
+            amplification: wire as f64 / 1362.0,
+            wire_received: wire,
+            tls_received: draw[3] as usize % 9_000,
+            padding_received: 0,
+            rtt_count: (draw[4] % 6) as u32,
+            fault_drops: draw[4] % 3,
+            fault_corruptions: 0,
+            fault_duplications: 0,
+            client_transmissions: 1,
+            server_transmissions: 1,
+            stall_ns: 0,
+        }
+    }
+
+    fn summary_of(draws: &[u64]) -> QuicReachSummary {
+        let results: Vec<_> = draws.chunks_exact(5).map(result_of).collect();
+        QuicReachSummary::from_results(1362, 2_000, &results)
+    }
+
+    /// An era join of the services `draws` describes: classical as drawn,
+    /// and each later era moving every service's class and round trips by
+    /// a draw-dependent step, paired service for service.
+    fn join_of(draws: &[u64]) -> EraJoin {
+        let eras: [Vec<QuicReachResult>; 3] = std::array::from_fn(|era| {
+            let moved = |draw: &[u64]| {
+                let mut draw = draw.to_vec();
+                draw[0] += era as u64 * draw[3];
+                draw[4] += era as u64;
+                result_of(&draw)
+            };
+            draws.chunks_exact(5).map(moved).collect()
+        });
+        let mut join = EraJoin::identity();
+        for (index, rows) in eras.iter().enumerate() {
+            join.summaries[index] = QuicReachSummary::from_results(1362, 2_000, rows);
+            for (classical, now) in eras[0].iter().zip(rows) {
+                join.tallies[index].push(classical, now);
+            }
+        }
+        join
+    }
+
+    /// The monoid laws of one [`Merge`] summary, plus the merge of three
+    /// parts equalling the summary of the whole.
+    fn assert_merge_laws<S: Merge + Clone + PartialEq + std::fmt::Debug>(
+        of: impl Fn(&[u64]) -> S,
+        parts: [&[u64]; 3],
+    ) -> Result<(), TestCaseError> {
+        let [a, b, c] = parts.map(&of);
+        // Identity on both sides.
+        let mut left = S::identity();
+        left.merge(&a);
+        prop_assert_eq!(&left, &a);
+        let mut right = a.clone();
+        right.merge(&S::identity());
+        prop_assert_eq!(&right, &a);
+        // Commutativity.
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        prop_assert_eq!(&ab, &ba);
+        // Associativity.
+        let mut ab_c = ab;
+        ab_c.merge(&c);
+        let mut bc = b;
+        bc.merge(&c);
+        let mut a_bc = a;
+        a_bc.merge(&bc);
+        prop_assert_eq!(&ab_c, &a_bc);
+        // And the merge is the summary of the whole.
+        let whole: Vec<u64> = parts.concat();
+        prop_assert_eq!(ab_c, of(&whole));
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn quicreach_summary_merge_laws(
+            xs in proptest::collection::vec(0u64..1_000_000, 0..40),
+            ys in proptest::collection::vec(0u64..1_000_000, 0..40),
+            zs in proptest::collection::vec(0u64..1_000_000, 0..40),
+        ) {
+            let cut = |v: &Vec<u64>| v.len() / 5 * 5;
+            let parts = [&xs[..cut(&xs)], &ys[..cut(&ys)], &zs[..cut(&zs)]];
+            assert_merge_laws(summary_of, parts)?;
+        }
+
+        #[test]
+        fn era_join_merge_laws(
+            xs in proptest::collection::vec(0u64..1_000_000, 0..40),
+            ys in proptest::collection::vec(0u64..1_000_000, 0..40),
+            zs in proptest::collection::vec(0u64..1_000_000, 0..40),
+        ) {
+            let cut = |v: &Vec<u64>| v.len() / 5 * 5;
+            let parts = [&xs[..cut(&xs)], &ys[..cut(&ys)], &zs[..cut(&zs)]];
+            assert_merge_laws(join_of, parts)?;
+        }
 
         #[test]
         fn warm_aggregate_merge_laws(

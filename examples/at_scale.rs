@@ -8,7 +8,7 @@
 //! The population is never held in memory: a `World` is only the
 //! configuration and the CA ecosystem, each scan worker derives the rank
 //! ranges it claims into one reused buffer (`domain_chunk_into`), and
-//! every chunk folds into mergeable summaries (`QuicReachShard`,
+//! every chunk folds into mergeable summaries (`QuicReachSummary`,
 //! `HttpsScanShard`) that are bit-for-bit identical to the per-record scans
 //! of the same world — at any worker count and claim size.
 
@@ -57,7 +57,8 @@ fn main() {
         funnel.chain_depth.mean(),
     );
 
-    let reach = engine.stream_quicreach(engine.scenario());
+    let summary = engine.quicreach(engine.scenario());
+    let reach = &summary.shard;
     println!(
         "\nquicreach @{INITIAL} (streamed) — {} probed, {} reachable",
         reach.total(),
@@ -82,7 +83,7 @@ fn main() {
         reach.rtts.mean(),
     );
     // The scenario-class flyweight: a record whose class the engine's memo
-    // already held replayed the stored 88-byte result under its own rank;
+    // already held replayed the stored 40-byte outcome under its own rank;
     // only the misses were simulated (bit-identically — toggle with
     // `with_memoization(false)` and compare).
     if let Some(stats) = engine.pump_stats() {

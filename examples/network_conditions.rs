@@ -16,7 +16,6 @@
 use quicert::core::{Campaign, CampaignConfig};
 use quicert::netsim::NetworkProfile;
 use quicert::quic::handshake::HandshakeClass;
-use quicert::scanner::quicreach;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
@@ -37,10 +36,12 @@ fn main() {
                 .scenario()
                 .with_profile(profile)
                 .with_initial_size(initial_size);
-            let results = campaign.engine().quicreach(scenario);
-            let summary = quicreach::summarize(initial_size, &results);
-            let drops: u64 = results.iter().map(|r| r.fault_drops).sum();
-            let corruptions: u64 = results.iter().map(|r| r.fault_corruptions).sum();
+            let reach = campaign.engine().quicreach(scenario);
+            let (summary, drops, corruptions) = (
+                reach.shard.classes,
+                reach.shard.fault_drops,
+                reach.shard.fault_corruptions,
+            );
             println!(
                 "{:<10} {:>8} | {:>7.1} {:>7.1} {:>7.2} {:>9.1} | {:>6} {:>7}",
                 profile.name(),

@@ -9,7 +9,6 @@ use quicert::core::experiments::pq;
 use quicert::core::{Campaign, CampaignConfig};
 use quicert::pki::CertificateEra;
 use quicert::quic::handshake::HandshakeClass;
-use quicert::scanner::quicreach;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
@@ -24,11 +23,11 @@ fn main() {
     // Headline: class shares per era at the default Initial size.
     let initial = campaign.scenario().initial_size;
     println!("handshake classes at Initial = {initial} bytes:");
+    // One pass probes every service in every era; the era matrix below
+    // reads the same cached join.
+    let join = campaign.engine().era_join(campaign.scenario());
     for era in CertificateEra::ALL {
-        let results = campaign
-            .engine()
-            .quicreach(campaign.scenario().with_era(era));
-        let summary = quicreach::summarize(initial, &results);
+        let summary = join.era(era).0.shard.classes;
         println!(
             "  {:<13} 1-RTT {:>5.2}%   multi-RTT {:>5.1}%   amplification {:>5.1}%",
             era.name(),

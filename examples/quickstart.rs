@@ -8,7 +8,6 @@
 
 use quicert::core::{full_report, Campaign, CampaignConfig, ReportOptions};
 use quicert::quic::handshake::HandshakeClass;
-use quicert::scanner::quicreach;
 
 fn main() {
     // 4k domains is enough for stable shares and runs in seconds.
@@ -21,8 +20,11 @@ fn main() {
         https.https_only().count(),
     );
 
-    let results = campaign.engine().quicreach(campaign.scenario());
-    let summary = quicreach::summarize(campaign.scenario().initial_size, &results);
+    let summary = campaign
+        .engine()
+        .quicreach(campaign.scenario())
+        .shard
+        .classes;
     println!(
         "\nhandshake classes at Initial = {} bytes ({} reachable services):",
         summary.initial_size,

@@ -10,12 +10,11 @@
 //!
 //! ```
 //! use quicert::core::{Campaign, CampaignConfig};
-//! use quicert::scanner::quicreach;
 //!
 //! // A small deterministic world (2k domains).
 //! let campaign = Campaign::new(CampaignConfig::small());
-//! let results = campaign.engine().quicreach(campaign.scenario());
-//! let summary = quicreach::summarize(1362, &results);
+//! let reach = campaign.engine().quicreach(campaign.scenario());
+//! let summary = reach.shard.classes;
 //! // The paper's headline: most QUIC handshakes amplify or need extra RTTs.
 //! assert!(summary.amplification + summary.multi_rtt > summary.one_rtt);
 //! ```

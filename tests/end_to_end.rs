@@ -12,7 +12,7 @@ fn campaign() -> Campaign {
 #[test]
 fn headline_numbers_reproduce_the_paper_shape() {
     let c = campaign();
-    let summary = quicreach::summarize(1362, &c.engine().quicreach(c.scenario()));
+    let summary = c.engine().quicreach(c.scenario()).shard.classes;
 
     // Fig 3 at the default Initial: amplification dominates, then
     // multi-RTT; Retry and 1-RTT are rare.

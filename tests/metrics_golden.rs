@@ -56,9 +56,9 @@ fn pinned_campaign() -> ScanEngine {
         1362,
         1,
     );
-    engine.stream_quicreach(engine.scenario());
-    engine.stream_quicreach(engine.scenario()); // cache hit
-    engine.stream_quicreach(engine.scenario().with_era(CertificateEra::PostQuantum));
+    engine.quicreach(engine.scenario());
+    engine.quicreach(engine.scenario()); // cache hit
+    engine.quicreach(engine.scenario().with_era(CertificateEra::PostQuantum));
     engine.stream_https_scan();
     engine
 }
@@ -134,7 +134,8 @@ fn probe_counters_partition_the_probed_services() {
     let mut campaign_probes = 0;
     for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
         let probed = engine
-            .stream_quicreach(engine.scenario().with_era(era))
+            .quicreach(engine.scenario().with_era(era))
+            .shard
             .total() as u64;
         let labels = [("era", era.name()), ("profile", "ideal")];
         let count = |name| registry.labeled_counter(name, &labels, "").get();
