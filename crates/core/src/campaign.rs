@@ -89,7 +89,7 @@ impl Campaign {
     }
 
     /// The scan engine holding every cached artifact; every scan family is
-    /// requested here — `campaign.engine().https_scan()`,
+    /// requested here — `campaign.engine().certificates()`,
     /// `campaign.engine().quicreach(campaign.scenario().with_era(..))`.
     pub fn engine(&self) -> &ScanEngine {
         &self.engine
@@ -119,7 +119,7 @@ mod tests {
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5));
         // Every artifact family returns the same allocation on re-request.
         let engine = campaign.engine();
-        assert!(Arc::ptr_eq(&engine.https_scan(), &engine.https_scan()));
+        assert!(Arc::ptr_eq(&engine.certificates(), &engine.certificates()));
         let scenario = campaign.scenario();
         assert!(Arc::ptr_eq(
             &engine.quicreach(scenario),
@@ -154,8 +154,7 @@ mod tests {
         use quicert_scanner::quicreach::{self, QuicReachShard, QuicReachSummary};
 
         // Held to the scanners' own whole-world scans — no engine, no pump,
-        // no memo — not to the engine's collected artefacts, which ride the
-        // same loop as the summaries.
+        // no memo — not to anything else the engine folds on the same loop.
         let campaign = Campaign::new(CampaignConfig::small().with_seed(5).with_domains(1_000));
         let (engine, scenario) = (campaign.engine(), campaign.scenario());
         assert_eq!(scenario.cold(), Scenario::at(scenario.initial_size));
@@ -184,8 +183,8 @@ mod tests {
             *parallel.engine().quicreach(parallel.scenario())
         );
         assert_eq!(
-            serial.engine().https_scan().observations.len(),
-            parallel.engine().https_scan().observations.len()
+            *serial.engine().certificates(),
+            *parallel.engine().certificates()
         );
     }
 }

@@ -2,16 +2,15 @@
 //! worker-sharded population loop.
 //!
 //! Every scan artifact the report and the experiment modules consume — the
-//! HTTPS certificate scan, the quicreach summary of *any* scenario and the
-//! era join of any cell, the warm-scan and QScanner summaries, the
-//! compression support table and synthetic study, telescope backscatter
-//! sessions and Meta-PoP ZMap scans — is computed at most once per
-//! campaign, by its own pass, and shared behind an [`Arc`]. Each family
-//! caches what its readers read: a [`Merge`] summary where they read
-//! counts, per-record rows only where several figures read the rows (the
-//! HTTPS scan and the compression families). Experiments therefore never
-//! recompute a scan behind the report's back: asking twice returns the
-//! same allocation.
+//! certificate figures' summary of the HTTPS scan, the quicreach summary of
+//! *any* scenario and the era join of any cell, the warm-scan and QScanner
+//! summaries, the compression support table and synthetic study, telescope
+//! backscatter sessions and Meta-PoP ZMap scans — is computed at most once
+//! per campaign, by its own pass, and shared behind an [`Arc`]. Each family
+//! caches what its readers read: a [`Merge`] summary of exact counts,
+//! except the telescope and ZMap scans, whose few sessions are rows.
+//! Experiments therefore never recompute a scan behind the report's back:
+//! asking twice returns the same allocation.
 //!
 //! ## One loop, two doors, cached folds on top
 //!
@@ -22,33 +21,30 @@
 //! crate-private `ScanEngine::fold_population` (every rank, adaptively
 //! sized claims, a [`Merge`] summary) and the public
 //! [`ScanEngine::fold_ranges`] (an explicit range list, derived as its
-//! caller names, one result per range); every service tick goes through
-//! one. The cached families sit on top: *summarising* folds
-//! ([`ScanEngine::quicreach`], [`ScanEngine::era_join`],
-//! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`], `stream_*`), each
-//! worker folding its claims in place into one summary, the workers'
-//! summaries merged; and *collecting* folds ([`ScanEngine::https_scan`],
-//! [`ScanEngine::compression_support`],
-//! [`ScanEngine::compression_study`]), which tag each claim's per-record
-//! rows with the claim's first rank and sort and flatten them once the
-//! pump is done. A family that reads nothing but QUIC services (quicreach,
-//! era joins, warm, QScanner, compression support) derives only those
-//! ([`World::quic_chunk_into`]); the HTTPS funnel and the compression study
-//! derive every rank.
+//! caller names, one result per range, in input order); every service tick
+//! goes through one. The cached families sit on top: each worker folds its
+//! claims in place into one summary ([`ScanEngine::certificates`],
+//! [`ScanEngine::quicreach`], [`ScanEngine::era_join`],
+//! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`],
+//! [`ScanEngine::compression_support`], [`ScanEngine::compression_study`],
+//! [`ScanEngine::stream_https_scan`]), and the workers' summaries merge. A
+//! family that reads nothing but QUIC services (quicreach, era joins, warm,
+//! QScanner, compression support) derives only those
+//! ([`World::quic_chunk_into`]); the certificate figures, the funnel and
+//! the compression study derive every rank.
 //!
 //! The results are **bit-for-bit identical at any worker count and any
 //! claim size** because every probe draws its randomness from a `SimRng`
 //! stream forked off the campaign seed *per record* at world-generation
 //! time (`record.seed`), never from a stream shared across records. A
 //! claim boundary therefore cannot shift any draw: a worker probing records
-//! `[a, b)` produces exactly the rows a serial run produces for them, rank
-//! order restores the serial artefact, and the summaries are exactly
-//! associative and commutative monoids under [`Merge`], so claiming order
-//! cannot shift a bit either. Each scanner module's per-record function,
-//! mapped serially over the population — no pump, no memo, no flyweight
-//! — is the reference `tests/determinism_matrix.rs` holds the collected
-//! artefacts and the summaries to, beside the worker × claim-size × memo
-//! grid.
+//! `[a, b)` produces exactly the rows a serial run produces for them, and
+//! the summaries are exactly associative and commutative monoids under
+//! [`Merge`], so claiming order cannot shift a bit either. Each scanner
+//! module's per-record function, mapped serially over the population and
+//! folded — no pump, no memo, no flyweight — is the reference
+//! `tests/determinism_matrix.rs` holds every summary to, beside the worker
+//! × claim-size × memo grid.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -61,10 +57,8 @@ use quicert_compress::Algorithm;
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
-use quicert_scanner::compression::{
-    self, CompressionShard, CompressionSupport, SyntheticCompression,
-};
-use quicert_scanner::https_scan::{self, HttpsScanReport, HttpsScanShard};
+use quicert_scanner::compression::{self, CompressionShard, CompressionSupport, StudySummary};
+use quicert_scanner::https_scan::{self, CertificateSummary, HttpsScanReport, HttpsScanShard};
 use quicert_scanner::qscanner::{self, ConsistencyReport};
 use quicert_scanner::quicreach::{
     self, ClassMemo, EraJoin, ProbeScratch, QuicReachShard, QuicReachSummary, WarmAggregate,
@@ -179,8 +173,8 @@ pub struct WorkerPumpStats {
     pub distinct_classes: u64,
 }
 
-/// What the pump did on one pass, summarising or collecting: per-worker
-/// counters plus the resolved thread count. `repro` prints it right after
+/// What the pump did on one pass: per-worker counters plus the resolved
+/// thread count. `repro` prints it right after
 /// a streamed scan and `perfbench/` reads its memo and claim totals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PumpStats {
@@ -344,21 +338,18 @@ pub struct ScanEngine {
     // are ≈5.5k entries.
     memo: Option<Arc<ClassMemo>>,
     scenario: Scenario,
-    https: ArtifactCache<(), HttpsScanReport>,
+    certificates: ArtifactCache<(), CertificateSummary>,
     // Scan-family caches key on [`Scenario`] — every axis stores exact
     // integer/enum values, so no float keys anywhere.
     quicreach: ArtifactCache<Scenario, QuicReachSummary>,
     eras: ArtifactCache<Scenario, EraJoin>,
     warm: ArtifactCache<Scenario, WarmAggregate>,
     compression_support: ArtifactCache<(), CompressionSupport>,
-    compression_study: ArtifactCache<(CertificateEra, Algorithm, usize), Vec<SyntheticCompression>>,
+    compression_study: ArtifactCache<(CertificateEra, Algorithm, usize), StudySummary>,
     telescope: ArtifactCache<usize, Vec<BackscatterSession>>,
     zmap: ArtifactCache<(bool, u64), Vec<ZmapResult>>,
     qscanner: ArtifactCache<(), ConsistencyReport>,
-    // Streaming-path caches hold *summaries*, never per-record vectors, so
-    // a cached million-record scan costs a few kilobytes.
     stream_https: ArtifactCache<(), HttpsScanShard>,
-    stream_compression: ArtifactCache<(), CompressionShard>,
     // What the pump did on its most recent pass.
     last_pump: Mutex<Option<PumpStats>>,
     // The campaign's metrics registry and its pre-registered pump
@@ -387,7 +378,7 @@ impl ScanEngine {
             memo: Some(Arc::default()),
             scenario: Scenario::at(default_initial)
                 .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
-            https: ArtifactCache::new(&registry, "https"),
+            certificates: ArtifactCache::new(&registry, "certificates"),
             quicreach: ArtifactCache::new(&registry, "quicreach"),
             eras: ArtifactCache::new(&registry, "quicreach-eras"),
             warm: ArtifactCache::new(&registry, "warm"),
@@ -397,7 +388,6 @@ impl ScanEngine {
             zmap: ArtifactCache::new(&registry, "zmap"),
             qscanner: ArtifactCache::new(&registry, "qscanner"),
             stream_https: ArtifactCache::new(&registry, "stream-https"),
-            stream_compression: ArtifactCache::new(&registry, "stream-compression"),
             last_pump: Mutex::new(None),
             registry,
             metrics,
@@ -406,9 +396,9 @@ impl ScanEngine {
     }
 
     /// An engine over a [`World::streaming`] of `config`. Every family
-    /// derives its records by rank: the summaries in bounded memory, the
-    /// per-record artefacts in memory that grows with the population, the
-    /// telescope by a rank-order walk that stops at its last target.
+    /// derives its records by rank: the summaries in memory bounded by
+    /// their distinct values, the telescope by a rank-order walk that stops
+    /// at its last target.
     pub fn streaming(config: WorldConfig, default_initial: usize, workers: usize) -> ScanEngine {
         ScanEngine::new(World::streaming(config), default_initial, workers)
     }
@@ -476,15 +466,19 @@ impl ScanEngine {
         self.workers
     }
 
-    /// The §3.1 HTTPS certificate scan: one `(DNS outcome, observation)`
-    /// row per domain off the pump, the funnel folded from them in rank order.
-    pub fn https_scan(&self) -> Arc<HttpsScanReport> {
-        self.https.get_or_compute((), || {
-            let observe = |r: &DomainRecord| (r.dns, https_scan::observe(&self.world, r));
-            let rows = self.collect(World::domain_chunk_into, |records| {
-                records.iter().map(observe).collect()
-            });
-            https_scan::collate(rows)
+    /// The §3.1 HTTPS certificate scan folded into the
+    /// [`CertificateSummary`] the certificate figures render: every rank
+    /// derived, each TLS-reachable domain's chain issued
+    /// ([`https_scan::observe`]) and pushed into its worker's summary. Its
+    /// funnel is bit for bit [`ScanEngine::stream_https_scan`], which reads
+    /// the chain shapes off the world's flyweight instead.
+    pub fn certificates(&self) -> Arc<CertificateSummary> {
+        self.certificates.get_or_compute((), || {
+            let fold =
+                |summary: &mut CertificateSummary, records: &mut [DomainRecord], _: &mut _| {
+                    summary.merge(&https_scan::certificates(&self.world, &*records))
+                };
+            self.pump(false, World::domain_chunk_into, fold)
         })
     }
 
@@ -553,37 +547,50 @@ impl ScanEngine {
         })
     }
 
-    /// Table 1's measured half — per-algorithm support and achieved ratios
-    /// plus the all-three count — from one probe row per QUIC service
-    /// collected off the pump. The rows stay in rank order because each
-    /// column's mean ratio is a float mean over them.
+    /// Table 1's measured half — per-algorithm support, byte totals and
+    /// achieved ratios plus the all-three count — folded from one
+    /// [`compression::probe_row`] per QUIC service into its worker's
+    /// [`CompressionSupport`].
     pub fn compression_support(&self) -> Arc<CompressionSupport> {
         self.compression_support.get_or_compute((), || {
-            let probe = |r: &DomainRecord| compression::probe_row(&self.world, r);
-            let rows = self.collect(World::quic_chunk_into, |records| {
-                records.iter().map(probe).collect()
-            });
-            compression::collate(&rows)
+            let probe =
+                |support: &mut CompressionSupport, records: &mut [DomainRecord], _: &mut _| {
+                    for row in records
+                        .iter()
+                        .filter_map(|r| compression::probe_row(&self.world, r))
+                    {
+                        support.push(&row);
+                    }
+                };
+            self.pump(false, World::quic_chunk_into, probe)
         })
     }
 
     /// The §4.2 synthetic compression study for one (era, algorithm,
-    /// stride) — one cached artifact per triple, the sampled chains
-    /// compressed as the pump passes them. Across eras this is how the
-    /// report measures the Fig-9-style dictionary degrading on PQC chains.
+    /// stride) — one cached [`StudySummary`] per triple, each sampled chain
+    /// compressed ([`compression::study`]) as the pump passes it. Across
+    /// eras this is how the report measures the Fig-9-style dictionary
+    /// degrading on PQC chains.
     pub fn compression_study(
         &self,
         era: CertificateEra,
         algorithm: Algorithm,
         stride: usize,
-    ) -> Arc<Vec<SyntheticCompression>> {
+    ) -> Arc<StudySummary> {
         self.compression_study
             .get_or_compute((era, algorithm, stride), || {
-                let study = |r: &DomainRecord| compression::study(&self.world, r, algorithm, era);
-                self.collect(World::domain_chunk_into, |records| {
-                    let sampled = |r: &&DomainRecord| compression::in_study_sample(r, stride);
-                    records.iter().filter(sampled).filter_map(study).collect()
-                })
+                let study =
+                    |summary: &mut StudySummary, records: &mut [DomainRecord], _: &mut _| {
+                        let sampled = records
+                            .iter()
+                            .filter(|r| compression::in_study_sample(r, stride));
+                        for chain in sampled
+                            .filter_map(|r| compression::study(&self.world, r, algorithm, era))
+                        {
+                            summary.push(&chain);
+                        }
+                    };
+                self.pump(false, World::domain_chunk_into, study)
             })
     }
 
@@ -790,69 +797,41 @@ impl ScanEngine {
     /// pump's worker loop — same thread cap, same per-worker scratch (the
     /// engine's memo and registry), same [`PumpStats`] flush as
     /// [`ScanEngine::quicreach`] — and return one `fold` result per range,
-    /// in input order. Each range is derived as one chunk by `derive` —
-    /// [`World::domain_chunk_into`] (every rank) or
-    /// [`World::quic_chunk_into`] (its QUIC services only) — and handed to
-    /// `fold` mutably, so a resident caller can overlay churn before
-    /// scanning. No result is cached, but the classes simulated stay in the
-    /// engine's memo for later calls to replay; an overlay only reaches a
-    /// probe through key fields, so none go stale.
+    /// in input order whichever worker folded which range when. Each range
+    /// is derived as one chunk by `derive` — [`World::domain_chunk_into`]
+    /// (every rank) or [`World::quic_chunk_into`] (its QUIC services only)
+    /// — and handed to `fold` mutably, so a resident caller can overlay
+    /// churn before scanning. No result is cached, but the classes
+    /// simulated stay in the engine's memo for later calls to replay; an
+    /// overlay only reaches a probe through key fields, so none go stale.
     pub fn fold_ranges<R, F>(&self, ranges: &[(usize, usize)], derive: Derive, fold: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
-        self.pump_in_order(Claims::Ranges(ranges), true, derive, fold)
-    }
-
-    /// One pump pass with its per-claim `fold` results back in claim order,
-    /// whichever worker folded which claim when: each is tagged with its
-    /// claim ([`Claims::next`]), sorted once the pump is done, and stripped
-    /// — [`ScanEngine::fold_ranges`] as is, flattened for an artefact.
-    fn pump_in_order<R: Send>(
-        &self,
-        claims: Claims<'_>,
-        probes: bool,
-        derive: Derive,
-        fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
-    ) -> Vec<R> {
+        // Each result is tagged with its range's index ([`Claims::next`])
+        // and sorted back into input order once the pump is done.
         let per_worker = self.run_pump(
-            claims,
-            probes,
+            Claims::Ranges(ranges),
+            true,
             derive,
             Vec::new,
-            |acc: &mut Vec<(usize, R)>, tag, records, scratch| {
-                acc.push((tag, fold(records, scratch)))
+            |acc: &mut Vec<(usize, R)>, index, records, scratch| {
+                acc.push((index, fold(records, scratch)))
             },
         );
         let mut tagged: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
-        tagged.sort_unstable_by_key(|&(tag, _)| tag);
+        tagged.sort_unstable_by_key(|&(index, _)| index);
         tagged.into_iter().map(|(_, result)| result).collect()
-    }
-
-    /// One pass of the population that probes nothing, `rows` returning
-    /// each claim's per-record rows off the records `derive` built: the
-    /// artefact in rank order. Records are derived per pass, never
-    /// borrowed, so a streaming engine collects the same rows.
-    fn collect<R: Send>(
-        &self,
-        derive: Derive,
-        rows: impl Fn(&mut [DomainRecord]) -> Vec<R> + Sync,
-    ) -> Vec<R> {
-        let population = Claims::Population(self.world.config.domains);
-        let claims = self.pump_in_order(population, false, derive, |records, _| rows(records));
-        // Sized once: grown by doubling, each artefact left its size in holes.
-        let mut all = Vec::with_capacity(claims.iter().map(Vec::len).sum());
-        all.extend(claims.into_iter().flatten());
-        all
     }
 
     // ----------------------------------------------- frozen compat block --
     //
-    // `perfbench/` is frozen and calls this positional signature (plus
-    // three in `quicert_scanner::quicreach`). It builds a `Scenario` and
-    // delegates, so a new axis never touches it; nothing else in the
-    // workspace may call it — use [`ScanEngine::quicreach`].
+    // `perfbench/` is frozen and calls these signatures (plus three in
+    // `quicert_scanner::quicreach`). Each delegates to the family that
+    // replaced it, so a new axis never touches them; nothing else in the
+    // workspace may call them — use [`ScanEngine::quicreach`],
+    // [`ScanEngine::certificates`] and [`ScanEngine::compression_support`].
 
     #[doc(hidden)]
     pub fn stream_quicreach_chaos(
@@ -869,33 +848,33 @@ impl ScanEngine {
         Arc::new(self.quicreach(scenario).shard.clone())
     }
 
+    /// The serial per-record HTTPS scan, [`https_scan::scan`], uncached.
+    #[doc(hidden)]
+    pub fn https_scan(&self) -> Arc<HttpsScanReport> {
+        Arc::new(https_scan::scan(&self.world))
+    }
+
+    /// Table 1's counts and byte totals: [`ScanEngine::compression_support`]'s
+    /// shard.
+    #[doc(hidden)]
+    pub fn stream_compression_support(&self) -> Arc<CompressionShard> {
+        Arc::new(self.compression_support().shard.clone())
+    }
+
     // ------------------------------------------- end frozen compat block --
 
     /// The streaming §3.1 HTTPS scan: funnel counters and chain-size
-    /// sketches folded over the population in bounded memory. It is
-    /// bit-for-bit
-    /// [`HttpsScanShard::from_report`] of [`ScanEngine::https_scan`] —
-    /// which issues every chain, where this fold looks each record's
-    /// chain shape up in the world's flyweight
-    /// ([`World::https_chain_shape`]) and issues one chain per class.
+    /// sketches folded over the population in bounded memory. It is bit
+    /// for bit the funnel of [`ScanEngine::certificates`] — which issues
+    /// every chain, where this fold looks each record's chain shape up in
+    /// the world's flyweight ([`World::https_chain_shape`]) and issues one
+    /// chain per class.
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
             let fold = |shard: &mut HttpsScanShard, records: &mut [DomainRecord], _: &mut _| {
                 shard.merge(&https_scan::fold_iter(&self.world, &*records))
             };
             self.pump(false, World::domain_chunk_into, fold)
-        })
-    }
-
-    /// The streaming compression-support scan (Table 1 at scale): counts
-    /// and exact byte totals per RFC 8879 algorithm, folded in bounded
-    /// memory.
-    pub fn stream_compression_support(&self) -> Arc<CompressionShard> {
-        self.stream_compression.get_or_compute((), || {
-            let fold = |shard: &mut CompressionShard, records: &mut [DomainRecord], _: &mut _| {
-                shard.merge(&compression::fold_iter(&self.world, &*records))
-            };
-            self.pump(false, World::quic_chunk_into, fold)
         })
     }
 }
@@ -934,20 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn collected_rows_are_in_rank_order_for_any_worker_count() {
-        // Whichever worker claims what when — more workers than claims
-        // included — the collected rows come back by rank.
-        let ranks: Vec<usize> = (1..=1_200).collect();
-        for workers in [1, 2, 3, 8, 64, 1000] {
-            let engine = ScanEngine::streaming(config(), 1362, workers);
-            let collected = engine.collect(World::domain_chunk_into, |records| {
-                records.iter().map(|r| r.rank).collect()
-            });
-            assert_eq!(collected, ranks, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn per_domain_scans_are_bit_identical_across_worker_counts() {
         let serial = engine(1);
         let parallel = engine(8);
@@ -956,38 +921,23 @@ mod tests {
             *parallel.quicreach(Scenario::at(1242))
         );
 
-        let a = serial.https_scan();
-        let b = parallel.https_scan();
-        assert_eq!(a.resolved, b.resolved);
-        assert_eq!(a.names_seen, b.names_seen);
-        assert_eq!(a.observations.len(), b.observations.len());
-        for (x, y) in a.observations.iter().zip(&b.observations) {
-            assert_eq!(x.rank, y.rank);
-            assert_eq!(x.summary.total_der, y.summary.total_der);
-            assert_eq!(x.summary.chain_id, y.summary.chain_id);
+        assert_eq!(*serial.certificates(), *parallel.certificates());
+        let (sa, sb) = (serial.compression_support(), parallel.compression_support());
+        assert_eq!(*sa, *sb);
+        for algorithm in Algorithm::ALL {
+            let (x, y) = (sa.mean_ratio(algorithm), sb.mean_ratio(algorithm));
+            assert_eq!(x.to_bits(), y.to_bits());
         }
-
-        let sa = serial.compression_support();
-        let sb = parallel.compression_support();
-        assert_eq!((sa.all_three, sa.total), (sb.all_three, sb.total));
-        for (x, y) in sa.algorithms.iter().zip(&sb.algorithms) {
-            assert_eq!(x.supported, y.supported);
-            assert_eq!(x.total, y.total);
-            assert_eq!(x.mean_ratio.to_bits(), y.mean_ratio.to_bits());
-        }
-
-        let ca = serial.compression_study(BASE.era, Algorithm::Brotli, 10);
-        let cb = parallel.compression_study(BASE.era, Algorithm::Brotli, 10);
-        assert_eq!(ca.len(), cb.len());
-        for (x, y) in ca.iter().zip(cb.iter()) {
-            assert_eq!((x.original, x.compressed), (y.original, y.compressed));
-        }
+        assert_eq!(
+            *serial.compression_study(BASE.era, Algorithm::Brotli, 10),
+            *parallel.compression_study(BASE.era, Algorithm::Brotli, 10)
+        );
     }
 
     #[test]
     fn artifacts_are_shared_allocations() {
         let engine = engine(2);
-        assert!(Arc::ptr_eq(&engine.https_scan(), &engine.https_scan()));
+        assert!(Arc::ptr_eq(&engine.certificates(), &engine.certificates()));
         // The default scenario is the baseline at the default Initial size
         // (cold scans never read its resumption policy).
         assert!(Arc::ptr_eq(
@@ -1187,11 +1137,27 @@ mod tests {
     }
 
     #[test]
+    fn the_certificate_funnel_is_the_flyweight_funnel() {
+        // The figures' fold issues every chain; the funnel's own fold reads
+        // chain shapes off the world's flyweight. Their funnels are the
+        // same bits at any worker count.
+        for workers in [1, 2, 8] {
+            let engine = engine(workers);
+            let summary = engine.certificates();
+            assert!(summary.funnel.tls_reachable > 0);
+            assert_eq!(
+                summary.funnel,
+                *engine.stream_https_scan(),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
     fn streaming_summaries_match_the_materialized_artifacts() {
-        // Both sides of the engine — summaries and collected artefacts —
-        // ride one loop, so each is held to the scanner's own whole-world
-        // scan: a serial map over the per-record function, no pump, no
-        // memo, no chain-shape flyweight.
+        // Every summary rides one loop, so each is held to the scanner's
+        // own whole-world scan: a serial map over the per-record function,
+        // no pump, no memo, no chain-shape flyweight.
         let engine = engine(2);
         let world = engine.world();
         let per_record = quicreach::scan(world, 1362);
@@ -1204,26 +1170,15 @@ mod tests {
             *summary,
             QuicReachSummary::from_results(1362, 1_200, &per_record)
         );
-        let report = https_scan::scan(world);
-        assert_eq!(
-            *engine.stream_https_scan(),
-            HttpsScanShard::from_report(&report)
-        );
-        assert_eq!(format!("{:?}", engine.https_scan()), format!("{report:?}"));
         let records = population(world);
         let rows: Vec<_> = records
             .iter()
             .filter(|record| record.has_quic())
-            .map(|record| compression::probe_row(world, record))
+            .filter_map(|record| compression::probe_row(world, record))
             .collect();
-        assert_eq!(
-            *engine.stream_compression_support(),
-            CompressionShard::from_probes(&rows)
-        );
-        assert_eq!(
-            format!("{:?}", engine.compression_support()),
-            format!("{:?}", compression::scan(world))
-        );
+        let support = engine.compression_support();
+        assert_eq!(support.shard, CompressionShard::from_probes(&rows));
+        assert_eq!(*support, compression::scan(world));
         assert_eq!(*engine.qscanner(), qscanner::scan(world).1);
     }
 
@@ -1247,12 +1202,18 @@ mod tests {
             let merged = QuicReachShard::merge_all(folded);
             assert_eq!(merged, streamed.shard, "chunk {size}");
         }
-        // Never a report whose chains and counters disagree.
-        let (funnel, report) = (engine.stream_https_scan(), engine.https_scan());
-        assert_eq!(
-            (report.total, report.resolved),
-            (1_200, funnel.resolved as usize)
-        );
+        let certificates = engine.certificates();
+        let mut observed = CertificateSummary::seeded();
+        for record in &records {
+            let observation = https_scan::observe(world, record);
+            observed.push(
+                record,
+                observation.as_ref(),
+                quicreach::rank_group_width(1_200),
+            );
+        }
+        assert_eq!(*certificates, observed);
+        assert_eq!(certificates.funnel.total, 1_200);
         let warm = engine
             .scenario()
             .with_policy(engine.scenario().warm_policy());
@@ -1261,26 +1222,29 @@ mod tests {
             revisited.push(&quicreach::warm_service(world, record, warm));
         }
         assert_eq!(*engine.warm_scan(engine.scenario()), revisited);
-        let studied: Vec<_> = records
+        let mut studied = StudySummary::identity();
+        let sampled = records
             .iter()
-            .filter(|r| compression::in_study_sample(r, 10))
-            .filter_map(|r| compression::study(world, r, Algorithm::Brotli, BASE.era))
-            .collect();
+            .filter(|r| compression::in_study_sample(r, 10));
+        for chain in
+            sampled.filter_map(|r| compression::study(world, r, Algorithm::Brotli, BASE.era))
+        {
+            studied.push(&chain);
+        }
         assert_eq!(
-            format!(
-                "{:?}",
-                engine.compression_study(BASE.era, Algorithm::Brotli, 10)
-            ),
-            format!("{studied:?}")
+            *engine.compression_study(BASE.era, Algorithm::Brotli, 10),
+            studied
         );
         // Table 1's all-three row comes off the same probe rows as its
-        // columns: never "0 of 0", and the streamed shard's count.
+        // columns: never "0 of 0", and every service offering all three.
         let support = engine.compression_support();
-        assert_eq!(support.total, services.len());
-        assert_eq!(
-            support.all_three as u64,
-            engine.stream_compression_support().all_three
-        );
+        assert_eq!(support.total(), services.len() as u64);
+        let offers = |r: &&&DomainRecord| {
+            let offered = &r.quic.as_ref().expect("a QUIC service").compression_support;
+            Algorithm::ALL.iter().all(|a| offered.contains(a))
+        };
+        let all_three = services.iter().filter(offers).count();
+        assert_eq!(support.shard.all_three, all_three as u64);
         let serial = self::engine(1);
 
         // And the telescope, which a streaming engine once saw empty: the
@@ -1334,8 +1298,8 @@ mod tests {
             &engine.stream_https_scan()
         ));
         assert!(Arc::ptr_eq(
-            &engine.stream_compression_support(),
-            &engine.stream_compression_support()
+            &engine.compression_support(),
+            &engine.compression_support()
         ));
         // Distinct axes are distinct summaries; the default request
         // shares the baseline entry.
@@ -1597,9 +1561,9 @@ mod tests {
             )
         };
         assert_eq!(memo(&engine), (0, 0, 0));
-        let support = engine.stream_compression_support();
+        let support = engine.compression_support();
         assert_eq!(memo(&engine), (0, 0, 0));
-        assert!(funnel.quic_services > 0 && support.algorithms[0].total > 0);
+        assert!(funnel.quic_services > 0 && support.total() > 0);
         assert_eq!(engine.memo_classes(), 0);
 
         let rendered = engine.metrics_registry().render_prometheus();
@@ -1686,12 +1650,25 @@ mod tests {
         assert!(none.is_empty());
     }
 
-    /// Pins the frozen compat block: each positional delegate `perfbench/`
-    /// calls must equal its scenario form. The only caller of the four.
+    /// Pins the frozen compat block: each delegate `perfbench/` calls must
+    /// equal the form that replaced it. The only caller of the six.
     #[test]
     fn compat_delegates_equal_their_scenario_forms() {
         let engine = engine(2);
         let world = engine.world();
+        let report = engine.https_scan();
+        assert_eq!(
+            format!("{report:?}"),
+            format!("{:?}", https_scan::scan(world))
+        );
+        assert_eq!(
+            HttpsScanShard::from_report(&report),
+            engine.certificates().funnel
+        );
+        assert_eq!(
+            *engine.stream_compression_support(),
+            engine.compression_support().shard
+        );
         let records = population(world);
         let owned = records[..300].to_vec();
         let services: Vec<&DomainRecord> =

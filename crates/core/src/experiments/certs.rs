@@ -1,11 +1,10 @@
 //! Certificate-corpus experiments: Figs 2b, 6, 7, 8, 14 and Table 2.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use quicert_analysis::{render_table, Cdf, Table};
-use quicert_pki::ChainId;
 use quicert_quic::amplification;
-use quicert_scanner::https_scan::HttpsObservation;
+use quicert_scanner::https_scan::service_set;
 use quicert_x509::{FieldSizes, KeyAlgorithm};
 
 use crate::Campaign;
@@ -31,29 +30,21 @@ pub struct Fig2b {
     pub signature: Cdf,
 }
 
+/// The CDF of a value→count map of byte sizes.
+fn cdf_of(sizes: &BTreeMap<usize, usize>) -> Cdf {
+    Cdf::from_counts(sizes.iter().map(|(&size, &n)| (size as f64, n)))
+}
+
 /// Compute Fig 2(b) over every certificate collected by the HTTPS scan.
 pub fn fig2b(campaign: &Campaign) -> Fig2b {
-    let report = campaign.engine().https_scan();
-    let mut subject = Vec::new();
-    let mut issuer = Vec::new();
-    let mut spki = Vec::new();
-    let mut extensions = Vec::new();
-    let mut signature = Vec::new();
-    for obs in &report.observations {
-        for f in &obs.summary.cert_fields {
-            subject.push(f.subject as f64);
-            issuer.push(f.issuer as f64);
-            spki.push(f.spki as f64);
-            extensions.push(f.extensions as f64);
-            signature.push(f.signature as f64);
-        }
-    }
+    let summary = campaign.engine().certificates();
+    let [subject, issuer, spki, extensions, signature] = summary.field_sizes.each_ref().map(cdf_of);
     Fig2b {
-        subject: Cdf::new(subject),
-        issuer: Cdf::new(issuer),
-        spki: Cdf::new(spki),
-        extensions: Cdf::new(extensions),
-        signature: Cdf::new(signature),
+        subject,
+        issuer,
+        spki,
+        extensions,
+        signature,
     }
 }
 
@@ -95,15 +86,10 @@ pub struct Fig6 {
 
 /// Compute Fig 6.
 pub fn fig6(campaign: &Campaign) -> Fig6 {
-    let report = campaign.engine().https_scan();
+    let sizes = &campaign.engine().certificates().chain_sizes;
     Fig6 {
-        quic: Cdf::new(report.quic().map(|o| o.summary.total_der as f64).collect()),
-        https_only: Cdf::new(
-            report
-                .https_only()
-                .map(|o| o.summary.total_der as f64)
-                .collect(),
-        ),
+        quic: cdf_of(&sizes[service_set(true)]),
+        https_only: cdf_of(&sizes[service_set(false)]),
     }
 }
 
@@ -161,41 +147,33 @@ pub struct Fig7 {
     pub top10_coverage: f64,
 }
 
-/// Compute Fig 7 for QUIC (`quic = true`) or HTTPS-only services.
+/// Compute Fig 7 for QUIC (`quic = true`) or HTTPS-only services, over
+/// their correctly ordered chains.
 pub fn fig7(campaign: &Campaign, quic: bool) -> Fig7 {
-    let report = campaign.engine().https_scan();
-    let observations: Vec<&HttpsObservation> = if quic {
-        report.quic().collect()
-    } else {
-        report.https_only().collect()
-    };
-    // The paper excludes incorrectly ordered chains.
-    let ordered: Vec<&&HttpsObservation> = observations
+    let summary = campaign.engine().certificates();
+    let groups: Vec<_> = summary
+        .parent_chains
         .iter()
-        .filter(|o| o.summary.correctly_ordered)
+        .filter(|(&(set_is_quic, _), _)| set_is_quic == quic)
         .collect();
-    let mut by_chain: HashMap<ChainId, Vec<&&HttpsObservation>> = HashMap::new();
-    for obs in &ordered {
-        by_chain.entry(obs.summary.chain_id).or_default().push(obs);
-    }
-    let total = ordered.len().max(1) as f64;
-    let mut rows: Vec<Fig7Row> = by_chain
+    let ordered: usize = groups.iter().map(|(_, group)| group.chains).sum();
+    let total = ordered.max(1) as f64;
+    let mut rows: Vec<Fig7Row> = groups
         .into_iter()
-        .map(|(chain_id, group)| {
-            let leaves: Vec<f64> = group.iter().map(|o| o.summary.leaf_der as f64).collect();
-            let first = &group[0].summary;
-            Fig7Row {
-                label: chain_id.label(),
-                share: group.len() as f64 / total * 100.0,
-                parent_bytes: first.parent_der,
-                depth: first.depth - 1,
-                median_leaf: quicert_analysis::median(&leaves),
-                max_leaf: leaves.iter().fold(0.0f64, |a, &b| a.max(b)) as usize,
-            }
+        .map(|(&(_, chain_id), group)| Fig7Row {
+            label: chain_id.label(),
+            share: group.chains as f64 / total * 100.0,
+            parent_bytes: group.parent_bytes,
+            depth: group.parents,
+            median_leaf: cdf_of(&group.leaf_sizes).percentile(50.0),
+            max_leaf: group
+                .leaf_sizes
+                .last_key_value()
+                .map_or(0, |(&size, _)| size),
         })
         .collect();
-    // Tie-break equal shares by label: HashMap iteration order must never
-    // leak into the rendered row order (the report is bit-reproducible).
+    // Tie-break equal shares by label: the rendered row order must never
+    // depend on the chain ids' order (the report is bit-reproducible).
     rows.sort_by(|a, b| {
         b.share
             .total_cmp(&a.share)
@@ -255,25 +233,11 @@ pub struct Fig8Row {
 
 /// Fig 8: mean certificate field sizes by type, for QUIC domains.
 pub fn fig8(campaign: &Campaign) -> Vec<Fig8Row> {
-    let report = campaign.engine().https_scan();
-    let mut cells: HashMap<(bool, bool), (FieldSizes, usize)> = HashMap::new();
-    for obs in report.quic() {
-        let big = obs.summary.total_der > 4000;
-        for (i, f) in obs.summary.cert_fields.iter().enumerate() {
-            let leaf = i == 0;
-            let (acc, n) = cells.entry((leaf, big)).or_default();
-            acc.subject += f.subject;
-            acc.issuer += f.issuer;
-            acc.spki += f.spki;
-            acc.extensions += f.extensions;
-            acc.signature += f.signature;
-            acc.other += f.other;
-            *n += 1;
-        }
-    }
-    let mut rows: Vec<Fig8Row> = cells
-        .into_iter()
-        .map(|((leaf, big_chain), (sum, count))| Fig8Row {
+    let summary = campaign.engine().certificates();
+    let mut rows: Vec<Fig8Row> = summary
+        .field_cells
+        .iter()
+        .map(|(&(leaf, big_chain), &(sum, count))| Fig8Row {
             leaf,
             big_chain,
             mean: FieldSizes {
@@ -337,31 +301,30 @@ pub struct Table2 {
 
 /// Compute Table 2.
 pub fn table2(campaign: &Campaign) -> Table2 {
-    let report = campaign.engine().https_scan();
+    let summary = campaign.engine().certificates();
     let mut out = Table2::default();
     for quic in [true, false] {
-        let observations: Vec<&HttpsObservation> = if quic {
-            report.quic().collect()
-        } else {
-            report.https_only().collect()
-        };
         // Leaves: one per service.
         let mut leaf_counts: HashMap<KeyAlgorithm, usize> = HashMap::new();
-        // Parents: unique per (chain, position).
-        let mut parent_unique: HashMap<(ChainId, usize), KeyAlgorithm> = HashMap::new();
-        for obs in &observations {
-            *leaf_counts.entry(obs.summary.cert_keys[0]).or_default() += 1;
-            for (i, &key) in obs.summary.cert_keys.iter().enumerate().skip(1) {
-                parent_unique.insert((obs.summary.chain_id, i), key);
-            }
+        for (&(_, key), &n) in summary
+            .leaf_keys
+            .iter()
+            .filter(|((set, _), _)| *set == quic)
+        {
+            leaf_counts.insert(key, n);
         }
+        // Parents: unique per (chain, position).
+        let parents = summary
+            .parent_keys
+            .iter()
+            .filter(|((set, ..), _)| *set == quic);
         let leaf_total: usize = leaf_counts.values().sum();
         let leaf_shares = leaf_counts
             .into_iter()
             .map(|(k, v)| (k, v as f64 / leaf_total.max(1) as f64 * 100.0))
             .collect();
         let mut parent_counts: HashMap<KeyAlgorithm, usize> = HashMap::new();
-        for key in parent_unique.values() {
+        for (_, key) in parents {
             *parent_counts.entry(*key).or_default() += 1;
         }
         let parent_total: usize = parent_counts.values().sum();
@@ -417,50 +380,50 @@ impl Table2 {
 /// Fig 14: SAN byte share vs leaf size for QUIC services.
 #[derive(Debug)]
 pub struct Fig14 {
-    /// (leaf size, SAN byte share in percent) per QUIC service.
-    pub points: Vec<(usize, f64)>,
+    /// (leaf size, SAN byte share in percent, QUIC services whose leaf has
+    /// both), one entry per distinct leaf.
+    pub points: Vec<(usize, f64, usize)>,
+    /// The CDF of the SAN byte share over QUIC services' leaves.
+    pub shares: Cdf,
 }
 
 /// Compute Fig 14.
 pub fn fig14(campaign: &Campaign) -> Fig14 {
-    let report = campaign.engine().https_scan();
-    Fig14 {
-        points: report
-            .quic()
-            .map(|o| {
-                let share = o.summary.leaf_san_bytes as f64 / o.summary.leaf_der.max(1) as f64;
-                (o.summary.leaf_der, share * 100.0)
-            })
-            .collect(),
-    }
+    let summary = campaign.engine().certificates();
+    let points: Vec<(usize, f64, usize)> = summary
+        .leaf_sans
+        .iter()
+        .map(|(&(leaf, san), &n)| (leaf, san as f64 / leaf.max(1) as f64 * 100.0, n))
+        .collect();
+    let shares = Cdf::from_counts(points.iter().map(|&(_, share, n)| (share, n)));
+    Fig14 { points, shares }
 }
 
 impl Fig14 {
     /// The SAN share above which the top 1% of leaves sit (paper: 28.9%).
     pub(crate) fn top_1pct_share_threshold(&self) -> f64 {
-        let shares: Vec<f64> = self.points.iter().map(|(_, s)| *s).collect();
-        quicert_analysis::percentile(&shares, 99.0)
+        self.shares.percentile(99.0)
     }
 
     /// Share of leaves that are both SAN-heavy (top 1%) and exceed the
     /// common amplification limit (paper: ~0.1%).
     pub(crate) fn cruise_liners_over_limit(&self) -> f64 {
         let threshold = self.top_1pct_share_threshold();
-        let n = self
+        let n: usize = self
             .points
             .iter()
-            .filter(|(size, share)| *share >= threshold && *size > LIMIT_3X_1357)
-            .count();
-        n as f64 / self.points.len().max(1) as f64 * 100.0
+            .filter(|&&(size, share, _)| share >= threshold && size > LIMIT_3X_1357)
+            .map(|&(.., n)| n)
+            .sum();
+        n as f64 / self.shares.len().max(1) as f64 * 100.0
     }
 
     /// Render the headline numbers.
     pub fn render(&self) -> String {
-        let shares: Vec<f64> = self.points.iter().map(|(_, s)| *s).collect();
         format!(
             "Fig 14 — SAN byte share: median {:.1}%, top-1% threshold {:.1}%, \
              cruise-liners over limit {:.2}%\n",
-            quicert_analysis::median(&shares),
+            self.shares.percentile(50.0),
             self.top_1pct_share_threshold(),
             self.cruise_liners_over_limit(),
         )
@@ -551,9 +514,8 @@ mod tests {
         let c = campaign();
         let fig = fig14(&c);
         assert!(!fig.points.is_empty());
-        let shares: Vec<f64> = fig.points.iter().map(|(_, s)| *s).collect();
         // Most leaves spend <10% of bytes on SANs.
-        assert!(quicert_analysis::median(&shares) < 12.0);
+        assert!(fig.shares.percentile(50.0) < 12.0);
         assert!(fig.cruise_liners_over_limit() < 2.0);
     }
 }

@@ -31,12 +31,7 @@ pub fn table1(campaign: &Campaign) -> Table1 {
 impl Table1 {
     /// Mean ratio for one algorithm.
     pub fn mean_ratio(&self, alg: Algorithm) -> f64 {
-        self.support
-            .algorithms
-            .iter()
-            .find(|s| s.algorithm == alg)
-            .map(|s| s.mean_ratio)
-            .unwrap_or(1.0)
+        self.support.mean_ratio(alg)
     }
 
     /// Render the table.
@@ -58,19 +53,20 @@ impl Table1 {
         }
         let mut s = format!("Table 1 — browser profiles\n{}", render_table(&t));
         let mut t2 = Table::new(&["algorithm", "service support %", "mean ratio"]);
-        for sup in &self.support.algorithms {
+        for column in &self.support.shard.algorithms {
             t2.row(&[
-                sup.algorithm.name().to_string(),
-                format!("{:.2}", sup.share()),
-                format!("{:.2}", sup.mean_ratio),
+                column.algorithm.name().to_string(),
+                format!("{:.2}", column.share()),
+                format!("{:.2}", self.mean_ratio(column.algorithm)),
             ]);
         }
         s.push_str(&render_table(&t2));
+        let (all_three, total) = (self.support.shard.all_three, self.support.total());
         s.push_str(&format!(
             "services supporting all three algorithms: {} of {} ({:.2}%)\n",
-            self.support.all_three,
-            self.support.total,
-            self.support.all_three as f64 / self.support.total.max(1) as f64 * 100.0
+            all_three,
+            total,
+            all_three as f64 / total.max(1) as f64 * 100.0
         ));
         s
     }
@@ -94,15 +90,14 @@ pub fn compression_study(
     algorithm: Algorithm,
     stride: usize,
 ) -> CompressionStudy {
-    let results = campaign
+    let study = campaign
         .engine()
         .compression_study(campaign.scenario().era, algorithm, stride);
-    let limit = amplification::limit(1357);
-    let under = results.iter().filter(|r| r.compressed <= limit).count();
+    let under = study.under(amplification::limit(1357));
     CompressionStudy {
-        ratios: Cdf::new(results.iter().map(|r| r.ratio()).collect()),
-        compressed_sizes: Cdf::new(results.iter().map(|r| r.compressed as f64).collect()),
-        under_limit: under as f64 / results.len().max(1) as f64,
+        ratios: study.ratio_cdf(),
+        compressed_sizes: study.compressed_cdf(),
+        under_limit: under as f64 / study.chains().max(1) as f64,
     }
 }
 
@@ -134,14 +129,19 @@ mod tests {
         let c = campaign();
         let t = table1(&c);
         let share = |alg| {
-            let support = t.support.algorithms.iter().find(|s| s.algorithm == alg);
+            let support = t
+                .support
+                .shard
+                .algorithms
+                .iter()
+                .find(|s| s.algorithm == alg);
             support.expect("every algorithm is surveyed").share()
         };
         // Paper: 96% brotli support; zlib/zstd 0.05% (Meta only).
         assert!(share(Algorithm::Brotli) > 90.0);
         assert!(share(Algorithm::Zlib) < 3.0);
         assert!(share(Algorithm::Zstd) < 3.0);
-        let (all, total) = (t.support.all_three, t.support.total);
+        let (all, total) = (t.support.shard.all_three, t.support.total());
         assert!((all as f64 / total.max(1) as f64) < 0.02);
         // Browser constants.
         assert_eq!(t.browsers[0].initial_size, Some(1357));

@@ -6,6 +6,7 @@ use quicert_netsim::NetworkProfile;
 use quicert_pki::CertificateEra;
 use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
+use quicert_scanner::https_scan::service_set;
 use quicert_scanner::quicreach::{self, QuicReachSummary, ScanSummary};
 
 use crate::Campaign;
@@ -150,7 +151,7 @@ pub struct RankGroupRow {
     pub class_shares: [f64; 4],
 }
 
-/// Compute Figs 12 and 13 from the cached HTTPS scan (who serves QUIC,
+/// Compute Figs 12 and 13 from the certificate summary (who serves QUIC,
 /// who HTTPS only) and the default-size quicreach summary (classes).
 pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
     let domains = campaign.world().config.domains;
@@ -166,20 +167,12 @@ pub fn rank_groups(campaign: &Campaign) -> Vec<RankGroupRow> {
             class_shares: [0.0; 4],
         })
         .collect();
-    let mut quic_counts = vec![0usize; group_count];
-    let mut https_counts = vec![0usize; group_count];
-    for o in &campaign.engine().https_scan().observations {
-        let counts = if o.is_quic {
-            &mut quic_counts
-        } else {
-            &mut https_counts
-        };
-        counts[(o.rank - 1) / width] += 1;
-    }
+    let services = &campaign.engine().certificates().rank_groups;
     for (g, row) in rows.iter_mut().enumerate() {
         let n = row.domains.max(1) as f64;
-        row.quic_share = quic_counts[g] as f64 / n * 100.0;
-        row.https_only_share = https_counts[g] as f64 / n * 100.0;
+        let counts = services.get(g).copied().unwrap_or_default();
+        row.quic_share = counts[service_set(true)] as f64 / n * 100.0;
+        row.https_only_share = counts[service_set(false)] as f64 / n * 100.0;
         let classes = summary.rank_groups.get(g).copied().unwrap_or_default();
         let total = classes.iter().sum::<usize>().max(1) as f64;
         for (share, count) in row.class_shares.iter_mut().zip(classes) {

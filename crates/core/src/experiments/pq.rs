@@ -13,7 +13,7 @@
 //!   measuring how the brotli profile's classical certificate dictionary
 //!   degrades on incompressible ML-DSA material.
 
-use quicert_analysis::{mean, median, render_table, Table};
+use quicert_analysis::{mean, render_table, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, DomainRecord};
@@ -232,12 +232,9 @@ pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCom
     CertificateEra::ALL
         .iter()
         .map(|&era| {
-            let rows = campaign
+            let study = campaign
                 .engine()
                 .compression_study(era, Algorithm::Brotli, stride);
-            let ratios: Vec<f64> = rows.iter().map(|r| r.ratio()).collect();
-            let originals: Vec<f64> = rows.iter().map(|r| r.original as f64).collect();
-            let under = rows.iter().filter(|r| r.compressed <= limit).count();
             let coverages: Vec<f64> = sample
                 .iter()
                 .filter_map(|record| world.https_chain_era(record, era))
@@ -245,11 +242,11 @@ pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCom
                 .collect();
             EraCompression {
                 era,
-                chains: rows.len(),
-                mean_original: mean(&originals),
-                mean_ratio: mean(&ratios),
-                median_ratio: median(&ratios),
-                under_limit_pct: under as f64 / rows.len().max(1) as f64 * 100.0,
+                chains: study.chains(),
+                mean_original: study.mean_original(),
+                mean_ratio: study.mean_ratio(),
+                median_ratio: study.ratio_cdf().percentile(50.0),
+                under_limit_pct: study.under(limit) as f64 / study.chains().max(1) as f64 * 100.0,
                 mean_dict_coverage: mean(&coverages),
             }
         })

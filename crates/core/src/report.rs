@@ -118,15 +118,11 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     ));
 
     // §3.1 funnel.
-    let https = campaign.engine().https_scan();
+    let funnel = &campaign.engine().certificates().funnel;
     out.push_str(&format!(
         "§3.1 funnel — resolved {} / {}, A records {}, TLS-reachable {}, \
          QUIC services {}\n",
-        https.resolved,
-        https.total,
-        https.a_records,
-        https.observations.len(),
-        https.quic().count(),
+        funnel.resolved, funnel.total, funnel.a_records, funnel.tls_reachable, funnel.quic_services,
     ));
 
     // §3.2 QScanner consistency check.
@@ -373,7 +369,7 @@ mod tests {
             |name, labels: &[(&str, &str)]| registry.labeled_counter(name, labels, "").get();
         let misses = |family| counter("quicert_engine_cache_misses_total", &[("family", family)]);
         let census = [
-            ("https", 1),
+            ("certificates", 1),
             ("quicreach", 46),
             ("quicreach-eras", 4),
             ("warm", 12),
@@ -383,7 +379,6 @@ mod tests {
             ("zmap", 6),
             ("qscanner", 1),
             ("stream-https", 0),
-            ("stream-compression", 0),
         ];
         for (family, want) in census {
             assert_eq!(misses(family), want, "{family}");

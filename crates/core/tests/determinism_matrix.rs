@@ -15,8 +15,8 @@ use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_quic::handshake::HandshakeClass;
-use quicert_scanner::compression::{self, CompressionShard};
-use quicert_scanner::https_scan::{self, HttpsScanShard};
+use quicert_scanner::compression::{self, CompressionShard, CompressionSupport, StudySummary};
+use quicert_scanner::https_scan::{self, CertificateSummary, HttpsScanShard};
 use quicert_scanner::quicreach::{
     self, EraJoin, ProbeScratch, QuicReachResult, QuicReachShard, QuicReachSummary, WarmAggregate,
 };
@@ -167,10 +167,11 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     }
 }
 
-/// The streamed Table 1 at workers {1, 2, 8}: every worker compresses
+/// Table 1's counts at workers {1, 2, 8}: every worker compresses
 /// through match tables its thread keeps from one certificate to the next,
 /// in whatever order it happens to claim chunks — and every count and byte
-/// total must still be the materialized probe rows', folded in rank order.
+/// total must still be the materialized probe rows', folded in rank order,
+/// in the support's shard and through the compat delegate alike.
 #[test]
 fn stream_compression_support_is_worker_invariant() {
     let config = WorldConfig {
@@ -180,7 +181,7 @@ fn stream_compression_support_is_worker_invariant() {
     let world = World::streaming(config.clone());
     let rows: Vec<_> = services(&world)
         .iter()
-        .map(|record| compression::probe_row(&world, record))
+        .filter_map(|record| compression::probe_row(&world, record))
         .collect();
     let reference = CompressionShard::from_probes(&rows);
     for column in &reference.algorithms {
@@ -190,10 +191,11 @@ fn stream_compression_support_is_worker_invariant() {
     for workers in [1usize, 2, 8] {
         let engine = ScanEngine::streaming(config.clone(), INITIAL, workers);
         assert_eq!(
-            *engine.stream_compression_support(),
+            engine.compression_support().shard,
             reference,
-            "streamed compression support diverged at workers={workers}"
+            "compression support diverged at workers={workers}"
         );
+        assert_eq!(*engine.stream_compression_support(), reference);
     }
 }
 
@@ -330,13 +332,17 @@ fn chaos_grid_is_worker_chunk_and_memo_invariant() {
     }
 }
 
+/// How a pass derives a claim's records: every rank, or QUIC services only.
+type Derive = fn(&World, usize, usize, &mut Vec<DomainRecord>);
+
 /// One point of the chunk axis for a summary `S`: the engine's own
 /// adaptive pass (`adaptive`) at chunk 0, otherwise uniform ranges (see
-/// [`uniform_ranges`]) of QUIC services folded one claim each by `fold`
-/// through [`ScanEngine::fold_ranges`] and merged.
+/// [`uniform_ranges`]), derived by `derive` and folded one claim each by
+/// `fold` through [`ScanEngine::fold_ranges`], merged.
 fn summary_in_chunks<S: Merge + Send>(
     engine: &ScanEngine,
     chunk: usize,
+    derive: Derive,
     adaptive: impl FnOnce() -> S,
     fold: impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> S + Sync,
 ) -> S {
@@ -344,18 +350,19 @@ fn summary_in_chunks<S: Merge + Send>(
         return adaptive();
     }
     let ranges = uniform_ranges(engine, chunk);
-    S::merge_all(engine.fold_ranges(&ranges, World::quic_chunk_into, fold))
+    S::merge_all(engine.fold_ranges(&ranges, derive, fold))
 }
 
 /// Every artefact held to the per-record function it is made of, mapped
-/// serially over the world's population derived as one chunk, with no pump,
-/// no memo and no flyweight anywhere: the collected ones (the §3.1 scan,
-/// Table 1, the compression study) record for record, field for field, and
-/// every summary to that function's rows folded serially — the quicreach
-/// summary of each scenario to [`quicreach::scan_service`] rows, each era
-/// join to a serial per-service pairing of those rows across eras, the §5
-/// client mitigation to the loop that walked the per-record scan, the warm
-/// scans and QScanner. At workers {1, 2, 8} × chunks {adaptive, 64, 4096}
+/// serially over the world's population derived as one chunk and folded,
+/// with no pump, no memo and no flyweight anywhere — the quicreach summary
+/// of each scenario to [`quicreach::scan_service`] rows, each era join to a
+/// serial per-service pairing of those rows across eras, the §5 client
+/// mitigation to the loop that walked the per-record scan, the certificate
+/// figures to [`https_scan::observe`], Table 1 to
+/// [`compression::probe_row`], the compression study to
+/// [`compression::study`], the warm scans and QScanner. At workers
+/// {1, 2, 8} × chunks {adaptive, 64, 4096}
 /// with the memo on and off, over 3 eras × {ideal, tunneled, lossy} ×
 /// {1200, 1362, 1472} plus one fault-plan cell. With the memo on the
 /// deterministic cells replay classes (one representative at the slowest
@@ -450,14 +457,28 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
             agg
         })
         .collect();
-    let funnel = format!("{:?}", https_scan::scan(&world));
+    // The certificate figures: every record observed, its chain issued.
+    let mut certificates = CertificateSummary::seeded();
+    let width = quicreach::rank_group_width(domains);
+    for record in &records {
+        certificates.push(record, https_scan::observe(&world, record).as_ref(), width);
+    }
     let (_, consistency) = qscanner::scan(&world);
-    let support = format!("{:?}", compression::scan(&world));
-    let studied: Vec<_> = records
+    let mut support = CompressionSupport::identity();
+    for row in services().filter_map(|r| compression::probe_row(&world, r)) {
+        support.push(&row);
+    }
+    let mut studied = StudySummary::identity();
+    for record in records
         .iter()
         .filter(|r| compression::in_study_sample(r, 9))
-        .filter_map(|r| compression::study(&world, r, Algorithm::Zstd, CertificateEra::Hybrid))
-        .collect();
+    {
+        if let Some(chain) =
+            compression::study(&world, record, Algorithm::Zstd, CertificateEra::Hybrid)
+        {
+            studied.push(&chain);
+        }
+    }
 
     for workers in [1usize, 2, 8] {
         for memo in [true, false] {
@@ -474,6 +495,7 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
                     let got = summary_in_chunks(
                         &engine,
                         chunk,
+                        World::quic_chunk_into,
                         || (*engine.quicreach(scenario)).clone(),
                         |records, scratch| {
                             let mut summary = QuicReachSummary::identity();
@@ -502,6 +524,7 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
                     let got = summary_in_chunks(
                         &engine,
                         chunk,
+                        World::quic_chunk_into,
                         || (*engine.era_join(*cell)).clone(),
                         |records, scratch| {
                             let mut join = EraJoin::identity();
@@ -518,33 +541,68 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
                 let got = summary_in_chunks(
                     &engine,
                     chunk,
+                    World::quic_chunk_into,
                     || guidance::client_mitigation(&engine),
                     |records, scratch| {
                         ClientMitigation::fold(world, records, engine.scenario(), scratch)
                     },
                 );
                 assert_eq!(got, mitigation, "mitigation {context}");
+                let got = summary_in_chunks(
+                    &engine,
+                    chunk,
+                    World::domain_chunk_into,
+                    || (*engine.certificates()).clone(),
+                    |records, _| https_scan::certificates(world, &*records),
+                );
+                assert_eq!(got, certificates, "certificates {context}");
+                let got = summary_in_chunks(
+                    &engine,
+                    chunk,
+                    World::quic_chunk_into,
+                    || (*engine.compression_support()).clone(),
+                    |records, _| {
+                        let mut support = CompressionSupport::identity();
+                        for row in records
+                            .iter()
+                            .filter_map(|r| compression::probe_row(world, r))
+                        {
+                            support.push(&row);
+                        }
+                        support
+                    },
+                );
+                assert_eq!(got, support, "compression support {context}");
+                let got = summary_in_chunks(
+                    &engine,
+                    chunk,
+                    World::domain_chunk_into,
+                    || {
+                        (*engine.compression_study(CertificateEra::Hybrid, Algorithm::Zstd, 9))
+                            .clone()
+                    },
+                    |records, _| {
+                        let mut study = StudySummary::identity();
+                        let sampled = records
+                            .iter()
+                            .filter(|r| compression::in_study_sample(r, 9));
+                        let compress = |r| {
+                            compression::study(world, r, Algorithm::Zstd, CertificateEra::Hybrid)
+                        };
+                        for chain in sampled.filter_map(compress) {
+                            study.push(&chain);
+                        }
+                        study
+                    },
+                );
+                assert_eq!(got, studied, "compression study {context}");
             }
             let context = format!("workers={workers} memo={memo}");
             for (scenario, want) in warm_cells.iter().zip(&warm) {
                 let context = format!("warm {scenario:?} {context}");
                 assert_eq!(*engine.warm_scan(*scenario), *want, "{context}");
             }
-            assert_eq!(format!("{:?}", engine.https_scan()), funnel, "{context}");
             assert_eq!(*engine.qscanner(), consistency, "{context}");
-            assert_eq!(
-                format!("{:?}", engine.compression_support()),
-                support,
-                "{context}"
-            );
-            assert_eq!(
-                format!(
-                    "{:?}",
-                    engine.compression_study(CertificateEra::Hybrid, Algorithm::Zstd, 9)
-                ),
-                format!("{studied:?}"),
-                "{context}"
-            );
         }
     }
 }
@@ -1292,16 +1350,11 @@ fn compression_study_grid_is_worker_invariant() {
     let parallel = engine(8);
     for era in CertificateEra::ALL {
         for algorithm in Algorithm::ALL {
-            let a = reference.compression_study(era, algorithm, 4);
-            let b = parallel.compression_study(era, algorithm, 4);
-            assert_eq!(a.len(), b.len(), "{era}/{algorithm}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(
-                    (x.original, x.compressed),
-                    (y.original, y.compressed),
-                    "{era}/{algorithm}"
-                );
-            }
+            assert_eq!(
+                *reference.compression_study(era, algorithm, 4),
+                *parallel.compression_study(era, algorithm, 4),
+                "{era}/{algorithm}"
+            );
         }
     }
 }

@@ -2,10 +2,11 @@
 //! synthetic compression study of §4.2.
 
 use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
-use quicert_analysis::Merge;
+use quicert_analysis::{Cdf, Merge};
 use quicert_compress::{compress_with, Algorithm};
-use quicert_pki::{CertificateEra, DomainRecord, World};
+use quicert_pki::{CertificateEra, DomainRecord, QuicDeployment, World};
 use quicert_tls::{ServerFlight, ServerFlightParams};
 use quicert_x509::CertificateChain;
 
@@ -18,98 +19,68 @@ pub struct CompressionProbe {
     pub algorithm: Algorithm,
     /// Whether the server negotiated it.
     pub supported: bool,
-    /// Achieved ratio (compressed/uncompressed certificate message) when
-    /// supported.
-    pub ratio: Option<f64>,
-    /// Certificate-message bytes on the wire when supported — the exact
-    /// integer numerator/denominator behind `ratio`, which is what the
-    /// streaming collator accumulates (integer sums merge exactly; float
-    /// ratio sums do not).
+    /// `(compressed, uncompressed)` certificate-message bytes when
+    /// supported: the achieved ratio's exact integer numerator and
+    /// denominator, which is what the summaries accumulate (integer sums
+    /// merge exactly; float ratio sums do not).
     pub message_bytes: Option<(usize, usize)>,
 }
 
-/// Aggregate support/ratio per algorithm (Table 1 columns).
-#[derive(Debug, Clone, Copy)]
-pub struct AlgorithmSupport {
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Services supporting it.
-    pub supported: usize,
-    /// Services probed.
-    pub total: usize,
-    /// Mean achieved ratio over supporting services.
-    pub mean_ratio: f64,
-}
-
-impl AlgorithmSupport {
-    /// Support share in percent.
-    pub fn share(&self) -> f64 {
-        self.supported as f64 / self.total.max(1) as f64 * 100.0
-    }
-}
-
-/// Table 1's measured half: the per-algorithm columns and the all-three
-/// count, both from one pass of probe rows.
-#[derive(Debug, Clone, Copy)]
-pub struct CompressionSupport {
-    /// Per-algorithm columns in [`Algorithm::ALL`] order.
-    pub algorithms: [AlgorithmSupport; 3],
-    /// Services whose every probe negotiated — the 0.05% Meta signature.
-    pub all_three: usize,
-    /// Services probed.
-    pub total: usize,
-}
-
 /// Probe one QUIC service with all three algorithms: its
-/// `Algorithm::ALL`-ordered probe row. The service's chain is issued once,
-/// by the first algorithm it supports, and shared.
-pub fn probe_row(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
+/// `Algorithm::ALL`-ordered probe row, or `None` for a record without a
+/// QUIC deployment or chain. The service's chain is issued once, by the
+/// first algorithm it supports, and shared.
+pub fn probe_row(world: &World, record: &DomainRecord) -> Option<[CompressionProbe; 3]> {
+    let quic = record.quic.as_ref()?;
     let chain = OnceCell::new();
-    Algorithm::ALL.map(|algorithm| probe_sharing(world, record, algorithm, &chain))
+    let [zlib, brotli, zstd] =
+        Algorithm::ALL.map(|algorithm| probe_sharing(world, record, quic, algorithm, &chain));
+    Some([zlib?, brotli?, zstd?])
 }
 
 /// Probe one service with one algorithm offer, over `record`'s lazily
-/// issued chain.
+/// issued chain (`None` when a supported offer finds no chain to send).
 fn probe_sharing(
     world: &World,
     record: &DomainRecord,
+    quic: &QuicDeployment,
     algorithm: Algorithm,
-    chain: &OnceCell<CertificateChain>,
-) -> CompressionProbe {
-    let quic = record.quic.as_ref().expect("QUIC service");
+    chain: &OnceCell<Option<CertificateChain>>,
+) -> Option<CompressionProbe> {
     let supported = quic.compression_support.contains(&algorithm);
-    let flight = supported.then(|| {
-        let chain = chain.get_or_init(|| {
-            world
-                .quic_chain_era(record, CertificateEra::Classical)
-                .expect("chain")
-        });
-        ServerFlight::build(&ServerFlightParams {
-            chain,
+    let mut message_bytes = None;
+    if supported {
+        let issue = || world.quic_chain_era(record, CertificateEra::Classical);
+        let flight = ServerFlight::build(&ServerFlightParams {
+            chain: chain.get_or_init(issue).as_ref()?,
             leaf_key: quic.leaf_key,
             compression: Some(algorithm),
             seed: record.seed,
-        })
-    });
-    CompressionProbe {
+        });
+        message_bytes = Some((
+            flight.certificate_message_len,
+            flight.uncompressed_certificate_len,
+        ));
+    }
+    Some(CompressionProbe {
         rank: record.rank,
         algorithm,
         supported,
-        ratio: flight.as_ref().map(|f| f.compression_ratio()),
-        message_bytes: flight
-            .as_ref()
-            .map(|f| (f.certificate_message_len, f.uncompressed_certificate_len)),
-    }
+        message_bytes,
+    })
 }
 
-/// Probe every QUIC service of a world with all three algorithms and
-/// aggregate: a serial [`probe_row`] per service of the population derived
+/// Probe every QUIC service of a world with all three algorithms and fold
+/// the rows: a serial [`probe_row`] per service of the population derived
 /// as one chunk — the pump-free reference.
 pub fn scan(world: &World) -> CompressionSupport {
     let records = world.domain_chunk(1, world.config.domains);
     let services = records.iter().filter(|record| record.has_quic());
-    let rows: Vec<_> = services.map(|record| probe_row(world, record)).collect();
-    collate(&rows)
+    let mut support = CompressionSupport::identity();
+    for row in services.filter_map(|record| probe_row(world, record)) {
+        support.push(&row);
+    }
+    support
 }
 
 // Frozen for `perfbench/` (see `quicreach.rs`'s compat block): map
@@ -118,54 +89,87 @@ pub fn scan(world: &World) -> CompressionSupport {
 pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[CompressionProbe; 3]> {
     records
         .iter()
-        .map(|record| probe_row(world, record))
+        .filter_map(|record| probe_row(world, record))
         .collect()
 }
 
-/// Aggregate service-major probe rows into Table 1's per-algorithm columns
-/// and all-three count. Ratios are folded in service order, so the result
-/// is bit-for-bit independent of how the probing was claimed.
-pub fn collate(probes: &[[CompressionProbe; 3]]) -> CompressionSupport {
-    let column = |i: usize| {
-        let algorithm = Algorithm::ALL[i];
-        let mut supported = 0usize;
-        let mut ratios = Vec::new();
-        for row in probes {
-            let p = &row[i];
-            debug_assert_eq!(p.algorithm, algorithm);
-            if p.supported {
-                supported += 1;
-                if let Some(r) = p.ratio {
-                    ratios.push(r);
-                }
+/// Table 1's measured half, folded from one probe row per QUIC service:
+/// the [`CompressionShard`]'s support counts, byte totals and all-three
+/// count, plus each algorithm's achieved ratios for the mean-ratio column.
+/// Every part is an exact count or integer sum, so [`Merge`] is exactly
+/// associative and commutative.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompressionSupport {
+    /// Per-algorithm support counts and byte totals, and the all-three
+    /// count.
+    pub shard: CompressionShard,
+    /// Per algorithm in [`Algorithm::ALL`] order: each uncompressed
+    /// certificate-message length a negotiating service sent, with those
+    /// services' compressed bytes summed — bounded by the distinct
+    /// lengths, not the services.
+    pub ratios: [BTreeMap<usize, u64>; 3],
+}
+
+impl CompressionSupport {
+    /// Fold one service's probe row in.
+    pub fn push(&mut self, row: &[CompressionProbe; 3]) {
+        self.shard.push(row);
+        for (lengths, probe) in self.ratios.iter_mut().zip(row) {
+            if let Some((compressed, uncompressed)) = probe.message_bytes {
+                *lengths.entry(uncompressed).or_default() += compressed as u64;
             }
         }
-        AlgorithmSupport {
-            algorithm,
-            supported,
-            total: probes.len(),
-            mean_ratio: quicert_analysis::mean(&ratios),
+    }
+
+    /// Services probed.
+    pub fn total(&self) -> u64 {
+        self.shard.algorithms[0].total
+    }
+
+    /// Mean achieved ratio (compressed / uncompressed certificate message)
+    /// over the services that negotiated `algorithm`, 0.0 when none did:
+    /// per uncompressed length its summed compressed bytes over the length,
+    /// added up in length order — the mean of the per-service ratios up to
+    /// the last bits, whatever order the services were folded in.
+    pub fn mean_ratio(&self, algorithm: Algorithm) -> f64 {
+        let Some(i) = Algorithm::ALL.iter().position(|&a| a == algorithm) else {
+            return 0.0;
+        };
+        let services = self.shard.algorithms[i].supported;
+        if services == 0 {
+            return 0.0;
         }
-    };
-    CompressionSupport {
-        algorithms: std::array::from_fn(column),
-        all_three: probes
-            .iter()
-            .filter(|row| row.iter().all(|p| p.supported))
-            .count(),
-        total: probes.len(),
+        let lengths = self.ratios[i].iter();
+        let ratio_sum: f64 = lengths
+            .map(|(&length, &sum)| sum as f64 / length as f64)
+            .sum();
+        ratio_sum / services as f64
+    }
+}
+
+impl Merge for CompressionSupport {
+    fn identity() -> Self {
+        CompressionSupport {
+            shard: CompressionShard::identity(),
+            ratios: Default::default(),
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.shard.merge(&other.shard);
+        for (mine, theirs) in self.ratios.iter_mut().zip(&other.ratios) {
+            for (&length, &sum) in theirs {
+                *mine.entry(length).or_default() += sum;
+            }
+        }
     }
 }
 
 // -------------------------------------------------------- streaming fold --
 
-/// Streaming per-algorithm support column: counts plus exact byte totals.
-///
-/// The materialized [`AlgorithmSupport`] reports a mean of per-service
-/// float ratios; float sums are not bit-associative, so the streaming
-/// column accumulates the integer byte totals instead and reports the
-/// aggregate ratio `Σcompressed / Σuncompressed` — deterministic under any
-/// chunking or worker order.
+/// Streaming per-algorithm support column: counts plus exact byte totals,
+/// whose aggregate ratio `Σcompressed / Σuncompressed` is deterministic
+/// under any chunking or worker order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmStreamColumn {
     /// Algorithm.
@@ -264,8 +268,9 @@ pub fn fold_iter<'a>(
     records: impl IntoIterator<Item = &'a DomainRecord>,
 ) -> CompressionShard {
     let mut shard = CompressionShard::identity();
-    for record in records.into_iter().filter(|record| record.has_quic()) {
-        shard.push(&probe_row(world, record));
+    let services = records.into_iter().filter(|record| record.has_quic());
+    for row in services.filter_map(|record| probe_row(world, record)) {
+        shard.push(&row);
     }
     shard
 }
@@ -284,6 +289,90 @@ impl SyntheticCompression {
     /// compressed/original.
     pub fn ratio(&self) -> f64 {
         self.compressed as f64 / self.original.max(1) as f64
+    }
+}
+
+/// The §4.2 study of one (era, algorithm, stride) folded into what its
+/// readers render: each sampled chain's (original, compressed) sizes with
+/// how many chains had them — exact counts bounded by the distinct size
+/// pairs, so [`Merge`] is exactly associative and commutative.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct StudySummary {
+    /// `(original, compressed)` bytes → chains.
+    pub sizes: BTreeMap<(usize, usize), usize>,
+}
+
+impl StudySummary {
+    /// Fold one compressed chain in.
+    pub fn push(&mut self, chain: &SyntheticCompression) {
+        *self
+            .sizes
+            .entry((chain.original, chain.compressed))
+            .or_default() += 1;
+    }
+
+    /// Chains studied.
+    pub fn chains(&self) -> usize {
+        self.sizes.values().sum()
+    }
+
+    /// Chains whose compressed size is at most `limit` bytes.
+    pub fn under(&self, limit: usize) -> usize {
+        let fits = self
+            .sizes
+            .iter()
+            .filter(|(&(_, compressed), _)| compressed <= limit);
+        fits.map(|(_, &n)| n).sum()
+    }
+
+    /// Each distinct chain with its count, as the per-chain row.
+    fn rows(&self) -> impl Iterator<Item = (SyntheticCompression, usize)> + '_ {
+        self.sizes.iter().map(|(&(original, compressed), &n)| {
+            (
+                SyntheticCompression {
+                    original,
+                    compressed,
+                },
+                n,
+            )
+        })
+    }
+
+    /// The CDF of [`SyntheticCompression::ratio`] over the chains.
+    pub fn ratio_cdf(&self) -> Cdf {
+        Cdf::from_counts(self.rows().map(|(chain, n)| (chain.ratio(), n)))
+    }
+
+    /// The CDF of the compressed sizes.
+    pub fn compressed_cdf(&self) -> Cdf {
+        Cdf::from_counts(self.rows().map(|(chain, n)| (chain.compressed as f64, n)))
+    }
+
+    /// Mean original chain size: an exact integer sum, so bit for bit the
+    /// mean of the per-chain sizes (0.0 when empty).
+    pub fn mean_original(&self) -> f64 {
+        let bytes: usize = self.rows().map(|(chain, n)| chain.original * n).sum();
+        bytes as f64 / self.chains().max(1) as f64
+    }
+
+    /// Mean compressed/original ratio (0.0 when empty): each distinct
+    /// chain's ratio times its count, summed in size order — the mean of the
+    /// per-chain ratios up to the last bits, whatever the fold order.
+    pub fn mean_ratio(&self) -> f64 {
+        let sum: f64 = self.rows().map(|(chain, n)| chain.ratio() * n as f64).sum();
+        sum / self.chains().max(1) as f64
+    }
+}
+
+impl Merge for StudySummary {
+    fn identity() -> Self {
+        StudySummary::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (&sizes, &n) in &other.sizes {
+            *self.sizes.entry(sizes).or_default() += n;
+        }
     }
 }
 
@@ -368,22 +457,17 @@ mod tests {
     fn brotli_support_is_ubiquitous_all_three_rare() {
         let (world, records) = world();
         let support = scan(&world);
-        let brotli = support
-            .algorithms
-            .iter()
-            .find(|s| s.algorithm == Algorithm::Brotli)
-            .unwrap();
-        assert!(brotli.share() > 90.0, "brotli {}", brotli.share());
-        let zlib = support
-            .algorithms
-            .iter()
-            .find(|s| s.algorithm == Algorithm::Zlib)
-            .unwrap();
-        assert!(zlib.share() < 2.0, "zlib {}", zlib.share());
+        let column = |algorithm| {
+            let mut columns = support.shard.algorithms.iter();
+            columns.find(|s| s.algorithm == algorithm).unwrap().share()
+        };
+        assert!(column(Algorithm::Brotli) > 90.0);
+        assert!(column(Algorithm::Zlib) < 2.0);
         let services = records.iter().filter(|r| r.has_quic()).count();
-        assert_eq!(support.total, services);
-        assert!(support.all_three > 0, "Meta serves all three");
-        assert!((support.all_three as f64 / support.total as f64) < 0.02);
+        assert_eq!(support.total(), services as u64);
+        let all_three = support.shard.all_three;
+        assert!(all_three > 0, "Meta serves all three");
+        assert!((all_three as f64 / support.total() as f64) < 0.02);
     }
 
     #[test]
@@ -391,15 +475,16 @@ mod tests {
         let (world, records) = world();
         let mut multi = 0;
         for record in records.iter().filter(|r| r.has_quic()) {
-            let row = probe_row(&world, record);
+            let row = probe_row(&world, record).unwrap();
             multi += usize::from(row.iter().filter(|p| p.supported).count() > 1);
+            let quic = record.quic.as_ref().unwrap();
             for (shared, algorithm) in row.iter().zip(Algorithm::ALL) {
-                let alone = probe_sharing(&world, record, algorithm, &OnceCell::new());
+                let alone = probe_sharing(&world, record, quic, algorithm, &OnceCell::new());
+                let alone = alone.unwrap();
                 assert_eq!(
                     (shared.rank, shared.algorithm, shared.supported),
                     (alone.rank, alone.algorithm, alone.supported)
                 );
-                assert_eq!(shared.ratio, alone.ratio);
                 assert_eq!(shared.message_bytes, alone.message_bytes);
             }
         }
@@ -407,16 +492,25 @@ mod tests {
     }
 
     #[test]
+    fn a_record_without_a_quic_deployment_has_no_probe_row() {
+        let (world, records) = world();
+        let https_only = records.iter().find(|r| r.quic.is_none()).unwrap();
+        assert!(probe_row(&world, https_only).is_none());
+        let service = records.iter().find(|r| r.has_quic()).unwrap();
+        assert!(probe_row(&world, service).is_some());
+    }
+
+    #[test]
     fn achieved_ratios_are_meaningful() {
         let (world, _) = world();
         let support = scan(&world);
-        for s in &support.algorithms {
+        for s in &support.shard.algorithms {
             if s.supported > 0 {
+                let ratio = support.mean_ratio(s.algorithm);
                 assert!(
-                    (0.2..0.95).contains(&s.mean_ratio),
-                    "{}: ratio {}",
-                    s.algorithm,
-                    s.mean_ratio
+                    (0.2..0.95).contains(&ratio),
+                    "{}: ratio {ratio}",
+                    s.algorithm
                 );
             }
         }

@@ -1,6 +1,8 @@
 //! HTTPS certificate collection (§3.1): resolve, connect, follow
 //! redirects, collect and summarise TLS chains.
 
+use std::collections::BTreeMap;
+
 use quicert_analysis::{HistogramSketch, Merge, StreamSummary};
 use quicert_pki::{CertificateEra, ChainId, ChainShape, DnsOutcome, DomainRecord, World};
 use quicert_x509::{CertificateChain, FieldSizes, KeyAlgorithm};
@@ -85,18 +87,6 @@ pub struct HttpsScanReport {
     pub names_seen: usize,
     /// Per-domain observations for every TLS-reachable name.
     pub observations: Vec<HttpsObservation>,
-}
-
-impl HttpsScanReport {
-    /// Observations for QUIC services only.
-    pub fn quic(&self) -> impl Iterator<Item = &HttpsObservation> {
-        self.observations.iter().filter(|o| o.is_quic)
-    }
-
-    /// Observations for HTTPS-only services.
-    pub fn https_only(&self) -> impl Iterator<Item = &HttpsObservation> {
-        self.observations.iter().filter(|o| !o.is_quic)
-    }
 }
 
 /// Run the HTTPS certificate scan over a world: a serial [`observe`] per
@@ -328,6 +318,224 @@ pub fn fold_iter<'a>(
     shard
 }
 
+// --------------------------------------------------- certificate figures --
+
+/// Fig 7's group of one parent chain in one service set: the correctly
+/// ordered chains served under it, its parent part and their leaf sizes.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ParentChainGroup {
+    /// Chains served under this parent chain.
+    pub chains: usize,
+    /// DER bytes of the parent certificates. The parents are the catalog's
+    /// chain for the [`ChainId`], so every chain of a group has the same.
+    pub parent_bytes: usize,
+    /// Parent certificates per chain (depth − 1), the same for the group.
+    pub parents: usize,
+    /// Leaf DER bytes → chains.
+    pub leaf_sizes: BTreeMap<usize, usize>,
+}
+
+/// The §3.1 HTTPS scan folded into what the certificate figures render:
+/// the funnel, Fig 2b's field sizes, Fig 6's chain sizes, Fig 7's parent
+/// chains, Fig 8's field-size cells, Table 2's keys, Fig 14's leaf/SAN
+/// sizes and Figs 12/13's service counts per rank group. Every part is an
+/// exact count or integer sum over value→count maps bounded by the
+/// distinct values, not the population — so every printed quantile stays
+/// exact and [`Merge`] is exactly associative and commutative.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CertificateSummary {
+    /// The §3.1 funnel, pushed with each issued chain's shape.
+    pub funnel: HttpsScanShard,
+    /// Fig 2b: per field (subject, issuer, SPKI, extensions, signature),
+    /// its size → certificates, over every certificate collected.
+    pub field_sizes: [BTreeMap<usize, usize>; 5],
+    /// Fig 6: total chain DER bytes → chains, per service set
+    /// ([`service_set`]: QUIC, HTTPS-only).
+    pub chain_sizes: [BTreeMap<usize, usize>; 2],
+    /// Fig 7: the correctly ordered chains per (QUIC?, parent chain).
+    pub parent_chains: BTreeMap<(bool, ChainId), ParentChainGroup>,
+    /// Fig 8: QUIC services' certificates per (leaf?, chain over 4000 B?),
+    /// their field sizes summed and their count.
+    pub field_cells: BTreeMap<(bool, bool), (FieldSizes, usize)>,
+    /// Table 2: leaves per (QUIC?, key algorithm).
+    pub leaf_keys: BTreeMap<(bool, KeyAlgorithm), usize>,
+    /// Table 2: each parent certificate, unique per (QUIC?, parent chain,
+    /// position in the chain), and its key algorithm.
+    pub parent_keys: BTreeMap<(bool, ChainId, usize), KeyAlgorithm>,
+    /// Fig 14: QUIC services' leaves per (leaf DER bytes, SAN bytes).
+    pub leaf_sans: BTreeMap<(usize, usize), usize>,
+    /// Figs 12/13: per rank group of
+    /// [`crate::quicreach::rank_group_width`] ranks, its TLS-reachable
+    /// domains per service set. A group with none may be missing from the
+    /// tail.
+    pub rank_groups: Vec<[usize; 2]>,
+}
+
+/// The index of a service set in [`CertificateSummary`]'s per-set arrays:
+/// 0 for QUIC services, 1 for HTTPS-only services.
+pub fn service_set(is_quic: bool) -> usize {
+    usize::from(!is_quic)
+}
+
+/// Add `from`'s counts into `into`.
+fn add_counts<K: Ord + Copy>(into: &mut BTreeMap<K, usize>, from: &BTreeMap<K, usize>) {
+    for (&key, &n) in from {
+        *into.entry(key).or_default() += n;
+    }
+}
+
+/// Add `fields` into the running sums `sum`.
+fn add_fields(sum: &mut FieldSizes, fields: &FieldSizes) {
+    sum.subject += fields.subject;
+    sum.issuer += fields.issuer;
+    sum.spki += fields.spki;
+    sum.extensions += fields.extensions;
+    sum.signature += fields.signature;
+    sum.other += fields.other;
+}
+
+impl CertificateSummary {
+    /// An empty summary whose funnel has the canonical sketch layout
+    /// ([`HttpsScanShard::seeded`]), ready to push into.
+    pub fn seeded() -> CertificateSummary {
+        CertificateSummary {
+            funnel: HttpsScanShard::seeded(),
+            ..CertificateSummary::identity()
+        }
+    }
+
+    /// Fold one scanned domain in: its funnel contribution and, when it is
+    /// TLS-reachable, its collected chain's part of every figure.
+    /// `group_width` is the population's rank-group width.
+    pub fn push(
+        &mut self,
+        record: &DomainRecord,
+        observation: Option<&HttpsObservation>,
+        group_width: usize,
+    ) {
+        let served = observation.map(|obs| {
+            let (total_der, depth) = (obs.summary.total_der, obs.summary.depth);
+            (obs.redirect_hops, ChainShape { total_der, depth })
+        });
+        self.funnel.push(record, served);
+        let Some(obs) = observation else {
+            return;
+        };
+        let (chain, quic, set) = (&obs.summary, obs.is_quic, service_set(obs.is_quic));
+        for f in &chain.cert_fields {
+            let sizes = [f.subject, f.issuer, f.spki, f.extensions, f.signature];
+            for (field, size) in self.field_sizes.iter_mut().zip(sizes) {
+                *field.entry(size).or_default() += 1;
+            }
+        }
+        *self.chain_sizes[set].entry(chain.total_der).or_default() += 1;
+        // The paper's Fig 7 excludes incorrectly ordered chains.
+        if chain.correctly_ordered {
+            let group = self.parent_chains.entry((quic, chain.chain_id));
+            let group = group.or_insert_with(|| ParentChainGroup {
+                parent_bytes: chain.parent_der,
+                parents: chain.depth.saturating_sub(1),
+                ..ParentChainGroup::default()
+            });
+            group.chains += 1;
+            *group.leaf_sizes.entry(chain.leaf_der).or_default() += 1;
+        }
+        if quic {
+            let big = chain.total_der > 4000;
+            for (i, fields) in chain.cert_fields.iter().enumerate() {
+                let (sum, n) = self.field_cells.entry((i == 0, big)).or_default();
+                add_fields(sum, fields);
+                *n += 1;
+            }
+            let sans = (chain.leaf_der, chain.leaf_san_bytes);
+            *self.leaf_sans.entry(sans).or_default() += 1;
+        }
+        if let Some((&leaf, parents)) = chain.cert_keys.split_first() {
+            *self.leaf_keys.entry((quic, leaf)).or_default() += 1;
+            for (i, &key) in parents.iter().enumerate() {
+                self.parent_keys.insert((quic, chain.chain_id, i + 1), key);
+            }
+        }
+        let group = (obs.rank - 1) / group_width;
+        if self.rank_groups.len() <= group {
+            self.rank_groups.resize(group + 1, [0; 2]);
+        }
+        self.rank_groups[group][set] += 1;
+    }
+}
+
+impl Merge for CertificateSummary {
+    fn identity() -> Self {
+        CertificateSummary {
+            funnel: HttpsScanShard::identity(),
+            field_sizes: Default::default(),
+            chain_sizes: Default::default(),
+            parent_chains: BTreeMap::new(),
+            field_cells: BTreeMap::new(),
+            leaf_keys: BTreeMap::new(),
+            parent_keys: BTreeMap::new(),
+            leaf_sans: BTreeMap::new(),
+            rank_groups: Vec::new(),
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.funnel.merge(&other.funnel);
+        for (mine, theirs) in self.field_sizes.iter_mut().zip(&other.field_sizes) {
+            add_counts(mine, theirs);
+        }
+        for (mine, theirs) in self.chain_sizes.iter_mut().zip(&other.chain_sizes) {
+            add_counts(mine, theirs);
+        }
+        for (&key, theirs) in &other.parent_chains {
+            let group = self
+                .parent_chains
+                .entry(key)
+                .or_insert_with(|| ParentChainGroup {
+                    leaf_sizes: BTreeMap::new(),
+                    chains: 0,
+                    ..*theirs
+                });
+            group.chains += theirs.chains;
+            add_counts(&mut group.leaf_sizes, &theirs.leaf_sizes);
+        }
+        for (&cell, (fields, n)) in &other.field_cells {
+            let (sum, count) = self.field_cells.entry(cell).or_default();
+            add_fields(sum, fields);
+            *count += n;
+        }
+        add_counts(&mut self.leaf_keys, &other.leaf_keys);
+        for (&parent, &key) in &other.parent_keys {
+            self.parent_keys.entry(parent).or_insert(key);
+        }
+        add_counts(&mut self.leaf_sans, &other.leaf_sans);
+        if self.rank_groups.len() < other.rank_groups.len() {
+            self.rank_groups.resize(other.rank_groups.len(), [0; 2]);
+        }
+        for (mine, theirs) in self.rank_groups.iter_mut().zip(&other.rank_groups) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+}
+
+/// Fold one population chunk into a [`CertificateSummary`]: [`observe`]
+/// each record — issuing its chain, no flyweight — and push what the
+/// certificate figures read. The same pushes over the whole population,
+/// serially, are the reference the engine's fold is held to.
+pub fn certificates<'a>(
+    world: &World,
+    records: impl IntoIterator<Item = &'a DomainRecord>,
+) -> CertificateSummary {
+    let width = crate::quicreach::rank_group_width(world.config.domains);
+    let mut summary = CertificateSummary::seeded();
+    for record in records {
+        summary.push(record, observe(world, record).as_ref(), width);
+    }
+    summary
+}
+
 /// Collect the certificate chain of one domain, if it is TLS-reachable.
 pub fn observe(world: &World, record: &DomainRecord) -> Option<HttpsObservation> {
     if !record.has_https() {
@@ -384,9 +592,11 @@ mod tests {
         // Fig 6: QUIC domains use smaller certificates (median 2329 vs 4022
         // in the paper).
         let r = report();
-        let median = |xs: Vec<f64>| quicert_analysis::median(&xs);
-        let quic_median = median(r.quic().map(|o| o.summary.total_der as f64).collect());
-        let https_median = median(r.https_only().map(|o| o.summary.total_der as f64).collect());
+        let median = |quic: bool| {
+            let set = r.observations.iter().filter(|o| o.is_quic == quic);
+            quicert_analysis::median(&set.map(|o| o.summary.total_der as f64).collect::<Vec<_>>())
+        };
+        let (quic_median, https_median) = (median(true), median(false));
         assert!(
             quic_median + 500.0 < https_median,
             "quic {quic_median} vs https-only {https_median}"
@@ -399,6 +609,51 @@ mod tests {
             (3200.0..5200.0).contains(&https_median),
             "https median {https_median}"
         );
+    }
+
+    #[test]
+    fn fig7_groups_pin_parent_bytes_and_depth_to_the_chain_id() {
+        // Every correctly ordered chain of a parent chain id carries that
+        // id's parent bytes and depth, whichever domain served it — so the
+        // group records them once, not off its first-ranked member — and
+        // each group holds exactly its service set's chains of that id.
+        let world = quicert_pki::World::streaming(WorldConfig {
+            domains: 5_000,
+            seed: 21,
+        });
+        let report = scan(&world);
+        let records = world.domain_chunk(1, world.config.domains);
+        let summary = certificates(&world, &records);
+        let mut want: BTreeMap<(bool, ChainId), ParentChainGroup> = BTreeMap::new();
+        for obs in report.observations.iter() {
+            let chain = &obs.summary;
+            if !chain.correctly_ordered {
+                continue;
+            }
+            let group = &summary.parent_chains[&(obs.is_quic, chain.chain_id)];
+            let parents = (chain.parent_der, chain.depth - 1);
+            assert_eq!(
+                (group.parent_bytes, group.parents),
+                parents,
+                "{:?}",
+                chain.chain_id
+            );
+            let mine = want.entry((obs.is_quic, chain.chain_id)).or_default();
+            (mine.parent_bytes, mine.parents) = parents;
+            mine.chains += 1;
+            *mine.leaf_sizes.entry(chain.leaf_der).or_default() += 1;
+        }
+        assert_eq!(summary.parent_chains, want);
+        // An id's parents are the same in both service sets.
+        for ((quic, id), group) in &summary.parent_chains {
+            if let Some(other) = summary.parent_chains.get(&(!quic, *id)) {
+                assert_eq!(
+                    (group.parent_bytes, group.parents),
+                    (other.parent_bytes, other.parents)
+                );
+            }
+        }
+        assert!(want.keys().any(|&(quic, _)| quic) && want.keys().any(|&(quic, _)| !quic));
     }
 
     #[test]

@@ -40,11 +40,8 @@ use crate::scenario::Scenario;
 pub fn sweep_sizes() -> &'static [usize] {
     static SIZES: OnceLock<Vec<usize>> = OnceLock::new();
     SIZES.get_or_init(|| {
-        let mut sizes: Vec<usize> = (1200..=1472).step_by(10).collect();
-        if *sizes.last().unwrap() != 1472 {
-            sizes.push(1472);
-        }
-        sizes
+        // 1472 is no step of 10 from 1200: the sweep ends on it anyway.
+        (1200..1472).step_by(10).chain([1472]).collect()
     })
 }
 
@@ -449,12 +446,11 @@ impl QuicReachSummary {
         summary
     }
 
-    /// Fig 4's CDF: every amplification factor as often as it was seen —
-    /// the sorted samples of the per-record CDF.
+    /// Fig 4's CDF: every amplification factor counted as often as it was
+    /// seen — the per-record CDF, built from the distinct factors.
     pub fn amplification_cdf(&self) -> Cdf {
         let factors = self.amplification_factors.iter();
-        let samples = factors.flat_map(|(&bits, &n)| std::iter::repeat_n(f64::from_bits(bits), n));
-        Cdf::new(samples.collect())
+        Cdf::from_counts(factors.map(|(&bits, &n)| (f64::from_bits(bits), n)))
     }
 }
 

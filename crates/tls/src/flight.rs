@@ -108,16 +108,6 @@ impl ServerFlight {
             uncompressed_certificate_len,
         }
     }
-
-    /// Achieved compression ratio of the certificate message
-    /// (compressed/uncompressed; 1.0 when uncompressed or when the flight
-    /// carries no certificate at all — the resumed case).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.uncompressed_certificate_len == 0 {
-            return 1.0;
-        }
-        self.certificate_message_len as f64 / self.uncompressed_certificate_len as f64
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +156,10 @@ mod tests {
         let flight = ServerFlight::build(&p);
         assert!(flight.handshake_crypto.len() > p.chain.total_der_len());
         assert!(flight.initial_crypto.len() < 150);
-        assert_eq!(flight.compression_ratio(), 1.0);
+        assert_eq!(
+            flight.certificate_message_len,
+            flight.uncompressed_certificate_len
+        );
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
                 compressed.handshake_crypto.len() < plain.handshake_crypto.len(),
                 "{alg} must shrink the flight"
             );
-            assert!(compressed.compression_ratio() < 1.0);
+            assert!(compressed.certificate_message_len < compressed.uncompressed_certificate_len);
         }
     }
 
@@ -202,7 +195,6 @@ mod tests {
         assert!(cold.uncompressed_certificate_len > 0);
         assert_eq!(resumed.certificate_message_len, 0);
         assert_eq!(resumed.uncompressed_certificate_len, 0);
-        assert_eq!(resumed.compression_ratio(), 1.0);
         // A resumed flight is a small fraction of even a compact cold one:
         // SH + EE + Finished only.
         let tls_len = |f: &ServerFlight| f.initial_crypto.len() + f.handshake_crypto.len();

@@ -20,7 +20,7 @@ pub(crate) const ML_DSA_65_PK_LEN: usize = 1952;
 pub const ML_DSA_65_SIG_LEN: usize = 3309;
 
 /// Public-key algorithm and key length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KeyAlgorithm {
     /// RSA with a 2048-bit modulus.
     Rsa2048,

@@ -19,11 +19,10 @@ use quicert::quic::handshake::HandshakeClass;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
-    let https = campaign.engine().https_scan();
+    let funnel = &campaign.engine().certificates().funnel;
     println!(
         "world: {} domains, {} QUIC services\n",
-        https.total,
-        https.quic().count(),
+        funnel.total, funnel.quic_services,
     );
 
     println!(

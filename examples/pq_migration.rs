@@ -12,12 +12,11 @@ use quicert::quic::handshake::HandshakeClass;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
-    let https = campaign.engine().https_scan();
+    let funnel = &campaign.engine().certificates().funnel;
     println!(
         "world: {} domains, {} QUIC services — same population in every era,\n\
          only the keys and signatures change (ML-DSA-44/65 per FIPS 204)\n",
-        https.total,
-        https.quic().count(),
+        funnel.total, funnel.quic_services,
     );
 
     // Headline: class shares per era at the default Initial size.

@@ -12,12 +12,12 @@ use quicert::quic::handshake::HandshakeClass;
 fn main() {
     // 4k domains is enough for stable shares and runs in seconds.
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
-    let https = campaign.engine().https_scan();
+    let funnel = &campaign.engine().certificates().funnel;
     println!(
         "world: {} domains, {} QUIC services, {} HTTPS-only services",
-        https.total,
-        https.quic().count(),
-        https.https_only().count(),
+        funnel.total,
+        funnel.quic_services,
+        funnel.tls_reachable - funnel.quic_services,
     );
 
     let summary = campaign

@@ -19,11 +19,10 @@ use quicert::core::{Campaign, CampaignConfig};
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
-    let https = campaign.engine().https_scan();
+    let funnel = &campaign.engine().certificates().funnel;
     println!(
         "world: {} domains, {} QUIC services\n",
-        https.total,
-        https.quic().count(),
+        funnel.total, funnel.quic_services,
     );
 
     // Cold vs resumed per network profile (warm-after-first-visit policy).
