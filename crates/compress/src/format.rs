@@ -191,26 +191,39 @@ const MIN_MATCH_BASE: usize = 4;
 
 /// Compress `input` under the given algorithm profile.
 ///
+/// The payload is the LZ token stream, Huffman-coded only when that is
+/// strictly smaller than both the LZ stream and the stored input, else the
+/// LZ stream when it is smaller than the input, else the input itself. A
+/// Huffman code is built only when `cost_floor_bits` leaves it a chance:
+/// the floor skips a code that cannot win and never one that could, so
+/// the choice is the one building every code would make.
+///
 /// Any input compresses, but [`decompress`] — like the `uncompressed_length`
 /// field of RFC 8879 — stops at 2^24 − 1 bytes.
 pub fn compress(algorithm: Algorithm, input: &[u8]) -> Vec<u8> {
     let lz_stream = lz_stream(algorithm.dictionary(), input, algorithm.params());
 
-    // Candidate 2: Huffman over the LZ stream.
+    // Candidate 2: Huffman over the LZ stream. Its bitstream has `room`:
+    // what the smaller of the other two forms leaves after the code-length
+    // table and the LZ length.
     let mut freqs = [0u64; 256];
     for &b in &lz_stream {
         freqs[b as usize] += 1;
     }
-    let code = Code::from_frequencies(&freqs);
-    let huff_bits = code.cost_bits(&freqs);
-    let huff_len = 128 + varint_len(lz_stream.len() as u64) + huff_bits.div_ceil(8) as usize;
+    let huff_header = 128 + varint_len(lz_stream.len() as u64);
+    let room = lz_stream.len().min(input.len()).saturating_sub(huff_header);
+    let huffman = (cost_floor_bits(&freqs) / 8.0 < room as f64)
+        .then(|| {
+            let code = Code::from_frequencies(&freqs);
+            let bytes = code.cost_bits(&freqs).div_ceil(8) as usize;
+            (code, bytes)
+        })
+        .filter(|&(_, bytes)| bytes < room);
 
-    let (mode, payload_len) = if huff_len < lz_stream.len() && huff_len < input.len() {
-        (MODE_HUFFMAN, huff_len)
-    } else if lz_stream.len() < input.len() {
-        (MODE_LZ, lz_stream.len())
-    } else {
-        (MODE_STORED, input.len())
+    let (mode, payload_len) = match &huffman {
+        Some((_, bytes)) => (MODE_HUFFMAN, huff_header + bytes),
+        None if lz_stream.len() < input.len() => (MODE_LZ, lz_stream.len()),
+        None => (MODE_STORED, input.len()),
     };
 
     let mut out = Vec::with_capacity(4 + varint_len(input.len() as u64) + payload_len);
@@ -218,8 +231,8 @@ pub fn compress(algorithm: Algorithm, input: &[u8]) -> Vec<u8> {
     out.push(algorithm.code_point() as u8);
     out.push(mode);
     push_varint(&mut out, input.len() as u64);
-    match mode {
-        MODE_HUFFMAN => {
+    match huffman {
+        Some((code, _)) => {
             // 4-bit code lengths, two symbols per byte.
             for pair in code.lengths.chunks_exact(2) {
                 out.push((pair[0] << 4) | pair[1]);
@@ -231,10 +244,47 @@ pub fn compress(algorithm: Algorithm, input: &[u8]) -> Vec<u8> {
             }
             out = bits.finish();
         }
-        MODE_LZ => out.extend_from_slice(&lz_stream),
-        _ => out.extend_from_slice(input),
+        None if mode == MODE_LZ => out.extend_from_slice(&lz_stream),
+        None => out.extend_from_slice(input),
     }
     out
+}
+
+/// A lower bound, in bits, on what any prefix code spends on symbols of
+/// these frequencies: Σ f·L(n/f) over the used symbols, n = Σ f, where
+/// L(x) = e + (m − 1) for x = m·2^e, m ∈ [1, 2).
+///
+/// Why a code it rules out cannot be the cheaper one:
+///
+/// * Shannon: no prefix code spends fewer than Σ f·log₂(n/f) bits (Gibbs'
+///   inequality under Kraft's), and the length-limited Huffman code is a
+///   prefix code.
+/// * L is the chord of log₂ between consecutive powers of two, and log₂ is
+///   concave, so L(x) ≤ log₂(x) (equal at the powers of two).
+/// * f64 rounding: the conversions and the division put n/f within 2^-51
+///   of its value relatively, which moves L by less than 2^-50 (its slope
+///   is below 2 / x); the product and the sum of at most 256 terms add less
+///   than 2^-44 relatively. Every used symbol costs at least one bit, so n
+///   is at most the cost and the whole error is below 2^-43 of the cost.
+///   The sum is scaled down by 2^-32, which covers that many times over.
+///
+/// e and m are read off the f64's bits: no libm call, which would map
+/// libm's pages into every process that compresses.
+fn cost_floor_bits(freqs: &[u64; 256]) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const ONE: u64 = 1023 << 52;
+    const MARGIN: f64 = 1.0 - 1.0 / (1u64 << 32) as f64;
+    let n = freqs.iter().map(|&f| u128::from(f)).sum::<u128>() as f64;
+    let mut floor = 0.0;
+    for &f in freqs.iter().filter(|&&f| f > 0) {
+        let f = f as f64;
+        // n/f ≥ 1: positive and normal, so the top bits are the exponent.
+        let x = (n / f).to_bits();
+        let e = (x >> 52) as f64 - 1023.0;
+        let m = f64::from_bits(x & MANTISSA | ONE);
+        floor += f * (e + (m - 1.0));
+    }
+    floor * MARGIN
 }
 
 fn varint_len(v: u64) -> usize {
@@ -296,6 +346,8 @@ pub fn decompress(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, CompressError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitmix;
+    use proptest::prelude::*;
 
     fn roundtrip(alg: Algorithm, input: &[u8]) -> usize {
         let compressed = compress(alg, input);
@@ -434,5 +486,107 @@ mod tests {
             decompress(&c, Algorithm::Brotli.dictionary()).unwrap(),
             input
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The floor is below the cost of the code `compress` would build,
+        // on random tables and on the shapes that stress either side: one
+        // and two symbols, flat, Fibonacci-skewed (lengths clamped to 15
+        // bits) and weights whose merges saturate.
+        #[test]
+        fn the_floor_never_exceeds_a_built_code(
+            shape in 0u8..6,
+            draws in proptest::collection::vec(any::<u64>(), 2..300),
+            shift in 0u32..64,
+        ) {
+            let weight = |d: u64| (d >> shift).max(1);
+            let mut freqs = [0u64; 256];
+            match shape {
+                0 => draws.iter().for_each(|&d| freqs[d as usize % 256] = weight(d)),
+                1 => freqs = [weight(draws[0]); 256],
+                2 => {
+                    let (mut a, mut b) = (weight(draws[0]) % 1_000 + 1, weight(draws[1]) % 1_000 + 1);
+                    let first = draws[0] as usize % 256;
+                    for f in freqs.iter_mut().skip(first).take(draws.len()) {
+                        *f = a;
+                        (a, b) = (b, a.saturating_add(b));
+                    }
+                }
+                3 => freqs[draws[0] as usize % 256] = weight(draws[0]),
+                4 => {
+                    let first = draws[0] as usize % 256;
+                    freqs[first] = weight(draws[0]);
+                    freqs[(first + 1 + draws[1] as usize % 255) % 256] = weight(draws[1]);
+                }
+                _ => draws.iter().for_each(|&d| freqs[d as usize % 256] = u64::MAX >> (d % 4)),
+            }
+            let code = Code::from_frequencies(&freqs);
+            let cost: u128 = freqs
+                .iter()
+                .zip(&code.lengths)
+                .map(|(&f, &len)| u128::from(f) * u128::from(len))
+                .sum();
+            // `cost_bits` is exact wherever its u64 sum does not overflow.
+            if let Ok(cost) = u64::try_from(cost) {
+                prop_assert_eq!(code.cost_bits(&freqs), cost);
+            }
+            let floor = cost_floor_bits(&freqs);
+            prop_assert!(floor <= cost as f64, "floor {floor} > cost {cost}: {freqs:?}");
+        }
+    }
+
+    /// The mode `compress` chose before the floor: the code always built,
+    /// Huffman taken when strictly smaller than both the LZ stream and the
+    /// stored input. Also whether the floor alone rules Huffman out.
+    fn mode_building_every_code(alg: Algorithm, input: &[u8]) -> (u8, bool) {
+        let lz = lz_stream(alg.dictionary(), input, alg.params());
+        let mut freqs = [0u64; 256];
+        for &b in &lz {
+            freqs[b as usize] += 1;
+        }
+        let code = Code::from_frequencies(&freqs);
+        let header = 128 + varint_len(lz.len() as u64);
+        let huff_len = header + code.cost_bits(&freqs).div_ceil(8) as usize;
+        let floor_len = header as f64 + cost_floor_bits(&freqs) / 8.0;
+        let ruled_out = floor_len >= lz.len().min(input.len()) as f64;
+        let mode = if huff_len < lz.len() && huff_len < input.len() {
+            MODE_HUFFMAN
+        } else if lz.len() < input.len() {
+            MODE_LZ
+        } else {
+            MODE_STORED
+        };
+        (mode, ruled_out)
+    }
+
+    #[test]
+    fn mode_equals_building_every_code() {
+        let mut inputs = crate::lz77::tests::samples();
+        let mut z = 0x4E01_5E00u64;
+        for len in [1, 2, 3, 7, 64, 130, 500, 1_000, 4_096, 9_000, 16_384] {
+            // Noise over all bytes, and over five (which Huffman codes).
+            inputs.push((0..len).map(|_| splitmix(&mut z) as u8).collect());
+            inputs.push((0..len).map(|_| (splitmix(&mut z) % 5) as u8).collect());
+        }
+        let mut modes = [0usize; 3];
+        let mut ruled_out = 0;
+        for input in &inputs {
+            for alg in Algorithm::ALL {
+                let (mode, floor_rules_out) = mode_building_every_code(alg, input);
+                assert_eq!(
+                    compress(alg, input)[3],
+                    mode,
+                    "{alg} over {} bytes",
+                    input.len()
+                );
+                modes[mode as usize] += 1;
+                ruled_out += usize::from(floor_rules_out);
+            }
+        }
+        // Every mode is reached, and the floor skips most codes.
+        assert!(modes.iter().all(|&n| n > 0), "modes taken: {modes:?}");
+        assert!(ruled_out * 2 > inputs.len() * 3, "{ruled_out} ruled out");
     }
 }

@@ -37,6 +37,11 @@
 //! What a call may keep from earlier calls is therefore nothing observable:
 //! the per-thread `Scratch` keeps allocations and stale table entries,
 //! the latter made unreadable by a position base that only moves forward.
+//!
+//! A position's bucket and chain head are read once, and that one read
+//! serves both its search and its insertion: nothing is inserted between
+//! the two. An empty chain returns before the walk is set up, which is
+//! what most literals of key and signature bytes find.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -241,22 +246,46 @@ impl Matcher<'_> {
         }
     }
 
+    /// The bucket `pos` hashes to and the newest position on its chain, or
+    /// `None` when fewer than four bytes follow `pos` (it is never inserted
+    /// and never matches). One read serves the position's search and its
+    /// insertion.
     #[inline]
-    fn insert(&mut self, pos: usize) {
+    fn bucket(&self, pos: usize) -> Option<(usize, u32)> {
         if pos + 4 > self.data.len() {
-            return;
+            return None;
         }
         let h = hash4(self.data, pos);
-        self.prev[pos] = self.newest(h);
+        Some((h, self.newest(h)))
+    }
+
+    /// Put `pos` at the head of bucket `h`, whose chain began at `newest`.
+    #[inline]
+    fn link(&mut self, pos: usize, h: usize, newest: u32) {
+        self.prev[pos] = newest;
         self.head[h] = self.base + pos as u32;
     }
 
-    /// Find the best match for `pos`, returning `(len, dist)`.
-    fn best_match(&self, pos: usize) -> Option<(usize, usize)> {
-        if pos + self.params.min_match > self.data.len() || pos + 4 > self.data.len() {
+    #[inline]
+    fn insert(&mut self, pos: usize) {
+        if let Some((h, newest)) = self.bucket(pos) {
+            self.link(pos, h, newest);
+        }
+    }
+
+    /// The best match for `pos` on the chain that starts at `newest`, as
+    /// `(len, dist)`. An empty chain returns before any walk is set up.
+    #[inline]
+    fn search(&self, pos: usize, newest: u32) -> Option<(usize, usize)> {
+        if newest == NIL || pos + self.params.min_match > self.data.len() {
             return None;
         }
-        let mut candidate = self.newest(hash4(self.data, pos));
+        self.walk(pos, newest)
+    }
+
+    /// Walk the chain from `candidate` for the longest match of `pos`.
+    #[inline(never)]
+    fn walk(&self, pos: usize, mut candidate: u32) -> Option<(usize, usize)> {
         let mut best_len = self.params.min_match - 1;
         let mut best_dist = 0usize;
         let max_len = (self.data.len() - pos).min(MAX_MATCH);
@@ -313,28 +342,33 @@ pub(crate) fn for_each_match(
 
         let mut pos = dict.len();
         while pos < end {
-            let Some((mut len, mut dist)) = matcher.best_match(pos) else {
-                matcher.insert(pos);
+            let Some((h, newest)) = matcher.bucket(pos) else {
                 pos += 1;
                 continue;
             };
-            // Where inserting the positions this match covers starts.
-            let mut insert_from = pos;
+            let found = matcher.search(pos, newest);
+            // `pos` goes on its chain whether or not it starts a match.
+            matcher.link(pos, h, newest);
+            let Some((mut len, mut dist)) = found else {
+                pos += 1;
+                continue;
+            };
             if params.lazy && pos + 1 < end {
                 // One-step lazy evaluation: a longer match at pos+1 may be
-                // worth deferring for. `pos` is inserted either way; after
-                // a deferral the position stepped onto is not.
-                matcher.insert(pos);
-                if let Some((len2, dist2)) = matcher.best_match(pos + 1) {
+                // worth deferring for. After a deferral the position
+                // stepped onto is not inserted.
+                let next = matcher.bucket(pos + 1);
+                if let Some((len2, dist2)) =
+                    next.and_then(|(_, newest)| matcher.search(pos + 1, newest))
+                {
                     if len2 > len + 1 {
                         pos += 1;
                         (len, dist) = (len2, dist2);
                     }
                 }
-                insert_from = pos + 1;
             }
             emit(pos - dict.len(), len, dist);
-            for p in insert_from..pos + len {
+            for p in pos + 1..pos + len {
                 matcher.insert(p);
             }
             pos += len;
@@ -375,7 +409,7 @@ pub fn detokenize(dict: &[u8], tokens: &[Token]) -> Vec<u8> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const P: Params = Params {
@@ -646,7 +680,27 @@ mod tests {
         out
     }
 
-    fn samples() -> Vec<Vec<u8>> {
+    /// A post-quantum-shaped chain: runs of noise the size of ML-DSA keys
+    /// and signatures between slices of DER structure and of the
+    /// dictionary, so that most positions find their bucket empty.
+    fn post_quantum_shaped(seed: u64) -> Vec<u8> {
+        const DER: &[u8] = b"\x30\x82\x0f\x39\x30\x82\x0a\x21\xa0\x03\x02\x01\x02\
+                             \x06\x09\x60\x86\x48\x01\x65\x03\x04\x03\x11\x03\x82\x09\x75\x00";
+        let dict = dict::cert_dictionary();
+        let mut z = seed;
+        let mut out = Vec::new();
+        for run in [1_312, 2_420, 1_952, 3_309, 2_420] {
+            out.extend_from_slice(DER);
+            let at = crate::splitmix(&mut z) as usize % (dict.len() - 64);
+            out.extend_from_slice(&dict[at..at + 64]);
+            out.extend((0..run).map(|_| crate::splitmix(&mut z) as u8));
+        }
+        out
+    }
+
+    /// Inputs that exercise the chains: short, long, skewed, noisy, one
+    /// 70 KiB run, the dictionary itself and a post-quantum-shaped chain.
+    pub(crate) fn samples() -> Vec<Vec<u8>> {
         let mut inputs: Vec<Vec<u8>> = (0..8usize).map(|n| sample(n as u64, n, 3)).collect();
         for (seed, len, alphabet) in [
             (11, 64, 2),
@@ -660,6 +714,7 @@ mod tests {
         }
         inputs.push(vec![7; MAX_MATCH + 4_000]);
         inputs.push(dict::cert_dictionary().to_vec());
+        inputs.push(post_quantum_shaped(17));
         inputs
     }
 

@@ -115,6 +115,7 @@ mod tests {
     use super::*;
     use quicert_x509::{
         CertificateBuilder, DistinguishedName, Extension, SignatureAlgorithm, SubjectPublicKeyInfo,
+        Time, Validity,
     };
 
     fn chain(leaf_key: KeyAlgorithm) -> CertificateChain {
@@ -173,6 +174,117 @@ mod tests {
                 "{alg} must shrink the flight"
             );
             assert!(compressed.certificate_message_len < compressed.uncompressed_certificate_len);
+        }
+    }
+
+    /// A post-quantum chain: ML-DSA keys and signatures throughout.
+    fn pq_chain() -> CertificateChain {
+        let inter_dn = DistinguishedName::ca("US", "Example PQ Trust", "PQ CA 1");
+        let inter = CertificateBuilder::new(
+            DistinguishedName::ca("US", "Example PQ Trust", "PQ Root"),
+            inter_dn.clone(),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa65, 31),
+            SignatureAlgorithm::MlDsa65,
+        )
+        .build();
+        let leaf = CertificateBuilder::new(
+            inter_dn,
+            DistinguishedName::cn("pq.example"),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa44, 32),
+            SignatureAlgorithm::MlDsa65,
+        )
+        .extension(Extension::SubjectAltNames(vec!["pq.example".into()]))
+        .extension(Extension::SctList { count: 2, seed: 33 })
+        .build();
+        CertificateChain::new(leaf, vec![inter])
+    }
+
+    /// A chain no profile shrinks: one leaf with empty names and no
+    /// extensions, an ML-DSA key under a composite signature. No algorithm
+    /// identifier repeats and the dictionary holds neither, and the two
+    /// times share no four bytes with each other or with the dictionary's
+    /// UTCTime fragments, so what the compressor finds is less than what
+    /// the CompressedCertificate adds.
+    fn incompressible_chain() -> CertificateChain {
+        let leaf = CertificateBuilder::new(
+            DistinguishedName::new(),
+            DistinguishedName::new(),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa44, 34),
+            SignatureAlgorithm::CompositeP256MlDsa44,
+        )
+        .validity(Validity {
+            not_before: Time {
+                hour: 13,
+                minute: 27,
+                second: 41,
+                ..Time::date(2031, 7, 14)
+            },
+            not_after: Time {
+                hour: 19,
+                minute: 43,
+                second: 8,
+                ..Time::date(2048, 11, 26)
+            },
+        })
+        .build();
+        CertificateChain::new(leaf, Vec::new())
+    }
+
+    /// `(algorithm, uncompressed_length, compressed_certificate_message)`
+    /// of an encoded CompressedCertificate, its framing checked.
+    fn parse_compressed_certificate(msg: &[u8]) -> (u16, usize, &[u8]) {
+        let u24 = |b: &[u8]| (b[0] as usize) << 16 | (b[1] as usize) << 8 | b[2] as usize;
+        assert_eq!(msg[0], messages::HandshakeType::CompressedCertificate as u8);
+        assert_eq!(u24(&msg[1..4]), msg.len() - 4);
+        assert_eq!(u24(&msg[9..12]), msg.len() - 12);
+        (
+            u16::from_be_bytes([msg[4], msg[5]]),
+            u24(&msg[6..9]),
+            &msg[12..],
+        )
+    }
+
+    #[test]
+    fn rfc8879_compressed_certificate_is_smaller_or_falls_back() {
+        // (chain, whether every profile shrinks it): the post-quantum
+        // chain is held to the rule only.
+        let chains = [
+            (chain(KeyAlgorithm::EcdsaP256), Some(true)),
+            (pq_chain(), None),
+            (incompressible_chain(), Some(false)),
+        ];
+        for (chain, shrinks) in &chains {
+            let certificate = messages::certificate_message(chain);
+            for alg in Algorithm::ALL {
+                let mut compressed = Vec::new();
+                messages::compressed_certificate_message_into(&mut compressed, &certificate, alg);
+                let (code_point, uncompressed_length, payload) =
+                    parse_compressed_certificate(&compressed);
+                assert_eq!(code_point, alg.code_point());
+                assert_eq!(uncompressed_length, certificate.len());
+                assert_eq!(
+                    quicert_compress::decompress(payload, alg.dictionary()).as_ref(),
+                    Ok(&certificate)
+                );
+
+                let flight = ServerFlight::build(&params(chain, Some(alg)));
+                let at = messages::ENCRYPTED_EXTENSIONS_LEN;
+                let sent = &flight.handshake_crypto[at..at + flight.certificate_message_len];
+                assert_eq!(flight.uncompressed_certificate_len, certificate.len());
+                let smaller = compressed.len() < certificate.len();
+                if smaller {
+                    assert_eq!(sent, compressed, "{alg}: the smaller message is sent");
+                } else {
+                    assert_eq!(sent, certificate, "{alg}: the fallback is the Certificate");
+                    assert_eq!(
+                        flight.certificate_message_len,
+                        flight.uncompressed_certificate_len
+                    );
+                }
+                if let Some(shrinks) = shrinks {
+                    assert_eq!(smaller, *shrinks, "{alg}");
+                }
+            }
         }
     }
 
