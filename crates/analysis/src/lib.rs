@@ -20,6 +20,6 @@ pub mod render;
 pub mod stats;
 
 pub use cdf::Cdf;
-pub use merge::{HistogramSketch, Merge, StreamSummary};
+pub use merge::{assert_merge_laws, HistogramSketch, Merge, Same, StreamSummary};
 pub use render::{render_table, Table};
 pub use stats::{mean, mean_ci95, median, percentile, std_dev};

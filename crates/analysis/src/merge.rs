@@ -22,6 +22,27 @@
 //! but with a merge that is exactly associative *and* commutative on the
 //! integer-valued data the scanners produce, which is what lets the engine
 //! fold shard summaries in any order.
+//!
+//! ## Writing a summary
+//!
+//! A count summary is a struct whose fields are each a [`Merge`]: integers
+//! add; arrays, tuples and `Vec`s merge element-wise (a shorter `Vec`
+//! grows with identities); a `BTreeMap` or `HashMap` is the union of its
+//! keys, merging the values of a key both sides hold; and a value that is
+//! a function of its key (a parent certificate's key algorithm) is a
+//! [`Same`]. [`impl_merge!`](crate::impl_merge) writes the struct's
+//! `identity` and `merge` from an exhaustive destructure, so a field left
+//! out fails to compile. Every summary's law test calls
+//! [`assert_merge_laws`].
+//!
+//! Three summaries keep a hand-written merge: [`StreamSummary`] (float
+//! min/max from ±∞), [`HistogramSketch`] (its identity adopts the other
+//! side's bucket layout) and the quicreach `ScanSummary` (its callers
+//! write `initial_size` as a plain `usize`).
+
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Debug;
+use std::hash::{BuildHasher, Hash};
 
 /// A commutative monoid: an identity element plus an associative,
 /// commutative combine step.
@@ -48,6 +69,221 @@ pub trait Merge: Sized {
     }
 }
 
+// ------------------------------------------------------- generic impls --
+
+macro_rules! merge_by_adding {
+    ($($int:ty),+) => {
+        $(impl Merge for $int {
+            fn identity() -> Self {
+                0
+            }
+
+            fn merge(&mut self, other: &Self) {
+                *self += *other;
+            }
+        })+
+    };
+}
+merge_by_adding!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
+
+impl<T: Merge, const N: usize> Merge for [T; N] {
+    fn identity() -> Self {
+        std::array::from_fn(|_| T::identity())
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+macro_rules! merge_tuple {
+    ($($name:ident $index:tt),+) => {
+        impl<$($name: Merge),+> Merge for ($($name,)+) {
+            fn identity() -> Self {
+                ($($name::identity(),)+)
+            }
+
+            fn merge(&mut self, other: &Self) {
+                $(self.$index.merge(&other.$index);)+
+            }
+        }
+    };
+}
+merge_tuple!(A 0);
+merge_tuple!(A 0, B 1);
+merge_tuple!(A 0, B 1, C 2);
+merge_tuple!(A 0, B 1, C 2, D 3);
+
+/// Element-wise; the shorter side grows with identities first.
+impl<T: Merge> Merge for Vec<T> {
+    fn identity() -> Self {
+        Vec::new()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if self.len() < other.len() {
+            self.resize_with(other.len(), T::identity);
+        }
+        for (mine, theirs) in self.iter_mut().zip(other) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+/// The union of the keys; a key both sides hold merges its values.
+impl<K: Ord + Clone, V: Merge> Merge for BTreeMap<K, V> {
+    fn identity() -> Self {
+        BTreeMap::new()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (key, theirs) in other {
+            let mine = self.entry(key.clone()).or_insert_with(V::identity);
+            mine.merge(theirs);
+        }
+    }
+}
+
+/// The union of the keys; a key both sides hold merges its values.
+impl<K: Eq + Hash + Clone, V: Merge, S: BuildHasher + Default> Merge for HashMap<K, V, S> {
+    fn identity() -> Self {
+        HashMap::default()
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (key, theirs) in other {
+            let mine = self.entry(key.clone()).or_insert_with(V::identity);
+            mine.merge(theirs);
+        }
+    }
+}
+
+/// A value that is a function of where it is kept (its map key, its
+/// group), so every part that saw it saw the same one. The identity is
+/// unset; a merge adopts the other side's value while unset and asserts
+/// the two equal once both are set, so parts that disagree fail loudly
+/// instead of keeping whichever merged first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Same<T>(Option<T>);
+
+impl<T> Same<T> {
+    /// The value, once any part has set it.
+    pub fn get(&self) -> Option<&T> {
+        self.0.as_ref()
+    }
+}
+
+impl<T: Clone + PartialEq + Debug> Same<T> {
+    /// Set the value, or assert it equals the one already set.
+    pub fn set(&mut self, value: T) {
+        match &self.0 {
+            Some(mine) => assert_eq!(*mine, value, "a Same value differs between its parts"),
+            None => self.0 = Some(value),
+        }
+    }
+}
+
+impl<T: Clone + PartialEq + Debug> Merge for Same<T> {
+    fn identity() -> Self {
+        Same(None)
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if let Some(theirs) = &other.0 {
+            self.set(theirs.clone());
+        }
+    }
+}
+
+/// Implement [`Merge`] for a struct field by field: the identity is every
+/// field's identity, and a merge reads the other side through an
+/// exhaustive `let Struct { a, b } = other` (no `..`) and merges each
+/// field into its own, so a field left out of the list fails to compile:
+///
+/// ```compile_fail
+/// use quicert_analysis::impl_merge;
+///
+/// struct Tally {
+///     hits: u64,
+///     misses: u64,
+/// }
+///
+/// impl_merge! { Tally { hits } }
+/// ```
+///
+/// A field of a foreign type that cannot implement `Merge` lists that
+/// type's fields in turn, merged through the same exhaustive destructure:
+/// `impl_merge! { Cell { sums: FieldSizes { subject, issuer }, count } }`.
+///
+/// ```
+/// use quicert_analysis::{impl_merge, Merge};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tally {
+///     hits: u64,
+///     by_class: [usize; 2],
+/// }
+///
+/// impl_merge! { Tally { hits, by_class } }
+///
+/// let mut tally = Tally { hits: 2, by_class: [1, 1] };
+/// tally.merge(&Tally { hits: 1, by_class: [0, 1] });
+/// assert_eq!(tally, Tally { hits: 3, by_class: [1, 2] });
+/// assert_eq!(Tally::identity(), Tally { hits: 0, by_class: [0, 0] });
+/// ```
+#[macro_export]
+macro_rules! impl_merge {
+    (@identity) => {
+        $crate::Merge::identity()
+    };
+    (@identity $outer:ident { $($part:ident),+ }) => {
+        $outer { $($part: $crate::Merge::identity()),+ }
+    };
+    (@merge $mine:expr, $theirs:ident) => {
+        $crate::Merge::merge(&mut $mine, $theirs)
+    };
+    (@merge $mine:expr, $theirs:ident, $outer:ident { $($part:ident),+ }) => {{
+        let $outer { $($part),+ } = $theirs;
+        $($crate::Merge::merge(&mut $mine.$part, $part);)+
+    }};
+    ($ty:ident { $($field:ident $(: $outer:ident { $($part:ident),+ $(,)? })?),+ $(,)? }) => {
+        impl $crate::Merge for $ty {
+            fn identity() -> Self {
+                $ty { $($field: $crate::impl_merge!(@identity $($outer { $($part),+ })?)),+ }
+            }
+
+            fn merge(&mut self, other: &Self) {
+                let $ty { $($field),+ } = other;
+                $($crate::impl_merge!(@merge self.$field, $field $(, $outer { $($part),+ })?);)+
+            }
+        }
+    };
+}
+
+/// Check the [`Merge`] laws on a sample cut into three parts: identity on
+/// both sides, commutativity, associativity, and that the merge of the
+/// parts' summaries equals the summary of the whole sample. `of` folds a
+/// sample into its summary. Panics, naming the law, on the first broken.
+pub fn assert_merge_laws<S: Clone, T: Merge + Clone + PartialEq + Debug>(
+    of: impl Fn(&[S]) -> T,
+    parts: [&[S]; 3],
+) {
+    let merged = |mut mine: T, theirs: &T| {
+        mine.merge(theirs);
+        mine
+    };
+    let [a, b, c] = parts.map(&of);
+    assert_eq!(merged(T::identity(), &a), a, "left identity");
+    assert_eq!(merged(a.clone(), &T::identity()), a, "right identity");
+    let ab = merged(a.clone(), &b);
+    assert_eq!(ab, merged(b.clone(), &a), "commutativity");
+    let ab_c = merged(ab, &c);
+    assert_eq!(ab_c, merged(a, &merged(b, &c)), "associativity");
+    assert_eq!(ab_c, of(&parts.concat()), "the merged parts are the whole");
+}
+
 // -------------------------------------------------------- StreamSummary --
 
 /// Streaming count/mean/min/max (plus variance) over `f64` samples in
@@ -55,7 +291,8 @@ pub trait Merge: Sized {
 ///
 /// Accumulates exact raw moments; see the module docs for why this merges
 /// bit-for-bit where a running Welford/Chan update would not. NaN samples
-/// are dropped, mirroring [`crate::Cdf::new`].
+/// are dropped, mirroring [`crate::Cdf::new`]. Merged by hand: the float
+/// min/max start at ±∞, and an empty side adopts the other whole.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSummary {
     count: u64,
@@ -200,7 +437,9 @@ impl Merge for StreamSummary {
 /// into the observed `[min, max]`, while the exact sample at the same rank
 /// lies inside the bucket — so the estimate is within one
 /// [`HistogramSketch::bin_width`] of the exact [`crate::Cdf`] quantile
-/// (pinned by a proptest).
+/// (pinned by a proptest). Merged by hand: the layout-free identity adopts
+/// the other side's bucket layout, and two laid-out sketches must share
+/// one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSketch {
     lo: f64,

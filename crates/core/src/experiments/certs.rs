@@ -163,8 +163,8 @@ pub fn fig7(campaign: &Campaign, quic: bool) -> Fig7 {
         .map(|(&(_, chain_id), group)| Fig7Row {
             label: chain_id.label(),
             share: group.chains as f64 / total * 100.0,
-            parent_bytes: group.parent_bytes,
-            depth: group.parents,
+            parent_bytes: group.parent_bytes.get().copied().unwrap_or_default(),
+            depth: group.parents.get().copied().unwrap_or_default(),
             median_leaf: cdf_of(&group.leaf_sizes).percentile(50.0),
             max_leaf: group
                 .leaf_sizes
@@ -237,18 +237,21 @@ pub fn fig8(campaign: &Campaign) -> Vec<Fig8Row> {
     let mut rows: Vec<Fig8Row> = summary
         .field_cells
         .iter()
-        .map(|(&(leaf, big_chain), &(sum, count))| Fig8Row {
-            leaf,
-            big_chain,
-            mean: FieldSizes {
-                subject: sum.subject / count.max(1),
-                issuer: sum.issuer / count.max(1),
-                spki: sum.spki / count.max(1),
-                extensions: sum.extensions / count.max(1),
-                signature: sum.signature / count.max(1),
-                other: sum.other / count.max(1),
-            },
-            count,
+        .map(|(&(leaf, big_chain), cell)| {
+            let (sum, n) = (cell.sums, cell.certificates.max(1));
+            Fig8Row {
+                leaf,
+                big_chain,
+                mean: FieldSizes {
+                    subject: sum.subject / n,
+                    issuer: sum.issuer / n,
+                    spki: sum.spki / n,
+                    extensions: sum.extensions / n,
+                    signature: sum.signature / n,
+                    other: sum.other / n,
+                },
+                count: cell.certificates,
+            }
         })
         .collect();
     rows.sort_by_key(|r| (r.big_chain, r.leaf));
@@ -324,7 +327,7 @@ pub fn table2(campaign: &Campaign) -> Table2 {
             .map(|(k, v)| (k, v as f64 / leaf_total.max(1) as f64 * 100.0))
             .collect();
         let mut parent_counts: HashMap<KeyAlgorithm, usize> = HashMap::new();
-        for (_, key) in parents {
+        for key in parents.filter_map(|(_, key)| key.get()) {
             *parent_counts.entry(*key).or_default() += 1;
         }
         let parent_total: usize = parent_counts.values().sum();

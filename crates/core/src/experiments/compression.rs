@@ -53,11 +53,12 @@ impl Table1 {
         }
         let mut s = format!("Table 1 — browser profiles\n{}", render_table(&t));
         let mut t2 = Table::new(&["algorithm", "service support %", "mean ratio"]);
-        for column in &self.support.shard.algorithms {
+        let columns = Algorithm::ALL.iter().zip(&self.support.shard.algorithms);
+        for (&algorithm, column) in columns {
             t2.row(&[
-                column.algorithm.name().to_string(),
+                algorithm.name().to_string(),
                 format!("{:.2}", column.share()),
-                format!("{:.2}", self.mean_ratio(column.algorithm)),
+                format!("{:.2}", self.mean_ratio(algorithm)),
             ]);
         }
         s.push_str(&render_table(&t2));
@@ -129,13 +130,9 @@ mod tests {
         let c = campaign();
         let t = table1(&c);
         let share = |alg| {
-            let support = t
-                .support
-                .shard
-                .algorithms
-                .iter()
-                .find(|s| s.algorithm == alg);
-            support.expect("every algorithm is surveyed").share()
+            let mut columns = Algorithm::ALL.iter().zip(&t.support.shard.algorithms);
+            let column = columns.find(|(&a, _)| a == alg).map(|(_, column)| column);
+            column.expect("every algorithm is surveyed").share()
         };
         // Paper: 96% brotli support; zlib/zstd 0.05% (Meta only).
         assert!(share(Algorithm::Brotli) > 90.0);

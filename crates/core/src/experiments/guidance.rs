@@ -13,7 +13,7 @@
 //!   the connection setup seems an open challenge": handshake completion
 //!   under server-side loss, with and without compression.
 
-use quicert_analysis::{render_table, Merge, Table};
+use quicert_analysis::{impl_merge, render_table, Merge, Table};
 use quicert_compress::Algorithm;
 use quicert_netsim::{FaultInjector, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
@@ -142,7 +142,7 @@ pub(crate) fn render_server_ablation(rows: &[AblationRow]) -> String {
 
 /// Result of the client-side Initial-size-cache mitigation: three counts,
 /// summed over any split of the population.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientMitigation {
     /// Multi-RTT services at the default Initial size.
     pub multi_rtt_before: usize,
@@ -153,17 +153,7 @@ pub struct ClientMitigation {
     pub unfixable: usize,
 }
 
-impl Merge for ClientMitigation {
-    fn identity() -> Self {
-        ClientMitigation::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.multi_rtt_before += other.multi_rtt_before;
-        self.fixed_by_mitigation += other.fixed_by_mitigation;
-        self.unfixable += other.unfixable;
-    }
-}
+impl_merge! { ClientMitigation { multi_rtt_before, fixed_by_mitigation, unfixable } }
 
 /// §5: a client that remembers each server's flight size from a previous
 /// contact and sends an Initial of `ceil(flight/3)` (clamped to the MTU).
@@ -324,6 +314,7 @@ mod tests {
     use super::*;
     use crate::CampaignConfig;
     use proptest::prelude::*;
+    use quicert_analysis::assert_merge_laws;
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(51).with_domains(2_000))
@@ -369,12 +360,16 @@ mod tests {
         assert!(!m.render().is_empty());
     }
 
+    /// Counts from three arbitrary values each — any values, not only
+    /// those a pass produces: the merge laws are about the fold.
     fn mitigation_of(f: &[u64]) -> ClientMitigation {
-        ClientMitigation {
-            multi_rtt_before: f[0] as usize,
-            fixed_by_mitigation: f[1] as usize,
-            unfixable: f[2] as usize,
+        let mut counts = ClientMitigation::identity();
+        for draw in f.chunks_exact(3) {
+            counts.multi_rtt_before += draw[0] as usize;
+            counts.fixed_by_mitigation += draw[1] as usize;
+            counts.unfixable += draw[2] as usize;
         }
+        counts
     }
 
     proptest! {
@@ -386,31 +381,7 @@ mod tests {
             ys in proptest::collection::vec(0u64..1_000_000, 3..4),
             zs in proptest::collection::vec(0u64..1_000_000, 3..4),
         ) {
-            let (a, b, c) = (mitigation_of(&xs), mitigation_of(&ys), mitigation_of(&zs));
-
-            // Identity on both sides.
-            let mut left = ClientMitigation::identity();
-            left.merge(&a);
-            prop_assert_eq!(left, a);
-            let mut right = a;
-            right.merge(&ClientMitigation::identity());
-            prop_assert_eq!(right, a);
-
-            // Commutativity.
-            let mut ab = a;
-            ab.merge(&b);
-            let mut ba = b;
-            ba.merge(&a);
-            prop_assert_eq!(ab, ba);
-
-            // Associativity.
-            let mut ab_c = ab;
-            ab_c.merge(&c);
-            let mut bc = b;
-            bc.merge(&c);
-            let mut a_bc = a;
-            a_bc.merge(&bc);
-            prop_assert_eq!(ab_c, a_bc);
+            assert_merge_laws(mitigation_of, [&xs, &ys, &zs]);
         }
     }
 

@@ -89,7 +89,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use quicert_analysis::Merge;
+use quicert_analysis::{impl_merge, Merge};
 use quicert_churn::{ChurnConfig, ChurnState, ChurnView, TickDelta, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{DomainRecord, World};
@@ -188,19 +188,7 @@ struct SegmentSummary {
     funnel: HttpsScanShard,
 }
 
-impl Merge for SegmentSummary {
-    fn identity() -> Self {
-        SegmentSummary {
-            reach: QuicReachShard::identity(),
-            funnel: HttpsScanShard::identity(),
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.reach.merge(&other.reach);
-        self.funnel.merge(&other.funnel);
-    }
-}
+impl_merge! { SegmentSummary { reach, funnel } }
 
 /// What a serve re-folded, for a delta tick to install over its cache.
 struct Refolded {

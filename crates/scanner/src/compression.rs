@@ -4,7 +4,7 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
-use quicert_analysis::{Cdf, Merge};
+use quicert_analysis::{impl_merge, Cdf, Merge};
 use quicert_compress::{compress_with, Algorithm};
 use quicert_pki::{CertificateEra, DomainRecord, QuicDeployment, World};
 use quicert_tls::{ServerFlight, ServerFlightParams};
@@ -147,33 +147,16 @@ impl CompressionSupport {
     }
 }
 
-impl Merge for CompressionSupport {
-    fn identity() -> Self {
-        CompressionSupport {
-            shard: CompressionShard::identity(),
-            ratios: Default::default(),
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.shard.merge(&other.shard);
-        for (mine, theirs) in self.ratios.iter_mut().zip(&other.ratios) {
-            for (&length, &sum) in theirs {
-                *mine.entry(length).or_default() += sum;
-            }
-        }
-    }
-}
+impl_merge! { CompressionSupport { shard, ratios } }
 
 // -------------------------------------------------------- streaming fold --
 
 /// Streaming per-algorithm support column: counts plus exact byte totals,
 /// whose aggregate ratio `Σcompressed / Σuncompressed` is deterministic
-/// under any chunking or worker order.
+/// under any chunking or worker order. Its algorithm is its place in
+/// [`Algorithm::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmStreamColumn {
-    /// Algorithm.
-    pub algorithm: Algorithm,
     /// Services that negotiated it.
     pub supported: u64,
     /// Services probed.
@@ -183,6 +166,8 @@ pub struct AlgorithmStreamColumn {
     /// Uncompressed certificate-message bytes across supporting services.
     pub uncompressed_bytes: u64,
 }
+
+impl_merge! { AlgorithmStreamColumn { supported, total, compressed_bytes, uncompressed_bytes } }
 
 impl AlgorithmStreamColumn {
     /// Support share in percent.
@@ -215,8 +200,9 @@ impl CompressionShard {
 
     /// Fold one service's probe row in.
     pub fn push(&mut self, row: &[CompressionProbe; 3]) {
-        for (column, probe) in self.algorithms.iter_mut().zip(row) {
-            debug_assert_eq!(column.algorithm, probe.algorithm);
+        let columns = self.algorithms.iter_mut().zip(Algorithm::ALL);
+        for ((column, algorithm), probe) in columns.zip(row) {
+            debug_assert_eq!(probe.algorithm, algorithm);
             column.total += 1;
             if probe.supported {
                 column.supported += 1;
@@ -232,31 +218,7 @@ impl CompressionShard {
     }
 }
 
-impl Merge for CompressionShard {
-    fn identity() -> Self {
-        CompressionShard {
-            algorithms: Algorithm::ALL.map(|algorithm| AlgorithmStreamColumn {
-                algorithm,
-                supported: 0,
-                total: 0,
-                compressed_bytes: 0,
-                uncompressed_bytes: 0,
-            }),
-            all_three: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self.algorithms.iter_mut().zip(&other.algorithms) {
-            assert_eq!(a.algorithm, b.algorithm, "misordered compression shards");
-            a.supported += b.supported;
-            a.total += b.total;
-            a.compressed_bytes += b.compressed_bytes;
-            a.uncompressed_bytes += b.uncompressed_bytes;
-        }
-        self.all_three += other.all_three;
-    }
-}
+impl_merge! { CompressionShard { algorithms, all_three } }
 
 /// Fold one population chunk, handed over as any record iterator, into a
 /// [`CompressionShard`] without retaining probe rows beyond the record:
@@ -296,7 +258,7 @@ impl SyntheticCompression {
 /// readers render: each sampled chain's (original, compressed) sizes with
 /// how many chains had them — exact counts bounded by the distinct size
 /// pairs, so [`Merge`] is exactly associative and commutative.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudySummary {
     /// `(original, compressed)` bytes → chains.
     pub sizes: BTreeMap<(usize, usize), usize>,
@@ -364,17 +326,7 @@ impl StudySummary {
     }
 }
 
-impl Merge for StudySummary {
-    fn identity() -> Self {
-        StudySummary::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (&sizes, &n) in &other.sizes {
-            *self.sizes.entry(sizes).or_default() += n;
-        }
-    }
-}
+impl_merge! { StudySummary { sizes } }
 
 /// Whether `record` is in the every-`stride`-th HTTPS-reachable sample the
 /// synthetic study runs on — a function of the record alone.
@@ -458,8 +410,8 @@ mod tests {
         let (world, records) = world();
         let support = scan(&world);
         let column = |algorithm| {
-            let mut columns = support.shard.algorithms.iter();
-            columns.find(|s| s.algorithm == algorithm).unwrap().share()
+            let mut columns = Algorithm::ALL.iter().zip(&support.shard.algorithms);
+            columns.find(|(&a, _)| a == algorithm).unwrap().1.share()
         };
         assert!(column(Algorithm::Brotli) > 90.0);
         assert!(column(Algorithm::Zlib) < 2.0);
@@ -504,14 +456,10 @@ mod tests {
     fn achieved_ratios_are_meaningful() {
         let (world, _) = world();
         let support = scan(&world);
-        for s in &support.shard.algorithms {
+        for (algorithm, s) in Algorithm::ALL.iter().zip(&support.shard.algorithms) {
             if s.supported > 0 {
-                let ratio = support.mean_ratio(s.algorithm);
-                assert!(
-                    (0.2..0.95).contains(&ratio),
-                    "{}: ratio {ratio}",
-                    s.algorithm
-                );
+                let ratio = support.mean_ratio(*algorithm);
+                assert!((0.2..0.95).contains(&ratio), "{algorithm}: ratio {ratio}");
             }
         }
     }

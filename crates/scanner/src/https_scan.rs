@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use quicert_analysis::{HistogramSketch, Merge, StreamSummary};
+use quicert_analysis::{impl_merge, HistogramSketch, Merge, Same, StreamSummary};
 use quicert_pki::{CertificateEra, ChainId, ChainShape, DnsOutcome, DomainRecord, World};
 use quicert_x509::{CertificateChain, FieldSizes, KeyAlgorithm};
 
@@ -248,39 +248,10 @@ impl HttpsScanShard {
     }
 }
 
-impl Merge for HttpsScanShard {
-    fn identity() -> Self {
-        HttpsScanShard {
-            total: 0,
-            resolved: 0,
-            servfail: 0,
-            nxdomain: 0,
-            timeout_refused: 0,
-            a_records: 0,
-            names_seen: 0,
-            tls_reachable: 0,
-            quic_services: 0,
-            chain_der: HistogramSketch::identity(),
-            quic_chain_der: HistogramSketch::identity(),
-            chain_depth: StreamSummary::identity(),
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.total += other.total;
-        self.resolved += other.resolved;
-        self.servfail += other.servfail;
-        self.nxdomain += other.nxdomain;
-        self.timeout_refused += other.timeout_refused;
-        self.a_records += other.a_records;
-        self.names_seen += other.names_seen;
-        self.tls_reachable += other.tls_reachable;
-        self.quic_services += other.quic_services;
-        self.chain_der.merge(&other.chain_der);
-        self.quic_chain_der.merge(&other.quic_chain_der);
-        self.chain_depth.merge(&other.chain_depth);
-    }
-}
+impl_merge! { HttpsScanShard {
+    total, resolved, servfail, nxdomain, timeout_refused, a_records, names_seen, tls_reachable,
+    quic_services, chain_der, quic_chain_der, chain_depth,
+} }
 
 /// The streamed §3.1 funnel: fold one population chunk, handed over as
 /// any record iterator (the streaming pump hands workers owned chunks, so
@@ -322,18 +293,34 @@ pub fn fold_iter<'a>(
 
 /// Fig 7's group of one parent chain in one service set: the correctly
 /// ordered chains served under it, its parent part and their leaf sizes.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParentChainGroup {
     /// Chains served under this parent chain.
     pub chains: usize,
     /// DER bytes of the parent certificates. The parents are the catalog's
     /// chain for the [`ChainId`], so every chain of a group has the same.
-    pub parent_bytes: usize,
+    pub parent_bytes: Same<usize>,
     /// Parent certificates per chain (depth − 1), the same for the group.
-    pub parents: usize,
+    pub parents: Same<usize>,
     /// Leaf DER bytes → chains.
     pub leaf_sizes: BTreeMap<usize, usize>,
 }
+
+impl_merge! { ParentChainGroup { chains, parent_bytes, parents, leaf_sizes } }
+
+/// Fig 8's cell: the field sizes of its certificates summed, and how many
+/// certificates it holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FieldCell {
+    /// Per-field DER bytes, summed over the cell's certificates.
+    pub sums: FieldSizes,
+    /// Certificates in the cell.
+    pub certificates: usize,
+}
+
+impl_merge! { FieldCell {
+    sums: FieldSizes { subject, issuer, spki, extensions, signature, other }, certificates,
+} }
 
 /// The §3.1 HTTPS scan folded into what the certificate figures render:
 /// the funnel, Fig 2b's field sizes, Fig 6's chain sizes, Fig 7's parent
@@ -356,12 +343,13 @@ pub struct CertificateSummary {
     pub parent_chains: BTreeMap<(bool, ChainId), ParentChainGroup>,
     /// Fig 8: QUIC services' certificates per (leaf?, chain over 4000 B?),
     /// their field sizes summed and their count.
-    pub field_cells: BTreeMap<(bool, bool), (FieldSizes, usize)>,
+    pub field_cells: BTreeMap<(bool, bool), FieldCell>,
     /// Table 2: leaves per (QUIC?, key algorithm).
     pub leaf_keys: BTreeMap<(bool, KeyAlgorithm), usize>,
     /// Table 2: each parent certificate, unique per (QUIC?, parent chain,
-    /// position in the chain), and its key algorithm.
-    pub parent_keys: BTreeMap<(bool, ChainId, usize), KeyAlgorithm>,
+    /// position in the chain), and its key algorithm — the catalog's, so
+    /// every chain that reaches the position names the same one.
+    pub parent_keys: BTreeMap<(bool, ChainId, usize), Same<KeyAlgorithm>>,
     /// Fig 14: QUIC services' leaves per (leaf DER bytes, SAN bytes).
     pub leaf_sans: BTreeMap<(usize, usize), usize>,
     /// Figs 12/13: per rank group of
@@ -375,23 +363,6 @@ pub struct CertificateSummary {
 /// 0 for QUIC services, 1 for HTTPS-only services.
 pub fn service_set(is_quic: bool) -> usize {
     usize::from(!is_quic)
-}
-
-/// Add `from`'s counts into `into`.
-fn add_counts<K: Ord + Copy>(into: &mut BTreeMap<K, usize>, from: &BTreeMap<K, usize>) {
-    for (&key, &n) in from {
-        *into.entry(key).or_default() += n;
-    }
-}
-
-/// Add `fields` into the running sums `sum`.
-fn add_fields(sum: &mut FieldSizes, fields: &FieldSizes) {
-    sum.subject += fields.subject;
-    sum.issuer += fields.issuer;
-    sum.spki += fields.spki;
-    sum.extensions += fields.extensions;
-    sum.signature += fields.signature;
-    sum.other += fields.other;
 }
 
 impl CertificateSummary {
@@ -432,20 +403,21 @@ impl CertificateSummary {
         // The paper's Fig 7 excludes incorrectly ordered chains.
         if chain.correctly_ordered {
             let group = self.parent_chains.entry((quic, chain.chain_id));
-            let group = group.or_insert_with(|| ParentChainGroup {
-                parent_bytes: chain.parent_der,
-                parents: chain.depth.saturating_sub(1),
-                ..ParentChainGroup::default()
-            });
+            let group = group.or_insert_with(ParentChainGroup::identity);
+            group.parent_bytes.set(chain.parent_der);
+            group.parents.set(chain.depth.saturating_sub(1));
             group.chains += 1;
             *group.leaf_sizes.entry(chain.leaf_der).or_default() += 1;
         }
         if quic {
             let big = chain.total_der > 4000;
             for (i, fields) in chain.cert_fields.iter().enumerate() {
-                let (sum, n) = self.field_cells.entry((i == 0, big)).or_default();
-                add_fields(sum, fields);
-                *n += 1;
+                let cell = FieldCell {
+                    sums: *fields,
+                    certificates: 1,
+                };
+                let cells = self.field_cells.entry((i == 0, big));
+                cells.or_insert_with(FieldCell::identity).merge(&cell);
             }
             let sans = (chain.leaf_der, chain.leaf_san_bytes);
             *self.leaf_sans.entry(sans).or_default() += 1;
@@ -453,7 +425,8 @@ impl CertificateSummary {
         if let Some((&leaf, parents)) = chain.cert_keys.split_first() {
             *self.leaf_keys.entry((quic, leaf)).or_default() += 1;
             for (i, &key) in parents.iter().enumerate() {
-                self.parent_keys.insert((quic, chain.chain_id, i + 1), key);
+                let parent = self.parent_keys.entry((quic, chain.chain_id, i + 1));
+                parent.or_insert_with(Same::identity).set(key);
             }
         }
         let group = (obs.rank - 1) / group_width;
@@ -464,61 +437,10 @@ impl CertificateSummary {
     }
 }
 
-impl Merge for CertificateSummary {
-    fn identity() -> Self {
-        CertificateSummary {
-            funnel: HttpsScanShard::identity(),
-            field_sizes: Default::default(),
-            chain_sizes: Default::default(),
-            parent_chains: BTreeMap::new(),
-            field_cells: BTreeMap::new(),
-            leaf_keys: BTreeMap::new(),
-            parent_keys: BTreeMap::new(),
-            leaf_sans: BTreeMap::new(),
-            rank_groups: Vec::new(),
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.funnel.merge(&other.funnel);
-        for (mine, theirs) in self.field_sizes.iter_mut().zip(&other.field_sizes) {
-            add_counts(mine, theirs);
-        }
-        for (mine, theirs) in self.chain_sizes.iter_mut().zip(&other.chain_sizes) {
-            add_counts(mine, theirs);
-        }
-        for (&key, theirs) in &other.parent_chains {
-            let group = self
-                .parent_chains
-                .entry(key)
-                .or_insert_with(|| ParentChainGroup {
-                    leaf_sizes: BTreeMap::new(),
-                    chains: 0,
-                    ..*theirs
-                });
-            group.chains += theirs.chains;
-            add_counts(&mut group.leaf_sizes, &theirs.leaf_sizes);
-        }
-        for (&cell, (fields, n)) in &other.field_cells {
-            let (sum, count) = self.field_cells.entry(cell).or_default();
-            add_fields(sum, fields);
-            *count += n;
-        }
-        add_counts(&mut self.leaf_keys, &other.leaf_keys);
-        for (&parent, &key) in &other.parent_keys {
-            self.parent_keys.entry(parent).or_insert(key);
-        }
-        add_counts(&mut self.leaf_sans, &other.leaf_sans);
-        if self.rank_groups.len() < other.rank_groups.len() {
-            self.rank_groups.resize(other.rank_groups.len(), [0; 2]);
-        }
-        for (mine, theirs) in self.rank_groups.iter_mut().zip(&other.rank_groups) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-    }
-}
+impl_merge! { CertificateSummary {
+    funnel, field_sizes, chain_sizes, parent_chains, field_cells, leaf_keys, parent_keys, leaf_sans,
+    rank_groups,
+} }
 
 /// Fold one population chunk into a [`CertificateSummary`]: [`observe`]
 /// each record — issuing its chain, no flyweight — and push what the
@@ -633,13 +555,15 @@ mod tests {
             let group = &summary.parent_chains[&(obs.is_quic, chain.chain_id)];
             let parents = (chain.parent_der, chain.depth - 1);
             assert_eq!(
-                (group.parent_bytes, group.parents),
-                parents,
+                (group.parent_bytes.get(), group.parents.get()),
+                (Some(&parents.0), Some(&parents.1)),
                 "{:?}",
                 chain.chain_id
             );
-            let mine = want.entry((obs.is_quic, chain.chain_id)).or_default();
-            (mine.parent_bytes, mine.parents) = parents;
+            let mine = want.entry((obs.is_quic, chain.chain_id));
+            let mine = mine.or_insert_with(ParentChainGroup::identity);
+            mine.parent_bytes.set(parents.0);
+            mine.parents.set(parents.1);
             mine.chains += 1;
             *mine.leaf_sizes.entry(chain.leaf_der).or_default() += 1;
         }
@@ -654,6 +578,22 @@ mod tests {
             }
         }
         assert!(want.keys().any(|&(quic, _)| quic) && want.keys().any(|&(quic, _)| !quic));
+    }
+
+    #[test]
+    #[should_panic(expected = "a Same value differs between its parts")]
+    fn parts_that_disagree_on_a_parent_key_do_not_merge() {
+        // Table 2 counts each parent certificate once per (set, chain,
+        // position); were two parts to name different keys for one, the
+        // table would depend on which part merged first.
+        let part = |key| {
+            let mut part = CertificateSummary::identity();
+            let parent = part.parent_keys.entry((true, ChainId::LeR3Short, 1));
+            parent.or_insert_with(Same::identity).set(key);
+            part
+        };
+        let mut summary = part(KeyAlgorithm::Rsa2048);
+        summary.merge(&part(KeyAlgorithm::EcdsaP384));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Certificate collection over QUIC (QScanner, §3.2) and the
 //! QUIC-vs-HTTPS consistency check.
 
-use quicert_analysis::Merge;
+use quicert_analysis::{impl_merge, Merge};
 use quicert_pki::{CertificateEra, DomainRecord, World};
 
 use crate::https_scan::ChainSummary;
@@ -31,7 +31,7 @@ pub(crate) enum CertDifference {
 
 /// Consistency summary across all QUIC services: four counts, so [`Merge`]
 /// is exact and a pumped pass folds the serial report bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConsistencyReport {
     /// Services compared.
     pub total: usize,
@@ -60,18 +60,7 @@ impl ConsistencyReport {
     }
 }
 
-impl Merge for ConsistencyReport {
-    fn identity() -> Self {
-        ConsistencyReport::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.total += other.total;
-        self.same += other.same;
-        self.rotated += other.rotated;
-        self.other += other.other;
-    }
-}
+impl_merge! { ConsistencyReport { total, same, rotated, other } }
 
 /// Fetch the certificate chain of one QUIC service.
 pub fn fetch(world: &World, record: &DomainRecord) -> Option<QuicCertObservation> {
@@ -116,16 +105,21 @@ pub fn scan(world: &World) -> (Vec<QuicCertObservation>, ConsistencyReport) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use quicert_analysis::assert_merge_laws;
     use quicert_pki::WorldConfig;
 
+    /// Reports from four arbitrary counts each — any values, not only
+    /// those a scan produces: the merge laws are about the fold.
     fn report_of(f: &[u64]) -> ConsistencyReport {
-        let n = |i: usize| f[i] as usize;
-        ConsistencyReport {
-            total: n(0),
-            same: n(1),
-            rotated: n(2),
-            other: n(3),
+        let mut report = ConsistencyReport::identity();
+        for counts in f.chunks_exact(4) {
+            let n = |i: usize| counts[i] as usize;
+            report.total += n(0);
+            report.same += n(1);
+            report.rotated += n(2);
+            report.other += n(3);
         }
+        report
     }
 
     proptest! {
@@ -137,31 +131,7 @@ mod tests {
             ys in proptest::collection::vec(0u64..1_000_000, 4..5),
             zs in proptest::collection::vec(0u64..1_000_000, 4..5),
         ) {
-            let (a, b, c) = (report_of(&xs), report_of(&ys), report_of(&zs));
-
-            // Identity on both sides.
-            let mut left = ConsistencyReport::identity();
-            left.merge(&a);
-            prop_assert_eq!(left, a);
-            let mut right = a;
-            right.merge(&ConsistencyReport::identity());
-            prop_assert_eq!(right, a);
-
-            // Commutativity.
-            let mut ab = a;
-            ab.merge(&b);
-            let mut ba = b;
-            ba.merge(&a);
-            prop_assert_eq!(ab, ba);
-
-            // Associativity.
-            let mut ab_c = ab;
-            ab_c.merge(&c);
-            let mut bc = b;
-            bc.merge(&c);
-            let mut a_bc = a;
-            a_bc.merge(&bc);
-            prop_assert_eq!(ab_c, a_bc);
+            assert_merge_laws(report_of, [&xs, &ys, &zs]);
         }
     }
 

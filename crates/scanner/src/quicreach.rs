@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use quicert_analysis::{Cdf, Merge, StreamSummary};
+use quicert_analysis::{impl_merge, Cdf, Merge, StreamSummary};
 use quicert_netsim::{FastHashBuilder, FaultPlan, NetworkProfile, SimDuration};
 use quicert_obs::{Counter, HandshakeTimeline, Histogram, MetricsRegistry, Phase};
 use quicert_pki::{CertificateEra, ChainClass, ClassTable, DomainRecord, World};
@@ -110,6 +110,9 @@ impl QuicReachResult {
 }
 
 /// Aggregated class counts at one Initial size (one bar of Fig 3).
+///
+/// Merged by hand: callers stamp `initial_size` as a plain `usize`, which
+/// the identity's 0 adopts and later bars must equal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanSummary {
     /// Client Initial size.
@@ -298,35 +301,10 @@ impl QuicReachShard {
     }
 }
 
-impl Merge for QuicReachShard {
-    fn identity() -> Self {
-        QuicReachShard {
-            classes: ScanSummary::identity(),
-            wire_received: StreamSummary::identity(),
-            tls_received: StreamSummary::identity(),
-            rtts: StreamSummary::identity(),
-            fault_drops: 0,
-            fault_corruptions: 0,
-            fault_duplications: 0,
-            client_retransmissions: 0,
-            server_retransmissions: 0,
-            stall_ns_total: 0,
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.classes.merge(&other.classes);
-        self.wire_received.merge(&other.wire_received);
-        self.tls_received.merge(&other.tls_received);
-        self.rtts.merge(&other.rtts);
-        self.fault_drops += other.fault_drops;
-        self.fault_corruptions += other.fault_corruptions;
-        self.fault_duplications += other.fault_duplications;
-        self.client_retransmissions += other.client_retransmissions;
-        self.server_retransmissions += other.server_retransmissions;
-        self.stall_ns_total += other.stall_ns_total;
-    }
-}
+impl_merge! { QuicReachShard {
+    classes, wire_received, tls_received, rtts, fault_drops, fault_corruptions, fault_duplications,
+    client_retransmissions, server_retransmissions, stall_ns_total,
+} }
 
 // ------------------------------------------------------- figure summary --
 
@@ -454,47 +432,17 @@ impl QuicReachSummary {
     }
 }
 
-impl Merge for QuicReachSummary {
-    fn identity() -> Self {
-        QuicReachSummary {
-            shard: QuicReachShard::identity(),
-            amplification_factors: HashMap::default(),
-            multi_rtt_tls_over_limit: 0,
-            multi_rtt_wire_over_limit: 0,
-            over_budget: 0,
-            reachable_top: [0; 2],
-            rank_groups: Vec::new(),
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.shard.merge(&other.shard);
-        for (&bits, &n) in &other.amplification_factors {
-            *self.amplification_factors.entry(bits).or_default() += n;
-        }
-        self.multi_rtt_tls_over_limit += other.multi_rtt_tls_over_limit;
-        self.multi_rtt_wire_over_limit += other.multi_rtt_wire_over_limit;
-        self.over_budget += other.over_budget;
-        for (mine, theirs) in self.reachable_top.iter_mut().zip(other.reachable_top) {
-            *mine += theirs;
-        }
-        if self.rank_groups.len() < other.rank_groups.len() {
-            self.rank_groups.resize(other.rank_groups.len(), [0; 4]);
-        }
-        for (mine, theirs) in self.rank_groups.iter_mut().zip(&other.rank_groups) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-    }
-}
+impl_merge! { QuicReachSummary {
+    shard, amplification_factors, multi_rtt_tls_over_limit, multi_rtt_wire_over_limit, over_budget,
+    reachable_top, rank_groups,
+} }
 
 // ------------------------------------------------------------ era join --
 
 /// One era measured against the classical era, service for service: how
 /// each classical class moved, and the round trips the era added where
 /// both completed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EraTally {
     /// Services per (classical class, this era's class); read it with
     /// [`EraTally::transitions`].
@@ -533,21 +481,7 @@ impl EraTally {
     }
 }
 
-impl Merge for EraTally {
-    fn identity() -> Self {
-        EraTally::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.transitions.iter_mut().zip(&other.transitions) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-        self.added_rtts += other.added_rtts;
-        self.both_reachable += other.both_reachable;
-    }
-}
+impl_merge! { EraTally { transitions, added_rtts, both_reachable } }
 
 /// One `(profile, plan, Initial)` cell probed under every
 /// [`CertificateEra`]: each era's [`QuicReachSummary`] plus its
@@ -607,23 +541,7 @@ impl EraJoin {
     }
 }
 
-impl Merge for EraJoin {
-    fn identity() -> Self {
-        EraJoin {
-            summaries: std::array::from_fn(|_| QuicReachSummary::identity()),
-            tallies: [EraTally::identity(); 3],
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.summaries.iter_mut().zip(&other.summaries) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.tallies.iter_mut().zip(&other.tallies) {
-            mine.merge(theirs);
-        }
-    }
-}
+impl_merge! { EraJoin { summaries, tallies } }
 
 /// The one-way latency every scenario class is simulated at: the slowest
 /// step of the scanner's base range, so a timer that stays silent here
@@ -1253,7 +1171,7 @@ impl WarmScanResult {
 /// Every field is an integer count or sum, so [`Merge`] is exactly
 /// associative and commutative and a pumped scan folds bit-for-bit the
 /// aggregate of the serial per-record results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmAggregate {
     /// Services probed.
     pub total: usize,
@@ -1308,24 +1226,10 @@ impl WarmAggregate {
     }
 }
 
-impl Merge for WarmAggregate {
-    fn identity() -> Self {
-        WarmAggregate::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.total += other.total;
-        self.cold_reachable += other.cold_reachable;
-        self.resumed += other.resumed;
-        self.resumed_over_budget += other.resumed_over_budget;
-        self.resumed_with_cert_bytes += other.resumed_with_cert_bytes;
-        self.cold_cert_bytes += other.cold_cert_bytes;
-        self.warm_cert_bytes += other.warm_cert_bytes;
-        self.cold_multi_rtt += other.cold_multi_rtt;
-        self.multi_rtt_saved_a_round += other.multi_rtt_saved_a_round;
-        self.multi_rtt_rtts_saved += other.multi_rtt_rtts_saved;
-    }
-}
+impl_merge! { WarmAggregate {
+    total, cold_reachable, resumed, resumed_over_budget, resumed_with_cert_bytes, cold_cert_bytes,
+    warm_cert_bytes, cold_multi_rtt, multi_rtt_saved_a_round, multi_rtt_rtts_saved,
+} }
 
 /// Probe one service cold-then-warm under the scenario's
 /// [`ResumptionPolicy`] ([`Scenario::warm_policy`]).
@@ -2266,22 +2170,15 @@ mod tests {
         );
     }
 
-    /// A warm aggregate from ten arbitrary field values — any values, not
-    /// only those a scan produces: the merge laws are about the fold.
-    fn warm_aggregate_of(f: &[u64]) -> WarmAggregate {
-        let n = |i: usize| f[i] as usize;
-        WarmAggregate {
-            total: n(0),
-            cold_reachable: n(1),
-            resumed: n(2),
-            resumed_over_budget: n(3),
-            resumed_with_cert_bytes: n(4),
-            cold_cert_bytes: f[5],
-            warm_cert_bytes: f[6],
-            cold_multi_rtt: n(7),
-            multi_rtt_saved_a_round: n(8),
-            multi_rtt_rtts_saved: f[9] as i64 - 500_000,
-        }
+    #[test]
+    #[should_panic(expected = "different Initial sizes")]
+    fn bars_from_different_initial_sizes_do_not_merge() {
+        let bar = |initial_size| ScanSummary {
+            initial_size,
+            one_rtt: 1,
+            ..ScanSummary::identity()
+        };
+        bar(1200).merge(&bar(1362));
     }
 
     /// Cold-then-warm results of 48 services on the lossy profile, probed
@@ -2306,155 +2203,8 @@ mod tests {
         agg
     }
 
-    /// A result from five arbitrary draws — any class, rank, byte counts
-    /// and round trips, not only those a scan produces: the merge laws are
-    /// about the fold.
-    fn result_of(draw: &[u64]) -> QuicReachResult {
-        let classes = [
-            HandshakeClass::OneRtt,
-            HandshakeClass::Retry,
-            HandshakeClass::MultiRtt,
-            HandshakeClass::Amplification,
-            HandshakeClass::Unreachable,
-        ];
-        let wire = draw[2] as usize % 12_000;
-        QuicReachResult {
-            rank: 1 + draw[1] as usize % 2_000,
-            class: classes[draw[0] as usize % 5],
-            amplification: wire as f64 / 1362.0,
-            wire_received: wire,
-            tls_received: draw[3] as usize % 9_000,
-            padding_received: 0,
-            rtt_count: (draw[4] % 6) as u32,
-            fault_drops: draw[4] % 3,
-            fault_corruptions: 0,
-            fault_duplications: 0,
-            client_transmissions: 1,
-            server_transmissions: 1,
-            stall_ns: 0,
-        }
-    }
-
-    fn summary_of(draws: &[u64]) -> QuicReachSummary {
-        let results: Vec<_> = draws.chunks_exact(5).map(result_of).collect();
-        QuicReachSummary::from_results(1362, 2_000, &results)
-    }
-
-    /// An era join of the services `draws` describes: classical as drawn,
-    /// and each later era moving every service's class and round trips by
-    /// a draw-dependent step, paired service for service.
-    fn join_of(draws: &[u64]) -> EraJoin {
-        let eras: [Vec<QuicReachResult>; 3] = std::array::from_fn(|era| {
-            let moved = |draw: &[u64]| {
-                let mut draw = draw.to_vec();
-                draw[0] += era as u64 * draw[3];
-                draw[4] += era as u64;
-                result_of(&draw)
-            };
-            draws.chunks_exact(5).map(moved).collect()
-        });
-        let mut join = EraJoin::identity();
-        for (index, rows) in eras.iter().enumerate() {
-            join.summaries[index] = QuicReachSummary::from_results(1362, 2_000, rows);
-            for (classical, now) in eras[0].iter().zip(rows) {
-                join.tallies[index].push(classical, now);
-            }
-        }
-        join
-    }
-
-    /// The monoid laws of one [`Merge`] summary, plus the merge of three
-    /// parts equalling the summary of the whole.
-    fn assert_merge_laws<S: Merge + Clone + PartialEq + std::fmt::Debug>(
-        of: impl Fn(&[u64]) -> S,
-        parts: [&[u64]; 3],
-    ) -> Result<(), TestCaseError> {
-        let [a, b, c] = parts.map(&of);
-        // Identity on both sides.
-        let mut left = S::identity();
-        left.merge(&a);
-        prop_assert_eq!(&left, &a);
-        let mut right = a.clone();
-        right.merge(&S::identity());
-        prop_assert_eq!(&right, &a);
-        // Commutativity.
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        // Associativity.
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut a_bc = a;
-        a_bc.merge(&bc);
-        prop_assert_eq!(&ab_c, &a_bc);
-        // And the merge is the summary of the whole.
-        let whole: Vec<u64> = parts.concat();
-        prop_assert_eq!(ab_c, of(&whole));
-        Ok(())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn quicreach_summary_merge_laws(
-            xs in proptest::collection::vec(0u64..1_000_000, 0..40),
-            ys in proptest::collection::vec(0u64..1_000_000, 0..40),
-            zs in proptest::collection::vec(0u64..1_000_000, 0..40),
-        ) {
-            let cut = |v: &Vec<u64>| v.len() / 5 * 5;
-            let parts = [&xs[..cut(&xs)], &ys[..cut(&ys)], &zs[..cut(&zs)]];
-            assert_merge_laws(summary_of, parts)?;
-        }
-
-        #[test]
-        fn era_join_merge_laws(
-            xs in proptest::collection::vec(0u64..1_000_000, 0..40),
-            ys in proptest::collection::vec(0u64..1_000_000, 0..40),
-            zs in proptest::collection::vec(0u64..1_000_000, 0..40),
-        ) {
-            let cut = |v: &Vec<u64>| v.len() / 5 * 5;
-            let parts = [&xs[..cut(&xs)], &ys[..cut(&ys)], &zs[..cut(&zs)]];
-            assert_merge_laws(join_of, parts)?;
-        }
-
-        #[test]
-        fn warm_aggregate_merge_laws(
-            xs in proptest::collection::vec(0u64..1_000_000, 10..11),
-            ys in proptest::collection::vec(0u64..1_000_000, 10..11),
-            zs in proptest::collection::vec(0u64..1_000_000, 10..11),
-        ) {
-            let (a, b) = (warm_aggregate_of(&xs), warm_aggregate_of(&ys));
-            let c = warm_aggregate_of(&zs);
-
-            // Identity on both sides.
-            let mut left = WarmAggregate::identity();
-            left.merge(&a);
-            prop_assert_eq!(left, a);
-            let mut right = a;
-            right.merge(&WarmAggregate::identity());
-            prop_assert_eq!(right, a);
-
-            // Commutativity.
-            let mut ab = a;
-            ab.merge(&b);
-            let mut ba = b;
-            ba.merge(&a);
-            prop_assert_eq!(ab, ba);
-
-            // Associativity.
-            let mut ab_c = ab;
-            ab_c.merge(&c);
-            let mut bc = b;
-            bc.merge(&c);
-            let mut a_bc = a;
-            a_bc.merge(&bc);
-            prop_assert_eq!(ab_c, a_bc);
-        }
 
         #[test]
         fn warm_aggregate_chunking_is_invariant(cut_a in 0usize..49, cut_b in 0usize..49) {
