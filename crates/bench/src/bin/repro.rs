@@ -15,6 +15,8 @@
 //! `--ticks N` (or `QUICERT_TICKS=N`) additionally drives the resident
 //! campaign service through `N` churn ticks after the report, printing
 //! per-tick delta-scan stats to stderr — stdout stays the golden report.
+//! `QUICERT_METRICS=1` prints the campaign's metrics registry, in
+//! Prometheus text format, to stderr after the report.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

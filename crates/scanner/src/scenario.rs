@@ -7,6 +7,23 @@
 //! artifacts under one, and the campaign service keys snapshots on one.
 //! Adding a condition means adding a field (plus its `with_*` setter) —
 //! never a new function family.
+//!
+//! ## Adding a scenario axis
+//!
+//! An axis (say, the Instant-ACK `AckPolicy` of *ReACKed QUICer*) touches
+//! five places and nothing else — no new engine accessor, no new cache:
+//!
+//! 1. **The type**: a field here, its [`Scenario::at`] baseline and a
+//!    `with_*` setter.
+//! 2. **`ProbeClass`** (`quicreach.rs`): add the field to the memo key if
+//!    outcomes stay a pure function of the class under it, or extend the
+//!    memo gate in `scan_chunk` if the axis draws per-record randomness.
+//! 3. **The server or wire builder**: `probe_for` (`quicreach.rs`) hands the
+//!    field to `server_config_for_era` / `wire_for_profile` (`behavior.rs`).
+//! 4. **One experiment** under `crates/core/src/experiments/` that sweeps
+//!    `campaign.scenario().with_<axis>(..)` through the engine.
+//! 5. **The report**: a `ReportOptions` toggle and a section rendering that
+//!    experiment, then a re-blessed golden report.
 
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::CertificateEra;

@@ -28,8 +28,8 @@
 //! * [`quic`] — QUIC v1 handshake engine with real-world server behaviours
 //! * [`obs`] — lock-free metrics registry, Prometheus exposition, and
 //!   handshake phase timelines
-//! * [`session`] — TLS session tickets, STEK rotation, the client cache
-//!   and the resumption-policy scenario axis
+//! * [`session`] — TLS session tickets, STEK rotation and the
+//!   resumption-policy scenario axis
 //! * [`pki`] — the CA ecosystem, ranked world generator, and the
 //!   post-quantum `CertificateEra` scenario axis
 //! * [`churn`] — deterministic tick-indexed ecosystem churn timelines

@@ -1,4 +1,5 @@
-//! The size ledger: a ratchet on how much code each crate carries.
+//! The size ledger: a ratchet on how much code each crate carries, and on
+//! how long the two documents that describe it may grow.
 //!
 //! For every crate under `crates/` (and the root `quicert` package) this
 //! counts, over the non-test part of each source file — the lines above the
@@ -19,9 +20,13 @@
 //! * `fields`: `pub` named struct fields, one a line (`pub name: Type`) —
 //!   `pub(crate)` fields are not counted.
 //!
-//! and compares them with `tests/golden/size_ledger.txt`. Any count above
-//! the ledger fails; re-bless in the same change to put the growth in
-//! review:
+//! Each of [`DOCUMENTS`] is a row of its own with one column, `lines`: the
+//! README and the verify skill point into module docs rather than restate
+//! them, and a ratchet keeps restated prose from regrowing unseen.
+//!
+//! All of it is compared with `tests/golden/size_ledger.txt`. Any count
+//! above the ledger fails; re-bless in the same change to put the growth
+//! in review:
 //!
 //! ```sh
 //! QUICERT_BLESS=1 cargo test --test size_ledger
@@ -46,6 +51,9 @@ fn repo_root() -> PathBuf {
 const COLUMNS: [&str; 8] = [
     "lines", "pub", "hidden", "global", "unwrap", "allow", "xpub", "fields",
 ];
+
+/// The documents ratcheted by their line count, repo-relative.
+const DOCUMENTS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
 
 /// Item keywords a counted `pub` line declares; `xpub` counts all but the
 /// last two (`mod`, `use`).
@@ -250,6 +258,8 @@ fn named_outside<'a>(root: &Path, sources: &'a [Source], krate: &str) -> HashSet
 
 struct Ledger {
     rows: BTreeMap<String, [usize; 8]>,
+    /// Lines of each of [`DOCUMENTS`]; 0 for one the tree lacks.
+    documents: BTreeMap<String, usize>,
     orphans: BTreeSet<String>,
 }
 
@@ -294,13 +304,25 @@ fn measure() -> Ledger {
             }
         }
     }
-    Ledger { rows, orphans }
+    let documents = DOCUMENTS
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(root.join(path)).unwrap_or_default();
+            (path.to_string(), text.lines().count())
+        })
+        .collect();
+    Ledger {
+        rows,
+        documents,
+        orphans,
+    }
 }
 
 fn render(ledger: &Ledger) -> String {
     let mut out = String::from(
         "# Size ledger — tests/size_ledger.rs. Counts above each file's first\n\
-         # #[cfg(test)]; any increase fails until re-blessed with\n\
+         # #[cfg(test)], and each document's lines; any increase fails until\n\
+         # re-blessed with\n\
          # QUICERT_BLESS=1 cargo test --test size_ledger\n",
     );
     let _ = write!(out, "{:<10}", "crate");
@@ -321,7 +343,16 @@ fn render(ledger: &Ledger) -> String {
     for count in total {
         let _ = write!(out, " {count:>7}");
     }
-    let _ = writeln!(out, "\norphans {}", ledger.orphans.len());
+    out.push('\n');
+    // A document has lines and nothing else; `-` keeps the row's columns.
+    for (path, lines) in &ledger.documents {
+        let _ = write!(out, "{path:<10} {lines:>7}");
+        for _ in 1..COLUMNS.len() {
+            let _ = write!(out, " {:>7}", "-");
+        }
+        out.push('\n');
+    }
+    let _ = writeln!(out, "orphans {}", ledger.orphans.len());
     for orphan in &ledger.orphans {
         let _ = writeln!(out, "  {orphan}");
     }
@@ -351,6 +382,18 @@ fn numbers(ledger: &str) -> BTreeMap<(String, String), usize> {
     out
 }
 
+/// Every number of the rendered ledger `got` above its count in `want`.
+fn grown(got: &str, want: &str) -> Vec<String> {
+    let ledgered = numbers(want);
+    numbers(got)
+        .into_iter()
+        .filter_map(|(key, count)| {
+            let limit = ledgered.get(&key).copied().unwrap_or(0);
+            (count > limit).then(|| format!("{} {}: {limit} -> {count}", key.0, key.1))
+        })
+        .collect()
+}
+
 #[test]
 fn no_crate_grows_past_its_ledger() {
     let golden_dir = repo_root().join("tests/golden");
@@ -365,6 +408,11 @@ fn no_crate_grows_past_its_ledger() {
     );
     assert!(ledger.rows.values().all(|row| row[0] > 0));
     assert!(ledger.rows.values().map(|row| row[1]).sum::<usize>() > 500);
+    assert!(
+        ledger.documents.values().all(|&lines| lines > 0),
+        "documents found: {:?}",
+        ledger.documents
+    );
 
     if std::env::var_os("QUICERT_BLESS").is_some_and(|v| v != "0") {
         fs::write(&golden_path, &got).expect("write the size ledger");
@@ -378,14 +426,7 @@ fn no_crate_grows_past_its_ledger() {
             golden_path.display()
         )
     });
-    let (now, ledgered) = (numbers(&got), numbers(&want));
-    let grown: Vec<String> = now
-        .iter()
-        .filter_map(|(key, &count)| {
-            let limit = ledgered.get(key).copied().unwrap_or(0);
-            (count > limit).then(|| format!("{} {}: {limit} -> {count}", key.0, key.1))
-        })
-        .collect();
+    let grown = grown(&got, &want);
     if !grown.is_empty() {
         let _ = fs::write(golden_dir.join("size_ledger.actual.txt"), &got);
     }
@@ -443,4 +484,24 @@ fn the_ledger_counts_what_it_says() {
     let seen = identifiers(&lines);
     assert!(seen.contains("quic_services_all") && seen.contains("y"));
     assert!(!seen.contains("quic_services"));
+
+    // A document row holds its line count under `lines` and nothing else,
+    // and one more line is growth.
+    let ledger = |lines| Ledger {
+        rows: BTreeMap::from([("x".to_string(), [1; 8])]),
+        documents: BTreeMap::from([("README.md".to_string(), lines)]),
+        orphans: BTreeSet::new(),
+    };
+    let rendered = render(&ledger(300));
+    let readme: Vec<_> = numbers(&rendered)
+        .into_iter()
+        .filter(|((label, _), _)| label == "README.md")
+        .collect();
+    let key = ("README.md".to_string(), "lines".to_string());
+    assert_eq!(readme, [(key, 300)]);
+    assert!(grown(&rendered, &rendered).is_empty());
+    assert_eq!(
+        grown(&render(&ledger(301)), &rendered),
+        ["README.md lines: 300 -> 301"]
+    );
 }
