@@ -111,6 +111,13 @@ macro_rules! merge_tuple {
         }
     };
 }
+/// Nothing to total: what a fold that keeps no total carries.
+impl Merge for () {
+    fn identity() -> Self {}
+
+    fn merge(&mut self, _: &Self) {}
+}
+
 merge_tuple!(A 0);
 merge_tuple!(A 0, B 1);
 merge_tuple!(A 0, B 1, C 2);

@@ -17,49 +17,96 @@
 //! per-tick delta-scan stats to stderr — stdout stays the golden report.
 //! `QUICERT_METRICS=1` prints the campaign's metrics registry, in
 //! Prometheus text format, to stderr after the report.
+//!
+//! An argument or override that does not parse — or a fourth positional
+//! argument — is named on stderr with the usage line, and `repro` exits
+//! with status 2 before it builds a world.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::process::ExitCode;
+use std::str::FromStr;
+
 use quicert_core::{full_report, Campaign, CampaignConfig, ReportOptions};
 
-/// The `QUICERT_WORKERS` override (`0` = one worker per core), when set
-/// and parseable.
-fn env_workers() -> Option<usize> {
-    std::env::var("QUICERT_WORKERS").ok()?.trim().parse().ok()
+const USAGE: &str = "usage: repro [domains] [seed] [workers] [--ticks N]";
+
+/// What the command line and the environment ask for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    domains: usize,
+    seed: u64,
+    /// Scan workers (0 = one per core).
+    workers: usize,
+    /// Resident-service ticks to drive after the report.
+    ticks: Option<u64>,
 }
 
-/// The `QUICERT_TICKS` override, when set and parseable.
-fn env_ticks() -> Option<u64> {
-    std::env::var("QUICERT_TICKS").ok()?.trim().parse().ok()
+/// `value` parsed, or an error naming `what` and the value.
+fn parsed<T: FromStr>(what: &str, value: &str) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("{what}: cannot parse {value:?}"))
 }
 
-fn main() {
-    // Positional args (domains, seed, workers) with one flag: `--ticks N`
-    // may appear anywhere and is consumed before positional parsing.
-    let mut ticks: Option<u64> = None;
+/// `value` parsed when present, or an error naming `what` and the value.
+fn optional<T: FromStr>(what: &str, value: Option<impl AsRef<str>>) -> Result<Option<T>, String> {
+    value.map(|value| parsed(what, value.as_ref())).transpose()
+}
+
+/// Positional args (domains, seed, workers) with one flag: `--ticks N` (or
+/// `--ticks=N`) may appear anywhere and is consumed before positional
+/// parsing. `env` reads `QUICERT_WORKERS` and `QUICERT_TICKS`, which an
+/// argument overrides. A value that does not parse, a missing `--ticks`
+/// value or a fourth positional argument is an error naming it — never a
+/// silent default.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<Args, String> {
+    let mut ticks = None;
     let mut positional: Vec<String> = Vec::new();
-    let mut raw = std::env::args().skip(1);
+    let mut raw = args.into_iter();
     while let Some(arg) = raw.next() {
         if arg == "--ticks" {
-            ticks = raw.next().and_then(|a| a.parse().ok());
-        } else if let Some(n) = arg.strip_prefix("--ticks=") {
-            ticks = n.parse().ok();
+            let value = raw.next().ok_or("--ticks: missing value")?;
+            ticks = Some(parsed("--ticks", &value)?);
+        } else if let Some(value) = arg.strip_prefix("--ticks=") {
+            ticks = Some(parsed("--ticks", value)?);
         } else {
             positional.push(arg);
         }
     }
-    let ticks = ticks.or_else(env_ticks);
-    let mut args = positional.into_iter();
-    let domains: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20_000);
-    let seed: u64 = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0xC04E_2022);
-    let workers: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .or_else(env_workers)
-        .unwrap_or(0);
+    if let Some(extra) = positional.get(3) {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    let env_workers = optional("QUICERT_WORKERS", env("QUICERT_WORKERS"))?;
+    let env_ticks = optional("QUICERT_TICKS", env("QUICERT_TICKS"))?;
+    Ok(Args {
+        domains: optional("domains", positional.first())?.unwrap_or(20_000),
+        seed: optional("seed", positional.get(1))?.unwrap_or(0xC04E_2022),
+        workers: optional("workers", positional.get(2))?
+            .or(env_workers)
+            .unwrap_or(0),
+        ticks: ticks.or(env_ticks),
+    })
+}
+
+fn main() -> ExitCode {
+    let env = |name: &str| std::env::var(name).ok();
+    let Args {
+        domains,
+        seed,
+        workers,
+        ticks,
+    } = match parse_args(std::env::args().skip(1), env) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("repro: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     eprintln!(
         "generating world: {domains} domains, seed {seed:#x}, workers {workers} (0 = auto) ..."
@@ -169,5 +216,60 @@ fn main() {
                 reachable,
             );
         }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> Result<Args, String> {
+        let args = args.iter().map(|arg| arg.to_string());
+        let env = |name: &str| {
+            let set = env.iter().find(|(key, _)| *key == name);
+            set.map(|(_, value)| value.to_string())
+        };
+        parse_args(args, env)
+    }
+
+    #[test]
+    fn arguments_override_the_environment_and_defaults_fill_the_rest() {
+        let args = |domains, seed, workers, ticks| Args {
+            domains,
+            seed,
+            workers,
+            ticks,
+        };
+        assert_eq!(parse(&[], &[]), Ok(args(20_000, 0xC04E_2022, 0, None)));
+        let env = [("QUICERT_WORKERS", "3"), ("QUICERT_TICKS", "5")];
+        assert_eq!(
+            parse(&["500"], &env),
+            Ok(args(500, 0xC04E_2022, 3, Some(5)))
+        );
+        assert_eq!(
+            parse(&["--ticks", "2", "500", "7", "1"], &env),
+            Ok(args(500, 7, 1, Some(2)))
+        );
+        assert_eq!(
+            parse(&["500", "--ticks=4"], &[]),
+            Ok(args(500, 0xC04E_2022, 0, Some(4)))
+        );
+    }
+
+    #[test]
+    fn an_unparsable_value_is_named_not_defaulted() {
+        let rejects = |args: &[&str], env: &[(&str, &str)], named: &str| {
+            let message = parse(args, env).expect_err("rejected");
+            assert!(message.contains(named), "{message:?} names {named:?}");
+        };
+        rejects(&["500", "4x2", "1"], &[], "\"4x2\"");
+        rejects(&["500", "1", "1", "--ticks", "x"], &[], "\"x\"");
+        rejects(&["--ticks"], &[], "--ticks");
+        rejects(&["--ticks=-1"], &[], "\"-1\"");
+        rejects(&["5e3"], &[], "domains");
+        rejects(&["500", "1", "1", "9"], &[], "\"9\"");
+        rejects(&["500"], &[("QUICERT_WORKERS", "two")], "QUICERT_WORKERS");
+        rejects(&["500"], &[("QUICERT_TICKS", "1.5")], "QUICERT_TICKS");
     }
 }

@@ -14,8 +14,10 @@
 //!   STEK epoch. All per-event updates are commutative (additive counts
 //!   and single-assignment-per-tick overrides), so applying one tick's
 //!   events in any order yields the same state — pinned by a proptest.
-//!   The per-rank counters are dense vectors sized to the population
-//!   once (8 bytes a domain), so a state's memory is flat in the tick.
+//!   The per-rank counters live in pages of 256 ranks, each allocated
+//!   when a rank in it first churns, so a state's memory follows the ranks
+//!   churned so far and never exceeds the dense form (8 bytes a domain)
+//!   plus its page table.
 //! * [`ChurnView`] reads a past tick through a later state: the live
 //!   counters borrowed, minus an undo list of the ranks churned in the
 //!   ticks between ([`ChurnState::view_at`]). A past tick costs those
@@ -303,6 +305,18 @@ impl TickDelta {
     }
 }
 
+/// Ranks per page of a [`ChurnState`]'s per-rank counters.
+const PAGE_RANKS: usize = 256;
+
+/// One rank's per-rank churn: certificate generation bumps (rotations +
+/// revocations) and CA-dictionary drift steps — counted up in a
+/// [`ChurnState`], or to subtract in a [`ChurnView`]'s undo list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    generations: u32,
+    drifts: u32,
+}
+
 /// The accumulated churn state at one tick: everything needed to overlay
 /// the timeline onto freshly derived records.
 ///
@@ -313,22 +327,26 @@ impl TickDelta {
 /// [`ChurnState::advance`] calls — pinned by tests here and a proptest in
 /// `quicert_core`.
 ///
-/// The per-rank counters are dense `Vec<u32>`s indexed by `rank - 1`,
-/// sized to the population by the first [`ChurnState::advance`]: 8 bytes a
-/// domain, allocated once, however long the clock runs — a resident
-/// service's churn state is a function of the population, never of the
-/// tick (hash maps grew to several times that as ranks saturated and
-/// doubled transiently on every rehash). Equality is *semantic*: ranks
-/// past the end of a vector have count 0, so two states of one timeline
-/// at one tick are equal however they were reached.
+/// The per-rank counters are paged: the first [`ChurnState::advance`]
+/// sizes a page table to the population, one slot per `PAGE_RANKS` (256)
+/// ranks, and a page of counters (8 bytes a rank, the last page clamped to
+/// the population) is allocated when a rank in it first churns. A lookup
+/// is two indexings, and a state's memory follows the ranks churned so
+/// far — a few dozen pages after a few ticks at any population, never more
+/// than the dense 8 bytes a domain plus the page table however long the
+/// clock runs. Equality is *semantic*: a rank in an absent page, or past
+/// the end of one, has count 0, so two states of one timeline at one tick
+/// are equal however they were reached.
 #[derive(Debug, Clone, Default)]
 pub struct ChurnState {
     /// Last applied tick (0 = as-generated world).
     pub tick: u64,
-    /// Per-rank certificate generation bumps (rotations + revocations).
-    generations: Vec<u32>,
-    /// Per-rank CA-dictionary drift steps.
-    drifts: Vec<u32>,
+    /// The population the page table was sized to (0 until the first
+    /// [`ChurnState::advance`]).
+    domains: usize,
+    /// Page `i` holds the counters of ranks `i * PAGE_RANKS + 1..`, and is
+    /// empty (unallocated) until one of them churns.
+    pages: Vec<Vec<Counts>>,
     /// Per-provider era overrides from migrations.
     era_overrides: HashMap<Provider, CertificateEra>,
     /// Global session-ticket-key epoch.
@@ -343,19 +361,14 @@ pub struct ChurnState {
     pub revocations: u64,
 }
 
-/// A per-rank counter vector without its trailing zeros.
-fn counted(counts: &[u32]) -> &[u32] {
-    let len = counts.iter().rposition(|&n| n != 0).map_or(0, |at| at + 1);
+/// A page of counters without its trailing zeros.
+fn counted(counts: &[Counts]) -> &[Counts] {
+    let zero = Counts::default();
+    let len = counts
+        .iter()
+        .rposition(|c| *c != zero)
+        .map_or(0, |at| at + 1);
     &counts[..len]
-}
-
-/// Add one to `rank`'s counter, growing the vector when the state was
-/// never sized to its population (events applied by hand).
-fn bump(counts: &mut Vec<u32>, rank: usize) {
-    if counts.len() < rank {
-        counts.resize(rank, 0);
-    }
-    counts[rank - 1] += 1;
 }
 
 /// The era overrides of `timeline` at `tick`: every migration tick up to
@@ -380,9 +393,9 @@ fn era_overrides_at(timeline: &Timeline, tick: u64) -> HashMap<Provider, Certifi
 
 impl PartialEq for ChurnState {
     fn eq(&self, other: &Self) -> bool {
+        let slots = self.pages.len().max(other.pages.len());
         self.tick == other.tick
-            && counted(&self.generations) == counted(&other.generations)
-            && counted(&self.drifts) == counted(&other.drifts)
+            && (0..slots).all(|page| counted(self.page(page)) == counted(other.page(page)))
             && self.era_overrides == other.era_overrides
             && self.stek_epoch == other.stek_epoch
             && self.events_applied == other.events_applied
@@ -404,15 +417,15 @@ impl ChurnState {
         self.events_applied += 1;
         match *event {
             ChurnEvent::RotateCert { rank } => {
-                bump(&mut self.generations, rank);
+                self.counts_mut(rank).generations += 1;
                 self.rotations += 1;
             }
             ChurnEvent::Revoke { rank } => {
-                bump(&mut self.generations, rank);
+                self.counts_mut(rank).generations += 1;
                 self.revocations += 1;
             }
             ChurnEvent::DriftChain { rank } => {
-                bump(&mut self.drifts, rank);
+                self.counts_mut(rank).drifts += 1;
                 self.chain_drifts += 1;
             }
             ChurnEvent::StekRollover => self.stek_epoch += 1,
@@ -426,12 +439,16 @@ impl ChurnState {
     pub fn advance(&mut self, timeline: &Timeline) -> TickDelta {
         self.tick += 1;
         let events = timeline.events_at(self.tick);
-        // Size the per-rank counters to the population once, up front, so
-        // no later event ever reallocates them.
+        // Size the page table to the population once, up front, so no
+        // later event ever reallocates it; pages come on first touch.
         let domains = timeline.config().domains;
-        if self.generations.len() < domains {
-            self.generations.resize(domains, 0);
-            self.drifts.resize(domains, 0);
+        if self.domains < domains {
+            self.domains = domains;
+            let slots = domains.div_ceil(PAGE_RANKS);
+            if self.pages.len() < slots {
+                self.pages.reserve_exact(slots - self.pages.len());
+                self.pages.resize_with(slots, Vec::new);
+            }
         }
         for event in &events {
             self.apply(event);
@@ -471,7 +488,7 @@ impl ChurnState {
     /// the state's own is [`ChurnState::view`].
     pub fn view_at(&self, timeline: &Timeline, tick: u64) -> ChurnView<'_> {
         let mut view = self.view();
-        let mut undo: BTreeMap<usize, Undo> = BTreeMap::new();
+        let mut undo: BTreeMap<usize, Counts> = BTreeMap::new();
         let mut migrated = false;
         for at in tick + 1..=self.tick {
             for event in timeline.events_at(at) {
@@ -492,17 +509,48 @@ impl ChurnState {
         view
     }
 
-    /// The certificate generation of one rank (0 = never churned).
-    pub(crate) fn generation_of(&self, rank: usize) -> u32 {
-        self.generations
-            .get(rank.wrapping_sub(1))
-            .copied()
-            .unwrap_or(0)
+    /// The counters of page `page`: empty while none of its ranks churned.
+    fn page(&self, page: usize) -> &[Counts] {
+        self.pages.get(page).map_or(&[], Vec::as_slice)
     }
 
-    /// The drift steps of one rank.
-    pub(crate) fn drift_of(&self, rank: usize) -> u32 {
-        self.drifts.get(rank.wrapping_sub(1)).copied().unwrap_or(0)
+    /// The counters of one rank (zeros = never churned).
+    fn counts_of(&self, rank: usize) -> Counts {
+        let at = rank.wrapping_sub(1);
+        let page = self.page(at / PAGE_RANKS);
+        page.get(at % PAGE_RANKS).copied().unwrap_or_default()
+    }
+
+    /// The counters of one rank, for an event to bump.
+    fn counts_mut(&mut self, rank: usize) -> &mut Counts {
+        let at = rank - 1;
+        let (page, offset) = (at / PAGE_RANKS, at % PAGE_RANKS);
+        if self.page(page).len() <= offset {
+            self.touch(page, offset);
+        }
+        &mut self.pages[page][offset]
+    }
+
+    /// Make room for the counters at `offset` of page `page`: the page is
+    /// allocated on first touch, clamped to the population, and the table
+    /// or the page grows when the state was never sized to a population
+    /// holding the rank (events applied by hand).
+    #[cold]
+    fn touch(&mut self, page: usize, offset: usize) {
+        if self.pages.len() <= page {
+            self.pages.resize_with(page + 1, Vec::new);
+        }
+        let len = match self.domains.checked_sub(page * PAGE_RANKS) {
+            Some(left) if left > offset => left.min(PAGE_RANKS),
+            _ => PAGE_RANKS,
+        };
+        let counts = &mut self.pages[page];
+        if counts.is_empty() {
+            *counts = vec![Counts::default(); len];
+        }
+        if counts.len() <= offset {
+            counts.resize(offset + 1, Counts::default());
+        }
     }
 
     /// The era override of one provider, if it has migrated.
@@ -512,19 +560,29 @@ impl ChurnState {
 
     /// Ranks with at least one per-rank churn event so far, sorted.
     pub fn churned_ranks(&self) -> Vec<usize> {
-        let ranks = 1..=self.generations.len().max(self.drifts.len());
-        ranks
-            .filter(|&rank| self.generation_of(rank) > 0 || self.drift_of(rank) > 0)
-            .collect()
+        let ranks = (0..self.pages.len()).flat_map(|page| {
+            let first = page * PAGE_RANKS + 1;
+            let counts = self.page(page).iter().enumerate();
+            counts
+                .filter(|(_, counts)| **counts != Counts::default())
+                .map(move |(offset, _)| first + offset)
+        });
+        ranks.collect()
     }
 
-    /// Heap bytes this state holds: 8 per domain of the population once
-    /// the first event has been applied, plus the (≤ one entry per
-    /// provider) era-override table — flat in the tick.
+    /// Heap bytes this state holds: the page table (one 24 B slot per 256
+    /// ranks of the population once the first tick has been applied), 8 per
+    /// rank of every page a churned rank has touched, and the (≤ one entry
+    /// per provider) era-override table. It grows with the pages first
+    /// touched, and never past the dense 8 bytes a domain plus the page
+    /// table.
     pub fn heap_bytes(&self) -> usize {
-        let counters = self.generations.capacity() + self.drifts.capacity();
+        let table = self.pages.capacity() * std::mem::size_of::<Vec<Counts>>();
+        let pages = self.pages.iter().map(Vec::capacity).sum::<usize>();
         let override_entry = std::mem::size_of::<(Provider, CertificateEra)>() + 1;
-        counters * std::mem::size_of::<u32>() + self.era_overrides.capacity() * override_entry
+        table
+            + pages * std::mem::size_of::<Counts>()
+            + self.era_overrides.capacity() * override_entry
     }
 
     /// Overlay the state onto freshly derived records: its own view's
@@ -532,14 +590,6 @@ impl ChurnState {
     pub fn apply_to_records(&self, records: &mut [DomainRecord]) {
         self.view().apply_to_records(records);
     }
-}
-
-/// One rank's churn in a view's span: the steps to subtract from the live
-/// state's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Undo {
-    generations: u32,
-    drifts: u32,
 }
 
 /// The churn state at one tick, read through a later state it borrows: the
@@ -554,7 +604,7 @@ struct Undo {
 pub struct ChurnView<'a> {
     live: &'a ChurnState,
     /// The span's churned ranks, sorted, with their steps to undo.
-    undo: Vec<(usize, Undo)>,
+    undo: Vec<(usize, Counts)>,
     /// The live state's overrides, or those at the tick when a migration
     /// fired in the span.
     era_overrides: Cow<'a, HashMap<Provider, CertificateEra>>,
@@ -563,10 +613,10 @@ pub struct ChurnView<'a> {
 
 impl ChurnView<'_> {
     /// What the span churned on `rank` (nothing for a rank it left alone).
-    fn undone(&self, rank: usize) -> Undo {
+    fn undone(&self, rank: usize) -> Counts {
         self.undo
             .binary_search_by_key(&rank, |&(churned, _)| churned)
-            .map_or(Undo::default(), |at| self.undo[at].1)
+            .map_or(Counts::default(), |at| self.undo[at].1)
     }
 
     /// The global session-ticket-key epoch at the view's tick.
@@ -584,9 +634,9 @@ impl ChurnView<'_> {
         for record in records {
             let rank = record.rank;
             if let Some(quic) = record.quic.as_mut() {
-                let undone = self.undone(rank);
-                quic.cert_generation = self.live.generation_of(rank) - undone.generations;
-                let steps = self.live.drift_of(rank) - undone.drifts;
+                let (live, undone) = (self.live.counts_of(rank), self.undone(rank));
+                quic.cert_generation = live.generations - undone.generations;
+                let steps = live.drifts - undone.drifts;
                 if steps > 0 {
                     quic.chain_id = drifted(quic.chain_id, steps);
                 }
@@ -636,9 +686,10 @@ mod tests {
 
     #[test]
     fn equality_is_semantic_however_a_state_was_reached() {
-        // `advance` sizes the per-rank counters to the population up front;
-        // events applied by hand grow them rank by rank. Same events, same
-        // state — and a counter that is still zero never tells them apart.
+        // `advance` sizes the page table to the population up front and
+        // clamps the last page to it; events applied by hand grow the table
+        // to their rank and allocate whole pages. Same events, same state —
+        // and a counter that is still zero never tells them apart.
         let t = timeline();
         let mut by_hand = ChurnState::initial();
         for tick in 1..=6 {
@@ -648,7 +699,7 @@ mod tests {
         }
         by_hand.tick = 6;
         let replayed = ChurnState::at(&t, 6);
-        assert!(by_hand.generations.len() < replayed.generations.len());
+        assert!(by_hand.page(1).len() > replayed.page(1).len());
         assert_eq!(by_hand, replayed);
         assert_eq!(by_hand.churned_ranks(), replayed.churned_ranks());
         // A real difference still shows.
@@ -686,13 +737,14 @@ mod tests {
                 let (view, replayed) = (live.view_at(&t, tick), ChurnState::at(&t, tick));
                 // Every rank's counters, QUIC service or not…
                 for rank in 1..=500 {
-                    let undone = view.undone(rank);
+                    let (counts, undone) = (live.counts_of(rank), view.undone(rank));
+                    let seen = Counts {
+                        generations: counts.generations - undone.generations,
+                        drifts: counts.drifts - undone.drifts,
+                    };
                     assert_eq!(
-                        (
-                            live.generation_of(rank) - undone.generations,
-                            live.drift_of(rank) - undone.drifts
-                        ),
-                        (replayed.generation_of(rank), replayed.drift_of(rank)),
+                        seen,
+                        replayed.counts_of(rank),
                         "{now} -> {tick}, rank {rank}"
                     );
                 }
@@ -733,27 +785,63 @@ mod tests {
 
     #[test]
     fn resident_bytes_are_flat_in_the_tick() {
-        // 8 bytes a domain, allocated by the first tick and never again.
+        // The page table (two slots for 500 ranks) and the pages churned
+        // ranks have touched: the bytes never shrink and never pass the
+        // dense 8 bytes a domain plus the table, and once every page is
+        // touched only the (one entry per migrated provider) override
+        // table can grow.
         let t = timeline();
         let mut state = ChurnState::initial();
         assert_eq!(state.heap_bytes(), 0);
-        state.advance(&t);
-        let after_one = state.heap_bytes();
-        assert!((8 * 500..=8 * 500 + 64).contains(&after_one), "{after_one}");
-        for _ in 0..400 {
+        let dense = 8 * 500 + 2 * std::mem::size_of::<Vec<Counts>>();
+        let mut last = 0;
+        for tick in 1..=400 {
             state.advance(&t);
+            let bytes = state.heap_bytes();
+            assert!(
+                last <= bytes && bytes <= dense + 64,
+                "tick {tick}: {bytes} B"
+            );
+            last = bytes;
         }
-        // Only the (one entry per migrated provider) override table grew.
-        assert!(
-            state.heap_bytes() <= after_one + 64,
-            "{}",
-            state.heap_bytes()
-        );
         assert_eq!(
             state.churned_ranks().len(),
             500,
             "every rank churned by now"
         );
+        assert!((dense..=dense + 64).contains(&last), "{last} B");
+    }
+
+    #[test]
+    fn paged_counters_equal_a_naive_replay_at_every_tick() {
+        // 200 ticks over two pages (ranks 1–256 and 257–500, the second
+        // clamped to the population) and a migration at tick 3: every
+        // rank's counters, read through the pages, equal a map replaying
+        // `events_at` from scratch, and so do the churned ranks.
+        let t = timeline();
+        const { assert!(500 > PAGE_RANKS && 500 < 2 * PAGE_RANKS) };
+        let mut naive: BTreeMap<usize, Counts> = BTreeMap::new();
+        let mut state = ChurnState::initial();
+        for tick in 1..=200 {
+            state.advance(&t);
+            for event in t.events_at(tick) {
+                match event {
+                    ChurnEvent::RotateCert { rank } | ChurnEvent::Revoke { rank } => {
+                        naive.entry(rank).or_default().generations += 1;
+                    }
+                    ChurnEvent::DriftChain { rank } => naive.entry(rank).or_default().drifts += 1,
+                    ChurnEvent::StekRollover | ChurnEvent::EraMigration { .. } => {}
+                }
+            }
+            for rank in 1..=500 {
+                let expected = naive.get(&rank).copied().unwrap_or_default();
+                assert_eq!(state.counts_of(rank), expected, "tick {tick}, rank {rank}");
+            }
+            let churned: Vec<usize> = naive.keys().copied().collect();
+            assert_eq!(state.churned_ranks(), churned, "tick {tick}");
+        }
+        assert!(state.churned_ranks().iter().any(|&rank| rank > PAGE_RANKS));
+        assert_eq!(state.era_of(Provider::Google), Some(CertificateEra::Hybrid));
     }
 
     #[test]
@@ -890,8 +978,9 @@ mod tests {
             for (before, after) in population.iter().zip(&records) {
                 if !before.has_quic() {
                     assert_eq!(format!("{before:?}"), format!("{after:?}"), "tick {tick}");
-                    rotated += usize::from(state.generation_of(before.rank) > 0);
-                    drifted += usize::from(state.drift_of(before.rank) > 0);
+                    let counts = state.counts_of(before.rank);
+                    rotated += usize::from(counts.generations > 0);
+                    drifted += usize::from(counts.drifts > 0);
                 }
             }
         }

@@ -21,9 +21,10 @@
 //! crate-private `ScanEngine::fold_population` (every rank, adaptively
 //! sized claims, a [`Merge`] summary) and the public
 //! [`ScanEngine::fold_ranges`] (an explicit range list, derived as its
-//! caller names, one result per range, in input order); every service tick
-//! goes through one. The cached families sit on top: each worker folds its
-//! claims in place into one summary ([`ScanEngine::certificates`],
+//! caller names, one result per range, in input order, beside one total
+//! each worker merges into); every service tick goes through one. The
+//! cached families sit on top: each worker folds its claims in place into
+//! one summary ([`ScanEngine::certificates`],
 //! [`ScanEngine::quicreach`], [`ScanEngine::era_join`],
 //! [`ScanEngine::warm_scan`], [`ScanEngine::qscanner`],
 //! [`ScanEngine::compression_support`], [`ScanEngine::compression_study`],
@@ -797,17 +798,28 @@ impl ScanEngine {
     /// pump's worker loop — same thread cap, same per-worker scratch (the
     /// engine's memo and registry), same [`PumpStats`] flush as
     /// [`ScanEngine::quicreach`] — and return one `fold` result per range,
-    /// in input order whichever worker folded which range when. Each range
-    /// is derived as one chunk by `derive` — [`World::domain_chunk_into`]
-    /// (every rank) or [`World::quic_chunk_into`] (its QUIC services only)
-    /// — and handed to `fold` mutably, so a resident caller can overlay
-    /// churn before scanning. No result is cached, but the classes
-    /// simulated stay in the engine's memo for later calls to replay; an
-    /// overlay only reaches a probe through key fields, so none go stale.
-    pub fn fold_ranges<R, F>(&self, ranges: &[(usize, usize)], derive: Derive, fold: F) -> Vec<R>
+    /// in input order whichever worker folded which range when, beside the
+    /// merge of every worker's `S`. Each range is derived as one chunk by
+    /// `derive` — [`World::domain_chunk_into`] (every rank) or
+    /// [`World::quic_chunk_into`] (its QUIC services only) — and handed to
+    /// `fold` mutably, so a resident caller can overlay churn before
+    /// scanning, together with the claiming worker's own `S`: what a fold
+    /// needs only as a total (a resident service's funnel) it merges there
+    /// as the range is folded, so one `S` per worker is live, never one per
+    /// range. A caller with nothing to total passes `()`. No result is
+    /// cached, but the classes simulated stay in the engine's memo for later
+    /// calls to replay; an overlay only reaches a probe through key fields,
+    /// so none go stale.
+    pub fn fold_ranges<R, S, F>(
+        &self,
+        ranges: &[(usize, usize)],
+        derive: Derive,
+        fold: F,
+    ) -> (Vec<R>, S)
     where
         R: Send,
-        F: Fn(&mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
+        S: Merge + Send,
+        F: Fn(&mut S, &mut [DomainRecord], &mut ProbeScratch) -> R + Sync,
     {
         // Each result is tagged with its range's index ([`Claims::next`])
         // and sorted back into input order once the pump is done.
@@ -815,14 +827,21 @@ impl ScanEngine {
             Claims::Ranges(ranges),
             true,
             derive,
-            Vec::new,
-            |acc: &mut Vec<(usize, R)>, index, records, scratch| {
-                acc.push((index, fold(records, scratch)))
+            || (Vec::new(), S::identity()),
+            |(results, total): &mut (Vec<(usize, R)>, S), index, records, scratch| {
+                results.push((index, fold(total, records, scratch)))
             },
         );
-        let mut tagged: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
+        let (mut tagged, mut total) = (Vec::with_capacity(ranges.len()), S::identity());
+        for (results, worker_total) in per_worker {
+            tagged.extend(results);
+            total.merge(&worker_total);
+        }
         tagged.sort_unstable_by_key(|&(index, _)| index);
-        tagged.into_iter().map(|(_, result)| result).collect()
+        (
+            tagged.into_iter().map(|(_, result)| result).collect(),
+            total,
+        )
     }
 
     // ----------------------------------------------- frozen compat block --
@@ -1196,9 +1215,10 @@ mod tests {
         assert!(streamed.shard.total() > 0);
         for size in [1usize, 64, 4096] {
             let ranges: Vec<_> = (1..=1_200).step_by(size).map(|r| (r, size)).collect();
-            let folded = engine.fold_ranges(&ranges, World::domain_chunk_into, |chunk, scratch| {
-                quicreach::fold_chunk(world, chunk, BASE, scratch)
-            });
+            let (folded, ()) =
+                engine.fold_ranges(&ranges, World::domain_chunk_into, |_, chunk, scratch| {
+                    quicreach::fold_chunk(world, chunk, BASE, scratch)
+                });
             let merged = QuicReachShard::merge_all(folded);
             assert_eq!(merged, streamed.shard, "chunk {size}");
         }
@@ -1520,7 +1540,7 @@ mod tests {
                 engine.fold_ranges(
                     &[(1, 600), (601, 600)],
                     World::domain_chunk_into,
-                    |records, _| {
+                    |_: &mut (), records, _| {
                         if let Some(record) = records.iter().find(|record| record.rank == 700) {
                             panic!("rank {} refuses to fold", record.rank);
                         }
@@ -1590,18 +1610,26 @@ mod tests {
         let whole = reference.quicreach(BASE);
         for workers in [1, 2, 8] {
             let engine = ScanEngine::streaming(world_config.clone(), 1362, workers);
-            let folded =
-                engine.fold_ranges(&ranges, World::domain_chunk_into, |records, scratch| {
+            // Each worker also merges every shard it folds into its own
+            // total, and the totals merge: the folded ranges, summed.
+            let (folded, total) = engine.fold_ranges(
+                &ranges,
+                World::domain_chunk_into,
+                |total: &mut QuicReachShard, records, scratch| {
                     let first = records.first().map_or(0, |r| r.rank);
                     let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                    total.merge(&shard);
                     (first, records.len(), shard)
-                });
+                },
+            );
             let spans: Vec<(usize, usize)> = folded.iter().map(|f| (f.0, f.1)).collect();
             assert_eq!(spans, [(901, 300), (1, 400), (401, 500), (1_101, 100)]);
             // Ranks 901..=1200 were folded twice (ranges 0 and 3 overlap);
             // the first three ranges tile the population exactly.
             let tiled = QuicReachShard::merge_all(folded.iter().take(3).map(|f| f.2.clone()));
             assert_eq!(tiled, whole.shard, "workers={workers}");
+            let summed = QuicReachShard::merge_all(folded.iter().map(|f| f.2.clone()));
+            assert_eq!(total, summed, "workers={workers}");
 
             // Same flush as a streamed scan: pump stats, pump counters and
             // the scenario's probe counters all saw exactly these records.
@@ -1626,10 +1654,11 @@ mod tests {
             // The same ranges deriving only their QUIC services: each range
             // receives exactly the QUIC records of its full derivation, the
             // probes see what they saw, and the pump still covers every rank.
-            let quic = engine.fold_ranges(&ranges, World::quic_chunk_into, |records, scratch| {
-                let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
-                (records.to_vec(), shard)
-            });
+            let (quic, ()) =
+                engine.fold_ranges(&ranges, World::quic_chunk_into, |_, records, scratch| {
+                    let shard = quicreach::fold_chunk(engine.world(), records, BASE, scratch);
+                    (records.to_vec(), shard)
+                });
             for (&(first, len), (services, _)) in ranges.iter().zip(&quic) {
                 let mut full = engine.world().domain_chunk(first, len);
                 full.retain(DomainRecord::has_quic);
@@ -1646,7 +1675,7 @@ mod tests {
         }
         // No ranges, no work — and no panic.
         let every_rank = World::domain_chunk_into;
-        let none = reference.fold_ranges(&[], every_rank, |records, _| records.len());
+        let (none, ()) = reference.fold_ranges(&[], every_rank, |_, records, _| records.len());
         assert!(none.is_empty());
     }
 

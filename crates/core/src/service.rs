@@ -26,11 +26,11 @@
 //!   migration moves the funnel. Across one — whose records are only
 //!   identifiable after derivation — and before the first scan, every
 //!   segment re-folds with every rank derived, keeping its reach summary
-//!   and merging its funnel into a new total. Because every summary merge
-//!   is exactly associative and commutative (pinned by the
-//!   worker/chunk-invariance suite), the result is **bit-identical to a
-//!   full rescan** of the churned world at `t` — the load-bearing
-//!   invariant, pinned in `determinism_matrix`.
+//!   and merging its funnel into its worker's share of a new total.
+//!   Because every summary merge is exactly associative and commutative
+//!   (pinned by the worker/chunk-invariance suite), the result is
+//!   **bit-identical to a full rescan** of the churned world at `t` — the
+//!   load-bearing invariant, pinned in `determinism_matrix`.
 //! * Every fold reads churn through one borrowed [`ChurnView`]. A **delta
 //!   tick** ([`CampaignService::snapshot_at`] at or past the clock) is that
 //!   fold under the live state's own view, which undoes nothing, after
@@ -70,15 +70,20 @@
 //! instead (`determinism_matrix`'s
 //! `carried_memo_snapshots_equal_a_memo_free_reference`).
 //!
-//! Resident memory is a function of the population, never of the clock:
-//! reach summaries are replaced in place and the funnel is one total,
-//! snapshots are capped at 16, the tick log keeps a recent window
-//! ([`TICK_LOG_WINDOW`]), the [`ChurnState`] is two dense per-rank vectors
-//! sized once, and both flyweight tables are bounded
-//! (`quicreach::MEMO_CLASS_CAPACITY`). A
-//! 10,000-tick soak with interleaved historical reads pins all of it
-//! (`tests/memo_guards.rs`). Nothing resident shadows the timeline: the
-//! churn a delta tick logs is re-derived from `events_at` over `(s, now]`.
+//! Resident memory follows what churned, never the clock: reach summaries
+//! are replaced in place and the funnel is one total, snapshots are capped
+//! at 16, the tick log keeps a recent window ([`TICK_LOG_WINDOW`]), the
+//! [`ChurnState`] is a page table sized once plus a page of counters for
+//! every 256 ranks a churned rank falls in, and both flyweight tables are
+//! bounded (`quicreach::MEMO_CLASS_CAPACITY`). A fold of every segment
+//! holds one reach summary per segment and one funnel per worker, never
+//! one per segment: each segment's funnel merges into the folding worker's
+//! total as it is folded ([`ScanEngine::fold_ranges`]). A 10,000-tick soak
+//! with interleaved historical reads pins all of it, beside guards on the
+//! first fold's peak and on the churn state's pages at 20k and 200k
+//! domains (`tests/memo_guards.rs`). Nothing resident shadows the
+//! timeline: the churn a delta tick logs is re-derived from `events_at`
+//! over `(s, now]`.
 //!
 //! The service holds no execution path and no registry of its own: its
 //! `quicert_service_*` counters (ticks applied, records churned,
@@ -89,7 +94,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use quicert_analysis::{impl_merge, Merge};
+use quicert_analysis::Merge;
 use quicert_churn::{ChurnConfig, ChurnState, ChurnView, TickDelta, Timeline};
 use quicert_obs::{Counter, Gauge, MetricsRegistry};
 use quicert_pki::{DomainRecord, World};
@@ -176,19 +181,6 @@ pub struct TickStats {
     /// absorbs no churn — rather than as a delta tick.
     pub full_rescan: bool,
 }
-
-/// What one fold of a rank range with every rank derived yields: its
-/// quicreach summary and its §3.1 funnel. A fold across an era migration
-/// keeps the first per segment and merges the second into the cached
-/// total; merged, which is exact, it is what a full rescan folds the whole
-/// population into.
-#[derive(Debug, Clone)]
-struct SegmentSummary {
-    reach: QuicReachShard,
-    funnel: HttpsScanShard,
-}
-
-impl_merge! { SegmentSummary { reach, funnel } }
 
 /// What a serve re-folded, for a delta tick to install over its cache.
 struct Refolded {
@@ -467,14 +459,18 @@ impl CampaignService {
             &replayed
         };
         let churn = state.view();
-        let total: SegmentSummary = self
+        let fold = self.segment_fold(&churn);
+        let (reach_total, funnel_total): (QuicReachShard, HttpsScanShard) = self
             .engine
-            .fold_population(World::domain_chunk_into, self.segment_fold(&churn));
-        self.metrics.full_probes.add(total.reach.total() as u64);
+            .fold_population(World::domain_chunk_into, |records, scratch| {
+                let mut funnel = HttpsScanShard::identity();
+                (fold(&mut funnel, records, scratch), funnel)
+            });
+        self.metrics.full_probes.add(reach_total.total() as u64);
         self.metrics.full_rescans.inc();
         let (mut reach, mut funnel) = (QuicReachShard::identity(), HttpsScanShard::seeded());
-        reach.merge(&total.reach);
-        funnel.merge(&total.funnel);
+        reach.merge(&reach_total);
+        funnel.merge(&funnel_total);
         Snapshot {
             tick,
             reach,
@@ -518,8 +514,9 @@ impl CampaignService {
     /// since an untouched segment's ranks carry the same churn at `tick` as
     /// at the scan. Only an era migration moves the funnel, so the span
     /// alone picks the fold: into an empty cache or across a migration,
-    /// every rank of every segment, the funnels merged into a new total;
-    /// otherwise the churned segments' QUIC services beside the cached
+    /// every rank of every segment, each segment's funnel merged into its
+    /// worker's total as it is folded and the workers' totals into a new
+    /// one; otherwise the churned segments' QUIC services beside the cached
     /// funnel. Returns the snapshot, what a delta tick installs and the
     /// stats it logs; the fold and the merge time into `stages`.
     fn serve(
@@ -543,21 +540,16 @@ impl CampaignService {
         let started = Instant::now();
         let (reach, funnel) = if every {
             let every_rank = World::domain_chunk_into;
-            let fold = self.segment_fold(churn);
-            let folded = self.engine.fold_ranges(&ranges, every_rank, fold);
+            let (reach, total) =
+                self.engine
+                    .fold_ranges(&ranges, every_rank, self.segment_fold(churn));
             let mut funnel = HttpsScanShard::seeded();
-            let reach = folded
-                .into_iter()
-                .map(|summary| {
-                    funnel.merge(&summary.funnel);
-                    summary.reach
-                })
-                .collect();
+            funnel.merge(&total);
             (reach, Some(funnel))
         } else {
-            let reach =
+            let (reach, ()) =
                 self.engine
-                    .fold_ranges(&ranges, World::quic_chunk_into, |records, scratch| {
+                    .fold_ranges(&ranges, World::quic_chunk_into, |_, records, scratch| {
                         churn.apply_to_records(records);
                         quicreach::fold_chunk(world, records, scenario, scratch)
                     });
@@ -626,20 +618,22 @@ impl CampaignService {
         (churned, stats)
     }
 
-    /// The fold every scan of this service hands the engine's pump: overlay
-    /// `churn` on the derived records, then run the same scanner folds a
-    /// streamed scan runs.
+    /// The fold every scan of this service that derives every rank hands
+    /// the engine's pump: overlay `churn` on the derived records, then run
+    /// the same scanner folds a streamed scan runs, returning the chunk's
+    /// quicreach summary and merging its §3.1 funnel into `funnel`, the
+    /// folding worker's total.
     fn segment_fold<'a>(
         &'a self,
         churn: &'a ChurnView<'a>,
-    ) -> impl Fn(&mut [DomainRecord], &mut ProbeScratch) -> SegmentSummary + Sync + 'a {
+    ) -> impl Fn(&mut HttpsScanShard, &mut [DomainRecord], &mut ProbeScratch) -> QuicReachShard + Sync + 'a
+    {
         let (world, scenario) = (self.engine.world(), self.scenario());
-        move |records, scratch| {
+        move |funnel, records, scratch| {
             churn.apply_to_records(records);
-            SegmentSummary {
-                reach: quicreach::fold_chunk(world, records, scenario, scratch),
-                funnel: https_scan::fold_iter(world, records.iter()),
-            }
+            let reach = quicreach::fold_chunk(world, records, scenario, scratch);
+            funnel.merge(&https_scan::fold_iter(world, records.iter()));
+            reach
         }
     }
 

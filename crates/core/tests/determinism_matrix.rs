@@ -74,11 +74,11 @@ fn streamed_in_chunks(engine: &ScanEngine, scenario: Scenario, chunk: usize) -> 
         return engine.quicreach(scenario).shard.clone();
     }
     let ranges = uniform_ranges(engine, chunk);
-    QuicReachShard::merge_all(engine.fold_ranges(
-        &ranges,
-        World::domain_chunk_into,
-        |records, scratch| quicreach::fold_chunk(engine.world(), records, scenario, scratch),
-    ))
+    let (folded, ()) =
+        engine.fold_ranges(&ranges, World::domain_chunk_into, |_, records, scratch| {
+            quicreach::fold_chunk(engine.world(), records, scenario, scratch)
+        });
+    QuicReachShard::merge_all(folded)
 }
 
 /// The streamed §3.1 funnel at one point of the chunk axis.
@@ -87,11 +87,10 @@ fn funnel_in_chunks(engine: &ScanEngine, chunk: usize) -> HttpsScanShard {
         return (*engine.stream_https_scan()).clone();
     }
     let ranges = uniform_ranges(engine, chunk);
-    HttpsScanShard::merge_all(engine.fold_ranges(
-        &ranges,
-        World::domain_chunk_into,
-        |records, _| https_scan::fold_iter(engine.world(), &*records),
-    ))
+    let (folded, ()) = engine.fold_ranges(&ranges, World::domain_chunk_into, |_, records, _| {
+        https_scan::fold_iter(engine.world(), &*records)
+    });
+    HttpsScanShard::merge_all(folded)
 }
 
 #[test]
@@ -350,7 +349,10 @@ fn summary_in_chunks<S: Merge + Send>(
         return adaptive();
     }
     let ranges = uniform_ranges(engine, chunk);
-    S::merge_all(engine.fold_ranges(&ranges, derive, fold))
+    let (folded, ()) = engine.fold_ranges(&ranges, derive, |_, records, scratch| {
+        fold(records, scratch)
+    });
+    S::merge_all(folded)
 }
 
 /// Every artefact held to the per-record function it is made of, mapped

@@ -143,9 +143,11 @@ fn a_repeated_fold_simulates_nothing() {
     let engine = streamed_100k(2);
     let ranges: Vec<(usize, usize)> = (0..100).map(|i| (i * 1_000 + 1, 1_000)).collect();
     let fold = || {
-        engine.fold_ranges(&ranges, World::domain_chunk_into, |records, scratch| {
-            quicreach::fold_chunk(engine.world(), records, BASE, scratch)
-        })
+        let (folded, ()) =
+            engine.fold_ranges(&ranges, World::domain_chunk_into, |_, records, scratch| {
+                quicreach::fold_chunk(engine.world(), records, BASE, scratch)
+            });
+        folded
     };
     let events = MetricsRegistry::global().counter("quicert_netsim_events_total", "");
     let first = fold();
@@ -297,6 +299,98 @@ fn a_recent_read_peaks_at_its_refolded_segments() {
         "recent read: peak live heap +{peak} B for {} re-folded segments (budget {budget} B)",
         stats.dirty_segments
     );
+}
+
+/// The first fold of every segment — what tick 0, every era migration and
+/// a read across one run — totals its funnels as it goes: each worker
+/// merges the funnel of every segment it folds into its own total, and the
+/// totals merge at the end. Its peak live heap is per worker one chunk
+/// (every rank of a 64-rank segment derived) with its scratch and two
+/// funnels and two reach summaries in flight, one 216 B reach summary per
+/// segment (returned, then installed in the cache) and the snapshot's and
+/// the cache's funnels — not one ≈8.4 kB funnel per segment (313 here,
+/// ≈2.6 MB). A full rescan first teaches both flyweight tables every class
+/// tick 0 meets, so the fold measured learns none and the peak is the
+/// fold's own. Measured: ≈+212 kB at 2 workers; ≈+2.9 MB while the fold
+/// returned every segment's funnel beside its reach summary.
+#[test]
+fn the_first_fold_of_every_segment_peaks_at_its_workers_funnels() {
+    let _serial = serial();
+    const WORKERS: usize = 2;
+    const SEGMENT: usize = 64;
+    const SUMMARY: usize = 10_240;
+    const REACH: usize = 256;
+    let campaign = CampaignConfig::small()
+        .with_domains(20_000)
+        .with_seed(0x6A4D)
+        .with_workers(WORKERS);
+    let churn = ChurnConfig::new(0x7123, 20_000);
+    let mut service =
+        CampaignService::new(ServiceConfig::new(campaign, churn).with_segment_size(SEGMENT));
+    let reference = service.full_rescan_at(0);
+    let misses = service
+        .metrics_registry()
+        .counter("quicert_engine_memo_misses_total", "");
+    let (classes, learned) = (service.engine().world().chain_shape_classes(), misses.get());
+    let before = live_heap_and_reset_peak();
+    let snapshot = service.snapshot_at(0);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let stats = *service.tick_log().last().expect("logged");
+    assert_eq!(*snapshot, reference);
+    assert_eq!(stats.dirty_segments, stats.total_segments);
+    assert_eq!(misses.get(), learned, "the fold learned a probe class");
+    assert_eq!(service.engine().world().chain_shape_classes(), classes);
+    // Per worker a chunk of every rank (≤ 512 B a record with its name and
+    // HTTPS side), its scratch, two funnels and two reach summaries; per
+    // segment its reach summary twice over; the snapshot's funnel, the
+    // cached one and the snapshot's merged reach summary.
+    let segments = stats.total_segments;
+    let budget =
+        WORKERS * (SEGMENT * 512 + 2 * SUMMARY + 2 * REACH) + 2 * segments * REACH + 3 * SUMMARY;
+    eprintln!("first fold of {segments} segments: peak live heap +{peak} B (budget {budget} B)");
+    assert!(
+        peak <= budget,
+        "the fold peaked at {peak} B over {budget} B"
+    );
+}
+
+/// The churn state is paged on first touch: ten ticks (140 events) churn
+/// at most 140 ranks, so at 20k and at 200k domains alike the state holds
+/// at most one 2 kB page (256 ranks, 8 B each) per churned rank beside its
+/// page table (one 24 B slot per 256 ranks of the population) — the same
+/// budget at both sizes apart from the table, where the dense form held
+/// 8 B a domain (1.6 MB at 200k). Measured: 65 pages (133 kB) at 20k and
+/// 127 (260 kB) at 200k for 140 churned ranks.
+#[test]
+fn ten_ticks_of_churn_hold_the_same_pages_at_20k_and_200k_domains() {
+    const PAGE: usize = 256 * 8;
+    const SLOT: usize = 24;
+    let held = |domains: usize| {
+        let timeline = Timeline::new(ChurnConfig::new(0x7123, domains));
+        let mut state = quicert_churn::ChurnState::initial();
+        for _ in 0..10 {
+            state.advance(&timeline);
+        }
+        let churned = state.churned_ranks().len();
+        assert!(
+            0 < churned && churned <= 140,
+            "{churned} ranks at {domains}"
+        );
+        let pages = state.heap_bytes() - domains.div_ceil(256) * SLOT;
+        eprintln!(
+            "churn state after 10 ticks at {domains} domains: {} B, {pages} B of pages for {churned} churned ranks",
+            state.heap_bytes()
+        );
+        pages
+    };
+    for domains in [20_000, 200_000] {
+        let pages = held(domains);
+        assert!(
+            pages <= 140 * PAGE,
+            "{pages} B of pages at {domains} domains (at most {} B)",
+            140 * PAGE
+        );
+    }
 }
 
 /// A read one tick back costs its span, not its population. One rotation
