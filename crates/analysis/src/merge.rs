@@ -472,6 +472,13 @@ impl HistogramSketch {
         }
     }
 
+    /// Whether the sketch has a bucket layout, so samples can be pushed
+    /// into it (the [`Merge::identity`] has none until a merge gives it
+    /// one).
+    pub fn has_layout(&self) -> bool {
+        !self.bins.is_empty()
+    }
+
     /// Bucket width (the quantile error bound).
     pub fn bin_width(&self) -> f64 {
         self.bin_width

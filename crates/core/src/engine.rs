@@ -891,7 +891,7 @@ impl ScanEngine {
     pub fn stream_https_scan(&self) -> Arc<HttpsScanShard> {
         self.stream_https.get_or_compute((), || {
             let fold = |shard: &mut HttpsScanShard, records: &mut [DomainRecord], _: &mut _| {
-                shard.merge(&https_scan::fold_iter(&self.world, &*records))
+                https_scan::fold_into(&self.world, &*records, shard)
             };
             self.pump(false, World::domain_chunk_into, fold)
         })

@@ -201,8 +201,9 @@ pub fn table3(campaign: &Campaign) -> Table3 {
         ChainId::LeR3X1Cross,
         CertificateEra::Classical,
         LeafParams {
-            common_name: "policy-ablation.example".into(),
-            extra_sans: vec![],
+            common_name: "policy-ablation.example",
+            listed_sans: &[],
+            extra_sans: 0,
             key: KeyAlgorithm::Rsa2048,
             scts: 2,
             seed: 0x7AB3,

@@ -36,8 +36,9 @@ fn study_chain(campaign: &Campaign) -> CertificateChain {
         ChainId::LeR3X1Cross,
         CertificateEra::Classical,
         LeafParams {
-            common_name: "guidance.example".into(),
-            extra_sans: vec![],
+            common_name: "guidance.example",
+            listed_sans: &[],
+            extra_sans: 0,
             key: KeyAlgorithm::Rsa2048,
             scts: 2,
             seed: 0x9D9D,

@@ -58,7 +58,7 @@
 //! the handshake classes any earlier fold simulated and simulates at most
 //! the records churn actually changed; and a fold across a migration looks
 //! each record's chain shape up instead of issuing its certificates
-//! (`https_scan::fold_iter`), so a tick costs what churn changed — the
+//! (`https_scan::fold_into`), so a tick costs what churn changed — the
 //! QUIC services of a re-folded segment, derived and probed or replayed —
 //! not what the segment contains. The service needs no invalidation
 //! protocol for either table: churn reaches a probe only through
@@ -632,7 +632,7 @@ impl CampaignService {
         move |funnel, records, scratch| {
             churn.apply_to_records(records);
             let reach = quicreach::fold_chunk(world, records, scenario, scratch);
-            funnel.merge(&https_scan::fold_iter(world, records.iter()));
+            https_scan::fold_into(world, records.iter(), funnel);
             reach
         }
     }

@@ -26,19 +26,22 @@ use quicert_scanner::Scenario;
 /// last [`live_heap_and_reset_peak`].
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Heap bytes asked for in all (fresh or grown), freed or not.
+static ASKED: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 impl Counting {
     fn grew(bytes: usize) {
+        ASKED.fetch_add(bytes, Ordering::Relaxed);
         let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches two static atomics and
-// never allocates.
+// `GlobalAlloc` contract; the bookkeeping touches three static atomics
+// and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Counting::grew(layout.size());
@@ -303,16 +306,22 @@ fn a_recent_read_peaks_at_its_refolded_segments() {
 
 /// The first fold of every segment — what tick 0, every era migration and
 /// a read across one run — totals its funnels as it goes: each worker
-/// merges the funnel of every segment it folds into its own total, and the
-/// totals merge at the end. Its peak live heap is per worker one chunk
-/// (every rank of a 64-rank segment derived) with its scratch and two
-/// funnels and two reach summaries in flight, one 216 B reach summary per
-/// segment (returned, then installed in the cache) and the snapshot's and
-/// the cache's funnels — not one ≈8.4 kB funnel per segment (313 here,
-/// ≈2.6 MB). A full rescan first teaches both flyweight tables every class
-/// tick 0 meets, so the fold measured learns none and the peak is the
-/// fold's own. Measured: ≈+212 kB at 2 workers; ≈+2.9 MB while the fold
-/// returned every segment's funnel beside its reach summary.
+/// pushes the records of every segment it folds straight into its own
+/// funnel (`https_scan::fold_into`), and the totals merge at the end. Its
+/// peak live heap is per worker one chunk (every rank of a 64-rank segment
+/// derived) with its scratch, its funnel and two reach summaries in
+/// flight, one 216 B reach summary per segment (returned, then installed
+/// in the cache) and the snapshot's and the cache's funnels — not one
+/// ≈8.4 kB funnel per segment (313 here, ≈2.6 MB). A full rescan first
+/// teaches both flyweight tables every class tick 0 meets, so the fold
+/// measured learns none and the peak is the fold's own. Measured: ≈+212
+/// kB at 2 workers; ≈+2.9 MB while the fold returned every segment's
+/// funnel beside its reach summary.
+///
+/// The peak falls after the segments are folded, so a funnel built per
+/// segment and merged away does not reach it; the bytes the fold asks for
+/// in all do see one. Measured: 1.15 MB, 57 B a record; 3.66 MB while
+/// every segment's records went into a fresh seeded funnel first.
 #[test]
 fn the_first_fold_of_every_segment_peaks_at_its_workers_funnels() {
     let _serial = serial();
@@ -332,25 +341,35 @@ fn the_first_fold_of_every_segment_peaks_at_its_workers_funnels() {
         .metrics_registry()
         .counter("quicert_engine_memo_misses_total", "");
     let (classes, learned) = (service.engine().world().chain_shape_classes(), misses.get());
-    let before = live_heap_and_reset_peak();
+    let (before, asked_before) = (live_heap_and_reset_peak(), ASKED.load(Ordering::Relaxed));
     let snapshot = service.snapshot_at(0);
     let peak = PEAK.load(Ordering::Relaxed) - before;
+    let asked = ASKED.load(Ordering::Relaxed) - asked_before;
     let stats = *service.tick_log().last().expect("logged");
     assert_eq!(*snapshot, reference);
     assert_eq!(stats.dirty_segments, stats.total_segments);
     assert_eq!(misses.get(), learned, "the fold learned a probe class");
     assert_eq!(service.engine().world().chain_shape_classes(), classes);
     // Per worker a chunk of every rank (≤ 512 B a record with its name and
-    // HTTPS side), its scratch, two funnels and two reach summaries; per
+    // HTTPS side), its scratch, its funnel and two reach summaries; per
     // segment its reach summary twice over; the snapshot's funnel, the
     // cached one and the snapshot's merged reach summary.
     let segments = stats.total_segments;
     let budget =
-        WORKERS * (SEGMENT * 512 + 2 * SUMMARY + 2 * REACH) + 2 * segments * REACH + 3 * SUMMARY;
+        WORKERS * (SEGMENT * 512 + SUMMARY + 2 * REACH) + 2 * segments * REACH + 3 * SUMMARY;
     eprintln!("first fold of {segments} segments: peak live heap +{peak} B (budget {budget} B)");
     assert!(
         peak <= budget,
         "the fold peaked at {peak} B over {budget} B"
+    );
+    // In all: each segment's derived records (≤ 96 B a record asked for:
+    // its name and lists) and its reach summary twice over, and the
+    // funnels above. A fresh funnel per segment would add 8 kB a segment.
+    let asked_budget = segments * (SEGMENT * 96 + 2 * REACH) + (WORKERS + 3) * SUMMARY;
+    eprintln!("first fold: {asked} B asked for in all (budget {asked_budget} B)");
+    assert!(
+        asked <= asked_budget,
+        "the fold asked for {asked} B over {asked_budget} B"
     );
 }
 

@@ -13,7 +13,7 @@ use quicert_x509::ext::KeyUsageFlags;
 use quicert_x509::oid;
 use quicert_x509::{
     Certificate, CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
-    SignatureAlgorithm, SubjectPublicKeyInfo, Time, Validity,
+    Name, Oid, SanNames, SignatureAlgorithm, SubjectPublicKeyInfo, Time, Validity,
 };
 
 /// Identifier of a parent chain in the catalog.
@@ -107,13 +107,18 @@ impl ChainId {
     }
 }
 
-/// Parameters for issuing one leaf certificate.
-#[derive(Debug, Clone)]
-pub struct LeafParams {
-    /// Subject common name (also the first SAN).
-    pub common_name: String,
-    /// Additional SAN entries beyond the CN-derived pair.
-    pub extra_sans: Vec<String>,
+/// Parameters for issuing one leaf certificate, borrowed: the leaf's SANs
+/// are written from the CN and the counts, never formatted on their own.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafParams<'a> {
+    /// Subject common name (also the first SAN, followed by `www.<CN>`
+    /// unless the CN is a wildcard).
+    pub common_name: &'a str,
+    /// SAN entries listed verbatim after the CN-derived pair.
+    pub listed_sans: &'a [&'a str],
+    /// Numbered SAN entries `alt-NNN.<CN>` after those
+    /// ([`SanNames::leaf`]).
+    pub extra_sans: u16,
     /// Key algorithm (Table 2 distribution).
     pub key: KeyAlgorithm,
     /// Number of embedded SCTs (browsers require 2; some CAs embed 3).
@@ -128,8 +133,6 @@ pub struct LeafParams {
 pub struct ParentChain {
     /// Catalog id.
     pub id: ChainId,
-    /// The issuing (leaf-signing) CA's distinguished name.
-    pub issuer_dn: DistinguishedName,
     /// The issuing CA's signature algorithm over leaves.
     pub leaf_sig: SignatureAlgorithm,
     /// Intermediate certificates, leaf-issuer first. Shared: every leaf
@@ -139,6 +142,13 @@ pub struct ParentChain {
 }
 
 impl ParentChain {
+    /// The issuing (leaf-signing) CA's Name, as its certificate encodes
+    /// it: the subject span of the first intermediate (a catalog chain is
+    /// never empty). A leaf borrows it as its issuer.
+    fn issuer_name(&self) -> &[u8] {
+        self.intermediates[0].subject()
+    }
+
     /// Total DER bytes of the parent (non-leaf) part.
     pub fn parent_der_len(&self) -> usize {
         self.intermediates.iter().map(|c| c.der_len()).sum()
@@ -210,42 +220,34 @@ impl Ecosystem {
         &self,
         chain_id: ChainId,
         era: CertificateEra,
-        params: LeafParams,
+        params: LeafParams<'_>,
     ) -> CertificateChain {
         let parent = self.chain_era(chain_id, era);
-        let subject = DistinguishedName::cn(&params.common_name);
-        let www =
-            (!params.common_name.starts_with("*.")).then(|| format!("www.{}", params.common_name));
-        // The SAN list takes the caller's strings over; it clones none.
-        let mut sans = Vec::with_capacity(2 + params.extra_sans.len());
-        sans.push(params.common_name);
-        sans.extend(www);
-        sans.extend(params.extra_sans);
-
+        let sans = SanNames::leaf(params.common_name, params.listed_sans, params.extra_sans);
         let leaf = CertificateBuilder::new(
-            parent.issuer_dn.clone(),
-            subject,
+            Name::Der(parent.issuer_name()),
+            Name::Cn(params.common_name),
             SubjectPublicKeyInfo::new(era.key(params.key), params.seed),
             parent.leaf_sig,
         )
         .validity(Validity::days(Time::date(2022, 7, 1), 90))
-        .extensions([
+        .extensions(&[
             Extension::BasicConstraints {
                 ca: false,
                 path_len: None,
             },
             Extension::KeyUsage(KeyUsageFlags::leaf()),
-            Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
+            Extension::ExtKeyUsage(SERVER_AND_CLIENT_AUTH),
             Extension::SubjectKeyId { seed: params.seed },
             Extension::AuthorityKeyId {
                 seed: chain_seed(chain_id),
             },
             Extension::SubjectAltNames(sans),
             Extension::AuthorityInfoAccess {
-                ocsp: Some(self.aia_ocsp_url.clone()),
-                ca_issuers: Some(self.aia_ca_issuers_url.clone()),
+                ocsp: Some(&self.aia_ocsp_url),
+                ca_issuers: Some(&self.aia_ca_issuers_url),
             },
-            Extension::CertificatePolicies(vec![oid::CP_DOMAIN_VALIDATED]),
+            Extension::CertificatePolicies(&[oid::CP_DOMAIN_VALIDATED]),
             Extension::SctList {
                 count: params.scts,
                 seed: params.seed ^ 0x5C7,
@@ -256,6 +258,9 @@ impl Ecosystem {
         CertificateChain::new_shared(leaf, Arc::clone(&parent.intermediates))
     }
 }
+
+/// The extKeyUsage purposes of every leaf and intermediate.
+const SERVER_AND_CLIENT_AUTH: &[Oid] = &[oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH];
 
 impl Default for Ecosystem {
     fn default() -> Self {
@@ -275,57 +280,71 @@ struct Builder {
     era: CertificateEra,
 }
 
+/// The URLs of a real intermediate's AIA and CRL extensions.
+struct CaUrls {
+    ocsp: String,
+    ca_issuers: String,
+    crls: [String; 2],
+}
+
+impl CaUrls {
+    fn new(ca_host: &str) -> Self {
+        let crl = |n| format!("http://crl{n}.{ca_host}/certification-authority/rootca1.crl");
+        CaUrls {
+            ocsp: format!("http://ocsp.rootca1.{ca_host}"),
+            ca_issuers: format!("http://certificates.{ca_host}/repository/rootca1.der"),
+            crls: [crl(3), crl(4)],
+        }
+    }
+}
+
 impl Builder {
+    /// A CA certificate. With `urls`, it carries the extensions typical of
+    /// real intermediates (AIA + CRL + policies + EKU) — these are what
+    /// make real intermediates 1.2–1.9 kB.
     fn ca_cert(
         &self,
-        issuer: DistinguishedName,
-        subject: DistinguishedName,
+        issuer: &DistinguishedName,
+        subject: &DistinguishedName,
         key: KeyAlgorithm,
         sig: SignatureAlgorithm,
         seed: u64,
-        extra: Vec<Extension>,
+        urls: Option<&CaUrls>,
     ) -> Certificate {
-        let mut builder = CertificateBuilder::new(
+        let mut extensions = vec![
+            Extension::BasicConstraints {
+                ca: true,
+                path_len: Some(0),
+            },
+            Extension::KeyUsage(KeyUsageFlags::ca()),
+            Extension::SubjectKeyId { seed },
+            Extension::AuthorityKeyId { seed: seed ^ 0xA17 },
+        ];
+        let crls = urls.map(|urls| urls.crls.each_ref().map(String::as_str));
+        if let (Some(urls), Some(crls)) = (urls, &crls) {
+            extensions.extend([
+                Extension::AuthorityInfoAccess {
+                    ocsp: Some(&urls.ocsp),
+                    ca_issuers: Some(&urls.ca_issuers),
+                },
+                Extension::CrlDistributionPoints(crls),
+                Extension::CertificatePolicies(&[
+                    oid::CP_ANY_POLICY,
+                    oid::CP_DOMAIN_VALIDATED,
+                    oid::CP_ORG_VALIDATED,
+                ]),
+                Extension::ExtKeyUsage(SERVER_AND_CLIENT_AUTH),
+            ]);
+        }
+        CertificateBuilder::new(
             issuer,
             subject,
             SubjectPublicKeyInfo::new(self.era.key(key), seed),
             self.era.signature(sig),
         )
         .validity(Validity::days(Time::date(2020, 9, 4), 365 * 5))
-        .extension(Extension::BasicConstraints {
-            ca: true,
-            path_len: Some(0),
-        })
-        .extension(Extension::KeyUsage(KeyUsageFlags::ca()))
-        .extension(Extension::SubjectKeyId { seed })
-        .extension(Extension::AuthorityKeyId { seed: seed ^ 0xA17 });
-        for e in extra {
-            builder = builder.extension(e);
-        }
-        builder.build()
-    }
-
-    /// Extensions typical of real intermediates (AIA + CRL + policies) —
-    /// these are what make real intermediates 1.2–1.9 kB.
-    fn intermediate_extras(&self, ca_host: &str) -> Vec<Extension> {
-        vec![
-            Extension::AuthorityInfoAccess {
-                ocsp: Some(format!("http://ocsp.rootca1.{ca_host}")),
-                ca_issuers: Some(format!(
-                    "http://certificates.{ca_host}/repository/rootca1.der"
-                )),
-            },
-            Extension::CrlDistributionPoints(vec![
-                format!("http://crl3.{ca_host}/certification-authority/rootca1.crl"),
-                format!("http://crl4.{ca_host}/certification-authority/rootca1.crl"),
-            ]),
-            Extension::CertificatePolicies(vec![
-                oid::CP_ANY_POLICY,
-                oid::CP_DOMAIN_VALIDATED,
-                oid::CP_ORG_VALIDATED,
-            ]),
-            Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
-        ]
+        .extensions(&extensions)
+        .build()
     }
 
     fn build_chain(&self, id: ChainId) -> ParentChain {
@@ -363,66 +382,56 @@ impl Builder {
         let seed = chain_seed(id);
         let mk_r3 = || {
             self.ca_cert(
-                isrg.clone(),
-                le_r3.clone(),
+                &isrg,
+                &le_r3,
                 Rsa2048,
                 Sha256WithRsa2048,
                 seed ^ 0x01,
-                self.intermediate_extras("lencr.org"),
+                Some(&CaUrls::new("lencr.org")),
             )
         };
         let mk_e1 = || {
             self.ca_cert(
-                isrg_x2.clone(),
-                le_e1.clone(),
+                &isrg_x2,
+                &le_e1,
                 EcdsaP384,
                 EcdsaSha384,
                 seed ^ 0x02,
-                self.intermediate_extras("lencr.org"),
+                Some(&CaUrls::new("lencr.org")),
             )
         };
 
-        let (issuer_dn, leaf_sig, intermediates): (
-            DistinguishedName,
-            SignatureAlgorithm,
-            Vec<Certificate>,
-        ) = match id {
-            ChainId::LeR3Short => (le_r3.clone(), Sha256WithRsa2048, vec![mk_r3()]),
+        let (leaf_sig, intermediates): (SignatureAlgorithm, Vec<Certificate>) = match id {
+            ChainId::LeR3Short => (Sha256WithRsa2048, vec![mk_r3()]),
             ChainId::LeR3X1Cross => {
                 // ISRG Root X1 cross-signed by DST Root CA X3: a big
                 // RSA-4096 cert that is pure dead weight for modern clients.
                 let x1_cross = self.ca_cert(
-                    dst.clone(),
-                    isrg.clone(),
+                    &dst,
+                    &isrg,
                     Rsa4096,
                     Sha256WithRsa2048,
                     seed ^ 0x03,
-                    self.intermediate_extras("identrust.com"),
+                    Some(&CaUrls::new("identrust.com")),
                 );
-                (le_r3.clone(), Sha256WithRsa2048, vec![mk_r3(), x1_cross])
+                (Sha256WithRsa2048, vec![mk_r3(), x1_cross])
             }
             ChainId::LeR3X1Self => {
-                let x1_self = self.ca_cert(
-                    isrg.clone(),
-                    isrg.clone(),
-                    Rsa4096,
-                    Sha384WithRsa4096,
-                    seed ^ 0x04,
-                    vec![],
-                );
-                (le_r3.clone(), Sha256WithRsa2048, vec![mk_r3(), x1_self])
+                let x1_self =
+                    self.ca_cert(&isrg, &isrg, Rsa4096, Sha384WithRsa4096, seed ^ 0x04, None);
+                (Sha256WithRsa2048, vec![mk_r3(), x1_self])
             }
-            ChainId::LeE1Short => (le_e1.clone(), EcdsaSha384, vec![mk_e1()]),
+            ChainId::LeE1Short => (EcdsaSha384, vec![mk_e1()]),
             ChainId::LeE1X2Cross => {
                 let x2_cross = self.ca_cert(
-                    isrg.clone(),
-                    isrg_x2.clone(),
+                    &isrg,
+                    &isrg_x2,
                     EcdsaP384,
                     Sha256WithRsa2048,
                     seed ^ 0x05,
-                    self.intermediate_extras("letsencrypt.org"),
+                    Some(&CaUrls::new("letsencrypt.org")),
                 );
-                (le_e1.clone(), EcdsaSha384, vec![mk_e1(), x2_cross])
+                (EcdsaSha384, vec![mk_e1(), x2_cross])
             }
             ChainId::Gts1C3 | ChainId::Gts1D4 | ChainId::Gts1P5 => {
                 let cn = match id {
@@ -432,35 +441,35 @@ impl Builder {
                 };
                 let gts_ca = DistinguishedName::ca("US", "Google Trust Services LLC", cn);
                 let inter = self.ca_cert(
-                    gts_r1.clone(),
-                    gts_ca.clone(),
+                    &gts_r1,
+                    &gts_ca,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x06,
-                    self.intermediate_extras("pki.goog"),
+                    Some(&CaUrls::new("pki.goog")),
                 );
                 // GTS Root R1 cross-signed by GlobalSign (sent by default).
                 let r1_cross = self.ca_cert(
-                    globalsign_root.clone(),
-                    gts_r1.clone(),
+                    &globalsign_root,
+                    &gts_r1,
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x07,
-                    self.intermediate_extras("pki.goog"),
+                    Some(&CaUrls::new("pki.goog")),
                 );
-                (gts_ca, Sha256WithRsa2048, vec![inter, r1_cross])
+                (Sha256WithRsa2048, vec![inter, r1_cross])
             }
             ChainId::CloudflareEcc => {
                 let cf = DistinguishedName::ca("US", "Cloudflare, Inc.", "Cloudflare Inc ECC CA-3");
                 let inter = self.ca_cert(
-                    baltimore.clone(),
-                    cf.clone(),
+                    &baltimore,
+                    &cf,
                     EcdsaP256,
                     Sha256WithRsa2048,
                     seed ^ 0x08,
-                    self.intermediate_extras("digicert.com"),
+                    Some(&CaUrls::new("digicert.com")),
                 );
-                (cf, EcdsaSha256, vec![inter])
+                (EcdsaSha256, vec![inter])
             }
             ChainId::SectigoUserTrust => {
                 let sectigo = DistinguishedName::ca(
@@ -469,22 +478,22 @@ impl Builder {
                     "Sectigo RSA Domain Validation Secure Server CA",
                 );
                 let inter = self.ca_cert(
-                    usertrust.clone(),
-                    sectigo.clone(),
+                    &usertrust,
+                    &sectigo,
                     Rsa2048,
                     Sha384WithRsa4096,
                     seed ^ 0x09,
-                    self.intermediate_extras("sectigo.com"),
+                    Some(&CaUrls::new("sectigo.com")),
                 );
                 let ut = self.ca_cert(
-                    comodo.clone(),
-                    usertrust.clone(),
+                    &comodo,
+                    &usertrust,
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x0A,
-                    self.intermediate_extras("usertrust.com"),
+                    Some(&CaUrls::new("usertrust.com")),
                 );
-                (sectigo, Sha256WithRsa2048, vec![inter, ut])
+                (Sha256WithRsa2048, vec![inter, ut])
             }
             ChainId::CPanelComodoRoot => {
                 let cpanel = DistinguishedName::ca(
@@ -493,32 +502,32 @@ impl Builder {
                     "cPanel, Inc. Certification Authority",
                 );
                 let inter = self.ca_cert(
-                    usertrust.clone(),
-                    cpanel.clone(),
+                    &usertrust,
+                    &cpanel,
                     Rsa2048,
                     Sha384WithRsa4096,
                     seed ^ 0x0B,
-                    self.intermediate_extras("cpanel.net"),
+                    Some(&CaUrls::new("cpanel.net")),
                 );
                 let ut = self.ca_cert(
-                    comodo.clone(),
-                    usertrust.clone(),
+                    &comodo,
+                    &usertrust,
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x0C,
-                    self.intermediate_extras("usertrust.com"),
+                    Some(&CaUrls::new("usertrust.com")),
                 );
                 // The superfluously included self-signed trust anchor
                 // (§4.2, Fig 7b row ⑨).
                 let root = self.ca_cert(
-                    comodo.clone(),
-                    comodo.clone(),
+                    &comodo,
+                    &comodo,
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x0D,
-                    vec![],
+                    None,
                 );
-                (cpanel, Sha256WithRsa2048, vec![inter, ut, root])
+                (Sha256WithRsa2048, vec![inter, ut, root])
             }
             ChainId::GlobalSignAtlas => {
                 let atlas = DistinguishedName::ca(
@@ -527,68 +536,68 @@ impl Builder {
                     "GlobalSign Atlas R3 DV TLS CA H2 2021",
                 );
                 let inter = self.ca_cert(
-                    globalsign_root.clone(),
-                    atlas.clone(),
+                    &globalsign_root,
+                    &atlas,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x0E,
-                    self.intermediate_extras("globalsign.com"),
+                    Some(&CaUrls::new("globalsign.com")),
                 );
-                (atlas, Sha256WithRsa2048, vec![inter])
+                (Sha256WithRsa2048, vec![inter])
             }
             ChainId::DigiCertTls => {
                 let dc =
                     DistinguishedName::ca("US", "DigiCert Inc", "DigiCert TLS RSA SHA256 2020 CA1");
                 let inter = self.ca_cert(
-                    digicert_root.clone(),
-                    dc.clone(),
+                    &digicert_root,
+                    &dc,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x0F,
-                    self.intermediate_extras("digicert.com"),
+                    Some(&CaUrls::new("digicert.com")),
                 );
-                (dc, Sha256WithRsa2048, vec![inter])
+                (Sha256WithRsa2048, vec![inter])
             }
             ChainId::DigiCertSha2WithRoot => {
                 let dc =
                     DistinguishedName::ca("US", "DigiCert Inc", "DigiCert SHA2 Secure Server CA");
                 let inter = self.ca_cert(
-                    digicert_root.clone(),
-                    dc.clone(),
+                    &digicert_root,
+                    &dc,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x10,
-                    self.intermediate_extras("digicert.com"),
+                    Some(&CaUrls::new("digicert.com")),
                 );
                 let root = self.ca_cert(
-                    digicert_root.clone(),
-                    digicert_root.clone(),
+                    &digicert_root,
+                    &digicert_root,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x11,
-                    vec![],
+                    None,
                 );
-                (dc, Sha256WithRsa2048, vec![inter, root])
+                (Sha256WithRsa2048, vec![inter, root])
             }
             ChainId::AmazonRsa => {
                 let am = DistinguishedName::ca("US", "Amazon", "Amazon RSA 2048 M01");
                 let inter = self.ca_cert(
-                    amazon_root.clone(),
-                    am.clone(),
+                    &amazon_root,
+                    &am,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x12,
-                    self.intermediate_extras("amazontrust.com"),
+                    Some(&CaUrls::new("amazontrust.com")),
                 );
                 let root = self.ca_cert(
-                    starfield_root.clone(),
-                    amazon_root.clone(),
+                    &starfield_root,
+                    &amazon_root,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x13,
-                    self.intermediate_extras("amazontrust.com"),
+                    Some(&CaUrls::new("amazontrust.com")),
                 );
-                (am, Sha256WithRsa2048, vec![inter, root])
+                (Sha256WithRsa2048, vec![inter, root])
             }
             ChainId::GoDaddyG2 => {
                 let gd = DistinguishedName::ca(
@@ -597,24 +606,24 @@ impl Builder {
                     "Go Daddy Secure Certificate Authority - G2",
                 );
                 let inter = self.ca_cert(
-                    godaddy_root.clone(),
-                    gd.clone(),
+                    &godaddy_root,
+                    &gd,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x14,
-                    self.intermediate_extras("godaddy.com"),
+                    Some(&CaUrls::new("godaddy.com")),
                 );
                 // GoDaddy bundles commonly ship the root alongside the
                 // issuing CA (3-certificate chains in the wild).
                 let root = self.ca_cert(
-                    godaddy_root.clone(),
-                    godaddy_root.clone(),
+                    &godaddy_root,
+                    &godaddy_root,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x16,
-                    vec![],
+                    None,
                 );
-                (gd, Sha256WithRsa2048, vec![inter, root])
+                (Sha256WithRsa2048, vec![inter, root])
             }
             ChainId::StarfieldG2 => {
                 let sf = DistinguishedName::ca(
@@ -623,22 +632,22 @@ impl Builder {
                     "Starfield Secure Certificate Authority - G2",
                 );
                 let inter = self.ca_cert(
-                    starfield_root.clone(),
-                    sf.clone(),
+                    &starfield_root,
+                    &sf,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x15,
-                    self.intermediate_extras("starfieldtech.com"),
+                    Some(&CaUrls::new("starfieldtech.com")),
                 );
                 let root = self.ca_cert(
-                    starfield_root.clone(),
-                    starfield_root.clone(),
+                    &starfield_root,
+                    &starfield_root,
                     Rsa2048,
                     Sha256WithRsa2048,
                     seed ^ 0x17,
-                    vec![],
+                    None,
                 );
-                (sf, Sha256WithRsa2048, vec![inter, root])
+                (Sha256WithRsa2048, vec![inter, root])
             }
             ChainId::EnterpriseHuge => {
                 // A deep corporate PKI with RSA-4096 everywhere: policy CA,
@@ -647,12 +656,12 @@ impl Builder {
                 let root_dn = DistinguishedName::ca("US", org, "Enterprise Global Root Authority");
                 // Root (self-signed, superfluously included).
                 let mut certs = vec![self.ca_cert(
-                    root_dn.clone(),
-                    root_dn.clone(),
+                    &root_dn,
+                    &root_dn,
                     Rsa4096,
                     Sha384WithRsa4096,
                     seed ^ 0x20,
-                    vec![],
+                    None,
                 )];
                 // Each CA signed by the one before it, the root first.
                 let mut issuer = root_dn;
@@ -667,24 +676,23 @@ impl Builder {
                 {
                     let subject = DistinguishedName::ca("US", org, name);
                     certs.push(self.ca_cert(
-                        issuer,
-                        subject.clone(),
+                        &issuer,
+                        &subject,
                         Rsa4096,
                         Sha384WithRsa4096,
                         seed ^ (0x22 + i as u64),
-                        self.intermediate_extras("enterprise.example"),
+                        Some(&CaUrls::new("enterprise.example")),
                     ));
                     issuer = subject;
                 }
                 // Served leaf-issuer first: issuing CA ... root.
                 certs.reverse();
-                (issuer, Sha384WithRsa4096, certs)
+                (Sha384WithRsa4096, certs)
             }
         };
 
         ParentChain {
             id,
-            issuer_dn,
             // The issuing CA signs leaves with its era-mapped algorithm.
             leaf_sig: self.era.signature(leaf_sig),
             intermediates: Arc::new(intermediates),
@@ -700,10 +708,11 @@ mod tests {
         Ecosystem::new()
     }
 
-    fn leaf_params(key: KeyAlgorithm) -> LeafParams {
+    fn leaf_params(key: KeyAlgorithm) -> LeafParams<'static> {
         LeafParams {
-            common_name: "shop.example.org".into(),
-            extra_sans: vec![],
+            common_name: "shop.example.org",
+            listed_sans: &[],
+            extra_sans: 0,
             key,
             scts: 2,
             seed: 99,
@@ -769,6 +778,8 @@ mod tests {
                 leaf_params(KeyAlgorithm::EcdsaP256),
             );
             assert!(chain.correctly_ordered(), "{id:?} must chain by DN");
+            let issuer = &chain.intermediates[0];
+            assert_eq!(chain.leaf.issuer(), issuer.subject(), "{id:?}");
             assert!(chain.depth() >= 2);
             let leaf = &chain.leaf;
             assert!(
@@ -857,10 +868,11 @@ mod tests {
             for id in [ChainId::LeR3Short, ChainId::Gts1C3, ChainId::EnterpriseHuge] {
                 let chain = eco.issue_era(id, era, leaf_params(KeyAlgorithm::EcdsaP256));
                 assert!(chain.correctly_ordered(), "{era}: {id:?}");
-                assert!(chain.leaf.tbs.spki.algorithm.is_post_quantum(), "{era}");
+                assert!(chain.leaf.key_algorithm().is_post_quantum(), "{era}");
                 // The leaf and every intermediate carry era signatures.
                 for cert in chain.certs() {
-                    assert!(cert.signature_alg.is_post_quantum(), "{era}: {id:?}");
+                    let signature = cert.signature_algorithm();
+                    assert!(signature.is_post_quantum(), "{era}: {id:?}");
                 }
             }
         }
@@ -885,10 +897,14 @@ mod tests {
     #[test]
     fn cruise_liner_leaves_blow_up_san_share() {
         let eco = eco();
-        let mut params = leaf_params(KeyAlgorithm::Rsa2048);
-        params.extra_sans = (0..150)
+        let sites: Vec<String> = (0..150)
             .map(|i| format!("customer-site-{i:03}.hosting.example"))
             .collect();
+        let sites: Vec<&str> = sites.iter().map(String::as_str).collect();
+        let params = LeafParams {
+            listed_sans: &sites,
+            ..leaf_params(KeyAlgorithm::Rsa2048)
+        };
         let chain = eco.issue_era(ChainId::CPanelComodoRoot, CertificateEra::Classical, params);
         let leaf = &chain.leaf;
         let share = leaf.san_bytes() as f64 / leaf.der_len() as f64;

@@ -205,13 +205,14 @@ impl<'a> Served<'a> {
         }
     }
 
+    /// Issue the chain; the leaf's SANs are its name, `www.` of it, and
+    /// `extra_sans` numbered `alt-NNN.<name>`, written straight from the
+    /// name.
     fn issue(&self, ecosystem: &Ecosystem) -> CertificateChain {
-        let name = self.name;
         let params = LeafParams {
-            common_name: name.to_owned(),
-            extra_sans: (0..self.extra_sans)
-                .map(|i| format!("alt-{i:03}.{name}"))
-                .collect(),
+            common_name: self.name,
+            listed_sans: &[],
+            extra_sans: self.extra_sans,
             key: self.leaf_key,
             scts: 2,
             seed: self.seed,
@@ -969,6 +970,7 @@ fn push_decimal(out: &mut String, value: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quicert_x509::DistinguishedName;
 
     #[test]
     fn hand_assembled_names_match_format() {
@@ -1239,8 +1241,8 @@ mod tests {
             .unwrap();
         assert!(chain.correctly_ordered());
         assert_eq!(
-            chain.leaf.tbs.subject.common_name(),
-            Some(record.name.as_str())
+            chain.leaf.subject(),
+            DistinguishedName::cn(&record.name).encode()
         );
         let https_chain = world
             .https_chain_era(record, CertificateEra::Classical)
@@ -1270,14 +1272,14 @@ mod tests {
             let chain = world.quic_chain_era(record, era).unwrap();
             // Same population: identical subject, depth and SAN bytes.
             assert_eq!(
-                chain.leaf.tbs.subject.common_name(),
-                Some(record.name.as_str()),
+                chain.leaf.subject(),
+                DistinguishedName::cn(&record.name).encode(),
                 "{era}"
             );
             assert_eq!(chain.depth(), classical.depth(), "{era}");
             assert_eq!(chain.leaf.san_count(), classical.leaf.san_count());
             // Swapped algorithms: much bigger wire footprint.
-            assert!(chain.leaf.tbs.spki.algorithm.is_post_quantum(), "{era}");
+            assert!(chain.leaf.key_algorithm().is_post_quantum(), "{era}");
             assert!(
                 chain.total_der_len() > 2 * classical.total_der_len(),
                 "{era}: {} vs {}",

@@ -1,13 +1,19 @@
-//! The field attribution `Certificate::assemble` records from writer
-//! offsets, checked against lengths re-derived by *parsing* the finished
-//! DER — for leaves of every key algorithm and every catalog intermediate
-//! in every era.
+//! The field attribution `CertificateBuilder::build` computes from the
+//! parts before it writes, checked against lengths re-derived by *parsing*
+//! the finished DER — for leaves of every key algorithm and every catalog
+//! intermediate in every era, and for random leaves of every key and
+//! signature algorithm, whose every nested length is checked too.
 
 use std::collections::HashSet;
 
+use proptest::prelude::*;
 use quicert_pki::{CertificateEra, ChainId, Ecosystem, LeafParams};
 use quicert_x509::der::{self, DerValue};
-use quicert_x509::{Certificate, KeyAlgorithm};
+use quicert_x509::ext::KeyUsageFlags;
+use quicert_x509::{
+    oid, Certificate, CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, Name,
+    SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
+};
 
 /// Content octets of the id-ce-subjectAltName OID (2.5.29.17).
 const SAN_OID: [u8; 3] = [0x55, 0x1D, 0x11];
@@ -67,10 +73,11 @@ fn recorded_field_sizes_equal_lengths_parsed_from_the_der() {
                 ChainId::ALL[i * 5],
                 era,
                 LeafParams {
-                    common_name: "shop.example.org".into(),
+                    common_name: "shop.example.org",
+                    listed_sans: &[],
                     // Enough SANs that the extension's length needs the
                     // long form.
-                    extra_sans: (0..4 * i).map(|n| format!("alt-{n}.example.org")).collect(),
+                    extra_sans: 4 * i as u16,
                     key,
                     scts: 2 + i as u8 % 2,
                     seed: 0xF1E1D + i as u64,
@@ -78,8 +85,100 @@ fn recorded_field_sizes_equal_lengths_parsed_from_the_der() {
             );
             let leaf = &chain.leaf;
             assert_recorded_sizes_match_the_parsed_der(leaf, &format!("{era} {key:?} leaf"));
-            leaf_keys.insert(leaf.tbs.spki.algorithm);
+            leaf_keys.insert(leaf.key_algorithm());
         }
     }
     assert_eq!(leaf_keys, HashSet::from(KeyAlgorithm::ALL_ERAS));
+}
+
+/// Every constructed value of `value`, and the extnValue each Extension
+/// wraps, is exactly filled by its children: no header announces a length
+/// its content does not have, at any nesting level.
+fn assert_every_nested_length_is_filled(value: &DerValue, path: &str) {
+    if !value.is_constructed() {
+        return;
+    }
+    let children = value.children().unwrap_or_else(|e| panic!("{path}: {e}"));
+    let filled: usize = children.iter().map(tlv_len).sum();
+    assert_eq!(filled, value.content.len(), "{path}");
+    for (i, child) in children.iter().enumerate() {
+        let path = format!("{path}/{i}:{:#04x}", child.tag);
+        assert_every_nested_length_is_filled(child, &path);
+    }
+}
+
+const KEYS: [KeyAlgorithm; 8] = KeyAlgorithm::ALL_ERAS;
+
+const SIGS: [SignatureAlgorithm; 8] = [
+    SignatureAlgorithm::Sha256WithRsa2048,
+    SignatureAlgorithm::Sha384WithRsa4096,
+    SignatureAlgorithm::EcdsaSha256,
+    SignatureAlgorithm::EcdsaSha384,
+    SignatureAlgorithm::MlDsa44,
+    SignatureAlgorithm::MlDsa65,
+    SignatureAlgorithm::CompositeP256MlDsa44,
+    SignatureAlgorithm::CompositeP384MlDsa65,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // Random leaves shaped like the ecosystem's (a CN of 1–60 bytes,
+    // sometimes a wildcard; 0–250 numbered SANs; any key, signature and
+    // seed), built in one pass. `Writer::nested` also asserts, at every
+    // level, that the content written is the length computed before it.
+    #[test]
+    fn one_pass_leaves_measure_exactly_what_they_write(
+        cn in "[a-z0-9-]{1,60}",
+        wildcard in any::<bool>(),
+        extra_sans in 0u16..251,
+        key_idx in 0usize..8,
+        sig_idx in 0usize..8,
+        scts in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let cn = match cn.get(2..) {
+            Some(rest) if wildcard => format!("*.{rest}"),
+            _ => cn,
+        };
+        let issuer = DistinguishedName::ca("US", "Property Trust Services", "Property CA 1");
+        let sans = SanNames::leaf(&cn, &[], extra_sans);
+        let leaf = CertificateBuilder::new(
+            &issuer,
+            Name::Cn(&cn),
+            SubjectPublicKeyInfo::new(KEYS[key_idx], seed),
+            SIGS[sig_idx],
+        )
+        .extensions(&[
+            Extension::BasicConstraints { ca: false, path_len: None },
+            Extension::KeyUsage(KeyUsageFlags::leaf()),
+            Extension::ExtKeyUsage(&[oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
+            Extension::SubjectKeyId { seed },
+            Extension::AuthorityKeyId { seed: !seed },
+            Extension::SubjectAltNames(sans),
+            Extension::AuthorityInfoAccess {
+                ocsp: Some("http://o.example-ca.test"),
+                ca_issuers: Some("http://c.o.example-ca.test/issuer.der"),
+            },
+            Extension::CertificatePolicies(&[oid::CP_DOMAIN_VALIDATED]),
+            Extension::SctList { count: scts, seed: seed ^ 0x5C7 },
+        ])
+        .build();
+        let what = format!("{:?}/{:?} cn {} + {extra_sans} SANs", KEYS[key_idx], SIGS[sig_idx], cn.len());
+
+        let parsed = der::parse_one(leaf.der()).map_err(|e| TestCaseError(format!("{what}: {e}")))?;
+        assert_every_nested_length_is_filled(&parsed, &what);
+        let tbs = &parsed.children().unwrap()[0];
+        let extensions = &tbs.children().unwrap()[7].children().unwrap()[0];
+        for (i, extension) in extensions.children().unwrap().iter().enumerate() {
+            let parts = extension.children().unwrap();
+            let value = der::parse_one(&parts.last().unwrap().content).map_err(|e| TestCaseError(format!("{what}: extension {i}: {e}")))?;
+            assert_every_nested_length_is_filled(&value, &format!("{what}: extension {i}"));
+        }
+        assert_recorded_sizes_match_the_parsed_der(&leaf, &what);
+        prop_assert_eq!(leaf.san_count(), sans.count());
+        let www = usize::from(!cn.starts_with("*."));
+        prop_assert_eq!(sans.count(), 1 + www + usize::from(extra_sans));
+        prop_assert_eq!((leaf.key_algorithm(), leaf.signature_algorithm()), (KEYS[key_idx], SIGS[sig_idx]));
+    }
 }

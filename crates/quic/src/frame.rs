@@ -163,11 +163,20 @@ impl<'a> FrameRef<'a> {
     }
 }
 
-/// Length of the run of zero bytes `bytes` starts with, compared a word
-/// at a time: a client datagram is padded to 1,200 bytes and more, and
-/// every byte of that is a PADDING frame.
+/// Length of the run of zero bytes `bytes` starts with. A client datagram
+/// is padded to 1,200 bytes and more, every byte of that a PADDING frame,
+/// and the padding is walked twice (by [`Frames::parse`] and again by the
+/// receiver), so the run is skipped 64 bytes at a time, each block
+/// OR-folded into one byte; the block that holds the first non-zero byte,
+/// and a tail shorter than a block, are then compared a word at a time.
 fn zero_run(bytes: &[u8]) -> usize {
     let mut rest = bytes;
+    while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+        if block.iter().fold(0, |any, &b| any | b) != 0 {
+            break;
+        }
+        rest = tail;
+    }
     while let Some((word, tail)) = rest.split_first_chunk::<8>() {
         let word = u64::from_le_bytes(*word);
         if word != 0 {
@@ -301,11 +310,16 @@ mod tests {
 
     #[test]
     fn padding_runs_decode_the_same_word_wise_and_byte_wise() {
-        // Runs around the word size and around a client datagram's worth of
-        // padding, starting at every offset within a word, ending at the
-        // end of the payload or at a non-zero frame.
-        for n in (0..=17).chain(1_190..=1_210) {
-            for align in 0..8 {
+        // Runs around the word size, around one and two 64-byte blocks and
+        // around a client datagram's worth of padding, starting at every
+        // offset within a block, ending at the end of the payload or at a
+        // non-zero frame.
+        let lengths = (0..=17)
+            .chain(56..=72)
+            .chain(120..=136)
+            .chain(1_190..=1_210);
+        for n in lengths {
+            for align in 0..64 {
                 for followed in [false, true] {
                     let mut payload = vec![0x01; align];
                     payload.resize(align + n, 0x00);

@@ -430,8 +430,8 @@ mod tests {
     use quicert_compress::Algorithm;
     use quicert_netsim::Endpoint;
     use quicert_x509::{
-        CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
-        SignatureAlgorithm, SubjectPublicKeyInfo,
+        CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm, Name,
+        SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
     };
     use std::net::Ipv4Addr;
 
@@ -444,42 +444,41 @@ mod tests {
         let root_dn =
             DistinguishedName::ca("US", "Internet Security Research Group", "ISRG Root X2");
         let inter = CertificateBuilder::new(
-            root_dn,
-            inter_dn.clone(),
+            &root_dn,
+            &inter_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP384, 31),
             SignatureAlgorithm::EcdsaSha384,
         )
-        .extension(Extension::BasicConstraints {
-            ca: true,
-            path_len: Some(0),
-        })
-        .extension(Extension::SubjectKeyId { seed: 33 })
-        .extension(Extension::AuthorityKeyId { seed: 34 })
-        .extension(Extension::CrlDistributionPoints(vec![
-            "http://x2.c.lencr.org/".into(),
-        ]))
+        .extensions(&[
+            Extension::BasicConstraints {
+                ca: true,
+                path_len: Some(0),
+            },
+            Extension::SubjectKeyId { seed: 33 },
+            Extension::AuthorityKeyId { seed: 34 },
+            Extension::CrlDistributionPoints(&["http://x2.c.lencr.org/"]),
+        ])
         .build();
         let leaf = CertificateBuilder::new(
-            inter_dn,
-            DistinguishedName::cn("small.example"),
+            &inter_dn,
+            Name::Cn("small.example"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 32),
             SignatureAlgorithm::EcdsaSha384,
         )
-        .extension(Extension::BasicConstraints {
-            ca: false,
-            path_len: None,
-        })
-        .extension(Extension::SubjectKeyId { seed: 35 })
-        .extension(Extension::AuthorityKeyId { seed: 33 })
-        .extension(Extension::SubjectAltNames(vec![
-            "small.example".into(),
-            "www.small.example".into(),
-        ]))
-        .extension(Extension::AuthorityInfoAccess {
-            ocsp: Some("http://e1.o.lencr.org".into()),
-            ca_issuers: Some("http://e1.i.lencr.org/".into()),
-        })
-        .extension(Extension::SctList { count: 2, seed: 36 })
+        .extensions(&[
+            Extension::BasicConstraints {
+                ca: false,
+                path_len: None,
+            },
+            Extension::SubjectKeyId { seed: 35 },
+            Extension::AuthorityKeyId { seed: 33 },
+            Extension::SubjectAltNames(SanNames::listed(&["small.example", "www.small.example"])),
+            Extension::AuthorityInfoAccess {
+                ocsp: Some("http://e1.o.lencr.org"),
+                ca_issuers: Some("http://e1.i.lencr.org/"),
+            },
+            Extension::SctList { count: 2, seed: 36 },
+        ])
         .build();
         CertificateChain::new(leaf, vec![inter])
     }
@@ -501,30 +500,29 @@ mod tests {
             "Legacy TLS RSA CA G2",
         );
         let i1 = CertificateBuilder::new(
-            root_dn.clone(),
-            i1_dn.clone(),
+            &root_dn,
+            &i1_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa4096, 41),
             SignatureAlgorithm::Sha384WithRsa4096,
         )
         .build();
         let i2 = CertificateBuilder::new(
-            i1_dn,
-            i2_dn.clone(),
+            &i1_dn,
+            &i2_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa4096, 42),
             SignatureAlgorithm::Sha384WithRsa4096,
         )
         .build();
         let leaf = CertificateBuilder::new(
-            i2_dn,
-            DistinguishedName::cn("big.example"),
+            &i2_dn,
+            Name::Cn("big.example"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa2048, 43),
             SignatureAlgorithm::Sha384WithRsa4096,
         )
-        .extension(Extension::SubjectAltNames(vec![
-            "big.example".into(),
-            "www.big.example".into(),
-        ]))
-        .extension(Extension::SctList { count: 3, seed: 44 })
+        .extensions(&[
+            Extension::SubjectAltNames(SanNames::listed(&["big.example", "www.big.example"])),
+            Extension::SctList { count: 3, seed: 44 },
+        ])
         .build();
         CertificateChain::new(leaf, vec![i2, i1])
     }

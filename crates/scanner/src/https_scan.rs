@@ -48,7 +48,7 @@ impl ChainSummary {
             leaf_san_bytes: chain.leaf.san_bytes(),
             leaf_san_count: chain.leaf.san_count(),
             cert_fields: chain.certs().map(|c| c.field_sizes()).collect(),
-            cert_keys: chain.certs().map(|c| c.tbs.spki.algorithm).collect(),
+            cert_keys: chain.certs().map(|c| c.key_algorithm()).collect(),
             correctly_ordered: chain.correctly_ordered(),
             includes_root: chain.includes_trust_anchor(),
         }
@@ -237,6 +237,19 @@ impl HttpsScanShard {
         shard
     }
 
+    /// Give each layout-free sketch the canonical layout, leaving a laid
+    /// out one as it is: a [`Merge::identity`] (a pump worker's total as
+    /// it starts) becomes one records can be pushed into. Summaries do not
+    /// move, since the identity adopts the same layout from the first
+    /// seeded shard merged into it.
+    fn seed(&mut self) {
+        for sketch in [&mut self.chain_der, &mut self.quic_chain_der] {
+            if !sketch.has_layout() {
+                *sketch = chain_size_sketch();
+            }
+        }
+    }
+
     /// An empty shard with the canonical sketch layout (unlike
     /// [`Merge::identity`], whose sketches are layout-free).
     pub fn seeded() -> HttpsScanShard {
@@ -278,15 +291,29 @@ pub fn fold_iter<'a>(
     records: impl IntoIterator<Item = &'a DomainRecord>,
 ) -> HttpsScanShard {
     let mut shard = HttpsScanShard::seeded();
+    fold_into(world, records, &mut shard);
+    shard
+}
+
+/// [`fold_iter`] pushing straight into `funnel`, a total the caller holds
+/// (a pump worker's, which starts as the identity and is given the
+/// canonical sketch layout here): no shard is built per chunk only to be
+/// merged away. The funnel ends bit for bit what merging `fold_iter`'s
+/// shard into it would have made it.
+pub fn fold_into<'a>(
+    world: &World,
+    records: impl IntoIterator<Item = &'a DomainRecord>,
+    funnel: &mut HttpsScanShard,
+) {
+    funnel.seed();
     for record in records {
         let https = record.https.as_ref().filter(|_| record.has_https());
         let served = https.and_then(|https| {
             let shape = world.https_chain_shape(record)?;
             Some((https.redirect_hops, shape))
         });
-        shard.push(record, served);
+        funnel.push(record, served);
     }
-    shard
 }
 
 // --------------------------------------------------- certificate figures --

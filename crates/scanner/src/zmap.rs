@@ -97,19 +97,21 @@ fn meta_server_config(
     // Individual PoP hosts serve slightly different certificate bundles
     // (extra SAN entries); `variation` models that spread and produces the
     // Fig 11 confidence intervals.
-    let mut extra_sans = vec!["*.whatsapp.net".to_string(), "*.fbcdn.net".to_string()];
-    for i in 0..((octet as u64 + variation) % 4) {
-        extra_sans.push(format!("edge-{i}-{variation}.facebook.com"));
-    }
+    let edges: Vec<String> = (0..((octet as u64 + variation) % 4))
+        .map(|i| format!("edge-{i}-{variation}.facebook.com"))
+        .collect();
+    let mut listed_sans = vec!["*.whatsapp.net", "*.fbcdn.net"];
+    listed_sans.extend(edges.iter().map(String::as_str));
     let chain = world.ecosystem.issue_era(
         ChainId::DigiCertSha2WithRoot,
         CertificateEra::Classical,
         LeafParams {
             common_name: match service {
-                MetaService::InstagramWhatsapp => "*.instagram.com".to_string(),
-                _ => "*.facebook.com".to_string(),
+                MetaService::InstagramWhatsapp => "*.instagram.com",
+                _ => "*.facebook.com",
             },
-            extra_sans,
+            listed_sans: &listed_sans,
+            extra_sans: 0,
             key: KeyAlgorithm::EcdsaP256,
             scts: 2,
             seed: 0xFB00 + octet as u64 + (variation << 16),

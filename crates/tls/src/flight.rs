@@ -114,8 +114,8 @@ impl ServerFlight {
 mod tests {
     use super::*;
     use quicert_x509::{
-        CertificateBuilder, DistinguishedName, Extension, SignatureAlgorithm, SubjectPublicKeyInfo,
-        Time, Validity,
+        CertificateBuilder, DistinguishedName, Extension, Name, SanNames, SignatureAlgorithm,
+        SubjectPublicKeyInfo, Time, Validity,
     };
 
     fn chain(leaf_key: KeyAlgorithm) -> CertificateChain {
@@ -123,20 +123,22 @@ mod tests {
         let root_dn =
             DistinguishedName::ca("US", "Internet Security Research Group", "ISRG Root X1");
         let inter = CertificateBuilder::new(
-            root_dn,
-            inter_dn.clone(),
+            &root_dn,
+            &inter_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa2048, 11),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
         .build();
         let leaf = CertificateBuilder::new(
-            inter_dn,
-            DistinguishedName::cn("quic.example"),
+            &inter_dn,
+            Name::Cn("quic.example"),
             SubjectPublicKeyInfo::new(leaf_key, 12),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::SubjectAltNames(vec!["quic.example".into()]))
-        .extension(Extension::SctList { count: 2, seed: 13 })
+        .extensions(&[
+            Extension::SubjectAltNames(SanNames::listed(&["quic.example"])),
+            Extension::SctList { count: 2, seed: 13 },
+        ])
         .build();
         CertificateChain::new(leaf, vec![inter])
     }
@@ -181,20 +183,22 @@ mod tests {
     fn pq_chain() -> CertificateChain {
         let inter_dn = DistinguishedName::ca("US", "Example PQ Trust", "PQ CA 1");
         let inter = CertificateBuilder::new(
-            DistinguishedName::ca("US", "Example PQ Trust", "PQ Root"),
-            inter_dn.clone(),
+            &DistinguishedName::ca("US", "Example PQ Trust", "PQ Root"),
+            &inter_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa65, 31),
             SignatureAlgorithm::MlDsa65,
         )
         .build();
         let leaf = CertificateBuilder::new(
-            inter_dn,
-            DistinguishedName::cn("pq.example"),
+            &inter_dn,
+            Name::Cn("pq.example"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa44, 32),
             SignatureAlgorithm::MlDsa65,
         )
-        .extension(Extension::SubjectAltNames(vec!["pq.example".into()]))
-        .extension(Extension::SctList { count: 2, seed: 33 })
+        .extensions(&[
+            Extension::SubjectAltNames(SanNames::listed(&["pq.example"])),
+            Extension::SctList { count: 2, seed: 33 },
+        ])
         .build();
         CertificateChain::new(leaf, vec![inter])
     }
@@ -207,8 +211,8 @@ mod tests {
     /// the CompressedCertificate adds.
     fn incompressible_chain() -> CertificateChain {
         let leaf = CertificateBuilder::new(
-            DistinguishedName::new(),
-            DistinguishedName::new(),
+            &DistinguishedName::new(),
+            &DistinguishedName::new(),
             SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa44, 34),
             SignatureAlgorithm::CompositeP256MlDsa44,
         )

@@ -522,27 +522,29 @@ pub(crate) fn finished_into(out: &mut Vec<u8>, seed: u64) {
 mod tests {
     use super::*;
     use quicert_x509::{
-        CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, SignatureAlgorithm,
-        SubjectPublicKeyInfo,
+        CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, Name, SanNames,
+        SignatureAlgorithm, SubjectPublicKeyInfo,
     };
 
     fn chain() -> CertificateChain {
         let inter_dn = DistinguishedName::ca("US", "Let's Encrypt", "R3");
         let root_dn = DistinguishedName::ca("US", "ISRG", "ISRG Root X1");
         let inter = CertificateBuilder::new(
-            root_dn,
-            inter_dn.clone(),
+            &root_dn,
+            &inter_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa2048, 1),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
         .build();
         let leaf = CertificateBuilder::new(
-            inter_dn,
-            DistinguishedName::cn("example.org"),
+            &inter_dn,
+            Name::Cn("example.org"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 2),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::SubjectAltNames(vec!["example.org".into()]))
+        .extensions(&[Extension::SubjectAltNames(SanNames::listed(&[
+            "example.org",
+        ]))])
         .build();
         CertificateChain::new(leaf, vec![inter])
     }

@@ -6,8 +6,7 @@
 //! signature values with exactly the DER layout (and therefore exactly the
 //! sizes) of the real algorithms.
 
-use crate::der::{self, tag, Writer};
-use crate::fill_deterministic;
+use crate::der::{self, tag, tlv_len, Writer, NULL};
 use crate::oid::{self, Oid};
 
 /// ML-DSA-44 public-key size in bytes (FIPS 204, Table 2).
@@ -130,51 +129,81 @@ pub enum SignatureAlgorithm {
 }
 
 impl SignatureAlgorithm {
-    /// The algorithm OID, and whether the AlgorithmIdentifier carries an
-    /// explicit NULL parameter (RSA does; ECDSA, ML-DSA and the composites
-    /// have absent parameters — draft-ietf-lamps-dilithium-certificates §4).
-    fn identifier(self) -> (&'static Oid, bool) {
-        match self {
-            SignatureAlgorithm::Sha256WithRsa2048 => (&oid::SHA256_WITH_RSA, true),
-            SignatureAlgorithm::Sha384WithRsa4096 => (&oid::SHA384_WITH_RSA, true),
-            SignatureAlgorithm::EcdsaSha256 => (&oid::ECDSA_WITH_SHA256, false),
-            SignatureAlgorithm::EcdsaSha384 => (&oid::ECDSA_WITH_SHA384, false),
-            SignatureAlgorithm::MlDsa44 => (&oid::ML_DSA_44, false),
-            SignatureAlgorithm::MlDsa65 => (&oid::ML_DSA_65, false),
-            SignatureAlgorithm::CompositeP256MlDsa44 => (&oid::COMPOSITE_MLDSA44_ECDSA_P256, false),
-            SignatureAlgorithm::CompositeP384MlDsa65 => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, false),
-        }
+    /// The AlgorithmIdentifier: the OID, with an explicit NULL parameter
+    /// for RSA; ECDSA, ML-DSA and the composites have absent parameters
+    /// (draft-ietf-lamps-dilithium-certificates §4).
+    fn identifier(self) -> AlgorithmIdentifier {
+        let (oid, parameters): (&'static Oid, &'static [u8]) = match self {
+            SignatureAlgorithm::Sha256WithRsa2048 => (&oid::SHA256_WITH_RSA, &NULL),
+            SignatureAlgorithm::Sha384WithRsa4096 => (&oid::SHA384_WITH_RSA, &NULL),
+            SignatureAlgorithm::EcdsaSha256 => (&oid::ECDSA_WITH_SHA256, &[]),
+            SignatureAlgorithm::EcdsaSha384 => (&oid::ECDSA_WITH_SHA384, &[]),
+            SignatureAlgorithm::MlDsa44 => (&oid::ML_DSA_44, &[]),
+            SignatureAlgorithm::MlDsa65 => (&oid::ML_DSA_65, &[]),
+            SignatureAlgorithm::CompositeP256MlDsa44 => (&oid::COMPOSITE_MLDSA44_ECDSA_P256, &[]),
+            SignatureAlgorithm::CompositeP384MlDsa65 => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, &[]),
+        };
+        AlgorithmIdentifier(oid, parameters)
+    }
+
+    /// Encoded length of the AlgorithmIdentifier SEQUENCE.
+    pub(crate) fn identifier_len(self) -> usize {
+        self.identifier().encoded_len()
     }
 
     /// Append the AlgorithmIdentifier SEQUENCE to `w`.
     pub fn encode_into(self, w: &mut Writer) {
-        let (oid, null_parameter) = self.identifier();
-        algorithm_identifier(w, oid, |w| {
-            if null_parameter {
-                w.null();
-            }
-        });
+        self.identifier().encode_into(w);
     }
 
-    /// Produce a deterministic placeholder signature value with the exact
-    /// size/structure of a real signature made with this algorithm.
-    pub(crate) fn placeholder_signature(self, seed: u64) -> Vec<u8> {
+    /// Bytes of a signature value made with this algorithm: what the
+    /// certificate's signature BIT STRING carries after its unused-bits
+    /// octet.
+    pub(crate) fn signature_len(self) -> usize {
         match self {
-            SignatureAlgorithm::Sha256WithRsa2048 => deterministic_bytes(seed, 256),
-            SignatureAlgorithm::Sha384WithRsa4096 => deterministic_bytes(seed, 512),
-            SignatureAlgorithm::EcdsaSha256 => ecdsa_sig_value(seed, 32),
-            SignatureAlgorithm::EcdsaSha384 => ecdsa_sig_value(seed, 48),
+            SignatureAlgorithm::Sha256WithRsa2048 => 256,
+            SignatureAlgorithm::Sha384WithRsa4096 => 512,
+            SignatureAlgorithm::EcdsaSha256 => ecdsa_sig_len(32),
+            SignatureAlgorithm::EcdsaSha384 => ecdsa_sig_len(48),
+            SignatureAlgorithm::MlDsa44 => ML_DSA_44_SIG_LEN,
+            SignatureAlgorithm::MlDsa65 => ML_DSA_65_SIG_LEN,
+            SignatureAlgorithm::CompositeP256MlDsa44 => composite_sig_len(ML_DSA_44_SIG_LEN, 32),
+            SignatureAlgorithm::CompositeP384MlDsa65 => composite_sig_len(ML_DSA_65_SIG_LEN, 48),
+        }
+    }
+
+    /// Append a deterministic placeholder signature value with the exact
+    /// size and structure of a real signature made with this algorithm
+    /// ([`SignatureAlgorithm::signature_len`] bytes).
+    pub(crate) fn write_signature(self, w: &mut Writer, seed: u64) {
+        match self {
+            SignatureAlgorithm::Sha256WithRsa2048 | SignatureAlgorithm::Sha384WithRsa4096 => {
+                // An RSA signature is an integer below the modulus: clear
+                // the top bit so the placeholder stays structurally
+                // plausible.
+                let first = &mut w.fill(seed, self.signature_len())[0];
+                *first = (*first & 0x7F) | 0x40;
+            }
+            SignatureAlgorithm::EcdsaSha256 => write_ecdsa_sig(w, seed, 32),
+            SignatureAlgorithm::EcdsaSha384 => write_ecdsa_sig(w, seed, 48),
             // ML-DSA signatures are raw byte strings of fixed size; no
             // high-bit adjustment applies.
-            SignatureAlgorithm::MlDsa44 => ml_dsa_sig_value(seed, ML_DSA_44_SIG_LEN),
-            SignatureAlgorithm::MlDsa65 => ml_dsa_sig_value(seed, ML_DSA_65_SIG_LEN),
+            SignatureAlgorithm::MlDsa44 | SignatureAlgorithm::MlDsa65 => {
+                w.fill(seed ^ ML_DSA_SIG_SALT, self.signature_len());
+            }
             SignatureAlgorithm::CompositeP256MlDsa44 => {
-                composite_sig_value(seed, ML_DSA_44_SIG_LEN, 32)
+                write_composite_sig(w, seed, ML_DSA_44_SIG_LEN, 32)
             }
             SignatureAlgorithm::CompositeP384MlDsa65 => {
-                composite_sig_value(seed, ML_DSA_65_SIG_LEN, 48)
+                write_composite_sig(w, seed, ML_DSA_65_SIG_LEN, 48)
             }
         }
+    }
+
+    /// The placeholder signature value as its own buffer.
+    #[cfg(test)]
+    fn placeholder_signature(self, seed: u64) -> Vec<u8> {
+        der::encoded(|w| self.write_signature(w, seed))
     }
 
     /// Whether this signature contains a post-quantum component.
@@ -206,12 +235,26 @@ impl SignatureAlgorithm {
 /// Seed salt of ML-DSA signature filler.
 const ML_DSA_SIG_SALT: u64 = 0x4D4C_4453_4121;
 
-/// AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY OPTIONAL }.
-fn algorithm_identifier(w: &mut Writer, algorithm: &Oid, parameters: impl FnOnce(&mut Writer)) {
-    w.constructed(tag::SEQUENCE, |w| {
-        algorithm.encode_into(w);
-        parameters(w);
-    });
+/// AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY
+/// OPTIONAL }, with the parameters already encoded (empty when absent).
+#[derive(Clone, Copy)]
+struct AlgorithmIdentifier(&'static Oid, &'static [u8]);
+
+impl AlgorithmIdentifier {
+    fn content_len(self) -> usize {
+        self.0.encoded_len() + self.1.len()
+    }
+
+    fn encoded_len(self) -> usize {
+        tlv_len(self.content_len())
+    }
+
+    fn encode_into(self, w: &mut Writer) {
+        w.nested(tag::SEQUENCE, self.content_len(), |w| {
+            self.0.encode_into(w);
+            w.raw(self.1);
+        });
+    }
 }
 
 /// A BIT STRING (no unused bits) of `n` filler bytes; returns the filler.
@@ -221,61 +264,45 @@ fn filled_bit_string(w: &mut Writer, seed: u64, n: usize) -> &mut [u8] {
     w.fill(seed, n)
 }
 
-/// A BIT STRING (no unused bits) around the encoding `content` writes.
-fn bit_string_around(w: &mut Writer, content: impl FnOnce(&mut Writer)) {
-    w.constructed(tag::BIT_STRING, |w| {
-        w.raw(&[0]);
-        content(w);
-    });
+/// Encoded length of an ECDSA signature value: SEQUENCE { r INTEGER,
+/// s INTEGER } over `scalar_len`-byte scalars.
+fn ecdsa_sig_len(scalar_len: usize) -> usize {
+    tlv_len(2 * tlv_len(scalar_len))
 }
 
-fn deterministic_bytes(seed: u64, n: usize) -> Vec<u8> {
-    let mut v = vec![0u8; n];
-    fill_deterministic(seed, &mut v);
-    // An RSA signature is an integer below the modulus: clear the top bit so
-    // the placeholder stays structurally plausible.
-    if let Some(first) = v.first_mut() {
-        *first &= 0x7F;
-        *first |= 0x40;
-    }
-    v
-}
-
-/// An ML-DSA signature value: a raw byte string of the FIPS 204 size.
-fn ml_dsa_sig_value(seed: u64, len: usize) -> Vec<u8> {
-    let mut v = vec![0u8; len];
-    fill_deterministic(seed ^ ML_DSA_SIG_SALT, &mut v);
-    v
-}
-
-/// A composite signature value (draft-ietf-lamps-pq-composite-sigs):
-/// SEQUENCE { mldsa BIT STRING, classical BIT STRING }.
-fn composite_sig_value(seed: u64, mldsa_len: usize, scalar_len: usize) -> Vec<u8> {
-    let mut w = Writer::with_capacity(mldsa_len + 2 * scalar_len + 24);
-    w.constructed(tag::SEQUENCE, |w| {
-        filled_bit_string(w, seed ^ 0x4D4C ^ ML_DSA_SIG_SALT, mldsa_len);
-        bit_string_around(w, |w| write_ecdsa_sig(w, seed, scalar_len));
-    });
-    w.into_vec()
-}
-
-/// An ECDSA signature value: SEQUENCE { r INTEGER, s INTEGER }. The high bit
-/// of each scalar is cleared (and the next one set) so neither sign padding
-/// nor zero stripping applies, giving the canonical fixed size
-/// (2·(n+2)+2 bytes).
-fn ecdsa_sig_value(seed: u64, scalar_len: usize) -> Vec<u8> {
-    let mut w = Writer::with_capacity(2 * (scalar_len + 2) + 2);
-    write_ecdsa_sig(&mut w, seed, scalar_len);
-    w.into_vec()
-}
-
+/// An ECDSA signature value. The high bit of each scalar is cleared (and
+/// the next one set) so neither sign padding nor zero stripping applies,
+/// giving the canonical fixed size (2·(n+2)+2 bytes).
 fn write_ecdsa_sig(w: &mut Writer, seed: u64, scalar_len: usize) {
-    w.constructed(tag::SEQUENCE, |w| {
+    w.nested(tag::SEQUENCE, 2 * tlv_len(scalar_len), |w| {
         for salt in [0x5252_5252, 0x5353_5353] {
             w.header(tag::INTEGER, scalar_len);
             let scalar = w.fill(seed ^ salt, scalar_len);
             scalar[0] = (scalar[0] & 0x7F) | 0x40;
         }
+    });
+}
+
+/// Content length of a composite signature value's SEQUENCE: the ML-DSA
+/// BIT STRING and the BIT STRING around the ECDSA signature.
+fn composite_content_len(mldsa_len: usize, scalar_len: usize) -> usize {
+    tlv_len(1 + mldsa_len) + tlv_len(1 + ecdsa_sig_len(scalar_len))
+}
+
+fn composite_sig_len(mldsa_len: usize, scalar_len: usize) -> usize {
+    tlv_len(composite_content_len(mldsa_len, scalar_len))
+}
+
+/// A composite signature value (draft-ietf-lamps-pq-composite-sigs):
+/// SEQUENCE { mldsa BIT STRING, classical BIT STRING }.
+fn write_composite_sig(w: &mut Writer, seed: u64, mldsa_len: usize, scalar_len: usize) {
+    let content = composite_content_len(mldsa_len, scalar_len);
+    w.nested(tag::SEQUENCE, content, |w| {
+        filled_bit_string(w, seed ^ 0x4D4C ^ ML_DSA_SIG_SALT, mldsa_len);
+        w.nested(tag::BIT_STRING, 1 + ecdsa_sig_len(scalar_len), |w| {
+            w.raw(&[0]);
+            write_ecdsa_sig(w, seed, scalar_len);
+        });
     });
 }
 
@@ -289,10 +316,70 @@ pub struct SubjectPublicKeyInfo {
     pub seed: u64,
 }
 
+/// Bytes of an uncompressed EC point (0x04 || X || Y) over `coord`-byte
+/// coordinates.
+fn ec_point_len(coord: usize) -> usize {
+    1 + 2 * coord
+}
+
+/// Bytes of an RSAPublicKey ::= SEQUENCE { modulus, publicExponent }: the
+/// modulus carries a sign octet, the exponent 65537 is five bytes.
+fn rsa_public_key_len(modulus: usize) -> usize {
+    tlv_len(tlv_len(modulus + 1) + 5)
+}
+
+/// Content length of a composite public key's SEQUENCE { BIT STRING,
+/// BIT STRING } (ML-DSA key first, then the EC point).
+fn composite_key_content_len(mldsa_len: usize, coord: usize) -> usize {
+    tlv_len(1 + mldsa_len) + tlv_len(1 + ec_point_len(coord))
+}
+
 impl SubjectPublicKeyInfo {
     /// Create an SPKI for `algorithm` with key bytes derived from `seed`.
     pub fn new(algorithm: KeyAlgorithm, seed: u64) -> Self {
         SubjectPublicKeyInfo { algorithm, seed }
+    }
+
+    /// The AlgorithmIdentifier: NULL parameters for RSA, the curve for
+    /// ECDSA, absent for ML-DSA and the composites
+    /// (draft-ietf-lamps-dilithium-certificates §4).
+    fn identifier(&self) -> AlgorithmIdentifier {
+        let (p256, p384): (&'static Oid, &'static Oid) = (&oid::PRIME256V1, &oid::SECP384R1);
+        let (oid, parameters): (&'static Oid, &'static [u8]) = match self.algorithm {
+            KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096 => (&oid::RSA_ENCRYPTION, &NULL),
+            KeyAlgorithm::EcdsaP256 => (&oid::EC_PUBLIC_KEY, p256.der()),
+            KeyAlgorithm::EcdsaP384 => (&oid::EC_PUBLIC_KEY, p384.der()),
+            KeyAlgorithm::MlDsa44 => (&oid::ML_DSA_44, &[]),
+            KeyAlgorithm::MlDsa65 => (&oid::ML_DSA_65, &[]),
+            KeyAlgorithm::HybridP256MlDsa44 => (&oid::COMPOSITE_MLDSA44_ECDSA_P256, &[]),
+            KeyAlgorithm::HybridP384MlDsa65 => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, &[]),
+        };
+        AlgorithmIdentifier(oid, parameters)
+    }
+
+    /// Bytes of the subjectPublicKey BIT STRING after its unused-bits
+    /// octet.
+    fn public_key_len(&self) -> usize {
+        match self.algorithm {
+            KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096 => {
+                rsa_public_key_len(self.algorithm.key_bytes())
+            }
+            KeyAlgorithm::EcdsaP256 | KeyAlgorithm::EcdsaP384 => {
+                ec_point_len(self.algorithm.key_bytes())
+            }
+            KeyAlgorithm::MlDsa44 | KeyAlgorithm::MlDsa65 => self.algorithm.key_bytes(),
+            KeyAlgorithm::HybridP256MlDsa44 => {
+                tlv_len(composite_key_content_len(ML_DSA_44_PK_LEN, 32))
+            }
+            KeyAlgorithm::HybridP384MlDsa65 => {
+                tlv_len(composite_key_content_len(ML_DSA_65_PK_LEN, 48))
+            }
+        }
+    }
+
+    /// Content length of the SubjectPublicKeyInfo SEQUENCE.
+    fn content_len(&self) -> usize {
+        self.identifier().encoded_len() + tlv_len(1 + self.public_key_len())
     }
 
     /// Append the full SubjectPublicKeyInfo SEQUENCE to `w`.
@@ -300,59 +387,47 @@ impl SubjectPublicKeyInfo {
         let seed = self.seed;
         // Uncompressed EC point: 0x04 || X || Y.
         let ec_point = |w: &mut Writer, coord: usize| {
-            filled_bit_string(w, seed, 1 + 2 * coord)[0] = 0x04;
+            filled_bit_string(w, seed, ec_point_len(coord))[0] = 0x04;
         };
-        w.constructed(tag::SEQUENCE, |w| match self.algorithm {
-            KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096 => {
-                algorithm_identifier(w, &oid::RSA_ENCRYPTION, Writer::null);
-                bit_string_around(w, |w| {
-                    // RSAPublicKey ::= SEQUENCE { modulus, publicExponent }
-                    w.constructed(tag::SEQUENCE, |w| {
-                        // A real modulus has its top bit set (it is exactly
-                        // n bits), so the INTEGER carries a sign octet.
-                        let n_len = self.algorithm.key_bytes();
-                        w.header(tag::INTEGER, n_len + 1);
+        w.nested(tag::SEQUENCE, self.content_len(), |w| {
+            self.identifier().encode_into(w);
+            let key = self.public_key_len();
+            match self.algorithm {
+                KeyAlgorithm::Rsa2048 | KeyAlgorithm::Rsa4096 => {
+                    // A real modulus has its top bit set (it is exactly n
+                    // bits), so the INTEGER carries a sign octet.
+                    let n_len = self.algorithm.key_bytes();
+                    w.nested(tag::BIT_STRING, 1 + key, |w| {
                         w.raw(&[0]);
-                        w.fill(seed, n_len)[0] |= 0x80;
-                        w.integer_u64(65537);
+                        w.nested(tag::SEQUENCE, tlv_len(n_len + 1) + 5, |w| {
+                            w.header(tag::INTEGER, n_len + 1);
+                            w.raw(&[0]);
+                            w.fill(seed, n_len)[0] |= 0x80;
+                            w.integer_u64(65537);
+                        });
                     });
-                });
-            }
-            KeyAlgorithm::EcdsaP256 | KeyAlgorithm::EcdsaP384 => {
-                let curve = match self.algorithm {
-                    KeyAlgorithm::EcdsaP256 => &oid::PRIME256V1,
-                    _ => &oid::SECP384R1,
-                };
-                algorithm_identifier(w, &oid::EC_PUBLIC_KEY, |w| curve.encode_into(w));
-                ec_point(w, self.algorithm.key_bytes());
-            }
-            KeyAlgorithm::MlDsa44 | KeyAlgorithm::MlDsa65 => {
-                // ML-DSA SPKI: AlgorithmIdentifier with absent parameters,
-                // subjectPublicKey = the raw FIPS 204 public key.
-                let alg_oid = match self.algorithm {
-                    KeyAlgorithm::MlDsa44 => &oid::ML_DSA_44,
-                    _ => &oid::ML_DSA_65,
-                };
-                algorithm_identifier(w, alg_oid, |_| {});
-                filled_bit_string(w, seed, self.algorithm.key_bytes());
-            }
-            KeyAlgorithm::HybridP256MlDsa44 | KeyAlgorithm::HybridP384MlDsa65 => {
-                // CompositeSignaturePublicKey ::= SEQUENCE { BIT STRING,
-                // BIT STRING } (ML-DSA key first, then the EC point),
-                // wrapped in the SPKI subjectPublicKey BIT STRING.
-                let (alg_oid, mldsa_len, coord) = match self.algorithm {
-                    KeyAlgorithm::HybridP256MlDsa44 => {
-                        (&oid::COMPOSITE_MLDSA44_ECDSA_P256, ML_DSA_44_PK_LEN, 32)
-                    }
-                    _ => (&oid::COMPOSITE_MLDSA65_ECDSA_P384, ML_DSA_65_PK_LEN, 48),
-                };
-                algorithm_identifier(w, alg_oid, |_| {});
-                bit_string_around(w, |w| {
-                    w.constructed(tag::SEQUENCE, |w| {
-                        filled_bit_string(w, seed ^ 0x004D_4C4B_4559, mldsa_len);
-                        ec_point(w, coord);
+                }
+                KeyAlgorithm::EcdsaP256 | KeyAlgorithm::EcdsaP384 => {
+                    ec_point(w, self.algorithm.key_bytes());
+                }
+                // ML-DSA: the subjectPublicKey is the raw FIPS 204 key.
+                KeyAlgorithm::MlDsa44 | KeyAlgorithm::MlDsa65 => {
+                    filled_bit_string(w, seed, key);
+                }
+                KeyAlgorithm::HybridP256MlDsa44 | KeyAlgorithm::HybridP384MlDsa65 => {
+                    let (mldsa_len, coord) = match self.algorithm {
+                        KeyAlgorithm::HybridP256MlDsa44 => (ML_DSA_44_PK_LEN, 32),
+                        _ => (ML_DSA_65_PK_LEN, 48),
+                    };
+                    w.nested(tag::BIT_STRING, 1 + key, |w| {
+                        w.raw(&[0]);
+                        let content = composite_key_content_len(mldsa_len, coord);
+                        w.nested(tag::SEQUENCE, content, |w| {
+                            filled_bit_string(w, seed ^ 0x004D_4C4B_4559, mldsa_len);
+                            ec_point(w, coord);
+                        });
                     });
-                });
+                }
             }
         });
     }
@@ -362,9 +437,9 @@ impl SubjectPublicKeyInfo {
         der::encoded(|w| self.encode_into(w))
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes, computed from the algorithm alone.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        tlv_len(self.content_len())
     }
 }
 
@@ -398,6 +473,7 @@ mod tests {
     fn spki_is_wellformed_der() {
         for alg in KeyAlgorithm::ALL_ERAS {
             let spki = SubjectPublicKeyInfo::new(alg, 99).encode();
+            assert_eq!(SubjectPublicKeyInfo::new(alg, 99).encoded_len(), spki.len());
             let parsed = parse_one(&spki).unwrap();
             let children = parsed.children().unwrap();
             assert_eq!(children.len(), 2, "{alg:?}: AlgId + BIT STRING");
@@ -509,6 +585,29 @@ mod tests {
                 .len(),
             102
         );
+    }
+
+    #[test]
+    fn signature_lengths_are_what_the_writer_writes() {
+        use SignatureAlgorithm::*;
+        for alg in [
+            Sha256WithRsa2048,
+            Sha384WithRsa4096,
+            EcdsaSha256,
+            EcdsaSha384,
+            MlDsa44,
+            MlDsa65,
+            CompositeP256MlDsa44,
+            CompositeP384MlDsa65,
+        ] {
+            let identifier = der::encoded(|w| alg.encode_into(w));
+            assert_eq!(alg.identifier_len(), identifier.len(), "{alg:?}");
+            assert_eq!(
+                alg.signature_len(),
+                alg.placeholder_signature(9).len(),
+                "{alg:?}"
+            );
+        }
     }
 
     #[test]

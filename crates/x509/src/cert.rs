@@ -1,17 +1,25 @@
 //! X.509 v3 certificates.
 //!
-//! A [`Certificate`] mirrors the structure in Figure 2(a) of the paper:
-//! a `tbsCertificate` (version, serial, signature algorithm, issuer,
-//! validity, subject, subjectPublicKeyInfo, extensions), the outer
-//! signature algorithm, and the signature value. [`Certificate::field_sizes`]
-//! attributes the encoded bytes to the field groups that the paper's
-//! Figures 2(b) and 8 report on; the attribution is recorded from writer
-//! offsets while `Certificate::assemble` encodes, so reading it is free.
+//! A [`Certificate`] is its DER plus what encoding it measured: the field
+//! attribution of Figures 2(b) and 8 ([`Certificate::field_sizes`]), the
+//! subjectAltName bytes and count (Fig 14), the key and signature
+//! algorithms (Table 2) and the byte spans of its subject and issuer
+//! names, which chain ordering compares byte for byte. No tree of the
+//! `tbsCertificate` is built or kept: the structure of Figure 2(a)
+//! (version, serial, signature algorithm, issuer, validity, subject,
+//! subjectPublicKeyInfo, extensions; then the outer signature algorithm
+//! and the signature value) exists only as the order in which
+//! [`CertificateBuilder::build`] writes it.
+//!
+//! The builder borrows every part and writes each byte once, front to
+//! back: all lengths are summed from the parts first, so the buffer is
+//! allocated at its exact size, every header is written with a known
+//! length, and key and signature filler is generated in place.
 
-use crate::alg::{SignatureAlgorithm, SubjectPublicKeyInfo};
-use crate::der::{context_tag, tag, Writer};
-use crate::ext::{encode_extensions_into, Extension};
-use crate::name::DistinguishedName;
+use crate::alg::{KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo};
+use crate::der::{context_tag, integer_len, tag, tlv_len, Writer};
+use crate::ext::Extension;
+use crate::name::Name;
 use crate::time::Time;
 
 /// A certificate validity period.
@@ -24,6 +32,9 @@ pub struct Validity {
 }
 
 impl Validity {
+    /// Encoded size of the validity SEQUENCE: two UTCTimes.
+    const ENCODED_LEN: usize = 2 + 2 * Time::ENCODED_LEN;
+
     /// A validity window starting at `from` and lasting `days`.
     pub fn days(from: Time, days: u32) -> Self {
         Validity {
@@ -34,71 +45,15 @@ impl Validity {
 
     /// Append the validity SEQUENCE to `w`.
     pub fn encode_into(&self, w: &mut Writer) {
-        w.constructed(tag::SEQUENCE, |w| {
+        w.nested(tag::SEQUENCE, 2 * Time::ENCODED_LEN, |w| {
             self.not_before.encode_into(w);
             self.not_after.encode_into(w);
         });
     }
 }
 
-/// The to-be-signed portion of a certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TbsCertificate {
-    /// Serial number bytes (big-endian magnitude; CAs use 16–20 bytes).
-    pub serial: Vec<u8>,
-    /// Signature algorithm (must match the outer algorithm).
-    pub signature_alg: SignatureAlgorithm,
-    /// Issuer distinguished name.
-    pub issuer: DistinguishedName,
-    /// Validity period.
-    pub validity: Validity,
-    /// Subject distinguished name.
-    pub subject: DistinguishedName,
-    /// Subject public key.
-    pub spki: SubjectPublicKeyInfo,
-    /// v3 extensions.
-    pub extensions: Vec<Extension>,
-}
-
-impl TbsCertificate {
-    /// Append the TBSCertificate SEQUENCE to `w`. Returns the sizes of the
-    /// fields it wrote (`signature` and `other` are the caller's to fill)
-    /// and the bytes of its subjectAltName extensions.
-    fn encode_into(&self, w: &mut Writer) -> (FieldSizes, usize) {
-        w.constructed(tag::SEQUENCE, |w| {
-            // version [0] EXPLICIT INTEGER 2 (v3)
-            w.constructed(context_tag(0, true), |w| w.integer_u64(2));
-            w.integer_bytes(&self.serial);
-            self.signature_alg.encode_into(w);
-            let issuer = measured(w, |w| self.issuer.encode_into(w));
-            self.validity.encode_into(w);
-            let subject = measured(w, |w| self.subject.encode_into(w));
-            let spki = measured(w, |w| self.spki.encode_into(w));
-            let before_extensions = w.len();
-            let san_bytes = if self.extensions.is_empty() {
-                0
-            } else {
-                encode_extensions_into(&self.extensions, w)
-            };
-            let extensions = w.len() - before_extensions;
-            let sizes = FieldSizes {
-                subject,
-                issuer,
-                spki,
-                extensions,
-                ..FieldSizes::default()
-            };
-            (sizes, san_bytes)
-        })
-    }
-}
-
-/// Bytes `write` appends to `w`.
-fn measured(w: &mut Writer, write: impl FnOnce(&mut Writer)) -> usize {
-    let at = w.len();
-    write(w);
-    w.len() - at
-}
+/// `version [0] EXPLICIT INTEGER 2` (v3).
+const VERSION_V3: [u8; 5] = [context_tag(0, true), 3, tag::INTEGER, 1, 2];
 
 /// Byte attribution of a certificate to the field groups of Fig 2(b)/Fig 8.
 ///
@@ -129,64 +84,62 @@ impl FieldSizes {
     }
 }
 
-/// A complete, encoded X.509 certificate.
+/// A complete X.509 certificate: its DER and what encoding it measured.
+///
+/// Cloning one copies its DER, one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
-    /// The to-be-signed body.
-    pub tbs: TbsCertificate,
-    /// Outer signature algorithm (equals `tbs.signature_alg`).
-    pub signature_alg: SignatureAlgorithm,
-    /// Raw signature value bytes (placed in a BIT STRING).
-    pub signature: Vec<u8>,
-    /// Cached DER encoding.
-    encoded: Vec<u8>,
-    /// Field attribution of `encoded`, recorded while it was written.
+    /// The DER encoding.
+    der: Vec<u8>,
+    /// Field attribution of `der`.
     sizes: FieldSizes,
-    /// Bytes of the subjectAltName extension(s) within `encoded`.
+    /// Bytes of the subjectAltName extension(s) within `der`.
     san_bytes: usize,
+    /// Number of subjectAltName entries.
+    san_count: usize,
+    key_algorithm: KeyAlgorithm,
+    signature_algorithm: SignatureAlgorithm,
+    /// Offsets in `der` of the subject and issuer Names, whose lengths
+    /// are `sizes.subject` and `sizes.issuer`.
+    subject_at: usize,
+    issuer_at: usize,
 }
 
 impl Certificate {
-    /// Assemble and encode a certificate from its TBS body and signature.
-    pub(crate) fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Self {
-        let signature_alg = tbs.signature_alg;
-        // Everything but key, signature and names is a few hundred bytes;
-        // a SAN-heavy leaf outgrows the guess and the buffer doubles.
-        let mut w = Writer::with_capacity(1024 + tbs.spki.algorithm.key_bytes() + signature.len());
-        let (mut sizes, san_bytes) = w.constructed(tag::SEQUENCE, |w| {
-            let (mut sizes, san_bytes) = tbs.encode_into(w);
-            sizes.signature = measured(w, |w| {
-                signature_alg.encode_into(w);
-                w.bit_string(&signature, 0);
-            });
-            (sizes, san_bytes)
-        });
-        let encoded = w.into_vec();
-        sizes.other = encoded.len() - sizes.total();
-        Certificate {
-            tbs,
-            signature_alg,
-            signature,
-            encoded,
-            sizes,
-            san_bytes,
-        }
-    }
-
-    /// The cached DER encoding of the full certificate.
+    /// The DER encoding of the full certificate.
     pub fn der(&self) -> &[u8] {
-        &self.encoded
+        &self.der
     }
 
     /// Encoded size in bytes.
     pub fn der_len(&self) -> usize {
-        self.encoded.len()
+        self.der.len()
+    }
+
+    /// The DER of the subject Name.
+    pub fn subject(&self) -> &[u8] {
+        &self.der[self.subject_at..self.subject_at + self.sizes.subject]
+    }
+
+    /// The DER of the issuer Name.
+    pub fn issuer(&self) -> &[u8] {
+        &self.der[self.issuer_at..self.issuer_at + self.sizes.issuer]
     }
 
     /// Whether this certificate is self-signed (subject == issuer), i.e. a
     /// trust anchor as distributed in root stores.
     pub(crate) fn is_self_signed(&self) -> bool {
-        self.tbs.subject == self.tbs.issuer
+        self.subject() == self.issuer()
+    }
+
+    /// The subject key's algorithm (Table 2).
+    pub fn key_algorithm(&self) -> KeyAlgorithm {
+        self.key_algorithm
+    }
+
+    /// The algorithm the issuer signed with (inner and outer fields).
+    pub fn signature_algorithm(&self) -> SignatureAlgorithm {
+        self.signature_algorithm
     }
 
     /// Bytes used by the subjectAltName extension (Fig 14).
@@ -196,14 +149,7 @@ impl Certificate {
 
     /// Number of subjectAltName entries.
     pub fn san_count(&self) -> usize {
-        self.tbs
-            .extensions
-            .iter()
-            .filter_map(|e| match e {
-                Extension::SubjectAltNames(names) => Some(names.len()),
-                _ => None,
-            })
-            .sum()
+        self.san_count
     }
 
     /// Attribute encoded bytes to the field groups of Fig 2(b).
@@ -212,35 +158,39 @@ impl Certificate {
     }
 }
 
-/// Ergonomic builder for certificates with placeholder key material.
+/// Builder for certificates with placeholder key material, borrowing
+/// every part: names ([`Name`]), extensions (which borrow their own
+/// strings and OIDs) and the algorithms and seeds of key and signature.
+/// [`CertificateBuilder::build`] sums every length from these parts,
+/// allocates the certificate's exact size once and writes each byte once,
+/// front to back.
 #[derive(Debug, Clone)]
-pub struct CertificateBuilder {
-    serial_seed: u64,
-    issuer: DistinguishedName,
-    subject: DistinguishedName,
+pub struct CertificateBuilder<'a> {
+    issuer: Name<'a>,
+    subject: Name<'a>,
     validity: Validity,
     spki: SubjectPublicKeyInfo,
     signature_alg: SignatureAlgorithm,
-    extensions: Vec<Extension>,
+    extensions: &'a [Extension<'a>],
 }
 
-impl CertificateBuilder {
+impl<'a> CertificateBuilder<'a> {
     /// Start building a certificate for `subject` with the given key,
-    /// signed by `issuer` using `signature_alg`.
+    /// signed by `issuer` using `signature_alg`. The serial and the
+    /// signature derive from the key's seed.
     pub fn new(
-        issuer: DistinguishedName,
-        subject: DistinguishedName,
+        issuer: impl Into<Name<'a>>,
+        subject: impl Into<Name<'a>>,
         spki: SubjectPublicKeyInfo,
         signature_alg: SignatureAlgorithm,
     ) -> Self {
         CertificateBuilder {
-            serial_seed: spki.seed,
-            issuer,
-            subject,
+            issuer: issuer.into(),
+            subject: subject.into(),
             validity: Validity::days(Time::date(2022, 3, 1), 90),
             spki,
             signature_alg,
-            extensions: Vec::new(),
+            extensions: &[],
         }
     }
 
@@ -250,22 +200,15 @@ impl CertificateBuilder {
         self
     }
 
-    /// Append an extension.
-    pub fn extension(mut self, ext: Extension) -> Self {
-        self.extensions.push(ext);
+    /// Set the extensions, in the order they are written.
+    pub fn extensions(mut self, extensions: &'a [Extension<'a>]) -> Self {
+        self.extensions = extensions;
         self
     }
 
-    /// Append several extensions.
-    pub fn extensions(mut self, exts: impl IntoIterator<Item = Extension>) -> Self {
-        self.extensions.extend(exts);
-        self
-    }
-
-    /// Derive the 16-byte serial magnitude used by [`build`](Self::build)
-    /// for a given serial seed.
-    fn derive_serial(serial_seed: u64) -> Vec<u8> {
-        let mut serial = vec![0u8; 16];
+    /// The 16-byte serial magnitude for a serial seed.
+    fn derive_serial(serial_seed: u64) -> [u8; 16] {
+        let mut serial = [0u8; 16];
         crate::fill_deterministic(serial_seed ^ 0x5E51_A11E, &mut serial);
         serial[0] &= 0x7F; // keep the serial positive without padding
         serial
@@ -279,79 +222,148 @@ impl CertificateBuilder {
     /// masked 16-byte magnitude, so a small fraction of seeds encode one
     /// or more bytes shorter. Everything else (SPKI, signature, SCTs,
     /// names sized by their inputs) is length-stable per algorithm.
-    /// Allocation-free: mirrors `Writer::integer_bytes` arithmetic (trim
-    /// leading zero octets while the sign stays positive, pad when the
-    /// top bit is set, two header bytes for the ≤17-byte content) so the
-    /// million-record scan path can call it per record. The mirror is
-    /// pinned against the real encoder by `serial_der_len_matches_built_
-    /// certificates`.
+    /// Allocation-free, so the million-record scan path can call it per
+    /// record; [`build`](Self::build) sizes the serial with the same
+    /// arithmetic.
     pub fn serial_der_len(serial_seed: u64) -> usize {
-        let mut serial = [0u8; 16];
-        crate::fill_deterministic(serial_seed ^ 0x5E51_A11E, &mut serial);
-        serial[0] &= 0x7F;
-        let mut m: &[u8] = &serial;
-        while m.len() > 1 && m[0] == 0 && m[1] & 0x80 == 0 {
-            m = &m[1..];
-        }
-        let content = m.len() + usize::from(m[0] & 0x80 != 0);
-        2 + content
+        integer_len(&Self::derive_serial(serial_seed))
     }
 
-    /// Build the certificate, deriving a 16-byte serial and a placeholder
-    /// signature of the correct algorithm-specific size.
-    pub fn build(self) -> Certificate {
-        let serial = Self::derive_serial(self.serial_seed);
-        let tbs = TbsCertificate {
-            serial,
-            signature_alg: self.signature_alg,
-            issuer: self.issuer,
-            validity: self.validity,
-            subject: self.subject,
-            spki: self.spki,
-            extensions: self.extensions,
+    /// Build the certificate: a 16-byte serial and a placeholder signature
+    /// of the algorithm's size, both derived from the key's seed.
+    pub fn build(&self) -> Certificate {
+        let seed = self.spki.seed;
+        let serial = Self::derive_serial(seed);
+        let sig_alg = self.signature_alg;
+
+        // Every length, summed from the parts before a byte is written.
+        let (mut extension_list, mut san_bytes, mut san_count) = (0, 0, 0);
+        for extension in self.extensions {
+            let len = extension.encoded_len();
+            extension_list += len;
+            if let Extension::SubjectAltNames(names) = extension {
+                san_bytes += len;
+                san_count += names.count();
+            }
+        }
+        let extensions = if self.extensions.is_empty() {
+            0
+        } else {
+            tlv_len(tlv_len(extension_list))
         };
-        let signature = self
-            .signature_alg
-            .placeholder_signature(self.serial_seed ^ 0x51_6E41);
-        Certificate::assemble(tbs, signature)
+        let (issuer, subject) = (self.issuer.encoded_len(), self.subject.encoded_len());
+        let spki = self.spki.encoded_len();
+        let tbs = VERSION_V3.len()
+            + integer_len(&serial)
+            + sig_alg.identifier_len()
+            + issuer
+            + Validity::ENCODED_LEN
+            + subject
+            + spki
+            + extensions;
+        let signature_value = sig_alg.signature_len();
+        let signature = sig_alg.identifier_len() + tlv_len(1 + signature_value);
+        let content = tlv_len(tbs) + signature;
+        let total = tlv_len(content);
+
+        let mut w = Writer::with_capacity(total);
+        let (issuer_at, subject_at) = w.nested(tag::SEQUENCE, content, |w| {
+            let at = w.nested(tag::SEQUENCE, tbs, |w| {
+                w.raw(&VERSION_V3);
+                w.integer_bytes(&serial);
+                sig_alg.encode_into(w);
+                let issuer_at = w.len();
+                self.issuer.encode_into(w);
+                self.validity.encode_into(w);
+                let subject_at = w.len();
+                self.subject.encode_into(w);
+                self.spki.encode_into(w);
+                if extensions > 0 {
+                    w.nested(context_tag(3, true), tlv_len(extension_list), |w| {
+                        w.nested(tag::SEQUENCE, extension_list, |w| {
+                            for extension in self.extensions {
+                                extension.encode_into(w);
+                            }
+                        })
+                    });
+                }
+                (issuer_at, subject_at)
+            });
+            sig_alg.encode_into(w);
+            w.nested(tag::BIT_STRING, 1 + signature_value, |w| {
+                w.raw(&[0]);
+                sig_alg.write_signature(w, seed ^ 0x51_6E41);
+            });
+            at
+        });
+        let der = w.into_vec();
+        debug_assert_eq!((der.len(), der.capacity()), (total, total));
+        let mut sizes = FieldSizes {
+            subject,
+            issuer,
+            spki,
+            extensions,
+            signature,
+            other: 0,
+        };
+        sizes.other = total - sizes.total();
+        Certificate {
+            der,
+            sizes,
+            san_bytes,
+            san_count,
+            key_algorithm: self.spki.algorithm,
+            signature_algorithm: sig_alg,
+            subject_at,
+            issuer_at,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg::KeyAlgorithm;
     use crate::der::{self, parse_one};
-    use crate::ext::KeyUsageFlags;
+    use crate::ext::{KeyUsageFlags, SanNames};
+    use crate::name::DistinguishedName;
     use crate::oid;
 
     fn leaf() -> Certificate {
+        let issuer = DistinguishedName::ca("US", "Let's Encrypt", "R3");
         CertificateBuilder::new(
-            DistinguishedName::ca("US", "Let's Encrypt", "R3"),
-            DistinguishedName::cn("*.isc.org"),
+            &issuer,
+            Name::Cn("*.isc.org"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 42),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::BasicConstraints {
-            ca: false,
-            path_len: None,
-        })
-        .extension(Extension::KeyUsage(KeyUsageFlags::leaf()))
-        .extension(Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH]))
-        .extension(Extension::SubjectKeyId { seed: 1 })
-        .extension(Extension::AuthorityKeyId { seed: 2 })
-        .extension(Extension::SubjectAltNames(vec![
-            "*.isc.org".into(),
-            "isc.org".into(),
-        ]))
-        .extension(Extension::AuthorityInfoAccess {
-            ocsp: Some("http://r3.o.lencr.org".into()),
-            ca_issuers: Some("http://r3.i.lencr.org/".into()),
-        })
-        .extension(Extension::CertificatePolicies(vec![
-            oid::CP_DOMAIN_VALIDATED,
-        ]))
-        .extension(Extension::SctList { count: 2, seed: 3 })
+        .extensions(&[
+            Extension::BasicConstraints {
+                ca: false,
+                path_len: None,
+            },
+            Extension::KeyUsage(KeyUsageFlags::leaf()),
+            Extension::ExtKeyUsage(&[oid::KP_SERVER_AUTH]),
+            Extension::SubjectKeyId { seed: 1 },
+            Extension::AuthorityKeyId { seed: 2 },
+            Extension::SubjectAltNames(SanNames::listed(&["*.isc.org", "isc.org"])),
+            Extension::AuthorityInfoAccess {
+                ocsp: Some("http://r3.o.lencr.org"),
+                ca_issuers: Some("http://r3.i.lencr.org/"),
+            },
+            Extension::CertificatePolicies(&[oid::CP_DOMAIN_VALIDATED]),
+            Extension::SctList { count: 2, seed: 3 },
+        ])
+        .build()
+    }
+
+    fn bare(seed: u64) -> Certificate {
+        let issuer = DistinguishedName::ca("US", "CA", "X");
+        CertificateBuilder::new(
+            &issuer,
+            Name::Cn("example.org"),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, seed),
+            SignatureAlgorithm::EcdsaSha256,
+        )
         .build()
     }
 
@@ -365,7 +377,13 @@ mod tests {
         assert_eq!(parts[1].tag, 0x30);
         assert_eq!(parts[2].tag, 0x03);
         // TBS has 8 children: version..extensions.
-        assert_eq!(parts[0].children().unwrap().len(), 8);
+        let tbs = parts[0].children().unwrap();
+        assert_eq!(tbs.len(), 8);
+        // The recorded spans are the issuer and subject fields.
+        assert_eq!(der::tlv(tbs[3].tag, &tbs[3].content), cert.issuer());
+        assert_eq!(der::tlv(tbs[5].tag, &tbs[5].content), cert.subject());
+        assert_eq!(cert.subject(), DistinguishedName::cn("*.isc.org").encode());
+        assert_eq!(cert.key_algorithm(), KeyAlgorithm::EcdsaP256);
     }
 
     #[test]
@@ -389,19 +407,31 @@ mod tests {
         let root_dn =
             DistinguishedName::ca("US", "Internet Security Research Group", "ISRG Root X1");
         let root = CertificateBuilder::new(
-            root_dn.clone(),
-            root_dn,
+            &root_dn,
+            &root_dn,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa4096, 7),
             SignatureAlgorithm::Sha384WithRsa4096,
         )
-        .extension(Extension::BasicConstraints {
-            ca: true,
-            path_len: None,
-        })
-        .extension(Extension::KeyUsage(KeyUsageFlags::ca()))
+        .extensions(&[
+            Extension::BasicConstraints {
+                ca: true,
+                path_len: None,
+            },
+            Extension::KeyUsage(KeyUsageFlags::ca()),
+        ])
         .build();
         assert!(root.is_self_signed());
         assert!(!leaf().is_self_signed());
+        // A leaf issued under the root, naming it by its subject span.
+        let issued = CertificateBuilder::new(
+            Name::Der(root.subject()),
+            Name::Cn("example.org"),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 8),
+            SignatureAlgorithm::Sha384WithRsa4096,
+        )
+        .build();
+        assert_eq!(issued.issuer(), root.subject());
+        assert_eq!(issued.issuer(), root_dn.encode());
     }
 
     #[test]
@@ -414,10 +444,11 @@ mod tests {
 
     #[test]
     fn key_algorithm_changes_size_as_expected() {
+        let issuer = DistinguishedName::ca("US", "CA", "X");
         let mk = |alg| {
             CertificateBuilder::new(
-                DistinguishedName::ca("US", "CA", "X"),
-                DistinguishedName::cn("example.org"),
+                &issuer,
+                Name::Cn("example.org"),
                 SubjectPublicKeyInfo::new(alg, 1),
                 SignatureAlgorithm::Sha256WithRsa2048,
             )
@@ -434,28 +465,37 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         assert_eq!(leaf().der(), leaf().der());
+        assert_eq!(leaf(), leaf());
     }
 
     #[test]
     fn signature_algorithms_match_inner_and_outer() {
         let cert = leaf();
-        assert_eq!(cert.tbs.signature_alg, cert.signature_alg);
+        let parts = parse_one(cert.der()).unwrap().children().unwrap();
+        let inner = &parts[0].children().unwrap()[2];
+        assert_eq!(inner, &parts[1]);
+        let expected = der::encoded(|w| SignatureAlgorithm::Sha256WithRsa2048.encode_into(w));
+        assert_eq!(der::tlv(inner.tag, &inner.content), expected);
+        assert_eq!(
+            cert.signature_algorithm(),
+            SignatureAlgorithm::Sha256WithRsa2048
+        );
+    }
+
+    /// The serial INTEGER, parsed back out of a built certificate.
+    fn parsed_serial_len(cert: &Certificate) -> usize {
+        let tbs = &parse_one(cert.der()).unwrap().children().unwrap()[0];
+        let serial = &tbs.children().unwrap()[1];
+        assert_eq!(serial.tag, tag::INTEGER);
+        der::tlv(serial.tag, &serial.content).len()
     }
 
     #[test]
     fn serial_der_len_matches_built_certificates() {
         let mut trimmed = 0usize;
         for seed in 0..4096u64 {
-            let cert = CertificateBuilder::new(
-                DistinguishedName::ca("US", "CA", "X"),
-                DistinguishedName::cn("example.org"),
-                SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, seed),
-                SignatureAlgorithm::EcdsaSha256,
-            )
-            .build();
             let predicted = CertificateBuilder::serial_der_len(seed);
-            let encoded = der::integer_bytes(&cert.tbs.serial).len();
-            assert_eq!(predicted, encoded, "seed {seed}");
+            assert_eq!(predicted, parsed_serial_len(&bare(seed)), "seed {seed}");
             // Full 16-byte magnitude => tag + len + 16.
             if predicted < 18 {
                 trimmed += 1;
@@ -473,15 +513,8 @@ mod tests {
         let seed_with_zero_lead = (0..1u64 << 16)
             .find(|&s| CertificateBuilder::serial_der_len(s) < 18)
             .expect("some seed trims");
-        let cert = CertificateBuilder::new(
-            DistinguishedName::ca("US", "CA", "X"),
-            DistinguishedName::cn("example.org"),
-            SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, seed_with_zero_lead),
-            SignatureAlgorithm::EcdsaSha256,
-        )
-        .build();
         assert_eq!(
-            der::integer_bytes(&cert.tbs.serial).len(),
+            parsed_serial_len(&bare(seed_with_zero_lead)),
             CertificateBuilder::serial_der_len(seed_with_zero_lead),
         );
     }

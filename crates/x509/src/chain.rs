@@ -75,14 +75,16 @@ impl CertificateChain {
     }
 
     /// Whether the chain is correctly ordered: each certificate is issued by
-    /// the next one (matched on distinguished names). Fig 7 excludes chains
-    /// that are not correctly ordered.
+    /// the next one, its issuer Name equal to the next one's subject byte
+    /// for byte (the binary comparison RFC 5280 §7.1 allows for names
+    /// encoded alike). Fig 7 excludes chains that are not correctly
+    /// ordered.
     pub fn correctly_ordered(&self) -> bool {
         // The last certificate either chains to an out-of-band root or is
         // itself self-signed; both are "ordered".
         self.certs()
             .zip(self.intermediates.iter())
-            .all(|(child, parent)| child.tbs.issuer == parent.tbs.subject)
+            .all(|(child, parent)| child.issuer() == parent.subject())
     }
 
     /// Whether the server superfluously includes a self-signed trust anchor
@@ -97,36 +99,40 @@ mod tests {
     use super::*;
     use crate::alg::{KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo};
     use crate::cert::CertificateBuilder;
-    use crate::ext::{Extension, KeyUsageFlags};
-    use crate::name::DistinguishedName;
+    use crate::ext::{Extension, KeyUsageFlags, SanNames};
+    use crate::name::{DistinguishedName, Name};
 
-    fn ca_cert(issuer: &DistinguishedName, subject: DistinguishedName, seed: u64) -> Certificate {
+    fn ca_cert(issuer: &DistinguishedName, subject: &DistinguishedName, seed: u64) -> Certificate {
         CertificateBuilder::new(
-            issuer.clone(),
+            issuer,
             subject,
             SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa2048, seed),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::BasicConstraints {
-            ca: true,
-            path_len: Some(0),
-        })
-        .extension(Extension::KeyUsage(KeyUsageFlags::ca()))
+        .extensions(&[
+            Extension::BasicConstraints {
+                ca: true,
+                path_len: Some(0),
+            },
+            Extension::KeyUsage(KeyUsageFlags::ca()),
+        ])
         .build()
     }
 
     fn build_chain(include_root: bool) -> CertificateChain {
         let root_dn = DistinguishedName::ca("US", "Test Trust Co", "Test Root");
         let inter_dn = DistinguishedName::ca("US", "Test Trust Co", "Test CA 1");
-        let root = ca_cert(&root_dn, root_dn.clone(), 1);
-        let inter = ca_cert(&root_dn, inter_dn.clone(), 2);
+        let root = ca_cert(&root_dn, &root_dn, 1);
+        let inter = ca_cert(&root_dn, &inter_dn, 2);
         let leaf = CertificateBuilder::new(
-            inter_dn,
-            DistinguishedName::cn("www.example.org"),
+            Name::Der(inter.subject()),
+            Name::Cn("www.example.org"),
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 3),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::SubjectAltNames(vec!["www.example.org".into()]))
+        .extensions(&[Extension::SubjectAltNames(SanNames::listed(&[
+            "www.example.org",
+        ]))])
         .build();
         let mut intermediates = vec![inter];
         if include_root {
@@ -176,6 +182,9 @@ mod tests {
     fn certs_iterates_leaf_first() {
         let chain = build_chain(false);
         let first = chain.certs().next().unwrap();
-        assert_eq!(first.tbs.subject.common_name(), Some("www.example.org"));
+        assert_eq!(
+            first.subject(),
+            DistinguishedName::cn("www.example.org").encode()
+        );
     }
 }

@@ -4,15 +4,15 @@
 //! tags, definite lengths, and the universal types that appear in
 //! certificates.
 //!
-//! Encoding is append-only into one buffer: a [`Writer`] owns a single
-//! `Vec<u8>` and every structure of the crate has an `encode_into(&mut
-//! Writer)` that appends its TLV in document order (parents open, children
-//! write, parents close). A nested value is written by
-//! [`Writer::constructed`], which emits the tag, runs a closure for the
-//! content and then back-patches the definite length — so a whole
-//! certificate is one allocation, and the byte length of any field is the
-//! difference of two [`Writer::len`] readings taken around it, which is how
-//! `Certificate::assemble` attributes sizes to fields while it encodes.
+//! Encoding is one pass, front to back, into one buffer. Every structure
+//! of the crate knows its encoded length before it writes a byte (an
+//! `encoded_len` that is arithmetic on its parts, never a trial encoding),
+//! so a nested value is written by [`Writer::nested`]: the tag, the
+//! definite length the caller computed, then the content. No length is
+//! back-patched and no content is shifted, so a caller that sums the
+//! lengths first can allocate the exact buffer up front, which is how a
+//! certificate is one allocation. `nested` checks that the content wrote
+//! exactly the length announced for it, at every level.
 //! The `Vec`-returning `encode()` methods elsewhere in the crate are
 //! one-line wrappers over `encode_into`.
 //!
@@ -64,9 +64,7 @@ impl Writer {
         }
     }
 
-    /// Bytes written so far. Field sizes are differences of two readings;
-    /// a difference taken inside a [`Writer::constructed`] closure stays
-    /// valid after the enclosing lengths are patched in.
+    /// Bytes written so far; a field's size or offset is a reading of it.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -87,7 +85,7 @@ impl Writer {
     }
 
     /// Append a tag and the definite length of `len` content octets the
-    /// caller writes next (with [`Writer::raw`] / [`Writer::fill`]).
+    /// caller writes next.
     pub fn header(&mut self, tag: u8, len: usize) {
         self.buf.push(tag);
         if len < 0x80 {
@@ -100,29 +98,20 @@ impl Writer {
         }
     }
 
-    /// Append `tag`, then whatever `content` writes, then patch the
-    /// definite length in. One length octet is reserved up front; content
-    /// of 128 bytes or more is shifted right to make room for the long
-    /// form. Used for every nested value, including primitive-tagged
+    /// Append `tag` and the definite length `len`, then whatever `content`
+    /// writes, which must be exactly `len` bytes: a mismatch is a bug in a
+    /// length computation, and panics rather than emit malformed DER. Used for every nested value, including primitive-tagged
     /// wrappers of encoded content (extnValue OCTET STRINGs, BIT STRINGs
     /// around a key structure).
-    pub fn constructed<R>(&mut self, tag: u8, content: impl FnOnce(&mut Writer) -> R) -> R {
-        self.buf.push(tag);
-        let length_at = self.buf.len();
-        self.buf.push(0);
+    pub fn nested<R>(&mut self, tag: u8, len: usize, content: impl FnOnce(&mut Writer) -> R) -> R {
+        self.header(tag, len);
+        let start = self.buf.len();
         let result = content(self);
-        let start = length_at + 1;
-        let len = self.buf.len() - start;
-        if len < 0x80 {
-            self.buf[length_at] = len as u8;
-        } else {
-            let octets = length_octets(len);
-            self.buf.extend_from_slice(&[0; LENGTH_WIDTH][..octets]);
-            self.buf.copy_within(start..start + len, start + octets);
-            self.buf[length_at] = 0x80 | octets as u8;
-            self.buf[start..start + octets]
-                .copy_from_slice(&len.to_be_bytes()[LENGTH_WIDTH - octets..]);
-        }
+        assert_eq!(
+            self.buf.len() - start,
+            len,
+            "tag {tag:#04x}: content written differs from the length announced"
+        );
         result
     }
 
@@ -147,10 +136,7 @@ impl Writer {
     /// when the high bit is set (DER integers are signed); leading
     /// redundant zeros are stripped.
     pub fn integer_bytes(&mut self, magnitude: &[u8]) {
-        let mut m: &[u8] = magnitude;
-        while m.len() > 1 && m[0] == 0 && m[1] & 0x80 == 0 {
-            m = &m[1..];
-        }
+        let m = minimal_magnitude(magnitude);
         match m.first() {
             None => self.tlv(tag::INTEGER, &[0]),
             Some(high) if high & 0x80 != 0 => {
@@ -164,9 +150,7 @@ impl Writer {
 
     /// INTEGER from a u64.
     pub(crate) fn integer_u64(&mut self, v: u64) {
-        let bytes = v.to_be_bytes();
-        let first = bytes.iter().position(|&b| b != 0).unwrap_or(7);
-        self.integer_bytes(&bytes[first..]);
+        self.integer_bytes(&v.to_be_bytes());
     }
 
     /// BIT STRING with the given number of unused trailing bits.
@@ -183,26 +167,15 @@ impl Writer {
 
     /// NULL.
     pub fn null(&mut self) {
-        self.raw(&[tag::NULL, 0]);
-    }
-
-    /// OBJECT IDENTIFIER from its integer arcs.
-    pub fn oid(&mut self, arcs: &[u64]) {
-        assert!(arcs.len() >= 2, "OID needs at least two arcs");
-        self.constructed(tag::OID, |w| {
-            w.buf.push((arcs[0] * 40 + arcs[1]) as u8);
-            for &arc in &arcs[2..] {
-                // Base 128, most significant group first, continuation
-                // bit on all but the last.
-                let groups = (64 - arc.leading_zeros()).div_ceil(7).max(1);
-                for group in (1..groups).rev() {
-                    w.buf.push(0x80 | ((arc >> (7 * group)) as u8 & 0x7F));
-                }
-                w.buf.push(arc as u8 & 0x7F);
-            }
-        });
+        self.raw(&NULL);
     }
 }
+
+/// The encoding of NULL.
+pub(crate) const NULL: [u8; 2] = [tag::NULL, 0];
+
+/// Encoded length of a BOOLEAN.
+pub(crate) const BOOLEAN_LEN: usize = 3;
 
 /// The tag byte of context-specific `[n]`, constructed or primitive.
 pub(crate) const fn context_tag(n: u8, constructed: bool) -> u8 {
@@ -218,6 +191,36 @@ const LENGTH_WIDTH: usize = std::mem::size_of::<usize>();
 fn length_octets(len: usize) -> usize {
     debug_assert!(len >= 0x80);
     LENGTH_WIDTH - len.leading_zeros() as usize / 8
+}
+
+/// Encoded length of a TLV with `content` octets of content: the tag, the
+/// definite length field and the content.
+pub fn tlv_len(content: usize) -> usize {
+    if content < 0x80 {
+        2 + content
+    } else {
+        2 + length_octets(content) + content
+    }
+}
+
+/// `magnitude` without the leading zero octets DER drops from an INTEGER.
+fn minimal_magnitude(magnitude: &[u8]) -> &[u8] {
+    let mut m = magnitude;
+    while m.len() > 1 && m[0] == 0 && m[1] & 0x80 == 0 {
+        m = &m[1..];
+    }
+    m
+}
+
+/// Encoded length of the INTEGER [`Writer::integer_bytes`] writes for
+/// `magnitude`.
+pub(crate) fn integer_len(magnitude: &[u8]) -> usize {
+    let m = minimal_magnitude(magnitude);
+    let content = match m.first() {
+        None => 1,
+        Some(high) => m.len() + usize::from(high & 0x80 != 0),
+    };
+    tlv_len(content)
 }
 
 /// The bytes `write` appends to a fresh [`Writer`] — the body of every
@@ -401,31 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn oid_encoding_matches_rfc_examples() {
-        // rsaEncryption = 1.2.840.113549.1.1.1
-        assert_eq!(
-            encoded(|w| w.oid(&[1, 2, 840, 113549, 1, 1, 1])),
-            vec![0x06, 0x09, 0x2A, 0x86, 0x48, 0x86, 0xF7, 0x0D, 0x01, 0x01, 0x01]
-        );
-        // id-ce-subjectAltName = 2.5.29.17
-        assert_eq!(
-            encoded(|w| w.oid(&[2, 5, 29, 17])),
-            vec![0x06, 0x03, 0x55, 0x1D, 0x11]
-        );
-        // A zero arc and the widest arc each keep their group count.
-        assert_eq!(
-            encoded(|w| w.oid(&[1, 3, 0, u64::MAX])),
-            vec![
-                0x06, 0x0C, 0x2B, 0x00, 0x81, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F
-            ]
-        );
-    }
-
-    #[test]
     fn sequence_nests() {
         let outer = encoded(|w| {
-            w.constructed(tag::SEQUENCE, |w| {
-                w.constructed(tag::SEQUENCE, |w| {
+            w.nested(tag::SEQUENCE, 8, |w| {
+                w.nested(tag::SEQUENCE, 6, |w| {
                     w.integer_u64(1);
                     w.integer_u64(2);
                 })
@@ -442,22 +424,49 @@ mod tests {
     }
 
     #[test]
-    fn constructed_returns_the_closure_result_and_sizes_survive_patching() {
+    fn tlv_len_and_integer_len_are_what_the_writer_writes() {
+        for len in [0, 1, 127, 128, 255, 256, 65_535, 65_536, 1 << 24] {
+            let written = encoded(|w| w.header(tag::OCTET_STRING, len)).len() + len;
+            assert_eq!(tlv_len(len), written, "{len}");
+        }
+        for magnitude in [
+            &[][..],
+            &[0],
+            &[0x7F],
+            &[0x80],
+            &[0, 0, 1],
+            &[0, 0x80],
+            &[0, 0, 0, 0x80, 1],
+        ] {
+            assert_eq!(
+                integer_len(magnitude),
+                integer_bytes(magnitude).len(),
+                "{magnitude:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_returns_the_closure_result() {
         let mut w = Writer::new();
-        let inner = w.constructed(tag::SEQUENCE, |w| {
+        let inner = w.nested(tag::SEQUENCE, 304, |w| {
             let at = w.len();
             w.tlv(tag::OCTET_STRING, &[7; 300]);
             w.len() - at
         });
-        // The child's measured size holds although closing the parent
-        // shifted it by two length octets.
         assert_eq!(inner, 304);
         let der = w.into_vec();
-        assert_eq!(der.len(), 4 + inner);
+        assert_eq!(der.len(), tlv_len(inner));
         assert_eq!(
             parse_one(&der).unwrap().children().unwrap()[0].content,
             [7; 300]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "content written differs from the length announced")]
+    fn nested_rejects_content_that_misses_its_announced_length() {
+        encoded(|w| w.nested(tag::SEQUENCE, 4, |w| w.integer_u64(5)));
     }
 
     #[test]
@@ -478,7 +487,7 @@ mod tests {
     #[test]
     fn context_tags() {
         // [0] constructed wrapping an INTEGER (X.509 version field).
-        let v = encoded(|w| w.constructed(context_tag(0, true), |w| w.integer_u64(2)));
+        let v = encoded(|w| w.nested(context_tag(0, true), 3, |w| w.integer_u64(2)));
         assert_eq!(v[0], 0xA0);
         let parsed = parse_one(&v).unwrap();
         assert!(parsed.is_constructed());
@@ -488,7 +497,7 @@ mod tests {
 
     #[test]
     fn reader_rejects_truncation() {
-        let seq = encoded(|w| w.constructed(tag::SEQUENCE, |w| w.integer_u64(5)));
+        let seq = encoded(|w| w.nested(tag::SEQUENCE, 3, |w| w.integer_u64(5)));
         let err = parse_one(&seq[..seq.len() - 1]).unwrap_err();
         assert_eq!(err, DerError::Truncated);
     }
@@ -513,7 +522,7 @@ mod tests {
 
     #[test]
     fn reader_rejects_trailing_garbage() {
-        let mut seq = encoded(|w| w.constructed(tag::SEQUENCE, |w| w.integer_u64(5)));
+        let mut seq = encoded(|w| w.nested(tag::SEQUENCE, 3, |w| w.integer_u64(5)));
         seq.push(0x00);
         assert_eq!(parse_one(&seq).unwrap_err(), DerError::Truncated);
     }

@@ -6,7 +6,7 @@
 //! URLs. Each variant here encodes to its genuine DER representation, so SAN
 //! byte-share analysis (Fig 14) operates on real encodings.
 
-use crate::der::{self, context_tag, tag, Writer};
+use crate::der::{self, context_tag, tag, tlv_len, Writer, BOOLEAN_LEN};
 use crate::oid::{self, Oid};
 
 /// Key usage bits (RFC 5280 §4.2.1.3), most-significant bit first.
@@ -61,9 +61,115 @@ impl KeyUsageFlags {
     }
 }
 
-/// A single certificate extension.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Extension {
+/// The dNSNames of a subjectAltName extension, written straight from
+/// their parts — no name is formatted into a buffer of its own.
+///
+/// In order: the leaf's CN and, unless the CN is a wildcard, `www.<CN>`;
+/// the `listed` names verbatim; then `numbered` names `alt-NNN.<CN>`
+/// (`NNN` zero-padded to three digits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SanNames<'a> {
+    cn: Option<&'a str>,
+    listed: &'a [&'a str],
+    numbered: u16,
+}
+
+/// GeneralName dNSName `[2]`.
+const DNS_NAME: u8 = context_tag(2, false);
+
+impl<'a> SanNames<'a> {
+    /// Exactly `names`, in order.
+    pub fn listed(names: &'a [&'a str]) -> Self {
+        SanNames {
+            cn: None,
+            listed: names,
+            numbered: 0,
+        }
+    }
+
+    /// A leaf's names: `cn`, `www.<cn>` unless `cn` is a wildcard, the
+    /// `listed` names, then `numbered` names `alt-NNN.<cn>`.
+    pub fn leaf(cn: &'a str, listed: &'a [&'a str], numbered: u16) -> Self {
+        SanNames {
+            cn: Some(cn),
+            listed,
+            numbered,
+        }
+    }
+
+    /// The CN and whether `www.<cn>` follows it.
+    fn head(&self) -> Option<(&'a str, bool)> {
+        self.cn.map(|cn| (cn, !cn.starts_with("*.")))
+    }
+
+    /// Number of names.
+    pub fn count(&self) -> usize {
+        let head = self.head().map_or(0, |(_, www)| 1 + usize::from(www));
+        head + self.listed.len() + usize::from(self.numbered)
+    }
+
+    /// Bytes of the dNSName TLVs: the content of the GeneralNames
+    /// SEQUENCE.
+    fn content_len(&self) -> usize {
+        let cn = self.cn.unwrap_or_default().len();
+        let head = self.head().map_or(0, |(_, www)| {
+            tlv_len(cn) + usize::from(www) * tlv_len(4 + cn)
+        });
+        let listed: usize = self.listed.iter().map(|name| tlv_len(name.len())).sum();
+        let numbered: usize = (0..self.numbered)
+            .map(|i| tlv_len(numbered_name_len(i, cn)))
+            .sum();
+        head + listed + numbered
+    }
+
+    fn encode_into(&self, w: &mut Writer) {
+        let cn = self.cn.unwrap_or_default();
+        if let Some((_, www)) = self.head() {
+            w.tlv(DNS_NAME, cn.as_bytes());
+            if www {
+                w.header(DNS_NAME, 4 + cn.len());
+                w.raw(b"www.");
+                w.raw(cn.as_bytes());
+            }
+        }
+        for name in self.listed {
+            w.tlv(DNS_NAME, name.as_bytes());
+        }
+        for i in 0..self.numbered {
+            // `{i:03}`, written from the end.
+            let mut digits = [b'0'; 5];
+            let width = number_width(i);
+            let mut rest = i;
+            for digit in digits[..width].iter_mut().rev() {
+                *digit = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+            w.header(DNS_NAME, numbered_name_len(i, cn.len()));
+            w.raw(b"alt-");
+            w.raw(&digits[..width]);
+            w.raw(b".");
+            w.raw(cn.as_bytes());
+        }
+    }
+}
+
+/// Digits `{i:03}` writes: three, more from 1000 on.
+fn number_width(i: u16) -> usize {
+    match i {
+        0..=999 => 3,
+        1_000..=9_999 => 4,
+        _ => 5,
+    }
+}
+
+/// Bytes of `alt-<i>.<cn>`.
+fn numbered_name_len(i: u16, cn: usize) -> usize {
+    4 + number_width(i) + 1 + cn
+}
+
+/// A single certificate extension, borrowing its parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Extension<'a> {
     /// basicConstraints: CA flag and optional path length (always critical).
     BasicConstraints {
         /// Whether the subject is a CA.
@@ -74,7 +180,7 @@ pub enum Extension {
     /// keyUsage (critical).
     KeyUsage(KeyUsageFlags),
     /// extKeyUsage: list of purpose OIDs.
-    ExtKeyUsage(Vec<Oid>),
+    ExtKeyUsage(&'a [Oid]),
     /// subjectKeyIdentifier: 20-byte key hash derived from `seed`.
     SubjectKeyId {
         /// Seed the placeholder identifier is derived from.
@@ -85,19 +191,19 @@ pub enum Extension {
         /// Seed of the issuer key identifier.
         seed: u64,
     },
-    /// subjectAltName: list of dNSName entries.
-    SubjectAltNames(Vec<String>),
+    /// subjectAltName: dNSName entries.
+    SubjectAltNames(SanNames<'a>),
     /// cRLDistributionPoints: list of URIs.
-    CrlDistributionPoints(Vec<String>),
+    CrlDistributionPoints(&'a [&'a str]),
     /// authorityInfoAccess: optional OCSP URI and CA-issuers URI.
     AuthorityInfoAccess {
         /// OCSP responder URI.
-        ocsp: Option<String>,
+        ocsp: Option<&'a str>,
         /// CA issuers URI.
-        ca_issuers: Option<String>,
+        ca_issuers: Option<&'a str>,
     },
     /// certificatePolicies: policy OIDs (no qualifiers).
-    CertificatePolicies(Vec<Oid>),
+    CertificatePolicies(&'a [Oid]),
     /// Embedded signed certificate timestamps: `count` SCTs of realistic
     /// size (~119 bytes of TLS-encoded SCT structure each).
     SctList {
@@ -116,7 +222,16 @@ const SCT_ENTRY_LEN: usize = 121;
 /// Bytes of a subject / authority key identifier (a SHA-1 key hash).
 const KEY_ID_LEN: usize = 20;
 
-impl Extension {
+/// GeneralName uniformResourceIdentifier `[6]`.
+const URI: u8 = context_tag(6, false);
+
+/// Encoded length of one DistributionPoint { distributionPoint [0] {
+/// fullName [0] { uri [6] } } }.
+fn distribution_point_len(uri: &str) -> usize {
+    tlv_len(tlv_len(tlv_len(tlv_len(uri.len()))))
+}
+
+impl Extension<'_> {
     /// The extension OID.
     pub fn oid(&self) -> &'static Oid {
         match self {
@@ -141,94 +256,145 @@ impl Extension {
         )
     }
 
-    /// Append the inner extnValue content (what the OCTET STRING wraps).
-    fn encode_value_into(&self, w: &mut Writer) {
-        /// GeneralName uniformResourceIdentifier `[6]`.
-        const URI: u8 = context_tag(6, false);
-        match self {
-            Extension::BasicConstraints { ca, path_len } => w.constructed(tag::SEQUENCE, |w| {
-                if *ca {
+    /// The AIA access descriptions present: method and URI.
+    fn access_descriptions<'s>(
+        ocsp: Option<&'s str>,
+        ca_issuers: Option<&'s str>,
+    ) -> impl Iterator<Item = (&'static Oid, &'s str)> {
+        let (ocsp_method, issuers_method): (&'static Oid, &'static Oid) =
+            (&oid::AD_OCSP, &oid::AD_CA_ISSUERS);
+        [(ocsp_method, ocsp), (issuers_method, ca_issuers)]
+            .into_iter()
+            .filter_map(|(method, uri)| Some((method, uri?)))
+    }
+
+    /// Content length of the extnValue's one TLV (what the OCTET STRING
+    /// wraps).
+    fn value_content_len(&self) -> usize {
+        match *self {
+            Extension::BasicConstraints { ca, path_len } => {
+                let path_len = path_len.map_or(0, |n| der::integer_len(&[n]));
+                usize::from(ca) * BOOLEAN_LEN + path_len
+            }
+            Extension::KeyUsage(_) => 2,
+            Extension::ExtKeyUsage(purposes) => purposes.iter().map(Oid::encoded_len).sum(),
+            Extension::SubjectKeyId { .. } => KEY_ID_LEN,
+            Extension::AuthorityKeyId { .. } => tlv_len(KEY_ID_LEN),
+            Extension::SubjectAltNames(names) => names.content_len(),
+            Extension::CrlDistributionPoints(uris) => {
+                uris.iter().map(|uri| distribution_point_len(uri)).sum()
+            }
+            Extension::AuthorityInfoAccess { ocsp, ca_issuers } => {
+                Self::access_descriptions(ocsp, ca_issuers)
+                    .map(|(method, uri)| tlv_len(method.encoded_len() + tlv_len(uri.len())))
+                    .sum()
+            }
+            Extension::CertificatePolicies(policies) => {
+                policies.iter().map(|p| tlv_len(p.encoded_len())).sum()
+            }
+            Extension::SctList { count, .. } => 2 + usize::from(count) * SCT_ENTRY_LEN,
+        }
+    }
+
+    /// Append the inner extnValue (what the OCTET STRING wraps): one TLV
+    /// whose content is the `content` bytes `value_content_len` gave.
+    fn encode_value_into(&self, w: &mut Writer, content: usize) {
+        match *self {
+            Extension::BasicConstraints { ca, path_len } => w.nested(tag::SEQUENCE, content, |w| {
+                if ca {
                     w.boolean(true);
                 }
                 if let Some(n) = path_len {
-                    w.integer_u64(*n as u64);
+                    w.integer_u64(u64::from(n));
                 }
             }),
             Extension::KeyUsage(flags) => {
                 let (bits, unused) = flags.to_bits();
                 w.bit_string(&[bits], unused);
             }
-            Extension::ExtKeyUsage(purposes) => w.constructed(tag::SEQUENCE, |w| {
+            Extension::ExtKeyUsage(purposes) => w.nested(tag::SEQUENCE, content, |w| {
                 for purpose in purposes {
                     purpose.encode_into(w);
                 }
             }),
             Extension::SubjectKeyId { seed } => {
                 w.header(tag::OCTET_STRING, KEY_ID_LEN);
-                w.fill(*seed, KEY_ID_LEN);
+                w.fill(seed, KEY_ID_LEN);
             }
-            Extension::AuthorityKeyId { seed } => w.constructed(tag::SEQUENCE, |w| {
+            Extension::AuthorityKeyId { seed } => w.nested(tag::SEQUENCE, content, |w| {
                 // keyIdentifier is [0] IMPLICIT inside a SEQUENCE.
                 w.header(context_tag(0, false), KEY_ID_LEN);
-                w.fill(*seed, KEY_ID_LEN);
+                w.fill(seed, KEY_ID_LEN);
             }),
-            Extension::SubjectAltNames(names) => w.constructed(tag::SEQUENCE, |w| {
-                for name in names {
-                    w.tlv(context_tag(2, false), name.as_bytes()); // dNSName
-                }
-            }),
-            Extension::CrlDistributionPoints(uris) => w.constructed(tag::SEQUENCE, |w| {
+            Extension::SubjectAltNames(names) => {
+                w.nested(tag::SEQUENCE, content, |w| names.encode_into(w))
+            }
+            Extension::CrlDistributionPoints(uris) => w.nested(tag::SEQUENCE, content, |w| {
                 for uri in uris {
-                    // DistributionPoint { distributionPoint [0] { fullName [0] { uri [6] } } }
-                    w.constructed(tag::SEQUENCE, |w| {
-                        w.constructed(context_tag(0, true), |w| {
-                            w.constructed(context_tag(0, true), |w| w.tlv(URI, uri.as_bytes()))
+                    let full_name = tlv_len(uri.len());
+                    w.nested(tag::SEQUENCE, tlv_len(tlv_len(full_name)), |w| {
+                        w.nested(context_tag(0, true), tlv_len(full_name), |w| {
+                            w.nested(context_tag(0, true), full_name, |w| {
+                                w.tlv(URI, uri.as_bytes())
+                            })
                         })
                     });
                 }
             }),
             Extension::AuthorityInfoAccess { ocsp, ca_issuers } => {
-                w.constructed(tag::SEQUENCE, |w| {
-                    for (method, uri) in [(&oid::AD_OCSP, ocsp), (&oid::AD_CA_ISSUERS, ca_issuers)]
-                    {
-                        if let Some(uri) = uri {
-                            w.constructed(tag::SEQUENCE, |w| {
-                                method.encode_into(w);
-                                w.tlv(URI, uri.as_bytes());
-                            });
-                        }
+                w.nested(tag::SEQUENCE, content, |w| {
+                    for (method, uri) in Self::access_descriptions(ocsp, ca_issuers) {
+                        let content = method.encoded_len() + tlv_len(uri.len());
+                        w.nested(tag::SEQUENCE, content, |w| {
+                            method.encode_into(w);
+                            w.tlv(URI, uri.as_bytes());
+                        });
                     }
                 })
             }
-            Extension::CertificatePolicies(policies) => w.constructed(tag::SEQUENCE, |w| {
+            Extension::CertificatePolicies(policies) => w.nested(tag::SEQUENCE, content, |w| {
                 for policy in policies {
-                    w.constructed(tag::SEQUENCE, |w| policy.encode_into(w));
+                    w.nested(tag::SEQUENCE, policy.encoded_len(), |w| {
+                        policy.encode_into(w)
+                    });
                 }
             }),
             Extension::SctList { count, seed } => {
                 // TLS-style: outer 2-byte list length, then per-SCT 2-byte
                 // length + body, all inside an inner OCTET STRING.
                 const BODY_LEN: usize = SCT_ENTRY_LEN - 2;
-                let list_len = *count as usize * SCT_ENTRY_LEN;
-                w.header(tag::OCTET_STRING, 2 + list_len);
-                w.raw(&(list_len as u16).to_be_bytes());
-                for i in 0..*count {
-                    w.raw(&(BODY_LEN as u16).to_be_bytes());
-                    w.fill(seed.wrapping_add(i as u64), BODY_LEN)[0] = 0; // SCT version 1
-                }
+                let list_len = usize::from(count) * SCT_ENTRY_LEN;
+                w.nested(tag::OCTET_STRING, content, |w| {
+                    w.raw(&(list_len as u16).to_be_bytes());
+                    for i in 0..count {
+                        w.raw(&(BODY_LEN as u16).to_be_bytes());
+                        w.fill(seed.wrapping_add(u64::from(i)), BODY_LEN)[0] = 0;
+                        // SCT version 1
+                    }
+                })
             }
         }
+    }
+
+    /// Content length of the Extension SEQUENCE, given its value's
+    /// content length.
+    fn content_len(&self, value: usize) -> usize {
+        let critical = if self.critical() { BOOLEAN_LEN } else { 0 };
+        self.oid().encoded_len() + critical + tlv_len(tlv_len(value))
     }
 
     /// Append the full Extension SEQUENCE (OID, optional critical flag,
     /// OCTET STRING value) to `w`.
     pub fn encode_into(&self, w: &mut Writer) {
-        w.constructed(tag::SEQUENCE, |w| {
+        let value = self.value_content_len();
+        w.nested(tag::SEQUENCE, self.content_len(value), |w| {
             self.oid().encode_into(w);
             if self.critical() {
                 w.boolean(true);
             }
-            w.constructed(tag::OCTET_STRING, |w| self.encode_value_into(w));
+            w.nested(tag::OCTET_STRING, tlv_len(value), |w| {
+                self.encode_value_into(w, value)
+            });
         });
     }
 
@@ -237,29 +403,10 @@ impl Extension {
         der::encoded(|w| self.encode_into(w))
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes, computed from the parts.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        tlv_len(self.content_len(self.value_content_len()))
     }
-}
-
-/// Append a full `Extensions` list to `w`, including the `[3] EXPLICIT`
-/// wrapper used inside TBSCertificate. Returns the bytes its
-/// subjectAltName extensions took (Fig 14's numerator).
-pub(crate) fn encode_extensions_into(exts: &[Extension], w: &mut Writer) -> usize {
-    w.constructed(context_tag(3, true), |w| {
-        w.constructed(tag::SEQUENCE, |w| {
-            let mut san_bytes = 0;
-            for ext in exts {
-                let at = w.len();
-                ext.encode_into(w);
-                if matches!(ext, Extension::SubjectAltNames(_)) {
-                    san_bytes += w.len() - at;
-                }
-            }
-            san_bytes
-        })
-    })
 }
 
 #[cfg(test)]
@@ -306,15 +453,35 @@ mod tests {
 
     #[test]
     fn san_size_grows_linearly_with_names() {
-        let few = Extension::SubjectAltNames(vec!["example.org".into()]);
-        let many =
-            Extension::SubjectAltNames((0..50).map(|i| format!("host-{i}.example.org")).collect());
+        let few = Extension::SubjectAltNames(SanNames::listed(&["example.org"]));
+        let hosts: Vec<String> = (0..50).map(|i| format!("host-{i}.example.org")).collect();
+        let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        let many = Extension::SubjectAltNames(SanNames::listed(&hosts));
         assert!(many.encoded_len() > few.encoded_len() + 49 * 15);
-        // Only subjectAltName extensions count towards the list's SAN bytes.
-        let mut w = der::Writer::new();
-        let san_bytes =
-            encode_extensions_into(&[few.clone(), Extension::SubjectKeyId { seed: 1 }], &mut w);
-        assert_eq!(san_bytes, few.encoded_len());
+        // Numbered names are `alt-NNN.<cn>`, wider from 1000 on, and
+        // follow the CN pair and the listed names.
+        for numbered in [0, 3, 999, 1_000, 1_001, 10_000, u16::MAX] {
+            let names = SanNames::leaf("shop.example", &["listed.example"], numbered);
+            let ext = Extension::SubjectAltNames(names);
+            let mut expected = vec!["shop.example".to_owned(), "www.shop.example".to_owned()];
+            expected.push("listed.example".to_owned());
+            expected.extend((0..numbered).map(|i| format!("alt-{i:03}.shop.example")));
+            assert_eq!(names.count(), expected.len());
+            let value = parse_one(&ext.encode()).unwrap().children().unwrap()[1]
+                .content
+                .clone();
+            let written: Vec<String> = parse_one(&value)
+                .unwrap()
+                .children()
+                .unwrap()
+                .iter()
+                .map(|name| String::from_utf8(name.content.clone()).unwrap())
+                .collect();
+            assert_eq!(written, expected, "{numbered}");
+            assert_eq!(ext.encoded_len(), ext.encode().len(), "{numbered}");
+        }
+        // A wildcard CN has no www. name.
+        assert_eq!(SanNames::leaf("*.example", &[], 0).count(), 1);
     }
 
     #[test]
@@ -339,8 +506,8 @@ mod tests {
     #[test]
     fn aia_includes_requested_uris() {
         let ext = Extension::AuthorityInfoAccess {
-            ocsp: Some("http://r3.o.lencr.org".into()),
-            ca_issuers: Some("http://r3.i.lencr.org/".into()),
+            ocsp: Some("http://r3.o.lencr.org"),
+            ca_issuers: Some("http://r3.i.lencr.org/"),
         };
         let enc = ext.encode();
         let text = String::from_utf8_lossy(&enc).into_owned();
@@ -350,42 +517,40 @@ mod tests {
 
     #[test]
     fn all_extensions_are_wellformed_der() {
-        let exts = vec![
+        let exts = [
             Extension::BasicConstraints {
                 ca: true,
                 path_len: None,
             },
+            Extension::BasicConstraints {
+                ca: true,
+                path_len: Some(200),
+            },
             Extension::KeyUsage(KeyUsageFlags::ca()),
-            Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
+            Extension::ExtKeyUsage(&[oid::KP_SERVER_AUTH, oid::KP_CLIENT_AUTH]),
             Extension::SubjectKeyId { seed: 2 },
             Extension::AuthorityKeyId { seed: 3 },
-            Extension::SubjectAltNames(vec!["a.example".into(), "*.b.example".into()]),
-            Extension::CrlDistributionPoints(vec!["http://crl.example/x.crl".into()]),
+            Extension::SubjectAltNames(SanNames::listed(&["a.example", "*.b.example"])),
+            Extension::CrlDistributionPoints(&["http://crl.example/x.crl"]),
             Extension::AuthorityInfoAccess {
-                ocsp: Some("http://ocsp.example".into()),
+                ocsp: Some("http://ocsp.example"),
                 ca_issuers: None,
             },
-            Extension::CertificatePolicies(vec![oid::CP_DOMAIN_VALIDATED]),
+            Extension::CertificatePolicies(&[oid::CP_DOMAIN_VALIDATED]),
             Extension::SctList { count: 2, seed: 4 },
         ];
         for ext in &exts {
-            let parsed = parse_one(&ext.encode()).unwrap();
+            let encoded = ext.encode();
+            let parsed = parse_one(&encoded).unwrap();
             assert_eq!(parsed.tag, 0x30, "{:?}", ext.oid());
+            assert_eq!(ext.encoded_len(), encoded.len(), "{:?}", ext.oid());
         }
-        let wrapped = der::encoded(|w| {
-            encode_extensions_into(&exts, w);
-        });
-        let outer = parse_one(&wrapped).unwrap();
-        assert_eq!(outer.tag, 0xA3, "extensions use [3] EXPLICIT");
-        let seq = outer.children().unwrap();
-        assert_eq!(seq.len(), 1);
-        assert_eq!(seq[0].children().unwrap().len(), exts.len());
     }
 
     #[test]
     fn criticality_flags() {
         assert!(Extension::KeyUsage(KeyUsageFlags::leaf()).critical());
-        assert!(!Extension::SubjectAltNames(vec![]).critical());
+        assert!(!Extension::SubjectAltNames(SanNames::listed(&[])).critical());
         assert!(!Extension::SctList { count: 2, seed: 0 }.critical());
     }
 }

@@ -7,6 +7,14 @@
 //! certificate model: every certificate in the workspace is genuine DER whose
 //! byte counts come from actual encoding, not from lookup tables.
 //!
+//! A certificate is its bytes: [`Certificate`] holds its DER and what
+//! encoding measured (field sizes, SAN bytes and count, algorithms, the
+//! spans of subject and issuer), never a tree of its fields. A
+//! [`CertificateBuilder`] borrows its parts ([`Name`], [`Extension`],
+//! OIDs pre-encoded at compile time) and writes each byte once, front to
+//! back, into a buffer allocated at the exact size summed from those
+//! parts ([`der`]).
+//!
 //! Cryptographic *signatures and keys are structurally faithful placeholders*:
 //! they have exactly the DER shape and length of real RSA-2048/4096 and
 //! ECDSA P-256/P-384 material, but the bits are deterministic pseudo-random
@@ -33,8 +41,8 @@ pub use alg::{KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo};
 pub use cert::{Certificate, CertificateBuilder, FieldSizes, Validity};
 pub use chain::CertificateChain;
 pub use der::DerValue;
-pub use ext::Extension;
-pub use name::{AttrKind, DistinguishedName};
+pub use ext::{Extension, SanNames};
+pub use name::{AttrKind, DistinguishedName, Name};
 pub use oid::Oid;
 pub use time::Time;
 
@@ -52,11 +60,15 @@ pub(crate) fn mix64(seed: u64, counter: u64) -> u64 {
 
 /// Fill a buffer with deterministic pseudo-random bytes derived from `seed`.
 pub(crate) fn fill_deterministic(seed: u64, buf: &mut [u8]) {
-    for (i, chunk) in buf.chunks_mut(8).enumerate() {
-        let v = mix64(seed, i as u64).to_le_bytes();
-        let n = chunk.len();
-        chunk.copy_from_slice(&v[..n]);
+    let mut words = buf.chunks_exact_mut(8);
+    let mut i = 0;
+    for word in &mut words {
+        word.copy_from_slice(&mix64(seed, i).to_le_bytes());
+        i += 1;
     }
+    let tail = words.into_remainder();
+    let n = tail.len();
+    tail.copy_from_slice(&mix64(seed, i).to_le_bytes()[..n]);
 }
 
 #[cfg(test)]

@@ -3,8 +3,13 @@
 //! A `Name` is a SEQUENCE of relative distinguished names (RDNs), each a SET
 //! of attribute type/value pairs. Real-world certificate names are almost
 //! always chains of singleton RDNs, which is what this model emits.
+//!
+//! [`DistinguishedName`] owns its attributes (the catalog's CA names);
+//! [`Name`] is what a [`crate::CertificateBuilder`] borrows: one of those,
+//! a leaf's bare `CN=`, or a name already encoded (a parent certificate's
+//! subject span).
 
-use crate::der::{self, tag, Writer};
+use crate::der::{self, tag, tlv_len, Writer};
 use crate::oid::{self, Oid};
 
 /// Attribute types that appear in subject / issuer names.
@@ -99,20 +104,8 @@ impl DistinguishedName {
     }
 
     /// Append the DER encoding (SEQUENCE of singleton SETs) to `w`.
-    ///
-    /// Strict DER requires SET OF elements to be sorted; singleton sets
-    /// are trivially sorted.
     pub fn encode_into(&self, w: &mut Writer) {
-        w.constructed(tag::SEQUENCE, |w| {
-            for (kind, value) in &self.attrs {
-                w.constructed(tag::SET, |w| {
-                    w.constructed(tag::SEQUENCE, |w| {
-                        kind.oid().encode_into(w);
-                        w.tlv(kind.value_tag(), value.as_bytes());
-                    })
-                });
-            }
-        });
+        Name::Dn(self).encode_into(w);
     }
 
     /// DER-encode the name.
@@ -122,7 +115,7 @@ impl DistinguishedName {
 
     /// Encoded length in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        Name::Dn(self).encoded_len()
     }
 
     /// Render in the familiar `C=BE, O=GlobalSign nv-sa, CN=...` form.
@@ -139,6 +132,82 @@ impl std::fmt::Display for DistinguishedName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.render())
     }
+}
+
+/// A Name as a certificate builder borrows it.
+#[derive(Debug, Clone, Copy)]
+pub enum Name<'a> {
+    /// An owned distinguished name, written attribute by attribute.
+    Dn(&'a DistinguishedName),
+    /// `CN=<value>` alone (modern DV leaf subjects).
+    Cn(&'a str),
+    /// A Name already DER-encoded, written verbatim: the issuer of a leaf
+    /// is its issuing CA's [`crate::Certificate::subject`].
+    Der(&'a [u8]),
+}
+
+impl<'a> From<&'a DistinguishedName> for Name<'a> {
+    fn from(dn: &'a DistinguishedName) -> Self {
+        Name::Dn(dn)
+    }
+}
+
+impl Name<'_> {
+    /// Encoded length in bytes, computed from the parts.
+    pub(crate) fn encoded_len(&self) -> usize {
+        match *self {
+            Name::Dn(dn) => tlv_len(rdns_len(dn)),
+            Name::Cn(cn) => tlv_len(rdn_len(AttrKind::CommonName, cn)),
+            Name::Der(der) => der.len(),
+        }
+    }
+
+    /// Append the DER encoding (SEQUENCE of singleton SETs) to `w`.
+    ///
+    /// Strict DER requires SET OF elements to be sorted; singleton sets
+    /// are trivially sorted.
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        match *self {
+            Name::Dn(dn) => w.nested(tag::SEQUENCE, rdns_len(dn), |w| {
+                for (kind, value) in &dn.attrs {
+                    write_rdn(w, *kind, value);
+                }
+            }),
+            Name::Cn(cn) => w.nested(tag::SEQUENCE, rdn_len(AttrKind::CommonName, cn), |w| {
+                write_rdn(w, AttrKind::CommonName, cn)
+            }),
+            Name::Der(der) => w.raw(der),
+        }
+    }
+}
+
+/// Bytes of a name's RDNs: the content of its SEQUENCE.
+fn rdns_len(dn: &DistinguishedName) -> usize {
+    dn.attrs
+        .iter()
+        .map(|(kind, value)| rdn_len(*kind, value))
+        .sum()
+}
+
+/// Bytes of an AttributeTypeAndValue's content: the type OID and the
+/// string value.
+fn atv_len(kind: AttrKind, value: &str) -> usize {
+    kind.oid().encoded_len() + tlv_len(value.len())
+}
+
+/// Encoded length of one singleton RDN: SET { SEQUENCE { type, value } }.
+fn rdn_len(kind: AttrKind, value: &str) -> usize {
+    tlv_len(tlv_len(atv_len(kind, value)))
+}
+
+fn write_rdn(w: &mut Writer, kind: AttrKind, value: &str) {
+    let atv = atv_len(kind, value);
+    w.nested(tag::SET, tlv_len(atv), |w| {
+        w.nested(tag::SEQUENCE, atv, |w| {
+            kind.oid().encode_into(w);
+            w.tlv(kind.value_tag(), value.as_bytes());
+        })
+    });
 }
 
 #[cfg(test)]

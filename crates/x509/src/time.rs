@@ -68,6 +68,9 @@ impl Time {
         out
     }
 
+    /// Encoded size of a UTCTime: tag, length and 13 octets.
+    pub(crate) const ENCODED_LEN: usize = 15;
+
     /// Append the UTCTime encoding to `w`.
     pub fn encode_into(self, w: &mut Writer) {
         w.tlv(tag::UTC_TIME, &self.utc_octets());

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use quicert_x509::der::{self, DerError, DerValue};
 use quicert_x509::ext::KeyUsageFlags;
 use quicert_x509::{
-    oid, Certificate, CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm,
-    SignatureAlgorithm, SubjectPublicKeyInfo,
+    oid, Certificate, CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, Name,
+    SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
 };
 
 /// Recursively re-encode a parsed DER value. Constructed nodes are rebuilt
@@ -48,50 +48,58 @@ fn arbitrary_certificate(
     ca: bool,
 ) -> Certificate {
     let issuer = DistinguishedName::ca("US", "Roundtrip Trust Services", "Roundtrip CA 1");
-    let subject = if ca {
-        DistinguishedName::ca("US", "Roundtrip Trust Services", cn)
-    } else {
-        DistinguishedName::cn(cn)
-    };
-    let mut builder = CertificateBuilder::new(
-        issuer,
-        subject,
-        SubjectPublicKeyInfo::new(KEYS[key_idx % KEYS.len()], seed),
-        SIGS[sig_idx % SIGS.len()],
-    )
-    .extension(Extension::BasicConstraints { ca, path_len: None })
-    .extension(Extension::KeyUsage(if ca {
+    let subject = DistinguishedName::ca("US", "Roundtrip Trust Services", cn);
+    let key_usage = if ca {
         KeyUsageFlags::ca()
     } else {
         KeyUsageFlags::leaf()
-    }))
-    .extension(Extension::SubjectKeyId { seed })
-    .extension(Extension::AuthorityKeyId { seed: seed ^ 0xA17 });
-    if !ca {
-        let names: Vec<String> = (0..sans.max(1)).map(|i| format!("alt-{i}.{cn}")).collect();
-        builder = builder
-            .extension(Extension::SubjectAltNames(names))
-            .extension(Extension::ExtKeyUsage(vec![oid::KP_SERVER_AUTH]))
-            .extension(Extension::SctList {
-                count: scts,
-                seed: seed ^ 0x5C7,
-            });
-    }
-    builder.build()
+    };
+    let names: Vec<String> = (0..sans.max(1)).map(|i| format!("alt-{i}.{cn}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let common = [
+        Extension::BasicConstraints { ca, path_len: None },
+        Extension::KeyUsage(key_usage),
+        Extension::SubjectKeyId { seed },
+        Extension::AuthorityKeyId { seed: seed ^ 0xA17 },
+    ];
+    let leaf_only = [
+        Extension::SubjectAltNames(SanNames::listed(&names)),
+        Extension::ExtKeyUsage(&[oid::KP_SERVER_AUTH]),
+        Extension::SctList {
+            count: scts,
+            seed: seed ^ 0x5C7,
+        },
+    ];
+    let extensions: Vec<Extension> = common
+        .into_iter()
+        .chain(leaf_only.into_iter().filter(|_| !ca))
+        .collect();
+    CertificateBuilder::new(
+        &issuer,
+        if ca { Name::Dn(&subject) } else { Name::Cn(cn) },
+        SubjectPublicKeyInfo::new(KEYS[key_idx % KEYS.len()], seed),
+        SIGS[sig_idx % SIGS.len()],
+    )
+    .extensions(&extensions)
+    .build()
 }
 
-/// Content lengths on both sides of every definite-length form the writer
-/// back-patches, nested so the enclosing lengths cross the boundaries too.
+/// Content lengths on both sides of every definite-length form, nested
+/// so the enclosing lengths cross the boundaries too.
 #[test]
 fn writer_length_boundaries_roundtrip_nested_two_deep() {
     use der::tag::{OCTET_STRING, SEQUENCE, SET};
     for len in [0, 127, 128, 255, 256, 65_535, 65_536] {
         let payload = vec![0xA5u8; len];
+        let (inner, middle) = (der::tlv_len(len), der::tlv_len(der::tlv_len(len)));
         let written = der::encoded(|w| {
-            w.constructed(SEQUENCE, |w| {
-                w.constructed(SET, |w| w.constructed(OCTET_STRING, |w| w.raw(&payload)))
+            w.nested(SEQUENCE, middle, |w| {
+                w.nested(SET, inner, |w| {
+                    w.nested(OCTET_STRING, len, |w| w.raw(&payload))
+                })
             })
         });
+        assert_eq!(written.len(), der::tlv_len(middle), "{len}");
         let outer = der::parse_one(&written).expect("outer parses");
         let middle = &outer.children().expect("one child")[0];
         let inner = &middle.children().expect("one grandchild")[0];
@@ -100,8 +108,8 @@ fn writer_length_boundaries_roundtrip_nested_two_deep() {
             (SEQUENCE, SET, OCTET_STRING)
         );
         assert_eq!(inner.content, payload, "{len}");
-        // Back-patched lengths are the ones written up front from a known
-        // content length.
+        // The lengths written up front are the ones a TLV built from the
+        // finished content carries.
         let up_front = der::tlv(SEQUENCE, &der::tlv(SET, &der::tlv(OCTET_STRING, &payload)));
         assert_eq!(written, up_front, "{len}");
     }

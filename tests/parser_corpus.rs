@@ -35,8 +35,8 @@ use quicert::tls::{
 };
 use quicert::x509::der::{parse_one, DerValue};
 use quicert::x509::{
-    CertificateBuilder, CertificateChain, DistinguishedName, KeyAlgorithm, SignatureAlgorithm,
-    SubjectPublicKeyInfo,
+    CertificateBuilder, CertificateChain, DistinguishedName, KeyAlgorithm, Name,
+    SignatureAlgorithm, SubjectPublicKeyInfo,
 };
 
 const SEED: u64 = 0xC0_4E22;
@@ -75,8 +75,8 @@ fn seed_new_session_ticket() -> Vec<u8> {
 
 fn seed_certificate() -> quicert::x509::Certificate {
     CertificateBuilder::new(
-        DistinguishedName::ca("US", "Corpus CA", "Corpus Root"),
-        DistinguishedName::cn(SNI),
+        &DistinguishedName::ca("US", "Corpus CA", "Corpus Root"),
+        Name::Cn(SNI),
         SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 3),
         SignatureAlgorithm::Sha256WithRsa2048,
     )

@@ -7,8 +7,8 @@ use quicert::compress::{compress, decompress, Algorithm};
 use quicert::netsim::SimRng;
 use quicert::x509::der;
 use quicert::x509::{
-    AttrKind, CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, SignatureAlgorithm,
-    SubjectPublicKeyInfo,
+    AttrKind, CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, Name, SanNames,
+    SignatureAlgorithm, SubjectPublicKeyInfo,
 };
 
 proptest! {
@@ -124,16 +124,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let sans: Vec<String> = (0..san_count).map(|i| format!("alt{i}.{cn}")).collect();
+        let sans: Vec<&str> = sans.iter().map(String::as_str).collect();
+        let issuer = DistinguishedName::new()
+            .with(AttrKind::Country, "US")
+            .with(AttrKind::Organization, org)
+            .with(AttrKind::CommonName, "Prop CA");
         let cert = CertificateBuilder::new(
-            DistinguishedName::new()
-                .with(AttrKind::Country, "US")
-                .with(AttrKind::Organization, org)
-                .with(AttrKind::CommonName, "Prop CA"),
-            DistinguishedName::cn(&cn),
+            &issuer,
+            Name::Cn(&cn),
             SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, seed),
             SignatureAlgorithm::Sha256WithRsa2048,
         )
-        .extension(Extension::SubjectAltNames(sans))
+        .extensions(&[Extension::SubjectAltNames(SanNames::listed(&sans))])
         .build();
         // The whole certificate parses as nested DER.
         let parsed = der::parse_one(cert.der()).expect("certificate parses");

@@ -8,8 +8,8 @@ use quicert::quic::frame::FrameRef;
 use quicert::quic::packet::{parse_datagram_ref, PacketType, ParsedPacketRef};
 use quicert::quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
 use quicert::x509::{
-    CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
-    SignatureAlgorithm, SubjectPublicKeyInfo,
+    CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm, Name,
+    SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
 };
 
 const SERVER_ADDR: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);
@@ -18,19 +18,21 @@ fn chain() -> CertificateChain {
     let inter_dn = DistinguishedName::ca("US", "Let's Encrypt", "R3");
     let root_dn = DistinguishedName::ca("US", "ISRG", "ISRG Root X1");
     let inter = CertificateBuilder::new(
-        root_dn,
-        inter_dn.clone(),
+        &root_dn,
+        &inter_dn,
         SubjectPublicKeyInfo::new(KeyAlgorithm::Rsa2048, 1),
         SignatureAlgorithm::Sha256WithRsa2048,
     )
     .build();
     let leaf = CertificateBuilder::new(
-        inter_dn,
-        DistinguishedName::cn("wire.example"),
+        &inter_dn,
+        Name::Cn("wire.example"),
         SubjectPublicKeyInfo::new(KeyAlgorithm::EcdsaP256, 2),
         SignatureAlgorithm::Sha256WithRsa2048,
     )
-    .extension(Extension::SubjectAltNames(vec!["wire.example".into()]))
+    .extensions(&[Extension::SubjectAltNames(SanNames::listed(&[
+        "wire.example",
+    ]))])
     .build();
     CertificateChain::new(leaf, vec![inter])
 }
