@@ -14,10 +14,10 @@
 //!   STEK epoch. All per-event updates are commutative (additive counts
 //!   and single-assignment-per-tick overrides), so applying one tick's
 //!   events in any order yields the same state — pinned by a proptest.
-//!   The per-rank counters live in pages of 256 ranks, each allocated
-//!   when a rank in it first churns, so a state's memory follows the ranks
-//!   churned so far and never exceeds the dense form (8 bytes a domain)
-//!   plus its page table.
+//!   The per-rank counters live in pages of 256 ranks, each placed in one
+//!   counter arena when a rank in it first churns, so a state's memory
+//!   follows the ranks churned so far and never exceeds the dense form
+//!   (8 bytes a domain) plus its page table of 4-byte offsets.
 //! * [`ChurnView`] reads a past tick through a later state: the live
 //!   counters borrowed, minus an undo list of the ranks churned in the
 //!   ticks between ([`ChurnState::view_at`]). A past tick costs those
@@ -308,6 +308,9 @@ impl TickDelta {
 /// Ranks per page of a [`ChurnState`]'s per-rank counters.
 const PAGE_RANKS: usize = 256;
 
+/// The page-table entry of a page none of whose ranks has churned.
+const ABSENT: u32 = u32::MAX;
+
 /// One rank's per-rank churn: certificate generation bumps (rotations +
 /// revocations) and CA-dictionary drift steps — counted up in a
 /// [`ChurnState`], or to subtract in a [`ChurnView`]'s undo list.
@@ -328,13 +331,14 @@ struct Counts {
 /// `quicert_core`.
 ///
 /// The per-rank counters are paged: the first [`ChurnState::advance`]
-/// sizes a page table to the population, one slot per `PAGE_RANKS` (256)
-/// ranks, and a page of counters (8 bytes a rank, the last page clamped to
-/// the population) is allocated when a rank in it first churns. A lookup
-/// is two indexings, and a state's memory follows the ranks churned so
-/// far — a few dozen pages after a few ticks at any population, never more
-/// than the dense 8 bytes a domain plus the page table however long the
-/// clock runs. Equality is *semantic*: a rank in an absent page, or past
+/// sizes a page table to the population, one 4-byte slot per `PAGE_RANKS`
+/// (256) ranks — sixteen to a cache line — and a page of counters (8 bytes
+/// a rank, the last page clamped to the population) is appended to one
+/// counter arena when a rank in it first churns, its slot then holding
+/// the page's offset in the arena. A lookup is two indexings, and a
+/// state's memory follows the ranks churned so far — a few dozen pages
+/// after a few ticks at any population, never more than the dense 8 bytes
+/// a domain plus the page table however long the clock runs. Equality is *semantic*: a rank in an absent page, or past
 /// the end of one, has count 0, so two states of one timeline at one tick
 /// are equal however they were reached.
 #[derive(Debug, Clone, Default)]
@@ -344,9 +348,11 @@ pub struct ChurnState {
     /// The population the page table was sized to (0 until the first
     /// [`ChurnState::advance`]).
     domains: usize,
-    /// Page `i` holds the counters of ranks `i * PAGE_RANKS + 1..`, and is
-    /// empty (unallocated) until one of them churns.
-    pages: Vec<Vec<Counts>>,
+    /// Page `i` holds the counters of ranks `i * PAGE_RANKS + 1..` from
+    /// `counts[pages[i]]` on, and is [`ABSENT`] until one of them churns.
+    pages: Vec<u32>,
+    /// The counters of every page present, in the order first touched.
+    counts: Vec<Counts>,
     /// Per-provider era overrides from migrations.
     era_overrides: HashMap<Provider, CertificateEra>,
     /// Global session-ticket-key epoch.
@@ -443,12 +449,7 @@ impl ChurnState {
         // later event ever reallocates it; pages come on first touch.
         let domains = timeline.config().domains;
         if self.domains < domains {
-            self.domains = domains;
-            let slots = domains.div_ceil(PAGE_RANKS);
-            if self.pages.len() < slots {
-                self.pages.reserve_exact(slots - self.pages.len());
-                self.pages.resize_with(slots, Vec::new);
-            }
+            self.size_to(domains);
         }
         for event in &events {
             self.apply(event);
@@ -509,48 +510,97 @@ impl ChurnState {
         view
     }
 
-    /// The counters of page `page`: empty while none of its ranks churned.
-    fn page(&self, page: usize) -> &[Counts] {
-        self.pages.get(page).map_or(&[], Vec::as_slice)
+    /// Size the page table to a population of `domains` ranks. A page
+    /// appended clamped to the old population's end moves to the end of
+    /// the arena at its new length; pages touched before the state had a
+    /// population (events applied by hand) are whole, and keep being read
+    /// whole.
+    fn size_to(&mut self, domains: usize) {
+        let domains = match self.domains {
+            0 => domains.max(self.pages.len() * PAGE_RANKS),
+            _ => domains,
+        };
+        let slots = domains.div_ceil(PAGE_RANKS);
+        if self.pages.len() < slots {
+            self.pages.reserve_exact(slots - self.pages.len());
+            self.pages.resize(slots, ABSENT);
+        }
+        let last = self.domains / PAGE_RANKS;
+        let (old_len, at) = (self.page_len(last), self.pages.get(last).copied());
+        self.domains = domains;
+        if let Some(at) = at.filter(|&at| at != ABSENT && self.page_len(last) > old_len) {
+            let moved = self.counts.len();
+            let at = at as usize;
+            self.counts.extend_from_within(at..at + old_len);
+            self.counts
+                .resize(moved + self.page_len(last), Counts::default());
+            self.pages[last] = moved as u32;
+        }
     }
 
-    /// The counters of one rank (zeros = never churned).
+    /// The number of counters page `page` holds: whole pages, but the
+    /// population's last, which stops at its last rank.
+    fn page_len(&self, page: usize) -> usize {
+        match self.domains.checked_sub(page * PAGE_RANKS) {
+            Some(left) if left > 0 => left.min(PAGE_RANKS),
+            _ => PAGE_RANKS,
+        }
+    }
+
+    /// The counters of page `page`: empty while none of its ranks churned.
+    fn page(&self, page: usize) -> &[Counts] {
+        match self.pages.get(page) {
+            Some(&at) if at != ABSENT => &self.counts[at as usize..][..self.page_len(page)],
+            _ => &[],
+        }
+    }
+
+    /// The counters of one rank (zeros = never churned). A sized state
+    /// stores no rank past its population, so a rank inside it indexes
+    /// its present page directly; an unsized one has only whole pages.
     fn counts_of(&self, rank: usize) -> Counts {
         let at = rank.wrapping_sub(1);
-        let page = self.page(at / PAGE_RANKS);
-        page.get(at % PAGE_RANKS).copied().unwrap_or_default()
+        match self.pages.get(at / PAGE_RANKS) {
+            Some(&start) if start != ABSENT && (self.domains == 0 || at < self.domains) => {
+                self.counts[start as usize + at % PAGE_RANKS]
+            }
+            _ => Counts::default(),
+        }
     }
 
     /// The counters of one rank, for an event to bump.
     fn counts_mut(&mut self, rank: usize) -> &mut Counts {
+        if self.domains > 0 && rank > self.domains {
+            // An event applied by hand past the population grows it.
+            self.size_to(rank);
+        }
         let at = rank - 1;
         let (page, offset) = (at / PAGE_RANKS, at % PAGE_RANKS);
-        if self.page(page).len() <= offset {
-            self.touch(page, offset);
-        }
-        &mut self.pages[page][offset]
+        let start = match self.pages.get(page) {
+            Some(&at) if at != ABSENT => at as usize,
+            _ => self.touch(page),
+        };
+        &mut self.counts[start + offset]
     }
 
-    /// Make room for the counters at `offset` of page `page`: the page is
-    /// allocated on first touch, clamped to the population, and the table
-    /// or the page grows when the state was never sized to a population
-    /// holding the rank (events applied by hand).
+    /// Append page `page` to the arena on its first touch, zeroed, and
+    /// return its offset; the table grows when the state was never sized
+    /// to a population holding the page (events applied by hand). The
+    /// arena doubles, but never past the dense population.
     #[cold]
-    fn touch(&mut self, page: usize, offset: usize) {
+    fn touch(&mut self, page: usize) -> usize {
         if self.pages.len() <= page {
-            self.pages.resize_with(page + 1, Vec::new);
+            self.pages.resize(page + 1, ABSENT);
         }
-        let len = match self.domains.checked_sub(page * PAGE_RANKS) {
-            Some(left) if left > offset => left.min(PAGE_RANKS),
-            _ => PAGE_RANKS,
-        };
-        let counts = &mut self.pages[page];
-        if counts.is_empty() {
-            *counts = vec![Counts::default(); len];
+        let (start, len) = (self.counts.len(), self.page_len(page));
+        if self.counts.capacity() < start + len {
+            let dense = self.domains.max(start + len);
+            let target = (2 * self.counts.capacity()).clamp(start + len, dense);
+            self.counts.reserve_exact(target - start);
         }
-        if counts.len() <= offset {
-            counts.resize(offset + 1, Counts::default());
-        }
+        self.counts.resize(start + len, Counts::default());
+        self.pages[page] = start as u32;
+        start
     }
 
     /// The era override of one provider, if it has migrated.
@@ -570,18 +620,17 @@ impl ChurnState {
         ranks.collect()
     }
 
-    /// Heap bytes this state holds: the page table (one 24 B slot per 256
-    /// ranks of the population once the first tick has been applied), 8 per
-    /// rank of every page a churned rank has touched, and the (≤ one entry
-    /// per provider) era-override table. It grows with the pages first
-    /// touched, and never past the dense 8 bytes a domain plus the page
-    /// table.
+    /// Heap bytes this state holds: the page table (one 4 B slot per 256
+    /// ranks of the population once the first tick has been applied), the
+    /// counter arena (8 per rank of every page a churned rank has touched),
+    /// and the (≤ one entry per provider) era-override table. It grows with
+    /// the pages first touched, and never past the dense 8 bytes a domain
+    /// plus the page table.
     pub fn heap_bytes(&self) -> usize {
-        let table = self.pages.capacity() * std::mem::size_of::<Vec<Counts>>();
-        let pages = self.pages.iter().map(Vec::capacity).sum::<usize>();
+        let table = self.pages.capacity() * std::mem::size_of::<u32>();
         let override_entry = std::mem::size_of::<(Provider, CertificateEra)>() + 1;
         table
-            + pages * std::mem::size_of::<Counts>()
+            + self.counts.capacity() * std::mem::size_of::<Counts>()
             + self.era_overrides.capacity() * override_entry
     }
 
@@ -793,7 +842,7 @@ mod tests {
         let t = timeline();
         let mut state = ChurnState::initial();
         assert_eq!(state.heap_bytes(), 0);
-        let dense = 8 * 500 + 2 * std::mem::size_of::<Vec<Counts>>();
+        let dense = 8 * 500 + 2 * std::mem::size_of::<u32>();
         let mut last = 0;
         for tick in 1..=400 {
             state.advance(&t);

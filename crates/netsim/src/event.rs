@@ -11,9 +11,11 @@
 //! view*, exactly like the paper's passive perspective, and not from what
 //! an implementation believes it sent.
 
+use std::ops::{Deref, DerefMut};
+
 use crate::datagram::Datagram;
 use crate::fault::FaultInjector;
-use crate::link::LinkModel;
+use crate::link::{LinkModel, PATH_MTU};
 use crate::time::{SimDuration, SimTime};
 
 /// Which endpoint sent a datagram.
@@ -35,20 +37,79 @@ impl Direction {
     }
 }
 
+/// Where an endpoint puts the datagrams it sends, and where it takes the
+/// payload buffers to write them into.
+///
+/// It reads as the `Vec` of datagrams queued since the scheduler last
+/// drained it. [`Outbox::buffer`] hands out an empty payload buffer: one
+/// the scheduler is done with (delivered, dropped or lost) when there is
+/// one, so an exchange on a reused [`crate::ExchangeScratch`] allocates no
+/// payload once its buffers have been allocated.
+#[derive(Debug, Default)]
+pub struct Outbox {
+    queued: Vec<Datagram>,
+    /// Payload buffers the scheduler is done with, each empty.
+    free: Vec<Vec<u8>>,
+}
+
+impl Outbox {
+    /// An empty payload buffer with room for `len` bytes. A fresh buffer
+    /// has room for a path-MTU datagram at least, so that whichever datagram
+    /// a recycled one is later handed to fits it unchanged.
+    pub fn buffer(&mut self, len: usize) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut payload) => {
+                payload.reserve(len);
+                payload
+            }
+            None => Vec::with_capacity(len.max(PATH_MTU)),
+        }
+    }
+
+    /// Room for `n` more queued datagrams and `n` more free buffers than
+    /// each list holds, so that an exchange's first sends do not grow them
+    /// one step at a time.
+    pub(crate) fn make_room(&mut self, n: usize) {
+        self.queued.reserve(n);
+        self.free.reserve(n);
+    }
+
+    /// Take back a payload the scheduler is done with, emptied.
+    pub(crate) fn recycle(&mut self, mut payload: Vec<u8>) {
+        payload.clear();
+        self.free.push(payload);
+    }
+}
+
+impl Deref for Outbox {
+    type Target = Vec<Datagram>;
+
+    fn deref(&self) -> &Vec<Datagram> {
+        &self.queued
+    }
+}
+
+impl DerefMut for Outbox {
+    fn deref_mut(&mut self) -> &mut Vec<Datagram> {
+        &mut self.queued
+    }
+}
+
 /// A state machine attached to one end of a [`Wire`].
 ///
 /// Endpoints are polled synchronously: they receive datagrams and timer
-/// callbacks, and push any datagrams they want to transmit into `out`.
+/// callbacks, and push any datagrams they want to transmit into `out`,
+/// their payloads written into buffers taken from it.
 pub trait Endpoint {
     /// Called once when the exchange starts; the initiating endpoint should
     /// emit its first flight here.
-    fn start(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+    fn start(&mut self, _now: SimTime, _out: &mut Outbox) {}
 
     /// A datagram arrived from the peer.
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>);
+    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox);
 
     /// The deadline returned by [`Endpoint::next_timer`] was reached.
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>);
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox);
 
     /// The next time this endpoint wants `on_timer` to fire, if any.
     fn next_timer(&self) -> Option<SimTime>;
@@ -169,7 +230,7 @@ pub struct ExchangeOutcome {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use crate::simnet::run_exchange;
+    use crate::simnet::{run_exchange, ExchangeScratch};
     use std::net::Ipv4Addr;
 
     /// Sends `count` pings; expects an echo for each before sending the next.
@@ -184,18 +245,18 @@ mod tests {
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     impl Endpoint for Pinger {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
             }
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Outbox) {
             self.remaining -= 1;
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
             }
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -205,10 +266,10 @@ mod tests {
     }
 
     impl Endpoint for Echoer {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Outbox) {
             out.push(d.reply_with(d.payload.clone()));
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -229,6 +290,7 @@ mod tests {
             &mut wire,
             ExchangeLimits::default(),
             &mut rng,
+            &mut ExchangeScratch::default(),
         );
         assert!(out.quiesced);
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
@@ -270,6 +332,7 @@ mod tests {
             &mut wire,
             ExchangeLimits::default(),
             &mut rng,
+            &mut ExchangeScratch::default(),
         );
         assert!(!out.quiesced, "pinger never got its echo");
         assert_eq!(out.a_to_b.bytes, 100);
@@ -295,6 +358,7 @@ mod tests {
                 ..ExchangeLimits::default()
             },
             &mut rng,
+            &mut ExchangeScratch::default(),
         );
         assert!(!out.quiesced);
         assert!(out.a_to_b.datagrams + out.b_to_a.datagrams <= 102);
@@ -315,6 +379,7 @@ mod tests {
                 ..ExchangeLimits::default()
             },
             &mut rng,
+            &mut ExchangeScratch::default(),
         );
         assert!(out.finished_at <= SimTime::ZERO + SimDuration::from_secs(1));
         assert!(!out.quiesced);

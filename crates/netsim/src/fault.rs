@@ -42,17 +42,22 @@ impl FaultInjector {
     /// Apply faults to a datagram. Returns `None` when the datagram is
     /// dropped, otherwise the (possibly corrupted) datagram.
     pub fn apply(&mut self, rng: &mut SimRng, mut dgram: Datagram) -> Option<Datagram> {
+        self.survives(rng, &mut dgram.payload).then_some(dgram)
+    }
+
+    /// [`FaultInjector::apply`] to a payload in place: `false` when the
+    /// datagram is dropped, which leaves the payload to the caller.
+    pub(crate) fn survives(&mut self, rng: &mut SimRng, payload: &mut [u8]) -> bool {
         if self.drop_chance > 0.0 && rng.chance(self.drop_chance) {
             self.drops += 1;
-            return None;
+            return false;
         }
-        if self.corrupt_chance > 0.0 && !dgram.payload.is_empty() && rng.chance(self.corrupt_chance)
-        {
-            let idx = rng.below(dgram.payload.len() as u64) as usize;
-            dgram.payload[idx] ^= 0x20;
+        if self.corrupt_chance > 0.0 && !payload.is_empty() && rng.chance(self.corrupt_chance) {
+            let idx = rng.below(payload.len() as u64) as usize;
+            payload[idx] ^= 0x20;
             self.corruptions += 1;
         }
-        Some(dgram)
+        true
     }
 
     /// Decide whether a datagram that survived [`FaultInjector::apply`]

@@ -32,11 +32,11 @@ pub mod time;
 
 pub use addr::Ipv4Net;
 pub use datagram::{Datagram, UDP_IPV4_OVERHEAD};
-pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Wire};
+pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Outbox, Wire};
 pub use fault::FaultInjector;
 pub use faultplan::FaultPlan;
 pub use link::{Delivery, LinkModel};
 pub use profile::NetworkProfile;
 pub use rng::{FastHashBuilder, FastHasher, SimRng};
-pub use simnet::run_exchange;
+pub use simnet::{run_exchange, ExchangeScratch};
 pub use time::{SimDuration, SimTime};

@@ -13,7 +13,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Path MTU in bytes (Ethernet), applied to the full IP packet size
 /// ([`Datagram::wire_len`]) *after* encapsulation overhead is added.
-const PATH_MTU: usize = 1500;
+pub(crate) const PATH_MTU: usize = 1500;
 
 /// One direction of a network path.
 #[derive(Debug, Clone)]

@@ -4,12 +4,18 @@
 //! The unit of measurement is one scanner↔server handshake, every probe
 //! independent of every other, so the scheduler knows exactly one
 //! *session*: two borrowed endpoints, the caller's wire and [`SimRng`]
-//! stream, and — built on the stack for the duration of the call — its
-//! queue of datagrams in flight, a fixed-size tally of what each direction
-//! offered to the wire and a virtual timeline starting at zero. Nothing
-//! outlives the call but the [`ExchangeOutcome`], the wire's fault counters
-//! and the RNG's stream position, so a scan costs per probe what one probe
-//! costs alone and outcomes cannot depend on what ran before.
+//! stream, a fixed-size tally of what each direction offered to the wire
+//! and a virtual timeline starting at zero. Its queue of datagrams in
+//! flight, its [`Outbox`] and the outbox's free list of payload buffers
+//! live in the caller's [`ExchangeScratch`]: every payload the session is
+//! done with — delivered, dropped by a fault injector or lost on the link —
+//! goes back on the free list emptied, and a duplicated datagram is copied
+//! into a buffer taken from it. The scratch keeps buffers, never contents:
+//! the queue and the outbox are empty when a call returns. Nothing
+//! outlives the call but the [`ExchangeOutcome`], the wire's fault counters,
+//! the RNG's stream position and the scratch's capacity, so a scan costs
+//! per probe what one probe costs alone and outcomes cannot depend on what
+//! ran before.
 //!
 //! ## The rule
 //!
@@ -27,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 use quicert_obs::{Counter, MetricsRegistry};
 
 use crate::datagram::Datagram;
-use crate::event::{Direction, Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Wire};
+use crate::event::{Direction, Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Outbox, Wire};
 use crate::link::Delivery;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -74,6 +80,7 @@ fn net_metrics() -> &'static NetMetrics {
 
 /// A datagram in flight — the only thing the scheduler queues. Ordered by
 /// arrival time, then send sequence.
+#[derive(Debug)]
 struct InFlight {
     at: SimTime,
     seq: u64,
@@ -98,6 +105,20 @@ impl Ord for InFlight {
     }
 }
 
+/// Datagrams an exchange makes room for up front: a classical handshake
+/// flight in flight at once.
+const SESSION_ROOM: usize = 16;
+
+/// What [`run_exchange`] keeps between calls: the queue of datagrams in
+/// flight and the [`Outbox`] with its free list of payload buffers. Both
+/// are empty of datagrams between calls; only their buffers remain, as
+/// many as one exchange ever had alive at once.
+#[derive(Debug, Default)]
+pub struct ExchangeScratch {
+    queue: BinaryHeap<Reverse<InFlight>>,
+    outbox: Outbox,
+}
+
 /// Drops, corruptions and duplications the wire's two fault injectors
 /// have counted so far.
 fn fault_totals(wire: &Wire) -> [u64; 3] {
@@ -116,15 +137,18 @@ fn fault_totals(wire: &Wire) -> [u64; 3] {
 /// Both `start` hooks run at `SimTime::ZERO`: every exchange lives on its
 /// own virtual timeline. The caller's `wire` accumulates fault counters and
 /// `rng` advances its stream across calls; the outcome reports the faults
-/// of *this* exchange only, even on a reused wire.
+/// of *this* exchange only, even on a reused wire. `scratch` lends the
+/// exchange its queue and payload buffers and gets them back emptied, so
+/// a reused scratch changes what an exchange allocates, never what it
+/// does.
 ///
 /// ```
-/// use quicert_netsim::{run_exchange, SimRng, Wire, ExchangeLimits, SimDuration};
-/// # use quicert_netsim::{Datagram, Endpoint, SimTime};
+/// use quicert_netsim::{run_exchange, ExchangeScratch, SimRng, Wire, ExchangeLimits, SimDuration};
+/// # use quicert_netsim::{Datagram, Endpoint, Outbox, SimTime};
 /// # struct Quiet;
 /// # impl Endpoint for Quiet {
-/// #     fn on_datagram(&mut self, _: &Datagram, _: SimTime, _: &mut Vec<Datagram>) {}
-/// #     fn on_timer(&mut self, _: SimTime, _: &mut Vec<Datagram>) {}
+/// #     fn on_datagram(&mut self, _: &Datagram, _: SimTime, _: &mut Outbox) {}
+/// #     fn on_timer(&mut self, _: SimTime, _: &mut Outbox) {}
 /// #     fn next_timer(&self) -> Option<SimTime> { None }
 /// #     fn is_done(&self) -> bool { true }
 /// # }
@@ -135,6 +159,7 @@ fn fault_totals(wire: &Wire) -> [u64; 3] {
 ///     &mut wire,
 ///     ExchangeLimits::default(),
 ///     &mut SimRng::new(1),
+///     &mut ExchangeScratch::default(),
 /// );
 /// assert!(outcome.quiesced);
 /// ```
@@ -144,15 +169,21 @@ pub fn run_exchange(
     wire: &mut Wire,
     limits: ExchangeLimits,
     rng: &mut SimRng,
+    scratch: &mut ExchangeScratch,
 ) -> ExchangeOutcome {
     let faults_before = fault_totals(wire);
+    let ExchangeScratch { queue, outbox } = scratch;
+    // Room for a handshake flight in flight, allocated once, not grown.
+    queue.reserve(SESSION_ROOM);
+    outbox.make_room(SESSION_ROOM);
     let mut session = Session {
         a,
         b,
         wire,
         limits,
         rng,
-        queue: BinaryHeap::new(),
+        queue,
+        outbox,
         a_to_b: Flow::default(),
         b_to_a: Flow::default(),
         first_flight: 0,
@@ -164,6 +195,10 @@ pub fn run_exchange(
         timer_fires: 0,
     };
     let quiesced = session.run();
+    // What a limit left in flight is done with too.
+    for Reverse(stranded) in session.queue.drain() {
+        session.outbox.recycle(stranded.dgram.payload);
+    }
     let Session {
         wire,
         a_to_b,
@@ -207,7 +242,9 @@ struct Session<'x> {
     limits: ExchangeLimits,
     rng: &'x mut SimRng,
     /// Datagrams in flight.
-    queue: BinaryHeap<Reverse<InFlight>>,
+    queue: &'x mut BinaryHeap<Reverse<InFlight>>,
+    /// The one buffer endpoints write their transmissions into.
+    outbox: &'x mut Outbox,
     a_to_b: Flow,
     b_to_a: Flow,
     first_flight: usize,
@@ -233,12 +270,10 @@ impl Session<'_> {
     /// Start both endpoints, then process events until the session
     /// quiesces or hits its limits; returns whether it quiesced.
     fn run(&mut self) -> bool {
-        // The one buffer endpoints write their transmissions into.
-        let mut outbox = Vec::new();
-        self.a.start(SimTime::ZERO, &mut outbox);
-        self.offer_outbox(Direction::AtoB, SimTime::ZERO, &mut outbox);
-        self.b.start(SimTime::ZERO, &mut outbox);
-        self.offer_outbox(Direction::BtoA, SimTime::ZERO, &mut outbox);
+        self.a.start(SimTime::ZERO, self.outbox);
+        self.offer_outbox(Direction::AtoB, SimTime::ZERO);
+        self.b.start(SimTime::ZERO, self.outbox);
+        self.offer_outbox(Direction::BtoA, SimTime::ZERO);
         loop {
             // Exhausting the event budget is a runaway, never quiescence.
             if self.events >= self.limits.max_events {
@@ -261,29 +296,31 @@ impl Session<'_> {
                     unreachable!("a delivery was peeked")
                 };
                 match arrived.direction {
-                    Direction::AtoB => self.b.on_datagram(&arrived.dgram, at, &mut outbox),
-                    Direction::BtoA => self.a.on_datagram(&arrived.dgram, at, &mut outbox),
+                    Direction::AtoB => self.b.on_datagram(&arrived.dgram, at, self.outbox),
+                    Direction::BtoA => self.a.on_datagram(&arrived.dgram, at, self.outbox),
                 }
+                self.outbox.recycle(arrived.dgram.payload);
                 arrived.direction.flip()
             } else {
                 self.timer_fires += 1;
                 if timer_a == Some(at) {
-                    self.a.on_timer(at, &mut outbox);
+                    self.a.on_timer(at, self.outbox);
                     Direction::AtoB
                 } else {
-                    self.b.on_timer(at, &mut outbox);
+                    self.b.on_timer(at, self.outbox);
                     Direction::BtoA
                 }
             };
-            self.offer_outbox(sender, at, &mut outbox);
+            self.offer_outbox(sender, at);
         }
     }
 
-    /// Offer every datagram in `outbox` to the wire: apply the fault
-    /// injector, then the link model, queueing deliveries and tallying
-    /// every copy offered.
-    fn offer_outbox(&mut self, direction: Direction, now: SimTime, outbox: &mut Vec<Datagram>) {
-        for mut dgram in outbox.drain(..) {
+    /// Offer every datagram queued in the outbox to the wire: apply the
+    /// fault injector, then the link model, queueing deliveries and
+    /// tallying every copy offered.
+    fn offer_outbox(&mut self, direction: Direction, now: SimTime) {
+        let mut queued = std::mem::take(&mut **self.outbox);
+        for mut dgram in queued.drain(..) {
             dgram.sent_at = now;
             let fault = match direction {
                 Direction::AtoB => &mut self.wire.fault_a_to_b,
@@ -294,19 +331,24 @@ impl Session<'_> {
             // RNG draw order: fault first, then (optional) duplication, then
             // one link draw per copy — injectors with every chance at zero
             // leave the stream untouched.
-            let survived = fault.apply(self.rng, dgram);
-            let duplicate = match &survived {
-                Some(dgram) => fault.maybe_duplicate(self.rng).then(|| dgram.clone()),
-                None => None,
-            };
-            let arrival = survived.and_then(|dgram| self.deliver_via_link(direction, now, dgram));
+            if !fault.survives(self.rng, &mut dgram.payload) {
+                self.outbox.recycle(dgram.payload);
+                self.tally(direction, now, payload_len, None);
+                continue;
+            }
+            let duplicate = fault.maybe_duplicate(self.rng).then(|| {
+                let mut payload = self.outbox.buffer(payload_len);
+                payload.extend_from_slice(&dgram.payload);
+                Datagram { payload, ..dgram }
+            });
+            let arrival = self.deliver_via_link(direction, now, dgram);
             self.tally(direction, now, payload_len, arrival);
             if let Some(dgram) = duplicate {
-                let payload_len = dgram.payload_len();
                 let arrival = self.deliver_via_link(direction, now, dgram);
                 self.tally(direction, now, payload_len, arrival);
             }
         }
+        **self.outbox = queued;
     }
 
     /// Count one datagram of `len` bytes offered at `now` into its
@@ -345,9 +387,9 @@ impl Session<'_> {
     }
 
     /// Offer one surviving datagram to the link model, queueing its
-    /// delivery on arrival; `None` when the link lost it. Shared by the
-    /// primary and the duplicated copy so both take identical scheduling
-    /// (and RNG) paths.
+    /// delivery on arrival; `None` when the link lost it, whose payload
+    /// goes back on the free list. Shared by the primary and the
+    /// duplicated copy so both take identical scheduling (and RNG) paths.
     fn deliver_via_link(
         &mut self,
         direction: Direction,
@@ -369,7 +411,10 @@ impl Session<'_> {
                 }));
                 Some(at)
             }
-            Delivery::LostRandom | Delivery::LostMtu(_) => None,
+            Delivery::LostRandom | Delivery::LostMtu(_) => {
+                self.outbox.recycle(dgram.payload);
+                None
+            }
         }
     }
 }
@@ -393,18 +438,18 @@ mod tests {
     struct Echoer;
 
     impl Endpoint for Pinger {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
             }
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Outbox) {
             self.remaining -= 1;
             if self.remaining > 0 {
                 out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
             }
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -414,10 +459,10 @@ mod tests {
     }
 
     impl Endpoint for Echoer {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Outbox) {
             out.push(d.reply_with(d.payload.clone()));
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -433,13 +478,13 @@ mod tests {
     }
 
     impl Endpoint for Burst {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
             for i in 0..self.n {
                 out.push(Datagram::new(A, B, 1000, 443, vec![i as u8; 10 + i]));
             }
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Outbox) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -455,10 +500,10 @@ mod tests {
     }
 
     impl Endpoint for Recorder {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Outbox) {
             self.seen.push(d.payload_len());
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -474,16 +519,16 @@ mod tests {
     }
 
     impl Endpoint for Knock {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
             out.push(Datagram::new(A, B, 1000, 443, vec![5; 50]));
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Outbox) {
             self.seen += 1;
             if self.seen == self.nth {
                 out.push(Datagram::new(A, B, 1000, 443, vec![6; 60]));
             }
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -497,11 +542,11 @@ mod tests {
     struct Script(Vec<(u64, usize)>);
 
     impl Endpoint for Script {
-        fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, now: SimTime, out: &mut Outbox) {
             self.on_timer(now, out);
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Outbox) {}
+        fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
             while self.next_timer() == Some(now) {
                 let (_, len) = self.0.remove(0);
                 out.push(Datagram::new(B, A, 443, 1000, vec![7; len]));
@@ -532,6 +577,7 @@ mod tests {
             wire,
             limits,
             &mut SimRng::new(1),
+            &mut ExchangeScratch::default(),
         )
     }
 
@@ -559,6 +605,7 @@ mod tests {
             &mut Wire::ideal(SimDuration::from_millis(5)),
             ExchangeLimits::default(),
             &mut SimRng::new(2),
+            &mut ExchangeScratch::default(),
         );
         assert!(out.quiesced);
         assert_eq!(recorder.seen, (0..8).map(|i| 10 + i).collect::<Vec<_>>());
@@ -591,6 +638,7 @@ mod tests {
             &mut wire,
             ExchangeLimits::default(),
             &mut SimRng::new(7),
+            &mut ExchangeScratch::default(),
         );
         assert!(out.quiesced);
         // Every copy is counted, no drops, and the duplication count
@@ -643,6 +691,7 @@ mod tests {
             &mut wire,
             ExchangeLimits::default(),
             &mut SimRng::new(3),
+            &mut ExchangeScratch::default(),
         );
         let flow = |sent: SimTime| Flow {
             datagrams: 2,
@@ -662,6 +711,7 @@ mod tests {
             &mut Wire::ideal(SimDuration::from_millis(5)),
             ExchangeLimits::default(),
             &mut SimRng::new(3),
+            &mut ExchangeScratch::default(),
         );
         assert_eq!(clean.first_flight, 10);
     }
@@ -678,6 +728,7 @@ mod tests {
             &mut Wire::ideal(SimDuration::ZERO),
             ExchangeLimits::default(),
             &mut SimRng::new(4),
+            &mut ExchangeScratch::default(),
         );
         assert!(out.quiesced);
         assert_eq!(out.first_flight, 10);
@@ -714,6 +765,7 @@ mod tests {
             &mut wire,
             ExchangeLimits::default(),
             &mut SimRng::new(5),
+            &mut ExchangeScratch::default(),
         );
         assert!(out.quiesced);
         assert_eq!(out.first_flight, 70);

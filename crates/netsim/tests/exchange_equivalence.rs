@@ -1,11 +1,13 @@
-//! Pins `run_exchange` — the scheduler itself, one borrowed session on the
-//! stack — bit-for-bit against a reference two-endpoint event loop.
+//! Pins `run_exchange` — the scheduler itself, one borrowed session on a
+//! reused `ExchangeScratch` — bit-for-bit against a reference two-endpoint
+//! event loop.
 //!
 //! `reference_run_exchange` below is a verbatim copy of the first
 //! implementation of the loop (a `BinaryHeap` of pending deliveries; modulo
-//! the two fault-counter fields that did not exist then) — the fixed point
-//! every rewrite of the scheduler is held to, so it is never edited along
-//! with one. Every scenario — ideal ping-pong, lossy jittery wires, retransmission
+//! the two fault-counter fields that did not exist then, and its outbox
+//! being the endpoints' `Outbox` type, which reads as the `Vec` it was) —
+//! the fixed point every rewrite of the scheduler is held to, so it is
+//! never edited along with one. Every scenario — ideal ping-pong, lossy jittery wires, retransmission
 //! timers, fault injection, MTU drops, deadlines and event budgets — must
 //! produce, through both paths, the same arrivals (which end, when, how many
 //! bytes, interleaved across both ends in delivery order — see [`Tap`]),
@@ -21,8 +23,8 @@ use std::net::Ipv4Addr;
 use quicert_netsim::event::Direction;
 use quicert_netsim::link::Delivery;
 use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, FaultInjector, Flow, LinkModel, SimDuration,
-    SimRng, SimTime, Wire,
+    run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeScratch, FaultInjector, Flow,
+    LinkModel, Outbox, SimDuration, SimRng, SimTime, Wire,
 };
 
 // ------------------------------------------- the reference trace types --
@@ -136,7 +138,7 @@ fn reference_run_exchange(
     let mut trace = Vec::new();
     let mut now = SimTime::ZERO;
     let mut seq: u64 = 0;
-    let mut outbox = Vec::new();
+    let mut outbox = Outbox::default();
 
     a.start(now, &mut outbox);
     enqueue_all(
@@ -329,20 +331,22 @@ impl RetryPinger {
         self
     }
 
-    fn ping(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        out.push(Datagram::new(A, B, 1000, 443, vec![7; self.payload]));
+    fn ping(&mut self, now: SimTime, out: &mut Outbox) {
+        let mut payload = out.buffer(self.payload);
+        payload.resize(self.payload, 7);
+        out.push(Datagram::new(A, B, 1000, 443, payload));
         self.sends += 1;
         self.deadline = Some(now + self.pto);
     }
 }
 
 impl Endpoint for RetryPinger {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn start(&mut self, now: SimTime, out: &mut Outbox) {
         if self.remaining > 0 {
             self.ping(now, out);
         }
     }
-    fn on_datagram(&mut self, _d: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_datagram(&mut self, _d: &Datagram, now: SimTime, out: &mut Outbox) {
         if self.remaining == 0 {
             return;
         }
@@ -356,7 +360,7 @@ impl Endpoint for RetryPinger {
             self.ping(now, out);
         }
     }
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
         self.deadline = None;
         if self.remaining > 0 && self.sends < self.max_sends {
             self.ping(now, out);
@@ -389,13 +393,15 @@ impl DelayedEchoer {
 }
 
 impl Endpoint for DelayedEchoer {
-    fn on_datagram(&mut self, d: &Datagram, now: SimTime, _out: &mut Vec<Datagram>) {
-        self.queued.push(d.reply_with(d.payload.clone()));
+    fn on_datagram(&mut self, d: &Datagram, now: SimTime, out: &mut Outbox) {
+        let mut payload = out.buffer(d.payload_len());
+        payload.extend_from_slice(&d.payload);
+        self.queued.push(d.reply_with(payload));
         if self.deadline.is_none() {
             self.deadline = Some(now + self.think);
         }
     }
-    fn on_timer(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, _now: SimTime, out: &mut Outbox) {
         self.deadline = None;
         out.append(&mut self.queued);
     }
@@ -422,16 +428,16 @@ struct Tap<'e> {
 }
 
 impl Endpoint for Tap<'_> {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn start(&mut self, now: SimTime, out: &mut Outbox) {
         self.inner.start(now, out);
     }
-    fn on_datagram(&mut self, d: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_datagram(&mut self, d: &Datagram, now: SimTime, out: &mut Outbox) {
         self.log
             .borrow_mut()
             .push((self.inbound, now, d.payload_len()));
         self.inner.on_datagram(d, now, out);
     }
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
         self.inner.on_timer(now, out);
     }
     fn next_timer(&self) -> Option<SimTime> {
@@ -613,6 +619,11 @@ fn scenarios() -> Vec<Scenario> {
 
 #[test]
 fn wrapper_reproduces_the_pre_refactor_loop_bit_for_bit() {
+    // One scratch for every scenario, as a pump worker keeps one: the
+    // endpoints write into the payload buffers the scheduler recycled from
+    // the scenarios before, so a buffer handed out with stale bytes shows
+    // as a wrong length in the arrivals.
+    let mut scratch = ExchangeScratch::default();
     for scenario in scenarios() {
         let mut ref_pinger = scenario.pinger.clone();
         let mut ref_echoer = scenario.echoer.clone();
@@ -627,7 +638,7 @@ fn wrapper_reproduces_the_pre_refactor_loop_bit_for_bit() {
         let mut wire = scenario.wire.clone();
         let mut rng = SimRng::new(scenario.seed);
         let (outcome, arrivals) = tapped(&mut pinger, &mut echoer, |a, b| {
-            run_exchange(a, b, &mut wire, scenario.limits, &mut rng)
+            run_exchange(a, b, &mut wire, scenario.limits, &mut rng, &mut scratch)
         });
 
         assert_eq!(arrivals, ref_arrivals, "arrivals: {}", scenario.name);
@@ -679,7 +690,8 @@ fn wrapper_reproduces_the_pre_refactor_loop_bit_for_bit() {
 #[test]
 fn wrapper_equivalence_holds_across_many_seeds() {
     // A randomised sweep over the nastiest scenario shape: loss + jitter +
-    // faults + timers, 64 different RNG streams.
+    // faults + timers, 64 different RNG streams, on one reused scratch.
+    let mut scratch = ExchangeScratch::default();
     for seed in 0..64u64 {
         let mut wire = Wire::symmetric(LinkModel {
             latency: SimDuration::from_millis(1 + seed % 23),
@@ -700,7 +712,14 @@ fn wrapper_equivalence_holds_across_many_seeds() {
 
         let mut rng = SimRng::new(seed.wrapping_mul(0x9E37));
         let (outcome, arrivals) = tapped(&mut make_pinger(), &mut make_echoer(), |a, b| {
-            run_exchange(a, b, &mut wire, ExchangeLimits::default(), &mut rng)
+            run_exchange(
+                a,
+                b,
+                &mut wire,
+                ExchangeLimits::default(),
+                &mut rng,
+                &mut scratch,
+            )
         });
 
         assert_eq!(arrivals, ref_arrivals, "seed {seed}");

@@ -6,17 +6,20 @@
 //! reassembles the TLS handshake, and finishes with its Handshake-level
 //! Finished message.
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
 use quicert_compress::Algorithm;
-use quicert_netsim::{Datagram, Endpoint, SimDuration, SimTime};
+use quicert_netsim::{Datagram, Endpoint, Outbox, SimDuration, SimTime};
 use quicert_tls::{
     client_hello_into, parse_new_session_ticket, server_hello_accepted_psk, NewSessionTicket,
     PskOffer,
 };
 
 use crate::frame::FrameRef;
-use crate::packet::{parse_datagram_ref, ConnectionId, Header, PacketType, QUIC_MIN_INITIAL_SIZE};
+use crate::packet::{
+    parse_datagram_ref, ConnectionId, Header, PacketType, ParsedDatagram, QUIC_MIN_INITIAL_SIZE,
+};
 use crate::reassembly::{handshake_messages, CryptoStream};
 
 /// Probe timeout of the first Initial; a retransmitted one waits twice as long.
@@ -30,8 +33,9 @@ pub struct ClientConfig {
     pub initial_size: usize,
     /// Compression algorithms offered via RFC 8879.
     pub compression: Vec<Algorithm>,
-    /// SNI server name.
-    pub server_name: String,
+    /// SNI server name: borrowed for the scanner's fixed name, owned for a
+    /// probe that names its domain.
+    pub server_name: Cow<'static, str>,
     /// Source address of the client (spoofed for telescope experiments).
     pub src: Ipv4Addr,
     /// Destination server address.
@@ -55,7 +59,7 @@ impl ClientConfig {
         ClientConfig {
             initial_size,
             compression: vec![],
-            server_name: "scan.invalid".into(),
+            server_name: Cow::Borrowed("scan.invalid"),
             src: Ipv4Addr::new(203, 0, 113, 7),
             dst,
             send_acks: true,
@@ -66,6 +70,19 @@ impl ClientConfig {
     }
 }
 
+/// The buffers a [`ClientConn`] writes into and reassembles in, handed
+/// from one connection to the next by a reused handshake scratch; only
+/// their capacity carries over.
+#[derive(Debug, Default)]
+pub(crate) struct ClientBuffers {
+    hello: Vec<u8>,
+    token: Vec<u8>,
+    initial_rx: CryptoStream,
+    handshake_rx: CryptoStream,
+    onertt_rx: CryptoStream,
+    parsed: ParsedDatagram,
+}
+
 /// The client connection endpoint.
 #[derive(Debug)]
 pub struct ClientConn {
@@ -73,6 +90,8 @@ pub struct ClientConn {
     scid: ConnectionId,
     dcid: ConnectionId,
     server_cid: Option<ConnectionId>,
+    /// The ClientHello, written once per Initial sent.
+    hello: Vec<u8>,
     token: Vec<u8>,
     initial_pn: u64,
     handshake_pn: u64,
@@ -80,6 +99,8 @@ pub struct ClientConn {
     initial_rx: CryptoStream,
     handshake_rx: CryptoStream,
     onertt_rx: CryptoStream,
+    /// The packets and frames of the datagram being received.
+    parsed: ParsedDatagram,
     largest_initial_rx: Option<u64>,
     largest_handshake_rx: Option<u64>,
     got_server_hello: bool,
@@ -108,6 +129,25 @@ pub struct ClientConn {
 impl ClientConn {
     /// Create a client endpoint.
     pub fn new(config: ClientConfig) -> Self {
+        ClientConn::reusing(config, ClientBuffers::default())
+    }
+
+    /// Create a client endpoint in `buffers`, emptied: the one place every
+    /// field of a connection is set.
+    pub(crate) fn reusing(config: ClientConfig, buffers: ClientBuffers) -> Self {
+        let ClientBuffers {
+            mut hello,
+            mut token,
+            mut initial_rx,
+            mut handshake_rx,
+            mut onertt_rx,
+            parsed,
+        } = buffers;
+        hello.clear();
+        token.clear();
+        initial_rx.clear();
+        handshake_rx.clear();
+        onertt_rx.clear();
         let scid = ConnectionId::from_seed(config.seed ^ 0xC11E);
         let dcid = ConnectionId::from_seed(config.seed ^ 0xD1D1);
         ClientConn {
@@ -115,12 +155,14 @@ impl ClientConn {
             scid,
             dcid,
             server_cid: None,
-            token: Vec::new(),
+            hello,
+            token,
             initial_pn: 0,
             handshake_pn: 0,
-            initial_rx: CryptoStream::default(),
-            handshake_rx: CryptoStream::default(),
-            onertt_rx: CryptoStream::default(),
+            initial_rx,
+            handshake_rx,
+            onertt_rx,
+            parsed,
             largest_initial_rx: None,
             largest_handshake_rx: None,
             got_server_hello: false,
@@ -134,6 +176,27 @@ impl ClientConn {
             first_datagram_len: 0,
             transmissions: 0,
             pto_deadline: None,
+        }
+    }
+
+    /// This connection's buffers, for the next connection to reuse.
+    pub(crate) fn into_buffers(self) -> ClientBuffers {
+        let ClientConn {
+            hello,
+            token,
+            initial_rx,
+            handshake_rx,
+            onertt_rx,
+            parsed,
+            ..
+        } = self;
+        ClientBuffers {
+            hello,
+            token,
+            initial_rx,
+            handshake_rx,
+            onertt_rx,
+            parsed,
         }
     }
 
@@ -152,10 +215,11 @@ impl ClientConn {
         self.transmissions
     }
 
-    fn initial_datagram(&mut self) -> Vec<u8> {
-        let mut ch = Vec::with_capacity(512);
+    fn initial_datagram(&mut self, out: &mut Outbox) -> Vec<u8> {
+        self.hello.clear();
+        self.hello.reserve(512);
         client_hello_into(
-            &mut ch,
+            &mut self.hello,
             &self.config.server_name,
             &self.config.compression,
             self.config.psk.as_ref(),
@@ -170,17 +234,17 @@ impl ClientConn {
         };
         let frames = [FrameRef::Crypto {
             offset: 0,
-            data: &ch,
+            data: &self.hello,
         }];
         let unpadded = header.encoded_len(frames);
         let size = self.config.initial_size.max(unpadded);
-        let mut dgram = Vec::with_capacity(size);
+        let mut dgram = out.buffer(size);
         header.encode_into(&mut dgram, frames, size - unpadded);
         self.initial_pn += 1;
         dgram
     }
 
-    fn send(&mut self, payload: Vec<u8>, out: &mut Vec<Datagram>) {
+    fn send(&mut self, payload: Vec<u8>, out: &mut Outbox) {
         if self.first_datagram_len == 0 {
             self.first_datagram_len = payload.len();
         }
@@ -239,9 +303,9 @@ impl ClientConn {
     }
 
     /// The datagram acknowledging everything received so far (plus our
-    /// Finished once the server's flight is complete); empty when there is
+    /// Finished once the server's flight is complete); `None` when there is
     /// nothing to acknowledge.
-    fn build_acks(&mut self) -> Vec<u8> {
+    fn build_acks(&mut self, out: &mut Outbox) -> Option<Vec<u8>> {
         /// Client Finished: 4-byte header + 32-byte verify data.
         const FINISHED: [u8; 36] = {
             let mut fin = [0xF1; 36];
@@ -287,6 +351,9 @@ impl ClientConn {
                 send_fin,
             ),
         ];
+        if packets.iter().all(Option::is_none) {
+            return None;
+        }
         let unpadded: usize = packets
             .iter()
             .flatten()
@@ -299,7 +366,7 @@ impl ClientConn {
         } else {
             unpadded
         };
-        let mut dgram = Vec::with_capacity(size);
+        let mut dgram = out.buffer(size);
         let last = packets.iter().flatten().count().saturating_sub(1);
         for (i, (header, frames)) in packets.iter().flatten().enumerate() {
             let padding = if i == last { size - unpadded } else { 0 };
@@ -309,13 +376,13 @@ impl ClientConn {
         self.initial_pn += u64::from(sent_initial);
         self.handshake_pn += u64::from(sent_handshake);
         self.fin_sent |= sent_handshake && send_fin;
-        dgram
+        Some(dgram)
     }
 }
 
 impl Endpoint for ClientConn {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        let dgram = self.initial_datagram();
+    fn start(&mut self, now: SimTime, out: &mut Outbox) {
+        let dgram = self.initial_datagram(out);
         self.transmissions = 1;
         // A timer that may not retransmit would only fire into the void.
         if self.config.max_initial_transmissions > 1 {
@@ -324,8 +391,11 @@ impl Endpoint for ClientConn {
         self.send(dgram, out);
     }
 
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
-        let Some(packets) = parse_datagram_ref(&dgram.payload) else {
+    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox) {
+        // Lent out of `self` while its packets borrow it.
+        let mut parsed = std::mem::take(&mut self.parsed);
+        let Some(packets) = parse_datagram_ref(&dgram.payload, &mut parsed) else {
+            self.parsed = parsed;
             return;
         };
         let mut saw_ack_eliciting = false;
@@ -334,7 +404,8 @@ impl Endpoint for ClientConn {
                 PacketType::Retry => {
                     if !self.saw_retry {
                         self.saw_retry = true;
-                        self.token = pkt.token.to_vec();
+                        self.token.clear();
+                        self.token.extend_from_slice(pkt.token);
                         self.server_cid = Some(pkt.scid.clone());
                         // Restart with the token; the Retry resets the
                         // connection state.
@@ -342,7 +413,7 @@ impl Endpoint for ClientConn {
                         self.largest_initial_rx = None;
                         self.dcid = pkt.scid;
                         if self.config.send_acks {
-                            let dgram = self.initial_datagram();
+                            let dgram = self.initial_datagram(out);
                             self.send(dgram, out);
                         }
                     }
@@ -375,25 +446,25 @@ impl Endpoint for ClientConn {
                 }
             }
         }
+        self.parsed = parsed;
         self.check_progress(now);
         // Server responded: stop Initial retransmissions.
         self.pto_deadline = None;
         if self.config.send_acks && saw_ack_eliciting {
-            let ack = self.build_acks();
-            if !ack.is_empty() {
+            if let Some(ack) = self.build_acks(out) {
                 self.send(ack, out);
             }
         }
     }
 
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
         self.pto_deadline = None;
         if self.handshake_complete() {
             return;
         }
         if self.transmissions < self.config.max_initial_transmissions {
             self.transmissions += 1;
-            let dgram = self.initial_datagram();
+            let dgram = self.initial_datagram(out);
             self.pto_deadline = Some(now + PTO.saturating_mul(2));
             self.send(dgram, out);
         }
@@ -423,9 +494,10 @@ mod tests {
                 Ipv4Addr::new(198, 51, 100, 1),
                 9,
             ));
-            let dgram = client.initial_datagram();
+            let dgram = client.initial_datagram(&mut Outbox::default());
             assert_eq!(dgram.len(), size);
-            let parsed: Vec<_> = parse_datagram_ref(&dgram).unwrap().collect();
+            let mut parsed = ParsedDatagram::default();
+            let parsed: Vec<_> = parse_datagram_ref(&dgram, &mut parsed).unwrap().collect();
             assert_eq!(parsed.len(), 1);
             assert_eq!(parsed[0].ty, PacketType::Initial);
         }
@@ -447,7 +519,7 @@ mod tests {
         config.send_acks = false;
         config.max_initial_transmissions = 1;
         let mut client = ClientConn::new(config);
-        let mut out = Vec::new();
+        let mut out = Outbox::default();
         client.start(SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload_len(), 1252);
@@ -468,7 +540,7 @@ mod tests {
         }];
         header.encode_into(&mut payload, frames, 0);
         let reply = out[0].reply_with(payload);
-        let mut out2 = Vec::new();
+        let mut out2 = Outbox::default();
         client.on_datagram(&reply, SimTime::ZERO, &mut out2);
         assert!(out2.is_empty());
         assert_eq!(client.next_timer(), None);

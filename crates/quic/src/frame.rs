@@ -1,16 +1,19 @@
 //! QUIC frames (RFC 9000 §19) — the subset the handshake needs.
 //!
-//! [`FrameRef`] is the one frame type: CRYPTO data is borrowed, from the
-//! sender's flight buffer on the way out and from the received datagram on
-//! the way in, so a frame never owns a copy of the bytes it carries. One
-//! encoder ([`FrameRef::encode`]) writes frames and one decoder, behind
-//! [`Frames`], reads them.
+//! [`Frame`] is the one frame type, generic over how it holds CRYPTO data.
+//! A [`FrameRef`] borrows it, from the sender's flight buffer on the way
+//! out and from the received datagram on the way in, so a frame never owns
+//! a copy of the bytes it carries. A received frame is decoded once, when
+//! its datagram is parsed, into a [`Frame`] holding the *span* of its data
+//! in that datagram ([`crate::packet::parse_datagram_ref`] keeps these in a
+//! reused list); [`Frames`] lends them out as [`FrameRef`]s. One encoder
+//! ([`Frame::encode`]) writes frames and one decoder reads them.
 
 use crate::varint;
 
-/// A QUIC frame whose CRYPTO data is borrowed.
+/// A QUIC frame; `D` is how its CRYPTO data is held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameRef<'a> {
+pub enum Frame<D> {
     /// PADDING (type 0x00): a run of `n` padding bytes.
     Padding {
         /// Number of padding bytes (each is its own one-byte frame on the
@@ -34,7 +37,7 @@ pub enum FrameRef<'a> {
         /// Byte offset in the CRYPTO stream of this encryption level.
         offset: u64,
         /// Stream data.
-        data: &'a [u8],
+        data: D,
     },
     /// CONNECTION_CLOSE (type 0x1c).
     ConnectionClose {
@@ -43,38 +46,47 @@ pub enum FrameRef<'a> {
     },
 }
 
-impl<'a> FrameRef<'a> {
+/// A QUIC frame whose CRYPTO data is borrowed.
+pub type FrameRef<'a> = Frame<&'a [u8]>;
+
+/// A decoded frame whose CRYPTO data is the bytes `start..end` of the
+/// datagram it was decoded from.
+pub(crate) type FrameSpan = Frame<(usize, usize)>;
+
+impl<D> Frame<D> {
     /// Whether the frame is ack-eliciting (RFC 9002 §2).
     pub(crate) fn is_ack_eliciting(&self) -> bool {
         !matches!(
             self,
-            FrameRef::Padding { .. } | FrameRef::Ack { .. } | FrameRef::ConnectionClose { .. }
+            Frame::Padding { .. } | Frame::Ack { .. } | Frame::ConnectionClose { .. }
         )
     }
+}
 
+impl FrameRef<'_> {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            FrameRef::Padding { n } => *n,
-            FrameRef::Ping => 1,
-            FrameRef::Ack {
+            Frame::Padding { n } => *n,
+            Frame::Ping => 1,
+            Frame::Ack {
                 largest,
                 delay,
                 first_range,
             } => 1 + varint::len(*largest) + varint::len(*delay) + 1 + varint::len(*first_range),
-            FrameRef::Crypto { offset, data } => {
+            Frame::Crypto { offset, data } => {
                 1 + varint::len(*offset) + varint::len(data.len() as u64) + data.len()
             }
-            FrameRef::ConnectionClose { error_code } => 1 + varint::len(*error_code) + 1 + 1,
+            Frame::ConnectionClose { error_code } => 1 + varint::len(*error_code) + 1 + 1,
         }
     }
 
     /// Append the encoding to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            FrameRef::Padding { n } => out.resize(out.len() + n, 0),
-            FrameRef::Ping => out.push(0x01),
-            FrameRef::Ack {
+            Frame::Padding { n } => out.resize(out.len() + n, 0),
+            Frame::Ping => out.push(0x01),
+            Frame::Ack {
                 largest,
                 delay,
                 first_range,
@@ -85,13 +97,13 @@ impl<'a> FrameRef<'a> {
                 varint::write(out, 0); // range count
                 varint::write(out, *first_range);
             }
-            FrameRef::Crypto { offset, data } => {
+            Frame::Crypto { offset, data } => {
                 out.push(0x06);
                 varint::write(out, *offset);
                 varint::write(out, data.len() as u64);
                 out.extend_from_slice(data);
             }
-            FrameRef::ConnectionClose { error_code } => {
+            Frame::ConnectionClose { error_code } => {
                 out.push(0x1C);
                 varint::write(out, *error_code);
                 varint::write(out, 0); // offending frame type
@@ -99,21 +111,23 @@ impl<'a> FrameRef<'a> {
             }
         }
     }
+}
 
+impl FrameSpan {
     /// Decode the frame at `payload[*pos..]`, advancing `pos` past it (a
     /// whole run of PADDING bytes is one frame). `None` when there is no
     /// byte at `pos` or the frame is malformed.
-    fn decode(payload: &'a [u8], pos: &mut usize) -> Option<FrameRef<'a>> {
+    fn decode(payload: &[u8], pos: &mut usize) -> Option<FrameSpan> {
         let ty = *payload.get(*pos)?;
         match ty {
             0x00 => {
                 let n = zero_run(&payload[*pos..]);
                 *pos += n;
-                Some(FrameRef::Padding { n })
+                Some(Frame::Padding { n })
             }
             0x01 => {
                 *pos += 1;
-                Some(FrameRef::Ping)
+                Some(Frame::Ping)
             }
             0x02 | 0x03 => {
                 *pos += 1;
@@ -131,7 +145,7 @@ impl<'a> FrameRef<'a> {
                         varint::read(payload, pos)?;
                     }
                 }
-                Some(FrameRef::Ack {
+                Some(Frame::Ack {
                     largest,
                     delay,
                     first_range,
@@ -141,9 +155,10 @@ impl<'a> FrameRef<'a> {
                 *pos += 1;
                 let offset = varint::read(payload, pos)?;
                 let len = usize::try_from(varint::read(payload, pos)?).ok()?;
-                let data = payload.get(*pos..pos.checked_add(len)?)?;
-                *pos += len;
-                Some(FrameRef::Crypto { offset, data })
+                let end = pos.checked_add(len).filter(|&end| end <= payload.len())?;
+                let data = (*pos, end);
+                *pos = end;
+                Some(Frame::Crypto { offset, data })
             }
             0x1C | 0x1D => {
                 *pos += 1;
@@ -156,19 +171,36 @@ impl<'a> FrameRef<'a> {
                 if *pos > payload.len() {
                     return None;
                 }
-                Some(FrameRef::ConnectionClose { error_code })
+                Some(Frame::ConnectionClose { error_code })
             }
             _ => None,
         }
     }
 }
 
+/// Decode every frame of the packet payload `payload[start..end]` onto
+/// `into`, CRYPTO data as spans of `payload`. `None` when any frame is
+/// malformed, so a caller never acts on the head of a payload whose tail
+/// is garbage.
+pub(crate) fn decode_frames(
+    payload: &[u8],
+    (start, end): (usize, usize),
+    into: &mut Vec<FrameSpan>,
+) -> Option<()> {
+    let body = &payload[..end];
+    let mut pos = start;
+    while pos < end {
+        into.push(FrameSpan::decode(body, &mut pos)?);
+    }
+    Some(())
+}
+
 /// Length of the run of zero bytes `bytes` starts with. A client datagram
-/// is padded to 1,200 bytes and more, every byte of that a PADDING frame,
-/// and the padding is walked twice (by [`Frames::parse`] and again by the
-/// receiver), so the run is skipped 64 bytes at a time, each block
-/// OR-folded into one byte; the block that holds the first non-zero byte,
-/// and a tail shorter than a block, are then compared a word at a time.
+/// is padded to 1,200 bytes and more, every byte of that a PADDING frame
+/// walked once, when its datagram is parsed, so the run is skipped 64
+/// bytes at a time, each block OR-folded into one byte; the block that
+/// holds the first non-zero byte, and a tail shorter than a block, are
+/// then compared a word at a time.
 fn zero_run(bytes: &[u8]) -> usize {
     let mut rest = bytes;
     while let Some((block, tail)) = rest.split_first_chunk::<64>() {
@@ -187,30 +219,21 @@ fn zero_run(bytes: &[u8]) -> usize {
     bytes.len() - rest.len() + rest.iter().take_while(|&&b| b == 0).count()
 }
 
-/// The frames of one packet payload that parsed as a whole, in wire
-/// order. Iterating decodes them again from the borrowed payload; nothing
-/// is collected.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The frames of one parsed packet, in wire order: its decoded spans lent
+/// out as [`FrameRef`]s borrowing the datagram. Nothing is decoded again.
+#[derive(Debug, Clone)]
 pub struct Frames<'a> {
     payload: &'a [u8],
-    pos: usize,
+    spans: std::slice::Iter<'a, FrameSpan>,
 }
 
 impl<'a> Frames<'a> {
-    /// Check that `payload` is a well-formed sequence of frames. `None`
-    /// when any frame is malformed, so a caller never acts on the head of
-    /// a payload whose tail is garbage.
-    pub fn parse(payload: &'a [u8]) -> Option<Frames<'a>> {
-        let mut pos = 0;
-        while pos < payload.len() {
-            FrameRef::decode(payload, &mut pos)?;
+    /// The frames `spans` decoded from `payload`.
+    pub(crate) fn new(payload: &'a [u8], spans: &'a [FrameSpan]) -> Frames<'a> {
+        Frames {
+            payload,
+            spans: spans.iter(),
         }
-        Some(Frames { payload, pos: 0 })
-    }
-
-    /// The frames of a payload [`Frames::parse`] already accepted.
-    pub(crate) fn unchecked(payload: &'a [u8]) -> Frames<'a> {
-        Frames { payload, pos: 0 }
     }
 }
 
@@ -218,16 +241,49 @@ impl<'a> Iterator for Frames<'a> {
     type Item = FrameRef<'a>;
 
     fn next(&mut self) -> Option<FrameRef<'a>> {
-        FrameRef::decode(self.payload, &mut self.pos)
+        let payload = self.payload;
+        let span = *self.spans.next()?;
+        Some(match span {
+            Frame::Padding { n } => Frame::Padding { n },
+            Frame::Ping => Frame::Ping,
+            Frame::Ack {
+                largest,
+                delay,
+                first_range,
+            } => Frame::Ack {
+                largest,
+                delay,
+                first_range,
+            },
+            Frame::Crypto {
+                offset,
+                data: (start, end),
+            } => Frame::Crypto {
+                offset,
+                data: &payload[start..end],
+            },
+            Frame::ConnectionClose { error_code } => Frame::ConnectionClose { error_code },
+        })
     }
 }
+
+impl PartialEq for Frames<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for Frames<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn decode(payload: &[u8]) -> Option<Vec<FrameRef<'_>>> {
-        Some(Frames::parse(payload)?.collect())
+        // Leaked so that the frames may borrow it as long as the payload.
+        let spans = Box::leak(Box::default());
+        decode_frames(payload, (0, payload.len()), spans)?;
+        Some(Frames::new(payload, spans).collect())
     }
 
     fn roundtrip(frames: &[FrameRef<'_>]) {
@@ -295,7 +351,7 @@ mod tests {
         assert!(FrameRef::Ping.is_ack_eliciting());
         assert!(FrameRef::Crypto {
             offset: 0,
-            data: &[]
+            data: &[][..]
         }
         .is_ack_eliciting());
         assert!(!FrameRef::Padding { n: 1 }.is_ack_eliciting());

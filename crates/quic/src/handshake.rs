@@ -7,15 +7,16 @@
 //! here just as it was to the paper's scanners.
 
 use quicert_netsim::{
-    run_exchange, ExchangeLimits, ExchangeOutcome, SimDuration, SimRng, SimTime, Wire,
+    run_exchange, ExchangeLimits, ExchangeOutcome, ExchangeScratch, SimDuration, SimRng, SimTime,
+    Wire,
 };
 use quicert_obs::HandshakeTimeline;
 use quicert_session::SessionTicket;
 use quicert_tls::PskOffer;
 
 use crate::amplification;
-use crate::client::{ClientConfig, ClientConn};
-use crate::server::{ServerConfig, ServerConn, ServerStats};
+use crate::client::{ClientBuffers, ClientConfig, ClientConn};
+use crate::server::{ServerBuffers, ServerConfig, ServerConn, ServerStats};
 
 /// RNG stream label for complete-handshake exchanges ("DSH").
 const HANDSHAKE_RNG_LABEL: u64 = 0x44_5348;
@@ -219,29 +220,75 @@ fn extract_handshake_outcome(
     }
 }
 
-/// Run a complete handshake attempt.
+/// Run a complete handshake attempt on a fresh [`HandshakeScratch`].
 pub fn run_handshake(
     client_config: ClientConfig,
     server_config: ServerConfig,
     wire: &mut Wire,
     seed: u64,
 ) -> HandshakeOutcome {
-    let rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
-    handshake(client_config, server_config, wire, rng)
+    HandshakeScratch::default().run(client_config, server_config, wire, seed)
 }
 
-/// One handshake attempt on its own RNG stream: build the endpoints, run
-/// them to quiescence, measure, drop them.
-fn handshake(
-    client_config: ClientConfig,
-    server_config: ServerConfig,
-    wire: &mut Wire,
-    mut rng: SimRng,
-) -> HandshakeOutcome {
-    let mut client = ClientConn::new(client_config);
-    let mut server = ServerConn::new(server_config);
-    let outcome = run_exchange(&mut client, &mut server, wire, handshake_limits(), &mut rng);
-    extract_handshake_outcome(&client, &server, wire, &outcome)
+/// What a run of handshakes keeps from one to the next: the buffers of one
+/// client and one server connection — their CRYPTO streams, ClientHello,
+/// flight and datagram plan, retry token and parsed-datagram lists — and
+/// the exchange's queue and payload buffers.
+///
+/// Each handshake rebuilds both connections through their one constructor,
+/// handed these buffers emptied, so no field reset can be forgotten: a
+/// reused scratch changes what a handshake allocates, never its outcome.
+/// It holds one handshake's high-water buffers (about 100 kB after a
+/// post-quantum flight) and nothing else. A pump worker keeps one for all
+/// its probes; once its buffers have grown to a probe's needs, a cold
+/// handshake allocates nothing.
+#[derive(Debug, Default)]
+pub struct HandshakeScratch {
+    client: ClientBuffers,
+    server: ServerBuffers,
+    exchange: ExchangeScratch,
+}
+
+impl HandshakeScratch {
+    /// Run a complete handshake attempt in this scratch's buffers: the
+    /// outcome [`run_handshake`] returns for the same arguments.
+    pub fn run(
+        &mut self,
+        client_config: ClientConfig,
+        server_config: ServerConfig,
+        wire: &mut Wire,
+        seed: u64,
+    ) -> HandshakeOutcome {
+        let rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
+        self.handshake(client_config, server_config, wire, rng)
+    }
+
+    /// One handshake attempt on its own RNG stream: build the endpoints in
+    /// the kept buffers, run them to quiescence, measure, take the buffers
+    /// back.
+    fn handshake(
+        &mut self,
+        client_config: ClientConfig,
+        server_config: ServerConfig,
+        wire: &mut Wire,
+        mut rng: SimRng,
+    ) -> HandshakeOutcome {
+        let mut client = ClientConn::reusing(client_config, std::mem::take(&mut self.client));
+        let mut server = ServerConn::reusing(server_config, std::mem::take(&mut self.server));
+        let limits = handshake_limits();
+        let outcome = run_exchange(
+            &mut client,
+            &mut server,
+            wire,
+            limits,
+            &mut rng,
+            &mut self.exchange,
+        );
+        let measured = extract_handshake_outcome(&client, &server, wire, &outcome);
+        self.client = client.into_buffers();
+        self.server = server.into_buffers();
+        measured
+    }
 }
 
 /// One cold-then-warm resumption probe: the first visit runs a full
@@ -290,7 +337,8 @@ pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
     let mut cold_config = probe.client.clone();
     cold_config.psk = None;
     let mut wire = probe.wire.clone();
-    let cold = run_handshake(cold_config, probe.server.clone(), &mut wire, probe.seed);
+    let mut scratch = HandshakeScratch::default();
+    let cold = scratch.run(cold_config, probe.server.clone(), &mut wire, probe.seed);
     let psk = warm_offer(&probe, &cold);
 
     // The warm visit takes over the probe's server configuration, chain
@@ -307,7 +355,7 @@ pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
     let mut warm_wire = probe.wire;
     ResumptionOutcome {
         cold,
-        warm: handshake(config, server, &mut warm_wire, rng),
+        warm: scratch.handshake(config, server, &mut warm_wire, rng),
         offered_psk,
     }
 }
@@ -373,7 +421,14 @@ pub fn run_spoofed_probe(
     let mut client = ClientConn::new(config);
     let mut server = ServerConn::new(server_config);
     let mut rng = SimRng::new(seed ^ SPOOFED_RNG_LABEL);
-    let outcome = run_exchange(&mut client, &mut server, wire, spoofed_limits(), &mut rng);
+    let outcome = run_exchange(
+        &mut client,
+        &mut server,
+        wire,
+        spoofed_limits(),
+        &mut rng,
+        &mut ExchangeScratch::default(),
+    );
     let backscatter = outcome.b_to_a;
     SpoofedOutcome {
         probe_size,
@@ -428,7 +483,7 @@ mod tests {
     use super::*;
     use crate::server::ServerBehavior;
     use quicert_compress::Algorithm;
-    use quicert_netsim::Endpoint;
+    use quicert_netsim::{Endpoint, Outbox};
     use quicert_x509::{
         CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm, Name,
         SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
@@ -752,7 +807,7 @@ mod tests {
         ));
         // One SNI per probe, as in a real scan: tickets are host-bound.
         let mut client = ClientConfig::scanner(1362, SERVER, seed);
-        client.server_name = format!("svc-{seed}.example");
+        client.server_name = format!("svc-{seed}.example").into();
         ResumptionProbe {
             client,
             server,
@@ -901,11 +956,11 @@ mod tests {
     /// Initial payload length and the primed endpoints.
     fn primed_pair(behavior: ServerBehavior, seed: u64) -> (usize, ServerConn) {
         let mut client = ClientConn::new(ClientConfig::scanner(1362, SERVER, seed));
-        let mut out = Vec::new();
+        let mut out = Outbox::default();
         client.start(SimTime::ZERO, &mut out);
         let initial = out.pop().expect("client emits its Initial on start");
         let mut server = ServerConn::new(server(behavior, small_chain(), KeyAlgorithm::EcdsaP256));
-        let mut sink = Vec::new();
+        let mut sink = Outbox::default();
         server.on_datagram(&initial, SimTime::ZERO, &mut sink);
         (initial.payload_len(), server)
     }
@@ -920,7 +975,7 @@ mod tests {
         // 350 → 700 → 1400 → 2800 → 5600 → cap: never 11200, and with
         // saturating_mul never the 584-year saturation point either.
         let expected_ms = [700u64, 1400, 2800, 5600, 8000, 8000, 8000];
-        let mut sink = Vec::new();
+        let mut sink = Outbox::default();
         for &ms in &expected_ms {
             let deadline = server.next_timer().expect("timer armed while data is out");
             sink.clear();
@@ -970,7 +1025,7 @@ mod tests {
         // Fire every PTO to exhaustion with no client response.
         let drain = |mut server: ServerConn| {
             let first_charged = server.amplification().charged();
-            let mut sink = Vec::new();
+            let mut sink = Outbox::default();
             while let Some(deadline) = server.next_timer() {
                 server.on_timer(deadline, &mut sink);
             }

@@ -25,12 +25,24 @@
 //!
 //! ## The data path
 //!
-//! Every flight byte is written once per hop. The sender keeps what TLS
-//! wrote and serialises packets around borrowed ranges of it, straight into
-//! the outgoing datagram ([`packet::Header::encode_into`]); the receiver
-//! parses that datagram in place ([`packet::parse_datagram_ref`] yields
-//! packets whose [`frame::FrameRef`]s borrow token and CRYPTO data) and
-//! appends CRYPTO data to one [`reassembly::CryptoStream`].
+//! Every flight byte is written once per hop, and every received byte is
+//! decoded once. The sender keeps what TLS wrote and serialises packets
+//! around borrowed ranges of it, straight into the outgoing datagram
+//! ([`packet::Header::encode_into`]), a payload buffer taken from the
+//! exchange's outbox. The receiver validates and decodes that datagram in
+//! one walk ([`packet::parse_datagram_ref`] fills a reused
+//! [`packet::ParsedDatagram`] with its packets and frames, token and
+//! CRYPTO data as spans of the datagram), reads its packets back as
+//! [`frame::FrameRef`]s borrowing those spans, and appends CRYPTO data to
+//! one [`reassembly::CryptoStream`].
+//!
+//! Nothing of this is allocated per handshake once it has run before: a
+//! [`HandshakeScratch`] keeps one client's and one server's buffers — the
+//! CRYPTO streams, the ClientHello, the flight
+//! ([`quicert_tls::ServerFlight::build_into`]), the datagram plan and the
+//! parsed-datagram lists — and the exchange's queue and payload free list,
+//! and rebuilds both connections in them, emptied, for each handshake.
+//! [`run_handshake`] is one handshake on a fresh scratch.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unreachable_pub)]
@@ -48,7 +60,7 @@ pub use amplification::LimitPolicy;
 pub use client::{ClientConfig, ClientConn};
 pub use handshake::{
     run_handshake, run_handshake_batch_into, run_resumption, run_spoofed_probe, HandshakeOutcome,
-    HandshakeProbe, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
+    HandshakeProbe, HandshakeScratch, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
 pub use packet::{ConnectionId, PacketType, AEAD_TAG_LEN};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

@@ -10,10 +10,11 @@
 //! One encoder and one parser. [`Header::encode_into`] serialises a packet
 //! (header, frames, in-envelope padding and tag) straight into the caller's
 //! datagram buffer, and coalescing is calling it again on the same buffer;
-//! [`parse_datagram_ref`] parses a datagram in place, its packets borrowing
-//! token and CRYPTO data from it.
+//! [`parse_datagram_ref`] validates and decodes a datagram in one walk into
+//! a reused [`ParsedDatagram`], and lends its packets out borrowing token
+//! and CRYPTO data from the datagram.
 
-use crate::frame::{FrameRef, Frames};
+use crate::frame::{decode_frames, FrameRef, FrameSpan, Frames};
 use crate::varint;
 
 /// AEAD authentication tag length appended to every protected packet.
@@ -246,52 +247,97 @@ pub struct ParsedPacketRef<'a> {
     pub wire_len: usize,
 }
 
-/// The packets of one datagram that parsed as a whole, in wire order.
-/// Iterating decodes the headers again from the borrowed datagram; nothing
-/// is collected.
+/// One packet of a [`ParsedDatagram`]: its header fields, with the token
+/// as a span of the datagram and the frames as a range of the frame list.
+#[derive(Debug, Clone)]
+struct PacketSpan {
+    ty: PacketType,
+    dcid: ConnectionId,
+    scid: ConnectionId,
+    token: (usize, usize),
+    number: u64,
+    frames: (usize, usize),
+    wire_len: usize,
+}
+
+/// The packets and frames of the last datagram [`parse_datagram_ref`]
+/// parsed into it, every byte of that datagram walked once. A receiver
+/// keeps one and reuses it, so parsing allocates only when a datagram
+/// holds more packets or frames than any before it.
+#[derive(Debug, Default)]
+pub struct ParsedDatagram {
+    packets: Vec<PacketSpan>,
+    frames: Vec<FrameSpan>,
+}
+
+/// The packets of one datagram that parsed as a whole, in wire order, lent
+/// out of the [`ParsedDatagram`] they were decoded into.
 #[derive(Debug, Clone)]
 pub struct Packets<'a> {
     payload: &'a [u8],
-    pos: usize,
+    packets: std::slice::Iter<'a, PacketSpan>,
+    frames: &'a [FrameSpan],
 }
 
 impl<'a> Iterator for Packets<'a> {
     type Item = ParsedPacketRef<'a>;
 
     fn next(&mut self) -> Option<ParsedPacketRef<'a>> {
-        // Every frame payload was checked when the datagram was parsed.
-        decode_packet(self.payload, &mut self.pos, |body| {
-            Some(Frames::unchecked(body))
+        let packet = self.packets.next()?;
+        let (token, frames) = (packet.token, packet.frames);
+        Some(ParsedPacketRef {
+            ty: packet.ty,
+            dcid: packet.dcid.clone(),
+            scid: packet.scid.clone(),
+            token: &self.payload[token.0..token.1],
+            number: packet.number,
+            frames: Frames::new(self.payload, &self.frames[frames.0..frames.1]),
+            wire_len: packet.wire_len,
         })
     }
 }
 
-/// Parse every packet coalesced into a datagram payload, borrowing from
-/// it.
+/// Parse every packet coalesced into a datagram payload into `parsed`,
+/// replacing what it held, and lend them out borrowing from `payload`.
 ///
 /// Returns `None` on malformed input — headers and every frame of every
-/// packet are checked here, so a datagram is rejected whole before any of
-/// its packets is acted on. Retry packets consume the rest of the datagram
-/// (they cannot be coalesced with following packets, since they have no
-/// length field).
-pub fn parse_datagram_ref(payload: &[u8]) -> Option<Packets<'_>> {
+/// packet are checked in the one walk that decodes them, so a datagram is
+/// rejected whole before any of its packets is acted on. Retry packets
+/// consume the rest of the datagram (they cannot be coalesced with
+/// following packets, since they have no length field).
+pub fn parse_datagram_ref<'a>(
+    payload: &'a [u8],
+    parsed: &'a mut ParsedDatagram,
+) -> Option<Packets<'a>> {
+    parsed.packets.clear();
+    parsed.frames.clear();
     let mut pos = 0;
     while pos < payload.len() {
-        decode_packet(payload, &mut pos, Frames::parse)?;
+        let packet = decode_packet(payload, &mut pos, &mut parsed.frames)?;
+        parsed.packets.push(packet);
     }
-    Some(Packets { payload, pos: 0 })
+    Some(Packets {
+        payload,
+        packets: parsed.packets.iter(),
+        frames: &parsed.frames,
+    })
 }
 
-/// Decode the packet at `payload[*pos..]`, advancing `pos` past it;
-/// `frames` turns the packet's frame payload into its [`Frames`]. `None`
-/// when there is no byte at `pos` or the packet is malformed.
-fn decode_packet<'a>(
-    payload: &'a [u8],
+/// Decode the packet at `payload[*pos..]`, advancing `pos` past it and
+/// its frames onto `frames`. `None` when there is no byte at `pos` or the
+/// packet is malformed.
+fn decode_packet(
+    payload: &[u8],
     pos: &mut usize,
-    frames: impl FnOnce(&'a [u8]) -> Option<Frames<'a>>,
-) -> Option<ParsedPacketRef<'a>> {
+    frames: &mut Vec<FrameSpan>,
+) -> Option<PacketSpan> {
     let start = *pos;
     let first = *payload.get(start)?;
+    let mut frames_of = |body: (usize, usize)| {
+        let from = frames.len();
+        decode_frames(payload, body, frames)?;
+        Some((from, frames.len()))
+    };
     if first & 0x80 == 0 {
         // Short header: consumes the rest of the datagram. DCID length
         // is not self-describing; we use the 8-byte convention of this
@@ -301,13 +347,13 @@ fn decode_packet<'a>(
             return None;
         }
         *pos = payload.len();
-        return Some(ParsedPacketRef {
+        return Some(PacketSpan {
             ty: PacketType::OneRtt,
             dcid: ConnectionId::new(&rest[1..9]),
             scid: ConnectionId::default(),
-            token: &[],
+            token: (0, 0),
             number: u16::from_be_bytes([rest[9], rest[10]]) as u64,
-            frames: frames(&rest[11..rest.len() - AEAD_TAG_LEN])?,
+            frames: frames_of((start + 11, payload.len() - AEAD_TAG_LEN))?,
             wire_len: rest.len(),
         });
     }
@@ -337,13 +383,13 @@ fn decode_packet<'a>(
                 return None;
             }
             *pos = payload.len();
-            Some(ParsedPacketRef {
+            Some(PacketSpan {
                 ty: PacketType::Retry,
                 dcid,
                 scid,
-                token: &payload[at..payload.len() - AEAD_TAG_LEN],
+                token: (at, payload.len() - AEAD_TAG_LEN),
                 number: 0,
-                frames: Frames::unchecked(&[]),
+                frames: (frames.len(), frames.len()),
                 wire_len: payload.len() - start,
             })
         }
@@ -353,13 +399,14 @@ fn decode_packet<'a>(
             } else {
                 PacketType::Handshake
             };
-            let token: &[u8] = if ty == PacketType::Initial {
+            let token = if ty == PacketType::Initial {
                 let tlen = usize::try_from(varint::read(payload, &mut at)?).ok()?;
-                let token = payload.get(at..at.checked_add(tlen)?)?;
-                at += tlen;
+                let end = at.checked_add(tlen).filter(|&end| end <= payload.len())?;
+                let token = (at, end);
+                at = end;
                 token
             } else {
-                &[]
+                (at, at)
             };
             let length = usize::try_from(varint::read(payload, &mut at)?).ok()?;
             let end = at.checked_add(length)?;
@@ -367,13 +414,13 @@ fn decode_packet<'a>(
                 return None;
             }
             *pos = end;
-            Some(ParsedPacketRef {
+            Some(PacketSpan {
                 ty,
                 dcid,
                 scid,
                 token,
                 number: u16::from_be_bytes([payload[at], payload[at + 1]]) as u64,
-                frames: frames(&payload[at + 2..end - AEAD_TAG_LEN])?,
+                frames: frames_of((at + 2, end - AEAD_TAG_LEN))?,
                 wire_len: end - start,
             })
         }
@@ -423,7 +470,8 @@ mod tests {
     }
 
     fn parse(wire: &[u8]) -> Option<Vec<ParsedPacketRef<'_>>> {
-        Some(parse_datagram_ref(wire)?.collect())
+        // Leaked so that the packets may borrow it as long as the wire.
+        Some(parse_datagram_ref(wire, Box::leak(Box::default()))?.collect())
     }
 
     fn padding_len(pkt: &ParsedPacketRef<'_>) -> usize {
@@ -492,7 +540,7 @@ mod tests {
             for len in [21, 0xFF] {
                 let mut bad = wire.clone();
                 bad[at] = len;
-                assert!(parse_datagram_ref(&bad).is_none(), "length {len} at {at}");
+                assert!(parse(&bad).is_none(), "length {len} at {at}");
             }
         }
     }

@@ -5,14 +5,17 @@
 //! starting where the last one ended. [`CryptoStream`] appends those to one
 //! buffer and lends the contiguous stream out. Anything else — a gap, an
 //! overlap, a different payload at an offset already seen — switches the
-//! stream, for good, to the general form: segments keyed by offset, the
-//! latest arrival at an offset replacing the earlier one, and the
-//! contiguous prefix rebuilt by walking them. The replacement rule is load
-//! bearing: nobody checks AEAD tags in this simulation, so a segment
+//! stream, until it is cleared, to the general form: segments keyed by
+//! offset, the latest arrival at an offset replacing the earlier one, and
+//! the contiguous prefix rebuilt by walking them. The replacement rule is
+//! load bearing: nobody checks AEAD tags in this simulation, so a segment
 //! corrupted in flight *is* accepted, and only a clean retransmission
 //! replacing it at the same offset repairs the stream.
-
-use std::collections::BTreeMap;
+//!
+//! Both forms live in buffers a stream keeps when it is cleared: the
+//! general form's segments are spans of one byte arena, every arrival
+//! appended to it, so a stream reused across handshakes allocates only
+//! when one receives more than any before it.
 
 /// The reassembled CRYPTO stream of one encryption level.
 #[derive(Debug, Default)]
@@ -22,15 +25,20 @@ pub struct CryptoStream {
     /// In-order form: the offset at which each segment was appended to
     /// `stream`, in arrival order.
     starts: Vec<u64>,
-    /// General form: every segment by offset, once any arrived out of
-    /// order. `None` while the in-order form holds.
-    segments: Option<BTreeMap<u64, Vec<u8>>>,
+    /// Whether the general form holds: set by the first arrival out of
+    /// order, until [`CryptoStream::clear`].
+    general: bool,
+    /// General form: the latest segment at each offset, sorted by offset,
+    /// as `(offset, start, end)` with its bytes at `arena[start..end]`.
+    segments: Vec<(u64, usize, usize)>,
+    /// General form: the bytes of every segment that arrived in it.
+    arena: Vec<u8>,
 }
 
 impl CryptoStream {
     /// Accept the CRYPTO segment `data` at stream offset `offset`.
     pub fn insert(&mut self, offset: u64, data: &[u8]) {
-        if self.segments.is_none() {
+        if !self.general {
             if offset == self.stream.len() as u64 {
                 self.starts.push(offset);
                 self.stream.extend_from_slice(data);
@@ -40,33 +48,44 @@ impl CryptoStream {
                 // An identical duplicate would replace a segment by itself.
                 return;
             }
-        }
-        let starts = std::mem::take(&mut self.starts);
-        let stream = &self.stream;
-        let segments = self.segments.get_or_insert_with(|| {
             // Replay the in-order arrivals, so that equal offsets (a
             // zero-length segment and its successor) replace each other
             // exactly as they would have on arrival.
-            let ends = starts.iter().skip(1).copied();
-            let ends = ends.chain([stream.len() as u64]);
-            let mut segments = BTreeMap::new();
-            for (&start, end) in starts.iter().zip(ends) {
-                segments.insert(start, stream[start as usize..end as usize].to_vec());
+            self.general = true;
+            self.arena.extend_from_slice(&self.stream);
+            for i in 0..self.starts.len() {
+                let start = self.starts[i];
+                let end = (self.starts.get(i + 1)).map_or(self.stream.len(), |&end| end as usize);
+                self.place(start, start as usize, end);
             }
-            segments
-        });
-        segments.insert(offset, data.to_vec());
+        }
+        let start = self.arena.len();
+        self.arena.extend_from_slice(data);
+        self.place(offset, start, self.arena.len());
 
         self.stream.clear();
-        for (&off, data) in segments.iter() {
+        for &(off, start, end) in &self.segments {
             let next = self.stream.len() as u64;
             if off > next {
                 break;
             }
             let skip = (next - off) as usize;
-            if skip < data.len() {
-                self.stream.extend_from_slice(&data[skip..]);
+            if skip < end - start {
+                self.stream
+                    .extend_from_slice(&self.arena[start + skip..end]);
             }
+        }
+    }
+
+    /// Make `arena[start..end]` the segment at `offset`, replacing any
+    /// earlier one there.
+    fn place(&mut self, offset: u64, start: usize, end: usize) {
+        match self
+            .segments
+            .binary_search_by_key(&offset, |&(off, ..)| off)
+        {
+            Ok(at) => self.segments[at] = (offset, start, end),
+            Err(at) => self.segments.insert(at, (offset, start, end)),
         }
     }
 
@@ -88,9 +107,14 @@ impl CryptoStream {
         &self.stream
     }
 
-    /// Forget everything received (a Retry restarts the Initial stream).
+    /// Forget everything received (a Retry restarts the Initial stream),
+    /// keeping the buffers.
     pub fn clear(&mut self) {
-        *self = CryptoStream::default();
+        self.stream.clear();
+        self.starts.clear();
+        self.general = false;
+        self.segments.clear();
+        self.arena.clear();
     }
 }
 
@@ -118,12 +142,12 @@ mod tests {
         stream.insert(6, b"");
         stream.insert(6, b"world");
         assert_eq!(stream.contiguous(), b"hello world");
-        assert!(stream.segments.is_none());
+        assert!(!stream.general);
         // An identical duplicate changes nothing, not even the form.
         stream.insert(6, b"world");
         stream.insert(0, b"hello ");
         assert_eq!(stream.contiguous(), b"hello world");
-        assert!(stream.segments.is_none());
+        assert!(!stream.general);
     }
 
     #[test]

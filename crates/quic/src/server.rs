@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use quicert_compress::Algorithm;
-use quicert_netsim::{Datagram, Endpoint, SimDuration, SimTime};
+use quicert_netsim::{Datagram, Endpoint, Outbox, SimDuration, SimTime};
 use quicert_session::ResumptionHost;
 use quicert_tls::{
     new_session_ticket, parse_compression_offers, parse_psk_offer, parse_server_name, ServerFlight,
@@ -31,7 +31,8 @@ use quicert_x509::{CertificateChain, KeyAlgorithm};
 use crate::amplification::{AmplificationBudget, LimitPolicy};
 use crate::frame::FrameRef;
 use crate::packet::{
-    overhead, parse_datagram_ref, ConnectionId, Header, PacketType, QUIC_MIN_INITIAL_SIZE,
+    overhead, parse_datagram_ref, ConnectionId, Header, PacketType, Packets, ParsedDatagram,
+    QUIC_MIN_INITIAL_SIZE,
 };
 use crate::reassembly::{handshake_messages, CryptoStream};
 
@@ -207,6 +208,21 @@ struct ReplyPath {
     peer_port: u16,
 }
 
+/// The buffers a [`ServerConn`] writes its flight and plan into and
+/// reassembles the ClientHello in, handed from one connection to the next
+/// by a reused handshake scratch; only their capacity carries over.
+#[derive(Debug, Default)]
+pub(crate) struct ServerBuffers {
+    ch: CryptoStream,
+    flight: ServerFlight,
+    onertt_crypto: Vec<u8>,
+    packets: Vec<PlannedPacket>,
+    datagrams: Vec<PlannedDatagram>,
+    queue: VecDeque<Queued>,
+    retry_token: Vec<u8>,
+    parsed: ParsedDatagram,
+}
+
 /// A QUIC server connection endpoint.
 ///
 /// The handshake flight exists once, as the two CRYPTO buffers TLS wrote,
@@ -225,10 +241,9 @@ pub struct ServerConn {
     // CRYPTO reassembly of the client's Initial stream (the ClientHello).
     ch: CryptoStream,
     flight_built: bool,
-    // CRYPTO send buffers per encryption level: ServerHello; the rest of
-    // the flight; a NewSessionTicket.
-    initial_crypto: Vec<u8>,
-    handshake_crypto: Vec<u8>,
+    // CRYPTO send buffers per encryption level: the flight's ServerHello
+    // (Initial) and the rest of it (Handshake); a NewSessionTicket.
+    flight: ServerFlight,
     onertt_crypto: Vec<u8>,
     packets: Vec<PlannedPacket>,
     datagrams: Vec<PlannedDatagram>,
@@ -239,6 +254,8 @@ pub struct ServerConn {
     largest_client_initial_pn: Option<u64>,
     retry_sent: bool,
     retry_token: Vec<u8>,
+    /// The packets and frames of the datagram being received.
+    parsed: ParsedDatagram,
     /// Set once a client Handshake-level packet arrives (address validated,
     /// RFC 9001 §4.1.2) or a valid Retry token is echoed.
     complete: bool,
@@ -253,6 +270,30 @@ pub struct ServerConn {
 impl ServerConn {
     /// Create a server endpoint for one connection.
     pub fn new(config: ServerConfig) -> Self {
+        ServerConn::reusing(config, ServerBuffers::default())
+    }
+
+    /// Create a server endpoint in `buffers`, emptied: the one place every
+    /// field of a connection is set.
+    pub(crate) fn reusing(config: ServerConfig, buffers: ServerBuffers) -> Self {
+        let ServerBuffers {
+            mut ch,
+            mut flight,
+            mut onertt_crypto,
+            mut packets,
+            mut datagrams,
+            mut queue,
+            mut retry_token,
+            parsed,
+        } = buffers;
+        ch.clear();
+        flight.initial_crypto.clear();
+        flight.handshake_crypto.clear();
+        onertt_crypto.clear();
+        packets.clear();
+        datagrams.clear();
+        queue.clear();
+        retry_token.clear();
         let scid = ConnectionId::from_seed(config.seed ^ 0x5E5E);
         let current_pto = config.behavior.pto;
         let policy = config.behavior.limit_policy;
@@ -262,26 +303,51 @@ impl ServerConn {
             scid,
             client_cid: ConnectionId::default(),
             reply_path: None,
-            ch: CryptoStream::default(),
+            ch,
             flight_built: false,
-            initial_crypto: Vec::new(),
-            handshake_crypto: Vec::new(),
-            onertt_crypto: Vec::new(),
-            packets: Vec::new(),
-            datagrams: Vec::new(),
-            queue: VecDeque::new(),
+            flight,
+            onertt_crypto,
+            packets,
+            datagrams,
+            queue,
             initial_pn: 0,
             handshake_pn: 0,
             onertt_pn: 0,
             largest_client_initial_pn: None,
             retry_sent: false,
-            retry_token: Vec::new(),
+            retry_token,
+            parsed,
             complete: false,
             ticket_issued: false,
             transmissions: 0,
             pto_deadline: None,
             current_pto,
             stats: ServerStats::default(),
+        }
+    }
+
+    /// This connection's buffers, for the next connection to reuse.
+    pub(crate) fn into_buffers(self) -> ServerBuffers {
+        let ServerConn {
+            ch,
+            flight,
+            onertt_crypto,
+            packets,
+            datagrams,
+            queue,
+            retry_token,
+            parsed,
+            ..
+        } = self;
+        ServerBuffers {
+            ch,
+            flight,
+            onertt_crypto,
+            packets,
+            datagrams,
+            queue,
+            retry_token,
+            parsed,
         }
     }
 
@@ -351,9 +417,9 @@ impl ServerConn {
             first_range: 0,
         });
         let buffer = match packet.ty {
-            PacketType::Initial => &self.initial_crypto,
+            PacketType::Initial => &self.flight.initial_crypto,
             PacketType::OneRtt => &self.onertt_crypto,
-            _ => &self.handshake_crypto,
+            _ => &self.flight.handshake_crypto,
         };
         let crypto = packet.crypto.map(|(start, end)| FrameRef::Crypto {
             offset: start as u64,
@@ -401,25 +467,24 @@ impl ServerConn {
     /// its datagrams.
     fn build_flight(&mut self) {
         let ch = self.ch.contiguous();
-        let flight = if self.accepts_psk(ch) {
+        if self.accepts_psk(ch) {
             // Resumed: ServerHello(+pre_shared_key), EE, Finished — the
             // certificate chain never touches the wire.
-            ServerFlight::build_resumed(self.config.seed)
+            self.flight.build_resumed_into(self.config.seed);
         } else {
-            ServerFlight::build(&ServerFlightParams {
+            let compression = self.negotiate_compression(ch);
+            self.flight.build_into(&ServerFlightParams {
                 chain: &self.config.chain,
                 leaf_key: self.config.leaf_key,
-                compression: self.negotiate_compression(ch),
+                compression,
                 seed: self.config.seed,
-            })
-        };
-        self.stats.certificate_message_len = flight.certificate_message_len;
-        self.initial_crypto = flight.initial_crypto;
-        self.handshake_crypto = flight.handshake_crypto;
+            });
+        }
+        self.stats.certificate_message_len = self.flight.certificate_message_len;
 
         let coalesce = self.config.behavior.coalesce;
         let max_udp = ServerBehavior::MAX_UDP_PAYLOAD;
-        let hs_len = self.handshake_crypto.len();
+        let hs_len = self.flight.handshake_crypto.len();
         let hs_overhead = overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
         let expected = hs_len / max_udp.saturating_sub(hs_overhead).max(1) + 3;
         self.packets.reserve(expected);
@@ -427,7 +492,7 @@ impl ServerConn {
         self.queue.reserve(expected);
 
         let ack = Some(self.largest_client_initial_pn.unwrap_or(0));
-        let server_hello = Some((0, self.initial_crypto.len()));
+        let server_hello = Some((0, self.flight.initial_crypto.len()));
         // Either both frames in one Initial packet, or an ACK-only Initial
         // and a ServerHello Initial, each alone in a datagram padded to the
         // largest payload (the ACK although it needs no padding).
@@ -498,7 +563,7 @@ impl ServerConn {
         self.stats.flight_transmissions = self.transmissions;
     }
 
-    fn try_send(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn try_send(&mut self, now: SimTime, out: &mut Outbox) {
         let Some(reply) = self.reply_path else {
             return;
         };
@@ -527,7 +592,7 @@ impl ServerConn {
                 break;
             }
             // Padding goes inside the last packet's AEAD envelope.
-            let mut wire = Vec::with_capacity(wire_len);
+            let mut wire = out.buffer(wire_len);
             for (i, packet) in packets.iter().enumerate() {
                 let padding = if i + 1 == count { padding } else { 0 };
                 self.header(packet)
@@ -581,14 +646,14 @@ impl ServerConn {
         self.stats.issued_ticket = true;
     }
 
-    fn make_retry_token(&self) -> Vec<u8> {
-        let mut token = vec![0u8; 48];
+    /// Write this connection's 48-byte Retry token into `retry_token`.
+    fn make_retry_token(&mut self) {
         let mut z = self.config.seed ^ 0x0072_6574_7279;
-        for b in token.iter_mut() {
+        self.retry_token.clear();
+        self.retry_token.extend((0..48).map(|_| {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *b = (z >> 24) as u8;
-        }
-        token
+            (z >> 24) as u8
+        }));
     }
 }
 
@@ -604,18 +669,9 @@ impl ReplyPath {
     }
 }
 
-impl Endpoint for ServerConn {
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
-        self.budget.on_receive(dgram.payload_len());
-        let reply = *self.reply_path.get_or_insert(ReplyPath {
-            local: dgram.dst,
-            peer: dgram.src,
-            local_port: dgram.dst_port,
-            peer_port: dgram.src_port,
-        });
-        let Some(packets) = parse_datagram_ref(&dgram.payload) else {
-            return;
-        };
+impl ServerConn {
+    /// Act on the packets of one received datagram, replying on `reply`.
+    fn receive(&mut self, packets: Packets<'_>, reply: ReplyPath, now: SimTime, out: &mut Outbox) {
         for pkt in packets {
             match pkt.ty {
                 PacketType::Initial => {
@@ -639,7 +695,7 @@ impl Endpoint for ServerConn {
                             && pkt.token.is_empty()
                         {
                             // Demand address validation.
-                            self.retry_token = self.make_retry_token();
+                            self.make_retry_token();
                             let retry = Header {
                                 ty: PacketType::Retry,
                                 dcid: &self.client_cid,
@@ -647,7 +703,7 @@ impl Endpoint for ServerConn {
                                 token: &self.retry_token,
                                 number: 0,
                             };
-                            let mut wire = Vec::with_capacity(retry.encoded_len([]));
+                            let mut wire = out.buffer(retry.encoded_len([]));
                             retry.encode_into(&mut wire, [], 0);
                             let sent = self.budget.send(now, wire.len(), wire.len(), 1);
                             debug_assert!(sent, "no policy refuses a first small datagram");
@@ -686,10 +742,28 @@ impl Endpoint for ServerConn {
                 _ => {}
             }
         }
-        self.try_send(now, out);
+    }
+}
+
+impl Endpoint for ServerConn {
+    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox) {
+        self.budget.on_receive(dgram.payload_len());
+        let reply = *self.reply_path.get_or_insert(ReplyPath {
+            local: dgram.dst,
+            peer: dgram.src,
+            local_port: dgram.dst_port,
+            peer_port: dgram.src_port,
+        });
+        // Lent out of `self` while its packets borrow it.
+        let mut parsed = std::mem::take(&mut self.parsed);
+        if let Some(packets) = parse_datagram_ref(&dgram.payload, &mut parsed) {
+            self.receive(packets, reply, now, out);
+            self.try_send(now, out);
+        }
+        self.parsed = parsed;
     }
 
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
         self.pto_deadline = None;
         if self.complete || !self.flight_built {
             return;

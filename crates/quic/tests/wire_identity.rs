@@ -17,7 +17,8 @@ use std::fmt::Write;
 
 use quicert_compress::Algorithm;
 use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, FaultPlan, SimDuration, SimRng, SimTime, Wire,
+    run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeScratch, FaultPlan, Outbox,
+    SimDuration, SimRng, SimTime, Wire,
 };
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
@@ -70,7 +71,7 @@ struct Tap<'d, E> {
 }
 
 impl<E: Endpoint> Tap<'_, E> {
-    fn tapped(&mut self, out: &mut Vec<Datagram>, call: impl FnOnce(&mut E, &mut Vec<Datagram>)) {
+    fn tapped(&mut self, out: &mut Outbox, call: impl FnOnce(&mut E, &mut Outbox)) {
         let before = out.len();
         call(&mut self.inner, out);
         let mut digest = self.digest.borrow_mut();
@@ -81,13 +82,13 @@ impl<E: Endpoint> Tap<'_, E> {
 }
 
 impl<E: Endpoint> Endpoint for Tap<'_, E> {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn start(&mut self, now: SimTime, out: &mut Outbox) {
         self.tapped(out, |e, out| e.start(now, out));
     }
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox) {
         self.tapped(out, |e, out| e.on_datagram(dgram, now, out));
     }
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
+    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
         self.tapped(out, |e, out| e.on_timer(now, out));
     }
     fn next_timer(&self) -> Option<SimTime> {
@@ -122,7 +123,14 @@ fn tapped_handshake(
         max_events: 10_000,
     };
     let mut rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
-    run_exchange(&mut a, &mut b, &mut wire, limits, &mut rng);
+    run_exchange(
+        &mut a,
+        &mut b,
+        &mut wire,
+        limits,
+        &mut rng,
+        &mut ExchangeScratch::default(),
+    );
     a.inner
 }
 
@@ -141,7 +149,7 @@ fn client_for(index: usize, record: &DomainRecord) -> ClientConfig {
         World::server_addr(record),
         record.seed ^ INITIAL as u64,
     );
-    client.server_name = record.name.clone();
+    client.server_name = record.name.clone().into();
     if index % 4 == 1 {
         client.compression = Algorithm::ALL.to_vec();
     }

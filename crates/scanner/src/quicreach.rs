@@ -27,7 +27,7 @@ use quicert_quic::amplification::{self, FACTOR};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
-use quicert_quic::{run_handshake, run_resumption, ClientConfig};
+use quicert_quic::{run_resumption, ClientConfig, HandshakeScratch};
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig};
 
 use crate::behavior::{base_latency, server_config_for_era, wire_for_profile, BASE_LATENCY_MS};
@@ -760,20 +760,26 @@ impl ClassOutcome {
 
 /// Per-worker state of the quicreach probe loop: a handle on a
 /// scenario-class memo (see [`scan_chunk`]), this worker's share of its
-/// counters, and the registry it reports into.
+/// counters, the registry it reports into, and the buffers its simulated
+/// handshakes run in.
 ///
 /// A pump worker's ([`ProbeScratch::sharing`]) memo is shared with every
 /// other worker of its pass — the engine's one table, carried across pumps
 /// and service ticks; a standalone scratch
-/// ([`ProbeScratch::with_memo`]) owns a private one. Nothing else survives
-/// from one chunk to the next (`pending` is drained before a fold returns
-/// and kept only for its capacity), so a reused scratch folds exactly as a
-/// fresh one does — pinned by the fresh-vs-reused property test.
+/// ([`ProbeScratch::with_memo`]) owns a private one. Buffers survive from
+/// one chunk to the next, their contents do not: `pending` is drained
+/// before a fold returns, and every handshake rebuilds its connections in
+/// the [`HandshakeScratch`]'s emptied buffers. So a reused scratch folds
+/// exactly as a fresh one does — pinned by the fresh-vs-reused property
+/// test here and, probe by probe, by `quicert-quic`'s reuse equivalence
+/// test.
 #[derive(Debug)]
 pub struct ProbeScratch {
     /// Classes first simulated in the chunk being folded, stored into the
     /// memo once every record of the chunk has looked it up.
     pending: Vec<(ProbeClass, ClassOutcome)>,
+    /// The buffers every simulated probe of this worker runs in.
+    handshake: HandshakeScratch,
     memo: Option<Arc<ClassMemo>>,
     hits: u64,
     misses: u64,
@@ -802,6 +808,7 @@ impl ProbeScratch {
     pub fn sharing(memo: Option<Arc<ClassMemo>>) -> ProbeScratch {
         ProbeScratch {
             pending: Vec::new(),
+            handshake: HandshakeScratch::default(),
             memo,
             hits: 0,
             misses: 0,
@@ -955,7 +962,13 @@ pub fn scan_chunk(
         // outcome provably stretches with the path, read this record's
         // result off it and queue it for the memo.
         let learned = class.and_then(|(_, class)| {
-            let out = simulate(world, record, scenario, Some(CLASS_LATENCY))?;
+            let out = simulate(
+                world,
+                record,
+                scenario,
+                Some(CLASS_LATENCY),
+                &mut scratch.handshake,
+            )?;
             let timeline = latency_free_timeline(&out, base_latency(record))?;
             let stored = ClassOutcome::of(&QuicReachResult::from_outcome(record.rank, &out))?;
             scratch.pending.push((class, stored));
@@ -964,7 +977,7 @@ pub fn scan_chunk(
         // No memo, or a representative the check refused: the record's
         // own wire. A record without a QUIC chain has no probe; skip it.
         let Some((result, timeline)) = learned.or_else(|| {
-            let out = simulate(world, record, scenario, None)?;
+            let out = simulate(world, record, scenario, None, &mut scratch.handshake)?;
             Some((
                 QuicReachResult::from_outcome(record.rank, &out),
                 out.timeline,
@@ -1045,26 +1058,23 @@ fn probe_for(world: &World, record: &DomainRecord, scenario: Scenario) -> Option
     })
 }
 
-/// One cold handshake against `record` under `scenario`: on the record's
-/// own wire, or with both directions of it at `latency` instead of the
-/// record's base latency. `None` when the record serves no QUIC chain.
+/// One cold handshake against `record` under `scenario`, run in
+/// `handshake`'s buffers: on the record's own wire, or with both
+/// directions of it at `latency` instead of the record's base latency.
+/// `None` when the record serves no QUIC chain.
 fn simulate(
     world: &World,
     record: &DomainRecord,
     scenario: Scenario,
     latency: Option<SimDuration>,
+    handshake: &mut HandshakeScratch,
 ) -> Option<HandshakeOutcome> {
     let mut probe = probe_for(world, record, scenario)?;
     if let Some(latency) = latency {
         probe.wire.a_to_b.latency = latency;
         probe.wire.b_to_a.latency = latency;
     }
-    Some(run_handshake(
-        probe.client,
-        probe.server,
-        &mut probe.wire,
-        probe.seed,
-    ))
+    Some(handshake.run(probe.client, probe.server, &mut probe.wire, probe.seed))
 }
 
 /// Probe one service under one [`Scenario`], on the record's own wire and
@@ -1075,7 +1085,14 @@ fn simulate(
 /// When `record` serves no QUIC chain (callers filter on
 /// [`DomainRecord::has_quic`]).
 pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
-    let out = simulate(world, record, scenario, None).expect("a QUIC service to probe");
+    let out = simulate(
+        world,
+        record,
+        scenario,
+        None,
+        &mut HandshakeScratch::default(),
+    )
+    .expect("a QUIC service to probe");
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
@@ -1258,7 +1275,7 @@ impl_merge! { WarmAggregate {
 pub fn warm_service(world: &World, record: &DomainRecord, scenario: Scenario) -> WarmScanResult {
     let policy = scenario.warm_policy();
     let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
-    probe.client.server_name = record.name.clone();
+    probe.client.server_name = record.name.clone().into();
     probe.server.resumption = Some(ResumptionHost::issuing(
         record.seed ^ STEK_SEED_LABEL,
         WARM_SCAN_EPOCH_SECS,
@@ -1339,6 +1356,7 @@ mod tests {
     use proptest::prelude::*;
     use quicert_pki::flyweight::SHARDS as MEMO_SHARDS;
     use quicert_pki::WorldConfig;
+    use quicert_quic::run_handshake;
 
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
@@ -1671,13 +1689,13 @@ mod tests {
             let scenario = Scenario::at(sweep_sizes()[size_idx])
                 .with_era(CertificateEra::ALL[era_idx])
                 .with_profile(profile);
-            let out = simulate(world, record, scenario, Some(CLASS_LATENCY)).expect("a QUIC service");
+            let out = simulate(world, record, scenario, Some(CLASS_LATENCY), &mut HandshakeScratch::default()).expect("a QUIC service");
             let representative = QuicReachResult::from_outcome(record.rank, &out);
             for step in 0..40 {
                 let member = class_member_at_step(record, scenario, step);
                 let own = base_latency(&member);
                 prop_assert_eq!(own.as_millis(), BASE_LATENCY_MS.start() + step);
-                let reference = simulate(world, &member, scenario, None).expect("a QUIC service");
+                let reference = simulate(world, &member, scenario, None, &mut HandshakeScratch::default()).expect("a QUIC service");
                 prop_assert_eq!(
                     ClassOutcome::of(&representative).map(|stored| stored.replayed_for(&member)),
                     Some(scan_service(world, &member, scenario)),
@@ -1749,7 +1767,14 @@ mod tests {
         let (world, population) = world();
         let scenario = Scenario::at(1472).with_profile(NetworkProfile::Tunneled);
         let record = services(&population).next().expect("a QUIC service");
-        let out = simulate(&world, record, scenario, Some(CLASS_LATENCY)).expect("a QUIC service");
+        let out = simulate(
+            &world,
+            record,
+            scenario,
+            Some(CLASS_LATENCY),
+            &mut HandshakeScratch::default(),
+        )
+        .expect("a QUIC service");
         assert!(out.timer_fires > 0, "the client retransmits on its PTO");
         assert_eq!(out.deliveries, 0);
         let representative = QuicReachResult::from_outcome(record.rank, &out);

@@ -12,6 +12,10 @@
 //! LZ stream and the container, nothing else — the match tables belong to
 //! the thread, not the call.
 //!
+//! And the budget of one simulated probe on a warm `ProbeScratch`: what
+//! building the probe hands its server — the leaf's DER and the
+//! compression list — and nothing for the handshake itself.
+//!
 //! Counts, not timings — exact on any host. Before the encoder wrote into
 //! one buffer (`der::Writer`) and recorded field sizes as it encoded, one
 //! chain cost ~459 allocations and its summary ~1,108 more (every DN and
@@ -24,8 +28,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use quicert_compress::{compress, Algorithm};
+use quicert_netsim::FaultPlan;
 use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::https_scan::{self, ChainSummary};
+use quicert_scanner::quicreach::{self, ProbeScratch};
+use quicert_scanner::Scenario;
 use quicert_tls::certificate_message;
 
 thread_local! {
@@ -248,4 +255,44 @@ fn a_warm_compress_call_allocates_its_output_and_no_table() {
             bytes as f64 / input_bytes as f64
         );
     }
+}
+
+#[test]
+fn a_simulated_probe_on_a_warm_scratch_allocates_its_leaf_and_compression_list() {
+    // Every probe of a chaos scan is simulated: the fault plan draws wire
+    // randomness, so the memo is bypassed. On a scratch that one pass over
+    // the chunk has grown, a probe allocates exactly what its builder hands
+    // the server: the leaf's DER, and the compression list when it is not
+    // empty. The handshake itself, its SNI and its wire allocate nothing.
+    // (Before the handshake ran in the scratch, each probe made ~27 more.)
+    let world = World::streaming(WorldConfig {
+        domains: 20_000,
+        seed: 0x5CA1,
+    });
+    let records = world.domain_chunk(1, 4_000);
+    let scenario = Scenario::at(1362).with_plan(FaultPlan::MODERATE);
+    let mut scratch = ProbeScratch::new();
+    let scan = |scratch: &mut ProbeScratch| {
+        let mut probes = 0;
+        quicreach::scan_chunk(&world, &records, scenario, scratch, |_| probes += 1);
+        probes
+    };
+    let probes = scan(&mut scratch);
+    let (warm_probes, allocations) = counted(|| scan(&mut scratch));
+    assert_eq!(warm_probes, probes);
+    let services = records.iter().filter_map(|record| record.quic.as_ref());
+    let lists = services
+        .filter(|quic| !quic.compression_support.is_empty())
+        .count() as u64;
+    assert!(probes > 500 && lists > 0, "{probes} probes, {lists} lists");
+    assert_eq!(
+        allocations,
+        probes + lists,
+        "{probes} probes with {lists} compression lists made {allocations} allocations"
+    );
+    eprintln!(
+        "warm chaos probes: {allocations} allocations for {probes} probes \
+         ({:.2} per probe: one leaf each, {lists} compression lists)",
+        allocations as f64 / probes as f64
+    );
 }

@@ -31,7 +31,11 @@ pub struct ServerFlightParams<'a> {
 }
 
 /// The encoded server flight, split by QUIC encryption level.
-#[derive(Debug, Clone)]
+///
+/// A flight is rebuilt in place by [`ServerFlight::build_into`] and
+/// [`ServerFlight::build_resumed_into`], which keep its buffers: a server
+/// reused across handshakes writes each flight into the last one's.
+#[derive(Debug, Clone, Default)]
 pub struct ServerFlight {
     /// CRYPTO payload at the Initial encryption level (ServerHello).
     pub initial_crypto: Vec<u8>,
@@ -46,42 +50,54 @@ pub struct ServerFlight {
 }
 
 impl ServerFlight {
-    /// Build the *resumed* flight: the server accepted a PSK offer, so the
-    /// first flight is ServerHello(+pre_shared_key) at the Initial level
-    /// and EncryptedExtensions ‖ Finished at the Handshake level — no
-    /// Certificate, no CertificateVerify. The whole flight is a few hundred
-    /// bytes, which is what lets a resumed handshake fit the 3×
-    /// anti-amplification budget at any client Initial size.
-    pub fn build_resumed(seed: u64) -> ServerFlight {
-        let mut handshake_crypto =
-            Vec::with_capacity(messages::ENCRYPTED_EXTENSIONS_LEN + messages::FINISHED_LEN);
-        messages::encrypted_extensions_into(&mut handshake_crypto, seed);
-        messages::finished_into(&mut handshake_crypto, seed);
-        ServerFlight {
-            initial_crypto: messages::server_hello_resumed(seed),
-            handshake_crypto,
-            certificate_message_len: 0,
-            uncompressed_certificate_len: 0,
-        }
+    /// Rebuild this flight as the *resumed* one: the server accepted a PSK
+    /// offer, so the first flight is ServerHello(+pre_shared_key) at the
+    /// Initial level and EncryptedExtensions ‖ Finished at the Handshake
+    /// level — no Certificate, no CertificateVerify. The whole flight is a
+    /// few hundred bytes, which is what lets a resumed handshake fit the
+    /// 3× anti-amplification budget at any client Initial size.
+    pub fn build_resumed_into(&mut self, seed: u64) {
+        self.initial_crypto.clear();
+        self.initial_crypto.reserve(messages::SERVER_HELLO_CAPACITY);
+        messages::server_hello_into(&mut self.initial_crypto, seed, true);
+        self.handshake_crypto.clear();
+        self.handshake_crypto
+            .reserve(messages::ENCRYPTED_EXTENSIONS_LEN + messages::FINISHED_LEN);
+        messages::encrypted_extensions_into(&mut self.handshake_crypto, seed);
+        messages::finished_into(&mut self.handshake_crypto, seed);
+        self.certificate_message_len = 0;
+        self.uncompressed_certificate_len = 0;
     }
 
     /// Build the flight for the given parameters.
+    pub fn build(params: &ServerFlightParams<'_>) -> ServerFlight {
+        let mut flight = ServerFlight::default();
+        flight.build_into(params);
+        flight
+    }
+
+    /// Rebuild this flight for the given parameters, in its own buffers.
     ///
     /// Every Handshake-level message is written straight into the one
     /// `handshake_crypto` buffer, sized up front; the chain's DER is copied
     /// exactly once.
-    pub fn build(params: &ServerFlightParams<'_>) -> ServerFlight {
-        let mut handshake_crypto = Vec::with_capacity(
+    pub fn build_into(&mut self, params: &ServerFlightParams<'_>) {
+        self.initial_crypto.clear();
+        self.initial_crypto.reserve(messages::SERVER_HELLO_CAPACITY);
+        messages::server_hello_into(&mut self.initial_crypto, params.seed, false);
+        let handshake_crypto = &mut self.handshake_crypto;
+        handshake_crypto.clear();
+        handshake_crypto.reserve(
             messages::ENCRYPTED_EXTENSIONS_LEN
                 + messages::certificate_message_len(params.chain)
                 + messages::certificate_verify_len(params.leaf_key)
                 + messages::FINISHED_LEN,
         );
-        messages::encrypted_extensions_into(&mut handshake_crypto, params.seed);
+        messages::encrypted_extensions_into(handshake_crypto, params.seed);
 
         let cert_at = handshake_crypto.len();
-        messages::certificate_message_into(&mut handshake_crypto, params.chain);
-        let uncompressed_certificate_len = handshake_crypto.len() - cert_at;
+        messages::certificate_message_into(handshake_crypto, params.chain);
+        self.uncompressed_certificate_len = handshake_crypto.len() - cert_at;
         if let Some(alg) = params.compression {
             let mut compressed = Vec::new();
             messages::compressed_certificate_message_into(
@@ -91,22 +107,15 @@ impl ServerFlight {
             );
             // RFC 8879 servers fall back to the plain message if
             // compression would not help.
-            if compressed.len() < uncompressed_certificate_len {
+            if compressed.len() < self.uncompressed_certificate_len {
                 handshake_crypto.truncate(cert_at);
                 handshake_crypto.extend_from_slice(&compressed);
             }
         }
-        let certificate_message_len = handshake_crypto.len() - cert_at;
+        self.certificate_message_len = handshake_crypto.len() - cert_at;
 
-        messages::certificate_verify_into(&mut handshake_crypto, params.leaf_key, params.seed);
-        messages::finished_into(&mut handshake_crypto, params.seed);
-
-        ServerFlight {
-            initial_crypto: messages::server_hello(params.seed),
-            handshake_crypto,
-            certificate_message_len,
-            uncompressed_certificate_len,
-        }
+        messages::certificate_verify_into(handshake_crypto, params.leaf_key, params.seed);
+        messages::finished_into(handshake_crypto, params.seed);
     }
 }
 
@@ -307,7 +316,8 @@ mod tests {
     fn resumed_flight_carries_no_certificate_bytes() {
         let c = chain(KeyAlgorithm::EcdsaP256);
         let cold = ServerFlight::build(&params(&c, None));
-        let resumed = ServerFlight::build_resumed(21);
+        let mut resumed = ServerFlight::default();
+        resumed.build_resumed_into(21);
         assert!(cold.uncompressed_certificate_len > 0);
         assert_eq!(resumed.certificate_message_len, 0);
         assert_eq!(resumed.uncompressed_certificate_len, 0);

@@ -26,5 +26,5 @@ pub use flight::{ServerFlight, ServerFlightParams};
 pub use messages::{
     certificate_message, client_hello, client_hello_into, finished, new_session_ticket,
     parse_compression_offers, parse_new_session_ticket, parse_psk_offer, parse_server_name,
-    server_hello, server_hello_accepted_psk, ClientHelloParams, NewSessionTicket, PskOffer,
+    server_hello_accepted_psk, ClientHelloParams, NewSessionTicket, PskOffer,
 };

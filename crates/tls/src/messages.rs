@@ -228,24 +228,15 @@ pub fn client_hello_into(
     });
 }
 
-/// Encode a ServerHello handshake message.
-pub fn server_hello(seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    server_hello_into(&mut out, seed, false);
-    out
-}
+/// Room a ServerHello needs, resumed or not, with some to spare.
+pub(crate) const SERVER_HELLO_CAPACITY: usize = 128;
 
-/// Encode a ServerHello that accepts a PSK offer: the classic ServerHello
-/// plus a pre_shared_key extension selecting identity 0. This is the only
-/// wire-visible difference between a cold and a resumed ServerHello, and
-/// what [`server_hello_accepted_psk`] detects on the client side.
-pub(crate) fn server_hello_resumed(seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    server_hello_into(&mut out, seed, true);
-    out
-}
-
-fn server_hello_into(out: &mut Vec<u8>, seed: u64, accept_psk: bool) {
+/// Append a ServerHello; one that accepts a PSK offer (`accept_psk`) is the
+/// classic ServerHello plus a pre_shared_key extension selecting identity
+/// 0. This is the only wire-visible difference between a cold and a
+/// resumed ServerHello, and what [`server_hello_accepted_psk`] detects on
+/// the client side.
+pub(crate) fn server_hello_into(out: &mut Vec<u8>, seed: u64, accept_psk: bool) {
     handshake_message(out, HandshakeType::ServerHello, |out| {
         out.extend_from_slice(&[0x03, 0x03]);
         fill_into(out, seed ^ 0x5348_4C4F, 32); // random
@@ -521,6 +512,13 @@ pub(crate) fn finished_into(out: &mut Vec<u8>, seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cold ServerHello on its own.
+    fn server_hello(seed: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        server_hello_into(&mut out, seed, false);
+        out
+    }
     use quicert_x509::{
         CertificateBuilder, DistinguishedName, Extension, KeyAlgorithm, Name, SanNames,
         SignatureAlgorithm, SubjectPublicKeyInfo,
@@ -713,7 +711,8 @@ mod tests {
     #[test]
     fn resumed_server_hello_is_detectable_and_wellformed() {
         let cold = server_hello(9);
-        let resumed = server_hello_resumed(9);
+        let mut resumed = Vec::new();
+        server_hello_into(&mut resumed, 9, true);
         assert!(!server_hello_accepted_psk(&cold));
         assert!(server_hello_accepted_psk(&resumed));
         // Length header stays consistent after the splice.

@@ -22,10 +22,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use quicert::compress::{compress, decompress, Algorithm, CompressError};
-use quicert::netsim::{Datagram, Endpoint, SimDuration, SimTime};
+use quicert::netsim::{Datagram, Endpoint, Outbox, SimDuration, SimTime};
 use quicert::quic::frame::FrameRef;
 use quicert::quic::packet::{
-    parse_datagram_ref, ConnectionId, Header, PacketType, ParsedPacketRef, AEAD_TAG_LEN,
+    parse_datagram_ref, ConnectionId, Header, PacketType, ParsedDatagram, ParsedPacketRef,
+    AEAD_TAG_LEN,
 };
 use quicert::quic::{varint, ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
 use quicert::session::{TicketConfig, TicketIssuer, TicketValidation, TICKET_LEN};
@@ -104,7 +105,7 @@ fn seed_handshake_datagrams() -> [Vec<u8>; 3] {
     });
     let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
     let exchange = |endpoint: &mut dyn Endpoint, dgram: Option<&Datagram>, ms| {
-        let mut out = Vec::new();
+        let mut out = Outbox::default();
         match dgram {
             None => endpoint.start(at(ms), &mut out),
             Some(dgram) => endpoint.on_datagram(dgram, at(ms), &mut out),
@@ -323,9 +324,11 @@ fn corpus_seeds_are_valid_inputs() {
     let value = parse_one(&der).expect("seed certificate is valid DER");
     assert!(walk(&value) > 1, "certificate DER has nested structure");
 
+    let mut parsed = ParsedDatagram::default();
     for name in DATAGRAM_SEEDS {
         assert!(
-            parse_datagram_ref(&corpus(name)).is_some_and(|mut pkts| pkts.next().is_some()),
+            parse_datagram_ref(&corpus(name), &mut parsed)
+                .is_some_and(|mut pkts| pkts.next().is_some()),
             "seed datagram {name} parses to packets"
         );
     }
@@ -344,13 +347,16 @@ fn corpus_seeds_are_valid_inputs() {
         pkt.frames.clone().map(padding).sum()
     };
     let flight = corpus("server_flight_datagram.bin");
-    let flight: Vec<_> = parse_datagram_ref(&flight)
+    let flight: Vec<_> = parse_datagram_ref(&flight, &mut parsed)
         .expect("checked above")
         .collect();
     assert_eq!(flight.len(), 2, "Initial and Handshake coalesce");
     assert!(flight.iter().all(|pkt| crypto_data_len(pkt) > 0));
     let ack = corpus("padded_ack_datagram.bin");
-    let ack = parse_datagram_ref(&ack).expect("checked above").last();
+    let mut parsed_ack = ParsedDatagram::default();
+    let ack = parse_datagram_ref(&ack, &mut parsed_ack)
+        .expect("checked above")
+        .last();
     assert!(ack.is_some_and(|pkt| padding_len(&pkt) > 1_000));
 
     let compressed = corpus("compressed_container.bin");
@@ -580,7 +586,7 @@ fn decompressor_refuses_a_declared_huffman_stream_length_bomb() {
 fn datagram_parser_never_panics_on_mangled_corpus() {
     for name in DATAGRAM_SEEDS {
         assert_no_panics(name, &corpus(name), |bytes| {
-            if let Some(packets) = parse_datagram_ref(bytes) {
+            if let Some(packets) = parse_datagram_ref(bytes, &mut ParsedDatagram::default()) {
                 packets.flat_map(|pkt| pkt.frames).for_each(drop);
             }
         });
@@ -792,13 +798,16 @@ fn borrowed_datagram_parser_equals_the_byte_wise_reference_on_the_whole_corpus()
     // the word-wise parser must accept exactly what the byte-wise one
     // accepted and see the same packets, field for field and frame for
     // frame.
+    // One reused list for every input, as a receiver keeps one.
+    let mut reused = ParsedDatagram::default();
     let mut accepted = 0;
     for (name, _) in corpus_seeds() {
         let seed = corpus(name);
         let mutants = mutants(&seed).into_iter();
         for (what, bytes) in mutants.chain([("unmangled".to_string(), seed.clone())]) {
             let reference = reference_parse_datagram(&bytes);
-            let parsed = parse_datagram_ref(&bytes).map(|packets| packets.map(record).collect());
+            let parsed = parse_datagram_ref(&bytes, &mut reused)
+                .map(|packets| packets.map(record).collect::<Vec<_>>());
             assert_eq!(parsed, reference, "{name}: {what}");
             accepted += usize::from(reference.is_some());
         }

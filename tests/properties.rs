@@ -165,17 +165,21 @@ proptest! {
 
     #[test]
     fn frames_roundtrip(offset in 0u64..1_000_000, data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        use quicert::quic::frame::{FrameRef, Frames};
+        use quicert::quic::frame::FrameRef;
+        use quicert::quic::packet::{parse_datagram_ref, ConnectionId, Header, PacketType, ParsedDatagram};
         let frames = [
             FrameRef::Ack { largest: offset % 100, delay: 3, first_range: offset % 100 },
             FrameRef::Crypto { offset, data: &data },
             FrameRef::Padding { n: 17 },
         ];
+        // Frames are decoded as part of the datagram that carries them.
+        let cid = ConnectionId::from_seed(offset);
+        let header = Header { ty: PacketType::Handshake, dcid: &cid, scid: &cid, token: &[], number: 1 };
         let mut buf = Vec::new();
-        for f in &frames {
-            f.encode(&mut buf);
-        }
-        let decoded: Vec<_> = Frames::parse(&buf).expect("decode").collect();
+        header.encode_into(&mut buf, frames, 0);
+        let mut parsed = ParsedDatagram::default();
+        let mut packets = parse_datagram_ref(&buf, &mut parsed).expect("decode");
+        let decoded: Vec<_> = packets.next().expect("one packet").frames.collect();
         prop_assert_eq!(decoded, frames);
     }
 }
@@ -184,7 +188,9 @@ mod packet_properties {
     use proptest::prelude::*;
     use quicert::netsim::SimRng;
     use quicert::quic::frame::FrameRef;
-    use quicert::quic::packet::{parse_datagram_ref, ConnectionId, Header, PacketType};
+    use quicert::quic::packet::{
+        parse_datagram_ref, ConnectionId, Header, PacketType, ParsedDatagram,
+    };
 
     /// `len` bytes from a random position of `pool`.
     fn slice<'p>(rng: &mut SimRng, pool: &'p [u8], len: usize) -> &'p [u8] {
@@ -278,7 +284,8 @@ mod packet_properties {
                 prop_assert_eq!(len + padding, wire.len() - at, "{:?}", header.ty);
             }
 
-            let parsed: Vec<_> = parse_datagram_ref(&wire).expect("well-formed").collect();
+            let mut parsed = ParsedDatagram::default();
+            let parsed: Vec<_> = parse_datagram_ref(&wire, &mut parsed).expect("well-formed").collect();
             prop_assert_eq!(parsed.len(), 2);
             for ((header, frames, padding), pkt) in packets.iter().zip(&parsed) {
                 let one_rtt = header.ty == PacketType::OneRtt;
@@ -404,8 +411,8 @@ mod streaming_world_properties {
 mod simnet_properties {
     use proptest::prelude::*;
     use quicert::netsim::{
-        run_exchange, Datagram, Endpoint, ExchangeLimits, FaultPlan, NetworkProfile, SimDuration,
-        SimRng, SimTime, Wire,
+        run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeScratch, FaultPlan,
+        NetworkProfile, Outbox, SimDuration, SimRng, SimTime, Wire,
     };
     use quicert::pki::{CertificateEra, DomainRecord, World, WorldConfig};
     use quicert::quic::{run_handshake, ClientConfig, LimitPolicy};
@@ -423,13 +430,13 @@ mod simnet_properties {
     }
 
     impl Endpoint for Burst {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
             for &size in &self.sizes {
                 out.push(Datagram::new(A, B, 1000, 443, vec![0xAB; size]));
             }
         }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Outbox) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -445,10 +452,10 @@ mod simnet_properties {
     }
 
     impl Endpoint for Recorder {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {
+        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Outbox) {
             self.seen.push(d.payload_len());
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
         fn next_timer(&self) -> Option<SimTime> {
             None
         }
@@ -492,6 +499,7 @@ mod simnet_properties {
                 &mut Wire::ideal(SimDuration::from_micros(latency_us)),
                 ExchangeLimits::default(),
                 &mut SimRng::new(9),
+                &mut ExchangeScratch::default(),
             );
             prop_assert!(outcome.quiesced);
             prop_assert_eq!(recorder.seen, sizes);

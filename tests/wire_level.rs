@@ -3,9 +3,9 @@
 
 use std::net::Ipv4Addr;
 
-use quicert::netsim::{Datagram, Endpoint, SimDuration, SimTime};
+use quicert::netsim::{Datagram, Endpoint, Outbox, SimDuration, SimTime};
 use quicert::quic::frame::FrameRef;
-use quicert::quic::packet::{parse_datagram_ref, PacketType, ParsedPacketRef};
+use quicert::quic::packet::{parse_datagram_ref, PacketType, ParsedDatagram, ParsedPacketRef};
 use quicert::quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
 use quicert::x509::{
     CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm, Name,
@@ -49,7 +49,9 @@ fn server(behavior: ServerBehavior) -> ServerConn {
 }
 
 fn parse(payload: &[u8]) -> Option<Vec<ParsedPacketRef<'_>>> {
-    Some(parse_datagram_ref(payload)?.collect())
+    // Leaked so that the packets may borrow it as long as the payload.
+    let parsed: &mut ParsedDatagram = Box::leak(Box::default());
+    Some(parse_datagram_ref(payload, parsed)?.collect())
 }
 
 /// Bytes of PADDING frames in a packet.
@@ -74,20 +76,20 @@ fn crypto_data_len(pkt: &ParsedPacketRef<'_>) -> usize {
 /// datagrams.
 fn first_flight(behavior: ServerBehavior, initial_size: usize) -> Vec<Datagram> {
     let mut client = ClientConn::new(ClientConfig::scanner(initial_size, SERVER_ADDR, 5));
-    let mut client_out = Vec::new();
+    let mut client_out = Outbox::default();
     client.start(SimTime::ZERO, &mut client_out);
     assert_eq!(client_out.len(), 1);
 
     let mut srv = server(behavior);
-    let mut server_out = Vec::new();
+    let mut server_out = Outbox::default();
     srv.on_datagram(&client_out[0], SimTime::ZERO, &mut server_out);
-    server_out
+    server_out.to_vec()
 }
 
 #[test]
 fn client_initial_is_parseable_and_padded() {
     let mut client = ClientConn::new(ClientConfig::scanner(1357, SERVER_ADDR, 6));
-    let mut out = Vec::new();
+    let mut out = Outbox::default();
     client.start(SimTime::ZERO, &mut out);
     let dgram = &out[0];
     assert_eq!(dgram.payload_len(), 1357);
@@ -144,10 +146,10 @@ fn cloudflare_behavior_emits_separate_padded_datagrams() {
 #[test]
 fn retry_flow_round_trips_on_the_wire() {
     let mut client = ClientConn::new(ClientConfig::scanner(1362, SERVER_ADDR, 8));
-    let mut out = Vec::new();
+    let mut out = Outbox::default();
     client.start(SimTime::ZERO, &mut out);
     let mut srv = server(ServerBehavior::retry_first());
-    let mut retry_out = Vec::new();
+    let mut retry_out = Outbox::default();
     srv.on_datagram(&out[0], SimTime::ZERO, &mut retry_out);
     assert_eq!(retry_out.len(), 1);
     let retry = parse(&retry_out[0].payload).unwrap();
@@ -155,7 +157,7 @@ fn retry_flow_round_trips_on_the_wire() {
     assert!(!retry[0].token.is_empty());
 
     // The client resends its Initial with the token echoed.
-    let mut second = Vec::new();
+    let mut second = Outbox::default();
     let reply = retry_out[0].clone();
     client.on_datagram(
         &reply,
