@@ -12,6 +12,9 @@
 //!   that generating domain #57 never depends on how many random draws
 //!   domain #56 consumed (stable under refactoring).
 
+/// SplitMix64's increment: each draw adds it to the state once.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A deterministic SplitMix64 random number generator.
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -31,7 +34,7 @@ impl SimRng {
     /// entity can never perturb another.
     pub fn fork(&self, label: u64) -> SimRng {
         let mut mix = SimRng {
-            state: self.state ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            state: self.state ^ label.wrapping_mul(GAMMA),
         };
         // Warm the state so that adjacent labels diverge immediately.
         mix.next_u64();
@@ -41,11 +44,19 @@ impl SimRng {
     /// Next raw 64-bit value (SplitMix64 step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Move the stream on by `n` draws in O(1): exactly `n` discarded
+    /// [`SimRng::next_u64`] calls, since each step only adds `GAMMA` to
+    /// the state.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.

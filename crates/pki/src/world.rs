@@ -13,6 +13,13 @@
 //! Every rate and weight is a constant of this module, next to the paper
 //! signal it reproduces; a [`WorldConfig`] chooses only the population size
 //! and the seed.
+//!
+//! A rank's record is drawn from its own stream, forked off the world seed
+//! by rank, in one order: seed, name stem, TLD, two DNS draws, the HTTPS and
+//! QUIC chances, then the deployment. A pass asking only which ranks serve
+//! QUIC skips the three name draws ([`SimRng::skip`]) and reads the four
+//! that decide; a kept record reads its name draws off a copy of the stream
+//! at draw 0, so every record is the same either way.
 
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -80,8 +87,8 @@ pub struct QuicDeployment {
     pub chain_id: ChainId,
     /// Leaf key algorithm.
     pub leaf_key: KeyAlgorithm,
-    /// RFC 8879 algorithms the server supports.
-    pub compression_support: Vec<Algorithm>,
+    /// RFC 8879 algorithms the server supports (one of three constants).
+    pub compression_support: &'static [Algorithm],
     /// Tunnelling load balancer in front (adds encapsulation overhead and
     /// breaks large client Initials, §4.1).
     pub behind_lb: bool,
@@ -441,10 +448,10 @@ impl World {
         out
     }
 
-    /// [`World::domain_chunk`] into a caller-owned buffer, clearing it
-    /// first. The streaming pump claims chunks in a tight per-worker loop;
-    /// reusing one buffer per worker keeps record storage (names, DNS,
-    /// deployments) out of the allocator between chunks.
+    /// [`World::domain_chunk`] into a caller-owned buffer, overwritten in
+    /// place. The streaming pump claims chunks in a tight per-worker loop;
+    /// a warm buffer's records and name buffers are reused, so a chunk no
+    /// longer than one before it allocates nothing.
     pub fn domain_chunk_into(
         &self,
         first_rank: usize,
@@ -457,9 +464,10 @@ impl World {
     /// The QUIC services among the ranks [`World::domain_chunk_into`] would
     /// derive, and nothing else: exactly its records that satisfy
     /// [`DomainRecord::has_quic`], field for field and in rank order. Every
-    /// rank still draws up to the decision that makes it a QUIC service;
-    /// the rest of a record (its name, the DNS address hashed from it, its
-    /// deployment draws) is built only for the ≈21% that are.
+    /// rank draws at most the four values that decide it (two DNS, the HTTPS
+    /// and QUIC chances); the rest of a record (its seed, name and TLD, the
+    /// DNS address hashed from the name, its deployment draws) is drawn and
+    /// built only for the ≈21% that are QUIC services.
     pub fn quic_chunk_into(
         &self,
         first_rank: usize,
@@ -492,8 +500,9 @@ impl World {
     }
 
     /// Derive the records of [`World::chunk_ranks`] whose [`Head`] `keep`
-    /// accepts into `out`, cleared first. Both chunk forms are this, so they
-    /// share one derivation and one draw order.
+    /// accepts into `out`, overwritten in place. Both chunk forms are this,
+    /// so they share one derivation and one draw order. A kept record is
+    /// assigned to its slot whole: only the slot's name buffer survives.
     fn derive_into(
         &self,
         first_rank: usize,
@@ -501,23 +510,31 @@ impl World {
         out: &mut Vec<DomainRecord>,
         keep: impl Fn(&Head) -> bool,
     ) {
-        out.clear();
         let ranks = self.chunk_ranks(first_rank, chunk_size);
         if ranks.is_empty() {
+            out.clear();
             return;
         }
         // One root per chunk: forking per rank off this root is what keeps
         // records rank-addressable, and building the root once amortises it
         // over the whole chunk.
         let root = SimRng::new(self.config.seed);
-        out.reserve(ranks.len());
+        let domains = self.config.domains;
+        out.reserve(ranks.len().saturating_sub(out.len()));
+        let mut kept = 0;
         for rank in ranks {
             let head = Head::draw(&root, rank);
-            if keep(&head) {
-                out.push(head.finish(self.config.domains));
+            if !keep(&head) {
+                continue;
             }
+            match out.get_mut(kept) {
+                Some(slot) => *slot = head.finish(domains, std::mem::take(&mut slot.name)),
+                None => out.push(head.finish(domains, String::new())),
+            }
+            kept += 1;
         }
-        world_metrics().records_generated.add(out.len() as u64);
+        out.truncate(kept);
+        world_metrics().records_generated.add(kept as u64);
     }
 
     /// Materialise the certificate chain a domain serves over HTTPS in one
@@ -678,43 +695,31 @@ impl World {
             .unwrap_or(0)]
         .0;
 
-        let (provider, behavior, chain_id, leaf_key) = match group {
-            QuicGroup::CfLeR3 => (
-                Provider::Cloudflare,
-                BehaviorKind::CloudflareLike,
-                ChainId::LeR3Short,
-                KeyAlgorithm::EcdsaP256,
-            ),
-            QuicGroup::CfLeE1 => (
-                Provider::Cloudflare,
-                BehaviorKind::CloudflareLike,
-                ChainId::LeE1Short,
-                KeyAlgorithm::EcdsaP256,
-            ),
-            QuicGroup::CfEcc => (
-                Provider::Cloudflare,
-                BehaviorKind::CloudflareLike,
-                ChainId::CloudflareEcc,
-                KeyAlgorithm::EcdsaP256,
-            ),
-            QuicGroup::CfCustomBig => (
-                Provider::Cloudflare,
-                BehaviorKind::CloudflareLike,
-                ChainId::LeR3X1Cross,
-                KeyAlgorithm::Rsa2048,
-            ),
+        // Operator and server family follow from the group alone; the
+        // chain and leaf key of four groups take draws of their own.
+        let (provider, behavior) = match group {
+            QuicGroup::CfLeR3 | QuicGroup::CfLeE1 | QuicGroup::CfEcc | QuicGroup::CfCustomBig => {
+                (Provider::Cloudflare, BehaviorKind::CloudflareLike)
+            }
+            QuicGroup::GoogleGts => (Provider::Google, BehaviorKind::RfcCompliant),
+            QuicGroup::RetryOn => (Provider::SelfHosted, BehaviorKind::RetryFirst),
+            QuicGroup::MetaMvfst => (Provider::Meta, BehaviorKind::MvfstPreDisclosure),
+            QuicGroup::SelfLeLong
+            | QuicGroup::CorpBig
+            | QuicGroup::SelfE1Marginal
+            | QuicGroup::OneRttSmall => (Provider::SelfHosted, BehaviorKind::RfcCompliant),
+        };
+        let (p256, rsa) = (KeyAlgorithm::EcdsaP256, KeyAlgorithm::Rsa2048);
+        let (chain_id, leaf_key) = match group {
+            QuicGroup::CfLeR3 | QuicGroup::RetryOn => (ChainId::LeR3Short, p256),
+            QuicGroup::CfLeE1 => (ChainId::LeE1Short, p256),
+            QuicGroup::CfEcc => (ChainId::CloudflareEcc, p256),
+            QuicGroup::CfCustomBig => (ChainId::LeR3X1Cross, rsa),
+            QuicGroup::SelfE1Marginal => (ChainId::LeE1X2Cross, p256),
+            QuicGroup::MetaMvfst => (ChainId::DigiCertSha2WithRoot, rsa),
             QuicGroup::SelfLeLong => {
-                let key = if rng.chance(0.30) {
-                    KeyAlgorithm::EcdsaP256
-                } else {
-                    KeyAlgorithm::Rsa2048
-                };
-                (
-                    Provider::SelfHosted,
-                    BehaviorKind::RfcCompliant,
-                    ChainId::LeR3X1Cross,
-                    key,
-                )
+                let key = if rng.chance(0.30) { p256 } else { rsa };
+                (ChainId::LeR3X1Cross, key)
             }
             QuicGroup::GoogleGts => {
                 let chain = match rng.weighted_index(&[60.0, 25.0, 15.0]).unwrap_or(0) {
@@ -722,12 +727,8 @@ impl World {
                     1 => ChainId::Gts1D4,
                     _ => ChainId::Gts1P5,
                 };
-                let key = if rng.chance(0.9) {
-                    KeyAlgorithm::EcdsaP256
-                } else {
-                    KeyAlgorithm::Rsa2048
-                };
-                (Provider::Google, BehaviorKind::RfcCompliant, chain, key)
+                let key = if rng.chance(0.9) { p256 } else { rsa };
+                (chain, key)
             }
             QuicGroup::CorpBig => {
                 let chains: [(ChainId, f64); 7] = [
@@ -743,19 +744,10 @@ impl World {
                     .weighted_index_by(chains.len(), |i| chains[i].1)
                     .unwrap_or(0)]
                 .0;
-                let key = if rng.chance(0.08) {
-                    KeyAlgorithm::Rsa4096
-                } else {
-                    KeyAlgorithm::Rsa2048
-                };
-                (Provider::SelfHosted, BehaviorKind::RfcCompliant, chain, key)
+                let rsa4096 = KeyAlgorithm::Rsa4096;
+                let key = if rng.chance(0.08) { rsa4096 } else { rsa };
+                (chain, key)
             }
-            QuicGroup::SelfE1Marginal => (
-                Provider::SelfHosted,
-                BehaviorKind::RfcCompliant,
-                ChainId::LeE1X2Cross,
-                KeyAlgorithm::EcdsaP256,
-            ),
             QuicGroup::OneRttSmall => {
                 // Fig 7a row 10: GlobalSign Atlas accounts for roughly half
                 // of the rare truly-optimal deployments.
@@ -764,37 +756,20 @@ impl World {
                     1 => ChainId::LeR3Short,
                     _ => ChainId::GlobalSignAtlas,
                 };
-                (
-                    Provider::SelfHosted,
-                    BehaviorKind::RfcCompliant,
-                    chain,
-                    KeyAlgorithm::EcdsaP256,
-                )
+                (chain, p256)
             }
-            QuicGroup::RetryOn => (
-                Provider::SelfHosted,
-                BehaviorKind::RetryFirst,
-                ChainId::LeR3Short,
-                KeyAlgorithm::EcdsaP256,
-            ),
-            QuicGroup::MetaMvfst => (
-                Provider::Meta,
-                BehaviorKind::MvfstPreDisclosure,
-                ChainId::DigiCertSha2WithRoot,
-                KeyAlgorithm::Rsa2048,
-            ),
         };
 
         // Compression support: Cloudflare/Google/Meta all support brotli;
         // Meta additionally offers zlib+zstd (the 0.05% of Table 1).
-        let compression_support = match provider {
-            Provider::Meta => vec![Algorithm::Brotli, Algorithm::Zlib, Algorithm::Zstd],
-            Provider::Cloudflare | Provider::Google => vec![Algorithm::Brotli],
+        let compression_support: &'static [Algorithm] = match provider {
+            Provider::Meta => &[Algorithm::Brotli, Algorithm::Zlib, Algorithm::Zstd],
+            Provider::Cloudflare | Provider::Google => &[Algorithm::Brotli],
             Provider::SelfHosted => {
                 if rng.chance(BROTLI_SUPPORT_OTHER) {
-                    vec![Algorithm::Brotli]
+                    &[Algorithm::Brotli]
                 } else {
-                    vec![]
+                    &[]
                 }
             }
         };
@@ -829,15 +804,16 @@ impl World {
 }
 
 /// A rank's draws up to and including the one that decides whether it is a
-/// QUIC service: the fork, seed, stem, TLD, both DNS draws and the HTTPS and
-/// QUIC chances. [`Head::finish`] draws the rest off the same stream. The
-/// name draws no randomness, so building it there moves no draw.
+/// QUIC service. [`Head::draw`] skips the three name draws (seed, stem,
+/// TLD) and reads the DNS, HTTPS and QUIC draws; [`Head::finish`] reads the
+/// name draws off `names`, the stream at draw 0, and continues the
+/// deployment draws on `rng`, past the decision.
 struct Head {
+    /// The forked stream at draw 0: seed, stem and TLD.
+    names: SimRng,
+    /// The same stream past the QUIC decision.
     rng: SimRng,
     rank: usize,
-    seed: u64,
-    stem: &'static str,
-    tld: &'static str,
     /// The DNS outcome; an A record's address is hashed from the name, so
     /// it is a placeholder until [`Head::finish`].
     dns: DnsOutcome,
@@ -845,42 +821,76 @@ struct Head {
     quic: bool,
 }
 
+/// The draws ahead of the DNS draws, one value each: seed, stem, TLD.
+const NAME_DRAWS: u64 = 3;
+
+/// The longest name a rank can get: the longest stem, a `usize` rank in
+/// decimal, the dot and the longest TLD. Every name buffer is made this
+/// big, so deriving into it never regrows it.
+///
+/// Its TLD walk also asserts what skipping [`NAME_DRAWS`] stands on: each
+/// draw up to the QUIC decision takes one value, as a weighted draw over
+/// positive weights and a chance strictly inside (0, 1) do.
+const NAME_CAPACITY: usize = {
+    assert!(HTTPS_SHARE > 0.0 && HTTPS_SHARE < 1.0);
+    assert!(QUIC_SHARE > 0.0 && QUIC_SHARE < 1.0);
+    let (mut stem, mut tld, mut i) = (0, 0, 0);
+    while i < TLDS.len() {
+        assert!(TLDS[i].1 > 0.0, "a TLD weight must be positive");
+        if TLDS[i].0.len() > tld {
+            tld = TLDS[i].0.len();
+        }
+        i += 1;
+    }
+    i = 0;
+    while i < NAME_STEMS.len() {
+        if NAME_STEMS[i].len() > stem {
+            stem = NAME_STEMS[i].len();
+        }
+        i += 1;
+    }
+    stem + 20 + 1 + tld
+};
+
 impl Head {
     fn draw(root: &SimRng, rank: usize) -> Head {
-        let mut rng = root.fork(rank as u64);
-        let seed = rng.next_u64();
-        let stem = NAME_STEMS[(rng.next_u64() % NAME_STEMS.len() as u64) as usize];
-        let tld = TLDS[rng
-            .weighted_index_by(TLDS.len(), |i| TLDS[i].1)
-            .unwrap_or(0)]
-        .0;
+        let names = root.fork(rank as u64);
+        let mut rng = names.clone();
+        rng.skip(NAME_DRAWS);
         // DNS funnel (§3.1).
-        let placeholder = Ipv4Addr::UNSPECIFIED;
-        let dns = dns::resolve(rng.f64(), rng.f64(), placeholder);
+        let dns = dns::resolve(rng.f64(), rng.f64(), Ipv4Addr::UNSPECIFIED);
         let https = dns.address().is_some() && rng.chance(HTTPS_SHARE);
         let quic = https && rng.chance(QUIC_SHARE);
         Head {
+            names,
             rng,
             rank,
-            seed,
-            stem,
-            tld,
             dns,
             https,
             quic,
         }
     }
 
-    fn finish(mut self, domains: usize) -> DomainRecord {
+    /// The whole record, its name written into `name`, which is emptied
+    /// and given [`NAME_CAPACITY`].
+    fn finish(mut self, domains: usize, mut name: String) -> DomainRecord {
+        let names = &mut self.names;
+        let seed = names.next_u64();
+        let stem = NAME_STEMS[(names.next_u64() % NAME_STEMS.len() as u64) as usize];
+        let tld = TLDS[names
+            .weighted_index_by(TLDS.len(), |i| TLDS[i].1)
+            .unwrap_or(0)]
+        .0;
         // Name: stem + rank + TLD. Assembled by hand — the formatting
         // machinery behind `format!` is measurable across a
         // ten-million-record stream (output pinned byte-identical by
         // `hand_assembled_names_match_format`).
-        let mut name = String::with_capacity(self.stem.len() + self.tld.len() + 21);
-        name.push_str(self.stem);
+        name.clear();
+        name.reserve(NAME_CAPACITY);
+        name.push_str(stem);
         push_decimal(&mut name, self.rank);
         name.push('.');
-        name.push_str(self.tld);
+        name.push_str(tld);
         let dns = match self.dns {
             DnsOutcome::A(_) => DnsOutcome::A(self_hosted_addr(fnv1a(name.as_bytes()))),
             unresolved => unresolved,
@@ -914,7 +924,7 @@ impl Head {
             dns,
             https,
             quic,
-            seed: self.seed,
+            seed,
         }
     }
 }
@@ -982,6 +992,38 @@ mod tests {
             name.push_str("co.uk");
             assert_eq!(name, format!("shop{rank}.co.uk"));
         }
+    }
+
+    #[test]
+    fn the_first_records_of_a_fixed_world_are_pinned() {
+        // Every field a record draws, for the first 256 ranks, digested as
+        // text. The digest was taken before the QUIC decision skipped the
+        // name draws, so it is the one check here that sees a skip off by
+        // a draw: both chunk forms share `Head`, and would agree with each
+        // other on any draw order.
+        use std::fmt::Write;
+        let world = World::streaming(WorldConfig {
+            domains: 10_000,
+            seed: 0xC04E_2022,
+        });
+        let records = world.domain_chunk(1, 256);
+        let mut text = String::new();
+        for r in &records {
+            let (rank, name, seed, dns, quic) = (r.rank, &r.name, r.seed, r.dns, r.has_quic());
+            writeln!(
+                text,
+                "{rank} {name} {seed} {dns:?} {quic} {:?} {:?}",
+                r.https, r.quic
+            )
+            .unwrap();
+        }
+        assert_eq!(
+            quic(&records).count(),
+            59,
+            "QUIC services in the pinned ranks"
+        );
+        let head: Vec<_> = text.lines().take(3).collect();
+        assert_eq!(fnv1a(text.as_bytes()), 0xB297_9322_25A3_5957, "{head:#?}");
     }
 
     fn small_world() -> World {

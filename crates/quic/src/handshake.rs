@@ -446,8 +446,9 @@ pub fn run_spoofed_probe(
 //
 // `perfbench/` is frozen and names exactly these two items
 // ([`HandshakeProbe`] is also what the scanner's probe builder returns).
-// Nothing else in the workspace may call the function — a probe is one
-// [`run_handshake`].
+// Nothing else in the workspace may call the function. It runs the whole
+// batch on one [`HandshakeScratch`], as a pump worker does, so each probe
+// after the first measures the warm per-probe cost.
 
 /// Everything [`run_handshake`] takes, as data.
 #[doc(hidden)]
@@ -468,11 +469,12 @@ pub fn run_handshake_batch_into(
     probes: &mut Vec<HandshakeProbe>,
     outcomes: &mut Vec<HandshakeOutcome>,
 ) {
+    let mut scratch = HandshakeScratch::default();
     outcomes.reserve(probes.len());
     outcomes.extend(
-        probes.drain(..).map(|mut probe| {
-            run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
-        }),
+        probes
+            .drain(..)
+            .map(|mut probe| scratch.run(probe.client, probe.server, &mut probe.wire, probe.seed)),
     );
 }
 

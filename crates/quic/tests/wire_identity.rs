@@ -168,7 +168,7 @@ fn server_for(
         behavior,
         chain: world.quic_chain_era(record, era).expect("a QUIC chain"),
         leaf_key: era.key(quic.leaf_key),
-        compression_support: quic.compression_support.clone(),
+        compression_support: quic.compression_support.to_vec(),
         resumption: None,
         seed: record.seed,
     }

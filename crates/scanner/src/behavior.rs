@@ -58,7 +58,7 @@ pub fn server_config_for_era(
         behavior,
         chain,
         leaf_key: era.key(quic.leaf_key),
-        compression_support: quic.compression_support.clone(),
+        compression_support: quic.compression_support.to_vec(),
         resumption: None,
         seed: record.seed,
     }

@@ -5,8 +5,8 @@
 //! a warm `https_scan::fold_iter` allocates its shard's two sketches and
 //! nothing per record.
 //!
-//! And the budget of a QUIC pass's derivation: a warm `quic_chunk_into`
-//! allocates for the services it yields and nothing for the other ranks.
+//! And the budget of record derivation: a warm `quic_chunk_into`, and a
+//! warm `domain_chunk_into` over another rank range, allocate nothing.
 //!
 //! And the budget of one `compress` call on a warm thread: the serialised
 //! LZ stream and the container, nothing else — the match tables belong to
@@ -175,10 +175,11 @@ fn a_warm_streamed_funnel_allocates_nothing_per_record() {
 #[test]
 fn a_warm_quic_chunk_allocates_nothing_for_a_rank_it_passes_over() {
     // What a QUIC pass derives per claim. Every rank draws up to its QUIC
-    // decision on the stack; only a QUIC service gets a record, whose name
-    // and compression list are its two allocations (an empty list is
-    // none). A buffer grown by the cold call is reused as is, so a rank
-    // that is not a service costs no allocation at all.
+    // decision on the stack; only a QUIC service gets a record, written
+    // over a slot of the buffer the cold call grew: its name into the
+    // slot's name buffer, its compression list a constant. (Before the
+    // slots were overwritten in place, this made 4,100 allocations for
+    // 2,076 services: a name each, and a list for the 2,024 offering one.)
     const RANKS: usize = 10_000;
     let world = World::streaming(WorldConfig {
         domains: 20_000,
@@ -190,15 +191,27 @@ fn a_warm_quic_chunk_allocates_nothing_for_a_rank_it_passes_over() {
     let ((), warm) = counted(|| world.quic_chunk_into(5_001, RANKS, &mut services));
     assert_eq!(services.len() as u64, quic);
     assert!(quic > 1_500 && quic < RANKS as u64 / 4, "{quic} services");
-    // Measured: 4,100 allocations for 2,076 services (1.97 each: 52 are
-    // self-hosted without brotli, so their list is empty). One allocation
-    // per rank passed over would add ≈7,900.
-    assert!(warm <= 2 * quic, "{warm} allocations for {quic} services");
-    eprintln!(
-        "warm quic_chunk_into over {RANKS} ranks: {quic} services, {warm} allocations \
-         ({:.2} per service)",
-        warm as f64 / quic as f64
-    );
+    assert_eq!(warm, 0, "{warm} allocations for {quic} services");
+    eprintln!("warm quic_chunk_into over {RANKS} ranks: {quic} services, {warm} allocations");
+}
+
+#[test]
+fn a_warm_domain_chunk_over_another_range_allocates_nothing() {
+    // What a pump worker's buffer does from its second claim on: every
+    // record of the new range is written over a record of the old one, so
+    // no name buffer regrows and none is made.
+    const RANKS: usize = 4_096;
+    let world = World::streaming(WorldConfig {
+        domains: 20_000,
+        seed: 0x5CA1,
+    });
+    let mut records = Vec::new();
+    world.domain_chunk_into(1, RANKS, &mut records);
+    let ((), warm) = counted(|| world.domain_chunk_into(15_001, RANKS, &mut records));
+    assert_eq!(records.len(), RANKS);
+    assert_eq!(records[0], world.domain_chunk(15_001, 1)[0]);
+    assert_eq!(warm, 0, "{warm} allocations for {RANKS} records");
+    eprintln!("warm domain_chunk_into over {RANKS} other ranks: {warm} allocations");
 }
 
 #[test]

@@ -152,6 +152,21 @@ proptest! {
         }
     }
 
+    // What the world's QUIC decision stands on: skipping `n` draws leaves
+    // the stream exactly where `n` discarded draws would.
+    #[test]
+    fn rng_skip_equals_that_many_discarded_draws(seed in any::<u64>(), n in 0u64..2_048) {
+        let mut skipped = SimRng::new(seed);
+        skipped.skip(n);
+        let mut drawn = SimRng::new(seed);
+        for _ in 0..n {
+            drawn.next_u64();
+        }
+        for _ in 0..4 {
+            prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
+    }
+
     #[test]
     fn cdf_quantiles_are_monotone(samples in proptest::collection::vec(0.0f64..1e9, 1..200)) {
         let cdf = quicert::analysis::Cdf::new(samples);
@@ -334,7 +349,23 @@ fn deterministic_worlds_are_identical() {
 
 mod streaming_world_properties {
     use proptest::prelude::*;
-    use quicert::pki::{World, WorldConfig};
+    use quicert::pki::{CertificateEra, DomainRecord, World, WorldConfig};
+
+    /// A buffer as a reused one is found: holding a chunk of another seed's
+    /// world, longer than any tile of `chunk`, whose QUIC services carry a
+    /// churn overlay (a reissued, migrated certificate).
+    fn stale_buffer(chunk: usize, seed: u64) -> Vec<DomainRecord> {
+        let other = World::streaming(WorldConfig {
+            domains: chunk + 1,
+            seed: !seed,
+        });
+        let mut records = other.domain_chunk(1, chunk + 1);
+        for quic in records.iter_mut().filter_map(|r| r.quic.as_mut()) {
+            quic.cert_generation = 3;
+            quic.era_override = Some(CertificateEra::PostQuantum);
+        }
+        records
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -342,7 +373,8 @@ mod streaming_world_properties {
         // Streaming the domains is chunk-size invariant: `domain_chunk`s
         // tiling a random-size world at any chunk size concatenate to
         // exactly the population derived as one chunk by another world of
-        // the same configuration.
+        // the same configuration, and `domain_chunk_into` a stale buffer
+        // derives each tile field for field.
         #[test]
         fn stream_domains_is_chunk_size_invariant(
             domains in 1usize..600,
@@ -355,10 +387,15 @@ mod streaming_world_properties {
             };
             let eager = World::streaming(config.clone()).domain_chunk(1, domains);
             let lazy = World::streaming(config);
+            let stale = stale_buffer(chunk, seed);
+            let mut tile = Vec::new();
             let mut seen = 0usize;
             for first in (1..=domains).step_by(chunk) {
                 let chunk_records = lazy.domain_chunk(first, chunk);
                 prop_assert!(!chunk_records.is_empty() && chunk_records.len() <= chunk);
+                tile.clone_from(&stale);
+                lazy.domain_chunk_into(first, chunk, &mut tile);
+                prop_assert_eq!(&tile, &chunk_records);
                 for record in &chunk_records {
                     let reference = &eager[seen];
                     prop_assert_eq!(record.rank, reference.rank);
@@ -375,9 +412,10 @@ mod streaming_world_properties {
         // records a full derivation yields: `quic_chunk_into` tiles at any
         // chunk size equal `domain_chunk(1, n)` filtered by `has_quic`,
         // field for field, and `serves_quic` answers `has_quic` rank for
-        // rank. Mutation-checked: a QUIC path whose tail starts
-        // one draw late, or whose DNS address is hashed from the name
-        // without its rank, fails at the first case.
+        // rank. Each tile is derived into a stale buffer. Mutation-checked:
+        // a QUIC path whose tail starts one draw late, or whose DNS address
+        // is hashed from the name without its rank, fails at the first
+        // case.
         #[test]
         fn quic_chunks_are_the_quic_services_of_a_full_derivation(
             domains in 1usize..600,
@@ -396,12 +434,14 @@ mod streaming_world_properties {
             }
             prop_assert!(!world.serves_quic(0) && !world.serves_quic(domains + 1));
             let expected: Vec<_> = full.into_iter().filter(|r| r.has_quic()).collect();
+            let stale = stale_buffer(chunk, seed);
             let mut services = Vec::new();
             let mut tile = Vec::new();
             for first in (1..=domains).step_by(chunk) {
+                tile.clone_from(&stale);
                 world.quic_chunk_into(first, chunk, &mut tile);
                 prop_assert!(tile.iter().all(|r| (first..first + chunk).contains(&r.rank)));
-                services.append(&mut tile);
+                services.extend_from_slice(&tile);
             }
             prop_assert_eq!(services, expected);
         }
