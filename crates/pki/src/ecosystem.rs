@@ -156,15 +156,13 @@ impl ParentChain {
 }
 
 /// The full CA ecosystem: every catalogued chain, built deterministically —
-/// once per [`CertificateEra`]. The classical catalog is built eagerly
-/// (every campaign uses it); the hybrid and post-quantum catalogs — whose
-/// certificates carry multi-kilobyte ML-DSA keys and signatures — are built
-/// on first use, so era-unaware campaigns pay nothing for the axis.
+/// once per [`CertificateEra`] per process, and shared by every ecosystem.
+/// The classical catalog is built by the first ecosystem (every campaign
+/// uses it); the hybrid and post-quantum catalogs — whose certificates
+/// carry multi-kilobyte ML-DSA keys and signatures — are built on first
+/// use, so era-unaware campaigns pay nothing for the axis.
 #[derive(Debug)]
 pub struct Ecosystem {
-    chains: Vec<ParentChain>,
-    hybrid: OnceLock<Vec<ParentChain>>,
-    post_quantum: OnceLock<Vec<ParentChain>>,
     /// Precomputed AIA URLs (`issue_era` stamps them into every leaf; a
     /// million-record scan must not re-`format!` them per record).
     aia_ocsp_url: String,
@@ -175,10 +173,8 @@ impl Ecosystem {
     /// Build the ecosystem.
     pub fn new() -> Self {
         let ocsp_host = "o.example-ca.test";
+        Self::chains_era(CertificateEra::Classical);
         Ecosystem {
-            chains: Self::catalog(CertificateEra::Classical),
-            hybrid: OnceLock::new(),
-            post_quantum: OnceLock::new(),
             aia_ocsp_url: format!("http://{ocsp_host}"),
             aia_ca_issuers_url: format!("http://c.{ocsp_host}/issuer.der"),
         }
@@ -195,21 +191,13 @@ impl Ecosystem {
     /// Look up a parent chain in one era's catalog, which holds every
     /// [`ChainId`] at its position in [`ChainId::ALL`] (declaration order).
     pub fn chain_era(&self, id: ChainId, era: CertificateEra) -> &ParentChain {
-        &self.chains_era(era)[id as usize]
+        &Self::chains_era(era)[id as usize]
     }
 
-    /// All chains of one era (hybrid / post-quantum catalogs are built on
-    /// first request).
-    pub(crate) fn chains_era(&self, era: CertificateEra) -> &[ParentChain] {
-        match era {
-            CertificateEra::Classical => &self.chains,
-            CertificateEra::Hybrid => self
-                .hybrid
-                .get_or_init(|| Self::catalog(CertificateEra::Hybrid)),
-            CertificateEra::PostQuantum => self
-                .post_quantum
-                .get_or_init(|| Self::catalog(CertificateEra::PostQuantum)),
-        }
+    /// All chains of one era, built on the process's first request.
+    fn chains_era(era: CertificateEra) -> &'static [ParentChain] {
+        static CATALOGS: [OnceLock<Vec<ParentChain>>; 3] = [const { OnceLock::new() }; 3];
+        CATALOGS[era as usize].get_or_init(|| Self::catalog(era))
     }
 
     /// Issue a leaf under `chain_id` in one era and return the full served
@@ -880,12 +868,12 @@ mod tests {
 
     #[test]
     fn era_catalogs_are_deterministic() {
-        let a = Ecosystem::new();
-        let b = Ecosystem::new();
+        let shared = Ecosystem::new();
         for era in CertificateEra::ALL {
+            let fresh = Ecosystem::catalog(era);
             for id in ChainId::ALL {
-                let x = a.chain_era(id, era);
-                let y = b.chain_era(id, era);
+                let x = shared.chain_era(id, era);
+                let y = &fresh[id as usize];
                 assert_eq!(x.parent_der_len(), y.parent_der_len(), "{era}: {id:?}");
                 for (cx, cy) in x.intermediates.iter().zip(y.intermediates.iter()) {
                     assert_eq!(cx.der(), cy.der(), "{era}: {id:?}");

@@ -258,8 +258,8 @@ impl ChainClass {
     /// The class of the chain `record` serves over QUIC under a campaign
     /// scanning at `scan_era` (`None` without a QUIC deployment) — the
     /// chain part of the scanner's `ProbeClass`. O(1), allocation-free:
-    /// everything is on the record, and the serial width is recomputed
-    /// arithmetically ([`CertificateBuilder::serial_der_len`]). (The HTTPS
+    /// everything is on the record, and the serial width is measured
+    /// without a buffer ([`CertificateBuilder::serial_der_len`]). (The HTTPS
     /// chain's class has one reader, [`World::https_chain_shape`], which
     /// derives it in place.)
     #[inline]
@@ -980,7 +980,12 @@ fn push_decimal(out: &mut String, value: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicert_x509::DistinguishedName;
+    use quicert_x509::{der, DistinguishedName};
+
+    /// The DER of the Name `CN=<name>`.
+    fn cn_der(name: &str) -> Vec<u8> {
+        der::encoded(|w| DistinguishedName::cn(name).encode_into(w))
+    }
 
     #[test]
     fn hand_assembled_names_match_format() {
@@ -1282,10 +1287,7 @@ mod tests {
             .quic_chain_era(record, CertificateEra::Classical)
             .unwrap();
         assert!(chain.correctly_ordered());
-        assert_eq!(
-            chain.leaf.subject(),
-            DistinguishedName::cn(&record.name).encode()
-        );
+        assert_eq!(chain.leaf.subject(), cn_der(&record.name));
         let https_chain = world
             .https_chain_era(record, CertificateEra::Classical)
             .unwrap();
@@ -1313,11 +1315,7 @@ mod tests {
         for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
             let chain = world.quic_chain_era(record, era).unwrap();
             // Same population: identical subject, depth and SAN bytes.
-            assert_eq!(
-                chain.leaf.subject(),
-                DistinguishedName::cn(&record.name).encode(),
-                "{era}"
-            );
+            assert_eq!(chain.leaf.subject(), cn_der(&record.name), "{era}");
             assert_eq!(chain.depth(), classical.depth(), "{era}");
             assert_eq!(chain.leaf.san_count(), classical.leaf.san_count());
             // Swapped algorithms: much bigger wire footprint.

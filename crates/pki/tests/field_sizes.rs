@@ -1,13 +1,17 @@
-//! The field attribution `CertificateBuilder::build` computes from the
-//! parts before it writes, checked against lengths re-derived by *parsing*
-//! the finished DER — for leaves of every key algorithm and every catalog
-//! intermediate in every era, and for random leaves of every key and
-//! signature algorithm, whose every nested length is checked too.
+//! The field attribution `CertificateBuilder::build` reads off its writer
+//! as it writes, checked against lengths re-derived by *parsing* the
+//! finished DER — for leaves of every key algorithm and every catalog
+//! intermediate in every era, for the served leaf of every QUIC chain
+//! class of a 100k-domain world in every era, and for random leaves of
+//! every key and signature algorithm. The last two check every nested
+//! length too: each header the length tape fed the writing run is the
+//! length of the content that followed it.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 use proptest::prelude::*;
-use quicert_pki::{CertificateEra, ChainId, Ecosystem, LeafParams};
+use quicert_pki::{CertificateEra, ChainClass, ChainId, Ecosystem, LeafParams, World, WorldConfig};
 use quicert_x509::der::{self, DerValue};
 use quicert_x509::ext::KeyUsageFlags;
 use quicert_x509::{
@@ -20,7 +24,7 @@ const SAN_OID: [u8; 3] = [0x55, 0x1D, 0x11];
 
 /// Encoded length of a parsed value: its content plus tag/length framing.
 fn tlv_len(value: &DerValue) -> usize {
-    der::tlv(value.tag, &value.content).len()
+    der::encoded(|w| w.tlv(value.tag, &[&value.content])).len()
 }
 
 fn assert_recorded_sizes_match_the_parsed_der(cert: &Certificate, what: &str) {
@@ -95,7 +99,7 @@ fn recorded_field_sizes_equal_lengths_parsed_from_the_der() {
 /// wraps, is exactly filled by its children: no header announces a length
 /// its content does not have, at any nesting level.
 fn assert_every_nested_length_is_filled(value: &DerValue, path: &str) {
-    if !value.is_constructed() {
+    if value.tag & 0x20 == 0 {
         return;
     }
     let children = value.children().unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -105,6 +109,57 @@ fn assert_every_nested_length_is_filled(value: &DerValue, path: &str) {
         let path = format!("{path}/{i}:{:#04x}", child.tag);
         assert_every_nested_length_is_filled(child, &path);
     }
+}
+
+/// Every nested length of `leaf`, and of the extnValue each of its
+/// Extensions wraps.
+fn assert_every_nested_length_of_the_leaf_is_filled(leaf: &Certificate, what: &str) {
+    let parsed = der::parse_one(leaf.der()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_every_nested_length_is_filled(&parsed, what);
+    let tbs = &parsed.children().unwrap()[0];
+    let extensions = &tbs.children().unwrap()[7].children().unwrap()[0];
+    for (i, extension) in extensions.children().unwrap().iter().enumerate() {
+        let parts = extension.children().unwrap();
+        let value = der::parse_one(&parts.last().unwrap().content)
+            .unwrap_or_else(|e| panic!("{what}: extension {i}: {e}"));
+        assert_every_nested_length_is_filled(&value, &format!("{what}: extension {i}"));
+    }
+}
+
+#[test]
+fn every_quic_chain_class_of_a_100k_world_serves_a_leaf_whose_lengths_parse_back() {
+    // One served leaf per distinct chain class: every input through which
+    // a record reaches its chain's lengths (CN length, SAN count, serial
+    // width, key, chain and era), so every length a QUIC scan's leaves
+    // can take.
+    let started = Instant::now();
+    let world = World::streaming(WorldConfig {
+        domains: 100_000,
+        seed: 0x5CA1,
+    });
+    let mut services = Vec::new();
+    world.quic_chunk_into(1, world.config.domains, &mut services);
+    let mut classes = 0;
+    for era in CertificateEra::ALL {
+        let mut representatives = HashMap::new();
+        for record in &services {
+            let class = ChainClass::quic(record, era).expect("QUIC service");
+            representatives.entry(class).or_insert(record);
+        }
+        for (class, record) in representatives {
+            let chain = world.quic_chain_era(record, era).expect("QUIC service");
+            let what = format!("{era} {class:?}");
+            assert_every_nested_length_of_the_leaf_is_filled(&chain.leaf, &what);
+            assert_recorded_sizes_match_the_parsed_der(&chain.leaf, &what);
+            classes += 1;
+        }
+    }
+    assert!(classes > 3 * 1_000, "{classes} classes");
+    eprintln!(
+        "{} QUIC services, {classes} chain classes over three eras, checked in {:.2} s",
+        services.len(),
+        started.elapsed().as_secs_f64()
+    );
 }
 
 const KEYS: [KeyAlgorithm; 8] = KeyAlgorithm::ALL_ERAS;
@@ -125,8 +180,8 @@ proptest! {
 
     // Random leaves shaped like the ecosystem's (a CN of 1–60 bytes,
     // sometimes a wildcard; 0–250 numbered SANs; any key, signature and
-    // seed), built in one pass. `Writer::nested` also asserts, at every
-    // level, that the content written is the length computed before it.
+    // seed), measured and then written. `Writer::nested` also asserts, at
+    // every level, that the content written is the length measured for it.
     #[test]
     fn one_pass_leaves_measure_exactly_what_they_write(
         cn in "[a-z0-9-]{1,60}",
@@ -166,15 +221,7 @@ proptest! {
         .build();
         let what = format!("{:?}/{:?} cn {} + {extra_sans} SANs", KEYS[key_idx], SIGS[sig_idx], cn.len());
 
-        let parsed = der::parse_one(leaf.der()).map_err(|e| TestCaseError(format!("{what}: {e}")))?;
-        assert_every_nested_length_is_filled(&parsed, &what);
-        let tbs = &parsed.children().unwrap()[0];
-        let extensions = &tbs.children().unwrap()[7].children().unwrap()[0];
-        for (i, extension) in extensions.children().unwrap().iter().enumerate() {
-            let parts = extension.children().unwrap();
-            let value = der::parse_one(&parts.last().unwrap().content).map_err(|e| TestCaseError(format!("{what}: extension {i}: {e}")))?;
-            assert_every_nested_length_is_filled(&value, &format!("{what}: extension {i}"));
-        }
+        assert_every_nested_length_of_the_leaf_is_filled(&leaf, &what);
         assert_recorded_sizes_match_the_parsed_der(&leaf, &what);
         prop_assert_eq!(leaf.san_count(), sans.count());
         let www = usize::from(!cn.starts_with("*."));

@@ -11,13 +11,14 @@
 //! and the signature value) exists only as the order in which
 //! [`CertificateBuilder::build`] writes it.
 //!
-//! The builder borrows every part and writes each byte once, front to
-//! back: all lengths are summed from the parts first, so the buffer is
-//! allocated at its exact size, every header is written with a known
-//! length, and key and signature filler is generated in place.
+//! The builder borrows every part and has one encoder, run twice ([`der`]):
+//! measuring, then writing each byte once, front to back, into a buffer of
+//! the measured size, with key and signature filler generated in place. The
+//! field attribution, the SAN bytes and the name spans are read off the
+//! writer's position as it goes, equal in both runs.
 
 use crate::alg::{KeyAlgorithm, SignatureAlgorithm, SubjectPublicKeyInfo};
-use crate::der::{context_tag, integer_len, tag, tlv_len, Writer};
+use crate::der::{self, context_tag, tag, Writer};
 use crate::ext::Extension;
 use crate::name::Name;
 use crate::time::Time;
@@ -32,9 +33,6 @@ pub struct Validity {
 }
 
 impl Validity {
-    /// Encoded size of the validity SEQUENCE: two UTCTimes.
-    const ENCODED_LEN: usize = 2 + 2 * Time::ENCODED_LEN;
-
     /// A validity window starting at `from` and lasting `days`.
     pub fn days(from: Time, days: u32) -> Self {
         Validity {
@@ -45,7 +43,7 @@ impl Validity {
 
     /// Append the validity SEQUENCE to `w`.
     pub fn encode_into(&self, w: &mut Writer) {
-        w.nested(tag::SEQUENCE, 2 * Time::ENCODED_LEN, |w| {
+        w.nested(tag::SEQUENCE, |w| {
             self.not_before.encode_into(w);
             self.not_after.encode_into(w);
         });
@@ -161,9 +159,8 @@ impl Certificate {
 /// Builder for certificates with placeholder key material, borrowing
 /// every part: names ([`Name`]), extensions (which borrow their own
 /// strings and OIDs) and the algorithms and seeds of key and signature.
-/// [`CertificateBuilder::build`] sums every length from these parts,
-/// allocates the certificate's exact size once and writes each byte once,
-/// front to back.
+/// [`CertificateBuilder::build`] measures the certificate, allocates its
+/// exact size once and writes each byte once, front to back.
 #[derive(Debug, Clone)]
 pub struct CertificateBuilder<'a> {
     issuer: Name<'a>,
@@ -222,11 +219,13 @@ impl<'a> CertificateBuilder<'a> {
     /// masked 16-byte magnitude, so a small fraction of seeds encode one
     /// or more bytes shorter. Everything else (SPKI, signature, SCTs,
     /// names sized by their inputs) is length-stable per algorithm.
-    /// Allocation-free, so the million-record scan path can call it per
-    /// record; [`build`](Self::build) sizes the serial with the same
-    /// arithmetic.
+    /// Allocation-free (the INTEGER is measured by a writer with no
+    /// buffer and an empty tape), so the million-record scan path can call
+    /// it per record.
     pub fn serial_der_len(serial_seed: u64) -> usize {
-        integer_len(&Self::derive_serial(serial_seed))
+        let mut w = Writer::measuring(Vec::new());
+        w.integer_bytes(&Self::derive_serial(serial_seed));
+        w.len()
     }
 
     /// Build the certificate: a 16-byte serial and a placeholder signature
@@ -235,78 +234,50 @@ impl<'a> CertificateBuilder<'a> {
         let seed = self.spki.seed;
         let serial = Self::derive_serial(seed);
         let sig_alg = self.signature_alg;
-
-        // Every length, summed from the parts before a byte is written.
-        let (mut extension_list, mut san_bytes, mut san_count) = (0, 0, 0);
-        for extension in self.extensions {
-            let len = extension.encoded_len();
-            extension_list += len;
-            if let Extension::SubjectAltNames(names) = extension {
-                san_bytes += len;
-                san_count += names.count();
-            }
-        }
-        let extensions = if self.extensions.is_empty() {
-            0
-        } else {
-            tlv_len(tlv_len(extension_list))
-        };
-        let (issuer, subject) = (self.issuer.encoded_len(), self.subject.encoded_len());
-        let spki = self.spki.encoded_len();
-        let tbs = VERSION_V3.len()
-            + integer_len(&serial)
-            + sig_alg.identifier_len()
-            + issuer
-            + Validity::ENCODED_LEN
-            + subject
-            + spki
-            + extensions;
-        let signature_value = sig_alg.signature_len();
-        let signature = sig_alg.identifier_len() + tlv_len(1 + signature_value);
-        let content = tlv_len(tbs) + signature;
-        let total = tlv_len(content);
-
-        let mut w = Writer::with_capacity(total);
-        let (issuer_at, subject_at) = w.nested(tag::SEQUENCE, content, |w| {
-            let at = w.nested(tag::SEQUENCE, tbs, |w| {
-                w.raw(&VERSION_V3);
-                w.integer_bytes(&serial);
-                sig_alg.encode_into(w);
-                let issuer_at = w.len();
-                self.issuer.encode_into(w);
-                self.validity.encode_into(w);
-                let subject_at = w.len();
-                self.subject.encode_into(w);
-                self.spki.encode_into(w);
-                if extensions > 0 {
-                    w.nested(context_tag(3, true), tlv_len(extension_list), |w| {
-                        w.nested(tag::SEQUENCE, extension_list, |w| {
-                            for extension in self.extensions {
-                                extension.encode_into(w);
-                            }
+        let (der, (mut sizes, [issuer_at, subject_at, san_bytes, san_count])) =
+            der::encoded_with(|w| {
+                let mut sizes = FieldSizes::default();
+                let [mut issuer_at, mut subject_at, mut san_bytes, mut san_count] = [0; 4];
+                w.nested(tag::SEQUENCE, |w| {
+                    w.nested(tag::SEQUENCE, |w| {
+                        w.raw(&VERSION_V3);
+                        w.integer_bytes(&serial);
+                        sig_alg.encode_into(w);
+                        (issuer_at, sizes.issuer) = span(w, |w| self.issuer.encode_into(w));
+                        self.validity.encode_into(w);
+                        (subject_at, sizes.subject) = span(w, |w| self.subject.encode_into(w));
+                        sizes.spki = span(w, |w| self.spki.encode_into(w)).1;
+                        if self.extensions.is_empty() {
+                            return;
+                        }
+                        sizes.extensions = span(w, |w| {
+                            w.nested(context_tag(3, true), |w| {
+                                w.nested(tag::SEQUENCE, |w| {
+                                    for extension in self.extensions {
+                                        let len = span(w, |w| extension.encode_into(w)).1;
+                                        if let Extension::SubjectAltNames(names) = extension {
+                                            san_bytes += len;
+                                            san_count += names.count();
+                                        }
+                                    }
+                                })
+                            })
                         })
+                        .1;
                     });
-                }
-                (issuer_at, subject_at)
+                    sizes.signature = span(w, |w| {
+                        sig_alg.encode_into(w);
+                        w.nested(tag::BIT_STRING, |w| {
+                            w.raw(&[0]);
+                            sig_alg.write_signature(w, seed ^ 0x51_6E41);
+                        });
+                    })
+                    .1;
+                });
+                (sizes, [issuer_at, subject_at, san_bytes, san_count])
             });
-            sig_alg.encode_into(w);
-            w.nested(tag::BIT_STRING, 1 + signature_value, |w| {
-                w.raw(&[0]);
-                sig_alg.write_signature(w, seed ^ 0x51_6E41);
-            });
-            at
-        });
-        let der = w.into_vec();
-        debug_assert_eq!((der.len(), der.capacity()), (total, total));
-        let mut sizes = FieldSizes {
-            subject,
-            issuer,
-            spki,
-            extensions,
-            signature,
-            other: 0,
-        };
-        sizes.other = total - sizes.total();
+        debug_assert_eq!(der.len(), der.capacity());
+        sizes.other = der.len() - sizes.total();
         Certificate {
             der,
             sizes,
@@ -320,13 +291,29 @@ impl<'a> CertificateBuilder<'a> {
     }
 }
 
+/// Where what `write` appends to `w` starts, and its length.
+fn span(w: &mut Writer, write: impl FnOnce(&mut Writer)) -> (usize, usize) {
+    let at = w.len();
+    write(w);
+    (at, w.len() - at)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::der::{self, parse_one};
+    use crate::der::{parse_one, DerValue};
     use crate::ext::{KeyUsageFlags, SanNames};
     use crate::name::DistinguishedName;
     use crate::oid;
+
+    /// A parsed value encoded again.
+    fn tlv(value: &DerValue) -> Vec<u8> {
+        der::encoded(|w| w.tlv(value.tag, &[&value.content]))
+    }
+
+    fn encode(dn: &DistinguishedName) -> Vec<u8> {
+        der::encoded(|w| dn.encode_into(w))
+    }
 
     fn leaf() -> Certificate {
         let issuer = DistinguishedName::ca("US", "Let's Encrypt", "R3");
@@ -380,9 +367,9 @@ mod tests {
         let tbs = parts[0].children().unwrap();
         assert_eq!(tbs.len(), 8);
         // The recorded spans are the issuer and subject fields.
-        assert_eq!(der::tlv(tbs[3].tag, &tbs[3].content), cert.issuer());
-        assert_eq!(der::tlv(tbs[5].tag, &tbs[5].content), cert.subject());
-        assert_eq!(cert.subject(), DistinguishedName::cn("*.isc.org").encode());
+        assert_eq!(tlv(&tbs[3]), cert.issuer());
+        assert_eq!(tlv(&tbs[5]), cert.subject());
+        assert_eq!(cert.subject(), encode(&DistinguishedName::cn("*.isc.org")));
         assert_eq!(cert.key_algorithm(), KeyAlgorithm::EcdsaP256);
     }
 
@@ -431,7 +418,7 @@ mod tests {
         )
         .build();
         assert_eq!(issued.issuer(), root.subject());
-        assert_eq!(issued.issuer(), root_dn.encode());
+        assert_eq!(issued.issuer(), encode(&root_dn));
     }
 
     #[test]
@@ -475,7 +462,7 @@ mod tests {
         let inner = &parts[0].children().unwrap()[2];
         assert_eq!(inner, &parts[1]);
         let expected = der::encoded(|w| SignatureAlgorithm::Sha256WithRsa2048.encode_into(w));
-        assert_eq!(der::tlv(inner.tag, &inner.content), expected);
+        assert_eq!(tlv(inner), expected);
         assert_eq!(
             cert.signature_algorithm(),
             SignatureAlgorithm::Sha256WithRsa2048
@@ -487,7 +474,7 @@ mod tests {
         let tbs = &parse_one(cert.der()).unwrap().children().unwrap()[0];
         let serial = &tbs.children().unwrap()[1];
         assert_eq!(serial.tag, tag::INTEGER);
-        der::tlv(serial.tag, &serial.content).len()
+        tlv(serial).len()
     }
 
     #[test]

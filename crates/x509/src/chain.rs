@@ -184,7 +184,7 @@ mod tests {
         let first = chain.certs().next().unwrap();
         assert_eq!(
             first.subject(),
-            DistinguishedName::cn("www.example.org").encode()
+            crate::der::encoded(|w| DistinguishedName::cn("www.example.org").encode_into(w))
         );
     }
 }

@@ -4,20 +4,33 @@
 //! tags, definite lengths, and the universal types that appear in
 //! certificates.
 //!
-//! Encoding is one pass, front to back, into one buffer. Every structure
-//! of the crate knows its encoded length before it writes a byte (an
-//! `encoded_len` that is arithmetic on its parts, never a trial encoding),
-//! so a nested value is written by [`Writer::nested`]: the tag, the
-//! definite length the caller computed, then the content. No length is
-//! back-patched and no content is shifted, so a caller that sums the
-//! lengths first can allocate the exact buffer up front, which is how a
-//! certificate is one allocation. `nested` checks that the content wrote
-//! exactly the length announced for it, at every level.
-//! The `Vec`-returning `encode()` methods elsewhere in the crate are
-//! one-line wrappers over `encode_into`.
+//! This is the only module that knows a DER length. Every structure of
+//! the crate has one encoder, an `encode_into(&mut Writer)` that writes
+//! its values front to back, and [`encoded`] (or a certificate's build)
+//! runs it twice:
+//!
+//! 1. on a *measuring* [`Writer`], which keeps no byte: it counts what each
+//!    call would append, and each [`Writer::nested`] records its value's
+//!    content length on the *length tape*, one `u32` per nested value in
+//!    pre-order (a parent's slot before its children's);
+//! 2. on a writer whose buffer is allocated at the measured total, whose
+//!    `nested` takes its header's length off the tape in the same order
+//!    and asserts that the content then written is exactly that long.
+//!
+//! A header precedes its content, so a writer must know a length before
+//! the content it counts exists. The tape is how the second run knows it:
+//! nothing is back-patched (a placeholder header, then the content shifted
+//! when the length's own width differs), no structure carries length
+//! arithmetic beside its writer, and no subtree is measured again where it
+//! is written, which would cost O(size × depth). Primitives written from
+//! several slices ([`Writer::tlv`]) sum their lengths here too. The tape is
+//! a per-thread buffer each encoding takes and clears, so a warm encoding
+//! allocates only its output.
 //!
 //! A minimal reader (`DerReader`, [`parse_one`]) parses the same subset
 //! back, for tests and the parser corpus.
+
+use std::cell::Cell;
 
 /// ASN.1 universal tag numbers (with constructed bit where conventional).
 pub mod tag {
@@ -45,107 +58,140 @@ pub mod tag {
     pub const SET: u8 = 0x31;
 }
 
-/// An append-only DER encoder over one byte buffer.
-#[derive(Debug, Default)]
+/// An append-only DER encoder, measuring or writing (module docs).
+#[derive(Debug)]
 pub struct Writer {
+    /// The encoding, allocated at its measured size; empty while measuring.
     buf: Vec<u8>,
+    /// Bytes written (or counted) so far; a field's size or offset is a
+    /// reading of it, equal in both runs.
+    pos: usize,
+    /// Whether this writer only counts.
+    measuring: bool,
+    /// Each nested value's content length, in pre-order.
+    tape: Vec<u32>,
+    /// The tape slot the next writing `nested` takes.
+    next: usize,
+    /// The filler's first byte while measuring, when there is no filler.
+    stand_in: u8,
 }
 
 impl Writer {
-    /// An empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    /// An empty writer whose buffer already holds room for `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Writer {
+    /// A measuring writer over `tape`, which it clears. Measuring a value
+    /// with no nested value in it (an INTEGER) leaves the tape untouched,
+    /// so an empty `Vec` makes it allocation-free.
+    pub(crate) fn measuring(mut tape: Vec<u32>) -> Writer {
+        tape.clear();
         Writer {
-            buf: Vec::with_capacity(capacity),
+            buf: Vec::new(),
+            pos: 0,
+            measuring: true,
+            tape,
+            next: 0,
+            stand_in: 0,
         }
     }
 
-    /// Bytes written so far; a field's size or offset is a reading of it.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The encoded bytes.
-    pub(crate) fn into_vec(self) -> Vec<u8> {
-        self.buf
+    /// Bytes written (or counted) so far.
+    pub(crate) fn len(&self) -> usize {
+        self.pos
     }
 
     /// Append pre-encoded bytes verbatim.
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Append a tag and the definite length of `len` content octets the
-    /// caller writes next.
-    pub fn header(&mut self, tag: u8, len: usize) {
-        self.buf.push(tag);
-        if len < 0x80 {
-            self.buf.push(len as u8);
-        } else {
-            let octets = length_octets(len);
-            self.buf.push(0x80 | octets as u8);
-            self.buf
-                .extend_from_slice(&len.to_be_bytes()[LENGTH_WIDTH - octets..]);
+        let end = self.pos + bytes.len();
+        if !self.measuring {
+            put(&mut self.buf[self.pos..end], bytes);
         }
+        self.pos = end;
     }
 
-    /// Append `tag` and the definite length `len`, then whatever `content`
-    /// writes, which must be exactly `len` bytes: a mismatch is a bug in a
-    /// length computation, and panics rather than emit malformed DER. Used for every nested value, including primitive-tagged
-    /// wrappers of encoded content (extnValue OCTET STRINGs, BIT STRINGs
-    /// around a key structure).
-    pub fn nested<R>(&mut self, tag: u8, len: usize, content: impl FnOnce(&mut Writer) -> R) -> R {
+    /// Append a tag and the definite length of `len` content octets.
+    #[inline]
+    fn header(&mut self, tag: u8, len: usize) {
+        let octets = if len < 0x80 { 0 } else { length_octets(len) };
+        if self.measuring {
+            self.pos += 2 + octets;
+            return;
+        }
+        let mut header = [tag, len as u8, 0, 0, 0, 0, 0, 0, 0, 0];
+        if octets > 0 {
+            header[1] = 0x80 | octets as u8;
+            header[2..2 + octets].copy_from_slice(&len.to_be_bytes()[LENGTH_WIDTH - octets..]);
+        }
+        self.raw(&header[..2 + octets]);
+    }
+
+    /// Append `tag`, the definite length of what `content` writes, then
+    /// that content. Used for every value that wraps other encodings or
+    /// filler, including primitive-tagged ones (extnValue OCTET STRINGs,
+    /// BIT STRINGs around a key structure). Measuring, the length goes on
+    /// the tape; writing, it comes off the tape, and content of another
+    /// length — a structure that does not write what it measured — panics
+    /// rather than emit malformed DER.
+    pub fn nested<R>(&mut self, tag: u8, content: impl FnOnce(&mut Writer) -> R) -> R {
+        if self.measuring {
+            let slot = self.tape.len();
+            self.tape.push(0);
+            let start = self.pos;
+            let result = content(self);
+            let len = self.pos - start;
+            // A length past `u32` cannot fit its slot; the write run's
+            // assertion rejects the truncated one.
+            self.tape[slot] = len as u32;
+            self.header(tag, len);
+            return result;
+        }
+        let len = self.tape[self.next] as usize;
+        self.next += 1;
         self.header(tag, len);
-        let start = self.buf.len();
+        let start = self.pos;
         let result = content(self);
         assert_eq!(
-            self.buf.len() - start,
+            self.pos - start,
             len,
-            "tag {tag:#04x}: content written differs from the length announced"
+            "tag {tag:#04x}: content written differs from its measured length"
         );
         result
     }
 
     /// Append `n` deterministic filler bytes derived from `seed` (key,
-    /// signature, key-identifier and SCT material) and return them, so the
-    /// caller can fix up structural bits in place.
-    pub fn fill(&mut self, seed: u64, n: usize) -> &mut [u8] {
-        let start = self.buf.len();
-        self.buf.resize(start + n, 0);
-        let filler = &mut self.buf[start..];
+    /// signature, key-identifier and SCT material) and return the first,
+    /// for the caller to fix structural bits in. Measuring, nothing is
+    /// generated and the first byte is a stand-in.
+    #[inline]
+    pub fn fill(&mut self, seed: u64, n: usize) -> &mut u8 {
+        let start = self.pos;
+        self.pos += n;
+        if self.measuring {
+            return &mut self.stand_in;
+        }
+        let filler = &mut self.buf[start..start + n];
         crate::fill_deterministic(seed, filler);
-        filler
+        filler.first_mut().unwrap_or(&mut self.stand_in)
     }
 
-    /// A tag-length-value triplet around `content`.
-    pub fn tlv(&mut self, tag: u8, content: &[u8]) {
-        self.header(tag, content.len());
-        self.raw(content);
+    /// A tag-length-value triplet whose content is `parts`, concatenated.
+    #[inline]
+    pub fn tlv(&mut self, tag: u8, parts: &[&[u8]]) {
+        self.header(tag, parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            self.raw(part);
+        }
     }
 
     /// INTEGER from a big-endian magnitude. A leading zero byte is inserted
     /// when the high bit is set (DER integers are signed); leading
     /// redundant zeros are stripped.
+    #[inline]
     pub fn integer_bytes(&mut self, magnitude: &[u8]) {
         let m = minimal_magnitude(magnitude);
-        match m.first() {
-            None => self.tlv(tag::INTEGER, &[0]),
-            Some(high) if high & 0x80 != 0 => {
-                self.header(tag::INTEGER, m.len() + 1);
-                self.buf.push(0);
-                self.raw(m);
-            }
-            Some(_) => self.tlv(tag::INTEGER, m),
-        }
+        let sign: &[u8] = match m.first() {
+            Some(high) if high & 0x80 == 0 => &[],
+            _ => &[0],
+        };
+        self.tlv(tag::INTEGER, &[sign, m]);
     }
 
     /// INTEGER from a u64.
@@ -155,27 +201,38 @@ impl Writer {
 
     /// BIT STRING with the given number of unused trailing bits.
     pub(crate) fn bit_string(&mut self, bits: &[u8], unused: u8) {
-        self.header(tag::BIT_STRING, bits.len() + 1);
-        self.buf.push(unused);
-        self.raw(bits);
+        self.tlv(tag::BIT_STRING, &[&[unused], bits]);
     }
 
     /// BOOLEAN (DER: 0xFF for true).
     pub(crate) fn boolean(&mut self, v: bool) {
         self.raw(&[tag::BOOLEAN, 1, if v { 0xFF } else { 0x00 }]);
     }
+}
 
-    /// NULL.
-    pub fn null(&mut self) {
-        self.raw(&NULL);
+/// Copy `src` into `dst`, of its length. The short slices an encoder
+/// writes (tags, OIDs, names) move in fixed-width words the compiler
+/// inlines, which a call to `memcpy` per slice costs more than.
+#[inline]
+fn put(dst: &mut [u8], src: &[u8]) {
+    let n = src.len();
+    if (8..=16).contains(&n) {
+        dst[..8].copy_from_slice(&src[..8]);
+        dst[n - 8..].copy_from_slice(&src[n - 8..]);
+    } else if (4..8).contains(&n) {
+        dst[..4].copy_from_slice(&src[..4]);
+        dst[n - 4..].copy_from_slice(&src[n - 4..]);
+    } else if (1..4).contains(&n) {
+        dst[0] = src[0];
+        dst[n / 2] = src[n / 2];
+        dst[n - 1] = src[n - 1];
+    } else {
+        dst.copy_from_slice(src);
     }
 }
 
 /// The encoding of NULL.
 pub(crate) const NULL: [u8; 2] = [tag::NULL, 0];
-
-/// Encoded length of a BOOLEAN.
-pub(crate) const BOOLEAN_LEN: usize = 3;
 
 /// The tag byte of context-specific `[n]`, constructed or primitive.
 pub(crate) const fn context_tag(n: u8, constructed: bool) -> u8 {
@@ -193,16 +250,6 @@ fn length_octets(len: usize) -> usize {
     LENGTH_WIDTH - len.leading_zeros() as usize / 8
 }
 
-/// Encoded length of a TLV with `content` octets of content: the tag, the
-/// definite length field and the content.
-pub fn tlv_len(content: usize) -> usize {
-    if content < 0x80 {
-        2 + content
-    } else {
-        2 + length_octets(content) + content
-    }
-}
-
 /// `magnitude` without the leading zero octets DER drops from an INTEGER.
 fn minimal_magnitude(magnitude: &[u8]) -> &[u8] {
     let mut m = magnitude;
@@ -212,33 +259,32 @@ fn minimal_magnitude(magnitude: &[u8]) -> &[u8] {
     m
 }
 
-/// Encoded length of the INTEGER [`Writer::integer_bytes`] writes for
-/// `magnitude`.
-pub(crate) fn integer_len(magnitude: &[u8]) -> usize {
-    let m = minimal_magnitude(magnitude);
-    let content = match m.first() {
-        None => 1,
-        Some(high) => m.len() + usize::from(high & 0x80 != 0),
-    };
-    tlv_len(content)
+thread_local! {
+    /// The length tape of this thread's encodings, kept between them.
+    static TAPE: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
-/// The bytes `write` appends to a fresh [`Writer`] — the body of every
-/// `Vec`-returning `encode()` in the crate.
-pub fn encoded(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer::new();
+/// [`encoded`], and what the writing run of `write` returned.
+pub(crate) fn encoded_with<R>(mut write: impl FnMut(&mut Writer) -> R) -> (Vec<u8>, R) {
+    let mut w = Writer::measuring(TAPE.take());
     write(&mut w);
-    w.into_vec()
+    w.buf = vec![0; w.pos];
+    (w.pos, w.measuring) = (0, false);
+    let result = write(&mut w);
+    assert_eq!(
+        (w.pos, w.next),
+        (w.buf.len(), w.tape.len()),
+        "the write run differs from its measure"
+    );
+    TAPE.set(w.tape);
+    (w.buf, result)
 }
 
-/// Wrap `content` in a tag-length-value triplet.
-pub fn tlv(tag: u8, content: &[u8]) -> Vec<u8> {
-    encoded(|w| w.tlv(tag, content))
-}
-
-/// INTEGER from a big-endian magnitude ([`Writer::integer_bytes`]).
-pub fn integer_bytes(magnitude: &[u8]) -> Vec<u8> {
-    encoded(|w| w.integer_bytes(magnitude))
+/// The bytes `write` appends, in a buffer of their own: `write` runs
+/// twice, measuring and then writing into a buffer of exactly the measured
+/// size (module docs).
+pub fn encoded(write: impl FnMut(&mut Writer)) -> Vec<u8> {
+    encoded_with(write).0
 }
 
 /// A parsed DER value (tag + raw content), with lazy child access.
@@ -251,11 +297,6 @@ pub struct DerValue {
 }
 
 impl DerValue {
-    /// Whether the constructed bit is set.
-    pub fn is_constructed(&self) -> bool {
-        self.tag & 0x20 != 0
-    }
-
     /// Parse the content as a list of child TLVs.
     pub fn children(&self) -> Result<Vec<DerValue>, DerError> {
         let mut reader = DerReader::new(&self.content);
@@ -369,6 +410,14 @@ pub fn parse_one(input: &[u8]) -> Result<DerValue, DerError> {
 mod tests {
     use super::*;
 
+    fn tlv(tag: u8, content: &[u8]) -> Vec<u8> {
+        encoded(|w| w.tlv(tag, &[content]))
+    }
+
+    fn integer(magnitude: &[u8]) -> Vec<u8> {
+        encoded(|w| w.integer_bytes(magnitude))
+    }
+
     #[test]
     fn length_encodings() {
         let header = |len| encoded(|w| w.header(tag::OCTET_STRING, len))[1..].to_vec();
@@ -385,13 +434,20 @@ mod tests {
     #[test]
     fn integer_adds_sign_padding() {
         // 0x80 has the high bit set -> leading zero required.
-        assert_eq!(integer_bytes(&[0x80]), vec![0x02, 0x02, 0x00, 0x80]);
-        assert_eq!(integer_bytes(&[0x7F]), vec![0x02, 0x01, 0x7F]);
+        assert_eq!(integer(&[0x80]), vec![0x02, 0x02, 0x00, 0x80]);
+        assert_eq!(integer(&[0x7F]), vec![0x02, 0x01, 0x7F]);
         // Redundant leading zeros stripped.
-        assert_eq!(integer_bytes(&[0x00, 0x00, 0x01]), vec![0x02, 0x01, 0x01]);
+        assert_eq!(integer(&[0x00, 0x00, 0x01]), vec![0x02, 0x01, 0x01]);
         // But a zero needed for sign is kept.
-        assert_eq!(integer_bytes(&[0x00, 0x80]), vec![0x02, 0x02, 0x00, 0x80]);
-        assert_eq!(integer_bytes(&[]), vec![0x02, 0x01, 0x00]);
+        assert_eq!(integer(&[0x00, 0x80]), vec![0x02, 0x02, 0x00, 0x80]);
+        assert_eq!(integer(&[]), vec![0x02, 0x01, 0x00]);
+        // A measuring writer with no tape counts the same bytes.
+        for magnitude in [&[][..], &[0x80], &[0, 0, 1], &[0, 0, 0, 0x80, 1]] {
+            let mut w = Writer::measuring(Vec::new());
+            w.integer_bytes(magnitude);
+            assert_eq!(w.len(), integer(magnitude).len(), "{magnitude:?}");
+            assert_eq!(w.tape.capacity(), 0);
+        }
     }
 
     #[test]
@@ -406,13 +462,14 @@ mod tests {
     #[test]
     fn sequence_nests() {
         let outer = encoded(|w| {
-            w.nested(tag::SEQUENCE, 8, |w| {
-                w.nested(tag::SEQUENCE, 6, |w| {
+            w.nested(tag::SEQUENCE, |w| {
+                w.nested(tag::SEQUENCE, |w| {
                     w.integer_u64(1);
                     w.integer_u64(2);
                 })
             })
         });
+        assert_eq!(outer[..4], [0x30, 8, 0x30, 6]);
         let parsed = parse_one(&outer).unwrap();
         assert_eq!(parsed.tag, tag::SEQUENCE);
         let children = parsed.children().unwrap();
@@ -424,39 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn tlv_len_and_integer_len_are_what_the_writer_writes() {
-        for len in [0, 1, 127, 128, 255, 256, 65_535, 65_536, 1 << 24] {
-            let written = encoded(|w| w.header(tag::OCTET_STRING, len)).len() + len;
-            assert_eq!(tlv_len(len), written, "{len}");
-        }
-        for magnitude in [
-            &[][..],
-            &[0],
-            &[0x7F],
-            &[0x80],
-            &[0, 0, 1],
-            &[0, 0x80],
-            &[0, 0, 0, 0x80, 1],
-        ] {
-            assert_eq!(
-                integer_len(magnitude),
-                integer_bytes(magnitude).len(),
-                "{magnitude:?}"
-            );
-        }
-    }
-
-    #[test]
     fn nested_returns_the_closure_result() {
-        let mut w = Writer::new();
-        let inner = w.nested(tag::SEQUENCE, 304, |w| {
-            let at = w.len();
-            w.tlv(tag::OCTET_STRING, &[7; 300]);
-            w.len() - at
+        let (der, inner) = encoded_with(|w| {
+            w.nested(tag::SEQUENCE, |w| {
+                let at = w.len();
+                w.tlv(tag::OCTET_STRING, &[&[7; 300]]);
+                w.len() - at
+            })
         });
         assert_eq!(inner, 304);
-        let der = w.into_vec();
-        assert_eq!(der.len(), tlv_len(inner));
+        assert_eq!(der.len(), 4 + inner);
         assert_eq!(
             parse_one(&der).unwrap().children().unwrap()[0].content,
             [7; 300]
@@ -464,9 +498,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "content written differs from the length announced")]
-    fn nested_rejects_content_that_misses_its_announced_length() {
-        encoded(|w| w.nested(tag::SEQUENCE, 4, |w| w.integer_u64(5)));
+    #[should_panic(expected = "tag 0x04: content written differs from its measured length")]
+    fn nested_rejects_a_write_run_that_differs_from_its_measure() {
+        // The writing run (the second) writes one byte more into the
+        // inner value than the measuring run did.
+        let mut runs = 0;
+        encoded(|w| {
+            runs += 1;
+            let content: &[u8] = if runs == 2 { b"four" } else { b"thr" };
+            w.nested(tag::SEQUENCE, |w| {
+                w.nested(tag::OCTET_STRING, |w| w.raw(content));
+                w.integer_u64(5);
+            });
+        });
     }
 
     #[test]
@@ -474,7 +518,7 @@ mod tests {
         let mut expect = [0u8; 21];
         crate::fill_deterministic(9, &mut expect);
         expect[0] = 0x04;
-        let got = encoded(|w| w.fill(9, 21)[0] = 0x04);
+        let got = encoded(|w| *w.fill(9, 21) = 0x04);
         assert_eq!(got, expect);
     }
 
@@ -487,17 +531,16 @@ mod tests {
     #[test]
     fn context_tags() {
         // [0] constructed wrapping an INTEGER (X.509 version field).
-        let v = encoded(|w| w.nested(context_tag(0, true), 3, |w| w.integer_u64(2)));
-        assert_eq!(v[0], 0xA0);
-        let parsed = parse_one(&v).unwrap();
-        assert!(parsed.is_constructed());
+        let v = encoded(|w| w.nested(context_tag(0, true), |w| w.integer_u64(2)));
+        assert_eq!(v, [0xA0, 3, 0x02, 1, 2]);
+        assert_ne!(parse_one(&v).unwrap().tag & 0x20, 0, "constructed");
         // [2] primitive (GeneralName dNSName).
         assert_eq!(context_tag(2, false), 0x82);
     }
 
     #[test]
     fn reader_rejects_truncation() {
-        let seq = encoded(|w| w.nested(tag::SEQUENCE, 3, |w| w.integer_u64(5)));
+        let seq = encoded(|w| w.nested(tag::SEQUENCE, |w| w.integer_u64(5)));
         let err = parse_one(&seq[..seq.len() - 1]).unwrap_err();
         assert_eq!(err, DerError::Truncated);
     }
@@ -522,7 +565,7 @@ mod tests {
 
     #[test]
     fn reader_rejects_trailing_garbage() {
-        let mut seq = encoded(|w| w.nested(tag::SEQUENCE, 3, |w| w.integer_u64(5)));
+        let mut seq = encoded(|w| w.nested(tag::SEQUENCE, |w| w.integer_u64(5)));
         seq.push(0x00);
         assert_eq!(parse_one(&seq).unwrap_err(), DerError::Truncated);
     }
@@ -540,7 +583,7 @@ mod tests {
     fn boolean_and_null() {
         assert_eq!(encoded(|w| w.boolean(true)), vec![0x01, 0x01, 0xFF]);
         assert_eq!(encoded(|w| w.boolean(false)), vec![0x01, 0x01, 0x00]);
-        assert_eq!(encoded(|w| w.null()), vec![0x05, 0x00]);
+        assert_eq!(encoded(|w| w.raw(&NULL)), vec![0x05, 0x00]);
     }
 
     #[test]
@@ -550,5 +593,10 @@ mod tests {
         assert_eq!(tlv(tag::PRINTABLE_STRING, b"US"), [0x13, 2, b'U', b'S']);
         assert_eq!(tlv(tag::UTF8_STRING, b"Let's Encrypt")[0], 0x0C);
         assert_eq!(tlv(tag::UTC_TIME, b"221229194411Z")[0], 0x17);
+        // Parts are written in order under one header.
+        assert_eq!(
+            encoded(|w| w.tlv(0x82, &[b"www.", b"a.io"])),
+            [0x82, 8, b'w', b'w', b'w', b'.', b'a', b'.', b'i', b'o']
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! URLs. Each variant here encodes to its genuine DER representation, so SAN
 //! byte-share analysis (Fig 14) operates on real encodings.
 
-use crate::der::{self, context_tag, tag, tlv_len, Writer, BOOLEAN_LEN};
+use crate::der::{context_tag, tag, Writer};
 use crate::oid::{self, Oid};
 
 /// Key usage bits (RFC 5280 §4.2.1.3), most-significant bit first.
@@ -108,32 +108,17 @@ impl<'a> SanNames<'a> {
         head + self.listed.len() + usize::from(self.numbered)
     }
 
-    /// Bytes of the dNSName TLVs: the content of the GeneralNames
-    /// SEQUENCE.
-    fn content_len(&self) -> usize {
-        let cn = self.cn.unwrap_or_default().len();
-        let head = self.head().map_or(0, |(_, www)| {
-            tlv_len(cn) + usize::from(www) * tlv_len(4 + cn)
-        });
-        let listed: usize = self.listed.iter().map(|name| tlv_len(name.len())).sum();
-        let numbered: usize = (0..self.numbered)
-            .map(|i| tlv_len(numbered_name_len(i, cn)))
-            .sum();
-        head + listed + numbered
-    }
-
+    /// Append the dNSName TLVs: the content of the GeneralNames SEQUENCE.
     fn encode_into(&self, w: &mut Writer) {
-        let cn = self.cn.unwrap_or_default();
+        let cn = self.cn.unwrap_or_default().as_bytes();
         if let Some((_, www)) = self.head() {
-            w.tlv(DNS_NAME, cn.as_bytes());
+            w.tlv(DNS_NAME, &[cn]);
             if www {
-                w.header(DNS_NAME, 4 + cn.len());
-                w.raw(b"www.");
-                w.raw(cn.as_bytes());
+                w.tlv(DNS_NAME, &[b"www.", cn]);
             }
         }
         for name in self.listed {
-            w.tlv(DNS_NAME, name.as_bytes());
+            w.tlv(DNS_NAME, &[name.as_bytes()]);
         }
         for i in 0..self.numbered {
             // `{i:03}`, written from the end.
@@ -144,11 +129,7 @@ impl<'a> SanNames<'a> {
                 *digit = b'0' + (rest % 10) as u8;
                 rest /= 10;
             }
-            w.header(DNS_NAME, numbered_name_len(i, cn.len()));
-            w.raw(b"alt-");
-            w.raw(&digits[..width]);
-            w.raw(b".");
-            w.raw(cn.as_bytes());
+            w.tlv(DNS_NAME, &[b"alt-", &digits[..width], b".", cn]);
         }
     }
 }
@@ -160,11 +141,6 @@ fn number_width(i: u16) -> usize {
         1_000..=9_999 => 4,
         _ => 5,
     }
-}
-
-/// Bytes of `alt-<i>.<cn>`.
-fn numbered_name_len(i: u16, cn: usize) -> usize {
-    4 + number_width(i) + 1 + cn
 }
 
 /// A single certificate extension, borrowing its parts.
@@ -225,12 +201,6 @@ const KEY_ID_LEN: usize = 20;
 /// GeneralName uniformResourceIdentifier `[6]`.
 const URI: u8 = context_tag(6, false);
 
-/// Encoded length of one DistributionPoint { distributionPoint [0] {
-/// fullName [0] { uri [6] } } }.
-fn distribution_point_len(uri: &str) -> usize {
-    tlv_len(tlv_len(tlv_len(tlv_len(uri.len()))))
-}
-
 impl Extension<'_> {
     /// The extension OID.
     pub fn oid(&self) -> &'static Oid {
@@ -268,39 +238,10 @@ impl Extension<'_> {
             .filter_map(|(method, uri)| Some((method, uri?)))
     }
 
-    /// Content length of the extnValue's one TLV (what the OCTET STRING
-    /// wraps).
-    fn value_content_len(&self) -> usize {
+    /// Append the inner extnValue: the one TLV the OCTET STRING wraps.
+    fn encode_value_into(&self, w: &mut Writer) {
         match *self {
-            Extension::BasicConstraints { ca, path_len } => {
-                let path_len = path_len.map_or(0, |n| der::integer_len(&[n]));
-                usize::from(ca) * BOOLEAN_LEN + path_len
-            }
-            Extension::KeyUsage(_) => 2,
-            Extension::ExtKeyUsage(purposes) => purposes.iter().map(Oid::encoded_len).sum(),
-            Extension::SubjectKeyId { .. } => KEY_ID_LEN,
-            Extension::AuthorityKeyId { .. } => tlv_len(KEY_ID_LEN),
-            Extension::SubjectAltNames(names) => names.content_len(),
-            Extension::CrlDistributionPoints(uris) => {
-                uris.iter().map(|uri| distribution_point_len(uri)).sum()
-            }
-            Extension::AuthorityInfoAccess { ocsp, ca_issuers } => {
-                Self::access_descriptions(ocsp, ca_issuers)
-                    .map(|(method, uri)| tlv_len(method.encoded_len() + tlv_len(uri.len())))
-                    .sum()
-            }
-            Extension::CertificatePolicies(policies) => {
-                policies.iter().map(|p| tlv_len(p.encoded_len())).sum()
-            }
-            Extension::SctList { count, .. } => 2 + usize::from(count) * SCT_ENTRY_LEN,
-        }
-    }
-
-    /// Append the inner extnValue (what the OCTET STRING wraps): one TLV
-    /// whose content is the `content` bytes `value_content_len` gave.
-    fn encode_value_into(&self, w: &mut Writer, content: usize) {
-        match *self {
-            Extension::BasicConstraints { ca, path_len } => w.nested(tag::SEQUENCE, content, |w| {
+            Extension::BasicConstraints { ca, path_len } => w.nested(tag::SEQUENCE, |w| {
                 if ca {
                     w.boolean(true);
                 }
@@ -312,51 +253,43 @@ impl Extension<'_> {
                 let (bits, unused) = flags.to_bits();
                 w.bit_string(&[bits], unused);
             }
-            Extension::ExtKeyUsage(purposes) => w.nested(tag::SEQUENCE, content, |w| {
+            Extension::ExtKeyUsage(purposes) => w.nested(tag::SEQUENCE, |w| {
                 for purpose in purposes {
                     purpose.encode_into(w);
                 }
             }),
-            Extension::SubjectKeyId { seed } => {
-                w.header(tag::OCTET_STRING, KEY_ID_LEN);
-                w.fill(seed, KEY_ID_LEN);
-            }
-            Extension::AuthorityKeyId { seed } => w.nested(tag::SEQUENCE, content, |w| {
-                // keyIdentifier is [0] IMPLICIT inside a SEQUENCE.
-                w.header(context_tag(0, false), KEY_ID_LEN);
+            Extension::SubjectKeyId { seed } => w.nested(tag::OCTET_STRING, |w| {
                 w.fill(seed, KEY_ID_LEN);
             }),
-            Extension::SubjectAltNames(names) => {
-                w.nested(tag::SEQUENCE, content, |w| names.encode_into(w))
-            }
-            Extension::CrlDistributionPoints(uris) => w.nested(tag::SEQUENCE, content, |w| {
+            Extension::AuthorityKeyId { seed } => w.nested(tag::SEQUENCE, |w| {
+                // keyIdentifier is [0] IMPLICIT inside a SEQUENCE.
+                w.nested(context_tag(0, false), |w| {
+                    w.fill(seed, KEY_ID_LEN);
+                })
+            }),
+            Extension::SubjectAltNames(names) => w.nested(tag::SEQUENCE, |w| names.encode_into(w)),
+            Extension::CrlDistributionPoints(uris) => w.nested(tag::SEQUENCE, |w| {
+                // DistributionPoint { distributionPoint [0] { fullName [0]
+                // { uri [6] } } }.
                 for uri in uris {
-                    let full_name = tlv_len(uri.len());
-                    w.nested(tag::SEQUENCE, tlv_len(tlv_len(full_name)), |w| {
-                        w.nested(context_tag(0, true), tlv_len(full_name), |w| {
-                            w.nested(context_tag(0, true), full_name, |w| {
-                                w.tlv(URI, uri.as_bytes())
-                            })
+                    w.nested(tag::SEQUENCE, |w| {
+                        w.nested(context_tag(0, true), |w| {
+                            w.nested(context_tag(0, true), |w| w.tlv(URI, &[uri.as_bytes()]))
                         })
                     });
                 }
             }),
-            Extension::AuthorityInfoAccess { ocsp, ca_issuers } => {
-                w.nested(tag::SEQUENCE, content, |w| {
-                    for (method, uri) in Self::access_descriptions(ocsp, ca_issuers) {
-                        let content = method.encoded_len() + tlv_len(uri.len());
-                        w.nested(tag::SEQUENCE, content, |w| {
-                            method.encode_into(w);
-                            w.tlv(URI, uri.as_bytes());
-                        });
-                    }
-                })
-            }
-            Extension::CertificatePolicies(policies) => w.nested(tag::SEQUENCE, content, |w| {
-                for policy in policies {
-                    w.nested(tag::SEQUENCE, policy.encoded_len(), |w| {
-                        policy.encode_into(w)
+            Extension::AuthorityInfoAccess { ocsp, ca_issuers } => w.nested(tag::SEQUENCE, |w| {
+                for (method, uri) in Self::access_descriptions(ocsp, ca_issuers) {
+                    w.nested(tag::SEQUENCE, |w| {
+                        method.encode_into(w);
+                        w.tlv(URI, &[uri.as_bytes()]);
                     });
+                }
+            }),
+            Extension::CertificatePolicies(policies) => w.nested(tag::SEQUENCE, |w| {
+                for policy in policies {
+                    w.nested(tag::SEQUENCE, |w| policy.encode_into(w));
                 }
             }),
             Extension::SctList { count, seed } => {
@@ -364,55 +297,39 @@ impl Extension<'_> {
                 // length + body, all inside an inner OCTET STRING.
                 const BODY_LEN: usize = SCT_ENTRY_LEN - 2;
                 let list_len = usize::from(count) * SCT_ENTRY_LEN;
-                w.nested(tag::OCTET_STRING, content, |w| {
+                w.nested(tag::OCTET_STRING, |w| {
                     w.raw(&(list_len as u16).to_be_bytes());
                     for i in 0..count {
                         w.raw(&(BODY_LEN as u16).to_be_bytes());
-                        w.fill(seed.wrapping_add(u64::from(i)), BODY_LEN)[0] = 0;
                         // SCT version 1
+                        *w.fill(seed.wrapping_add(u64::from(i)), BODY_LEN) = 0;
                     }
                 })
             }
         }
     }
 
-    /// Content length of the Extension SEQUENCE, given its value's
-    /// content length.
-    fn content_len(&self, value: usize) -> usize {
-        let critical = if self.critical() { BOOLEAN_LEN } else { 0 };
-        self.oid().encoded_len() + critical + tlv_len(tlv_len(value))
-    }
-
     /// Append the full Extension SEQUENCE (OID, optional critical flag,
     /// OCTET STRING value) to `w`.
     pub fn encode_into(&self, w: &mut Writer) {
-        let value = self.value_content_len();
-        w.nested(tag::SEQUENCE, self.content_len(value), |w| {
+        w.nested(tag::SEQUENCE, |w| {
             self.oid().encode_into(w);
             if self.critical() {
                 w.boolean(true);
             }
-            w.nested(tag::OCTET_STRING, tlv_len(value), |w| {
-                self.encode_value_into(w, value)
-            });
+            w.nested(tag::OCTET_STRING, |w| self.encode_value_into(w));
         });
-    }
-
-    /// Encode the full Extension SEQUENCE.
-    pub fn encode(&self) -> Vec<u8> {
-        der::encoded(|w| self.encode_into(w))
-    }
-
-    /// Encoded size in bytes, computed from the parts.
-    pub fn encoded_len(&self) -> usize {
-        tlv_len(self.content_len(self.value_content_len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::der::parse_one;
+    use crate::der::{self, parse_one};
+
+    fn encode(ext: &Extension) -> Vec<u8> {
+        der::encoded(|w| ext.encode_into(w))
+    }
 
     #[test]
     fn basic_constraints_ca_shape() {
@@ -420,7 +337,7 @@ mod tests {
             ca: true,
             path_len: Some(0),
         };
-        let enc = ext.encode();
+        let enc = encode(&ext);
         let parsed = parse_one(&enc).unwrap();
         let children = parsed.children().unwrap();
         // OID + critical + value
@@ -435,7 +352,7 @@ mod tests {
             path_len: None,
         };
         // Empty SEQUENCE inside the OCTET STRING.
-        let enc = ext.encode();
+        let enc = encode(&ext);
         let children = parse_one(&enc).unwrap().children().unwrap();
         let value = &children[2];
         assert_eq!(value.content, vec![0x30, 0x00]);
@@ -457,7 +374,7 @@ mod tests {
         let hosts: Vec<String> = (0..50).map(|i| format!("host-{i}.example.org")).collect();
         let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
         let many = Extension::SubjectAltNames(SanNames::listed(&hosts));
-        assert!(many.encoded_len() > few.encoded_len() + 49 * 15);
+        assert!(encode(&many).len() > encode(&few).len() + 49 * 15);
         // Numbered names are `alt-NNN.<cn>`, wider from 1000 on, and
         // follow the CN pair and the listed names.
         for numbered in [0, 3, 999, 1_000, 1_001, 10_000, u16::MAX] {
@@ -467,7 +384,7 @@ mod tests {
             expected.push("listed.example".to_owned());
             expected.extend((0..numbered).map(|i| format!("alt-{i:03}.shop.example")));
             assert_eq!(names.count(), expected.len());
-            let value = parse_one(&ext.encode()).unwrap().children().unwrap()[1]
+            let value = parse_one(&encode(&ext)).unwrap().children().unwrap()[1]
                 .content
                 .clone();
             let written: Vec<String> = parse_one(&value)
@@ -478,7 +395,6 @@ mod tests {
                 .map(|name| String::from_utf8(name.content.clone()).unwrap())
                 .collect();
             assert_eq!(written, expected, "{numbered}");
-            assert_eq!(ext.encoded_len(), ext.encode().len(), "{numbered}");
         }
         // A wildcard CN has no www. name.
         assert_eq!(SanNames::leaf("*.example", &[], 0).count(), 1);
@@ -490,17 +406,14 @@ mod tests {
         let three = Extension::SctList { count: 3, seed: 1 };
         // Exactly one SCT entry more, plus up to a few bytes of DER length
         // framing growth when a length crosses the 255-byte boundary.
-        let delta = three.encoded_len() - two.encoded_len();
+        let (two, three) = (encode(&two).len(), encode(&three).len());
+        let delta = three - two;
         assert!(
             (SCT_ENTRY_LEN..SCT_ENTRY_LEN + 5).contains(&delta),
             "delta {delta}"
         );
         // Two SCTs: real-world extensions run ~250–280 bytes total.
-        assert!(
-            (240..=280).contains(&two.encoded_len()),
-            "was {}",
-            two.encoded_len()
-        );
+        assert!((240..=280).contains(&two), "was {two}");
     }
 
     #[test]
@@ -509,7 +422,7 @@ mod tests {
             ocsp: Some("http://r3.o.lencr.org"),
             ca_issuers: Some("http://r3.i.lencr.org/"),
         };
-        let enc = ext.encode();
+        let enc = encode(&ext);
         let text = String::from_utf8_lossy(&enc).into_owned();
         assert!(text.contains("r3.o.lencr.org"));
         assert!(text.contains("r3.i.lencr.org"));
@@ -540,10 +453,8 @@ mod tests {
             Extension::SctList { count: 2, seed: 4 },
         ];
         for ext in &exts {
-            let encoded = ext.encode();
-            let parsed = parse_one(&encoded).unwrap();
+            let parsed = parse_one(&encode(ext)).unwrap();
             assert_eq!(parsed.tag, 0x30, "{:?}", ext.oid());
-            assert_eq!(ext.encoded_len(), encoded.len(), "{:?}", ext.oid());
         }
     }
 

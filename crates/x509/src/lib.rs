@@ -11,9 +11,9 @@
 //! encoding measured (field sizes, SAN bytes and count, algorithms, the
 //! spans of subject and issuer), never a tree of its fields. A
 //! [`CertificateBuilder`] borrows its parts ([`Name`], [`Extension`],
-//! OIDs pre-encoded at compile time) and writes each byte once, front to
-//! back, into a buffer allocated at the exact size summed from those
-//! parts ([`der`]).
+//! OIDs pre-encoded at compile time) and has one encoder, run twice: it
+//! measures the certificate, then writes each byte once, front to back,
+//! into a buffer allocated at the measured size ([`der`]).
 //!
 //! Cryptographic *signatures and keys are structurally faithful placeholders*:
 //! they have exactly the DER shape and length of real RSA-2048/4096 and

@@ -9,7 +9,7 @@
 //! a leaf's bare `CN=`, or a name already encoded (a parent certificate's
 //! subject span).
 
-use crate::der::{self, tag, tlv_len, Writer};
+use crate::der::{tag, Writer};
 use crate::oid::{self, Oid};
 
 /// Attribute types that appear in subject / issuer names.
@@ -108,16 +108,6 @@ impl DistinguishedName {
         Name::Dn(self).encode_into(w);
     }
 
-    /// DER-encode the name.
-    pub fn encode(&self) -> Vec<u8> {
-        der::encoded(|w| self.encode_into(w))
-    }
-
-    /// Encoded length in bytes.
-    pub fn encoded_len(&self) -> usize {
-        Name::Dn(self).encoded_len()
-    }
-
     /// Render in the familiar `C=BE, O=GlobalSign nv-sa, CN=...` form.
     pub fn render(&self) -> String {
         self.attrs
@@ -153,59 +143,29 @@ impl<'a> From<&'a DistinguishedName> for Name<'a> {
 }
 
 impl Name<'_> {
-    /// Encoded length in bytes, computed from the parts.
-    pub(crate) fn encoded_len(&self) -> usize {
-        match *self {
-            Name::Dn(dn) => tlv_len(rdns_len(dn)),
-            Name::Cn(cn) => tlv_len(rdn_len(AttrKind::CommonName, cn)),
-            Name::Der(der) => der.len(),
-        }
-    }
-
     /// Append the DER encoding (SEQUENCE of singleton SETs) to `w`.
     ///
     /// Strict DER requires SET OF elements to be sorted; singleton sets
     /// are trivially sorted.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         match *self {
-            Name::Dn(dn) => w.nested(tag::SEQUENCE, rdns_len(dn), |w| {
+            Name::Dn(dn) => w.nested(tag::SEQUENCE, |w| {
                 for (kind, value) in &dn.attrs {
                     write_rdn(w, *kind, value);
                 }
             }),
-            Name::Cn(cn) => w.nested(tag::SEQUENCE, rdn_len(AttrKind::CommonName, cn), |w| {
-                write_rdn(w, AttrKind::CommonName, cn)
-            }),
+            Name::Cn(cn) => w.nested(tag::SEQUENCE, |w| write_rdn(w, AttrKind::CommonName, cn)),
             Name::Der(der) => w.raw(der),
         }
     }
 }
 
-/// Bytes of a name's RDNs: the content of its SEQUENCE.
-fn rdns_len(dn: &DistinguishedName) -> usize {
-    dn.attrs
-        .iter()
-        .map(|(kind, value)| rdn_len(*kind, value))
-        .sum()
-}
-
-/// Bytes of an AttributeTypeAndValue's content: the type OID and the
-/// string value.
-fn atv_len(kind: AttrKind, value: &str) -> usize {
-    kind.oid().encoded_len() + tlv_len(value.len())
-}
-
-/// Encoded length of one singleton RDN: SET { SEQUENCE { type, value } }.
-fn rdn_len(kind: AttrKind, value: &str) -> usize {
-    tlv_len(tlv_len(atv_len(kind, value)))
-}
-
+/// One singleton RDN: SET { SEQUENCE { type, value } }.
 fn write_rdn(w: &mut Writer, kind: AttrKind, value: &str) {
-    let atv = atv_len(kind, value);
-    w.nested(tag::SET, tlv_len(atv), |w| {
-        w.nested(tag::SEQUENCE, atv, |w| {
+    w.nested(tag::SET, |w| {
+        w.nested(tag::SEQUENCE, |w| {
             kind.oid().encode_into(w);
-            w.tlv(kind.value_tag(), value.as_bytes());
+            w.tlv(kind.value_tag(), &[value.as_bytes()]);
         })
     });
 }
@@ -213,7 +173,11 @@ fn write_rdn(w: &mut Writer, kind: AttrKind, value: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::der::parse_one;
+    use crate::der::{self, parse_one};
+
+    fn encode(dn: &DistinguishedName) -> Vec<u8> {
+        der::encoded(|w| dn.encode_into(w))
+    }
 
     #[test]
     fn render_matches_paper_example() {
@@ -231,7 +195,7 @@ mod tests {
     #[test]
     fn encoding_is_wellformed_nested_der() {
         let dn = DistinguishedName::ca("US", "Let's Encrypt", "R3");
-        let enc = dn.encode();
+        let enc = encode(&dn);
         let name = parse_one(&enc).unwrap();
         let rdns = name.children().unwrap();
         assert_eq!(rdns.len(), 3);
@@ -247,7 +211,7 @@ mod tests {
     #[test]
     fn country_uses_printable_string() {
         let dn = DistinguishedName::new().with(AttrKind::Country, "DE");
-        let enc = dn.encode();
+        let enc = encode(&dn);
         let atv = parse_one(&enc).unwrap().children().unwrap()[0]
             .children()
             .unwrap()[0]
@@ -265,7 +229,7 @@ mod tests {
             "An Extremely Long Organization Name LLC",
             "*.subdomain.of.some.example.org",
         );
-        assert!(long.encoded_len() > short.encoded_len() + 40);
+        assert!(encode(&long).len() > encode(&short).len() + 40);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::der::{self, tag, Writer};
+use crate::der::{tag, Writer};
 
 /// Bytes an [`Oid`]'s encoding can take: tag, length and up to 22
 /// content octets (the longest arc, `u64::MAX`, takes ten).
@@ -59,19 +59,9 @@ impl Oid {
         &self.der[..self.len as usize]
     }
 
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.len as usize
-    }
-
     /// Append the DER encoding (including tag and length) to `w`.
     pub fn encode_into(&self, w: &mut Writer) {
         w.raw(self.der());
-    }
-
-    /// DER-encode the OID (including tag and length).
-    pub fn encode(&self) -> Vec<u8> {
-        der::encoded(|w| self.encode_into(w))
     }
 
     /// Dotted-decimal representation, e.g. `"2.5.29.17"`.
@@ -232,8 +222,7 @@ mod tests {
             &KP_SERVER_AUTH,
             &CP_DOMAIN_VALIDATED,
         ] {
-            let enc = oid.encode();
-            let parsed = parse_one(&enc).unwrap();
+            let parsed = parse_one(oid.der()).unwrap();
             assert_eq!(parsed.tag, 0x06, "OID {oid} should parse");
             assert!(!parsed.content.is_empty());
         }
@@ -243,8 +232,8 @@ mod tests {
     fn oid_encoding_matches_rfc_examples() {
         // rsaEncryption = 1.2.840.113549.1.1.1
         assert_eq!(
-            RSA_ENCRYPTION.encode(),
-            vec![0x06, 0x09, 0x2A, 0x86, 0x48, 0x86, 0xF7, 0x0D, 0x01, 0x01, 0x01]
+            RSA_ENCRYPTION.der(),
+            [0x06, 0x09, 0x2A, 0x86, 0x48, 0x86, 0xF7, 0x0D, 0x01, 0x01, 0x01]
         );
         // id-ce-subjectAltName = 2.5.29.17
         assert_eq!(EXT_SUBJECT_ALT_NAME.der(), [0x06, 0x03, 0x55, 0x1D, 0x11]);
@@ -260,10 +249,9 @@ mod tests {
     #[test]
     fn sct_oid_uses_multibyte_arcs() {
         // 11129 needs two base-128 bytes.
-        let enc = EXT_SCT_LIST.encode();
         assert_eq!(
-            enc,
-            vec![0x06, 0x0A, 0x2B, 0x06, 0x01, 0x04, 0x01, 0xD6, 0x79, 0x02, 0x04, 0x02]
+            EXT_SCT_LIST.der(),
+            [0x06, 0x0A, 0x2B, 0x06, 0x01, 0x04, 0x01, 0xD6, 0x79, 0x02, 0x04, 0x02]
         );
     }
 }

@@ -4,7 +4,7 @@
 //! 2050. All certificates in the workspace live comfortably inside that
 //! window, so only UTCTime is emitted.
 
-use crate::der::{self, tag, Writer};
+use crate::der::{tag, Writer};
 
 /// A calendar timestamp (UTC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,17 +68,9 @@ impl Time {
         out
     }
 
-    /// Encoded size of a UTCTime: tag, length and 13 octets.
-    pub(crate) const ENCODED_LEN: usize = 15;
-
     /// Append the UTCTime encoding to `w`.
     pub fn encode_into(self, w: &mut Writer) {
-        w.tlv(tag::UTC_TIME, &self.utc_octets());
-    }
-
-    /// DER-encode as UTCTime.
-    pub fn encode(self) -> Vec<u8> {
-        der::encoded(|w| self.encode_into(w))
+        w.tlv(tag::UTC_TIME, &[&self.utc_octets()]);
     }
 }
 
@@ -89,7 +81,7 @@ mod tests {
     #[test]
     fn utc_format_matches_rfc_shape() {
         let t = Time::date(2021, 11, 27);
-        let enc = t.encode();
+        let enc = crate::der::encoded(|w| t.encode_into(w));
         assert_eq!(enc[0], 0x17);
         assert_eq!(enc[1], 13);
         assert_eq!(&enc[2..], b"211127000000Z");

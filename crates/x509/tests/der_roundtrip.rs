@@ -12,17 +12,22 @@ use quicert_x509::{
     SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
 };
 
+/// A tag-length-value triplet around `content`.
+fn tlv(tag: u8, content: &[u8]) -> Vec<u8> {
+    der::encoded(|w| w.tlv(tag, &[content]))
+}
+
 /// Recursively re-encode a parsed DER value. Constructed nodes are rebuilt
 /// from their parsed children, so a byte-identical result means the whole
 /// tag/length/value tree survived the encode→parse→encode round trip.
 fn reencode(value: &DerValue) -> Vec<u8> {
-    if value.is_constructed() {
+    if value.tag & 0x20 != 0 {
         if let Ok(children) = value.children() {
             let content: Vec<u8> = children.iter().flat_map(reencode).collect();
-            return der::tlv(value.tag, &content);
+            return tlv(value.tag, &content);
         }
     }
-    der::tlv(value.tag, &value.content)
+    tlv(value.tag, &value.content)
 }
 
 const KEYS: [KeyAlgorithm; 8] = KeyAlgorithm::ALL_ERAS;
@@ -85,21 +90,18 @@ fn arbitrary_certificate(
 }
 
 /// Content lengths on both sides of every definite-length form, nested
-/// so the enclosing lengths cross the boundaries too.
+/// so the enclosing lengths cross the boundaries too: the lengths the
+/// measuring run puts on the tape are the ones the writing run announces.
 #[test]
 fn writer_length_boundaries_roundtrip_nested_two_deep() {
     use der::tag::{OCTET_STRING, SEQUENCE, SET};
     for len in [0, 127, 128, 255, 256, 65_535, 65_536] {
         let payload = vec![0xA5u8; len];
-        let (inner, middle) = (der::tlv_len(len), der::tlv_len(der::tlv_len(len)));
         let written = der::encoded(|w| {
-            w.nested(SEQUENCE, middle, |w| {
-                w.nested(SET, inner, |w| {
-                    w.nested(OCTET_STRING, len, |w| w.raw(&payload))
-                })
+            w.nested(SEQUENCE, |w| {
+                w.nested(SET, |w| w.nested(OCTET_STRING, |w| w.raw(&payload)))
             })
         });
-        assert_eq!(written.len(), der::tlv_len(middle), "{len}");
         let outer = der::parse_one(&written).expect("outer parses");
         let middle = &outer.children().expect("one child")[0];
         let inner = &middle.children().expect("one grandchild")[0];
@@ -108,9 +110,9 @@ fn writer_length_boundaries_roundtrip_nested_two_deep() {
             (SEQUENCE, SET, OCTET_STRING)
         );
         assert_eq!(inner.content, payload, "{len}");
-        // The lengths written up front are the ones a TLV built from the
+        // The lengths taken off the tape are the ones a TLV built from the
         // finished content carries.
-        let up_front = der::tlv(SEQUENCE, &der::tlv(SET, &der::tlv(OCTET_STRING, &payload)));
+        let up_front = tlv(SEQUENCE, &tlv(SET, &tlv(OCTET_STRING, &payload)));
         assert_eq!(written, up_front, "{len}");
     }
 }
@@ -142,7 +144,7 @@ proptest! {
     #[test]
     fn spki_roundtrips_for_every_algorithm(key_idx in 0usize..8, seed in any::<u64>()) {
         let spki = SubjectPublicKeyInfo::new(KEYS[key_idx % KEYS.len()], seed);
-        let encoded = spki.encode();
+        let encoded = der::encoded(|w| spki.encode_into(w));
         let parsed = der::parse_one(&encoded).map_err(|e| TestCaseError(e.to_string()))?;
         prop_assert_eq!(reencode(&parsed), encoded);
     }
@@ -176,7 +178,7 @@ proptest! {
         padded.extend(vec![0xABu8; len]);
         prop_assert_eq!(der::parse_one(&padded).unwrap_err(), DerError::BadLength);
         // The minimal form of the same value parses fine.
-        let minimal = der::tlv(tag | 0x04, &vec![0xAB; len]);
+        let minimal = tlv(tag | 0x04, &vec![0xAB; len]);
         prop_assert!(der::parse_one(&minimal).is_ok());
     }
 }

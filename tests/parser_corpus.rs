@@ -373,7 +373,7 @@ fn corpus_seeds_are_valid_inputs() {
 /// primitive or malformed constructed value must Err, not panic.
 fn walk(value: &DerValue) -> usize {
     let mut nodes = 1;
-    if value.is_constructed() {
+    if value.tag & 0x20 != 0 {
         if let Ok(children) = value.children() {
             for child in &children {
                 nodes += walk(child);

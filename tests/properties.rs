@@ -106,7 +106,7 @@ proptest! {
 
     #[test]
     fn der_integers_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let enc = der::integer_bytes(&bytes);
+        let enc = der::encoded(|w| w.integer_bytes(&bytes));
         let parsed = der::parse_one(&enc).expect("well-formed");
         prop_assert_eq!(parsed.tag, 0x02);
         // DER integers are minimal: no redundant leading zero unless needed
