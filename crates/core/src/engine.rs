@@ -539,9 +539,10 @@ impl ScanEngine {
     pub fn warm_scan(&self, scenario: Scenario) -> Arc<WarmAggregate> {
         let scenario = scenario.with_policy(scenario.warm_policy());
         self.warm.get_or_compute(scenario, || {
-            let revisit = |agg: &mut WarmAggregate, records: &mut [DomainRecord], _: &mut _| {
+            let world = &self.world;
+            let revisit = |agg: &mut WarmAggregate, records: &mut [_], scratch: &mut _| {
                 for record in records.iter() {
-                    agg.push(&quicreach::warm_service(&self.world, record, scenario));
+                    agg.push(&quicreach::warm_service(world, record, scenario, scratch));
                 }
             };
             self.pump(false, World::quic_chunk_into, revisit)
@@ -660,13 +661,13 @@ impl ScanEngine {
     ///
     /// A pass that `probes` hands its workers a scratch on the engine's
     /// memo which, while metrics are enabled, reports every scan under its
-    /// own era × profile labels; the families that probe nothing get a
-    /// memo-less, metrics-less scratch they ignore, so nothing is
-    /// registered or counted on their behalf. Returns the per-worker
-    /// accumulators in spawn order after flushing the run's [`PumpStats`];
-    /// a worker's panic resumes on the caller with its own message. A
-    /// worker counts the ranks its claims cover, however few records
-    /// `derive` built from them.
+    /// own era × profile labels; the other families get a memo-less,
+    /// metrics-less scratch, whose buffers only the warm scan's revisits
+    /// use, so nothing is registered or counted on their behalf. Returns
+    /// the per-worker accumulators in spawn order after flushing the run's
+    /// [`PumpStats`]; a worker's panic resumes on the caller with its own
+    /// message. A worker counts the ranks its claims cover, however few
+    /// records `derive` built from them.
     fn run_pump<A, MA, F>(
         &self,
         claims: Claims<'_>,
@@ -1238,8 +1239,9 @@ mod tests {
             .scenario()
             .with_policy(engine.scenario().warm_policy());
         let mut revisited = WarmAggregate::identity();
+        let mut scratch = ProbeScratch::with_memo(false);
         for record in &services {
-            revisited.push(&quicreach::warm_service(world, record, warm));
+            revisited.push(&quicreach::warm_service(world, record, warm, &mut scratch));
         }
         assert_eq!(*engine.warm_scan(engine.scenario()), revisited);
         let mut studied = StudySummary::identity();
@@ -1749,8 +1751,10 @@ mod tests {
             );
             for policy in ResumptionPolicy::ALL {
                 let scenario = BASE.with_profile(profile).with_policy(policy);
-                let revisit =
-                    |record: &&DomainRecord| quicreach::warm_service(world, record, scenario);
+                let revisit = |record: &&DomainRecord| {
+                    let fresh = &mut ProbeScratch::with_memo(false);
+                    quicreach::warm_service(world, record, scenario, fresh)
+                };
                 assert_eq!(
                     quicreach::warm_scan_records(world, &services, 1362, profile, policy),
                     services.iter().map(revisit).collect::<Vec<_>>(),

@@ -8,7 +8,7 @@ use quicert_analysis::{mean_ci95, render_table, Cdf, Table};
 use quicert_netsim::{SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
 use quicert_pki::{CertificateEra, Provider};
-use quicert_quic::{run_spoofed_probe, LimitPolicy, ServerBehavior, ServerConfig};
+use quicert_quic::{HandshakeScratch, LimitPolicy, ServerBehavior, ServerConfig};
 use quicert_scanner::telescope_scan::BackscatterSession;
 use quicert_scanner::zmap::{MetaService, ZmapResult};
 use quicert_x509::KeyAlgorithm;
@@ -209,6 +209,7 @@ pub fn table3(campaign: &Campaign) -> Table3 {
             seed: 0x7AB3,
         },
     );
+    let mut scratch = HandshakeScratch::default();
     let rows = LimitPolicy::HISTORY
         .iter()
         .map(|&policy| {
@@ -225,13 +226,12 @@ pub fn table3(campaign: &Campaign) -> Table3 {
                 resumption: None,
                 seed: 0x7AB3,
             };
-            let mut wire = Wire::ideal(SimDuration::from_millis(15));
-            let out = run_spoofed_probe(
+            let out = scratch.spoof(
                 1252,
                 std::net::Ipv4Addr::new(44, 1, 1, 1),
                 std::net::Ipv4Addr::new(198, 51, 100, 77),
                 config,
-                &mut wire,
+                &mut Wire::ideal(SimDuration::from_millis(15)),
                 0x7AB3,
             );
             (policy, out.amplification())

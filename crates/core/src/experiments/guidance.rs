@@ -20,7 +20,7 @@ use quicert_pki::ecosystem::{ChainId, LeafParams};
 use quicert_pki::{CertificateEra, DomainRecord, World};
 use quicert_quic::amplification::FACTOR;
 use quicert_quic::handshake::HandshakeClass;
-use quicert_quic::{run_handshake, ClientConfig, ServerBehavior, ServerConfig};
+use quicert_quic::{ClientConfig, HandshakeScratch, ServerBehavior, ServerConfig};
 use quicert_scanner::quicreach::{self, ProbeScratch};
 use quicert_scanner::Scenario;
 use quicert_x509::{CertificateChain, KeyAlgorithm};
@@ -95,6 +95,7 @@ pub(crate) fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
             vec![Algorithm::Brotli],
         ),
     ];
+    let mut scratch = HandshakeScratch::default();
     variants
         .into_iter()
         .map(|(label, behavior, server_algs, client_algs)| {
@@ -109,7 +110,7 @@ pub(crate) fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
             let mut client = ClientConfig::scanner(1362, SERVER_ADDR, 0x9D9D);
             client.compression = client_algs;
             let mut wire = Wire::ideal(SimDuration::from_millis(20));
-            let out = run_handshake(client, config, &mut wire, 0x9D9D);
+            let out = scratch.run(client, config, &mut wire, 0x9D9D);
             AblationRow {
                 label,
                 class: out.classify(),
@@ -249,29 +250,25 @@ pub(crate) struct LossStudy {
 /// datagrams cost fewer extra rounds.
 pub(crate) fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
     let chain = study_chain(campaign);
-    let run = |compressed: bool, trial: usize| -> Option<u32> {
+    let mut scratch = HandshakeScratch::default();
+    let mut run = |compressed: bool, trial: usize| -> Option<u32> {
+        let algorithms = Vec::from_iter(compressed.then_some(Algorithm::Brotli));
         let config = ServerConfig {
             behavior: ServerBehavior::rfc_compliant(),
             chain: chain.clone(),
             leaf_key: KeyAlgorithm::Rsa2048,
-            compression_support: if compressed {
-                vec![Algorithm::Brotli]
-            } else {
-                vec![]
-            },
+            compression_support: algorithms.clone(),
             resumption: None,
             seed: 0x1055 + trial as u64,
         };
         let mut client = ClientConfig::scanner(1362, SERVER_ADDR, 0x1055 + trial as u64);
-        if compressed {
-            client.compression = vec![Algorithm::Brotli];
-        }
+        client.compression = algorithms;
         let mut wire = Wire::ideal(SimDuration::from_millis(20));
         wire.fault_b_to_a = FaultInjector::dropping(loss);
-        let out = run_handshake(client, config, &mut wire, 0x1055 + trial as u64);
+        let out = scratch.run(client, config, &mut wire, 0x1055 + trial as u64);
         out.completed.then_some(out.rtt_count)
     };
-    let measure = |compressed: bool| -> (f64, f64) {
+    let mut measure = |compressed: bool| -> (f64, f64) {
         let rtts: Vec<f64> = (0..trials)
             .filter_map(|t| run(compressed, t))
             .map(|r| r as f64)

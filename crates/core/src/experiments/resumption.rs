@@ -191,7 +191,7 @@ pub fn render_budget_sweep(points: &[BudgetPoint]) -> String {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
-    use quicert_scanner::quicreach;
+    use quicert_scanner::quicreach::{self, ProbeScratch};
 
     fn campaign() -> Campaign {
         Campaign::new(CampaignConfig::small().with_seed(7).with_domains(2_000))
@@ -280,10 +280,11 @@ mod tests {
             .with_profile(NetworkProfile::LongFat)
             .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
         let records = c.world().domain_chunk(1, c.world().config.domains);
+        let mut scratch = ProbeScratch::with_memo(false);
         let deep: Vec<_> = records
             .iter()
             .filter(|r| r.has_quic())
-            .map(|r| quicreach::warm_service(c.world(), r, long_fat))
+            .map(|r| quicreach::warm_service(c.world(), r, long_fat, &mut scratch))
             .filter(|r| r.cold.rtt_count >= 3)
             .collect();
         assert!(

@@ -453,8 +453,9 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
         .iter()
         .map(|&s| {
             let mut agg = WarmAggregate::identity();
+            let mut scratch = ProbeScratch::with_memo(false);
             for record in services() {
-                agg.push(&quicreach::warm_service(&world, record, s));
+                agg.push(&quicreach::warm_service(&world, record, s, &mut scratch));
             }
             agg
         })

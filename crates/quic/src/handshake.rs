@@ -6,6 +6,8 @@
 //! buggy accounting (uncounted padding, uncharged resends) *observable*
 //! here just as it was to the paper's scanners.
 
+use std::net::Ipv4Addr;
+
 use quicert_netsim::{
     run_exchange, ExchangeLimits, ExchangeOutcome, ExchangeScratch, SimDuration, SimRng, SimTime,
     Wire,
@@ -16,6 +18,7 @@ use quicert_tls::PskOffer;
 
 use crate::amplification;
 use crate::client::{ClientBuffers, ClientConfig, ClientConn};
+use crate::packet::ConnectionId;
 use crate::server::{ServerBuffers, ServerConfig, ServerConn, ServerStats};
 
 /// RNG stream label for complete-handshake exchanges ("DSH").
@@ -169,7 +172,7 @@ impl HandshakeOutcome {
 }
 
 /// Turn one finished exchange into the paper's handshake measurements.
-fn extract_handshake_outcome(
+fn measure_handshake(
     client: &ClientConn,
     server: &ServerConn,
     wire: &Wire,
@@ -220,28 +223,24 @@ fn extract_handshake_outcome(
     }
 }
 
-/// Run a complete handshake attempt on a fresh [`HandshakeScratch`].
-pub fn run_handshake(
-    client_config: ClientConfig,
-    server_config: ServerConfig,
-    wire: &mut Wire,
-    seed: u64,
-) -> HandshakeOutcome {
-    HandshakeScratch::default().run(client_config, server_config, wire, seed)
-}
-
-/// What a run of handshakes keeps from one to the next: the buffers of one
+/// What a run of exchanges keeps from one to the next: the buffers of one
 /// client and one server connection — their CRYPTO streams, ClientHello,
 /// flight and datagram plan, retry token and parsed-datagram lists — and
 /// the exchange's queue and payload buffers.
 ///
-/// Each handshake rebuilds both connections through their one constructor,
-/// handed these buffers emptied, so no field reset can be forgotten: a
-/// reused scratch changes what a handshake allocates, never its outcome.
-/// It holds one handshake's high-water buffers (about 100 kB after a
-/// post-quantum flight) and nothing else. A pump worker keeps one for all
-/// its probes; once its buffers have grown to a probe's needs, a cold
-/// handshake allocates nothing.
+/// It is the one runner of this crate: a complete handshake ([`run`]), a
+/// cold-then-warm resumption probe ([`resume`]) and a spoofed probe
+/// ([`spoof`]) each rebuild both connections through their one
+/// constructor, handed these buffers emptied, so no field reset can be
+/// forgotten: a reused scratch changes what an exchange allocates, never
+/// its outcome. It holds one handshake's high-water buffers (about 100 kB
+/// after a post-quantum flight) and nothing else. A pump worker keeps one
+/// for all its probes; once its buffers have grown to a probe's needs, a
+/// cold handshake allocates nothing.
+///
+/// [`run`]: HandshakeScratch::run
+/// [`resume`]: HandshakeScratch::resume
+/// [`spoof`]: HandshakeScratch::spoof
 #[derive(Debug, Default)]
 pub struct HandshakeScratch {
     client: ClientBuffers,
@@ -250,41 +249,100 @@ pub struct HandshakeScratch {
 }
 
 impl HandshakeScratch {
-    /// Run a complete handshake attempt in this scratch's buffers: the
-    /// outcome [`run_handshake`] returns for the same arguments.
+    /// Run a complete handshake attempt, on the RNG stream `seed ^ "DSH"`.
     pub fn run(
         &mut self,
-        client_config: ClientConfig,
-        server_config: ServerConfig,
+        client: ClientConfig,
+        server: ServerConfig,
         wire: &mut Wire,
         seed: u64,
     ) -> HandshakeOutcome {
         let rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
-        self.handshake(client_config, server_config, wire, rng)
+        let limits = handshake_limits();
+        self.exchange(client, server, wire, limits, rng, measure_handshake)
     }
 
-    /// One handshake attempt on its own RNG stream: build the endpoints in
-    /// the kept buffers, run them to quiescence, measure, take the buffers
-    /// back.
-    fn handshake(
+    /// Run one resumption probe: the cold visit, then the warm visit offering
+    /// the cold visit's ticket — each a handshake of its own, on its own RNG
+    /// stream (`seed ^ "DSH"`, then `seed ^ "WARM"`) and its own copy of the
+    /// probe's wire.
+    ///
+    /// The ticket is the probe's own, so what the warm visit offers can
+    /// depend on nothing but this probe.
+    pub fn resume(&mut self, mut probe: ResumptionProbe) -> ResumptionOutcome {
+        let mut client = probe.client.clone();
+        client.psk = None;
+        let server = probe.server.clone();
+        let cold = self.run(client, server, &mut probe.wire.clone(), probe.seed);
+
+        // The warm visit takes over the probe's configurations, chain and all.
+        let psk = warm_offer(&probe, &cold);
+        let mut client = probe.client;
+        client.psk = psk;
+        client.seed ^= WARM_SEED_TWEAK;
+        let mut server = probe.server;
+        server.resumption = server
+            .resumption
+            .map(|host| host.revisited_at(probe.warm_now_secs));
+        // `run` xors its own label in, so this visit draws from `seed ^ "WARM"`.
+        let seed = probe.seed ^ WARM_RNG_LABEL ^ HANDSHAKE_RNG_LABEL;
+        ResumptionOutcome {
+            offered_psk: client.psk.is_some(),
+            warm: self.run(client, server, &mut probe.wire, seed),
+            cold,
+        }
+    }
+
+    /// Run a spoofed handshake probe: one Initial of `probe_size` bytes from
+    /// `spoofed_src`, no ACKs ever, and watch what the server reflects
+    /// (including all retransmissions).
+    pub fn spoof(
         &mut self,
-        client_config: ClientConfig,
-        server_config: ServerConfig,
+        probe_size: usize,
+        spoofed_src: Ipv4Addr,
+        server_addr: Ipv4Addr,
+        server: ServerConfig,
         wire: &mut Wire,
+        seed: u64,
+    ) -> SpoofedOutcome {
+        let mut client = ClientConfig::scanner(probe_size, server_addr, seed);
+        client.src = spoofed_src;
+        client.send_acks = false;
+        client.max_initial_transmissions = 1;
+        let rng = SimRng::new(seed ^ SPOOFED_RNG_LABEL);
+        let measure = |_: &ClientConn, server: &ServerConn, _: &Wire, out: &ExchangeOutcome| {
+            let backscatter = &out.b_to_a;
+            SpoofedOutcome {
+                probe_size,
+                total_server_wire: backscatter.bytes,
+                datagrams: backscatter.datagrams,
+                duration: backscatter
+                    .sent_between
+                    .map_or(SimDuration::ZERO, |(first, last)| last.since(first)),
+                server_scid: server.scid().clone(),
+                flight_transmissions: server.stats().flight_transmissions,
+            }
+        };
+        self.exchange(client, server, wire, spoofed_limits(), rng, measure)
+    }
+
+    /// One exchange on its own RNG stream: build the endpoints in the kept
+    /// buffers, run them to quiescence within `limits`, measure, take the
+    /// buffers back.
+    fn exchange<T>(
+        &mut self,
+        client: ClientConfig,
+        server: ServerConfig,
+        wire: &mut Wire,
+        limits: ExchangeLimits,
         mut rng: SimRng,
-    ) -> HandshakeOutcome {
-        let mut client = ClientConn::reusing(client_config, std::mem::take(&mut self.client));
-        let mut server = ServerConn::reusing(server_config, std::mem::take(&mut self.server));
-        let limits = handshake_limits();
-        let outcome = run_exchange(
-            &mut client,
-            &mut server,
-            wire,
-            limits,
-            &mut rng,
-            &mut self.exchange,
-        );
-        let measured = extract_handshake_outcome(&client, &server, wire, &outcome);
+        measure: impl FnOnce(&ClientConn, &ServerConn, &Wire, &ExchangeOutcome) -> T,
+    ) -> T {
+        let mut client = ClientConn::reusing(client, std::mem::take(&mut self.client));
+        let mut server = ServerConn::reusing(server, std::mem::take(&mut self.server));
+        let scratch = &mut self.exchange;
+        let outcome = run_exchange(&mut client, &mut server, wire, limits, &mut rng, scratch);
+        let measured = measure(&client, &server, wire, &outcome);
         self.client = client.into_buffers();
         self.server = server.into_buffers();
         measured
@@ -327,39 +385,6 @@ pub struct ResumptionOutcome {
     pub offered_psk: bool,
 }
 
-/// Run one resumption probe: the cold visit, then the warm visit offering
-/// the cold visit's ticket — each a handshake of its own, on its own RNG
-/// stream (`seed ^ label`) and its own wire.
-///
-/// The ticket is the probe's own, so what the warm visit offers can depend
-/// on nothing but this probe.
-pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
-    let mut cold_config = probe.client.clone();
-    cold_config.psk = None;
-    let mut wire = probe.wire.clone();
-    let mut scratch = HandshakeScratch::default();
-    let cold = scratch.run(cold_config, probe.server.clone(), &mut wire, probe.seed);
-    let psk = warm_offer(&probe, &cold);
-
-    // The warm visit takes over the probe's server configuration, chain
-    // and all.
-    let mut config = probe.client;
-    config.psk = psk;
-    let offered_psk = config.psk.is_some();
-    config.seed ^= WARM_SEED_TWEAK;
-    let mut server = probe.server;
-    server.resumption = server
-        .resumption
-        .map(|host| host.revisited_at(probe.warm_now_secs));
-    let rng = SimRng::new(probe.seed ^ WARM_RNG_LABEL);
-    let mut warm_wire = probe.wire;
-    ResumptionOutcome {
-        cold,
-        warm: scratch.handshake(config, server, &mut warm_wire, rng),
-        offered_psk,
-    }
-}
-
 /// The PSK the warm visit of `probe` offers, if its policy offers one: the
 /// ticket of its `cold` visit, stamped with the wall clock of that visit
 /// and aged to the warm one.
@@ -378,7 +403,7 @@ fn warm_offer(probe: &ResumptionProbe, cold: &HandshakeOutcome) -> Option<PskOff
 
 /// What a spoofed (never-acknowledging) probe provoked — the telescope's
 /// view of one session (§4.3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpoofedOutcome {
     /// UDP payload size of the probe Initial.
     pub probe_size: usize,
@@ -389,7 +414,7 @@ pub struct SpoofedOutcome {
     /// Time from the first to the last backscatter datagram.
     pub duration: SimDuration,
     /// The server's source connection ID (a telescope's session key).
-    pub server_scid: Vec<u8>,
+    pub server_scid: ConnectionId,
     /// Number of flight transmissions the server performed.
     pub flight_transmissions: u32,
 }
@@ -404,44 +429,6 @@ impl SpoofedOutcome {
     }
 }
 
-/// Run a spoofed handshake probe: one Initial, no ACKs ever, watch what the
-/// server reflects (including all retransmissions).
-pub fn run_spoofed_probe(
-    probe_size: usize,
-    spoofed_src: std::net::Ipv4Addr,
-    server_addr: std::net::Ipv4Addr,
-    server_config: ServerConfig,
-    wire: &mut Wire,
-    seed: u64,
-) -> SpoofedOutcome {
-    let mut config = ClientConfig::scanner(probe_size, server_addr, seed);
-    config.src = spoofed_src;
-    config.send_acks = false;
-    config.max_initial_transmissions = 1;
-    let mut client = ClientConn::new(config);
-    let mut server = ServerConn::new(server_config);
-    let mut rng = SimRng::new(seed ^ SPOOFED_RNG_LABEL);
-    let outcome = run_exchange(
-        &mut client,
-        &mut server,
-        wire,
-        spoofed_limits(),
-        &mut rng,
-        &mut ExchangeScratch::default(),
-    );
-    let backscatter = outcome.b_to_a;
-    SpoofedOutcome {
-        probe_size,
-        total_server_wire: backscatter.bytes,
-        datagrams: backscatter.datagrams,
-        duration: backscatter
-            .sent_between
-            .map_or(SimDuration::ZERO, |(first, last)| last.since(first)),
-        server_scid: server.scid().as_bytes().to_vec(),
-        flight_transmissions: server.stats().flight_transmissions,
-    }
-}
-
 // ------------------------------------------------- frozen compat block --
 //
 // `perfbench/` is frozen and names exactly these two items
@@ -450,7 +437,7 @@ pub fn run_spoofed_probe(
 // batch on one [`HandshakeScratch`], as a pump worker does, so each probe
 // after the first measures the warm per-probe cost.
 
-/// Everything [`run_handshake`] takes, as data.
+/// Everything [`HandshakeScratch::run`] takes, as data.
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct HandshakeProbe {
@@ -490,7 +477,6 @@ mod tests {
         CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm, Name,
         SanNames, SignatureAlgorithm, SubjectPublicKeyInfo,
     };
-    use std::net::Ipv4Addr;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 10);
 
@@ -605,7 +591,7 @@ mod tests {
 
     #[test]
     fn compliant_server_small_chain_is_one_rtt() {
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 1),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -627,7 +613,7 @@ mod tests {
 
     #[test]
     fn compliant_server_big_chain_needs_multiple_rtts() {
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 2),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -647,7 +633,7 @@ mod tests {
 
     #[test]
     fn cloudflare_like_server_amplifies_but_finishes_in_one_rtt() {
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 3),
             server(
                 ServerBehavior::cloudflare_like(),
@@ -673,7 +659,7 @@ mod tests {
 
     #[test]
     fn retry_server_adds_a_round_trip() {
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 4),
             server(
                 ServerBehavior::retry_first(),
@@ -691,7 +677,7 @@ mod tests {
 
     #[test]
     fn spoofed_probe_against_compliant_server_is_bounded() {
-        let out = run_spoofed_probe(
+        let out = HandshakeScratch::default().spoof(
             1252,
             Ipv4Addr::new(44, 0, 0, 1),
             SERVER,
@@ -712,7 +698,7 @@ mod tests {
 
     #[test]
     fn spoofed_probe_against_mvfst_amplifies_via_resends() {
-        let out = run_spoofed_probe(
+        let out = HandshakeScratch::default().spoof(
             1252,
             Ipv4Addr::new(44, 0, 0, 2),
             SERVER,
@@ -740,7 +726,7 @@ mod tests {
         use quicert_obs::Phase;
         // Multi-RTT big chain: the server stalls on its 3x budget, so all
         // four phases are populated and must sum exactly to the total.
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 31),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -763,7 +749,7 @@ mod tests {
 
         // 1-RTT small chain: no stall ever begins, and the degenerate
         // timeline still partitions the total exactly.
-        let fast = run_handshake(
+        let fast = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 32),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -790,8 +776,8 @@ mod tests {
             big_chain(),
             KeyAlgorithm::Rsa2048,
         );
-        let small = run_handshake(cfg(1200), sc.clone(), &mut wire(), 7);
-        let large = run_handshake(cfg(1472), sc, &mut wire(), 7);
+        let small = HandshakeScratch::default().run(cfg(1200), sc.clone(), &mut wire(), 7);
+        let large = HandshakeScratch::default().run(cfg(1472), sc, &mut wire(), 7);
         assert!(small.rtt_count >= large.rtt_count);
     }
 
@@ -822,7 +808,7 @@ mod tests {
 
     #[test]
     fn warm_visit_resumes_without_certificates_and_fits_budget() {
-        let out = run_resumption(resumption_probe(
+        let out = HandshakeScratch::default().resume(resumption_probe(
             21,
             big_chain(),
             KeyAlgorithm::Rsa2048,
@@ -852,7 +838,7 @@ mod tests {
         // a ticket stamped with the wrong clock: aged from 0, not from the
         // cold visit's 1_000_000, its obfuscated age is off by 10⁶ s.
         let probe = resumption_probe(24, big_chain(), KeyAlgorithm::Rsa2048, 1_003_600, true);
-        let out = run_resumption(probe.clone());
+        let out = HandshakeScratch::default().resume(probe.clone());
         let ticket = out
             .cold
             .ticket
@@ -877,7 +863,7 @@ mod tests {
         // Revisit long after the lifetime and two STEK rotations: the offer
         // is rejected and the full chain goes on the wire again.
         let stale = 1_000_000 + 7_200 + 2 * 3_600 + 1;
-        let out = run_resumption(resumption_probe(
+        let out = HandshakeScratch::default().resume(resumption_probe(
             22,
             big_chain(),
             KeyAlgorithm::Rsa2048,
@@ -892,7 +878,7 @@ mod tests {
 
     #[test]
     fn cold_only_policy_never_offers() {
-        let out = run_resumption(resumption_probe(
+        let out = HandshakeScratch::default().resume(resumption_probe(
             23,
             small_chain(),
             KeyAlgorithm::EcdsaP256,
@@ -924,9 +910,15 @@ mod tests {
                 probe
             })
             .collect();
-        let forward: Vec<ResumptionOutcome> = probes.iter().cloned().map(run_resumption).collect();
-        let mut backward: Vec<ResumptionOutcome> =
-            probes.iter().rev().cloned().map(run_resumption).collect();
+        let mut scratch = HandshakeScratch::default();
+        let forward: Vec<ResumptionOutcome> =
+            probes.iter().cloned().map(|p| scratch.resume(p)).collect();
+        let mut backward: Vec<ResumptionOutcome> = probes
+            .iter()
+            .rev()
+            .cloned()
+            .map(|p| scratch.resume(p))
+            .collect();
         backward.reverse();
         assert_eq!(forward, backward);
         assert!(forward
@@ -938,7 +930,7 @@ mod tests {
     fn resumption_free_servers_do_not_issue_tickets() {
         // The classic cold handshake must not change: no OneRtt datagrams,
         // no ticket, same wire totals as ever.
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 1),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -1001,7 +993,7 @@ mod tests {
         // its cap and gives up; the client never completes.
         let mut w = wire();
         w.fault_b_to_a = quicert_netsim::FaultInjector::dropping(1.0);
-        let out = run_handshake(
+        let out = HandshakeScratch::default().run(
             ClientConfig::scanner(1362, SERVER, 11),
             server(
                 ServerBehavior::rfc_compliant(),
@@ -1086,7 +1078,7 @@ mod tests {
         // lands with the original as the server's flight leaves, so an
         // amplifying server reads as a 0-byte first flight and 1-RTT.
         let probe = |wire: &mut Wire| {
-            run_handshake(
+            HandshakeScratch::default().run(
                 ClientConfig::scanner(1362, SERVER, 3),
                 server(
                     ServerBehavior::cloudflare_like(),

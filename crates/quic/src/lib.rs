@@ -41,8 +41,11 @@
 //! CRYPTO streams, the ClientHello, the flight
 //! ([`quicert_tls::ServerFlight::build_into`]), the datagram plan and the
 //! parsed-datagram lists — and the exchange's queue and payload free list,
-//! and rebuilds both connections in them, emptied, for each handshake.
-//! [`run_handshake`] is one handshake on a fresh scratch.
+//! and rebuilds both connections in them, emptied, for each exchange. It
+//! is the crate's one runner: a complete handshake
+//! ([`HandshakeScratch::run`]), a cold-then-warm resumption probe
+//! ([`HandshakeScratch::resume`]) and a spoofed, never-acknowledging probe
+//! ([`HandshakeScratch::spoof`]) all run in it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(unreachable_pub)]
@@ -59,8 +62,8 @@ pub mod varint;
 pub use amplification::LimitPolicy;
 pub use client::{ClientConfig, ClientConn};
 pub use handshake::{
-    run_handshake, run_handshake_batch_into, run_resumption, run_spoofed_probe, HandshakeOutcome,
-    HandshakeProbe, HandshakeScratch, ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
+    run_handshake_batch_into, HandshakeOutcome, HandshakeProbe, HandshakeScratch,
+    ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
 pub use packet::{ConnectionId, PacketType, AEAD_TAG_LEN};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

@@ -393,7 +393,7 @@ impl ServerConn {
         };
         let sni = parse_server_name(ch).unwrap_or_default();
         host.issuer
-            .validate(&offer.identity, &sni, host.now_secs)
+            .validate(&offer.identity, sni, host.now_secs)
             .accepted()
     }
 
@@ -628,7 +628,7 @@ impl ServerConn {
             return;
         }
         let sni = parse_server_name(self.ch.contiguous()).unwrap_or_default();
-        let identity = host.issuer.issue(&sni, host.now_secs, self.config.seed);
+        let identity = host.issuer.issue(sni, host.now_secs, self.config.seed);
         let lifetime = host.issuer.config.lifetime_secs.min(u32::MAX as u64) as u32;
         let age_add = (self.config.seed ^ (self.config.seed >> 32)) as u32;
         self.onertt_crypto = new_session_ticket(lifetime, age_add, &identity, self.config.seed);

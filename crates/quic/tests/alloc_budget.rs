@@ -15,8 +15,9 @@ use std::cell::Cell;
 
 use quicert_netsim::{FaultPlan, NetworkProfile, Wire};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
-use quicert_quic::{run_handshake, ClientConfig, HandshakeScratch, ServerConfig};
+use quicert_quic::{ClientConfig, HandshakeScratch, ResumptionProbe, ServerConfig};
 use quicert_scanner::behavior::{server_config_for_era, wire_for_profile};
+use quicert_session::ResumptionHost;
 
 thread_local! {
     /// Allocations (fresh or grown) made by this thread, and their bytes.
@@ -104,13 +105,15 @@ fn world_services() -> (World, Vec<DomainRecord>) {
 
 /// Mean (allocations, bytes allocated) per handshake of the first
 /// [`SERVICES`] QUIC services in `era`, fault-free, each on a fresh
-/// scratch ([`run_handshake`]).
+/// scratch.
 fn per_handshake(world: &World, services: &[&DomainRecord], era: CertificateEra) -> (f64, f64) {
     let probes = probes(world, services, era, FaultPlan::NONE);
     let before = ALLOCATIONS.with(Cell::get);
     let completed = probes
         .into_iter()
-        .map(|(client, server, mut wire, seed)| run_handshake(client, server, &mut wire, seed))
+        .map(|(client, server, mut wire, seed)| {
+            HandshakeScratch::default().run(client, server, &mut wire, seed)
+        })
         .filter(|outcome| outcome.completed)
         .count();
     let after = ALLOCATIONS.with(Cell::get);
@@ -144,19 +147,34 @@ fn a_handshake_stays_within_its_allocation_budget() {
     assert!(pq <= 51.5, "post-quantum handshake: {pq} allocations");
 }
 
+/// Allocations made by the second of two runs of `pass` over the probes
+/// of `era` under `plan`, both on one scratch: the first grows it to the
+/// largest buffers any probe needs. The probes are built before the count
+/// starts, as a scan builds each before it runs it.
+fn warm_pass(
+    world: &World,
+    services: &[&DomainRecord],
+    era: CertificateEra,
+    plan: FaultPlan,
+    mut pass: impl FnMut(&mut HandshakeScratch, Vec<(ClientConfig, ServerConfig, Wire, u64)>),
+) -> u64 {
+    let mut scratch = HandshakeScratch::default();
+    pass(&mut scratch, probes(world, services, era, plan));
+    let warm = probes(world, services, era, plan);
+    let before = ALLOCATIONS.with(Cell::get);
+    pass(&mut scratch, warm);
+    ALLOCATIONS.with(Cell::get).0 - before.0
+}
+
 #[test]
 fn a_cold_handshake_on_a_warm_scratch_allocates_nothing() {
-    // One pass over the probes grows the scratch to the largest buffers
-    // any of them needs; the second pass, the same probes again, must not
-    // allocate at all: every buffer, payload and list is the last
-    // handshake's, emptied. The probes are built before the count starts,
-    // as a scan builds each before it runs it.
+    // The second pass, the same probes again, must not allocate at all:
+    // every buffer, payload and list is the last handshake's, emptied.
     let (world, services) = world_services();
     let services: Vec<&DomainRecord> = services.iter().collect();
     for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
         for plan in [FaultPlan::NONE, FaultPlan::MODERATE] {
-            let mut scratch = HandshakeScratch::default();
-            let mut run = |probes: Vec<(ClientConfig, ServerConfig, Wire, u64)>| {
+            let allocations = warm_pass(&world, &services, era, plan, |scratch, probes| {
                 let completed = probes
                     .into_iter()
                     .map(|(client, server, mut wire, seed)| {
@@ -165,20 +183,105 @@ fn a_cold_handshake_on_a_warm_scratch_allocates_nothing() {
                     .filter(|outcome| outcome.completed)
                     .count();
                 assert!(completed > SERVICES / 2, "{era} {}: {completed}", plan.name);
-            };
-            run(probes(&world, &services, era, plan));
-            let warm = probes(&world, &services, era, plan);
-            let before = ALLOCATIONS.with(Cell::get);
-            run(warm);
-            let after = ALLOCATIONS.with(Cell::get);
+            });
             eprintln!(
-                "{era}, {}: {} allocations over {SERVICES} handshakes on a warm scratch",
-                plan.name,
-                after.0 - before.0
+                "{era}, {}: {allocations} allocations over {SERVICES} handshakes on a warm scratch",
+                plan.name
             );
             assert_eq!(
-                after.0 - before.0,
-                0,
+                allocations, 0,
+                "{era}, {}: a warm scratch allocated",
+                plan.name
+            );
+        }
+    }
+}
+
+/// A cold-then-warm resumption probe of each service in `era`, built as a
+/// warm scan builds it: the record's name as SNI, a ticket-issuing server
+/// and a warm visit inside the ticket's lifetime.
+fn resumption_probes(
+    world: &World,
+    services: &[&DomainRecord],
+    era: CertificateEra,
+) -> Vec<ResumptionProbe> {
+    let probes = probes(world, services, era, FaultPlan::NONE);
+    let probes = services.iter().zip(probes);
+    probes
+        .map(|(record, (mut client, mut server, wire, seed))| {
+            client.server_name = record.name.clone().into();
+            server.resumption = Some(ResumptionHost::issuing(seed ^ 0x57E4, 1_000_000));
+            ResumptionProbe {
+                client,
+                server,
+                wire,
+                seed,
+                warm_now_secs: 1_000_060,
+                offer_ticket: true,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_resumption_probe_on_a_warm_scratch_allocates_its_ticket_and_cold_config() {
+    // Once a scratch has run the probes, a resumption probe allocates no
+    // buffer: what it allocates is the configuration its cold visit runs
+    // on a copy of (the SNI, the leaf's DER and the server's compression
+    // list, when it has one) and six copies of the ticket identity, as it
+    // passes from the server's issuer into the NewSessionTicket, the
+    // client's parse of it, the cold outcome, the warm visit's PSK offer
+    // and the server's parse of that offer.
+    let (world, services) = world_services();
+    let services: Vec<&DomainRecord> = services.iter().collect();
+    for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
+        let mut scratch = HandshakeScratch::default();
+        for probe in resumption_probes(&world, &services, era) {
+            scratch.resume(probe);
+        }
+        let mut total = 0;
+        for probe in resumption_probes(&world, &services, era) {
+            let config = 2 + u64::from(!probe.server.compression_support.is_empty());
+            let before = ALLOCATIONS.with(Cell::get);
+            let out = scratch.resume(probe);
+            let allocations = ALLOCATIONS.with(Cell::get).0 - before.0;
+            assert!(
+                out.offered_psk && out.warm.resumed,
+                "{era}: a warm visit resumes"
+            );
+            assert_eq!(allocations, config + 6, "{era}: a warm resumption probe");
+            total += allocations;
+        }
+        eprintln!("{era}: {total} allocations over {SERVICES} resumption probes on a warm scratch");
+    }
+}
+
+#[test]
+fn a_spoofed_probe_on_a_warm_scratch_allocates_nothing() {
+    // A spoofed probe reads its outcome off the exchange and the server's
+    // own connection ID, so on a scratch that has run the probes before it
+    // allocates nothing at all.
+    let (world, services) = world_services();
+    let services: Vec<&DomainRecord> = services.iter().collect();
+    let victim = std::net::Ipv4Addr::new(44, 0, 0, 1);
+    for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
+        for plan in [FaultPlan::NONE, FaultPlan::MODERATE] {
+            let allocations = warm_pass(&world, &services, era, plan, |scratch, probes| {
+                let reflected = probes
+                    .into_iter()
+                    .map(|(client, server, mut wire, seed)| {
+                        scratch.spoof(INITIAL, victim, client.dst, server, &mut wire, seed)
+                    })
+                    .filter(|outcome| outcome.datagrams > 0)
+                    .count();
+                assert!(reflected > SERVICES / 2, "{era} {}: {reflected}", plan.name);
+            });
+            eprintln!(
+                "{era}, {}: {allocations} allocations over {SERVICES} spoofed probes on a warm scratch",
+                plan.name
+            );
+            assert_eq!(
+                allocations, 0,
                 "{era}, {}: a warm scratch allocated",
                 plan.name
             );

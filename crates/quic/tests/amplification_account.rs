@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use quicert_netsim::NetworkProfile;
 use quicert_pki::{CertificateEra, Provider, World, WorldConfig};
-use quicert_quic::{run_handshake, ClientConfig, LimitPolicy};
+use quicert_quic::{ClientConfig, HandshakeScratch, LimitPolicy};
 use quicert_scanner::behavior::{server_config_for_era, wire_for_profile};
 
 #[test]
@@ -25,6 +25,7 @@ fn the_passive_view_and_the_servers_account_agree_on_who_breaks_3x() {
     let records = world.domain_chunk(1, world.config.domains);
     // (behaviour, provider) -> (handshakes with an excess, handshakes).
     let mut tally: HashMap<(&str, Provider), (usize, usize)> = HashMap::new();
+    let mut scratch = HandshakeScratch::default();
     for record in records.iter().filter(|record| record.has_quic()) {
         let provider = record.quic.as_ref().expect("a QUIC service").provider;
         for era in CertificateEra::ALL {
@@ -39,7 +40,7 @@ fn the_passive_view_and_the_servers_account_agree_on_who_breaks_3x() {
                 let addr = World::server_addr(record);
                 let client = ClientConfig::scanner(initial, addr, record.seed ^ initial as u64);
                 let mut wire = wire_for_profile(record, NetworkProfile::Ideal);
-                let out = run_handshake(client, server, &mut wire, record.seed);
+                let out = scratch.run(client, server, &mut wire, record.seed);
 
                 let case = || format!("rank {} {} at {initial}", record.rank, era.name());
                 if charges_every_byte {

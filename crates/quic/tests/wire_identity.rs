@@ -32,7 +32,7 @@ const FIXTURE: &str = concat!(
 );
 const SERVICES: usize = 64;
 const INITIAL: usize = 1362;
-/// The RNG stream label `run_handshake` gives its exchange.
+/// The RNG stream label `HandshakeScratch::run` gives its exchange.
 const HANDSHAKE_RNG_LABEL: u64 = 0x44_5348;
 
 /// FNV-1a over every datagram offered to the wire: direction, length,
@@ -99,8 +99,8 @@ impl<E: Endpoint> Endpoint for Tap<'_, E> {
     }
 }
 
-/// One handshake exactly as `run_handshake` drives it, every datagram
-/// absorbed into `digest`; hands the client back for its ticket.
+/// One handshake exactly as `HandshakeScratch::run` drives it, every
+/// datagram absorbed into `digest`; hands the client back for its ticket.
 fn tapped_handshake(
     client: ClientConfig,
     server: ServerConfig,

@@ -27,7 +27,7 @@ use quicert_quic::amplification::{self, FACTOR};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
-use quicert_quic::{run_resumption, ClientConfig, HandshakeScratch};
+use quicert_quic::{ClientConfig, HandshakeScratch};
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig};
 
 use crate::behavior::{base_latency, server_config_for_era, wire_for_profile, BASE_LATENCY_MS};
@@ -1085,14 +1085,8 @@ fn simulate(
 /// When `record` serves no QUIC chain (callers filter on
 /// [`DomainRecord::has_quic`]).
 pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
-    let out = simulate(
-        world,
-        record,
-        scenario,
-        None,
-        &mut HandshakeScratch::default(),
-    )
-    .expect("a QUIC service to probe");
+    let fresh = &mut HandshakeScratch::default();
+    let out = simulate(world, record, scenario, None, fresh).expect("a QUIC service to probe");
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
@@ -1261,8 +1255,9 @@ impl_merge! { WarmAggregate {
 ///
 /// The probe uses the record's *domain name* as SNI (tickets are
 /// host-bound); its parameters are otherwise exactly [`scan_service`]'s,
-/// via the shared probe builder. Every visit draws from per-record RNG
-/// streams, so claim splits and worker counts cannot change any result.
+/// via the shared probe builder, run in `scratch`'s handshake buffers (its
+/// memo is never read). Every visit draws from per-record RNG streams, so
+/// claim splits and worker counts cannot change any result.
 /// Cold visits pay the era's chain while warm visits resume
 /// certificate-free — the resumed flight is era-independent, which is
 /// exactly what makes resumption the strongest PQC mitigation — and both
@@ -1272,15 +1267,18 @@ impl_merge! { WarmAggregate {
 /// # Panics
 ///
 /// Like [`scan_service`], when the record serves no QUIC chain.
-pub fn warm_service(world: &World, record: &DomainRecord, scenario: Scenario) -> WarmScanResult {
+pub fn warm_service(
+    world: &World,
+    record: &DomainRecord,
+    scenario: Scenario,
+    scratch: &mut ProbeScratch,
+) -> WarmScanResult {
     let policy = scenario.warm_policy();
     let mut probe = probe_for(world, record, scenario).expect("a QUIC service to probe");
     probe.client.server_name = record.name.clone().into();
-    probe.server.resumption = Some(ResumptionHost::issuing(
-        record.seed ^ STEK_SEED_LABEL,
-        WARM_SCAN_EPOCH_SECS,
-    ));
-    let out = run_resumption(ResumptionProbe {
+    let host = ResumptionHost::issuing(record.seed ^ STEK_SEED_LABEL, WARM_SCAN_EPOCH_SECS);
+    probe.server.resumption = Some(host);
+    let out = scratch.handshake.resume(ResumptionProbe {
         client: probe.client,
         server: probe.server,
         wire: probe.wire,
@@ -1342,9 +1340,10 @@ pub fn warm_scan_records(
     let scenario = Scenario::at(initial_size)
         .with_profile(profile)
         .with_policy(policy);
+    let mut scratch = ProbeScratch::with_memo(false);
     records
         .iter()
-        .map(|record| warm_service(world, record, scenario))
+        .map(|record| warm_service(world, record, scenario, &mut scratch))
         .collect()
 }
 
@@ -1356,7 +1355,6 @@ mod tests {
     use proptest::prelude::*;
     use quicert_pki::flyweight::SHARDS as MEMO_SHARDS;
     use quicert_pki::WorldConfig;
-    use quicert_quic::run_handshake;
 
     /// The paper's baseline at its reporting size; tests vary one axis.
     const BASE: Scenario = Scenario::at(1362);
@@ -1396,8 +1394,10 @@ mod tests {
         records: &[&DomainRecord],
         scenario: Scenario,
     ) -> Vec<WarmScanResult> {
-        let probe = |record: &&DomainRecord| warm_service(world, record, scenario);
-        records.iter().map(probe).collect()
+        let mut scratch = ProbeScratch::with_memo(false);
+        let mut probe =
+            |record: &&DomainRecord| warm_service(world, record, scenario, &mut scratch);
+        records.iter().map(&mut probe).collect()
     }
 
     /// The Vec-building reference [`fold_chunk`] must match: the chunk's
@@ -1717,7 +1717,7 @@ mod tests {
         probe.server.behavior.pto = SimDuration::from_millis(60);
         probe.wire.a_to_b.latency = SimDuration::from_millis(ms);
         probe.wire.b_to_a.latency = SimDuration::from_millis(ms);
-        run_handshake(probe.client, probe.server, &mut probe.wire, probe.seed)
+        HandshakeScratch::default().run(probe.client, probe.server, &mut probe.wire, probe.seed)
     }
 
     /// The insert check is load-bearing. A server with a 60 ms PTO behind

@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 
 use quicert_netsim::{Ipv4Net, SimDuration};
 use quicert_pki::{CertificateEra, DomainRecord, Provider, World};
-use quicert_quic::handshake::run_spoofed_probe;
+use quicert_quic::{ConnectionId, HandshakeScratch};
 
 use crate::behavior::{server_config_for_era, wire_for};
 
@@ -62,20 +62,20 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
         }
     }
 
-    // Probe provider-major, each hypergiant's targets in rank order; every
-    // probe that reflected anything is one session.
-    let mut sessions: Vec<(Vec<u8>, BackscatterSession)> = Vec::new();
+    // Probe provider-major, each hypergiant's targets in rank order, on one
+    // scratch; every probe that reflected anything is one session.
+    let mut scratch = HandshakeScratch::default();
+    let mut sessions: Vec<(ConnectionId, BackscatterSession)> = Vec::new();
     for (provider, services) in hypergiants.into_iter().zip(&targets) {
         for (i, record) in services.iter().enumerate() {
             let Some(chain) = world.quic_chain_era(record, era) else {
                 continue;
             };
             let victim = dark.host((record.seed ^ i as u64) % dark.size());
-            let server_addr = World::server_addr(record);
-            let outcome = run_spoofed_probe(
+            let outcome = scratch.spoof(
                 ASSUMED_INITIAL,
                 victim,
-                server_addr,
+                World::server_addr(record),
                 server_config_for_era(world, record, chain, era),
                 &mut wire_for(record),
                 record.seed,
@@ -97,7 +97,7 @@ pub fn collect(world: &World, dark: Ipv4Net, per_provider: usize) -> Vec<Backsca
     sessions.sort_by(|(scid_a, a), (scid_b, b)| {
         a.amplification
             .total_cmp(&b.amplification)
-            .then_with(|| scid_a.cmp(scid_b))
+            .then_with(|| scid_a.as_bytes().cmp(scid_b.as_bytes()))
     });
     sessions.into_iter().map(|(_, s)| s).collect()
 }

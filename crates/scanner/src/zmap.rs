@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use quicert_netsim::{Ipv4Net, SimDuration, Wire};
 use quicert_pki::ecosystem::{ChainId, LeafParams};
 use quicert_pki::{CertificateEra, World};
-use quicert_quic::{run_spoofed_probe, ServerBehavior, ServerConfig};
+use quicert_quic::{HandshakeScratch, ServerBehavior, ServerConfig};
 use quicert_x509::KeyAlgorithm;
 
 /// Probe size used by the paper's ZMap scan.
@@ -136,6 +136,7 @@ pub fn scan_pop_with_variation(
     post_disclosure: bool,
     variation: u64,
 ) -> Vec<ZmapResult> {
+    let mut scratch = HandshakeScratch::default();
     pop_host_octets()
         .into_iter()
         .map(|octet| {
@@ -146,13 +147,12 @@ pub fn scan_pop_with_variation(
                 (octet as usize * 7) % 130
             } else {
                 let config = meta_server_config(world, octet, service, post_disclosure, variation);
-                let mut wire = Wire::ideal(SimDuration::from_millis(18));
-                let out = run_spoofed_probe(
+                let out = scratch.spoof(
                     PROBE_SIZE,
                     Ipv4Addr::new(203, 0, 113, 99),
                     addr,
                     config,
-                    &mut wire,
+                    &mut Wire::ideal(SimDuration::from_millis(18)),
                     0x5CA0 + octet as u64,
                 );
                 out.total_server_wire

@@ -357,14 +357,14 @@ fn client_hello_extension(ch: &[u8], wanted: u16) -> Option<&[u8]> {
     data.get(..len)
 }
 
-/// Extract the SNI host name from a ClientHello (the server needs it to
-/// bind issued tickets to the host).
-pub fn parse_server_name(ch: &[u8]) -> Option<String> {
+/// The SNI host name of a ClientHello, borrowed from it (the server needs
+/// it to bind issued tickets to the host).
+pub fn parse_server_name(ch: &[u8]) -> Option<&str> {
     let data = client_hello_extension(ch, EXT_SERVER_NAME)?;
     // server_name_list: list_len(2) + type(1) + name_len(2) + name.
     let name_len = u16::from_be_bytes([*data.get(3)?, *data.get(4)?]) as usize;
     let name = data.get(5..5 + name_len)?;
-    String::from_utf8(name.to_vec()).ok()
+    std::str::from_utf8(name).ok()
 }
 
 /// Extract the PSK offer from a ClientHello, if one is present.
@@ -704,7 +704,7 @@ mod tests {
     #[test]
     fn server_name_parses_back_out() {
         let ch = client_hello(&params(vec![]));
-        assert_eq!(parse_server_name(&ch).as_deref(), Some("example.org"));
+        assert_eq!(parse_server_name(&ch), Some("example.org"));
         assert_eq!(parse_server_name(&server_hello(1)), None);
     }
 

@@ -304,7 +304,7 @@ fn corpus_seeds_are_valid_inputs() {
     // actually parses — a stale or corrupt seed file degrades every other
     // test into noise, so pin validity first.
     let ch = corpus("client_hello_psk.bin");
-    assert_eq!(parse_server_name(&ch).as_deref(), Some(SNI));
+    assert_eq!(parse_server_name(&ch), Some(SNI));
     let offer = parse_psk_offer(&ch).expect("seed ClientHello offers a PSK");
     assert_eq!(offer.identity.len(), TICKET_LEN);
     assert_eq!(

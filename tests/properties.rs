@@ -455,7 +455,7 @@ mod simnet_properties {
         NetworkProfile, Outbox, SimDuration, SimRng, SimTime, Wire,
     };
     use quicert::pki::{CertificateEra, DomainRecord, World, WorldConfig};
-    use quicert::quic::{run_handshake, ClientConfig, LimitPolicy};
+    use quicert::quic::{ClientConfig, HandshakeScratch, LimitPolicy};
     use quicert::scanner::behavior::{server_config_for_era, wire_for_profile};
     use quicert::scanner::{quicreach, Scenario};
     use std::net::Ipv4Addr;
@@ -586,7 +586,7 @@ mod simnet_properties {
                     && behavior.limit_policy == LimitPolicy::RFC9000;
                 let mut wire = wire_for_profile(&record, profile);
                 plan.apply(&mut wire);
-                let out = run_handshake(client, server, &mut wire, seed);
+                let out = HandshakeScratch::default().run(client, server, &mut wire, seed);
                 prop_assert_eq!(out.classify(), result.class);
                 prop_assert_eq!(out.client_transmissions, result.client_transmissions);
 
