@@ -903,6 +903,7 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use quicert_pki::{Provider, WorldConfig};
+    use quicert_quic::HandshakeScratch;
     use quicert_scanner::quicreach::QuicReachResult;
 
     /// The paper's baseline at its reporting size; tests vary one axis.
@@ -927,7 +928,8 @@ mod tests {
     /// The per-record oracle over a world: one memo-free, pump-free
     /// [`quicreach::scan_service`] per QUIC service.
     fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
-        let probe = |record| quicreach::scan_service(world, record, scenario);
+        let fresh = HandshakeScratch::default;
+        let probe = |record| quicreach::scan_service(world, record, scenario, &mut fresh());
         let records = population(world);
         records.iter().filter(|r| r.has_quic()).map(probe).collect()
     }

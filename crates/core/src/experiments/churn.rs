@@ -18,6 +18,7 @@ use quicert_quic::handshake::HandshakeClass;
 
 use quicert_analysis::{render_table, Table};
 
+use super::class_share;
 use crate::service::{CampaignService, ServiceConfig, Snapshot, TickStats};
 use crate::Campaign;
 
@@ -87,11 +88,8 @@ pub(crate) fn render_churn(rows: &[ChurnTickRow]) -> String {
         t.row(&[
             row.snapshot.tick.to_string(),
             stats.changed_ranks.to_string(),
-            format!("{:.2}", classes.share_of_reachable(HandshakeClass::OneRtt)),
-            format!(
-                "{:.1}",
-                classes.share_of_reachable(HandshakeClass::MultiRtt)
-            ),
+            class_share(classes, HandshakeClass::OneRtt),
+            class_share(classes, HandshakeClass::MultiRtt),
             format!("{:.0}", row.snapshot.funnel.quic_chain_der.quantile(0.5)),
             format!("{:.0}", row.snapshot.funnel.quic_chain_der.quantile(0.9)),
             stats.probed.to_string(),
@@ -114,7 +112,7 @@ pub(crate) fn render_snapshot(snapshot: &Snapshot) -> String {
     format!(
         "Snapshot at tick {} (STEK epoch {})\n\
          funnel: {} attempted, {} TLS-reachable, {} QUIC\n\
-         reachable {} | 1-RTT {:.2}% | multi-RTT {:.1}% | amplification-limited {:.1}%\n\
+         reachable {} | 1-RTT {}% | multi-RTT {}% | amplification-limited {}%\n\
          chain DER p50 {:.0} B, p90 {:.0} B, p99 {:.0} B",
         snapshot.tick,
         snapshot.stek_epoch,
@@ -122,9 +120,9 @@ pub(crate) fn render_snapshot(snapshot: &Snapshot) -> String {
         snapshot.funnel.tls_reachable,
         snapshot.funnel.quic_services,
         classes.reachable(),
-        classes.share_of_reachable(HandshakeClass::OneRtt),
-        classes.share_of_reachable(HandshakeClass::MultiRtt),
-        classes.share_of_reachable(HandshakeClass::Amplification),
+        class_share(classes, HandshakeClass::OneRtt),
+        class_share(classes, HandshakeClass::MultiRtt),
+        class_share(classes, HandshakeClass::Amplification),
         snapshot.funnel.chain_der.quantile(0.5),
         snapshot.funnel.chain_der.quantile(0.9),
         snapshot.funnel.chain_der.quantile(0.99),

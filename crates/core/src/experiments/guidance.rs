@@ -183,6 +183,9 @@ impl ClientMitigation {
         scratch: &mut ProbeScratch,
     ) -> ClientMitigation {
         let mut counts = ClientMitigation::identity();
+        // `scan_chunk` holds `scratch` while this sink runs, so the
+        // rescans keep handshake buffers of their own for the chunk.
+        let mut handshake = HandshakeScratch::default();
         quicreach::scan_chunk(world, records, scenario, scratch, |first| {
             if first.class != HandshakeClass::MultiRtt {
                 return;
@@ -198,7 +201,8 @@ impl ClientMitigation {
             // The row is one of `records`, which are in rank order.
             let found = records.binary_search_by_key(&first.rank, |r| r.rank);
             if let Ok(index) = found {
-                let second = quicreach::scan_service(world, &records[index], rescan);
+                let second =
+                    quicreach::scan_service(world, &records[index], rescan, &mut handshake);
                 counts.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
             }
         });

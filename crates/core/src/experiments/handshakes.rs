@@ -3,12 +3,12 @@
 
 use quicert_analysis::{render_table, Cdf, Table};
 use quicert_netsim::NetworkProfile;
-use quicert_pki::CertificateEra;
 use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::https_scan::service_set;
 use quicert_scanner::quicreach::{self, QuicReachSummary, ScanSummary};
 
+use super::class_share;
 use crate::Campaign;
 
 // ----------------------------------------------------------------- Fig 3 --
@@ -209,48 +209,12 @@ pub fn render_rank_groups(rows: &[RankGroupRow]) -> String {
 
 // ------------------------------------------------------ network profiles --
 
-/// One row of the network-profile scenario matrix: the default-size scan
-/// repeated under one [`NetworkProfile`].
-#[derive(Debug, Clone)]
-pub(crate) struct ProfileRow {
-    /// The link-condition overlay scanned under.
-    pub profile: NetworkProfile,
-    /// Class counts at the campaign's default Initial size.
-    pub summary: ScanSummary,
-    /// Total datagrams the profile's fault injectors dropped across all
-    /// probes (0 on the ideal profile).
-    pub fault_drops: u64,
-    /// Total datagrams the profile's fault injectors corrupted.
-    pub fault_corruptions: u64,
-}
-
-/// The QUIC population at the default Initial size under every
-/// [`NetworkProfile`], in the campaign's era: each row is that era's
-/// summary in the profile's cell of the era matrix
-/// ([`crate::ScanEngine::era_join`]), so the matrices share every probe.
-pub(crate) fn profile_matrix(campaign: &Campaign) -> Vec<ProfileRow> {
-    let era: CertificateEra = campaign.scenario().era;
-    NetworkProfile::ALL
-        .iter()
-        .map(|&profile| {
-            let join = campaign
-                .engine()
-                .era_join(campaign.scenario().with_profile(profile));
-            let shard = &join.era(era).0.shard;
-            ProfileRow {
-                profile,
-                summary: shard.classes,
-                fault_drops: shard.fault_drops,
-                fault_corruptions: shard.fault_corruptions,
-            }
-        })
-        .collect()
-}
-
-/// Render the scenario matrix: class shares among reachable services,
-/// unreachability against the full population, and the per-profile fault
-/// counters.
-pub(crate) fn render_profile_matrix(rows: &[ProfileRow]) -> String {
+/// The network-profile scenario matrix: the QUIC population at the default
+/// Initial size under every [`NetworkProfile`], in the campaign's era. Each
+/// row is that era's summary in the profile's cell of the era matrix
+/// ([`crate::ScanEngine::era_join`]), so the matrices share every probe:
+/// class shares (`class_share`) and the profile's fault counters.
+pub(crate) fn profile_matrix(campaign: &Campaign) -> String {
     let mut t = Table::new(&[
         "profile",
         "reachable",
@@ -262,33 +226,21 @@ pub(crate) fn render_profile_matrix(rows: &[ProfileRow]) -> String {
         "drops",
         "corrupt",
     ]);
-    for row in rows {
+    for profile in NetworkProfile::ALL {
+        let cell = campaign.scenario().with_profile(profile);
+        let join = campaign.engine().era_join(cell);
+        let shard = &join.era(cell.era).0.shard;
+        let share = |class| class_share(&shard.classes, class);
         t.row(&[
-            row.profile.name().to_string(),
-            row.summary.reachable().to_string(),
-            format!(
-                "{:.1}",
-                row.summary
-                    .share_of_reachable(HandshakeClass::Amplification)
-            ),
-            format!(
-                "{:.1}",
-                row.summary.share_of_reachable(HandshakeClass::MultiRtt)
-            ),
-            format!(
-                "{:.2}",
-                row.summary.share_of_reachable(HandshakeClass::Retry)
-            ),
-            format!(
-                "{:.2}",
-                row.summary.share_of_reachable(HandshakeClass::OneRtt)
-            ),
-            format!(
-                "{:.1}",
-                row.summary.share_of_all(HandshakeClass::Unreachable)
-            ),
-            row.fault_drops.to_string(),
-            row.fault_corruptions.to_string(),
+            profile.name().to_string(),
+            shard.classes.reachable().to_string(),
+            share(HandshakeClass::Amplification),
+            share(HandshakeClass::MultiRtt),
+            share(HandshakeClass::Retry),
+            share(HandshakeClass::OneRtt),
+            share(HandshakeClass::Unreachable),
+            shard.fault_drops.to_string(),
+            shard.fault_corruptions.to_string(),
         ]);
     }
     format!(
@@ -498,33 +450,33 @@ mod tests {
     #[test]
     fn profile_matrix_spans_every_profile() {
         let c = campaign();
-        let rows = profile_matrix(&c);
-        assert_eq!(rows.len(), NetworkProfile::ALL.len());
-
-        let row = |p: NetworkProfile| rows.iter().find(|r| r.profile == p).unwrap();
+        let row = |profile| {
+            let cell = c.scenario().with_profile(profile);
+            c.engine().era_join(cell).era(cell.era).0.shard.clone()
+        };
         let ideal = row(NetworkProfile::Ideal);
         // The ideal row IS the campaign's default scan.
         let default_summary = c.engine().quicreach(c.scenario()).shard.classes;
-        assert_eq!(ideal.summary, default_summary);
+        assert_eq!(ideal.classes, default_summary);
         assert_eq!(ideal.fault_drops, 0);
         assert_eq!(ideal.fault_corruptions, 0);
 
         // Lossy paths exercise the fault injectors and lose some services.
         let lossy = row(NetworkProfile::Lossy);
         assert!(lossy.fault_drops > 0);
-        assert!(lossy.summary.unreachable >= ideal.summary.unreachable);
+        assert!(lossy.classes.unreachable >= ideal.classes.unreachable);
 
         // A long fat path changes delay but not reachability; its jitter
         // defeats the timing-based 1-RTT classification entirely.
         let long_fat = row(NetworkProfile::LongFat);
-        assert_eq!(long_fat.summary.reachable(), ideal.summary.reachable());
-        assert_eq!(long_fat.summary.one_rtt, 0);
+        assert_eq!(long_fat.classes.reachable(), ideal.classes.reachable());
+        assert_eq!(long_fat.classes.one_rtt, 0);
 
         // Universal tunneling pushes more services over the MTU.
         let tunneled = row(NetworkProfile::Tunneled);
-        assert!(tunneled.summary.unreachable >= ideal.summary.unreachable);
+        assert!(tunneled.classes.unreachable >= ideal.classes.unreachable);
 
-        let rendered = render_profile_matrix(&rows);
+        let rendered = profile_matrix(&c);
         for p in NetworkProfile::ALL {
             assert!(rendered.contains(p.name()), "missing row {p}");
         }

@@ -12,6 +12,17 @@
 //! | [`scale`] | the population-scale ladder on the streaming scan path |
 //! | [`chaos`] | the fault-grid axis and its loss-recovery cost (beyond the paper) |
 //! | [`churn`] | ecosystem churn over a resident campaign (beyond the paper) |
+//!
+//! A section is one function of the engine's cached summaries
+//! ([`crate::ScanEngine::quicreach`], [`crate::ScanEngine::era_join`],
+//! [`crate::ScanEngine::warm_scan`]): it reads them and renders its table,
+//! and a test reads the same summaries off the engine. A type exists only
+//! for a quantity that no summary holds (a figure's derived shares, a
+//! streamed population, a churn tick, an ablation's own probes), never to
+//! copy a summary's fields for a renderer.
+
+use quicert_quic::handshake::HandshakeClass;
+use quicert_scanner::quicreach::ScanSummary;
 
 pub mod amplification;
 pub mod certs;
@@ -23,3 +34,26 @@ pub mod handshakes;
 pub mod pq;
 pub mod resumption;
 pub mod scale;
+
+/// One class-share cell of a report table, in percent: Unreachable as a
+/// share of every probed service, any other class as a share of the
+/// reachable ones; two decimals for the rare 1-RTT and Retry classes, one
+/// otherwise.
+pub(crate) fn class_share(summary: &ScanSummary, class: HandshakeClass) -> String {
+    match class {
+        HandshakeClass::Unreachable => format!("{:.1}", summary.share_of_all(class)),
+        HandshakeClass::OneRtt | HandshakeClass::Retry => {
+            format!("{:.2}", summary.share_of_reachable(class))
+        }
+        HandshakeClass::MultiRtt | HandshakeClass::Amplification => {
+            format!("{:.1}", summary.share_of_reachable(class))
+        }
+    }
+}
+
+/// The data rows of a rendered section table: its lines after the title,
+/// the header and the rule.
+#[cfg(test)]
+pub(crate) fn table_rows(rendered: &str) -> usize {
+    rendered.lines().count() - 3
+}

@@ -20,60 +20,21 @@ use quicert_pki::{CertificateEra, DomainRecord};
 use quicert_quic::amplification;
 use quicert_quic::handshake::HandshakeClass;
 use quicert_scanner::compression::in_study_sample;
-use quicert_scanner::quicreach::ScanSummary;
 
+use super::class_share;
 use crate::Campaign;
 
-/// One cell of the era × profile scenario matrix.
-#[derive(Debug, Clone)]
-pub struct EraProfileRow {
-    /// The PKI generation scanned.
-    pub era: CertificateEra,
-    /// The link-condition overlay scanned under.
-    pub profile: NetworkProfile,
-    /// Class counts at the campaign's default Initial size.
-    pub summary: ScanSummary,
-    /// Mean round trips to completion across reachable services.
-    pub mean_rtts: f64,
-    /// Completed handshakes whose first flight exceeded the 3× budget
-    /// (buggy accounting survives every era; see §4.1/§4.3).
-    pub budget_violations: usize,
-    /// Services classified 1-RTT in the classical era of this profile but
-    /// multi-RTT in this era (0 on the classical rows by construction).
-    pub one_rtt_to_multi: usize,
-    /// Mean round trips added relative to the classical era, over services
-    /// that completed in both.
-    pub mean_added_rtts: f64,
-}
-
-/// Every `(era, profile)` pair at the default Initial size: one cached
-/// era join per profile ([`crate::ScanEngine::era_join`]), which probes
-/// each service in every era in one pass and tallies each era against the
-/// classical one service for service.
-pub fn era_matrix(campaign: &Campaign) -> Vec<EraProfileRow> {
-    let engine = campaign.engine();
-    let mut rows = Vec::new();
-    for &profile in NetworkProfile::ALL.iter() {
-        let join = engine.era_join(campaign.scenario().with_profile(profile));
-        for &era in CertificateEra::ALL.iter() {
-            let (summary, tally) = join.era(era);
-            rows.push(EraProfileRow {
-                era,
-                profile,
-                summary: summary.shard.classes,
-                mean_rtts: summary.shard.rtts.mean(),
-                budget_violations: summary.over_budget,
-                one_rtt_to_multi: tally
-                    .transitions(HandshakeClass::OneRtt, HandshakeClass::MultiRtt),
-                mean_added_rtts: tally.mean_added_rtts(),
-            });
-        }
-    }
-    rows
-}
-
-/// Render the era × profile matrix.
-pub fn render_era_matrix(rows: &[EraProfileRow]) -> String {
+/// The era × profile scenario matrix at the default Initial size, one
+/// cached era join per profile ([`crate::ScanEngine::era_join`]), which
+/// probes each service in every era in one pass and tallies each era
+/// against the classical one service for service: class shares
+/// (`class_share`), mean round trips, the round trips added over the
+/// classical era (over services that completed in both), the services
+/// that were 1-RTT classically but multi-RTT in this era (0 on the
+/// classical rows by construction), and the completed handshakes whose
+/// first flight exceeded the 3× budget (buggy accounting survives every
+/// era; see §4.1/§4.3).
+pub fn era_matrix(campaign: &Campaign) -> String {
     let mut t = Table::new(&[
         "era",
         "profile",
@@ -87,33 +48,30 @@ pub fn render_era_matrix(rows: &[EraProfileRow]) -> String {
         "1RTT->multi",
         "over 3x",
     ]);
-    for row in rows {
-        t.row(&[
-            row.era.name().to_string(),
-            row.profile.name().to_string(),
-            row.summary.reachable().to_string(),
-            format!(
-                "{:.2}",
-                row.summary.share_of_reachable(HandshakeClass::OneRtt)
-            ),
-            format!(
-                "{:.1}",
-                row.summary.share_of_reachable(HandshakeClass::MultiRtt)
-            ),
-            format!(
-                "{:.1}",
-                row.summary
-                    .share_of_reachable(HandshakeClass::Amplification)
-            ),
-            format!(
-                "{:.1}",
-                row.summary.share_of_all(HandshakeClass::Unreachable)
-            ),
-            format!("{:.2}", row.mean_rtts),
-            format!("{:+.2}", row.mean_added_rtts),
-            row.one_rtt_to_multi.to_string(),
-            row.budget_violations.to_string(),
-        ]);
+    for profile in NetworkProfile::ALL {
+        let join = campaign
+            .engine()
+            .era_join(campaign.scenario().with_profile(profile));
+        for era in CertificateEra::ALL {
+            let (summary, tally) = join.era(era);
+            let classes = &summary.shard.classes;
+            let share = |class| class_share(classes, class);
+            t.row(&[
+                era.name().to_string(),
+                profile.name().to_string(),
+                classes.reachable().to_string(),
+                share(HandshakeClass::OneRtt),
+                share(HandshakeClass::MultiRtt),
+                share(HandshakeClass::Amplification),
+                share(HandshakeClass::Unreachable),
+                format!("{:.2}", summary.shard.rtts.mean()),
+                format!("{:+.2}", tally.mean_added_rtts()),
+                tally
+                    .transitions(HandshakeClass::OneRtt, HandshakeClass::MultiRtt)
+                    .to_string(),
+                summary.over_budget.to_string(),
+            ]);
+        }
     }
     format!(
         "Certificate-era matrix — handshake classes per era and network profile\n{}",
@@ -123,45 +81,15 @@ pub fn render_era_matrix(rows: &[EraProfileRow]) -> String {
 
 // -------------------------------------------------------- 1-RTT survivors --
 
-/// The headline population shift: what happens to the (already rare) fast
-/// handshakes when the PKI migrates.
-#[derive(Debug, Clone, Copy)]
-pub struct OneRttShift {
-    /// The era compared against classical.
-    pub era: CertificateEra,
-    /// Services completing in one round trip within budget, classically.
-    pub classical_one_rtt: usize,
-    /// Of those, still 1-RTT in this era.
-    pub survivors: usize,
-    /// Of those, now multi-RTT.
-    pub to_multi_rtt: usize,
-    /// Of those, now amplifying (buggy accounting hides the extra bytes).
-    pub to_amplification: usize,
-}
-
-/// Compute the 1-RTT survivorship per era on the ideal profile, from the
-/// ideal cell's era join.
-pub fn one_rtt_survivors(campaign: &Campaign) -> Vec<OneRttShift> {
+/// The headline population shift on the ideal profile, from the ideal
+/// cell's era join: of the services completing in one round trip within
+/// budget classically, how many are still 1-RTT in each post-quantum era,
+/// how many are now multi-RTT and how many now amplify (buggy accounting
+/// hides the extra bytes).
+pub fn one_rtt_survivors(campaign: &Campaign) -> String {
     let ideal = campaign.scenario().with_profile(NetworkProfile::Ideal);
     let join = campaign.engine().era_join(ideal);
-    [CertificateEra::Hybrid, CertificateEra::PostQuantum]
-        .into_iter()
-        .map(|era| {
-            let tally = join.era(era).1;
-            let from_one_rtt = |to| tally.transitions(HandshakeClass::OneRtt, to);
-            OneRttShift {
-                era,
-                classical_one_rtt: join.era(CertificateEra::Classical).0.shard.classes.one_rtt,
-                survivors: from_one_rtt(HandshakeClass::OneRtt),
-                to_multi_rtt: from_one_rtt(HandshakeClass::MultiRtt),
-                to_amplification: from_one_rtt(HandshakeClass::Amplification),
-            }
-        })
-        .collect()
-}
-
-/// Render the survivorship table.
-pub fn render_one_rtt_survivors(shifts: &[OneRttShift]) -> String {
+    let classical_one_rtt = join.era(CertificateEra::Classical).0.shard.classes.one_rtt;
     let mut t = Table::new(&[
         "era",
         "classical 1-RTT",
@@ -169,13 +97,15 @@ pub fn render_one_rtt_survivors(shifts: &[OneRttShift]) -> String {
         "now multi-RTT",
         "now amplifying",
     ]);
-    for s in shifts {
+    for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
+        let tally = join.era(era).1;
+        let from_one_rtt = |to| tally.transitions(HandshakeClass::OneRtt, to).to_string();
         t.row(&[
-            s.era.name().to_string(),
-            s.classical_one_rtt.to_string(),
-            s.survivors.to_string(),
-            s.to_multi_rtt.to_string(),
-            s.to_amplification.to_string(),
+            era.name().to_string(),
+            classical_one_rtt.to_string(),
+            from_one_rtt(HandshakeClass::OneRtt),
+            from_one_rtt(HandshakeClass::MultiRtt),
+            from_one_rtt(HandshakeClass::Amplification),
         ]);
     }
     format!(
@@ -284,6 +214,7 @@ pub fn render_compression_degradation(rows: &[EraCompression]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table_rows;
     use crate::CampaignConfig;
 
     fn campaign() -> Campaign {
@@ -293,49 +224,41 @@ mod tests {
     #[test]
     fn matrix_spans_every_era_and_profile() {
         let c = campaign();
-        let rows = era_matrix(&c);
         assert_eq!(
-            rows.len(),
+            table_rows(&era_matrix(&c)),
             CertificateEra::ALL.len() * NetworkProfile::ALL.len()
         );
-        let cell = |era, profile| {
-            rows.iter()
-                .find(|r| r.era == era && r.profile == profile)
-                .unwrap()
-        };
         for &profile in NetworkProfile::ALL.iter() {
-            let classical = cell(CertificateEra::Classical, profile);
+            let join = c.engine().era_join(c.scenario().with_profile(profile));
+            let (classical, baseline) = join.era(CertificateEra::Classical);
+            let classical = &classical.shard.classes;
             // The classical row is its own baseline: no shift, no delta.
-            assert_eq!(classical.one_rtt_to_multi, 0, "{profile}");
-            assert!(classical.mean_added_rtts.abs() < 1e-12, "{profile}");
+            let shift = baseline.transitions(HandshakeClass::OneRtt, HandshakeClass::MultiRtt);
+            assert_eq!(shift, 0, "{profile}");
+            assert!(baseline.mean_added_rtts().abs() < 1e-12, "{profile}");
             for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
-                let row = cell(era, profile);
+                let (summary, tally) = join.era(era);
+                let row = &summary.shard.classes;
                 // PQC chains travel at the Handshake level, so on loss-free
                 // paths the era never costs reachability. Under loss the
                 // much longer flights expose more drop opportunities, so a
                 // small unreachability delta is expected there.
                 if profile == NetworkProfile::Lossy {
-                    let delta = row
-                        .summary
-                        .unreachable
-                        .abs_diff(classical.summary.unreachable);
+                    let delta = row.unreachable.abs_diff(classical.unreachable);
                     assert!(
-                        delta * 20 <= classical.summary.total().max(1),
+                        delta * 20 <= classical.total().max(1),
                         "{era}/{profile}: unreachable {} vs {}",
-                        row.summary.unreachable,
-                        classical.summary.unreachable
+                        row.unreachable,
+                        classical.unreachable
                     );
                 } else {
-                    assert_eq!(
-                        row.summary.unreachable, classical.summary.unreachable,
-                        "{era}/{profile}"
-                    );
+                    assert_eq!(row.unreachable, classical.unreachable, "{era}/{profile}");
                 }
                 // …but it costs round trips.
                 assert!(
-                    row.mean_added_rtts > 0.3,
+                    tally.mean_added_rtts() > 0.3,
                     "{era}/{profile}: +{:.2} RTTs",
-                    row.mean_added_rtts
+                    tally.mean_added_rtts()
                 );
                 // Long-fat jitter already classifies every reachable
                 // handshake as multi-RTT classically (see the profile
@@ -343,15 +266,9 @@ mod tests {
                 // profiles; the added-RTT assertion above carries the
                 // long-fat claim.
                 if profile == NetworkProfile::LongFat {
-                    assert!(
-                        row.summary.multi_rtt >= classical.summary.multi_rtt,
-                        "{era}/{profile}"
-                    );
+                    assert!(row.multi_rtt >= classical.multi_rtt, "{era}/{profile}");
                 } else {
-                    assert!(
-                        row.summary.multi_rtt > classical.summary.multi_rtt,
-                        "{era}/{profile}"
-                    );
+                    assert!(row.multi_rtt > classical.multi_rtt, "{era}/{profile}");
                 }
             }
         }
@@ -360,36 +277,36 @@ mod tests {
     #[test]
     fn classical_ideal_cell_is_the_campaign_default_artifact() {
         let c = campaign();
-        let rows = era_matrix(&c);
-        let ideal_classical = rows
-            .iter()
-            .find(|r| r.era == CertificateEra::Classical && r.profile == NetworkProfile::Ideal)
-            .unwrap();
+        let ideal = c.scenario().with_profile(NetworkProfile::Ideal);
+        let join = c.engine().era_join(ideal);
+        let ideal_classical = join.era(CertificateEra::Classical).0.shard.classes;
         let default_summary = c.engine().quicreach(c.scenario()).shard.classes;
-        assert_eq!(ideal_classical.summary, default_summary);
+        assert_eq!(ideal_classical, default_summary);
     }
 
     #[test]
     fn one_rtt_population_shifts_to_multi_rtt() {
         let c = campaign();
-        let shifts = one_rtt_survivors(&c);
-        assert_eq!(shifts.len(), 2);
-        for s in &shifts {
-            assert!(s.classical_one_rtt > 0, "{}", s.era);
+        assert_eq!(table_rows(&one_rtt_survivors(&c)), 2);
+        let ideal = c.scenario().with_profile(NetworkProfile::Ideal);
+        let join = c.engine().era_join(ideal);
+        let classical_one_rtt = join.era(CertificateEra::Classical).0.shard.classes.one_rtt;
+        for era in [CertificateEra::Hybrid, CertificateEra::PostQuantum] {
+            let from_one_rtt = |to| join.era(era).1.transitions(HandshakeClass::OneRtt, to);
+            let survivors = from_one_rtt(HandshakeClass::OneRtt);
+            let to_multi_rtt = from_one_rtt(HandshakeClass::MultiRtt);
+            let to_amplification = from_one_rtt(HandshakeClass::Amplification);
+            assert!(classical_one_rtt > 0, "{era}");
             assert_eq!(
-                s.survivors + s.to_multi_rtt + s.to_amplification,
-                s.classical_one_rtt,
-                "{}: a 1-RTT service stays reachable in every era",
-                s.era
+                survivors + to_multi_rtt + to_amplification,
+                classical_one_rtt,
+                "{era}: a 1-RTT service stays reachable in every era"
             );
             // The defining result: the (already rare) 1-RTT population all
             // but disappears once chains carry ML-DSA material.
             assert!(
-                s.to_multi_rtt + s.to_amplification > s.survivors,
-                "{}: {} survivors of {}",
-                s.era,
-                s.survivors,
-                s.classical_one_rtt
+                to_multi_rtt + to_amplification > survivors,
+                "{era}: {survivors} survivors of {classical_one_rtt}"
             );
         }
     }
@@ -428,14 +345,14 @@ mod tests {
     #[test]
     fn renders_mention_every_axis_value() {
         let c = campaign();
-        let matrix = render_era_matrix(&era_matrix(&c));
+        let matrix = era_matrix(&c);
         for era in CertificateEra::ALL {
             assert!(matrix.contains(era.name()), "missing {era}");
         }
         for profile in NetworkProfile::ALL {
             assert!(matrix.contains(profile.name()), "missing {profile}");
         }
-        let survivors = render_one_rtt_survivors(&one_rtt_survivors(&c));
+        let survivors = one_rtt_survivors(&c);
         assert!(survivors.contains("post-quantum"));
         let compression = render_compression_degradation(&compression_degradation(&c, 25));
         assert!(compression.contains("hybrid"));

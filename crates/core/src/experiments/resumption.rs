@@ -1,52 +1,29 @@
 //! Session-resumption experiments: the §5 mitigation measured against the
 //! cold population the rest of the report characterises.
 //!
-//! Three views, all fed from the engine's cached warm-scan artifacts:
+//! Three sections, each rendered from the engine's cached warm-scan
+//! aggregates ([`crate::ScanEngine::warm_scan`]):
 //!
 //! * [`resumption_matrix`] — cold vs resumed handshakes per
 //!   [`NetworkProfile`], at the default Initial size;
 //! * [`policy_comparison`] — the [`ResumptionPolicy`] axis on the default
 //!   profile (cold-only baseline, working resumption, expired tickets);
 //! * [`budget_sweep`] — resumed handshakes against the 3× amplification
-//!   budget across Initial sizes (they fit by construction; this measures
-//!   it).
+//!   budget across Initial sizes.
 
 use quicert_analysis::{render_table, Table};
 use quicert_netsim::NetworkProfile;
-use quicert_scanner::quicreach::WarmAggregate;
 use quicert_session::ResumptionPolicy;
 
 use crate::Campaign;
 
-// ------------------------------------------------------- profile matrix --
-
-/// One row of the resumption scenario matrix: the warm scan under one
-/// [`NetworkProfile`] with working resumption.
-#[derive(Debug, Clone)]
-pub struct ResumptionRow {
-    /// The link-condition overlay scanned under.
-    pub profile: NetworkProfile,
-    /// Aggregate cold-vs-warm measurements.
-    pub agg: WarmAggregate,
-}
-
-/// Run the warm scan (warm-after-first-visit policy) at the default Initial
-/// size under every [`NetworkProfile`].
-pub fn resumption_matrix(campaign: &Campaign) -> Vec<ResumptionRow> {
+/// The warm scan (warm-after-first-visit policy) at the default Initial
+/// size under every [`NetworkProfile`]: cold vs resumed handshakes per
+/// profile.
+pub fn resumption_matrix(campaign: &Campaign) -> String {
     let warm = campaign
         .scenario()
         .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
-    NetworkProfile::ALL
-        .iter()
-        .map(|&profile| ResumptionRow {
-            profile,
-            agg: *campaign.engine().warm_scan(warm.with_profile(profile)),
-        })
-        .collect()
-}
-
-/// Render the per-profile matrix.
-pub fn render_resumption_matrix(rows: &[ResumptionRow]) -> String {
     let mut t = Table::new(&[
         "profile",
         "reachable",
@@ -58,17 +35,18 @@ pub fn render_resumption_matrix(rows: &[ResumptionRow]) -> String {
         "saved>=1RTT",
         "mean saved",
     ]);
-    for row in rows {
+    for profile in NetworkProfile::ALL {
+        let agg = campaign.engine().warm_scan(warm.with_profile(profile));
         t.row(&[
-            row.profile.name().to_string(),
-            row.agg.cold_reachable.to_string(),
-            row.agg.resumed.to_string(),
-            row.agg.cold_cert_bytes.to_string(),
-            row.agg.warm_cert_bytes.to_string(),
-            row.agg.resumed_over_budget.to_string(),
-            row.agg.cold_multi_rtt.to_string(),
-            row.agg.multi_rtt_saved_a_round.to_string(),
-            format!("{:.2}", row.agg.mean_rtts_saved_multi()),
+            profile.name().to_string(),
+            agg.cold_reachable.to_string(),
+            agg.resumed.to_string(),
+            agg.cold_cert_bytes.to_string(),
+            agg.warm_cert_bytes.to_string(),
+            agg.resumed_over_budget.to_string(),
+            agg.cold_multi_rtt.to_string(),
+            agg.multi_rtt_saved_a_round.to_string(),
+            format!("{:.2}", agg.mean_rtts_saved_multi()),
         ]);
     }
     format!(
@@ -77,35 +55,10 @@ pub fn render_resumption_matrix(rows: &[ResumptionRow]) -> String {
     )
 }
 
-// -------------------------------------------------------- policy sweep --
-
-/// One row of the policy comparison: the warm scan on the default profile
-/// under one [`ResumptionPolicy`].
-#[derive(Debug, Clone)]
-pub struct PolicyRow {
-    /// The ticket policy of the revisit.
-    pub policy: ResumptionPolicy,
-    /// Aggregate cold-vs-warm measurements.
-    pub agg: WarmAggregate,
-}
-
-/// Sweep the [`ResumptionPolicy`] axis at the default profile and Initial
-/// size: the cold-only baseline pays the chain twice, the warm policy skips
-/// it, and the expired policy demonstrates the deterministic fallback.
-pub fn policy_comparison(campaign: &Campaign) -> Vec<PolicyRow> {
-    ResumptionPolicy::ALL
-        .iter()
-        .map(|&policy| PolicyRow {
-            policy,
-            agg: *campaign
-                .engine()
-                .warm_scan(campaign.scenario().with_policy(policy)),
-        })
-        .collect()
-}
-
-/// Render the policy comparison.
-pub fn render_policy_comparison(rows: &[PolicyRow]) -> String {
+/// The [`ResumptionPolicy`] axis at the default profile and Initial size:
+/// the cold-only baseline pays the chain twice, the warm policy skips it,
+/// and the expired policy demonstrates the deterministic fallback.
+pub fn policy_comparison(campaign: &Campaign) -> String {
     let mut t = Table::new(&[
         "policy",
         "reachable",
@@ -113,17 +66,20 @@ pub fn render_policy_comparison(rows: &[PolicyRow]) -> String {
         "cert B warm",
         "warm bytes saved %",
     ]);
-    for row in rows {
-        let saved = if row.agg.cold_cert_bytes == 0 {
+    for policy in ResumptionPolicy::ALL {
+        let agg = campaign
+            .engine()
+            .warm_scan(campaign.scenario().with_policy(policy));
+        let saved = if agg.cold_cert_bytes == 0 {
             0.0
         } else {
-            (1.0 - row.agg.warm_cert_bytes as f64 / row.agg.cold_cert_bytes as f64) * 100.0
+            (1.0 - agg.warm_cert_bytes as f64 / agg.cold_cert_bytes as f64) * 100.0
         };
         t.row(&[
-            row.policy.name().to_string(),
-            row.agg.cold_reachable.to_string(),
-            row.agg.resumed.to_string(),
-            row.agg.warm_cert_bytes.to_string(),
+            policy.name().to_string(),
+            agg.cold_reachable.to_string(),
+            agg.resumed.to_string(),
+            agg.warm_cert_bytes.to_string(),
             format!("{saved:.1}"),
         ]);
     }
@@ -133,52 +89,26 @@ pub fn render_policy_comparison(rows: &[PolicyRow]) -> String {
     )
 }
 
-// -------------------------------------------------------- budget sweep --
+/// The Initial sizes the budget sweep probes (sweep endpoints + default).
+const BUDGET_SWEEP_SIZES: [usize; 3] = [1200, 1362, 1472];
 
-/// Resumed handshakes vs the 3× budget at one Initial size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetPoint {
-    /// Client Initial size.
-    pub initial_size: usize,
-    /// Resumed handshakes at this size.
-    pub resumed: usize,
-    /// Of those, first flights exceeding 3× (0 by construction).
-    pub over_budget: usize,
-}
-
-/// The default sizes the budget sweep probes (sweep endpoints + default).
-pub const BUDGET_SWEEP_SIZES: [usize; 3] = [1200, 1362, 1472];
-
-/// Measure resumed handshakes against the amplification budget across
-/// Initial sizes on the ideal profile.
-pub fn budget_sweep(campaign: &Campaign, sizes: &[usize]) -> Vec<BudgetPoint> {
+/// Resumed handshakes against the 3× amplification budget across Initial
+/// sizes on the ideal profile (they fit by construction; this measures
+/// it).
+pub fn budget_sweep(campaign: &Campaign) -> String {
     let warm = campaign
         .scenario()
         .with_profile(NetworkProfile::Ideal)
         .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
-    sizes
-        .iter()
-        .map(|&initial_size| {
-            let agg = campaign
-                .engine()
-                .warm_scan(warm.with_initial_size(initial_size));
-            BudgetPoint {
-                initial_size,
-                resumed: agg.resumed,
-                over_budget: agg.resumed_over_budget,
-            }
-        })
-        .collect()
-}
-
-/// Render the budget sweep.
-pub fn render_budget_sweep(points: &[BudgetPoint]) -> String {
     let mut t = Table::new(&["initial", "resumed", "over 3x"]);
-    for p in points {
+    for initial_size in BUDGET_SWEEP_SIZES {
+        let agg = campaign
+            .engine()
+            .warm_scan(warm.with_initial_size(initial_size));
         t.row(&[
-            p.initial_size.to_string(),
-            p.resumed.to_string(),
-            p.over_budget.to_string(),
+            initial_size.to_string(),
+            agg.resumed.to_string(),
+            agg.resumed_over_budget.to_string(),
         ]);
     }
     format!(
@@ -190,6 +120,7 @@ pub fn render_budget_sweep(points: &[BudgetPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::table_rows;
     use crate::CampaignConfig;
     use quicert_scanner::quicreach::{self, ProbeScratch};
 
@@ -200,12 +131,16 @@ mod tests {
     #[test]
     fn matrix_meets_the_acceptance_criteria_on_every_profile() {
         let c = campaign();
-        for row in resumption_matrix(&c) {
+        let warm = c
+            .scenario()
+            .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+        for profile in NetworkProfile::ALL {
+            let agg = c.engine().warm_scan(warm.with_profile(profile));
             // Resumed handshakes never carry certificate bytes.
             assert_eq!(
-                row.agg.resumed_with_cert_bytes, 0,
+                agg.resumed_with_cert_bytes, 0,
                 "{}: certs on resumed wire",
-                row.profile
+                profile
             );
             // The certificate-free flight fits the 3x budget by
             // construction. The lossy profile is the one place the paper's
@@ -213,54 +148,54 @@ mod tests {
             // ack makes buggy servers resend the (tiny) flight without
             // charging it — so over-budget cases there stay a rare tail
             // rather than an exact zero.
-            if row.profile == NetworkProfile::Lossy {
+            if profile == NetworkProfile::Lossy {
                 assert!(
-                    row.agg.resumed_over_budget * 20 <= row.agg.resumed,
+                    agg.resumed_over_budget * 20 <= agg.resumed,
                     "{}: {}/{} resumed flights over budget",
-                    row.profile,
-                    row.agg.resumed_over_budget,
-                    row.agg.resumed
+                    profile,
+                    agg.resumed_over_budget,
+                    agg.resumed
                 );
             } else {
                 assert_eq!(
-                    row.agg.resumed_over_budget, 0,
+                    agg.resumed_over_budget, 0,
                     "{}: resumed flight over budget",
-                    row.profile
+                    profile
                 );
             }
             // The reachable population overwhelmingly resumes.
             assert!(
-                row.agg.resumed * 10 >= row.agg.cold_reachable * 9,
+                agg.resumed * 10 >= agg.cold_reachable * 9,
                 "{}: {}/{} resumed",
-                row.profile,
-                row.agg.resumed,
-                row.agg.cold_reachable
+                profile,
+                agg.resumed,
+                agg.cold_reachable
             );
             // Warm wire sheds certificate bytes wholesale.
-            assert!(row.agg.warm_cert_bytes * 10 < row.agg.cold_cert_bytes);
+            assert!(agg.warm_cert_bytes * 10 < agg.cold_cert_bytes);
             // The cold multi-RTT population shaves at least one round trip.
-            assert!(row.agg.cold_multi_rtt > 0, "{}", row.profile);
-            match row.profile {
+            assert!(agg.cold_multi_rtt > 0, "{}", profile);
+            match profile {
                 // Deterministic timing: the guarantee is per-service.
                 NetworkProfile::Ideal | NetworkProfile::Tunneled => {
                     assert_eq!(
-                        row.agg.multi_rtt_saved_a_round, row.agg.cold_multi_rtt,
+                        agg.multi_rtt_saved_a_round, agg.cold_multi_rtt,
                         "{}: every multi-RTT service must save a round",
-                        row.profile
+                        profile
                     );
-                    assert!(row.agg.mean_rtts_saved_multi() >= 1.0, "{}", row.profile);
+                    assert!(agg.mean_rtts_saved_multi() >= 1.0, "{}", profile);
                 }
                 // Under loss a dropped warm datagram can cost a
                 // retransmission round, so the guarantee is aggregate.
                 NetworkProfile::Lossy => {
                     assert!(
-                        row.agg.multi_rtt_saved_a_round * 10 >= row.agg.cold_multi_rtt * 9,
+                        agg.multi_rtt_saved_a_round * 10 >= agg.cold_multi_rtt * 9,
                         "{}: {}/{} multi-RTT services saved a round",
-                        row.profile,
-                        row.agg.multi_rtt_saved_a_round,
-                        row.agg.cold_multi_rtt
+                        profile,
+                        agg.multi_rtt_saved_a_round,
+                        agg.cold_multi_rtt
                     );
-                    assert!(row.agg.mean_rtts_saved_multi() >= 0.9, "{}", row.profile);
+                    assert!(agg.mean_rtts_saved_multi() >= 0.9, "{}", profile);
                 }
                 // Long-fat jitter collapses the timing classes (every
                 // completed handshake reads as multi-RTT, see the profile
@@ -305,9 +240,11 @@ mod tests {
     #[test]
     fn policy_axis_separates_baseline_mitigation_and_fallback() {
         let c = campaign();
-        let rows = policy_comparison(&c);
-        assert_eq!(rows.len(), ResumptionPolicy::ALL.len());
-        let by = |p: ResumptionPolicy| rows.iter().find(|r| r.policy == p).map(|r| r.agg).unwrap();
+        assert_eq!(
+            table_rows(&policy_comparison(&c)),
+            ResumptionPolicy::ALL.len()
+        );
+        let by = |p| *c.engine().warm_scan(c.scenario().with_policy(p));
         let cold = by(ResumptionPolicy::ColdOnly);
         let warm = by(ResumptionPolicy::WarmAfterFirstVisit);
         let expired = by(ResumptionPolicy::TicketExpired);
@@ -325,23 +262,28 @@ mod tests {
     #[test]
     fn budget_sweep_never_exceeds_three_x() {
         let c = campaign();
-        let points = budget_sweep(&c, &BUDGET_SWEEP_SIZES);
-        assert_eq!(points.len(), 3);
-        for p in &points {
-            assert!(p.resumed > 0, "size {}", p.initial_size);
-            assert_eq!(p.over_budget, 0, "size {}", p.initial_size);
+        let rendered = budget_sweep(&c);
+        assert_eq!(table_rows(&rendered), 3);
+        let warm = c
+            .scenario()
+            .with_profile(NetworkProfile::Ideal)
+            .with_policy(ResumptionPolicy::WarmAfterFirstVisit);
+        for initial_size in BUDGET_SWEEP_SIZES {
+            let agg = c.engine().warm_scan(warm.with_initial_size(initial_size));
+            assert!(agg.resumed > 0, "size {initial_size}");
+            assert_eq!(agg.resumed_over_budget, 0, "size {initial_size}");
         }
-        assert!(!render_budget_sweep(&points).is_empty());
+        assert!(!rendered.is_empty());
     }
 
     #[test]
     fn renders_mention_every_axis_value() {
         let c = campaign();
-        let matrix = render_resumption_matrix(&resumption_matrix(&c));
+        let matrix = resumption_matrix(&c);
         for p in NetworkProfile::ALL {
             assert!(matrix.contains(p.name()), "missing {p}");
         }
-        let policies = render_policy_comparison(&policy_comparison(&c));
+        let policies = policy_comparison(&c);
         for p in ResumptionPolicy::ALL {
             assert!(policies.contains(p.name()), "missing {p}");
         }

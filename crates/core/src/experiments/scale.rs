@@ -17,6 +17,7 @@ use quicert_scanner::quicreach::QuicReachShard;
 use quicert_analysis::{render_table, Table};
 use quicert_quic::handshake::HandshakeClass;
 
+use super::class_share;
 use crate::engine::ScanEngine;
 use crate::Campaign;
 
@@ -98,16 +99,10 @@ pub fn render_population_scale(rows: &[ScaleRow]) -> String {
             row.funnel.tls_reachable.to_string(),
             row.funnel.quic_services.to_string(),
             classes.reachable().to_string(),
-            format!(
-                "{:.1}",
-                classes.share_of_reachable(HandshakeClass::Amplification)
-            ),
-            format!(
-                "{:.1}",
-                classes.share_of_reachable(HandshakeClass::MultiRtt)
-            ),
-            format!("{:.2}", classes.share_of_reachable(HandshakeClass::OneRtt)),
-            format!("{:.1}", classes.share_of_all(HandshakeClass::Unreachable)),
+            class_share(classes, HandshakeClass::Amplification),
+            class_share(classes, HandshakeClass::MultiRtt),
+            class_share(classes, HandshakeClass::OneRtt),
+            class_share(classes, HandshakeClass::Unreachable),
             format!("{:.0}", row.funnel.chain_der.quantile(0.5)),
             format!("{:.0}", row.funnel.chain_der.quantile(0.9)),
             format!("{:.0}", row.funnel.chain_der.quantile(0.99)),

@@ -199,35 +199,24 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     // Beyond the paper: the same population under adverse link conditions.
     if options.network_profiles {
         out.push('\n');
-        out.push_str(&handshakes::render_profile_matrix(
-            &handshakes::profile_matrix(campaign),
-        ));
+        out.push_str(&handshakes::profile_matrix(campaign));
     }
 
     // §5 session resumption: the mitigation that sidesteps the whole
     // certificate/amplification interplay, measured cold-vs-warm.
     if options.resumption {
         out.push('\n');
-        out.push_str(&resumption::render_resumption_matrix(
-            &resumption::resumption_matrix(campaign),
-        ));
-        out.push_str(&resumption::render_policy_comparison(
-            &resumption::policy_comparison(campaign),
-        ));
-        out.push_str(&resumption::render_budget_sweep(&resumption::budget_sweep(
-            campaign,
-            &resumption::BUDGET_SWEEP_SIZES,
-        )));
+        out.push_str(&resumption::resumption_matrix(campaign));
+        out.push_str(&resumption::policy_comparison(campaign));
+        out.push_str(&resumption::budget_sweep(campaign));
     }
 
     // Beyond the paper: the same population after the post-quantum PKI
     // migration (ML-DSA / hybrid chains, per Chou & Cao's TTFB study).
     if options.pq_eras {
         out.push('\n');
-        out.push_str(&pq::render_era_matrix(&pq::era_matrix(campaign)));
-        out.push_str(&pq::render_one_rtt_survivors(&pq::one_rtt_survivors(
-            campaign,
-        )));
+        out.push_str(&pq::era_matrix(campaign));
+        out.push_str(&pq::one_rtt_survivors(campaign));
         out.push_str(&pq::render_compression_degradation(
             &pq::compression_degradation(campaign, options.compression_stride),
         ));
@@ -237,12 +226,8 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     // costs once the wire drops, duplicates and corrupts datagrams.
     if options.chaos {
         out.push('\n');
-        out.push_str(&chaos::render_fault_grid(&chaos::fault_grid_default(
-            campaign,
-        )));
-        out.push_str(&chaos::render_resumption_under_faults(
-            &chaos::resumption_under_faults(campaign),
-        ));
+        out.push_str(&chaos::fault_grid(campaign));
+        out.push_str(&chaos::resumption_under_faults(campaign));
     }
 
     // At scale: the headline measurements at growing population sizes,

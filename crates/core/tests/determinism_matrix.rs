@@ -15,6 +15,7 @@ use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_quic::handshake::HandshakeClass;
+use quicert_quic::HandshakeScratch;
 use quicert_scanner::compression::{self, CompressionShard, CompressionSupport, StudySummary};
 use quicert_scanner::https_scan::{self, CertificateSummary, HttpsScanShard};
 use quicert_scanner::quicreach::{
@@ -50,7 +51,8 @@ fn services(world: &World) -> Vec<DomainRecord> {
 /// The per-record oracle: one memo-free, pump-free
 /// [`quicreach::scan_service`] per QUIC service of a world.
 fn oracle(world: &World, scenario: Scenario) -> Vec<QuicReachResult> {
-    let probe = |record| quicreach::scan_service(world, record, scenario);
+    let fresh = HandshakeScratch::default;
+    let probe = |record| quicreach::scan_service(world, record, scenario, &mut fresh());
     services(world).iter().map(probe).collect()
 }
 
@@ -434,7 +436,8 @@ fn every_artefact_equals_its_per_record_oracle_on_every_axis() {
             continue;
         }
         let adapted = default.with_initial_size(needed.clamp(1200, 1472));
-        let second = quicreach::scan_service(&world, record, adapted);
+        let fresh = &mut HandshakeScratch::default();
+        let second = quicreach::scan_service(&world, record, adapted, fresh);
         mitigation.fixed_by_mitigation += usize::from(second.class == HandshakeClass::OneRtt);
     }
     assert!(mitigation.multi_rtt_before > 0 && mitigation.fixed_by_mitigation > 0);

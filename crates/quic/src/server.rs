@@ -23,8 +23,8 @@ use quicert_compress::Algorithm;
 use quicert_netsim::{Datagram, Endpoint, Outbox, SimDuration, SimTime};
 use quicert_session::ResumptionHost;
 use quicert_tls::{
-    new_session_ticket, parse_compression_offers, parse_psk_offer, parse_server_name, ServerFlight,
-    ServerFlightParams,
+    new_session_ticket_into, parse_compression_offers, parse_psk_offer, parse_server_name,
+    ServerFlight, ServerFlightParams,
 };
 use quicert_x509::{CertificateChain, KeyAlgorithm};
 
@@ -627,17 +627,15 @@ impl ServerConn {
         if !host.issue_tickets {
             return;
         }
+        let seed = self.config.seed;
         let sni = parse_server_name(self.ch.contiguous()).unwrap_or_default();
-        let identity = host.issuer.issue(sni, host.now_secs, self.config.seed);
+        let identity = host.issuer.issue(sni, host.now_secs, seed);
         let lifetime = host.issuer.config.lifetime_secs.min(u32::MAX as u64) as u32;
-        let age_add = (self.config.seed ^ (self.config.seed >> 32)) as u32;
-        self.onertt_crypto = new_session_ticket(lifetime, age_add, &identity, self.config.seed);
+        let age_add = (seed ^ (seed >> 32)) as u32;
+        new_session_ticket_into(&mut self.onertt_crypto, lifetime, age_add, &identity, seed);
         self.plan_datagram(None);
-        self.plan_packet(
-            PacketType::OneRtt,
-            None,
-            Some((0, self.onertt_crypto.len())),
-        );
+        let ticket = Some((0, self.onertt_crypto.len()));
+        self.plan_packet(PacketType::OneRtt, None, ticket);
         self.queue.push_back(Queued {
             datagram: self.datagrams.len() - 1,
             is_resend: false,
@@ -813,16 +811,12 @@ pub(crate) fn is_complete_handshake_message(buf: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quicert_tls::{client_hello, ClientHelloParams};
+    use quicert_tls::client_hello_into;
 
     #[test]
     fn handshake_message_completeness() {
-        let ch = client_hello(&ClientHelloParams {
-            server_name: "a.example".into(),
-            compression: vec![],
-            psk: None,
-            seed: 1,
-        });
+        let mut ch = Vec::new();
+        client_hello_into(&mut ch, "a.example", &[], None, 1);
         assert!(is_complete_handshake_message(&ch));
         assert!(!is_complete_handshake_message(&ch[..ch.len() - 1]));
         assert!(!is_complete_handshake_message(&ch[..3]));

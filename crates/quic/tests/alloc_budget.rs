@@ -228,10 +228,11 @@ fn a_resumption_probe_on_a_warm_scratch_allocates_its_ticket_and_cold_config() {
     // Once a scratch has run the probes, a resumption probe allocates no
     // buffer: what it allocates is the configuration its cold visit runs
     // on a copy of (the SNI, the leaf's DER and the server's compression
-    // list, when it has one) and six copies of the ticket identity, as it
-    // passes from the server's issuer into the NewSessionTicket, the
-    // client's parse of it, the cold outcome, the warm visit's PSK offer
-    // and the server's parse of that offer.
+    // list, when it has one) and five copies of the ticket identity: the
+    // server's issuer, the client's parse of the NewSessionTicket, the
+    // cold outcome, the warm visit's PSK offer and the server's parse of
+    // that offer. The NewSessionTicket itself is written into the
+    // server's kept 1-RTT buffer.
     let (world, services) = world_services();
     let services: Vec<&DomainRecord> = services.iter().collect();
     for era in [CertificateEra::Classical, CertificateEra::PostQuantum] {
@@ -249,7 +250,7 @@ fn a_resumption_probe_on_a_warm_scratch_allocates_its_ticket_and_cold_config() {
                 out.offered_psk && out.warm.resumed,
                 "{era}: a warm visit resumes"
             );
-            assert_eq!(allocations, config + 6, "{era}: a warm resumption probe");
+            assert_eq!(allocations, config + 5, "{era}: a warm resumption probe");
             total += allocations;
         }
         eprintln!("{era}: {total} allocations over {SERVICES} resumption probes on a warm scratch");

@@ -1077,16 +1077,19 @@ fn simulate(
     Some(handshake.run(probe.client, probe.server, &mut probe.wire, probe.seed))
 }
 
-/// Probe one service under one [`Scenario`], on the record's own wire and
-/// never through a memo — the per-record oracle every fold is held to.
+/// Probe one service under one [`Scenario`] in `handshake`'s buffers, on
+/// its own wire and never through a memo: the oracle every fold is held to.
 ///
 /// # Panics
 ///
-/// When `record` serves no QUIC chain (callers filter on
-/// [`DomainRecord::has_quic`]).
-pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) -> QuicReachResult {
-    let fresh = &mut HandshakeScratch::default();
-    let out = simulate(world, record, scenario, None, fresh).expect("a QUIC service to probe");
+/// When `record` serves no QUIC chain (callers filter on [`DomainRecord::has_quic`]).
+pub fn scan_service(
+    world: &World,
+    record: &DomainRecord,
+    scenario: Scenario,
+    handshake: &mut HandshakeScratch,
+) -> QuicReachResult {
+    let out = simulate(world, record, scenario, None, handshake).expect("a QUIC service to probe");
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
@@ -1095,12 +1098,11 @@ pub fn scan_service(world: &World, record: &DomainRecord, scenario: Scenario) ->
 /// per service of the population derived as one chunk — the memo-free,
 /// pump-free reference.
 pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
-    let scenario = Scenario::at(initial_size);
     let records = world.domain_chunk(1, world.config.domains);
+    let handshake = &mut HandshakeScratch::default();
+    let probe = |record| scan_service(world, record, Scenario::at(initial_size), handshake);
     let services = records.iter().filter(|record| record.has_quic());
-    services
-        .map(|record| scan_service(world, record, scenario))
-        .collect()
+    services.map(probe).collect()
 }
 
 // ------------------------------------------------------------ warm path --
@@ -1249,9 +1251,8 @@ impl_merge! { WarmAggregate {
 /// record's server *with ticket issuance enabled*, and the second visit
 /// re-probes offering the obtained ticket per the policy (stateful, so
 /// never memoized).
-/// The cold (ticket-free) scan entry points are untouched by any of this —
-/// their servers never issue tickets, so their artifacts stay
-/// byte-for-byte identical.
+/// Cold (ticket-free) scans are untouched: their servers never issue
+/// tickets, so their artifacts stay byte-for-byte identical.
 ///
 /// The probe uses the record's *domain name* as SNI (tickets are
 /// host-bound); its parameters are otherwise exactly [`scan_service`]'s,
@@ -1340,11 +1341,9 @@ pub fn warm_scan_records(
     let scenario = Scenario::at(initial_size)
         .with_profile(profile)
         .with_policy(policy);
-    let mut scratch = ProbeScratch::with_memo(false);
-    records
-        .iter()
-        .map(|record| warm_service(world, record, scenario, &mut scratch))
-        .collect()
+    let scratch = &mut ProbeScratch::with_memo(false);
+    let probe = |record: &&DomainRecord| warm_service(world, record, scenario, scratch);
+    records.iter().map(probe).collect()
 }
 
 // --------------------------------------------- end frozen compat block --
@@ -1384,7 +1383,8 @@ mod tests {
         records: &[&DomainRecord],
         scenario: Scenario,
     ) -> Vec<QuicReachResult> {
-        let probe = |record: &&DomainRecord| scan_service(world, record, scenario);
+        let fresh = HandshakeScratch::default;
+        let probe = |record: &&DomainRecord| scan_service(world, record, scenario, &mut fresh());
         records.iter().map(probe).collect()
     }
 
@@ -1698,7 +1698,7 @@ mod tests {
                 let reference = simulate(world, &member, scenario, None, &mut HandshakeScratch::default()).expect("a QUIC service");
                 prop_assert_eq!(
                     ClassOutcome::of(&representative).map(|stored| stored.replayed_for(&member)),
-                    Some(scan_service(world, &member, scenario)),
+                    Some(scan_service(world, &member, scenario, &mut HandshakeScratch::default())),
                     "rank {} step {} {:?}", record.rank, step, scenario
                 );
                 prop_assert_eq!(
@@ -1732,7 +1732,7 @@ mod tests {
         let (world, population) = world();
         let stalled = services(&population)
             .find(|record| {
-                let result = scan_service(&world, record, BASE);
+                let result = scan_service(&world, record, BASE, &mut HandshakeScratch::default());
                 let compliant = record.quic.as_ref().unwrap().behavior
                     == quicert_pki::world::BehaviorKind::RfcCompliant;
                 compliant && result.stall_ns > 0 && result.class == HandshakeClass::MultiRtt
@@ -1784,7 +1784,12 @@ mod tests {
             assert!(latency_free_timeline(&out, base_latency(&member)).is_some());
             assert_eq!(
                 ClassOutcome::of(&representative).map(|stored| stored.replayed_for(&member)),
-                Some(scan_service(&world, &member, scenario)),
+                Some(scan_service(
+                    &world,
+                    &member,
+                    scenario,
+                    &mut HandshakeScratch::default()
+                )),
                 "step {step}"
             );
         }

@@ -33,7 +33,7 @@ use quicert_pki::{CertificateEra, World, WorldConfig};
 use quicert_scanner::https_scan::{self, ChainSummary};
 use quicert_scanner::quicreach::{self, ProbeScratch};
 use quicert_scanner::Scenario;
-use quicert_tls::certificate_message;
+use quicert_tls::certificate_message_into;
 
 thread_local! {
     /// Allocations (fresh or grown) made by this thread.
@@ -231,11 +231,10 @@ fn a_warm_compress_call_allocates_its_output_and_no_table() {
         .filter(|record| record.has_quic())
         .take(256)
         .map(|record| {
-            certificate_message(
-                &world
-                    .quic_chain_era(record, CertificateEra::Classical)
-                    .expect("QUIC service"),
-            )
+            let chain = world.quic_chain_era(record, CertificateEra::Classical);
+            let mut message = Vec::new();
+            certificate_message_into(&mut message, &chain.expect("QUIC service"));
+            message
         })
         .collect();
     for pass in ["cold", "warm"] {

@@ -267,7 +267,8 @@ mod tests {
             (incompressible_chain(), Some(false)),
         ];
         for (chain, shrinks) in &chains {
-            let certificate = messages::certificate_message(chain);
+            let mut certificate = Vec::new();
+            messages::certificate_message_into(&mut certificate, chain);
             for alg in Algorithm::ALL {
                 let mut compressed = Vec::new();
                 messages::compressed_certificate_message_into(&mut compressed, &certificate, alg);

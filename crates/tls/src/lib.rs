@@ -24,7 +24,7 @@ pub mod messages;
 pub use browser::BrowserProfile;
 pub use flight::{ServerFlight, ServerFlightParams};
 pub use messages::{
-    certificate_message, client_hello, client_hello_into, finished, new_session_ticket,
-    parse_compression_offers, parse_new_session_ticket, parse_psk_offer, parse_server_name,
-    server_hello_accepted_psk, ClientHelloParams, NewSessionTicket, PskOffer,
+    certificate_message_into, client_hello_into, new_session_ticket_into, parse_compression_offers,
+    parse_new_session_ticket, parse_psk_offer, parse_server_name, server_hello_accepted_psk,
+    NewSessionTicket, PskOffer,
 };

@@ -107,36 +107,11 @@ pub struct PskOffer {
     pub obfuscated_age: u32,
 }
 
-/// Parameters of a ClientHello.
-#[derive(Debug, Clone)]
-pub struct ClientHelloParams {
-    /// SNI host name.
-    pub server_name: String,
-    /// Offered certificate compression algorithms (empty = extension
-    /// omitted).
-    pub compression: Vec<Algorithm>,
-    /// Session-ticket offer; `None` encodes byte-for-byte the classic
-    /// (cold) ClientHello.
-    pub psk: Option<PskOffer>,
-    /// Deterministic seed for random fields.
-    pub seed: u64,
-}
-
-/// Encode a ClientHello handshake message.
-pub fn client_hello(params: &ClientHelloParams) -> Vec<u8> {
-    let mut out = Vec::with_capacity(512);
-    client_hello_into(
-        &mut out,
-        &params.server_name,
-        &params.compression,
-        params.psk.as_ref(),
-        params.seed,
-    );
-    out
-}
-
-/// Append a ClientHello handshake message to `out`, from borrowed
-/// parameters (see [`ClientHelloParams`] for their meaning).
+/// Append a ClientHello handshake message to `out`: `server_name` as SNI,
+/// the certificate compression algorithms `compression` offers (the
+/// extension omitted when empty), the session-ticket offer `psk` (`None`
+/// encodes byte-for-byte the classic, cold ClientHello), and random
+/// fields drawn from `seed`.
 pub fn client_hello_into(
     out: &mut Vec<u8>,
     server_name: &str,
@@ -278,17 +253,21 @@ pub struct NewSessionTicket {
     pub ticket: Vec<u8>,
 }
 
-/// Encode a NewSessionTicket message (RFC 8446 §4.6.1).
-pub fn new_session_ticket(lifetime_secs: u32, age_add: u32, ticket: &[u8], seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ticket.len() + 27);
-    handshake_message(&mut out, HandshakeType::NewSessionTicket, |out| {
+/// Append a NewSessionTicket message (RFC 8446 §4.6.1) to `out`.
+pub fn new_session_ticket_into(
+    out: &mut Vec<u8>,
+    lifetime_secs: u32,
+    age_add: u32,
+    ticket: &[u8],
+    seed: u64,
+) {
+    handshake_message(out, HandshakeType::NewSessionTicket, |out| {
         out.extend_from_slice(&lifetime_secs.to_be_bytes());
         out.extend_from_slice(&age_add.to_be_bytes());
         length_prefixed::<1>(out, |out| fill_into(out, seed ^ 0x6E73_746E, 8)); // nonce
         length_prefixed::<2>(out, |out| out.extend_from_slice(ticket));
         out.extend_from_slice(&u16be(0)); // no extensions
     });
-    out
 }
 
 /// Parse a NewSessionTicket message; `None` when malformed or a different
@@ -413,21 +392,15 @@ pub(crate) fn encrypted_extensions_into(out: &mut Vec<u8>, seed: u64) {
     });
 }
 
-/// Encode a Certificate message carrying `chain` (RFC 8446 §4.4.2).
-pub fn certificate_message(chain: &CertificateChain) -> Vec<u8> {
-    let mut out = Vec::with_capacity(certificate_message_len(chain));
-    certificate_message_into(&mut out, chain);
-    out
-}
-
-/// Encoded size of [`certificate_message`]: handshake header, empty
+/// Encoded size of [`certificate_message_into`]: handshake header, empty
 /// request context, list length, and per certificate a `u24` length, the
 /// DER and an empty extension block.
 pub(crate) fn certificate_message_len(chain: &CertificateChain) -> usize {
     4 + 1 + 3 + chain.total_der_len() + chain.depth() * 5
 }
 
-pub(crate) fn certificate_message_into(out: &mut Vec<u8>, chain: &CertificateChain) {
+/// Append a Certificate message carrying `chain` (RFC 8446 §4.4.2).
+pub fn certificate_message_into(out: &mut Vec<u8>, chain: &CertificateChain) {
     handshake_message(out, HandshakeType::Certificate, |out| {
         out.push(0); // empty certificate_request_context
         length_prefixed::<3>(out, |out| {
@@ -493,16 +466,10 @@ pub(crate) fn certificate_verify_into(
     });
 }
 
-/// Encoded size of [`finished`].
+/// Encoded size of [`finished_into`].
 pub(crate) const FINISHED_LEN: usize = 4 + 32;
 
-/// Encode Finished (32-byte verify_data for the SHA-256 suites).
-pub fn finished(seed: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FINISHED_LEN);
-    finished_into(&mut out, seed);
-    out
-}
-
+/// Append Finished (32-byte verify_data for the SHA-256 suites).
 pub(crate) fn finished_into(out: &mut Vec<u8>, seed: u64) {
     handshake_message(out, HandshakeType::Finished, |out| {
         fill_into(out, seed ^ 0x6669_6E21, 32)
@@ -547,18 +514,22 @@ mod tests {
         CertificateChain::new(leaf, vec![inter])
     }
 
-    fn params(compression: Vec<quicert_compress::Algorithm>) -> ClientHelloParams {
-        ClientHelloParams {
-            server_name: "example.org".into(),
-            compression,
-            psk: None,
-            seed: 7,
-        }
+    /// A ClientHello to example.org offering `compression` and `psk`.
+    fn client_hello(compression: &[Algorithm], psk: Option<&PskOffer>) -> Vec<u8> {
+        let mut out = Vec::new();
+        client_hello_into(&mut out, "example.org", compression, psk, 7);
+        out
+    }
+
+    fn certificate_message(chain: &CertificateChain) -> Vec<u8> {
+        let mut out = Vec::new();
+        certificate_message_into(&mut out, chain);
+        out
     }
 
     #[test]
     fn client_hello_has_realistic_size() {
-        let ch = client_hello(&params(vec![]));
+        let ch = client_hello(&[], None);
         // Real browser ClientHellos (without GREASE/padding) run ~230–450 B.
         assert!((230..500).contains(&ch.len()), "was {}", ch.len());
         assert_eq!(ch[0], HandshakeType::ClientHello as u8);
@@ -568,8 +539,8 @@ mod tests {
 
     #[test]
     fn compression_offer_adds_extension() {
-        let without = client_hello(&params(vec![]));
-        let with = client_hello(&params(vec![quicert_compress::Algorithm::Brotli]));
+        let without = client_hello(&[], None);
+        let with = client_hello(&[Algorithm::Brotli], None);
         assert!(with.len() > without.len());
         // Extension code point 27 appears in the encoding.
         let needle = [0x00u8, 27];
@@ -579,13 +550,10 @@ mod tests {
 
     #[test]
     fn compression_offer_parsing() {
-        let ch = client_hello(&params(vec![Algorithm::Brotli, Algorithm::Zstd]));
+        let ch = client_hello(&[Algorithm::Brotli, Algorithm::Zstd], None);
         let offers = parse_compression_offers(&ch).expect("extension present");
         assert_eq!(offers, vec![Algorithm::Brotli, Algorithm::Zstd]);
-        assert_eq!(
-            parse_compression_offers(&client_hello(&params(vec![]))),
-            None
-        );
+        assert_eq!(parse_compression_offers(&client_hello(&[], None)), None);
     }
 
     #[test]
@@ -657,38 +625,39 @@ mod tests {
 
     #[test]
     fn finished_is_fixed_size() {
-        assert_eq!(finished(1).len(), 4 + 32);
+        let mut finished = Vec::new();
+        finished_into(&mut finished, 1);
+        assert_eq!(finished.len(), 4 + 32);
     }
 
     #[test]
     fn messages_are_deterministic() {
-        assert_eq!(client_hello(&params(vec![])), client_hello(&params(vec![])));
+        assert_eq!(client_hello(&[], None), client_hello(&[], None));
         assert_eq!(server_hello(5), server_hello(5));
         assert_ne!(server_hello(5), server_hello(6));
     }
 
-    fn psk_params() -> ClientHelloParams {
-        ClientHelloParams {
-            psk: Some(PskOffer {
-                identity: vec![0xAB; 40],
-                obfuscated_age: 123_456,
-            }),
-            ..params(vec![])
-        }
+    /// A ClientHello offering a 40-byte ticket identity.
+    fn psk_client_hello() -> Vec<u8> {
+        let offer = PskOffer {
+            identity: vec![0xAB; 40],
+            obfuscated_age: 123_456,
+        };
+        client_hello(&[], Some(&offer))
     }
 
     #[test]
     fn psk_offer_roundtrips_through_client_hello() {
-        let ch = client_hello(&psk_params());
+        let ch = psk_client_hello();
         let offer = parse_psk_offer(&ch).expect("offer present");
         assert_eq!(offer.identity, vec![0xAB; 40]);
         assert_eq!(offer.obfuscated_age, 123_456);
-        assert_eq!(parse_psk_offer(&client_hello(&params(vec![]))), None);
+        assert_eq!(parse_psk_offer(&client_hello(&[], None)), None);
     }
 
     #[test]
     fn psk_extension_is_last_and_length_consistent() {
-        let ch = client_hello(&psk_params());
+        let ch = psk_client_hello();
         let body_len = ((ch[1] as usize) << 16) | ((ch[2] as usize) << 8) | ch[3] as usize;
         assert_eq!(body_len + 4, ch.len());
         // pre_shared_key must be the last extension (RFC 8446 §4.2.11):
@@ -703,7 +672,7 @@ mod tests {
 
     #[test]
     fn server_name_parses_back_out() {
-        let ch = client_hello(&params(vec![]));
+        let ch = client_hello(&[], None);
         assert_eq!(parse_server_name(&ch), Some("example.org"));
         assert_eq!(parse_server_name(&server_hello(1)), None);
     }
@@ -725,7 +694,8 @@ mod tests {
     #[test]
     fn new_session_ticket_roundtrips() {
         let ticket = vec![0x42; 40];
-        let msg = new_session_ticket(7_200, 0xDEAD_BEEF, &ticket, 3);
+        let mut msg = Vec::new();
+        new_session_ticket_into(&mut msg, 7_200, 0xDEAD_BEEF, &ticket, 3);
         assert_eq!(msg[0], HandshakeType::NewSessionTicket as u8);
         let parsed = parse_new_session_ticket(&msg).expect("parses");
         assert_eq!(parsed.lifetime_secs, 7_200);
@@ -738,7 +708,7 @@ mod tests {
     fn psk_free_client_hello_is_bit_for_bit_unchanged() {
         // The cold ClientHello must not move by a single byte when the
         // resumption machinery is compiled in but unused.
-        let ch = client_hello(&params(vec![]));
+        let ch = client_hello(&[], None);
         assert!((230..500).contains(&ch.len()));
         assert!(!ch
             .windows(2)

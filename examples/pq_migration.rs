@@ -37,11 +37,8 @@ fn main() {
     }
 
     println!();
-    println!(
-        "{}",
-        pq::render_one_rtt_survivors(&pq::one_rtt_survivors(&campaign))
-    );
-    println!("{}", pq::render_era_matrix(&pq::era_matrix(&campaign)));
+    println!("{}", pq::one_rtt_survivors(&campaign));
+    println!("{}", pq::era_matrix(&campaign));
     println!(
         "{}",
         pq::render_compression_degradation(&pq::compression_degradation(&campaign, 20))

@@ -11,11 +11,10 @@
 //! cargo run --release --example resumption
 //! ```
 
-use quicert::core::experiments::resumption::{
-    budget_sweep, policy_comparison, render_budget_sweep, render_policy_comparison,
-    render_resumption_matrix, resumption_matrix, BUDGET_SWEEP_SIZES,
-};
+use quicert::core::experiments::resumption::{budget_sweep, policy_comparison, resumption_matrix};
 use quicert::core::{Campaign, CampaignConfig};
+use quicert::netsim::NetworkProfile;
+use quicert::session::ResumptionPolicy;
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(3_000));
@@ -26,23 +25,22 @@ fn main() {
     );
 
     // Cold vs resumed per network profile (warm-after-first-visit policy).
-    let matrix = resumption_matrix(&campaign);
-    println!("{}", render_resumption_matrix(&matrix));
+    println!("{}", resumption_matrix(&campaign));
 
     // The policy axis: baseline, working mitigation, expired tickets.
-    println!(
-        "{}",
-        render_policy_comparison(&policy_comparison(&campaign))
-    );
+    println!("{}", policy_comparison(&campaign));
 
     // Resumed flights vs the 3x anti-amplification budget per Initial size.
-    println!(
-        "{}",
-        render_budget_sweep(&budget_sweep(&campaign, &BUDGET_SWEEP_SIZES))
-    );
+    println!("{}", budget_sweep(&campaign));
 
-    // Headline deltas on the ideal profile.
-    let ideal = &matrix[0].agg;
+    // Headline deltas on the ideal profile: the matrix's first row, read
+    // off the engine's cached warm scan.
+    let ideal = campaign.engine().warm_scan(
+        campaign
+            .scenario()
+            .with_profile(NetworkProfile::Ideal)
+            .with_policy(ResumptionPolicy::WarmAfterFirstVisit),
+    );
     println!(
         "ideal-path headline: {}/{} reachable services resumed; certificate bytes \
          {} -> {}; every cold multi-RTT handshake ({} services) saved >= 1 RTT \

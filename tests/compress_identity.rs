@@ -17,7 +17,7 @@ use std::fmt::Write;
 
 use quicert::compress::{compress, Algorithm};
 use quicert::pki::{CertificateEra, World, WorldConfig};
-use quicert::tls::certificate_message;
+use quicert::tls::certificate_message_into;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -142,10 +142,9 @@ fn digests() -> String {
             Some(("quic", r.rank, chain))
         });
         for (kind, rank, chain) in quic.take(LEAVES).chain(https.take(LEAVES)) {
-            record(
-                &format!("{era} {kind} rank {rank} message"),
-                &certificate_message(&chain),
-            );
+            let mut message = Vec::new();
+            certificate_message_into(&mut message, &chain);
+            record(&format!("{era} {kind} rank {rank} message"), &message);
             record(
                 &format!("{era} {kind} rank {rank} der"),
                 &chain.concatenated_der(),

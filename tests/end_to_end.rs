@@ -3,6 +3,7 @@
 use quicert::core::experiments::{amplification, certs, compression, handshakes};
 use quicert::core::{full_report, Campaign, CampaignConfig, ReportOptions};
 use quicert::quic::handshake::HandshakeClass;
+use quicert::quic::HandshakeScratch;
 use quicert::scanner::quicreach;
 
 fn campaign() -> Campaign {
@@ -53,7 +54,8 @@ fn cloudflare_padding_constant_is_size_independent() {
         })
         .take(20)
     {
-        let result = quicreach::scan_service(world, record, c.scenario());
+        let fresh = &mut HandshakeScratch::default();
+        let result = quicreach::scan_service(world, record, c.scenario(), fresh);
         if result.class == HandshakeClass::Amplification {
             paddings.insert(result.padding_received);
         }

@@ -31,8 +31,8 @@ use quicert::quic::packet::{
 use quicert::quic::{varint, ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
 use quicert::session::{TicketConfig, TicketIssuer, TicketValidation, TICKET_LEN};
 use quicert::tls::{
-    client_hello, new_session_ticket, parse_compression_offers, parse_new_session_ticket,
-    parse_psk_offer, parse_server_name, ClientHelloParams, PskOffer,
+    client_hello_into, new_session_ticket_into, parse_compression_offers, parse_new_session_ticket,
+    parse_psk_offer, parse_server_name, PskOffer,
 };
 use quicert::x509::der::{parse_one, DerValue};
 use quicert::x509::{
@@ -59,19 +59,20 @@ fn seed_ticket_identity() -> Vec<u8> {
 }
 
 fn seed_client_hello() -> Vec<u8> {
-    client_hello(&ClientHelloParams {
-        server_name: SNI.to_string(),
-        compression: quicert::compress::Algorithm::ALL.to_vec(),
-        psk: Some(PskOffer {
-            identity: seed_ticket_identity(),
-            obfuscated_age: 123_456,
-        }),
-        seed: SEED,
-    })
+    let offer = PskOffer {
+        identity: seed_ticket_identity(),
+        obfuscated_age: 123_456,
+    };
+    let compression = &quicert::compress::Algorithm::ALL;
+    let mut out = Vec::new();
+    client_hello_into(&mut out, SNI, compression, Some(&offer), SEED);
+    out
 }
 
 fn seed_new_session_ticket() -> Vec<u8> {
-    new_session_ticket(7_200, 0xA6E_ADD, &seed_ticket_identity(), SEED)
+    let mut out = Vec::new();
+    new_session_ticket_into(&mut out, 7_200, 0xA6E_ADD, &seed_ticket_identity(), SEED);
+    out
 }
 
 fn seed_certificate() -> quicert::x509::Certificate {

@@ -572,7 +572,8 @@ mod simnet_properties {
             };
             for profile in NetworkProfile::ALL {
                 let scenario = Scenario::at(1362).with_profile(profile).with_plan(plan);
-                let result = quicreach::scan_service(world, &record, scenario);
+                let fresh = &mut HandshakeScratch::default();
+                let result = quicreach::scan_service(world, &record, scenario, fresh);
 
                 // The same probe, spelled out, to see the whole outcome.
                 let client = ClientConfig::scanner(1362, World::server_addr(&record), seed ^ 1362);
