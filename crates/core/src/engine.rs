@@ -1061,9 +1061,9 @@ mod tests {
             scenario: steered,
             workers: 2,
         });
-        let fig3 = crate::experiments::handshakes::fig3(&campaign);
+        let bars = crate::experiments::handshakes::sweep_bars(&campaign);
         let smallest = engine(2).quicreach(steered.with_initial_size(1200));
-        assert_eq!(fig3.bars[0], smallest.shard.classes);
+        assert_eq!(bars[0], smallest.shard.classes);
     }
 
     #[test]

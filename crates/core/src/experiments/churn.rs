@@ -24,11 +24,11 @@ use crate::Campaign;
 
 /// One scanned tick of the churn timeline.
 #[derive(Debug, Clone)]
-pub(crate) struct ChurnTickRow {
+struct ChurnTickRow {
     /// The measured snapshot.
-    pub snapshot: Snapshot,
+    snapshot: Snapshot,
     /// What the scan cost (delta-vs-full probe accounting).
-    pub stats: TickStats,
+    stats: TickStats,
 }
 
 /// The demo era-migration timeline for a campaign: sparse per-rank churn
@@ -49,10 +49,10 @@ pub fn era_migration_config(campaign: &Campaign) -> ServiceConfig {
         .with_segment_size((world.domains / 50).clamp(32, 1024))
 }
 
-/// Run the era-migration timeline: snapshot every tick in `0..=ticks`
-/// through the delta-scan path and pair each snapshot with its scan
-/// stats.
-pub(crate) fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
+/// The timeline's pass: snapshot every tick in `0..=ticks` of
+/// [`era_migration_config`]'s timeline through the delta-scan path and
+/// pair each snapshot with its scan stats.
+fn timeline_rows(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRow> {
     let mut service = CampaignService::new(era_migration_config(campaign));
     // Every tick is new to the service, so each is scanned and logged.
     (0..=ticks)
@@ -67,9 +67,9 @@ pub(crate) fn churn_timeline(campaign: &Campaign, ticks: u64) -> Vec<ChurnTickRo
         .collect()
 }
 
-/// Render the timeline: per-tick handshake-class shares, chain-size
-/// quantiles, and the delta-scan probe accounting.
-pub(crate) fn render_churn(rows: &[ChurnTickRow]) -> String {
+/// The era-migration timeline over `0..=ticks`: per-tick handshake-class
+/// shares, chain-size quantiles, and the delta-scan probe accounting.
+pub(crate) fn churn_timeline(campaign: &Campaign, ticks: u64) -> String {
     let mut t = Table::new(&[
         "tick",
         "churned",
@@ -82,7 +82,7 @@ pub(crate) fn render_churn(rows: &[ChurnTickRow]) -> String {
         "segments",
         "stek",
     ]);
-    for row in rows {
+    for row in timeline_rows(campaign, ticks) {
         let classes = &row.snapshot.reach.classes;
         let stats = &row.stats;
         t.row(&[
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn timeline_rows_cover_every_tick_and_shift_the_distributions() {
         let c = campaign();
-        let rows = churn_timeline(&c, 5);
+        let rows = timeline_rows(&c, 5);
         assert_eq!(rows.len(), 6);
         assert_eq!(rows[0].snapshot.tick, 0);
         // Tick 0 scans everything (first fold); later sparse ticks are
@@ -176,11 +176,11 @@ mod tests {
     #[test]
     fn renders_mention_the_key_columns() {
         let c = campaign();
-        let rows = churn_timeline(&c, 2);
-        let rendered = render_churn(&rows);
+        let rendered = churn_timeline(&c, 2);
         assert!(rendered.contains("Ecosystem churn"));
         assert!(rendered.contains("1-RTT %"));
         assert!(rendered.contains("chain p50"));
+        let rows = timeline_rows(&c, 2);
         let snap = render_snapshot(&rows[2].snapshot);
         assert!(snap.contains("Snapshot at tick 2"));
         assert!(snap.contains("chain DER p50"));

@@ -50,21 +50,22 @@ fn study_chain(campaign: &Campaign) -> CertificateChain {
 
 /// One ablation row: a server variant and what the scanner observes.
 #[derive(Debug, Clone)]
-pub(crate) struct AblationRow {
+struct AblationRow {
     /// Variant label.
-    pub label: &'static str,
+    label: &'static str,
     /// Resulting handshake class.
-    pub class: HandshakeClass,
+    class: HandshakeClass,
     /// First-RTT amplification factor.
-    pub amplification: f64,
+    amplification: f64,
     /// RTTs to completion.
-    pub rtts: u32,
+    rtts: u32,
     /// Padding bytes on the wire.
-    pub padding: usize,
+    padding: usize,
 }
 
-/// Run the §5 implementation-guidance ablation on one chain.
-pub(crate) fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
+/// The §5 implementation-guidance ablation's pass: each server variant
+/// handshaking with the same chain.
+fn ablation_rows(campaign: &Campaign) -> Vec<AblationRow> {
     let chain = study_chain(campaign);
     let variants: Vec<(&'static str, ServerBehavior, Vec<Algorithm>, Vec<Algorithm>)> = vec![
         (
@@ -122,10 +123,11 @@ pub(crate) fn server_ablation(campaign: &Campaign) -> Vec<AblationRow> {
         .collect()
 }
 
-/// Render the ablation table.
-pub(crate) fn render_server_ablation(rows: &[AblationRow]) -> String {
+/// §5: how each implementation guideline changes the handshake class of
+/// the same deployment.
+pub(crate) fn server_ablation(campaign: &Campaign) -> String {
     let mut t = Table::new(&["server variant", "class", "ampl", "RTTs", "padding B"]);
-    for row in rows {
+    for row in ablation_rows(campaign) {
         t.row(&[
             row.label.to_string(),
             row.class.label().to_string(),
@@ -208,43 +210,38 @@ impl ClientMitigation {
         });
         counts
     }
+}
 
-    /// Share of multi-RTT handshakes the mitigation eliminates.
-    pub(crate) fn fixed_share(&self) -> f64 {
-        self.fixed_by_mitigation as f64 / self.multi_rtt_before.max(1) as f64
-    }
-
-    /// Render the result.
-    pub(crate) fn render(&self) -> String {
-        format!(
-            "§5 — client Initial-size cache: {} multi-RTT services; {} ({:.1}%) \
-             become 1-RTT with an adapted Initial; {} need compression (flight \
-             exceeds 3x1472)\n",
-            self.multi_rtt_before,
-            self.fixed_by_mitigation,
-            self.fixed_share() * 100.0,
-            self.unfixable,
-        )
-    }
+/// §5: how many multi-RTT services a client's Initial-size cache
+/// ([`client_mitigation`]) turns into 1-RTT, and how many only compression
+/// can save.
+pub(crate) fn client_cache(campaign: &Campaign) -> String {
+    let counts = client_mitigation(campaign.engine());
+    let fixed_share = counts.fixed_by_mitigation as f64 / counts.multi_rtt_before.max(1) as f64;
+    format!(
+        "§5 — client Initial-size cache: {} multi-RTT services; {} ({:.1}%) \
+         become 1-RTT with an adapted Initial; {} need compression (flight \
+         exceeds 3x1472)\n",
+        counts.multi_rtt_before,
+        counts.fixed_by_mitigation,
+        fixed_share * 100.0,
+        counts.unfixable,
+    )
 }
 
 // ------------------------------------------------------------ loss study --
 
 /// Handshake latency and robustness under server→client loss.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LossStudy {
-    /// Loss probability applied to the server's datagrams.
-    pub loss: f64,
+struct LossStudy {
     /// Mean RTT rounds to completion without compression (completed trials).
-    pub mean_rtts_uncompressed: f64,
+    mean_rtts_uncompressed: f64,
     /// Mean RTT rounds to completion with brotli compression.
-    pub mean_rtts_compressed: f64,
+    mean_rtts_compressed: f64,
     /// Completion rate without compression.
-    pub completion_uncompressed: f64,
+    completion_uncompressed: f64,
     /// Completion rate with compression.
-    pub completion_compressed: f64,
-    /// Trials per configuration.
-    pub trials: usize,
+    completion_compressed: f64,
 }
 
 /// §5: "the limit allows at most one retransmission of the full flight,
@@ -252,7 +249,7 @@ pub(crate) struct LossStudy {
 /// with and without compression for the same big-chain deployment. A
 /// compressed flight fits the budget with room for retransmission, so lost
 /// datagrams cost fewer extra rounds.
-pub(crate) fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
+fn loss_trials(campaign: &Campaign, loss: f64, trials: usize) -> LossStudy {
     let chain = study_chain(campaign);
     let mut scratch = HandshakeScratch::default();
     let mut run = |compressed: bool, trial: usize| -> Option<u32> {
@@ -285,30 +282,28 @@ pub(crate) fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> LossS
     let (mean_rtts_uncompressed, completion_uncompressed) = measure(false);
     let (mean_rtts_compressed, completion_compressed) = measure(true);
     LossStudy {
-        loss,
         mean_rtts_uncompressed,
         mean_rtts_compressed,
         completion_uncompressed,
         completion_compressed,
-        trials,
     }
 }
 
-impl LossStudy {
-    /// Render the result.
-    pub(crate) fn render(&self) -> String {
-        format!(
-            "§5 — loss study ({:.0}% server-side loss, {} trials): mean \
-             {:.1} RTTs uncompressed vs {:.1} RTTs compressed (completion \
-             {:.0}% / {:.0}%)\n",
-            self.loss * 100.0,
-            self.trials,
-            self.mean_rtts_uncompressed,
-            self.mean_rtts_compressed,
-            self.completion_uncompressed * 100.0,
-            self.completion_compressed * 100.0,
-        )
-    }
+/// §5: handshake latency and completion under `loss` server-side loss,
+/// `trials` handshakes each with and without compression.
+pub(crate) fn loss_study(campaign: &Campaign, loss: f64, trials: usize) -> String {
+    let study = loss_trials(campaign, loss, trials);
+    format!(
+        "§5 — loss study ({:.0}% server-side loss, {} trials): mean \
+         {:.1} RTTs uncompressed vs {:.1} RTTs compressed (completion \
+         {:.0}% / {:.0}%)\n",
+        loss * 100.0,
+        trials,
+        study.mean_rtts_uncompressed,
+        study.mean_rtts_compressed,
+        study.completion_uncompressed * 100.0,
+        study.completion_compressed * 100.0,
+    )
 }
 
 #[cfg(test)]
@@ -325,7 +320,7 @@ mod tests {
     #[test]
     fn ablation_reproduces_the_guidance_claims() {
         let c = campaign();
-        let rows = server_ablation(&c);
+        let rows = ablation_rows(&c);
         assert_eq!(rows.len(), 4);
         // Baseline: big chain, compliant server → multi-RTT.
         assert_eq!(rows[0].class, HandshakeClass::MultiRtt);
@@ -343,7 +338,6 @@ mod tests {
             rows[3].amplification
         );
         assert_eq!(rows[3].rtts, 1);
-        assert!(!render_server_ablation(&rows).is_empty());
     }
 
     #[test]
@@ -359,7 +353,6 @@ mod tests {
             m.unfixable > 0,
             "big chains cannot be fixed by Initial sizing"
         );
-        assert!(!m.render().is_empty());
     }
 
     /// Counts from three arbitrary values each — any values, not only
@@ -392,12 +385,12 @@ mod tests {
         let c = campaign();
         // Without loss: the compressed flight completes in one round, the
         // uncompressed one needs at least two.
-        let clean = loss_study(&c, 0.0, 4);
+        let clean = loss_trials(&c, 0.0, 4);
         assert!((clean.mean_rtts_compressed - 1.0).abs() < 1e-9);
         assert!(clean.mean_rtts_uncompressed >= 2.0);
         // Under loss both degrade, but compression keeps the handshake
         // faster on average.
-        let lossy = loss_study(&c, 0.25, 32);
+        let lossy = loss_trials(&c, 0.25, 32);
         assert!(
             lossy.mean_rtts_compressed < lossy.mean_rtts_uncompressed,
             "compressed {} vs uncompressed {}",
@@ -405,6 +398,5 @@ mod tests {
             lossy.mean_rtts_uncompressed
         );
         assert!(lossy.completion_compressed > 0.6);
-        assert!(!lossy.render().is_empty());
     }
 }

@@ -121,34 +121,13 @@ pub fn one_rtt_survivors(campaign: &Campaign) -> String {
 /// fixed sample rather than the whole study population).
 const COVERAGE_SAMPLE: usize = 16;
 
-/// The §4.2 synthetic compression study, aggregated for one era.
-#[derive(Debug, Clone, Copy)]
-pub struct EraCompression {
-    /// The PKI generation compressed.
-    pub era: CertificateEra,
-    /// Chains sampled.
-    pub chains: usize,
-    /// Mean original (uncompressed) chain size, bytes.
-    pub mean_original: f64,
-    /// Mean compressed/original ratio.
-    pub mean_ratio: f64,
-    /// Median ratio.
-    pub median_ratio: f64,
-    /// Share of compressed chains fitting the 3× budget at the campaign's
-    /// default Initial, percent.
-    pub under_limit_pct: f64,
-    /// Mean [`quicert_compress::dict::coverage`] over the first
-    /// `COVERAGE_SAMPLE` sampled chains: the share of chain bytes the
-    /// brotli profile's classical certificate dictionary has n-grams for.
-    /// This is *why* the ratio degrades — ML-DSA keys and signatures are
-    /// material the dictionary has never seen.
-    pub mean_dict_coverage: f64,
-}
-
-/// Compress the sampled chain population once per era with the brotli
-/// profile (the only one shipping a certificate dictionary).
-pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCompression> {
-    let limit = amplification::limit(campaign.scenario().initial_size);
+/// Mean [`quicert_compress::dict::coverage`] per era (in
+/// [`CertificateEra::ALL`] order) over the study sample's first
+/// `COVERAGE_SAMPLE` chains: the share of chain bytes the brotli
+/// profile's classical certificate dictionary has n-grams for. This is
+/// *why* the ratio degrades — ML-DSA keys and signatures are material the
+/// dictionary has never seen.
+fn dict_coverage(campaign: &Campaign, stride: usize) -> [f64; 3] {
     let world = campaign.world();
     // The coverage sample: the study sample's first chains, derived by
     // walking the sampled ranks.
@@ -159,32 +138,24 @@ pub fn compression_degradation(campaign: &Campaign, stride: usize) -> Vec<EraCom
         .filter(sampled)
         .take(COVERAGE_SAMPLE)
         .collect();
-    CertificateEra::ALL
-        .iter()
-        .map(|&era| {
-            let study = campaign
-                .engine()
-                .compression_study(era, Algorithm::Brotli, stride);
-            let coverages: Vec<f64> = sample
-                .iter()
-                .filter_map(|record| world.https_chain_era(record, era))
-                .map(|chain| quicert_compress::dict::coverage(&chain.concatenated_der()))
-                .collect();
-            EraCompression {
-                era,
-                chains: study.chains(),
-                mean_original: study.mean_original(),
-                mean_ratio: study.mean_ratio(),
-                median_ratio: study.ratio_cdf().percentile(50.0),
-                under_limit_pct: study.under(limit) as f64 / study.chains().max(1) as f64 * 100.0,
-                mean_dict_coverage: mean(&coverages),
-            }
-        })
-        .collect()
+    CertificateEra::ALL.map(|era| {
+        let coverages: Vec<f64> = sample
+            .iter()
+            .filter_map(|record| world.https_chain_era(record, era))
+            .map(|chain| quicert_compress::dict::coverage(&chain.concatenated_der()))
+            .collect();
+        mean(&coverages)
+    })
 }
 
-/// Render the per-era compression table.
-pub fn render_compression_degradation(rows: &[EraCompression]) -> String {
+/// The §4.2 synthetic study once per era with the brotli profile (the only
+/// one shipping a certificate dictionary), from the engine's cached study
+/// ([`crate::ScanEngine::compression_study`]): chains sampled, mean
+/// original size, mean and median compressed/original ratio, the share of
+/// compressed chains fitting the 3× budget at the campaign's default
+/// Initial, and the dictionary's coverage of the chain bytes.
+pub fn compression_degradation(campaign: &Campaign, stride: usize) -> String {
+    let limit = amplification::limit(campaign.scenario().initial_size);
     let mut t = Table::new(&[
         "era",
         "chains",
@@ -194,15 +165,23 @@ pub fn render_compression_degradation(rows: &[EraCompression]) -> String {
         "under 3x %",
         "dict cov %",
     ]);
-    for row in rows {
+    let coverage = dict_coverage(campaign, stride);
+    for (era, coverage) in CertificateEra::ALL.into_iter().zip(coverage) {
+        let study = campaign
+            .engine()
+            .compression_study(era, Algorithm::Brotli, stride);
+        let chains = study.chains();
         t.row(&[
-            row.era.name().to_string(),
-            row.chains.to_string(),
-            format!("{:.0}", row.mean_original),
-            format!("{:.3}", row.mean_ratio),
-            format!("{:.3}", row.median_ratio),
-            format!("{:.1}", row.under_limit_pct),
-            format!("{:.1}", row.mean_dict_coverage * 100.0),
+            era.name().to_string(),
+            chains.to_string(),
+            format!("{:.0}", study.mean_original()),
+            format!("{:.3}", study.mean_ratio()),
+            format!("{:.3}", study.ratio_cdf().percentile(50.0)),
+            format!(
+                "{:.1}",
+                study.under(limit) as f64 / chains.max(1) as f64 * 100.0
+            ),
+            format!("{:.1}", coverage * 100.0),
         ]);
     }
     format!(
@@ -314,31 +293,33 @@ mod tests {
     #[test]
     fn compression_cannot_rescue_pq_chains() {
         let c = campaign();
-        let rows = compression_degradation(&c, 25);
-        assert_eq!(rows.len(), 3);
-        let by = |era| rows.iter().find(|r| r.era == era).copied().unwrap();
-        let classical = by(CertificateEra::Classical);
-        let hybrid = by(CertificateEra::Hybrid);
-        let pq = by(CertificateEra::PostQuantum);
-        // §4.2: compression keeps nearly everything under the limit today…
-        assert!(
-            classical.under_limit_pct > 90.0,
-            "{}",
-            classical.under_limit_pct
+        let limit = amplification::limit(c.scenario().initial_size);
+        let study = |era| c.engine().compression_study(era, Algorithm::Brotli, 25);
+        let under_limit_pct = |era| {
+            let study = study(era);
+            study.under(limit) as f64 / study.chains().max(1) as f64 * 100.0
+        };
+        let (classical, hybrid, pq) = (
+            study(CertificateEra::Classical),
+            study(CertificateEra::Hybrid),
+            study(CertificateEra::PostQuantum),
         );
+        // §4.2: compression keeps nearly everything under the limit today…
+        let classical_under = under_limit_pct(CertificateEra::Classical);
+        assert!(classical_under > 90.0, "{classical_under}");
         // …but ML-DSA bytes neither compress nor fit.
-        assert!(pq.mean_ratio > classical.mean_ratio + 0.15);
-        assert!(hybrid.mean_ratio > classical.mean_ratio + 0.15);
-        assert!(pq.under_limit_pct < 50.0, "{}", pq.under_limit_pct);
-        assert!(pq.mean_original > 2.0 * classical.mean_original);
-        assert!(hybrid.mean_original > pq.mean_original);
+        assert!(pq.mean_ratio() > classical.mean_ratio() + 0.15);
+        assert!(hybrid.mean_ratio() > classical.mean_ratio() + 0.15);
+        let pq_under = under_limit_pct(CertificateEra::PostQuantum);
+        assert!(pq_under < 50.0, "{pq_under}");
+        assert!(pq.mean_original() > 2.0 * classical.mean_original());
+        assert!(hybrid.mean_original() > pq.mean_original());
         // The mechanism: the dictionary covers a fair share of classical
         // chain bytes but almost none of the ML-DSA material.
+        let [classical_coverage, _hybrid, pq_coverage] = dict_coverage(&c, 25);
         assert!(
-            classical.mean_dict_coverage > 3.0 * pq.mean_dict_coverage,
-            "dict coverage {} vs {}",
-            classical.mean_dict_coverage,
-            pq.mean_dict_coverage
+            classical_coverage > 3.0 * pq_coverage,
+            "dict coverage {classical_coverage} vs {pq_coverage}"
         );
     }
 
@@ -354,7 +335,7 @@ mod tests {
         }
         let survivors = one_rtt_survivors(&c);
         assert!(survivors.contains("post-quantum"));
-        let compression = render_compression_degradation(&compression_degradation(&c, 25));
+        let compression = compression_degradation(&c, 25);
         assert!(compression.contains("hybrid"));
     }
 }

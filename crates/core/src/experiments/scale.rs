@@ -10,9 +10,11 @@
 //! handshake-class shares, chain-size quantile sketches) are bit-for-bit
 //! what a materialized scan of the same population would produce.
 
+use std::sync::Arc;
+
 use quicert_pki::WorldConfig;
 use quicert_scanner::https_scan::HttpsScanShard;
-use quicert_scanner::quicreach::QuicReachShard;
+use quicert_scanner::quicreach::QuicReachSummary;
 
 use quicert_analysis::{render_table, Table};
 use quicert_quic::handshake::HandshakeClass;
@@ -24,17 +26,6 @@ use crate::Campaign;
 /// The paper-scale population ladder: the full report and the
 /// `examples/at_scale` tour measure at these absolute sizes.
 pub const PAPER_SCALE_SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
-
-/// One population size's streamed measurements.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Domains in this population.
-    pub population: usize,
-    /// Streamed §3.1 funnel and chain-size summary.
-    pub funnel: HttpsScanShard,
-    /// Streamed quicreach summary at the campaign's default Initial size.
-    pub reach: QuicReachShard,
-}
 
 /// Resolve a requested size ladder: `0` entries derive from the campaign's
 /// own world size as `[n/2, n, 5n]`, so tests and small reports scale
@@ -51,8 +42,13 @@ pub(crate) fn resolve_sizes(requested: [usize; 3], world_domains: usize) -> [usi
 }
 
 /// Stream one population size with a campaign's scan parameters (same
-/// seed, Initial size and workers — only the domain count varies).
-pub(crate) fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
+/// seed, Initial size and workers — only the domain count varies): the
+/// streamed §3.1 funnel and chain-size summary, and the streamed quicreach
+/// summary at the campaign's default Initial size.
+fn scale_row(
+    campaign: &Campaign,
+    population: usize,
+) -> (Arc<HttpsScanShard>, Arc<QuicReachSummary>) {
     let config = WorldConfig {
         domains: population,
         ..campaign.config().world.clone()
@@ -63,22 +59,16 @@ pub(crate) fn scale_row(campaign: &Campaign, population: usize) -> ScaleRow {
         campaign.config().workers,
     )
     .with_scenario(campaign.scenario());
-    ScaleRow {
-        population,
-        funnel: (*engine.stream_https_scan()).clone(),
-        reach: engine.quicreach(engine.scenario()).shard.clone(),
-    }
+    (
+        engine.stream_https_scan(),
+        engine.quicreach(engine.scenario()),
+    )
 }
 
-/// The population-scale ladder (one streamed row per size).
-pub fn population_scale(campaign: &Campaign, sizes: &[usize]) -> Vec<ScaleRow> {
-    sizes.iter().map(|&n| scale_row(campaign, n)).collect()
-}
-
-/// Render the ladder: adoption funnel, handshake-class shares among
-/// reachable services, and chain-size quantiles from the streaming
-/// sketches (64-byte quantile error bound).
-pub fn render_population_scale(rows: &[ScaleRow]) -> String {
+/// The population-scale ladder, one streamed row per size: adoption
+/// funnel, handshake-class shares among reachable services, and chain-size
+/// quantiles from the streaming sketches (64-byte quantile error bound).
+pub fn population_scale(campaign: &Campaign, sizes: &[usize]) -> String {
     let mut t = Table::new(&[
         "population",
         "TLS",
@@ -92,20 +82,21 @@ pub fn render_population_scale(rows: &[ScaleRow]) -> String {
         "p90",
         "p99",
     ]);
-    for row in rows {
-        let classes = &row.reach.classes;
+    for &population in sizes {
+        let (funnel, reach) = scale_row(campaign, population);
+        let classes = &reach.shard.classes;
         t.row(&[
-            row.population.to_string(),
-            row.funnel.tls_reachable.to_string(),
-            row.funnel.quic_services.to_string(),
+            population.to_string(),
+            funnel.tls_reachable.to_string(),
+            funnel.quic_services.to_string(),
             classes.reachable().to_string(),
             class_share(classes, HandshakeClass::Amplification),
             class_share(classes, HandshakeClass::MultiRtt),
             class_share(classes, HandshakeClass::OneRtt),
             class_share(classes, HandshakeClass::Unreachable),
-            format!("{:.0}", row.funnel.chain_der.quantile(0.5)),
-            format!("{:.0}", row.funnel.chain_der.quantile(0.9)),
-            format!("{:.0}", row.funnel.chain_der.quantile(0.99)),
+            format!("{:.0}", funnel.chain_der.quantile(0.5)),
+            format!("{:.0}", funnel.chain_der.quantile(0.9)),
+            format!("{:.0}", funnel.chain_der.quantile(0.99)),
         ]);
     }
     format!(
@@ -119,6 +110,7 @@ pub fn render_population_scale(rows: &[ScaleRow]) -> String {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
+    use quicert_scanner::quicreach::QuicReachShard;
     use quicert_scanner::{https_scan, quicreach, Scenario};
 
     fn campaign() -> Campaign {
@@ -137,23 +129,22 @@ mod tests {
     #[test]
     fn scale_rows_stream_without_materializing() {
         let c = campaign();
-        let rows = population_scale(&c, &[400, 1_000]);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert!(row.funnel.total == row.population as u64);
-            assert!(row.funnel.quic_services > 0);
-            assert_eq!(row.reach.total() as u64, row.funnel.quic_services);
+        let [small, large] = [400, 1_000].map(|n| scale_row(&c, n));
+        for (population, (funnel, reach)) in [(400, &small), (1_000, &large)] {
+            assert!(funnel.total == population as u64);
+            assert!(funnel.quic_services > 0);
+            assert_eq!(reach.shard.total() as u64, funnel.quic_services);
             // Chain-size quantiles are populated and ordered.
             let (p50, p99) = (
-                row.funnel.chain_der.quantile(0.5),
-                row.funnel.chain_der.quantile(0.99),
+                funnel.chain_der.quantile(0.5),
+                funnel.chain_der.quantile(0.99),
             );
             assert!(p50 > 500.0, "p50 {p50}");
             assert!(p99 >= p50);
         }
         // More population, more services.
-        assert!(rows[1].funnel.quic_services > rows[0].funnel.quic_services);
-        let rendered = render_population_scale(&rows);
+        assert!(large.0.quic_services > small.0.quic_services);
+        let rendered = population_scale(&c, &[400, 1_000]);
         assert!(rendered.contains("Population scale"));
         assert!(rendered.contains("400"));
     }
@@ -165,14 +156,14 @@ mod tests {
         // world — a serial per-record map, no engine — same seed, same
         // records, different memory model.
         let c = campaign();
-        let row = scale_row(&c, 1_000);
+        let (funnel, reach) = scale_row(&c, 1_000);
         let initial = c.scenario().initial_size;
         assert_eq!(c.scenario().cold(), Scenario::at(initial));
         let rows = quicreach::scan(c.world(), initial);
         let materialized = QuicReachShard::from_results(initial, &rows).classes;
-        assert_eq!(row.reach.classes, materialized);
+        assert_eq!(reach.shard.classes, materialized);
         let report = https_scan::scan(c.world());
-        assert_eq!(row.funnel.tls_reachable as usize, report.observations.len());
-        assert_eq!(row.funnel.resolved as usize, report.resolved);
+        assert_eq!(funnel.tls_reachable as usize, report.observations.len());
+        assert_eq!(funnel.resolved as usize, report.resolved);
     }
 }

@@ -1,17 +1,16 @@
 //! # quicert-core — campaign orchestration
 //!
 //! Ties the whole workspace together: generate a world, run the scanners,
-//! and produce every table and figure of the paper as a typed result with a
-//! plain-text rendering. The per-experiment index is the table in
-//! [`experiments`]; the paper-vs-measured values are the full report
-//! itself, pinned by `tests/golden/report.txt`.
+//! and produce every table and figure of the paper as a plain-text
+//! section rendered from the engine's cached summaries. The per-experiment
+//! index is the table in [`experiments`]; the paper-vs-measured values are
+//! the full report itself, pinned by `tests/golden/report.txt`.
 //!
 //! ```no_run
 //! use quicert_core::{Campaign, CampaignConfig};
 //!
 //! let campaign = Campaign::new(CampaignConfig::small());
-//! let fig3 = quicert_core::experiments::handshakes::fig3(&campaign);
-//! println!("{}", fig3.render());
+//! println!("{}", quicert_core::experiments::handshakes::fig3(&campaign));
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

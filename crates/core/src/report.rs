@@ -117,83 +117,60 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
         campaign.config().world.seed
     ));
 
-    // §3.1 funnel.
-    let funnel = &campaign.engine().certificates().funnel;
-    out.push_str(&format!(
-        "§3.1 funnel — resolved {} / {}, A records {}, TLS-reachable {}, \
-         QUIC services {}\n",
-        funnel.resolved, funnel.total, funnel.a_records, funnel.tls_reachable, funnel.quic_services,
-    ));
+    out.push_str(&certs::funnel(campaign));
+    out.push('\n');
 
-    // §3.2 QScanner consistency check.
-    let consistency = campaign.engine().qscanner();
-    out.push_str(&format!(
-        "§3.2 QScanner consistency — {:.1}% of {} QUIC chains match HTTPS \
-         ({} rotated, {} other)\n\n",
-        consistency.same_rate() * 100.0,
-        consistency.total,
-        consistency.rotated,
-        consistency.other,
-    ));
-
-    out.push_str(&certs::fig2b(campaign).render());
+    out.push_str(&certs::fig2b(campaign));
     out.push('\n');
 
     if options.full_sweep {
-        out.push_str(&handshakes::fig3(campaign).render());
+        out.push_str(&handshakes::fig3(campaign));
     } else {
-        let summary = campaign
-            .engine()
-            .quicreach(campaign.scenario())
-            .shard
-            .classes;
-        out.push_str(&format!(
-            "Fig 3 (default size only) — ampl {} / multi {} / retry {} / 1-RTT {}\n",
-            summary.amplification, summary.multi_rtt, summary.retry, summary.one_rtt
-        ));
+        out.push_str(&handshakes::fig3_default_size(campaign));
     }
     out.push('\n');
 
-    out.push_str(&compression::table1(campaign).render());
+    out.push_str(&compression::table1(campaign));
     out.push('\n');
 
-    out.push_str(&handshakes::render_fig4(&handshakes::fig4(campaign)));
-    out.push_str(&handshakes::fig5(campaign).render());
+    out.push_str(&handshakes::fig4(campaign));
+    out.push_str(&handshakes::fig5(campaign));
     out.push('\n');
 
-    out.push_str(&certs::fig6(campaign).render());
-    out.push_str(&certs::fig7(campaign, true).render("QUIC services"));
-    out.push_str(&certs::fig7(campaign, false).render("HTTPS-only services"));
-    out.push_str(&certs::render_fig8(&certs::fig8(campaign)));
-    out.push_str(&certs::table2(campaign).render());
-    out.push_str(&certs::fig14(campaign).render());
+    out.push_str(&certs::fig6(campaign));
+    out.push_str(&certs::fig7(campaign, true));
+    out.push_str(&certs::fig7(campaign, false));
+    out.push_str(&certs::fig8(campaign));
+    out.push_str(&certs::table2(campaign));
+    out.push_str(&certs::fig14(campaign));
     out.push('\n');
 
-    out.push_str(
-        &compression::compression_study(campaign, Algorithm::Brotli, options.compression_stride)
-            .render(),
-    );
-    out.push('\n');
-
-    out.push_str(&amplification::fig9(campaign, options.telescope_per_provider).render());
-    out.push_str(&amplification::meta_pop_scan(campaign, false).render());
-    out.push_str(&amplification::fig11(campaign, options.fig11_reps).render());
-    out.push_str(&amplification::table3(campaign).render());
-    out.push('\n');
-
-    out.push_str(&handshakes::render_rank_groups(&handshakes::rank_groups(
+    let stride = options.compression_stride;
+    out.push_str(&compression::compression_study(
         campaign,
-    )));
-    out.push_str(&handshakes::reachability(campaign).render());
+        Algorithm::Brotli,
+        stride,
+    ));
+    out.push('\n');
+
+    out.push_str(&amplification::fig9(
+        campaign,
+        options.telescope_per_provider,
+    ));
+    out.push_str(&amplification::meta_pop_scan(campaign, false));
+    out.push_str(&amplification::fig11(campaign, options.fig11_reps));
+    out.push_str(&amplification::table3(campaign));
+    out.push('\n');
+
+    out.push_str(&handshakes::rank_groups(campaign));
+    out.push_str(&handshakes::reachability(campaign));
     out.push('\n');
 
     // §5 guidance, as experiments.
-    out.push_str(&guidance::render_server_ablation(
-        &guidance::server_ablation(campaign),
-    ));
+    out.push_str(&guidance::server_ablation(campaign));
     if options.guidance_mitigation {
-        out.push_str(&guidance::client_mitigation(campaign.engine()).render());
-        out.push_str(&guidance::loss_study(campaign, 0.25, 32).render());
+        out.push_str(&guidance::client_cache(campaign));
+        out.push_str(&guidance::loss_study(campaign, 0.25, 32));
     }
 
     // Beyond the paper: the same population under adverse link conditions.
@@ -217,9 +194,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
         out.push('\n');
         out.push_str(&pq::era_matrix(campaign));
         out.push_str(&pq::one_rtt_survivors(campaign));
-        out.push_str(&pq::render_compression_degradation(
-            &pq::compression_degradation(campaign, options.compression_stride),
-        ));
+        out.push_str(&pq::compression_degradation(campaign, stride));
     }
 
     // Beyond the paper: the fault-injection grid — what loss recovery
@@ -235,9 +210,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     if options.population_scale {
         out.push('\n');
         let sizes = scale::resolve_sizes(options.scale_sizes, world.config.domains);
-        out.push_str(&scale::render_population_scale(&scale::population_scale(
-            campaign, &sizes,
-        )));
+        out.push_str(&scale::population_scale(campaign, &sizes));
     }
 
     // Beyond the paper: the same campaign as a resident service whose
@@ -245,10 +218,7 @@ pub fn full_report(campaign: &Campaign, options: ReportOptions) -> String {
     // measured per tick through delta scans.
     if options.churn {
         out.push('\n');
-        out.push_str(&churn::render_churn(&churn::churn_timeline(
-            campaign,
-            REPORT_CHURN_TICKS,
-        )));
+        out.push_str(&churn::churn_timeline(campaign, REPORT_CHURN_TICKS));
     }
 
     out

@@ -75,12 +75,36 @@ impl ClientConfig {
 /// their capacity carries over.
 #[derive(Debug, Default)]
 pub(crate) struct ClientBuffers {
+    /// The ClientHello, written once per Initial sent.
     hello: Vec<u8>,
     token: Vec<u8>,
+    // Reassembly buffers per encryption level.
     initial_rx: CryptoStream,
     handshake_rx: CryptoStream,
     onertt_rx: CryptoStream,
+    /// The packets and frames of the datagram being received.
     parsed: ParsedDatagram,
+}
+
+impl ClientBuffers {
+    /// Empty every buffer, keeping its capacity. Each field is named, so a
+    /// new buffer does not compile until it is cleared here.
+    fn clear(&mut self) {
+        let ClientBuffers {
+            hello,
+            token,
+            initial_rx,
+            handshake_rx,
+            onertt_rx,
+            // Overwritten by every parse.
+            parsed: _,
+        } = self;
+        hello.clear();
+        token.clear();
+        initial_rx.clear();
+        handshake_rx.clear();
+        onertt_rx.clear();
+    }
 }
 
 /// The client connection endpoint.
@@ -90,17 +114,9 @@ pub struct ClientConn {
     scid: ConnectionId,
     dcid: ConnectionId,
     server_cid: Option<ConnectionId>,
-    /// The ClientHello, written once per Initial sent.
-    hello: Vec<u8>,
-    token: Vec<u8>,
+    buf: ClientBuffers,
     initial_pn: u64,
     handshake_pn: u64,
-    // Reassembly buffers per encryption level.
-    initial_rx: CryptoStream,
-    handshake_rx: CryptoStream,
-    onertt_rx: CryptoStream,
-    /// The packets and frames of the datagram being received.
-    parsed: ParsedDatagram,
     largest_initial_rx: Option<u64>,
     largest_handshake_rx: Option<u64>,
     got_server_hello: bool,
@@ -134,20 +150,8 @@ impl ClientConn {
 
     /// Create a client endpoint in `buffers`, emptied: the one place every
     /// field of a connection is set.
-    pub(crate) fn reusing(config: ClientConfig, buffers: ClientBuffers) -> Self {
-        let ClientBuffers {
-            mut hello,
-            mut token,
-            mut initial_rx,
-            mut handshake_rx,
-            mut onertt_rx,
-            parsed,
-        } = buffers;
-        hello.clear();
-        token.clear();
-        initial_rx.clear();
-        handshake_rx.clear();
-        onertt_rx.clear();
+    pub(crate) fn reusing(config: ClientConfig, mut buf: ClientBuffers) -> Self {
+        buf.clear();
         let scid = ConnectionId::from_seed(config.seed ^ 0xC11E);
         let dcid = ConnectionId::from_seed(config.seed ^ 0xD1D1);
         ClientConn {
@@ -155,14 +159,9 @@ impl ClientConn {
             scid,
             dcid,
             server_cid: None,
-            hello,
-            token,
+            buf,
             initial_pn: 0,
             handshake_pn: 0,
-            initial_rx,
-            handshake_rx,
-            onertt_rx,
-            parsed,
             largest_initial_rx: None,
             largest_handshake_rx: None,
             got_server_hello: false,
@@ -181,23 +180,7 @@ impl ClientConn {
 
     /// This connection's buffers, for the next connection to reuse.
     pub(crate) fn into_buffers(self) -> ClientBuffers {
-        let ClientConn {
-            hello,
-            token,
-            initial_rx,
-            handshake_rx,
-            onertt_rx,
-            parsed,
-            ..
-        } = self;
-        ClientBuffers {
-            hello,
-            token,
-            initial_rx,
-            handshake_rx,
-            onertt_rx,
-            parsed,
-        }
+        self.buf
     }
 
     /// The client's source connection ID.
@@ -216,10 +199,10 @@ impl ClientConn {
     }
 
     fn initial_datagram(&mut self, out: &mut Outbox) -> Vec<u8> {
-        self.hello.clear();
-        self.hello.reserve(512);
+        self.buf.hello.clear();
+        self.buf.hello.reserve(512);
         client_hello_into(
-            &mut self.hello,
+            &mut self.buf.hello,
             &self.config.server_name,
             &self.config.compression,
             self.config.psk.as_ref(),
@@ -229,12 +212,12 @@ impl ClientConn {
             ty: PacketType::Initial,
             dcid: &self.dcid,
             scid: &self.scid,
-            token: &self.token,
+            token: &self.buf.token,
             number: self.initial_pn,
         };
         let frames = [FrameRef::Crypto {
             offset: 0,
-            data: &self.hello,
+            data: &self.buf.hello,
         }];
         let unpadded = header.encoded_len(frames);
         let size = self.config.initial_size.max(unpadded);
@@ -260,7 +243,7 @@ impl ClientConn {
     fn check_progress(&mut self, now: SimTime) {
         if !self.got_server_hello {
             let server_hello =
-                handshake_messages(self.initial_rx.contiguous()).find(|msg| msg[0] == 2);
+                handshake_messages(self.buf.initial_rx.contiguous()).find(|msg| msg[0] == 2);
             if let Some(msg) = server_hello {
                 self.got_server_hello = true;
                 // A resumed handshake is signalled by the ServerHello's
@@ -276,7 +259,7 @@ impl ClientConn {
             // EE + Finished complete it.
             let (mut extensions, mut certificate, mut verify, mut finished) =
                 (false, false, false, false);
-            for msg in handshake_messages(self.handshake_rx.contiguous()) {
+            for msg in handshake_messages(self.buf.handshake_rx.contiguous()) {
                 match msg[0] {
                     8 => extensions = true,
                     11 | 25 => certificate = true,
@@ -297,8 +280,8 @@ impl ClientConn {
             }
         }
         if self.ticket.is_none() {
-            self.ticket =
-                handshake_messages(self.onertt_rx.contiguous()).find_map(parse_new_session_ticket);
+            self.ticket = handshake_messages(self.buf.onertt_rx.contiguous())
+                .find_map(parse_new_session_ticket);
         }
     }
 
@@ -393,9 +376,9 @@ impl Endpoint for ClientConn {
 
     fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox) {
         // Lent out of `self` while its packets borrow it.
-        let mut parsed = std::mem::take(&mut self.parsed);
+        let mut parsed = std::mem::take(&mut self.buf.parsed);
         let Some(packets) = parse_datagram_ref(&dgram.payload, &mut parsed) else {
-            self.parsed = parsed;
+            self.buf.parsed = parsed;
             return;
         };
         let mut saw_ack_eliciting = false;
@@ -404,12 +387,12 @@ impl Endpoint for ClientConn {
                 PacketType::Retry => {
                     if !self.saw_retry {
                         self.saw_retry = true;
-                        self.token.clear();
-                        self.token.extend_from_slice(pkt.token);
+                        self.buf.token.clear();
+                        self.buf.token.extend_from_slice(pkt.token);
                         self.server_cid = Some(pkt.scid.clone());
                         // Restart with the token; the Retry resets the
                         // connection state.
-                        self.initial_rx.clear();
+                        self.buf.initial_rx.clear();
                         self.largest_initial_rx = None;
                         self.dcid = pkt.scid;
                         if self.config.send_acks {
@@ -421,9 +404,9 @@ impl Endpoint for ClientConn {
                 PacketType::Initial | PacketType::Handshake => {
                     let (largest_rx, rx) = if pkt.ty == PacketType::Initial {
                         self.server_cid = Some(pkt.scid);
-                        (&mut self.largest_initial_rx, &mut self.initial_rx)
+                        (&mut self.largest_initial_rx, &mut self.buf.initial_rx)
                     } else {
-                        (&mut self.largest_handshake_rx, &mut self.handshake_rx)
+                        (&mut self.largest_handshake_rx, &mut self.buf.handshake_rx)
                     };
                     *largest_rx = Some(largest_rx.map_or(pkt.number, |l| l.max(pkt.number)));
                     for frame in pkt.frames {
@@ -440,13 +423,13 @@ impl Endpoint for ClientConn {
                     // arrives.
                     for frame in pkt.frames {
                         if let FrameRef::Crypto { offset, data } = frame {
-                            self.onertt_rx.insert(offset, data);
+                            self.buf.onertt_rx.insert(offset, data);
                         }
                     }
                 }
             }
         }
-        self.parsed = parsed;
+        self.buf.parsed = parsed;
         self.check_progress(now);
         // Server responded: stop Initial retransmissions.
         self.pto_deadline = None;

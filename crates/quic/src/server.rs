@@ -213,14 +213,45 @@ struct ReplyPath {
 /// by a reused handshake scratch; only their capacity carries over.
 #[derive(Debug, Default)]
 pub(crate) struct ServerBuffers {
+    // CRYPTO reassembly of the client's Initial stream (the ClientHello).
     ch: CryptoStream,
+    // CRYPTO send buffers per encryption level: the flight's ServerHello
+    // (Initial) and the rest of it (Handshake); a NewSessionTicket.
     flight: ServerFlight,
     onertt_crypto: Vec<u8>,
     packets: Vec<PlannedPacket>,
     datagrams: Vec<PlannedDatagram>,
     queue: VecDeque<Queued>,
     retry_token: Vec<u8>,
+    /// The packets and frames of the datagram being received.
     parsed: ParsedDatagram,
+}
+
+impl ServerBuffers {
+    /// Empty every buffer, keeping its capacity. Each field is named, so a
+    /// new buffer does not compile until it is cleared here.
+    fn clear(&mut self) {
+        let ServerBuffers {
+            ch,
+            flight,
+            onertt_crypto,
+            packets,
+            datagrams,
+            queue,
+            retry_token,
+            // Overwritten by every parse.
+            parsed: _,
+        } = self;
+        ch.clear();
+        // The flight's two lengths are rewritten by every build.
+        flight.initial_crypto.clear();
+        flight.handshake_crypto.clear();
+        onertt_crypto.clear();
+        packets.clear();
+        datagrams.clear();
+        queue.clear();
+        retry_token.clear();
+    }
 }
 
 /// A QUIC server connection endpoint.
@@ -238,24 +269,13 @@ pub struct ServerConn {
     scid: ConnectionId,
     client_cid: ConnectionId,
     reply_path: Option<ReplyPath>,
-    // CRYPTO reassembly of the client's Initial stream (the ClientHello).
-    ch: CryptoStream,
+    buf: ServerBuffers,
     flight_built: bool,
-    // CRYPTO send buffers per encryption level: the flight's ServerHello
-    // (Initial) and the rest of it (Handshake); a NewSessionTicket.
-    flight: ServerFlight,
-    onertt_crypto: Vec<u8>,
-    packets: Vec<PlannedPacket>,
-    datagrams: Vec<PlannedDatagram>,
-    queue: VecDeque<Queued>,
     initial_pn: u64,
     handshake_pn: u64,
     onertt_pn: u64,
     largest_client_initial_pn: Option<u64>,
     retry_sent: bool,
-    retry_token: Vec<u8>,
-    /// The packets and frames of the datagram being received.
-    parsed: ParsedDatagram,
     /// Set once a client Handshake-level packet arrives (address validated,
     /// RFC 9001 §4.1.2) or a valid Retry token is echoed.
     complete: bool,
@@ -275,25 +295,8 @@ impl ServerConn {
 
     /// Create a server endpoint in `buffers`, emptied: the one place every
     /// field of a connection is set.
-    pub(crate) fn reusing(config: ServerConfig, buffers: ServerBuffers) -> Self {
-        let ServerBuffers {
-            mut ch,
-            mut flight,
-            mut onertt_crypto,
-            mut packets,
-            mut datagrams,
-            mut queue,
-            mut retry_token,
-            parsed,
-        } = buffers;
-        ch.clear();
-        flight.initial_crypto.clear();
-        flight.handshake_crypto.clear();
-        onertt_crypto.clear();
-        packets.clear();
-        datagrams.clear();
-        queue.clear();
-        retry_token.clear();
+    pub(crate) fn reusing(config: ServerConfig, mut buf: ServerBuffers) -> Self {
+        buf.clear();
         let scid = ConnectionId::from_seed(config.seed ^ 0x5E5E);
         let current_pto = config.behavior.pto;
         let policy = config.behavior.limit_policy;
@@ -303,20 +306,13 @@ impl ServerConn {
             scid,
             client_cid: ConnectionId::default(),
             reply_path: None,
-            ch,
+            buf,
             flight_built: false,
-            flight,
-            onertt_crypto,
-            packets,
-            datagrams,
-            queue,
             initial_pn: 0,
             handshake_pn: 0,
             onertt_pn: 0,
             largest_client_initial_pn: None,
             retry_sent: false,
-            retry_token,
-            parsed,
             complete: false,
             ticket_issued: false,
             transmissions: 0,
@@ -328,27 +324,7 @@ impl ServerConn {
 
     /// This connection's buffers, for the next connection to reuse.
     pub(crate) fn into_buffers(self) -> ServerBuffers {
-        let ServerConn {
-            ch,
-            flight,
-            onertt_crypto,
-            packets,
-            datagrams,
-            queue,
-            retry_token,
-            parsed,
-            ..
-        } = self;
-        ServerBuffers {
-            ch,
-            flight,
-            onertt_crypto,
-            packets,
-            datagrams,
-            queue,
-            retry_token,
-            parsed,
-        }
+        self.buf
     }
 
     /// Final statistics (valid at any time).
@@ -417,9 +393,9 @@ impl ServerConn {
             first_range: 0,
         });
         let buffer = match packet.ty {
-            PacketType::Initial => &self.flight.initial_crypto,
-            PacketType::OneRtt => &self.onertt_crypto,
-            _ => &self.flight.handshake_crypto,
+            PacketType::Initial => &self.buf.flight.initial_crypto,
+            PacketType::OneRtt => &self.buf.onertt_crypto,
+            _ => &self.buf.flight.handshake_crypto,
         };
         let crypto = packet.crypto.map(|(start, end)| FrameRef::Crypto {
             offset: start as u64,
@@ -447,8 +423,8 @@ impl ServerConn {
             ack,
             crypto,
         };
-        self.packets.push(packet);
-        if let Some(last) = self.datagrams.last_mut() {
+        self.buf.packets.push(packet);
+        if let Some(last) = self.buf.datagrams.last_mut() {
             last.count += 1;
         }
         self.planned_len(&packet)
@@ -456,8 +432,8 @@ impl ServerConn {
 
     /// Open a new datagram in the plan.
     fn plan_datagram(&mut self, pad_to: Option<usize>) {
-        self.datagrams.push(PlannedDatagram {
-            first: self.packets.len(),
+        self.buf.datagrams.push(PlannedDatagram {
+            first: self.buf.packets.len(),
             count: 0,
             pad_to,
         });
@@ -466,33 +442,33 @@ impl ServerConn {
     /// Build the TLS flight answering the reassembled ClientHello and plan
     /// its datagrams.
     fn build_flight(&mut self) {
-        let ch = self.ch.contiguous();
+        let ch = self.buf.ch.contiguous();
         if self.accepts_psk(ch) {
             // Resumed: ServerHello(+pre_shared_key), EE, Finished — the
             // certificate chain never touches the wire.
-            self.flight.build_resumed_into(self.config.seed);
+            self.buf.flight.build_resumed_into(self.config.seed);
         } else {
             let compression = self.negotiate_compression(ch);
-            self.flight.build_into(&ServerFlightParams {
+            self.buf.flight.build_into(&ServerFlightParams {
                 chain: &self.config.chain,
                 leaf_key: self.config.leaf_key,
                 compression,
                 seed: self.config.seed,
             });
         }
-        self.stats.certificate_message_len = self.flight.certificate_message_len;
+        self.stats.certificate_message_len = self.buf.flight.certificate_message_len;
 
         let coalesce = self.config.behavior.coalesce;
         let max_udp = ServerBehavior::MAX_UDP_PAYLOAD;
-        let hs_len = self.flight.handshake_crypto.len();
+        let hs_len = self.buf.flight.handshake_crypto.len();
         let hs_overhead = overhead(PacketType::Handshake, &self.client_cid, &self.scid, 0);
         let expected = hs_len / max_udp.saturating_sub(hs_overhead).max(1) + 3;
-        self.packets.reserve(expected);
-        self.datagrams.reserve(expected);
-        self.queue.reserve(expected);
+        self.buf.packets.reserve(expected);
+        self.buf.datagrams.reserve(expected);
+        self.buf.queue.reserve(expected);
 
         let ack = Some(self.largest_client_initial_pn.unwrap_or(0));
-        let server_hello = Some((0, self.flight.initial_crypto.len()));
+        let server_hello = Some((0, self.buf.flight.initial_crypto.len()));
         // Either both frames in one Initial packet, or an ACK-only Initial
         // and a ServerHello Initial, each alone in a datagram padded to the
         // largest payload (the ACK although it needs no padding).
@@ -550,12 +526,13 @@ impl ServerConn {
             "the flight is never resent once complete"
         );
         if is_resend {
-            for i in 0..self.packets.len() {
-                self.packets[i].number = self.next_pn(self.packets[i].ty);
+            for i in 0..self.buf.packets.len() {
+                self.buf.packets[i].number = self.next_pn(self.buf.packets[i].ty);
             }
         }
-        self.queue
-            .extend((0..self.datagrams.len()).map(|datagram| Queued {
+        self.buf
+            .queue
+            .extend((0..self.buf.datagrams.len()).map(|datagram| Queued {
                 datagram,
                 is_resend,
             }));
@@ -570,14 +547,14 @@ impl ServerConn {
         while let Some(&Queued {
             datagram,
             is_resend,
-        }) = self.queue.front()
+        }) = self.buf.queue.front()
         {
             let PlannedDatagram {
                 first,
                 count,
                 pad_to,
-            } = self.datagrams[datagram];
-            let packets = &self.packets[first..first + count];
+            } = self.buf.datagrams[datagram];
+            let packets = &self.buf.packets[first..first + count];
             let unpadded: usize = packets.iter().map(|p| self.planned_len(p)).sum();
             let wire_len = pad_to.map_or(unpadded, |target| target.max(unpadded));
             let padding = wire_len - unpadded;
@@ -602,7 +579,7 @@ impl ServerConn {
                 .iter()
                 .filter_map(|p| p.crypto.map(|(start, end)| end - start))
                 .sum();
-            self.queue.pop_front();
+            self.buf.queue.pop_front();
             self.stats.padding_sent += padding;
             self.stats.tls_sent += tls;
             out.push(reply.datagram(wire));
@@ -628,16 +605,22 @@ impl ServerConn {
             return;
         }
         let seed = self.config.seed;
-        let sni = parse_server_name(self.ch.contiguous()).unwrap_or_default();
+        let sni = parse_server_name(self.buf.ch.contiguous()).unwrap_or_default();
         let identity = host.issuer.issue(sni, host.now_secs, seed);
         let lifetime = host.issuer.config.lifetime_secs.min(u32::MAX as u64) as u32;
         let age_add = (seed ^ (seed >> 32)) as u32;
-        new_session_ticket_into(&mut self.onertt_crypto, lifetime, age_add, &identity, seed);
+        new_session_ticket_into(
+            &mut self.buf.onertt_crypto,
+            lifetime,
+            age_add,
+            &identity,
+            seed,
+        );
         self.plan_datagram(None);
-        let ticket = Some((0, self.onertt_crypto.len()));
+        let ticket = Some((0, self.buf.onertt_crypto.len()));
         self.plan_packet(PacketType::OneRtt, None, ticket);
-        self.queue.push_back(Queued {
-            datagram: self.datagrams.len() - 1,
+        self.buf.queue.push_back(Queued {
+            datagram: self.buf.datagrams.len() - 1,
             is_resend: false,
         });
         self.ticket_issued = true;
@@ -647,8 +630,8 @@ impl ServerConn {
     /// Write this connection's 48-byte Retry token into `retry_token`.
     fn make_retry_token(&mut self) {
         let mut z = self.config.seed ^ 0x0072_6574_7279;
-        self.retry_token.clear();
-        self.retry_token.extend((0..48).map(|_| {
+        self.buf.retry_token.clear();
+        self.buf.retry_token.extend((0..48).map(|_| {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             (z >> 24) as u8
         }));
@@ -683,7 +666,7 @@ impl ServerConn {
                     let mut saw_crypto = false;
                     for frame in pkt.frames {
                         if let FrameRef::Crypto { offset, data } = frame {
-                            self.ch.insert(offset, data);
+                            self.buf.ch.insert(offset, data);
                             saw_crypto = true;
                         }
                     }
@@ -698,7 +681,7 @@ impl ServerConn {
                                 ty: PacketType::Retry,
                                 dcid: &self.client_cid,
                                 scid: &self.scid,
-                                token: &self.retry_token,
+                                token: &self.buf.retry_token,
                                 number: 0,
                             };
                             let mut wire = out.buffer(retry.encoded_len([]));
@@ -711,12 +694,12 @@ impl ServerConn {
                         }
                         if self.config.behavior.retry_first
                             && self.retry_sent
-                            && pkt.token == self.retry_token
+                            && pkt.token == self.buf.retry_token
                         {
                             // Token echo proves the address.
                             self.budget.validate();
                         }
-                        if is_complete_handshake_message(self.ch.contiguous()) {
+                        if is_complete_handshake_message(self.buf.ch.contiguous()) {
                             self.build_flight();
                             self.enqueue_flight(false);
                         }
@@ -753,12 +736,12 @@ impl Endpoint for ServerConn {
             peer_port: dgram.src_port,
         });
         // Lent out of `self` while its packets borrow it.
-        let mut parsed = std::mem::take(&mut self.parsed);
+        let mut parsed = std::mem::take(&mut self.buf.parsed);
         if let Some(packets) = parse_datagram_ref(&dgram.payload, &mut parsed) {
             self.receive(packets, reply, now, out);
             self.try_send(now, out);
         }
-        self.parsed = parsed;
+        self.buf.parsed = parsed;
     }
 
     fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
@@ -778,7 +761,7 @@ impl Endpoint for ServerConn {
             .current_pto
             .saturating_mul(2)
             .min(ServerBehavior::MAX_PTO);
-        self.queue.clear();
+        self.buf.queue.clear();
         self.enqueue_flight(true);
         self.try_send(now, out);
         if self.pto_deadline.is_none()
@@ -798,7 +781,7 @@ impl Endpoint for ServerConn {
     fn is_done(&self) -> bool {
         self.complete
             || (self.flight_built
-                && self.queue.is_empty()
+                && self.buf.queue.is_empty()
                 && self.transmissions >= self.config.behavior.max_transmissions)
     }
 }

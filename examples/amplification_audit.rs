@@ -12,18 +12,15 @@ use quicert::core::{Campaign, CampaignConfig};
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(12_000));
 
-    let fig9 = amplification::fig9(&campaign, 10);
-    print!("{}", fig9.render());
+    print!("{}", amplification::fig9(&campaign, 10));
     println!("paper: Cloudflare/Google mostly < 10x; Meta up to 45x\n");
 
-    let pre = amplification::meta_pop_scan(&campaign, false);
-    print!("{}", pre.render());
+    print!("{}", amplification::meta_pop_scan(&campaign, false));
     println!("paper: no-service <=150 B; facebook ~7 kB (>5x); IG/WA ~35 kB (>28x)\n");
 
-    let fig11 = amplification::fig11(&campaign, 3);
-    print!("{}", fig11.render());
+    print!("{}", amplification::fig11(&campaign, 3));
     println!("paper: October 2022 rescan shows a homogeneous fleet at ~5x mean\n");
 
-    print!("{}", amplification::table3(&campaign).render());
+    print!("{}", amplification::table3(&campaign));
     println!("note: only the final 3x-bytes rule actually bounds reflected *bytes*.");
 }

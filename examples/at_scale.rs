@@ -114,8 +114,8 @@ fn main() {
     // The population-scale ladder exactly as the full report renders it
     // (10k and 100k here; pass PAPER_SCALE_SIZES to climb to 1M).
     let campaign = Campaign::new(CampaignConfig::standard().with_domains(2_000));
-    let rows = scale::population_scale(&campaign, &[10_000, POPULATION]);
-    println!("\n{}", scale::render_population_scale(&rows));
+    let ladder = scale::population_scale(&campaign, &[10_000, POPULATION]);
+    println!("\n{ladder}");
     println!(
         "note: every row above is summaries-only — no Vec of per-record \
          results exists on the streaming path."

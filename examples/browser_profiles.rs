@@ -7,16 +7,16 @@
 
 use quicert::core::experiments::compression;
 use quicert::core::{Campaign, CampaignConfig};
-use quicert::tls::browser;
+use quicert::tls::browser::{self, BrowserProfile};
 
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(4_000));
 
-    let table1 = compression::table1(&campaign);
-    print!("{}", table1.render());
+    print!("{}", compression::table1(&campaign));
 
     println!("\nimplied anti-amplification byte budgets (3x the Initial):");
-    for profile in &table1.browsers {
+    let profiles: Vec<BrowserProfile> = browser::all_profiles();
+    for profile in profiles {
         match profile.initial_size {
             Some(size) => println!("  {:<10} 3 x {size} = {} bytes", profile.name, 3 * size),
             None => println!("  {:<10} (no QUIC deployment)", profile.name),

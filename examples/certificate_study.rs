@@ -13,27 +13,23 @@ use quicert::core::{Campaign, CampaignConfig};
 fn main() {
     let campaign = Campaign::new(CampaignConfig::small().with_domains(6_000));
 
-    println!("{}", certs::fig2b(&campaign).render());
+    println!("{}", certs::fig2b(&campaign));
 
-    let fig6 = certs::fig6(&campaign);
-    print!("{}", fig6.render());
+    print!("{}", certs::fig6(&campaign));
     println!("paper: medians 2329 B (QUIC) vs 4022 B (HTTPS-only); 35% over the limit\n");
 
-    print!("{}", certs::fig7(&campaign, true).render("QUIC services"));
-    print!(
-        "{}",
-        certs::fig7(&campaign, false).render("HTTPS-only services")
-    );
+    print!("{}", certs::fig7(&campaign, true));
+    print!("{}", certs::fig7(&campaign, false));
     println!("paper: top-10 parent chains cover 96.5% (QUIC) vs 72% (HTTPS-only)\n");
 
-    print!("{}", certs::render_fig8(&certs::fig8(&campaign)));
-    print!("{}", certs::table2(&campaign).render());
-    print!("{}", certs::fig14(&campaign).render());
+    print!("{}", certs::fig8(&campaign));
+    print!("{}", certs::table2(&campaign));
+    print!("{}", certs::fig14(&campaign));
 
     println!();
     for algorithm in Algorithm::ALL {
         let study = compression::compression_study(&campaign, algorithm, 10);
-        print!("[{algorithm}] {}", study.render());
+        print!("[{algorithm}] {study}");
     }
     println!("\npaper: ~65% median compression rate keeps 99% of chains under the limit");
 }

@@ -39,10 +39,7 @@ fn main() {
     println!();
     println!("{}", pq::one_rtt_survivors(&campaign));
     println!("{}", pq::era_matrix(&campaign));
-    println!(
-        "{}",
-        pq::render_compression_degradation(&pq::compression_degradation(&campaign, 20))
-    );
+    println!("{}", pq::compression_degradation(&campaign, 20));
 
     println!(
         "take-away: the certificate bytes the paper identified as the QUIC\n\

@@ -1,9 +1,12 @@
 //! End-to-end integration: the full campaign pipeline across all crates.
 
-use quicert::core::experiments::{amplification, certs, compression, handshakes};
+use quicert::analysis::Cdf;
+use quicert::compress::Algorithm;
+use quicert::core::experiments::amplification;
 use quicert::core::{full_report, Campaign, CampaignConfig, ReportOptions};
 use quicert::quic::handshake::HandshakeClass;
 use quicert::quic::HandshakeScratch;
+use quicert::scanner::https_scan::service_set;
 use quicert::scanner::quicreach;
 
 fn campaign() -> Campaign {
@@ -13,7 +16,8 @@ fn campaign() -> Campaign {
 #[test]
 fn headline_numbers_reproduce_the_paper_shape() {
     let c = campaign();
-    let summary = c.engine().quicreach(c.scenario()).shard.classes;
+    let reach = c.engine().quicreach(c.scenario());
+    let summary = reach.shard.classes;
 
     // Fig 3 at the default Initial: amplification dominates, then
     // multi-RTT; Retry and 1-RTT are rare.
@@ -23,16 +27,19 @@ fn headline_numbers_reproduce_the_paper_shape() {
     assert!(summary.retry <= summary.one_rtt);
 
     // Fig 6: QUIC chains are smaller.
-    let fig6 = certs::fig6(&c);
-    assert!(fig6.quic.median() < fig6.https_only.median());
+    let chain_sizes = &c.engine().certificates().chain_sizes;
+    let median = |quic| {
+        let sizes = chain_sizes[service_set(quic)].iter();
+        Cdf::from_counts(sizes.map(|(&size, &n)| (size as f64, n))).median()
+    };
+    assert!(median(true) < median(false));
 
     // Fig 4: complete-handshake amplification is bounded.
-    let fig4 = handshakes::fig4(&c);
-    assert!(fig4.range().1 < 7.0);
+    assert!(reach.amplification_cdf().range().1 < 7.0);
 
     // Fig 5: TLS payload is the dominant cause of multi-RTT.
-    let fig5 = handshakes::fig5(&c);
-    assert!(fig5.tls_alone_exceeds() > 0.6);
+    let tls_alone_exceeds = reach.multi_rtt_tls_over_limit as f64 / summary.multi_rtt.max(1) as f64;
+    assert!(tls_alone_exceeds > 0.6);
 }
 
 #[test]
@@ -69,25 +76,29 @@ fn cloudflare_padding_constant_is_size_independent() {
 #[test]
 fn compression_study_and_table1_are_consistent() {
     let c = campaign();
-    let t1 = compression::table1(&c);
-    // Brotli ratio measured in-the-wild matches the synthetic study's
-    // ballpark (paper: 73% vs ~65%).
-    let study = compression::compression_study(&c, quicert::compress::Algorithm::Brotli, 20);
-    let wild = t1.mean_ratio(quicert::compress::Algorithm::Brotli);
+    // Brotli ratio measured in-the-wild (Table 1) matches the synthetic
+    // study's ballpark (paper: 73% vs ~65%).
+    let wild = c
+        .engine()
+        .compression_support()
+        .mean_ratio(Algorithm::Brotli);
+    let study = c
+        .engine()
+        .compression_study(c.scenario().era, Algorithm::Brotli, 20);
+    let synthetic = study.ratio_cdf().median();
     assert!(
-        (wild - study.ratios.median()).abs() < 0.25,
-        "wild {wild} vs study {}",
-        study.ratios.median()
+        (wild - synthetic).abs() < 0.25,
+        "wild {wild} vs study {synthetic}"
     );
 }
 
 #[test]
 fn table3_shows_monotone_policy_tightening_in_bytes() {
     let c = campaign();
-    let t3 = amplification::table3(&c);
-    let final_policy = t3.rows.last().unwrap();
+    let rows = amplification::spoofed_policy_amplification(&c);
+    let final_policy = rows.last().unwrap();
     assert!(final_policy.1 <= 3.0 + 1e-9);
-    assert!(t3.rows[0].1 > final_policy.1);
+    assert!(rows[0].1 > final_policy.1);
 }
 
 #[test]
