@@ -3,7 +3,8 @@
 //!
 //! QUIC scans are pairwise (scanner ↔ server): a [`Wire`] with one
 //! [`LinkModel`] per direction connects two [`Endpoint`] state machines,
-//! and [`crate::simnet::run_exchange`] schedules them to completion.
+//! [`crate::simnet::run_exchange`] schedules them to completion, and an
+//! [`Observer`] sees each datagram as it is sent and as it arrives.
 //!
 //! Every datagram offered to the wire is counted into its direction's
 //! [`Flow`] as it is offered, so measurements (amplification factors,
@@ -118,6 +119,35 @@ pub trait Endpoint {
     fn is_done(&self) -> bool;
 }
 
+/// What a caller sees of an exchange's datagrams while
+/// [`crate::run_exchange`] runs it. Every hook does nothing by default, and
+/// `()` is the observer that sees nothing, which the scan path passes. The
+/// scheduler takes it as `&mut dyn Observer`, so it stays one compiled
+/// loop, whatever observes it. A `&mut` observer lends itself.
+pub trait Observer {
+    /// An endpoint emitted `payload` toward `direction` at `at`. Fires once
+    /// per datagram, in send order, before the fault injector draws on it:
+    /// a datagram the injector drops is seen, a corrupted one is seen
+    /// intact and a duplicated one is seen once.
+    fn sent(&mut self, _direction: Direction, _at: SimTime, _payload: &[u8]) {}
+
+    /// The scheduler hands `dgram`, which travelled `direction`, to its
+    /// endpoint at `at`, just before the endpoint reads it.
+    fn arrived(&mut self, _direction: Direction, _at: SimTime, _dgram: &Datagram) {}
+}
+
+impl Observer for () {}
+
+impl<O: Observer + ?Sized> Observer for &mut O {
+    fn sent(&mut self, direction: Direction, at: SimTime, payload: &[u8]) {
+        (**self).sent(direction, at, payload);
+    }
+
+    fn arrived(&mut self, direction: Direction, at: SimTime, dgram: &Datagram) {
+        (**self).arrived(direction, at, dgram);
+    }
+}
+
 /// A bidirectional path between two endpoints.
 #[derive(Debug, Clone, Default)]
 pub struct Wire {
@@ -229,111 +259,31 @@ pub struct ExchangeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
-    use crate::simnet::{run_exchange, ExchangeScratch};
-    use std::net::Ipv4Addr;
-
-    /// Sends `count` pings; expects an echo for each before sending the next.
-    struct Pinger {
-        remaining: u32,
-    }
-
-    /// Echoes every datagram back.
-    struct Echoer;
-
-    const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-    const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-    impl Endpoint for Pinger {
-        fn start(&mut self, _now: SimTime, out: &mut Outbox) {
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
-            }
-        }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Outbox) {
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; 100]));
-            }
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-
-    impl Endpoint for Echoer {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Outbox) {
-            out.push(d.reply_with(d.payload.clone()));
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
+    use crate::simnet::tests::{at_ms, ping};
 
     #[test]
     fn ping_pong_runs_to_quiescence() {
-        let mut pinger = Pinger { remaining: 3 };
-        let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_millis(10));
-        let mut rng = SimRng::new(1);
-        let out = run_exchange(
-            &mut pinger,
-            &mut echoer,
-            &mut wire,
-            ExchangeLimits::default(),
-            &mut rng,
-            &mut ExchangeScratch::default(),
-        );
+        let out = ping(3, 100, &mut wire, ExchangeLimits::default());
         assert!(out.quiesced);
-        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
-        assert_eq!(
-            out.a_to_b,
-            Flow {
-                datagrams: 3,
-                bytes: 300,
-                delivered: 3,
-                sent_between: Some((ms(0), ms(40))),
-            }
-        );
-        assert_eq!(
-            out.b_to_a,
-            Flow {
-                sent_between: Some((ms(10), ms(50))),
-                ..out.a_to_b
-            }
-        );
+        let flow = |first, last| Flow {
+            datagrams: 3,
+            bytes: 300,
+            delivered: 3,
+            sent_between: Some((at_ms(first), at_ms(last))),
+        };
+        assert_eq!((out.a_to_b, out.b_to_a), (flow(0, 40), flow(10, 50)));
         // 3 round trips at 20ms RTT.
-        assert_eq!(
-            out.finished_at,
-            SimTime::ZERO + SimDuration::from_millis(60)
-        );
+        assert_eq!(out.finished_at, at_ms(60));
     }
 
     #[test]
     fn lossy_wire_without_timers_stalls_unquiesced() {
-        let mut pinger = Pinger { remaining: 1 };
-        let mut echoer = Echoer;
         let mut wire = Wire {
             fault_a_to_b: FaultInjector::dropping(1.0),
             ..Wire::default()
         };
-        let mut rng = SimRng::new(2);
-        let out = run_exchange(
-            &mut pinger,
-            &mut echoer,
-            &mut wire,
-            ExchangeLimits::default(),
-            &mut rng,
-            &mut ExchangeScratch::default(),
-        );
+        let out = ping(1, 100, &mut wire, ExchangeLimits::default());
         assert!(!out.quiesced, "pinger never got its echo");
         assert_eq!(out.a_to_b.bytes, 100);
         assert_eq!(out.a_to_b.delivered, 0);
@@ -343,44 +293,24 @@ mod tests {
 
     #[test]
     fn max_events_guards_against_runaway() {
-        let mut pinger = Pinger {
-            remaining: u32::MAX,
-        };
-        let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_nanos(1));
-        let mut rng = SimRng::new(3);
-        let out = run_exchange(
-            &mut pinger,
-            &mut echoer,
-            &mut wire,
-            ExchangeLimits {
-                max_events: 100,
-                ..ExchangeLimits::default()
-            },
-            &mut rng,
-            &mut ExchangeScratch::default(),
-        );
+        let limits = ExchangeLimits {
+            max_events: 100,
+            ..ExchangeLimits::default()
+        };
+        let out = ping(u32::MAX, 100, &mut wire, limits);
         assert!(!out.quiesced);
         assert!(out.a_to_b.datagrams + out.b_to_a.datagrams <= 102);
     }
 
     #[test]
     fn deadline_stops_the_clock() {
-        let mut pinger = Pinger { remaining: 1000 };
-        let mut echoer = Echoer;
         let mut wire = Wire::ideal(SimDuration::from_millis(100));
-        let mut rng = SimRng::new(4);
-        let out = run_exchange(
-            &mut pinger,
-            &mut echoer,
-            &mut wire,
-            ExchangeLimits {
-                deadline: SimTime::ZERO + SimDuration::from_secs(1),
-                ..ExchangeLimits::default()
-            },
-            &mut rng,
-            &mut ExchangeScratch::default(),
-        );
+        let limits = ExchangeLimits {
+            deadline: SimTime::ZERO + SimDuration::from_secs(1),
+            ..ExchangeLimits::default()
+        };
+        let out = ping(1000, 100, &mut wire, limits);
         assert!(out.finished_at <= SimTime::ZERO + SimDuration::from_secs(1));
         assert!(!out.quiesced);
     }

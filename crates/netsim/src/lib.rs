@@ -5,8 +5,9 @@
 //! constraints, tunnel encapsulation (the load-balancer effect of §4.1 of the
 //! paper), named [`NetworkProfile`] link-condition overlays, and
 //! [`run_exchange`] — a discrete-event scheduler driving one endpoint pair
-//! to completion over the caller's wire and RNG stream, and reporting what
-//! each direction put on the wire as a [`Flow`] tally.
+//! to completion over the caller's wire and RNG stream, reporting what
+//! each direction put on the wire as a [`Flow`] tally and showing each
+//! datagram sent and arrived to the caller's [`Observer`].
 //!
 //! Everything is deterministic: all randomness flows from a [`SimRng`] seeded
 //! with a caller-provided `u64`, so every experiment in the workspace is
@@ -32,7 +33,7 @@ pub mod time;
 
 pub use addr::Ipv4Net;
 pub use datagram::{Datagram, UDP_IPV4_OVERHEAD};
-pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Outbox, Wire};
+pub use event::{Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Observer, Outbox, Wire};
 pub use fault::FaultInjector;
 pub use faultplan::FaultPlan;
 pub use link::{Delivery, LinkModel};

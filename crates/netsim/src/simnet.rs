@@ -17,6 +17,12 @@
 //! per probe what one probe costs alone and outcomes cannot depend on what
 //! ran before.
 //!
+//! The caller's [`Observer`] sees the session's datagrams: `sent` as each
+//! leaves its endpoint's outbox, before the fault injector draws on it, so
+//! the observer reads what the endpoint wrote whatever the wire then does
+//! to it; `arrived` as the scheduler hands one to its endpoint. The scan
+//! path passes `()`, which sees nothing.
+//!
 //! ## The rule
 //!
 //! Each step fires the earliest of {next delivery, `a.next_timer()`,
@@ -33,7 +39,9 @@ use std::sync::{Arc, OnceLock};
 use quicert_obs::{Counter, MetricsRegistry};
 
 use crate::datagram::Datagram;
-use crate::event::{Direction, Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Outbox, Wire};
+use crate::event::{
+    Direction, Endpoint, ExchangeLimits, ExchangeOutcome, Flow, Observer, Outbox, Wire,
+};
 use crate::link::Delivery;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -140,7 +148,7 @@ fn fault_totals(wire: &Wire) -> [u64; 3] {
 /// of *this* exchange only, even on a reused wire. `scratch` lends the
 /// exchange its queue and payload buffers and gets them back emptied, so
 /// a reused scratch changes what an exchange allocates, never what it
-/// does.
+/// does. `observer` sees every datagram sent and arrived; `()` sees none.
 ///
 /// ```
 /// use quicert_netsim::{run_exchange, ExchangeScratch, SimRng, Wire, ExchangeLimits, SimDuration};
@@ -160,6 +168,7 @@ fn fault_totals(wire: &Wire) -> [u64; 3] {
 ///     ExchangeLimits::default(),
 ///     &mut SimRng::new(1),
 ///     &mut ExchangeScratch::default(),
+///     &mut (),
 /// );
 /// assert!(outcome.quiesced);
 /// ```
@@ -170,6 +179,7 @@ pub fn run_exchange(
     limits: ExchangeLimits,
     rng: &mut SimRng,
     scratch: &mut ExchangeScratch,
+    observer: &mut dyn Observer,
 ) -> ExchangeOutcome {
     let faults_before = fault_totals(wire);
     let ExchangeScratch { queue, outbox } = scratch;
@@ -184,6 +194,7 @@ pub fn run_exchange(
         rng,
         queue,
         outbox,
+        observer,
         a_to_b: Flow::default(),
         b_to_a: Flow::default(),
         first_flight: 0,
@@ -245,6 +256,7 @@ struct Session<'x> {
     queue: &'x mut BinaryHeap<Reverse<InFlight>>,
     /// The one buffer endpoints write their transmissions into.
     outbox: &'x mut Outbox,
+    observer: &'x mut dyn Observer,
     a_to_b: Flow,
     b_to_a: Flow,
     first_flight: usize,
@@ -295,6 +307,7 @@ impl Session<'_> {
                 let Some(Reverse(arrived)) = self.queue.pop() else {
                     unreachable!("a delivery was peeked")
                 };
+                self.observer.arrived(arrived.direction, at, &arrived.dgram);
                 match arrived.direction {
                     Direction::AtoB => self.b.on_datagram(&arrived.dgram, at, self.outbox),
                     Direction::BtoA => self.a.on_datagram(&arrived.dgram, at, self.outbox),
@@ -315,13 +328,14 @@ impl Session<'_> {
         }
     }
 
-    /// Offer every datagram queued in the outbox to the wire: apply the
-    /// fault injector, then the link model, queueing deliveries and
-    /// tallying every copy offered.
+    /// Offer every datagram queued in the outbox to the wire: show it to
+    /// the observer, apply the fault injector, then the link model,
+    /// queueing deliveries and tallying every copy offered.
     fn offer_outbox(&mut self, direction: Direction, now: SimTime) {
         let mut queued = std::mem::take(&mut **self.outbox);
         for mut dgram in queued.drain(..) {
             dgram.sent_at = now;
+            self.observer.sent(direction, now, &dgram.payload);
             let fault = match direction {
                 Direction::AtoB => &mut self.wire.fault_a_to_b,
                 Direction::BtoA => &mut self.wire.fault_b_to_a,
@@ -420,7 +434,7 @@ impl Session<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::FaultInjector;
     use crate::time::SimDuration;
@@ -493,22 +507,19 @@ mod tests {
         }
     }
 
-    /// Records the payload sizes it receives, in arrival order.
+    /// The payload sizes of the datagrams sent and arrived, in order.
     #[derive(Default)]
-    struct Recorder {
-        seen: Vec<usize>,
+    struct Lengths {
+        sent: Vec<usize>,
+        arrived: Vec<usize>,
     }
 
-    impl Endpoint for Recorder {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Outbox) {
-            self.seen.push(d.payload_len());
+    impl Observer for Lengths {
+        fn sent(&mut self, _: Direction, _: SimTime, payload: &[u8]) {
+            self.sent.push(payload.len());
         }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Outbox) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            true
+        fn arrived(&mut self, _: Direction, _: SimTime, dgram: &Datagram) {
+            self.arrived.push(dgram.payload_len());
         }
     }
 
@@ -560,12 +571,13 @@ mod tests {
         }
     }
 
-    fn at_ms(ms: u64) -> SimTime {
+    pub(crate) fn at_ms(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
     /// `remaining` pings of `payload` bytes against an echoer over `wire`.
-    fn ping(
+    /// The scheduler tests in `event.rs` drive it too.
+    pub(crate) fn ping(
         remaining: u32,
         payload: usize,
         wire: &mut Wire,
@@ -578,6 +590,7 @@ mod tests {
             limits,
             &mut SimRng::new(1),
             &mut ExchangeScratch::default(),
+            &mut (),
         )
     }
 
@@ -597,18 +610,19 @@ mod tests {
     #[test]
     fn equal_timestamp_deliveries_arrive_in_send_order() {
         // A burst of datagrams over a zero-jitter wire all arrive at the
-        // same instant; the recorder must see them in send (seq) order.
-        let mut recorder = Recorder::default();
+        // same instant; they must arrive in send (seq) order.
+        let mut seen = Lengths::default();
         let out = run_exchange(
             &mut Burst { n: 8 },
-            &mut recorder,
+            &mut Burst { n: 0 },
             &mut Wire::ideal(SimDuration::from_millis(5)),
             ExchangeLimits::default(),
             &mut SimRng::new(2),
             &mut ExchangeScratch::default(),
+            &mut seen,
         );
         assert!(out.quiesced);
-        assert_eq!(recorder.seen, (0..8).map(|i| 10 + i).collect::<Vec<_>>());
+        assert_eq!(seen.arrived, (0..8).map(|i| 10 + i).collect::<Vec<_>>());
     }
 
     #[test]
@@ -629,16 +643,17 @@ mod tests {
 
     #[test]
     fn duplicating_injector_delivers_every_datagram_twice() {
-        let mut recorder = Recorder::default();
+        let mut seen = Lengths::default();
         let mut wire = Wire::ideal(SimDuration::from_millis(5));
         wire.fault_a_to_b.duplicate_chance = 1.0;
         let out = run_exchange(
             &mut Burst { n: 4 },
-            &mut recorder,
+            &mut Burst { n: 0 },
             &mut wire,
             ExchangeLimits::default(),
             &mut SimRng::new(7),
             &mut ExchangeScratch::default(),
+            &mut seen,
         );
         assert!(out.quiesced);
         // Every copy is counted, no drops, and the duplication count
@@ -649,8 +664,10 @@ mod tests {
         assert_eq!(out.fault_drops, 0);
         assert_eq!(out.fault_duplications, 4);
         assert_eq!(wire.fault_a_to_b.duplications(), 4);
-        // Each payload arrives twice, copies adjacent in send order.
-        assert_eq!(recorder.seen, vec![10, 10, 11, 11, 12, 12, 13, 13]);
+        // Each payload is sent once, before the injector copies it, and
+        // arrives twice, copies adjacent in send order.
+        assert_eq!(seen.sent, vec![10, 11, 12, 13]);
+        assert_eq!(seen.arrived, vec![10, 10, 11, 11, 12, 12, 13, 13]);
     }
 
     #[test]
@@ -692,6 +709,7 @@ mod tests {
             ExchangeLimits::default(),
             &mut SimRng::new(3),
             &mut ExchangeScratch::default(),
+            &mut (),
         );
         let flow = |sent: SimTime| Flow {
             datagrams: 2,
@@ -712,6 +730,7 @@ mod tests {
             ExchangeLimits::default(),
             &mut SimRng::new(3),
             &mut ExchangeScratch::default(),
+            &mut (),
         );
         assert_eq!(clean.first_flight, 10);
     }
@@ -729,6 +748,7 @@ mod tests {
             ExchangeLimits::default(),
             &mut SimRng::new(4),
             &mut ExchangeScratch::default(),
+            &mut (),
         );
         assert!(out.quiesced);
         assert_eq!(out.first_flight, 10);
@@ -766,6 +786,7 @@ mod tests {
             ExchangeLimits::default(),
             &mut SimRng::new(5),
             &mut ExchangeScratch::default(),
+            &mut (),
         );
         assert!(out.quiesced);
         assert_eq!(out.first_flight, 70);

@@ -7,13 +7,19 @@
 //! the two fault-counter fields that did not exist then, and its outbox
 //! being the endpoints' `Outbox` type, which reads as the `Vec` it was) —
 //! the fixed point every rewrite of the scheduler is held to, so it is
-//! never edited along with one. Every scenario — ideal ping-pong, lossy jittery wires, retransmission
-//! timers, fault injection, MTU drops, deadlines and event budgets — must
-//! produce, through both paths, the same arrivals (which end, when, how many
-//! bytes, interleaved across both ends in delivery order — see [`Tap`]),
-//! finish time, quiescence flag and RNG stream position; and the
-//! scheduler's [`Flow`] tally and first-flight cut must be what the
-//! reference loop's trace sums to.
+//! never edited along with one. Every scenario — ideal ping-pong, lossy
+//! jittery wires, retransmission timers, fault injection, MTU drops,
+//! deadlines and event budgets — must produce, through both paths, the same
+//! arrivals (which end, when, how many bytes, interleaved across both ends
+//! in delivery order), finish time, quiescence flag and RNG stream
+//! position. The scheduler's [`Observer`] must see every datagram sent
+//! exactly as the reference trace records it, entry for entry (send time,
+//! direction, length), and its [`Flow`] tally and first-flight cut must be
+//! what that trace sums to.
+//!
+//! The scheduler under test shows its sends and arrivals to a [`Log`]
+//! observer. The reference loop has no observer and is never edited, so
+//! its arrivals alone are read by wrapping its endpoints in a [`Tap`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -24,7 +30,7 @@ use quicert_netsim::event::Direction;
 use quicert_netsim::link::Delivery;
 use quicert_netsim::{
     run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeScratch, FaultInjector, Flow,
-    LinkModel, Outbox, SimDuration, SimRng, SimTime, Wire,
+    LinkModel, Observer, Outbox, SimDuration, SimRng, SimTime, Wire,
 };
 
 // ------------------------------------------- the reference trace types --
@@ -417,9 +423,36 @@ impl Endpoint for DelayedEchoer {
 /// direction it travelled, when, and how many payload bytes.
 type Arrivals = Vec<(Direction, SimTime, usize)>;
 
+/// Every datagram of one run in send order: when it left, which way, and
+/// how many payload bytes — the first three fields of a [`TraceEvent`].
+type Sends = Vec<(SimTime, Direction, usize)>;
+
+/// What the scheduler under test shows its observer.
+#[derive(Default)]
+struct Log {
+    sent: Sends,
+    arrived: Arrivals,
+}
+
+impl Observer for Log {
+    fn sent(&mut self, direction: Direction, at: SimTime, payload: &[u8]) {
+        self.sent.push((at, direction, payload.len()));
+    }
+    fn arrived(&mut self, direction: Direction, at: SimTime, dgram: &Datagram) {
+        self.arrived.push((direction, at, dgram.payload_len()));
+    }
+}
+
+/// The reference trace's entries as the observer sees them.
+fn sends(trace: &[TraceEvent]) -> Sends {
+    let sent = |e: &TraceEvent| (e.sent_at, e.direction, e.payload_len);
+    trace.iter().map(sent).collect()
+}
+
 /// Passes everything through to `inner`, logging each arrival first into
-/// the log both ends of the run share — so a run's arrivals interleave
-/// across the ends exactly as the scheduler delivered them.
+/// the log both ends of the reference run share — so its arrivals
+/// interleave across the ends exactly as the reference loop delivered
+/// them.
 struct Tap<'e> {
     inner: &'e mut dyn Endpoint,
     /// The direction of the datagrams arriving at this end.
@@ -448,27 +481,24 @@ impl Endpoint for Tap<'_> {
     }
 }
 
-/// Run `exchange` over `a` and `b` with both tapped; returns its result
-/// and the run's arrivals.
-fn tapped<R>(
+/// The reference loop over `a` and `b`, both tapped: its outcome and its
+/// arrivals.
+fn tapped_reference(
     a: &mut dyn Endpoint,
     b: &mut dyn Endpoint,
-    exchange: impl FnOnce(&mut dyn Endpoint, &mut dyn Endpoint) -> R,
-) -> (R, Arrivals) {
+    wire: &mut Wire,
+    limits: ExchangeLimits,
+    rng: &mut SimRng,
+) -> (ReferenceOutcome, Arrivals) {
     let log = RefCell::default();
-    let result = exchange(
-        &mut Tap {
-            inner: a,
-            inbound: Direction::BtoA,
-            log: &log,
-        },
-        &mut Tap {
-            inner: b,
-            inbound: Direction::AtoB,
-            log: &log,
-        },
-    );
-    (result, log.into_inner())
+    let tap = |inner, inbound| Tap {
+        inner,
+        inbound,
+        log: &log,
+    };
+    let (mut a, mut b) = (tap(a, Direction::BtoA), tap(b, Direction::AtoB));
+    let outcome = reference_run_exchange(&mut a, &mut b, wire, limits, rng);
+    (outcome, log.into_inner())
 }
 
 // ------------------------------------------------------------ scenarios --
@@ -629,19 +659,31 @@ fn wrapper_reproduces_the_pre_refactor_loop_bit_for_bit() {
         let mut ref_echoer = scenario.echoer.clone();
         let mut ref_wire = scenario.wire.clone();
         let mut ref_rng = SimRng::new(scenario.seed);
-        let (reference, ref_arrivals) = tapped(&mut ref_pinger, &mut ref_echoer, |a, b| {
-            reference_run_exchange(a, b, &mut ref_wire, scenario.limits, &mut ref_rng)
-        });
+        let (reference, ref_arrivals) = tapped_reference(
+            &mut ref_pinger,
+            &mut ref_echoer,
+            &mut ref_wire,
+            scenario.limits,
+            &mut ref_rng,
+        );
 
         let mut pinger = scenario.pinger.clone();
         let mut echoer = scenario.echoer.clone();
         let mut wire = scenario.wire.clone();
         let mut rng = SimRng::new(scenario.seed);
-        let (outcome, arrivals) = tapped(&mut pinger, &mut echoer, |a, b| {
-            run_exchange(a, b, &mut wire, scenario.limits, &mut rng, &mut scratch)
-        });
+        let mut log = Log::default();
+        let outcome = run_exchange(
+            &mut pinger,
+            &mut echoer,
+            &mut wire,
+            scenario.limits,
+            &mut rng,
+            &mut scratch,
+            &mut log,
+        );
 
-        assert_eq!(arrivals, ref_arrivals, "arrivals: {}", scenario.name);
+        assert_eq!(log.arrived, ref_arrivals, "arrivals: {}", scenario.name);
+        assert_eq!(log.sent, sends(&reference.trace), "sent: {}", scenario.name);
         assert_eq!(
             (outcome.a_to_b, outcome.b_to_a, outcome.first_flight),
             tally(&reference.trace),
@@ -706,23 +748,28 @@ fn wrapper_equivalence_holds_across_many_seeds() {
 
         let mut ref_wire = wire.clone();
         let mut ref_rng = SimRng::new(seed.wrapping_mul(0x9E37));
-        let (reference, ref_arrivals) = tapped(&mut make_pinger(), &mut make_echoer(), |a, b| {
-            reference_run_exchange(a, b, &mut ref_wire, ExchangeLimits::default(), &mut ref_rng)
-        });
+        let (reference, ref_arrivals) = tapped_reference(
+            &mut make_pinger(),
+            &mut make_echoer(),
+            &mut ref_wire,
+            ExchangeLimits::default(),
+            &mut ref_rng,
+        );
 
         let mut rng = SimRng::new(seed.wrapping_mul(0x9E37));
-        let (outcome, arrivals) = tapped(&mut make_pinger(), &mut make_echoer(), |a, b| {
-            run_exchange(
-                a,
-                b,
-                &mut wire,
-                ExchangeLimits::default(),
-                &mut rng,
-                &mut scratch,
-            )
-        });
+        let mut log = Log::default();
+        let outcome = run_exchange(
+            &mut make_pinger(),
+            &mut make_echoer(),
+            &mut wire,
+            ExchangeLimits::default(),
+            &mut rng,
+            &mut scratch,
+            &mut log,
+        );
 
-        assert_eq!(arrivals, ref_arrivals, "seed {seed}");
+        assert_eq!(log.arrived, ref_arrivals, "seed {seed}");
+        assert_eq!(log.sent, sends(&reference.trace), "seed {seed}");
         assert_eq!(
             (outcome.a_to_b, outcome.b_to_a, outcome.first_flight),
             tally(&reference.trace),

@@ -9,8 +9,8 @@
 use std::net::Ipv4Addr;
 
 use quicert_netsim::{
-    run_exchange, ExchangeLimits, ExchangeOutcome, ExchangeScratch, SimDuration, SimRng, SimTime,
-    Wire,
+    run_exchange, ExchangeLimits, ExchangeOutcome, ExchangeScratch, Observer, SimDuration, SimRng,
+    SimTime, Wire,
 };
 use quicert_obs::HandshakeTimeline;
 use quicert_session::SessionTicket;
@@ -134,6 +134,9 @@ pub struct HandshakeOutcome {
     /// draws no randomness, zero means every event of the exchange was a
     /// delivery one latency after its send.
     pub timer_fires: u64,
+    /// Datagrams offered to the wire, both directions; a duplicated copy
+    /// counts again.
+    pub datagrams: usize,
     /// Datagrams the wire accepted for delivery, both directions. Zero
     /// means the path latency was never read (the MTU black hole of §4.1).
     pub deliveries: usize,
@@ -208,6 +211,7 @@ fn measure_handshake(
         server_stats: *server.stats(),
         timeline,
         timer_fires: outcome.timer_fires,
+        datagrams: outcome.a_to_b.datagrams + outcome.b_to_a.datagrams,
         deliveries: outcome.a_to_b.delivered + outcome.b_to_a.delivered,
         fault_drops: outcome.fault_drops,
         fault_corruptions: outcome.fault_corruptions,
@@ -234,21 +238,46 @@ fn measure_handshake(
 /// constructor, handed these buffers emptied, so no field reset can be
 /// forgotten: a reused scratch changes what an exchange allocates, never
 /// its outcome. It holds one handshake's high-water buffers (about 100 kB
-/// after a post-quantum flight) and nothing else. A pump worker keeps one
+/// after a post-quantum flight) and its observer. A pump worker keeps one
 /// for all its probes; once its buffers have grown to a probe's needs, a
 /// cold handshake allocates nothing.
+///
+/// Its [`Observer`] sees every datagram of every exchange it runs, both
+/// visits of a resumption probe included: `sent` as an endpoint emits it,
+/// before the wire's fault injector draws on it, and `arrived` as it is
+/// handed to its endpoint. [`HandshakeScratch::default`] observes with
+/// `()`, which sees nothing, as every scan does; a test or a tool that
+/// reads the wire builds one with [`observing`].
 ///
 /// [`run`]: HandshakeScratch::run
 /// [`resume`]: HandshakeScratch::resume
 /// [`spoof`]: HandshakeScratch::spoof
-#[derive(Debug, Default)]
-pub struct HandshakeScratch {
+/// [`observing`]: HandshakeScratch::observing
+#[derive(Debug)]
+pub struct HandshakeScratch<O = ()> {
     client: ClientBuffers,
     server: ServerBuffers,
     exchange: ExchangeScratch,
+    observer: O,
 }
 
-impl HandshakeScratch {
+impl Default for HandshakeScratch {
+    fn default() -> Self {
+        HandshakeScratch::observing(())
+    }
+}
+
+impl<O: Observer> HandshakeScratch<O> {
+    /// An empty scratch whose exchanges `observer` sees.
+    pub fn observing(observer: O) -> Self {
+        HandshakeScratch {
+            client: ClientBuffers::default(),
+            server: ServerBuffers::default(),
+            exchange: ExchangeScratch::default(),
+            observer,
+        }
+    }
+
     /// Run a complete handshake attempt, on the RNG stream `seed ^ "DSH"`.
     pub fn run(
         &mut self,
@@ -340,8 +369,16 @@ impl HandshakeScratch {
     ) -> T {
         let mut client = ClientConn::reusing(client, std::mem::take(&mut self.client));
         let mut server = ServerConn::reusing(server, std::mem::take(&mut self.server));
-        let scratch = &mut self.exchange;
-        let outcome = run_exchange(&mut client, &mut server, wire, limits, &mut rng, scratch);
+        let (scratch, observer) = (&mut self.exchange, &mut self.observer);
+        let outcome = run_exchange(
+            &mut client,
+            &mut server,
+            wire,
+            limits,
+            &mut rng,
+            scratch,
+            observer,
+        );
         let measured = measure(&client, &server, wire, &outcome);
         self.client = client.into_buffers();
         self.server = server.into_buffers();

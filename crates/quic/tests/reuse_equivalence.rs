@@ -12,7 +12,9 @@
 //!   longer flight left behind), every rung of the fault ladder
 //!   (duplication storms included: a copy is written into a recycled
 //!   buffer), every server behaviour profile (Retry among them) and clients
-//!   that acknowledge or, like a spoofing prober, never do;
+//!   that acknowledge or, like a spoofing prober, never do — and the same
+//!   handshake on a scratch with a counting [`Observer`], which must change
+//!   nothing and see each datagram its endpoints emit exactly once;
 //! * cold-then-warm resumption probes ([`HandshakeScratch::resume`]) with
 //!   the ticket offered and accepted, offered past its lifetime and
 //!   rejected, and not offered, over every era and rung; a fresh probe's
@@ -25,7 +27,8 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use quicert_netsim::{FaultPlan, NetworkProfile, Wire};
+use quicert_netsim::event::Direction;
+use quicert_netsim::{FaultPlan, NetworkProfile, Observer, SimTime, Wire};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_quic::{
     ClientConfig, HandshakeOutcome, HandshakeScratch, ResumptionOutcome, ResumptionProbe,
@@ -81,6 +84,16 @@ fn profiles(server: &ServerConfig) -> [ServerBehavior; 5] {
     ]
 }
 
+/// Counts the datagrams its exchanges' endpoints emit.
+#[derive(Default)]
+struct Sends(usize);
+
+impl Observer for Sends {
+    fn sent(&mut self, _: Direction, _: SimTime, _: &[u8]) {
+        self.0 += 1;
+    }
+}
+
 /// The warm visit of `probe` run alone on a fresh scratch: the probe's
 /// client offering `cold`'s ticket, aged from the cold visit's clock, with
 /// the seed tweak and RNG stream `HandshakeScratch::resume` gives a warm
@@ -134,21 +147,20 @@ proptest! {
                             client.max_initial_transmissions = 1;
                         }
                         let server = ServerConfig { behavior: behavior.clone(), ..own.clone() };
+                        let case = format!("rank {}, {}, {}, {}, acknowledging {acknowledging}", record.rank, era.name(), plan.name, behavior.name);
 
                         let fresh = HandshakeScratch::default().run(client.clone(), server.clone(), &mut wire.clone(), seed);
+                        let mut sends = Sends::default();
+                        let observed = HandshakeScratch::observing(&mut sends).run(client.clone(), server.clone(), &mut wire.clone(), seed);
+                        prop_assert_eq!(&observed, &fresh, "{} observed", &case);
+                        // Each datagram is seen as its endpoint emits it: a
+                        // copy the injector makes is never seen, a drop is.
+                        let emitted = fresh.datagrams - fresh.fault_duplications as usize;
+                        prop_assert_eq!(sends.0, emitted, "{} sends", &case);
                         let reused = SCRATCH.with(|scratch| {
                             scratch.borrow_mut().run(client, server, &mut wire.clone(), seed)
                         });
-                        prop_assert_eq!(
-                            reused,
-                            fresh,
-                            "rank {}, {}, {}, {}, acknowledging {}",
-                            record.rank,
-                            era.name(),
-                            plan.name,
-                            behavior.name,
-                            acknowledging
-                        );
+                        prop_assert_eq!(reused, fresh, "{}", &case);
                     }
                 }
             }

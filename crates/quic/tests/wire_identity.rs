@@ -4,27 +4,27 @@
 //! payload, in both directions and in send order, of handshakes against the
 //! first 64 QUIC services of a seed-`0x5CA1` world — each behaviour profile
 //! × certificate era × fault plan — plus a cold-then-warm (NewSessionTicket
-//! then PSK) pair of visits. They were computed before the send path wrote
-//! packets straight into the outgoing datagram and before the receive path
-//! borrowed from it; the goldens downstream pin the same bytes only through
-//! sizes and handshake outcomes. Every eighth client never acknowledges, so
-//! whole renumbered flight retransmissions are covered fault-free too, and
-//! every fourth offers RFC 8879 compression. `QUICERT_BLESS=1` rewrites the
-//! fixture after an intentional change to what an endpoint sends.
+//! then PSK) resumption probe of 16 of them. The fixture digests the real
+//! runner, `resume` included: each line is one `HandshakeScratch` observed
+//! by a [`WireDigest`], which reads every datagram as its endpoint emits it,
+//! before the fault injector drops, corrupts or copies it. The digests were
+//! computed before the send path wrote packets straight into the outgoing
+//! datagram and before the receive path borrowed from it; the goldens
+//! downstream pin the same bytes only through sizes and handshake outcomes.
+//! Every eighth client never acknowledges, so whole renumbered flight
+//! retransmissions are covered fault-free too, and every fourth offers RFC
+//! 8879 compression. `QUICERT_BLESS=1` rewrites the fixture after an
+//! intentional change to what an endpoint sends.
 
-use std::cell::RefCell;
 use std::fmt::Write;
 
 use quicert_compress::Algorithm;
-use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeScratch, FaultPlan, Outbox,
-    SimDuration, SimRng, SimTime, Wire,
-};
+use quicert_netsim::event::Direction;
+use quicert_netsim::{FaultPlan, Observer, SimTime, Wire};
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
-use quicert_quic::{ClientConfig, ClientConn, ServerBehavior, ServerConfig, ServerConn};
+use quicert_quic::{ClientConfig, HandshakeScratch, ResumptionProbe, ServerBehavior, ServerConfig};
 use quicert_scanner::behavior::base_latency;
-use quicert_session::{ResumptionHost, SessionTicket};
-use quicert_tls::PskOffer;
+use quicert_session::ResumptionHost;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -32,10 +32,8 @@ const FIXTURE: &str = concat!(
 );
 const SERVICES: usize = 64;
 const INITIAL: usize = 1362;
-/// The RNG stream label `HandshakeScratch::run` gives its exchange.
-const HANDSHAKE_RNG_LABEL: u64 = 0x44_5348;
 
-/// FNV-1a over every datagram offered to the wire: direction, length,
+/// FNV-1a over every datagram an endpoint emits: direction, length,
 /// payload.
 struct WireDigest {
     hash: u64,
@@ -52,7 +50,23 @@ impl WireDigest {
         }
     }
 
-    fn absorb(&mut self, direction: u8, payload: &[u8]) {
+    /// The fixture line of this digest.
+    fn line(&self, out: &mut String, label: &str) {
+        let (hash, datagrams, bytes) = (self.hash, self.datagrams, self.bytes);
+        writeln!(
+            out,
+            "{label} {hash:016x} {datagrams} datagrams {bytes} bytes"
+        )
+        .unwrap();
+    }
+}
+
+impl Observer for WireDigest {
+    fn sent(&mut self, direction: Direction, _at: SimTime, payload: &[u8]) {
+        let direction = match direction {
+            Direction::AtoB => b'>',
+            Direction::BtoA => b'<',
+        };
         let header = [&[direction][..], &(payload.len() as u32).to_le_bytes()];
         for byte in header.into_iter().chain([payload]).flatten() {
             self.hash = (self.hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01B3);
@@ -60,78 +74,6 @@ impl WireDigest {
         self.datagrams += 1;
         self.bytes += payload.len();
     }
-}
-
-/// An endpoint whose every transmission is absorbed into a digest shared
-/// with its peer's tap, so both directions interleave in send order.
-struct Tap<'d, E> {
-    inner: E,
-    direction: u8,
-    digest: &'d RefCell<WireDigest>,
-}
-
-impl<E: Endpoint> Tap<'_, E> {
-    fn tapped(&mut self, out: &mut Outbox, call: impl FnOnce(&mut E, &mut Outbox)) {
-        let before = out.len();
-        call(&mut self.inner, out);
-        let mut digest = self.digest.borrow_mut();
-        for dgram in &out[before..] {
-            digest.absorb(self.direction, &dgram.payload);
-        }
-    }
-}
-
-impl<E: Endpoint> Endpoint for Tap<'_, E> {
-    fn start(&mut self, now: SimTime, out: &mut Outbox) {
-        self.tapped(out, |e, out| e.start(now, out));
-    }
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Outbox) {
-        self.tapped(out, |e, out| e.on_datagram(dgram, now, out));
-    }
-    fn on_timer(&mut self, now: SimTime, out: &mut Outbox) {
-        self.tapped(out, |e, out| e.on_timer(now, out));
-    }
-    fn next_timer(&self) -> Option<SimTime> {
-        self.inner.next_timer()
-    }
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-}
-
-/// One handshake exactly as `HandshakeScratch::run` drives it, every
-/// datagram absorbed into `digest`; hands the client back for its ticket.
-fn tapped_handshake(
-    client: ClientConfig,
-    server: ServerConfig,
-    mut wire: Wire,
-    seed: u64,
-    digest: &RefCell<WireDigest>,
-) -> ClientConn {
-    let mut a = Tap {
-        inner: ClientConn::new(client),
-        direction: b'>',
-        digest,
-    };
-    let mut b = Tap {
-        inner: ServerConn::new(server),
-        direction: b'<',
-        digest,
-    };
-    let limits = ExchangeLimits {
-        deadline: SimTime::ZERO + SimDuration::from_secs(30),
-        max_events: 10_000,
-    };
-    let mut rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
-    run_exchange(
-        &mut a,
-        &mut b,
-        &mut wire,
-        limits,
-        &mut rng,
-        &mut ExchangeScratch::default(),
-    );
-    a.inner
 }
 
 fn behaviors() -> [ServerBehavior; 4] {
@@ -193,80 +135,52 @@ fn digests() -> String {
         .collect();
     assert_eq!(services.len(), SERVICES);
     let mut out = String::new();
-    let line = |out: &mut String, label: &str, digest: &RefCell<WireDigest>| {
-        let d = digest.borrow();
-        writeln!(
-            out,
-            "{label} {:016x} {} datagrams {} bytes",
-            d.hash, d.datagrams, d.bytes
-        )
-        .unwrap();
-    };
-
     for behavior in behaviors() {
         for era in CertificateEra::ALL {
             for plan in [FaultPlan::NONE, FaultPlan::MODERATE] {
-                let digest = RefCell::new(WireDigest::new());
+                let mut digest = WireDigest::new();
+                let mut scratch = HandshakeScratch::observing(&mut digest);
                 for (index, record) in services.iter().enumerate() {
-                    tapped_handshake(
+                    scratch.run(
                         client_for(index, record),
                         server_for(&world, record, behavior.clone(), era),
-                        wire_for(record, plan),
+                        &mut wire_for(record, plan),
                         record.seed,
-                        &digest,
                     );
                 }
-                let label = format!("{} {} {plan}", behavior.name, era.name());
-                line(&mut out, &label, &digest);
+                digest.line(
+                    &mut out,
+                    &format!("{} {} {plan}", behavior.name, era.name()),
+                );
             }
         }
     }
 
-    // Cold visit against a ticket-issuing server, then a warm visit that
+    // A cold visit against a ticket-issuing server, then a warm visit that
     // offers the ticket: NewSessionTicket, PSK ClientHello, resumed flight.
-    let digest = RefCell::new(WireDigest::new());
+    let mut digest = WireDigest::new();
+    let mut scratch = HandshakeScratch::observing(&mut digest);
     let mut resumed = 0;
     for record in services.iter().take(16) {
-        let host = ResumptionHost::issuing(record.seed ^ 0x57E4, 1_000_000);
         let mut server = server_for(
             &world,
             record,
             ServerBehavior::rfc_compliant(),
             CertificateEra::Classical,
         );
-        server.resumption = Some(host);
-        let mut client = client_for(0, record);
-        let cold = tapped_handshake(
-            client.clone(),
-            server.clone(),
-            wire_for(record, FaultPlan::NONE),
-            record.seed,
-            &digest,
-        );
-        let nst = cold.ticket.expect("the cold visit obtains a ticket");
-        let ticket = SessionTicket {
-            identity: nst.ticket,
-            lifetime_secs: nst.lifetime_secs as u64,
-            age_add: nst.age_add,
-            obtained_at_secs: 1_000_000,
-        };
-        client.seed ^= 0x5245_5355_4D45_0001;
-        client.psk = Some(PskOffer {
-            identity: ticket.identity.clone(),
-            obfuscated_age: ticket.obfuscated_age(1_000_060),
-        });
-        server.resumption = Some(host.revisited_at(1_000_060));
-        let warm = tapped_handshake(
-            client,
+        server.resumption = Some(ResumptionHost::issuing(record.seed ^ 0x57E4, 1_000_000));
+        let probe = scratch.resume(ResumptionProbe {
+            client: client_for(0, record),
             server,
-            wire_for(record, FaultPlan::NONE),
-            record.seed ^ 0x5741_524D,
-            &digest,
-        );
-        resumed += usize::from(warm.psk_accepted);
+            wire: wire_for(record, FaultPlan::NONE),
+            seed: record.seed,
+            warm_now_secs: 1_000_060,
+            offer_ticket: true,
+        });
+        resumed += usize::from(probe.warm.resumed);
     }
     assert_eq!(resumed, 16, "every warm visit resumes");
-    line(&mut out, "cold-then-warm rfc-compliant classical", &digest);
+    digest.line(&mut out, "cold-then-warm rfc-compliant classical");
     out
 }
 

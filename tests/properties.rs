@@ -540,6 +540,7 @@ mod simnet_properties {
                 ExchangeLimits::default(),
                 &mut SimRng::new(9),
                 &mut ExchangeScratch::default(),
+                &mut (),
             );
             prop_assert!(outcome.quiesced);
             prop_assert_eq!(recorder.seen, sizes);
